@@ -6,10 +6,14 @@
 //	go test -run '^$' -bench BenchmarkScalePlacement -count=6 . | tee new.txt
 //	benchstat old.txt new.txt
 //
-// The acceptance bar for the cache (see DESIGN.md §6) is >= 2x over the
-// exhaustive engine at 10k hosts on the fig6 workload mix; CI's bench-gate
-// holds the cached numbers against regressions. The full 1k/10k/50k sweep
-// with end-to-end replays lives in `cmd/experiments -exp scale`.
+// Every cell has a steady-state row — each cache context the arrival ring
+// will use is built before the timer starts, so a short run and a long one
+// time the same thing — and the cached engine adds a cold-context row, the
+// O(hosts) price of a context's first decision. The acceptance bar for the
+// cache (see DESIGN.md §6) is >= 2x over the exhaustive engine at 10k hosts
+// on the fig6 workload mix, steady state; CI's bench-gate holds the cached
+// steady-state rows against regressions. The full 1k/10k/50k sweep with
+// end-to-end replays lives in `cmd/experiments -exp scale`.
 package lava
 
 import (
@@ -137,10 +141,15 @@ func buildScalePool(b *testing.B, f *scaleFixture, pol scheduler.Policy) *cluste
 	return p
 }
 
-// BenchmarkScalePlacement measures one steady-state placement decision
-// (Schedule + Place + OnPlaced) per op, with a paired exit every op to hold
-// occupancy constant. The engine dimension is the benchstat comparison that
-// backs the score cache's speedup claim.
+// BenchmarkScalePlacement measures placement decisions at pool scale. The
+// engine dimension is the benchstat comparison that backs the score cache's
+// speedup claim.
+//
+//   - steady-state: one Schedule + Place + OnPlaced per op, with a paired
+//     exit every op to hold occupancy constant, every context warm.
+//   - cold-context (cached engine only): one Schedule per op on a policy
+//     whose cache was just dropped, so each op builds its context from
+//     nothing. The exhaustive engine has no contexts to build.
 func BenchmarkScalePlacement(b *testing.B) {
 	pred := model.Oracle{}
 	for _, hosts := range []int{1000, 10000} {
@@ -167,44 +176,78 @@ func BenchmarkScalePlacement(b *testing.B) {
 				name string
 				e    scheduler.Engine
 			}{{"cached", scheduler.EngineCached}, {"exhaustive", scheduler.EngineExhaustive}} {
-				b.Run(fmt.Sprintf("hosts=%d/policy=%s/engine=%s", hosts, pc.name, eng.name), func(b *testing.B) {
-					pol := scheduler.SetEngine(pc.mk(), eng.e)
-					p := buildScalePool(b, f, pol)
-					now := time.Hour
-					nextID := cluster.VMID(1_000_000)
-					type placedVM struct {
-						id cluster.VMID
-						vm *cluster.VM
-					}
-					// Exit lag: each op exits the VM placed lagN ops ago, so
-					// the pool neither drains nor fills during the run.
-					const lagN = 64
-					var ring [lagN]placedVM
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						s := f.arrivals[i%len(f.arrivals)]
-						now += 50 * time.Millisecond
-						if old := ring[i%lagN]; old.vm != nil {
-							if h, vm, err := p.Exit(old.id); err == nil {
-								pol.OnExited(p, h, vm, now)
-							}
-						}
-						ring[i%lagN] = placedVM{}
-						vm := &cluster.VM{ID: nextID, Shape: s.shape, Created: now, TrueLifetime: s.life}
-						nextID++
-						h, err := pol.Schedule(p, vm, now)
-						if err != nil {
-							continue // momentarily saturated for this shape
-						}
-						if err := p.Place(vm, h); err != nil {
-							b.Fatal(err)
-						}
-						pol.OnPlaced(p, h, vm, now)
-						ring[i%lagN] = placedVM{id: vm.ID, vm: vm}
-					}
-					b.ReportMetric(float64(p.NumHosts()), "hosts")
+				cell := fmt.Sprintf("hosts=%d/policy=%s/engine=%s", hosts, pc.name, eng.name)
+				b.Run(cell+"/steady-state", func(b *testing.B) {
+					benchSteadyState(b, f, scheduler.SetEngine(pc.mk(), eng.e))
 				})
+				if eng.e == scheduler.EngineCached {
+					b.Run(cell+"/cold-context", func(b *testing.B) {
+						benchColdContext(b, f, pc.mk())
+					})
+				}
 			}
 		}
 	}
+}
+
+// benchStart is the virtual time every scale benchmark starts at.
+const benchStart = time.Hour
+
+// arrival builds the VM of the i-th op from the fixture's ring.
+func (f *scaleFixture) arrival(i int, id cluster.VMID, now time.Duration) *cluster.VM {
+	s := f.arrivals[i%len(f.arrivals)]
+	return &cluster.VM{ID: id, Shape: s.shape, Created: now, TrueLifetime: s.life}
+}
+
+func benchSteadyState(b *testing.B, f *scaleFixture, pol scheduler.Policy) {
+	p := buildScalePool(b, f, pol)
+	now := benchStart
+	nextID := cluster.VMID(1_000_000)
+	if scheduler.EngineOf(pol) == scheduler.EngineCached {
+		// One decision per ring entry, nothing placed: every (shape, class)
+		// context the timed loop will ask for exists before the timer runs.
+		for i := range f.arrivals {
+			_, _ = pol.Schedule(p, f.arrival(i, nextID, now), now) // saturated shapes still build their context
+			nextID++
+		}
+	}
+	// Exit lag: each op exits the VM placed lagN ops ago, so the pool
+	// neither drains nor fills during the run.
+	const lagN = 64
+	var ring [lagN]*cluster.VM
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += 50 * time.Millisecond
+		if old := ring[i%lagN]; old != nil {
+			if h, vm, err := p.Exit(old.ID); err == nil {
+				pol.OnExited(p, h, vm, now)
+			}
+		}
+		ring[i%lagN] = nil
+		vm := f.arrival(i, nextID, now)
+		nextID++
+		h, err := pol.Schedule(p, vm, now)
+		if err != nil {
+			continue // momentarily saturated for this shape
+		}
+		if err := p.Place(vm, h); err != nil {
+			b.Fatal(err)
+		}
+		pol.OnPlaced(p, h, vm, now)
+		ring[i%lagN] = vm
+	}
+	b.ReportMetric(float64(p.NumHosts()), "hosts")
+}
+
+func benchColdContext(b *testing.B, f *scaleFixture, pol scheduler.Policy) {
+	p := buildScalePool(b, f, pol)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Off and on again drops every context (see CachedChain.SetEngine);
+		// the pool is never mutated, so every op sees the same hosts.
+		scheduler.SetEngine(pol, scheduler.EngineExhaustive)
+		scheduler.SetEngine(pol, scheduler.EngineCached)
+		_, _ = pol.Schedule(p, f.arrival(i, cluster.VMID(1_000_000+i), benchStart), benchStart) // a saturated shape builds its context all the same
+	}
+	b.ReportMetric(float64(p.NumHosts()), "hosts")
 }

@@ -2,9 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"strings"
 	"testing"
+	"time"
 
+	"lava/internal/model"
 	"lava/internal/runner"
+	"lava/internal/scheduler"
+	"lava/internal/sim"
+	"lava/internal/workload"
 )
 
 // canonicalDoc runs one experiment with the given engine/parallelism and
@@ -90,7 +97,86 @@ func TestScalePipeline(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	rep.Render(&buf)
-	if !bytes.Contains(buf.Bytes(), []byte("speedup")) {
-		t.Fatalf("render missing speedup column:\n%s", buf.String())
+	if !bytes.Contains(buf.Bytes(), []byte("speedup")) || !bytes.Contains(buf.Bytes(), []byte("lazy evals")) {
+		t.Fatalf("render missing speedup or cache columns:\n%s", buf.String())
+	}
+	// Cache counters: on every cached job and no exhaustive one, and gone
+	// from the canonical document, which must not tell the engines apart.
+	doc := runner.Document{Batches: sums}
+	for _, r := range sums[0].Results {
+		if cached := strings.HasSuffix(r.Name, "/cached"); cached != (r.Cache != nil) {
+			t.Errorf("%s: cache counters present = %v", r.Name, r.Cache != nil)
+		}
+	}
+	doc.Canonicalize()
+	for _, r := range doc.Batches[0].Results {
+		if r.Cache != nil {
+			t.Errorf("%s: cache counters survive Canonicalize", r.Name)
+		}
+	}
+}
+
+// TestCachedMatchesExhaustiveReplayScale is the differential gate on the
+// path the repository's benchmark times (bench: replay-scale): a streamed
+// (12+3) h fig6-mix trace, shrunk from 10,000 hosts to 1,500 so the
+// exhaustive arm stays affordable. The run crosses seven epoch boundaries
+// and keeps over a hundred lava-epoch contexts alive, so lazy deep levels,
+// stamped rollovers and level-0 rebuilds all decide placements here. The
+// engines must agree byte for byte on the canonical metrics, model calls
+// included.
+func TestCachedMatchesExhaustiveReplayScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy")
+	}
+	spec := workload.PoolSpec{Name: "replay-scale", Zone: "zone-a", Hosts: 1500, TargetUtil: 0.65,
+		Prefill: 12 * time.Hour, Duration: 3 * time.Hour, Diurnal: 0.3, Seed: 1}
+	pred := model.Oracle{}
+	for name, mk := range map[string]func() scheduler.Policy{
+		"wastemin": scheduler.NewWasteMin,
+		"bestfit":  scheduler.NewBestFit,
+		"nilas-epoch": func() scheduler.Policy {
+			return scheduler.NewNILASEpoch(pred, time.Minute, scheduler.DefaultEpoch)
+		},
+		"lava-epoch": func() scheduler.Policy {
+			return scheduler.NewLAVAEpoch(pred, time.Minute, scheduler.DefaultEpoch)
+		},
+		"lava": func() scheduler.Policy { return scheduler.NewLAVA(pred, time.Minute) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			var docs [2][]byte
+			var stats scheduler.CacheStats
+			for i, eng := range []scheduler.Engine{scheduler.EngineCached, scheduler.EngineExhaustive} {
+				g, err := workload.Stream(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pol := scheduler.SetEngine(mk(), eng)
+				res, err := sim.Run(sim.Config{Trace: g.Meta(), Source: g, Policy: pol})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if docs[i], err = json.Marshal(runner.MetricsOf(res)); err != nil {
+					t.Fatal(err)
+				}
+				if eng == scheduler.EngineCached {
+					stats = scheduler.CacheStatsOf(pol)
+				}
+			}
+			if !bytes.Equal(docs[0], docs[1]) {
+				t.Errorf("engines diverge:\n cached:     %s\n exhaustive: %s", docs[0], docs[1])
+			}
+			if stats.ColdBuilds == 0 || stats.Filtered == 0 {
+				t.Errorf("cached arm never used its cache: %+v", stats)
+			}
+			if name == "lava-epoch" {
+				// The workload the tentpole is about: rollovers happen, the
+				// context population is the benchmark's, and no rollover
+				// costs a rebuild.
+				if stats.Contexts <= 100 || stats.Rollovers == 0 || stats.Rebuilds != stats.ColdBuilds {
+					t.Errorf("lava-epoch cache counters: %+v", stats)
+				}
+			}
+		})
 	}
 }

@@ -53,6 +53,10 @@ type ScaleRow struct {
 	Speedup     float64 // ExhSec / CachedSec
 	Identical   bool    // cached and exhaustive aggregates match exactly
 	CachedOnly  bool    // mega tier: streamed replay, no exhaustive arm
+
+	// Cache is the cached arm's score-cache work: why CachedSec is what it
+	// is. Deterministic per (scale, seed), like Placements.
+	Cache scheduler.CacheStats
 }
 
 // ScaleReport is the pool-scale benchmark suite: how placement cost grows
@@ -68,20 +72,26 @@ func (r *ScaleReport) Name() string { return "scale" }
 // Render implements Report.
 func (r *ScaleReport) Render(w io.Writer) {
 	fmt.Fprintln(w, "Scale — placement throughput vs pool size (cached vs exhaustive engine)")
-	fmt.Fprintln(w, "hosts   | policy   | placements | cached s | exhaust s | speedup | identical")
+	fmt.Fprintln(w, "hosts   | policy   | placements | cached s | exhaust s | speedup | identical | contexts | cold | rollovers | rebuilds | resynced | lazy evals |  filtered")
 	for _, row := range r.Rows {
 		ident := fmt.Sprintf("%v", row.Identical)
 		exh, spd := fmt.Sprintf("%9.2f", row.ExhSec), fmt.Sprintf("%6.2fx", row.Speedup)
 		if row.CachedOnly {
 			ident, exh, spd = "n/a", "        -", "      -"
 		}
-		fmt.Fprintf(w, "%7d | %-8s | %10d | %8.2f | %s | %s | %s\n",
-			row.Hosts, row.Policy, row.Placements, row.CachedSec, exh, spd, ident)
+		c := row.Cache
+		fmt.Fprintf(w, "%7d | %-8s | %10d | %8.2f | %s | %s | %-9s | %8d | %4d | %9d | %8d | %8d | %10d | %9d\n",
+			row.Hosts, row.Policy, row.Placements, row.CachedSec, exh, spd, ident,
+			c.Contexts, c.ColdBuilds, c.Rollovers, c.Rebuilds, c.HostsResynced, c.LazyEvals, c.Filtered)
 	}
 	fmt.Fprintln(w, "note: speedups are wall-clock and only meaningful at -parallel 1;")
 	fmt.Fprintln(w, "      the benchstat-gated numbers come from BenchmarkScalePlacement.")
 	fmt.Fprintln(w, "      mega rows (cached-only) replay a streamed trace under the")
 	fmt.Fprintln(w, "      epoch-quantized policies; no exhaustive arm exists at that size.")
+	fmt.Fprintln(w, "      contexts..filtered are the cached arm's scheduler.CacheStats: live")
+	fmt.Fprintln(w, "      contexts, then work totals — contexts built cold, epoch rollovers")
+	fmt.Fprintln(w, "      seen, full pool rescans, dirty hosts re-scored, deep levels scored")
+	fmt.Fprintln(w, "      on first read, candidates filtered.")
 }
 
 // scaleSpec is the fig6-mix workload spec for one pool size. Durations are
@@ -202,36 +212,45 @@ func runScale(opt Options) (Report, error) {
 		e    scheduler.Engine
 	}{{"cached", scheduler.EngineCached}, {"exhaustive", scheduler.EngineExhaustive}}
 
+	// Every job owns one slot of cache, by name: its policy's score-cache
+	// counters, read once the replay is over (all zero on the exhaustive
+	// engine).
 	var jobs []runner.Job
+	cache := map[string]*scheduler.CacheStats{}
+	addJob := func(name string, pol func() scheduler.Policy, cfg func() (sim.Config, error)) {
+		st := new(scheduler.CacheStats)
+		cache[name] = st
+		jobs = append(jobs, runner.Job{Name: name, Seed: opt.Seed, Run: func() (*sim.Result, error) {
+			c, err := cfg()
+			if err != nil {
+				return nil, err
+			}
+			c.Policy = pol()
+			res, err := sim.Run(c)
+			*st = scheduler.CacheStatsOf(c.Policy)
+			return res, err
+		}})
+	}
 	for i, c := range dual {
 		for _, arm := range arms {
 			for _, eng := range engines {
-				tr, arm, eng := traces[i], arm, eng
-				jobs = append(jobs, runner.Job{
-					Name: fmt.Sprintf("h%d/%s/%s", c.label, arm.name, eng.name),
-					Seed: opt.Seed,
-					Run: func() (*sim.Result, error) {
-						return sim.Run(sim.Config{Trace: tr, Policy: scheduler.SetEngine(arm.mk(), eng.e)})
-					},
-				})
+				tr := traces[i]
+				addJob(fmt.Sprintf("h%d/%s/%s", c.label, arm.name, eng.name),
+					func() scheduler.Policy { return scheduler.SetEngine(arm.mk(), eng.e) },
+					func() (sim.Config, error) { return sim.Config{Trace: tr}, nil })
 			}
 		}
 	}
 	for _, c := range mega {
 		for _, arm := range megaArms {
-			c, arm := c, arm
-			jobs = append(jobs, runner.Job{
-				Name: fmt.Sprintf("h%d/%s", c.label, arm.name),
-				Seed: opt.Seed,
-				Run: func() (*sim.Result, error) {
-					// The trace is generated and consumed record by record:
-					// resident memory is O(live VMs), never O(trace).
-					g, err := workload.Stream(scaleSpec(opt, c.hosts))
-					if err != nil {
-						return nil, err
-					}
-					return sim.Run(sim.Config{Trace: g.Meta(), Source: g, Policy: arm.mk()})
-				},
+			addJob(fmt.Sprintf("h%d/%s", c.label, arm.name), arm.mk, func() (sim.Config, error) {
+				// The trace is generated and consumed record by record:
+				// resident memory is O(live VMs), never O(trace).
+				g, err := workload.Stream(scaleSpec(opt, c.hosts))
+				if err != nil {
+					return sim.Config{}, err
+				}
+				return sim.Config{Trace: g.Meta(), Source: g}, nil
 			})
 		}
 	}
@@ -242,6 +261,11 @@ func runScale(opt Options) (Report, error) {
 	b := &runner.Batch{Parallel: opt.Parallel, OnProgress: opt.Progress}
 	start := time.Now()
 	results, err := b.Run(context.Background(), jobs)
+	for i := range results {
+		if st := cache[results[i].Name]; *st != (scheduler.CacheStats{}) {
+			results[i].Cache = st
+		}
+	}
 	if opt.Sink != nil {
 		opt.Sink.Add(runner.Summarize("scale", b.Workers(), time.Since(start).Seconds(), results))
 	}
@@ -270,6 +294,7 @@ func runScale(opt Options) (Report, error) {
 					cr.Result.ModelCalls == x.Result.ModelCalls &&
 					cr.Result.AvgEmptyHostFrac == x.Result.AvgEmptyHostFrac &&
 					cr.Result.AvgPackingDensity == x.Result.AvgPackingDensity,
+				Cache: *cache[cr.Name],
 			}
 			if cr.ElapsedSec > 0 {
 				row.Speedup = x.ElapsedSec / cr.ElapsedSec
@@ -290,6 +315,7 @@ func runScale(opt Options) (Report, error) {
 				Placements:  cr.Result.Placements,
 				CachedSec:   cr.ElapsedSec,
 				CachedOnly:  true,
+				Cache:       *cache[cr.Name],
 			})
 		}
 	}

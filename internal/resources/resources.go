@@ -109,26 +109,15 @@ func DominantShare(v, cap Vector) float64 {
 // memory but no free CPU scores ~1. The waste-minimization baseline
 // minimizes this quantity to keep leftover shapes schedulable (§2.2).
 func Imbalance(v, cap Vector) float64 {
-	var fr []float64
-	if cap.CPUMilli > 0 {
-		fr = append(fr, float64(v.CPUMilli)/float64(cap.CPUMilli))
-	}
-	if cap.MemoryMB > 0 {
-		fr = append(fr, float64(v.MemoryMB)/float64(cap.MemoryMB))
-	}
-	if len(fr) < 2 {
+	if cap.CPUMilli <= 0 || cap.MemoryMB <= 0 {
 		return 0
 	}
-	lo, hi := fr[0], fr[0]
-	for _, f := range fr[1:] {
-		if f < lo {
-			lo = f
-		}
-		if f > hi {
-			hi = f
-		}
+	cpu := float64(v.CPUMilli) / float64(cap.CPUMilli)
+	mem := float64(v.MemoryMB) / float64(cap.MemoryMB)
+	if cpu < mem {
+		return mem - cpu
 	}
-	return hi - lo
+	return cpu - mem
 }
 
 // String renders the vector in a compact human-readable form.

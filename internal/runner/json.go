@@ -67,8 +67,8 @@ type Document struct {
 }
 
 // Canonicalize strips the document's run-environment noise — wall-clock
-// timings and worker counts — leaving only fields that are a pure function
-// of (experiments, scale, seed). Canonical documents from runs at different
+// timings, worker counts and scoring-engine counters — leaving only fields
+// that are a pure function of (experiments, scale, seed). Canonical documents from runs at different
 // parallelism settings are byte-identical, which is what CI's determinism
 // job diffs.
 func (d *Document) Canonicalize() {
@@ -82,6 +82,8 @@ func (d *Document) Canonicalize() {
 			// Serving latencies are wall-clock measurements, not a function
 			// of (experiments, scale, seed).
 			d.Batches[i].Results[j].Serving = nil
+			// Cache counters belong to one engine, not to the result.
+			d.Batches[i].Results[j].Cache = nil
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"lava/internal/scheduler"
 	"lava/internal/sim"
 	"lava/internal/slo"
 )
@@ -36,6 +37,12 @@ type JobResult struct {
 	// Serving carries throughput/latency figures when the job was a
 	// request-serving run (cmd/lavaload) rather than an offline replay.
 	Serving *ServingStats `json:"serving,omitempty"`
+
+	// Cache carries the score cache's work counters when the job reports
+	// them (the scale experiment's cached arms). They describe how the
+	// engine got to the result, not the result: the exhaustive engine has
+	// none, so Canonicalize strips them.
+	Cache *scheduler.CacheStats `json:"cache,omitempty"`
 
 	// Result is the full simulation outcome (nil for failed or skipped
 	// jobs). Not serialized; JSON consumers read Metrics.

@@ -24,11 +24,14 @@ import (
 // i.e. of host state and the cache context. That makes the level *static*:
 // the incremental engine caches it per (shape, class) context like the
 // packing levels, re-scoring a host only when a placement or exit dirties
-// it, and invalidates everything at once when the clock crosses an epoch
-// boundary (CachedChain.Epoch). Amortized over the multi-minute epochs the
-// rollover rebuild is negligible, and the steady-state sync cost is
-// O(dirtied hosts) — the dynamic-level full scan is gone; what remains per
-// decision is the winning-bucket filter every cached policy pays.
+// it. When the clock crosses an epoch boundary each context drops what the
+// boundary made stale on its own next Schedule (CachedChain.Epoch): for
+// nilas-epoch, whose buckets are keyed by this level, that is a rebuild of
+// the context; for lava-epoch, where it sits below the class preference,
+// only this level's cached values go and are re-scored for the candidates
+// that reach it. The steady-state sync cost is O(dirtied hosts) — the
+// dynamic-level full scan is gone; what remains per decision is the
+// winning-bucket filter every cached policy pays.
 //
 // Equivalence between engines is the usual structural argument: both run
 // the same scorer over the same candidates, the host-exit estimates are
@@ -86,8 +89,8 @@ func (e *epochTemporal) onExited(h *cluster.Host) {
 // onto the epoch grid before the NILAS ∆T bucketing. Within one epoch the
 // result depends only on the host's exit estimate and the VM's quantized
 // remaining lifetime (part of the cache context), which is what lets the
-// incremental engine cache it as a static level; CachedChain.Epoch triggers
-// the full invalidation when now crosses an epoch boundary.
+// incremental engine cache it as a static level; CachedChain.Epoch drops
+// the cached values when now crosses an epoch boundary.
 func (e *epochTemporal) score(h *cluster.Host, vm *cluster.VM, now time.Duration) float64 {
 	es := now - now%e.epoch // epoch start
 	hx := es                // empty or already-drained hosts exit "now", floored to the grid
@@ -144,7 +147,8 @@ func NewLAVAEpoch(pred model.Predictor, refresh, epoch time.Duration) *LAVA {
 			rem := l.cache.Remaining(vm, now)
 			return int32(simtime.ClassOf(rem))<<4 | int32(simtime.TemporalCost(rem))
 		},
-		Epoch: epoch,
+		Epoch:      epoch,
+		epochLevel: 1, // below the class preference, which keeps the buckets
 	}
 	return l
 }

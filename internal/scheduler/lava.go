@@ -57,6 +57,9 @@ func (l *LAVA) SetEngine(e Engine) { l.chain.SetEngine(e) }
 
 func (l *LAVA) engineOf() Engine { return l.chain.engine }
 
+// CacheStats reports the score cache's work counters (see CachedChain).
+func (l *LAVA) CacheStats() CacheStats { return l.chain.CacheStats() }
+
 // EnableTrace implements Traceable (see Chain.EnableTrace).
 func (l *LAVA) EnableTrace(k int) { l.chain.EnableTrace(k) }
 

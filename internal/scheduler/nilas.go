@@ -43,6 +43,9 @@ func (n *NILAS) SetEngine(e Engine) { n.chain.SetEngine(e) }
 
 func (n *NILAS) engineOf() Engine { return n.chain.engine }
 
+// CacheStats reports the score cache's work counters (see CachedChain).
+func (n *NILAS) CacheStats() CacheStats { return n.chain.CacheStats() }
+
 // EnableTrace implements Traceable (see Chain.EnableTrace).
 func (n *NILAS) EnableTrace(k int) { n.chain.EnableTrace(k) }
 

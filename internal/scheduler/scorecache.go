@@ -1,7 +1,7 @@
 package scheduler
 
 import (
-	"sort"
+	"math/bits"
 	"time"
 
 	"lava/internal/cluster"
@@ -15,7 +15,10 @@ import (
 // O(hosts x scorers) per decision. The CachedChain below subscribes to the
 // pool's host-event surface (cluster.Subscribe), keeps per-context candidate
 // sets with cached per-host chain scores, and on Schedule touches only the
-// hosts dirtied since the last call plus the winning score bucket.
+// hosts dirtied since the last call plus the winning score bucket: a dirty
+// host is re-scored on the one level that defines the buckets, and a deeper
+// static level is scored the first time the filter reads it for a surviving
+// candidate (levelScore).
 //
 // Equivalence to the exhaustive path is structural, not statistical: both
 // engines run the same epsilon-filter core (Chain.applyChain) over the same
@@ -51,10 +54,11 @@ type CacheContext struct {
 // shapes x classes). Workload mixes are small and discrete — the fig6 mix
 // has ~21 shapes, times four LAVA lifetime classes ~84 contexts; the epoch
 // variants multiply by the ~11 quantized remaining-lifetime buckets instead,
-// of which only a handful are populated per shape in practice — so the cap
-// sits above the realistic population and exists only to keep memory
-// bounded under adversarial inputs (memory ceiling: contexts x hosts x
-// levels x 8 bytes). The least-recently-used context is evicted and rebuilt
+// of which only a handful are populated per shape (lava-epoch holds 136 on
+// the benchmark's replay-scale workload; CacheStats reports the live count)
+// — so the cap sits above the realistic population and exists only to keep
+// memory bounded under adversarial inputs (memory ceiling: contexts x hosts
+// x levels x 8 bytes). The least-recently-used context is evicted and rebuilt
 // on demand if it ever returns; eviction thrash shows up directly in the
 // scale benchmarks, so keep the cap comfortably above the live population.
 const maxCachedContexts = 256
@@ -63,6 +67,14 @@ const maxCachedContexts = 256
 // zero value of the extra fields gives a fully static chain (every level
 // cached); Dynamic marks levels that must be recomputed on every call, and
 // TimeVarying disables caching for the whole chain (see DirtyAll).
+//
+// Static levels below level 0 are cached lazily. Which of a host's values
+// are present is kept in a validity bit beside the score, never in the score
+// itself, so a static scorer may return any float64 — zero, negative, ±Inf
+// or NaN — and both engines still filter the same values (levels past the
+// eighth have no bit and are simply re-scored on every read). Level 0 keys
+// the buckets, so there the discrete-value contract (see Schedule) applies
+// and NaN is excluded.
 //
 // Like Chain, a CachedChain must not be shared by concurrent simulations.
 // It additionally binds to one pool at a time: scheduling against a
@@ -94,17 +106,22 @@ type CachedChain struct {
 
 	// Epoch is the middle ground between fully static and TimeVarying:
 	// scores that are pure within a fixed quantum of virtual time (the
-	// epoch-quantized temporal levels, see epoch.go). When set, every
-	// cached score is invalidated whenever now crosses an Epoch boundary —
-	// one DirtyAll per epoch instead of per Schedule, amortized to nothing
-	// over the epoch's many placements.
+	// epoch-quantized temporal levels, see epoch.go). When set, a context
+	// whose cached scores date from another epoch drops them on its next
+	// Schedule — a stamp comparison per call, no sweep over the contexts at
+	// the boundary itself.
 	Epoch time.Duration
 
-	engine   Engine
-	epochIdx int64 // 1 + the epoch index the cache was last valid for
-	pool     *cluster.Pool
-	cancel   func()
-	hosts    []*cluster.Host // pool.Hosts(); hosts[i].ID == i (checked at bind)
+	// epochLevel is the one epoch-quantized level. Below level 0, a boundary
+	// drops only that level's lazily cached values and leaves bucket
+	// membership alone; at level 0 (the zero value) the context is rebuilt.
+	epochLevel int
+
+	engine Engine
+	pool   *cluster.Pool
+	cancel func()
+	hosts  []*cluster.Host // pool.Hosts(); hosts[i].ID == i (checked at bind)
+	stats  CacheStats
 
 	sets   map[CacheContext]*candSet
 	list   []*candSet // same sets, for event fan-out and eviction
@@ -187,24 +204,34 @@ func (c *CachedChain) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Dura
 	if c.engine == EngineExhaustive || c.TimeVarying || !c.bind(pool) {
 		return c.Chain.Schedule(pool, vm, now)
 	}
-	if c.Epoch > 0 {
-		// Epoch rollover: every cached epoch-quantized score just changed.
-		// (+1 keeps the zero value distinct from epoch 0, so the first
-		// Schedule also takes this branch — harmless, sets start all-dirty.)
-		if idx := int64(now/c.Epoch) + 1; idx != c.epochIdx {
-			c.epochIdx = idx
-			c.DirtyAll()
-		}
-	}
 	ctx := CacheContext{Shape: vm.Shape}
 	if c.ClassOf != nil {
 		ctx.Class = c.ClassOf(vm, now)
 	}
 	cs := c.lookup(ctx)
+	if c.Epoch > 0 {
+		// Epoch rollover, seen by each context on its own next Schedule
+		// however many boundaries it sat out (+1 keeps a fresh context's
+		// zero stamp distinct from epoch 0).
+		if idx := int64(now/c.Epoch) + 1; idx != cs.epoch {
+			if cs.epoch != 0 {
+				c.stats.Rollovers++
+			}
+			cs.epoch = idx
+			if c.epochLevel == 0 {
+				cs.allDirty = true
+			} else {
+				for i := range cs.have {
+					cs.have[i] &^= 1 << c.epochLevel
+				}
+			}
+		}
+	}
 	c.sync(cs, vm, now)
 
 	candidates := cs.candidates(c.cand[:0], c.hosts)
 	c.cand = candidates
+	c.stats.Filtered += int64(len(candidates))
 	if len(candidates) == 0 {
 		if c.Chain.tr != nil {
 			c.Chain.tr.begin(0)
@@ -250,12 +277,48 @@ func (c *CachedChain) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Dura
 }
 
 // levelScore implements levelScorer: dynamic levels go through the original
-// Scorer, static levels read the cached value.
+// Scorer, static levels read the cached value — scored here, through the same
+// Scorer, the first time the filter asks for it since the host was dirtied.
 func (c *CachedChain) levelScore(li int, h *cluster.Host, vm *cluster.VM, now time.Duration) float64 {
 	if c.dyn(li) {
 		return c.Scorers[li].Score(h, vm, now)
 	}
-	return c.cur.vals[int(h.ID)*len(c.Scorers)+li]
+	cs := c.cur
+	i := li*len(cs.have) + int(h.ID) // level-major: the filter walks one level at a time
+	if bit := uint8(1) << li; cs.have[h.ID]&bit == 0 {
+		cs.have[h.ID] |= bit
+		cs.vals[i] = c.Scorers[li].Score(h, vm, now)
+		c.stats.LazyEvals++
+	}
+	return cs.vals[i]
+}
+
+// CacheStats counts the score cache's work since the chain was built; the
+// engine only ever increments them, so reading costs nothing on the hot path.
+type CacheStats struct {
+	Contexts      int   `json:"contexts"`       // live contexts
+	ColdBuilds    int64 `json:"cold_builds"`    // contexts built from nothing (first use, or back from eviction)
+	Rollovers     int64 `json:"rollovers"`      // contexts that found their scores an epoch old
+	Rebuilds      int64 `json:"rebuilds"`       // full pool rescans: cold builds, DirtyAll, level-0 rollovers
+	HostsResynced int64 `json:"hosts_resynced"` // dirty hosts re-scored on level 0, summed over contexts
+	LazyEvals     int64 `json:"lazy_evals"`     // deep static levels scored on first read
+	Filtered      int64 `json:"filtered"`       // candidates handed to the filter
+}
+
+// CacheStats reports the work counters.
+func (c *CachedChain) CacheStats() CacheStats {
+	st := c.stats
+	st.Contexts = len(c.list)
+	return st
+}
+
+// CacheStatsOf reports p's score-cache counters, all zero for a policy
+// without a score cache.
+func CacheStatsOf(p Policy) CacheStats {
+	if s, ok := p.(interface{ CacheStats() CacheStats }); ok {
+		return s.CacheStats()
+	}
+	return CacheStats{}
 }
 
 // bind attaches the cache to the pool, subscribing to its host events. It
@@ -315,9 +378,10 @@ func (c *CachedChain) lookup(ctx CacheContext) *candSet {
 		if len(c.list) >= maxCachedContexts {
 			c.evictLRU()
 		}
-		cs = newCandSet(ctx, len(c.hosts), len(c.Scorers), c.dyn(0))
+		cs = newCandSet(ctx, len(c.hosts), len(c.Scorers))
 		c.sets[ctx] = cs
 		c.list = append(c.list, cs)
+		c.stats.ColdBuilds++
 	}
 	c.useSeq++
 	cs.lastUsed = c.useSeq
@@ -342,58 +406,68 @@ func (c *CachedChain) evictLRU() {
 // placement, so this is the only per-host work on the hot path.
 func (c *CachedChain) sync(cs *candSet, vm *cluster.VM, now time.Duration) {
 	if cs.allDirty {
-		cs.rebuild(c, vm, now)
-		return
-	}
-	for _, id := range cs.dirty {
-		cs.isDirty[id] = false
-		cs.update(c, id, vm, now)
+		// Context creation, DirtyAll, a level-0 epoch rollover: every host
+		// starts from nothing.
+		c.stats.Rebuilds++
+		clear(cs.feasible)
+		clear(cs.isDirty)
+		for _, b := range cs.bkts {
+			clear(b.bits)
+			b.n = 0
+		}
+		for id := range c.hosts {
+			cs.update(c, cluster.HostID(id), vm, now)
+		}
+		cs.allDirty = false
+	} else {
+		c.stats.HostsResynced += int64(len(cs.dirty))
+		for _, id := range cs.dirty {
+			cs.isDirty[id] = false
+			cs.update(c, id, vm, now)
+		}
 	}
 	cs.dirty = cs.dirty[:0]
 }
 
 // candSet is one context's incremental candidate structure: per-host cached
-// static scores plus either score-keyed buckets (static level 0) or a flat
-// ID-ordered feasible list (dynamic level 0). Membership means "feasible
-// for the context's shape and available" — exactly AppendFeasible's
-// predicate — so Schedule never rescans the pool for feasibility either.
+// static scores plus membership in buckets keyed by the level-0 score (one
+// bucket holding everyone when level 0 is dynamic). Membership means
+// "feasible for the context's shape and available" — exactly
+// AppendFeasible's predicate — so Schedule never rescans the pool for
+// feasibility either.
 type candSet struct {
-	ctx     CacheContext
-	nLevels int
-	dyn0    bool
+	ctx CacheContext
 
 	feasible []bool    // per host: currently a member
-	vals     []float64 // nHosts x nLevels cached scores (static levels only)
+	vals     []float64 // nLevels x nHosts cached scores (static levels only)
+	have     []uint8   // per host: bit li set = vals holds level li (li >= 1)
 	isDirty  []bool
 	dirty    []cluster.HostID
 	allDirty bool
+	epoch    int64 // 1 + the epoch index the cached scores belong to
 	lastUsed uint64
 
-	feasIDs []cluster.HostID      // dyn0: ID-sorted members
-	keys    []float64             // sorted live bucket keys
-	buckets map[float64]*scoreBkt // level-0 score -> members
+	bkts []*scoreBkt // ascending key; emptied buckets stay for reuse
 }
 
-// scoreBkt is one level-0 score bucket; ids stay host-ID sorted so the
-// filter sees candidates in the same order as the exhaustive scan.
+// scoreBkt is one level-0 score bucket, a bitset over host IDs: membership
+// flips in O(1) whatever the bucket's size, and a walk meets the members in
+// host-ID order, as the exhaustive scan does.
 type scoreBkt struct {
-	ids []cluster.HostID
+	key  float64
+	n    int
+	bits []uint64
 }
 
-func newCandSet(ctx CacheContext, nHosts, nLevels int, dyn0 bool) *candSet {
-	cs := &candSet{
+func newCandSet(ctx CacheContext, nHosts, nLevels int) *candSet {
+	return &candSet{
 		ctx:      ctx,
-		nLevels:  nLevels,
-		dyn0:     dyn0,
 		feasible: make([]bool, nHosts),
 		vals:     make([]float64, nHosts*nLevels),
+		have:     make([]uint8, nHosts),
 		isDirty:  make([]bool, nHosts),
 		allDirty: true,
 	}
-	if !dyn0 {
-		cs.buckets = make(map[float64]*scoreBkt)
-	}
-	return cs
 }
 
 // markDirty queues a host for rescoring at the next Schedule.
@@ -405,140 +479,62 @@ func (cs *candSet) markDirty(id cluster.HostID) {
 	cs.dirty = append(cs.dirty, id)
 }
 
-// rebuild rescans the whole pool (context creation, DirtyAll). Hosts are
-// visited in ID order so bucket member lists come out sorted for free.
-func (cs *candSet) rebuild(c *CachedChain, vm *cluster.VM, now time.Duration) {
-	for i := range cs.feasible {
-		cs.feasible[i] = false
-		cs.isDirty[i] = false
-	}
-	cs.dirty = cs.dirty[:0]
-	cs.feasIDs = cs.feasIDs[:0]
-	cs.keys = cs.keys[:0]
-	if cs.buckets != nil && len(cs.buckets) > 0 {
-		cs.buckets = make(map[float64]*scoreBkt)
-	}
-	for id, h := range c.hosts {
-		if h.Unavailable || !h.Fits(cs.ctx.Shape) {
-			continue
-		}
-		cs.feasible[id] = true
-		cs.score(c, h, vm, now)
-		if cs.dyn0 {
-			cs.feasIDs = append(cs.feasIDs, cluster.HostID(id))
-			continue
-		}
-		key := cs.vals[id*cs.nLevels]
-		b := cs.buckets[key]
-		if b == nil {
-			b = &scoreBkt{}
-			cs.buckets[key] = b
-			cs.keys = append(cs.keys, key)
-		}
-		b.ids = append(b.ids, cluster.HostID(id))
-	}
-	sort.Float64s(cs.keys)
-	cs.allDirty = false
-}
-
-// update re-derives one dirty host: membership out, fresh feasibility and
-// static scores, membership back in.
+// update re-derives one host: membership out, fresh feasibility, the level-0
+// score that picks its bucket, membership back in. Deeper static levels are
+// only forgotten here; levelScore restores the ones a decision needs. The
+// (vm, now) arguments are whatever Schedule is in flight; the static-purity
+// contract makes the values valid for the whole context.
 func (cs *candSet) update(c *CachedChain, id cluster.HostID, vm *cluster.VM, now time.Duration) {
 	h := c.hosts[id]
+	word, bit := id>>6, uint64(1)<<(id&63)
 	if cs.feasible[id] {
-		cs.removeMember(id)
+		b := cs.bucket(cs.vals[id])
+		b.bits[word] &^= bit
+		b.n--
 	}
 	feas := !h.Unavailable && h.Fits(cs.ctx.Shape)
 	cs.feasible[id] = feas
 	if !feas {
 		return
 	}
-	cs.score(c, h, vm, now)
-	cs.insertMember(id)
+	if !c.dyn(0) {
+		cs.vals[id] = c.Scorers[0].Score(h, vm, now)
+	}
+	cs.have[id] = 0
+	b := cs.bucket(cs.vals[id])
+	b.bits[word] |= bit
+	b.n++
 }
 
-// score fills the host's static-level score row. The (vm, now) arguments
-// are whatever Schedule is in flight; the static-purity contract makes the
-// values valid for the whole context.
-func (cs *candSet) score(c *CachedChain, h *cluster.Host, vm *cluster.VM, now time.Duration) {
-	row := int(h.ID) * cs.nLevels
-	for li, s := range c.Scorers {
-		if !c.dyn(li) {
-			cs.vals[row+li] = s.Score(h, vm, now)
-		}
+// bucket returns the bucket of a level-0 score, creating it in key order on
+// first use. Level-0 scores are few and discrete (see Schedule), so a linear
+// scan over the handful of buckets beats any index.
+func (cs *candSet) bucket(key float64) *scoreBkt {
+	i := 0
+	for i < len(cs.bkts) && cs.bkts[i].key < key {
+		i++
 	}
-}
-
-// insertMember adds the host to the candidate structure (sorted by ID).
-func (cs *candSet) insertMember(id cluster.HostID) {
-	if cs.dyn0 {
-		insertID(&cs.feasIDs, id)
-		return
+	if i == len(cs.bkts) || cs.bkts[i].key != key {
+		cs.bkts = append(cs.bkts, nil)
+		copy(cs.bkts[i+1:], cs.bkts[i:])
+		cs.bkts[i] = &scoreBkt{key: key, bits: make([]uint64, (len(cs.feasible)+63)/64)}
 	}
-	key := cs.vals[int(id)*cs.nLevels]
-	b := cs.buckets[key]
-	if b == nil {
-		b = &scoreBkt{}
-		cs.buckets[key] = b
-		i := sort.SearchFloat64s(cs.keys, key)
-		cs.keys = append(cs.keys, 0)
-		copy(cs.keys[i+1:], cs.keys[i:])
-		cs.keys[i] = key
-	}
-	insertID(&b.ids, id)
-}
-
-// removeMember drops the host, pruning its bucket if it empties. The old
-// bucket key is read from the cached score row, which is only rewritten by
-// score() after removal.
-func (cs *candSet) removeMember(id cluster.HostID) {
-	if cs.dyn0 {
-		removeID(&cs.feasIDs, id)
-		return
-	}
-	key := cs.vals[int(id)*cs.nLevels]
-	b := cs.buckets[key]
-	removeID(&b.ids, id)
-	if len(b.ids) == 0 {
-		delete(cs.buckets, key)
-		i := sort.SearchFloat64s(cs.keys, key)
-		cs.keys = append(cs.keys[:i], cs.keys[i+1:]...)
-	}
+	return cs.bkts[i]
 }
 
 // candidates appends the Schedule candidates to dst in host-ID order: the
-// winning (lowest-key) bucket, or the whole feasible set when level 0 is
-// dynamic.
+// members of the winning (lowest-key, non-empty) bucket.
 func (cs *candSet) candidates(dst []*cluster.Host, hosts []*cluster.Host) []*cluster.Host {
-	ids := cs.feasIDs
-	if !cs.dyn0 {
-		if len(cs.keys) == 0 {
-			return dst
+	for _, b := range cs.bkts {
+		if b.n == 0 {
+			continue
 		}
-		ids = cs.buckets[cs.keys[0]].ids
-	}
-	for _, id := range ids {
-		dst = append(dst, hosts[id])
+		for w, word := range b.bits {
+			for ; word != 0; word &= word - 1 {
+				dst = append(dst, hosts[w<<6|bits.TrailingZeros64(word)])
+			}
+		}
+		break
 	}
 	return dst
-}
-
-// insertID adds id to the sorted slice (no-op duplicates are impossible:
-// callers track membership via feasible[]).
-func insertID(ids *[]cluster.HostID, id cluster.HostID) {
-	s := *ids
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = id
-	*ids = s
-}
-
-// removeID drops id from the sorted slice.
-func removeID(ids *[]cluster.HostID, id cluster.HostID) {
-	s := *ids
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	if i < len(s) && s[i] == id {
-		*ids = append(s[:i], s[i+1:]...)
-	}
 }

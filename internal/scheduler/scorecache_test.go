@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -48,7 +49,27 @@ func cachedPolicies() map[string]func() Policy {
 		"rollout": func() Policy {
 			return NewSwitched(NewWasteMin(), NewLAVA(model.Oracle{}, time.Minute), 20*time.Hour)
 		},
+		"odd-scores": newOddScores,
 	}
+}
+
+// newOddScores is a fully static chain whose scorers return every float64 a
+// "not yet computed" marker could be mistaken for: zero, negatives, both
+// infinities and, below level 0, NaN. Level 0 keeps the bucket contract
+// (discrete, no NaN); all levels move with host state so cached values go
+// stale and get re-derived throughout a twin run.
+func newOddScores() Policy {
+	pick := func(name string, vals []float64, skew func(h *cluster.Host) int) Scorer {
+		return ScorerFunc{FuncName: name, F: func(h *cluster.Host, _ *cluster.VM, _ time.Duration) float64 {
+			return vals[(skew(h)+h.NumVMs())%len(vals)]
+		}}
+	}
+	byID := func(h *cluster.Host) int { return int(h.ID) }
+	return NewCachedChain(Chain{ChainName: "odd-scores", Scorers: []Scorer{
+		pick("l0", []float64{math.Inf(-1), -1, 0, math.Inf(1)}, func(*cluster.Host) int { return 0 }),
+		pick("l1", []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -2.5}, byID),
+		pick("l2", []float64{0, -1}, byID),
+	}}, nil, nil)
 }
 
 // TestCachedMatchesExhaustiveRandom is the scheduler-level differential
@@ -381,5 +402,108 @@ func TestCachedContextEviction(t *testing.T) {
 				t.Fatalf("round %d shape %d: host %d, want non-empty host 2", round, i, h.ID)
 			}
 		}
+	}
+}
+
+// TestLazyLevelMarkerIgnoresScoreValue pins the "not yet computed" contract
+// of the lazy deep levels: whether a value is cached is recorded beside it,
+// never read off it, so a cached 0, NaN or ±Inf is served — not re-scored —
+// until the host is dirtied, and the decision matches the exhaustive engine.
+func TestLazyLevelMarkerIgnoresScoreValue(t *testing.T) {
+	deep := []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)}
+	calls := 0
+	mk := func() *CachedChain {
+		return NewCachedChain(Chain{ChainName: "marker", Scorers: []Scorer{
+			ScorerFunc{FuncName: "flat", F: func(*cluster.Host, *cluster.VM, time.Duration) float64 { return 0 }},
+			ScorerFunc{FuncName: "deep", F: func(h *cluster.Host, _ *cluster.VM, _ time.Duration) float64 {
+				calls++
+				return deep[h.ID]
+			}},
+		}}, nil, nil)
+	}
+	p := cluster.NewPool("t", len(deep), resources.Cores(16, 16*4096, 0))
+	probe := &cluster.VM{ID: 1, Shape: resources.Cores(2, 2*4096, 0), TrueLifetime: time.Hour}
+	ref := mk()
+	ref.SetEngine(EngineExhaustive)
+	want, err := ref.Schedule(p, probe, 0)
+	if err != nil || want.ID != 3 {
+		t.Fatalf("exhaustive: %v, %v; want host 3 (-Inf beats 0; NaN and +Inf drop out)", want, err)
+	}
+	pol := mk()
+	for i, wantCalls := range []int{len(deep), 0, 1} {
+		if i == 2 {
+			p.InvalidateHost(1) // the NaN host: only it is re-scored
+		}
+		calls = 0
+		got, err := pol.Schedule(p, probe, 0)
+		if err != nil || got.ID != want.ID {
+			t.Fatalf("schedule %d: %v, %v; want host %d", i, got, err, want.ID)
+		}
+		if calls != wantCalls {
+			t.Fatalf("schedule %d: deep level scored %d times, want %d", i, calls, wantCalls)
+		}
+	}
+	if st := pol.CacheStats(); st.LazyEvals != int64(len(deep))+1 || st.HostsResynced != 1 || st.Rebuilds != 1 {
+		t.Fatalf("counters: %+v", st)
+	}
+}
+
+// TestEpochRolloverReadsFreshScores drives an epoch-pure level — one whose
+// score moves only when the clock crosses an epoch boundary — through the
+// two rollover edges: a context that sat idle across several boundaries, and
+// a host dirtied in the very tick the boundary falls on. At level 0 the
+// rollover rebuilds the context; below it, only that level's cached values
+// go, which the counters show.
+func TestEpochRolloverReadsFreshScores(t *testing.T) {
+	const epoch = time.Hour
+	// Pure within an epoch; the winner rotates with the epoch index.
+	grid := ScorerFunc{FuncName: "grid", F: func(h *cluster.Host, _ *cluster.VM, now time.Duration) float64 {
+		return float64((int(now/epoch) + int(h.ID) + h.NumVMs()) % 3)
+	}}
+	flat := ScorerFunc{FuncName: "flat", F: func(*cluster.Host, *cluster.VM, time.Duration) float64 { return 0 }}
+	for _, tc := range []struct {
+		name    string
+		scorers []Scorer
+		level   int
+	}{
+		{"epoch-level-0", []Scorer{grid, flat}, 0},
+		{"epoch-level-1", []Scorer{flat, grid}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := cluster.NewPool("t", 3, resources.Cores(16, 16*4096, 0))
+			pol := &CachedChain{Chain: Chain{ChainName: tc.name, Scorers: tc.scorers}, Epoch: epoch, epochLevel: tc.level}
+			ref := &Chain{ChainName: tc.name, Scorers: tc.scorers}
+			probe := &cluster.VM{ID: 1, Shape: resources.Cores(2, 2*4096, 0), TrueLifetime: time.Hour}
+			check := func(now time.Duration, wantHost cluster.HostID) {
+				t.Helper()
+				want, err := ref.Schedule(p, probe, now)
+				if err != nil || want.ID != wantHost {
+					t.Fatalf("t=%v exhaustive: %v, %v; want host %d", now, want, err, wantHost)
+				}
+				if got, err := pol.Schedule(p, probe, now); err != nil || got.ID != wantHost {
+					t.Fatalf("t=%v cached: %v, %v; want host %d", now, got, err, wantHost)
+				}
+			}
+			check(0, 0)                       // epoch 0: host 0 scores 0
+			check(30*time.Minute, 0)          // same epoch, served from cache
+			check(2*epoch+time.Minute, 1)     // idle across two boundaries: (2+1)%3 == 0
+			check(4*epoch-time.Nanosecond, 0) // epoch 3
+			// The tick of the boundary into epoch 4 also places a VM on the
+			// host that would have won it ((4+2)%3 == 0): hosts 0 and 2 now
+			// tie at 1 and the lower ID wins.
+			now := 4 * epoch
+			if err := p.Place(&cluster.VM{ID: 2, Shape: probe.Shape, Created: now, TrueLifetime: time.Hour}, p.Host(2)); err != nil {
+				t.Fatal(err)
+			}
+			check(now, 0)
+			st := pol.CacheStats()
+			wantRebuilds := int64(1) // the cold build
+			if tc.level == 0 {
+				wantRebuilds += st.Rollovers
+			}
+			if st.Rollovers != 3 || st.Rebuilds != wantRebuilds || st.ColdBuilds != 1 || st.Contexts != 1 {
+				t.Fatalf("counters: %+v, want 3 rollovers and %d rebuilds", st, wantRebuilds)
+			}
+		})
 	}
 }

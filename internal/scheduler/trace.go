@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"math/bits"
 	"time"
 
 	"lava/internal/cluster"
@@ -137,25 +138,21 @@ func (t *capState) captureSingle(c *Chain, h *cluster.Host, vm *cluster.VM, now 
 
 // captureBuckets fills the capture from a candSet's sorted bucket
 // structure: keys ascending, member IDs ascending — the K lexicographically
-// smallest (score, ID) pairs — with zero scorer calls. The walk also counts
-// the full membership for Feasible (bucket counts are small: level-0 scores
-// are discrete).
+// smallest (score, ID) pairs — with zero scorer calls. Feasible is the sum of
+// the bucket counts.
 func (t *capState) captureBuckets(cs *candSet) {
 	t.Alts = t.Alts[:0]
 	t.Level = -1
 	t.scored = true
-	total := 0
-	for _, key := range cs.keys {
-		ids := cs.buckets[key].ids
-		total += len(ids)
-		for _, id := range ids {
-			if len(t.Alts) == t.k {
-				break
+	t.Feasible = 0
+	for _, b := range cs.bkts {
+		t.Feasible += b.n
+		for w := 0; w < len(b.bits) && len(t.Alts) < t.k; w++ {
+			for word := b.bits[w]; word != 0 && len(t.Alts) < t.k; word &= word - 1 {
+				t.Alts = append(t.Alts, Alt{Host: cluster.HostID(w<<6 | bits.TrailingZeros64(word)), Score: b.key})
 			}
-			t.Alts = append(t.Alts, Alt{Host: id, Score: key})
 		}
 	}
-	t.Feasible = total
 }
 
 // EnableTrace implements Traceable: arm capture of the top-k alternatives

@@ -225,9 +225,14 @@ func TestScheduleDisabledTraceAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The work counters ride the same path: plain increments, read by value.
+	before := CacheStatsOf(pol)
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := pol.Schedule(p, vm, now); err != nil {
 			t.Fatal(err)
+		}
+		if CacheStatsOf(pol).Filtered <= before.Filtered {
+			t.Fatal("Filtered did not advance")
 		}
 	})
 	if allocs != 0 {

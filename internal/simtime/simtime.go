@@ -92,15 +92,17 @@ const (
 // NumLifetimeClasses is the number of distinct LAVA lifetime classes.
 const NumLifetimeClasses = 4
 
-// ClassOf buckets a predicted lifetime into its LAVA lifetime class.
+// ClassOf buckets a predicted lifetime into its LAVA lifetime class. The
+// class scorer calls it once per host it scores, so it compares nanoseconds
+// and leaves Hours()' division out; the class edges are whole hours, which
+// both forms place identically.
 func ClassOf(lifetime time.Duration) LifetimeClass {
-	h := lifetime.Hours()
 	switch {
-	case h < 1:
+	case lifetime < time.Hour:
 		return LC1
-	case h < 10:
+	case lifetime < 10*time.Hour:
 		return LC2
-	case h < 100:
+	case lifetime < 100*time.Hour:
 		return LC3
 	default:
 		return LC4

@@ -75,6 +75,11 @@ func TestClassOf(t *testing.T) {
 		{999 * time.Hour, LC4},
 		{1000 * time.Hour, LC4},
 		{100000 * time.Hour, LC4},
+		// One nanosecond below each edge, and a negative lifetime.
+		{time.Hour - 1, LC1},
+		{10*time.Hour - 1, LC2},
+		{100*time.Hour - 1, LC3},
+		{-time.Hour, LC1},
 	}
 	for _, c := range cases {
 		if got := ClassOf(c.d); got != c.want {
