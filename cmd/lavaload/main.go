@@ -124,15 +124,7 @@ func main() {
 			rep.Final.Pool, rep.Final.Policy, m.Placements, m.Exits, m.Failed)
 		fmt.Printf("avg empty hosts: %.2f%%  packing density: %.2f%%  cpu util: %.2f%%\n",
 			100*m.AvgEmptyHostFrac, 100*m.AvgPackingDensity, 100*m.AvgCPUUtil)
-		if sl := m.SLO; sl != nil {
-			fmt.Printf("slo: fairness %.4f  fitness %.4f\n", sl.Fairness, sl.Fitness)
-			for _, cls := range slo.Classes() {
-				if c, ok := sl.Classes[cls]; ok {
-					fmt.Printf("  class %-10s admitted %d  rejected %d  placed %d  failed %d  exited %d\n",
-						cls, c.Admitted, c.Rejected, c.Placed, c.Failed, c.Exited)
-				}
-			}
-		}
+		m.SLO.WriteText(os.Stdout)
 	}
 	if ff := rep.FleetFinal; ff != nil {
 		fmt.Printf("fleet: %d cells via %s  util spread %.2f%%\n",

@@ -91,14 +91,7 @@ func main() {
 		if *doDefrag || *doStrand {
 			fatal(fmt.Errorf("-defrag/-stranding are single-cell options; drop them for federated runs"))
 		}
-		if *admit != "" {
-			// Admission gates live in the serving stack, not the scenario
-			// engine: replay the same event stream through the fleet's
-			// offline script runner, front-door gate included.
-			runFederatedAdmitted(tr, *policy, pred, *scen, *router, *cells, *seed, *refresh, *admit, *classMix, *finalOut)
-			return
-		}
-		runFederated(tr, *policy, pred, *scen, *router, *cells, *seed, *parallel, *refresh, *classMix, *finalOut)
+		runFederated(tr, *policy, pred, *scen, *router, *cells, *seed, *parallel, *refresh, *admit, *classMix, *finalOut)
 		return
 	}
 	if *finalOut != "" {
@@ -153,131 +146,116 @@ func main() {
 		fmt.Printf("stranding: cpu %5.2f%%  memory %5.2f%%\n",
 			100*probe.AvgStrandedCPU(tr.WarmUp), 100*probe.AvgStrandedMem(tr.WarmUp))
 	}
-	if sl := res.SLO; sl != nil {
-		fmt.Printf("slo: fairness %.4f  fitness %.4f\n", sl.Fairness, sl.Fitness)
-		for _, cls := range slo.Classes() {
-			if c, ok := sl.Classes[cls]; ok {
-				fmt.Printf("  class %-10s admitted %d  rejected %d  placed %d  failed %d  exited %d\n",
-					cls, c.Admitted, c.Rejected, c.Placed, c.Failed, c.Exited)
-			}
-		}
-	}
+	res.SLO.WriteText(os.Stdout)
 }
 
-// runFederated drives the trace through the multi-cell scenario engine and
-// prints per-cell rows plus the fleet rollup.
-func runFederated(tr *trace.Trace, policy string, pred model.Predictor, scen, router string, cells int, seed int64, parallel int, refresh time.Duration, classMix, finalOut string) {
+// runFederated runs the federated form of the replay and prints the fleet
+// report. Without -admit the trace goes through the multi-cell scenario
+// engine, cells simulated concurrently, and the report carries per-cell
+// rows. Admission gates live in the serving stack, not the scenario engine,
+// so with -admit the same event stream goes through the fleet's offline
+// script runner instead — the routing ledger, per-cell machines and
+// front-door gate a live `lavad -cells N -admit ...` uses, just sequential.
+func runFederated(tr *trace.Trace, policy string, pred model.Predictor, scen, router string, cells int, seed int64, parallel int, refresh time.Duration, admit, classMix, finalOut string) {
 	// The -cache flag uses 0 for "disabled"; the facade's zero value means
 	// "default", so map explicitly.
 	cacheRefresh := refresh
 	if cacheRefresh == 0 {
 		cacheRefresh = -1
 	}
-	if classMix != "" {
-		// Without -admit the classes are inert (they never influence
-		// placement), but honoring the flag keeps the arms symmetric.
-		var err error
-		if tr, err = lava.AssignClasses(tr, classMix, seed); err != nil {
-			fatal(err)
-		}
-	}
-	roll, err := lava.SimulateScenario(context.Background(), tr, lava.PolicyKind(policy), pred, lava.ScenarioConfig{
-		Scenario:     scen,
-		Seed:         seed,
-		Cells:        cells,
-		Router:       lava.RouterKind(router),
-		CacheRefresh: cacheRefresh,
-		Parallel:     parallel,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	name := scen
-	if name == "" {
-		name = "steady"
-	}
-	fmt.Printf("scenario: %s  policy: %s  cells: %d  router: %s\n", name, policy, cells, roll.Router)
-	fmt.Println("cell                  | hosts | empty hosts | cpu util | placed | failed | killed")
-	for i, res := range roll.Cells {
-		fmt.Printf("%-21s | %5d | %10.2f%% | %7.2f%% | %6d | %6d | %6d\n",
-			res.PoolName, roll.Hosts[i], 100*res.AvgEmptyHostFrac, 100*res.AvgCPUUtil,
-			res.Placements, res.Failed, res.Killed)
-	}
-	fmt.Printf("rollup: empty hosts %.2f%%  cpu util %.2f%%  util spread %.2f pp  placed %d  failed %d  killed %d\n",
-		100*roll.AvgEmptyHostFrac, 100*roll.AvgCPUUtil, 100*roll.UtilSpread,
-		roll.Placements, roll.Failed, roll.Killed)
-	if finalOut != "" {
-		// FleetReportOf is the same projection a live fleet's /drain
-		// handler applies, so the emitted bytes diff cleanly against a
-		// lavaload -final-out capture of the online run.
-		data, err := json.Marshal(serve.FleetReportOf(tr.PoolName, roll.Cells[0].Policy, roll))
+	var ff *serve.FleetDrainResponse
+	var err error
+	if admit != "" {
+		ff, err = lava.ReplayFleetOffline(tr, lava.FleetConfig{
+			ServeConfig: lava.ServeConfig{
+				Policy:       lava.PolicyKind(policy),
+				Pred:         pred,
+				CacheRefresh: cacheRefresh,
+				Admission:    admit,
+			},
+			Cells:        cells,
+			Router:       lava.RouterKind(router),
+			Scenario:     scen,
+			ScenarioSeed: seed,
+			ClassMix:     classMix,
+		})
 		if err != nil {
 			fatal(err)
 		}
-		data = append(data, '\n')
-		if finalOut == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(finalOut, data, 0o644); err != nil {
+		policy = ff.Policy
+	} else {
+		if classMix != "" {
+			// Without -admit the classes are inert (they never influence
+			// placement), but honoring the flag keeps the arms symmetric.
+			if tr, err = lava.AssignClasses(tr, classMix, seed); err != nil {
+				fatal(err)
+			}
+		}
+		roll, err := lava.SimulateScenario(context.Background(), tr, lava.PolicyKind(policy), pred, lava.ScenarioConfig{
+			Scenario:     scen,
+			Seed:         seed,
+			Cells:        cells,
+			Router:       lava.RouterKind(router),
+			CacheRefresh: cacheRefresh,
+			Parallel:     parallel,
+		})
+		if err != nil {
+			fatal(err)
+		}
+		report := serve.FleetReportOf(tr.PoolName, roll.Cells[0].Policy, roll)
+		ff = &report
+	}
+
+	printFleetReport(ff, scen, policy, cells, admit)
+	if finalOut != "" {
+		if err := writeFinal(finalOut, ff); err != nil {
 			fatal(err)
 		}
 	}
 }
 
-// runFederatedAdmitted replays the trace through the fleet's offline script
-// runner — the same routing ledger, per-cell machines and front-door
-// admission gate a live `lavad -cells N -admit ...` uses, just sequential —
-// and prints the fleet report. With -final-out the emitted JSON diffs
-// byte-for-byte against a lavaload capture of the online run.
-func runFederatedAdmitted(tr *trace.Trace, policy string, pred model.Predictor, scen, router string, cells int, seed int64, refresh time.Duration, admit, classMix, finalOut string) {
-	cacheRefresh := refresh
-	if cacheRefresh == 0 {
-		cacheRefresh = -1
-	}
-	ff, err := lava.ReplayFleetOffline(tr, lava.FleetConfig{
-		ServeConfig: lava.ServeConfig{
-			Policy:       lava.PolicyKind(policy),
-			Pred:         pred,
-			CacheRefresh: cacheRefresh,
-			Admission:    admit,
-		},
-		Cells:        cells,
-		Router:       lava.RouterKind(router),
-		Scenario:     scen,
-		ScenarioSeed: seed,
-		ClassMix:     classMix,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	name := scen
-	if name == "" {
-		name = "steady"
+// printFleetReport prints a federated run: the scenario engine's report
+// (admit empty) has per-cell rows and a killed count, the script runner's
+// names the admission spec and ends with the per-class SLO block.
+func printFleetReport(ff *serve.FleetDrainResponse, scen, policy string, cells int, admit string) {
+	if scen == "" {
+		scen = "steady"
 	}
 	m := ff.Metrics
-	fmt.Printf("scenario: %s  policy: %s  cells: %d  router: %s  admit: %s\n", name, ff.Policy, cells, ff.Router, admit)
-	fmt.Printf("rollup: empty hosts %.2f%%  cpu util %.2f%%  util spread %.2f pp  placed %d  failed %d\n",
+	fmt.Printf("scenario: %s  policy: %s  cells: %d  router: %s", scen, policy, cells, ff.Router)
+	if admit != "" {
+		fmt.Printf("  admit: %s\n", admit)
+	} else {
+		fmt.Println("\ncell                  | hosts | empty hosts | cpu util | placed | failed | killed")
+		for i, c := range ff.Cells {
+			fmt.Printf("%-21s | %5d | %10.2f%% | %7.2f%% | %6d | %6d | %6d\n",
+				c.Pool, ff.Hosts[i], 100*c.Metrics.AvgEmptyHostFrac, 100*c.Metrics.AvgCPUUtil,
+				c.Metrics.Placements, c.Metrics.Failed, c.Metrics.Killed)
+		}
+	}
+	fmt.Printf("rollup: empty hosts %.2f%%  cpu util %.2f%%  util spread %.2f pp  placed %d  failed %d",
 		100*m.AvgEmptyHostFrac, 100*m.AvgCPUUtil, 100*ff.UtilSpread, m.Placements, m.Failed)
-	if sl := m.SLO; sl != nil {
-		fmt.Printf("slo: fairness %.4f  fitness %.4f\n", sl.Fairness, sl.Fitness)
-		for _, cls := range slo.Classes() {
-			if c, ok := sl.Classes[cls]; ok {
-				fmt.Printf("  class %-10s admitted %d  rejected %d  placed %d  failed %d  exited %d\n",
-					cls, c.Admitted, c.Rejected, c.Placed, c.Failed, c.Exited)
-			}
-		}
+	if admit == "" {
+		fmt.Printf("  killed %d", m.Killed)
 	}
-	if finalOut != "" {
-		data, err := json.Marshal(ff)
-		if err != nil {
-			fatal(err)
-		}
-		data = append(data, '\n')
-		if finalOut == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(finalOut, data, 0o644); err != nil {
-			fatal(err)
-		}
+	fmt.Println()
+	m.SLO.WriteText(os.Stdout)
+}
+
+// writeFinal emits the fleet report as canonical JSON: the projection a live
+// fleet's /drain handler applies, so the bytes diff cleanly against a
+// lavaload -final-out capture of the online run.
+func writeFinal(path string, ff *serve.FleetDrainResponse) error {
+	data, err := json.Marshal(ff)
+	if err != nil {
+		return err
 	}
+	data = append(data, '\n')
+	if path == "-" {
+		_, err = os.Stdout.Write(data)
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
 }
 
 func buildModel(tr *trace.Trace, kind, path string, trees int) (model.Predictor, error) {

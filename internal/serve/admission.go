@@ -23,7 +23,7 @@ import (
 // admission gate run tracking-only buckets (the front door already enforced
 // the limits; a second enforcement would double-charge every class), and
 // with no fleet gate the cells carry no SLO layer at all.
-func cellSLO(cfg FleetConfig) *slo.Config {
+func cellSLO(cfg *FleetConfig) *slo.Config {
 	if cfg.SLO.Normalize() == nil {
 		return nil
 	}

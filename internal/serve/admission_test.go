@@ -239,6 +239,18 @@ func TestFleetRejectConsumesNoCellSequence(t *testing.T) {
 	if got := st.SLO.Classes[slo.ClassBestEffort]; got.Admitted != 1 || got.Rejected != 1 {
 		t.Fatalf("best-effort counts = %+v", got)
 	}
+	// A ledger-refused admin op is the same contract: it consumes its global
+	// turn and no cell sequence slot, so the next op still reaches its cell.
+	if err := f.DrainCell(99, 4); err == nil {
+		t.Fatal("drain of cell 99 succeeded")
+	}
+	if err := f.AddHosts(0, 1, 4*time.Minute, 5); err != nil {
+		t.Fatalf("stream stalled after a refused admin op: %v", err)
+	}
+	if err := f.RehydrateCell(0, 4); !errors.Is(err, errStaleSeq) {
+		t.Fatalf("re-send of the refused op's seq = %v, want errStaleSeq", err)
+	}
+
 	// Drain flushes cleanly — no cell waits on a sequence slot the
 	// rejected request never took — and the rollup places exactly the
 	// three admitted VMs.
@@ -254,10 +266,10 @@ func TestFleetRejectConsumesNoCellSequence(t *testing.T) {
 	}
 }
 
-// TestAdmissionHTTPEdges covers the wire contract: unknown classes answer
-// 400 before touching the sequencer, rejections answer 429 with the class
-// and retry-at virtual time in the body, and /stats with the SLO layer on
-// still decodes through a pre-class client struct (superset-decode).
+// TestAdmissionHTTPEdges covers the wire contract: rejections answer 429
+// with the class and retry-at virtual time in the body, and /stats with the
+// SLO layer on still decodes through a pre-class client struct
+// (superset-decode). The unknown-class 400 is a TestHandlers row.
 func TestAdmissionHTTPEdges(t *testing.T) {
 	cfg := Config{
 		PoolName:  "edge-test",
@@ -287,18 +299,12 @@ func TestAdmissionHTTPEdges(t *testing.T) {
 		return resp, eb
 	}
 
-	// Unknown class: 400, named in the error, no sequence consumed.
-	resp, eb := post(`{"seq":1,"record":{"id":1,"class":"gold","lifetime_ns":60000000000,"shape":{"CPUMilli":1000,"MemoryMB":1000}}}`)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, "gold") {
-		t.Fatalf("unknown class: HTTP %d, body %+v", resp.StatusCode, eb)
-	}
-
 	// Budget token admits; the next best-effort arrival gets a 429 whose
 	// body carries the class and the next-token virtual time.
 	if resp, _ := post(`{"seq":1,"record":{"id":1,"class":"besteffort","lifetime_ns":60000000000,"shape":{"CPUMilli":1000,"MemoryMB":1000}}}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("first besteffort place: HTTP %d", resp.StatusCode)
 	}
-	resp, eb = post(`{"seq":2,"at_ns":1000,"record":{"id":2,"class":"besteffort","lifetime_ns":60000000000,"shape":{"CPUMilli":1000,"MemoryMB":1000}}}`)
+	resp, eb := post(`{"seq":2,"at_ns":1000,"record":{"id":2,"class":"besteffort","lifetime_ns":60000000000,"shape":{"CPUMilli":1000,"MemoryMB":1000}}}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-budget place: HTTP %d", resp.StatusCode)
 	}

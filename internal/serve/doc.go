@@ -59,14 +59,45 @@
 // at routing, stats rollup and drain. Placements route through the
 // internal/cell router family (round-robin and feature-hash applied
 // statically to the live stream; least-utilized served from a live
-// commitment ledger), exits follow the VM they name, ticks fan out, and
-// /drain rolls per-cell results up through cell.RollUp.
+// commitment ledger), and /drain rolls per-cell results up through
+// cell.RollUp.
 //
-// A fleet-wide sequenced stream stays strictly ordered across the split: a
-// global reorder stage admits sequence numbers in order, routes each
-// request, stamps it with its cell's own contiguous sequence number, and
-// releases it — dispatch is concurrent and each cell's reorder buffer
-// restores that cell's order. Every cell therefore observes exactly the
-// event subsequence cell.Shard would hand it offline, and the fleet parity
-// test asserts per-cell byte equality against cell.PlanCells + sim.Run.
+// Everything a fleet does to its cells is an Op — place, exit, tick and the
+// seven /admin elasticity ops — and every Op takes one path:
+//
+//	Op → topology.plan → steps → Fleet.Do (online) | RunScriptOffline (offline)
+//
+// plan is the single expansion: it validates the op against the topology
+// ledger (host counts, routable/retired masks, the commitment ledger, the
+// VM→cell map, the front-door admission gate), commits it, and returns the
+// cell-level steps — plain request values, each naming its cell — that carry
+// it out. A placement plans to one step in the cell the router picked, an
+// exit to one step in the cell that admitted the VM, a tick to one step per
+// live cell, a merge to a host grow plus a MigrateOut→MigrateIn pair per VM;
+// a cell drain plans to no step at all.
+//
+// Online, Fleet.Do is the one executor. A global reorder stage admits
+// fleet-wide sequence numbers strictly in order; at its turn an op is
+// planned under the fleet mutex, each step is stamped with its cell's own
+// contiguous sequence number, and the turn is released — consumed even when
+// the ledger refused the op, so nothing ever parks behind a failure. The
+// steps then dispatch without the lock — all enqueued before the first
+// answer is awaited, so a tick's cells work in parallel; only a MigrateIn
+// waits, for the VM its MigrateOut hands over — and each cell's reorder
+// buffer restores that cell's order. Offline, RunScriptOffline is a plain loop over
+// the same plan, applying each step to a bare sim.Machine through applyTo,
+// the switch the cell event loop itself uses. The two arms share the ledger
+// code, the expansion and the step semantics, so every cell observes online
+// exactly the event subsequence it is handed offline: the parity tests
+// assert byte-equal drain reports against RunScriptOffline, and against
+// cell.PlanCells + sim.Run for plain replays.
+//
+// # HTTP surface
+//
+// Both Handler methods build every route from two generic constructors:
+// post[Req, Resp] (method check, body bounded at 1 MiB, strict decode, the
+// validate check the route registers, error-to-status mapping) and noBody[Resp]
+// for the reads and /drain. A malformed, oversized or invalid request is
+// answered before it takes a sequence number, identically by a Server and a
+// Fleet.
 package serve

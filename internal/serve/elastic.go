@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"sort"
 	"time"
 
@@ -25,7 +24,9 @@ var ErrNoRoutableCell = errors.New("serve: no routable cell")
 // state the online front-end (Fleet, under its mutex) and the offline
 // script runner (RunScriptOffline, single-threaded) share verbatim — every
 // routing or elasticity decision is a pure function of this struct, which
-// is what makes an online run byte-comparable to its offline script.
+// is what makes an online run byte-comparable to its offline script. It has
+// one side effect, the grow hook: a split starts the new cell's engine from
+// inside the ledger, before it commits.
 //
 // The ledger is updated at sequencing time, before the per-cell machines
 // apply the operation, and unconditionally: a cell-level failure (say, a
@@ -51,6 +52,11 @@ type topology struct {
 	// sequencing turn, the offline script runner in plain program order, so
 	// both arms see the identical admit/reject stream.
 	gate *slo.Gate
+
+	// grow builds the engine of a new cell — a Server for the online fleet,
+	// a bare machine for the offline runner — for the initial cells and for
+	// every split. The ledger only commits a split once grow succeeded.
+	grow func(idx, hosts int) error
 }
 
 // newTopology validates the router kind and builds the ledger over the
@@ -209,26 +215,26 @@ func (t *topology) setRoutable(c int, v bool) error {
 	return nil
 }
 
-// canSplit validates a split of k hosts out of cell c without committing.
-func (t *topology) canSplit(c, k int) error {
+// split carves k hosts out of cell c into a new routable cell appended at
+// the next index, built through grow before the ledger commits. Returns the
+// new cell's index.
+func (t *topology) split(c, k int) (int, error) {
 	if err := t.liveCell(c); err != nil {
-		return err
+		return 0, err
 	}
 	if k < 1 || t.hosts[c]-k < 1 {
-		return fmt.Errorf("serve: cell %d (%d hosts): cannot split off %d", c, t.hosts[c], k)
+		return 0, fmt.Errorf("serve: cell %d (%d hosts): cannot split off %d", c, t.hosts[c], k)
 	}
-	return nil
-}
-
-// split commits a canSplit-validated split: cell c loses k hosts and a new
-// routable cell with k hosts appends. Returns the new cell's index.
-func (t *topology) split(c, k int) int {
+	idx := len(t.hosts)
+	if err := t.grow(idx, k); err != nil {
+		return 0, err
+	}
 	t.hosts[c] -= k
 	t.hosts = append(t.hosts, k)
 	t.routable = append(t.routable, true)
 	t.retired = append(t.retired, false)
 	t.committed = append(t.committed, 0)
-	return len(t.hosts) - 1
+	return idx, nil
 }
 
 // merge retires cell from into cell into: into absorbs from's ledger weight
@@ -314,12 +320,12 @@ func (t *topology) rebalance(maxMoves int) (src, dst int, victims []cluster.VMID
 	return src, dst, victims
 }
 
-// --- scripted elasticity (the offline half of the parity harness) ----------
+// --- operations: Op → plan → steps ------------------------------------------
 
-// OpKind enumerates scripted fleet operations.
+// OpKind enumerates fleet operations.
 type OpKind uint8
 
-// Script operations. The first three mirror the request stream a client
+// Fleet operations. The first three mirror the request stream a client
 // sends; the rest are the elasticity admin ops.
 const (
 	OpPlace OpKind = iota
@@ -332,37 +338,22 @@ const (
 	OpSplitCell
 	OpMergeCells
 	OpRebalance
+	numOpKinds
 )
+
+var opNames = [numOpKinds]string{"place", "exit", "tick", "add-hosts", "remove-host",
+	"drain-cell", "rehydrate-cell", "split-cell", "merge-cells", "rebalance"}
 
 // String renders the op name.
 func (k OpKind) String() string {
-	switch k {
-	case OpPlace:
-		return "place"
-	case OpExit:
-		return "exit"
-	case OpTick:
-		return "tick"
-	case OpAddHosts:
-		return "add-hosts"
-	case OpRemoveHost:
-		return "remove-host"
-	case OpDrainCell:
-		return "drain-cell"
-	case OpRehydrateCell:
-		return "rehydrate-cell"
-	case OpSplitCell:
-		return "split-cell"
-	case OpMergeCells:
-		return "merge-cells"
-	case OpRebalance:
-		return "rebalance"
-	default:
+	if k >= numOpKinds {
 		return "op(?)"
 	}
+	return opNames[k]
 }
 
-// Op is one scripted fleet operation. A script is a sequence of Ops in
+// Op is one fleet operation: the unit of work of the live Fleet (Do) and of
+// the offline reference (RunScriptOffline). A script is a sequence of Ops in
 // global order: op i corresponds to fleet sequence number i+1, which is how
 // the elasticity tests replay the same script online at any concurrency.
 type Op struct {
@@ -374,6 +365,17 @@ type Op struct {
 	Into int            // OpMergeCells: destination
 	N    int            // OpAddHosts: count; OpSplitCell: hosts to carve; OpRebalance: max moves
 	Host cluster.HostID // OpRemoveHost
+}
+
+// OpResult is what an executed Op reports back; each field belongs to the
+// op kinds named beside it and is zero for the others.
+type OpResult struct {
+	Host    cluster.HostID // OpPlace: the chosen host
+	Placed  bool           // OpPlace: false with no error means no feasible host
+	Removed bool           // OpExit: the VM was running
+	Now     time.Duration  // OpTick: the furthest cell clock reached
+	NewCell int            // OpSplitCell: index of the new cell
+	Moves   int            // OpRebalance: VMs migrated
 }
 
 // OpsFromTrace converts a trace's canonical event stream into a script:
@@ -399,53 +401,189 @@ func OpsFromTrace(tr *trace.Trace) []Op {
 	return ops
 }
 
-// newCellMachine builds the bare simulation machine for one cell, exactly
-// as serve.New does for the online server — same header trace, same policy
-// factory, same injectors — so a scripted offline run and a served online
-// run drive byte-identical engines.
-func newCellMachine(cfg FleetConfig, idx, hosts int) (*sim.Machine, error) {
+// plan is the one place that knows what an operation expands to. It
+// validates op against the ledger, commits it, and appends to buf the
+// cell-level steps that carry it out on the machines, in dispatch order;
+// res carries what the ledger alone decided (the new cell of a split, the
+// size of a rebalance). A refused op — unknown or retired cell, last host,
+// no routable cell, a front-door rejection — returns the error and no
+// steps, and leaves the routing state untouched.
+//
+// A MigrateIn step carries no VM: it places whatever the MigrateOut step
+// right before it hands over (see runSteps). Callers pass a one-element
+// buf so the one-step ops of the request stream plan without allocating a
+// steps slice.
+func (t *topology) plan(op *Op, buf []*request) (steps []*request, res OpResult, err error) {
+	steps = buf
+	step := func(kind reqKind, cell int) *request {
+		r := &request{kind: kind, cell: cell, at: op.At}
+		steps = append(steps, r)
+		return r
+	}
+	migrate := func(victims []cluster.VMID, from, into int) {
+		for _, id := range victims {
+			step(reqMigrateOut, from).id = id
+			step(reqMigrateIn, into)
+		}
+	}
+	switch op.Kind {
+	case OpPlace:
+		var c int
+		if c, err = t.routeCreate(&op.Rec, op.At); err == nil {
+			step(reqPlace, c).rec = op.Rec
+		}
+	case OpExit:
+		// Exits of VMs the fleet never routed touch no cell; routed exits
+		// always reach theirs, even when the placement failed for capacity,
+		// because the cell's clock must advance past the exit time exactly
+		// as an offline replay of the cell's shard would.
+		if c, ok := t.routeExit(op.VM); ok {
+			step(reqExit, c).id = op.VM
+		}
+	case OpTick:
+		// Retired cells are skipped: their clocks freeze at merge time and
+		// jump to the horizon when the fleet drains.
+		for c := range t.hosts {
+			if !t.retired[c] {
+				step(reqTick, c)
+			}
+		}
+	case OpAddHosts:
+		if err = t.addHosts(op.Cell, op.N); err == nil {
+			step(reqAddHosts, op.Cell).n = op.N
+		}
+	case OpRemoveHost:
+		if err = t.removeHost(op.Cell); err == nil {
+			step(reqRemoveHost, op.Cell).hid = op.Host
+		}
+	case OpDrainCell:
+		err = t.setRoutable(op.Cell, false)
+	case OpRehydrateCell:
+		err = t.setRoutable(op.Cell, true)
+	case OpSplitCell:
+		if res.NewCell, err = t.split(op.Cell, op.N); err == nil {
+			// The source gives up its k highest IDs, highest first, so its
+			// IDs stay dense and its score caches rebind instead of
+			// degrading; those hosts must be empty — rebalance or drain
+			// first.
+			for id := t.hosts[op.Cell] + op.N - 1; id >= t.hosts[op.Cell]; id-- {
+				step(reqRemoveHost, op.Cell).hid = cluster.HostID(id)
+			}
+		}
+	case OpMergeCells:
+		grow := 0
+		if op.Cell >= 0 && op.Cell < len(t.hosts) {
+			grow = t.hosts[op.Cell]
+		}
+		var victims []cluster.VMID
+		if victims, err = t.merge(op.Cell, op.Into); err == nil {
+			step(reqAddHosts, op.Into).n = grow
+			migrate(victims, op.Cell, op.Into)
+		}
+	case OpRebalance:
+		src, dst, victims := t.rebalance(op.N)
+		res.Moves = len(victims)
+		migrate(victims, src, dst)
+	default:
+		err = fmt.Errorf("serve: unknown op kind %d", op.Kind)
+	}
+	return steps, res, err
+}
+
+// runSteps carries out a planned op: start hands each step to its cell in
+// plan order, finish collects the answers in the same order, folded into
+// res, and the step errors come back joined. Online the two are a cell
+// server's enqueue and await: every step sits in its cell's queue before the
+// first answer is awaited, so the cells of a tick work in parallel and no
+// cell's ordered stream stalls behind a step not yet sent. Offline start
+// does nothing and finish applies the step to a bare machine. The one data
+// dependency holds on both sides: a MigrateIn starts only once the
+// MigrateOut right before it has answered with the VM to carry over.
+//
+// Every step runs even after one failed: online their cell sequence numbers
+// are already reserved, and each cell's stream must stay contiguous.
+func runSteps(kind OpKind, steps []*request, res *OpResult, start func(*request), finish func(*request) response) error {
+	var errs []error
+	var vm *cluster.VM // what the last finished step handed over (MigrateOut only)
+	done := 0
+	collect := func(upto int) {
+		for ; done < upto; done++ {
+			r := steps[done]
+			resp := finish(r)
+			vm = resp.vm
+			switch r.kind {
+			case reqPlace:
+				res.Host, res.Placed = resp.host, resp.placed
+			case reqExit:
+				res.Removed = resp.removed
+			case reqTick:
+				if resp.now > res.Now {
+					res.Now = resp.now
+				}
+			}
+			if resp.err == nil {
+				continue
+			}
+			if len(steps) > 1 {
+				resp.err = fmt.Errorf("serve: %s: step %d of %d (cell %d): %w", kind, done+1, len(steps), r.cell, resp.err)
+			}
+			errs = append(errs, resp.err)
+		}
+	}
+	for i, r := range steps {
+		if r.kind == reqMigrateIn {
+			// A nil vm (the VM was not running — e.g. its placement failed
+			// for capacity) still dispatches, as a sequencing no-op.
+			collect(i)
+			r.vm = vm
+		}
+		start(r)
+	}
+	collect(len(steps))
+	return errors.Join(errs...)
+}
+
+// cellConfig is the one per-cell config builder: cell idx of the fleet,
+// hosts wide, as a single-server Config — fresh policy and injectors from
+// the fleet's factories, the fleet's geometry and settings. The online
+// fleet starts a Server from it and the offline runner a bare machine, for
+// original cells and cells carved out later by a split alike.
+func cellConfig(cfg *FleetConfig, idx, hosts int) (Config, error) {
 	pol, err := cfg.NewPolicy(idx)
 	if err == nil && pol == nil {
 		err = errors.New("serve: fleet policy factory returned nil")
 	}
 	if err != nil {
-		return nil, fmt.Errorf("serve: fleet cell %d: %w", idx, err)
-	}
-	ht := &trace.Trace{
-		PoolName: fmt.Sprintf("%s/cell-%d", cfg.PoolName, idx),
-		Hosts:    hosts,
-		HostCPU:  cfg.HostShape.CPUMilli,
-		HostMem:  cfg.HostShape.MemoryMB,
-		HostSSD:  cfg.HostShape.SSDGB,
-		WarmUp:   cfg.WarmUp,
-		Horizon:  cfg.Horizon,
+		return Config{}, err
 	}
 	var inj []sim.Injector
 	if cfg.Injectors != nil {
 		inj = cfg.Injectors(idx)
 	}
-	m, err := sim.NewMachine(sim.Config{
-		Trace:       ht,
-		Policy:      pol,
+	return Config{
+		// The offline counterpart (cell.Shard) names cells the same way;
+		// keeping the names aligned keeps drain payloads diffable.
+		PoolName:    fmt.Sprintf("%s/cell-%d", cfg.PoolName, idx),
+		Hosts:       hosts,
+		HostShape:   cfg.HostShape,
 		WarmUp:      cfg.WarmUp,
-		SampleEvery: cfg.SampleEvery,
+		Horizon:     cfg.Horizon,
+		Policy:      pol,
 		TickEvery:   cfg.TickEvery,
+		SampleEvery: cfg.SampleEvery,
 		Injectors:   inj,
+		QueueDepth:  cfg.QueueDepth,
+		Memo:        cfg.Memo,
+		TraceK:      cfg.TraceK,
+		TraceCap:    cfg.TraceCap,
 		SLO:         cellSLO(cfg),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("serve: fleet cell %d: %w", idx, err)
-	}
-	return m, nil
+	}, nil
 }
 
-// RunScriptOffline executes an elasticity script sequentially against bare
-// per-cell simulation machines — no event loops, no sequencer, no HTTP —
-// and rolls the final results up. It is the ground truth the live Fleet is
-// diffed against: Fleet sequence number i+1 must produce exactly ops[i],
-// so a fleet replaying the script at any concurrency drains to a
-// byte-identical report.
-func RunScriptOffline(cfg FleetConfig, ops []Op) (*cell.Rollup, error) {
+// newLedger is where NewFleet and RunScriptOffline both start: it validates
+// cfg, fills its defaults, builds the topology ledger with its front-door
+// gate, and builds every initial cell through grow.
+func newLedger(cfg *FleetConfig, grow func(idx, hosts int) error) (*topology, error) {
 	if cfg.Cells <= 0 {
 		return nil, fmt.Errorf("serve: fleet needs at least one cell, got %d", cfg.Cells)
 	}
@@ -458,125 +596,62 @@ func RunScriptOffline(cfg FleetConfig, ops []Op) (*cell.Rollup, error) {
 	if cfg.PoolName == "" {
 		cfg.PoolName = "pool"
 	}
-	hosts := cell.SplitHosts(cfg.Hosts, cfg.Cells)
 	cfg.SLO = cfg.SLO.Normalize()
+	hosts := cell.SplitHosts(cfg.Hosts, cfg.Cells)
 	topo, err := newTopology(cfg.Router, hosts)
 	if err != nil {
 		return nil, err
 	}
 	topo.gate = slo.NewGate(cfg.SLO)
-	machines := make([]*sim.Machine, cfg.Cells)
-	for i := range machines {
-		if machines[i], err = newCellMachine(cfg, i, hosts[i]); err != nil {
+	topo.grow = func(idx, hosts int) error {
+		if err := grow(idx, hosts); err != nil {
+			return fmt.Errorf("serve: fleet cell %d: %w", idx, err)
+		}
+		return nil
+	}
+	for i, h := range hosts {
+		if err := topo.grow(i, h); err != nil {
 			return nil, err
 		}
 	}
-	fail := func(i int, op Op, err error) error {
-		return fmt.Errorf("serve: script op %d (%s): %w", i, op.Kind, err)
+	return topo, nil
+}
+
+// RunScriptOffline executes a script sequentially against bare per-cell
+// simulation machines — no event loops, no sequencer, no HTTP — and rolls
+// the final results up. It is the ground truth the live Fleet is diffed
+// against: both run every op through topology.plan and every step through
+// applyTo, so a fleet replaying the script at any concurrency (op i under
+// sequence number i+1) drains to a byte-identical report.
+func RunScriptOffline(cfg FleetConfig, ops []Op) (*cell.Rollup, error) {
+	var machines []*sim.Machine
+	topo, err := newLedger(&cfg, func(idx, hosts int) error {
+		cc, err := cellConfig(&cfg, idx, hosts)
+		if err != nil {
+			return err
+		}
+		cc.TraceK = 0 // nothing reads an offline cell's decision ring
+		m, _, err := newMachine(&cc)
+		if err != nil {
+			return err
+		}
+		machines = append(machines, m)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for i, op := range ops {
-		switch op.Kind {
-		case OpPlace:
-			c, err := topo.routeCreate(&op.Rec, op.At)
-			if err != nil {
-				if slo.IsReject(err) {
-					continue // counted at the gate; invisible to routing
-				}
-				return nil, fail(i, op, err)
-			}
-			if _, err := machines[c].Create(op.Rec, op.At); err != nil {
-				return nil, fail(i, op, err)
-			}
-		case OpExit:
-			if c, ok := topo.routeExit(op.VM); ok {
-				if _, err := machines[c].Exit(op.VM, op.At); err != nil {
-					return nil, fail(i, op, err)
-				}
-			}
-		case OpTick:
-			for c, m := range machines {
-				if topo.retired[c] {
-					continue
-				}
-				if err := m.Advance(op.At); err != nil {
-					return nil, fail(i, op, err)
-				}
-			}
-		case OpAddHosts:
-			if err := topo.addHosts(op.Cell, op.N); err != nil {
-				return nil, fail(i, op, err)
-			}
-			if err := machines[op.Cell].AddHosts(op.N, op.At); err != nil {
-				return nil, fail(i, op, err)
-			}
-		case OpRemoveHost:
-			if err := topo.removeHost(op.Cell); err != nil {
-				return nil, fail(i, op, err)
-			}
-			if err := machines[op.Cell].RemoveHost(op.Host, op.At); err != nil {
-				return nil, fail(i, op, err)
-			}
-		case OpDrainCell:
-			if err := topo.setRoutable(op.Cell, false); err != nil {
-				return nil, fail(i, op, err)
-			}
-		case OpRehydrateCell:
-			if err := topo.setRoutable(op.Cell, true); err != nil {
-				return nil, fail(i, op, err)
-			}
-		case OpSplitCell:
-			if err := topo.canSplit(op.Cell, op.N); err != nil {
-				return nil, fail(i, op, err)
-			}
-			oldCount := topo.hosts[op.Cell]
-			newIdx := topo.split(op.Cell, op.N)
-			m, err := newCellMachine(cfg, newIdx, op.N)
-			if err != nil {
-				return nil, fail(i, op, err)
-			}
-			machines = append(machines, m)
-			// The online fleet removes the same hosts: the k highest IDs,
-			// highest first, keeping the source pool's IDs dense.
-			for j := 0; j < op.N; j++ {
-				id := cluster.HostID(oldCount - 1 - j)
-				if err := machines[op.Cell].RemoveHost(id, op.At); err != nil {
-					return nil, fail(i, op, err)
-				}
-			}
-		case OpMergeCells:
-			grow := 0
-			if op.Cell >= 0 && op.Cell < len(topo.hosts) {
-				grow = topo.hosts[op.Cell]
-			}
-			victims, err := topo.merge(op.Cell, op.Into)
-			if err != nil {
-				return nil, fail(i, op, err)
-			}
-			if err := machines[op.Into].AddHosts(grow, op.At); err != nil {
-				return nil, fail(i, op, err)
-			}
-			for _, id := range victims {
-				vm, _, err := machines[op.Cell].MigrateOut(id, op.At)
-				if err != nil {
-					return nil, fail(i, op, err)
-				}
-				if _, _, err := machines[op.Into].MigrateIn(vm, op.At); err != nil {
-					return nil, fail(i, op, err)
-				}
-			}
-		case OpRebalance:
-			src, dst, victims := topo.rebalance(op.N)
-			for _, id := range victims {
-				vm, _, err := machines[src].MigrateOut(id, op.At)
-				if err != nil {
-					return nil, fail(i, op, err)
-				}
-				if _, _, err := machines[dst].MigrateIn(vm, op.At); err != nil {
-					return nil, fail(i, op, err)
-				}
-			}
-		default:
-			return nil, fail(i, op, fmt.Errorf("unknown op kind %d", op.Kind))
+	apply := func(r *request) response { return applyTo(machines[r.cell], r) }
+	for i := range ops {
+		op := &ops[i]
+		steps, res, err := topo.plan(op, nil)
+		if err == nil {
+			err = runSteps(op.Kind, steps, &res, func(*request) {}, apply)
+		}
+		// A front-door rejection is counted at the gate and invisible to
+		// routing; anything else ends the script.
+		if err != nil && !slo.IsReject(err) {
+			return nil, fmt.Errorf("serve: script op %d (%s): %w", i, op.Kind, err)
 		}
 	}
 	results := make([]*sim.Result, len(machines))
@@ -622,76 +697,19 @@ func FleetReportOf(pool, policy string, roll *cell.Rollup) FleetDrainResponse {
 	}
 	for i, res := range roll.Cells {
 		out.SeriesLen += res.Series.Len()
-		out.Cells[i] = DrainResponse{
-			Pool:      res.PoolName,
-			Policy:    res.Policy,
-			Metrics:   runner.MetricsOf(res),
-			SeriesLen: res.Series.Len(),
-		}
+		out.Cells[i] = drainResponseOf(res)
 	}
 	return out
 }
 
-// --- online admin ops -------------------------------------------------------
+// --- admin ops ---------------------------------------------------------------
 //
-// Every op below follows the same shape as Place: acquire the global
-// routing turn (seq > 0 parks until it is this op's turn), mutate the
-// topology ledger and reserve the per-cell sequence numbers for whatever
-// cell-level operations the op will dispatch — all under the fleet mutex —
-// then release the turn and dispatch without the lock. Concurrent requests
-// to the same cells order correctly through the per-cell reorder buffers,
-// so an admin op is just another citizen of the sequenced stream.
+// Each method below is Do over the matching Op: seq > 0 enrolls the op in
+// the global ordered stream, exactly like a placement.
 
-// enterAdminLocked acquires the routing turn for an admin op.
-func (f *Fleet) enterAdminLocked(seq uint64) error {
-	if seq > 0 {
-		return f.enterSeqLocked(seq)
-	}
-	if f.closed {
-		return ErrClosed
-	}
-	return nil
-}
-
-// consumeTurnLocked consumes a granted routing turn without dispatching —
-// the ledger refused the op — and releases the lock. Later sequence
-// numbers must not park forever behind a failed admin op.
-func (f *Fleet) consumeTurnLocked(seq uint64) {
-	if seq > 0 {
-		f.advanceLocked()
-	}
-	f.mu.Unlock()
-	if seq > 0 {
-		f.doneDispatch()
-	}
-}
-
-// AddHosts grows cell c by n hosts at virtual time at, sequenced like any
-// request (seq > 0 enrolls the op in the global ordered stream).
+// AddHosts grows cell c by n hosts at virtual time at.
 func (f *Fleet) AddHosts(c, n int, at time.Duration, seq uint64) error {
-	if f.draining.Load() {
-		return ErrDraining
-	}
-	f.mu.Lock()
-	if err := f.enterAdminLocked(seq); err != nil {
-		f.mu.Unlock()
-		return err
-	}
-	if err := f.topo.addHosts(c, n); err != nil {
-		f.consumeTurnLocked(seq)
-		return err
-	}
-	srv := f.cells[c]
-	var cs uint64
-	if seq > 0 {
-		cs = f.nextCellSeqLocked(c)
-		f.advanceLocked()
-	}
-	f.mu.Unlock()
-	err := srv.AddHosts(n, at, cs)
-	if seq > 0 {
-		f.doneDispatch()
-	}
+	_, err := f.Do(Op{Kind: OpAddHosts, Cell: c, N: n, At: at}, seq)
 	return err
 }
 
@@ -700,112 +718,31 @@ func (f *Fleet) AddHosts(c, n int, at time.Duration, seq uint64) error {
 // (the host still runs VMs) the error surfaces to the operator while the
 // ledger keeps the decremented weight — see topology for why.
 func (f *Fleet) RemoveHost(c int, id cluster.HostID, at time.Duration, seq uint64) error {
-	if f.draining.Load() {
-		return ErrDraining
-	}
-	f.mu.Lock()
-	if err := f.enterAdminLocked(seq); err != nil {
-		f.mu.Unlock()
-		return err
-	}
-	if err := f.topo.removeHost(c); err != nil {
-		f.consumeTurnLocked(seq)
-		return err
-	}
-	srv := f.cells[c]
-	var cs uint64
-	if seq > 0 {
-		cs = f.nextCellSeqLocked(c)
-		f.advanceLocked()
-	}
-	f.mu.Unlock()
-	err := srv.RemoveHost(id, at, cs)
-	if seq > 0 {
-		f.doneDispatch()
-	}
+	_, err := f.Do(Op{Kind: OpRemoveHost, Cell: c, Host: id, At: at}, seq)
 	return err
 }
 
 // DrainCell stops routing new placements to cell c. VMs already there keep
 // running and exiting; sequenced requests in flight to the cell land
-// normally — nothing is dropped. A pure ledger flip: no cell-level op.
+// normally — nothing is dropped. A pure ledger flip: no cell-level step.
 func (f *Fleet) DrainCell(c int, seq uint64) error {
-	if f.draining.Load() {
-		return ErrDraining
-	}
-	f.mu.Lock()
-	if err := f.enterAdminLocked(seq); err != nil {
-		f.mu.Unlock()
-		return err
-	}
-	lerr := f.topo.setRoutable(c, false)
-	f.consumeTurnLocked(seq)
-	return lerr
+	_, err := f.Do(Op{Kind: OpDrainCell, Cell: c}, seq)
+	return err
 }
 
 // RehydrateCell resumes routing placements to a drained cell.
 func (f *Fleet) RehydrateCell(c int, seq uint64) error {
-	if f.draining.Load() {
-		return ErrDraining
-	}
-	f.mu.Lock()
-	if err := f.enterAdminLocked(seq); err != nil {
-		f.mu.Unlock()
-		return err
-	}
-	lerr := f.topo.setRoutable(c, true)
-	f.consumeTurnLocked(seq)
-	return lerr
+	_, err := f.Do(Op{Kind: OpRehydrateCell, Cell: c}, seq)
+	return err
 }
 
 // SplitCell carves k hosts out of cell c into a brand-new routable cell
 // (fresh pool, fresh policy from the fleet's factory) and returns the new
-// cell's index. The source gives up its k highest-ID hosts, removed
-// highest-first so its IDs stay dense and its score caches rebind instead
-// of degrading; those hosts must be empty — rebalance or drain first.
+// cell's index. The source gives up its k highest-ID hosts, which must be
+// empty — rebalance or drain first.
 func (f *Fleet) SplitCell(c, k int, at time.Duration, seq uint64) (int, error) {
-	if f.draining.Load() {
-		return 0, ErrDraining
-	}
-	f.mu.Lock()
-	if err := f.enterAdminLocked(seq); err != nil {
-		f.mu.Unlock()
-		return 0, err
-	}
-	if err := f.topo.canSplit(c, k); err != nil {
-		f.consumeTurnLocked(seq)
-		return 0, err
-	}
-	srv, err := newCellServer(f.cfg, len(f.topo.hosts), k)
-	if err != nil {
-		f.consumeTurnLocked(seq)
-		return 0, fmt.Errorf("serve: split cell %d: %w", c, err)
-	}
-	oldCount := f.topo.hosts[c]
-	newIdx := f.topo.split(c, k)
-	f.cells = append(f.cells, srv)
-	f.cellSeq = append(f.cellSeq, 0)
-	src := f.cells[c]
-	css := make([]uint64, k)
-	if seq > 0 {
-		for i := range css {
-			css[i] = f.nextCellSeqLocked(c)
-		}
-		f.advanceLocked()
-	}
-	f.mu.Unlock()
-
-	var errs []error
-	for i := 0; i < k; i++ {
-		id := cluster.HostID(oldCount - 1 - i)
-		if err := src.RemoveHost(id, at, css[i]); err != nil {
-			errs = append(errs, fmt.Errorf("serve: split cell %d: remove host %d: %w", c, id, err))
-		}
-	}
-	if seq > 0 {
-		f.doneDispatch()
-	}
-	return newIdx, errors.Join(errs...)
+	res, err := f.Do(Op{Kind: OpSplitCell, Cell: c, N: k, At: at}, seq)
+	return res.NewCell, err
 }
 
 // MergeCells merges cell from into cell into: into grows by from's host
@@ -816,57 +753,8 @@ func (f *Fleet) SplitCell(c, k int, at time.Duration, seq uint64) (int, error) {
 // order deterministically around it; exits of migrated (and even
 // capacity-failed) VMs route to into afterwards.
 func (f *Fleet) MergeCells(from, into int, at time.Duration, seq uint64) error {
-	if f.draining.Load() {
-		return ErrDraining
-	}
-	f.mu.Lock()
-	if err := f.enterAdminLocked(seq); err != nil {
-		f.mu.Unlock()
-		return err
-	}
-	grow := 0
-	if from >= 0 && from < len(f.topo.hosts) {
-		grow = f.topo.hosts[from]
-	}
-	victims, lerr := f.topo.merge(from, into)
-	if lerr != nil {
-		f.consumeTurnLocked(seq)
-		return lerr
-	}
-	src, dst := f.cells[from], f.cells[into]
-	var growSeq uint64
-	outSeqs := make([]uint64, len(victims))
-	inSeqs := make([]uint64, len(victims))
-	if seq > 0 {
-		growSeq = f.nextCellSeqLocked(into)
-		for i := range victims {
-			outSeqs[i] = f.nextCellSeqLocked(from)
-			inSeqs[i] = f.nextCellSeqLocked(into)
-		}
-		f.advanceLocked()
-	}
-	f.mu.Unlock()
-
-	var errs []error
-	if err := dst.AddHosts(grow, at, growSeq); err != nil {
-		errs = append(errs, fmt.Errorf("serve: merge %d->%d: grow: %w", from, into, err))
-	}
-	for i, id := range victims {
-		vm, _, err := src.MigrateOut(id, at, outSeqs[i])
-		if err != nil {
-			errs = append(errs, fmt.Errorf("serve: merge %d->%d: out vm %d: %w", from, into, id, err))
-		}
-		// A nil vm (the VM was not running — e.g. its placement failed for
-		// capacity) still dispatches: the reserved slot in the destination
-		// stream must be consumed to keep the cell sequence contiguous.
-		if _, _, err := dst.MigrateIn(vm, at, inSeqs[i]); err != nil {
-			errs = append(errs, fmt.Errorf("serve: merge %d->%d: in vm %d: %w", from, into, id, err))
-		}
-	}
-	if seq > 0 {
-		f.doneDispatch()
-	}
-	return errors.Join(errs...)
+	_, err := f.Do(Op{Kind: OpMergeCells, Cell: from, Into: into, At: at}, seq)
+	return err
 }
 
 // Rebalance migrates VMs from the most-utilized cell to the least-utilized
@@ -875,48 +763,11 @@ func (f *Fleet) MergeCells(from, into int, at time.Duration, seq uint64) error {
 // The plan is computed deterministically at sequencing time, so an online
 // rebalance moves exactly the VMs its offline script twin does.
 func (f *Fleet) Rebalance(maxMoves int, at time.Duration, seq uint64) (int, error) {
-	if f.draining.Load() {
-		return 0, ErrDraining
-	}
-	f.mu.Lock()
-	if err := f.enterAdminLocked(seq); err != nil {
-		f.mu.Unlock()
-		return 0, err
-	}
-	srcIdx, dstIdx, victims := f.topo.rebalance(maxMoves)
-	if len(victims) == 0 {
-		f.consumeTurnLocked(seq)
-		return 0, nil
-	}
-	src, dst := f.cells[srcIdx], f.cells[dstIdx]
-	outSeqs := make([]uint64, len(victims))
-	inSeqs := make([]uint64, len(victims))
-	if seq > 0 {
-		for i := range victims {
-			outSeqs[i] = f.nextCellSeqLocked(srcIdx)
-			inSeqs[i] = f.nextCellSeqLocked(dstIdx)
-		}
-		f.advanceLocked()
-	}
-	f.mu.Unlock()
-
-	var errs []error
-	for i, id := range victims {
-		vm, _, err := src.MigrateOut(id, at, outSeqs[i])
-		if err != nil {
-			errs = append(errs, fmt.Errorf("serve: rebalance: out vm %d: %w", id, err))
-		}
-		if _, _, err := dst.MigrateIn(vm, at, inSeqs[i]); err != nil {
-			errs = append(errs, fmt.Errorf("serve: rebalance: in vm %d: %w", id, err))
-		}
-	}
-	if seq > 0 {
-		f.doneDispatch()
-	}
-	return len(victims), errors.Join(errs...)
+	res, err := f.Do(Op{Kind: OpRebalance, N: maxMoves, At: at}, seq)
+	return res.Moves, err
 }
 
-// --- admin wire types, handlers and client methods -------------------------
+// --- admin wire types and client methods ------------------------------------
 
 // AdminAddHostsRequest grows one cell by N hosts at virtual time At.
 type AdminAddHostsRequest struct {
@@ -924,6 +775,17 @@ type AdminAddHostsRequest struct {
 	At   time.Duration `json:"at_ns,omitempty"`
 	Cell int           `json:"cell"`
 	N    int           `json:"n"`
+}
+
+// maxAddHosts caps one add-hosts request at the largest scale-tier cell.
+const maxAddHosts = 1 << 20
+
+// validate refuses an absurd host count before the op takes a sequence turn.
+func (q *AdminAddHostsRequest) validate() error {
+	if q.N > maxAddHosts {
+		return fmt.Errorf("serve: add %d hosts: at most %d per request", q.N, maxAddHosts)
+	}
+	return nil
 }
 
 // AdminRemoveHostRequest retires one empty host from a cell.
@@ -977,92 +839,6 @@ type AdminRebalanceResponse struct {
 // AdminOKResponse acknowledges an admin op with no other payload.
 type AdminOKResponse struct {
 	OK bool `json:"ok"`
-}
-
-func (f *Fleet) handleAddHosts(w http.ResponseWriter, r *http.Request) {
-	var req AdminAddHostsRequest
-	if !decode(w, r, http.MethodPost, &req) {
-		return
-	}
-	if err := f.AddHosts(req.Cell, req.N, req.At, req.Seq); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, AdminOKResponse{OK: true})
-}
-
-func (f *Fleet) handleRemoveHost(w http.ResponseWriter, r *http.Request) {
-	var req AdminRemoveHostRequest
-	if !decode(w, r, http.MethodPost, &req) {
-		return
-	}
-	if err := f.RemoveHost(req.Cell, req.Host, req.At, req.Seq); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, AdminOKResponse{OK: true})
-}
-
-func (f *Fleet) handleDrainCell(w http.ResponseWriter, r *http.Request) {
-	var req AdminCellRequest
-	if !decode(w, r, http.MethodPost, &req) {
-		return
-	}
-	if err := f.DrainCell(req.Cell, req.Seq); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, AdminOKResponse{OK: true})
-}
-
-func (f *Fleet) handleRehydrateCell(w http.ResponseWriter, r *http.Request) {
-	var req AdminCellRequest
-	if !decode(w, r, http.MethodPost, &req) {
-		return
-	}
-	if err := f.RehydrateCell(req.Cell, req.Seq); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, AdminOKResponse{OK: true})
-}
-
-func (f *Fleet) handleSplitCell(w http.ResponseWriter, r *http.Request) {
-	var req AdminSplitRequest
-	if !decode(w, r, http.MethodPost, &req) {
-		return
-	}
-	newCell, err := f.SplitCell(req.Cell, req.N, req.At, req.Seq)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, AdminSplitResponse{NewCell: newCell})
-}
-
-func (f *Fleet) handleMergeCells(w http.ResponseWriter, r *http.Request) {
-	var req AdminMergeRequest
-	if !decode(w, r, http.MethodPost, &req) {
-		return
-	}
-	if err := f.MergeCells(req.From, req.Into, req.At, req.Seq); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, AdminOKResponse{OK: true})
-}
-
-func (f *Fleet) handleRebalance(w http.ResponseWriter, r *http.Request) {
-	var req AdminRebalanceRequest
-	if !decode(w, r, http.MethodPost, &req) {
-		return
-	}
-	moves, err := f.Rebalance(req.MaxMoves, req.At, req.Seq)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, AdminRebalanceResponse{Moves: moves})
 }
 
 // AddHosts grows one cell of a served fleet.

@@ -108,41 +108,6 @@ func elasticScript(places int) []Op {
 	return ops
 }
 
-// applyOp drives one scripted op through the live fleet's typed API with
-// the given global sequence number — the online mirror of RunScriptOffline's
-// dispatch switch.
-func applyOp(f *Fleet, op Op, seq uint64) error {
-	switch op.Kind {
-	case OpPlace:
-		_, _, err := f.Place(op.Rec, op.At, seq)
-		return err
-	case OpExit:
-		_, err := f.ExitVM(op.VM, op.At, seq)
-		return err
-	case OpTick:
-		_, err := f.Tick(op.At, seq)
-		return err
-	case OpAddHosts:
-		return f.AddHosts(op.Cell, op.N, op.At, seq)
-	case OpRemoveHost:
-		return f.RemoveHost(op.Cell, op.Host, op.At, seq)
-	case OpDrainCell:
-		return f.DrainCell(op.Cell, seq)
-	case OpRehydrateCell:
-		return f.RehydrateCell(op.Cell, seq)
-	case OpSplitCell:
-		_, err := f.SplitCell(op.Cell, op.N, op.At, seq)
-		return err
-	case OpMergeCells:
-		return f.MergeCells(op.Cell, op.Into, op.At, seq)
-	case OpRebalance:
-		_, err := f.Rebalance(op.N, op.At, seq)
-		return err
-	default:
-		return fmt.Errorf("unknown op kind %d", op.Kind)
-	}
-}
-
 // runScriptOnline replays a script against a live fleet: op i carries
 // global sequence number i+1 and the ops are handed to `workers` concurrent
 // goroutines, so completion order scrambles while the sequencer restores
@@ -164,7 +129,7 @@ func runScriptOnline(t *testing.T, cfg FleetConfig, ops []Op, workers int) Fleet
 		go func() {
 			defer wg.Done()
 			for i := range feed {
-				if err := applyOp(f, ops[i], uint64(i+1)); err != nil {
+				if _, err := f.Do(ops[i], uint64(i+1)); err != nil {
 					mu.Lock()
 					opErrs = append(opErrs, fmt.Errorf("op %d (%s): %w", i, ops[i].Kind, err))
 					mu.Unlock()
@@ -225,6 +190,59 @@ func TestElasticScriptParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOfflineScriptIgnoresTracing pins that the offline runner is blind to
+// the tracing settings: it records nothing (no reader exists for an offline
+// cell's ring), so a traced config yields the untraced report byte for byte.
+func TestOfflineScriptIgnoresTracing(t *testing.T) {
+	ops := elasticScript(40)
+	report := func(traceK int) []byte {
+		cfg := elasticCfg(12, 3, "feature-hash")
+		cfg.TraceK, cfg.TraceCap = traceK, -1
+		roll, err := RunScriptOffline(cfg, ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := json.Marshal(FleetReportOf(cfg.PoolName, "p", roll))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if plain, traced := report(0), report(3); !bytes.Equal(plain, traced) {
+		t.Fatalf("tracing changed the offline report:\nplain:  %s\ntraced: %s", plain, traced)
+	}
+}
+
+// TestPlanCoversEveryOpKind walks the OpKind enumeration: every kind has a
+// name and an arm in topology.plan, the one expansion both the live fleet
+// and the offline runner consume, so a kind added to the enumeration alone
+// fails here instead of silently doing nothing.
+func TestPlanCoversEveryOpKind(t *testing.T) {
+	for k := OpKind(0); k < numOpKinds; k++ {
+		if k.String() == "op(?)" {
+			t.Errorf("op kind %d has no name", k)
+		}
+		topo, err := newTopology("round-robin", []int{4, 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo.grow = func(int, int) error { return nil }
+		// Valid for every kind on a fresh two-cell ledger: cell 0 gives up
+		// (or gains) two hosts, or merges into cell 1.
+		op := Op{Kind: k, Rec: scriptRecord(0), Cell: 0, Into: 1, N: 2, Host: 3}
+		if _, _, err := topo.plan(&op, nil); err != nil {
+			t.Errorf("plan(%s): %v", k, err)
+		}
+	}
+	if got := numOpKinds.String(); got != "op(?)" {
+		t.Errorf("out-of-range kind renders %q", got)
+	}
+	topo, _ := newTopology("round-robin", []int{4})
+	if _, _, err := topo.plan(&Op{Kind: numOpKinds}, nil); err == nil {
+		t.Error("plan accepted an unknown op kind")
 	}
 }
 

@@ -107,7 +107,8 @@ func FleetFromTrace(tr *trace.Trace) FleetConfig {
 
 // Fleet federates N per-cell Servers behind one front-end with the same
 // HTTP surface as a single Server. Placements are routed to cells; exits
-// follow the VM they name; ticks fan out; stats and drains roll up.
+// follow the VM they name; ticks visit every live cell; stats and drains
+// roll up.
 //
 // Sequenced streams survive routing: the front-end holds a global reorder
 // stage that admits sequence numbers strictly in order, routes each request
@@ -142,88 +143,36 @@ type Fleet struct {
 
 // NewFleet builds and starts a fleet: N cells, N event loops.
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
-	if cfg.Cells <= 0 {
-		return nil, fmt.Errorf("serve: fleet needs at least one cell, got %d", cfg.Cells)
-	}
-	if cfg.Hosts < cfg.Cells {
-		return nil, fmt.Errorf("serve: %d hosts cannot form %d cells", cfg.Hosts, cfg.Cells)
-	}
-	if cfg.NewPolicy == nil {
-		return nil, errors.New("serve: fleet config needs a policy factory")
-	}
-	if cfg.PoolName == "" {
-		cfg.PoolName = "pool"
-	}
-	hosts := cell.SplitHosts(cfg.Hosts, cfg.Cells)
-	cfg.SLO = cfg.SLO.Normalize()
-	topo, err := newTopology(cfg.Router, hosts)
-	if err != nil {
-		return nil, err
-	}
-	topo.gate = slo.NewGate(cfg.SLO)
 	f := &Fleet{
 		cfg:     cfg,
-		topo:    topo,
 		nextSeq: 1,
 		parked:  make(map[uint64]int),
-		cellSeq: make([]uint64, cfg.Cells),
 	}
 	f.cond = sync.NewCond(&f.mu)
-
-	f.cells = make([]*Server, cfg.Cells)
-	for i := range f.cells {
-		s, err := newCellServer(cfg, i, hosts[i])
-		if err != nil {
-			for _, s := range f.cells[:i] {
-				s.Close()
-			}
-			return nil, err
-		}
-		f.cells[i] = s
-		if i == 0 {
-			f.policy = s.cfg.Policy.Name()
-		}
+	var err error
+	if f.topo, err = newLedger(&f.cfg, f.addCellLocked); err != nil {
+		f.Close()
+		return nil, err
 	}
+	f.policy = f.cells[0].cfg.Policy.Name()
 	return f, nil
 }
 
-// newCellServer builds and starts the per-cell Server for cell idx, from
-// the same fleet config whether the cell is original (NewFleet) or carved
-// out later (SplitCell).
-func newCellServer(cfg FleetConfig, idx, hosts int) (*Server, error) {
-	pol, err := cfg.NewPolicy(idx)
-	if err == nil && pol == nil {
-		err = errors.New("serve: fleet policy factory returned nil")
-	}
+// addCellLocked builds and starts the Server of cell idx and appends it to
+// the cell set: the ledger's grow hook, called for the original cells and,
+// under the fleet mutex, for every cell a split carves out.
+func (f *Fleet) addCellLocked(idx, hosts int) error {
+	cc, err := cellConfig(&f.cfg, idx, hosts)
 	if err != nil {
-		return nil, fmt.Errorf("serve: fleet cell %d: %w", idx, err)
+		return err
 	}
-	var inj []sim.Injector
-	if cfg.Injectors != nil {
-		inj = cfg.Injectors(idx)
-	}
-	s, err := New(Config{
-		// The offline counterpart (cell.Shard) names cells the same
-		// way; keeping the names aligned keeps drain payloads diffable.
-		PoolName:    fmt.Sprintf("%s/cell-%d", cfg.PoolName, idx),
-		Hosts:       hosts,
-		HostShape:   cfg.HostShape,
-		WarmUp:      cfg.WarmUp,
-		Horizon:     cfg.Horizon,
-		Policy:      pol,
-		TickEvery:   cfg.TickEvery,
-		SampleEvery: cfg.SampleEvery,
-		Injectors:   inj,
-		QueueDepth:  cfg.QueueDepth,
-		Memo:        cfg.Memo,
-		TraceK:      cfg.TraceK,
-		TraceCap:    cfg.TraceCap,
-		SLO:         cellSLO(cfg),
-	})
+	s, err := New(cc)
 	if err != nil {
-		return nil, fmt.Errorf("serve: fleet cell %d: %w", idx, err)
+		return err
 	}
-	return s, nil
+	f.cells = append(f.cells, s)
+	f.cellSeq = append(f.cellSeq, 0)
+	return nil
 }
 
 // RouterName reports the active routing discipline.
@@ -266,9 +215,9 @@ func (f *Fleet) Close() {
 }
 
 // enterSeqLocked blocks (releasing the lock while parked) until seq is the
-// next global sequence number. On nil return the caller still holds the
-// lock, owns the routing turn, and must call advanceLocked before
-// unlocking.
+// next global sequence number; seq 0 is unsequenced and never parks. On nil
+// return the caller still holds the lock and, for seq > 0, owns the routing
+// turn: it must consume it (see Do) before unlocking.
 func (f *Fleet) enterSeqLocked(seq uint64) error {
 	for seq > f.nextSeq && !f.closed && !f.flushed {
 		f.parked[seq]++
@@ -281,6 +230,8 @@ func (f *Fleet) enterSeqLocked(seq uint64) error {
 	switch {
 	case f.closed:
 		return ErrClosed
+	case seq == 0:
+		return nil
 	case f.flushed:
 		// A drain already flushed the sequencer; nothing may enter anymore
 		// (mirrors the per-cell loop's post-drain rejection).
@@ -298,171 +249,84 @@ func (f *Fleet) enterSeqLocked(seq uint64) error {
 	return nil
 }
 
-// advanceLocked consumes the routing turn enterSeqLocked granted: the next
-// sequence number is admitted and the request counts as in flight until
-// doneDispatch.
-func (f *Fleet) advanceLocked() {
-	f.nextSeq++
-	f.inflight++
-	f.cond.Broadcast()
-}
-
-// doneDispatch marks one admitted request as fully answered by its cell.
-func (f *Fleet) doneDispatch() {
+// Do executes one fleet operation: the single online path of all ten op
+// kinds. seq > 0 enrolls the op in the fleet-wide strictly ordered stream:
+// Do parks until it is the op's turn, then — under the fleet mutex — plans
+// the op against the topology ledger, stamps every step with its cell's
+// next contiguous sequence number and releases the turn. The steps are
+// dispatched without the lock and all at once (see runSteps: a fleet tick
+// costs its slowest cell, not the sum); requests racing them to the same
+// cells order correctly through the per-cell reorder buffers, so an admin
+// op is just another citizen of the sequenced stream and every cell sees
+// exactly the event sequence RunScriptOffline would hand it.
+//
+// The turn is consumed even when the ledger refuses the op (no routable
+// cell, a front-door rejection, a retired target): later sequence numbers
+// must never park behind a failed one. A refused op takes no cell sequence
+// number.
+func (f *Fleet) Do(op Op, seq uint64) (OpResult, error) {
+	if f.draining.Load() {
+		return OpResult{}, ErrDraining
+	}
 	f.mu.Lock()
-	f.inflight--
-	f.cond.Broadcast()
+	if err := f.enterSeqLocked(seq); err != nil {
+		f.mu.Unlock()
+		return OpResult{}, err
+	}
+	var buf [1]*request
+	steps, res, err := f.topo.plan(&op, buf[:0])
+	cells := f.cells // cells only ever append: the prefix seen here is stable
+	if seq > 0 {
+		for _, r := range steps {
+			f.cellSeq[r.cell]++
+			r.seq = f.cellSeq[r.cell]
+		}
+		// The op counts as in flight until its last step is answered; a
+		// fleet drain waits for that before it drains the cells.
+		f.nextSeq++
+		f.inflight++
+		f.cond.Broadcast()
+	}
 	f.mu.Unlock()
-}
 
-// nextCellSeqLocked issues the next contiguous sequence number for cell c.
-func (f *Fleet) nextCellSeqLocked(c int) uint64 {
-	f.cellSeq[c]++
-	return f.cellSeq[c]
+	if err == nil {
+		err = runSteps(op.Kind, steps, &res, func(r *request) {
+			r.resp = make(chan response, 1)
+			if err := cells[r.cell].enqueue(r); err != nil {
+				r.resp <- response{err: err}
+			}
+		}, func(r *request) response { return cells[r.cell].await(r) })
+	}
+	if seq > 0 {
+		f.mu.Lock()
+		f.inflight--
+		f.cond.Broadcast()
+		f.mu.Unlock()
+	}
+	return res, err
 }
 
 // Place routes one VM placement to a cell. Semantics match Server.Place;
 // seq > 0 enrolls the request in the fleet-wide strictly ordered stream.
 func (f *Fleet) Place(rec trace.Record, at time.Duration, seq uint64) (host cluster.HostID, placed bool, err error) {
-	if f.draining.Load() {
-		return 0, false, ErrDraining
-	}
-	f.mu.Lock()
-	if seq > 0 {
-		if err := f.enterSeqLocked(seq); err != nil {
-			f.mu.Unlock()
-			return 0, false, err
-		}
-	} else if f.closed {
-		f.mu.Unlock()
-		return 0, false, ErrClosed
-	}
-	c, rerr := f.topo.routeCreate(&rec, at)
-	var srv *Server
-	var cs uint64
-	if rerr == nil {
-		srv = f.cells[c]
-		if seq > 0 {
-			cs = f.nextCellSeqLocked(c)
-		}
-	}
-	if seq > 0 {
-		// The routing turn is consumed even when routing failed (every cell
-		// drained): later sequence numbers must not park forever behind it.
-		f.advanceLocked()
-	}
-	f.mu.Unlock()
-
-	if rerr != nil {
-		if seq > 0 {
-			f.doneDispatch()
-		}
-		return 0, false, rerr
-	}
-	host, placed, err = srv.Place(rec, at, cs)
-	if seq > 0 {
-		f.doneDispatch()
-	}
-	return host, placed, err
+	res, err := f.Do(Op{Kind: OpPlace, Rec: rec, At: at}, seq)
+	return res.Host, res.Placed, err
 }
 
 // ExitVM routes a VM exit to the cell that admitted the VM. Exits of VMs
-// the fleet never routed report removed=false without touching any cell;
-// routed exits always reach their cell — even when the placement failed for
-// capacity — because the cell's clock must advance past the exit time
-// exactly as an offline replay of the cell's shard would.
+// the fleet never routed report removed=false without touching any cell.
 func (f *Fleet) ExitVM(id cluster.VMID, at time.Duration, seq uint64) (removed bool, err error) {
-	if f.draining.Load() {
-		return false, ErrDraining
-	}
-	f.mu.Lock()
-	if seq > 0 {
-		if err := f.enterSeqLocked(seq); err != nil {
-			f.mu.Unlock()
-			return false, err
-		}
-	} else if f.closed {
-		f.mu.Unlock()
-		return false, ErrClosed
-	}
-	c, ok := f.topo.routeExit(id)
-	var srv *Server
-	var cs uint64
-	if ok {
-		srv = f.cells[c]
-		if seq > 0 {
-			cs = f.nextCellSeqLocked(c)
-		}
-	}
-	if seq > 0 {
-		f.advanceLocked()
-	}
-	f.mu.Unlock()
-
-	if !ok {
-		if seq > 0 {
-			f.doneDispatch()
-		}
-		return false, nil
-	}
-	removed, err = srv.ExitVM(id, at, cs)
-	if seq > 0 {
-		f.doneDispatch()
-	}
-	return removed, err
+	res, err := f.Do(Op{Kind: OpExit, VM: id, At: at}, seq)
+	return res.Removed, err
 }
 
 // Tick advances every live cell's virtual time to at and returns the
-// furthest time reached. Sequenced ticks consume one fleet sequence number
-// and one per-cell sequence number in every live cell, so they order
-// correctly against the sequenced placement stream on each side of the
-// fan-out. Retired cells are skipped: their clocks freeze at merge time
-// and jump to the horizon when the fleet drains.
+// furthest time reached. A sequenced tick consumes one fleet sequence number
+// and one per-cell sequence number in every live cell, so it orders
+// correctly against the sequenced placement stream in each of them.
 func (f *Fleet) Tick(at time.Duration, seq uint64) (now time.Duration, err error) {
-	if f.draining.Load() {
-		return 0, ErrDraining
-	}
-	f.mu.Lock()
-	if seq > 0 {
-		if err := f.enterSeqLocked(seq); err != nil {
-			f.mu.Unlock()
-			return 0, err
-		}
-	} else if f.closed {
-		f.mu.Unlock()
-		return 0, ErrClosed
-	}
-	cells := append([]*Server(nil), f.cells...)
-	skip := append([]bool(nil), f.topo.retired...)
-	cs := make([]uint64, len(cells))
-	if seq > 0 {
-		for c := range cells {
-			if !skip[c] {
-				cs[c] = f.nextCellSeqLocked(c)
-			}
-		}
-		f.advanceLocked()
-	}
-	f.mu.Unlock()
-
-	nows := make([]time.Duration, len(cells))
-	err = fanOut(len(cells), func(c int) error {
-		if skip[c] {
-			return nil
-		}
-		n, err := cells[c].Tick(at, cs[c])
-		nows[c] = n
-		return err
-	})
-	if seq > 0 {
-		f.doneDispatch()
-	}
-	for _, n := range nows {
-		if n > now {
-			now = n
-		}
-	}
-	return now, err
+	res, err := f.Do(Op{Kind: OpTick, At: at}, seq)
+	return res.Now, err
 }
 
 // fanOut runs fn for cells 0..n-1 concurrently and returns the joined
@@ -731,20 +595,41 @@ func (f *Fleet) drainResponse(roll *cell.Rollup) FleetDrainResponse {
 //	POST /admin/rebalance      AdminRebalanceRequest  -> AdminRebalanceResponse
 func (f *Fleet) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/place", f.handlePlace)
-	mux.HandleFunc("/exit", f.handleExit)
-	mux.HandleFunc("/tick", f.handleTick)
-	mux.HandleFunc("/stats", f.handleStats)
-	mux.HandleFunc("/snapshot", f.handleSnapshot)
+	requestRoutes(mux, f)
+	mux.HandleFunc("/stats", noBody(http.MethodGet, f.Stats))
+	mux.HandleFunc("/snapshot", noBody(http.MethodGet, f.Snapshot))
 	mux.HandleFunc("/trace", f.handleTrace)
-	mux.HandleFunc("/drain", f.handleDrain)
-	mux.HandleFunc("/admin/add-hosts", f.handleAddHosts)
-	mux.HandleFunc("/admin/remove-host", f.handleRemoveHost)
-	mux.HandleFunc("/admin/drain-cell", f.handleDrainCell)
-	mux.HandleFunc("/admin/rehydrate-cell", f.handleRehydrateCell)
-	mux.HandleFunc("/admin/split-cell", f.handleSplitCell)
-	mux.HandleFunc("/admin/merge-cells", f.handleMergeCells)
-	mux.HandleFunc("/admin/rebalance", f.handleRebalance)
+	mux.HandleFunc("/drain", noBody(http.MethodPost, func() (FleetDrainResponse, error) {
+		roll, err := f.Drain()
+		if err != nil {
+			return FleetDrainResponse{}, err
+		}
+		return f.drainResponse(roll), nil
+	}))
+	ok := AdminOKResponse{OK: true}
+	mux.HandleFunc("/admin/add-hosts", post((*AdminAddHostsRequest).validate, func(q AdminAddHostsRequest) (AdminOKResponse, error) {
+		return ok, f.AddHosts(q.Cell, q.N, q.At, q.Seq)
+	}))
+	mux.HandleFunc("/admin/remove-host", post(nil, func(q AdminRemoveHostRequest) (AdminOKResponse, error) {
+		return ok, f.RemoveHost(q.Cell, q.Host, q.At, q.Seq)
+	}))
+	mux.HandleFunc("/admin/drain-cell", post(nil, func(q AdminCellRequest) (AdminOKResponse, error) {
+		return ok, f.DrainCell(q.Cell, q.Seq)
+	}))
+	mux.HandleFunc("/admin/rehydrate-cell", post(nil, func(q AdminCellRequest) (AdminOKResponse, error) {
+		return ok, f.RehydrateCell(q.Cell, q.Seq)
+	}))
+	mux.HandleFunc("/admin/split-cell", post(nil, func(q AdminSplitRequest) (AdminSplitResponse, error) {
+		idx, err := f.SplitCell(q.Cell, q.N, q.At, q.Seq)
+		return AdminSplitResponse{NewCell: idx}, err
+	}))
+	mux.HandleFunc("/admin/merge-cells", post(nil, func(q AdminMergeRequest) (AdminOKResponse, error) {
+		return ok, f.MergeCells(q.From, q.Into, q.At, q.Seq)
+	}))
+	mux.HandleFunc("/admin/rebalance", post(nil, func(q AdminRebalanceRequest) (AdminRebalanceResponse, error) {
+		moves, err := f.Rebalance(q.MaxMoves, q.At, q.Seq)
+		return AdminRebalanceResponse{Moves: moves}, err
+	}))
 	return mux
 }
 
@@ -803,82 +688,4 @@ func (f *Fleet) handleTrace(w http.ResponseWriter, r *http.Request) {
 		out.Cells = append(out.Cells, CellTrace{Cell: c, QueryResult: servers[c].Tracer().Query(flt)})
 	}
 	writeJSON(w, out)
-}
-
-func (f *Fleet) handlePlace(w http.ResponseWriter, r *http.Request) {
-	var req PlaceRequest
-	if !decode(w, r, http.MethodPost, &req) {
-		return
-	}
-	host, placed, err := f.Place(req.Record, req.At, req.Seq)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, PlaceResponse{Host: host, Placed: placed})
-}
-
-func (f *Fleet) handleExit(w http.ResponseWriter, r *http.Request) {
-	var req ExitRequest
-	if !decode(w, r, http.MethodPost, &req) {
-		return
-	}
-	removed, err := f.ExitVM(req.ID, req.At, req.Seq)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, ExitResponse{Removed: removed})
-}
-
-func (f *Fleet) handleTick(w http.ResponseWriter, r *http.Request) {
-	var req TickRequest
-	if !decode(w, r, http.MethodPost, &req) {
-		return
-	}
-	now, err := f.Tick(req.At, req.Seq)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, TickResponse{Now: now})
-}
-
-func (f *Fleet) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodErr(w)
-		return
-	}
-	st, err := f.Stats()
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, st)
-}
-
-func (f *Fleet) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodErr(w)
-		return
-	}
-	snap, err := f.Snapshot()
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, snap)
-}
-
-func (f *Fleet) handleDrain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		methodErr(w)
-		return
-	}
-	roll, err := f.Drain()
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, f.drainResponse(roll))
 }

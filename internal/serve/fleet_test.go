@@ -319,6 +319,85 @@ func TestFleetTickFanOut(t *testing.T) {
 	}
 }
 
+type injectFunc func(now time.Duration)
+
+func (fn injectFunc) Inject(_ *sim.Control, now time.Duration) { fn(now) }
+
+// TestFleetTickDoesNotSerializeCells holds cell 0 inside its tick and
+// requires the rest of the fleet to carry on: the same sequenced tick must
+// already have run in cell 1, and a later sequenced placement for cell 1
+// must be answered, both while cell 0 is still busy. An executor that sends
+// cell k its step only after cells 0..k-1 answered fails both — cell 1's
+// tick is unsent, and the placement parks in cell 1's reorder buffer behind
+// it.
+func TestFleetTickDoesNotSerializeCells(t *testing.T) {
+	held := make(chan struct{})
+	release := sync.OnceFunc(func() { close(held) })
+	cell1Ticked := make(chan struct{})
+	var once sync.Once
+	f, err := NewFleet(FleetConfig{
+		PoolName:  "fleet-test",
+		Hosts:     4,
+		HostShape: resources.Vector{CPUMilli: 1000, MemoryMB: 1000},
+		Cells:     2,
+		Router:    "round-robin",
+		NewPolicy: func(int) (scheduler.Policy, error) { return scheduler.NewBestFit(), nil },
+		Injectors: func(c int) []sim.Injector {
+			if c == 0 {
+				return []sim.Injector{injectFunc(func(time.Duration) { <-held })}
+			}
+			return []sim.Injector{injectFunc(func(time.Duration) { once.Do(func() { close(cell1Ticked) }) })}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	defer release() // runs before Close, which waits for cell 0's loop
+	// Placements route to cell 1 only.
+	if err := f.DrainCell(0, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	tickDone := make(chan error, 1)
+	go func() {
+		_, err := f.Tick(10*time.Minute, 1)
+		tickDone <- err
+	}()
+	placeDone := make(chan error, 1)
+	go func() {
+		rec := trace.Record{ID: 1, Lifetime: time.Hour, Shape: resources.Vector{CPUMilli: 1000, MemoryMB: 1000}}
+		_, placed, err := f.Place(rec, 10*time.Minute, 2)
+		if err == nil && !placed {
+			err = errors.New("not placed")
+		}
+		placeDone <- err
+	}()
+	timeout := time.After(10 * time.Second)
+	select {
+	case <-cell1Ticked:
+	case <-timeout:
+		t.Fatal("cell 1 did not tick while cell 0 was busy: the fan-out is sequential")
+	}
+	select {
+	case err := <-placeDone:
+		if err != nil {
+			t.Fatalf("place behind the tick: %v", err)
+		}
+	case <-timeout:
+		t.Fatal("a sequenced placement for cell 1 stalled behind cell 0's tick")
+	}
+	select {
+	case err := <-tickDone:
+		t.Fatalf("tick returned (%v) while cell 0 was still ticking", err)
+	default:
+	}
+	release()
+	if err := <-tickDone; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFleetDrainFlushesSequencerGaps parks sequenced requests behind
 // missing predecessors in the FLEET's sequencer (not a cell's buffer),
 // drains, and requires the parked work applied in ascending sequence order
@@ -496,6 +575,36 @@ func TestNewFleetValidation(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := NewFleet(tc.cfg); err == nil {
 			t.Errorf("%s: NewFleet accepted a bad config", tc.name)
+		}
+	}
+}
+
+// BenchmarkFleetTick times one sequenced day-long fleet tick over 8 loaded
+// cells of 2k hosts: with the cells ticking in parallel it costs the slowest
+// cell, not the sum.
+func BenchmarkFleetTick(b *testing.B) {
+	f, err := NewFleet(FleetConfig{
+		Hosts:     16384,
+		HostShape: resources.Vector{CPUMilli: 64000, MemoryMB: 256000},
+		Cells:     8,
+		Router:    "round-robin",
+		NewPolicy: func(int) (scheduler.Policy, error) { return scheduler.NewBestFit(), nil },
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	for i := 0; i < 32768; i++ {
+		rec := trace.Record{ID: cluster.VMID(i + 1), Lifetime: 1e6 * time.Hour,
+			Shape: resources.Vector{CPUMilli: 16000, MemoryMB: 64000}}
+		if _, _, err := f.Place(rec, 0, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		if _, err := f.Tick(time.Duration(i)*24*time.Hour, uint64(i)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

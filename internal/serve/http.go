@@ -11,6 +11,7 @@ import (
 	"lava/internal/cluster"
 	"lava/internal/ptrace"
 	"lava/internal/runner"
+	"lava/internal/sim"
 	"lava/internal/slo"
 	"lava/internal/trace"
 )
@@ -94,19 +95,57 @@ type errorBody struct {
 // back as after while more holds). It answers 404 when tracing is disabled
 // (Config.TraceK == 0).
 //
-// Errors come back as {"error": "..."} with 400 for malformed payloads,
-// 405 for wrong methods, 409 for sequencing conflicts, and 503 once the
-// server is draining or closed.
+// Errors come back as {"error": "..."} with 400 for malformed or invalid
+// payloads, 405 for wrong methods, 409 for sequencing conflicts, 413 for
+// bodies over 1 MiB, and 503 once the server is draining or closed.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/place", s.handlePlace)
-	mux.HandleFunc("/exit", s.handleExit)
-	mux.HandleFunc("/tick", s.handleTick)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/snapshot", s.handleSnapshot)
+	requestRoutes(mux, s)
+	mux.HandleFunc("/stats", noBody(http.MethodGet, s.Stats))
+	mux.HandleFunc("/snapshot", noBody(http.MethodGet, s.Snapshot))
 	mux.HandleFunc("/trace", s.handleTrace)
-	mux.HandleFunc("/drain", s.handleDrain)
+	mux.HandleFunc("/drain", noBody(http.MethodPost, func() (DrainResponse, error) {
+		res, err := s.Drain()
+		if err != nil {
+			return DrainResponse{}, err
+		}
+		return drainResponseOf(res), nil
+	}))
 	return mux
+}
+
+// drainResponseOf projects one machine's final result into its wire form.
+func drainResponseOf(res *sim.Result) DrainResponse {
+	return DrainResponse{
+		Pool:      res.PoolName,
+		Policy:    res.Policy,
+		Metrics:   runner.MetricsOf(res),
+		SeriesLen: res.Series.Len(),
+	}
+}
+
+// placer is the typed request surface a Server and a Fleet share.
+type placer interface {
+	Place(rec trace.Record, at time.Duration, seq uint64) (cluster.HostID, bool, error)
+	ExitVM(id cluster.VMID, at time.Duration, seq uint64) (bool, error)
+	Tick(at time.Duration, seq uint64) (time.Duration, error)
+}
+
+// requestRoutes registers the request-stream endpoints, identical on a
+// Server and a Fleet.
+func requestRoutes(mux *http.ServeMux, p placer) {
+	mux.HandleFunc("/place", post((*PlaceRequest).validate, func(q PlaceRequest) (PlaceResponse, error) {
+		host, placed, err := p.Place(q.Record, q.At, q.Seq)
+		return PlaceResponse{Host: host, Placed: placed}, err
+	}))
+	mux.HandleFunc("/exit", post(nil, func(q ExitRequest) (ExitResponse, error) {
+		removed, err := p.ExitVM(q.ID, q.At, q.Seq)
+		return ExitResponse{Removed: removed}, err
+	}))
+	mux.HandleFunc("/tick", post(nil, func(q TickRequest) (TickResponse, error) {
+		now, err := p.Tick(q.At, q.Seq)
+		return TickResponse{Now: now}, err
+	}))
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -163,106 +202,71 @@ func traceFilter(r *http.Request) (ptrace.Filter, error) {
 	return f, nil
 }
 
-func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
-	var req PlaceRequest
-	if !decode(w, r, http.MethodPost, &req) {
-		return
-	}
-	if _, err := slo.ParseClass(req.Record.Class); err != nil {
-		writeStatus(w, http.StatusBadRequest, err)
-		return
-	}
-	host, placed, err := s.Place(req.Record, req.At, req.Seq)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, PlaceResponse{Host: host, Placed: placed})
+// validate refuses an unknown SLO class before the request takes a sequence
+// number or a routing turn, so the client can correct and resend it under
+// the same seq.
+func (q *PlaceRequest) validate() error {
+	_, err := slo.ParseClass(q.Record.Class)
+	return err
 }
 
-func (s *Server) handleExit(w http.ResponseWriter, r *http.Request) {
-	var req ExitRequest
-	if !decode(w, r, http.MethodPost, &req) {
-		return
+// maxBodyBytes bounds a request body; a larger one answers 413.
+const maxBodyBytes = 1 << 20
+
+// post builds the handler of a POST endpoint that takes a JSON body: method
+// check, bounded strict decode (unknown fields are errors), the route's
+// validate check (nil: the endpoint has none), then fn, whose error maps
+// onto a status through writeErr. Every body-carrying route of a Server and
+// a Fleet is built here, so the two cannot answer the same bad request
+// differently.
+func post[Req, Resp any](validate func(*Req) error, fn func(Req) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			methodErr(w)
+			return
+		}
+		var req Req
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			writeStatus(w, code, fmt.Errorf("serve: bad request body: %w", err))
+			return
+		}
+		if validate != nil {
+			if err := validate(&req); err != nil {
+				writeStatus(w, http.StatusBadRequest, err)
+				return
+			}
+		}
+		resp, err := fn(req)
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		writeJSON(w, resp)
 	}
-	removed, err := s.ExitVM(req.ID, req.At, req.Seq)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, ExitResponse{Removed: removed})
 }
 
-func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
-	var req TickRequest
-	if !decode(w, r, http.MethodPost, &req) {
-		return
+// noBody builds the handler of an endpoint that reads no request body: the
+// GET reads, and POST /drain.
+func noBody[Resp any](method string, fn func() (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method {
+			methodErr(w)
+			return
+		}
+		resp, err := fn()
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		writeJSON(w, resp)
 	}
-	now, err := s.Tick(req.At, req.Seq)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, TickResponse{Now: now})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodErr(w)
-		return
-	}
-	st, err := s.Stats()
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, st)
-}
-
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodErr(w)
-		return
-	}
-	sample, err := s.Snapshot()
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, sample)
-}
-
-func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		methodErr(w)
-		return
-	}
-	res, err := s.Drain()
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, DrainResponse{
-		Pool:      res.PoolName,
-		Policy:    res.Policy,
-		Metrics:   runner.MetricsOf(res),
-		SeriesLen: res.Series.Len(),
-	})
-}
-
-// decode enforces the method and parses the JSON body.
-func decode(w http.ResponseWriter, r *http.Request, method string, into any) bool {
-	if r.Method != method {
-		methodErr(w)
-		return false
-	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		writeStatus(w, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err))
-		return false
-	}
-	return true
 }
 
 func methodErr(w http.ResponseWriter) {

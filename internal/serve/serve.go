@@ -122,9 +122,11 @@ const (
 	reqDrain
 )
 
-// request is one admission-queue entry.
+// request is one admission-queue entry, and — with cell set — one step of a
+// fleet operation's plan (see topology.plan).
 type request struct {
 	kind reqKind
+	cell int            // fleet steps: the cell this request is for
 	seq  uint64         // >0: position in the strictly ordered client stream
 	at   time.Duration  // virtual time of the event
 	rec  trace.Record   // reqPlace
@@ -194,24 +196,24 @@ type Server struct {
 	started time.Time
 }
 
-// New builds and starts a server. The event loop runs until Close.
-func New(cfg Config) (*Server, error) {
+// newMachine validates cfg, fills its defaults and builds the engine it
+// describes: a sim.Machine over a header-only trace carrying the geometry,
+// plus the decision recorder when tracing is on. New wraps the machine in an
+// event loop and RunScriptOffline drives it bare, so the two arms of the
+// parity harness cannot be set up differently.
+func newMachine(cfg *Config) (*sim.Machine, *ptrace.Recorder, error) {
 	if cfg.Hosts <= 0 {
-		return nil, errors.New("serve: config needs hosts")
+		return nil, nil, errors.New("serve: config needs hosts")
 	}
 	if cfg.Policy == nil {
-		return nil, errors.New("serve: config needs a policy")
+		return nil, nil, errors.New("serve: config needs a policy")
 	}
 	if !cfg.HostShape.NonNegative() || cfg.HostShape.IsZero() {
-		return nil, fmt.Errorf("serve: bad host shape %s", cfg.HostShape)
+		return nil, nil, fmt.Errorf("serve: bad host shape %s", cfg.HostShape)
 	}
 	if cfg.PoolName == "" {
 		cfg.PoolName = "pool"
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 256
-	}
-	// A header-only trace carries the geometry into the shared engine.
 	ht := &trace.Trace{
 		PoolName: cfg.PoolName,
 		Hosts:    cfg.Hosts,
@@ -248,8 +250,17 @@ func New(cfg Config) (*Server, error) {
 		Tracer:      tracer,
 		SLO:         cfg.SLO,
 	})
+	return m, tracer, err
+}
+
+// New builds and starts a server. The event loop runs until Close.
+func New(cfg Config) (*Server, error) {
+	m, tracer, err := newMachine(&cfg)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.QueueDepth <= 0 {
+		cfg.QueueDepth = 256
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -275,14 +286,30 @@ func (s *Server) Close() {
 
 // submit enqueues a request and waits for the loop's response.
 func (s *Server) submit(r *request) response {
+	if err := s.enqueue(r); err != nil {
+		return response{err: err}
+	}
+	return s.await(r)
+}
+
+// enqueue hands r to the event loop without waiting for the answer; a nil
+// return obliges the caller to await it. The fleet executor enqueues a whole
+// plan's independent steps before it awaits the first, so the cells work in
+// parallel.
+func (s *Server) enqueue(r *request) error {
 	if mutating(r.kind) && s.draining.Load() {
-		return response{err: ErrDraining}
+		return ErrDraining
 	}
 	select {
 	case s.reqs <- r:
+		return nil
 	case <-s.stop:
-		return response{err: ErrClosed}
+		return ErrClosed
 	}
+}
+
+// await blocks for the loop's response to an enqueued request.
+func (s *Server) await(r *request) response {
 	select {
 	case resp := <-r.resp:
 		return resp
@@ -336,48 +363,6 @@ func (s *Server) Tick(at time.Duration, seq uint64) (now time.Duration, err erro
 	return resp.now, resp.err
 }
 
-// AddHosts grows the cell's pool by n hosts at virtual time at, sequenced
-// through the event loop like any other request (seq > 0 enrolls it in the
-// ordered stream). New hosts take IDs past the current maximum.
-func (s *Server) AddHosts(n int, at time.Duration, seq uint64) error {
-	r := newRequest(reqAddHosts)
-	r.n, r.at, r.seq = n, at, seq
-	return s.submit(r).err
-}
-
-// RemoveHost retires one empty host from the cell's pool at virtual time
-// at. Hosts still running VMs are refused.
-func (s *Server) RemoveHost(id cluster.HostID, at time.Duration, seq uint64) error {
-	r := newRequest(reqRemoveHost)
-	r.hid, r.at, r.seq = id, at, seq
-	return s.submit(r).err
-}
-
-// MigrateOut hands a running VM over to the caller: the VM exits this
-// cell's pool (counted as a migration, not an exit) and is returned for
-// placement elsewhere via MigrateIn. ok is false when the VM is not
-// running here — e.g. its original placement failed for capacity — which
-// is a sequencing no-op, not an error.
-func (s *Server) MigrateOut(id cluster.VMID, at time.Duration, seq uint64) (vm *cluster.VM, ok bool, err error) {
-	r := newRequest(reqMigrateOut)
-	r.id, r.at, r.seq = id, at, seq
-	resp := s.submit(r)
-	return resp.vm, resp.vm != nil, resp.err
-}
-
-// MigrateIn places a VM handed over by another cell's MigrateOut (counted
-// as a migration, not a placement). A nil vm is a sequencing no-op: the
-// request still occupies its slot in the ordered stream, so reservations
-// made before the outcome of the matching MigrateOut was known keep the
-// stream contiguous. placed is false when no feasible host exists — the
-// VM is lost and counted failed, as a capacity-failed placement would be.
-func (s *Server) MigrateIn(vm *cluster.VM, at time.Duration, seq uint64) (host cluster.HostID, placed bool, err error) {
-	r := newRequest(reqMigrateIn)
-	r.vm, r.at, r.seq = vm, at, seq
-	resp := s.submit(r)
-	return resp.host, resp.placed, resp.err
-}
-
 // Snapshot measures the pool at the current virtual time without advancing
 // it.
 func (s *Server) Snapshot() (metrics.Sample, error) {
@@ -401,18 +386,8 @@ func (s *Server) Tracer() *ptrace.Recorder { return s.tracer }
 // final aggregates. Idempotent — later calls return the same result.
 func (s *Server) Drain() (*sim.Result, error) {
 	s.draining.Store(true)
-	r := newRequest(reqDrain)
-	select {
-	case s.reqs <- r:
-	case <-s.stop:
-		return nil, ErrClosed
-	}
-	select {
-	case resp := <-r.resp:
-		return resp.final, resp.err
-	case <-s.stop:
-		return nil, ErrClosed
-	}
+	resp := s.submit(newRequest(reqDrain))
+	return resp.final, resp.err
 }
 
 // loop is the single writer over the machine. It blocks for one request,
@@ -561,71 +536,61 @@ func (s *Server) apply(r *request, pendingSeq int) {
 	start := time.Now()
 	var resp response
 	switch r.kind {
-	case reqPlace:
-		h, err := s.m.Create(r.rec, r.at)
-		if errors.Is(err, sim.ErrFinished) {
-			err = ErrDraining
-		}
-		resp.err = err
-		if h != nil {
-			resp.host, resp.placed = h.ID, true
-		}
-	case reqExit:
-		removed, err := s.m.Exit(r.id, r.at)
-		if errors.Is(err, sim.ErrFinished) {
-			err = ErrDraining
-		}
-		resp.removed, resp.err = removed, err
-	case reqTick:
-		err := s.m.Advance(r.at)
-		if errors.Is(err, sim.ErrFinished) {
-			err = ErrDraining
-		}
-		resp.now, resp.err = s.m.Now(), err
-	case reqAddHosts:
-		err := s.m.AddHosts(r.n, r.at)
-		if errors.Is(err, sim.ErrFinished) {
-			err = ErrDraining
-		}
-		resp.err = err
-	case reqRemoveHost:
-		err := s.m.RemoveHost(r.hid, r.at)
-		if errors.Is(err, sim.ErrFinished) {
-			err = ErrDraining
-		}
-		resp.err = err
-	case reqMigrateOut:
-		vm, _, err := s.m.MigrateOut(r.id, r.at)
-		if errors.Is(err, sim.ErrFinished) {
-			err = ErrDraining
-		}
-		resp.vm, resp.err = vm, err
-	case reqMigrateIn:
-		h, placed, err := s.m.MigrateIn(r.vm, r.at)
-		if errors.Is(err, sim.ErrFinished) {
-			err = ErrDraining
-		}
-		resp.placed, resp.err = placed, err
-		if h != nil {
-			resp.host = h.ID
-		}
 	case reqSnapshot:
 		resp.sample = metrics.Snapshot(s.m.Pool(), s.m.Now())
 	case reqStats:
 		resp.stats = s.statsNow(pendingSeq)
-	}
-	if mutating(r.kind) {
+	default:
+		resp = applyTo(s.m, r)
+		cls := "" // placements split the histogram by class when the SLO layer is on
 		if s.cfg.SLO != nil && r.kind == reqPlace {
-			if cls, err := slo.ParseClass(r.rec.Class); err == nil {
-				s.lat.RecordClass(cls, time.Since(start))
-			} else {
-				s.lat.Record(time.Since(start))
-			}
+			cls, _ = slo.ParseClass(r.rec.Class)
+		}
+		if cls != "" {
+			s.lat.RecordClass(cls, time.Since(start))
 		} else {
 			s.lat.Record(time.Since(start))
 		}
 	}
 	r.resp <- resp
+}
+
+// applyTo executes one mutating request against a machine. It is the single
+// request→sim.Machine mapping: the cell event loop calls it on its own
+// goroutine, RunScriptOffline in plain program order.
+func applyTo(m *sim.Machine, r *request) (resp response) {
+	switch r.kind {
+	case reqPlace:
+		var h *cluster.Host
+		if h, resp.err = m.Create(r.rec, r.at); h != nil {
+			resp.host, resp.placed = h.ID, true
+		}
+	case reqExit:
+		resp.removed, resp.err = m.Exit(r.id, r.at)
+	case reqTick:
+		resp.err = m.Advance(r.at)
+		resp.now = m.Now()
+	case reqAddHosts:
+		resp.err = m.AddHosts(r.n, r.at)
+	case reqRemoveHost:
+		resp.err = m.RemoveHost(r.hid, r.at)
+	case reqMigrateOut:
+		// A nil vm with no error means the VM was not running here (its
+		// placement failed for capacity): a sequencing no-op.
+		resp.vm, _, resp.err = m.MigrateOut(r.id, r.at)
+	case reqMigrateIn:
+		// A nil r.vm still occupies its slot in the cell's ordered stream;
+		// placed false means no feasible host: the VM is lost and counted
+		// failed, as a capacity-failed placement would be.
+		var h *cluster.Host
+		if h, resp.placed, resp.err = m.MigrateIn(r.vm, r.at); h != nil {
+			resp.host = h.ID
+		}
+	}
+	if errors.Is(resp.err, sim.ErrFinished) {
+		resp.err = ErrDraining
+	}
+	return resp
 }
 
 // modelCaller mirrors the simulator's policy-telemetry interface.

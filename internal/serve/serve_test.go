@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,6 +21,7 @@ import (
 	"lava/internal/scheduler"
 	"lava/internal/sim"
 	"lava/internal/simtime"
+	"lava/internal/slo"
 	"lava/internal/trace"
 	"lava/internal/workload"
 )
@@ -176,7 +179,11 @@ func TestOrderBatch(t *testing.T) {
 	}
 }
 
-// TestHandlers is the API table test: methods, payloads, and status codes.
+// TestHandlers is the API table test: methods, payloads and status codes,
+// one table run row by row against a Server, a Fleet and a Fleet with a
+// front-door admission gate. All three build their routes from the same
+// constructors, so every row must read the same on each; admin rows exist
+// only on the fleets.
 func TestHandlers(t *testing.T) {
 	shape := resources.Vector{CPUMilli: 4000, MemoryMB: 8192, SSDGB: 100}
 	s, err := New(Config{PoolName: "api", Hosts: 4, HostShape: shape, Policy: scheduler.NewBestFit()})
@@ -184,11 +191,39 @@ func TestHandlers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	hs := httptest.NewServer(s.Handler())
-	defer hs.Close()
+	type target struct {
+		name  string
+		h     http.Handler
+		fleet bool
+		url   string
+	}
+	targets := []*target{{name: "server", h: s.Handler()}}
+	for _, fl := range []struct {
+		name  string
+		admit *slo.Config
+	}{{"fleet", nil}, {"fleet-gated", &slo.Config{Track: true}}} {
+		f, err := NewFleet(FleetConfig{
+			PoolName: "api", Hosts: 4, HostShape: shape, Cells: 2, Router: "round-robin", SLO: fl.admit,
+			NewPolicy: func(int) (scheduler.Policy, error) { return scheduler.NewBestFit(), nil },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		targets = append(targets, &target{name: fl.name, h: f.Handler(), fleet: true})
+	}
+	for _, tg := range targets {
+		hs := httptest.NewServer(tg.h)
+		defer hs.Close()
+		tg.url = hs.URL
+	}
 
-	place := `{"record":{"id":1,"arrival_ns":1000000000,"lifetime_ns":3600000000000,` +
-		`"shape":{"CPUMilli":1000,"MemoryMB":1024,"SSDGB":0},"features":{}}}`
+	record := func(id int, class string) string {
+		return fmt.Sprintf(`"record":{"id":%d,"class":%q,"arrival_ns":1000000000,"lifetime_ns":3600000000000,`+
+			`"shape":{"CPUMilli":1000,"MemoryMB":1024,"SSDGB":0},"features":{}}`, id, class)
+	}
+	place := "{" + record(1, "") + "}"
+	const serverOnly, fleetOnly = "server", "fleet"
 	cases := []struct {
 		name   string
 		method string
@@ -196,42 +231,98 @@ func TestHandlers(t *testing.T) {
 		body   string
 		status int
 		expect string // substring of the response body
+		only   string // serverOnly | fleetOnly | "" for every target
+		// parked is sent first, in the background: a sequenced request that
+		// must be sitting in the reorder buffer when the row's own arrives.
+		parked string
 	}{
-		{"place ok", "POST", "/place", place, 200, `"placed":true`},
-		{"place wrong method", "GET", "/place", "", 405, "method not allowed"},
-		{"place bad json", "POST", "/place", "{nope", 400, "bad request body"},
-		{"place unknown field", "POST", "/place", `{"bogus":1}`, 400, "bad request body"},
-		{"exit running vm", "POST", "/exit", `{"at_ns":2000000000,"id":1}`, 200, `"removed":true`},
-		{"exit unknown vm", "POST", "/exit", `{"at_ns":3000000000,"id":99}`, 200, `"removed":false`},
-		{"tick", "POST", "/tick", `{"at_ns":7200000000000}`, 200, `"now_ns":7200000000000`},
-		{"stats", "GET", "/stats", "", 200, `"pool":"api"`},
-		{"stats wrong method", "POST", "/stats", "{}", 405, "method not allowed"},
-		{"snapshot", "GET", "/snapshot", "", 200, `"empty_host_frac"`},
-		{"drain", "POST", "/drain", "{}", 200, `"metrics"`},
-		{"place after drain", "POST", "/place", place, 503, "draining"},
-		{"drain idempotent", "POST", "/drain", "{}", 200, `"metrics"`},
-		{"stats after drain", "GET", "/stats", "", 200, `"draining":true`},
+		{name: "place ok", method: "POST", path: "/place", body: place, status: 200, expect: `"placed":true`},
+		{name: "place wrong method", method: "GET", path: "/place", status: 405, expect: "method not allowed"},
+		{name: "place bad json", method: "POST", path: "/place", body: "{nope", status: 400, expect: "bad request body"},
+		{name: "place unknown field", method: "POST", path: "/place", body: `{"bogus":1}`, status: 400, expect: "bad request body"},
+		{name: "place oversized body", method: "POST", path: "/place", body: strings.Repeat(" ", maxBodyBytes) + place,
+			status: 413, expect: `{"error":"serve: bad request body: http: request body too large"}`},
+		// An unknown class is refused before it takes a sequence number or a
+		// routing turn: the corrected request goes through under the same seq,
+		// and only then is that seq spent.
+		{name: "place unknown class", method: "POST", path: "/place", body: `{"seq":1,` + record(2, "gold") + "}", status: 400, expect: "gold"},
+		{name: "place same seq corrected", method: "POST", path: "/place", body: `{"seq":1,` + record(2, "latency") + "}", status: 200, expect: `"placed":true`},
+		{name: "place stale seq", method: "POST", path: "/place", body: `{"seq":1,` + record(3, "") + "}", status: 409, expect: "already processed"},
+		// A fleet has no duplicate to refuse: its front door parks both
+		// copies and answers the second one stale once the first took the turn.
+		{name: "place duplicate seq in flight", method: "POST", path: "/place", body: `{"seq":5,` + record(5, "") + "}",
+			parked: `{"seq":5,` + record(4, "") + "}", status: 409, expect: "duplicate", only: serverOnly},
+		{name: "exit running vm", method: "POST", path: "/exit", body: `{"at_ns":2000000000,"id":1}`, status: 200, expect: `"removed":true`},
+		{name: "exit unknown vm", method: "POST", path: "/exit", body: `{"at_ns":3000000000,"id":99}`, status: 200, expect: `"removed":false`},
+		{name: "tick", method: "POST", path: "/tick", body: `{"at_ns":7200000000000}`, status: 200, expect: `"now_ns":7200000000000`},
+		{name: "stats", method: "GET", path: "/stats", status: 200, expect: `"pool":"api"`},
+		{name: "stats wrong method", method: "POST", path: "/stats", body: "{}", status: 405, expect: "method not allowed"},
+		{name: "snapshot", method: "GET", path: "/snapshot", status: 200, expect: `"empty_host_frac"`},
+
+		// The admin surface: the same 405/400 from the shared constructor,
+		// the host-count cap, and each endpoint's ledger refusal (rebalance
+		// has none: VM 2 moves from the now smaller cell 1 to cell 0).
+		{name: "admin wrong method", method: "GET", path: "/admin/drain-cell", status: 405, expect: "method not allowed", only: fleetOnly},
+		{name: "admin unknown field", method: "POST", path: "/admin/rebalance", body: `{"bogus":1}`, status: 400, expect: "bad request body", only: fleetOnly},
+		{name: "add-hosts over cap", method: "POST", path: "/admin/add-hosts", body: fmt.Sprintf(`{"seq":2,"cell":0,"n":%d}`, maxAddHosts+1),
+			status: 400, expect: "at most", only: fleetOnly},
+		{name: "add-hosts same seq capped", method: "POST", path: "/admin/add-hosts", body: `{"seq":2,"cell":0,"n":1}`, status: 200, expect: `"ok":true`, only: fleetOnly},
+		{name: "add-hosts none", method: "POST", path: "/admin/add-hosts", body: `{"cell":0,"n":0}`, status: 500, expect: "add 0 hosts", only: fleetOnly},
+		{name: "remove-host unknown cell", method: "POST", path: "/admin/remove-host", body: `{"cell":9,"host":0}`, status: 500, expect: "no cell 9", only: fleetOnly},
+		{name: "drain-cell unknown cell", method: "POST", path: "/admin/drain-cell", body: `{"cell":9}`, status: 500, expect: "no cell 9", only: fleetOnly},
+		{name: "rehydrate-cell unknown cell", method: "POST", path: "/admin/rehydrate-cell", body: `{"cell":-1}`, status: 500, expect: "no cell -1", only: fleetOnly},
+		{name: "split-cell too wide", method: "POST", path: "/admin/split-cell", body: `{"cell":0,"n":100}`, status: 500, expect: "cannot split off 100", only: fleetOnly},
+		{name: "merge-cells into itself", method: "POST", path: "/admin/merge-cells", body: `{"from":1,"into":1}`, status: 500, expect: "merge into itself", only: fleetOnly},
+		{name: "rebalance", method: "POST", path: "/admin/rebalance", body: `{}`, status: 200, expect: `"moves":1`, only: fleetOnly},
+
+		{name: "drain", method: "POST", path: "/drain", body: "{}", status: 200, expect: `"metrics"`},
+		{name: "place after drain", method: "POST", path: "/place", body: place, status: 503, expect: "draining"},
+		{name: "admin after drain", method: "POST", path: "/admin/drain-cell", body: `{"cell":0}`, status: 503, expect: "draining", only: fleetOnly},
+		{name: "drain idempotent", method: "POST", path: "/drain", body: "{}", status: 200, expect: `"metrics"`},
+		{name: "stats after drain", method: "GET", path: "/stats", status: 200, expect: `"draining":true`},
+	}
+	do := func(t *testing.T, method, url, body string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, url, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := readAll(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(data)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			req, err := http.NewRequest(tc.method, hs.URL+tc.path, bytes.NewReader([]byte(tc.body)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			var buf bytes.Buffer
-			if _, err := buf.ReadFrom(resp.Body); err != nil {
-				t.Fatal(err)
-			}
-			if resp.StatusCode != tc.status {
-				t.Fatalf("status %d want %d (body %s)", resp.StatusCode, tc.status, buf.String())
-			}
-			if !bytes.Contains(buf.Bytes(), []byte(tc.expect)) {
-				t.Fatalf("body %q missing %q", buf.String(), tc.expect)
+			for _, tg := range targets {
+				if (tc.only == fleetOnly && !tg.fleet) || (tc.only == serverOnly && tg.fleet) {
+					continue
+				}
+				t.Run(tg.name, func(t *testing.T) {
+					if tc.parked != "" {
+						go http.Post(tg.url+tc.path, "application/json", strings.NewReader(tc.parked))
+						for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+							if _, body := do(t, "GET", tg.url+"/stats", ""); strings.Contains(body, `"pending_seq":1`) {
+								break
+							}
+							if time.Now().After(deadline) {
+								t.Fatal("sequenced request never parked")
+							}
+						}
+					}
+					status, body := do(t, tc.method, tg.url+tc.path, tc.body)
+					if status != tc.status {
+						t.Fatalf("status %d want %d (body %s)", status, tc.status, body)
+					}
+					if !strings.Contains(body, tc.expect) {
+						t.Fatalf("body %q missing %q", body, tc.expect)
+					}
+				})
 			}
 		})
 	}

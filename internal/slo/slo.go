@@ -23,6 +23,7 @@ package slo
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -355,6 +356,22 @@ func Summarize(classes map[string]*Counts, packing, stranding float64, withFitne
 		s.Fitness = FitnessScore(packing, stranding, 1, s.Fairness)
 	}
 	return s
+}
+
+// WriteText prints the summary the way the command-line tools report it: a
+// fairness and fitness line, then one line of counts per class with traffic,
+// in canonical class order. A nil summary prints nothing.
+func (s *Summary) WriteText(w io.Writer) {
+	if s == nil {
+		return
+	}
+	fmt.Fprintf(w, "slo: fairness %.4f  fitness %.4f\n", s.Fairness, s.Fitness)
+	for _, cls := range Classes() {
+		if c, ok := s.Classes[cls]; ok {
+			fmt.Fprintf(w, "  class %-10s admitted %d  rejected %d  placed %d  failed %d  exited %d\n",
+				cls, c.Admitted, c.Rejected, c.Placed, c.Failed, c.Exited)
+		}
+	}
 }
 
 // Fairness is the Jain index over per-class admission rates

@@ -312,13 +312,7 @@ func SimulateScenario(ctx context.Context, tr *Trace, kind PolicyKind, pred Pred
 	if pred != nil {
 		pred = spec.WrapModel(pred)
 	}
-	refresh := cfg.CacheRefresh
-	switch {
-	case refresh == 0:
-		refresh = time.Minute
-	case refresh < 0:
-		refresh = 0
-	}
+	refresh := cacheRefresh(cfg.CacheRefresh)
 	jobs := make([]runner.Job, len(plan.Cells))
 	for i, ct := range plan.Cells {
 		i, ct := i, ct
@@ -404,28 +398,11 @@ type ServeConfig struct {
 // (Server.Handler) or the typed methods; replaying the same trace through
 // serve.Client.Replay reproduces Simulate's result byte-for-byte.
 func NewServer(tr *Trace, cfg ServeConfig) (*serve.Server, error) {
-	kind := cfg.Policy
-	if kind == "" {
-		kind = PolicyLAVA
-	}
-	pred := cfg.Pred
-	var memo *serve.MemoPredictor
-	if cfg.Memo && pred != nil {
-		memo = serve.Memoize(pred, 0)
-		pred = memo
-	}
-	refresh := cfg.CacheRefresh
-	switch {
-	case refresh == 0:
-		refresh = time.Minute
-	case refresh < 0:
-		refresh = 0
-	}
-	pol, err := newPolicy(kind, pred, refresh)
+	newPol, memo, adm, err := cfg.resolve(nil)
 	if err != nil {
 		return nil, err
 	}
-	adm, err := slo.ParseConfig(cfg.Admission)
+	pol, err := newPol(0)
 	if err != nil {
 		return nil, err
 	}
@@ -440,6 +417,42 @@ func NewServer(tr *Trace, cfg ServeConfig) (*serve.Server, error) {
 	sc.TraceOut = cfg.TraceOut
 	sc.SLO = adm
 	return serve.New(sc)
+}
+
+// cacheRefresh applies the CacheRefresh convention of ScenarioConfig and
+// ServeConfig: 0 means the default (1 minute), negative disables caching.
+func cacheRefresh(d time.Duration) time.Duration {
+	switch {
+	case d == 0:
+		return time.Minute
+	case d < 0:
+		return 0
+	}
+	return d
+}
+
+// resolve turns a ServeConfig's policy-side fields into what a server or a
+// fleet is built from: a policy factory (policies carry mutable caches, so
+// every event loop gets its own instance), the memo table if one was
+// interposed, and the parsed admission config. wrap, when non-nil, goes
+// around the — possibly memoized — predictor.
+func (cfg ServeConfig) resolve(wrap func(Predictor) Predictor) (func(int) (scheduler.Policy, error), *serve.MemoPredictor, *slo.Config, error) {
+	kind := cfg.Policy
+	if kind == "" {
+		kind = PolicyLAVA
+	}
+	pred := cfg.Pred
+	var memo *serve.MemoPredictor
+	if cfg.Memo && pred != nil {
+		memo = serve.Memoize(pred, 0)
+		pred = memo
+	}
+	if wrap != nil && pred != nil {
+		pred = wrap(pred)
+	}
+	refresh := cacheRefresh(cfg.CacheRefresh)
+	adm, err := slo.ParseConfig(cfg.Admission)
+	return func(int) (scheduler.Policy, error) { return newPolicy(kind, pred, refresh) }, memo, adm, err
 }
 
 // Serve runs a placement server on addr until ctx is cancelled, then shuts
@@ -514,10 +527,6 @@ func NewFleet(tr *Trace, cfg FleetConfig) (*serve.Fleet, error) {
 // use. Shared by NewFleet and ReplayFleetOffline so the two arms of a
 // parity comparison cannot drift in setup.
 func buildFleetConfig(tr *Trace, cfg FleetConfig) (serve.FleetConfig, *Trace, error) {
-	kind := cfg.Policy
-	if kind == "" {
-		kind = PolicyLAVA
-	}
 	var spec *scenario.Spec
 	if cfg.Scenario != "" {
 		s, err := scenario.ByName(cfg.Scenario, tr, cfg.ScenarioSeed)
@@ -540,54 +549,34 @@ func buildFleetConfig(tr *Trace, cfg FleetConfig) (serve.FleetConfig, *Trace, er
 		}
 		tr = labeled
 	}
-	pred := cfg.Pred
-	var memo *serve.MemoPredictor
-	if cfg.Memo && pred != nil {
-		memo = serve.Memoize(pred, 0)
-		pred = memo
-	}
-	if spec != nil && pred != nil {
+	fc := serve.FleetFromTrace(tr)
+	var wrap func(Predictor) Predictor
+	if spec != nil {
 		// Model events wrap OUTSIDE the memo: a swapped model's output
 		// depends on per-VM state (creation time) the memo key cannot
 		// capture, so memoizing it would change decisions. Memoizing the
 		// feature-pure base and wrapping the swap around it keeps both the
 		// cache hits and the scenario semantics.
-		pred = spec.WrapModel(pred)
-	}
-	refresh := cfg.CacheRefresh
-	switch {
-	case refresh == 0:
-		refresh = time.Minute
-	case refresh < 0:
-		refresh = 0
-	}
-	router := cfg.Router
-	if router == "" {
-		router = RouterFeatureHash
-	}
-	adm, err := slo.ParseConfig(cfg.Admission)
-	if err != nil {
-		return serve.FleetConfig{}, nil, err
-	}
-	fc := serve.FleetFromTrace(tr)
-	if spec != nil {
+		wrap = spec.WrapModel
 		fc.Injectors = spec.Injectors
+	}
+	var err error
+	if fc.NewPolicy, fc.Memo, fc.SLO, err = cfg.resolve(wrap); err != nil {
+		return serve.FleetConfig{}, nil, err
 	}
 	fc.Cells = cfg.Cells
 	if fc.Cells <= 0 {
 		fc.Cells = 1
 	}
-	fc.Router = string(router)
+	fc.Router = string(cfg.Router)
+	if fc.Router == "" {
+		fc.Router = string(RouterFeatureHash)
+	}
 	fc.TickEvery = cfg.TickEvery
 	fc.SampleEvery = cfg.SampleEvery
 	fc.QueueDepth = cfg.QueueDepth
-	fc.Memo = memo
 	fc.TraceK = cfg.TraceK
 	fc.TraceCap = cfg.TraceCap
-	fc.SLO = adm
-	fc.NewPolicy = func(int) (scheduler.Policy, error) {
-		return newPolicy(kind, pred, refresh)
-	}
 	return fc, tr, nil
 }
 
