@@ -36,12 +36,12 @@
 // surface, rolled-up /stats and /drain.
 //
 // Replaying the same trace against the daemon with cmd/lavaload reproduces
-// `lavasim -trace trace.jsonl` byte-for-byte — per cell, in fleet mode
-// with the static routers (round-robin, feature-hash); least-utilized is
-// served live from the fleet's commitment ledger and intentionally
-// diverges from the offline router's ground-truth-lifetime heap. See
-// internal/serve for the determinism contract. SIGINT/SIGTERM shut the
-// listener down gracefully and stop the event loop.
+// `lavasim -trace trace.jsonl` byte-for-byte — per cell, in fleet mode,
+// under every router: online routing and offline sharding walk the same
+// event stream through the same ledger (internal/cell). The routers differ
+// from an offline sharding only for live traffic whose exits are not the
+// trace's. See internal/serve for the determinism contract. SIGINT/SIGTERM
+// shut the listener down gracefully and stop the event loops.
 package main
 
 import (
@@ -116,17 +116,23 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	sc := lava.ServeConfig{
-		Policy:       lava.PolicyKind(*policy),
-		Pred:         pred,
-		Memo:         useMemo,
-		CacheRefresh: cacheRefresh,
-		TickEvery:    *tick,
-		SampleEvery:  *sample,
-		QueueDepth:   *queue,
-		TraceK:       *traceK,
-		TraceCap:     *traceBuf,
-		Admission:    *admit,
+	cfg := lava.FleetConfig{
+		ServeConfig: lava.ServeConfig{
+			Policy:       lava.PolicyKind(*policy),
+			Pred:         pred,
+			Memo:         useMemo,
+			CacheRefresh: cacheRefresh,
+			TickEvery:    *tick,
+			SampleEvery:  *sample,
+			QueueDepth:   *queue,
+			TraceK:       *traceK,
+			TraceCap:     *traceBuf,
+			Admission:    *admit,
+		},
+		Cells:        *cells,
+		Router:       lava.RouterKind(*router),
+		Scenario:     *scenName,
+		ScenarioSeed: *scenSeed,
 	}
 	if *traceOut != "" {
 		if *traceK <= 0 {
@@ -140,31 +146,13 @@ func main() {
 			fatal(err)
 		}
 		defer tf.Close()
-		sc.TraceOut = tf
+		cfg.TraceOut = tf
 	}
-	if *cells > 1 || *scenName != "" {
-		// A scenario needs the fleet stack even single-cell: its tick
-		// injectors fire inside the fleet's per-cell event loops.
-		what := *scenName
-		if what == "" {
-			what = "steady"
-		}
-		fmt.Fprintf(os.Stderr, "lavad: pool %s (%d hosts, %d cells via %s), policy %s, model %s (memo %v), scenario %s, horizon %v\n",
-			tr.PoolName, tr.Hosts, *cells, *router, *policy, pred.Name(), useMemo, what, tr.End())
-		fmt.Fprintf(os.Stderr, "lavad: listening on http://%s\n", *addr)
-		err = lava.ServeFleet(ctx, *addr, tr, lava.FleetConfig{
-			ServeConfig:  sc,
-			Cells:        *cells,
-			Router:       lava.RouterKind(*router),
-			Scenario:     *scenName,
-			ScenarioSeed: *scenSeed,
-		})
-	} else {
-		fmt.Fprintf(os.Stderr, "lavad: pool %s (%d hosts), policy %s, model %s (memo %v), horizon %v\n",
-			tr.PoolName, tr.Hosts, *policy, pred.Name(), useMemo, tr.End())
-		fmt.Fprintf(os.Stderr, "lavad: listening on http://%s\n", *addr)
-		err = lava.Serve(ctx, *addr, tr, sc)
-	}
+	// lava.Serve decides single loop versus fleet, from Cells and Scenario.
+	fmt.Fprintf(os.Stderr, "lavad: pool %s (%d hosts, cells %d, router %s, scenario %q), policy %s, model %s (memo %v), horizon %v\n",
+		tr.PoolName, tr.Hosts, *cells, *router, *scenName, *policy, pred.Name(), useMemo, tr.End())
+	fmt.Fprintf(os.Stderr, "lavad: listening on http://%s\n", *addr)
+	err = lava.Serve(ctx, *addr, tr, cfg)
 	if err != nil {
 		fatal(err)
 	}

@@ -118,17 +118,17 @@ func main() {
 				cls, cs.P50Ms, cs.P95Ms, cs.P99Ms, cs.Requests)
 		}
 	}
-	if rep.Final != nil {
-		m := rep.Final.Metrics
+	if ff := rep.Final; ff != nil {
+		m := ff.Metrics
 		fmt.Printf("final: pool %s  policy %s  placements %d  exits %d  failed %d\n",
-			rep.Final.Pool, rep.Final.Policy, m.Placements, m.Exits, m.Failed)
+			ff.Pool, ff.Policy, m.Placements, m.Exits, m.Failed)
 		fmt.Printf("avg empty hosts: %.2f%%  packing density: %.2f%%  cpu util: %.2f%%\n",
 			100*m.AvgEmptyHostFrac, 100*m.AvgPackingDensity, 100*m.AvgCPUUtil)
 		m.SLO.WriteText(os.Stdout)
-	}
-	if ff := rep.FleetFinal; ff != nil {
-		fmt.Printf("fleet: %d cells via %s  util spread %.2f%%\n",
-			len(ff.Cells), ff.Router, 100*ff.UtilSpread)
+		if len(ff.Cells) > 0 {
+			fmt.Printf("fleet: %d cells via %s  util spread %.2f%%\n",
+				len(ff.Cells), ff.Router, 100*ff.UtilSpread)
+		}
 		for i, c := range ff.Cells {
 			fmt.Printf("  cell %d (%d hosts): placements %d  exits %d  failed %d  cpu util %.2f%%\n",
 				i, ff.Hosts[i], c.Metrics.Placements, c.Metrics.Exits, c.Metrics.Failed,
@@ -142,10 +142,10 @@ func main() {
 		}
 	}
 	if *finalOut != "" {
-		if rep.FleetFinal == nil {
+		if rep.Final == nil || len(rep.Final.Cells) == 0 {
 			fatal(fmt.Errorf("-final-out needs a fleet drain report: run against a federated daemon without -no-drain"))
 		}
-		if err := writeFinal(*finalOut, rep.FleetFinal); err != nil {
+		if err := writeFinal(*finalOut, rep.Final); err != nil {
 			fatal(err)
 		}
 	}
@@ -154,7 +154,7 @@ func main() {
 // writeFinal emits the fleet drain report as canonical JSON — the exact
 // bytes an offline `lavasim -final-out` run of the same scenario produces,
 // so CI can diff the two files directly.
-func writeFinal(path string, ff *serve.FleetDrainResponse) error {
+func writeFinal(path string, ff *serve.DrainResponse) error {
 	data, err := json.Marshal(ff)
 	if err != nil {
 		return err
@@ -176,13 +176,9 @@ func writeBench(path string, tr *trace.Trace, rep *serve.ReplayReport, workers i
 		ElapsedSec: rep.Elapsed.Seconds(),
 		Serving:    rep.Serving,
 	}
-	if rep.Final != nil {
-		jr.Pool = rep.Final.Pool
-		jr.Policy = rep.Final.Policy
-		jr.Metrics = rep.Final.Metrics
-	}
 	results := []runner.JobResult{jr}
-	if ff := rep.FleetFinal; ff != nil {
+	if ff := rep.Final; ff != nil {
+		results[0].Pool, results[0].Policy, results[0].Metrics = ff.Pool, ff.Policy, ff.Metrics
 		for _, c := range ff.Cells {
 			results = append(results, runner.JobResult{
 				Name:    c.Pool + "/served",

@@ -163,7 +163,7 @@ func runFederated(tr *trace.Trace, policy string, pred model.Predictor, scen, ro
 	if cacheRefresh == 0 {
 		cacheRefresh = -1
 	}
-	var ff *serve.FleetDrainResponse
+	var ff *serve.DrainResponse
 	var err error
 	if admit != "" {
 		ff, err = lava.ReplayFleetOffline(tr, lava.FleetConfig{
@@ -217,7 +217,7 @@ func runFederated(tr *trace.Trace, policy string, pred model.Predictor, scen, ro
 // printFleetReport prints a federated run: the scenario engine's report
 // (admit empty) has per-cell rows and a killed count, the script runner's
 // names the admission spec and ends with the per-class SLO block.
-func printFleetReport(ff *serve.FleetDrainResponse, scen, policy string, cells int, admit string) {
+func printFleetReport(ff *serve.DrainResponse, scen, policy string, cells int, admit string) {
 	if scen == "" {
 		scen = "steady"
 	}
@@ -245,7 +245,7 @@ func printFleetReport(ff *serve.FleetDrainResponse, scen, policy string, cells i
 // writeFinal emits the fleet report as canonical JSON: the projection a live
 // fleet's /drain handler applies, so the bytes diff cleanly against a
 // lavaload -final-out capture of the online run.
-func writeFinal(path string, ff *serve.FleetDrainResponse) error {
+func writeFinal(path string, ff *serve.DrainResponse) error {
 	data, err := json.Marshal(ff)
 	if err != nil {
 		return err

@@ -1,151 +1,147 @@
 package cell
 
 import (
-	"container/heap"
 	"fmt"
 	"hash/fnv"
+	"slices"
+	"sort"
 	"strings"
-	"time"
 
+	"lava/internal/cluster"
 	"lava/internal/trace"
 )
-
-// Router assigns trace records to cells. Route is called once per record in
-// canonical trace order (arrival, then ID); stateful routers (least
-// utilized) rely on that order, stateless ones (feature hash) ignore it.
-type Router interface {
-	Name() string
-	Cells() int
-	Route(rec *trace.Record) int
-}
 
 // RouterKinds lists the built-in router ids.
 func RouterKinds() []string { return []string{"round-robin", "least-utilized", "feature-hash"} }
 
-// NewRouter builds a built-in router over cells with the given host counts
-// (use SplitHosts for an even split).
-func NewRouter(kind string, cellHosts []int) (Router, error) {
-	n := len(cellHosts)
-	if n <= 0 {
-		return nil, fmt.Errorf("cell: no cells")
-	}
-	for i, h := range cellHosts {
-		if h <= 0 {
-			return nil, fmt.Errorf("cell: cell %d has %d hosts", i, h)
-		}
-	}
-	switch kind {
-	case "round-robin":
-		return &roundRobin{n: n}, nil
-	case "least-utilized":
-		return newLeastUtilized(cellHosts), nil
-	case "feature-hash":
-		return &featureHash{n: n}, nil
-	default:
-		return nil, fmt.Errorf("cell: unknown router %q (have %s)", kind, strings.Join(RouterKinds(), "|"))
-	}
+// Ledger is the routing state of a federation and its only routing
+// implementation: the discipline, the round-robin cursor, the routable mask,
+// per-cell commitments and the VM→cell index. Shard walks a trace's event
+// stream through it offline; the serving fleet (internal/serve's topology)
+// walks the live request stream through the very same methods, wrapping them
+// with admission, retirement and cell growth. Every decision is a pure
+// function of the events fed so far, so a replay routes identically offline
+// and online, at any worker count.
+//
+// A Ledger is not synchronized; its owner serializes access.
+type Ledger struct {
+	Kind     string // one of RouterKinds
+	Hosts    []int  // per-cell host count: rollup weight and least-utilized capacity (0: retired)
+	Routable []bool // cell accepts new placements
+
+	rr        int     // round-robin cursor
+	committed []int64 // per-cell committed CPU-milli of the VMs routed there and not yet exited
+	vms       map[cluster.VMID]routed
 }
 
-// --- round-robin -----------------------------------------------------------
+// routed is one live routing decision: where the VM went and what it
+// committed there.
+type routed struct {
+	cell int
+	cpu  int64
+}
 
-// roundRobin cycles through cells in arrival order — the classic spreading
-// baseline.
-type roundRobin struct{ n, next int }
+// NewLedger builds the ledger of a federation whose cells have the given
+// host counts (use SplitHosts for an even split), every cell routable.
+func NewLedger(kind string, hosts []int) (*Ledger, error) {
+	if !slices.Contains(RouterKinds(), kind) {
+		return nil, fmt.Errorf("cell: unknown router %q (have %s)", kind, strings.Join(RouterKinds(), "|"))
+	}
+	if len(hosts) == 0 {
+		return nil, fmt.Errorf("cell: no cells")
+	}
+	l := &Ledger{Kind: kind, vms: make(map[cluster.VMID]routed)}
+	for _, h := range hosts {
+		l.AddCell(h)
+	}
+	return l, nil
+}
 
-func (r *roundRobin) Name() string { return "round-robin" }
-func (r *roundRobin) Cells() int   { return r.n }
-func (r *roundRobin) Route(*trace.Record) int {
-	c := r.next
-	r.next = (r.next + 1) % r.n
+// AddCell appends a routable cell of the given size and returns its index.
+func (l *Ledger) AddCell(hosts int) int {
+	l.Hosts = append(l.Hosts, hosts)
+	l.Routable = append(l.Routable, true)
+	l.committed = append(l.committed, 0)
+	return len(l.Hosts) - 1
+}
+
+// Route picks the cell for an arriving VM and records the decision; -1 means
+// no cell is routable. The disciplines restrict themselves to routable cells:
+//
+//   - round-robin advances its cursor to the next routable cell — the classic
+//     spreading baseline;
+//   - feature-hash probes forward from an FNV-1a hash of the VM's feature
+//     tuple modulo the cell count (affinity routing: same category/metadata/
+//     zone, same cell), so an assignment depends only on (Feat, cells) and
+//     the mask — untouched by routing history or by draining *other* cells;
+//   - least-utilized takes the lowest committed CPU per host, ties to the
+//     lowest index: an admission-time load balancer.
+func (l *Ledger) Route(rec *trace.Record) int {
+	n := len(l.Hosts)
+	c := -1
+	switch l.Kind {
+	case "round-robin":
+		for i := 0; i < n && c < 0; i++ {
+			if cand := (l.rr + i) % n; l.Routable[cand] {
+				c = cand
+				l.rr = (cand + 1) % n
+			}
+		}
+	case "feature-hash":
+		h := fnv.New64a()
+		h.Write([]byte(rec.Feat.String()))
+		start := int(h.Sum64() % uint64(n))
+		for i := 0; i < n && c < 0; i++ {
+			if cand := (start + i) % n; l.Routable[cand] {
+				c = cand
+			}
+		}
+	case "least-utilized":
+		for i := 0; i < n; i++ {
+			if l.Routable[i] && l.Hosts[i] > 0 && (c < 0 || l.Score(i) < l.Score(c)) {
+				c = i
+			}
+		}
+	}
+	if c >= 0 {
+		l.vms[rec.ID] = routed{cell: c, cpu: rec.Shape.CPUMilli}
+		l.committed[c] += rec.Shape.CPUMilli
+	}
 	return c
 }
 
-// --- feature-hash ----------------------------------------------------------
-
-// featureHash routes by a stable FNV-1a hash of the VM's feature tuple:
-// VMs of the same category/metadata/zone land in the same cell (affinity
-// routing). The assignment is a pure function of the record, so it is
-// stable across runs, record orderings and worker counts.
-type featureHash struct{ n int }
-
-func (f *featureHash) Name() string { return "feature-hash" }
-func (f *featureHash) Cells() int   { return f.n }
-func (f *featureHash) Route(rec *trace.Record) int {
-	return FeatureHash(rec, f.n)
-}
-
-// FeatureHash is the feature-hash router's assignment function: the FNV-1a
-// hash of the record's feature tuple modulo n. Exported so elastic fleets
-// (internal/serve) and their offline script runners share the exact hash —
-// the feature-hash contract is that an assignment depends only on (Feat, n),
-// never on routing history, so it survives drain/rehydrate cycles untouched
-// and shifts only when n itself changes (split/merge).
-func FeatureHash(rec *trace.Record, n int) int {
-	h := fnv.New64a()
-	h.Write([]byte(rec.Feat.String()))
-	return int(h.Sum64() % uint64(n))
-}
-
-// --- least-utilized --------------------------------------------------------
-
-// leastUtilized routes each arrival to the cell with the lowest committed
-// CPU per host, releasing commitments as earlier VMs reach their exit
-// times. It plays an admission-time load balancer with drain knowledge:
-// deterministic (commitments derive from the trace's ground-truth
-// lifetimes, records arrive in canonical order) yet load-aware, unlike the
-// stateless routers.
-type leastUtilized struct {
-	hosts     []int   // per-cell host count (relative capacity)
-	committed []int64 // per-cell committed CPU-milli
-	exits     []exitHeap
-}
-
-func newLeastUtilized(cellHosts []int) *leastUtilized {
-	return &leastUtilized{
-		hosts:     cellHosts,
-		committed: make([]int64, len(cellHosts)),
-		exits:     make([]exitHeap, len(cellHosts)),
+// Exit resolves which cell holds the VM and releases its commitment. ok is
+// false for VMs the ledger never routed.
+func (l *Ledger) Exit(id cluster.VMID) (cell int, ok bool) {
+	v, ok := l.vms[id]
+	if ok {
+		l.committed[v.cell] -= v.cpu
+		delete(l.vms, id)
 	}
+	return v.cell, ok
 }
 
-func (l *leastUtilized) Name() string { return "least-utilized" }
-func (l *leastUtilized) Cells() int   { return len(l.hosts) }
+// Score is cell c's load: committed CPU-milli per host.
+func (l *Ledger) Score(c int) float64 { return float64(l.committed[c]) / float64(l.Hosts[c]) }
 
-func (l *leastUtilized) Route(rec *trace.Record) int {
-	best, bestScore := 0, 0.0
-	for i := range l.hosts {
-		// Release commitments of VMs gone by this arrival.
-		for len(l.exits[i]) > 0 && l.exits[i][0].at <= rec.Arrival {
-			l.committed[i] -= l.exits[i][0].cpu
-			heap.Pop(&l.exits[i])
-		}
-		score := float64(l.committed[i]) / float64(l.hosts[i])
-		if i == 0 || score < bestScore {
-			best, bestScore = i, score
+// VMs lists the VMs currently routed to cell c in ascending ID order — the
+// deterministic order migration plans are built in, however the ledger was
+// filled.
+func (l *Ledger) VMs(c int) []cluster.VMID {
+	ids := make([]cluster.VMID, 0)
+	for id, v := range l.vms {
+		if v.cell == c {
+			ids = append(ids, id)
 		}
 	}
-	l.committed[best] += rec.Shape.CPUMilli
-	heap.Push(&l.exits[best], exitEntry{at: rec.Exit(), cpu: rec.Shape.CPUMilli})
-	return best
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
 }
 
-// exitEntry is one future commitment release.
-type exitEntry struct {
-	at  time.Duration // exit time
-	cpu int64
-}
-
-// exitHeap is a min-heap of commitment releases ordered by exit time.
-type exitHeap []exitEntry
-
-func (h exitHeap) Len() int            { return len(h) }
-func (h exitHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
-func (h exitHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *exitHeap) Push(x interface{}) { *h = append(*h, x.(exitEntry)) }
-func (h *exitHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// Move repoints a routed VM at cell to and carries its commitment over.
+func (l *Ledger) Move(id cluster.VMID, to int) {
+	v := l.vms[id]
+	l.committed[v.cell] -= v.cpu
+	l.committed[to] += v.cpu
+	l.vms[id] = routed{cell: to, cpu: v.cpu}
 }

@@ -50,19 +50,16 @@ func TestSplitHosts(t *testing.T) {
 	}
 }
 
-func TestNewRouterRejectsBadConfig(t *testing.T) {
-	if _, err := NewRouter("round-robin", nil); err == nil {
+func TestNewLedgerRejectsBadConfig(t *testing.T) {
+	if _, err := NewLedger("round-robin", nil); err == nil {
 		t.Error("no cells must fail")
 	}
-	if _, err := NewRouter("round-robin", []int{4, 0}); err == nil {
-		t.Error("zero-host cell must fail")
-	}
-	if _, err := NewRouter("nope", []int{4}); err == nil {
+	if _, err := NewLedger("nope", []int{4}); err == nil {
 		t.Error("unknown router must fail")
 	}
 	for _, kind := range RouterKinds() {
-		if _, err := NewRouter(kind, []int{4, 4}); err != nil {
-			t.Errorf("NewRouter(%s): %v", kind, err)
+		if _, err := NewLedger(kind, []int{4, 4}); err != nil {
+			t.Errorf("NewLedger(%s): %v", kind, err)
 		}
 	}
 }
@@ -71,11 +68,7 @@ func TestShardPartitionsRecords(t *testing.T) {
 	tr := testTrace(t, 1)
 	for _, kind := range RouterKinds() {
 		t.Run(kind, func(t *testing.T) {
-			r, err := NewRouter(kind, SplitHosts(tr.Hosts, 4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan, err := Shard(tr, r)
+			plan, err := PlanCells(tr, kind, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,19 +98,14 @@ func TestShardPartitionsRecords(t *testing.T) {
 
 func TestShardRejectsTooManyCells(t *testing.T) {
 	tr := testTrace(t, 2)
-	r, err := NewRouter("round-robin", SplitHosts(40, 40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Shard(tr, r); err == nil {
+	if _, err := PlanCells(tr, "round-robin", 40); err == nil {
 		t.Fatal("sharding 32 hosts into 40 cells must fail")
 	}
 }
 
 func TestRoundRobinSpreadsEvenly(t *testing.T) {
 	tr := testTrace(t, 3)
-	r, _ := NewRouter("round-robin", SplitHosts(tr.Hosts, 4))
-	plan, err := Shard(tr, r)
+	plan, err := PlanCells(tr, "round-robin", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +124,7 @@ func TestRoundRobinSpreadsEvenly(t *testing.T) {
 func TestFeatureHashStable(t *testing.T) {
 	tr := testTrace(t, 4)
 	shard := func() *Plan {
-		r, _ := NewRouter("feature-hash", SplitHosts(tr.Hosts, 4))
-		p, err := Shard(tr, r)
+		p, err := PlanCells(tr, "feature-hash", 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,16 +136,16 @@ func TestFeatureHashStable(t *testing.T) {
 			t.Fatalf("cell %d differs between identical shards", i)
 		}
 	}
-	// Order independence: routing a shuffled record stream assigns every
-	// record to the same cell.
-	r, _ := NewRouter("feature-hash", SplitHosts(tr.Hosts, 4))
+	// Order independence: routing a shuffled record stream through the
+	// ledger assigns every record to the same cell.
+	l, _ := NewLedger("feature-hash", SplitHosts(tr.Hosts, 4))
 	want := make(map[int64]int, len(tr.Records))
 	for i := range tr.Records {
-		want[int64(tr.Records[i].ID)] = r.Route(&tr.Records[i])
+		want[int64(tr.Records[i].ID)] = l.Route(&tr.Records[i])
 	}
 	perm := rand.New(rand.NewSource(9)).Perm(len(tr.Records))
 	for _, i := range perm {
-		if got := r.Route(&tr.Records[i]); got != want[int64(tr.Records[i].ID)] {
+		if got := l.Route(&tr.Records[i]); got != want[int64(tr.Records[i].ID)] {
 			t.Fatalf("record %d rerouted from cell %d to %d under reordering",
 				tr.Records[i].ID, want[int64(tr.Records[i].ID)], got)
 		}
@@ -176,8 +163,7 @@ func TestFeatureHashStable(t *testing.T) {
 
 func TestLeastUtilizedBalancesLoad(t *testing.T) {
 	tr := testTrace(t, 5)
-	r, _ := NewRouter("least-utilized", SplitHosts(tr.Hosts, 4))
-	plan, err := Shard(tr, r)
+	plan, err := PlanCells(tr, "least-utilized", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +189,7 @@ func TestLeastUtilizedBalancesLoad(t *testing.T) {
 		t.Fatalf("least-utilized imbalance: loads %v", loads)
 	}
 	// Determinism: sharding again routes identically.
-	r2, _ := NewRouter("least-utilized", SplitHosts(tr.Hosts, 4))
-	plan2, err := Shard(tr, r2)
+	plan2, err := PlanCells(tr, "least-utilized", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +202,11 @@ func TestLeastUtilizedBalancesLoad(t *testing.T) {
 
 func TestRollUp(t *testing.T) {
 	mk := func(empty, util float64, placed, failed, killed int) *sim.Result {
-		return &sim.Result{
+		return &sim.Result{Aggregates: sim.Aggregates{
 			AvgEmptyHostFrac: empty, AvgCPUUtil: util,
 			Placements: placed, Failed: failed, Killed: killed,
 			ModelCalls: 10,
-		}
+		}}
 	}
 	hosts := []int{10, 30}
 	r, err := RollUp("feature-hash", hosts, []*sim.Result{
@@ -261,8 +246,7 @@ func TestRollUp(t *testing.T) {
 // checking conservation across the federation.
 func TestFederationEndToEnd(t *testing.T) {
 	tr := testTrace(t, 6)
-	r, _ := NewRouter("feature-hash", SplitHosts(tr.Hosts, 4))
-	plan, err := Shard(tr, r)
+	plan, err := PlanCells(tr, "feature-hash", 4)
 	if err != nil {
 		t.Fatal(err)
 	}

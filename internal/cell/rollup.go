@@ -8,126 +8,73 @@ import (
 )
 
 // Rollup aggregates per-cell simulation results into fleet-level metrics.
-// Quality averages are host-weighted (a 100-host cell counts for twice a
-// 50-host one); counters sum.
+// In the embedded aggregates the quality averages are host-weighted (a
+// 100-host cell counts for twice a 50-host one) and the counters sum. SLO
+// merges the cells' per-class summaries: counts sum, and fairness/fitness
+// are recomputed from the summed counts and the fleet-level packing
+// aggregates — so the rollup is additive, not an average of per-cell
+// indices; nil when no cell ran with the SLO layer on.
 type Rollup struct {
 	Router string
 	Hosts  []int
 	Cells  []*sim.Result
 
-	// Host-weighted averages of the per-cell steady-state aggregates.
-	AvgEmptyHostFrac  float64
-	AvgEmptyToFree    float64
-	AvgPackingDensity float64
-	AvgCPUUtil        float64
-
-	// Summed counters.
-	Placements  int
-	Exits       int
-	Failed      int
-	Killed      int
-	MigratedOut int
-	MigratedIn  int
-	ModelCalls  int64
+	sim.Aggregates
 
 	// UtilSpread is max-min of per-cell average CPU utilization: the
 	// router's load-balance quality (0 = perfectly even).
 	UtilSpread float64
-
-	// SLO merges the cells' per-class summaries: counts sum, and fairness/
-	// fitness are recomputed from the summed counts and the fleet-level
-	// packing aggregates — so the rollup is additive, not an average of
-	// per-cell indices. Nil when no cell ran with the SLO layer on.
-	SLO *slo.Summary
-}
-
-// Accum builds a Rollup one cell at a time: O(1) accumulator work per Add,
-// so fleet drivers that finish cells at different times (internal/serve) or
-// stream results from very wide sweeps fold each one in as it lands instead
-// of holding a parallel result slice for a final O(cells) pass. Cells must
-// be added in fleet cell order; Finish then produces exactly the Rollup
-// that RollUp would build from the same sequence — the weighted sums add
-// the same floats in the same order, and the summed counters and merged SLO
-// counts are order-insensitive integers.
-type Accum struct {
-	r          Rollup
-	totalHosts float64
-	minU, maxU float64
-	classes    map[string]*slo.Counts
-}
-
-// NewAccum starts an empty accumulator for the given router label.
-func NewAccum(router string) *Accum {
-	return &Accum{r: Rollup{Router: router}}
-}
-
-// Add folds one cell's result in. hosts is the cell's host count (its
-// weight in the fleet averages).
-func (a *Accum) Add(hosts int, res *sim.Result) error {
-	if res == nil {
-		return fmt.Errorf("cell: rollup missing result for cell %d", len(a.r.Cells))
-	}
-	first := len(a.r.Cells) == 0
-	a.r.Hosts = append(a.r.Hosts, hosts)
-	a.r.Cells = append(a.r.Cells, res)
-	w := float64(hosts)
-	a.totalHosts += w
-	a.r.AvgEmptyHostFrac += w * res.AvgEmptyHostFrac
-	a.r.AvgEmptyToFree += w * res.AvgEmptyToFree
-	a.r.AvgPackingDensity += w * res.AvgPackingDensity
-	a.r.AvgCPUUtil += w * res.AvgCPUUtil
-	a.r.Placements += res.Placements
-	a.r.Exits += res.Exits
-	a.r.Failed += res.Failed
-	a.r.Killed += res.Killed
-	a.r.MigratedOut += res.MigratedOut
-	a.r.MigratedIn += res.MigratedIn
-	a.r.ModelCalls += res.ModelCalls
-	if first || res.AvgCPUUtil < a.minU {
-		a.minU = res.AvgCPUUtil
-	}
-	if first || res.AvgCPUUtil > a.maxU {
-		a.maxU = res.AvgCPUUtil
-	}
-	if res.SLO != nil {
-		a.classes = slo.MergeCounts(a.classes, res.SLO.Classes)
-	}
-	return nil
-}
-
-// Finish normalizes the weighted sums and returns the completed Rollup. The
-// accumulator must not be reused afterwards.
-func (a *Accum) Finish() (*Rollup, error) {
-	if len(a.r.Cells) == 0 {
-		return nil, fmt.Errorf("cell: rollup over 0 cells")
-	}
-	if a.totalHosts <= 0 {
-		// All-zero (or negative) host counts reach this exported API from
-		// callers that build their own host slices; dividing by the zero
-		// total would silently turn every average into NaN.
-		return nil, fmt.Errorf("cell: rollup over %d total hosts", int(a.totalHosts))
-	}
-	a.r.AvgEmptyHostFrac /= a.totalHosts
-	a.r.AvgEmptyToFree /= a.totalHosts
-	a.r.AvgPackingDensity /= a.totalHosts
-	a.r.AvgCPUUtil /= a.totalHosts
-	a.r.UtilSpread = a.maxU - a.minU
-	a.r.SLO = slo.Summarize(a.classes, a.r.AvgPackingDensity, a.r.AvgEmptyToFree, true)
-	return &a.r, nil
 }
 
 // RollUp combines per-cell results. hosts and results must be parallel
-// slices in cell order. It is a batch fold over Accum, so batch and
-// incremental rollups are bit-identical by construction.
+// slices in cell order; hosts[i] is cell i's weight in the fleet averages.
 func RollUp(router string, hosts []int, results []*sim.Result) (*Rollup, error) {
 	if len(hosts) != len(results) || len(results) == 0 {
 		return nil, fmt.Errorf("cell: rollup over %d host counts and %d results", len(hosts), len(results))
 	}
-	a := NewAccum(router)
+	r := &Rollup{Router: router, Hosts: hosts, Cells: results}
+	var (
+		totalHosts, minU, maxU float64
+		classes                map[string]*slo.Counts
+	)
 	for i, res := range results {
-		if err := a.Add(hosts[i], res); err != nil {
-			return nil, err
+		if res == nil {
+			return nil, fmt.Errorf("cell: rollup missing result for cell %d", i)
+		}
+		w := float64(hosts[i])
+		totalHosts += w
+		r.AvgEmptyHostFrac += w * res.AvgEmptyHostFrac
+		r.AvgEmptyToFree += w * res.AvgEmptyToFree
+		r.AvgPackingDensity += w * res.AvgPackingDensity
+		r.AvgCPUUtil += w * res.AvgCPUUtil
+		r.Placements += res.Placements
+		r.Exits += res.Exits
+		r.Failed += res.Failed
+		r.Killed += res.Killed
+		r.MigratedOut += res.MigratedOut
+		r.MigratedIn += res.MigratedIn
+		r.ModelCalls += res.ModelCalls
+		if i == 0 || res.AvgCPUUtil < minU {
+			minU = res.AvgCPUUtil
+		}
+		if i == 0 || res.AvgCPUUtil > maxU {
+			maxU = res.AvgCPUUtil
+		}
+		if res.SLO != nil {
+			classes = slo.MergeCounts(classes, res.SLO.Classes)
 		}
 	}
-	return a.Finish()
+	if totalHosts <= 0 {
+		// All-zero (or negative) host counts reach this exported API from
+		// callers that build their own host slices; dividing by the zero
+		// total would silently turn every average into NaN.
+		return nil, fmt.Errorf("cell: rollup over %d total hosts", int(totalHosts))
+	}
+	r.AvgEmptyHostFrac /= totalHosts
+	r.AvgEmptyToFree /= totalHosts
+	r.AvgPackingDensity /= totalHosts
+	r.AvgCPUUtil /= totalHosts
+	r.UtilSpread = maxU - minU
+	r.SLO = slo.Summarize(classes, r.AvgPackingDensity, r.AvgEmptyToFree, true)
+	return r, nil
 }

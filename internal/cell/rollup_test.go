@@ -12,11 +12,11 @@ import (
 // packing aggregates so the rollup's host-weighted averages are visible in
 // the recomputed fitness.
 func sloResult(packing float64, classes map[string]*slo.Counts) *sim.Result {
-	return &sim.Result{
+	return &sim.Result{Aggregates: sim.Aggregates{
 		AvgPackingDensity: packing,
 		AvgEmptyToFree:    1,
 		SLO:               slo.Summarize(classes, packing, 1, true),
-	}
+	}}
 }
 
 func TestRollUpSLOAdditivity(t *testing.T) {

@@ -28,9 +28,9 @@ type Plan struct {
 }
 
 // PlanCells is the one-call sharding pipeline every federation entry point
-// uses: split the trace's hosts evenly, build the named router over them,
-// and shard. Keeping it in one place means the facade and the experiment
-// matrix cannot drift apart.
+// uses: split the trace's hosts evenly, build the named router's ledger over
+// them, and shard. Keeping it in one place means the facade and the
+// experiment matrix cannot drift apart.
 func PlanCells(tr *trace.Trace, routerKind string, cells int) (*Plan, error) {
 	if cells <= 0 {
 		return nil, fmt.Errorf("cell: %d cells", cells)
@@ -38,30 +38,24 @@ func PlanCells(tr *trace.Trace, routerKind string, cells int) (*Plan, error) {
 	if tr.Hosts < cells {
 		return nil, fmt.Errorf("cell: %d hosts cannot form %d cells", tr.Hosts, cells)
 	}
-	r, err := NewRouter(routerKind, SplitHosts(tr.Hosts, cells))
+	l, err := NewLedger(routerKind, SplitHosts(tr.Hosts, cells))
 	if err != nil {
 		return nil, err
 	}
-	return Shard(tr, r)
+	return Shard(tr, l)
 }
 
-// Shard partitions the trace across the router's cells. Records must be in
-// canonical order (Trace.Sort): stateful routers consume them as an arrival
-// stream. Host counts come from SplitHosts over the base pool.
-func Shard(tr *trace.Trace, r Router) (*Plan, error) {
-	n := r.Cells()
-	if n <= 0 {
-		return nil, fmt.Errorf("cell: router %s has no cells", r.Name())
-	}
-	if tr.Hosts < n {
-		return nil, fmt.Errorf("cell: %d hosts cannot form %d cells", tr.Hosts, n)
-	}
-	hosts := SplitHosts(tr.Hosts, n)
-	p := &Plan{Router: r.Name(), Hosts: hosts, Cells: make([]*trace.Trace, n)}
+// Shard partitions the trace across the ledger's cells by walking the
+// trace's whole event stream (trace.Events: by time, exits before creates,
+// then VM ID) through it — every create routed, every exit releasing its
+// commitment — which is exactly the stream a served replay of the trace
+// feeds the fleet's ledger. Each cell's records come out in canonical order.
+func Shard(tr *trace.Trace, l *Ledger) (*Plan, error) {
+	p := &Plan{Router: l.Kind, Hosts: append([]int(nil), l.Hosts...), Cells: make([]*trace.Trace, len(l.Hosts))}
 	for i := range p.Cells {
 		p.Cells[i] = &trace.Trace{
 			PoolName: fmt.Sprintf("%s/cell-%d", tr.PoolName, i),
-			Hosts:    hosts[i],
+			Hosts:    l.Hosts[i],
 			HostCPU:  tr.HostCPU,
 			HostMem:  tr.HostMem,
 			HostSSD:  tr.HostSSD,
@@ -69,12 +63,16 @@ func Shard(tr *trace.Trace, r Router) (*Plan, error) {
 			Horizon:  tr.Horizon,
 		}
 	}
-	for idx := range tr.Records {
-		c := r.Route(&tr.Records[idx])
-		if c < 0 || c >= n {
-			return nil, fmt.Errorf("cell: router %s routed record %d to cell %d of %d", r.Name(), idx, c, n)
+	for _, ev := range tr.Events() {
+		if ev.Kind == trace.EventExit {
+			l.Exit(ev.Rec.ID)
+			continue
 		}
-		p.Cells[c].Records = append(p.Cells[c].Records, tr.Records[idx])
+		c := l.Route(&ev.Rec)
+		if c < 0 {
+			return nil, fmt.Errorf("cell: no routable cell for record %d", ev.Rec.ID)
+		}
+		p.Cells[c].Records = append(p.Cells[c].Records, ev.Rec)
 	}
 	return p, nil
 }

@@ -6,32 +6,14 @@ import (
 	"testing"
 
 	"lava/internal/ptrace"
-	"lava/internal/runner"
 )
 
 // tracedCanonicalDoc is canonicalDoc with decision tracing armed, plus the
 // recorded trace document.
 func tracedCanonicalDoc(t *testing.T, exp string, parallel int, exhaustive bool) ([]byte, []byte) {
 	t.Helper()
-	opt := tiny()
-	opt.Parallel = parallel
-	opt.Exhaustive = exhaustive
-	opt.Sink = &runner.Sink{}
-	opt.TraceK = 3
-	opt.Traces = &ptrace.Sink{}
-	if _, err := Run(exp, opt); err != nil {
-		t.Fatalf("%s (traced, parallel=%d): %v", exp, parallel, err)
-	}
-	doc := runner.Document{Scale: opt.Scale, Seed: opt.Seed, Batches: opt.Sink.Summaries()}
-	doc.Canonicalize()
-	var buf, tbuf bytes.Buffer
-	if err := runner.WriteJSON(&buf, doc); err != nil {
-		t.Fatal(err)
-	}
-	if err := opt.Traces.WriteJSON(&tbuf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), tbuf.Bytes()
+	r := canonicalRun(t, exp, parallel, exhaustive, 3)
+	return r.doc, r.traces
 }
 
 // TestTracingObserveOnlyAndParallelInvariant is the experiment-level

@@ -4,35 +4,94 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"lava/internal/model"
+	"lava/internal/ptrace"
 	"lava/internal/runner"
 	"lava/internal/scheduler"
 	"lava/internal/sim"
 	"lava/internal/workload"
 )
 
-// canonicalDoc runs one experiment with the given engine/parallelism and
-// returns its canonical BENCH JSON — the same document cmd/experiments
-// -canonical -json emits, with timings and worker counts stripped.
+// matrixRun is everything the tests read off one run of an experiment at
+// tiny(): the report and its rendering, the batch sink's summaries, the
+// canonical BENCH JSON — the same document cmd/experiments -canonical -json
+// emits, with timings and worker counts stripped — and, with tracing armed,
+// the trace document.
+type matrixRun struct {
+	once   sync.Once
+	err    error
+	report Report
+	text   string
+	sums   []runner.Summary
+	doc    []byte
+	traces []byte
+}
+
+// matrixKey names a run by the only options the differential, determinism,
+// tracing and golden tests vary.
+type matrixKey struct {
+	exp        string
+	parallel   int
+	exhaustive bool
+	traceK     int
+}
+
+var (
+	matrixMu   sync.Mutex
+	matrixRuns = map[matrixKey]*matrixRun{}
+)
+
+// canonicalRun returns the run for key, executing it on first use only: the
+// golden, cached-vs-exhaustive, worker-count and tracing tests all compare
+// the same few (fig13 | scenarios) matrices, and every comparison is between
+// two distinct keys, so sharing a key's run drops none of them.
+func canonicalRun(t *testing.T, exp string, parallel int, exhaustive bool, traceK int) *matrixRun {
+	t.Helper()
+	key := matrixKey{exp, parallel, exhaustive, traceK}
+	matrixMu.Lock()
+	r := matrixRuns[key]
+	if r == nil {
+		r = &matrixRun{}
+		matrixRuns[key] = r
+	}
+	matrixMu.Unlock()
+	r.once.Do(func() {
+		opt := tiny()
+		opt.Parallel = parallel
+		opt.Exhaustive = exhaustive
+		opt.Sink = &runner.Sink{}
+		if traceK > 0 {
+			opt.TraceK = traceK
+			opt.Traces = &ptrace.Sink{}
+		}
+		if r.report, r.err = Run(exp, opt); r.err != nil {
+			return
+		}
+		var text, doc, traces bytes.Buffer
+		r.report.Render(&text)
+		r.text = text.String()
+		r.sums = opt.Sink.Summaries()
+		d := runner.Document{Scale: opt.Scale, Seed: opt.Seed, Batches: r.sums}
+		d.Canonicalize()
+		if r.err = runner.WriteJSON(&doc, d); r.err == nil && traceK > 0 {
+			r.err = opt.Traces.WriteJSON(&traces)
+		}
+		r.doc, r.traces = doc.Bytes(), traces.Bytes()
+	})
+	if r.err != nil {
+		t.Fatalf("%s (parallel=%d exhaustive=%v trace-k=%d): %v", exp, parallel, exhaustive, traceK, r.err)
+	}
+	return r
+}
+
+// canonicalDoc is the canonical BENCH JSON of an untraced run.
 func canonicalDoc(t *testing.T, exp string, parallel int, exhaustive bool) []byte {
 	t.Helper()
-	opt := tiny()
-	opt.Parallel = parallel
-	opt.Exhaustive = exhaustive
-	opt.Sink = &runner.Sink{}
-	if _, err := Run(exp, opt); err != nil {
-		t.Fatalf("%s (parallel=%d exhaustive=%v): %v", exp, parallel, exhaustive, err)
-	}
-	doc := runner.Document{Scale: opt.Scale, Seed: opt.Seed, Batches: opt.Sink.Summaries()}
-	doc.Canonicalize()
-	var buf bytes.Buffer
-	if err := runner.WriteJSON(&buf, doc); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return canonicalRun(t, exp, parallel, exhaustive, 0).doc
 }
 
 // TestCachedMatchesExhaustiveMatrices is the experiment-level differential

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"lava/internal/runner"
 )
 
 func tiny() Options { return Options{Scale: 0.08, Seed: 7} }
@@ -198,24 +196,11 @@ func TestParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
-	render := func(parallel int) (string, *runner.Sink) {
-		opt := tiny()
-		opt.Parallel = parallel
-		opt.Sink = &runner.Sink{}
-		rep, err := Run("fig13", opt)
-		if err != nil {
-			t.Fatalf("parallel=%d: %v", parallel, err)
-		}
-		var buf bytes.Buffer
-		rep.Render(&buf)
-		return buf.String(), opt.Sink
+	seq, par := canonicalRun(t, "fig13", 1, false, 0), canonicalRun(t, "fig13", 8, false, 0)
+	if seq.text != par.text {
+		t.Errorf("fig13 output differs between 1 and 8 workers:\n--- seq ---\n%s\n--- par ---\n%s", seq.text, par.text)
 	}
-	seq, _ := render(1)
-	par, sink := render(8)
-	if seq != par {
-		t.Errorf("fig13 output differs between 1 and 8 workers:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
-	}
-	sums := sink.Summaries()
+	sums := par.sums
 	if len(sums) != 1 || sums[0].Name != "fig13" || sums[0].Jobs != 3 || sums[0].Failed != 0 {
 		t.Fatalf("sink summaries = %+v", sums)
 	}
@@ -330,17 +315,17 @@ func TestFig15Fig16Fig17Pipelines(t *testing.T) {
 	}
 }
 
-// TestScenariosPipeline runs the scenario matrix end to end at tiny scale:
-// every catalog scenario, two policy arms, a 2-cell federation.
+// TestScenariosPipeline checks the scenario matrix end to end at tiny scale:
+// every catalog scenario, two policy arms, the default 4-cell federation (the
+// canonical matrix the golden test pins; TestScenariosParallelDeterminism
+// covers a 2-cell one).
 func TestScenariosPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
-	opt := tiny()
-	opt.Cells = 2
-	rep, out := runAndRender(t, "scenarios", opt)
-	r := rep.(*ScenariosReport)
-	if r.Cells != 2 || r.Router != "feature-hash" {
+	run := canonicalRun(t, "scenarios", 1, false, 0)
+	r, out := run.report.(*ScenariosReport), run.text
+	if r.Cells != 4 || r.Router != "feature-hash" {
 		t.Fatalf("cells/router = %d/%s", r.Cells, r.Router)
 	}
 	byArm := map[string]*ScenarioRow{}
@@ -470,8 +455,7 @@ func TestFig13MetricsCorrelate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
-	rep, _ := runAndRender(t, "fig13", tiny())
-	r := rep.(*Fig13Report)
+	r := canonicalRun(t, "fig13", 1, false, 0).report.(*Fig13Report)
 	// Sign agreement between empty-hosts and empty-to-free deltas.
 	for i := range r.Policies {
 		if r.EmptyHosts[i] > 0.01 && r.EmptyToFree[i] < -0.05 {

@@ -9,7 +9,6 @@ import (
 
 	"lava/internal/scheduler"
 	"lava/internal/sim"
-	"lava/internal/slo"
 )
 
 // Job is one simulation in a batch. Run must be self-contained: it may
@@ -49,45 +48,17 @@ type JobResult struct {
 	Result *sim.Result `json:"-"`
 }
 
-// Metrics is the serializable aggregate slice of a sim.Result.
-type Metrics struct {
-	AvgEmptyHostFrac  float64 `json:"avg_empty_host_frac"`
-	AvgEmptyToFree    float64 `json:"avg_empty_to_free"`
-	AvgPackingDensity float64 `json:"avg_packing_density"`
-	AvgCPUUtil        float64 `json:"avg_cpu_util"`
-	Placements        int     `json:"placements"`
-	Exits             int     `json:"exits"`
-	Failed            int     `json:"failed"`
-	Killed            int     `json:"killed,omitempty"`
-	MigratedOut       int     `json:"migrated_out,omitempty"`
-	MigratedIn        int     `json:"migrated_in,omitempty"`
-	ModelCalls        int64   `json:"model_calls,omitempty"`
-
-	// SLO is the per-class admission summary (counts, Jain fairness,
-	// fitness); omitted for runs without the SLO layer so pre-class BENCH
-	// documents keep their exact bytes.
-	SLO *slo.Summary `json:"slo,omitempty"`
-}
+// Metrics is the serializable aggregate slice of a sim.Result: an alias of
+// the one definition, sim.Aggregates.
+type Metrics = sim.Aggregates
 
 // MetricsOf extracts the serializable aggregates from a result. It is the
 // one projection from a sim.Result to the BENCH JSON shape; the serving
 // stack uses it so a served replay and an offline one can be compared
 // byte-for-byte.
 func MetricsOf(r *sim.Result) *Metrics {
-	return &Metrics{
-		AvgEmptyHostFrac:  r.AvgEmptyHostFrac,
-		AvgEmptyToFree:    r.AvgEmptyToFree,
-		AvgPackingDensity: r.AvgPackingDensity,
-		AvgCPUUtil:        r.AvgCPUUtil,
-		Placements:        r.Placements,
-		Exits:             r.Exits,
-		Failed:            r.Failed,
-		Killed:            r.Killed,
-		MigratedOut:       r.MigratedOut,
-		MigratedIn:        r.MigratedIn,
-		ModelCalls:        r.ModelCalls,
-		SLO:               r.SLO,
-	}
+	m := r.Aggregates
+	return &m
 }
 
 // Progress is a batch progress snapshot, delivered after each job

@@ -166,10 +166,10 @@ func TestFleetAdmissionParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if rep.FleetFinal == nil {
+		if rep.Final == nil || len(rep.Final.Cells) == 0 {
 			t.Fatalf("workers=%d: no fleet drain report", workers)
 		}
-		got, err := json.Marshal(rep.FleetFinal)
+		got, err := json.Marshal(rep.Final)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,13 +189,10 @@ func TestFleetAdmissionParity(t *testing.T) {
 func TestFleetRejectConsumesNoCellSequence(t *testing.T) {
 	shape := resources.Vector{CPUMilli: 4000, MemoryMB: 8000}
 	f, err := NewFleet(FleetConfig{
-		PoolName:  "admit-test",
-		Hosts:     4,
-		HostShape: shape,
-		Horizon:   time.Hour,
+		Config: Config{PoolName: "admit-test", Hosts: 4, HostShape: shape, Horizon: time.Hour,
+			SLO: &slo.Config{BestEffort: slo.Bucket{Burst: 1, Window: time.Hour}}},
 		Cells:     2,
 		Router:    "round-robin",
-		SLO:       &slo.Config{BestEffort: slo.Bucket{Burst: 1, Window: time.Hour}},
 		NewPolicy: func(int) (scheduler.Policy, error) { return scheduler.NewBestFit(), nil },
 	})
 	if err != nil {
@@ -241,13 +238,13 @@ func TestFleetRejectConsumesNoCellSequence(t *testing.T) {
 	}
 	// A ledger-refused admin op is the same contract: it consumes its global
 	// turn and no cell sequence slot, so the next op still reaches its cell.
-	if err := f.DrainCell(99, 4); err == nil {
+	if _, err := f.Do(Op{Kind: OpDrainCell, Cell: 99}, 4); err == nil {
 		t.Fatal("drain of cell 99 succeeded")
 	}
-	if err := f.AddHosts(0, 1, 4*time.Minute, 5); err != nil {
+	if _, err := f.Do(Op{Kind: OpAddHosts, Cell: 0, N: 1, At: 4 * time.Minute}, 5); err != nil {
 		t.Fatalf("stream stalled after a refused admin op: %v", err)
 	}
-	if err := f.RehydrateCell(0, 4); !errors.Is(err, errStaleSeq) {
+	if _, err := f.Do(Op{Kind: OpRehydrateCell, Cell: 0}, 4); !errors.Is(err, errStaleSeq) {
 		t.Fatalf("re-send of the refused op's seq = %v, want errStaleSeq", err)
 	}
 

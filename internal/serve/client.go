@@ -103,28 +103,25 @@ func (c *Client) Tick(ctx context.Context, req TickRequest) (TickResponse, error
 	return out, err
 }
 
-// Stats fetches serving counters.
+// Stats fetches serving counters: a leaf from a Server, a node with the
+// federation fields and per-cell leaves from a Fleet.
 func (c *Client) Stats(ctx context.Context) (Stats, error) {
 	var out Stats
 	err := c.get(ctx, "/stats", &out)
 	return out, err
 }
 
-// Drain finishes the served run and returns the final aggregates.
+// Drain finishes the served run and returns the final report: a leaf from a
+// Server, a node with the per-cell breakdown from a Fleet.
 func (c *Client) Drain(ctx context.Context) (DrainResponse, error) {
 	var out DrainResponse
 	err := c.post(ctx, "/drain", struct{}{}, &out)
 	return out, err
 }
 
-// DrainFleet finishes the served run against either a Server or a Fleet.
-// The fleet drain payload is a superset of the single-server one: against a
-// plain Server the federation fields simply stay empty.
-func (c *Client) DrainFleet(ctx context.Context) (FleetDrainResponse, error) {
-	var out FleetDrainResponse
-	err := c.post(ctx, "/drain", struct{}{}, &out)
-	return out, err
-}
+// DrainFleet is Drain; the name is kept as a wrapper only because bench/
+// (which this repo's changes may not edit) calls it.
+func (c *Client) DrainFleet(ctx context.Context) (DrainResponse, error) { return c.Drain(ctx) }
 
 // ReplayOptions shape a Replay run.
 type ReplayOptions struct {
@@ -156,13 +153,11 @@ type ReplayReport struct {
 	// summary with achieved throughput.
 	Hist    *runner.LatencyHist
 	Serving *runner.ServingStats
-	// Final is the server's drain report (nil when SkipDrain). Replaying
-	// against a Fleet fills it with the host-weighted fleet rollup.
+	// Final is the drain report (nil when SkipDrain): a single Server's
+	// aggregates, or a Fleet's host-weighted rollup with the federation
+	// breakdown — router, per-cell host counts and reports — in its node
+	// fields.
 	Final *DrainResponse
-	// FleetFinal carries the federation breakdown — router, per-cell host
-	// counts and metrics — when the drained endpoint was a Fleet; nil
-	// against a single Server (and when SkipDrain).
-	FleetFinal *FleetDrainResponse
 }
 
 // Replay streams a trace's event stream against the server: every CREATE
@@ -176,7 +171,7 @@ type ReplayReport struct {
 // The same call drives a Fleet: the fleet's front-end sequencer routes the
 // globally sequenced stream across its cells, so each cell replays exactly
 // the shard cell.Shard would hand it offline, and the drain report gains
-// the per-cell breakdown in FleetFinal.
+// the per-cell breakdown.
 func (c *Client) Replay(ctx context.Context, tr *trace.Trace, opt ReplayOptions) (*ReplayReport, error) {
 	workers := opt.Concurrency
 	if workers <= 0 {
@@ -290,14 +285,11 @@ feed:
 	}
 	rep.Serving = hist.Stats(rep.Elapsed)
 	if !opt.SkipDrain {
-		fd, err := c.DrainFleet(ctx)
+		fd, err := c.Drain(ctx)
 		if err != nil {
 			return nil, err
 		}
-		rep.Final = &DrainResponse{Pool: fd.Pool, Policy: fd.Policy, Metrics: fd.Metrics, SeriesLen: fd.SeriesLen}
-		if len(fd.Cells) > 0 {
-			rep.FleetFinal = &fd
-		}
+		rep.Final = &fd
 	}
 	return rep, nil
 }

@@ -51,16 +51,31 @@
 // exact fields an offline run reports — are computed once and returned.
 // Reads keep working on the frozen pool after the drain.
 //
-// # Federation (Fleet)
+// # Federation (Fleet): leaf and node
 //
 // Fleet puts N Servers — one pool, policy and event loop each — behind a
 // single front-end with the same HTTP surface, which is how the serving
 // path uses more than one core: cells advance independently and only meet
-// at routing, stats rollup and drain. Placements route through the
-// internal/cell router family (round-robin and feature-hash applied
-// statically to the live stream; least-utilized served from a live
-// commitment ledger), and /drain rolls per-cell results up through
-// cell.RollUp.
+// at routing, stats rollup and drain. A Server answers a leaf and a Fleet a
+// node of its cells' leaves, in one recursive payload type per endpoint:
+// Stats (node fields router, cells, retired_cells, cell_stats) and
+// DrainResponse (router, hosts, util_spread, cells — rolled up through
+// cell.RollUp). A node keeps its totals in the fields a leaf uses and the
+// node fields are omitted from a leaf, so a single server's documents are
+// what they were before there was a fleet, a single-pool client reads a
+// fleet unchanged, and Client.Stats / Client.Drain decode either.
+//
+// Placements route through cell.Ledger, the one routing implementation —
+// round-robin, feature-hash, least-utilized over committed CPU per host.
+// Offline, cell.Shard walks a trace's event stream through the ledger;
+// online, the fleet walks the live request stream through the same Route
+// and Exit methods. All three routers are therefore byte-identical between
+// online and offline on replays, and they differ only for live traffic
+// whose exits are not the trace's.
+//
+// FleetConfig embeds Config: a cell's config is a copy of the embedded one
+// with its own pool name, host count, policy and injectors (cellConfig), so
+// there is one config chain from the facade down to every event loop.
 //
 // Everything a fleet does to its cells is an Op — place, exit, tick and the
 // seven /admin elasticity ops — and every Op takes one path:
@@ -94,10 +109,15 @@
 //
 // # HTTP surface
 //
-// Both Handler methods build every route from two generic constructors:
-// post[Req, Resp] (method check, body bounded at 1 MiB, strict decode, the
-// validate check the route registers, error-to-status mapping) and noBody[Resp]
-// for the reads and /drain. A malformed, oversized or invalid request is
-// answered before it takes a sequence number, identically by a Server and a
-// Fleet.
+// Both Handler methods return routes(b), one route table over a small
+// backend interface: the Place/ExitVM/Tick surface a Server and a Fleet
+// share, plus Stats, snapshot, drainReport and tracers. A backend that can
+// also Do an Op — the Fleet — gets the /admin routes, each a direct Do.
+// There is one /trace handler: a leaf answers its recorder's page, a node
+// one page per queried cell. Every route is built from two generic
+// constructors: post[Req, Resp] (method check, body bounded at 1 MiB,
+// strict decode, the validate check the route registers, error-to-status
+// mapping) and noBody[Resp] for the reads and /drain. A malformed,
+// oversized or invalid request is answered before it takes a sequence
+// number, identically by a Server and a Fleet.
 package serve

@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"lava/internal/cell"
 	"lava/internal/cluster"
-	"lava/internal/runner"
 	"lava/internal/sim"
 	"lava/internal/slo"
 	"lava/internal/trace"
@@ -19,13 +17,16 @@ import (
 // retired. Rehydrate a cell (or split a new one) to resume admission.
 var ErrNoRoutableCell = errors.New("serve: no routable cell")
 
-// topology is the fleet's routing ledger: per-cell host counts,
-// routability, commitments and the VM→cell index. It is the one piece of
-// state the online front-end (Fleet, under its mutex) and the offline
-// script runner (RunScriptOffline, single-threaded) share verbatim — every
-// routing or elasticity decision is a pure function of this struct, which
-// is what makes an online run byte-comparable to its offline script. It has
-// one side effect, the grow hook: a split starts the new cell's engine from
+// topology is the fleet's view of the routing ledger: the one cell.Ledger
+// (discipline, cursor, routable mask, commitments, VM→cell index — the same
+// type and methods cell.Shard walks a trace through offline) wrapped with
+// what only a serving fleet has: the front-door admission gate, cell
+// retirement and cell growth. It is the one piece of state the online
+// front-end (Fleet, under its mutex) and the offline script runner
+// (RunScriptOffline, single-threaded) share verbatim — every routing or
+// elasticity decision is a pure function of this struct, which is what
+// makes an online run byte-comparable to its offline script. It has one
+// side effect, the grow hook: a split starts the new cell's engine from
 // inside the ledger, before it commits.
 //
 // The ledger is updated at sequencing time, before the per-cell machines
@@ -35,16 +36,9 @@ var ErrNoRoutableCell = errors.New("serve: no routable cell")
 // keep identical ledgers for identical op streams. Parity guarantees
 // therefore cover scripts whose operations succeed.
 type topology struct {
-	kind string // router kind: round-robin | feature-hash | least-utilized
-	rr   int    // round-robin cursor
+	*cell.Ledger
 
-	hosts    []int  // per-cell host count (rollup weight; 0 once retired)
-	routable []bool // cell accepts new placements
-	retired  []bool // cell was merged away: terminal, weight 0
-
-	committed []int64 // per-cell committed CPU-milli (the LU ledger)
-	vmCell    map[cluster.VMID]int
-	vmCPU     map[cluster.VMID]int64
+	retired []bool // cell was merged away: terminal, unroutable, weight 0
 
 	// gate is the front-door SLO admission controller (nil: admission off).
 	// It lives on the topology because it is part of the same shared-ledger
@@ -59,40 +53,23 @@ type topology struct {
 	grow func(idx, hosts int) error
 }
 
-// newTopology validates the router kind and builds the ledger over the
-// initial cells.
+// newTopology builds the ledger over the initial cells; an empty router
+// kind means feature-hash.
 func newTopology(kind string, hosts []int) (*topology, error) {
 	if kind == "" {
 		kind = "feature-hash"
 	}
-	ok := false
-	for _, k := range cell.RouterKinds() {
-		if k == kind {
-			ok = true
-		}
+	l, err := cell.NewLedger(kind, hosts)
+	if err != nil {
+		return nil, err
 	}
-	if !ok {
-		return nil, fmt.Errorf("serve: unknown router %q", kind)
-	}
-	t := &topology{
-		kind:      kind,
-		hosts:     append([]int(nil), hosts...),
-		routable:  make([]bool, len(hosts)),
-		retired:   make([]bool, len(hosts)),
-		committed: make([]int64, len(hosts)),
-		vmCell:    make(map[cluster.VMID]int),
-		vmCPU:     make(map[cluster.VMID]int64),
-	}
-	for i := range t.routable {
-		t.routable[i] = true
-	}
-	return t, nil
+	return &topology{Ledger: l, retired: make([]bool, len(hosts))}, nil
 }
 
 // liveCell validates that c names a cell that has not been merged away.
 func (t *topology) liveCell(c int) error {
-	if c < 0 || c >= len(t.hosts) {
-		return fmt.Errorf("serve: no cell %d (fleet has %d)", c, len(t.hosts))
+	if c < 0 || c >= len(t.Hosts) {
+		return fmt.Errorf("serve: no cell %d (fleet has %d)", c, len(t.Hosts))
 	}
 	if t.retired[c] {
 		return fmt.Errorf("serve: cell %d is retired", c)
@@ -100,15 +77,8 @@ func (t *topology) liveCell(c int) error {
 	return nil
 }
 
-// routeCreate picks the cell for a new VM and records the decision. The
-// disciplines restrict themselves to routable cells:
-//
-//   - round-robin advances its cursor to the next routable cell;
-//   - feature-hash probes forward from hash(Feat) % cells past unroutable
-//     cells, so assignments are untouched by drain/rehydrate of *other*
-//     cells and shift only when the cell count itself changes;
-//   - least-utilized takes the lowest committed CPU per host, ties to the
-//     lowest index.
+// routeCreate picks the cell for a new VM (cell.Ledger.Route, restricted to
+// routable cells) and records the decision.
 //
 // With a front-door gate, admission runs first, against the record's class
 // bucket at the request's virtual time: a rejection (*slo.RejectError)
@@ -125,59 +95,11 @@ func (t *topology) routeCreate(rec *trace.Record, at time.Duration) (int, error)
 			return 0, &slo.RejectError{Class: cls, RetryAt: retry}
 		}
 	}
-	n := len(t.hosts)
-	c := -1
-	switch t.kind {
-	case "round-robin":
-		for i := 0; i < n; i++ {
-			cand := (t.rr + i) % n
-			if t.routable[cand] {
-				c = cand
-				t.rr = (cand + 1) % n
-				break
-			}
-		}
-	case "feature-hash":
-		start := cell.FeatureHash(rec, n)
-		for i := 0; i < n; i++ {
-			cand := (start + i) % n
-			if t.routable[cand] {
-				c = cand
-				break
-			}
-		}
-	case "least-utilized":
-		best := 0.0
-		for i := 0; i < n; i++ {
-			if !t.routable[i] || t.hosts[i] <= 0 {
-				continue
-			}
-			score := float64(t.committed[i]) / float64(t.hosts[i])
-			if c < 0 || score < best {
-				c, best = i, score
-			}
-		}
-	}
+	c := t.Route(rec)
 	if c < 0 {
 		return 0, ErrNoRoutableCell
 	}
-	t.vmCell[rec.ID] = c
-	t.vmCPU[rec.ID] = rec.Shape.CPUMilli
-	t.committed[c] += rec.Shape.CPUMilli
 	return c, nil
-}
-
-// routeExit resolves which cell holds the VM and releases its commitment.
-// ok is false for VMs the fleet never routed.
-func (t *topology) routeExit(id cluster.VMID) (int, bool) {
-	c, ok := t.vmCell[id]
-	if !ok {
-		return 0, false
-	}
-	t.committed[c] -= t.vmCPU[id]
-	delete(t.vmCell, id)
-	delete(t.vmCPU, id)
-	return c, true
 }
 
 // addHosts grows cell c's ledger weight by n.
@@ -188,7 +110,7 @@ func (t *topology) addHosts(c, n int) error {
 	if n <= 0 {
 		return fmt.Errorf("serve: add %d hosts", n)
 	}
-	t.hosts[c] += n
+	t.Hosts[c] += n
 	return nil
 }
 
@@ -198,10 +120,10 @@ func (t *topology) removeHost(c int) error {
 	if err := t.liveCell(c); err != nil {
 		return err
 	}
-	if t.hosts[c] <= 1 {
+	if t.Hosts[c] <= 1 {
 		return fmt.Errorf("serve: cell %d: cannot remove its last host (merge the cell instead)", c)
 	}
-	t.hosts[c]--
+	t.Hosts[c]--
 	return nil
 }
 
@@ -211,7 +133,7 @@ func (t *topology) setRoutable(c int, v bool) error {
 	if err := t.liveCell(c); err != nil {
 		return err
 	}
-	t.routable[c] = v
+	t.Routable[c] = v
 	return nil
 }
 
@@ -222,19 +144,15 @@ func (t *topology) split(c, k int) (int, error) {
 	if err := t.liveCell(c); err != nil {
 		return 0, err
 	}
-	if k < 1 || t.hosts[c]-k < 1 {
-		return 0, fmt.Errorf("serve: cell %d (%d hosts): cannot split off %d", c, t.hosts[c], k)
+	if k < 1 || t.Hosts[c]-k < 1 {
+		return 0, fmt.Errorf("serve: cell %d (%d hosts): cannot split off %d", c, t.Hosts[c], k)
 	}
-	idx := len(t.hosts)
-	if err := t.grow(idx, k); err != nil {
+	if err := t.grow(len(t.Hosts), k); err != nil {
 		return 0, err
 	}
-	t.hosts[c] -= k
-	t.hosts = append(t.hosts, k)
-	t.routable = append(t.routable, true)
+	t.Hosts[c] -= k
 	t.retired = append(t.retired, false)
-	t.committed = append(t.committed, 0)
-	return idx, nil
+	return t.AddCell(k), nil
 }
 
 // merge retires cell from into cell into: into absorbs from's ledger weight
@@ -253,21 +171,13 @@ func (t *topology) merge(from, into int) ([]cluster.VMID, error) {
 	if from == into {
 		return nil, fmt.Errorf("serve: cell %d: merge into itself", from)
 	}
-	victims := make([]cluster.VMID, 0)
-	for id, c := range t.vmCell {
-		if c == from {
-			victims = append(victims, id)
-		}
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
+	victims := t.VMs(from)
 	for _, id := range victims {
-		t.vmCell[id] = into
+		t.Move(id, into)
 	}
-	t.committed[into] += t.committed[from]
-	t.committed[from] = 0
-	t.hosts[into] += t.hosts[from]
-	t.hosts[from] = 0
-	t.routable[from] = false
+	t.Hosts[into] += t.Hosts[from]
+	t.Hosts[from] = 0
+	t.Routable[from] = false
 	t.retired[from] = true
 	return victims, nil
 }
@@ -275,46 +185,34 @@ func (t *topology) merge(from, into int) ([]cluster.VMID, error) {
 // rebalance plans a deterministic load shift: source is the non-retired
 // cell with the highest committed CPU per host (ties to the lowest index),
 // destination the routable cell with the lowest. VMs move in ascending ID
-// order — min-over-map is order-independent, so the plan is identical
-// however the ledger was built — until the source's score drops to the
-// destination's or maxMoves is hit (maxMoves <= 0: unlimited). The ledger
-// is updated move by move; the returned plan is for the machines.
+// order — so the plan is identical however the ledger was built — until the
+// source's score drops to the destination's or maxMoves is hit (maxMoves <=
+// 0: unlimited). The ledger is updated move by move; the returned plan is
+// for the machines.
 func (t *topology) rebalance(maxMoves int) (src, dst int, victims []cluster.VMID) {
 	src, dst = -1, -1
-	var srcScore, dstScore float64
-	for i := range t.hosts {
-		if t.retired[i] || t.hosts[i] <= 0 {
+	for i := range t.Hosts {
+		if t.retired[i] || t.Hosts[i] <= 0 {
 			continue
 		}
-		s := float64(t.committed[i]) / float64(t.hosts[i])
-		if src < 0 || s > srcScore {
-			src, srcScore = i, s
+		if src < 0 || t.Score(i) > t.Score(src) {
+			src = i
 		}
-		if t.routable[i] && (dst < 0 || s < dstScore) {
-			dst, dstScore = i, s
+		if t.Routable[i] && (dst < 0 || t.Score(i) < t.Score(dst)) {
+			dst = i
 		}
 	}
 	if src < 0 || dst < 0 || src == dst {
 		return -1, -1, nil
 	}
-	ids := make([]cluster.VMID, 0)
-	for id, c := range t.vmCell {
-		if c == src {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range t.VMs(src) {
 		if maxMoves > 0 && len(victims) >= maxMoves {
 			break
 		}
-		if float64(t.committed[src])/float64(t.hosts[src]) <= float64(t.committed[dst])/float64(t.hosts[dst]) {
+		if t.Score(src) <= t.Score(dst) {
 			break
 		}
-		cpu := t.vmCPU[id]
-		t.vmCell[id] = dst
-		t.committed[src] -= cpu
-		t.committed[dst] += cpu
+		t.Move(id, dst)
 		victims = append(victims, id)
 	}
 	return src, dst, victims
@@ -326,17 +224,45 @@ func (t *topology) rebalance(maxMoves int) (src, dst int, victims []cluster.VMID
 type OpKind uint8
 
 // Fleet operations. The first three mirror the request stream a client
-// sends; the rest are the elasticity admin ops.
+// sends; the rest are the elasticity admin ops, executed — like them —
+// through Fleet.Do, where seq > 0 enrolls the op in the global ordered
+// stream exactly like a placement.
 const (
 	OpPlace OpKind = iota
 	OpExit
 	OpTick
+	// OpAddHosts grows cell Cell by N hosts at virtual time At.
 	OpAddHosts
+	// OpRemoveHost retires host Host from cell Cell. The ledger weight drops
+	// at sequencing time; if the cell then refuses the removal (the host
+	// still runs VMs) the error surfaces to the operator while the ledger
+	// keeps the decremented weight — see topology for why.
 	OpRemoveHost
+	// OpDrainCell stops routing new placements to cell Cell. VMs already
+	// there keep running and exiting; sequenced requests in flight to the
+	// cell land normally — nothing is dropped. A pure ledger flip, like
+	// OpRehydrateCell, which resumes routing: no cell-level step.
 	OpDrainCell
 	OpRehydrateCell
+	// OpSplitCell carves N hosts out of cell Cell into a brand-new routable
+	// cell (fresh pool, fresh policy from the fleet's factory), reported in
+	// OpResult.NewCell. The source gives up its N highest-ID hosts, which
+	// must be empty — rebalance or drain first.
 	OpSplitCell
+	// OpMergeCells merges cell Cell into cell Into: Into grows by Cell's
+	// host count, every VM in Cell migrates over through the MigrateOut/
+	// MigrateIn seam (in ascending VM ID order), and Cell retires —
+	// unroutable, weight zero, clock frozen until the fleet drains. Sequence
+	// numbers for all the cell-level steps are reserved up front, so requests
+	// racing the merge order deterministically around it; exits of migrated
+	// (and even capacity-failed) VMs route to Into afterwards.
 	OpMergeCells
+	// OpRebalance migrates VMs from the most-utilized cell to the
+	// least-utilized routable cell (by the commitment ledger) until their
+	// scores meet or N moves are made (<= 0: unlimited); OpResult.Moves
+	// counts them. The plan is computed deterministically at sequencing
+	// time, so an online rebalance moves exactly the VMs its offline script
+	// twin does.
 	OpRebalance
 	numOpKinds
 )
@@ -437,13 +363,13 @@ func (t *topology) plan(op *Op, buf []*request) (steps []*request, res OpResult,
 		// always reach theirs, even when the placement failed for capacity,
 		// because the cell's clock must advance past the exit time exactly
 		// as an offline replay of the cell's shard would.
-		if c, ok := t.routeExit(op.VM); ok {
+		if c, ok := t.Exit(op.VM); ok {
 			step(reqExit, c).id = op.VM
 		}
 	case OpTick:
 		// Retired cells are skipped: their clocks freeze at merge time and
 		// jump to the horizon when the fleet drains.
-		for c := range t.hosts {
+		for c := range t.Hosts {
 			if !t.retired[c] {
 				step(reqTick, c)
 			}
@@ -466,14 +392,14 @@ func (t *topology) plan(op *Op, buf []*request) (steps []*request, res OpResult,
 			// IDs stay dense and its score caches rebind instead of
 			// degrading; those hosts must be empty — rebalance or drain
 			// first.
-			for id := t.hosts[op.Cell] + op.N - 1; id >= t.hosts[op.Cell]; id-- {
+			for id := t.Hosts[op.Cell] + op.N - 1; id >= t.Hosts[op.Cell]; id-- {
 				step(reqRemoveHost, op.Cell).hid = cluster.HostID(id)
 			}
 		}
 	case OpMergeCells:
 		grow := 0
-		if op.Cell >= 0 && op.Cell < len(t.hosts) {
-			grow = t.hosts[op.Cell]
+		if op.Cell >= 0 && op.Cell < len(t.Hosts) {
+			grow = t.Hosts[op.Cell]
 		}
 		var victims []cluster.VMID
 		if victims, err = t.merge(op.Cell, op.Into); err == nil {
@@ -544,10 +470,11 @@ func runSteps(kind OpKind, steps []*request, res *OpResult, start func(*request)
 }
 
 // cellConfig is the one per-cell config builder: cell idx of the fleet,
-// hosts wide, as a single-server Config — fresh policy and injectors from
-// the fleet's factories, the fleet's geometry and settings. The online
-// fleet starts a Server from it and the offline runner a bare machine, for
-// original cells and cells carved out later by a split alike.
+// hosts wide, as a single-server Config — the fleet's embedded Config with
+// the cell's own name and size, a fresh policy and injectors from the
+// fleet's factories. The online fleet starts a Server from it and the
+// offline runner a bare machine, for original cells and cells carved out
+// later by a split alike.
 func cellConfig(cfg *FleetConfig, idx, hosts int) (Config, error) {
 	pol, err := cfg.NewPolicy(idx)
 	if err == nil && pol == nil {
@@ -556,34 +483,25 @@ func cellConfig(cfg *FleetConfig, idx, hosts int) (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	var inj []sim.Injector
-	if cfg.Injectors != nil {
-		inj = cfg.Injectors(idx)
+	cc := cfg.Config
+	// The offline counterpart (cell.Shard) names cells the same way;
+	// keeping the names aligned keeps drain payloads diffable.
+	cc.PoolName = fmt.Sprintf("%s/cell-%d", cfg.PoolName, idx)
+	cc.Hosts = hosts
+	cc.Policy = pol
+	cc.Injectors = nil
+	if cfg.NewInjectors != nil {
+		cc.Injectors = cfg.NewInjectors(idx)
 	}
-	return Config{
-		// The offline counterpart (cell.Shard) names cells the same way;
-		// keeping the names aligned keeps drain payloads diffable.
-		PoolName:    fmt.Sprintf("%s/cell-%d", cfg.PoolName, idx),
-		Hosts:       hosts,
-		HostShape:   cfg.HostShape,
-		WarmUp:      cfg.WarmUp,
-		Horizon:     cfg.Horizon,
-		Policy:      pol,
-		TickEvery:   cfg.TickEvery,
-		SampleEvery: cfg.SampleEvery,
-		Injectors:   inj,
-		QueueDepth:  cfg.QueueDepth,
-		Memo:        cfg.Memo,
-		TraceK:      cfg.TraceK,
-		TraceCap:    cfg.TraceCap,
-		SLO:         cellSLO(cfg),
-	}, nil
+	cc.TraceOut = nil // see FleetConfig: one writer cannot take N cells' streams
+	cc.SLO = cellSLO(cfg)
+	return cc, nil
 }
 
-// newLedger is where NewFleet and RunScriptOffline both start: it validates
-// cfg, fills its defaults, builds the topology ledger with its front-door
+// fleetTopology is where NewFleet and RunScriptOffline both start: it
+// validates cfg, fills its defaults, builds the topology with its front-door
 // gate, and builds every initial cell through grow.
-func newLedger(cfg *FleetConfig, grow func(idx, hosts int) error) (*topology, error) {
+func fleetTopology(cfg *FleetConfig, grow func(idx, hosts int) error) (*topology, error) {
 	if cfg.Cells <= 0 {
 		return nil, fmt.Errorf("serve: fleet needs at least one cell, got %d", cfg.Cells)
 	}
@@ -625,7 +543,7 @@ func newLedger(cfg *FleetConfig, grow func(idx, hosts int) error) (*topology, er
 // sequence number i+1) drains to a byte-identical report.
 func RunScriptOffline(cfg FleetConfig, ops []Op) (*cell.Rollup, error) {
 	var machines []*sim.Machine
-	topo, err := newLedger(&cfg, func(idx, hosts int) error {
+	topo, err := fleetTopology(&cfg, func(idx, hosts int) error {
 		cc, err := cellConfig(&cfg, idx, hosts)
 		if err != nil {
 			return err
@@ -660,7 +578,7 @@ func RunScriptOffline(cfg FleetConfig, ops []Op) (*cell.Rollup, error) {
 			return nil, fmt.Errorf("serve: script finish cell %d: %w", i, err)
 		}
 	}
-	roll, err := cell.RollUp(topo.kind, topo.hosts, results)
+	roll, err := cell.RollUp(topo.Kind, topo.Hosts, results)
 	if err != nil {
 		return nil, err
 	}
@@ -672,24 +590,12 @@ func RunScriptOffline(cfg FleetConfig, ops []Op) (*cell.Rollup, error) {
 // exact struct a live fleet's /drain marshals, so an offline script or
 // scenario run and an online serve of the same stream can be diffed
 // byte-for-byte as JSON documents.
-func FleetReportOf(pool, policy string, roll *cell.Rollup) FleetDrainResponse {
-	out := FleetDrainResponse{
-		Pool:   pool,
-		Policy: policy,
-		Metrics: &runner.Metrics{
-			AvgEmptyHostFrac:  roll.AvgEmptyHostFrac,
-			AvgEmptyToFree:    roll.AvgEmptyToFree,
-			AvgPackingDensity: roll.AvgPackingDensity,
-			AvgCPUUtil:        roll.AvgCPUUtil,
-			Placements:        roll.Placements,
-			Exits:             roll.Exits,
-			Failed:            roll.Failed,
-			Killed:            roll.Killed,
-			MigratedOut:       roll.MigratedOut,
-			MigratedIn:        roll.MigratedIn,
-			ModelCalls:        roll.ModelCalls,
-			SLO:               roll.SLO,
-		},
+func FleetReportOf(pool, policy string, roll *cell.Rollup) DrainResponse {
+	metrics := roll.Aggregates
+	out := DrainResponse{
+		Pool:       pool,
+		Policy:     policy,
+		Metrics:    &metrics,
 		Router:     roll.Router,
 		Hosts:      roll.Hosts,
 		UtilSpread: roll.UtilSpread,
@@ -700,71 +606,6 @@ func FleetReportOf(pool, policy string, roll *cell.Rollup) FleetDrainResponse {
 		out.Cells[i] = drainResponseOf(res)
 	}
 	return out
-}
-
-// --- admin ops ---------------------------------------------------------------
-//
-// Each method below is Do over the matching Op: seq > 0 enrolls the op in
-// the global ordered stream, exactly like a placement.
-
-// AddHosts grows cell c by n hosts at virtual time at.
-func (f *Fleet) AddHosts(c, n int, at time.Duration, seq uint64) error {
-	_, err := f.Do(Op{Kind: OpAddHosts, Cell: c, N: n, At: at}, seq)
-	return err
-}
-
-// RemoveHost retires one host from cell c at virtual time at. The ledger
-// weight drops at sequencing time; if the cell then refuses the removal
-// (the host still runs VMs) the error surfaces to the operator while the
-// ledger keeps the decremented weight — see topology for why.
-func (f *Fleet) RemoveHost(c int, id cluster.HostID, at time.Duration, seq uint64) error {
-	_, err := f.Do(Op{Kind: OpRemoveHost, Cell: c, Host: id, At: at}, seq)
-	return err
-}
-
-// DrainCell stops routing new placements to cell c. VMs already there keep
-// running and exiting; sequenced requests in flight to the cell land
-// normally — nothing is dropped. A pure ledger flip: no cell-level step.
-func (f *Fleet) DrainCell(c int, seq uint64) error {
-	_, err := f.Do(Op{Kind: OpDrainCell, Cell: c}, seq)
-	return err
-}
-
-// RehydrateCell resumes routing placements to a drained cell.
-func (f *Fleet) RehydrateCell(c int, seq uint64) error {
-	_, err := f.Do(Op{Kind: OpRehydrateCell, Cell: c}, seq)
-	return err
-}
-
-// SplitCell carves k hosts out of cell c into a brand-new routable cell
-// (fresh pool, fresh policy from the fleet's factory) and returns the new
-// cell's index. The source gives up its k highest-ID hosts, which must be
-// empty — rebalance or drain first.
-func (f *Fleet) SplitCell(c, k int, at time.Duration, seq uint64) (int, error) {
-	res, err := f.Do(Op{Kind: OpSplitCell, Cell: c, N: k, At: at}, seq)
-	return res.NewCell, err
-}
-
-// MergeCells merges cell from into cell into: into grows by from's host
-// count, every VM in from migrates over through the MigrateOut/MigrateIn
-// seam (in ascending VM ID order), and from retires — unroutable, weight
-// zero, clock frozen until the fleet drains. Sequence numbers for all the
-// cell-level steps are reserved up front, so requests racing the merge
-// order deterministically around it; exits of migrated (and even
-// capacity-failed) VMs route to into afterwards.
-func (f *Fleet) MergeCells(from, into int, at time.Duration, seq uint64) error {
-	_, err := f.Do(Op{Kind: OpMergeCells, Cell: from, Into: into, At: at}, seq)
-	return err
-}
-
-// Rebalance migrates VMs from the most-utilized cell to the least-utilized
-// routable cell (by the commitment ledger) until their scores meet or
-// maxMoves is reached (<= 0: unlimited). Returns the number of VMs moved.
-// The plan is computed deterministically at sequencing time, so an online
-// rebalance moves exactly the VMs its offline script twin does.
-func (f *Fleet) Rebalance(maxMoves int, at time.Duration, seq uint64) (int, error) {
-	res, err := f.Do(Op{Kind: OpRebalance, N: maxMoves, At: at}, seq)
-	return res.Moves, err
 }
 
 // --- admin wire types and client methods ------------------------------------

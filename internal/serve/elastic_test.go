@@ -25,10 +25,8 @@ import (
 // never the setup.
 func elasticCfg(hosts, cells int, router string) FleetConfig {
 	return FleetConfig{
-		PoolName:  "elastic-test",
-		Hosts:     hosts,
-		HostShape: resources.Vector{CPUMilli: 4000, MemoryMB: 8000, SSDGB: 0},
-		Horizon:   12 * time.Hour,
+		Config: Config{PoolName: "elastic-test", Hosts: hosts,
+			HostShape: resources.Vector{CPUMilli: 4000, MemoryMB: 8000, SSDGB: 0}, Horizon: 12 * time.Hour},
 		Cells:     cells,
 		Router:    router,
 		NewPolicy: func(int) (scheduler.Policy, error) { return scheduler.NewBestFit(), nil },
@@ -112,7 +110,7 @@ func elasticScript(places int) []Op {
 // global sequence number i+1 and the ops are handed to `workers` concurrent
 // goroutines, so completion order scrambles while the sequencer restores
 // the scripted order. Returns the canonical drain report.
-func runScriptOnline(t *testing.T, cfg FleetConfig, ops []Op, workers int) FleetDrainResponse {
+func runScriptOnline(t *testing.T, cfg FleetConfig, ops []Op, workers int) DrainResponse {
 	t.Helper()
 	f, err := NewFleet(cfg)
 	if err != nil {
@@ -145,11 +143,11 @@ func runScriptOnline(t *testing.T, cfg FleetConfig, ops []Op, workers int) Fleet
 	if len(opErrs) > 0 {
 		t.Fatalf("online script errors: %v", errors.Join(opErrs...))
 	}
-	roll, err := f.Drain()
+	rep, err := f.drainReport()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f.drainResponse(roll)
+	return rep
 }
 
 // TestElasticScriptParity is the elasticity tentpole's contract: a script
@@ -372,7 +370,7 @@ func TestElasticAdminHTTP(t *testing.T) {
 		t.Fatal("oversized split succeeded")
 	}
 
-	fd, err := c.DrainFleet(ctx)
+	fd, err := c.Drain(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,18 +546,16 @@ func TestFleetDrainFlushesParkedAdminOps(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var err error
+			op := Op{Kind: OpPlace, Rec: scriptRecord(int(seq)), At: time.Duration(seq) * time.Minute}
 			switch kind {
 			case 0:
-				err = f.AddHosts(int(seq)%2, 1, time.Duration(seq)*time.Minute, seq)
+				op = Op{Kind: OpAddHosts, Cell: int(seq) % 2, N: 1, At: time.Duration(seq) * time.Minute}
 			case 1:
-				err = f.DrainCell(0, seq)
+				op = Op{Kind: OpDrainCell, Cell: 0}
 			case 2:
-				err = f.RehydrateCell(0, seq)
-			default:
-				rec := scriptRecord(int(seq))
-				_, _, err = f.Place(rec, time.Duration(seq)*time.Minute, seq)
+				op = Op{Kind: OpRehydrateCell, Cell: 0}
 			}
+			_, err := f.Do(op, seq)
 			results[seq] = outcome{err: err, ok: true}
 		}()
 	}
@@ -594,7 +590,7 @@ func TestFleetDrainFlushesParkedAdminOps(t *testing.T) {
 	if err != nil || again != roll {
 		t.Fatalf("second drain = (%p, %v), want same rollup (%p)", again, err, roll)
 	}
-	if err := f.AddHosts(0, 1, 0, 61); !errors.Is(err, ErrDraining) {
+	if _, err := f.Do(Op{Kind: OpAddHosts, Cell: 0, N: 1}, 61); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-drain admin op: %v, want ErrDraining", err)
 	}
 }
@@ -707,7 +703,7 @@ func TestTopologyRoutingElasticity(t *testing.T) {
 		if len(victims) != 1 || victims[0] != r.ID {
 			t.Fatalf("merge victims = %v, want [%d]", victims, r.ID)
 		}
-		if c, ok := topo.routeExit(r.ID); !ok || c != 1 {
+		if c, ok := topo.Exit(r.ID); !ok || c != 1 {
 			t.Fatalf("post-merge exit routed to (%d, %v), want (1, true)", c, ok)
 		}
 		// The retired cell is terminal.
@@ -717,8 +713,8 @@ func TestTopologyRoutingElasticity(t *testing.T) {
 		if _, err := topo.merge(0, 1); err == nil {
 			t.Fatal("second merge of a retired cell succeeded")
 		}
-		if topo.hosts[0] != 0 || topo.hosts[1] != 4 {
-			t.Fatalf("merge left hosts %v, want [0 4]", topo.hosts)
+		if topo.Hosts[0] != 0 || topo.Hosts[1] != 4 {
+			t.Fatalf("merge left hosts %v, want [0 4]", topo.Hosts)
 		}
 	})
 

@@ -2,9 +2,7 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,41 +11,57 @@ import (
 	"lava/internal/cluster"
 	"lava/internal/metrics"
 	"lava/internal/ptrace"
-	"lava/internal/resources"
-	"lava/internal/runner"
 	"lava/internal/scheduler"
 	"lava/internal/sim"
 	"lava/internal/slo"
 	"lava/internal/trace"
 )
 
-// FleetConfig configures a Fleet. The geometry fields describe the whole
-// federation; hosts are split across cells exactly as cell.SplitHosts does
-// for offline sharding, which is what makes a served fleet comparable —
-// byte-for-byte — to cell.PlanCells + per-cell sim.Run.
+// FleetConfig configures a Fleet: the single-server Config every cell is
+// built from, plus the federation dimensions. The embedded geometry
+// describes the whole federation; Hosts is the total, split across cells
+// exactly as cell.SplitHosts does for offline sharding, which is what makes
+// a served fleet comparable — byte-for-byte — to cell.PlanCells + per-cell
+// sim.Run. Each cell's Config is a copy of the embedded one with its own
+// pool name and host count (see cellConfig), so a per-cell setting added to
+// Config reaches fleet cells without being spelled out here. What a fleet
+// reads differently:
+//
+//   - Horizon: parity with offline sharding requires an explicit one — a zero
+//     horizon makes each offline cell measure until its own last exit, which
+//     no front-end can know in advance.
+//   - Policy and Injectors are per event loop and come from the NewPolicy and
+//     NewInjectors factories; values set on the embedded Config are ignored.
+//   - Memo is one table shared by all cells' policies: the key space is
+//     (features, uptime), which no cell split changes.
+//   - TraceK/TraceCap arm one decision ring per cell (there is no useful
+//     global interleaving — cells are independent event loops), queryable via
+//     /trace?cell=N or rolled up by /trace. TraceOut is ignored: per-cell
+//     streams would interleave nondeterministically in one writer.
+//   - SLO enables the fleet's front-door admission gate: every placement is
+//     charged against its class's token bucket under the routing lock, at its
+//     global sequencing turn, before any routing state moves — so the
+//     admit/reject stream is a pure function of the sequenced request order
+//     and the offline script runner reproduces it exactly. Rejections consume
+//     their global routing turn (later sequence numbers never park behind
+//     them) but no cell sequence slot. Cells run with tracking-only SLO
+//     configs behind the gate, so per-class lifecycle counts roll up without
+//     double admission control.
 type FleetConfig struct {
-	PoolName  string
-	Hosts     int // total hosts across the federation
-	HostShape resources.Vector
-
-	// WarmUp and Horizon play their serve.Config roles for every cell.
-	// Fleet parity with offline sharding requires an explicit Horizon: a
-	// zero horizon makes each offline cell measure until its own last exit,
-	// which no front-end can know in advance.
-	WarmUp  time.Duration
-	Horizon time.Duration
+	Config
 
 	// Cells is the number of independent event loops (>= 1). Each owns its
 	// own pool and policy and runs on its own goroutine, so a fleet is
 	// parallel across cores in a way a single Server cannot be.
 	Cells int
 
-	// Router picks how placements map to cells: "round-robin" and
-	// "feature-hash" are the static offline routers applied to the live
-	// stream, "least-utilized" is upgraded online to consult the fleet's
-	// live commitment ledger (admitted minus exited CPU per cell) instead
-	// of the offline router's ground-truth lifetime heap. Empty means
-	// feature-hash.
+	// Router picks how placements map to cells: "round-robin",
+	// "feature-hash" or "least-utilized" (cell.RouterKinds); empty means
+	// feature-hash. All three run on the one cell.Ledger that cell.Shard
+	// walks offline, so a replayed trace routes byte-identically online and
+	// offline under any of them; they differ from an offline sharding only
+	// for live traffic whose exits are not the trace's (least-utilized
+	// releases a commitment when the exit actually arrives).
 	Router string
 
 	// NewPolicy builds the policy instance for one cell. Policies carry
@@ -55,54 +69,19 @@ type FleetConfig struct {
 	// factory rather than a value.
 	NewPolicy func(cellIdx int) (scheduler.Policy, error)
 
-	// TickEvery, SampleEvery and QueueDepth are per-cell serve.Config
-	// settings.
-	TickEvery   time.Duration
-	SampleEvery time.Duration
-	QueueDepth  int
-
-	// Injectors builds the injector set for one cell (e.g. a scenario
+	// NewInjectors builds the injector set for one cell (e.g. a scenario
 	// spec's per-cell injectors). Like NewPolicy it is a factory, not a
 	// value: injectors carry per-cell RNG state and must never be shared
 	// across event loops. Cells created later by SplitCell call it with
 	// their new index. Nil means no injectors.
-	Injectors func(cellIdx int) []sim.Injector
-
-	// Memo is the prediction cache shared by all cells' policies, if the
-	// caller memoized the predictor. One table serves the whole fleet: the
-	// key space is (features, uptime), which no cell split changes.
-	Memo *MemoPredictor
-
-	// TraceK and TraceCap are the per-cell serve.Config tracing settings:
-	// each cell records its own decision stream (there is no useful global
-	// interleaving — cells are independent event loops), queryable via
-	// /trace?cell=N or rolled up by /trace.
-	TraceK   int
-	TraceCap int
-
-	// SLO enables the fleet's front-door admission gate: every placement is
-	// charged against its class's token bucket under the routing lock, at
-	// its global sequencing turn, before any routing state moves — so the
-	// admit/reject stream is a pure function of the sequenced request order
-	// and the offline script runner reproduces it exactly. Rejections
-	// consume their global routing turn (later sequence numbers never park
-	// behind them) but no cell sequence slot. Cells run with tracking-only
-	// SLO configs behind the gate, so per-class lifecycle counts roll up
-	// without double admission control.
-	SLO *slo.Config
+	NewInjectors func(cellIdx int) []sim.Injector
 }
 
 // FleetFromTrace derives the federation geometry from a trace header, with
 // the trace's measurement end as every cell's horizon (the offline
 // equivalent: cell.Shard copies the base horizon into each cell).
 func FleetFromTrace(tr *trace.Trace) FleetConfig {
-	return FleetConfig{
-		PoolName:  tr.PoolName,
-		Hosts:     tr.Hosts,
-		HostShape: tr.HostShape(),
-		WarmUp:    tr.WarmUp,
-		Horizon:   tr.End(),
-	}
+	return FleetConfig{Config: FromTrace(tr)}
 }
 
 // Fleet federates N per-cell Servers behind one front-end with the same
@@ -150,7 +129,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	f.cond = sync.NewCond(&f.mu)
 	var err error
-	if f.topo, err = newLedger(&f.cfg, f.addCellLocked); err != nil {
+	if f.topo, err = fleetTopology(&f.cfg, f.addCellLocked); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -159,7 +138,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 }
 
 // addCellLocked builds and starts the Server of cell idx and appends it to
-// the cell set: the ledger's grow hook, called for the original cells and,
+// the cell set: the topology's grow hook, called for the original cells and,
 // under the fleet mutex, for every cell a split carves out.
 func (f *Fleet) addCellLocked(idx, hosts int) error {
 	cc, err := cellConfig(&f.cfg, idx, hosts)
@@ -176,7 +155,7 @@ func (f *Fleet) addCellLocked(idx, hosts int) error {
 }
 
 // RouterName reports the active routing discipline.
-func (f *Fleet) RouterName() string { return f.topo.kind }
+func (f *Fleet) RouterName() string { return f.topo.Kind }
 
 // Cells reports the number of cells, including retired ones.
 func (f *Fleet) Cells() int {
@@ -190,7 +169,7 @@ func (f *Fleet) Cells() int {
 func (f *Fleet) CellHosts() []int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([]int(nil), f.topo.hosts...)
+	return append([]int(nil), f.topo.Hosts...)
 }
 
 // snapshotCells copies the cell set and retirement flags under the lock;
@@ -365,40 +344,11 @@ func (f *Fleet) Snapshot() (FleetSnapshot, error) {
 	return out, err
 }
 
-// FleetStats is the /stats payload of a fleet: summed serving counters over
-// the federation plus the per-cell breakdown.
-type FleetStats struct {
-	Pool       string        `json:"pool"`
-	Policy     string        `json:"policy"`
-	Router     string        `json:"router"`
-	CellCount  int           `json:"cells"`
-	Hosts      int           `json:"hosts"`
-	VMs        int           `json:"vms"`
-	NowNS      time.Duration `json:"now_ns"` // furthest cell clock
-	Placements int           `json:"placements"`
-	Exits      int           `json:"exits"`
-	Failed     int           `json:"failed"`
-	ModelCalls int64         `json:"model_calls,omitempty"`
-	QueueDepth int           `json:"queue_depth"`
-	// Pending counts sequenced requests parked fleet-wide: in the global
-	// sequencer and in every cell's reorder buffer.
-	Pending  int  `json:"pending_seq"`
-	Draining bool `json:"draining"`
-	// Retired lists cells merged away by elasticity ops: still visible in
-	// CellStats (their counters are real history) but excluded from the
-	// Hosts/VMs/NowNS totals — their capacity moved to the surviving cell.
-	Retired []int      `json:"retired_cells,omitempty"`
-	Memo    *MemoStats `json:"memo,omitempty"`
-	// SLO merges the front-door gate's admission counters with the cells'
-	// per-class lifecycle counts (omitted when the SLO layer is off).
-	SLO       *slo.Summary `json:"slo,omitempty"`
-	CellStats []Stats      `json:"cell_stats"`
-}
-
-// Stats gathers per-cell serving counters and rolls them up.
-func (f *Fleet) Stats() (FleetStats, error) {
+// Stats gathers every cell's leaf concurrently and rolls them up into the
+// node (the Stats type says what sums and what excludes retired cells).
+func (f *Fleet) Stats() (Stats, error) {
 	cells, retired := f.snapshotCells()
-	st := FleetStats{
+	st := Stats{
 		Pool:      f.cfg.PoolName,
 		Policy:    f.policy,
 		Router:    f.RouterName(),
@@ -412,7 +362,7 @@ func (f *Fleet) Stats() (FleetStats, error) {
 		return err
 	})
 	if err != nil {
-		return FleetStats{}, err
+		return Stats{}, err
 	}
 	for c, s := range st.CellStats {
 		if retired[c] {
@@ -420,9 +370,8 @@ func (f *Fleet) Stats() (FleetStats, error) {
 		} else {
 			st.Hosts += s.Hosts
 			st.VMs += s.VMs
-			if s.NowNS > st.NowNS {
-				st.NowNS = s.NowNS
-			}
+			st.NowNS = max(st.NowNS, s.NowNS)
+			st.HorizonNS = s.HorizonNS // one horizon, shared by every cell
 		}
 		st.Placements += s.Placements
 		st.Exits += s.Exits
@@ -511,7 +460,7 @@ func (f *Fleet) Drain() (*cell.Rollup, error) {
 	f.cond.Broadcast()
 	closed := f.closed
 	cells := append([]*Server(nil), f.cells...)
-	hosts := append([]int(nil), f.topo.hosts...)
+	hosts := append([]int(nil), f.topo.Hosts...)
 	f.mu.Unlock()
 	if closed {
 		f.mu.Lock()
@@ -548,144 +497,28 @@ func (f *Fleet) Drain() (*cell.Rollup, error) {
 	return roll, err
 }
 
-// FleetDrainResponse is the wire form of a fleet drain: the single-server
-// DrainResponse fields hold the host-weighted fleet rollup (so single-pool
-// clients keep working unchanged), and the federation breakdown rides
-// alongside.
-type FleetDrainResponse struct {
-	Pool      string          `json:"pool"`
-	Policy    string          `json:"policy"`
-	Metrics   *runner.Metrics `json:"metrics"`
-	SeriesLen int             `json:"series_len"`
+// Handler returns the fleet's HTTP API: the route table of routes — a
+// single Server's endpoints with node payloads — plus the /admin elasticity
+// surface, since a Fleet can Do.
+func (f *Fleet) Handler() http.Handler { return routes(f) }
 
-	Router     string          `json:"router,omitempty"`
-	Hosts      []int           `json:"hosts,omitempty"`
-	UtilSpread float64         `json:"util_spread,omitempty"`
-	Cells      []DrainResponse `json:"cells,omitempty"`
-}
+func (f *Fleet) snapshot() (any, error) { return f.Snapshot() }
 
-// drainResponse assembles the wire payload from a rollup.
-func (f *Fleet) drainResponse(roll *cell.Rollup) FleetDrainResponse {
-	return FleetReportOf(f.cfg.PoolName, f.policy, roll)
-}
-
-// Handler returns the fleet's HTTP API — the same six endpoints a single
-// Server exposes, with rolled-up payloads where the federation shows:
-//
-//	POST /place    PlaceRequest  -> PlaceResponse (routed to a cell)
-//	POST /exit     ExitRequest   -> ExitResponse  (follows the VM's cell)
-//	POST /tick     TickRequest   -> TickResponse  (fan-out)
-//	GET  /stats                  -> FleetStats
-//	GET  /snapshot               -> FleetSnapshot
-//	GET  /trace                  -> FleetTraceResponse
-//	POST /drain                  -> FleetDrainResponse
-//
-// /trace takes the single-server filter parameters plus cell=N to restrict
-// the query to one cell; without it every cell answers, in cell order.
-//
-// The /admin endpoints are the fleet elasticity surface; each op is
-// sequenced through the same global sequencer as the request stream:
-//
-//	POST /admin/add-hosts      AdminAddHostsRequest   -> AdminOKResponse
-//	POST /admin/remove-host    AdminRemoveHostRequest -> AdminOKResponse
-//	POST /admin/drain-cell     AdminCellRequest       -> AdminOKResponse
-//	POST /admin/rehydrate-cell AdminCellRequest       -> AdminOKResponse
-//	POST /admin/split-cell     AdminSplitRequest      -> AdminSplitResponse
-//	POST /admin/merge-cells    AdminMergeRequest      -> AdminOKResponse
-//	POST /admin/rebalance      AdminRebalanceRequest  -> AdminRebalanceResponse
-func (f *Fleet) Handler() http.Handler {
-	mux := http.NewServeMux()
-	requestRoutes(mux, f)
-	mux.HandleFunc("/stats", noBody(http.MethodGet, f.Stats))
-	mux.HandleFunc("/snapshot", noBody(http.MethodGet, f.Snapshot))
-	mux.HandleFunc("/trace", f.handleTrace)
-	mux.HandleFunc("/drain", noBody(http.MethodPost, func() (FleetDrainResponse, error) {
-		roll, err := f.Drain()
-		if err != nil {
-			return FleetDrainResponse{}, err
-		}
-		return f.drainResponse(roll), nil
-	}))
-	ok := AdminOKResponse{OK: true}
-	mux.HandleFunc("/admin/add-hosts", post((*AdminAddHostsRequest).validate, func(q AdminAddHostsRequest) (AdminOKResponse, error) {
-		return ok, f.AddHosts(q.Cell, q.N, q.At, q.Seq)
-	}))
-	mux.HandleFunc("/admin/remove-host", post(nil, func(q AdminRemoveHostRequest) (AdminOKResponse, error) {
-		return ok, f.RemoveHost(q.Cell, q.Host, q.At, q.Seq)
-	}))
-	mux.HandleFunc("/admin/drain-cell", post(nil, func(q AdminCellRequest) (AdminOKResponse, error) {
-		return ok, f.DrainCell(q.Cell, q.Seq)
-	}))
-	mux.HandleFunc("/admin/rehydrate-cell", post(nil, func(q AdminCellRequest) (AdminOKResponse, error) {
-		return ok, f.RehydrateCell(q.Cell, q.Seq)
-	}))
-	mux.HandleFunc("/admin/split-cell", post(nil, func(q AdminSplitRequest) (AdminSplitResponse, error) {
-		idx, err := f.SplitCell(q.Cell, q.N, q.At, q.Seq)
-		return AdminSplitResponse{NewCell: idx}, err
-	}))
-	mux.HandleFunc("/admin/merge-cells", post(nil, func(q AdminMergeRequest) (AdminOKResponse, error) {
-		return ok, f.MergeCells(q.From, q.Into, q.At, q.Seq)
-	}))
-	mux.HandleFunc("/admin/rebalance", post(nil, func(q AdminRebalanceRequest) (AdminRebalanceResponse, error) {
-		moves, err := f.Rebalance(q.MaxMoves, q.At, q.Seq)
-		return AdminRebalanceResponse{Moves: moves}, err
-	}))
-	return mux
-}
-
-// CellTracer returns cell c's decision recorder, nil when tracing is
-// disabled or c is out of range.
-func (f *Fleet) CellTracer(c int) *ptrace.Recorder {
-	cells, _ := f.snapshotCells()
-	if c < 0 || c >= len(cells) {
-		return nil
-	}
-	return cells[c].Tracer()
-}
-
-// CellTrace is one cell's page of a fleet trace query.
-type CellTrace struct {
-	Cell int `json:"cell"`
-	ptrace.QueryResult
-}
-
-// FleetTraceResponse is the /trace payload of a fleet: one filtered page
-// per queried cell.
-type FleetTraceResponse struct {
-	Cells []CellTrace `json:"cells"`
-}
-
-func (f *Fleet) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodErr(w)
-		return
-	}
-	if f.cfg.TraceK <= 0 {
-		writeStatus(w, http.StatusNotFound, errors.New("serve: tracing disabled (set TraceK)"))
-		return
-	}
-	flt, err := traceFilter(r)
+func (f *Fleet) drainReport() (DrainResponse, error) {
+	roll, err := f.Drain()
 	if err != nil {
-		writeStatus(w, http.StatusBadRequest, err)
-		return
+		return DrainResponse{}, err
 	}
-	servers, _ := f.snapshotCells()
-	cells := make([]int, 0, len(servers))
-	if v := r.URL.Query().Get("cell"); v != "" {
-		c, err := strconv.Atoi(v)
-		if err != nil || c < 0 || c >= len(servers) {
-			writeStatus(w, http.StatusBadRequest, fmt.Errorf("serve: bad cell %q (fleet has %d)", v, len(servers)))
-			return
-		}
-		cells = append(cells, c)
-	} else {
-		for c := range servers {
-			cells = append(cells, c)
-		}
+	return FleetReportOf(f.cfg.PoolName, f.policy, roll), nil
+}
+
+// tracers returns every cell's decision recorder, in cell order (nil
+// entries when tracing is disabled).
+func (f *Fleet) tracers() ([]*ptrace.Recorder, bool) {
+	cells, _ := f.snapshotCells()
+	recs := make([]*ptrace.Recorder, len(cells))
+	for c, s := range cells {
+		recs[c] = s.tracer
 	}
-	out := FleetTraceResponse{Cells: make([]CellTrace, 0, len(cells))}
-	for _, c := range cells {
-		out.Cells = append(out.Cells, CellTrace{Cell: c, QueryResult: servers[c].Tracer().Query(flt)})
-	}
-	writeJSON(w, out)
+	return recs, true
 }

@@ -25,9 +25,7 @@ import (
 func bestFitFleet(t *testing.T, hosts, cells int, router string, shape resources.Vector) *Fleet {
 	t.Helper()
 	f, err := NewFleet(FleetConfig{
-		PoolName:  "fleet-test",
-		Hosts:     hosts,
-		HostShape: shape,
+		Config:    Config{PoolName: "fleet-test", Hosts: hosts, HostShape: shape},
 		Cells:     cells,
 		Router:    router,
 		NewPolicy: func(int) (scheduler.Policy, error) { return scheduler.NewBestFit(), nil },
@@ -42,8 +40,9 @@ func bestFitFleet(t *testing.T, hosts, cells int, router string, shape resources
 // trace through the fleet's HTTP API — concurrent sequence-numbered
 // clients, prediction memo-cache on — produces per-cell final aggregates
 // byte-identical to sharding the same trace offline with cell.PlanCells and
-// running every shard through sim.Run, for each statically routed router
-// kind.
+// running every shard through sim.Run, for every router kind (the ledger
+// PlanCells shards through is itself pinned to the three pre-ledger routers
+// by internal/cell's TestShardMembershipPinned).
 func TestFleetReplayParity(t *testing.T) {
 	const cells = 4
 	tr := smallTrace(t, 16, 3, 7)
@@ -53,7 +52,7 @@ func TestFleetReplayParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, router := range []string{"round-robin", "feature-hash"} {
+	for _, router := range cell.RouterKinds() {
 		t.Run(router, func(t *testing.T) {
 			// Offline reference: shard, then replay every cell.
 			plan, err := cell.PlanCells(tr, router, cells)
@@ -95,10 +94,10 @@ func TestFleetReplayParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep.FleetFinal == nil {
-				t.Fatal("fleet replay returned no federation breakdown")
+			if rep.Final == nil {
+				t.Fatal("fleet replay returned no drain report")
 			}
-			fd := rep.FleetFinal
+			fd := rep.Final
 			if len(fd.Cells) != cells {
 				t.Fatalf("drain reported %d cells, want %d", len(fd.Cells), cells)
 			}
@@ -126,17 +125,7 @@ func TestFleetReplayParity(t *testing.T) {
 
 			// Fleet-level rollup parity against cell.RollUp over the
 			// offline results.
-			wantRoll, err := json.Marshal(&runner.Metrics{
-				AvgEmptyHostFrac:  offRoll.AvgEmptyHostFrac,
-				AvgEmptyToFree:    offRoll.AvgEmptyToFree,
-				AvgPackingDensity: offRoll.AvgPackingDensity,
-				AvgCPUUtil:        offRoll.AvgCPUUtil,
-				Placements:        offRoll.Placements,
-				Exits:             offRoll.Exits,
-				Failed:            offRoll.Failed,
-				Killed:            offRoll.Killed,
-				ModelCalls:        offRoll.ModelCalls,
-			})
+			wantRoll, err := json.Marshal(&offRoll.Aggregates)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -336,13 +325,11 @@ func TestFleetTickDoesNotSerializeCells(t *testing.T) {
 	cell1Ticked := make(chan struct{})
 	var once sync.Once
 	f, err := NewFleet(FleetConfig{
-		PoolName:  "fleet-test",
-		Hosts:     4,
-		HostShape: resources.Vector{CPUMilli: 1000, MemoryMB: 1000},
+		Config:    Config{PoolName: "fleet-test", Hosts: 4, HostShape: resources.Vector{CPUMilli: 1000, MemoryMB: 1000}},
 		Cells:     2,
 		Router:    "round-robin",
 		NewPolicy: func(int) (scheduler.Policy, error) { return scheduler.NewBestFit(), nil },
-		Injectors: func(c int) []sim.Injector {
+		NewInjectors: func(c int) []sim.Injector {
 			if c == 0 {
 				return []sim.Injector{injectFunc(func(time.Duration) { <-held })}
 			}
@@ -355,7 +342,7 @@ func TestFleetTickDoesNotSerializeCells(t *testing.T) {
 	defer f.Close()
 	defer release() // runs before Close, which waits for cell 0's loop
 	// Placements route to cell 1 only.
-	if err := f.DrainCell(0, 0); err != nil {
+	if _, err := f.Do(Op{Kind: OpDrainCell, Cell: 0}, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -559,17 +546,19 @@ func TestFleetCloseUnblocksParked(t *testing.T) {
 
 // TestNewFleetValidation pins the constructor's error cases.
 func TestNewFleetValidation(t *testing.T) {
-	shape := resources.Vector{CPUMilli: 1000, MemoryMB: 1000, SSDGB: 0}
+	geo := func(hosts int) Config {
+		return Config{Hosts: hosts, HostShape: resources.Vector{CPUMilli: 1000, MemoryMB: 1000, SSDGB: 0}}
+	}
 	pol := func(int) (scheduler.Policy, error) { return scheduler.NewBestFit(), nil }
 	cases := []struct {
 		name string
 		cfg  FleetConfig
 	}{
-		{"no cells", FleetConfig{Hosts: 4, HostShape: shape, NewPolicy: pol}},
-		{"too many cells", FleetConfig{Hosts: 2, HostShape: shape, Cells: 4, NewPolicy: pol}},
-		{"no factory", FleetConfig{Hosts: 4, HostShape: shape, Cells: 2}},
-		{"bad router", FleetConfig{Hosts: 4, HostShape: shape, Cells: 2, Router: "nope", NewPolicy: pol}},
-		{"nil policy", FleetConfig{Hosts: 4, HostShape: shape, Cells: 2,
+		{"no cells", FleetConfig{Config: geo(4), NewPolicy: pol}},
+		{"too many cells", FleetConfig{Config: geo(2), Cells: 4, NewPolicy: pol}},
+		{"no factory", FleetConfig{Config: geo(4), Cells: 2}},
+		{"bad router", FleetConfig{Config: geo(4), Cells: 2, Router: "nope", NewPolicy: pol}},
+		{"nil policy", FleetConfig{Config: geo(4), Cells: 2,
 			NewPolicy: func(int) (scheduler.Policy, error) { return nil, nil }}},
 	}
 	for _, tc := range cases {
@@ -584,8 +573,7 @@ func TestNewFleetValidation(t *testing.T) {
 // cell, not the sum.
 func BenchmarkFleetTick(b *testing.B) {
 	f, err := NewFleet(FleetConfig{
-		Hosts:     16384,
-		HostShape: resources.Vector{CPUMilli: 64000, MemoryMB: 256000},
+		Config:    Config{Hosts: 16384, HostShape: resources.Vector{CPUMilli: 64000, MemoryMB: 256000}},
 		Cells:     8,
 		Router:    "round-robin",
 		NewPolicy: func(int) (scheduler.Policy, error) { return scheduler.NewBestFit(), nil },

@@ -59,15 +59,29 @@ type TickResponse struct {
 	Now time.Duration `json:"now_ns"`
 }
 
-// DrainResponse is the final report of a served run: the identity of the
-// run plus the exact aggregate metrics an offline replay of the same event
-// stream produces.
+// DrainResponse is the final report of a served run, one recursive type for
+// both shapes of the service: the identity of the run plus the exact
+// aggregate metrics an offline replay of the same event stream produces. A
+// Server answers a leaf. A Fleet answers a node: the leaf fields hold the
+// host-weighted fleet rollup (so single-pool clients keep working
+// unchanged), and the federation breakdown — router, per-cell host counts,
+// utilization spread, one leaf per cell — rides alongside, omitted from a
+// leaf.
 type DrainResponse struct {
 	Pool      string          `json:"pool"`
 	Policy    string          `json:"policy"`
 	Metrics   *runner.Metrics `json:"metrics"`
 	SeriesLen int             `json:"series_len"`
+
+	Router     string          `json:"router,omitempty"`
+	Hosts      []int           `json:"hosts,omitempty"`
+	UtilSpread float64         `json:"util_spread,omitempty"`
+	Cells      []DrainResponse `json:"cells,omitempty"`
 }
+
+// FleetDrainResponse is DrainResponse; the name is kept as an alias only
+// because bench/ (which this repo's changes may not edit) spells it.
+type FleetDrainResponse = DrainResponse
 
 // errorBody is the JSON error envelope. Admission rejections (HTTP 429)
 // additionally carry the request's SLO class and the virtual time at which
@@ -79,40 +93,21 @@ type errorBody struct {
 	RetryAtNS time.Duration `json:"retry_at_ns,omitempty"`
 }
 
-// Handler returns the HTTP API:
-//
-//	POST /place    PlaceRequest  -> PlaceResponse
-//	POST /exit     ExitRequest   -> ExitResponse
-//	POST /tick     TickRequest   -> TickResponse
-//	GET  /stats                  -> Stats
-//	GET  /snapshot               -> metrics.Sample
-//	GET  /trace                  -> ptrace.QueryResult
-//	POST /drain                  -> DrainResponse
-//
-// /trace filters with query parameters: vm and host select decisions
-// touching one VM/host ID, from_ns/to_ns bound the virtual-time window
-// (inclusive), and after/limit paginate (pass the response's next_after
-// back as after while more holds). It answers 404 when tracing is disabled
-// (Config.TraceK == 0).
-//
-// Errors come back as {"error": "..."} with 400 for malformed or invalid
-// payloads, 405 for wrong methods, 409 for sequencing conflicts, 413 for
-// bodies over 1 MiB, and 503 once the server is draining or closed.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	requestRoutes(mux, s)
-	mux.HandleFunc("/stats", noBody(http.MethodGet, s.Stats))
-	mux.HandleFunc("/snapshot", noBody(http.MethodGet, s.Snapshot))
-	mux.HandleFunc("/trace", s.handleTrace)
-	mux.HandleFunc("/drain", noBody(http.MethodPost, func() (DrainResponse, error) {
-		res, err := s.Drain()
-		if err != nil {
-			return DrainResponse{}, err
-		}
-		return drainResponseOf(res), nil
-	}))
-	return mux
+// Handler returns the server's HTTP API: the route table of routes, with
+// leaf payloads.
+func (s *Server) Handler() http.Handler { return routes(s) }
+
+func (s *Server) snapshot() (any, error) { return s.Snapshot() }
+
+func (s *Server) drainReport() (DrainResponse, error) {
+	res, err := s.Drain()
+	if err != nil {
+		return DrainResponse{}, err
+	}
+	return drainResponseOf(res), nil
 }
+
+func (s *Server) tracers() ([]*ptrace.Recorder, bool) { return []*ptrace.Recorder{s.tracer}, false }
 
 // drainResponseOf projects one machine's final result into its wire form.
 func drainResponseOf(res *sim.Result) DrainResponse {
@@ -131,38 +126,158 @@ type placer interface {
 	Tick(at time.Duration, seq uint64) (time.Duration, error)
 }
 
-// requestRoutes registers the request-stream endpoints, identical on a
-// Server and a Fleet.
-func requestRoutes(mux *http.ServeMux, p placer) {
+// backend is what the route table fronts: a Server (a leaf) or a Fleet (a
+// node over its cells' leaves). The payload types are shared and recursive,
+// so the table does not know which one it serves.
+type backend interface {
+	placer
+	Stats() (Stats, error)
+	snapshot() (any, error) // leaf: metrics.Sample; node: FleetSnapshot
+	drainReport() (DrainResponse, error)
+	// tracers lists the decision recorders, one for a leaf and one per cell
+	// for a node (node reports which); entries are nil when tracing is off.
+	tracers() (recs []*ptrace.Recorder, node bool)
+}
+
+// doer is a backend that executes fleet operations; routes gives it the
+// /admin surface.
+type doer interface {
+	Do(op Op, seq uint64) (OpResult, error)
+}
+
+// routes builds the one route table both Handler methods return:
+//
+//	POST /place    PlaceRequest  -> PlaceResponse (a node routes it to a cell)
+//	POST /exit     ExitRequest   -> ExitResponse  (a node follows the VM's cell)
+//	POST /tick     TickRequest   -> TickResponse  (a node fans out)
+//	GET  /stats                  -> Stats
+//	GET  /snapshot               -> metrics.Sample | FleetSnapshot
+//	GET  /trace                  -> ptrace.QueryResult | FleetTraceResponse
+//	POST /drain                  -> DrainResponse
+//
+// /trace filters with query parameters: vm and host select decisions
+// touching one VM/host ID, from_ns/to_ns bound the virtual-time window
+// (inclusive), and after/limit paginate (pass the response's next_after
+// back as after while more holds). A node additionally takes cell=N to
+// restrict the query to one cell; without it every cell answers, in cell
+// order. It answers 404 when tracing is disabled (Config.TraceK == 0).
+//
+// A backend that can Do also gets the elasticity surface; each op is
+// sequenced through the same global sequencer as the request stream:
+//
+//	POST /admin/add-hosts      AdminAddHostsRequest   -> AdminOKResponse
+//	POST /admin/remove-host    AdminRemoveHostRequest -> AdminOKResponse
+//	POST /admin/drain-cell     AdminCellRequest       -> AdminOKResponse
+//	POST /admin/rehydrate-cell AdminCellRequest       -> AdminOKResponse
+//	POST /admin/split-cell     AdminSplitRequest      -> AdminSplitResponse
+//	POST /admin/merge-cells    AdminMergeRequest      -> AdminOKResponse
+//	POST /admin/rebalance      AdminRebalanceRequest  -> AdminRebalanceResponse
+//
+// Errors come back as {"error": "..."} with 400 for malformed or invalid
+// payloads, 405 for wrong methods, 409 for sequencing conflicts, 413 for
+// bodies over 1 MiB, 429 for admission rejections and 503 once the backend
+// is draining or closed.
+func routes(b backend) http.Handler {
+	mux := http.NewServeMux()
 	mux.HandleFunc("/place", post((*PlaceRequest).validate, func(q PlaceRequest) (PlaceResponse, error) {
-		host, placed, err := p.Place(q.Record, q.At, q.Seq)
+		host, placed, err := b.Place(q.Record, q.At, q.Seq)
 		return PlaceResponse{Host: host, Placed: placed}, err
 	}))
 	mux.HandleFunc("/exit", post(nil, func(q ExitRequest) (ExitResponse, error) {
-		removed, err := p.ExitVM(q.ID, q.At, q.Seq)
+		removed, err := b.ExitVM(q.ID, q.At, q.Seq)
 		return ExitResponse{Removed: removed}, err
 	}))
 	mux.HandleFunc("/tick", post(nil, func(q TickRequest) (TickResponse, error) {
-		now, err := p.Tick(q.At, q.Seq)
+		now, err := b.Tick(q.At, q.Seq)
 		return TickResponse{Now: now}, err
 	}))
+	mux.HandleFunc("/stats", noBody(http.MethodGet, b.Stats))
+	mux.HandleFunc("/snapshot", noBody(http.MethodGet, b.snapshot))
+	mux.HandleFunc("/trace", traceHandler(b))
+	mux.HandleFunc("/drain", noBody(http.MethodPost, b.drainReport))
+	d, ok := b.(doer)
+	if !ok {
+		return mux
+	}
+	admin := func(op Op, seq uint64) (AdminOKResponse, error) {
+		_, err := d.Do(op, seq)
+		return AdminOKResponse{OK: true}, err
+	}
+	mux.HandleFunc("/admin/add-hosts", post((*AdminAddHostsRequest).validate, func(q AdminAddHostsRequest) (AdminOKResponse, error) {
+		return admin(Op{Kind: OpAddHosts, Cell: q.Cell, N: q.N, At: q.At}, q.Seq)
+	}))
+	mux.HandleFunc("/admin/remove-host", post(nil, func(q AdminRemoveHostRequest) (AdminOKResponse, error) {
+		return admin(Op{Kind: OpRemoveHost, Cell: q.Cell, Host: q.Host, At: q.At}, q.Seq)
+	}))
+	mux.HandleFunc("/admin/drain-cell", post(nil, func(q AdminCellRequest) (AdminOKResponse, error) {
+		return admin(Op{Kind: OpDrainCell, Cell: q.Cell}, q.Seq)
+	}))
+	mux.HandleFunc("/admin/rehydrate-cell", post(nil, func(q AdminCellRequest) (AdminOKResponse, error) {
+		return admin(Op{Kind: OpRehydrateCell, Cell: q.Cell}, q.Seq)
+	}))
+	mux.HandleFunc("/admin/split-cell", post(nil, func(q AdminSplitRequest) (AdminSplitResponse, error) {
+		res, err := d.Do(Op{Kind: OpSplitCell, Cell: q.Cell, N: q.N, At: q.At}, q.Seq)
+		return AdminSplitResponse{NewCell: res.NewCell}, err
+	}))
+	mux.HandleFunc("/admin/merge-cells", post(nil, func(q AdminMergeRequest) (AdminOKResponse, error) {
+		return admin(Op{Kind: OpMergeCells, Cell: q.From, Into: q.Into, At: q.At}, q.Seq)
+	}))
+	mux.HandleFunc("/admin/rebalance", post(nil, func(q AdminRebalanceRequest) (AdminRebalanceResponse, error) {
+		res, err := d.Do(Op{Kind: OpRebalance, N: q.MaxMoves, At: q.At}, q.Seq)
+		return AdminRebalanceResponse{Moves: res.Moves}, err
+	}))
+	return mux
 }
 
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodErr(w)
-		return
+// CellTrace is one cell's page of a node's trace query.
+type CellTrace struct {
+	Cell int `json:"cell"`
+	ptrace.QueryResult
+}
+
+// FleetTraceResponse is the /trace payload of a node: one filtered page per
+// queried cell.
+type FleetTraceResponse struct {
+	Cells []CellTrace `json:"cells"`
+}
+
+// traceHandler is the one /trace handler: a leaf answers its recorder's
+// page, a node one page per queried cell.
+func traceHandler(b backend) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			methodErr(w)
+			return
+		}
+		recs, node := b.tracers()
+		if recs[0] == nil {
+			writeStatus(w, http.StatusNotFound, errors.New("serve: tracing disabled (set TraceK)"))
+			return
+		}
+		flt, err := traceFilter(r)
+		if err != nil {
+			writeStatus(w, http.StatusBadRequest, err)
+			return
+		}
+		if !node {
+			writeJSON(w, recs[0].Query(flt))
+			return
+		}
+		lo, hi := 0, len(recs)
+		if v := r.URL.Query().Get("cell"); v != "" {
+			c, err := strconv.Atoi(v)
+			if err != nil || c < 0 || c >= len(recs) {
+				writeStatus(w, http.StatusBadRequest, fmt.Errorf("serve: bad cell %q (fleet has %d)", v, len(recs)))
+				return
+			}
+			lo, hi = c, c+1
+		}
+		out := FleetTraceResponse{Cells: make([]CellTrace, 0, hi-lo)}
+		for c := lo; c < hi; c++ {
+			out.Cells = append(out.Cells, CellTrace{Cell: c, QueryResult: recs[c].Query(flt)})
+		}
+		writeJSON(w, out)
 	}
-	if s.tracer == nil {
-		writeStatus(w, http.StatusNotFound, errors.New("serve: tracing disabled (set TraceK)"))
-		return
-	}
-	f, err := traceFilter(r)
-	if err != nil {
-		writeStatus(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, s.tracer.Query(f))
 }
 
 // traceFilter parses /trace query parameters into a ptrace.Filter.

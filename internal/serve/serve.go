@@ -146,12 +146,17 @@ type response struct {
 	vm      *cluster.VM    // reqMigrateOut (nil: VM was not running)
 	now     time.Duration  // reqTick
 	sample  metrics.Sample // reqSnapshot
-	stats   Stats          // reqStats
+	stats   *Stats         // reqStats (a pointer: every request's response channel is sized by this struct)
 	final   *sim.Result    // reqDrain
 }
 
-// Stats is the /stats payload: live serving counters plus the machine's
-// position.
+// Stats is the /stats payload, one recursive type for both shapes of the
+// service. A Server answers a leaf: live serving counters plus its machine's
+// position. A Fleet answers a node: the same counters summed over its cells
+// (Hosts, VMs and NowNS — the furthest cell clock — over the live ones), the
+// federation fields, and one leaf per cell in CellStats. The federation
+// fields are omitted from a leaf, so a single server's payload is what it was
+// before there was a fleet.
 type Stats struct {
 	Pool       string               `json:"pool"`
 	Policy     string               `json:"policy"`
@@ -164,15 +169,25 @@ type Stats struct {
 	Failed     int                  `json:"failed"`
 	ModelCalls int64                `json:"model_calls,omitempty"`
 	QueueDepth int                  `json:"queue_depth"`
-	Pending    int                  `json:"pending_seq"` // reorder-buffer occupancy
+	Pending    int                  `json:"pending_seq"` // reorder-buffer occupancy; a node adds its global sequencer's
 	Draining   bool                 `json:"draining"`
-	Latency    *runner.ServingStats `json:"latency,omitempty"`
-	Memo       *MemoStats           `json:"memo,omitempty"`
+	Latency    *runner.ServingStats `json:"latency,omitempty"` // loop-side; leaves only
+	Memo       *MemoStats           `json:"memo,omitempty"`    // a node reports its shared table once, not per cell
 
 	// SLO is the live per-class admission block (counts + Jain fairness);
 	// omitted when the SLO layer is off, so pre-class clients decode the
-	// payload unchanged (superset-decode contract, like DrainFleet).
+	// payload unchanged. A node merges its front-door gate's admission
+	// counters with the cells' per-class lifecycle counts.
 	SLO *slo.Summary `json:"slo,omitempty"`
+
+	// Node fields. Retired lists cells merged away by elasticity ops: still
+	// visible in CellStats (their counters are real history) but excluded
+	// from the Hosts/VMs/NowNS totals — their capacity moved to the
+	// surviving cell.
+	Router    string  `json:"router,omitempty"`
+	CellCount int     `json:"cells,omitempty"`
+	Retired   []int   `json:"retired_cells,omitempty"`
+	CellStats []Stats `json:"cell_stats,omitempty"`
 }
 
 // Server is the online placement service: one event loop, one pool, one
@@ -373,7 +388,10 @@ func (s *Server) Snapshot() (metrics.Sample, error) {
 // Stats reports serving counters.
 func (s *Server) Stats() (Stats, error) {
 	resp := s.submit(newRequest(reqStats))
-	return resp.stats, resp.err
+	if resp.err != nil {
+		return Stats{}, resp.err
+	}
+	return *resp.stats, nil
 }
 
 // Tracer returns the server's decision recorder, nil when tracing is
@@ -539,7 +557,8 @@ func (s *Server) apply(r *request, pendingSeq int) {
 	case reqSnapshot:
 		resp.sample = metrics.Snapshot(s.m.Pool(), s.m.Now())
 	case reqStats:
-		resp.stats = s.statsNow(pendingSeq)
+		st := s.statsNow(pendingSeq)
+		resp.stats = &st
 	default:
 		resp = applyTo(s.m, r)
 		cls := "" // placements split the histogram by class when the SLO layer is on

@@ -203,7 +203,7 @@ func TestHandlers(t *testing.T) {
 		admit *slo.Config
 	}{{"fleet", nil}, {"fleet-gated", &slo.Config{Track: true}}} {
 		f, err := NewFleet(FleetConfig{
-			PoolName: "api", Hosts: 4, HostShape: shape, Cells: 2, Router: "round-robin", SLO: fl.admit,
+			Config: Config{PoolName: "api", Hosts: 4, HostShape: shape, SLO: fl.admit}, Cells: 2, Router: "round-robin",
 			NewPolicy: func(int) (scheduler.Policy, error) { return scheduler.NewBestFit(), nil },
 		})
 		if err != nil {

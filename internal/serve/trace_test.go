@@ -217,7 +217,7 @@ func TestFleetTraceParity(t *testing.T) {
 	}
 
 	for i := 0; i < cells; i++ {
-		rec := fleet.CellTracer(i)
+		rec := fleet.cells[i].Tracer()
 		if rec == nil {
 			t.Fatalf("cell %d has no tracer", i)
 		}

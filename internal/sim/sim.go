@@ -188,6 +188,40 @@ type Config struct {
 	SLO *slo.Config
 }
 
+// Aggregates is the serializable aggregate slice of a run: the post-warm-up
+// packing averages and the lifecycle counters. It is defined once and
+// embedded in Result and in cell.Rollup (host-weighted averages, summed
+// counters); runner.Metrics is an alias, so the BENCH JSON shape, a served
+// /drain and a fleet rollup are one struct and cannot drift field by field.
+type Aggregates struct {
+	// Averages over the post-warm-up window.
+	AvgEmptyHostFrac  float64 `json:"avg_empty_host_frac"`
+	AvgEmptyToFree    float64 `json:"avg_empty_to_free"`
+	AvgPackingDensity float64 `json:"avg_packing_density"`
+	AvgCPUUtil        float64 `json:"avg_cpu_util"`
+
+	Placements int `json:"placements"`
+	Exits      int `json:"exits"`
+	Failed     int `json:"failed"`           // VM requests that found no feasible host
+	Killed     int `json:"killed,omitempty"` // VMs force-exited by scenario injectors (host failures)
+
+	// Elasticity counters: VMs handed to / received from another cell via
+	// MigrateOut/MigrateIn. Deliberately separate from Placements/Exits so
+	// the canonical packing metrics of a rebalanced cell stay comparable to
+	// a static one's.
+	MigratedOut int `json:"migrated_out,omitempty"`
+	MigratedIn  int `json:"migrated_in,omitempty"`
+
+	ModelCalls int64 `json:"model_calls,omitempty"`
+
+	// SLO is the per-class admission summary (nil when Config.SLO was nil
+	// or a no-op): counts per class, Jain fairness over admission rates, and
+	// the multi-objective fitness score with a neutral latency term. Omitted
+	// for runs without the SLO layer so pre-class BENCH documents keep their
+	// exact bytes.
+	SLO *slo.Summary `json:"slo,omitempty"`
+}
+
 // Result summarizes a run.
 type Result struct {
 	PoolName string
@@ -196,29 +230,7 @@ type Result struct {
 	Series *metrics.Series // full series including warm-up
 	WarmUp time.Duration
 
-	// Aggregates over the post-warm-up window.
-	AvgEmptyHostFrac  float64
-	AvgEmptyToFree    float64
-	AvgPackingDensity float64
-	AvgCPUUtil        float64
-
-	Placements int
-	Exits      int
-	Failed     int // VM requests that found no feasible host
-	Killed     int // VMs force-exited by scenario injectors (host failures)
-	ModelCalls int64
-
-	// Elasticity counters: VMs handed to / received from another cell via
-	// MigrateOut/MigrateIn. Deliberately separate from Placements/Exits so
-	// the canonical packing metrics of a rebalanced cell stay comparable to
-	// a static one's.
-	MigratedOut int
-	MigratedIn  int
-
-	// SLO is the per-class admission summary (nil when Config.SLO was nil
-	// or a no-op): counts per class, Jain fairness over admission rates, and
-	// the multi-objective fitness score with a neutral latency term.
-	SLO *slo.Summary `json:",omitempty"`
+	Aggregates
 
 	FinalPool *cluster.Pool
 }

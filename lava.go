@@ -20,6 +20,7 @@ package lava
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -398,24 +399,13 @@ type ServeConfig struct {
 // (Server.Handler) or the typed methods; replaying the same trace through
 // serve.Client.Replay reproduces Simulate's result byte-for-byte.
 func NewServer(tr *Trace, cfg ServeConfig) (*serve.Server, error) {
-	newPol, memo, adm, err := cfg.resolve(nil)
+	sc, newPol, err := cfg.resolve(tr, nil)
 	if err != nil {
 		return nil, err
 	}
-	pol, err := newPol(0)
-	if err != nil {
+	if sc.Policy, err = newPol(0); err != nil {
 		return nil, err
 	}
-	sc := serve.FromTrace(tr)
-	sc.Policy = pol
-	sc.TickEvery = cfg.TickEvery
-	sc.SampleEvery = cfg.SampleEvery
-	sc.QueueDepth = cfg.QueueDepth
-	sc.Memo = memo
-	sc.TraceK = cfg.TraceK
-	sc.TraceCap = cfg.TraceCap
-	sc.TraceOut = cfg.TraceOut
-	sc.SLO = adm
 	return serve.New(sc)
 }
 
@@ -431,45 +421,91 @@ func cacheRefresh(d time.Duration) time.Duration {
 	return d
 }
 
-// resolve turns a ServeConfig's policy-side fields into what a server or a
-// fleet is built from: a policy factory (policies carry mutable caches, so
-// every event loop gets its own instance), the memo table if one was
-// interposed, and the parsed admission config. wrap, when non-nil, goes
-// around the — possibly memoized — predictor.
-func (cfg ServeConfig) resolve(wrap func(Predictor) Predictor) (func(int) (scheduler.Policy, error), *serve.MemoPredictor, *slo.Config, error) {
+// resolve is the one ServeConfig → serve.Config step, shared by a server and
+// a fleet: the trace's geometry plus every serving setting, and — separately,
+// because policies carry mutable caches and every event loop needs its own
+// instance — a policy factory over the possibly memoized predictor. wrap,
+// when non-nil, goes around that predictor.
+func (cfg ServeConfig) resolve(tr *Trace, wrap func(Predictor) Predictor) (serve.Config, func(int) (scheduler.Policy, error), error) {
 	kind := cfg.Policy
 	if kind == "" {
 		kind = PolicyLAVA
 	}
+	sc := serve.FromTrace(tr)
+	sc.TickEvery, sc.SampleEvery, sc.QueueDepth = cfg.TickEvery, cfg.SampleEvery, cfg.QueueDepth
+	sc.TraceK, sc.TraceCap, sc.TraceOut = cfg.TraceK, cfg.TraceCap, cfg.TraceOut
 	pred := cfg.Pred
-	var memo *serve.MemoPredictor
 	if cfg.Memo && pred != nil {
-		memo = serve.Memoize(pred, 0)
-		pred = memo
+		sc.Memo = serve.Memoize(pred, 0)
+		pred = sc.Memo
 	}
 	if wrap != nil && pred != nil {
 		pred = wrap(pred)
 	}
 	refresh := cacheRefresh(cfg.CacheRefresh)
-	adm, err := slo.ParseConfig(cfg.Admission)
-	return func(int) (scheduler.Policy, error) { return newPolicy(kind, pred, refresh) }, memo, adm, err
+	var err error
+	sc.SLO, err = slo.ParseConfig(cfg.Admission)
+	return sc, func(int) (scheduler.Policy, error) { return newPolicy(kind, pred, refresh) }, err
 }
 
-// Serve runs a placement server on addr until ctx is cancelled, then shuts
-// the listener down gracefully and stops the event loop. It blocks for the
-// server's lifetime; the error is http.ErrServerClosed-free (a clean
-// shutdown returns nil).
-func Serve(ctx context.Context, addr string, tr *Trace, cfg ServeConfig) error {
-	srv, err := NewServer(tr, cfg)
-	if err != nil {
+// readHeaderTimeout and idleTimeout bound what a client can hold open
+// without sending: a connection that never finishes its request headers, and
+// a keep-alive connection between requests. Request bodies are bounded by
+// size (serve's 1 MiB cap) and responses may legitimately wait on a parked
+// sequence number, so neither gets a deadline.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the one place the daemon's http.Server is configured.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
+// Serve runs a placement service on addr until ctx is cancelled, then shuts
+// the listener down gracefully and stops the event loops. This is the one
+// place that decides between the two shapes of the service: a config with
+// Cells > 1 or a Scenario (whose tick injectors fire inside a fleet's
+// per-cell event loops, even single-cell) is served by a fleet behind a
+// router, anything else by a single event loop — the same HTTP surface
+// either way, with rolled-up /stats and /drain from a fleet. It blocks for
+// the service's lifetime; a clean shutdown returns nil.
+func Serve(ctx context.Context, addr string, tr *Trace, cfg FleetConfig) error {
+	var handler http.Handler
+	if cfg.Cells > 1 || cfg.Scenario != "" {
+		fleet, err := NewFleet(tr, cfg)
+		if err != nil {
+			return err
+		}
+		defer fleet.Close()
+		handler = fleet.Handler()
+	} else {
+		srv, err := NewServer(tr, cfg.ServeConfig)
+		if err != nil {
+			return err
+		}
+		defer srv.Close()
+		handler = srv.Handler()
+	}
+	hs := newHTTPServer(addr, handler)
+	errc := make(chan error, 1)
+	go func() { errc <- hs.ListenAndServe() }()
+	select {
+	case <-ctx.Done():
+		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		return hs.Shutdown(shutCtx)
+	case err := <-errc:
+		if errors.Is(err, http.ErrServerClosed) {
+			return nil
+		}
 		return err
 	}
-	defer srv.Close()
-	return serveHTTP(ctx, addr, srv.Handler())
 }
 
-// FleetConfig shapes NewFleet and ServeFleet: the single-server ServeConfig
-// plus the federation dimensions.
+// FleetConfig shapes Serve, NewFleet and ReplayFleetOffline: the
+// single-server ServeConfig plus the federation dimensions.
 type FleetConfig struct {
 	ServeConfig
 
@@ -479,9 +515,10 @@ type FleetConfig struct {
 	Cells int
 
 	// Router picks how placements map to cells (default RouterFeatureHash).
-	// RouterLeastUtilized is served live: it consults the fleet's running
-	// commitment ledger instead of the offline router's ground-truth
-	// lifetime heap.
+	// All three kinds run on the one routing ledger offline sharding uses
+	// (internal/cell), so a replayed trace is byte-identical online and
+	// offline under any of them; they differ only for live traffic whose
+	// exits are not the trace's.
 	Router RouterKind
 
 	// Scenario, when non-empty, runs the fleet under a named operational
@@ -509,9 +546,8 @@ type FleetConfig struct {
 // trace's pool geometry: hosts split evenly across cfg.Cells exactly as
 // cell.SplitHosts shards them offline, one policy instance per cell, one
 // shared prediction memo-cache. Replaying a trace against the fleet
-// reproduces cell.PlanCells + per-cell Simulate byte-for-byte for the
-// statically routed router kinds — the parity test in internal/serve
-// asserts it.
+// reproduces cell.PlanCells + per-cell Simulate byte-for-byte under every
+// router kind — the parity test in internal/serve asserts it.
 func NewFleet(tr *Trace, cfg FleetConfig) (*serve.Fleet, error) {
 	fc, _, err := buildFleetConfig(tr, cfg)
 	if err != nil {
@@ -521,63 +557,40 @@ func NewFleet(tr *Trace, cfg FleetConfig) (*serve.Fleet, error) {
 }
 
 // buildFleetConfig resolves a facade FleetConfig into the serve-layer one:
-// scenario composition, memoization, policy factory, router and admission
-// defaults. It also returns the (possibly scenario-composed) trace the fleet
-// geometry came from — the event stream an offline reference replay must
-// use. Shared by NewFleet and ReplayFleetOffline so the two arms of a
-// parity comparison cannot drift in setup.
+// scenario composition, class labels, then ServeConfig.resolve over the
+// resulting trace. It also returns that (possibly scenario-composed) trace —
+// the event stream an offline reference replay must use. Shared by NewFleet
+// and ReplayFleetOffline so the two arms of a parity comparison cannot drift
+// in setup.
 func buildFleetConfig(tr *Trace, cfg FleetConfig) (serve.FleetConfig, *Trace, error) {
-	var spec *scenario.Spec
-	if cfg.Scenario != "" {
-		s, err := scenario.ByName(cfg.Scenario, tr, cfg.ScenarioSeed)
-		if err != nil {
-			return serve.FleetConfig{}, nil, err
-		}
-		spec = &s
-		composed, err := s.ComposeTrace(tr)
-		if err != nil {
-			return serve.FleetConfig{}, nil, err
-		}
-		tr = composed
-	}
-	if cfg.ClassMix != "" {
-		// Label after scenario composition so scenario-added arrivals get
-		// classes too — the same compose-then-label order lavaload uses.
-		labeled, err := AssignClasses(tr, cfg.ClassMix, cfg.ScenarioSeed)
-		if err != nil {
-			return serve.FleetConfig{}, nil, err
-		}
-		tr = labeled
-	}
-	fc := serve.FleetFromTrace(tr)
+	fc := serve.FleetConfig{Cells: max(cfg.Cells, 1), Router: string(cfg.Router)}
 	var wrap func(Predictor) Predictor
-	if spec != nil {
+	if cfg.Scenario != "" {
+		spec, err := scenario.ByName(cfg.Scenario, tr, cfg.ScenarioSeed)
+		if err != nil {
+			return fc, nil, err
+		}
+		if tr, err = spec.ComposeTrace(tr); err != nil {
+			return fc, nil, err
+		}
 		// Model events wrap OUTSIDE the memo: a swapped model's output
 		// depends on per-VM state (creation time) the memo key cannot
 		// capture, so memoizing it would change decisions. Memoizing the
 		// feature-pure base and wrapping the swap around it keeps both the
 		// cache hits and the scenario semantics.
 		wrap = spec.WrapModel
-		fc.Injectors = spec.Injectors
+		fc.NewInjectors = spec.Injectors
 	}
 	var err error
-	if fc.NewPolicy, fc.Memo, fc.SLO, err = cfg.resolve(wrap); err != nil {
-		return serve.FleetConfig{}, nil, err
+	if cfg.ClassMix != "" {
+		// Label after scenario composition so scenario-added arrivals get
+		// classes too — the same compose-then-label order lavaload uses.
+		if tr, err = AssignClasses(tr, cfg.ClassMix, cfg.ScenarioSeed); err != nil {
+			return fc, nil, err
+		}
 	}
-	fc.Cells = cfg.Cells
-	if fc.Cells <= 0 {
-		fc.Cells = 1
-	}
-	fc.Router = string(cfg.Router)
-	if fc.Router == "" {
-		fc.Router = string(RouterFeatureHash)
-	}
-	fc.TickEvery = cfg.TickEvery
-	fc.SampleEvery = cfg.SampleEvery
-	fc.QueueDepth = cfg.QueueDepth
-	fc.TraceK = cfg.TraceK
-	fc.TraceCap = cfg.TraceCap
-	return fc, tr, nil
+	fc.Config, fc.NewPolicy, err = cfg.resolve(tr, wrap)
+	return fc, tr, err
 }
 
 // ReplayFleetOffline computes, without any servers or HTTP, the exact drain
@@ -586,7 +599,7 @@ func buildFleetConfig(tr *Trace, cfg FleetConfig) (serve.FleetConfig, *Trace, er
 // offline arm of the federated parity harness, admission gate included. The
 // scenario composition, cell split, routing and token-bucket decisions all
 // run through the same code paths the live fleet uses, just sequentially.
-func ReplayFleetOffline(tr *Trace, cfg FleetConfig) (*serve.FleetDrainResponse, error) {
+func ReplayFleetOffline(tr *Trace, cfg FleetConfig) (*serve.DrainResponse, error) {
 	fc, composed, err := buildFleetConfig(tr, cfg)
 	if err != nil {
 		return nil, err
@@ -595,47 +608,8 @@ func ReplayFleetOffline(tr *Trace, cfg FleetConfig) (*serve.FleetDrainResponse, 
 	if err != nil {
 		return nil, err
 	}
-	pol, err := fc.NewPolicy(0)
-	if err != nil {
-		return nil, err
-	}
-	resp := serve.FleetReportOf(fc.PoolName, pol.Name(), roll)
+	resp := serve.FleetReportOf(fc.PoolName, roll.Cells[0].Policy, roll)
 	return &resp, nil
-}
-
-// ServeFleet runs a federated placement fleet on addr until ctx is
-// cancelled: the multi-cell form of Serve, same HTTP surface, rolled-up
-// stats and drain. It blocks for the fleet's lifetime; a clean shutdown
-// returns nil.
-func ServeFleet(ctx context.Context, addr string, tr *Trace, cfg FleetConfig) error {
-	fleet, err := NewFleet(tr, cfg)
-	if err != nil {
-		return err
-	}
-	defer fleet.Close()
-	return serveHTTP(ctx, addr, fleet.Handler())
-}
-
-// serveHTTP runs handler on addr until ctx cancels, then shuts the
-// listener down gracefully. Shared by Serve and ServeFleet.
-func serveHTTP(ctx context.Context, addr string, handler http.Handler) error {
-	hs := &http.Server{Addr: addr, Handler: handler}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	select {
-	case <-ctx.Done():
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(shutCtx); err != nil {
-			return err
-		}
-		return nil
-	case err := <-errc:
-		if err == http.ErrServerClosed {
-			return nil
-		}
-		return err
-	}
 }
 
 // ReplayOptions shapes ReplayTrace. The zero value replays serially, as

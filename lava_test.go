@@ -164,3 +164,15 @@ func TestCompare(t *testing.T) {
 		t.Fatal("NILAS produced no empty hosts")
 	}
 }
+
+// TestHTTPServerTimeouts pins the hardening of the daemon's listener: the
+// http.Server that Serve runs must bound slow-header and idle connections.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer("127.0.0.1:0", nil)
+	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, IdleTimeout = %v; both must be set", hs.ReadHeaderTimeout, hs.IdleTimeout)
+	}
+	if hs.Addr != "127.0.0.1:0" {
+		t.Fatalf("Addr = %q", hs.Addr)
+	}
+}

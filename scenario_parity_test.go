@@ -68,10 +68,10 @@ func TestScenarioOnlineOfflineParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep.FleetFinal == nil {
+			if rep.Final == nil || len(rep.Final.Cells) == 0 {
 				t.Fatal("fleet replay returned no fleet drain report")
 			}
-			got, err := json.Marshal(*rep.FleetFinal)
+			got, err := json.Marshal(*rep.Final)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,10 +151,10 @@ func TestClassedAdmissionOnlineOfflineParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if rep.FleetFinal == nil {
+		if rep.Final == nil || len(rep.Final.Cells) == 0 {
 			t.Fatalf("workers=%d: no fleet drain report", workers)
 		}
-		got, err := json.Marshal(*rep.FleetFinal)
+		got, err := json.Marshal(*rep.Final)
 		if err != nil {
 			t.Fatal(err)
 		}
