@@ -325,15 +325,16 @@ func BenchmarkSimulateMany(b *testing.B) {
 	}
 }
 
-// BenchmarkScenarioFederation measures the multi-cell scenario engine: a
-// 4-cell drain-wave federation under the baseline policy, compose + shard +
-// per-cell replay + rollup per op.
+// BenchmarkScenarioFederation measures the offline run of a fleet: a 4-cell
+// drain-wave federation under the baseline policy, compose + script replay +
+// rollup per op.
 func BenchmarkScenarioFederation(b *testing.B) {
 	tr := benchTrace(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		roll, err := SimulateScenario(context.Background(), tr, PolicyWasteMin, nil, ScenarioConfig{
-			Scenario: "drain-wave", Seed: 1, Cells: 4, Router: RouterFeatureHash, Parallel: 1,
+		roll, err := SimulateScenario(tr, FleetConfig{
+			ServeConfig: ServeConfig{Policy: PolicyWasteMin},
+			Scenario:    "drain-wave", ScenarioSeed: 1, Cells: 4, Router: RouterFeatureHash,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -37,11 +37,11 @@
 //
 // Replaying the same trace against the daemon with cmd/lavaload reproduces
 // `lavasim -trace trace.jsonl` byte-for-byte — per cell, in fleet mode,
-// under every router: online routing and offline sharding walk the same
-// event stream through the same ledger (internal/cell). The routers differ
-// from an offline sharding only for live traffic whose exits are not the
-// trace's. See internal/serve for the determinism contract. SIGINT/SIGTERM
-// shut the listener down gracefully and stop the event loops.
+// under every router: `lavasim -cells N` runs the fleet's own ledger, op
+// expansion and per-cell machines, sequentially. The routers differ from an
+// offline run only for live traffic whose exits are not the trace's. See
+// internal/serve for the determinism contract. SIGINT/SIGTERM shut the
+// listener down gracefully and stop the event loops.
 package main
 
 import (
@@ -55,7 +55,6 @@ import (
 
 	"lava"
 	"lava/internal/model"
-	"lava/internal/model/gbdt"
 	"lava/internal/trace"
 )
 
@@ -98,20 +97,13 @@ func main() {
 		fatal(err)
 	}
 
-	pred, err := buildModel(tr, *modelKind, *trees)
+	pred, err := model.Train(*modelKind, tr.Records, *trees)
 	if err != nil {
 		fatal(err)
 	}
 	// The oracle predicts from VM identity, which a (features, uptime) memo
 	// key cannot capture.
 	useMemo := *memo && *modelKind != "oracle"
-
-	// The -cache flag uses 0 for "disabled"; the facade's zero value means
-	// "default", so map explicitly.
-	cacheRefresh := *refresh
-	if cacheRefresh == 0 {
-		cacheRefresh = -1
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -121,7 +113,7 @@ func main() {
 			Policy:       lava.PolicyKind(*policy),
 			Pred:         pred,
 			Memo:         useMemo,
-			CacheRefresh: cacheRefresh,
+			CacheRefresh: lava.CacheRefreshFlag(*refresh),
 			TickEvery:    *tick,
 			SampleEvery:  *sample,
 			QueueDepth:   *queue,
@@ -157,22 +149,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Fprintln(os.Stderr, "lavad: shut down")
-}
-
-// buildModel trains the requested lifetime model on the trace's records.
-func buildModel(tr *trace.Trace, kind string, trees int) (model.Predictor, error) {
-	switch kind {
-	case "oracle":
-		return model.Oracle{}, nil
-	case "km":
-		return model.TrainKM(tr.Records, nil)
-	case "dist":
-		return model.TrainDistTable(tr.Records, nil)
-	case "gbdt":
-		return model.TrainGBDT(tr.Records, gbdt.Params{Trees: trees})
-	default:
-		return nil, fmt.Errorf("unknown model kind %q", kind)
-	}
 }
 
 func fatal(err error) {

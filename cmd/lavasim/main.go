@@ -9,23 +9,22 @@
 //	lavasim -trace trace.jsonl -cells 4 -scenario drain-wave   # federation
 //	lavasim -trace trace.jsonl -class-mix "latency=1,standard=8" -admit "latency=10/1h"
 //
-// With -cells > 1 or -scenario set, the run goes through the multi-cell
-// scenario engine: the named scenario (see -scenario for ids) composes onto
-// the trace, a router shards it across -cells independent cells, the cells
-// simulate concurrently (-parallel), and per-cell metrics are printed with
-// a fleet-level rollup.
+// With -cells > 1 or -scenario set, the run is the offline run of a fleet
+// (lava.ReplayFleetOffline): the named scenario (see -scenario for ids)
+// composes onto the trace, a router spreads it across -cells independent
+// cells, and per-cell metrics are printed with a fleet-level rollup. It is
+// the routing ledger, per-cell machines and front-door gate a live
+// `lavad -cells N` runs, just sequential, so -final-out diffs byte-for-byte
+// against a `lavaload -final-out` capture of the same stream served online.
 //
 // -class-mix labels records with SLO classes (deterministic in -seed and
 // record ID) and -admit enables per-class token-bucket admission control;
 // rejected arrivals are counted per class, never placed, and the report
 // gains per-class counts, Jain's fairness index and the multi-objective
-// fitness score. Federated runs with -admit go through the fleet's offline
-// script runner, so their -final-out diffs byte-for-byte against a
-// `lavad -cells N -admit ...` + `lavaload -class-mix ...` online capture.
+// fitness score.
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -36,7 +35,6 @@ import (
 	"lava"
 	"lava/internal/defrag"
 	"lava/internal/model"
-	"lava/internal/model/gbdt"
 	"lava/internal/scheduler"
 	"lava/internal/serve"
 	"lava/internal/sim"
@@ -59,7 +57,6 @@ func main() {
 		scen      = flag.String("scenario", "", "scenario id ("+strings.Join(lava.ScenarioNames(), "|")+"); empty = steady replay")
 		router    = flag.String("router", "feature-hash", "cell router: round-robin | least-utilized | feature-hash")
 		seed      = flag.Int64("seed", 42, "scenario randomness seed")
-		parallel  = flag.Int("parallel", 0, "cell simulation workers: 1 = sequential, 0 = GOMAXPROCS")
 		finalOut  = flag.String("final-out", "", "federated runs: write the fleet report as canonical JSON to this file ('-' for stdout) for diffing against lavaload -final-out")
 		classMix  = flag.String("class-mix", "", `label records with SLO classes, e.g. "latency=1,standard=8,besteffort=1" (weights; assignment keyed by -seed and record ID)`)
 		admit     = flag.String("admit", "", `SLO admission control, e.g. "latency=100/1m:200,standard=50/1m" or "track" — must match the daemon's -admit when diffing against an online run`)
@@ -91,7 +88,19 @@ func main() {
 		if *doDefrag || *doStrand {
 			fatal(fmt.Errorf("-defrag/-stranding are single-cell options; drop them for federated runs"))
 		}
-		runFederated(tr, *policy, pred, *scen, *router, *cells, *seed, *parallel, *refresh, *admit, *classMix, *finalOut)
+		runFederated(tr, lava.FleetConfig{
+			ServeConfig: lava.ServeConfig{
+				Policy:       lava.PolicyKind(*policy),
+				Pred:         pred,
+				CacheRefresh: lava.CacheRefreshFlag(*refresh),
+				Admission:    *admit,
+			},
+			Cells:        *cells,
+			Router:       lava.RouterKind(*router),
+			Scenario:     *scen,
+			ScenarioSeed: *seed,
+			ClassMix:     *classMix,
+		}, *finalOut)
 		return
 	}
 	if *finalOut != "" {
@@ -103,7 +112,7 @@ func main() {
 		}
 	}
 
-	pol, err := buildPolicy(*policy, pred, *refresh)
+	pol, err := scheduler.New(*policy, pred, *refresh)
 	if err != nil {
 		fatal(err)
 	}
@@ -149,64 +158,14 @@ func main() {
 	res.SLO.WriteText(os.Stdout)
 }
 
-// runFederated runs the federated form of the replay and prints the fleet
-// report. Without -admit the trace goes through the multi-cell scenario
-// engine, cells simulated concurrently, and the report carries per-cell
-// rows. Admission gates live in the serving stack, not the scenario engine,
-// so with -admit the same event stream goes through the fleet's offline
-// script runner instead — the routing ledger, per-cell machines and
-// front-door gate a live `lavad -cells N -admit ...` uses, just sequential.
-func runFederated(tr *trace.Trace, policy string, pred model.Predictor, scen, router string, cells int, seed int64, parallel int, refresh time.Duration, admit, classMix, finalOut string) {
-	// The -cache flag uses 0 for "disabled"; the facade's zero value means
-	// "default", so map explicitly.
-	cacheRefresh := refresh
-	if cacheRefresh == 0 {
-		cacheRefresh = -1
+// runFederated runs the offline run of the fleet cfg describes and prints
+// its report.
+func runFederated(tr *trace.Trace, cfg lava.FleetConfig, finalOut string) {
+	ff, err := lava.ReplayFleetOffline(tr, cfg)
+	if err != nil {
+		fatal(err)
 	}
-	var ff *serve.DrainResponse
-	var err error
-	if admit != "" {
-		ff, err = lava.ReplayFleetOffline(tr, lava.FleetConfig{
-			ServeConfig: lava.ServeConfig{
-				Policy:       lava.PolicyKind(policy),
-				Pred:         pred,
-				CacheRefresh: cacheRefresh,
-				Admission:    admit,
-			},
-			Cells:        cells,
-			Router:       lava.RouterKind(router),
-			Scenario:     scen,
-			ScenarioSeed: seed,
-			ClassMix:     classMix,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		policy = ff.Policy
-	} else {
-		if classMix != "" {
-			// Without -admit the classes are inert (they never influence
-			// placement), but honoring the flag keeps the arms symmetric.
-			if tr, err = lava.AssignClasses(tr, classMix, seed); err != nil {
-				fatal(err)
-			}
-		}
-		roll, err := lava.SimulateScenario(context.Background(), tr, lava.PolicyKind(policy), pred, lava.ScenarioConfig{
-			Scenario:     scen,
-			Seed:         seed,
-			Cells:        cells,
-			Router:       lava.RouterKind(router),
-			CacheRefresh: cacheRefresh,
-			Parallel:     parallel,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		report := serve.FleetReportOf(tr.PoolName, roll.Cells[0].Policy, roll)
-		ff = &report
-	}
-
-	printFleetReport(ff, scen, policy, cells, admit)
+	printFleetReport(ff, cfg.Scenario, cfg.Cells, cfg.Admission)
 	if finalOut != "" {
 		if err := writeFinal(finalOut, ff); err != nil {
 			fatal(err)
@@ -214,15 +173,15 @@ func runFederated(tr *trace.Trace, policy string, pred model.Predictor, scen, ro
 	}
 }
 
-// printFleetReport prints a federated run: the scenario engine's report
-// (admit empty) has per-cell rows and a killed count, the script runner's
-// names the admission spec and ends with the per-class SLO block.
-func printFleetReport(ff *serve.DrainResponse, scen, policy string, cells int, admit string) {
+// printFleetReport prints a federated run in one of two layouts: without
+// -admit, per-cell rows and a killed count (CI's docs job parses the table);
+// with it, the admission spec in the header and the per-class SLO block.
+func printFleetReport(ff *serve.DrainResponse, scen string, cells int, admit string) {
 	if scen == "" {
 		scen = "steady"
 	}
 	m := ff.Metrics
-	fmt.Printf("scenario: %s  policy: %s  cells: %d  router: %s", scen, policy, cells, ff.Router)
+	fmt.Printf("scenario: %s  policy: %s  cells: %d  router: %s", scen, ff.Policy, cells, ff.Router)
 	if admit != "" {
 		fmt.Printf("  admit: %s\n", admit)
 	} else {
@@ -258,44 +217,18 @@ func writeFinal(path string, ff *serve.DrainResponse) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
+// buildModel trains the requested lifetime model on the trace's records, or
+// with -model-file loads a pre-trained GBDT instead.
 func buildModel(tr *trace.Trace, kind, path string, trees int) (model.Predictor, error) {
-	switch kind {
-	case "oracle":
-		return model.Oracle{}, nil
-	case "km":
-		return model.TrainKM(tr.Records, nil)
-	case "dist":
-		return model.TrainDistTable(tr.Records, nil)
-	case "gbdt":
-		if path != "" {
-			f, err := os.Open(path)
-			if err != nil {
-				return nil, err
-			}
-			defer f.Close()
-			return model.LoadGBDT(f)
-		}
-		return model.TrainGBDT(tr.Records, gbdt.Params{Trees: trees})
-	default:
-		return nil, fmt.Errorf("unknown model kind %q", kind)
+	if kind != "gbdt" || path == "" {
+		return model.Train(kind, tr.Records, trees)
 	}
-}
-
-func buildPolicy(kind string, pred model.Predictor, refresh time.Duration) (scheduler.Policy, error) {
-	switch kind {
-	case "wastemin":
-		return scheduler.NewWasteMin(), nil
-	case "bestfit":
-		return scheduler.NewBestFit(), nil
-	case "la-binary":
-		return scheduler.NewLABinary(pred), nil
-	case "nilas":
-		return scheduler.NewNILAS(pred, refresh), nil
-	case "lava":
-		return scheduler.NewLAVA(pred, refresh), nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", kind)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
+	defer f.Close()
+	return model.LoadGBDT(f)
 }
 
 func fatal(err error) {

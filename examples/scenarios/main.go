@@ -25,7 +25,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 
@@ -45,11 +44,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cfg := lava.ScenarioConfig{
-		Scenario: "drain-wave",
-		Seed:     11,
-		Cells:    4,
-		Router:   lava.RouterFeatureHash,
+	cfg := lava.FleetConfig{
+		Scenario:     "drain-wave",
+		ScenarioSeed: 11,
+		Cells:        4,
+		Router:       lava.RouterFeatureHash,
 	}
 
 	// A/B: same scenario, same cells, same seed — only the policy differs.
@@ -63,7 +62,8 @@ func main() {
 	}
 	empty := make([]float64, len(arms))
 	for i, arm := range arms {
-		roll, err := lava.SimulateScenario(context.Background(), tr, arm.policy, arm.pred, cfg)
+		cfg.Policy, cfg.Pred = arm.policy, arm.pred
+		roll, err := lava.SimulateScenario(tr, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

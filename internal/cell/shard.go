@@ -24,7 +24,7 @@ func SplitHosts(total, n int) []int {
 type Plan struct {
 	Router string
 	Hosts  []int          // per-cell host counts
-	Cells  []*trace.Trace // per-cell traces, same warm-up/horizon as the base
+	Cells  []*trace.Trace // per-cell traces, same warm-up and measurement end as the base
 }
 
 // PlanCells is the one-call sharding pipeline every federation entry point
@@ -49,9 +49,12 @@ func PlanCells(tr *trace.Trace, routerKind string, cells int) (*Plan, error) {
 // trace's whole event stream (trace.Events: by time, exits before creates,
 // then VM ID) through it — every create routed, every exit releasing its
 // commitment — which is exactly the stream a served replay of the trace
-// feeds the fleet's ledger. Each cell's records come out in canonical order.
+// feeds the fleet's ledger. Each cell's records come out in canonical order,
+// and every shard carries the base trace's End() as its horizon: cells of one
+// federation share a measurement window even when the header sets none.
 func Shard(tr *trace.Trace, l *Ledger) (*Plan, error) {
 	p := &Plan{Router: l.Kind, Hosts: append([]int(nil), l.Hosts...), Cells: make([]*trace.Trace, len(l.Hosts))}
+	end := tr.End()
 	for i := range p.Cells {
 		p.Cells[i] = &trace.Trace{
 			PoolName: fmt.Sprintf("%s/cell-%d", tr.PoolName, i),
@@ -60,7 +63,7 @@ func Shard(tr *trace.Trace, l *Ledger) (*Plan, error) {
 			HostMem:  tr.HostMem,
 			HostSSD:  tr.HostSSD,
 			WarmUp:   tr.WarmUp,
-			Horizon:  tr.Horizon,
+			Horizon:  end,
 		}
 	}
 	for _, ev := range tr.Events() {

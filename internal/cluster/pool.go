@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"lava/internal/resources"
 )
@@ -365,13 +364,4 @@ func (p *Pool) CheckInvariants() error {
 		return fmt.Errorf("emptyCap aggregate %s != scan %s", p.emptyCap, emptyCap)
 	}
 	return p.idx.checkInvariants()
-}
-
-// VMUptimeSum is a telemetry helper: total uptime of running VMs at now.
-func (p *Pool) VMUptimeSum(now time.Duration) time.Duration {
-	var sum time.Duration
-	for id, h := range p.vms {
-		sum += h.VM(id).Uptime(now)
-	}
-	return sum
 }

@@ -167,22 +167,22 @@ func crossCheck(aDec, bDec []ptrace.Decision, cross *ptrace.Report) (int, error)
 	return firstDiff, nil
 }
 
+// counterfactualAliases are the short CLI spellings -counterfactual accepts
+// on top of scheduler.Names().
+var counterfactualAliases = map[string]string{"base": "wastemin", "baseline": "wastemin", "la": "la-binary"}
+
 // counterfactualPolicy builds a policy constructor by CLI name.
 func counterfactualPolicy(name string, pred model.Predictor) (func() scheduler.Policy, error) {
-	switch name {
-	case "wastemin", "base", "baseline":
-		return func() scheduler.Policy { return scheduler.NewWasteMin() }, nil
-	case "bestfit":
-		return func() scheduler.Policy { return scheduler.NewBestFit() }, nil
-	case "nilas":
-		return func() scheduler.Policy { return scheduler.NewNILAS(pred, time.Minute) }, nil
-	case "lava":
-		return func() scheduler.Policy { return scheduler.NewLAVA(pred, time.Minute) }, nil
-	case "la-binary", "la":
-		return func() scheduler.Policy { return scheduler.NewLABinary(pred) }, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown counterfactual policy %q (want wastemin|bestfit|nilas|lava|la-binary)", name)
+	if full, ok := counterfactualAliases[name]; ok {
+		name = full
 	}
+	if _, err := scheduler.New(name, pred, time.Minute); err != nil {
+		return nil, fmt.Errorf("experiments: counterfactual: %w", err)
+	}
+	return func() scheduler.Policy {
+		pol, _ := scheduler.New(name, pred, time.Minute) // validated above
+		return pol
+	}, nil
 }
 
 // CounterfactualReport renders a counterfactual replay plus the parity

@@ -105,9 +105,6 @@ func (c *Curve) ExpRemaining(u time.Duration) time.Duration {
 	return time.Duration(hours * float64(time.Hour))
 }
 
-// EventTimes returns the number of distinct event times (diagnostics).
-func (c *Curve) EventTimes() int { return len(c.times) }
-
 // --- Stratified lookup table -------------------------------------------------
 
 // Stratified is a lookup table of KM curves keyed by a stratum string, the

@@ -1,13 +1,15 @@
 package model
 
 import (
+	"fmt"
 	"math/rand"
-	"sort"
+	"strings"
 	"time"
 
 	"lava/internal/cluster"
 	"lava/internal/dist"
 	"lava/internal/features"
+	"lava/internal/model/gbdt"
 	"lava/internal/simtime"
 	"lava/internal/trace"
 )
@@ -138,15 +140,25 @@ func (d *DistTable) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.
 	return rem
 }
 
-// Groups returns the number of learned per-key tables.
-func (d *DistTable) Groups() int { return len(d.tables) }
+// --- Training by name ---------------------------------------------------------
 
-// GroupKeys returns the learned keys, sorted, for diagnostics.
-func (d *DistTable) GroupKeys() []string {
-	out := make([]string, 0, len(d.tables))
-	for k := range d.tables {
-		out = append(out, k)
+// Names lists the model families Train accepts.
+func Names() []string { return []string{"oracle", "gbdt", "km", "dist"} }
+
+// Train fits the named model family on the records: the one name-to-trainer
+// switch behind the facade and the CLIs. trees sizes the GBDT ensemble and is
+// ignored by the other families; "oracle" needs no training and ignores the
+// records too.
+func Train(name string, records []trace.Record, trees int) (Predictor, error) {
+	switch name {
+	case "oracle":
+		return Oracle{}, nil
+	case "gbdt":
+		return TrainGBDT(records, gbdt.Params{Trees: trees})
+	case "km":
+		return TrainKM(records, nil)
+	case "dist":
+		return TrainDistTable(records, nil)
 	}
-	sort.Strings(out)
-	return out
+	return nil, fmt.Errorf("model: unknown model kind %q (want %s)", name, strings.Join(Names(), "|"))
 }

@@ -58,28 +58,6 @@ func (n *NILAS) AppendLevelScores(dst []float64, h *cluster.Host, vm *cluster.VM
 	return n.chain.AppendLevelScores(dst, h, vm, now)
 }
 
-// alignment scores hosts by how *similar* their exit is to the VM's,
-// quantized with the temporal-cost buckets. It is not part of the default
-// chain: under noisy model predictions, preferring exact exit matches
-// amplifies prediction error, and in our studies the minimal chain
-// (temporal cost straight above the packing scores, as §4.2 describes)
-// packs better. WithAlignment exposes it for ablations.
-func (n *NILAS) alignment(h *cluster.Host, vm *cluster.VM, now time.Duration) float64 {
-	if h.Empty() {
-		// No alignment information; sort after perfectly aligned hosts but
-		// let the bucket structure below decide against occupied hosts
-		// with huge slack.
-		return float64(len(simtime.TemporalCostBuckets))
-	}
-	vmExit := n.cache.PredictVMExit(vm, now)
-	hostExit := n.cache.HostExit(h, now)
-	slack := hostExit - vmExit
-	if slack < 0 {
-		slack = 0
-	}
-	return float64(simtime.TemporalCost(slack))
-}
-
 // nilasPackingScorers are the bin-packing levels below the temporal cost:
 // concentrate within an equivalence class (best fit) before shaping the
 // leftover (waste-min) — concentration is what lets lifetime-aligned hosts
@@ -144,15 +122,3 @@ func (n *NILAS) ModelCalls() int64 { return n.cache.Predictions }
 
 // Cache exposes the exit cache for ablation studies.
 func (n *NILAS) Cache() *ExitCache { return n.cache }
-
-// WithAlignment returns a copy of the policy with an extra exit-alignment
-// level between the temporal cost and the packing scores. Used by ablation
-// studies (see the alignment doc comment for why it is not the default).
-func (n *NILAS) WithAlignment() *NILAS {
-	out := &NILAS{cache: n.cache}
-	out.chain = CachedChain{Chain: Chain{ChainName: "nilas-aligned", Scorers: append([]Scorer{
-		ScorerFunc{FuncName: "temporal-cost", F: out.temporalCost},
-		ScorerFunc{FuncName: "exit-alignment", F: out.alignment},
-	}, nilasPackingScorers()...)}, Dynamic: []bool{true, true}}
-	return out
-}

@@ -2,9 +2,12 @@ package scheduler
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"time"
 
 	"lava/internal/cluster"
+	"lava/internal/model"
 )
 
 // ErrNoCapacity is returned when no feasible host can take the VM.
@@ -37,6 +40,34 @@ type Policy interface {
 	// OnTick is called periodically (e.g. each simulated minute) so
 	// policies can run deadline checks.
 	OnTick(pool *cluster.Pool, now time.Duration)
+}
+
+// Names lists the policy names New accepts.
+func Names() []string { return []string{"wastemin", "bestfit", "la-binary", "nilas", "lava"} }
+
+// New builds the named policy: the one name-to-constructor switch behind the
+// facade, the CLIs and the experiment drivers. refresh is the host-score
+// cache refresh interval of NILAS and LAVA (0 disables caching). The
+// lifetime-unaware baselines ignore pred; the others refuse a nil one.
+func New(name string, pred model.Predictor, refresh time.Duration) (Policy, error) {
+	switch name {
+	case "wastemin":
+		return NewWasteMin(), nil
+	case "bestfit":
+		return NewBestFit(), nil
+	case "la-binary", "nilas", "lava":
+		if pred == nil {
+			return nil, fmt.Errorf("scheduler: policy %q needs a predictor", name)
+		}
+		switch name {
+		case "la-binary":
+			return NewLABinary(pred), nil
+		case "nilas":
+			return NewNILAS(pred, refresh), nil
+		}
+		return NewLAVA(pred, refresh), nil
+	}
+	return nil, fmt.Errorf("scheduler: unknown policy %q (want %s)", name, strings.Join(Names(), "|"))
 }
 
 // scoreEpsilon defines score equality for tie-breaking purposes: hosts

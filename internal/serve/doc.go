@@ -104,8 +104,11 @@
 // the switch the cell event loop itself uses. The two arms share the ledger
 // code, the expansion and the step semantics, so every cell observes online
 // exactly the event subsequence it is handed offline: the parity tests
-// assert byte-equal drain reports against RunScriptOffline, and against
-// cell.PlanCells + sim.Run for plain replays.
+// assert byte-equal drain reports against RunScriptOffline. It is the one
+// offline engine of a fleet — the facade's SimulateScenario and
+// ReplayFleetOffline and cmd/lavasim all run it — and cell.PlanCells +
+// per-shard sim.Run, which shares none of plan/runSteps/applyTo, is kept only
+// as the independent oracle the tests diff both arms against.
 //
 // # HTTP surface
 //

@@ -312,7 +312,7 @@ type OpResult struct {
 // replay of the same trace.
 func OpsFromTrace(tr *trace.Trace) []Op {
 	end := tr.End()
-	var ops []Op
+	ops := make([]Op, 0, 2*len(tr.Records))
 	for _, ev := range tr.Events() {
 		if ev.Time > end {
 			break

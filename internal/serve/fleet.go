@@ -27,9 +27,9 @@ import (
 // Config reaches fleet cells without being spelled out here. What a fleet
 // reads differently:
 //
-//   - Horizon: parity with offline sharding requires an explicit one — a zero
-//     horizon makes each offline cell measure until its own last exit, which
-//     no front-end can know in advance.
+//   - Horizon is the federation's, not a cell's: every cell measures to it
+//     (FromTrace sets the trace's common End()), because a cell's own last
+//     exit is something no front-end can know in advance.
 //   - Policy and Injectors are per event loop and come from the NewPolicy and
 //     NewInjectors factories; values set on the embedded Config are ignored.
 //   - Memo is one table shared by all cells' policies: the key space is
@@ -78,8 +78,8 @@ type FleetConfig struct {
 }
 
 // FleetFromTrace derives the federation geometry from a trace header, with
-// the trace's measurement end as every cell's horizon (the offline
-// equivalent: cell.Shard copies the base horizon into each cell).
+// the trace's measurement end as every cell's horizon (the sharded oracle's
+// equivalent: cell.Shard stamps the same End() on every shard).
 func FleetFromTrace(tr *trace.Trace) FleetConfig {
 	return FleetConfig{Config: FromTrace(tr)}
 }
@@ -162,14 +162,6 @@ func (f *Fleet) Cells() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.cells)
-}
-
-// CellHosts returns the per-cell host counts (a copy; retired cells weigh
-// zero).
-func (f *Fleet) CellHosts() []int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]int(nil), f.topo.Hosts...)
 }
 
 // snapshotCells copies the cell set and retirement flags under the lock;

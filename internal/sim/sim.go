@@ -107,9 +107,6 @@ func (c *Control) Restore(id cluster.HostID) {
 	}
 }
 
-// Withdrawn reports whether injectors currently hold claims on the host.
-func (c *Control) Withdrawn(id cluster.HostID) bool { return c.claims[id] > 0 }
-
 // Kill force-exits a running VM (host failure): the VM leaves the pool and
 // the policy observes the exit exactly as for a natural one. The VM's later
 // trace EXIT event, if any, is skipped by the replay loop.

@@ -25,11 +25,6 @@ func FromHours(h float64) time.Duration {
 	return time.Duration(h * float64(time.Hour))
 }
 
-// FromSeconds converts fractional seconds into a Duration.
-func FromSeconds(s float64) time.Duration {
-	return time.Duration(s * float64(time.Second))
-}
-
 // Seconds returns d expressed in fractional seconds.
 func Seconds(d time.Duration) float64 { return d.Seconds() }
 

@@ -28,7 +28,6 @@ import (
 
 	"lava/internal/cell"
 	"lava/internal/model"
-	"lava/internal/model/gbdt"
 	"lava/internal/ptrace"
 	"lava/internal/runner"
 	"lava/internal/scenario"
@@ -110,18 +109,7 @@ const (
 // TrainModel fits a lifetime model of the given kind on the trace's records.
 // ModelOracle needs no training and ignores the trace.
 func TrainModel(tr *Trace, kind ModelKind) (Predictor, error) {
-	switch kind {
-	case ModelGBDT:
-		return model.TrainGBDT(tr.Records, gbdt.Params{Trees: 400})
-	case ModelKM:
-		return model.TrainKM(tr.Records, nil)
-	case ModelDist:
-		return model.TrainDistTable(tr.Records, nil)
-	case ModelOracle:
-		return model.Oracle{}, nil
-	default:
-		return nil, fmt.Errorf("lava: unknown model kind %q", kind)
-	}
+	return model.Train(string(kind), tr.Records, 400)
 }
 
 // PolicyKind selects a scheduling algorithm.
@@ -140,32 +128,7 @@ const (
 // 1-minute host-score cache. The lifetime-unaware baselines accept a nil
 // predictor.
 func NewPolicy(kind PolicyKind, pred Predictor) (scheduler.Policy, error) {
-	return newPolicy(kind, pred, time.Minute)
-}
-
-// newPolicy builds a policy with an explicit cache refresh interval
-// (0 disables caching).
-func newPolicy(kind PolicyKind, pred Predictor, refresh time.Duration) (scheduler.Policy, error) {
-	switch kind {
-	case PolicyWasteMin:
-		return scheduler.NewWasteMin(), nil
-	case PolicyBestFit:
-		return scheduler.NewBestFit(), nil
-	case PolicyLABinary, PolicyNILAS, PolicyLAVA:
-		if pred == nil {
-			return nil, fmt.Errorf("lava: policy %q needs a predictor", kind)
-		}
-		switch kind {
-		case PolicyLABinary:
-			return scheduler.NewLABinary(pred), nil
-		case PolicyNILAS:
-			return scheduler.NewNILAS(pred, refresh), nil
-		default:
-			return scheduler.NewLAVA(pred, refresh), nil
-		}
-	default:
-		return nil, fmt.Errorf("lava: unknown policy kind %q", kind)
-	}
+	return scheduler.New(string(kind), pred, time.Minute)
 }
 
 // Simulate replays the trace under the policy and returns the metrics.
@@ -235,33 +198,6 @@ const (
 // compose onto any trace. "steady" is the unmodified control arm.
 func ScenarioNames() []string { return scenario.Names() }
 
-// ScenarioConfig shapes a SimulateScenario run.
-type ScenarioConfig struct {
-	// Scenario is a built-in scenario id (ScenarioNames); "" or "steady"
-	// replays the trace unmodified.
-	Scenario string
-
-	// Seed drives scenario randomness (burst sampling, failure placement).
-	Seed int64
-
-	// Cells shards the workload across this many independent cells
-	// (default 1: a single pool, no federation).
-	Cells int
-
-	// Router picks how records map to cells (default RouterFeatureHash).
-	Router RouterKind
-
-	// CacheRefresh is the host-score cache refresh interval for
-	// lifetime-aware policies: 0 means the default (1 minute), negative
-	// disables caching.
-	CacheRefresh time.Duration
-
-	// Parallel is the worker budget for the per-cell simulations: 1 runs
-	// sequentially, <= 0 uses GOMAXPROCS. Results are identical at any
-	// setting.
-	Parallel int
-}
-
 // ComposeScenario applies a named scenario's trace-level events (surges,
 // flash crowds) to a trace and returns the composed copy; the input is
 // never mutated. This is the exact composition SimulateScenario and a
@@ -279,63 +215,6 @@ func ComposeScenario(tr *Trace, name string, seed int64) (*Trace, error) {
 	return spec.ComposeTrace(tr)
 }
 
-// SimulateScenario composes a named scenario onto the trace, shards the
-// result across a multi-cell federation, replays every cell concurrently
-// under the policy, and rolls the per-cell metrics back up. Deterministic
-// given (trace, cfg.Seed) at any Parallel setting.
-func SimulateScenario(ctx context.Context, tr *Trace, kind PolicyKind, pred Predictor, cfg ScenarioConfig) (*cell.Rollup, error) {
-	name := cfg.Scenario
-	if name == "" {
-		name = "steady"
-	}
-	spec, err := scenario.ByName(name, tr, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	cells := cfg.Cells
-	if cells <= 0 {
-		cells = 1
-	}
-	routerKind := cfg.Router
-	if routerKind == "" {
-		routerKind = RouterFeatureHash
-	}
-
-	composed, err := spec.ComposeTrace(tr)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := cell.PlanCells(composed, string(routerKind), cells)
-	if err != nil {
-		return nil, err
-	}
-
-	if pred != nil {
-		pred = spec.WrapModel(pred)
-	}
-	refresh := cacheRefresh(cfg.CacheRefresh)
-	jobs := make([]runner.Job, len(plan.Cells))
-	for i, ct := range plan.Cells {
-		i, ct := i, ct
-		jobs[i] = runner.Job{Name: ct.PoolName, Seed: cfg.Seed, Run: func() (*sim.Result, error) {
-			pol, err := newPolicy(kind, pred, refresh)
-			if err != nil {
-				return nil, err
-			}
-			return sim.Run(sim.Config{Trace: ct, Policy: pol, Injectors: spec.Injectors(i)})
-		}}
-	}
-	results, err := (&runner.Batch{Parallel: cfg.Parallel}).Run(ctx, jobs)
-	if err != nil {
-		return nil, fmt.Errorf("lava: scenario %s: %w", name, err)
-	}
-	sims := make([]*sim.Result, len(results))
-	for i := range results {
-		sims[i] = results[i].Result
-	}
-	return cell.RollUp(plan.Router, plan.Hosts, sims)
-}
-
 // ServeConfig shapes NewServer and Serve.
 type ServeConfig struct {
 	// Policy is the serving policy (default PolicyLAVA).
@@ -351,9 +230,9 @@ type ServeConfig struct {
 	// individual VM. Memoization never changes decisions, only their cost.
 	Memo bool
 
-	// CacheRefresh is the host-score cache refresh interval, with
-	// ScenarioConfig's convention: 0 = default (1 minute), negative =
-	// disabled.
+	// CacheRefresh is the host-score cache refresh interval for
+	// lifetime-aware policies: 0 means the default (1 minute), negative
+	// disables caching (CacheRefreshFlag maps a CLI's "0 disables" onto it).
 	CacheRefresh time.Duration
 
 	// TickEvery/SampleEvery default to the simulator's 5m / 1h.
@@ -409,14 +288,24 @@ func NewServer(tr *Trace, cfg ServeConfig) (*serve.Server, error) {
 	return serve.New(sc)
 }
 
-// cacheRefresh applies the CacheRefresh convention of ScenarioConfig and
-// ServeConfig: 0 means the default (1 minute), negative disables caching.
+// cacheRefresh turns ServeConfig.CacheRefresh into the scheduler's interval:
+// 0 means the default (1 minute), negative disables caching.
 func cacheRefresh(d time.Duration) time.Duration {
 	switch {
 	case d == 0:
 		return time.Minute
 	case d < 0:
 		return 0
+	}
+	return d
+}
+
+// CacheRefreshFlag maps a command-line -cache value, where 0 disables the
+// host-score cache, onto ServeConfig.CacheRefresh, whose zero value must mean
+// "default".
+func CacheRefreshFlag(d time.Duration) time.Duration {
+	if d == 0 {
+		return -1
 	}
 	return d
 }
@@ -445,7 +334,7 @@ func (cfg ServeConfig) resolve(tr *Trace, wrap func(Predictor) Predictor) (serve
 	refresh := cacheRefresh(cfg.CacheRefresh)
 	var err error
 	sc.SLO, err = slo.ParseConfig(cfg.Admission)
-	return sc, func(int) (scheduler.Policy, error) { return newPolicy(kind, pred, refresh) }, err
+	return sc, func(int) (scheduler.Policy, error) { return scheduler.New(string(kind), pred, refresh) }, err
 }
 
 // readHeaderTimeout and idleTimeout bound what a client can hold open
@@ -504,8 +393,15 @@ func Serve(ctx context.Context, addr string, tr *Trace, cfg FleetConfig) error {
 	}
 }
 
-// FleetConfig shapes Serve, NewFleet and ReplayFleetOffline: the
-// single-server ServeConfig plus the federation dimensions.
+// FleetConfig shapes Serve, NewFleet and the offline run of a fleet
+// (SimulateScenario, ReplayFleetOffline): the single-server ServeConfig plus
+// the federation dimensions.
+//
+// A fleet measures every cell to the trace's common End() — its horizon, or
+// with none set the last exit of the whole (scenario-composed) trace — never
+// to the cell's own last exit, which no live front-end could know in advance.
+// That one rule is what lets an online drain and an offline run of the same
+// stream agree on horizon-less traces too.
 type FleetConfig struct {
 	ServeConfig
 
@@ -527,7 +423,8 @@ type FleetConfig struct {
 	// injectors (drain waves, failures, crunches fire live inside the
 	// cell event loops), and the predictor is wrapped with the scenario's
 	// model events. A client replaying the composed trace (ComposeScenario)
-	// against such a fleet reproduces SimulateScenario byte-for-byte.
+	// against such a fleet drains to SimulateScenario's rollup, byte-for-byte
+	// as a report (ReplayFleetOffline).
 	Scenario string
 
 	// ScenarioSeed drives scenario randomness; must match the seed of the
@@ -536,18 +433,17 @@ type FleetConfig struct {
 
 	// ClassMix labels the replayed event stream with SLO classes (see
 	// AssignClasses; seeded by ScenarioSeed). A live fleet ignores it —
-	// online requests carry their class on the wire — but
-	// ReplayFleetOffline needs it to reconstruct the classed stream a
-	// lavaload -class-mix replay sends, scenario-added arrivals included.
+	// online requests carry their class on the wire — but the offline run
+	// needs it to reconstruct the classed stream a lavaload -class-mix
+	// replay sends, scenario-added arrivals included.
 	ClassMix string
 }
 
 // NewFleet builds a federated placement front-end (serve.Fleet) over the
-// trace's pool geometry: hosts split evenly across cfg.Cells exactly as
-// cell.SplitHosts shards them offline, one policy instance per cell, one
-// shared prediction memo-cache. Replaying a trace against the fleet
-// reproduces cell.PlanCells + per-cell Simulate byte-for-byte under every
-// router kind — the parity test in internal/serve asserts it.
+// trace's pool geometry: hosts split evenly across cfg.Cells, one policy
+// instance per cell, one shared prediction memo-cache. Replaying a trace
+// against the fleet drains to ReplayFleetOffline's report byte-for-byte under
+// every router kind, at any client concurrency.
 func NewFleet(tr *Trace, cfg FleetConfig) (*serve.Fleet, error) {
 	fc, _, err := buildFleetConfig(tr, cfg)
 	if err != nil {
@@ -559,9 +455,9 @@ func NewFleet(tr *Trace, cfg FleetConfig) (*serve.Fleet, error) {
 // buildFleetConfig resolves a facade FleetConfig into the serve-layer one:
 // scenario composition, class labels, then ServeConfig.resolve over the
 // resulting trace. It also returns that (possibly scenario-composed) trace —
-// the event stream an offline reference replay must use. Shared by NewFleet
-// and ReplayFleetOffline so the two arms of a parity comparison cannot drift
-// in setup.
+// the event stream the offline run must replay. Shared by NewFleet and
+// runFleetOffline so the two arms of a parity comparison cannot drift in
+// setup.
 func buildFleetConfig(tr *Trace, cfg FleetConfig) (serve.FleetConfig, *Trace, error) {
 	fc := serve.FleetConfig{Cells: max(cfg.Cells, 1), Router: string(cfg.Router)}
 	var wrap func(Predictor) Predictor
@@ -593,22 +489,38 @@ func buildFleetConfig(tr *Trace, cfg FleetConfig) (serve.FleetConfig, *Trace, er
 	return fc, tr, err
 }
 
-// ReplayFleetOffline computes, without any servers or HTTP, the exact drain
-// report a fleet built by NewFleet(tr, cfg) produces when the trace's event
-// stream is replayed against it (serve.Client.Replay, any concurrency): the
-// offline arm of the federated parity harness, admission gate included. The
-// scenario composition, cell split, routing and token-bucket decisions all
-// run through the same code paths the live fleet uses, just sequentially.
-func ReplayFleetOffline(tr *Trace, cfg FleetConfig) (*serve.DrainResponse, error) {
+// runFleetOffline is the one offline driver of a fleet: the configuration
+// NewFleet would serve, and the (scenario-composed, class-labeled) event
+// stream a client would replay against it, run through the fleet's script
+// runner — the live fleet's routing ledger, op expansion, admission gate and
+// per-cell machines, sequentially, with no servers or HTTP.
+func runFleetOffline(tr *Trace, cfg FleetConfig) (*cell.Rollup, error) {
 	fc, composed, err := buildFleetConfig(tr, cfg)
 	if err != nil {
 		return nil, err
 	}
-	roll, err := serve.RunScriptOffline(fc, serve.OpsFromTrace(composed))
+	return serve.RunScriptOffline(fc, serve.OpsFromTrace(composed))
+}
+
+// SimulateScenario runs a federation offline: it composes cfg.Scenario onto
+// the trace, replays the result across cfg.Cells cells behind cfg.Router
+// under cfg.Policy, scenario injectors firing in every cell, and returns the
+// per-cell results with their fleet-level rollup. Deterministic given
+// (trace, cfg); the federated counterpart of Simulate.
+func SimulateScenario(tr *Trace, cfg FleetConfig) (*cell.Rollup, error) {
+	return runFleetOffline(tr, cfg)
+}
+
+// ReplayFleetOffline is SimulateScenario projected into the exact drain
+// report a fleet built by NewFleet(tr, cfg) produces when the trace's event
+// stream is replayed against it (serve.Client.Replay, any concurrency): the
+// offline arm of the federated parity harness, admission gate included.
+func ReplayFleetOffline(tr *Trace, cfg FleetConfig) (*serve.DrainResponse, error) {
+	roll, err := runFleetOffline(tr, cfg)
 	if err != nil {
 		return nil, err
 	}
-	resp := serve.FleetReportOf(fc.PoolName, roll.Cells[0].Policy, roll)
+	resp := serve.FleetReportOf(tr.PoolName, roll.Cells[0].Policy, roll)
 	return &resp, nil
 }
 

@@ -109,9 +109,11 @@ func TestSimulateMany(t *testing.T) {
 
 func TestSimulateScenarioFederation(t *testing.T) {
 	tr := smallTrace(t)
-	roll, err := SimulateScenario(context.Background(), tr, PolicyWasteMin, nil, ScenarioConfig{
-		Scenario: "drain-wave", Seed: 3, Cells: 4, Router: RouterFeatureHash, Parallel: 2,
-	})
+	cfg := FleetConfig{
+		ServeConfig: ServeConfig{Policy: PolicyWasteMin},
+		Scenario:    "drain-wave", ScenarioSeed: 3, Cells: 4, Router: RouterFeatureHash,
+	}
+	roll, err := SimulateScenario(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,21 +130,13 @@ func TestSimulateScenarioFederation(t *testing.T) {
 	if roll.Placements == 0 || roll.AvgCPUUtil <= 0 {
 		t.Fatalf("implausible rollup: %+v", roll)
 	}
-	// Determinism across worker counts, through the facade.
-	seq, err := SimulateScenario(context.Background(), tr, PolicyWasteMin, nil, ScenarioConfig{
-		Scenario: "drain-wave", Seed: 3, Cells: 4, Router: RouterFeatureHash, Parallel: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.AvgEmptyHostFrac != roll.AvgEmptyHostFrac || seq.Placements != roll.Placements || seq.Failed != roll.Failed {
-		t.Fatal("scenario federation differs across worker counts")
-	}
 	// Unknown scenario and oversharding fail cleanly.
-	if _, err := SimulateScenario(context.Background(), tr, PolicyWasteMin, nil, ScenarioConfig{Scenario: "nope"}); err == nil {
+	cfg.Scenario = "nope"
+	if _, err := SimulateScenario(tr, cfg); err == nil {
 		t.Fatal("unknown scenario must fail")
 	}
-	if _, err := SimulateScenario(context.Background(), tr, PolicyWasteMin, nil, ScenarioConfig{Cells: tr.Hosts + 1}); err == nil {
+	cfg.Scenario, cfg.Cells = "", tr.Hosts+1
+	if _, err := SimulateScenario(tr, cfg); err == nil {
 		t.Fatal("more cells than hosts must fail")
 	}
 }
