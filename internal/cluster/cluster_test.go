@@ -44,6 +44,31 @@ func TestPlaceExitBookkeeping(t *testing.T) {
 	}
 }
 
+func TestEachVMVisitsWhatVMsLists(t *testing.T) {
+	p := NewPool("test", 1, resources.Cores(32, 131072, 0))
+	h := p.Host(0)
+	h.EachVM(func(*VM) { t.Fatal("visited a VM on a never-used host") })
+	for id := VMID(1); id <= 5; id++ {
+		if err := p.Place(newVM(id, 2), h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := p.Exit(3); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[VMID]int{}
+	h.EachVM(func(vm *VM) { seen[vm.ID]++ })
+	vms := h.VMs()
+	if len(seen) != len(vms) {
+		t.Fatalf("EachVM visited %d VMs, VMs lists %d", len(seen), len(vms))
+	}
+	for _, vm := range vms {
+		if seen[vm.ID] != 1 {
+			t.Fatalf("vm %d visited %d times", vm.ID, seen[vm.ID])
+		}
+	}
+}
+
 func TestPlaceRejectsDoubleBooking(t *testing.T) {
 	p := NewPool("test", 2, resources.Cores(32, 131072, 0))
 	vm := newVM(1, 4)

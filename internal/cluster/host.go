@@ -104,6 +104,15 @@ func (h *Host) VMs() []*VM {
 	return out
 }
 
+// EachVM calls fn for every hosted VM in no particular order, without
+// allocating. For order-free folds only (a max, a sum, a count): anything
+// whose result depends on the order of visits goes through VMs.
+func (h *Host) EachVM(fn func(*VM)) {
+	for _, vm := range h.vms {
+		fn(vm)
+	}
+}
+
 // add places vm on the host. It returns an error when the shape does not
 // fit or the ID is already present. Callers go through Pool.Place.
 func (h *Host) add(vm *VM) error {

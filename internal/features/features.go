@@ -90,22 +90,25 @@ func Fit(examples []Example) *Encoder {
 // VM's uptime so far in hours (use a large negative value, e.g. -4, for
 // zero uptime); it occupies the final column.
 func (e *Encoder) Encode(f Features, uptimeLog10 float64) []float64 {
-	out := make([]float64, NumColumns)
+	return e.AppendEncode(make([]float64, 0, NumColumns), f, uptimeLog10)
+}
+
+// AppendEncode appends the NumColumns columns of Encode to dst and returns
+// the extended slice. With a dst of sufficient capacity it does not
+// allocate: prediction encodes into a stack buffer on every call.
+func (e *Encoder) AppendEncode(dst []float64, f Features, uptimeLog10 float64) []float64 {
 	cats := catValues(f)
 	for col := 0; col < 5; col++ {
-		if v, ok := e.cat[col][cats[col]]; ok {
-			out[col] = v
-		} else {
-			out[col] = e.def[col]
+		v, ok := e.cat[col][cats[col]]
+		if !ok {
+			v = e.def[col]
 		}
+		dst = append(dst, v)
 	}
-	out[5] = b2f(f.HasSSD)
-	out[6] = b2f(f.Spot)
-	out[7] = b2f(f.AdmissionPolicy)
-	out[8] = float64(f.CPUMilli) / 1000.0
-	out[9] = float64(f.MemoryMB) / 1024.0
-	out[10] = uptimeLog10
-	return out
+	return append(dst,
+		b2f(f.HasSSD), b2f(f.Spot), b2f(f.AdmissionPolicy),
+		float64(f.CPUMilli)/1000.0, float64(f.MemoryMB)/1024.0,
+		uptimeLog10)
 }
 
 // Categories returns the retained (non-collapsed) categories of column col,

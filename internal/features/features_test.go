@@ -101,3 +101,26 @@ func TestStringContainsFields(t *testing.T) {
 		}
 	}
 }
+
+func TestAppendEncodeMatchesEncodeWithoutAllocating(t *testing.T) {
+	e := Fit(examplesFor(map[string]struct {
+		n     int
+		label float64
+	}{"c": {n: 20, label: 0.5}}))
+	f := Features{VMCategory: "c", Zone: "unseen", HasSSD: true, CPUMilli: 4000, MemoryMB: 2048}
+	want := e.Encode(f, 1.25)
+	var buf [NumColumns + 1]float64
+	buf[0] = 7
+	got := e.AppendEncode(buf[:1], f, 1.25)
+	if len(got) != NumColumns+1 || got[0] != 7 {
+		t.Fatalf("AppendEncode must extend dst: %v", got)
+	}
+	for i, v := range want {
+		if got[i+1] != v {
+			t.Fatalf("column %d = %v, want %v", i, got[i+1], v)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { e.AppendEncode(buf[:0], f, 1.25) }); n != 0 {
+		t.Fatalf("AppendEncode into a sized buffer allocates %v times", n)
+	}
+}

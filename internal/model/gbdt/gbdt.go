@@ -313,19 +313,36 @@ func (t *tree) predictBinned(cols [][]uint8, i int) float64 {
 	}
 }
 
-// Predict returns the ensemble prediction for a raw feature vector.
+// Predict returns the ensemble prediction for a raw feature vector: it bins
+// x once and walks the forest over the bins.
 func (m *Model) Predict(x []float64) float64 {
+	var buf [32]uint8 // on the stack for any model up to 32 features wide
+	return m.PredictBinned(m.AppendBins(buf[:0], x))
+}
+
+// AppendBins appends the bin index of each of x's NumFeat columns to dst.
+func (m *Model) AppendBins(dst []uint8, x []float64) []uint8 {
+	for f, edges := range m.Edges {
+		dst = append(dst, binValue(edges, x[f]))
+	}
+	return dst
+}
+
+// PredictBinned returns the ensemble prediction for a vector of AppendBins
+// bin indices. The forest compares nothing but bins, so two raw vectors with
+// equal bins get the same prediction, bit for bit.
+func (m *Model) PredictBinned(bins []uint8) float64 {
 	out := m.Bias
 	for ti := range m.Trees {
-		t := &m.Trees[ti]
+		nodes := m.Trees[ti].Nodes
 		n := int32(0)
 		for {
-			nd := &t.Nodes[n]
+			nd := &nodes[n]
 			if nd.Feature == -1 {
 				out += nd.Value
 				break
 			}
-			if binValue(m.Edges[nd.Feature], x[nd.Feature]) <= nd.Bin {
+			if bins[nd.Feature] <= nd.Bin {
 				n = nd.Left
 			} else {
 				n = nd.Right
@@ -368,8 +385,64 @@ func Load(r io.Reader) (*Model, error) {
 	if err := json.NewDecoder(r).Decode(&m); err != nil {
 		return nil, fmt.Errorf("gbdt: load: %w", err)
 	}
-	if m.NumFeat <= 0 || len(m.Edges) != m.NumFeat {
-		return nil, errors.New("gbdt: load: malformed model")
-	}
 	return &m, nil
+}
+
+// UnmarshalJSON decodes a model and validates it. A model document is
+// operator input, alone (Load) or inside a bundle (model.LoadGBDT), so
+// every decoder refuses the shapes Predict could not walk: see validate.
+func (m *Model) UnmarshalJSON(data []byte) error {
+	type plain Model // without this method
+	var p plain
+	if err := json.Unmarshal(data, &p); err != nil {
+		return err
+	}
+	if err := (*Model)(&p).validate(); err != nil {
+		return err
+	}
+	*m = Model(p)
+	return nil
+}
+
+// validate checks what Train guarantees and Predict relies on: one sorted,
+// finite edge list of at most 255 edges per feature (bins are uint8), and
+// trees in build's layout — a root, leaves marked Feature -1 with no
+// children, internal nodes splitting on an existing feature with both
+// children at larger indices than their own, so every walk ends at a leaf.
+func (m *Model) validate() error {
+	if m.NumFeat <= 0 || len(m.Edges) != m.NumFeat {
+		return errors.New("malformed model")
+	}
+	for f, edges := range m.Edges {
+		if len(edges) > 255 {
+			return fmt.Errorf("feature %d has %d edges, want <= 255", f, len(edges))
+		}
+		for i, e := range edges {
+			if math.IsNaN(e) || math.IsInf(e, 0) || (i > 0 && e < edges[i-1]) {
+				return fmt.Errorf("feature %d: edges are not finite and sorted", f)
+			}
+		}
+	}
+	for ti, t := range m.Trees {
+		if len(t.Nodes) == 0 {
+			return fmt.Errorf("tree %d is empty", ti)
+		}
+		for i, nd := range t.Nodes {
+			switch {
+			case nd.Feature == -1:
+				if nd.Left != -1 || nd.Right != -1 {
+					return fmt.Errorf("tree %d node %d: leaf with children", ti, i)
+				}
+			case nd.Feature < 0 || nd.Feature >= m.NumFeat:
+				return fmt.Errorf("tree %d node %d: feature %d out of range", ti, i, nd.Feature)
+			default:
+				for _, c := range [2]int32{nd.Left, nd.Right} {
+					if int(c) <= i || int(c) >= len(t.Nodes) {
+						return fmt.Errorf("tree %d node %d: child %d out of order or range", ti, i, c)
+					}
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -184,6 +185,149 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewBufferString(`{"num_features":0}`)); err == nil {
 		t.Fatal("malformed model must fail to load")
+	}
+}
+
+// malformedModels are documents that decode but that Predict cannot walk:
+// the first four hung or panicked it before Load validated trees.
+var malformedModels = map[string]string{
+	"self-loop":          `{"bias":0,"trees":[{"nodes":[{"f":0,"b":0,"l":0,"r":0,"v":0}]}],"edges":[[1]],"num_features":1}`,
+	"feature-too-large":  `{"bias":0,"trees":[{"nodes":[{"f":7,"b":0,"l":1,"r":2,"v":0},{"f":-1,"l":-1,"r":-1,"v":1},{"f":-1,"l":-1,"r":-1,"v":2}]}],"edges":[[1]],"num_features":1}`,
+	"child-too-large":    `{"bias":0,"trees":[{"nodes":[{"f":0,"b":0,"l":5,"r":2,"v":0},{"f":-1,"l":-1,"r":-1,"v":1},{"f":-1,"l":-1,"r":-1,"v":2}]}],"edges":[[1]],"num_features":1}`,
+	"empty-tree":         `{"bias":0,"trees":[{"nodes":[]}],"edges":[[1]],"num_features":1}`,
+	"feature-below-leaf": `{"bias":0,"trees":[{"nodes":[{"f":-2,"b":0,"l":1,"r":2,"v":0},{"f":-1,"l":-1,"r":-1,"v":1},{"f":-1,"l":-1,"r":-1,"v":2}]}],"edges":[[1]],"num_features":1}`,
+	"negative-child":     `{"bias":0,"trees":[{"nodes":[{"f":0,"b":0,"l":-1,"r":2,"v":0},{"f":-1,"l":-1,"r":-1,"v":1},{"f":-1,"l":-1,"r":-1,"v":2}]}],"edges":[[1]],"num_features":1}`,
+	"backward-child":     `{"bias":0,"trees":[{"nodes":[{"f":-1,"l":-1,"r":-1,"v":1},{"f":0,"b":0,"l":0,"r":2,"v":0},{"f":-1,"l":-1,"r":-1,"v":2}]}],"edges":[[1]],"num_features":1}`,
+	"leaf-with-children": `{"bias":0,"trees":[{"nodes":[{"f":-1,"l":1,"r":2,"v":0},{"f":-1,"l":-1,"r":-1,"v":1},{"f":-1,"l":-1,"r":-1,"v":2}]}],"edges":[[1]],"num_features":1}`,
+	"internal-childless": `{"bias":0,"trees":[{"nodes":[{"f":0,"b":0,"l":-1,"r":-1,"v":0}]}],"edges":[[1]],"num_features":1}`,
+	"unsorted-edges":     `{"bias":0,"trees":[],"edges":[[2,1]],"num_features":1}`,
+	"edge-count":         `{"bias":0,"trees":[],"edges":[[` + strings.Repeat("1,", 255) + `1]],"num_features":1}`,
+	"edges-per-feature":  `{"bias":0,"trees":[],"edges":[[1],[2]],"num_features":1}`,
+}
+
+func TestLoadRejectsMalformedTrees(t *testing.T) {
+	for name, doc := range malformedModels {
+		if m, err := Load(strings.NewReader(doc)); err == nil {
+			t.Errorf("%s: loaded as %+v, want an error", name, m)
+		}
+	}
+	// Non-finite edges cannot be written in JSON; validate sees them when a
+	// model is assembled in memory.
+	for _, e := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		m := &Model{NumFeat: 1, Edges: [][]float64{{e}}}
+		if err := m.validate(); err == nil {
+			t.Errorf("edge %v validated", e)
+		}
+	}
+	// The smallest well-formed documents still load.
+	for _, doc := range []string{
+		`{"bias":1.5,"trees":[],"edges":[[]],"num_features":1}`,
+		`{"bias":0,"trees":[{"nodes":[{"f":0,"b":0,"l":1,"r":2,"v":0},{"f":-1,"l":-1,"r":-1,"v":1},{"f":-1,"l":-1,"r":-1,"v":2}]}],"edges":[[1,1]],"num_features":1}`,
+	} {
+		m, err := Load(strings.NewReader(doc))
+		if err != nil {
+			t.Fatalf("%s: %v", doc, err)
+		}
+		m.Predict([]float64{1})
+	}
+}
+
+// FuzzLoad: whatever the document, Load fails or returns a model that
+// Predict can walk to the end.
+func FuzzLoad(f *testing.F) {
+	X, y := synth(300, 9)
+	m, err := Train(X, y, Params{Trees: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	for _, name := range []string{"self-loop", "feature-too-large", "child-too-large", "empty-tree"} {
+		f.Add([]byte(malformedModels[name]))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		m, err := Load(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		x := make([]float64, m.NumFeat)
+		m.Predict(x)
+		for i := range x {
+			x[i] = math.Inf(1)
+		}
+		m.Predict(x)
+	})
+}
+
+// referencePredict is the walk Predict replaced: a binary search over the
+// raw feature value at every node visited. Predict bins once and compares
+// bytes; this is what it must equal, bit for bit.
+func referencePredict(m *Model, x []float64) float64 {
+	out := m.Bias
+	for ti := range m.Trees {
+		t := &m.Trees[ti]
+		n := int32(0)
+		for {
+			nd := &t.Nodes[n]
+			if nd.Feature == -1 {
+				out += nd.Value
+				break
+			}
+			if binValue(m.Edges[nd.Feature], x[nd.Feature]) <= nd.Bin {
+				n = nd.Left
+			} else {
+				n = nd.Right
+			}
+		}
+	}
+	return out
+}
+
+func TestPredictMatchesReferenceWalk(t *testing.T) {
+	for _, p := range []Params{
+		{Trees: 40},
+		{Trees: 15, MaxLeaves: 8, MinLeafSamples: 5, Bins: 256},
+		{Trees: 5, MaxLeaves: 4, Bins: 4},
+	} {
+		X, y := synth(1500, 10)
+		m, err := Train(X, y, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(x []float64) {
+			t.Helper()
+			got, want := m.Predict(x), referencePredict(m, x)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("params %+v: Predict(%v) = %v, reference walk %v", p, x, got, want)
+			}
+		}
+		rng := rand.New(rand.NewSource(11))
+		for i := 0; i < 2000; i++ {
+			check([]float64{rng.Float64()*1.2 - 0.1, rng.Float64()*1.2 - 0.1, rng.Float64()*1.2 - 0.1})
+		}
+		// Every edge of every feature, and its neighbours one ulp either
+		// side, against a random and an extreme background.
+		specials := []float64{math.Inf(-1), math.Inf(1), math.NaN(), 0, -math.MaxFloat64, math.MaxFloat64}
+		for f, edges := range m.Edges {
+			probes := append([]float64{}, specials...)
+			for _, e := range edges {
+				probes = append(probes, e, math.Nextafter(e, math.Inf(-1)), math.Nextafter(e, math.Inf(1)))
+			}
+			for _, v := range probes {
+				x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+				x[f] = v
+				check(x)
+				for g := range x {
+					if g != f {
+						x[g] = specials[rng.Intn(len(specials))]
+					}
+				}
+				check(x)
+			}
+		}
 	}
 }
 

@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"lava/internal/cluster"
@@ -44,10 +47,39 @@ func clampRemaining(d time.Duration) time.Duration {
 // GBDTPredictor is the production model of the paper: a gradient-boosted
 // regression forest over the Table 3 features plus uptime, predicting log10
 // remaining hours (§3).
+//
+// The forest compares bins, not values, and a VM's ten static columns never
+// change, so for one static-bin vector the remaining lifetime is a step
+// function of the uptime bin. PredictRemaining walks the forest once per
+// step and answers repredictions from a table, bit-equal to the walk. Enc
+// and M must not change after the first prediction.
 type GBDTPredictor struct {
 	Enc *features.Encoder
 	M   *gbdt.Model
+
+	// steps maps a static-bin vector to its step function; derived state,
+	// built on use and never saved. Readers load the map and never lock;
+	// mu serialises the writers, which publish a copy with one more table.
+	mu    sync.Mutex
+	steps atomic.Pointer[map[staticBins]stepTable]
 }
+
+// uptimeCol is the uptime column of an encoded vector: the last one.
+const uptimeCol = features.NumColumns - 1
+
+// staticBins is the bin vector of a VM's static columns, the key of its
+// step table.
+type staticBins [uptimeCol]uint8
+
+// stepTable is one step function: the clamped remaining lifetime by uptime
+// bin, len(Edges[uptimeCol])+1 entries. Zero marks an entry not computed
+// yet; clampRemaining never returns less than a minute.
+type stepTable []atomic.Int64
+
+// maxStepTables bounds the tables a predictor keeps: 8 bytes per uptime bin
+// each, 512 at the default 64 bins. A VM type past the bound is predicted
+// by the walk.
+const maxStepTables = 4096
 
 // TrainGBDT trains the production-style model from trace records, using
 // the uptime-augmented survival examples of §3.
@@ -75,9 +107,58 @@ func (g *GBDTPredictor) Name() string { return "gbdt" }
 
 // PredictRemaining implements Predictor.
 func (g *GBDTPredictor) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration {
-	x := g.Enc.Encode(vm.Feat, uptimeLog10(uptime))
-	logh := g.M.Predict(x)
-	return clampRemaining(simtime.FromHours(math.Pow(10, logh)))
+	var xbuf [features.NumColumns]float64
+	var bbuf [features.NumColumns]uint8
+	x := g.Enc.AppendEncode(xbuf[:0], vm.Feat, uptimeLog10(uptime))
+	bins := g.M.AppendBins(bbuf[:0], x)
+	if len(bins) != features.NumColumns {
+		panic(fmt.Sprintf("model: GBDT over %d columns, want %d", len(bins), features.NumColumns))
+	}
+	tab := g.stepTable(staticBins(bins[:uptimeCol]))
+	if tab == nil {
+		return g.walk(bins)
+	}
+	step := &tab[bins[uptimeCol]]
+	if rem := step.Load(); rem != 0 {
+		return time.Duration(rem)
+	}
+	rem := g.walk(bins)
+	step.Store(int64(rem))
+	return rem
+}
+
+// walk runs the forest over one binned vector.
+func (g *GBDTPredictor) walk(bins []uint8) time.Duration {
+	return clampRemaining(simtime.FromHours(math.Pow(10, g.M.PredictBinned(bins))))
+}
+
+// stepTable returns the table of one static-bin vector, adding it on first
+// sight, or nil once the predictor holds maxStepTables others.
+func (g *GBDTPredictor) stepTable(key staticBins) stepTable {
+	tabs := g.stepTables()
+	if tab, ok := tabs[key]; ok || len(tabs) >= maxStepTables {
+		return tab
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	tabs = g.stepTables()
+	if tab, ok := tabs[key]; ok || len(tabs) >= maxStepTables {
+		return tab
+	}
+	next := make(map[staticBins]stepTable, len(tabs)+1)
+	maps.Copy(next, tabs)
+	tab := make(stepTable, len(g.M.Edges[uptimeCol])+1)
+	next[key] = tab
+	g.steps.Store(&next)
+	return tab
+}
+
+// stepTables returns the current map of tables; nil before the first one.
+func (g *GBDTPredictor) stepTables() map[staticBins]stepTable {
+	if m := g.steps.Load(); m != nil {
+		return *m
+	}
+	return nil
 }
 
 // --- MLP ----------------------------------------------------------------

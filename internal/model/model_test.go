@@ -13,7 +13,7 @@ import (
 	"lava/internal/workload"
 )
 
-func testTrace(t *testing.T, days int, seed int64) *trace.Trace {
+func testTrace(t testing.TB, days int, seed int64) *trace.Trace {
 	t.Helper()
 	tr, err := workload.Generate(workload.PoolSpec{
 		Name: "model-test", Zone: "z1", Hosts: 24, TargetUtil: 0.6,
@@ -280,5 +280,18 @@ func TestGBDTBundleRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadGBDT(bytes.NewBufferString("{}")); err == nil {
 		t.Fatal("empty bundle must fail to load")
+	}
+	// A bundle's model goes through gbdt's validation: a root that is its
+	// own child would spin PredictRemaining forever.
+	var saved bytes.Buffer
+	if err := g.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	looped := bytes.Replace(saved.Bytes(), []byte(`"l":1,"r":2`), []byte(`"l":0,"r":0`), 1)
+	if bytes.Equal(looped, saved.Bytes()) {
+		t.Fatal("saved bundle has no root split to corrupt")
+	}
+	if _, err := LoadGBDT(bytes.NewReader(looped)); err == nil {
+		t.Fatal("bundle with a self-looping tree must fail to load")
 	}
 }

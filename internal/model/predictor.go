@@ -17,7 +17,10 @@ import (
 //
 // Calling PredictRemaining with uptime 0 yields the initial (schedule-time)
 // prediction; subsequent calls with growing uptime are the repredictions
-// that distinguish NILAS/LAVA from one-shot approaches.
+// that distinguish NILAS/LAVA from one-shot approaches. LAVA makes about
+// twenty of them per placement, so an implementation may keep derived state
+// to answer them (GBDTPredictor's step tables) as long as every answer
+// equals the one it would compute from scratch.
 type Predictor interface {
 	Name() string
 	PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration

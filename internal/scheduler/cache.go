@@ -60,13 +60,13 @@ func (c *ExitCache) HostExit(h *cluster.Host, now time.Duration) time.Duration {
 // compute repredicts every VM on the host and takes the max exit.
 func (c *ExitCache) compute(h *cluster.Host, now time.Duration) time.Duration {
 	max := now
-	for _, vm := range h.VMs() {
+	h.EachVM(func(vm *cluster.VM) {
 		c.Predictions++
 		exit := now + c.Pred.PredictRemaining(vm, vm.Uptime(now))
 		if exit > max {
 			max = exit
 		}
-	}
+	})
 	return max
 }
 
