@@ -279,7 +279,7 @@ func BenchmarkTable4Inference(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dt, err := model.TrainDistTable(recs, nil)
+	dt, err := model.TrainDistTable(recs)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -170,7 +170,7 @@ func runScale(opt Options) (Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	pred, err := model.TrainDistTable(mtr.Records, nil)
+	pred, err := model.TrainDistTable(mtr.Records)
 	if err != nil {
 		return nil, err
 	}

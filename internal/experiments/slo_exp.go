@@ -103,7 +103,7 @@ func runSLO(opt Options) (Report, error) {
 	}
 	classed := slo.AssignClasses(base, mix, opt.Seed)
 
-	pred, err := model.TrainDistTable(classed.Records, nil)
+	pred, err := model.TrainDistTable(classed.Records)
 	if err != nil {
 		return nil, err
 	}

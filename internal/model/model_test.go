@@ -171,7 +171,7 @@ func TestDistTableBimodalReprediction(t *testing.T) {
 			Feat: vmFromRecord(trace.Record{}).Feat,
 		})
 	}
-	dt, err := TrainDistTable(recs, nil)
+	dt, err := TrainDistTable(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,6 +186,49 @@ func TestDistTableBimodalReprediction(t *testing.T) {
 	at2 := dt.PredictRemaining(vm, 2*simtime.Day)
 	if at2 < 4*simtime.Day || at2 > 6*simtime.Day {
 		t.Fatalf("PredictRemaining(2d) = %v, want ~5d", at2)
+	}
+}
+
+// distWithVMs trains the dist table on a generated trace and returns its
+// records as VMs, plus one of a group the table never saw.
+func distWithVMs(t testing.TB) (*DistTable, []*cluster.VM) {
+	t.Helper()
+	tr := testTrace(t, 3, 37)
+	dt, err := TrainDistTable(tr.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vms []*cluster.VM
+	for _, r := range tr.Records {
+		vms = append(vms, vmFromRecord(r))
+	}
+	unseen := vmFromRecord(tr.Records[0])
+	unseen.Feat.VMCategory = "never-seen"
+	return dt, append(vms, unseen)
+}
+
+// TestDistTablePredictDoesNotAllocate: LAVA asks ~24 times per placement, and
+// the table lookup used to build a string key each time.
+func TestDistTablePredictDoesNotAllocate(t *testing.T) {
+	dt, vms := distWithVMs(t)
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		sinkRemaining = dt.PredictRemaining(vms[i%len(vms)], time.Duration(i)*time.Minute)
+		i++
+	}); n != 0 {
+		t.Fatalf("DistTable.PredictRemaining allocates %v times per call, want 0", n)
+	}
+}
+
+// BenchmarkDistPredict is the dist table's row of the model layer: one
+// reprediction of a VM of the generated workload.
+func BenchmarkDistPredict(b *testing.B) {
+	dt, vms := distWithVMs(b)
+	ups := []time.Duration{0, 90 * time.Second, 5 * time.Hour, 2 * simtime.Day}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkRemaining = dt.PredictRemaining(vms[i%len(vms)], ups[i%len(ups)])
 	}
 }
 

@@ -79,13 +79,25 @@ func SplitRecords(records []trace.Record, testFrac float64, seed int64) (train, 
 // table the authors describe trying first (§7).
 type DistTable struct {
 	ModelName string
-	Key       func(features.Features) string
-	tables    map[string]*dist.Empirical
+	tables    map[distKey]*dist.Empirical
 	global    *dist.Empirical
 }
 
-// DefaultKey groups by the features that dominate importance in Fig. 11:
-// category, shape, priority and admission policy.
+// distKey groups by the features that dominate importance in Fig. 11:
+// category, shape, priority and admission policy. It is DefaultKey as a
+// comparable struct, so a prediction looks its table up without building a
+// string.
+type distKey struct {
+	VMCategory, VMShape, Priority string
+	AdmissionPolicy               bool
+}
+
+func distKeyOf(f *features.Features) distKey {
+	return distKey{f.VMCategory, f.VMShape, f.Priority, f.AdmissionPolicy}
+}
+
+// DefaultKey is the same grouping as a string, for the string-keyed strata
+// of TrainKM.
 func DefaultKey(f features.Features) string {
 	adm := "q"
 	if f.AdmissionPolicy {
@@ -95,14 +107,12 @@ func DefaultKey(f features.Features) string {
 }
 
 // TrainDistTable fits per-group empirical distributions from trace records.
-func TrainDistTable(records []trace.Record, key func(features.Features) string) (*DistTable, error) {
-	if key == nil {
-		key = DefaultKey
-	}
-	groups := map[string][]time.Duration{}
+func TrainDistTable(records []trace.Record) (*DistTable, error) {
+	groups := map[distKey][]time.Duration{}
 	var all []time.Duration
-	for _, r := range records {
-		k := key(r.Feat)
+	for i := range records {
+		r := &records[i]
+		k := distKeyOf(&r.Feat)
 		groups[k] = append(groups[k], r.Lifetime)
 		all = append(all, r.Lifetime)
 	}
@@ -110,7 +120,7 @@ func TrainDistTable(records []trace.Record, key func(features.Features) string) 
 	if err != nil {
 		return nil, err
 	}
-	dt := &DistTable{ModelName: "dist-table", Key: key, tables: make(map[string]*dist.Empirical, len(groups)), global: global}
+	dt := &DistTable{ModelName: "dist-table", tables: make(map[distKey]*dist.Empirical, len(groups)), global: global}
 	for k, ls := range groups {
 		if len(ls) < features.MinCategoryCount {
 			continue // rare groups fall back to the global distribution
@@ -129,7 +139,7 @@ func (d *DistTable) Name() string { return d.ModelName }
 
 // PredictRemaining implements Predictor via the conditional expectation.
 func (d *DistTable) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration {
-	e, ok := d.tables[d.Key(vm.Feat)]
+	e, ok := d.tables[distKeyOf(&vm.Feat)]
 	if !ok {
 		e = d.global
 	}
@@ -158,7 +168,7 @@ func Train(name string, records []trace.Record, trees int) (Predictor, error) {
 	case "km":
 		return TrainKM(records, nil)
 	case "dist":
-		return TrainDistTable(records, nil)
+		return TrainDistTable(records)
 	}
 	return nil, fmt.Errorf("model: unknown model kind %q (want %s)", name, strings.Join(Names(), "|"))
 }

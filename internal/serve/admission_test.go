@@ -48,7 +48,7 @@ func tightSLO() *slo.Config {
 // fairness and fitness included.
 func TestServedAdmissionParity(t *testing.T) {
 	tr := classedTrace(t, 16, 3, 7)
-	pred, err := model.TrainDistTable(tr.Records, nil)
+	pred, err := model.TrainDistTable(tr.Records)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,107 +1,30 @@
 package serve
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"lava/internal/cluster"
-	"lava/internal/features"
 	"lava/internal/model"
 )
 
-// memoKey is the full input domain of a feature-pure predictor.
-type memoKey struct {
-	feat   features.Features
-	uptime time.Duration
-}
-
-// memoEntry is one table slot. The goroutine that reserves the slot
-// computes val and closes ready; everyone else waits on ready and reads
-// val afterwards, so a burst of concurrent misses on one key runs the
-// underlying predictor exactly once.
-type memoEntry struct {
-	ready chan struct{}
-	val   time.Duration
-}
-
-// MemoPredictor memoizes a model.Predictor on (features, uptime). It is
-// semantically transparent for the learned model families — gbdt, km, dist,
-// mlp, cox predict from exactly that pair — so a memoized server makes
-// byte-identical decisions while skipping the repeated forest/table walks
-// that admission-time predictions of recurring VM shapes would otherwise
-// pay. It must NOT wrap identity-dependent predictors (model.Oracle,
-// model.NoisyOracle), whose output depends on the individual VM.
-//
-// Concurrent misses on the same key are collapsed: the first goroutine
-// reserves the slot under the lock and runs the underlying predictor; the
-// rest wait for its value. One miss per distinct key ever reaches the
-// counters or the predictor, so MemoStats stays exact under the fleet's
-// many event loops sharing one cache.
-//
-// The table is bounded: at MaxEntries it is cleared wholesale, a simple
-// eviction that keeps behaviour deterministic (a cache hit and a recompute
-// return the same value, so eviction timing is invisible to results).
+// MemoPredictor forwards to the predictor Memoize was given, counting calls.
 type MemoPredictor struct {
-	p      model.Predictor
-	max    int
-	mu     sync.Mutex
-	table  map[memoKey]*memoEntry
-	hits   atomic.Int64
-	misses atomic.Int64
+	p     model.Predictor
+	calls atomic.Int64
 }
 
-// DefaultMemoEntries bounds the memo table (~24 MB worst case).
-const DefaultMemoEntries = 1 << 18
+// Memoize wraps p in a forwarder; maxEntries is ignored.
+//
+// Deprecated: the (features, uptime) memo table is gone — a reprediction
+// never repeats a raw-nanosecond uptime, so it could not hit (DESIGN.md,
+// serving point 6). The name stays because bench/ (which this repo's
+// changes may not edit) calls it.
+func Memoize(p model.Predictor, maxEntries int) *MemoPredictor { return &MemoPredictor{p: p} }
 
-// Memoize wraps p. maxEntries <= 0 uses DefaultMemoEntries.
-func Memoize(p model.Predictor, maxEntries int) *MemoPredictor {
-	if maxEntries <= 0 {
-		maxEntries = DefaultMemoEntries
-	}
-	return &MemoPredictor{p: p, max: maxEntries, table: make(map[memoKey]*memoEntry)}
-}
+func (c *MemoPredictor) Name() string { return c.p.Name() }
 
-// Name implements model.Predictor.
-func (c *MemoPredictor) Name() string { return c.p.Name() + "+memo" }
-
-// PredictRemaining implements model.Predictor.
 func (c *MemoPredictor) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration {
-	k := memoKey{feat: vm.Feat, uptime: uptime}
-	c.mu.Lock()
-	if e, ok := c.table[k]; ok {
-		c.mu.Unlock()
-		// A pending entry means another goroutine is computing this exact
-		// value right now; waiting for it is a hit, not a second miss.
-		<-e.ready
-		c.hits.Add(1)
-		return e.val
-	}
-	if len(c.table) >= c.max {
-		// Wholesale eviction. In-flight waiters hold pointers to their
-		// entries, which their owners still complete.
-		c.table = make(map[memoKey]*memoEntry)
-	}
-	e := &memoEntry{ready: make(chan struct{})}
-	c.table[k] = e
-	c.mu.Unlock()
-	c.misses.Add(1)
-	e.val = c.p.PredictRemaining(vm, uptime)
-	close(e.ready)
-	return e.val
-}
-
-// MemoStats is the cache-telemetry slice of /stats.
-type MemoStats struct {
-	Hits    int64 `json:"hits"`
-	Misses  int64 `json:"misses"`
-	Entries int   `json:"entries"`
-}
-
-// Stats reports hit/miss counters and current table size.
-func (c *MemoPredictor) Stats() MemoStats {
-	c.mu.Lock()
-	n := len(c.table)
-	c.mu.Unlock()
-	return MemoStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n}
+	c.calls.Add(1)
+	return c.p.PredictRemaining(vm, uptime)
 }

@@ -1,103 +1,135 @@
 package serve
 
 import (
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"lava/internal/cluster"
-	"lava/internal/features"
+	"lava/internal/model"
+	"lava/internal/scheduler"
+	"lava/internal/trace"
 )
 
-// countingPredictor is a slow feature-pure predictor that counts underlying
-// invocations, so tests can observe whether concurrent misses collapse.
-type countingPredictor struct {
-	calls atomic.Int64
-	delay time.Duration
-}
+// The memo table is gone (DESIGN.md, serving point 6); these tests pin what
+// is left of its surface: Memoize forwards, Config.Memo changes no decision,
+// /stats has a memo block only for a config that sets Memo — every call a
+// miss, which is what bench/ needs to print its rows — and an old document's
+// block still decodes.
 
-func (p *countingPredictor) Name() string { return "counting" }
-
-func (p *countingPredictor) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration {
-	p.calls.Add(1)
-	if p.delay > 0 {
-		time.Sleep(p.delay)
+// checkForwards compares memo against raw on every record of tr at a few
+// uptimes; it reports with t.Errorf so it may run off the test goroutine.
+func checkForwards(t *testing.T, tr *trace.Trace, memo, raw model.Predictor) {
+	for i := range tr.Records {
+		rec := &tr.Records[i]
+		vm := &cluster.VM{ID: rec.ID, Shape: rec.Shape, Feat: rec.Feat, TrueLifetime: rec.Lifetime}
+		for _, up := range []time.Duration{0, time.Nanosecond, time.Hour, 30 * 24 * time.Hour} {
+			if got, want := memo.PredictRemaining(vm, up), raw.PredictRemaining(vm, up); got != want {
+				t.Errorf("vm %d at uptime %v: wrapped prediction %v != raw %v", rec.ID, up, got, want)
+				return
+			}
+		}
 	}
-	return time.Duration(len(vm.Feat.VMCategory)+1) * time.Hour
 }
 
-// TestMemoConcurrentIdenticalKey is the thundering-herd regression: many
-// goroutines missing the same key at once must run the underlying predictor
-// exactly once, agree on the value, and account exactly one miss — the rest
-// are hits served from the reserved entry.
+// TestMemoPredictorTransparent checks value equality against the raw
+// predictor, and that a server configured with Memo drains to the same bytes
+// as one without.
+func TestMemoPredictorTransparent(t *testing.T) {
+	tr := smallTrace(t, 8, 2, 3)
+	raw, err := model.TrainDistTable(tr.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 2} {
+		memo := Memoize(raw, n)
+		checkForwards(t, tr, memo, raw)
+		if memo.Name() != raw.Name() {
+			t.Errorf("Memoize(p, %d) is named %q, want the wrapped %q", n, memo.Name(), raw.Name())
+		}
+	}
+
+	drain := func(withMemo bool) []byte {
+		cfg := FromTrace(tr)
+		cfg.Policy = scheduler.NewLAVA(raw, time.Minute)
+		if withMemo {
+			memo := Memoize(raw, 0)
+			cfg.Policy, cfg.Memo = scheduler.NewLAVA(memo, time.Minute), memo
+		}
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		hs := httptest.NewServer(srv.Handler())
+		defer hs.Close()
+		if _, err := (&Client{Base: hs.URL}).Replay(context.Background(), tr, ReplayOptions{Concurrency: 4, SkipDrain: true}); err != nil {
+			t.Fatal(err)
+		}
+		var st Stats
+		if err := json.Unmarshal(wireDo(t, http.MethodGet, hs.URL+"/stats", ""), &st); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case !withMemo && st.Memo != nil:
+			t.Errorf("/stats of a config without Memo has a memo block: %+v", st.Memo)
+		case withMemo && (st.Memo == nil || st.Memo.Hits != 0 || st.Memo.Entries != 0 || st.Memo.Misses == 0):
+			t.Errorf("/stats memo block = %+v, want every forwarded call a miss", st.Memo)
+		}
+		return wireDo(t, http.MethodPost, hs.URL+"/drain", "")
+	}
+	if with, without := drain(true), drain(false); string(with) != string(without) {
+		t.Fatalf("/drain differs with Config.Memo set:\n with    %s\n without %s", with, without)
+	}
+}
+
+// TestMemoConcurrentIdenticalKey shares one wrapper between 8 goroutines
+// asking the same questions at once (run under -race): every answer is the
+// wrapped predictor's.
 func TestMemoConcurrentIdenticalKey(t *testing.T) {
-	const workers = 32
-	raw := &countingPredictor{delay: 5 * time.Millisecond}
-	memo := Memoize(raw, 0)
-	vm := &cluster.VM{ID: 1, Feat: features.Features{VMCategory: "burst"}}
-
-	var (
-		start sync.WaitGroup
-		done  sync.WaitGroup
-		gate  = make(chan struct{})
-		vals  [workers]time.Duration
-	)
-	for i := 0; i < workers; i++ {
-		i := i
-		start.Add(1)
-		done.Add(1)
-		go func() {
-			defer done.Done()
-			start.Done()
-			<-gate
-			vals[i] = memo.PredictRemaining(vm, time.Minute)
-		}()
+	tr := smallTrace(t, 8, 2, 3)
+	raw, err := model.TrainDistTable(tr.Records)
+	if err != nil {
+		t.Fatal(err)
 	}
-	start.Wait()
-	close(gate)
-	done.Wait()
-
-	want := raw.PredictRemaining(vm, time.Minute) // one more direct call
-	for i, v := range vals {
-		if v != want {
-			t.Fatalf("worker %d got %v, want %v", i, v, want)
+	for _, n := range []int{0, 2} {
+		memo := Memoize(raw, n)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				checkForwards(t, tr, memo, raw)
+			}()
 		}
-	}
-	if got := raw.calls.Load(); got != 2 { // memoized herd collapsed to 1 (+1 direct)
-		t.Fatalf("underlying predictor ran %d times through the memo, want 1", got-1)
-	}
-	st := memo.Stats()
-	if st.Misses != 1 {
-		t.Fatalf("memo counted %d misses for one distinct key", st.Misses)
-	}
-	if st.Hits != workers-1 {
-		t.Fatalf("memo counted %d hits, want %d", st.Hits, workers-1)
-	}
-	if st.Entries != 1 {
-		t.Fatalf("memo holds %d entries, want 1", st.Entries)
+		wg.Wait()
 	}
 }
 
-// TestMemoEvictionKeepsInFlightEntries pins the wholesale-eviction contract:
-// clearing a full table must not disturb values, and repopulation resumes
-// counting misses per distinct key.
+// TestMemoEvictionKeepsInFlightEntries: a maxEntries smaller than the key
+// set is ignored like any other, and a /stats document stored while there
+// was a table still decodes.
 func TestMemoEvictionKeepsInFlightEntries(t *testing.T) {
-	raw := &countingPredictor{}
+	tr := smallTrace(t, 8, 2, 3)
+	raw, err := model.TrainDistTable(tr.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
 	memo := Memoize(raw, 2)
-	mk := func(cat string) *cluster.VM {
-		return &cluster.VM{ID: 1, Feat: features.Features{VMCategory: cat}}
+	for pass := 0; pass < 2; pass++ {
+		checkForwards(t, tr, memo, raw)
 	}
-	for _, cat := range []string{"a", "bb", "ccc"} { // third insert evicts
-		if got, want := memo.PredictRemaining(mk(cat), 0), raw.PredictRemaining(mk(cat), 0); got != want {
-			t.Fatalf("category %q: memo %v != raw %v", cat, got, want)
-		}
+
+	const stored = `{"pool":"p","policy":"lava","hosts":4,"memo":{"hits":7,"misses":93,"entries":93},"cell_stats":[{"pool":"p/cell-0","memo":{"hits":1,"misses":2,"entries":2}}]}`
+	var st Stats
+	if err := json.Unmarshal([]byte(stored), &st); err != nil {
+		t.Fatalf("a /stats document with a memo block no longer decodes: %v", err)
 	}
-	st := memo.Stats()
-	if st.Misses != 3 {
-		t.Fatalf("three distinct keys should be three misses, got %+v", st)
-	}
-	if st.Entries != 1 {
-		t.Fatalf("eviction at max=2 should leave the newest entry alone, got %d", st.Entries)
+	if st.Memo == nil || *st.Memo != (MemoStats{Hits: 7, Misses: 93, Entries: 93}) || st.CellStats[0].Memo.Misses != 2 {
+		t.Fatalf("memo block decoded to %+v", st.Memo)
 	}
 }

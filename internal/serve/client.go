@@ -55,24 +55,11 @@ func (c *Client) get(ctx context.Context, path string, out any) error {
 }
 
 func (c *Client) do(req *http.Request, path string, out any) error {
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.roundTrip(req, path)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var eb errorBody
-		if json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&eb) == nil && eb.Error != "" {
-			if resp.StatusCode == http.StatusTooManyRequests && eb.Class != "" {
-				// Surface admission rejections as the typed error so callers
-				// can branch with slo.IsReject and honor RetryAt.
-				return fmt.Errorf("serve client: %s: %w", path,
-					&slo.RejectError{Class: eb.Class, RetryAt: eb.RetryAtNS})
-			}
-			return fmt.Errorf("serve client: %s: %s (HTTP %d)", path, eb.Error, resp.StatusCode)
-		}
-		return fmt.Errorf("serve client: %s: HTTP %d", path, resp.StatusCode)
-	}
 	if out == nil {
 		return nil
 	}
@@ -82,18 +69,78 @@ func (c *Client) do(req *http.Request, path string, out any) error {
 	return nil
 }
 
+// roundTrip sends req and returns the response if it is a 200, for the
+// caller to read and close; any other status is consumed into the error its
+// envelope describes.
+func (c *Client) roundTrip(req *http.Request, path string) (*http.Response, error) {
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode == http.StatusOK {
+		return resp, nil
+	}
+	defer resp.Body.Close()
+	var eb errorBody
+	if json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&eb) == nil && eb.Error != "" {
+		if resp.StatusCode == http.StatusTooManyRequests && eb.Class != "" {
+			// Surface admission rejections as the typed error so callers
+			// can branch with slo.IsReject and honor RetryAt.
+			return nil, fmt.Errorf("serve client: %s: %w", path,
+				&slo.RejectError{Class: eb.Class, RetryAt: eb.RetryAtNS})
+		}
+		return nil, fmt.Errorf("serve client: %s: %s (HTTP %d)", path, eb.Error, resp.StatusCode)
+	}
+	return nil, fmt.Errorf("serve client: %s: HTTP %d", path, resp.StatusCode)
+}
+
+// hotPost is post for a route with a codec: the request is encoded into a
+// pooled buffer and the response read whole — to EOF, so the keep-alive
+// connection is reused — and parsed from the same buffer. Either side falls
+// back to encoding/json when the codec declines.
+func hotPost[Req, Resp any](ctx context.Context, c *Client, path string, cd *codec[Req, Resp], in *Req) (out Resp, err error) {
+	buf := bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	body, ok := cd.appendReq(buf.AvailableBuffer(), in)
+	if !ok {
+		if body, err = json.Marshal(in); err != nil {
+			return out, fmt.Errorf("serve client: encode %s: %w", path, err)
+		}
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(body))
+	if err != nil {
+		return out, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.roundTrip(req, path)
+	if err != nil {
+		// buf is not pooled again: the transport may close a request body
+		// after RoundTrip returns, so it can still be reading these bytes.
+		return out, err
+	}
+	defer resp.Body.Close()
+	// A 200 means the server read the request to its end; buf is free.
+	defer bufPool.Put(buf)
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return out, fmt.Errorf("serve client: read %s: %w", path, err)
+	}
+	if r, ok := cd.parseResp(trimSpace(buf.Bytes())); ok {
+		return r, nil
+	}
+	if err := json.NewDecoder(buf).Decode(&out); err != nil {
+		return out, fmt.Errorf("serve client: decode %s: %w", path, err)
+	}
+	return out, nil
+}
+
 // Place submits one placement request.
 func (c *Client) Place(ctx context.Context, req PlaceRequest) (PlaceResponse, error) {
-	var out PlaceResponse
-	err := c.post(ctx, "/place", req, &out)
-	return out, err
+	return hotPost(ctx, c, "/place", placeCodec, &req)
 }
 
 // Exit submits one VM exit.
 func (c *Client) Exit(ctx context.Context, req ExitRequest) (ExitResponse, error) {
-	var out ExitResponse
-	err := c.post(ctx, "/exit", req, &out)
-	return out, err
+	return hotPost(ctx, c, "/exit", exitCodec, &req)
 }
 
 // Tick advances the server's virtual time.

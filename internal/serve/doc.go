@@ -31,15 +31,19 @@
 // makes exactly the same placement decisions as `lava.Simulate` on that
 // trace.
 //
-// # Prediction memo-cache
+// # Hot-route codec
 //
-// MemoPredictor wraps a model.Predictor with a (features, uptime) →
-// prediction memo table. Learned model families (gbdt, km, dist, mlp, cox)
-// are pure functions of those two inputs, so memoization is semantically
-// invisible — the parity test runs with the cache enabled to prove it —
-// while collapsing the repeated admission-time predictions of identical
-// VM shapes that dominate serving traffic. Identity-dependent predictors
-// (Oracle, NoisyOracle) must not be memoized.
+// /place and /exit are nearly every request, so their wire types have
+// hand-written codecs (codec.go) under an accept-or-decline contract: an
+// encoder writes exactly json.Marshal's bytes or declines, a parser accepts
+// exactly what its encoder writes or declines, and whoever is declined goes
+// through the encoding/json call every other route uses. Accepted language,
+// status codes and error messages are therefore encoding/json's;
+// FuzzHotRouteCodec checks the equivalence.
+//
+// There is no prediction memo-cache: it keyed on raw-nanosecond uptime,
+// which repredictions never repeat (DESIGN.md, serving point 6). Memoize,
+// Config.Memo and MemoStats remain as deprecated shims for bench/.
 //
 // # Drain and snapshot semantics
 //

@@ -494,6 +494,7 @@ func cellConfig(cfg *FleetConfig, idx, hosts int) (Config, error) {
 		cc.Injectors = cfg.NewInjectors(idx)
 	}
 	cc.TraceOut = nil // see FleetConfig: one writer cannot take N cells' streams
+	cc.Memo = nil     // the wrapper is fleet-wide: the node reports it, once
 	cc.SLO = cellSLO(cfg)
 	return cc, nil
 }

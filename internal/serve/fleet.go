@@ -32,8 +32,6 @@ import (
 //     exit is something no front-end can know in advance.
 //   - Policy and Injectors are per event loop and come from the NewPolicy and
 //     NewInjectors factories; values set on the embedded Config are ignored.
-//   - Memo is one table shared by all cells' policies: the key space is
-//     (features, uptime), which no cell split changes.
 //   - TraceK/TraceCap arm one decision ring per cell (there is no useful
 //     global interleaving — cells are independent event loops), queryable via
 //     /trace?cell=N or rolled up by /trace. TraceOut is ignored: per-cell
@@ -388,15 +386,7 @@ func (f *Fleet) Stats() (Stats, error) {
 		}
 		st.SLO = slo.MergeFrontDoor(gateCounts, subs, 0, 0, false)
 	}
-	if f.cfg.Memo != nil {
-		// The memo table is fleet-wide; the per-cell stats each carry the
-		// same shared counters, so report it once at the top level only.
-		ms := f.cfg.Memo.Stats()
-		st.Memo = &ms
-		for c := range st.CellStats {
-			st.CellStats[c].Memo = nil
-		}
-	}
+	st.Memo = f.cfg.memoStats()
 	return st, nil
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -179,15 +180,15 @@ type doer interface {
 // is draining or closed.
 func routes(b backend) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/place", post((*PlaceRequest).validate, func(q PlaceRequest) (PlaceResponse, error) {
+	mux.HandleFunc("/place", post(placeCodec, (*PlaceRequest).validate, func(q PlaceRequest) (PlaceResponse, error) {
 		host, placed, err := b.Place(q.Record, q.At, q.Seq)
 		return PlaceResponse{Host: host, Placed: placed}, err
 	}))
-	mux.HandleFunc("/exit", post(nil, func(q ExitRequest) (ExitResponse, error) {
+	mux.HandleFunc("/exit", post(exitCodec, nil, func(q ExitRequest) (ExitResponse, error) {
 		removed, err := b.ExitVM(q.ID, q.At, q.Seq)
 		return ExitResponse{Removed: removed}, err
 	}))
-	mux.HandleFunc("/tick", post(nil, func(q TickRequest) (TickResponse, error) {
+	mux.HandleFunc("/tick", post(nil, nil, func(q TickRequest) (TickResponse, error) {
 		now, err := b.Tick(q.At, q.Seq)
 		return TickResponse{Now: now}, err
 	}))
@@ -203,26 +204,26 @@ func routes(b backend) http.Handler {
 		_, err := d.Do(op, seq)
 		return AdminOKResponse{OK: true}, err
 	}
-	mux.HandleFunc("/admin/add-hosts", post((*AdminAddHostsRequest).validate, func(q AdminAddHostsRequest) (AdminOKResponse, error) {
+	mux.HandleFunc("/admin/add-hosts", post(nil, (*AdminAddHostsRequest).validate, func(q AdminAddHostsRequest) (AdminOKResponse, error) {
 		return admin(Op{Kind: OpAddHosts, Cell: q.Cell, N: q.N, At: q.At}, q.Seq)
 	}))
-	mux.HandleFunc("/admin/remove-host", post(nil, func(q AdminRemoveHostRequest) (AdminOKResponse, error) {
+	mux.HandleFunc("/admin/remove-host", post(nil, nil, func(q AdminRemoveHostRequest) (AdminOKResponse, error) {
 		return admin(Op{Kind: OpRemoveHost, Cell: q.Cell, Host: q.Host, At: q.At}, q.Seq)
 	}))
-	mux.HandleFunc("/admin/drain-cell", post(nil, func(q AdminCellRequest) (AdminOKResponse, error) {
+	mux.HandleFunc("/admin/drain-cell", post(nil, nil, func(q AdminCellRequest) (AdminOKResponse, error) {
 		return admin(Op{Kind: OpDrainCell, Cell: q.Cell}, q.Seq)
 	}))
-	mux.HandleFunc("/admin/rehydrate-cell", post(nil, func(q AdminCellRequest) (AdminOKResponse, error) {
+	mux.HandleFunc("/admin/rehydrate-cell", post(nil, nil, func(q AdminCellRequest) (AdminOKResponse, error) {
 		return admin(Op{Kind: OpRehydrateCell, Cell: q.Cell}, q.Seq)
 	}))
-	mux.HandleFunc("/admin/split-cell", post(nil, func(q AdminSplitRequest) (AdminSplitResponse, error) {
+	mux.HandleFunc("/admin/split-cell", post(nil, nil, func(q AdminSplitRequest) (AdminSplitResponse, error) {
 		res, err := d.Do(Op{Kind: OpSplitCell, Cell: q.Cell, N: q.N, At: q.At}, q.Seq)
 		return AdminSplitResponse{NewCell: res.NewCell}, err
 	}))
-	mux.HandleFunc("/admin/merge-cells", post(nil, func(q AdminMergeRequest) (AdminOKResponse, error) {
+	mux.HandleFunc("/admin/merge-cells", post(nil, nil, func(q AdminMergeRequest) (AdminOKResponse, error) {
 		return admin(Op{Kind: OpMergeCells, Cell: q.From, Into: q.Into, At: q.At}, q.Seq)
 	}))
-	mux.HandleFunc("/admin/rebalance", post(nil, func(q AdminRebalanceRequest) (AdminRebalanceResponse, error) {
+	mux.HandleFunc("/admin/rebalance", post(nil, nil, func(q AdminRebalanceRequest) (AdminRebalanceResponse, error) {
 		res, err := d.Do(Op{Kind: OpRebalance, N: q.MaxMoves, At: q.At}, q.Seq)
 		return AdminRebalanceResponse{Moves: res.Moves}, err
 	}))
@@ -329,21 +330,28 @@ func (q *PlaceRequest) validate() error {
 const maxBodyBytes = 1 << 20
 
 // post builds the handler of a POST endpoint that takes a JSON body: method
-// check, bounded strict decode (unknown fields are errors), the route's
-// validate check (nil: the endpoint has none), then fn, whose error maps
-// onto a status through writeErr. Every body-carrying route of a Server and
-// a Fleet is built here, so the two cannot answer the same bad request
-// differently.
-func post[Req, Resp any](validate func(*Req) error, fn func(Req) (Resp, error)) http.HandlerFunc {
+// check, the body read whole under the size bound, the route's codec if it
+// has one (nil: it has none) and otherwise — or when the codec declines —
+// the strict reflective decode (unknown fields and trailing data are
+// errors), the route's validate check (nil: the endpoint has none), then fn,
+// whose error maps onto a status through writeErr. Every body-carrying route
+// of a Server and a Fleet is built here, so the two cannot answer the same
+// bad request differently.
+func post[Req, Resp any](c *codec[Req, Resp], validate func(*Req) error, fn func(Req) (Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			methodErr(w)
 			return
 		}
+		buf := bufPool.Get().(*bytes.Buffer)
+		defer bufPool.Put(buf)
+		buf.Reset()
 		var req Req
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		if err == nil {
+			req, err = c.decode(buf.Bytes())
+		}
+		if err != nil {
 			code := http.StatusBadRequest
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
@@ -362,6 +370,15 @@ func post[Req, Resp any](validate func(*Req) error, fn func(Req) (Resp, error)) 
 		if err != nil {
 			writeErr(w, err)
 			return
+		}
+		if c != nil {
+			// The request's strings were copied out of buf; it is free.
+			buf.Reset()
+			if out, ok := c.appendResp(buf.AvailableBuffer(), &resp); ok {
+				w.Header().Set("Content-Type", "application/json")
+				_, _ = w.Write(append(out, '\n')) // json.Encoder's line end
+				return
+			}
 		}
 		writeJSON(w, resp)
 	}

@@ -61,8 +61,11 @@ type Config struct {
 	// blocks when the queue is full — backpressure, not load shedding.
 	QueueDepth int
 
-	// Memo, if the caller wrapped the policy's predictor with Memoize,
-	// lets /stats report cache hit rates. Optional.
+	// Memo changes no decision and costs no memory; a config that sets it
+	// gets a memo block in /stats (see MemoStats).
+	//
+	// Deprecated: there is no memo table (see Memoize); the field stays
+	// because bench/ sets it.
 	Memo *MemoPredictor
 
 	// TraceK > 0 enables decision tracing: every placement decision is
@@ -172,7 +175,7 @@ type Stats struct {
 	Pending    int                  `json:"pending_seq"` // reorder-buffer occupancy; a node adds its global sequencer's
 	Draining   bool                 `json:"draining"`
 	Latency    *runner.ServingStats `json:"latency,omitempty"` // loop-side; leaves only
-	Memo       *MemoStats           `json:"memo,omitempty"`    // a node reports its shared table once, not per cell
+	Memo       *MemoStats           `json:"memo,omitempty"`    // Deprecated: see MemoStats
 
 	// SLO is the live per-class admission block (counts + Jain fairness);
 	// omitted when the SLO layer is off, so pre-class clients decode the
@@ -188,6 +191,26 @@ type Stats struct {
 	CellCount int     `json:"cells,omitempty"`
 	Retired   []int   `json:"retired_cells,omitempty"`
 	CellStats []Stats `json:"cell_stats,omitempty"`
+}
+
+// MemoStats is the memo block of /stats. The table it described is gone (see
+// Memoize): the type decodes documents written while there was one, and a
+// config that still sets Memo reports every forwarded call as a miss —
+// bench/'s own tests require its serve.memo.* rows to be measured. A daemon
+// never sets Memo, so its /stats has no such block.
+//
+// Deprecated: carries no information the model_calls counter does not.
+type MemoStats struct {
+	Hits    int64 `json:"hits"`
+	Misses  int64 `json:"misses"`
+	Entries int   `json:"entries"`
+}
+
+func (cfg *Config) memoStats() *MemoStats {
+	if cfg.Memo == nil {
+		return nil
+	}
+	return &MemoStats{Misses: cfg.Memo.calls.Load()}
 }
 
 // Server is the online placement service: one event loop, one pool, one
@@ -637,10 +660,7 @@ func (s *Server) statsNow(pendingSeq int) Stats {
 	if mc, ok := s.cfg.Policy.(modelCaller); ok {
 		st.ModelCalls = mc.ModelCalls()
 	}
-	if s.cfg.Memo != nil {
-		ms := s.cfg.Memo.Stats()
-		st.Memo = &ms
-	}
+	st.Memo = s.cfg.memoStats()
 	st.SLO = s.m.SLOSummary()
 	return st
 }

@@ -38,7 +38,7 @@ func getJSON(t *testing.T, url string, out any) int {
 // the serving layer's determinism contract extended to traces.
 func TestServeTraceParity(t *testing.T) {
 	tr := smallTrace(t, 16, 3, 7)
-	pred, err := model.TrainDistTable(tr.Records, nil)
+	pred, err := model.TrainDistTable(tr.Records)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestFleetTraceParity(t *testing.T) {
 	const cells = 4
 	tr := smallTrace(t, 16, 3, 7)
 	tr.Sort()
-	pred, err := model.TrainDistTable(tr.Records, nil)
+	pred, err := model.TrainDistTable(tr.Records)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,3 +188,52 @@ func TestClientDecodesParentDocuments(t *testing.T) {
 		t.Fatalf("fleet drain does not round-trip:\n got %s\nwant %s", b, parentFleetDrain)
 	}
 }
+
+// TestTrailingDataRejected: after a body's JSON value only JSON whitespace
+// may follow. A second value or garbage used to answer 200 and apply the
+// first value alone — a client concatenating two sequenced requests lost the
+// second and parked the stream. Every case below is refused with 400 before
+// it takes a sequence number: all of them say seq 3 (wirePair used 1 and 2),
+// and seq 3 is still there for the well-formed requests at the end. The
+// bodies cover a codec route on its parsed and its reflective path, a
+// reflective-only route and an admin route.
+func TestTrailingDataRejected(t *testing.T) {
+	server, fleet := wirePair(t)
+	post := func(url, body string) (int, string) {
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(b)
+	}
+	const place3 = `{"seq":3,"at_ns":180000000000,"record":{"id":3,"lifetime_ns":3600000000000,"shape":{"CPUMilli":1000,"MemoryMB":1000}}}`
+	for _, tc := range []struct {
+		name, url, body string
+		status          int
+	}{
+		{"two values", server + "/exit", `{"seq":3,"at_ns":180000000000,"id":1}{"seq":4,"at_ns":180000000000,"id":2}`, 400},
+		{"garbage", server + "/exit", `{"seq":3,"at_ns":180000000000,"id":1} garbage`, 400},
+		{"two values, fleet", fleet + "/exit", `{"seq":3,"at_ns":180000000000,"id":1}{"seq":4,"at_ns":180000000000,"id":2}`, 400},
+		{"reflective path", server + "/place", place3 + place3, 400},
+		{"reflective-only route", server + "/tick", `{"seq":3,"at_ns":180000000000}]`, 400},
+		{"admin route", fleet + "/admin/add-hosts", `{"seq":3,"cell":0,"n":1}{"seq":4,"cell":0,"n":1}`, 400},
+		// Trailing whitespace is not data, on either decode path.
+		{"newline, parsed", server + "/exit", `{"seq":3,"at_ns":180000000000,"id":1}` + "\n", 200},
+		{"spaces, reflective", server + "/exit", `{"seq":4, "at_ns":180000000000, "id":2}` + " \r\n\t ", 200},
+		{"newline, admin", fleet + "/admin/add-hosts", `{"seq":3,"cell":0,"n":1}` + "\n", 200},
+		{"spaces, fleet", fleet + "/exit", `{"seq":4,"at_ns":180000000000,"id":1}  `, 200},
+	} {
+		code, body := post(tc.url, tc.body)
+		if code != tc.status {
+			t.Errorf("%s: HTTP %d, want %d: %s", tc.name, code, tc.status, body)
+		}
+		if tc.status == 400 && !strings.Contains(body, "bad request body") {
+			t.Errorf("%s: error %q does not say bad request body", tc.name, body)
+		}
+	}
+}

@@ -224,10 +224,12 @@ type ServeConfig struct {
 	// fine for PolicyWasteMin/PolicyBestFit.
 	Pred Predictor
 
-	// Memo interposes a (features, uptime) memo-cache in front of Pred.
-	// Only correct for feature-pure model families (gbdt, km, dist, mlp,
-	// cox) — leave it off for ModelOracle, whose predictions depend on the
-	// individual VM. Memoization never changes decisions, only their cost.
+	// Memo is ignored.
+	//
+	// Deprecated: the (features, uptime) memo-cache is gone — repredictions
+	// never repeat an uptime, so it cost more than the models it fronted. The
+	// field stays only because bench/ (which this repo's changes may not
+	// edit) sets it.
 	Memo bool
 
 	// CacheRefresh is the host-score cache refresh interval for
@@ -313,8 +315,8 @@ func CacheRefreshFlag(d time.Duration) time.Duration {
 // resolve is the one ServeConfig → serve.Config step, shared by a server and
 // a fleet: the trace's geometry plus every serving setting, and — separately,
 // because policies carry mutable caches and every event loop needs its own
-// instance — a policy factory over the possibly memoized predictor. wrap,
-// when non-nil, goes around that predictor.
+// instance — a policy factory over the predictor. wrap, when non-nil, goes
+// around that predictor.
 func (cfg ServeConfig) resolve(tr *Trace, wrap func(Predictor) Predictor) (serve.Config, func(int) (scheduler.Policy, error), error) {
 	kind := cfg.Policy
 	if kind == "" {
@@ -324,10 +326,6 @@ func (cfg ServeConfig) resolve(tr *Trace, wrap func(Predictor) Predictor) (serve
 	sc.TickEvery, sc.SampleEvery, sc.QueueDepth = cfg.TickEvery, cfg.SampleEvery, cfg.QueueDepth
 	sc.TraceK, sc.TraceCap, sc.TraceOut = cfg.TraceK, cfg.TraceCap, cfg.TraceOut
 	pred := cfg.Pred
-	if cfg.Memo && pred != nil {
-		sc.Memo = serve.Memoize(pred, 0)
-		pred = sc.Memo
-	}
 	if wrap != nil && pred != nil {
 		pred = wrap(pred)
 	}
@@ -441,7 +439,7 @@ type FleetConfig struct {
 
 // NewFleet builds a federated placement front-end (serve.Fleet) over the
 // trace's pool geometry: hosts split evenly across cfg.Cells, one policy
-// instance per cell, one shared prediction memo-cache. Replaying a trace
+// instance per cell, one shared predictor. Replaying a trace
 // against the fleet drains to ReplayFleetOffline's report byte-for-byte under
 // every router kind, at any client concurrency.
 func NewFleet(tr *Trace, cfg FleetConfig) (*serve.Fleet, error) {
@@ -469,11 +467,6 @@ func buildFleetConfig(tr *Trace, cfg FleetConfig) (serve.FleetConfig, *Trace, er
 		if tr, err = spec.ComposeTrace(tr); err != nil {
 			return fc, nil, err
 		}
-		// Model events wrap OUTSIDE the memo: a swapped model's output
-		// depends on per-VM state (creation time) the memo key cannot
-		// capture, so memoizing it would change decisions. Memoizing the
-		// feature-pure base and wrapping the swap around it keeps both the
-		// cache hits and the scenario semantics.
 		wrap = spec.WrapModel
 		fc.NewInjectors = spec.Injectors
 	}

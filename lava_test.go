@@ -170,3 +170,29 @@ func TestHTTPServerTimeouts(t *testing.T) {
 		t.Fatalf("Addr = %q", hs.Addr)
 	}
 }
+
+// TestServeConfigMemoIsIgnored: the deprecated field builds the same server
+// as its zero value — no wrapper around the predictor, no memo block in
+// /stats.
+func TestServeConfigMemoIsIgnored(t *testing.T) {
+	tr := smallTrace(t)
+	pred, err := TrainModel(tr, ModelDist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(tr, ServeConfig{Pred: pred, Memo: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if _, placed, err := srv.Place(tr.Records[0], tr.Records[0].Arrival, 0); err != nil || !placed {
+		t.Fatalf("Place = %v, %v", placed, err)
+	}
+	st, err := srv.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Memo != nil {
+		t.Fatalf("ServeConfig.Memo still reaches /stats: %+v", st.Memo)
+	}
+}
