@@ -11,7 +11,9 @@ import (
 
 // Params are the training hyperparameters. Zero values take the defaults in
 // brackets, which mirror the paper's Appendix B configuration scaled down
-// for synthetic data.
+// for synthetic data. Train refuses a negative Trees, MaxLeaves,
+// MinLeafSamples or Bins and clamps Bins to 256. There is no worker count:
+// a fit is sequential, so that its bytes depend on nothing but its inputs.
 type Params struct {
 	Trees          int     // number of boosting rounds [200]
 	LearningRate   float64 // shrinkage [0.1]
@@ -66,14 +68,22 @@ type Model struct {
 	TrainedN int         `json:"trained_examples"`
 }
 
-// Train fits a GBDT regressor on rows X (n x f) with targets y.
+// Train fits a GBDT regressor on rows X (n x f) with targets y. Every value
+// must be finite. Training is sequential and deterministic: the same X, y
+// and p give the same model document, byte for byte, on any machine.
 func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 	if len(X) == 0 || len(X) != len(y) {
 		return nil, errors.New("gbdt: empty or mismatched training data")
 	}
+	if p.Trees < 0 || p.MaxLeaves < 0 || p.MinLeafSamples < 0 || p.Bins < 0 {
+		return nil, fmt.Errorf("gbdt: negative parameter in %+v", p)
+	}
 	p = p.withDefaults()
 	nf := len(X[0])
 	n := len(X)
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("gbdt: %d rows, want <= %d", n, math.MaxInt32)
+	}
 	for i, row := range X {
 		if len(row) != nf {
 			return nil, fmt.Errorf("gbdt: row %d has %d features, want %d", i, len(row), nf)
@@ -83,12 +93,18 @@ func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 	m := &Model{NumFeat: nf, Gain: make([]float64, nf), TrainedN: n}
 	m.Edges = computeEdges(X, nf, p.Bins)
 
-	// Bin the matrix column-major.
-	cols := make([][]uint8, nf)
-	for f := 0; f < nf; f++ {
-		cols[f] = make([]uint8, n)
-		for i := 0; i < n; i++ {
-			cols[f][i] = binValue(m.Edges[f], X[i][f])
+	// Bin the matrix row-major: a node's histogram pass reads one sample's
+	// bins from one place.
+	bins := make([]uint8, n*nf)
+	for i, row := range X {
+		if math.IsNaN(y[i]) || math.IsInf(y[i], 0) {
+			return nil, fmt.Errorf("gbdt: target of row %d is %v, want a finite value", i, y[i])
+		}
+		for f, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("gbdt: row %d column %d is %v, want a finite value", i, f, v)
+			}
+			bins[i*nf+f] = binValue(m.Edges[f], v)
 		}
 	}
 
@@ -103,28 +119,30 @@ func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 	for i := range pred {
 		pred[i] = m.Bias
 	}
-	resid := make([]float64, n)
 
-	idx := make([]int, n)
-	builder := treeBuilder{cols: cols, p: p, gain: m.Gain}
+	b := newTreeBuilder(bins, m.Edges, n, p, m.Gain)
+	m.Trees = make([]tree, 0, p.Trees)
 	for t := 0; t < p.Trees; t++ {
-		for i := range resid {
-			resid[i] = y[i] - pred[i]
+		total := 0.0
+		for i := range b.resid {
+			b.resid[i] = y[i] - pred[i]
+			b.idx[i] = int32(i)
+			total += b.resid[i]
 		}
-		for i := range idx {
-			idx[i] = i
-		}
-		tr := builder.build(idx, resid)
-		// Apply shrinkage by scaling leaf values once, then update preds.
-		for i := range tr.Nodes {
-			if tr.Nodes[i].Feature == -1 {
-				tr.Nodes[i].Value *= p.LearningRate
+		b.build(total)
+		// Apply shrinkage by scaling leaf values once, then update preds:
+		// a leaf's samples are its range of idx, so no tree is walked.
+		for k := range b.nodes {
+			nd := &b.nodes[k]
+			if nd.Feature != -1 {
+				continue
+			}
+			nd.Value *= p.LearningRate
+			for _, i := range b.idx[b.spans[k].lo:b.spans[k].hi] {
+				pred[i] += nd.Value
 			}
 		}
-		for i := 0; i < n; i++ {
-			pred[i] += tr.predictBinned(cols, i)
-		}
-		m.Trees = append(m.Trees, tr)
+		m.Trees = append(m.Trees, tree{Nodes: append([]node(nil), b.nodes...)})
 	}
 	return m, nil
 }
@@ -160,157 +178,223 @@ func binValue(edges []float64, x float64) uint8 {
 
 // --- tree construction ------------------------------------------------------
 
+// treeBuilder grows the trees of one Train call. A tree's samples live in
+// one shared index array: a node owns a contiguous range of it, and a split
+// partitions that range in place, stably, so every node sees its samples in
+// ascending order. That order is the contract: a float sum over a node's
+// samples — a histogram bin's, a child's total — adds the same numbers in
+// the same order however the tree was grown, which is what keeps the model
+// document byte-stable. All scratch is allocated once and reused per tree.
 type treeBuilder struct {
-	cols [][]uint8
-	p    Params
-	gain []float64
+	bins    []uint8 // n x nf, row-major
+	nf      int
+	numBins []int // per feature: len(edges)+1
+	p       Params
+	gain    []float64
+
+	resid []float64
+	idx   []int32    // the shared index array
+	right []int32    // partition scratch: the right child's samples
+	hist  []featHist // the node in hand: one per live feature, in live's order
+
+	// Per tree, reset by build.
+	nodes []node
+	spans []span // parallel to nodes: each node's range of idx
+	cands []splitCand
+	live  []int32 // arena of the candidates' live-feature lists
 }
+
+// histBin is one bin of one feature's histogram at a node.
+type histBin struct {
+	sum float64
+	cnt int32
+}
+
+// featHist is one feature's histogram. A bin index is a uint8, so indexing
+// the array needs no bounds check; the four spare bins keep the histograms
+// of neighbouring features from starting a whole number of 4 KB pages
+// apart, where their low bins would compete for the same cache sets.
+type featHist [256 + 4]histBin
+
+// span is a node's range of the index array.
+type span struct{ lo, hi int32 }
 
 // splitCand describes the best split found for a leaf.
 type splitCand struct {
 	node    int32 // node index in the growing tree
-	idx     []int // samples at the node
-	feature int
+	feature int32
 	bin     uint8
 	gain    float64
-	sum     float64
-	left    []int
-	right   []int
+	// live lists the features that can still split below this node: those
+	// with more than one non-empty bin here. A feature with one never gets
+	// a second in a subset, so the children do not build its histogram.
+	live []int32
 }
 
-// build grows one regression tree best-first on residuals r over samples idx.
-func (b *treeBuilder) build(idx []int, r []float64) tree {
-	var tr tree
-	sum := 0.0
-	for _, i := range idx {
-		sum += r[i]
+func newTreeBuilder(bins []uint8, edges [][]float64, n int, p Params, gain []float64) *treeBuilder {
+	nf := len(edges)
+	b := &treeBuilder{bins: bins, nf: nf, p: p, gain: gain,
+		numBins: make([]int, nf),
+		hist:    make([]featHist, nf),
+		resid:   make([]float64, n),
+		idx:     make([]int32, n),
+		right:   make([]int32, n),
 	}
-	tr.Nodes = append(tr.Nodes, node{Feature: -1, Left: -1, Right: -1, Value: sum / float64(len(idx))})
+	for f, es := range edges {
+		b.numBins[f] = len(es) + 1
+	}
+	return b
+}
 
-	// Candidate heap ordered by gain (simple slice; MaxLeaves is small).
-	var cands []splitCand
-	if c, ok := b.bestSplit(0, idx, r); ok {
-		cands = append(cands, c)
+// build grows one regression tree best-first on the residuals, over all
+// samples in order; total is their sum. The tree is left in b.nodes, its
+// nodes' sample ranges in b.spans.
+func (b *treeBuilder) build(total float64) {
+	n := int32(len(b.idx))
+	b.nodes, b.spans, b.cands, b.live = b.nodes[:0], b.spans[:0], b.cands[:0], b.live[:0]
+	for f := int32(0); f < int32(b.nf); f++ {
+		b.live = append(b.live, f)
+	}
+	b.addLeaf(span{0, n}, total)
+	// A node that can never be split — the tree is at MaxLeaves — needs no
+	// candidate: the root of a one-leaf tree here, the children of the last
+	// split below.
+	if b.p.MaxLeaves > 1 {
+		b.bestSplit(0, total, b.live)
 	}
 	leaves := 1
-	for leaves < b.p.MaxLeaves && len(cands) > 0 {
-		// Pop max-gain candidate.
+	for leaves < b.p.MaxLeaves && len(b.cands) > 0 {
+		// Pop the max-gain candidate; the list is short (<= MaxLeaves) and
+		// keeps insertion order, which breaks ties.
 		best := 0
-		for i := range cands {
-			if cands[i].gain > cands[best].gain {
+		for i := range b.cands {
+			if b.cands[i].gain > b.cands[best].gain {
 				best = i
 			}
 		}
-		c := cands[best]
-		cands = append(cands[:best], cands[best+1:]...)
+		c := b.cands[best]
+		b.cands = append(b.cands[:best], b.cands[best+1:]...)
 
-		// Materialize the split.
-		li := int32(len(tr.Nodes))
-		ls := 0.0
-		for _, i := range c.left {
-			ls += r[i]
-		}
-		rs := 0.0
-		for _, i := range c.right {
-			rs += r[i]
-		}
-		tr.Nodes = append(tr.Nodes, node{Feature: -1, Left: -1, Right: -1, Value: ls / float64(len(c.left))})
-		ri := int32(len(tr.Nodes))
-		tr.Nodes = append(tr.Nodes, node{Feature: -1, Left: -1, Right: -1, Value: rs / float64(len(c.right))})
-		tr.Nodes[c.node].Feature = c.feature
-		tr.Nodes[c.node].Bin = c.bin
-		tr.Nodes[c.node].Left = li
-		tr.Nodes[c.node].Right = ri
+		// Materialize the split: partition the node's range, summing each
+		// side on the way.
+		sp := b.spans[c.node]
+		mid, ls, rs := b.partition(sp, int(c.feature), c.bin)
+		li := b.addLeaf(span{sp.lo, mid}, ls)
+		ri := b.addLeaf(span{mid, sp.hi}, rs)
+		nd := &b.nodes[c.node]
+		nd.Feature, nd.Bin, nd.Left, nd.Right = int(c.feature), c.bin, li, ri
 		b.gain[c.feature] += c.gain
 		leaves++
 
-		if cl, ok := b.bestSplit(li, c.left, r); ok {
-			cands = append(cands, cl)
-		}
-		if cr, ok := b.bestSplit(ri, c.right, r); ok {
-			cands = append(cands, cr)
+		if leaves < b.p.MaxLeaves {
+			b.bestSplit(li, ls, c.live)
+			b.bestSplit(ri, rs, c.live)
 		}
 	}
-	return tr
 }
 
-// bestSplit finds the max-variance-reduction split of samples idx, scanning
-// histogram bins per feature.
-func (b *treeBuilder) bestSplit(nodeIdx int32, idx []int, r []float64) (splitCand, bool) {
-	if len(idx) < 2*b.p.MinLeafSamples {
-		return splitCand{}, false
+// addLeaf appends a leaf over the samples of sp, whose residuals sum to
+// total, and returns its index.
+func (b *treeBuilder) addLeaf(sp span, total float64) int32 {
+	b.nodes = append(b.nodes, node{Feature: -1, Left: -1, Right: -1, Value: total / float64(sp.hi-sp.lo)})
+	b.spans = append(b.spans, sp)
+	return int32(len(b.nodes) - 1)
+}
+
+// partition reorders the samples of sp so that those with feature's bin <=
+// bin come first, each side keeping its order, and returns the boundary and
+// the residual sum of each side.
+func (b *treeBuilder) partition(sp span, feature int, bin uint8) (mid int32, ls, rs float64) {
+	w, nr := sp.lo, 0
+	for _, i := range b.idx[sp.lo:sp.hi] {
+		if b.bins[int(i)*b.nf+feature] <= bin {
+			b.idx[w] = i // w never passes the read position
+			w++
+			ls += b.resid[i]
+		} else {
+			b.right[nr] = i
+			nr++
+			rs += b.resid[i]
+		}
 	}
-	total := 0.0
+	copy(b.idx[w:sp.hi], b.right[:nr])
+	return w, ls, rs
+}
+
+// accumulate fills b.hist with the histogram of each feature of live over
+// the samples idx, in one walk: a bin's sum adds its samples' residuals in
+// the order of idx. Kept out of line so the loop has the registers to itself.
+//
+//go:noinline
+func (b *treeBuilder) accumulate(idx []int32, live []int32) {
+	resid, bins, nf := b.resid, b.bins, b.nf
+	hist := b.hist[:len(live)]
+	for k, f := range live {
+		clear(hist[k][:b.numBins[f]])
+	}
 	for _, i := range idx {
-		total += r[i]
+		r := resid[i]
+		row := bins[int(i)*nf : int(i)*nf+nf]
+		for k := range hist {
+			h := &hist[k][row[live[k]]]
+			h.sum += r
+			h.cnt++
+		}
 	}
-	n := float64(len(idx))
-	baseScore := total * total / n
+}
 
+// bestSplit finds the max-variance-reduction split of a node whose
+// residuals sum to total, over the features of live, and queues it as a
+// candidate. One walk of the node's samples fills the histogram of every
+// live feature.
+func (b *treeBuilder) bestSplit(nodeIdx int32, total float64, live []int32) {
+	sp := b.spans[nodeIdx]
+	n := int(sp.hi - sp.lo)
+	minLeaf := b.p.MinLeafSamples
+	if n < 2*minLeaf {
+		return
+	}
+	b.accumulate(b.idx[sp.lo:sp.hi], live)
+
+	baseScore := total * total / float64(n)
 	bestGain := 1e-12
-	bestFeat, bestBin := -1, uint8(0)
-	nf := len(b.cols)
-
-	var sums [256]float64
-	var cnts [256]int
-	for f := 0; f < nf; f++ {
-		col := b.cols[f]
-		maxBin := 0
-		for i := range sums {
-			sums[i], cnts[i] = 0, 0
-		}
-		for _, i := range idx {
-			bn := int(col[i])
-			sums[bn] += r[i]
-			cnts[bn]++
-			if bn > maxBin {
-				maxBin = bn
-			}
-		}
+	bestFeat, bestBin := int32(-1), uint8(0)
+	liveStart := len(b.live)
+	for k, f := range live {
+		h := b.hist[k][:b.numBins[f]]
 		cumSum, cumCnt := 0.0, 0
-		for bn := 0; bn < maxBin; bn++ { // split "<= bn"
-			cumSum += sums[bn]
-			cumCnt += cnts[bn]
-			if cumCnt < b.p.MinLeafSamples || len(idx)-cumCnt < b.p.MinLeafSamples {
+		single := false
+		for bn := 0; bn < len(h)-1; bn++ { // split "<= bn"
+			c := int(h[bn].cnt)
+			if c == 0 {
+				continue // same two sides as the bin before: no better
+			}
+			cumSum += h[bn].sum
+			cumCnt += c
+			if n-cumCnt < minLeaf { // and so for every later bin
+				single = c == n
+				break
+			}
+			if cumCnt < minLeaf {
 				continue
 			}
 			rSum := total - cumSum
-			rCnt := float64(len(idx) - cumCnt)
+			rCnt := float64(n - cumCnt)
 			gain := cumSum*cumSum/float64(cumCnt) + rSum*rSum/rCnt - baseScore
 			if gain > bestGain {
 				bestGain, bestFeat, bestBin = gain, f, uint8(bn)
 			}
 		}
+		if !single && cumCnt > 0 { // cumCnt == 0: everything sits in the last bin
+			b.live = append(b.live, f)
+		}
 	}
 	if bestFeat < 0 {
-		return splitCand{}, false
+		b.live = b.live[:liveStart]
+		return
 	}
-	c := splitCand{node: nodeIdx, idx: idx, feature: bestFeat, bin: bestBin, gain: bestGain, sum: total}
-	col := b.cols[bestFeat]
-	for _, i := range idx {
-		if col[i] <= bestBin {
-			c.left = append(c.left, i)
-		} else {
-			c.right = append(c.right, i)
-		}
-	}
-	return c, true
-}
-
-// predictBinned walks the tree for pre-binned sample i.
-func (t *tree) predictBinned(cols [][]uint8, i int) float64 {
-	n := int32(0)
-	for {
-		nd := &t.Nodes[n]
-		if nd.Feature == -1 {
-			return nd.Value
-		}
-		if cols[nd.Feature][i] <= nd.Bin {
-			n = nd.Left
-		} else {
-			n = nd.Right
-		}
-	}
+	b.cands = append(b.cands, splitCand{node: nodeIdx, feature: bestFeat, bin: bestBin, gain: bestGain,
+		live: b.live[liveStart:]})
 }
 
 // Predict returns the ensemble prediction for a raw feature vector: it bins

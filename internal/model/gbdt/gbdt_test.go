@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -71,6 +72,26 @@ func TestTrainRejectsBadInput(t *testing.T) {
 	}
 	if _, err := Train([][]float64{{1}, {1, 2}}, []float64{1, 2}, Params{}); err == nil {
 		t.Fatal("ragged rows must fail")
+	}
+	// A non-finite value used to train a model whose every prediction was
+	// NaN, or whose edges its own decoder refuses; the error names the cell.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		X, y := synth(50, 12)
+		y[7] = bad
+		if _, err := Train(X, y, Params{Trees: 2}); err == nil || !strings.Contains(err.Error(), "row 7") {
+			t.Fatalf("target %v: err = %v, want one naming row 7", bad, err)
+		}
+		X, y = synth(50, 12)
+		X[31][2] = bad
+		if _, err := Train(X, y, Params{Trees: 2}); err == nil || !strings.Contains(err.Error(), "row 31 column 2") {
+			t.Fatalf("feature %v: err = %v, want one naming row 31 column 2", bad, err)
+		}
+	}
+	for _, p := range []Params{{Trees: -1}, {MaxLeaves: -1}, {MinLeafSamples: -1}, {Bins: -1}} {
+		X, y := synth(50, 12)
+		if _, err := Train(X, y, p); err == nil {
+			t.Fatalf("%+v must fail", p)
+		}
 	}
 }
 
@@ -356,5 +377,360 @@ func BenchmarkPredict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Predict(probe)
+	}
+}
+
+// --- the reference trainer -----------------------------------------------------
+
+// referenceTrain is the trainer Train replaced: a column-major matrix, one
+// pass over a node's samples per feature, fresh left and right index slices
+// per candidate, children's sums and every prediction recomputed from
+// scratch. It is kept as the oracle: Train must produce the same model
+// document, byte for byte. It shares only withDefaults, computeEdges and
+// binValue with Train.
+func referenceTrain(X [][]float64, y []float64, p Params) *Model {
+	p = p.withDefaults()
+	nf := len(X[0])
+	n := len(X)
+	m := &Model{NumFeat: nf, Gain: make([]float64, nf), TrainedN: n}
+	m.Edges = computeEdges(X, nf, p.Bins)
+	cols := make([][]uint8, nf)
+	for f := 0; f < nf; f++ {
+		cols[f] = make([]uint8, n)
+		for i := 0; i < n; i++ {
+			cols[f][i] = binValue(m.Edges[f], X[i][f])
+		}
+	}
+	sum := 0.0
+	for _, v := range y {
+		sum += v
+	}
+	m.Bias = sum / float64(n)
+	pred := make([]float64, n)
+	for i := range pred {
+		pred[i] = m.Bias
+	}
+	resid := make([]float64, n)
+	idx := make([]int, n)
+	builder := refBuilder{cols: cols, p: p, gain: m.Gain}
+	for t := 0; t < p.Trees; t++ {
+		for i := range resid {
+			resid[i] = y[i] - pred[i]
+		}
+		for i := range idx {
+			idx[i] = i
+		}
+		tr := builder.build(idx, resid)
+		for i := range tr.Nodes {
+			if tr.Nodes[i].Feature == -1 {
+				tr.Nodes[i].Value *= p.LearningRate
+			}
+		}
+		for i := 0; i < n; i++ {
+			nd := int32(0)
+			for tr.Nodes[nd].Feature != -1 {
+				if cols[tr.Nodes[nd].Feature][i] <= tr.Nodes[nd].Bin {
+					nd = tr.Nodes[nd].Left
+				} else {
+					nd = tr.Nodes[nd].Right
+				}
+			}
+			pred[i] += tr.Nodes[nd].Value
+		}
+		m.Trees = append(m.Trees, tr)
+	}
+	return m
+}
+
+type refBuilder struct {
+	cols [][]uint8
+	p    Params
+	gain []float64
+}
+
+type refCand struct {
+	node        int32
+	feature     int
+	bin         uint8
+	gain        float64
+	left, right []int
+}
+
+func (b *refBuilder) build(idx []int, r []float64) tree {
+	var tr tree
+	sum := 0.0
+	for _, i := range idx {
+		sum += r[i]
+	}
+	tr.Nodes = append(tr.Nodes, node{Feature: -1, Left: -1, Right: -1, Value: sum / float64(len(idx))})
+	var cands []refCand
+	if c, ok := b.bestSplit(0, idx, r); ok {
+		cands = append(cands, c)
+	}
+	leaves := 1
+	for leaves < b.p.MaxLeaves && len(cands) > 0 {
+		best := 0
+		for i := range cands {
+			if cands[i].gain > cands[best].gain {
+				best = i
+			}
+		}
+		c := cands[best]
+		cands = append(cands[:best], cands[best+1:]...)
+
+		li := int32(len(tr.Nodes))
+		ls := 0.0
+		for _, i := range c.left {
+			ls += r[i]
+		}
+		rs := 0.0
+		for _, i := range c.right {
+			rs += r[i]
+		}
+		tr.Nodes = append(tr.Nodes, node{Feature: -1, Left: -1, Right: -1, Value: ls / float64(len(c.left))})
+		ri := int32(len(tr.Nodes))
+		tr.Nodes = append(tr.Nodes, node{Feature: -1, Left: -1, Right: -1, Value: rs / float64(len(c.right))})
+		tr.Nodes[c.node].Feature = c.feature
+		tr.Nodes[c.node].Bin = c.bin
+		tr.Nodes[c.node].Left = li
+		tr.Nodes[c.node].Right = ri
+		b.gain[c.feature] += c.gain
+		leaves++
+
+		if cl, ok := b.bestSplit(li, c.left, r); ok {
+			cands = append(cands, cl)
+		}
+		if cr, ok := b.bestSplit(ri, c.right, r); ok {
+			cands = append(cands, cr)
+		}
+	}
+	return tr
+}
+
+func (b *refBuilder) bestSplit(nodeIdx int32, idx []int, r []float64) (refCand, bool) {
+	if len(idx) < 2*b.p.MinLeafSamples {
+		return refCand{}, false
+	}
+	total := 0.0
+	for _, i := range idx {
+		total += r[i]
+	}
+	n := float64(len(idx))
+	baseScore := total * total / n
+
+	bestGain := 1e-12
+	bestFeat, bestBin := -1, uint8(0)
+	var sums [256]float64
+	var cnts [256]int
+	for f, col := range b.cols {
+		maxBin := 0
+		for i := range sums {
+			sums[i], cnts[i] = 0, 0
+		}
+		for _, i := range idx {
+			bn := int(col[i])
+			sums[bn] += r[i]
+			cnts[bn]++
+			if bn > maxBin {
+				maxBin = bn
+			}
+		}
+		cumSum, cumCnt := 0.0, 0
+		for bn := 0; bn < maxBin; bn++ { // split "<= bn"
+			cumSum += sums[bn]
+			cumCnt += cnts[bn]
+			if cumCnt < b.p.MinLeafSamples || len(idx)-cumCnt < b.p.MinLeafSamples {
+				continue
+			}
+			rSum := total - cumSum
+			rCnt := float64(len(idx) - cumCnt)
+			gain := cumSum*cumSum/float64(cumCnt) + rSum*rSum/rCnt - baseScore
+			if gain > bestGain {
+				bestGain, bestFeat, bestBin = gain, f, uint8(bn)
+			}
+		}
+	}
+	if bestFeat < 0 {
+		return refCand{}, false
+	}
+	c := refCand{node: nodeIdx, feature: bestFeat, bin: bestBin, gain: bestGain}
+	col := b.cols[bestFeat]
+	for _, i := range idx {
+		if col[i] <= bestBin {
+			c.left = append(c.left, i)
+		} else {
+			c.right = append(c.right, i)
+		}
+	}
+	return c, true
+}
+
+// awkward builds a matrix of the shapes that stress the trainer's
+// bookkeeping rather than its fit: a continuous column, a heavily tied one,
+// a constant one, a binary one, a one-hot pair that partitions the rows
+// with it, a column whose values all sit in the last bin but a few, and
+// every fifth row a copy of the row before it, target included.
+func awkward(n int, seed int64) ([][]float64, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	X := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range X {
+		if i%5 == 4 {
+			X[i], y[i] = X[i-1], y[i-1]
+			continue
+		}
+		k := rng.Intn(3)
+		hot := [3]float64{}
+		hot[k] = 1
+		rare := 1.0
+		if rng.Intn(40) == 0 {
+			rare = 0
+		}
+		X[i] = []float64{rng.NormFloat64(), float64(rng.Intn(4)), 7, hot[0], hot[1], hot[2], rare, math.Round(rng.Float64()*10) / 10}
+		y[i] = X[i][0] + 2*hot[1] - X[i][1]*X[i][7] + 0.1*rng.NormFloat64()
+	}
+	return X, y
+}
+
+func saved(t testing.TB, m *Model) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestTrainMatchesReferenceTrainer: the one-pass trainer writes the model
+// document of the column-wise one, byte for byte, and leaves no goroutine
+// behind.
+func TestTrainMatchesReferenceTrainer(t *testing.T) {
+	type problem struct {
+		name string
+		X    [][]float64
+		y    []float64
+	}
+	var problems []problem
+	add := func(name string, X [][]float64, y []float64) {
+		problems = append(problems, problem{name, X, y})
+	}
+	X, y := awkward(1200, 21)
+	add("awkward-1200", X, y)
+	X, y = awkward(300, 22) // n < 2*MinLeafSamples at 200: no tree splits
+	add("awkward-300", X, y)
+	X, y = synth(700, 23)
+	add("synth-700", X, y)
+	X, y = awkward(400, 24)
+	for i := range y {
+		y[i] = 3 // constant target: the root finds no gain and cannot split
+	}
+	add("constant-target", X, y)
+	add("one-row", [][]float64{{1, 2}}, []float64{5})
+
+	before := runtime.NumGoroutine()
+	for _, pr := range problems {
+		for _, bins := range []int{2, 16, 64, 256} {
+			for _, minLeaf := range []int{1, 5, 20, 200} {
+				for _, leaves := range []int{1, 2, 8, 32} {
+					p := Params{Trees: 4, Bins: bins, MinLeafSamples: minLeaf, MaxLeaves: leaves}
+					m, err := Train(pr.X, pr.y, p)
+					if err != nil {
+						t.Fatalf("%s %+v: %v", pr.name, p, err)
+					}
+					if got, want := saved(t, m), saved(t, referenceTrain(pr.X, pr.y, p)); !bytes.Equal(got, want) {
+						t.Fatalf("%s %+v: model differs from the reference trainer's\n got %s\nwant %s", pr.name, p, got, want)
+					}
+				}
+			}
+		}
+	}
+	// Defaults, and enough trees for the residuals to reach noise.
+	for _, pr := range problems[:3] {
+		p := Params{Trees: 40}
+		m, err := Train(pr.X, pr.y, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(saved(t, m), saved(t, referenceTrain(pr.X, pr.y, p))) {
+			t.Fatalf("%s %+v: model differs from the reference trainer's", pr.name, p)
+		}
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines: %d before Train, %d after", before, after)
+	}
+}
+
+// TestTrainAllocationBudget: a fit allocates its scratch once, and then one
+// node slice per tree — not per node, per candidate or per row.
+func TestTrainAllocationBudget(t *testing.T) {
+	X, y := synth(4000, 25)
+	for _, trees := range []int{10, 60} {
+		p := Params{Trees: trees}
+		allocs := testing.AllocsPerRun(2, func() {
+			if _, err := Train(X, y, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// The constant: the model, its edge lists as they grow, the binned
+		// matrix, the builder and its scratch as it reaches its size.
+		if budget := float64(trees + 80); allocs > budget {
+			t.Errorf("%d trees: %.0f allocations per fit, want <= %.0f", trees, allocs, budget)
+		}
+	}
+}
+
+// replayShaped builds a matrix shaped like the fit of the replay-gbdt
+// benchmark workload: vms VMs of a few dozen types, eight uptime-augmented
+// rows each, eleven columns — five target-encoded categoricals (the first
+// constant, as a one-zone trace's zone is), three binaries, two shape
+// sizes, and uptime.
+func replayShaped(vms int, seed int64) ([][]float64, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	type vmType struct{ cols [10]float64 }
+	types := make([]vmType, 40)
+	for k := range types {
+		c := &types[k].cols
+		c[0] = 0.8
+		for f := 1; f < 5; f++ {
+			c[f] = float64(rng.Intn(4+3*f)) / 4
+		}
+		for f := 5; f < 8; f++ {
+			c[f] = float64(rng.Intn(2))
+		}
+		c[8] = float64(int(1) << rng.Intn(6))
+		c[9] = c[8] * float64(1+rng.Intn(4))
+	}
+	X := make([][]float64, 0, vms*8)
+	y := make([]float64, 0, vms*8)
+	for v := 0; v < vms; v++ {
+		ty := &types[rng.Intn(len(types))]
+		life := math.Pow(10, ty.cols[2]-1+ty.cols[5]+0.6*rng.NormFloat64()) // hours
+		for k := 0; k < 8; k++ {
+			up := life * float64(k) / 8
+			row := append(ty.cols[:len(ty.cols):len(ty.cols)], -4)
+			if up > 0 {
+				row[10] = math.Log10(up)
+			}
+			X = append(X, row)
+			y = append(y, math.Log10(math.Min(life-up, 168)))
+		}
+	}
+	return X, y
+}
+
+var benchModel *Model
+
+// BenchmarkTrain is one fit of the size the replay-gbdt workload pays per
+// round: 57k rows x 11 columns, 100 trees.
+func BenchmarkTrain(b *testing.B) {
+	X, y := replayShaped(7125, 26)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := Train(X, y, Params{Trees: 100})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchModel = m
 	}
 }

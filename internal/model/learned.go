@@ -91,8 +91,11 @@ func TrainGBDT(records []trace.Record, p gbdt.Params) (*GBDTPredictor, error) {
 	enc := features.Fit(exs)
 	X := make([][]float64, len(exs))
 	y := make([]float64, len(exs))
+	// One backing array for the matrix, not a slice per row.
+	cells := make([]float64, 0, len(exs)*features.NumColumns)
 	for i, ex := range exs {
-		X[i] = enc.Encode(ex.F, ex.UptimeLog10)
+		cells = enc.AppendEncode(cells, ex.F, ex.UptimeLog10)
+		X[i] = cells[len(cells)-features.NumColumns:]
 		y[i] = ex.Log10Hours
 	}
 	m, err := gbdt.Train(X, y, p)

@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"time"
 
@@ -62,6 +63,39 @@ func TestNoisyOracleDeterministicPerVM(t *testing.T) {
 	if a != b {
 		t.Fatal("noisy oracle must be deterministic per VM")
 	}
+	// The kept value is the computed one: a warm oracle answers what a cold
+	// one does, for every VM and uptime, and a VM ID reused with another
+	// lifetime is a different VM.
+	warm := &NoisyOracle{Accuracy: 0.5, Seed: 1}
+	for pass := 0; pass < 2; pass++ {
+		for id := int64(1); id <= 300; id++ {
+			for _, life := range []time.Duration{time.Hour, 30 * time.Hour} {
+				vm := &cluster.VM{ID: cluster.VMID(id), TrueLifetime: life}
+				cold := &NoisyOracle{Accuracy: 0.5, Seed: 1}
+				for _, up := range []time.Duration{0, 20 * time.Minute, 50 * time.Hour} {
+					if got, want := warm.PredictRemaining(vm, up), cold.PredictRemaining(vm, up); got != want {
+						t.Fatalf("pass %d vm %d life %v uptime %v: warm %v, cold %v", pass, id, life, up, got, want)
+					}
+				}
+			}
+		}
+	}
+	// Shared by concurrent simulations: every goroutine reads the cold value.
+	shared := &NoisyOracle{Accuracy: 0.5, Seed: 1}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := int64(1); id <= 300; id++ {
+				vm := &cluster.VM{ID: cluster.VMID(id), TrueLifetime: 30 * time.Hour}
+				if got, want := shared.PredictedLifetime(vm), warm.PredictedLifetime(vm); got != want {
+					t.Errorf("vm %d: concurrent %v, sequential %v", id, got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestNoisyOracleAccuracyExtremes(t *testing.T) {

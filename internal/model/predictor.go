@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"lava/internal/cluster"
@@ -67,12 +68,23 @@ func (Oracle) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Durati
 //
 // The perturbed lifetime is fixed per VM (seeded by VM ID), so repeated
 // repredictions are consistent: the noisy oracle models a flawed model, not
-// a noisy channel.
+// a noisy channel. It is therefore computed once per VM and kept: seeding
+// the generator costs more than everything else a reprediction does. The
+// exported fields must not change after the first prediction.
 type NoisyOracle struct {
 	Accuracy     float64 // fraction of VMs predicted correctly, in [0,1]
 	Seed         int64
 	SigmaCorrect float64 // log10-domain sigma for correct VMs (default 0.001)
 	SigmaWrong   float64 // log10-domain sigma for mispredicted VMs (default 3)
+
+	lifetimes sync.Map // noisyKey -> time.Duration; derived state
+}
+
+// noisyKey is what a perturbed lifetime depends on besides the oracle's own
+// fields.
+type noisyKey struct {
+	id   cluster.VMID
+	life time.Duration
 }
 
 // Name implements Predictor.
@@ -80,6 +92,18 @@ func (n *NoisyOracle) Name() string { return "noisy-oracle" }
 
 // PredictedLifetime returns the perturbed total lifetime for the VM.
 func (n *NoisyOracle) PredictedLifetime(vm *cluster.VM) time.Duration {
+	key := noisyKey{vm.ID, vm.TrueLifetime}
+	if d, ok := n.lifetimes.Load(key); ok {
+		return d.(time.Duration)
+	}
+	d := n.perturb(vm)
+	n.lifetimes.Store(key, d)
+	return d
+}
+
+// perturb computes the perturbed lifetime from a generator seeded by the
+// VM's ID.
+func (n *NoisyOracle) perturb(vm *cluster.VM) time.Duration {
 	rng := rand.New(rand.NewSource(n.Seed ^ int64(vm.ID)*0x5851F42D4C957F2D))
 	sigmaC := n.SigmaCorrect
 	if sigmaC == 0 {
