@@ -27,10 +27,11 @@ type Plan struct {
 	Cells  []*trace.Trace // per-cell traces, same warm-up and measurement end as the base
 }
 
-// PlanCells is the one-call sharding pipeline every federation entry point
-// uses: split the trace's hosts evenly, build the named router's ledger over
-// them, and shard. Keeping it in one place means the facade and the
-// experiment matrix cannot drift apart.
+// PlanCells is the one-call sharding pipeline: split the trace's hosts
+// evenly, build the named router's ledger over them, and shard. Since the
+// facade and lavasim moved to the script runner (serve.RunScriptOffline) its
+// callers are the scenarios experiment — kept as the independent sharded
+// oracle the CI determinism job diffs — and the parity tests.
 func PlanCells(tr *trace.Trace, routerKind string, cells int) (*Plan, error) {
 	if cells <= 0 {
 		return nil, fmt.Errorf("cell: %d cells", cells)

@@ -8,14 +8,17 @@ import (
 	"lava/internal/simtime"
 )
 
-// This file implements the epoch-quantized temporal-cost level and the
-// NILAS/LAVA variants built on it. The motivation is scale: the exact
-// temporal cost depends on the candidate VM's repredicted exit *and* the
-// continuously moving clock, so the incremental engine must keep it Dynamic
-// — re-evaluated on every feasible host of every placement, O(feasible
-// hosts) per decision. At 250k–1M hosts that term dominates and per-decision
-// latency grows linearly with the pool again, which is exactly what the
-// score cache exists to prevent.
+// This file implements the epoch-quantized temporal-cost level. Epoch is a
+// parameter of the one chain builder (NILAS.init): nonzero swaps this level
+// in for the exact temporal cost, and the two constructors at the bottom are
+// NewNILAS and NewLAVA with that parameter set.
+//
+// The motivation is scale: the exact temporal cost depends on the candidate
+// VM's repredicted exit *and* the continuously moving clock, so the
+// incremental engine must keep it Dynamic — re-evaluated on every feasible
+// host of every placement, O(feasible hosts) per decision. At 250k–1M hosts
+// that term dominates and per-decision latency grows linearly with the pool
+// again, which is exactly what the score cache exists to prevent.
 //
 // The epoch variants trade bucket-boundary precision for cacheability:
 // virtual time is quantized into fixed epochs (1–2h, comparable to the
@@ -106,49 +109,34 @@ func (e *epochTemporal) score(h *cluster.Host, vm *cluster.VM, now time.Duration
 	return float64(simtime.TemporalCost(deltaT))
 }
 
-// NewNILASEpoch builds the epoch-quantized NILAS variant: the same scorer
-// chain shape as NewNILAS, with the exact temporal cost replaced by the
-// epoch-quantized level above. Every level is static, so the incremental
-// engine serves whole decisions from cache; epoch is the quantization step
-// (DefaultEpoch when zero).
+// NewNILASEpoch builds the epoch-quantized NILAS variant: NewNILAS's chain
+// with epoch passed to the shared builder, so the temporal level is the
+// static one above. Every level is static and the incremental engine serves
+// whole decisions from cache; epoch is the quantization step (DefaultEpoch
+// when zero).
 func NewNILASEpoch(pred model.Predictor, refresh, epoch time.Duration) *NILAS {
 	if epoch <= 0 {
 		epoch = DefaultEpoch
 	}
-	n := &NILAS{cache: NewExitCache(pred, refresh)}
-	n.et = &epochTemporal{cache: n.cache, epoch: epoch}
-	n.chain = CachedChain{Chain: Chain{ChainName: "nilas-epoch", Scorers: append([]Scorer{
-		ScorerFunc{FuncName: "temporal-epoch", F: n.et.score},
-	}, nilasPackingScorers()...)},
-		ClassOf: func(vm *cluster.VM, now time.Duration) int32 {
-			return int32(simtime.TemporalCost(n.cache.Remaining(vm, now)))
-		},
-		Epoch: epoch,
-	}
+	n := &NILAS{}
+	n.init("nilas-epoch", pred, refresh, epoch)
 	return n
 }
 
-// NewLAVAEpoch builds the epoch-quantized LAVA variant: class preference
-// and packing levels as in NewLAVA, temporal tie-break through the epoch
-// grid. The cache context packs the LAVA lifetime class and the quantized
-// remaining-lifetime bucket (4 bits each side), both derived from the one
-// memoized reprediction per pass.
+// NewLAVAEpoch builds the epoch-quantized LAVA variant: NewLAVA's chain with
+// the temporal tie-break on the epoch grid, below the class preference,
+// which keeps the buckets. The cache context packs the LAVA lifetime class
+// beside the builder's quantized remaining-lifetime bucket (4 bits each
+// side), both derived from the one memoized reprediction per pass.
 func NewLAVAEpoch(pred model.Predictor, refresh, epoch time.Duration) *LAVA {
 	if epoch <= 0 {
 		epoch = DefaultEpoch
 	}
-	l := &LAVA{cache: NewExitCache(pred, refresh)}
-	l.et = &epochTemporal{cache: l.cache, epoch: epoch}
-	l.chain = CachedChain{Chain: Chain{ChainName: "lava-epoch", Scorers: append([]Scorer{
-		ScorerFunc{FuncName: "lava-class", F: l.classScore},
-		ScorerFunc{FuncName: "temporal-epoch", F: l.et.score},
-	}, nilasPackingScorers()...)},
-		ClassOf: func(vm *cluster.VM, now time.Duration) int32 {
-			rem := l.cache.Remaining(vm, now)
-			return int32(simtime.ClassOf(rem))<<4 | int32(simtime.TemporalCost(rem))
-		},
-		Epoch:      epoch,
-		epochLevel: 1, // below the class preference, which keeps the buckets
+	l := &LAVA{}
+	l.init("lava-epoch", pred, refresh, epoch, ScorerFunc{FuncName: "lava-class", F: l.classScore})
+	bucket := l.ClassOf
+	l.ClassOf = func(vm *cluster.VM, now time.Duration) int32 {
+		return int32(l.vmClass(vm, now))<<4 | bucket(vm, now)
 	}
 	return l
 }

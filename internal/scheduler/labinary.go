@@ -21,8 +21,8 @@ const LACutoff = 2 * time.Hour
 // Because predictions are never updated, an under-predicted VM can pin a
 // "short" host forever — the failure mode repredictions fix (§1).
 type LABinary struct {
-	chain CachedChain
-	pred  model.Predictor
+	CachedChain
+	pred model.Predictor
 
 	// ModelCalls counts predictor invocations (one per VM at creation).
 	ModelCalls int64
@@ -40,34 +40,13 @@ type LABinary struct {
 // maintenance and scores exhaustively.
 func NewLABinary(pred model.Predictor) *LABinary {
 	la := &LABinary{pred: pred}
-	la.chain = CachedChain{Chain: Chain{ChainName: "la-binary", Scorers: []Scorer{
+	la.CachedChain = CachedChain{Chain: Chain{ChainName: "la-binary", Scorers: []Scorer{
 		ScorerFunc{FuncName: "la-class-match", F: la.classScore},
 		BestFitScorer(),
 		WasteMinScorer(),
 	}}, TimeVarying: true}
 	return la
 }
-
-// SetEngine implements the engine switch; both engines already coincide for
-// a TimeVarying chain (see NewLABinary).
-func (la *LABinary) SetEngine(e Engine) { la.chain.SetEngine(e) }
-
-func (la *LABinary) engineOf() Engine { return la.chain.engine }
-
-// EnableTrace implements Traceable (see Chain.EnableTrace).
-func (la *LABinary) EnableTrace(k int) { la.chain.EnableTrace(k) }
-
-// LastCapture implements Traceable.
-func (la *LABinary) LastCapture() *Capture { return la.chain.LastCapture() }
-
-// AppendLevelScores implements the counterfactual pricing hook (see
-// Chain.AppendLevelScores).
-func (la *LABinary) AppendLevelScores(dst []float64, h *cluster.Host, vm *cluster.VM, now time.Duration) []float64 {
-	return la.chain.AppendLevelScores(dst, h, vm, now)
-}
-
-// Name implements Policy.
-func (la *LABinary) Name() string { return "la-binary" }
 
 // initialPrediction returns the VM's one-shot prediction, making it on
 // first use.
@@ -111,18 +90,7 @@ func (la *LABinary) classScore(h *cluster.Host, vm *cluster.VM, now time.Duratio
 	return 1
 }
 
-// Schedule implements Policy.
-func (la *LABinary) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Duration) (*cluster.Host, error) {
-	return la.chain.Schedule(pool, vm, now)
-}
-
 // OnPlaced implements Policy: pin the one-shot prediction.
 func (la *LABinary) OnPlaced(_ *cluster.Pool, _ *cluster.Host, vm *cluster.VM, _ time.Duration) {
 	la.initialPrediction(vm)
 }
-
-// OnExited implements Policy (no-op).
-func (la *LABinary) OnExited(*cluster.Pool, *cluster.Host, *cluster.VM, time.Duration) {}
-
-// OnTick implements Policy (no-op).
-func (la *LABinary) OnTick(*cluster.Pool, time.Duration) {}

@@ -22,11 +22,11 @@ import (
 //  3. any non-empty host,
 //  4. empty hosts,
 //
-// with ties at each level broken by the NILAS scorers.
+// with ties at each level broken by the NILAS scorers — which is the type:
+// LAVA is NILAS plus the class level above the temporal cost, and the host
+// state machine run from the hooks after NILAS's own.
 type LAVA struct {
-	chain CachedChain
-	cache *ExitCache
-	et    *epochTemporal // non-nil for the epoch-quantized variant (epoch.go)
+	NILAS
 }
 
 // NewLAVA builds the LAVA policy over the given predictor. refresh is the
@@ -39,37 +39,10 @@ type LAVA struct {
 // covered by the pool's place/exit events; OnTick promotions announce
 // themselves through Pool.InvalidateHost.
 func NewLAVA(pred model.Predictor, refresh time.Duration) *LAVA {
-	l := &LAVA{cache: NewExitCache(pred, refresh)}
-	n := &NILAS{cache: l.cache} // share one cache between the two levels
-	l.chain = CachedChain{Chain: Chain{ChainName: "lava", Scorers: append([]Scorer{
-		ScorerFunc{FuncName: "lava-class", F: l.classScore},
-		ScorerFunc{FuncName: "temporal-cost", F: n.temporalCost},
-	}, nilasPackingScorers()...)},
-		Dynamic: []bool{false, true},
-		ClassOf: func(vm *cluster.VM, now time.Duration) int32 { return int32(l.vmClass(vm, now)) },
-	}
+	l := &LAVA{}
+	l.init("lava", pred, refresh, 0, ScorerFunc{FuncName: "lava-class", F: l.classScore})
+	l.ClassOf = func(vm *cluster.VM, now time.Duration) int32 { return int32(l.vmClass(vm, now)) }
 	return l
-}
-
-// SetEngine switches the policy between the incremental and exhaustive
-// scoring engines (see CachedChain).
-func (l *LAVA) SetEngine(e Engine) { l.chain.SetEngine(e) }
-
-func (l *LAVA) engineOf() Engine { return l.chain.engine }
-
-// CacheStats reports the score cache's work counters (see CachedChain).
-func (l *LAVA) CacheStats() CacheStats { return l.chain.CacheStats() }
-
-// EnableTrace implements Traceable (see Chain.EnableTrace).
-func (l *LAVA) EnableTrace(k int) { l.chain.EnableTrace(k) }
-
-// LastCapture implements Traceable.
-func (l *LAVA) LastCapture() *Capture { return l.chain.LastCapture() }
-
-// AppendLevelScores implements the counterfactual pricing hook (see
-// Chain.AppendLevelScores).
-func (l *LAVA) AppendLevelScores(dst []float64, h *cluster.Host, vm *cluster.VM, now time.Duration) []float64 {
-	return l.chain.AppendLevelScores(dst, h, vm, now)
 }
 
 // vmClass computes the VM's lifetime class from a (re)prediction at its
@@ -94,29 +67,9 @@ func (l *LAVA) classScore(h *cluster.Host, vm *cluster.VM, now time.Duration) fl
 	}
 }
 
-// Name implements Policy ("lava", or "lava-epoch" for the quantized
-// variant).
-func (l *LAVA) Name() string { return l.chain.ChainName }
-
-// Schedule implements Policy.
-func (l *LAVA) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Duration) (*cluster.Host, error) {
-	// Classify the VM up front on both engines. The cached engine needs the
-	// class for its context key; warming the (memoized) reprediction here
-	// keeps the exhaustive engine's model-call count identical even when a
-	// single feasible host lets the chain skip scoring entirely.
-	l.vmClass(vm, now)
-	return l.chain.Schedule(pool, vm, now)
-}
-
 // OnPlaced implements Policy: drive the host state machine.
-func (l *LAVA) OnPlaced(_ *cluster.Pool, h *cluster.Host, vm *cluster.VM, now time.Duration) {
-	if vm.InitialPrediction == 0 {
-		vm.InitialPrediction = l.cache.Pred.PredictRemaining(vm, 0)
-	}
-	l.cache.Invalidate(h.ID)
-	if l.et != nil {
-		l.et.onPlaced(h, vm, now)
-	}
+func (l *LAVA) OnPlaced(pool *cluster.Pool, h *cluster.Host, vm *cluster.VM, now time.Duration) {
+	l.NILAS.OnPlaced(pool, h, vm, now)
 	if h.State == cluster.StateEmpty {
 		// First VM opens the host with the VM's class (§4.3).
 		h.OpenAs(l.vmClass(vm, now), now)
@@ -129,11 +82,8 @@ func (l *LAVA) OnPlaced(_ *cluster.Pool, h *cluster.Host, vm *cluster.VM, now ti
 }
 
 // OnExited implements Policy: demote on residual drain, reset on empty.
-func (l *LAVA) OnExited(_ *cluster.Pool, h *cluster.Host, _ *cluster.VM, now time.Duration) {
-	l.cache.Invalidate(h.ID)
-	if l.et != nil {
-		l.et.onExited(h)
-	}
+func (l *LAVA) OnExited(pool *cluster.Pool, h *cluster.Host, vm *cluster.VM, now time.Duration) {
+	l.NILAS.OnExited(pool, h, vm, now)
 	if h.Empty() {
 		h.ResetLAVA()
 		return
@@ -163,9 +113,3 @@ func (l *LAVA) OnTick(pool *cluster.Pool, now time.Duration) {
 		}
 	})
 }
-
-// ModelCalls reports predictor invocations.
-func (l *LAVA) ModelCalls() int64 { return l.cache.Predictions }
-
-// Cache exposes the exit cache for ablation studies.
-func (l *LAVA) Cache() *ExitCache { return l.cache }

@@ -15,8 +15,12 @@ import (
 // inserts that cost one level above the bin packing score. Within a bucket,
 // hosts pack by the baseline's waste-minimization criteria — the
 // "equivalence classes" of §4.2.
+//
+// The type is the paper's stacking spelled out: a scorer chain (the embedded
+// CachedChain supplies Name, the engine switch, cache stats, decision
+// capture and level pricing) plus the exit cache and the hooks that keep it.
 type NILAS struct {
-	chain CachedChain
+	CachedChain
 	cache *ExitCache
 	et    *epochTemporal // non-nil for the epoch-quantized variant (epoch.go)
 }
@@ -30,40 +34,34 @@ type NILAS struct {
 // exit), so it is evaluated on every feasible host exactly as the exhaustive
 // path does — including the exit-cache refreshes and model-call counts.
 func NewNILAS(pred model.Predictor, refresh time.Duration) *NILAS {
-	n := &NILAS{cache: NewExitCache(pred, refresh)}
-	n.chain = CachedChain{Chain: Chain{ChainName: "nilas", Scorers: append([]Scorer{
-		ScorerFunc{FuncName: "temporal-cost", F: n.temporalCost},
-	}, nilasPackingScorers()...)}, Dynamic: []bool{true}}
+	n := &NILAS{}
+	n.init("nilas", pred, refresh, 0)
 	return n
 }
 
-// SetEngine switches the policy between the incremental and exhaustive
-// scoring engines (see CachedChain).
-func (n *NILAS) SetEngine(e Engine) { n.chain.SetEngine(e) }
-
-func (n *NILAS) engineOf() Engine { return n.chain.engine }
-
-// CacheStats reports the score cache's work counters (see CachedChain).
-func (n *NILAS) CacheStats() CacheStats { return n.chain.CacheStats() }
-
-// EnableTrace implements Traceable (see Chain.EnableTrace).
-func (n *NILAS) EnableTrace(k int) { n.chain.EnableTrace(k) }
-
-// LastCapture implements Traceable.
-func (n *NILAS) LastCapture() *Capture { return n.chain.LastCapture() }
-
-// AppendLevelScores implements the counterfactual pricing hook (see
-// Chain.AppendLevelScores).
-func (n *NILAS) AppendLevelScores(dst []float64, h *cluster.Host, vm *cluster.VM, now time.Duration) []float64 {
-	return n.chain.AppendLevelScores(dst, h, vm, now)
-}
-
-// nilasPackingScorers are the bin-packing levels below the temporal cost:
-// concentrate within an equivalence class (best fit) before shaping the
-// leftover (waste-min) — concentration is what lets lifetime-aligned hosts
-// drain as a unit.
-func nilasPackingScorers() []Scorer {
-	return []Scorer{AvoidEmptyScorer(), BestFitScorer(), WasteMinScorer()}
+// init assembles the one chain shape every lifetime policy shares: the
+// caller's levels above, then the temporal cost, then the bin-packing levels
+// — concentrate within an equivalence class (best fit) before shaping the
+// leftover (waste-min); concentration is what lets lifetime-aligned hosts
+// drain as a unit. epoch == 0 gives the exact temporal cost, a dynamic
+// level; otherwise the epoch-quantized one (epoch.go), static within an
+// epoch under a context keyed by the VM's quantized remaining lifetime.
+func (n *NILAS) init(name string, pred model.Predictor, refresh, epoch time.Duration, above ...Scorer) {
+	n.cache = NewExitCache(pred, refresh)
+	temporal := ScorerFunc{FuncName: "temporal-cost", F: n.temporalCost}
+	if epoch == 0 {
+		n.Dynamic = make([]bool, len(above)+1)
+		n.Dynamic[len(above)] = true
+	} else {
+		n.et = &epochTemporal{cache: n.cache, epoch: epoch}
+		temporal = ScorerFunc{FuncName: "temporal-epoch", F: n.et.score}
+		n.Epoch, n.epochLevel = epoch, len(above)
+		n.ClassOf = func(vm *cluster.VM, now time.Duration) int32 {
+			return int32(simtime.TemporalCost(n.cache.Remaining(vm, now)))
+		}
+	}
+	n.Chain = Chain{ChainName: name, Scorers: append(append(above, temporal),
+		AvoidEmptyScorer(), BestFitScorer(), WasteMinScorer())}
 }
 
 // temporalCost computes the quantized NILAS score for placing vm on h.
@@ -77,29 +75,22 @@ func (n *NILAS) temporalCost(h *cluster.Host, vm *cluster.VM, now time.Duration)
 	return float64(simtime.TemporalCost(deltaT))
 }
 
-// Name implements Policy ("nilas", or "nilas-epoch" for the quantized
-// variant).
-func (n *NILAS) Name() string { return n.chain.ChainName }
-
 // Schedule implements Policy.
 func (n *NILAS) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Duration) (*cluster.Host, error) {
-	if n.et != nil {
-		// Epoch variant: classify the VM up front on both engines. The
-		// cached engine needs the quantized remaining lifetime for its
-		// context key; warming the memoized reprediction here keeps the
-		// exhaustive engine's model-call count identical even when a single
-		// feasible host lets the chain skip scoring entirely.
+	if n.ClassOf != nil {
+		// Every variant with a context key classifies the VM up front on
+		// both engines. The cached engine needs the reprediction for the
+		// key; warming the memo here keeps the exhaustive engine's
+		// model-call count identical even when a single feasible host lets
+		// the chain skip scoring entirely. Exact NILAS has no key and must
+		// not pre-warm: there the skipped scoring is a skipped model call.
 		n.cache.Remaining(vm, now)
 	}
-	return n.chain.Schedule(pool, vm, now)
+	return n.CachedChain.Schedule(pool, vm, now)
 }
 
-// OnPlaced implements Policy: re-score the host (G.3 rule 1) and record the
-// initial prediction for diagnostics.
+// OnPlaced implements Policy: re-score the host (G.3 rule 1).
 func (n *NILAS) OnPlaced(_ *cluster.Pool, h *cluster.Host, vm *cluster.VM, now time.Duration) {
-	if vm.InitialPrediction == 0 {
-		vm.InitialPrediction = n.cache.Pred.PredictRemaining(vm, 0)
-	}
 	n.cache.Invalidate(h.ID)
 	if n.et != nil {
 		n.et.onPlaced(h, vm, now)
@@ -114,11 +105,5 @@ func (n *NILAS) OnExited(_ *cluster.Pool, h *cluster.Host, _ *cluster.VM, _ time
 	}
 }
 
-// OnTick implements Policy (no-op; cache staleness is handled on read).
-func (n *NILAS) OnTick(*cluster.Pool, time.Duration) {}
-
 // ModelCalls reports predictor invocations (Fig. 17 telemetry).
 func (n *NILAS) ModelCalls() int64 { return n.cache.Predictions }
-
-// Cache exposes the exit cache for ablation studies.
-func (n *NILAS) Cache() *ExitCache { return n.cache }

@@ -18,7 +18,6 @@ func policiesUnderTest() map[string]func() Policy {
 		"wastemin":  func() Policy { return NewWasteMin() },
 		"bestfit":   func() Policy { return NewBestFit() },
 		"la-binary": func() Policy { return NewLABinary(model.Oracle{}) },
-		"dpbfr":     func() Policy { return NewDPBFR(model.Oracle{}) },
 		"nilas":     func() Policy { return NewNILAS(model.Oracle{}, time.Minute) },
 		"lava":      func() Policy { return NewLAVA(model.Oracle{}, time.Minute) },
 		"nilas-epoch": func() Policy {

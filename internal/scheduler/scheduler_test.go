@@ -490,3 +490,71 @@ func TestModelCallTelemetry(t *testing.T) {
 		t.Fatal("scheduling must invoke the model")
 	}
 }
+
+// The capabilities every chain policy gets by embedding CachedChain. Asserted
+// at compile time: a promoted method shadowed by a future field or dropped by
+// a re-cut of the embedding fails this build, not a golden three packages
+// away.
+type chainPolicy interface {
+	Policy
+	Traceable
+	levelScorable
+	SetEngine(Engine)
+	engineOf() Engine
+	CacheStats() CacheStats
+}
+
+var (
+	_ chainPolicy = (*CachedChain)(nil) // what NewWasteMin and NewBestFit return
+	_ chainPolicy = (*LABinary)(nil)
+	_ chainPolicy = (*NILAS)(nil)
+	_ chainPolicy = (*LAVA)(nil)
+
+	_ interface{ ModelCalls() int64 } = (*NILAS)(nil)
+	_ interface{ ModelCalls() int64 } = (*LAVA)(nil)
+)
+
+// TestPolicyShape walks every constructor: the name, the engine switch, and
+// the pre-warm rule of NILAS.Schedule — a policy with a context key
+// repredicts the VM once per Schedule even when a single feasible host lets
+// the chain skip scoring; exact nilas has no key and makes no call.
+func TestPolicyShape(t *testing.T) {
+	type ctor func() (Policy, error)
+	ctors := map[string]ctor{
+		"nilas-epoch": func() (Policy, error) { return NewNILASEpoch(model.Oracle{}, time.Minute, 0), nil },
+		"lava-epoch":  func() (Policy, error) { return NewLAVAEpoch(model.Oracle{}, time.Minute, 0), nil },
+	}
+	for _, name := range Names() {
+		ctors[name] = func() (Policy, error) { return New(name, model.Oracle{}, time.Minute) }
+	}
+	wantCalls := map[string]int64{"nilas": 0, "nilas-epoch": 1, "lava": 1, "lava-epoch": 1}
+	for name, mk := range ctors {
+		for _, engine := range []Engine{EngineCached, EngineExhaustive} {
+			p, err := mk()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if p.Name() != name {
+				t.Errorf("%s: Name() = %q", name, p.Name())
+			}
+			if EngineOf(p) != EngineCached {
+				t.Errorf("%s: default engine = %v, want cached", name, EngineOf(p))
+			}
+			if SetEngine(p, EngineExhaustive); EngineOf(p) != EngineExhaustive {
+				t.Errorf("%s: SetEngine(exhaustive) did not take", name)
+			}
+			if SetEngine(p, engine); EngineOf(p) != engine {
+				t.Errorf("%s: SetEngine(%v) did not take", name, engine)
+			}
+			if _, err := p.Schedule(pool(1), newVM(1, 4, 0, time.Hour), 0); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			mc, ok := p.(interface{ ModelCalls() int64 })
+			if want, counted := wantCalls[name]; ok != counted {
+				t.Errorf("%s: ModelCalls() present = %v, want %v", name, ok, counted)
+			} else if ok && mc.ModelCalls() != want {
+				t.Errorf("%s engine %v: %d model calls after one single-host Schedule, want %d", name, engine, mc.ModelCalls(), want)
+			}
+		}
+	}
+}

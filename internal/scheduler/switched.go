@@ -9,8 +9,12 @@ import (
 // Switched swaps from one policy to another at a fixed simulation time,
 // modelling a production rollout (§5.2): the pool's history before the
 // switch was produced by the old policy, and the new policy inherits that
-// residual state. Both policies observe all events so the post policy has
-// warm internal state at switch time.
+// residual state. Only the active arm observes events (OnPlaced, OnExited,
+// OnTick go to whichever policy owns the clock), so the post policy starts
+// cold at the switch, as a rollout does: a post-switch LAVA meets the
+// pre-switch hosts as occupied hosts still in StateEmpty and opens each with
+// the class of the first VM it places there. Every fig16 / table1 / fig7
+// number depends on this; TestSwitchedOnlyActiveArmObservesHooks pins it.
 type Switched struct {
 	Pre, Post Policy
 	At        time.Duration

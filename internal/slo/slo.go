@@ -450,7 +450,7 @@ type Weights struct {
 // packing^wp x stranding^ws x latency^wl x fairness^wf with every term
 // clamped to [0, 1] and equal weights. Offline/drain paths pass latency=1
 // (neutral) so the score — like every drain byte — is identical between
-// online and offline arms; live serving stats use LatencyTerm.
+// online and offline arms.
 func FitnessScore(packing, stranding, latency, fairness float64) float64 {
 	return FitnessScoreW(packing, stranding, latency, fairness, Weights{})
 }
@@ -477,19 +477,6 @@ func FitnessScoreW(packing, stranding, latency, fairness float64, w Weights) flo
 		}
 	}
 	return score
-}
-
-// LatencyTerm maps a measured p99 (ms) to a (0, 1] fitness term:
-// target/(target+p99), so hitting zero latency scores 1 and each target's
-// worth of excess halves the term. target <= 0 uses 100ms.
-func LatencyTerm(p99Ms, targetMs float64) float64 {
-	if targetMs <= 0 {
-		targetMs = 100
-	}
-	if p99Ms < 0 {
-		p99Ms = 0
-	}
-	return targetMs / (targetMs + p99Ms)
 }
 
 func clamp01(v float64) float64 {

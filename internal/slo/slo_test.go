@@ -304,16 +304,6 @@ func TestFitnessScore(t *testing.T) {
 	if got := FitnessScoreW(0.5, 1, 1, 1, Weights{Packing: 2, Stranding: 1, Latency: 1, Fairness: 1}); math.Abs(got-0.25) > 1e-12 {
 		t.Fatalf("squared-term fitness = %v", got)
 	}
-	// LatencyTerm: zero latency is perfect, one target's worth halves it.
-	if got := LatencyTerm(0, 100); got != 1 {
-		t.Fatalf("LatencyTerm(0) = %v", got)
-	}
-	if got := LatencyTerm(100, 100); got != 0.5 {
-		t.Fatalf("LatencyTerm(target) = %v", got)
-	}
-	if got := LatencyTerm(100, 0); got != 0.5 {
-		t.Fatalf("LatencyTerm default target = %v", got)
-	}
 }
 
 func TestParseMixAndAssignClasses(t *testing.T) {

@@ -186,57 +186,7 @@ func betaCF(a, b, x float64) float64 {
 	return h
 }
 
-// --- Permutation test -----------------------------------------------------
-
-// PermutationTest returns the two-sided p-value for the difference in means
-// of a and b under random relabeling (rounds resamples, seeded).
-func PermutationTest(a, b []float64, rounds int, seed int64) (float64, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return 0, errors.New("stats: empty group")
-	}
-	if rounds <= 0 {
-		rounds = 1000
-	}
-	obs := math.Abs(Mean(a) - Mean(b))
-	all := append(append([]float64{}, a...), b...)
-	rng := rand.New(rand.NewSource(seed))
-	exceed := 0
-	for r := 0; r < rounds; r++ {
-		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
-		d := math.Abs(Mean(all[:len(a)]) - Mean(all[len(a):]))
-		if d >= obs-1e-15 {
-			exceed++
-		}
-	}
-	return (float64(exceed) + 1) / (float64(rounds) + 1), nil
-}
-
 // --- Bootstrap --------------------------------------------------------------
-
-// BootstrapCI returns the (lo, hi) percentile confidence interval of a
-// statistic under iid resampling.
-func BootstrapCI(xs []float64, stat func([]float64) float64, rounds int, conf float64, seed int64) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, errors.New("stats: empty sample")
-	}
-	if rounds <= 0 {
-		rounds = 1000
-	}
-	if conf <= 0 || conf >= 1 {
-		return 0, 0, errors.New("stats: confidence must be in (0,1)")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	vals := make([]float64, rounds)
-	buf := make([]float64, len(xs))
-	for r := 0; r < rounds; r++ {
-		for i := range buf {
-			buf[i] = xs[rng.Intn(len(xs))]
-		}
-		vals[r] = stat(buf)
-	}
-	alpha := (1 - conf) / 2
-	return Quantile(vals, alpha), Quantile(vals, 1-alpha), nil
-}
 
 // StationaryBootstrapCI resamples a time series in geometric blocks (mean
 // block length blockLen), preserving autocorrelation — appropriate for the

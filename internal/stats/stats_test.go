@@ -122,53 +122,6 @@ func TestRegIncBetaBounds(t *testing.T) {
 	}
 }
 
-func TestPermutationTest(t *testing.T) {
-	a := []float64{10, 11, 12, 10.5, 11.5, 10.2, 11.8, 10.9}
-	b := []float64{1, 2, 1.5, 2.5, 1.2, 2.2, 1.8, 1.1}
-	p, err := PermutationTest(a, b, 500, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p > 0.05 {
-		t.Fatalf("p = %v for obviously different groups", p)
-	}
-	same := []float64{1, 2, 3, 4, 5, 6}
-	p, err = PermutationTest(same, same, 500, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 0.5 {
-		t.Fatalf("p = %v for identical groups, want ~1", p)
-	}
-	if _, err := PermutationTest(nil, a, 10, 1); err == nil {
-		t.Fatal("empty group must fail")
-	}
-}
-
-func TestBootstrapCI(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = 10 + rng.NormFloat64()
-	}
-	lo, hi, err := BootstrapCI(xs, Mean, 500, 0.95, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo > 10 || hi < 10 {
-		t.Fatalf("CI [%v, %v] excludes true mean 10", lo, hi)
-	}
-	if hi-lo > 0.5 {
-		t.Fatalf("CI [%v, %v] too wide for n=500", lo, hi)
-	}
-	if _, _, err := BootstrapCI(nil, Mean, 10, 0.95, 1); err == nil {
-		t.Fatal("empty sample must fail")
-	}
-	if _, _, err := BootstrapCI(xs, Mean, 10, 1.5, 1); err == nil {
-		t.Fatal("bad confidence must fail")
-	}
-}
-
 func TestStationaryBootstrapCI(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	// AR(1)-ish series around 5.

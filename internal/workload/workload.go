@@ -301,36 +301,3 @@ func maxInt(a, b int) int {
 	}
 	return b
 }
-
-// StudyPools returns n pool specs spanning sizes, utilizations and seeds,
-// mirroring the 24-pool C2 simulation study of Fig. 6 ("a wide range of
-// sizes, geographies, and usage patterns"). Durations default to the
-// paper's seven weeks unless overridden.
-func StudyPools(n int, duration time.Duration) []PoolSpec {
-	if duration == 0 {
-		duration = 7 * simtime.Week
-	}
-	zones := []string{"us-central1-a", "us-east1-b", "europe-west4-a", "asia-east1-c", "us-west1-b", "southamerica-east1-a"}
-	sizes := []int{48, 96, 160, 280}
-	utils := []float64{0.55, 0.65, 0.75}
-	specs := make([]PoolSpec, 0, n)
-	var firstID cluster.VMID
-	for i := 0; i < n; i++ {
-		spec := PoolSpec{
-			Name:       fmt.Sprintf("c2-pool-%02d", i),
-			Zone:       zones[i%len(zones)],
-			Hosts:      sizes[i%len(sizes)],
-			HostShape:  DefaultHostShape,
-			TargetUtil: utils[i%len(utils)],
-			Duration:   duration,
-			Prefill:    3 * simtime.Week,
-			Seed:       int64(1000 + 7919*i),
-			Diurnal:    0.3,
-			FirstVMID:  firstID,
-		}
-		specs = append(specs, spec)
-		// Reserve a generous ID block per pool.
-		firstID += 5_000_000
-	}
-	return specs
-}

@@ -189,23 +189,6 @@ func TestLiveAt(t *testing.T) {
 	}
 }
 
-func TestStudyPools(t *testing.T) {
-	specs := StudyPools(24, simtime.Week)
-	if len(specs) != 24 {
-		t.Fatalf("StudyPools returned %d specs", len(specs))
-	}
-	seenIDs := map[int64]bool{}
-	for i, s := range specs {
-		if s.Hosts <= 0 || s.TargetUtil <= 0 || s.Duration != simtime.Week {
-			t.Errorf("spec %d malformed: %+v", i, s)
-		}
-		if seenIDs[int64(s.FirstVMID)] {
-			t.Errorf("spec %d reuses FirstVMID %d", i, s.FirstVMID)
-		}
-		seenIDs[int64(s.FirstVMID)] = true
-	}
-}
-
 func TestE2MixShapesSmaller(t *testing.T) {
 	for _, ts := range E2Mix() {
 		for _, c := range ts.Cores {

@@ -109,6 +109,12 @@ const (
 // TrainModel fits a lifetime model of the given kind on the trace's records.
 // ModelOracle needs no training and ignores the trace.
 func TrainModel(tr *Trace, kind ModelKind) (Predictor, error) {
+	if tr == nil {
+		if kind != ModelOracle {
+			return nil, fmt.Errorf("lava: model %q needs a trace to train on", kind)
+		}
+		tr = &Trace{}
+	}
 	return model.Train(string(kind), tr.Records, 400)
 }
 
@@ -158,6 +164,9 @@ func SimulateMany(ctx context.Context, parallel int, specs ...SimSpec) ([]*Resul
 	jobs := make([]runner.Job, len(specs))
 	for i, s := range specs {
 		s := s
+		if s.Trace == nil {
+			return nil, fmt.Errorf("lava: spec %d has no trace", i)
+		}
 		name := s.Name
 		if name == "" {
 			name = s.Trace.PoolName + "/" + string(s.Policy)

@@ -2,6 +2,7 @@ package lava
 
 import (
 	"context"
+	"strings"
 	"testing"
 )
 
@@ -40,6 +41,26 @@ func TestTrainModelKinds(t *testing.T) {
 	}
 	if _, err := TrainModel(tr, "bogus"); err == nil {
 		t.Fatal("unknown model kind must fail")
+	}
+}
+
+// A nil trace is an error or — for the oracle, which ignores it as
+// documented — fine; it used to be a nil dereference in both entry points.
+func TestTrainModelNilTrace(t *testing.T) {
+	if p, err := TrainModel(nil, ModelOracle); err != nil || p == nil {
+		t.Fatalf("oracle over a nil trace = %v, %v", p, err)
+	}
+	if _, err := TrainModel(nil, ModelDist); err == nil {
+		t.Fatal("training on a nil trace must fail")
+	}
+}
+
+func TestSimulateManyNilTrace(t *testing.T) {
+	// An unnamed spec derives its job name from the trace.
+	_, err := SimulateMany(context.Background(), 1,
+		SimSpec{Trace: smallTrace(t), Policy: PolicyWasteMin}, SimSpec{Policy: PolicyWasteMin})
+	if err == nil || !strings.Contains(err.Error(), "spec 1 has no trace") {
+		t.Fatalf("trace-less spec: err = %v", err)
 	}
 }
 
