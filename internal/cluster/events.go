@@ -72,11 +72,33 @@ type HostListener func(h *Host, ev HostEvent)
 // from the component performing the out-of-band mutation. Code that mutates
 // host state outside the Pool mutators must call InvalidateHost afterwards;
 // the scheduler's differential tests exist to catch violations.
+//
+// Cancelling removes the listener from the pool and keeps the order of the
+// others; a second call is a no-op. A listener may cancel itself or another
+// from inside its callback: the event being delivered still reaches every
+// other live listener exactly once, and never the cancelled one again.
 func (p *Pool) Subscribe(fn HostListener) (cancel func()) {
-	p.subs = append(p.subs, fn)
-	i := len(p.subs) - 1
-	return func() { p.subs[i] = nil }
+	s := &subscription{fn: fn}
+	p.subs = append(p.subs, s)
+	return func() {
+		if s.fn == nil {
+			return
+		}
+		s.fn = nil
+		// Copy on write: a notify that is running keeps ranging over the
+		// list it started with, where s now reads as cancelled.
+		live := make([]*subscription, 0, len(p.subs)-1)
+		for _, o := range p.subs {
+			if o != s {
+				live = append(live, o)
+			}
+		}
+		p.subs = live
+	}
 }
+
+// subscription is one registered listener; a nil fn marks it cancelled.
+type subscription struct{ fn HostListener }
 
 // InvalidateHost publishes a HostInvalidated event for the host, telling
 // subscribers that scheduling-relevant state changed outside the pool's own
@@ -89,9 +111,9 @@ func (p *Pool) InvalidateHost(id HostID) {
 
 // notify fans one event out to the live subscribers.
 func (p *Pool) notify(h *Host, ev HostEvent) {
-	for _, fn := range p.subs {
-		if fn != nil {
-			fn(h, ev)
+	for _, s := range p.subs {
+		if s.fn != nil {
+			s.fn(h, ev)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -113,5 +114,77 @@ func TestCloneDropsSubscribers(t *testing.T) {
 	}
 	if count != 0 {
 		t.Fatalf("clone mutation notified the original's subscriber %d times", count)
+	}
+}
+
+// TestSubscribeCancelReleasesSlot: a score cache cancels and resubscribes on
+// every membership event, so a cancelled listener must leave the list, not a
+// dead slot that every later place and exit walks past. The listener below
+// rebinds the way scheduler.CachedChain does: cancel from inside the
+// notification, subscribe again afterwards.
+func TestSubscribeCancelReleasesSlot(t *testing.T) {
+	p := NewPool("ev", 1, resources.Cores(4, 4*1024, 0))
+	var cancel func()
+	calls, rebind := 0, false
+	listen := func(_ *Host, ev HostEvent) {
+		calls++
+		if ev == HostAdded {
+			cancel()
+			rebind = true
+		}
+	}
+	cancel = p.Subscribe(listen)
+	for i := 0; i < 1000; i++ {
+		p.AddHosts(1, resources.Cores(4, 4*1024, 0))
+		if !rebind {
+			t.Fatalf("add %d: listener not notified", i)
+		}
+		cancel() // idempotent: already cancelled from inside notify
+		cancel, rebind = p.Subscribe(listen), false
+		if len(p.subs) != 1 {
+			t.Fatalf("after %d rebinds the pool holds %d subscriber slots, want 1", i+1, len(p.subs))
+		}
+	}
+	if calls != 1000 {
+		t.Fatalf("listener called %d times over 1000 membership events", calls)
+	}
+}
+
+// TestCancelDuringNotify: a listener that cancels — itself, or a neighbour on
+// either side — while an event is being delivered must not make the pool
+// skip or repeat anyone else, and the survivors keep subscription order.
+func TestCancelDuringNotify(t *testing.T) {
+	for victim := 0; victim < 3; victim++ {
+		p := NewPool("ev", 2, resources.Cores(4, 4*1024, 0))
+		var order []int
+		var cancels [3]func()
+		for i := range cancels {
+			i := i
+			cancels[i] = p.Subscribe(func(*Host, HostEvent) {
+				order = append(order, i)
+				if i == 1 {
+					cancels[victim]()
+				}
+			})
+		}
+		p.InvalidateHost(0)
+		want := []int{0, 1, 2}
+		if victim == 2 {
+			want = []int{0, 1} // cancelled before its turn: never called again
+		}
+		if !slices.Equal(order, want) {
+			t.Errorf("victim %d: event delivered to %v, want %v", victim, order, want)
+		}
+		order = nil
+		p.InvalidateHost(1)
+		want = nil
+		for i := 0; i < 3; i++ {
+			if i != victim {
+				want = append(want, i)
+			}
+		}
+		if !slices.Equal(order, want) {
+			t.Errorf("victim %d: next event delivered to %v, want %v", victim, order, want)
+		}
 	}
 }

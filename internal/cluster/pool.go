@@ -17,9 +17,9 @@ type Pool struct {
 	Name  string
 	hosts []*Host // sorted by ID; membership changes only via AddHosts/RemoveHost
 	byID  map[HostID]*Host
-	vms   map[VMID]*Host // VM -> current host
-	idx   *capIndex      // free-capacity index over hosts
-	subs  []HostListener // host-event subscribers (see events.go)
+	vms   map[VMID]*Host  // VM -> current host
+	idx   *capIndex       // free-capacity index over hosts
+	subs  []*subscription // host-event subscribers (see events.go)
 
 	// Running pool-wide aggregates, maintained O(1) per mutation so metric
 	// sampling costs O(1) instead of an O(hosts) scan. All three are exact

@@ -239,3 +239,53 @@ func TestCachedMatchesExhaustiveReplayScale(t *testing.T) {
 		})
 	}
 }
+
+// TestCacheStatsPinned pins the score cache's work counters on the fixture
+// of TestCachedMatchesExhaustiveReplayScale. The canonical documents strip
+// these columns, so no byte-equality gate sees a filter that reads one
+// candidate more or scores one lazily cached value twice; this one does. The
+// literals were captured on 63e2087, before the column kernel replaced the
+// per-host filter loop, with this test body printing `got`:
+//
+//	go test ./internal/experiments -run TestCacheStatsPinned -count=1 -v
+//
+// A change that moves one of them has changed which hosts the cached engine
+// touches per decision, not merely how fast it touches them.
+func TestCacheStatsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy")
+	}
+	spec := workload.PoolSpec{Name: "replay-scale", Zone: "zone-a", Hosts: 1500, TargetUtil: 0.65,
+		Prefill: 12 * time.Hour, Duration: 3 * time.Hour, Diurnal: 0.3, Seed: 1}
+	pred := model.Oracle{}
+	for _, tc := range []struct {
+		name string
+		mk   func() scheduler.Policy
+		want scheduler.CacheStats
+	}{
+		{"wastemin", scheduler.NewWasteMin, scheduler.CacheStats{Contexts: 17, ColdBuilds: 17, Rebuilds: 17, HostsResynced: 63690, LazyEvals: 66331, Filtered: 380734}},
+		{"lava-epoch", func() scheduler.Policy {
+			return scheduler.NewLAVAEpoch(pred, time.Minute, scheduler.DefaultEpoch)
+		}, scheduler.CacheStats{Contexts: 114, ColdBuilds: 114, Rollovers: 492, Rebuilds: 114, HostsResynced: 98768, LazyEvals: 322764, Filtered: 198596}},
+		{"nilas-epoch", func() scheduler.Policy {
+			return scheduler.NewNILASEpoch(pred, time.Minute, scheduler.DefaultEpoch)
+		}, scheduler.CacheStats{Contexts: 95, ColdBuilds: 95, Rollovers: 445, Rebuilds: 540, HostsResynced: 92974, LazyEvals: 435152, Filtered: 8427017}},
+		{"lava", func() scheduler.Policy { return scheduler.NewLAVA(pred, time.Minute) }, scheduler.CacheStats{Contexts: 47, ColdBuilds: 47, Rebuilds: 47, HostsResynced: 77770, LazyEvals: 119117, Filtered: 197358}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			g, err := workload.Stream(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pol := tc.mk()
+			if _, err := sim.Run(sim.Config{Trace: g.Meta(), Source: g, Policy: pol}); err != nil {
+				t.Fatal(err)
+			}
+			if got := scheduler.CacheStatsOf(pol); got != tc.want {
+				t.Errorf("cache counters moved:\n got  %+v\n want %+v", got, tc.want)
+			}
+		})
+	}
+}

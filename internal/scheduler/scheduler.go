@@ -74,21 +74,41 @@ func New(name string, pred model.Predictor, refresh time.Duration) (Policy, erro
 // within this distance of the best score survive to the next chain level.
 const scoreEpsilon = 1e-9
 
+// sift is the epsilon rule of one chain level, one candidate at a time in
+// scan order: n candidates have survived so far and best is the running best
+// score. It returns the slot the candidate scoring sc is written to, the new
+// survivor count and the new running best: a candidate that starts the level
+// or beats the running best by more than epsilon becomes the only survivor,
+// one within epsilon joins them, and any other is dropped — its slot n lies
+// past the survivors, and at or before the candidate's own position, so the
+// caller's unconditional write is harmless. The rule compares against the
+// running best, not the final minimum, so it depends on the scan order; both
+// engines scan in host-ID order and both call this function, which is what
+// makes their decisions identical by construction.
+func sift(n int, sc, best float64) (slot, kept int, newBest float64) {
+	switch {
+	case n == 0 || sc < best-scoreEpsilon:
+		return 0, 1, sc
+	case sc <= best+scoreEpsilon:
+		return n, n + 1, best
+	}
+	return n, n, best
+}
+
 // Chain is a lexicographic scoring policy: feasible hosts are filtered
 // level by level, and the final tie-break is the lowest host ID, keeping
 // runs deterministic.
 //
-// A Chain reuses internal candidate/scratch buffers across Schedule calls,
-// so the steady-state hot path allocates nothing; consequently a Chain
-// value must not be shared by concurrent simulations (each run constructs
-// its own policy, as internal/runner does).
+// A Chain reuses its candidate buffer across Schedule calls, so the
+// steady-state hot path allocates nothing; consequently a Chain value must
+// not be shared by concurrent simulations (each run constructs its own
+// policy, as internal/runner does).
 type Chain struct {
 	ChainName string
 	Scorers   []Scorer
 
-	cand    []*cluster.Host // reused candidate buffer
-	scratch []*cluster.Host // reused per-level filter buffer
-	tr      *capState       // decision capture; nil = tracing disarmed
+	cand []*cluster.Host // reused candidate buffer
+	tr   *capState       // decision capture; nil = tracing disarmed
 }
 
 // Name implements Policy.
@@ -104,7 +124,7 @@ func (c *Chain) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Duration) 
 	if len(candidates) == 0 {
 		return nil, ErrNoCapacity
 	}
-	candidates = c.applyChain(candidates, 0, c, vm, now)
+	candidates = c.applyChain(candidates, vm, now)
 	if c.tr != nil && !c.tr.scored {
 		c.tr.captureSingle(c, candidates[0], vm, now)
 	}
@@ -114,57 +134,30 @@ func (c *Chain) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Duration) 
 	return candidates[0], nil
 }
 
-// levelScorer abstracts where a chain level's scores come from: the
-// exhaustive engine computes them (Chain.levelScore), the incremental engine
-// reads cached values for static levels (CachedChain.levelScore). Keeping
-// one filtering core under both sources is what makes the two engines
-// byte-identical by construction — they run the same comparisons on the
-// same candidates in the same order.
-type levelScorer interface {
-	levelScore(level int, h *cluster.Host, vm *cluster.VM, now time.Duration) float64
-}
-
-// levelScore implements levelScorer by evaluating the scorer directly.
-func (c *Chain) levelScore(level int, h *cluster.Host, vm *cluster.VM, now time.Duration) float64 {
-	return c.Scorers[level].Score(h, vm, now)
-}
-
 // applyChain runs the lexicographic epsilon-filter over candidates (which
-// must be in host-ID order), starting at the given level and drawing scores
-// from src. It reuses the chain's scratch buffer, mutates the candidates
-// slice in place, and returns the survivors; levels stop evaluating once a
-// single candidate remains.
-func (c *Chain) applyChain(candidates []*cluster.Host, from int, src levelScorer, vm *cluster.VM, now time.Duration) []*cluster.Host {
-	scratch := c.scratch
-	for li := from; li < len(c.Scorers); li++ {
-		if len(candidates) == 1 {
-			break
-		}
+// must be in host-ID order), scoring every candidate on every level it
+// reaches. It filters the slice in place and returns the survivors; levels
+// stop evaluating once a single candidate remains. This is the exhaustive
+// engine; CachedChain.filter is the same loop over cached columns.
+func (c *Chain) applyChain(candidates []*cluster.Host, vm *cluster.VM, now time.Duration) []*cluster.Host {
+	for li := 0; li < len(c.Scorers) && len(candidates) > 1; li++ {
 		obs := c.tr // capture level-0 scores as they are computed anyway
 		if li != 0 {
 			obs = nil
 		}
-		best := 0.0
-		scratch = scratch[:0]
-		for i, h := range candidates {
-			sc := src.levelScore(li, h, vm, now)
+		n, best := 0, 0.0
+		for _, h := range candidates {
+			sc := c.Scorers[li].Score(h, vm, now)
 			if obs != nil {
 				obs.observe(h.ID, sc)
 			}
-			switch {
-			case i == 0 || sc < best-scoreEpsilon:
-				best = sc
-				scratch = append(scratch[:0], h)
-			case sc <= best+scoreEpsilon:
-				scratch = append(scratch, h)
-			}
+			var at int
+			at, n, best = sift(n, sc, best)
+			candidates[at] = h
 		}
-		candidates = append(candidates[:0], scratch...)
-		if c.tr != nil && c.tr.Level < 0 && len(candidates) == 1 {
-			c.tr.Level = li
-		}
+		candidates = candidates[:n]
+		c.tr.narrowed(li, n)
 	}
-	c.scratch = scratch
 	return candidates
 }
 

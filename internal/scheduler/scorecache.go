@@ -18,15 +18,20 @@ import (
 // hosts dirtied since the last call plus the winning score bucket: a dirty
 // host is re-scored on the one level that defines the buckets, and a deeper
 // static level is scored the first time the filter reads it for a surviving
-// candidate (levelScore).
+// candidate.
+//
+// What Schedule walks is the winning bucket's bitset, once, into a reused
+// slice of host IDs, and then one level-major column of cached scores per
+// chain level, indexed by those IDs (filter). A *cluster.Host is touched only
+// to hand it to a Scorer — a lazy fill, a dynamic level — and to return the
+// winner.
 //
 // Equivalence to the exhaustive path is structural, not statistical: both
-// engines run the same epsilon-filter core (Chain.applyChain) over the same
-// candidates in the same ID order, with static levels read from cache and
-// time-varying levels recomputed through the original Scorer. The
-// differential tests (scorecache_test.go, internal/experiments, and the CI
-// determinism gate) verify byte-identical results on full experiment
-// matrices.
+// engines put the same candidates through the same epsilon rule (sift) in
+// the same ID order, with static levels read from cache and time-varying
+// levels recomputed through the original Scorer. The differential tests
+// (scorecache_test.go, internal/experiments, and the CI determinism gate)
+// verify byte-identical results on full experiment matrices.
 
 // Engine selects the Schedule implementation of a chain policy.
 type Engine int
@@ -126,7 +131,7 @@ type CachedChain struct {
 	sets   map[CacheContext]*candSet
 	list   []*candSet // same sets, for event fan-out and eviction
 	useSeq uint64
-	cur    *candSet // context of the Schedule in progress (levelScore)
+	ids    []int32 // reused candidate buffer: host IDs of the winning bucket
 }
 
 // NewCachedChain wraps chain in the incremental score-cache engine. dynamic
@@ -199,7 +204,7 @@ func (c *CachedChain) dyn(li int) bool {
 // Schedule implements Policy. In cached mode it syncs the context's
 // candidate set with the hosts dirtied since the last call, then filters
 // only the winning level-0 bucket (or, when level 0 is dynamic, the
-// feasible set) through the shared epsilon-filter core.
+// feasible set) through the epsilon rule the exhaustive engine applies.
 func (c *CachedChain) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Duration) (*cluster.Host, error) {
 	if c.engine == EngineExhaustive || c.TimeVarying || !c.bind(pool) {
 		return c.Chain.Schedule(pool, vm, now)
@@ -229,15 +234,22 @@ func (c *CachedChain) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Dura
 	}
 	c.sync(cs, vm, now)
 
-	candidates := cs.candidates(c.cand[:0], c.hosts)
-	c.cand = candidates
-	c.stats.Filtered += int64(len(candidates))
-	if len(candidates) == 0 {
-		if c.Chain.tr != nil {
-			c.Chain.tr.begin(0)
+	// The candidates are the winning bucket: the lowest-key non-empty one.
+	var win *scoreBkt
+	for _, b := range cs.bkts {
+		if b.n > 0 {
+			win = b
+			break
+		}
+	}
+	t := c.Chain.tr
+	if win == nil {
+		if t != nil {
+			t.begin(0)
 		}
 		return nil, ErrNoCapacity
 	}
+	c.stats.Filtered += int64(win.n)
 	// A static level 0 was consumed by the bucket structure: the winning
 	// bucket is exactly the set of feasible hosts with the minimal level-0
 	// score, i.e. the survivors of the exhaustive level-0 filter. Bucketed
@@ -248,49 +260,85 @@ func (c *CachedChain) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Dura
 	if c.dyn(0) {
 		from = 0
 	}
-	if t := c.Chain.tr; t != nil {
+	if t != nil {
 		if c.dyn(0) {
-			// Dynamic level 0: candidates is the full feasible set and
-			// applyChain starts at 0, so capture rides the filter scan
+			// Dynamic level 0: the one bucket is the full feasible set and
+			// the filter starts at 0, so capture rides the filter scan
 			// exactly as on the exhaustive engine.
-			t.begin(len(candidates))
+			t.begin(win.n)
 		} else {
 			// Static level 0: read the K best (score, ID) pairs straight
 			// off the sorted buckets. A one-member winning bucket among
 			// several feasible hosts means level 0 decided — the filter
 			// the exhaustive engine would have run at level 0.
 			t.captureBuckets(cs)
-			if t.Feasible > 1 && len(candidates) == 1 {
+			if t.Feasible > 1 && win.n == 1 {
 				t.Level = 0
 			}
 		}
 	}
-	c.cur = cs
-	candidates = c.applyChain(candidates, from, c, vm, now)
-	c.cur = nil
-	if t := c.Chain.tr; t != nil && !t.scored {
+	h := c.hosts[c.filter(cs, win, from, vm, now)]
+	if t != nil && !t.scored {
 		// Single feasible host under a dynamic level 0: record it unscored,
 		// as the exhaustive path does (see capState.captureSingle).
-		t.captureSingle(&c.Chain, candidates[0], vm, now)
+		t.captureSingle(&c.Chain, h, vm, now)
 	}
-	return candidates[0], nil
+	return h, nil
 }
 
-// levelScore implements levelScorer: dynamic levels go through the original
-// Scorer, static levels read the cached value — scored here, through the same
-// Scorer, the first time the filter asks for it since the host was dirtied.
-func (c *CachedChain) levelScore(li int, h *cluster.Host, vm *cluster.VM, now time.Duration) float64 {
-	if c.dyn(li) {
-		return c.Scorers[li].Score(h, vm, now)
+// filter is Chain.applyChain over columns: it walks the winning bucket's
+// bitset into host IDs (ascending, the exhaustive scan order), sifts them
+// level by level from level `from` down, in place, and returns the winner's
+// ID. A static level is read from its cached column — scored through the
+// original Scorer, and counted in LazyEvals, exactly when the host's validity
+// bit is clear (always, past the eighth level, which has no bit). A dynamic
+// level is scored through the original Scorer on the same IDs in the same
+// order as the exhaustive engine, so its side effects match. Like applyChain
+// it stops before scoring once one candidate is left.
+func (c *CachedChain) filter(cs *candSet, win *scoreBkt, from int, vm *cluster.VM, now time.Duration) int32 {
+	if cap(c.ids) < win.n {
+		c.ids = make([]int32, len(c.hosts))
 	}
-	cs := c.cur
-	i := li*len(cs.have) + int(h.ID) // level-major: the filter walks one level at a time
-	if bit := uint8(1) << li; cs.have[h.ID]&bit == 0 {
-		cs.have[h.ID] |= bit
-		cs.vals[i] = c.Scorers[li].Score(h, vm, now)
-		c.stats.LazyEvals++
+	ids, k := c.ids[:win.n], 0
+	for w, word := range win.bits {
+		for ; word != 0; word &= word - 1 {
+			ids[k] = int32(w<<6 | bits.TrailingZeros64(word))
+			k++
+		}
 	}
-	return cs.vals[i]
+	nHosts := len(c.hosts)
+	for li := from; li < len(c.Scorers) && len(ids) > 1; li++ {
+		s, dyn := c.Scorers[li], c.dyn(li)
+		obs := c.Chain.tr // only a dynamic level 0 is ever filtered here
+		if li != 0 {
+			obs = nil
+		}
+		col, bit := cs.vals[li*nHosts:(li+1)*nHosts], uint8(1)<<li
+		n, best := 0, 0.0
+		var at int
+		for _, id := range ids {
+			var sc float64
+			switch {
+			case dyn:
+				sc = s.Score(c.hosts[id], vm, now)
+				if obs != nil {
+					obs.observe(cluster.HostID(id), sc)
+				}
+			case cs.have[id]&bit == 0:
+				cs.have[id] |= bit
+				sc = s.Score(c.hosts[id], vm, now)
+				col[id] = sc
+				c.stats.LazyEvals++
+			default:
+				sc = col[id]
+			}
+			at, n, best = sift(n, sc, best)
+			ids[at] = id
+		}
+		ids = ids[:n]
+		c.Chain.tr.narrowed(li, n)
+	}
+	return ids[0]
 }
 
 // CacheStats counts the score cache's work since the chain was built; the
@@ -351,7 +399,6 @@ func (c *CachedChain) unbind() {
 	c.hosts = nil
 	c.sets = nil
 	c.list = nil
-	c.cur = nil
 }
 
 // hostChanged is the pool-event listener: O(contexts) dirty-bit flips, no
@@ -481,7 +528,7 @@ func (cs *candSet) markDirty(id cluster.HostID) {
 
 // update re-derives one host: membership out, fresh feasibility, the level-0
 // score that picks its bucket, membership back in. Deeper static levels are
-// only forgotten here; levelScore restores the ones a decision needs. The
+// only forgotten here; filter restores the ones a decision needs. The
 // (vm, now) arguments are whatever Schedule is in flight; the static-purity
 // contract makes the values valid for the whole context.
 func (cs *candSet) update(c *CachedChain, id cluster.HostID, vm *cluster.VM, now time.Duration) {
@@ -520,21 +567,4 @@ func (cs *candSet) bucket(key float64) *scoreBkt {
 		cs.bkts[i] = &scoreBkt{key: key, bits: make([]uint64, (len(cs.feasible)+63)/64)}
 	}
 	return cs.bkts[i]
-}
-
-// candidates appends the Schedule candidates to dst in host-ID order: the
-// members of the winning (lowest-key, non-empty) bucket.
-func (cs *candSet) candidates(dst []*cluster.Host, hosts []*cluster.Host) []*cluster.Host {
-	for _, b := range cs.bkts {
-		if b.n == 0 {
-			continue
-		}
-		for w, word := range b.bits {
-			for ; word != 0; word &= word - 1 {
-				dst = append(dst, hosts[w<<6|bits.TrailingZeros64(word)])
-			}
-		}
-		break
-	}
-	return dst
 }

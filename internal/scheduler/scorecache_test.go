@@ -3,6 +3,7 @@ package scheduler
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -505,5 +506,69 @@ func TestEpochRolloverReadsFreshScores(t *testing.T) {
 				t.Fatalf("counters: %+v, want 3 rollovers and %d rebuilds", st, wantRebuilds)
 			}
 		})
+	}
+}
+
+// TestEpsilonOrderAdversaries pins the epsilon rule where "within epsilon of
+// the minimum" and what the filter does part ways, on both engines, through
+// Schedule. The rule keeps a candidate within epsilon of the *running* best
+// in host-ID order, so a score can survive that is further than epsilon from
+// the level's minimum; NaN compares false both ways, so it wins only by
+// coming first; infinities and signed zeros tie with themselves. Each case
+// lists per-level scores by host ID below a flat level 0, the winner, and
+// the hosts the last level must be asked about — the survivors of the level
+// above it.
+func TestEpsilonOrderAdversaries(t *testing.T) {
+	const e = scoreEpsilon
+	nan, inf := math.NaN(), math.Inf(1)
+	flat := []float64{0, 0, 0, 0, 0}
+	nine := [][]float64{flat, flat, flat, flat, flat, flat, flat, {3, 1, 2, 1, 5}}
+	for _, tc := range []struct {
+		name   string
+		levels [][]float64 // levels 1.. by host ID
+		want   cluster.HostID
+		last   []cluster.HostID
+	}{
+		// Best settles at host 2's 0.7e, so 1.5e survives; the minimum is 0.
+		{"running-best", [][]float64{{2.5 * e, 1.6 * e, 0.7 * e, 0, 1.5 * e}, {4, 3, 2, 1, 0}}, 4, []cluster.HostID{2, 3, 4}},
+		{"nan-first", [][]float64{{nan, 0, 1, -1, 0}, flat}, 0, nil},
+		{"nan-later", [][]float64{{1, nan, 0, nan, 0}, {0, 0, 1, 0, 0}}, 4, []cluster.HostID{2, 4}},
+		{"infinities", [][]float64{{inf, -inf, 0, -inf, inf}, {0, 1, 0, 0, 0}}, 3, []cluster.HostID{1, 3}},
+		{"plus-inf-ties", [][]float64{{inf, inf, inf, inf, inf}, {1, 1, 0, 1, 1}}, 2, []cluster.HostID{0, 1, 2, 3, 4}},
+		{"signed-zero", [][]float64{{0, math.Copysign(0, -1), 1, 0, 2}, {1, 0, 0, 1, 0}}, 1, []cluster.HostID{0, 1, 3}},
+		// The ninth level has no validity bit: re-scored on every read.
+		{"nine-levels", nine, 1, []cluster.HostID{0, 1, 2, 3, 4}},
+	} {
+		for _, eng := range []Engine{EngineCached, EngineExhaustive} {
+			var seen []cluster.HostID
+			scorers := []Scorer{ScorerFunc{FuncName: "flat", F: func(*cluster.Host, *cluster.VM, time.Duration) float64 { return 0 }}}
+			for li, vals := range tc.levels {
+				vals, last := vals, li == len(tc.levels)-1
+				scorers = append(scorers, ScorerFunc{FuncName: "by-id", F: func(h *cluster.Host, _ *cluster.VM, _ time.Duration) float64 {
+					if last {
+						seen = append(seen, h.ID)
+					}
+					return vals[h.ID]
+				}})
+			}
+			pol := NewCachedChain(Chain{ChainName: tc.name, Scorers: scorers}, nil, nil)
+			pol.SetEngine(eng)
+			p := cluster.NewPool("t", len(flat), resources.Cores(16, 16*4096, 0))
+			probe := &cluster.VM{ID: 1, Shape: resources.Cores(2, 2*4096, 0), TrueLifetime: time.Hour}
+			for round := 0; round < 2; round++ {
+				seen = nil
+				got, err := pol.Schedule(p, probe, 0)
+				if err != nil || got.ID != tc.want {
+					t.Errorf("%s engine %d round %d: %v, %v; want host %d", tc.name, eng, round, got, err, tc.want)
+				}
+				want := tc.last
+				if eng == EngineCached && round == 1 && len(scorers) <= 8 {
+					want = nil // served from the cached column
+				}
+				if !slices.Equal(seen, want) {
+					t.Errorf("%s engine %d round %d: last level asked about hosts %v, want %v", tc.name, eng, round, seen, want)
+				}
+			}
+		}
 	}
 }

@@ -121,6 +121,15 @@ func (t *capState) observe(id cluster.HostID, score float64) {
 	t.Alts[i] = Alt{Host: id, Score: score}
 }
 
+// narrowed records that chain level li left n survivors: the first level to
+// leave exactly one is the level that decided. A nil receiver (tracing
+// disarmed) is a no-op, so the filter loops call it unconditionally.
+func (t *capState) narrowed(li, n int) {
+	if t != nil && t.Level < 0 && n == 1 {
+		t.Level = li
+	}
+}
+
 // captureSingle records the lone candidate of a Schedule call whose chain
 // filter never evaluated level 0 (one feasible host, or a one-member
 // winning bucket never re-filtered). A static level 0 is pure, so scoring

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lava/internal/cluster"
+	"lava/internal/model"
 	"lava/internal/resources"
 )
 
@@ -211,31 +212,50 @@ func TestTraceCaptureShape(t *testing.T) {
 
 // TestScheduleDisabledTraceAllocs proves the observe-only promise's cost
 // half: with tracing disarmed (the default), the cached-engine scheduling
-// hot path allocates nothing — the capture layer is nil checks only. (The
-// exhaustive reference engine allocates candidate buffers regardless of
+// hot path allocates nothing — the capture layer is nil checks only, and the
+// filter's ID buffer is reused. Each measured decision re-syncs a dirtied
+// host, fills lazy levels and filters a winning bucket of several hosts,
+// through a static chain, a lazily cached epoch level and a dynamic level.
+// (The exhaustive reference engine allocates candidate buffers regardless of
 // tracing; it is not the hot path.)
 func TestScheduleDisabledTraceAllocs(t *testing.T) {
-	p := cluster.NewPool("t", 16, resources.Cores(16, 16*4096, 0))
-	pol := NewWasteMin()
-	now := time.Hour
-	vm := &cluster.VM{ID: 1, Shape: resources.Cores(2, 2*4096, 0), Created: now, TrueLifetime: time.Hour}
-	// Warm the engine (candidate buffers, cache contexts).
-	for i := 0; i < 3; i++ {
-		if _, err := pol.Schedule(p, vm, now); err != nil {
-			t.Fatal(err)
+	for name, pol := range map[string]Policy{
+		"wastemin":   NewWasteMin(),
+		"lava-epoch": NewLAVAEpoch(model.Oracle{}, time.Minute, DefaultEpoch),
+		"lava":       NewLAVA(model.Oracle{}, time.Minute),
+	} {
+		p := cluster.NewPool("t", 64, resources.Cores(16, 16*4096, 0))
+		now := time.Hour
+		for i := 0; i < 24; i++ { // 24 occupied hosts: the non-empty bucket the filter walks
+			res := &cluster.VM{ID: cluster.VMID(100 + i), Shape: resources.Cores(int64(1+i%4), 4096, 0), Created: now, TrueLifetime: 5 * time.Hour}
+			if err := p.Place(res, p.Host(cluster.HostID(i))); err != nil {
+				t.Fatal(err)
+			}
+			pol.OnPlaced(p, p.Host(cluster.HostID(i)), res, now)
 		}
-	}
-	// The work counters ride the same path: plain increments, read by value.
-	before := CacheStatsOf(pol)
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := pol.Schedule(p, vm, now); err != nil {
-			t.Fatal(err)
+		vm := &cluster.VM{ID: 1, Shape: resources.Cores(2, 2*4096, 0), Created: now, TrueLifetime: time.Hour}
+		// Warm the engine (ID buffer, cache context, exit cache).
+		for i := 0; i < 3; i++ {
+			if _, err := pol.Schedule(p, vm, now); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if CacheStatsOf(pol).Filtered <= before.Filtered {
-			t.Fatal("Filtered did not advance")
+		// The work counters ride the same path: plain increments, read by value.
+		before := CacheStatsOf(pol)
+		dirty := cluster.HostID(0)
+		allocs := testing.AllocsPerRun(100, func() {
+			p.InvalidateHost(dirty % 24)
+			dirty++
+			if _, err := pol.Schedule(p, vm, now); err != nil {
+				t.Fatal(err)
+			}
+		})
+		after := CacheStatsOf(pol)
+		if after.Filtered < before.Filtered+2*100 || after.HostsResynced == before.HostsResynced || after.LazyEvals == before.LazyEvals {
+			t.Fatalf("%s: the measured decisions skipped the filter: %+v -> %+v", name, before, after)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("%v allocs per untraced Schedule, want 0", allocs)
+		if allocs != 0 {
+			t.Fatalf("%s: %v allocs per untraced Schedule, want 0", name, allocs)
+		}
 	}
 }

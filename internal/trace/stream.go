@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bufio"
-	"container/heap"
 	"encoding/json"
 	"fmt"
 	"io"
+	"time"
+
+	"lava/internal/cluster"
 )
 
 // Stream yields trace records incrementally in canonical (arrival, ID)
@@ -145,26 +147,27 @@ func (s *ReaderStream) Err() error { return s.err }
 
 // --- event cursor --------------------------------------------------------
 
-// exitHeap orders pending exits by (exit time, VM ID) — the Events() order
-// among exits.
-type exitHeap []Record
-
-func (h exitHeap) Len() int { return len(h) }
-func (h exitHeap) Less(i, j int) bool {
-	if h[i].Exit() != h[j].Exit() {
-		return h[i].Exit() < h[j].Exit()
-	}
-	return h[i].ID < h[j].ID
+// exitKey is one pending exit: what the heap compares, plus where the
+// record it belongs to sits in the cursor's slab.
+type exitKey struct {
+	exit time.Duration
+	id   cluster.VMID
+	slot int32
 }
-func (h exitHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *exitHeap) Push(x any)   { *h = append(*h, x.(Record)) }
-func (h *exitHeap) Pop() any     { old := *h; n := len(old); r := old[n-1]; *h = old[:n-1]; return r }
+
+// before orders pending exits by (exit time, VM ID) — the Events() order
+// among exits.
+func (a exitKey) before(b exitKey) bool {
+	return a.exit < b.exit || (a.exit == b.exit && a.id < b.id)
+}
 
 // EventCursor merges a record stream into the interleaved CREATE/EXIT
 // event sequence, in exactly the order (*Trace).Events() produces: by
 // time, exits before creates at ties, then VM ID. Resident memory is
-// O(live VMs) — the min-heap of exits whose creates have been emitted —
-// instead of O(2 × trace) for the materialized event slice.
+// O(live VMs) instead of O(2 × trace) for the materialized event slice: a
+// binary min-heap of 24-byte exit keys for the VMs whose creates have been
+// emitted, over a slab holding each such VM's record once. Sifting moves
+// keys, never records; a slot vacated by an exit is reused by a later create.
 //
 // The equivalence argument: the source yields creates in (arrival, ID)
 // order, and any not-yet-seen record's exit is strictly after the next
@@ -172,8 +175,10 @@ func (h *exitHeap) Pop() any     { old := *h; n := len(old); r := old[n-1]; *h =
 // lifetimes are positive), so the heap always contains every exit that
 // could precede the next create.
 type EventCursor struct {
-	src     Stream
-	pending exitHeap
+	src  Stream
+	keys []exitKey // min-heap by exitKey.before
+	slab []Record  // keys[i].slot indexes it
+	free []int32   // vacated slab slots
 
 	next    Record
 	hasNext bool
@@ -198,23 +203,74 @@ func (c *EventCursor) Next() (Event, bool) {
 	}
 	// An exit fires before the next create when its time is not after the
 	// arrival — at equal times exits precede creates (EventExit < EventCreate).
-	if len(c.pending) > 0 && (!c.hasNext || c.pending[0].Exit() <= c.next.Arrival) {
-		rec := heap.Pop(&c.pending).(Record)
-		return Event{Time: rec.Exit(), Kind: EventExit, Rec: rec}, true
+	if len(c.keys) > 0 && (!c.hasNext || c.keys[0].exit <= c.next.Arrival) {
+		top := c.popExit()
+		c.free = append(c.free, top.slot)
+		return Event{Time: top.exit, Kind: EventExit, Rec: c.slab[top.slot]}, true
 	}
 	if !c.hasNext {
 		c.err = c.src.Err()
 		return Event{}, false
 	}
-	rec := c.next
+	slot := int32(len(c.slab))
+	if n := len(c.free); n > 0 {
+		slot, c.free = c.free[n-1], c.free[:n-1]
+		c.slab[slot] = c.next
+	} else {
+		c.slab = append(c.slab, c.next)
+	}
+	c.pushExit(exitKey{exit: c.next.Exit(), id: c.next.ID, slot: slot})
+	ev := Event{Time: c.next.Arrival, Kind: EventCreate, Rec: c.next}
 	c.next, c.hasNext = c.src.Next()
-	heap.Push(&c.pending, rec)
-	return Event{Time: rec.Arrival, Kind: EventCreate, Rec: rec}, true
+	return ev, true
+}
+
+// pushExit adds a key to the heap, sifting it up.
+func (c *EventCursor) pushExit(k exitKey) {
+	c.keys = append(c.keys, k)
+	i := len(c.keys) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !k.before(c.keys[parent]) {
+			break
+		}
+		c.keys[i] = c.keys[parent]
+		i = parent
+	}
+	c.keys[i] = k
+}
+
+// popExit removes and returns the heap's minimum, sifting the last key down
+// from the root.
+func (c *EventCursor) popExit() exitKey {
+	top := c.keys[0]
+	n := len(c.keys) - 1
+	k := c.keys[n]
+	c.keys = c.keys[:n]
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && c.keys[r].before(c.keys[child]) {
+			child = r
+		}
+		if !c.keys[child].before(k) {
+			break
+		}
+		c.keys[i] = c.keys[child]
+		i = child
+	}
+	if n > 0 {
+		c.keys[i] = k
+	}
+	return top
 }
 
 // Live reports the number of VMs created but not yet exited — the
 // cursor's resident state.
-func (c *EventCursor) Live() int { return len(c.pending) }
+func (c *EventCursor) Live() int { return len(c.keys) }
 
 // Err returns the first error the underlying stream hit, or nil.
 func (c *EventCursor) Err() error { return c.err }

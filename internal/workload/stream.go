@@ -18,9 +18,10 @@ import (
 // strictly increasing IDs, so the emission order already is the canonical
 // (arrival, ID) trace order.
 type GenStream struct {
-	spec PoolSpec
-	mix  []TypeSpec
-	wsum float64
+	spec  PoolSpec
+	mix   []TypeSpec
+	names []typeNames // parallel to mix
+	wsum  float64
 
 	lambda float64
 	meta   *trace.Trace
@@ -78,9 +79,14 @@ func Stream(spec PoolSpec) (*GenStream, error) {
 		lambda = memLambda
 	}
 
+	names := make([]typeNames, len(mix))
+	for i := range mix {
+		names[i] = newTypeNames(&mix[i])
+	}
 	return &GenStream{
 		spec:   spec,
 		mix:    mix,
+		names:  names,
 		wsum:   wsum,
 		lambda: lambda,
 		meta: &trace.Trace{
@@ -123,8 +129,8 @@ func (g *GenStream) Next() (trace.Record, bool) {
 		g.done = true
 		return trace.Record{}, false
 	}
-	ts := pickType(g.rng, g.mix, g.wsum)
-	rec := sampleVM(g.rng, ts, g.id, g.now, g.spec.Zone)
+	ti := pickType(g.rng, g.mix, g.wsum)
+	rec := sampleVM(g.rng, &g.mix[ti], &g.names[ti], g.id, g.now, g.spec.Zone)
 	g.id++
 	if !rec.Shape.Fits(g.meta.HostShape()) {
 		// The structural subset of Trace.Validate that a custom HostShape

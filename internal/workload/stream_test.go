@@ -78,3 +78,46 @@ func TestStreamDeterministic(t *testing.T) {
 		t.Fatalf("stream errors: %v, %v", a.Err(), b.Err())
 	}
 }
+
+// replayScaleSpec is the repository benchmark's replay-scale trace.
+var replayScaleSpec = PoolSpec{Name: "replay-scale", Zone: "zone-a", Hosts: 10_000, TargetUtil: 0.65,
+	Prefill: 12 * simtime.Hour, Duration: 3 * simtime.Hour, Diurnal: 0.3, Seed: 1}
+
+// TestStreamNextAllocs: the generator's feature strings are a closed set
+// interned at construction, so drawing a record formats nothing. A streamed
+// replay calls Next inside its timed section, once per VM.
+func TestStreamNextAllocs(t *testing.T) {
+	g, err := Stream(replayScaleSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec trace.Record
+	allocs := testing.AllocsPerRun(2000, func() {
+		r, ok := g.Next()
+		if !ok {
+			t.Fatal("stream ended inside the measurement")
+		}
+		rec = r
+	})
+	if allocs > 0 {
+		t.Errorf("Next allocates %.1f objects per record, want 0 (last %+v)", allocs, rec)
+	}
+}
+
+// BenchmarkStream is the generator layer of a streamed replay: one record
+// per op off the replay-scale spec, restarted when the window runs out.
+func BenchmarkStream(b *testing.B) {
+	b.ReportAllocs()
+	var g *GenStream
+	for i := 0; i < b.N; i++ {
+		if g == nil {
+			var err error
+			if g, err = Stream(replayScaleSpec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, ok := g.Next(); !ok {
+			g = nil
+		}
+	}
+}

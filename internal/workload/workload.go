@@ -227,21 +227,43 @@ func Generate(spec PoolSpec) (*trace.Trace, error) {
 	return tr, nil
 }
 
-// pickType samples a VM type proportionally to weight.
-func pickType(rng *rand.Rand, mix []TypeSpec, wsum float64) *TypeSpec {
+// pickType samples a VM type proportionally to weight, as an index into mix.
+func pickType(rng *rand.Rand, mix []TypeSpec, wsum float64) int {
 	x := rng.Float64() * wsum
 	for i := range mix {
 		x -= mix[i].Weight
 		if x <= 0 {
-			return &mix[i]
+			return i
 		}
 	}
-	return &mix[len(mix)-1]
+	return len(mix) - 1
 }
 
-// sampleVM draws one VM of the given type.
-func sampleVM(rng *rand.Rand, ts *TypeSpec, id cluster.VMID, arrival time.Duration, zone string) trace.Record {
-	cores := ts.Cores[rng.Intn(len(ts.Cores))]
+// typeNames is the closed set of feature strings one VM type can emit, built
+// once per generator so that sampling a VM formats and allocates nothing.
+type typeNames struct {
+	shapes []string // VMShape by index into TypeSpec.Cores
+	metas  []string // MetadataID by metadata-id value
+}
+
+func newTypeNames(ts *TypeSpec) typeNames {
+	n := typeNames{
+		shapes: make([]string, len(ts.Cores)),
+		metas:  make([]string, max(ts.MetadataIDs, 1)),
+	}
+	for i, cores := range ts.Cores {
+		n.shapes[i] = fmt.Sprintf("%s-%d", ts.Name, cores)
+	}
+	for i := range n.metas {
+		n.metas[i] = fmt.Sprintf("%s-m%02d", ts.Name, i)
+	}
+	return n
+}
+
+// sampleVM draws one VM of the given type; names is newTypeNames(ts).
+func sampleVM(rng *rand.Rand, ts *TypeSpec, names *typeNames, id cluster.VMID, arrival time.Duration, zone string) trace.Record {
+	ci := rng.Intn(len(ts.Cores))
+	cores := ts.Cores[ci]
 	shape := resources.Vector{CPUMilli: cores * 1000, MemoryMB: cores * ts.MemPerCoreMB}
 	hasSSD := rng.Float64() < ts.SSDProb
 	if hasSSD {
@@ -252,9 +274,9 @@ func sampleVM(rng *rand.Rand, ts *TypeSpec, id cluster.VMID, arrival time.Durati
 
 	feat := features.Features{
 		Zone:            zone,
-		VMShape:         fmt.Sprintf("%s-%d", ts.Name, cores),
+		VMShape:         names.shapes[ci],
 		VMCategory:      ts.Name,
-		MetadataID:      fmt.Sprintf("%s-m%02d", ts.Name, rng.Intn(maxInt(ts.MetadataIDs, 1))),
+		MetadataID:      names.metas[rng.Intn(len(names.metas))],
 		Priority:        ts.Priority,
 		HasSSD:          hasSSD,
 		Spot:            ts.Spot,
@@ -293,11 +315,4 @@ func sampleLifetime(rng *rand.Rand, ts *TypeSpec) time.Duration {
 		d = time.Second
 	}
 	return d
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
