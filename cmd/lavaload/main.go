@@ -17,7 +17,7 @@
 // class; the report then breaks client latency down per class and counts
 // admission rejections (HTTP 429), which are expected shaping, not errors.
 //
-// Every request carries a sequence number, so the daemon's reorder buffer
+// Every request carries a sequence number, so the daemon's sequencer
 // restores exact event order at any -concurrency: the drain report's
 // metrics are byte-identical to an offline `lavasim` run of the same trace
 // (the parity test in internal/serve asserts this). Against a federated
@@ -52,7 +52,7 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "overall replay deadline (0 = none)")
 		scenName  = flag.String("scenario", "", "compose this scenario's arrival stream before replaying (must match the daemon's -scenario)")
 		scenSeed  = flag.Int64("seed", 0, "scenario randomness seed (must match the daemon's -seed)")
-		finalOut  = flag.String("final-out", "", "write the fleet drain report as canonical JSON to this file ('-' for stdout)")
+		finalOut  = flag.String("final-out", "", "write the drain report as canonical JSON to this file ('-' for stdout)")
 		classMix  = flag.String("class-mix", "", `label records with SLO classes before replaying, e.g. "latency=1,standard=8,besteffort=1" (weights; assignment keyed by -seed and record ID)`)
 	)
 	flag.Parse()
@@ -142,8 +142,8 @@ func main() {
 		}
 	}
 	if *finalOut != "" {
-		if rep.Final == nil || len(rep.Final.Cells) == 0 {
-			fatal(fmt.Errorf("-final-out needs a fleet drain report: run against a federated daemon without -no-drain"))
+		if rep.Final == nil {
+			fatal(fmt.Errorf("-final-out needs the drain report: drop -no-drain"))
 		}
 		if err := writeFinal(*finalOut, rep.Final); err != nil {
 			fatal(err)
@@ -151,9 +151,9 @@ func main() {
 	}
 }
 
-// writeFinal emits the fleet drain report as canonical JSON — the exact
-// bytes an offline `lavasim -final-out` run of the same scenario produces,
-// so CI can diff the two files directly.
+// writeFinal emits the drain report as canonical JSON — the exact bytes an
+// offline `lavasim -final-out` run of the same stream produces, so CI can
+// diff the two files directly.
 func writeFinal(path string, ff *serve.DrainResponse) error {
 	data, err := json.Marshal(ff)
 	if err != nil {

@@ -16,6 +16,7 @@
 // the routing ledger, per-cell machines and front-door gate a live
 // `lavad -cells N` runs, just sequential, so -final-out diffs byte-for-byte
 // against a `lavaload -final-out` capture of the same stream served online.
+// A single-cell run writes the leaf report a single `lavad` drains to.
 //
 // -class-mix labels records with SLO classes (deterministic in -seed and
 // record ID) and -admit enables per-class token-bucket admission control;
@@ -35,6 +36,7 @@ import (
 	"lava"
 	"lava/internal/defrag"
 	"lava/internal/model"
+	"lava/internal/runner"
 	"lava/internal/scheduler"
 	"lava/internal/serve"
 	"lava/internal/sim"
@@ -57,7 +59,7 @@ func main() {
 		scen      = flag.String("scenario", "", "scenario id ("+strings.Join(lava.ScenarioNames(), "|")+"); empty = steady replay")
 		router    = flag.String("router", "feature-hash", "cell router: round-robin | least-utilized | feature-hash")
 		seed      = flag.Int64("seed", 42, "scenario randomness seed")
-		finalOut  = flag.String("final-out", "", "federated runs: write the fleet report as canonical JSON to this file ('-' for stdout) for diffing against lavaload -final-out")
+		finalOut  = flag.String("final-out", "", "write the drain report as canonical JSON to this file ('-' for stdout) for diffing against lavaload -final-out")
 		classMix  = flag.String("class-mix", "", `label records with SLO classes, e.g. "latency=1,standard=8,besteffort=1" (weights; assignment keyed by -seed and record ID)`)
 		admit     = flag.String("admit", "", `SLO admission control, e.g. "latency=100/1m:200,standard=50/1m" or "track" — must match the daemon's -admit when diffing against an online run`)
 	)
@@ -102,9 +104,6 @@ func main() {
 			ClassMix:     *classMix,
 		}, *finalOut)
 		return
-	}
-	if *finalOut != "" {
-		fatal(fmt.Errorf("-final-out is a federated option; add -cells or -scenario"))
 	}
 	if *classMix != "" {
 		if tr, err = lava.AssignClasses(tr, *classMix, *seed); err != nil {
@@ -156,6 +155,13 @@ func main() {
 			100*probe.AvgStrandedCPU(tr.WarmUp), 100*probe.AvgStrandedMem(tr.WarmUp))
 	}
 	res.SLO.WriteText(os.Stdout)
+	if *finalOut != "" {
+		leaf := &serve.DrainResponse{Pool: res.PoolName, Policy: res.Policy,
+			Metrics: runner.MetricsOf(res), SeriesLen: res.Series.Len()}
+		if err := writeFinal(*finalOut, leaf); err != nil {
+			fatal(err)
+		}
+	}
 }
 
 // runFederated runs the offline run of the fleet cfg describes and prints
@@ -201,8 +207,8 @@ func printFleetReport(ff *serve.DrainResponse, scen string, cells int, admit str
 	m.SLO.WriteText(os.Stdout)
 }
 
-// writeFinal emits the fleet report as canonical JSON: the projection a live
-// fleet's /drain handler applies, so the bytes diff cleanly against a
+// writeFinal emits a drain report as canonical JSON: the projection a live
+// daemon's /drain handler applies, so the bytes diff cleanly against a
 // lavaload -final-out capture of the online run.
 func writeFinal(path string, ff *serve.DrainResponse) error {
 	data, err := json.Marshal(ff)

@@ -6,7 +6,7 @@ package serve
 // shared sim.Machine, so online and offline runs admit identically by
 // construction. A Fleet, though, must decide admission before routing: a
 // rejected request may not move the round-robin cursor, enter the
-// commitment ledger, or consume a cell sequence slot. The gate therefore
+// commitment ledger, or reach a cell. The gate therefore
 // hangs off the topology ledger (the one structure the online Fleet and the
 // offline script runner already share verbatim) and is consulted at the
 // global sequencing turn, under the fleet mutex online and in plain program

@@ -174,8 +174,7 @@ func (c *Client) DrainFleet(ctx context.Context) (DrainResponse, error) { return
 type ReplayOptions struct {
 	// Concurrency is the number of in-flight request workers (default 1).
 	// Any value produces identical placement decisions: requests carry
-	// sequence numbers and the server's reorder buffer restores event
-	// order.
+	// sequence numbers and the server's sequencer restores event order.
 	Concurrency int
 
 	// QPS paces request admission (requests per wall-clock second across
@@ -207,13 +206,11 @@ type ReplayReport struct {
 	Final *DrainResponse
 }
 
-// Replay streams a trace's event stream against the server: every CREATE
-// becomes /place, every EXIT becomes /exit, in the canonical event order
-// and sequence-numbered so the served decisions are byte-identical to an
-// offline sim.Run of the same trace — at any Concurrency. Events past the
-// trace's measurement end are skipped, exactly as offline. Unless
-// SkipDrain is set, the replay finishes with /drain and returns the final
-// aggregates.
+// Replay streams a trace's script against the server: OpsFromTrace(tr), op
+// i under sequence number i+1 — every OpPlace as /place, every OpExit as
+// /exit — so the served decisions are byte-identical to an offline sim.Run
+// of the same trace at any Concurrency. Unless SkipDrain is set, the replay
+// finishes with /drain and returns the final aggregates.
 //
 // The same call drives a Fleet: the fleet's front-end sequencer routes the
 // globally sequenced stream across its cells, so each cell replays exactly
@@ -224,18 +221,7 @@ func (c *Client) Replay(ctx context.Context, tr *trace.Trace, opt ReplayOptions)
 	if workers <= 0 {
 		workers = 1
 	}
-	end := tr.End()
-	evs := tr.Events()
-	// Events arrive pre-sorted; cut the drain-only tail.
-	n := 0
-	for _, ev := range evs {
-		if ev.Time > end {
-			break
-		}
-		n++
-	}
-	evs = evs[:n]
-
+	ops := OpsFromTrace(tr)
 	var (
 		hist     runner.LatencyHist
 		rejected atomic.Int64
@@ -267,7 +253,7 @@ func (c *Client) Replay(ctx context.Context, tr *trace.Trace, opt ReplayOptions)
 		go func() {
 			defer wg.Done()
 			for i := range feed {
-				ev := evs[i]
+				op := &ops[i]
 				seq := uint64(i + 1)
 				if interval > 0 {
 					due := start.Add(time.Duration(i) * interval)
@@ -281,11 +267,11 @@ func (c *Client) Replay(ctx context.Context, tr *trace.Trace, opt ReplayOptions)
 				}
 				reqStart := time.Now()
 				var err error
-				switch ev.Kind {
-				case trace.EventCreate:
-					_, err = c.Place(ctx, PlaceRequest{Seq: seq, At: ev.Time, Record: ev.Rec})
-				case trace.EventExit:
-					_, err = c.Exit(ctx, ExitRequest{Seq: seq, At: ev.Time, ID: ev.Rec.ID})
+				switch op.Kind {
+				case OpPlace:
+					_, err = c.Place(ctx, PlaceRequest{Seq: seq, At: op.At, Record: op.Rec})
+				case OpExit:
+					_, err = c.Exit(ctx, ExitRequest{Seq: seq, At: op.At, ID: op.VM})
 				}
 				if err != nil {
 					if slo.IsReject(err) {
@@ -299,7 +285,7 @@ func (c *Client) Replay(ctx context.Context, tr *trace.Trace, opt ReplayOptions)
 					return
 				}
 				d := time.Since(reqStart)
-				if cls, cerr := slo.ParseClass(ev.Rec.Class); cerr == nil && ev.Rec.Class != "" && ev.Kind == trace.EventCreate {
+				if cls, cerr := slo.ParseClass(op.Rec.Class); cerr == nil && op.Rec.Class != "" {
 					hist.RecordClass(cls, d)
 				} else {
 					hist.Record(d)
@@ -308,7 +294,7 @@ func (c *Client) Replay(ctx context.Context, tr *trace.Trace, opt ReplayOptions)
 		}()
 	}
 feed:
-	for i := range evs {
+	for i := range ops {
 		select {
 		case feed <- i:
 		case <-ctx.Done():
@@ -325,7 +311,7 @@ feed:
 	}
 
 	rep := &ReplayReport{
-		Requests: len(evs),
+		Requests: len(ops),
 		Rejected: rejected.Load(),
 		Elapsed:  time.Since(start),
 		Hist:     &hist,

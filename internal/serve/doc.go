@@ -15,21 +15,27 @@
 // to an offline simulation: both drive one engine, in one goroutine, in
 // one deterministic order.
 //
-// # Admission batching and determinism
-//
-// The admission queue is a buffered channel. Each loop iteration drains
-// everything currently queued into a batch and orders it canonically —
-// by virtual time, then exits before placements (the trace event-stream
-// convention), then VM ID — so one batch of concurrent requests is
-// processed the same way regardless of goroutine arrival interleaving.
+// # Sequencing, admission batching and determinism
 //
 // Clients that need *global* determinism (the replay client, the parity
-// test) additionally stamp each request with a strictly increasing
-// sequence number. Sequenced requests pass through a reorder buffer: the
-// loop processes seq 1, 2, 3, ... in order no matter how the concurrent
-// HTTP deliveries interleave, so an 8-way concurrent replay of a trace
-// makes exactly the same placement decisions as `lava.Simulate` on that
-// trace.
+// test) stamp each request with a strictly increasing sequence number. One
+// sequencer orders the stream, a Server's over its clients and a Fleet's at
+// its front door: a mutating request waits for its turn (seq 1, 2, 3, ...
+// however the concurrent HTTP deliveries interleave; seq 0 at once),
+// enqueues itself on the event loop during the turn, and passes the turn
+// on. The loop therefore receives the sequenced stream already in order, so
+// an 8-way concurrent replay of a trace makes exactly the same placement
+// decisions as `lava.Simulate` on that trace. The sequencer refuses a seq
+// behind its cursor (409 stale), a second copy of a parked one (409
+// duplicate) and, once a drain began, everything (503).
+//
+// The admission queue is a buffered channel. Each loop iteration drains
+// everything currently queued into a batch and applies it: reads and
+// unsequenced requests ordered canonically — by virtual time, then exits
+// before placements (the trace event-stream convention), then VM ID — so
+// one batch of concurrent requests is processed the same way regardless of
+// goroutine arrival interleaving; then the sequenced requests in arrival
+// order; then drains.
 //
 // # Hot-route codec
 //
@@ -49,11 +55,12 @@
 //
 // /snapshot reads the pool's current bin-packing metrics without advancing
 // virtual time. /drain performs the graceful shutdown handshake: new
-// mutating requests are rejected with 503, everything already admitted
-// (including buffered sequenced requests) is processed, the machine is
-// advanced to its horizon, and the final post-warm-up aggregates — the
-// exact fields an offline run reports — are computed once and returned.
-// Reads keep working on the frozen pool after the drain.
+// mutating requests are rejected with 503, the sequencer flushes its parked
+// requests one gap at a time in ascending sequence order, everything
+// admitted is processed — the drain request queues behind all of it — the
+// machine is advanced to its horizon, and the final post-warm-up aggregates
+// — the exact fields an offline run reports — are computed once and
+// returned. Reads keep working on the frozen pool after the drain.
 //
 // # Federation (Fleet): leaf and node
 //
@@ -95,15 +102,14 @@
 // live cell, a merge to a host grow plus a MigrateOut→MigrateIn pair per VM;
 // a cell drain plans to no step at all.
 //
-// Online, Fleet.Do is the one executor. A global reorder stage admits
-// fleet-wide sequence numbers strictly in order; at its turn an op is
-// planned under the fleet mutex, each step is stamped with its cell's own
-// contiguous sequence number, and the turn is released — consumed even when
-// the ledger refused the op, so nothing ever parks behind a failure. The
-// steps then dispatch without the lock — all enqueued before the first
-// answer is awaited, so a tick's cells work in parallel; only a MigrateIn
-// waits, for the VM its MigrateOut hands over — and each cell's reorder
-// buffer restores that cell's order. Offline, RunScriptOffline is a plain loop over
+// Online, Fleet.Do is the one executor. At an op's front-door turn it is
+// planned under the fleet mutex and every step is enqueued at its cell, in
+// plan order, before the turn passes — consumed even when the ledger
+// refused the op, so nothing ever parks behind a failure. Each cell
+// therefore receives its steps in global order and needs no numbering of
+// its own; only the answers are awaited after the turn, all at once, so a
+// tick's cells work in parallel (a MigrateIn alone waits, during the turn,
+// for the VM its MigrateOut hands over). Offline, RunScriptOffline is a plain loop over
 // the same plan, applying each step to a bare sim.Machine through applyTo,
 // the switch the cell event loop itself uses. The two arms share the ledger
 // code, the expansion and the step semantics, so every cell observes online

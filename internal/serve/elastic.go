@@ -239,8 +239,8 @@ const (
 	// keeps the decremented weight — see topology for why.
 	OpRemoveHost
 	// OpDrainCell stops routing new placements to cell Cell. VMs already
-	// there keep running and exiting; sequenced requests in flight to the
-	// cell land normally — nothing is dropped. A pure ledger flip, like
+	// there keep running and exiting; steps already enqueued at the cell
+	// land normally — nothing is dropped. A pure ledger flip, like
 	// OpRehydrateCell, which resumes routing: no cell-level step.
 	OpDrainCell
 	OpRehydrateCell
@@ -252,8 +252,8 @@ const (
 	// OpMergeCells merges cell Cell into cell Into: Into grows by Cell's
 	// host count, every VM in Cell migrates over through the MigrateOut/
 	// MigrateIn seam (in ascending VM ID order), and Cell retires —
-	// unroutable, weight zero, clock frozen until the fleet drains. Sequence
-	// numbers for all the cell-level steps are reserved up front, so requests
+	// unroutable, weight zero, clock frozen until the fleet drains. All the
+	// cell-level steps are enqueued during the merge's turn, so requests
 	// racing the merge order deterministically around it; exits of migrated
 	// (and even capacity-failed) VMs route to Into afterwards.
 	OpMergeCells
@@ -306,9 +306,9 @@ type OpResult struct {
 
 // OpsFromTrace converts a trace's canonical event stream into a script:
 // every CREATE becomes an OpPlace and every EXIT an OpExit, in event order,
-// with events past the trace's measurement end dropped. The mapping matches
-// Client.Replay exactly — replay sequence number i+1 corresponds to ops[i] —
-// so RunScriptOffline over these ops is the offline reference for an online
+// with events past the trace's measurement end dropped. It is the script a
+// trace is: Client.Replay sends these ops, ops[i] under sequence number
+// i+1, so RunScriptOffline over them is the offline reference for an online
 // replay of the same trace.
 func OpsFromTrace(tr *trace.Trace) []Op {
 	end := tr.End()
@@ -417,18 +417,20 @@ func (t *topology) plan(op *Op, buf []*request) (steps []*request, res OpResult,
 }
 
 // runSteps carries out a planned op: start hands each step to its cell in
-// plan order, finish collects the answers in the same order, folded into
-// res, and the step errors come back joined. Online the two are a cell
-// server's enqueue and await: every step sits in its cell's queue before the
-// first answer is awaited, so the cells of a tick work in parallel and no
-// cell's ordered stream stalls behind a step not yet sent. Offline start
-// does nothing and finish applies the step to a bare machine. The one data
-// dependency holds on both sides: a MigrateIn starts only once the
-// MigrateOut right before it has answered with the VM to carry over.
+// plan order, started runs once all are started, finish collects the
+// answers in the same order, folded into res, and the step errors come back
+// joined. Online start and finish are a cell server's enqueue and await and
+// started passes the op's sequencer turn: every step sits in its cell's
+// queue before the turn passes and the first answer is awaited, so each
+// cell's stream arrives in order and the cells of a tick work in parallel.
+// Offline start and started do nothing and finish applies the step to a
+// bare machine. The one data dependency holds on both sides: a MigrateIn
+// starts only once the MigrateOut right before it has answered with the VM
+// to carry over.
 //
-// Every step runs even after one failed: online their cell sequence numbers
-// are already reserved, and each cell's stream must stay contiguous.
-func runSteps(kind OpKind, steps []*request, res *OpResult, start func(*request), finish func(*request) response) error {
+// Every step runs even after one failed, exactly as the offline script
+// runs it.
+func runSteps(kind OpKind, steps []*request, res *OpResult, start func(*request), started func(), finish func(*request) response) error {
 	var errs []error
 	var vm *cluster.VM // what the last finished step handed over (MigrateOut only)
 	done := 0
@@ -465,6 +467,7 @@ func runSteps(kind OpKind, steps []*request, res *OpResult, start func(*request)
 		}
 		start(r)
 	}
+	started()
 	collect(len(steps))
 	return errors.Join(errs...)
 }
@@ -565,7 +568,7 @@ func RunScriptOffline(cfg FleetConfig, ops []Op) (*cell.Rollup, error) {
 		op := &ops[i]
 		steps, res, err := topo.plan(op, nil)
 		if err == nil {
-			err = runSteps(op.Kind, steps, &res, func(*request) {}, apply)
+			err = runSteps(op.Kind, steps, &res, func(*request) {}, func() {}, apply)
 		}
 		// A front-door rejection is counted at the gate and invisible to
 		// routing; anything else ends the script.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lava/internal/cell"
@@ -42,7 +41,7 @@ import (
 //     admit/reject stream is a pure function of the sequenced request order
 //     and the offline script runner reproduces it exactly. Rejections consume
 //     their global routing turn (later sequence numbers never park behind
-//     them) but no cell sequence slot. Cells run with tracking-only SLO
+//     them) and reach no cell. Cells run with tracking-only SLO
 //     configs behind the gate, so per-class lifecycle counts roll up without
 //     double admission control.
 type FleetConfig struct {
@@ -87,45 +86,31 @@ func FleetFromTrace(tr *trace.Trace) FleetConfig {
 // follow the VM they name; ticks visit every live cell; stats and drains
 // roll up.
 //
-// Sequenced streams survive routing: the front-end holds a global reorder
-// stage that admits sequence numbers strictly in order, routes each request
-// under the routing lock, stamps it with the target cell's own contiguous
-// sequence number, and releases it. Dispatch to the cells is concurrent —
-// per-cell reorder buffers restore each cell's stream — so a replay fanned
-// across connections runs the cells genuinely in parallel while every cell
-// still sees exactly the event sequence offline sharding would hand it.
+// Sequenced streams survive routing: the front door is the one sequencer a
+// single Server runs too. At its turn an op is planned under the routing
+// lock and every step is enqueued at its cell before the turn passes, so
+// each cell receives its slice of the stream already in order — while the
+// cells apply it in parallel, every cell sees exactly the event sequence
+// offline sharding would hand it.
 type Fleet struct {
 	cfg    FleetConfig
-	policy string // policy name, for stats/drain payloads
+	policy string     // policy name, for stats/drain payloads
+	order  *sequencer // the front door
 
-	draining atomic.Bool
+	// Topology and cell set: elasticity ops grow cells, so readers snapshot
+	// them under mu.
+	mu    sync.Mutex
+	topo  *topology
+	cells []*Server
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	// Sequencer, topology and cell set (all under mu; elasticity ops grow
-	// cells and cellSeq, so readers snapshot them under the lock).
-	topo      *topology
-	cells     []*Server
-	nextSeq   uint64         // the global sequence number admitted next
-	parked    map[uint64]int // waiter count per not-yet-admitted sequence
-	inflight  int            // admitted requests not yet answered by their cell
-	cellSeq   []uint64       // last per-cell sequence number issued
-	closed    bool
-	flushed   bool // a drain flushed the sequencer: nothing may park anymore
-	drainBusy bool
-	finalSet  bool
+	drain     sync.Once
 	finalRoll *cell.Rollup
 	finalErr  error
 }
 
 // NewFleet builds and starts a fleet: N cells, N event loops.
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
-	f := &Fleet{
-		cfg:     cfg,
-		nextSeq: 1,
-		parked:  make(map[uint64]int),
-	}
-	f.cond = sync.NewCond(&f.mu)
+	f := &Fleet{cfg: cfg, order: newSequencer()}
 	var err error
 	if f.topo, err = fleetTopology(&f.cfg, f.addCellLocked); err != nil {
 		f.Close()
@@ -148,7 +133,6 @@ func (f *Fleet) addCellLocked(idx, hosts int) error {
 		return err
 	}
 	f.cells = append(f.cells, s)
-	f.cellSeq = append(f.cellSeq, 0)
 	return nil
 }
 
@@ -170,108 +154,55 @@ func (f *Fleet) snapshotCells() (cells []*Server, retired []bool) {
 	return append([]*Server(nil), f.cells...), append([]bool(nil), f.topo.retired...)
 }
 
-// Close stops every cell's event loop and wakes all parked waiters with
+// Close stops every cell's event loop and answers all parked waiters with
 // ErrClosed. Close does not drain; call Drain first for a graceful finish.
 func (f *Fleet) Close() {
+	// The loops stop before the sequencer is closed: a turn-holder blocked
+	// on a full cell queue holds the sequencer's lock until its cell halts.
 	f.mu.Lock()
-	f.closed = true
-	f.cond.Broadcast()
-	cells := append([]*Server(nil), f.cells...)
+	for _, s := range f.cells {
+		s.halt()
+	}
 	f.mu.Unlock()
-	for _, s := range cells {
+	f.order.close()
+	// No turn runs anymore, so the cell set — which a split may have grown
+	// meanwhile — is final.
+	for _, s := range f.cells {
 		s.Close()
 	}
 }
 
-// enterSeqLocked blocks (releasing the lock while parked) until seq is the
-// next global sequence number; seq 0 is unsequenced and never parks. On nil
-// return the caller still holds the lock and, for seq > 0, owns the routing
-// turn: it must consume it (see Do) before unlocking.
-func (f *Fleet) enterSeqLocked(seq uint64) error {
-	for seq > f.nextSeq && !f.closed && !f.flushed {
-		f.parked[seq]++
-		f.cond.Wait()
-		f.parked[seq]--
-		if f.parked[seq] == 0 {
-			delete(f.parked, seq)
-		}
-	}
-	switch {
-	case f.closed:
-		return ErrClosed
-	case seq == 0:
-		return nil
-	case f.flushed:
-		// A drain already flushed the sequencer; nothing may enter anymore
-		// (mirrors the per-cell loop's post-drain rejection).
-		return ErrDraining
-	case seq < f.nextSeq:
-		if f.draining.Load() {
-			// The drain's flush jumped the cursor past this sequence while
-			// the request was in flight: it was never processed, so
-			// reporting it stale ("already processed") would lie. Draining
-			// is the truthful answer, exactly as for post-flush arrivals.
-			return ErrDraining
-		}
-		return errStaleSeq
-	}
-	return nil
-}
-
 // Do executes one fleet operation: the single online path of all ten op
-// kinds. seq > 0 enrolls the op in the fleet-wide strictly ordered stream:
-// Do parks until it is the op's turn, then — under the fleet mutex — plans
-// the op against the topology ledger, stamps every step with its cell's
-// next contiguous sequence number and releases the turn. The steps are
-// dispatched without the lock and all at once (see runSteps: a fleet tick
-// costs its slowest cell, not the sum); requests racing them to the same
-// cells order correctly through the per-cell reorder buffers, so an admin
-// op is just another citizen of the sequenced stream and every cell sees
-// exactly the event sequence RunScriptOffline would hand it.
+// kinds. At the op's front-door turn (seq > 0: its place in the fleet-wide
+// strictly ordered stream; seq 0: at once) Do plans it against the topology
+// ledger under the fleet mutex and enqueues every step at its cell, in plan
+// order, before the turn passes — so every cell sees exactly the event
+// sequence RunScriptOffline would hand it, and an admin op is just another
+// citizen of the stream. Only the answers are collected after the turn, all
+// at once (see runSteps: a fleet tick costs its slowest cell, not the sum).
 //
 // The turn is consumed even when the ledger refuses the op (no routable
 // cell, a front-door rejection, a retired target): later sequence numbers
-// must never park behind a failed one. A refused op takes no cell sequence
-// number.
+// must never park behind a failed one.
 func (f *Fleet) Do(op Op, seq uint64) (OpResult, error) {
-	if f.draining.Load() {
-		return OpResult{}, ErrDraining
-	}
-	f.mu.Lock()
-	if err := f.enterSeqLocked(seq); err != nil {
-		f.mu.Unlock()
+	if err := f.order.enter(seq); err != nil {
 		return OpResult{}, err
 	}
 	var buf [1]*request
+	f.mu.Lock()
 	steps, res, err := f.topo.plan(&op, buf[:0])
 	cells := f.cells // cells only ever append: the prefix seen here is stable
-	if seq > 0 {
-		for _, r := range steps {
-			f.cellSeq[r.cell]++
-			r.seq = f.cellSeq[r.cell]
-		}
-		// The op counts as in flight until its last step is answered; a
-		// fleet drain waits for that before it drains the cells.
-		f.nextSeq++
-		f.inflight++
-		f.cond.Broadcast()
-	}
 	f.mu.Unlock()
-
-	if err == nil {
-		err = runSteps(op.Kind, steps, &res, func(r *request) {
-			r.resp = make(chan response, 1)
-			if err := cells[r.cell].enqueue(r); err != nil {
-				r.resp <- response{err: err}
-			}
-		}, func(r *request) response { return cells[r.cell].await(r) })
+	if err != nil {
+		f.order.leave(seq)
+		return res, err
 	}
-	if seq > 0 {
-		f.mu.Lock()
-		f.inflight--
-		f.cond.Broadcast()
-		f.mu.Unlock()
-	}
+	err = runSteps(op.Kind, steps, &res, func(r *request) {
+		r.seq, r.resp = seq, make(chan response, 1)
+		if err := cells[r.cell].enqueue(r); err != nil {
+			r.resp <- response{err: err}
+		}
+	}, func() { f.order.leave(seq) }, func(r *request) response { return cells[r.cell].await(r) })
 	return res, err
 }
 
@@ -290,9 +221,9 @@ func (f *Fleet) ExitVM(id cluster.VMID, at time.Duration, seq uint64) (removed b
 }
 
 // Tick advances every live cell's virtual time to at and returns the
-// furthest time reached. A sequenced tick consumes one fleet sequence number
-// and one per-cell sequence number in every live cell, so it orders
-// correctly against the sequenced placement stream in each of them.
+// furthest time reached. A sequenced tick takes one fleet turn and is
+// enqueued at every live cell during it, so it orders correctly against the
+// sequenced placement stream in each of them.
 func (f *Fleet) Tick(at time.Duration, seq uint64) (now time.Duration, err error) {
 	res, err := f.Do(Op{Kind: OpTick, At: at}, seq)
 	return res.Now, err
@@ -343,7 +274,7 @@ func (f *Fleet) Stats() (Stats, error) {
 		Policy:    f.policy,
 		Router:    f.RouterName(),
 		CellCount: len(cells),
-		Draining:  f.draining.Load(),
+		Draining:  f.order.draining.Load(),
 		CellStats: make([]Stats, len(cells)),
 	}
 	err := fanOut(len(cells), func(c int) error {
@@ -368,13 +299,10 @@ func (f *Fleet) Stats() (Stats, error) {
 		st.Failed += s.Failed
 		st.ModelCalls += s.ModelCalls
 		st.QueueDepth += s.QueueDepth
-		st.Pending += s.Pending
 	}
+	st.Pending = f.order.pending() // its cells park nothing
 	var gateCounts map[string]*slo.Counts
 	f.mu.Lock()
-	for _, n := range f.parked {
-		st.Pending += n
-	}
 	if f.topo.gate != nil {
 		gateCounts = f.topo.gate.Counts()
 	}
@@ -391,67 +319,22 @@ func (f *Fleet) Stats() (Stats, error) {
 }
 
 // Drain gracefully finishes the federation: new mutating work is rejected,
-// the global sequencer is flushed — parked requests released strictly in
-// ascending sequence order, gaps notwithstanding — every in-flight dispatch
-// is allowed to land, and then every cell drains concurrently. The per-cell
-// results roll up through cell.RollUp into the fleet-level report.
-// Idempotent: later calls return the same rollup.
+// the front door is flushed — parked requests released strictly in
+// ascending sequence order, gaps notwithstanding, each enqueued at its cells
+// — and then every cell drains concurrently, its drain queued behind
+// everything admitted. The per-cell results roll up through cell.RollUp into
+// the fleet-level report. Idempotent: later calls return the same rollup.
 func (f *Fleet) Drain() (*cell.Rollup, error) {
-	f.draining.Store(true)
-	f.mu.Lock()
-	for f.drainBusy && !f.finalSet && !f.closed {
-		f.cond.Wait()
-	}
-	if f.finalSet {
-		roll, err := f.finalRoll, f.finalErr
-		f.mu.Unlock()
-		return roll, err
-	}
-	if f.closed {
-		f.mu.Unlock()
-		return nil, ErrClosed
-	}
-	f.drainBusy = true
-	// Flush the sequencer: open the gate for the lowest parked sequence,
-	// let its waiter route (advancing nextSeq), repeat; then wait out the
-	// dispatches. Releasing one gap at a time keeps the flushed requests
-	// routing in ascending sequence order, exactly like the per-cell
-	// reorder buffer's gap flush.
-	for !f.closed {
-		if len(f.parked) > 0 {
-			min := uint64(0)
-			for q := range f.parked {
-				if min == 0 || q < min {
-					min = q
-				}
-			}
-			if min > f.nextSeq {
-				f.nextSeq = min
-			}
-			f.cond.Broadcast()
-			f.cond.Wait()
-			continue
-		}
-		if f.inflight > 0 {
-			f.cond.Wait()
-			continue
-		}
-		break
-	}
-	f.flushed = true
-	f.cond.Broadcast()
-	closed := f.closed
-	cells := append([]*Server(nil), f.cells...)
-	hosts := append([]int(nil), f.topo.Hosts...)
-	f.mu.Unlock()
-	if closed {
-		f.mu.Lock()
-		f.drainBusy = false
-		f.cond.Broadcast()
-		f.mu.Unlock()
-		return nil, ErrClosed
-	}
+	f.drain.Do(func() { f.finalRoll, f.finalErr = f.drainCells() })
+	return f.finalRoll, f.finalErr
+}
 
+// drainCells is Drain's one run. Once the front door is flushed no turn runs
+// anymore, so the cell set, the topology and the gate's counters are final
+// and are read without the fleet mutex.
+func (f *Fleet) drainCells() (*cell.Rollup, error) {
+	f.order.flush()
+	cells := f.cells
 	results := make([]*sim.Result, len(cells))
 	err := fanOut(len(cells), func(c int) error {
 		// Retired cells drain like any other: Server.Drain is idempotent
@@ -460,23 +343,18 @@ func (f *Fleet) Drain() (*cell.Rollup, error) {
 		results[c] = res
 		return err
 	})
-	var roll *cell.Rollup
-	if err == nil {
-		roll, err = cell.RollUp(f.RouterName(), hosts, results)
+	if err != nil {
+		return nil, err
 	}
-	f.mu.Lock()
-	if err == nil {
-		// Fold the front-door gate's admission counters into the rollup —
-		// the same attachment RunScriptOffline applies, so the drain report
-		// stays byte-identical between the arms. The sequencer is flushed
-		// and no dispatch is in flight: the counters are final.
-		attachFrontDoorLocked(f.topo, roll)
+	roll, err := cell.RollUp(f.RouterName(), f.topo.Hosts, results)
+	if err != nil {
+		return nil, err
 	}
-	f.finalRoll, f.finalErr, f.finalSet = roll, err, true
-	f.drainBusy = false
-	f.cond.Broadcast()
-	f.mu.Unlock()
-	return roll, err
+	// Fold the front-door gate's admission counters into the rollup — the
+	// same attachment RunScriptOffline applies, so the drain report stays
+	// byte-identical between the arms.
+	attachFrontDoorLocked(f.topo, roll)
+	return roll, nil
 }
 
 // Handler returns the fleet's HTTP API: the route table of routes — a

@@ -314,8 +314,7 @@ func (fn injectFunc) Inject(_ *sim.Control, now time.Duration) { fn(now) }
 // already have run in cell 1, and a later sequenced placement for cell 1
 // must be answered, both while cell 0 is still busy. An executor that sends
 // cell k its step only after cells 0..k-1 answered fails both — cell 1's
-// tick is unsent, and the placement parks in cell 1's reorder buffer behind
-// it.
+// tick is unsent, and the placement waits at the front door behind it.
 func TestFleetTickDoesNotSerializeCells(t *testing.T) {
 	held := make(chan struct{})
 	release := sync.OnceFunc(func() { close(held) })
@@ -383,10 +382,10 @@ func TestFleetTickDoesNotSerializeCells(t *testing.T) {
 }
 
 // TestFleetDrainFlushesSequencerGaps parks sequenced requests behind
-// missing predecessors in the FLEET's sequencer (not a cell's buffer),
-// drains, and requires the parked work applied in ascending sequence order
-// before the per-cell drains freeze the rollup. Late sequenced arrivals
-// after the flush get ErrDraining.
+// missing predecessors at the fleet's front door, drains, and requires the
+// parked work applied in ascending sequence order before the per-cell drains
+// freeze the rollup. Late sequenced arrivals after the flush get
+// ErrDraining.
 func TestFleetDrainFlushesSequencerGaps(t *testing.T) {
 	shape := resources.Vector{CPUMilli: 1000, MemoryMB: 1000, SSDGB: 0}
 	f := bestFitFleet(t, 4, 2, "round-robin", shape)
@@ -463,9 +462,9 @@ func TestFleetSequencedAfterDrainRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Bypass the fast-path the way a request already past it would behave.
-	f.mu.Lock()
-	err := f.enterSeqLocked(9)
-	f.mu.Unlock()
+	f.order.mu.Lock()
+	err := f.order.enterLocked(9)
+	f.order.mu.Unlock()
 	if !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-drain sequenced admission: %v, want ErrDraining", err)
 	}
@@ -490,11 +489,11 @@ func TestFleetInGapSeqDuringDrainNotStale(t *testing.T) {
 	// Mid-drain (draining set, flush not yet complete), a retry of seq 1
 	// reaches the sequencer: never-processed-as-far-as-the-client-knows,
 	// must read as draining, not stale. Without draining it IS stale.
-	f.mu.Lock()
-	errBefore := f.enterSeqLocked(1)
-	f.draining.Store(true)
-	errDuring := f.enterSeqLocked(1)
-	f.mu.Unlock()
+	f.order.mu.Lock()
+	errBefore := f.order.enterLocked(1)
+	f.order.draining.Store(true)
+	errDuring := f.order.enterLocked(1)
+	f.order.mu.Unlock()
 	if !errors.Is(errBefore, errStaleSeq) {
 		t.Fatalf("pre-drain behind-cursor seq: %v, want errStaleSeq", errBefore)
 	}
@@ -516,10 +515,7 @@ func TestFleetCloseUnblocksParked(t *testing.T) {
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		f.mu.Lock()
-		parked := len(f.parked)
-		f.mu.Unlock()
-		if parked == 1 {
+		if f.order.pending() == 1 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -172,7 +172,7 @@ type Stats struct {
 	Failed     int                  `json:"failed"`
 	ModelCalls int64                `json:"model_calls,omitempty"`
 	QueueDepth int                  `json:"queue_depth"`
-	Pending    int                  `json:"pending_seq"` // reorder-buffer occupancy; a node adds its global sequencer's
+	Pending    int                  `json:"pending_seq"` // requests parked at the sequencer (a node's front door: its cells park none)
 	Draining   bool                 `json:"draining"`
 	Latency    *runner.ServingStats `json:"latency,omitempty"` // loop-side; leaves only
 	Memo       *MemoStats           `json:"memo,omitempty"`    // Deprecated: see MemoStats
@@ -221,11 +221,10 @@ type Server struct {
 	m      *sim.Machine
 	tracer *ptrace.Recorder // nil: tracing disabled
 
+	order    *sequencer // the client stream's
 	reqs     chan *request
 	stop     chan struct{} // closed by Close
 	loopDone chan struct{}
-
-	draining atomic.Bool
 	closed   atomic.Bool
 
 	// lat records per-request processing latency (loop-side). Client-side
@@ -304,6 +303,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		m:        m,
 		tracer:   tracer,
+		order:    newSequencer(),
 		reqs:     make(chan *request, cfg.QueueDepth),
 		stop:     make(chan struct{}),
 		loopDone: make(chan struct{}),
@@ -316,15 +316,36 @@ func New(cfg Config) (*Server, error) {
 // Close stops the event loop. Pending requests are answered with ErrClosed.
 // Close does not drain; call Drain first for a graceful shutdown.
 func (s *Server) Close() {
-	if s.closed.CompareAndSwap(false, true) {
-		close(s.stop)
-	}
+	s.halt()
+	s.order.close()
 	<-s.loopDone
 }
 
-// submit enqueues a request and waits for the loop's response.
+// halt stops the event loop without waiting for it. It takes no lock: a
+// turn-holder blocked on the full queue holds the sequencer's, and is let go
+// by the closed stop channel.
+func (s *Server) halt() {
+	if s.closed.CompareAndSwap(false, true) {
+		close(s.stop)
+	}
+}
+
+// submit enqueues a request and waits for the loop's response. A mutating
+// request is enqueued during its sequencer turn, so the loop receives the
+// sequenced stream in order.
 func (s *Server) submit(r *request) response {
-	if err := s.enqueue(r); err != nil {
+	if !mutating(r.kind) {
+		if err := s.enqueue(r); err != nil {
+			return response{err: err}
+		}
+		return s.await(r)
+	}
+	if err := s.order.enter(r.seq); err != nil {
+		return response{err: err}
+	}
+	err := s.enqueue(r)
+	s.order.leave(r.seq)
+	if err != nil {
 		return response{err: err}
 	}
 	return s.await(r)
@@ -335,9 +356,6 @@ func (s *Server) submit(r *request) response {
 // plan's independent steps before it awaits the first, so the cells work in
 // parallel.
 func (s *Server) enqueue(r *request) error {
-	if mutating(r.kind) && s.draining.Load() {
-		return ErrDraining
-	}
 	select {
 	case s.reqs <- r:
 		return nil
@@ -414,6 +432,9 @@ func (s *Server) Stats() (Stats, error) {
 	if resp.err != nil {
 		return Stats{}, resp.err
 	}
+	// Read here, not on the loop: a turn-holder blocked on the full queue
+	// holds the sequencer's lock until the loop takes its request.
+	resp.stats.Pending = s.order.pending()
 	return *resp.stats, nil
 }
 
@@ -423,26 +444,24 @@ func (s *Server) Stats() (Stats, error) {
 func (s *Server) Tracer() *ptrace.Recorder { return s.tracer }
 
 // Drain gracefully finishes the run: rejects new mutating work, processes
-// everything already admitted, advances to the horizon, and returns the
-// final aggregates. Idempotent — later calls return the same result.
+// everything already admitted (the sequencer's flush enqueues its parked
+// requests first), advances to the horizon, and returns the final
+// aggregates. Idempotent — later calls return the same result.
 func (s *Server) Drain() (*sim.Result, error) {
-	s.draining.Store(true)
+	s.order.flush()
 	resp := s.submit(newRequest(reqDrain))
 	return resp.final, resp.err
 }
 
 // loop is the single writer over the machine. It blocks for one request,
-// opportunistically drains the rest of the queue into a batch, orders the
-// batch canonically, and applies it.
+// opportunistically drains the rest of the queue into a batch, and applies
+// it: reads and unsequenced requests in canonical order, then sequenced
+// requests and drains in arrival order — the sequencer enqueued the former
+// in sequence order, and a drain only after its flush, behind every one of
+// them.
 func (s *Server) loop() {
 	defer close(s.loopDone)
-	var (
-		batch   []*request
-		drains  []*request
-		pending = make(map[uint64]*request) // sequenced requests awaiting their turn
-		nextSeq = uint64(1)
-		drained bool // a drain has completed: nothing may park anymore
-	)
+	var batch, arrived []*request
 	for {
 		var r *request
 		select {
@@ -460,60 +479,21 @@ func (s *Server) loop() {
 				break fill
 			}
 		}
+		arrived = arrived[:0]
+		n := 0
+		for _, r := range batch {
+			if r.seq > 0 || r.kind == reqDrain {
+				arrived = append(arrived, r)
+			} else {
+				batch[n] = r
+				n++
+			}
+		}
+		batch = batch[:n]
 		clampBatch(batch, s.m.Now())
 		orderBatch(batch)
-
-		drains = drains[:0]
-		for _, r := range batch {
-			switch {
-			case r.kind == reqDrain:
-				drains = append(drains, r)
-			case r.seq > 0:
-				switch {
-				// A sequenced request that slipped past the handler's
-				// draining check while a drain was being processed must not
-				// park: nothing will ever release it.
-				case drained:
-					r.resp <- response{err: ErrDraining}
-				case r.seq < nextSeq:
-					r.resp <- response{err: errStaleSeq}
-				case pending[r.seq] != nil:
-					r.resp <- response{err: errDupSeq}
-				default:
-					pending[r.seq] = r
-				}
-			default:
-				s.apply(r, len(pending))
-			}
-		}
-		// Release the sequenced stream as far as it is contiguous.
-		for {
-			r, ok := pending[nextSeq]
-			if !ok {
-				break
-			}
-			delete(pending, nextSeq)
-			nextSeq++
-			s.apply(r, len(pending))
-		}
-		// A drain flushes whatever the reorder buffer still holds — in
-		// sequence order, gaps notwithstanding — then finishes the machine.
-		for _, d := range drains {
-			if len(pending) > 0 {
-				seqs := make([]uint64, 0, len(pending))
-				for q := range pending {
-					seqs = append(seqs, q)
-				}
-				sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-				for _, q := range seqs {
-					s.apply(pending[q], 0)
-					delete(pending, q)
-				}
-				nextSeq = seqs[len(seqs)-1] + 1
-			}
-			final, err := s.m.Finish()
-			drained = true
-			d.resp <- response{final: final, err: err}
+		for _, r := range append(batch, arrived...) {
+			s.apply(r)
 		}
 	}
 }
@@ -536,9 +516,9 @@ func clampBatch(batch []*request, now time.Duration) {
 
 // orderBatch sorts one admission batch canonically: virtual time, then
 // kind (exits before placements before ticks, reads first at time zero,
-// drains last), then VM ID, then sequence number. Sequenced requests are
-// re-ordered again by the reorder buffer; this sort makes the unsequenced
-// path deterministic per batch.
+// drains last), then VM ID, then sequence number. The loop sorts only a
+// batch's reads and unsequenced requests: this sort makes that path
+// deterministic per batch.
 func orderBatch(batch []*request) {
 	sort.SliceStable(batch, func(i, j int) bool {
 		a, b := batch[i], batch[j]
@@ -573,15 +553,17 @@ func sortTime(r *request) time.Duration {
 }
 
 // apply executes one request against the machine and responds.
-func (s *Server) apply(r *request, pendingSeq int) {
+func (s *Server) apply(r *request) {
 	start := time.Now()
 	var resp response
 	switch r.kind {
 	case reqSnapshot:
 		resp.sample = metrics.Snapshot(s.m.Pool(), s.m.Now())
 	case reqStats:
-		st := s.statsNow(pendingSeq)
+		st := s.statsNow()
 		resp.stats = &st
+	case reqDrain:
+		resp.final, resp.err = s.m.Finish()
 	default:
 		resp = applyTo(s.m, r)
 		cls := "" // placements split the histogram by class when the SLO layer is on
@@ -638,8 +620,9 @@ func applyTo(m *sim.Machine, r *request) (resp response) {
 // modelCaller mirrors the simulator's policy-telemetry interface.
 type modelCaller interface{ ModelCalls() int64 }
 
-// statsNow assembles the Stats payload on the loop goroutine.
-func (s *Server) statsNow(pendingSeq int) Stats {
+// statsNow assembles the Stats payload on the loop goroutine; Stats adds
+// the sequencer's count.
+func (s *Server) statsNow() Stats {
 	pool := s.m.Pool()
 	placements, exits, failed := s.m.Counts()
 	st := Stats{
@@ -653,8 +636,7 @@ func (s *Server) statsNow(pendingSeq int) Stats {
 		Exits:      exits,
 		Failed:     failed,
 		QueueDepth: len(s.reqs),
-		Pending:    pendingSeq,
-		Draining:   s.draining.Load(),
+		Draining:   s.order.draining.Load(),
 		Latency:    s.lat.Stats(time.Since(s.started)),
 	}
 	if mc, ok := s.cfg.Policy.(modelCaller); ok {

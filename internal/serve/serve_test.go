@@ -228,7 +228,7 @@ func TestHandlers(t *testing.T) {
 		expect string // substring of the response body
 		only   string // serverOnly | fleetOnly | "" for every target
 		// parked is sent first, in the background: a sequenced request that
-		// must be sitting in the reorder buffer when the row's own arrives.
+		// must be parked at the sequencer when the row's own arrives.
 		parked string
 	}{
 		{name: "place ok", method: "POST", path: "/place", body: place, status: 200, expect: `"placed":true`},
@@ -243,10 +243,10 @@ func TestHandlers(t *testing.T) {
 		{name: "place unknown class", method: "POST", path: "/place", body: `{"seq":1,` + record(2, "gold") + "}", status: 400, expect: "gold"},
 		{name: "place same seq corrected", method: "POST", path: "/place", body: `{"seq":1,` + record(2, "latency") + "}", status: 200, expect: `"placed":true`},
 		{name: "place stale seq", method: "POST", path: "/place", body: `{"seq":1,` + record(3, "") + "}", status: 409, expect: "already processed"},
-		// A fleet has no duplicate to refuse: its front door parks both
-		// copies and answers the second one stale once the first took the turn.
+		// A Server and a Fleet run the same sequencer: a second copy of a
+		// parked sequence number is refused, the first stays parked.
 		{name: "place duplicate seq in flight", method: "POST", path: "/place", body: `{"seq":5,` + record(5, "") + "}",
-			parked: `{"seq":5,` + record(4, "") + "}", status: 409, expect: "duplicate", only: serverOnly},
+			parked: `{"seq":5,` + record(4, "") + "}", status: 409, expect: "duplicate"},
 		{name: "exit running vm", method: "POST", path: "/exit", body: `{"at_ns":2000000000,"id":1}`, status: 200, expect: `"removed":true`},
 		{name: "exit unknown vm", method: "POST", path: "/exit", body: `{"at_ns":3000000000,"id":99}`, status: 200, expect: `"removed":false`},
 		{name: "tick", method: "POST", path: "/tick", body: `{"at_ns":7200000000000}`, status: 200, expect: `"now_ns":7200000000000`},
@@ -354,7 +354,7 @@ func TestDrainFlushesPendingSequences(t *testing.T) {
 	}
 	defer s.Close()
 
-	// seq 2 arrives without seq 1: it parks in the reorder buffer.
+	// seq 2 arrives without seq 1: it parks at the sequencer.
 	done := make(chan error, 1)
 	go func() {
 		rec := trace.Record{ID: 2, Lifetime: time.Hour, Shape: shape}
@@ -372,7 +372,7 @@ func TestDrainFlushesPendingSequences(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("sequenced request never parked in the reorder buffer")
+			t.Fatal("sequenced request never parked at the sequencer")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -397,9 +397,9 @@ func TestDrainFlushesPendingSequences(t *testing.T) {
 }
 
 // TestSequencedRequestAfterDrainRejected covers the drain race: a
-// sequenced request that slipped past the handler's draining check and
-// reaches the loop after the drain completed must be answered with
-// ErrDraining, not parked in the reorder buffer forever.
+// sequenced request that slipped past the draining fast path and reaches
+// the sequencer after the drain completed must be answered with
+// ErrDraining, not parked forever.
 func TestSequencedRequestAfterDrainRejected(t *testing.T) {
 	shape := resources.Vector{CPUMilli: 1000, MemoryMB: 1000, SSDGB: 0}
 	s, err := New(Config{PoolName: "race", Hosts: 2, HostShape: shape, Policy: scheduler.NewBestFit()})
@@ -410,16 +410,18 @@ func TestSequencedRequestAfterDrainRejected(t *testing.T) {
 	if _, err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	// Bypass submit()'s draining fast-path to model the race where the
-	// request was enqueued concurrently with the drain.
-	r := newRequest(reqPlace)
-	r.rec = trace.Record{ID: 7, Lifetime: time.Hour, Shape: shape}
-	r.seq = 9 // a gap: nothing could ever release it
-	s.reqs <- r
+	// Bypass the draining fast path to model the race where the request
+	// passed it concurrently with the drain.
+	done := make(chan error, 1)
+	go func() {
+		s.order.mu.Lock()
+		defer s.order.mu.Unlock()
+		done <- s.order.enterLocked(9) // a gap: nothing could ever release it
+	}()
 	select {
-	case resp := <-r.resp:
-		if resp.err == nil {
-			t.Fatal("post-drain sequenced request succeeded")
+	case err := <-done:
+		if !errors.Is(err, ErrDraining) {
+			t.Fatalf("post-drain sequenced request: %v, want ErrDraining", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("post-drain sequenced request parked forever")
@@ -528,7 +530,7 @@ func TestBackwardTimeClampedOnAPI(t *testing.T) {
 // TestDrainFlushesGappedPendingInOrder covers the multi-gap flush branch:
 // several sequenced requests parked behind missing predecessors must be
 // applied in ascending sequence order by the drain (observable through
-// best-fit host assignment with whole-host VMs), and the buffer's cursor
+// best-fit host assignment with whole-host VMs), and the sequencer's cursor
 // must land past the highest flushed sequence.
 func TestDrainFlushesGappedPendingInOrder(t *testing.T) {
 	shape := resources.Vector{CPUMilli: 1000, MemoryMB: 1000, SSDGB: 0}
@@ -586,18 +588,24 @@ func TestDrainFlushesGappedPendingInOrder(t *testing.T) {
 		}
 	}
 
-	// After the flush, drained is set and nextSeq is seqs[last]+1 = 6: any
-	// late sequenced request — stale, in-gap, or future — must be answered
-	// with ErrDraining rather than parked forever or misreported as stale.
+	// After the flush the sequencer is flushed and its cursor is
+	// seqs[last]+1 = 6: any late sequenced request — stale, in-gap, or
+	// future — that got past the draining fast path must be answered with
+	// ErrDraining rather than parked forever or misreported as stale.
+	if s.order.next != 6 {
+		t.Fatalf("cursor at %d after the flush, want 6", s.order.next)
+	}
 	for _, q := range []uint64{3, 6} {
-		r := newRequest(reqPlace)
-		r.rec = trace.Record{ID: cluster.VMID(100 + q), Lifetime: time.Hour, Shape: shape}
-		r.seq = q
-		s.reqs <- r
+		done := make(chan error, 1)
+		go func() {
+			s.order.mu.Lock()
+			defer s.order.mu.Unlock()
+			done <- s.order.enterLocked(q)
+		}()
 		select {
-		case resp := <-r.resp:
-			if !errors.Is(resp.err, ErrDraining) {
-				t.Fatalf("post-drain seq %d: got %v, want ErrDraining", q, resp.err)
+		case err := <-done:
+			if !errors.Is(err, ErrDraining) {
+				t.Fatalf("post-drain seq %d: got %v, want ErrDraining", q, err)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("post-drain seq %d parked forever", q)

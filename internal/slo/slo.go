@@ -10,7 +10,7 @@
 // reproduces the exact admit/reject stream byte-for-byte. Rejected requests
 // get a typed RejectError carrying the virtual time at which the next token
 // lands (surfaced as HTTP 429 by internal/serve) and a per-class counter;
-// they never consume a cell sequence slot.
+// they never reach a cell.
 //
 // The package also owns the multi-objective serving score: the Jain fairness
 // index over per-class admission rates and a weighted fitness product
