@@ -39,12 +39,7 @@ func main() {
 		fatal(fmt.Errorf("-trace is required"))
 	}
 
-	f, err := os.Open(*tracePath)
-	if err != nil {
-		fatal(err)
-	}
-	tr, err := trace.Read(f)
-	f.Close()
+	tr, err := trace.ReadFile(*tracePath)
 	if err != nil {
 		fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"time"
 
@@ -233,6 +234,25 @@ func Read(r io.Reader) (*Trace, error) {
 	}
 	if h.Records != len(t.Records) {
 		return nil, fmt.Errorf("trace: header says %d records, found %d", h.Records, len(t.Records))
+	}
+	return t, nil
+}
+
+// ReadFile reads the trace file at path and validates it: the one loader of
+// every command, so none replays, serves or trains on a trace Validate
+// refuses.
+func ReadFile(path string) (*Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	t, err := Read(f)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.Validate(); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"time"
 
@@ -265,9 +266,10 @@ type ServeConfig struct {
 	TraceCap int
 
 	// TraceOut, if non-nil, additionally streams every recorded decision
-	// as a JSON line the moment it is made (ignored in fleet mode, where
+	// as a JSON line the moment it is made. Single-cell only: a fleet
+	// (NewFleet, and Serve whenever it builds one) refuses it, because
 	// per-cell streams would interleave nondeterministically — query each
-	// cell's ring instead).
+	// cell's ring instead.
 	TraceOut io.Writer
 
 	// Admission configures SLO-class token-bucket admission control, as a
@@ -355,19 +357,21 @@ const (
 )
 
 // newHTTPServer is the one place the daemon's http.Server is configured.
-func newHTTPServer(addr string, handler http.Handler) *http.Server {
-	return &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+func newHTTPServer(handler http.Handler) *http.Server {
+	return &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
-// Serve runs a placement service on addr until ctx is cancelled, then shuts
-// the listener down gracefully and stops the event loops. This is the one
-// place that decides between the two shapes of the service: a config with
-// Cells > 1 or a Scenario (whose tick injectors fire inside a fleet's
-// per-cell event loops, even single-cell) is served by a fleet behind a
-// router, anything else by a single event loop — the same HTTP surface
-// either way, with rolled-up /stats and /drain from a fleet. It blocks for
-// the service's lifetime; a clean shutdown returns nil.
-func Serve(ctx context.Context, addr string, tr *Trace, cfg FleetConfig) error {
+// Serve runs a placement service on ln until ctx is cancelled, then shuts
+// the listener down gracefully and stops the event loops; it closes ln
+// whenever it returns. This is the one place that decides between the two
+// shapes of the service: a config with Cells > 1 or a Scenario (whose tick
+// injectors fire inside a fleet's per-cell event loops, even single-cell)
+// is served by a fleet behind a router, anything else by a single event
+// loop — the same HTTP surface either way, with rolled-up /stats and /drain
+// from a fleet. It blocks for the service's lifetime; a clean shutdown
+// returns nil.
+func Serve(ctx context.Context, ln net.Listener, tr *Trace, cfg FleetConfig) error {
+	defer ln.Close()
 	var handler http.Handler
 	if cfg.Cells > 1 || cfg.Scenario != "" {
 		fleet, err := NewFleet(tr, cfg)
@@ -384,9 +388,9 @@ func Serve(ctx context.Context, addr string, tr *Trace, cfg FleetConfig) error {
 		defer srv.Close()
 		handler = srv.Handler()
 	}
-	hs := newHTTPServer(addr, handler)
+	hs := newHTTPServer(handler)
 	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
+	go func() { errc <- hs.Serve(ln) }()
 	select {
 	case <-ctx.Done():
 		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -467,6 +471,9 @@ func NewFleet(tr *Trace, cfg FleetConfig) (*serve.Fleet, error) {
 // setup.
 func buildFleetConfig(tr *Trace, cfg FleetConfig) (serve.FleetConfig, *Trace, error) {
 	fc := serve.FleetConfig{Cells: max(cfg.Cells, 1), Router: string(cfg.Router)}
+	if cfg.TraceOut != nil {
+		return fc, nil, errors.New("lava: TraceOut (-trace-out) is single-cell only; query /trace?cell=N in fleet mode")
+	}
 	var wrap func(Predictor) Predictor
 	if cfg.Scenario != "" {
 		spec, err := scenario.ByName(cfg.Scenario, tr, cfg.ScenarioSeed)

@@ -183,12 +183,9 @@ func TestCompare(t *testing.T) {
 // TestHTTPServerTimeouts pins the hardening of the daemon's listener: the
 // http.Server that Serve runs must bound slow-header and idle connections.
 func TestHTTPServerTimeouts(t *testing.T) {
-	hs := newHTTPServer("127.0.0.1:0", nil)
+	hs := newHTTPServer(nil)
 	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 {
 		t.Fatalf("ReadHeaderTimeout = %v, IdleTimeout = %v; both must be set", hs.ReadHeaderTimeout, hs.IdleTimeout)
-	}
-	if hs.Addr != "127.0.0.1:0" {
-		t.Fatalf("Addr = %q", hs.Addr)
 	}
 }
 
