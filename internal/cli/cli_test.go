@@ -193,6 +193,10 @@ func TestCLIRefusals(t *testing.T) {
 			[]string{"-trace", good, "-addr", "127.0.0.1:0", "-trace-k", "3", "-trace-out", out, "-scenario", "surge"}, "-trace-out"},
 		{"lavaload -final-out with -no-drain", Lavaload,
 			[]string{"-trace", good, "-addr", hs.URL, "-no-drain", "-final-out", out}, "-final-out"},
+		{"lavad -router bogus", Lavad,
+			[]string{"-trace", good, "-addr", "127.0.0.1:0", "-router", "bogus"}, "-router"},
+		{"lavasim -router bogus", Lavasim,
+			[]string{"-trace", good, "-router", "bogus"}, "-router"},
 		{"lavaload duplicate vm id", Lavaload,
 			[]string{"-trace", dup, "-addr", hs.URL}, "duplicate vm id"},
 	} {

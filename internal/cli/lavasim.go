@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"lava"
+	"lava/internal/cell"
 	"lava/internal/defrag"
 	"lava/internal/model"
 	"lava/internal/runner"
@@ -46,6 +48,11 @@ func Lavasim(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	return run(fs, args, stderr, func() error {
 		if *tracePath == "" {
 			return errors.New("-trace is required")
+		}
+		// A one-cell run never reaches the facade's fleet check, yet a
+		// misspelt -router must not pass there either.
+		if !slices.Contains(cell.RouterKinds(), *router) {
+			return fmt.Errorf("unknown -router %q (have %s)", *router, strings.Join(cell.RouterKinds(), "|"))
 		}
 		tr, err := trace.ReadFile(*tracePath)
 		if err != nil {

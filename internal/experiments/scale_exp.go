@@ -72,7 +72,7 @@ func (r *ScaleReport) Name() string { return "scale" }
 // Render implements Report.
 func (r *ScaleReport) Render(w io.Writer) {
 	fmt.Fprintln(w, "Scale — placement throughput vs pool size (cached vs exhaustive engine)")
-	fmt.Fprintln(w, "hosts   | policy   | placements | cached s | exhaust s | speedup | identical | contexts | cold | rollovers | rebuilds | resynced | lazy evals |  filtered")
+	fmt.Fprintln(w, "hosts   | policy   | placements | cached s | exhaust s | speedup | identical | contexts | cold | rollovers | rebuilds | resynced | lazy evals |  filtered |   cache KB | resets")
 	for _, row := range r.Rows {
 		ident := fmt.Sprintf("%v", row.Identical)
 		exh, spd := fmt.Sprintf("%9.2f", row.ExhSec), fmt.Sprintf("%6.2fx", row.Speedup)
@@ -80,18 +80,19 @@ func (r *ScaleReport) Render(w io.Writer) {
 			ident, exh, spd = "n/a", "        -", "      -"
 		}
 		c := row.Cache
-		fmt.Fprintf(w, "%7d | %-8s | %10d | %8.2f | %s | %s | %-9s | %8d | %4d | %9d | %8d | %8d | %10d | %9d\n",
+		fmt.Fprintf(w, "%7d | %-8s | %10d | %8.2f | %s | %s | %-9s | %8d | %4d | %9d | %8d | %8d | %10d | %9d | %10d | %6d\n",
 			row.Hosts, row.Policy, row.Placements, row.CachedSec, exh, spd, ident,
-			c.Contexts, c.ColdBuilds, c.Rollovers, c.Rebuilds, c.HostsResynced, c.LazyEvals, c.Filtered)
+			c.Contexts, c.ColdBuilds, c.Rollovers, c.Rebuilds, c.HostsResynced, c.LazyEvals, c.Filtered, c.Bytes/1024, c.CodeResets)
 	}
 	fmt.Fprintln(w, "note: speedups are wall-clock and only meaningful at -parallel 1;")
 	fmt.Fprintln(w, "      the benchstat-gated numbers come from BenchmarkScalePlacement.")
 	fmt.Fprintln(w, "      mega rows (cached-only) replay a streamed trace under the")
 	fmt.Fprintln(w, "      epoch-quantized policies; no exhaustive arm exists at that size.")
-	fmt.Fprintln(w, "      contexts..filtered are the cached arm's scheduler.CacheStats: live")
+	fmt.Fprintln(w, "      contexts..resets are the cached arm's scheduler.CacheStats: live")
 	fmt.Fprintln(w, "      contexts, then work totals — contexts built cold, epoch rollovers")
 	fmt.Fprintln(w, "      seen, full pool rescans, dirty hosts re-scored, deep levels scored")
-	fmt.Fprintln(w, "      on first read, candidates filtered.")
+	fmt.Fprintln(w, "      on first read, candidates filtered — then the live footprint of")
+	fmt.Fprintln(w, "      every context at the end, and levels reset by a full value table.")
 }
 
 // scaleSpec is the fig6-mix workload spec for one pool size. Durations are

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"math"
 	"math/bits"
 	"time"
 
@@ -21,10 +22,11 @@ import (
 // candidate.
 //
 // What Schedule walks is the winning bucket's bitset, once, into a reused
-// slice of host IDs, and then one level-major column of cached scores per
-// chain level, indexed by those IDs (filter). A *cluster.Host is touched only
-// to hand it to a Scorer — a lazy fill, a dynamic level — and to return the
-// winner.
+// slice of host IDs, and then one level-major column per chain level below
+// 0, indexed by those IDs (filter): a byte per host, coding a value in the
+// level's table of at most 255 (static scores are discrete; no replay-scale
+// column holds more than 115). A *cluster.Host is touched only to hand it
+// to a Scorer — a lazy fill, a dynamic level — and to return the winner.
 //
 // Equivalence to the exhaustive path is structural, not statistical: both
 // engines put the same candidates through the same epsilon rule (sift) in
@@ -63,9 +65,10 @@ type CacheContext struct {
 // the benchmark's replay-scale workload; CacheStats reports the live count)
 // — so the cap sits above the realistic population and exists only to keep
 // memory bounded under adversarial inputs (memory ceiling: contexts x hosts
-// x levels x 8 bytes). The least-recently-used context is evicted and rebuilt
-// on demand if it ever returns; eviction thrash shows up directly in the
-// scale benchmarks, so keep the cap comfortably above the live population.
+// x (levels+1) bytes plus bucket bitsets and value tables, CacheStats.Bytes).
+// The least-recently-used context is evicted and rebuilt on demand if it
+// ever returns; eviction thrash shows up directly in the scale benchmarks,
+// so keep the cap comfortably above the live population.
 const maxCachedContexts = 256
 
 // CachedChain is a Chain wrapped in the incremental score-cache engine. The
@@ -73,13 +76,13 @@ const maxCachedContexts = 256
 // cached); Dynamic marks levels that must be recomputed on every call, and
 // TimeVarying disables caching for the whole chain (see DirtyAll).
 //
-// Static levels below level 0 are cached lazily. Which of a host's values
-// are present is kept in a validity bit beside the score, never in the score
-// itself, so a static scorer may return any float64 — zero, negative, ±Inf
-// or NaN — and both engines still filter the same values (levels past the
-// eighth have no bit and are simply re-scored on every read). Level 0 keys
-// the buckets, so there the discrete-value contract (see Schedule) applies
-// and NaN is excluded.
+// Static levels below level 0 are cached lazily, as a one-byte code per
+// host (0: not cached) into the level's table of values interned by bit
+// pattern, so a static scorer may return any float64 — ±0, ±Inf, NaN with
+// any payload — and both engines filter the same bits. A 256th distinct
+// value resets the level, which then refills on demand. Level 0 keys the
+// buckets, so there the discrete-value contract (see Schedule) applies and
+// NaN is excluded.
 //
 // Like Chain, a CachedChain must not be shared by concurrent simulations.
 // It additionally binds to one pool at a time: scheduling against a
@@ -118,7 +121,7 @@ type CachedChain struct {
 	Epoch time.Duration
 
 	// epochLevel is the one epoch-quantized level. Below level 0, a boundary
-	// drops only that level's lazily cached values and leaves bucket
+	// resets only that level's lazily cached codes and leaves bucket
 	// membership alone; at level 0 (the zero value) the context is rebuilt.
 	epochLevel int
 
@@ -226,9 +229,7 @@ func (c *CachedChain) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Dura
 			if c.epochLevel == 0 {
 				cs.allDirty = true
 			} else {
-				for i := range cs.have {
-					cs.have[i] &^= 1 << c.epochLevel
-				}
+				cs.reset(c.epochLevel)
 			}
 		}
 	}
@@ -289,12 +290,12 @@ func (c *CachedChain) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Dura
 // filter is Chain.applyChain over columns: it walks the winning bucket's
 // bitset into host IDs (ascending, the exhaustive scan order), sifts them
 // level by level from level `from` down, in place, and returns the winner's
-// ID. A static level is read from its cached column — scored through the
-// original Scorer, and counted in LazyEvals, exactly when the host's validity
-// bit is clear (always, past the eighth level, which has no bit). A dynamic
-// level is scored through the original Scorer on the same IDs in the same
-// order as the exhaustive engine, so its side effects match. Like applyChain
-// it stops before scoring once one candidate is left.
+// ID. A static level is read from its code column through the level's value
+// table — scored through the original Scorer, interned, and counted in
+// LazyEvals, exactly when the host's code is 0. A dynamic level is scored
+// through the original Scorer on the same IDs in the same order as the
+// exhaustive engine, so its side effects match. Like applyChain it stops
+// before scoring once one candidate is left.
 func (c *CachedChain) filter(cs *candSet, win *scoreBkt, from int, vm *cluster.VM, now time.Duration) int32 {
 	if cap(c.ids) < win.n {
 		c.ids = make([]int32, len(c.hosts))
@@ -313,7 +314,11 @@ func (c *CachedChain) filter(cs *candSet, win *scoreBkt, from int, vm *cluster.V
 		if li != 0 {
 			obs = nil
 		}
-		col, bit := cs.vals[li*nHosts:(li+1)*nHosts], uint8(1)<<li
+		var col []uint8 // level 0 is filtered here only when dynamic
+		if li > 0 {
+			col = cs.codes[(li-1)*nHosts : li*nHosts]
+		}
+		tab := cs.tabs[li]
 		n, best := 0, 0.0
 		var at int
 		for _, id := range ids {
@@ -324,13 +329,13 @@ func (c *CachedChain) filter(cs *candSet, win *scoreBkt, from int, vm *cluster.V
 				if obs != nil {
 					obs.observe(cluster.HostID(id), sc)
 				}
-			case cs.have[id]&bit == 0:
-				cs.have[id] |= bit
+			case col[id] == 0:
 				sc = s.Score(c.hosts[id], vm, now)
-				col[id] = sc
+				col[id] = cs.code(c, li, sc)
+				tab = cs.tabs[li]
 				c.stats.LazyEvals++
 			default:
-				sc = col[id]
+				sc = tab[col[id]-1]
 			}
 			at, n, best = sift(n, sc, best)
 			ids[at] = id
@@ -351,12 +356,23 @@ type CacheStats struct {
 	HostsResynced int64 `json:"hosts_resynced"` // dirty hosts re-scored on level 0, summed over contexts
 	LazyEvals     int64 `json:"lazy_evals"`     // deep static levels scored on first read
 	Filtered      int64 `json:"filtered"`       // candidates handed to the filter
+	Bytes         int64 `json:"bytes"`          // live bytes: codes, value tables, bucket bitsets, flag arrays
+	CodeResets    int64 `json:"code_resets"`    // levels reset because their value table was full
 }
 
 // CacheStats reports the work counters.
 func (c *CachedChain) CacheStats() CacheStats {
 	st := c.stats
 	st.Contexts = len(c.list)
+	for _, cs := range c.list {
+		st.Bytes += int64(len(cs.codes) + len(cs.feasible) + len(cs.isDirty))
+		for _, t := range cs.tabs {
+			st.Bytes += 8 * int64(len(t))
+		}
+		for _, b := range cs.bkts {
+			st.Bytes += 8 * int64(len(b.bits))
+		}
+	}
 	return st
 }
 
@@ -458,6 +474,9 @@ func (c *CachedChain) sync(cs *candSet, vm *cluster.VM, now time.Duration) {
 		c.stats.Rebuilds++
 		clear(cs.feasible)
 		clear(cs.isDirty)
+		for li := 1; li < len(cs.tabs); li++ {
+			cs.reset(li)
+		}
 		for _, b := range cs.bkts {
 			clear(b.bits)
 			b.n = 0
@@ -476,18 +495,18 @@ func (c *CachedChain) sync(cs *candSet, vm *cluster.VM, now time.Duration) {
 	cs.dirty = cs.dirty[:0]
 }
 
-// candSet is one context's incremental candidate structure: per-host cached
-// static scores plus membership in buckets keyed by the level-0 score (one
-// bucket holding everyone when level 0 is dynamic). Membership means
+// candSet is one context's incremental candidate structure: per-host codes
+// of cached static scores plus membership in buckets keyed by the level-0
+// score (one bucket holding everyone when level 0 is dynamic). Membership means
 // "feasible for the context's shape and available" — exactly
 // AppendFeasible's predicate — so Schedule never rescans the pool for
 // feasibility either.
 type candSet struct {
 	ctx CacheContext
 
-	feasible []bool    // per host: currently a member
-	vals     []float64 // nLevels x nHosts cached scores (static levels only)
-	have     []uint8   // per host: bit li set = vals holds level li (li >= 1)
+	feasible []bool      // per host: currently a member
+	codes    []uint8     // (nLevels-1) x nHosts, level li >= 1 at li-1: 0 = not cached, k = tabs[li][k-1]
+	tabs     [][]float64 // per level: the distinct cached values, at most 255
 	isDirty  []bool
 	dirty    []cluster.HostID
 	allDirty bool
@@ -510,8 +529,8 @@ func newCandSet(ctx CacheContext, nHosts, nLevels int) *candSet {
 	return &candSet{
 		ctx:      ctx,
 		feasible: make([]bool, nHosts),
-		vals:     make([]float64, nHosts*nLevels),
-		have:     make([]uint8, nHosts),
+		codes:    make([]uint8, nHosts*(nLevels-1)),
+		tabs:     make([][]float64, nLevels),
 		isDirty:  make([]bool, nHosts),
 		allDirty: true,
 	}
@@ -534,23 +553,54 @@ func (cs *candSet) markDirty(id cluster.HostID) {
 func (cs *candSet) update(c *CachedChain, id cluster.HostID, vm *cluster.VM, now time.Duration) {
 	h := c.hosts[id]
 	word, bit := id>>6, uint64(1)<<(id&63)
-	if cs.feasible[id] {
-		b := cs.bucket(cs.vals[id])
-		b.bits[word] &^= bit
-		b.n--
+	if cs.feasible[id] { // level 0 keeps no column: find the bucket by its bit
+		for _, b := range cs.bkts {
+			if b.bits[word]&bit != 0 {
+				b.bits[word] &^= bit
+				b.n--
+				break
+			}
+		}
 	}
 	feas := !h.Unavailable && h.Fits(cs.ctx.Shape)
 	cs.feasible[id] = feas
 	if !feas {
 		return
 	}
+	key := 0.0
 	if !c.dyn(0) {
-		cs.vals[id] = c.Scorers[0].Score(h, vm, now)
+		key = c.Scorers[0].Score(h, vm, now)
 	}
-	cs.have[id] = 0
-	b := cs.bucket(cs.vals[id])
+	for i := int(id); i < len(cs.codes); i += len(cs.feasible) {
+		cs.codes[i] = 0
+	}
+	b := cs.bucket(key)
 	b.bits[word] |= bit
 	b.n++
+}
+
+// code returns v's code in level li's value table, interning it by bit
+// pattern. A full table resets the level first: every host of the context
+// then refills that level on its next read.
+func (cs *candSet) code(c *CachedChain, li int, v float64) uint8 {
+	for k, t := range cs.tabs[li] {
+		if math.Float64bits(t) == math.Float64bits(v) {
+			return uint8(k + 1)
+		}
+	}
+	if len(cs.tabs[li]) == math.MaxUint8 {
+		cs.reset(li)
+		c.stats.CodeResets++
+	}
+	cs.tabs[li] = append(cs.tabs[li], v)
+	return uint8(len(cs.tabs[li]))
+}
+
+// reset forgets every cached value of level li >= 1.
+func (cs *candSet) reset(li int) {
+	n := len(cs.feasible)
+	clear(cs.codes[(li-1)*n : li*n])
+	cs.tabs[li] = cs.tabs[li][:0]
 }
 
 // bucket returns the bucket of a level-0 score, creating it in key order on

@@ -407,11 +407,13 @@ func TestCachedContextEviction(t *testing.T) {
 }
 
 // TestLazyLevelMarkerIgnoresScoreValue pins the "not yet computed" contract
-// of the lazy deep levels: whether a value is cached is recorded beside it,
-// never read off it, so a cached 0, NaN or ±Inf is served — not re-scored —
-// until the host is dirtied, and the decision matches the exhaustive engine.
+// of the lazy deep levels: whether a value is cached is recorded in its code,
+// never read off the value, so a cached 0, -0, NaN or ±Inf is served — not
+// re-scored — until the host is dirtied, bit for bit (a NaN keeps its
+// payload, -0 its sign), and the decision matches the exhaustive engine.
 func TestLazyLevelMarkerIgnoresScoreValue(t *testing.T) {
-	deep := []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)}
+	payloadNaN := math.Float64frombits(0x7ff8_0000_dead_beef)
+	deep := []float64{0, math.NaN(), math.Inf(1), math.Inf(-1), payloadNaN, math.Copysign(0, -1)}
 	calls := 0
 	mk := func() *CachedChain {
 		return NewCachedChain(Chain{ChainName: "marker", Scorers: []Scorer{
@@ -446,6 +448,71 @@ func TestLazyLevelMarkerIgnoresScoreValue(t *testing.T) {
 	}
 	if st := pol.CacheStats(); st.LazyEvals != int64(len(deep))+1 || st.HostsResynced != 1 || st.Rebuilds != 1 {
 		t.Fatalf("counters: %+v", st)
+	}
+	cs := pol.list[0]
+	for id, v := range deep {
+		code := cs.codes[id] // level 1's column
+		if code == 0 {
+			t.Fatalf("host %d: level 1 not cached", id)
+		}
+		if got := cs.tabs[1][code-1]; math.Float64bits(got) != math.Float64bits(v) {
+			t.Errorf("host %d: cached %#x, scored %#x", id, math.Float64bits(got), math.Float64bits(v))
+		}
+	}
+}
+
+// TestValueTableOverflow runs a static level with more distinct values than
+// a code can name — float64(h.ID) on a pool well over 255 hosts — through a
+// stream of placements and exits that keeps dirtying hosts. A full table
+// resets its level and the filter goes on reading fresh codes, so every
+// decision still matches the exhaustive engine's.
+func TestValueTableOverflow(t *testing.T) {
+	const hosts = 640
+	mk := func() Policy {
+		return NewCachedChain(Chain{ChainName: "by-id", Scorers: []Scorer{
+			ScorerFunc{FuncName: "avoid-empty", F: func(h *cluster.Host, _ *cluster.VM, _ time.Duration) float64 {
+				if h.NumVMs() == 0 {
+					return 1
+				}
+				return 0
+			}},
+			ScorerFunc{FuncName: "id", F: func(h *cluster.Host, _ *cluster.VM, _ time.Duration) float64 {
+				return float64(hosts - 1 - int(h.ID)) // highest ID first: a fill reads the bucket's tail
+			}},
+		}}, nil, nil)
+	}
+	a, b := newTwin(hosts, mk, EngineCached), newTwin(hosts, mk, EngineExhaustive)
+	rng := rand.New(rand.NewSource(1))
+	var live [][2]*cluster.VM
+	for step := 0; step < 3000; step++ {
+		if len(live) > 0 && rng.Intn(3) == 0 {
+			k := rng.Intn(len(live))
+			for i, tw := range []*twin{a, b} {
+				if _, _, err := tw.p.Exit(live[k][i].ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+			continue
+		}
+		id, cores := cluster.VMID(step), int64(1+rng.Intn(8))
+		va, vb := a.vm(id, cores, 0, time.Hour), b.vm(id, cores, 0, time.Hour)
+		ha, errA := a.pol.Schedule(a.p, va, 0)
+		hb, errB := b.pol.Schedule(b.p, vb, 0)
+		if errA != nil || errB != nil || ha.ID != hb.ID {
+			t.Fatalf("step %d: cached %v, %v; exhaustive %v, %v", step, ha, errA, hb, errB)
+		}
+		if err := a.p.Place(va, ha); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.p.Place(vb, hb); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, [2]*cluster.VM{va, vb})
+	}
+	if st := CacheStatsOf(a.pol); st.CodeResets == 0 {
+		t.Fatalf("no table ever overflowed: %+v", st)
 	}
 }
 
@@ -536,7 +603,7 @@ func TestEpsilonOrderAdversaries(t *testing.T) {
 		{"infinities", [][]float64{{inf, -inf, 0, -inf, inf}, {0, 1, 0, 0, 0}}, 3, []cluster.HostID{1, 3}},
 		{"plus-inf-ties", [][]float64{{inf, inf, inf, inf, inf}, {1, 1, 0, 1, 1}}, 2, []cluster.HostID{0, 1, 2, 3, 4}},
 		{"signed-zero", [][]float64{{0, math.Copysign(0, -1), 1, 0, 2}, {1, 0, 0, 1, 0}}, 1, []cluster.HostID{0, 1, 3}},
-		// The ninth level has no validity bit: re-scored on every read.
+		// A ninth level is cached like every other static level.
 		{"nine-levels", nine, 1, []cluster.HostID{0, 1, 2, 3, 4}},
 	} {
 		for _, eng := range []Engine{EngineCached, EngineExhaustive} {
@@ -562,7 +629,7 @@ func TestEpsilonOrderAdversaries(t *testing.T) {
 					t.Errorf("%s engine %d round %d: %v, %v; want host %d", tc.name, eng, round, got, err, tc.want)
 				}
 				want := tc.last
-				if eng == EngineCached && round == 1 && len(scorers) <= 8 {
+				if eng == EngineCached && round == 1 {
 					want = nil // served from the cached column
 				}
 				if !slices.Equal(seen, want) {

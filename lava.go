@@ -25,6 +25,8 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
+	"strings"
 	"time"
 
 	"lava/internal/cell"
@@ -372,6 +374,9 @@ func newHTTPServer(handler http.Handler) *http.Server {
 // returns nil.
 func Serve(ctx context.Context, ln net.Listener, tr *Trace, cfg FleetConfig) error {
 	defer ln.Close()
+	if err := cfg.check(); err != nil {
+		return err
+	}
 	var handler http.Handler
 	if cfg.Cells > 1 || cfg.Scenario != "" {
 		fleet, err := NewFleet(tr, cfg)
@@ -448,6 +453,15 @@ type FleetConfig struct {
 	// needs it to reconstruct the classed stream a lavaload -class-mix
 	// replay sends, scenario-added arrivals included.
 	ClassMix string
+}
+
+// check refuses, whatever the cell count, what a fleet would refuse: a
+// single loop ignores Router, but a misspelt one must not pass there either.
+func (cfg FleetConfig) check() error {
+	if r := string(cfg.Router); r != "" && !slices.Contains(cell.RouterKinds(), r) {
+		return fmt.Errorf("lava: unknown Router (-router) %q (have %s)", r, strings.Join(cell.RouterKinds(), "|"))
+	}
+	return nil
 }
 
 // NewFleet builds a federated placement front-end (serve.Fleet) over the
