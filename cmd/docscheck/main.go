@@ -10,12 +10,18 @@
 // and each exported const/var (or its declaration group) — must carry a doc
 // comment, so the quickstart surface godoc users see is fully documented.
 //
+// Test references must resolve: every Test…, Fuzz… or Benchmark… token in
+// README.md, DESIGN.md, a package doc.go, the CI workflow or the verify skill
+// must name a function declared in some _test.go file under root, so a
+// deleted or renamed test cannot stay cited.
+//
 // Usage:
 //
 //	docscheck [root]    # root defaults to "."
 package main
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -23,6 +29,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -33,9 +40,13 @@ func main() {
 		root = os.Args[1]
 	}
 
-	// Collect package directories: any directory holding non-test .go
-	// files.
+	// Collect package directories (any directory holding non-test .go
+	// files), the test files and the package doc.go files.
 	dirs := map[string][]string{}
+	var testFiles, docs []string
+	for _, f := range []string{"README.md", "DESIGN.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
+		docs = append(docs, filepath.Join(root, f))
+	}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -47,8 +58,15 @@ func main() {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if strings.HasSuffix(name, "_test.go") {
+			testFiles = append(testFiles, path)
 			return nil
+		}
+		if !strings.HasSuffix(name, ".go") {
+			return nil
+		}
+		if name == "doc.go" {
+			docs = append(docs, path)
 		}
 		dir := filepath.Dir(path)
 		dirs[dir] = append(dirs[dir], path)
@@ -86,19 +104,59 @@ func main() {
 
 	// Stricter facade gate: every exported identifier of the root package
 	// must be documented.
-	facade := facadeDocGaps(fset, dirs[cleanDir(root)])
+	facade := facadeDocGaps(fset, dirs[filepath.Clean(root)])
 	for _, gap := range facade {
 		fmt.Println(gap)
 	}
-	if len(missing) > 0 || len(facade) > 0 {
+	stale := staleTestNames(testFiles, docs)
+	for _, s := range stale {
+		fmt.Println(s)
+	}
+	if len(missing) > 0 || len(facade) > 0 || len(stale) > 0 {
 		os.Exit(1)
 	}
 }
 
-// cleanDir normalizes the root the same way filepath.Dir does for the files
-// collected under it ("." for files in the root itself).
-func cleanDir(root string) string {
-	return filepath.Clean(root)
+// testToken matches a cited test, fuzz target or benchmark; subtest paths
+// (TestX/case) end at the slash. testFunc matches one's declaration.
+var (
+	testToken = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*`)
+	testFunc  = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)[A-Z]\w*)\(`)
+)
+
+// staleTestNames returns one complaint per testToken in docs that names no
+// function of testFiles. A doc that does not exist is skipped.
+func staleTestNames(testFiles, docs []string) []string {
+	declared := map[string]bool{}
+	for _, f := range testFiles {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "docscheck:", err)
+			os.Exit(2)
+		}
+		for _, m := range testFunc.FindAllSubmatch(data, -1) {
+			declared[string(m[1])] = true
+		}
+	}
+	var stale []string
+	for _, doc := range docs {
+		data, err := os.ReadFile(doc)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "docscheck:", err)
+			os.Exit(2)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, name := range testToken.FindAllString(line, -1) {
+				if !declared[name] {
+					stale = append(stale, fmt.Sprintf("%s:%d: %s names no test function", doc, i+1, name))
+				}
+			}
+		}
+	}
+	return stale
 }
 
 // facadeDocGaps parses the facade package's files and returns one complaint

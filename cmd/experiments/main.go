@@ -116,9 +116,10 @@ func main() {
 	)
 	flag.Parse()
 
-	names := experiments.Names()
-	if *exp != "all" {
-		names = strings.Split(*exp, ",")
+	names, err := experiments.Select(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	opt := experiments.Options{
@@ -170,7 +171,7 @@ func main() {
 	start := time.Now()
 	for _, name := range names {
 		expStart := time.Now()
-		rep, err := experiments.Run(strings.TrimSpace(name), opt)
+		rep, err := experiments.Run(name, opt)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
 			os.Exit(1)

@@ -121,6 +121,13 @@ func (l *Ledger) Exit(id cluster.VMID) (cell int, ok bool) {
 	return v.cell, ok
 }
 
+// CellOf reports the cell a live VM was routed to; ok is false for VMs the
+// ledger does not hold.
+func (l *Ledger) CellOf(id cluster.VMID) (cell int, ok bool) {
+	v, ok := l.vms[id]
+	return v.cell, ok
+}
+
 // Score is cell c's load: committed CPU-milli per host.
 func (l *Ledger) Score(c int) float64 { return float64(l.committed[c]) / float64(l.Hosts[c]) }
 

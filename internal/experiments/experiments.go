@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"time"
 
 	"lava/internal/model"
@@ -137,6 +138,23 @@ func Names() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Select resolves an -exp list: "all" is every registered experiment, anything
+// else a comma-separated list of IDs. An unknown ID fails the whole list, so
+// a caller refuses it before the first experiment runs.
+func Select(spec string) ([]string, error) {
+	if spec == "all" {
+		return Names(), nil
+	}
+	names := strings.Split(spec, ",")
+	for i, name := range names {
+		names[i] = strings.TrimSpace(name)
+		if _, ok := registry[names[i]]; !ok {
+			return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", names[i], Names())
+		}
+	}
+	return names, nil
 }
 
 // Run executes one experiment by name.

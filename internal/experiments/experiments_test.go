@@ -50,6 +50,15 @@ func TestRunUnknown(t *testing.T) {
 	if _, err := Run("nope", tiny()); err == nil {
 		t.Fatal("unknown experiment must fail")
 	}
+	if _, err := Select("fig13,bogus"); err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Fatalf("a list naming an unknown experiment: %v, want it refused by name", err)
+	}
+	if got, err := Select(" fig13,table3"); err != nil || strings.Join(got, ",") != "fig13,table3" {
+		t.Fatalf("Select trims each name: got %q, %v", got, err)
+	}
+	if got, _ := Select("all"); len(got) != len(Names()) {
+		t.Fatalf("all selects %d experiments, want %d", len(got), len(Names()))
+	}
 }
 
 func TestFig1Shape(t *testing.T) {

@@ -15,7 +15,7 @@
 // to an offline simulation: both drive one engine, in one goroutine, in
 // one deterministic order.
 //
-// # Sequencing, admission batching and determinism
+// # Sequencing and determinism
 //
 // Clients that need *global* determinism (the replay client, the parity
 // test) stamp each request with a strictly increasing sequence number. One
@@ -23,19 +23,14 @@
 // its front door: a mutating request waits for its turn (seq 1, 2, 3, ...
 // however the concurrent HTTP deliveries interleave; seq 0 at once),
 // enqueues itself on the event loop during the turn, and passes the turn
-// on. The loop therefore receives the sequenced stream already in order, so
-// an 8-way concurrent replay of a trace makes exactly the same placement
-// decisions as `lava.Simulate` on that trace. The sequencer refuses a seq
-// behind its cursor (409 stale), a second copy of a parked one (409
-// duplicate) and, once a drain began, everything (503).
-//
-// The admission queue is a buffered channel. Each loop iteration drains
-// everything currently queued into a batch and applies it: reads and
-// unsequenced requests ordered canonically — by virtual time, then exits
-// before placements (the trace event-stream convention), then VM ID — so
-// one batch of concurrent requests is processed the same way regardless of
-// goroutine arrival interleaving; then the sequenced requests in arrival
-// order; then drains.
+// on. The loop applies its queue in order, and the sequencer's lock makes
+// queue order the order requests took their turns, so an 8-way concurrent
+// replay of a trace makes exactly the same placement decisions as
+// `lava.Simulate` on that trace. The sequencer refuses a seq behind its
+// cursor (409 stale), a second copy of a parked one (409 duplicate) and,
+// once a drain began, everything (503). A /place whose VM ID is live is
+// refused too (409, sim.ErrLiveVM), before the admission gate and the
+// policy.
 //
 // # Hot-route codec
 //

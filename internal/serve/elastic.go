@@ -78,7 +78,8 @@ func (t *topology) liveCell(c int) error {
 }
 
 // routeCreate picks the cell for a new VM (cell.Ledger.Route, restricted to
-// routable cells) and records the decision.
+// routable cells) and records the decision. A VM ID the ledger still routes
+// is refused first (sim.ErrLiveVM), before the gate charges a token.
 //
 // With a front-door gate, admission runs first, against the record's class
 // bucket at the request's virtual time: a rejection (*slo.RejectError)
@@ -86,6 +87,9 @@ func (t *topology) liveCell(c int) error {
 // the gate's bucket untouched except for the class's token and counters, so
 // rejected requests are invisible to placement.
 func (t *topology) routeCreate(rec *trace.Record, at time.Duration) (int, error) {
+	if c, ok := t.CellOf(rec.ID); ok {
+		return 0, fmt.Errorf("serve: place vm %d: %w (routed to cell %d)", rec.ID, sim.ErrLiveVM, c)
+	}
 	if t.gate != nil {
 		cls, err := slo.ParseClass(rec.Class)
 		if err != nil {

@@ -635,8 +635,9 @@ func TestTopologyRoutingElasticity(t *testing.T) {
 
 	t.Run("feature-hash-probes-forward", func(t *testing.T) {
 		topo, _ := newTopology("feature-hash", []int{2, 2, 2, 2})
-		r := rec(3)
-		home, err := topo.routeCreate(r, 0)
+		// rec(3+11k) share their features under distinct VM IDs (a live ID
+		// cannot be routed twice).
+		home, err := topo.routeCreate(rec(3), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -645,14 +646,14 @@ func TestTopologyRoutingElasticity(t *testing.T) {
 		if err := topo.setRoutable(other, false); err != nil {
 			t.Fatal(err)
 		}
-		if c, _ := topo.routeCreate(r, 0); c != home {
+		if c, _ := topo.routeCreate(rec(14), 0); c != home {
 			t.Fatalf("draining cell %d moved record from %d to %d", other, home, c)
 		}
 		// Draining the home cell probes forward to the next routable one.
 		if err := topo.setRoutable(home, false); err != nil {
 			t.Fatal(err)
 		}
-		c, err := topo.routeCreate(r, 0)
+		c, err := topo.routeCreate(rec(25), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -665,7 +666,7 @@ func TestTopologyRoutingElasticity(t *testing.T) {
 		if err := topo.setRoutable(home, true); err != nil {
 			t.Fatal(err)
 		}
-		if c, _ := topo.routeCreate(r, 0); c != home {
+		if c, _ := topo.routeCreate(rec(36), 0); c != home {
 			t.Fatalf("rehydrated home %d but record routes to %d", home, c)
 		}
 	})

@@ -175,9 +175,9 @@ type doer interface {
 //	POST /admin/rebalance      AdminRebalanceRequest  -> AdminRebalanceResponse
 //
 // Errors come back as {"error": "..."} with 400 for malformed or invalid
-// payloads, 405 for wrong methods, 409 for sequencing conflicts, 413 for
-// bodies over 1 MiB, 429 for admission rejections and 503 once the backend
-// is draining or closed.
+// payloads, 405 for wrong methods, 409 for sequencing conflicts and for a
+// /place whose VM ID is live, 413 for bodies over 1 MiB, 429 for admission
+// rejections and 503 once the backend is draining or closed.
 func routes(b backend) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/place", post(placeCodec, (*PlaceRequest).validate, func(q PlaceRequest) (PlaceResponse, error) {
@@ -419,7 +419,7 @@ func writeErr(w http.ResponseWriter, err error) {
 		})
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrClosed):
 		writeStatus(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, errStaleSeq), errors.Is(err, errDupSeq):
+	case errors.Is(err, errStaleSeq), errors.Is(err, errDupSeq), errors.Is(err, sim.ErrLiveVM):
 		writeStatus(w, http.StatusConflict, err)
 	default:
 		writeStatus(w, http.StatusInternalServerError, err)

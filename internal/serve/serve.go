@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -112,10 +111,9 @@ func FromTrace(tr *trace.Trace) Config {
 type reqKind uint8
 
 const (
-	reqExit reqKind = iota // canonical order: exits before placements...
+	reqExit reqKind = iota
 	reqPlace
-	reqTick // ...then explicit time advances...
-	// ...then admin ops (fleet elasticity), in a fixed relative order.
+	reqTick
 	reqAddHosts
 	reqRemoveHost
 	reqMigrateOut
@@ -453,102 +451,19 @@ func (s *Server) Drain() (*sim.Result, error) {
 	return resp.final, resp.err
 }
 
-// loop is the single writer over the machine. It blocks for one request,
-// opportunistically drains the rest of the queue into a batch, and applies
-// it: reads and unsequenced requests in canonical order, then sequenced
-// requests and drains in arrival order — the sequencer enqueued the former
-// in sequence order, and a drain only after its flush, behind every one of
-// them.
+// loop is the single writer over the machine: it applies each request in the
+// order it was queued. Every mutating request is enqueued during its
+// sequencer turn, and a drain only after the sequencer's flush, so queue order
+// is the order requests took their turns.
 func (s *Server) loop() {
 	defer close(s.loopDone)
-	var batch, arrived []*request
 	for {
-		var r *request
 		select {
-		case r = <-s.reqs:
+		case r := <-s.reqs:
+			s.apply(r)
 		case <-s.stop:
 			return
 		}
-		batch = append(batch[:0], r)
-	fill:
-		for {
-			select {
-			case r2 := <-s.reqs:
-				batch = append(batch, r2)
-			default:
-				break fill
-			}
-		}
-		arrived = arrived[:0]
-		n := 0
-		for _, r := range batch {
-			if r.seq > 0 || r.kind == reqDrain {
-				arrived = append(arrived, r)
-			} else {
-				batch[n] = r
-				n++
-			}
-		}
-		batch = batch[:n]
-		clampBatch(batch, s.m.Now())
-		orderBatch(batch)
-		for _, r := range append(batch, arrived...) {
-			s.apply(r)
-		}
-	}
-}
-
-// clampBatch clamps backward virtual times to the machine's current
-// position, the documented "clamped forward" semantics of Place/ExitVM/
-// Tick. The machine clamps again at apply time, so this is not about the
-// effective event time — it is about ordering: orderBatch sorts on at, and
-// an unclamped stale timestamp would sort its request ahead of same-batch
-// events it actually applies after (a backward placement slipping in front
-// of an exit, inverting the canonical exits-before-places order at their
-// shared effective time).
-func clampBatch(batch []*request, now time.Duration) {
-	for _, r := range batch {
-		if mutating(r.kind) && r.at < now {
-			r.at = now
-		}
-	}
-}
-
-// orderBatch sorts one admission batch canonically: virtual time, then
-// kind (exits before placements before ticks, reads first at time zero,
-// drains last), then VM ID, then sequence number. The loop sorts only a
-// batch's reads and unsequenced requests: this sort makes that path
-// deterministic per batch.
-func orderBatch(batch []*request) {
-	sort.SliceStable(batch, func(i, j int) bool {
-		a, b := batch[i], batch[j]
-		at, bt := sortTime(a), sortTime(b)
-		if at != bt {
-			return at < bt
-		}
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		if a.id != b.id {
-			return a.id < b.id
-		}
-		if a.rec.ID != b.rec.ID {
-			return a.rec.ID < b.rec.ID
-		}
-		return a.seq < b.seq
-	})
-}
-
-// sortTime positions non-event requests on the batch's time axis: reads
-// observe the state before the batch's writes, drains run after them.
-func sortTime(r *request) time.Duration {
-	switch r.kind {
-	case reqSnapshot, reqStats:
-		return -1
-	case reqDrain:
-		return 1<<62 - 1
-	default:
-		return r.at
 	}
 }
 

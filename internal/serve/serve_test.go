@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -140,37 +141,67 @@ func TestSequencedAdmissionOrder(t *testing.T) {
 	}
 }
 
-// TestOrderBatch pins the canonical in-batch ordering: reads first, then
-// time-ordered events with exits before placements, ties broken by VM ID,
-// drains last.
-func TestOrderBatch(t *testing.T) {
-	mk := func(kind reqKind, at time.Duration, id cluster.VMID) *request {
-		r := newRequest(kind)
-		r.at = at
-		if kind == reqExit {
-			r.id = id
-		} else {
-			r.rec.ID = id
+// stallPolicy is best-fit that holds the event loop inside the Schedule of
+// VM 1 until release is closed, so a test can queue requests behind it.
+type stallPolicy struct {
+	scheduler.Policy
+	entered, release chan struct{}
+}
+
+func (p *stallPolicy) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Duration) (*cluster.Host, error) {
+	if vm.ID == 1 {
+		close(p.entered)
+		<-p.release
+	}
+	return p.Policy.Schedule(pool, vm, now)
+}
+
+// TestLoopAppliesInQueueOrder pins the loop as a plain FIFO consumer: a read
+// queued behind an unsequenced placement observes that placement.
+func TestLoopAppliesInQueueOrder(t *testing.T) {
+	shape := resources.Vector{CPUMilli: 1000, MemoryMB: 1000, SSDGB: 0}
+	pol := &stallPolicy{Policy: scheduler.NewBestFit(), entered: make(chan struct{}), release: make(chan struct{})}
+	s, err := New(Config{PoolName: "fifo", Hosts: 4, HostShape: shape, Policy: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	place := func(id cluster.VMID) chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := s.Place(trace.Record{ID: id, Lifetime: time.Hour, Shape: shape}, 0, 0)
+			done <- err
+		}()
+		return done
+	}
+	waitQueued := func(n int) {
+		for len(s.reqs) < n {
+			runtime.Gosched()
 		}
-		return r
 	}
-	batch := []*request{
-		mk(reqPlace, 5, 2),
-		mk(reqDrain, 0, 0),
-		mk(reqPlace, 5, 1),
-		mk(reqExit, 5, 9),
-		mk(reqStats, 0, 0),
-		mk(reqTick, 3, 0),
-	}
-	orderBatch(batch)
-	wantKinds := []reqKind{reqStats, reqTick, reqExit, reqPlace, reqPlace, reqDrain}
-	for i, k := range wantKinds {
-		if batch[i].kind != k {
-			t.Fatalf("position %d: got kind %d want %d", i, batch[i].kind, k)
+
+	first := place(1)
+	<-pol.entered // the loop is inside VM 1's apply
+	second := place(2)
+	waitQueued(1)
+	stats := make(chan Stats, 1)
+	go func() {
+		st, err := s.Stats()
+		if err != nil {
+			t.Error(err)
+		}
+		stats <- st
+	}()
+	waitQueued(2)
+	close(pol.release)
+
+	for _, done := range []chan error{first, second} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
 		}
 	}
-	if batch[3].rec.ID != 1 || batch[4].rec.ID != 2 {
-		t.Fatalf("equal-time placements not ID-ordered: %d then %d", batch[3].rec.ID, batch[4].rec.ID)
+	if st := <-stats; st.VMs != 2 {
+		t.Fatalf("stats queued behind VM 2's placement saw %d VMs, want 2", st.VMs)
 	}
 }
 
@@ -189,7 +220,7 @@ func TestHandlers(t *testing.T) {
 	type target struct {
 		name  string
 		h     http.Handler
-		fleet bool
+		fleet *Fleet
 		url   string
 	}
 	targets := []*target{{name: "server", h: s.Handler()}}
@@ -205,7 +236,7 @@ func TestHandlers(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		targets = append(targets, &target{name: fl.name, h: f.Handler(), fleet: true})
+		targets = append(targets, &target{name: fl.name, h: f.Handler(), fleet: f})
 	}
 	for _, tg := range targets {
 		hs := httptest.NewServer(tg.h)
@@ -230,8 +261,17 @@ func TestHandlers(t *testing.T) {
 		// parked is sent first, in the background: a sequenced request that
 		// must be parked at the sequencer when the row's own arrives.
 		parked string
+		// idle: after the row, no fleet cell carries a ledger commitment.
+		idle bool
 	}{
 		{name: "place ok", method: "POST", path: "/place", body: place, status: 200, expect: `"placed":true`},
+		// A second placement of a live VM ID is refused before the gate and
+		// the policy: the first copy stays the only one, and its exit leaves
+		// nothing behind.
+		{name: "place live vm", method: "POST", path: "/place", body: place, status: 409, expect: "vm id already live"},
+		{name: "stats one vm", method: "GET", path: "/stats", status: 200, expect: `"hosts":4,"vms":1,`},
+		{name: "exit running vm", method: "POST", path: "/exit", body: `{"at_ns":2000000000,"id":1}`, status: 200, expect: `"removed":true`},
+		{name: "stats no vm", method: "GET", path: "/stats", status: 200, expect: `"hosts":4,"vms":0,`, idle: true},
 		{name: "place wrong method", method: "GET", path: "/place", status: 405, expect: "method not allowed"},
 		{name: "place bad json", method: "POST", path: "/place", body: "{nope", status: 400, expect: "bad request body"},
 		{name: "place unknown field", method: "POST", path: "/place", body: `{"bogus":1}`, status: 400, expect: "bad request body"},
@@ -247,7 +287,6 @@ func TestHandlers(t *testing.T) {
 		// parked sequence number is refused, the first stays parked.
 		{name: "place duplicate seq in flight", method: "POST", path: "/place", body: `{"seq":5,` + record(5, "") + "}",
 			parked: `{"seq":5,` + record(4, "") + "}", status: 409, expect: "duplicate"},
-		{name: "exit running vm", method: "POST", path: "/exit", body: `{"at_ns":2000000000,"id":1}`, status: 200, expect: `"removed":true`},
 		{name: "exit unknown vm", method: "POST", path: "/exit", body: `{"at_ns":3000000000,"id":99}`, status: 200, expect: `"removed":false`},
 		{name: "tick", method: "POST", path: "/tick", body: `{"at_ns":7200000000000}`, status: 200, expect: `"now_ns":7200000000000`},
 		{name: "stats", method: "GET", path: "/stats", status: 200, expect: `"pool":"api"`},
@@ -295,7 +334,7 @@ func TestHandlers(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, tg := range targets {
-				if (tc.only == fleetOnly && !tg.fleet) || (tc.only == serverOnly && tg.fleet) {
+				if (tc.only == fleetOnly && tg.fleet == nil) || (tc.only == serverOnly && tg.fleet != nil) {
 					continue
 				}
 				t.Run(tg.name, func(t *testing.T) {
@@ -316,6 +355,15 @@ func TestHandlers(t *testing.T) {
 					}
 					if !strings.Contains(body, tc.expect) {
 						t.Fatalf("body %q missing %q", body, tc.expect)
+					}
+					if tc.idle && tg.fleet != nil {
+						tg.fleet.mu.Lock()
+						defer tg.fleet.mu.Unlock()
+						for c := range tg.fleet.topo.Hosts {
+							if load := tg.fleet.topo.Score(c); load != 0 {
+								t.Fatalf("cell %d still commits %v CPU-milli per host", c, load)
+							}
+						}
 					}
 				})
 			}
@@ -454,35 +502,6 @@ func TestCloseUnblocksClients(t *testing.T) {
 	}
 	if _, _, err := s.Place(trace.Record{ID: 2, Lifetime: time.Hour, Shape: shape}, 0, 0); err == nil {
 		t.Fatal("closed server accepted work")
-	}
-}
-
-// TestClampBatchRestoresCanonicalOrder is the backward-virtual-time
-// regression: a placement carrying a timestamp older than the machine's
-// position must not sort ahead of an exit it actually applies after. With
-// the clamp, both land on the machine's current time and the canonical
-// exits-before-places order decides.
-func TestClampBatchRestoresCanonicalOrder(t *testing.T) {
-	place := newRequest(reqPlace)
-	place.at, place.rec.ID = 10, 2
-	exit := newRequest(reqExit)
-	exit.at, exit.id = 100, 9
-	batch := []*request{place, exit}
-
-	clampBatch(batch, 200)
-	orderBatch(batch)
-	if batch[0].kind != reqExit || batch[1].kind != reqPlace {
-		t.Fatalf("backward place sorted ahead of the exit: got %d then %d", batch[0].kind, batch[1].kind)
-	}
-	if place.at != 200 || exit.at != 200 {
-		t.Fatalf("stale times not clamped to now: place %v exit %v", place.at, exit.at)
-	}
-	// Reads and drains are untouched: they sort by kind, not at.
-	stats := newRequest(reqStats)
-	stats.at = -5
-	clampBatch([]*request{stats}, 200)
-	if stats.at != -5 {
-		t.Fatalf("non-mutating request clamped to %v", stats.at)
 	}
 }
 

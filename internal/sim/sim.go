@@ -240,6 +240,9 @@ type modelCaller interface{ ModelCalls() int64 }
 // state that produced them.
 var ErrFinished = errors.New("sim: machine already finished")
 
+// ErrLiveVM is returned by Create for a VM ID that is already running.
+var ErrLiveVM = errors.New("vm id already live")
+
 // Machine is the incremental form of Run: the same replay engine, exposed
 // one event at a time so callers that do not hold a complete trace up front
 // — the online placement server in internal/serve — can drive it. Run is a
@@ -423,21 +426,19 @@ func (m *Machine) Advance(t time.Duration) error {
 // Result.Failed, as in Run). With Config.SLO set, the record's class is
 // charged against its token bucket first — after the time advance, so both
 // arms see identical refill windows — and an over-budget arrival returns a
-// *slo.RejectError without touching policy or pool state. Any other
-// scheduling or placement error is fatal to the run.
+// *slo.RejectError without touching policy or pool state. A VM ID that is
+// already running is refused with ErrLiveVM before anything else moves, time
+// included. Any other scheduling or placement error is fatal to the run.
 func (m *Machine) Create(rec trace.Record, at time.Duration) (*cluster.Host, error) {
-	if m.finished {
-		return nil, ErrFinished
+	if !m.finished && m.pool.HostOf(rec.ID) != nil {
+		return nil, fmt.Errorf("sim: create vm %d: %w", rec.ID, ErrLiveVM)
 	}
-	if at < m.now {
-		at = m.now
-	}
-	if err := m.Advance(at); err != nil {
+	at, err := m.begin(at)
+	if err != nil {
 		return nil, err
 	}
 	var class string
 	if m.gate != nil {
-		var err error
 		if class, err = slo.ParseClass(rec.Class); err != nil {
 			return nil, err
 		}
@@ -453,24 +454,20 @@ func (m *Machine) Create(rec trace.Record, at time.Duration) (*cluster.Host, err
 		Created:      at,
 		TrueLifetime: rec.Lifetime,
 	}
-	h, err := m.cfg.Policy.Schedule(m.pool, vm, at)
+	h, err := m.place(vm, at, "place")
 	if err != nil {
-		if errors.Is(err, scheduler.ErrNoCapacity) {
-			m.res.Failed++
-			if m.gate != nil {
-				m.gate.Class(class).Failed++
-			}
-			if m.cfg.Tracer != nil {
-				m.recordDecision(ptrace.KindFail, rec, at, -1)
-			}
-			return nil, nil
-		}
 		return nil, err
 	}
-	if err := m.pool.Place(vm, h); err != nil {
-		return nil, fmt.Errorf("sim: place vm %d: %w", vm.ID, err)
+	if h == nil {
+		m.res.Failed++
+		if m.gate != nil {
+			m.gate.Class(class).Failed++
+		}
+		if m.cfg.Tracer != nil {
+			m.recordDecision(ptrace.KindFail, rec, at, -1)
+		}
+		return nil, nil
 	}
-	m.cfg.Policy.OnPlaced(m.pool, h, vm, at)
 	m.res.Placements++
 	if m.gate != nil {
 		m.gate.Class(class).Placed++
@@ -501,13 +498,8 @@ func (m *Machine) recordDecision(kind ptrace.Kind, rec trace.Record, at time.Dur
 // killed by an injector) — the same silent skip Run applies to the EXIT
 // events of capacity-failed VMs.
 func (m *Machine) Exit(id cluster.VMID, at time.Duration) (bool, error) {
-	if m.finished {
-		return false, ErrFinished
-	}
-	if at < m.now {
-		at = m.now
-	}
-	if err := m.Advance(at); err != nil {
+	at, err := m.begin(at)
+	if err != nil {
 		return false, err
 	}
 	if m.pool.HostOf(id) == nil {
@@ -538,13 +530,8 @@ func (m *Machine) Exit(id cluster.VMID, at time.Duration) (bool, error) {
 // shape — the online form of a capacity delivery. New hosts take IDs past
 // the current maximum (see cluster.Pool.AddHosts for the density contract).
 func (m *Machine) AddHosts(n int, at time.Duration) error {
-	if m.finished {
-		return ErrFinished
-	}
-	if at < m.now {
-		at = m.now
-	}
-	if err := m.Advance(at); err != nil {
+	at, err := m.begin(at)
+	if err != nil {
 		return err
 	}
 	if n <= 0 {
@@ -558,13 +545,8 @@ func (m *Machine) AddHosts(n int, at time.Duration) error {
 // still running VMs refuse removal — drain them (migrate or wait for exits)
 // first.
 func (m *Machine) RemoveHost(id cluster.HostID, at time.Duration) error {
-	if m.finished {
-		return ErrFinished
-	}
-	if at < m.now {
-		at = m.now
-	}
-	if err := m.Advance(at); err != nil {
+	at, err := m.begin(at)
+	if err != nil {
 		return err
 	}
 	return m.pool.RemoveHost(id)
@@ -578,13 +560,8 @@ func (m *Machine) RemoveHost(id cluster.HostID, at time.Duration) error {
 // for MigrateIn on the destination machine. ok is false for VMs not
 // currently running (never placed, already exited, or killed).
 func (m *Machine) MigrateOut(id cluster.VMID, at time.Duration) (vm *cluster.VM, ok bool, err error) {
-	if m.finished {
-		return nil, false, ErrFinished
-	}
-	if at < m.now {
-		at = m.now
-	}
-	if err := m.Advance(at); err != nil {
+	at, err = m.begin(at)
+	if err != nil {
 		return nil, false, err
 	}
 	if m.pool.HostOf(id) == nil {
@@ -606,32 +583,51 @@ func (m *Machine) MigrateOut(id cluster.VMID, at time.Duration) (vm *cluster.VM,
 // reported the VM gone. placed is false when no feasible host exists; the
 // VM is then lost (it already left its source) and counted in Failed.
 func (m *Machine) MigrateIn(vm *cluster.VM, at time.Duration) (host *cluster.Host, placed bool, err error) {
-	if m.finished {
-		return nil, false, ErrFinished
-	}
-	if at < m.now {
-		at = m.now
-	}
-	if err := m.Advance(at); err != nil {
+	at, err = m.begin(at)
+	if err != nil {
 		return nil, false, err
 	}
 	if vm == nil {
 		return nil, false, nil
 	}
+	host, err = m.place(vm, at, "migrate-in")
+	switch {
+	case err != nil:
+		return nil, false, err
+	case host == nil:
+		m.res.Failed++
+		return nil, false, nil
+	}
+	m.res.MigratedIn++
+	return host, true, nil
+}
+
+// begin is every mutator's prologue: it refuses a finished machine, clamps
+// at forward to the current time and advances there. It returns the clamped
+// time.
+func (m *Machine) begin(at time.Duration) (time.Duration, error) {
+	if m.finished {
+		return at, ErrFinished
+	}
+	at = max(at, m.now)
+	return at, m.Advance(at)
+}
+
+// place asks the policy for a host, places vm there and tells the policy. A
+// nil host with no error means no feasible host; the caller counts it.
+func (m *Machine) place(vm *cluster.VM, at time.Duration, what string) (*cluster.Host, error) {
 	h, err := m.cfg.Policy.Schedule(m.pool, vm, at)
 	if err != nil {
 		if errors.Is(err, scheduler.ErrNoCapacity) {
-			m.res.Failed++
-			return nil, false, nil
+			return nil, nil
 		}
-		return nil, false, err
+		return nil, err
 	}
 	if err := m.pool.Place(vm, h); err != nil {
-		return nil, false, fmt.Errorf("sim: migrate-in vm %d: %w", vm.ID, err)
+		return nil, fmt.Errorf("sim: %s vm %d: %w", what, vm.ID, err)
 	}
 	m.cfg.Policy.OnPlaced(m.pool, h, vm, at)
-	m.res.MigratedIn++
-	return h, true, nil
+	return h, nil
 }
 
 // Finish advances to the measurement horizon, computes the post-warm-up
