@@ -7,61 +7,12 @@
 package main
 
 import (
-	"flag"
-	"fmt"
+	"context"
 	"os"
-	"time"
 
-	"lava/internal/simtime"
-	"lava/internal/workload"
+	"lava/internal/cli"
 )
 
 func main() {
-	var (
-		out     = flag.String("out", "", "output file (default stdout)")
-		name    = flag.String("name", "pool", "pool name")
-		zone    = flag.String("zone", "us-central1-a", "zone feature value")
-		hosts   = flag.Int("hosts", 160, "number of hosts")
-		util    = flag.Float64("util", 0.65, "target steady-state CPU utilization")
-		days    = flag.Int("days", 49, "steady-state days (paper studies use 7 weeks)")
-		prefill = flag.Int("prefill", 21, "warm-up days before the measured window")
-		seed    = flag.Int64("seed", 1, "random seed")
-		diurnal = flag.Float64("diurnal", 0.3, "diurnal arrival modulation amplitude")
-		e2      = flag.Bool("e2", false, "use the cost-optimized E2 mix")
-	)
-	flag.Parse()
-
-	var mix []workload.TypeSpec
-	if *e2 {
-		mix = workload.E2Mix()
-	}
-	tr, err := workload.Generate(workload.PoolSpec{
-		Name: *name, Zone: *zone, Hosts: *hosts, TargetUtil: *util,
-		Duration: time.Duration(*days) * simtime.Day,
-		Prefill:  time.Duration(*prefill) * simtime.Day,
-		Seed:     *seed, Diurnal: *diurnal, Mix: mix,
-	})
-	if err != nil {
-		fatal(err)
-	}
-
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := tr.Write(w); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %d records (%d hosts, warm-up %v, horizon %v)\n",
-		len(tr.Records), tr.Hosts, tr.WarmUp, tr.Horizon)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tracegen:", err)
-	os.Exit(1)
+	os.Exit(cli.Tracegen(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
 }

@@ -31,7 +31,7 @@ type Plan struct {
 // evenly, build the named router's ledger over them, and shard. Since the
 // facade and lavasim moved to the script runner (serve.RunScriptOffline) its
 // callers are the scenarios experiment — kept as the independent sharded
-// oracle the CI determinism job diffs — and the parity tests.
+// oracle TestCachedMatchesExhaustiveMatrices diffs — and the parity tests.
 func PlanCells(tr *trace.Trace, routerKind string, cells int) (*Plan, error) {
 	if cells <= 0 {
 		return nil, fmt.Errorf("cell: %d cells", cells)

@@ -37,19 +37,28 @@ func run(fs *flag.FlagSet, args []string, stderr io.Writer, body func() error) i
 	return 0
 }
 
+// writeOut is how every command writes a file: write fills path or, for
+// "-", stdout. A file that could not be written completely or closed is an
+// error.
+func writeOut(path string, stdout io.Writer, write func(io.Writer) error) error {
+	if path == "-" {
+		return write(stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 // writeFinal emits a drain report as canonical JSON, to path or, for "-",
 // to stdout. lavaload writes what the daemon's /drain answered and lavasim
 // what the offline run of the same stream computes, so the two files diff
 // byte for byte.
 func writeFinal(path string, stdout io.Writer, ff *serve.DrainResponse) error {
-	data, err := json.Marshal(ff)
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err = stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
+	return writeOut(path, stdout, func(w io.Writer) error { return json.NewEncoder(w).Encode(ff) })
 }

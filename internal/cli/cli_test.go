@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,22 +16,22 @@ import (
 	"testing"
 	"time"
 
-	"lava/internal/simtime"
+	"lava/internal/ptrace"
 	"lava/internal/trace"
-	"lava/internal/workload"
 )
 
-// command is the shape of Lavad, Lavaload and Lavasim.
+// command is the shape of every command in this package.
 type command func(ctx context.Context, args []string, stdout, stderr io.Writer) int
 
 // writeParityTrace generates the trace `tracegen -hosts 24 -days 2 -prefill
 // 2 -seed 5` writes, applies edit to it, and writes it to dir/name.
 func writeParityTrace(t *testing.T, dir, name string, edit func(*trace.Trace)) string {
 	t.Helper()
-	tr, err := workload.Generate(workload.PoolSpec{
-		Name: "pool", Zone: "us-central1-a", Hosts: 24, TargetUtil: 0.65,
-		Duration: 2 * simtime.Day, Prefill: 2 * simtime.Day, Seed: 5, Diurnal: 0.3,
-	})
+	var out, stderr bytes.Buffer
+	if code := Tracegen(context.Background(), strings.Fields("-hosts 24 -days 2 -prefill 2 -seed 5"), &out, &stderr); code != 0 {
+		t.Fatalf("tracegen exited %d: %s", code, stderr.String())
+	}
+	tr, err := trace.Read(&out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +170,9 @@ func TestCLIParity(t *testing.T) {
 
 // TestCLIRefusals: each misuse is refused with exit status 1 and a last
 // stderr line naming the flag or record at fault, before any request is
-// sent — lavaload's rows point at a server that counts what it receives,
-// and lavad's must return on its own instead of serving.
+// sent or any report printed — lavaload's rows point at a server that
+// counts what it receives, lavad's must return on its own instead of
+// serving, and experiments' must refuse before the first experiment runs.
 func TestCLIRefusals(t *testing.T) {
 	dir := t.TempDir()
 	good := writeParityTrace(t, dir, "good.jsonl", func(*trace.Trace) {})
@@ -199,14 +201,22 @@ func TestCLIRefusals(t *testing.T) {
 			[]string{"-trace", good, "-router", "bogus"}, "-router"},
 		{"lavaload duplicate vm id", Lavaload,
 			[]string{"-trace", dup, "-addr", hs.URL}, "duplicate vm id"},
+		{"experiments -counterfactual with one policy", Experiments,
+			[]string{"-counterfactual", "lava"}, "-counterfactual"},
+		{"experiments -exp bogus", Experiments,
+			[]string{"-exp", "bogus"}, "bogus"},
+		{"experiments -scale below range", Experiments,
+			[]string{"-exp", "table3", "-scale", "-1"}, "-scale"},
+		{"experiments -scale above range", Experiments,
+			[]string{"-exp", "table3", "-scale", "3"}, "-scale"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			requests.Store(0)
 			// A daemon that serves instead of refusing returns 0 here.
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			var stderr bytes.Buffer
-			code := row.cmd(ctx, row.args, io.Discard, &stderr)
+			var stdout, stderr bytes.Buffer
+			code := row.cmd(ctx, row.args, &stdout, &stderr)
 			lines := strings.Split(strings.TrimSpace(stderr.String()), "\n")
 			last := lines[len(lines)-1]
 			if code != 1 || !strings.Contains(last, row.want) {
@@ -215,26 +225,140 @@ func TestCLIRefusals(t *testing.T) {
 			if n := requests.Load(); n != 0 {
 				t.Fatalf("%d requests sent before the refusal", n)
 			}
+			if stdout.Len() != 0 {
+				t.Fatalf("refused run printed:\n%s", stdout.String())
+			}
 		})
 	}
 }
 
-// TestCLIExitStatus pins the exit-status contract of all three commands:
-// 0 for -h, 2 for an unknown flag, 1 for a run that cannot start.
+// TestCLIExitStatus pins the exit-status contract of every command: 0 for
+// -h, 2 for an unknown flag, 1 for a run that cannot start. lavad's help
+// names the scenarios -scenario takes.
 func TestCLIExitStatus(t *testing.T) {
-	for name, cmd := range map[string]command{"lavad": Lavad, "lavaload": Lavaload, "lavasim": Lavasim} {
-		for _, row := range []struct {
-			args []string
-			want int
-		}{
-			{[]string{"-h"}, 0},
-			{[]string{"-no-such-flag"}, 2},
-			{nil, 1}, // -trace is required
-		} {
+	type row struct {
+		args []string
+		want int
+	}
+	usage := []row{{[]string{"-h"}, 0}, {[]string{"-no-such-flag"}, 2}}
+	needsTrace := append(usage, row{nil, 1}) // -trace is required
+	for name, c := range map[string]struct {
+		cmd  command
+		rows []row
+	}{
+		"lavad": {Lavad, needsTrace}, "lavaload": {Lavaload, needsTrace}, "lavasim": {Lavasim, needsTrace},
+		"trainmodel": {Trainmodel, needsTrace}, "experiments": {Experiments, usage},
+		"tracegen": {Tracegen, usage}, "docscheck": {Docscheck, usage},
+	} {
+		for _, row := range c.rows {
 			var stderr bytes.Buffer
-			if got := cmd(context.Background(), row.args, io.Discard, &stderr); got != row.want {
+			if got := c.cmd(context.Background(), row.args, io.Discard, &stderr); got != row.want {
 				t.Errorf("%s %v: exit %d, want %d; stderr:\n%s", name, row.args, got, row.want, stderr.String())
 			}
+			if name == "lavad" && row.want == 0 && !strings.Contains(stderr.String(), "drain-wave") {
+				t.Errorf("lavad -h does not name the scenarios:\n%s", stderr.String())
+			}
 		}
+	}
+}
+
+// TestExperimentsCLI holds the flag plumbing of Experiments that the
+// library's tests skip: a canonical fig13 document is the same bytes at 1
+// and 8 workers, on either engine and with tracing armed; -trace-k and
+// -trace-out write the decision streams; -counterfactual exits 0 once both
+// parity properties pass; and -trace is not a flag (-trace-k and
+// -trace-out arm tracing).
+func TestExperimentsCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy")
+	}
+	dir := t.TempDir()
+	a, b, tr := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json"), filepath.Join(dir, "traces.json")
+	for _, args := range []string{
+		"-exp fig13 -scale 0.1 -parallel 1 -canonical -json " + a,
+		"-exp fig13 -scale 0.1 -parallel 8 -exhaustive -trace-k 3 -trace-out " + tr + " -canonical -json " + b,
+	} {
+		var stderr bytes.Buffer
+		if code := Experiments(context.Background(), strings.Fields(args), io.Discard, &stderr); code != 0 {
+			t.Fatalf("experiments %s: exit %d: %s", args, code, stderr.String())
+		}
+	}
+	docA, err := os.ReadFile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docB, err := os.ReadFile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(docA, docB) {
+		t.Errorf("canonical documents differ:\n--- -parallel 1 ---\n%s\n--- -parallel 8 -exhaustive -trace-k 3 ---\n%s", docA, docB)
+	}
+	data, err := os.ReadFile(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc ptrace.Document
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.K != 3 || len(doc.Streams) != 3 {
+		t.Fatalf("trace document: k=%d streams=%d, want k=3 with 3 fig13 jobs", doc.K, len(doc.Streams))
+	}
+	for name, s := range doc.Streams {
+		if len(s.Decisions) == 0 {
+			t.Errorf("stream %s is empty", name)
+		}
+	}
+
+	var stdout, stderr bytes.Buffer
+	if code := Experiments(context.Background(), strings.Fields("-counterfactual lava,wastemin -scale 0.1"), &stdout, &stderr); code != 0 {
+		t.Fatalf("-counterfactual: exit %d: %s", code, stderr.String())
+	}
+	for _, want := range []string{"self-replay parity:      PASS", "re-simulation agreement: PASS"} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("-counterfactual report lacks %q:\n%s", want, stdout.String())
+		}
+	}
+	if code := Experiments(context.Background(), []string{"-trace"}, io.Discard, io.Discard); code != 2 {
+		t.Errorf("-trace: exit %d, want 2 (unknown flag)", code)
+	}
+}
+
+// TestDocscheck runs the documentation gate on this module and on three
+// fixtures that must each fail it: a package without a package comment, an
+// undocumented identifier of the root (facade) package, and a README that
+// cites a test no _test.go file declares.
+func TestDocscheck(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := Docscheck(context.Background(), []string{"../.."}, &stdout, &stderr); code != 0 {
+		t.Fatalf("docscheck on the module: exit %d\n%s%s", code, stdout.String(), stderr.String())
+	}
+	for _, row := range []struct {
+		name  string
+		files map[string]string
+		want  string
+	}{
+		{"no package comment", map[string]string{"a/a.go": "package a\n"}, "package has no package comment"},
+		{"undocumented facade identifier", map[string]string{"lava.go": "// Package lava is the facade.\npackage lava\n\nfunc Exported() {}\n"},
+			"exported function Exported has no doc comment"},
+		{"stale test citation", map[string]string{"README.md": "See TestNoSuchThing.\n"}, "TestNoSuchThing names no test function"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			root := t.TempDir()
+			for name, body := range row.files {
+				path := filepath.Join(root, name)
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var stdout bytes.Buffer
+			if code := Docscheck(context.Background(), []string{root}, &stdout, io.Discard); code != 1 || !strings.Contains(stdout.String(), row.want) {
+				t.Fatalf("exit %d, stdout:\n%s\nwant exit 1 and %q", code, stdout.String(), row.want)
+			}
+		})
 	}
 }

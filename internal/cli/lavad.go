@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"strings"
 	"time"
 
 	"lava"
@@ -35,7 +36,7 @@ func Lavad(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		traceK    = fs.Int("trace-k", 0, "record decision traces with this many scored alternatives (0 disables; served at /trace)")
 		traceBuf  = fs.Int("trace-buf", 0, "decision trace ring capacity (0 = default 8192, -1 = unbounded)")
 		traceOut  = fs.String("trace-out", "", "stream recorded decisions to this JSONL file (single-cell only; requires -trace-k)")
-		scenName  = fs.String("scenario", "", "serve under a named operational scenario (see lavasim -list-scenarios); forces fleet mode")
+		scenName  = fs.String("scenario", "", "serve under a named operational scenario ("+strings.Join(lava.ScenarioNames(), "|")+"); forces fleet mode")
 		scenSeed  = fs.Int64("seed", 0, "scenario randomness seed (must match the offline arm for parity)")
 		admit     = fs.String("admit", "", `SLO admission control, e.g. "latency=100/1m:200,standard=50/1m" (refill/window[:burst] per class) or "track" for accounting without limits`)
 	)

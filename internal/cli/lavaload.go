@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 
 	"lava"
 	"lava/internal/runner"
@@ -158,16 +157,5 @@ func writeBench(path string, stdout io.Writer, tr *trace.Trace, rep *serve.Repla
 			runner.Summarize("lavaload/"+tr.PoolName, workers, rep.Elapsed.Seconds(), results),
 		},
 	}
-	if path == "-" {
-		return runner.WriteJSON(stdout, doc)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := runner.WriteJSON(f, doc); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeOut(path, stdout, func(w io.Writer) error { return runner.WriteJSON(w, doc) })
 }

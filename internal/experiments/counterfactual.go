@@ -22,8 +22,8 @@ import (
 //     recorded trajectory exactly up to the counterfactual's first
 //     divergence, and places on the divergence's predicted host there.
 //
-// Violations of either property return an error (so the CI determinism
-// job fails), not a report.
+// Violations of either property return an error (so the command exits 1
+// and TestCounterfactualDifferential fails), not a report.
 func Counterfactual(opt Options, aName, bName string) (Report, error) {
 	opt = opt.withDefaults()
 	pred, err := trainedModel(opt)

@@ -87,6 +87,12 @@ func TestCounterfactualDifferential(t *testing.T) {
 		}
 	}
 
+	// The other recorded-policy direction: nilas's stream replayed under
+	// lava must pass both parity checks too.
+	if _, err := Counterfactual(tiny(), "nilas", "lava"); err != nil {
+		t.Fatalf("nilas,lava: %v", err)
+	}
+
 	// Unknown policy names fail cleanly.
 	if _, err := Counterfactual(tiny(), "nope", "lava"); err == nil {
 		t.Fatal("unknown policy A must fail")

@@ -97,8 +97,8 @@ func canonicalDoc(t *testing.T, exp string, parallel int, exhaustive bool) []byt
 // TestCachedMatchesExhaustiveMatrices is the experiment-level differential
 // gate: on the fig13 and scenarios matrices, the incremental score-cache
 // engine must produce canonical JSON byte-identical to the exhaustive
-// reference, at 1 and at 8 workers. CI repeats the same comparison through
-// the cmd/experiments binary (-exhaustive) in the determinism job.
+// reference, at 1 and at 8 workers. TestExperimentsCLI in internal/cli
+// repeats the fig13 comparison through the command's -exhaustive flag.
 func TestCachedMatchesExhaustiveMatrices(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
@@ -123,18 +123,25 @@ func TestCachedMatchesExhaustiveMatrices(t *testing.T) {
 
 // TestScalePipeline proves the scale sweep runs end to end at test size and
 // that its built-in differential check holds: every row must report the
-// cached and exhaustive arms identical, with a sane placement count.
+// cached and exhaustive arms identical, with a sane placement count. The
+// cache counters, which canonical documents strip, must be the same at 1
+// and at 4 workers.
 func TestScalePipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
-	opt := tiny()
-	opt.Sink = &runner.Sink{}
-	opt.ScaleTier = ScaleTierSmoke // the dual-engine subset; mega cells are far beyond test size
-	rep, err := Run("scale", opt)
-	if err != nil {
-		t.Fatal(err)
+	runScale := func(parallel int) (Report, []runner.Summary) {
+		opt := tiny()
+		opt.Parallel = parallel
+		opt.Sink = &runner.Sink{}
+		opt.ScaleTier = ScaleTierSmoke // the dual-engine subset; mega cells are far beyond test size
+		rep, err := Run("scale", opt)
+		if err != nil {
+			t.Fatalf("parallel=%d: %v", parallel, err)
+		}
+		return rep, opt.Sink.Summaries()
 	}
+	rep, sums := runScale(1)
 	sr, ok := rep.(*ScaleReport)
 	if !ok {
 		t.Fatalf("report type %T", rep)
@@ -150,9 +157,18 @@ func TestScalePipeline(t *testing.T) {
 			t.Errorf("h%d/%s: no placements measured", row.Hosts, row.Policy)
 		}
 	}
-	sums := opt.Sink.Summaries()
 	if len(sums) != 1 || sums[0].Name != "scale" || sums[0].Failed != 0 {
 		t.Fatalf("sink summaries = %+v", sums)
+	}
+	_, sums4 := runScale(4)
+	if len(sums4) != 1 || len(sums4[0].Results) != len(sums[0].Results) {
+		t.Fatalf("sink summaries at 4 workers = %+v", sums4)
+	}
+	for i, r := range sums[0].Results {
+		r4 := sums4[0].Results[i]
+		if r.Name != r4.Name || (r.Cache == nil) != (r4.Cache == nil) || (r.Cache != nil && *r.Cache != *r4.Cache) {
+			t.Errorf("%s: cache counters at 1 and 4 workers differ: %+v vs %s %+v", r.Name, r.Cache, r4.Name, r4.Cache)
+		}
 	}
 	var buf bytes.Buffer
 	rep.Render(&buf)

@@ -55,8 +55,8 @@ type Options struct {
 
 	// Exhaustive runs every policy on the exhaustive scoring engine instead
 	// of the incremental score cache (scheduler.EngineExhaustive). Results
-	// are byte-identical either way — the CI determinism job diffs the two
-	// — so this knob exists for differential testing and for measuring the
+	// are byte-identical either way — TestCachedMatchesExhaustiveMatrices
+	// diffs the two — so this knob exists for differential testing and for measuring the
 	// cache's speedup (the scale experiment runs both arms).
 	Exhaustive bool
 
@@ -72,7 +72,7 @@ type Options struct {
 	// run records its full decision stream (unbounded — trace documents
 	// feed counterfactual replay) with the top-K scored alternatives per
 	// placement. Tracing is observe-only; results are byte-identical with
-	// it on or off, which the CI determinism job checks.
+	// it on or off, which TestTracingObserveOnlyAndParallelInvariant checks.
 	TraceK int
 
 	// Traces, if non-nil, collects each traced job's decision stream keyed

@@ -419,9 +419,8 @@ func TestSLOPipeline(t *testing.T) {
 	}
 }
 
-// TestScenariosParallelDeterminism is the acceptance check behind CI's
-// determinism job: the scenario matrix renders byte-identically at 1 and 8
-// workers.
+// TestScenariosParallelDeterminism: the scenario matrix renders
+// byte-identically at 1 and 8 workers.
 func TestScenariosParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")

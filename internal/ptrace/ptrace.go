@@ -9,8 +9,9 @@
 //
 // The capture itself happens inside internal/scheduler (see
 // scheduler.Traceable); both scoring engines fill identical captures for
-// identical decisions, so traces are engine-independent — a property the CI
-// determinism job verifies on full experiment matrices. Tracing is
+// identical decisions, so traces are engine-independent — a property
+// TestTracingObserveOnlyAndParallelInvariant verifies on the fig13
+// experiment matrix. Tracing is
 // observe-only by construction: no scorer runs that the untraced scheduler
 // would not have run, so enabling it cannot change placements, model-call
 // counts, or canonical experiment JSON.

@@ -23,7 +23,8 @@ import (
 // lights).
 //
 // Two parity properties anchor correctness, both enforced by tests and the
-// CI counterfactual differential (cmd/experiments -counterfactual):
+// counterfactual differential (experiments -counterfactual,
+// TestCounterfactualDifferential):
 //
 //   - Self-replay: replaying policy A's trace under a fresh instance of A
 //     reproduces every decision exactly (zero divergences). The replayed

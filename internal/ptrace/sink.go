@@ -15,8 +15,8 @@ type Stream struct {
 // Document is the JSON trace document cmd/experiments -trace-out emits:
 // every traced job's full decision stream keyed by "experiment/job".
 // Encoding sorts map keys, so the document is deterministic for a given set
-// of streams — the CI determinism job diffs it byte-for-byte across worker
-// counts and engines.
+// of streams — TestTracingObserveOnlyAndParallelInvariant diffs it
+// byte-for-byte across worker counts and engines.
 type Document struct {
 	K       int               `json:"k"`
 	Streams map[string]Stream `json:"streams"`

@@ -15,5 +15,6 @@
 // winning score bucket. The exhaustive reference path (Chain, selectable
 // via SetEngine/EngineExhaustive) rescans every feasible host; both engines
 // share one filter core and produce byte-identical decisions — the
-// differential tests and CI's determinism job enforce it. See DESIGN.md §6.
+// differential tests (TestCachedMatchesExhaustiveMatrices among them)
+// enforce it. See DESIGN.md §6.
 package scheduler

@@ -32,12 +32,12 @@ type LABinary struct {
 // predictor is consulted exactly once per VM (at schedule time); NILAS and
 // LAVA runs use the same model for apples-to-apples comparisons (§5.3).
 //
-// LA-Binary is the score cache's DirtyAll case: hostLong decays with the
+// LA-Binary is the score cache's time-varying case: hostLong decays with the
 // clock (a host's pinned predictions silently cross the cutoff as time
 // passes), so its class score is genuinely time-varying and no host event
 // marks the change. The chain is therefore declared TimeVarying, which is
-// equivalent to DirtyAll before every Schedule — the engine skips cache
-// maintenance and scores exhaustively.
+// equivalent to rescoring every host before every Schedule — the engine
+// skips cache maintenance and scores exhaustively.
 func NewLABinary(pred model.Predictor) *LABinary {
 	la := &LABinary{pred: pred}
 	la.CachedChain = CachedChain{Chain: Chain{ChainName: "la-binary", Scorers: []Scorer{

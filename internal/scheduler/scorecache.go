@@ -32,8 +32,8 @@ import (
 // engines put the same candidates through the same epsilon rule (sift) in
 // the same ID order, with static levels read from cache and time-varying
 // levels recomputed through the original Scorer. The differential tests
-// (scorecache_test.go, internal/experiments, and the CI determinism gate)
-// verify byte-identical results on full experiment matrices.
+// (scorecache_test.go and TestCachedMatchesExhaustiveMatrices) verify
+// byte-identical results on full experiment matrices.
 
 // Engine selects the Schedule implementation of a chain policy.
 type Engine int
@@ -74,7 +74,7 @@ const maxCachedContexts = 256
 // CachedChain is a Chain wrapped in the incremental score-cache engine. The
 // zero value of the extra fields gives a fully static chain (every level
 // cached); Dynamic marks levels that must be recomputed on every call, and
-// TimeVarying disables caching for the whole chain (see DirtyAll).
+// TimeVarying disables caching for the whole chain.
 //
 // Static levels below level 0 are cached lazily, as a one-byte code per
 // host (0: not cached) into the level's table of values interned by bit
@@ -104,10 +104,10 @@ type CachedChain struct {
 	// shape alone determines every static score.
 	ClassOf func(vm *cluster.VM, now time.Duration) int32
 
-	// TimeVarying is the DirtyAll escape hatch for chains whose scores
-	// change with the clock even when no host event fires (LA-Binary's
-	// host class silently decays as time passes). Such a chain would need
-	// DirtyAll before every Schedule, so the engine skips the cache
+	// TimeVarying is the escape hatch for chains whose scores change with
+	// the clock even when no host event fires (LA-Binary's host class
+	// silently decays as time passes). Such a chain would need every host
+	// rescored before every Schedule, so the engine skips the cache
 	// bookkeeping entirely and delegates to the exhaustive path — same
 	// results, none of the pointless maintenance.
 	TimeVarying bool
@@ -174,18 +174,6 @@ func SetEngine(p Policy, e Engine) Policy {
 		s.SetEngine(e)
 	}
 	return p
-}
-
-// DirtyAll invalidates every cached score and candidate set; the next
-// Schedule per context rebuilds from the live pool. Components that bulk-
-// mutate host state without per-host events can use it as a coarse hammer;
-// chains whose scorers are genuinely time-varying should set TimeVarying
-// instead, which is equivalent to DirtyAll before every Schedule.
-func (c *CachedChain) DirtyAll() {
-	for _, cs := range c.list {
-		cs.allDirty = true
-		cs.dirty = cs.dirty[:0]
-	}
 }
 
 // EnableTrace implements Traceable. Beyond arming the embedded chain it
@@ -352,7 +340,7 @@ type CacheStats struct {
 	Contexts      int   `json:"contexts"`       // live contexts
 	ColdBuilds    int64 `json:"cold_builds"`    // contexts built from nothing (first use, or back from eviction)
 	Rollovers     int64 `json:"rollovers"`      // contexts that found their scores an epoch old
-	Rebuilds      int64 `json:"rebuilds"`       // full pool rescans: cold builds, DirtyAll, level-0 rollovers
+	Rebuilds      int64 `json:"rebuilds"`       // full pool rescans: cold builds, level-0 rollovers
 	HostsResynced int64 `json:"hosts_resynced"` // dirty hosts re-scored on level 0, summed over contexts
 	LazyEvals     int64 `json:"lazy_evals"`     // deep static levels scored on first read
 	Filtered      int64 `json:"filtered"`       // candidates handed to the filter
@@ -469,7 +457,7 @@ func (c *CachedChain) evictLRU() {
 // placement, so this is the only per-host work on the hot path.
 func (c *CachedChain) sync(cs *candSet, vm *cluster.VM, now time.Duration) {
 	if cs.allDirty {
-		// Context creation, DirtyAll, a level-0 epoch rollover: every host
+		// Context creation or a level-0 epoch rollover: every host
 		// starts from nothing.
 		c.stats.Rebuilds++
 		clear(cs.feasible)

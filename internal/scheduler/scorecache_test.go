@@ -327,23 +327,6 @@ func TestScoreCacheUnavailableInvalidation(t *testing.T) {
 	}
 }
 
-// TestDirtyAllRebuild checks the coarse invalidation hammer: after direct
-// host mutations with no events at all, DirtyAll alone must resynchronize
-// every context.
-func TestDirtyAllRebuild(t *testing.T) {
-	p := cluster.NewPool("t", 2, resources.Cores(16, 16*4096, 0))
-	pol := NewWasteMin().(*CachedChain)
-	probe := &cluster.VM{ID: 1, Shape: resources.Cores(2, 2*4096, 0), Created: 0, TrueLifetime: time.Hour}
-	if h, err := pol.Schedule(p, probe, 0); err != nil || h.ID != 0 {
-		t.Fatalf("schedule = %v, %v; want host 0", h, err)
-	}
-	p.Host(0).Unavailable = true // silent mutation: no event published
-	pol.DirtyAll()
-	if h, err := pol.Schedule(p, probe, 0); err != nil || h.ID != 1 {
-		t.Fatalf("after DirtyAll: schedule = %v, %v; want host 1", h, err)
-	}
-}
-
 // TestEngineSwitchAndReporting exercises SetEngine/EngineOf across the
 // policy surface, including releasing the cache and rebinding.
 func TestEngineSwitchAndReporting(t *testing.T) {

@@ -70,7 +70,6 @@ func (t *Trace) Stream() Stream {
 type ReaderStream struct {
 	dec  *json.Decoder
 	meta *Trace
-	host Record // scratch: host shape cached as a vector via meta
 
 	read int
 	prev Record
@@ -122,17 +121,8 @@ func (s *ReaderStream) Next() (Record, bool) {
 // check applies the per-record subset of Validate plus the streaming
 // order contract.
 func (s *ReaderStream) check(rec Record) error {
-	if rec.Arrival < 0 {
-		return fmt.Errorf("trace: vm %d negative arrival", rec.ID)
-	}
-	if rec.Lifetime <= 0 {
-		return fmt.Errorf("trace: vm %d non-positive lifetime", rec.ID)
-	}
-	if !rec.Shape.NonNegative() || rec.Shape.IsZero() {
-		return fmt.Errorf("trace: vm %d bad shape %s", rec.ID, rec.Shape)
-	}
-	if host := s.meta.HostShape(); !rec.Shape.Fits(host) {
-		return fmt.Errorf("trace: vm %d shape %s exceeds host %s", rec.ID, rec.Shape, host)
+	if err := checkRecord(rec, s.meta.HostShape()); err != nil {
+		return err
 	}
 	if s.read > 0 {
 		if rec.Arrival < s.prev.Arrival || (rec.Arrival == s.prev.Arrival && rec.ID <= s.prev.ID) {

@@ -97,18 +97,28 @@ func (t *Trace) Validate() error {
 			return fmt.Errorf("trace: duplicate vm id %d (record %d)", r.ID, i)
 		}
 		seen[r.ID] = true
-		if r.Arrival < 0 {
-			return fmt.Errorf("trace: vm %d negative arrival", r.ID)
+		if err := checkRecord(r, host); err != nil {
+			return err
 		}
-		if r.Lifetime <= 0 {
-			return fmt.Errorf("trace: vm %d non-positive lifetime", r.ID)
-		}
-		if !r.Shape.NonNegative() || r.Shape.IsZero() {
-			return fmt.Errorf("trace: vm %d bad shape %s", r.ID, r.Shape)
-		}
-		if !r.Shape.Fits(host) {
-			return fmt.Errorf("trace: vm %d shape %s exceeds host %s", r.ID, r.Shape, host)
-		}
+	}
+	return nil
+}
+
+// checkRecord applies the rules every record obeys on its own: a
+// non-negative arrival, a positive lifetime, and a non-zero, non-negative
+// shape that fits host.
+func checkRecord(r Record, host resources.Vector) error {
+	if r.Arrival < 0 {
+		return fmt.Errorf("trace: vm %d negative arrival", r.ID)
+	}
+	if r.Lifetime <= 0 {
+		return fmt.Errorf("trace: vm %d non-positive lifetime", r.ID)
+	}
+	if !r.Shape.NonNegative() || r.Shape.IsZero() {
+		return fmt.Errorf("trace: vm %d bad shape %s", r.ID, r.Shape)
+	}
+	if !r.Shape.Fits(host) {
+		return fmt.Errorf("trace: vm %d shape %s exceeds host %s", r.ID, r.Shape, host)
 	}
 	return nil
 }
