@@ -15,4 +15,6 @@
 // Splits compare bin indices, never raw values: Predict bins the vector
 // once (AppendBins) and walks every tree over bytes (PredictBinned), and
 // callers that hold part of a vector fixed can key on its bins.
+// PredictEachBin gives, in one pass over the trees, what PredictBinned
+// returns for every bin of one feature with the others held fixed.
 package gbdt

@@ -436,6 +436,56 @@ func (m *Model) PredictBinned(bins []uint8) float64 {
 	return out
 }
 
+// PredictEachBin writes to out, for every bin v of feature f, the value
+// PredictBinned returns for bins with bins[f] = v; out must hold
+// len(Edges[f])+1 values. It walks each tree once: a split on f divides the
+// range of bins that reaches the node between its children, and a leaf adds
+// its value to every bin of its range. Each output starts at Bias and adds
+// one leaf per tree in tree order, the additions PredictBinned makes, so
+// out[v] is the same bits as the walk.
+func (m *Model) PredictEachBin(out []float64, bins []uint8, f int) {
+	if len(out) != len(m.Edges[f])+1 {
+		panic(fmt.Sprintf("gbdt: PredictEachBin into %d values, feature %d has %d bins", len(out), f, len(m.Edges[f])+1))
+	}
+	for v := range out {
+		out[v] = m.Bias
+	}
+	for ti := range m.Trees {
+		sweep(m.Trees[ti].Nodes, 0, bins, f, out, 0)
+	}
+}
+
+// sweep adds the leaf below node n of each bin of feature f that reaches n:
+// out holds those bins' outputs, out[0] that of bin base.
+func sweep(nodes []node, n int32, bins []uint8, f int, out []float64, base int) {
+	for {
+		nd := &nodes[n]
+		switch {
+		case nd.Feature == -1:
+			for v := range out {
+				out[v] += nd.Value
+			}
+			return
+		case nd.Feature != f:
+			if bins[nd.Feature] <= nd.Bin {
+				n = nd.Left
+			} else {
+				n = nd.Right
+			}
+		default:
+			// Bins base..nd.Bin, out[:cut], go left; the rest go right.
+			cut := min(max(int(nd.Bin)+1-base, 0), len(out))
+			if cut > 0 {
+				sweep(nodes, nd.Left, bins, f, out[:cut], base)
+			}
+			if cut == len(out) {
+				return
+			}
+			out, base, n = out[cut:], base+cut, nd.Right
+		}
+	}
+}
+
 // Importance returns normalized per-feature split gains (the "split score"
 // of Fig. 11). The slice sums to 1 unless no splits were made.
 func (m *Model) Importance() []float64 {

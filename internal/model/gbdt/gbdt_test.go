@@ -254,7 +254,8 @@ func TestLoadRejectsMalformedTrees(t *testing.T) {
 }
 
 // FuzzLoad: whatever the document, Load fails or returns a model that
-// Predict can walk to the end.
+// Predict can walk to the end and that PredictEachBin fills as the walk
+// predicts.
 func FuzzLoad(f *testing.F) {
 	X, y := synth(300, 9)
 	m, err := Train(X, y, Params{Trees: 3})
@@ -280,7 +281,96 @@ func FuzzLoad(f *testing.F) {
 			x[i] = math.Inf(1)
 		}
 		m.Predict(x)
+		// A bin vector drawn from the document's bytes, bins past the last
+		// included: the one-pass fill must equal the walk on it.
+		bins := make([]uint8, m.NumFeat)
+		for i := range bins {
+			bins[i] = doc[i%len(doc)]
+		}
+		checkEachBin(t, m, bins)
 	})
+}
+
+// checkEachBin asserts PredictEachBin's output for every feature of m over
+// bins is, bin for bin, the bits PredictBinned returns.
+func checkEachBin(t *testing.T, m *Model, bins []uint8) {
+	t.Helper()
+	probe := append([]uint8(nil), bins...)
+	for f := range m.Edges {
+		out := make([]float64, len(m.Edges[f])+1)
+		m.PredictEachBin(out, bins, f)
+		for v := range out {
+			probe[f] = uint8(v)
+			if want := m.PredictBinned(probe); math.Float64bits(out[v]) != math.Float64bits(want) {
+				t.Fatalf("feature %d bin %d over %v: PredictEachBin %v, PredictBinned %v", f, v, bins, out[v], want)
+			}
+		}
+		probe[f] = bins[f]
+	}
+}
+
+func TestPredictEachBinMatchesPredictBinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	randomBins := func(m *Model) []uint8 {
+		bins := make([]uint8, m.NumFeat)
+		for f := range bins {
+			bins[f] = uint8(rng.Intn(len(m.Edges[f]) + 1))
+		}
+		return bins
+	}
+	sX, sy := synth(1500, 28)
+	aX, ay := awkward(1200, 29)
+	for _, p := range []Params{
+		{Trees: 40},
+		{Trees: 15, MaxLeaves: 8, MinLeafSamples: 5, Bins: 256},
+		{Trees: 5, MaxLeaves: 4, Bins: 4},
+	} {
+		for _, pr := range []struct {
+			X [][]float64
+			y []float64
+		}{{sX, sy}, {aX, ay}} {
+			m, err := Train(pr.X, pr.y, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 50; i++ {
+				checkEachBin(t, m, randomBins(m))
+			}
+		}
+	}
+
+	// Hand-built trees over two features of four bins each (three edges),
+	// every leaf value a distinct power of two so a misrouted bin shows.
+	leaf := func(v float64) node { return node{Feature: -1, Left: -1, Right: -1, Value: v} }
+	split := func(f int, bin uint8, l, r int32) node { return node{Feature: f, Bin: bin, Left: l, Right: r} }
+	trees := []tree{
+		// Never splits on feature 0.
+		{Nodes: []node{split(1, 1, 1, 2), leaf(1), leaf(2)}},
+		// Splits on feature 0 at bin 0, then below at its last bin, where
+		// nothing goes right.
+		{Nodes: []node{split(0, 0, 1, 2), leaf(4), split(0, 3, 3, 4), leaf(8), leaf(16)}},
+		// Two splits on feature 0 along one path, around one on feature 1.
+		{Nodes: []node{
+			split(0, 2, 1, 2), split(1, 0, 3, 4), leaf(32),
+			split(0, 0, 5, 6), leaf(64), leaf(128), leaf(256)}},
+		// A split on feature 0 at a bin above every bin that reaches it:
+		// everything goes left.
+		{Nodes: []node{split(0, 1, 1, 2), split(0, 200, 3, 4), leaf(512), leaf(1024), leaf(2048)}},
+	}
+	edges := [][]float64{{1, 2, 3}, {1, 2, 3}}
+	for i, tr := range trees {
+		m := &Model{Bias: 0.25, NumFeat: 2, Edges: edges, Trees: []tree{tr}}
+		if err := m.validate(); err != nil {
+			t.Fatalf("tree %d: %v", i, err)
+		}
+		for b1 := uint8(0); b1 < 4; b1++ {
+			checkEachBin(t, m, []uint8{0, b1})
+		}
+	}
+	m := &Model{Bias: 0.25, NumFeat: 2, Edges: edges, Trees: trees}
+	for b1 := uint8(0); b1 < 4; b1++ {
+		checkEachBin(t, m, []uint8{0, b1})
+	}
 }
 
 // referencePredict is the walk Predict replaced: a binary search over the

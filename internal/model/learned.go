@@ -50,18 +50,23 @@ func clampRemaining(d time.Duration) time.Duration {
 //
 // The forest compares bins, not values, and a VM's ten static columns never
 // change, so for one static-bin vector the remaining lifetime is a step
-// function of the uptime bin. PredictRemaining walks the forest once per
-// step and answers repredictions from a table, bit-equal to the walk. Enc
-// and M must not change after the first prediction.
+// function of the uptime bin. The predictor fills each such table in one
+// pass over the trees and remembers, per VM, the table its features select,
+// so a reprediction is one uptime-bin search and one load, bit-equal to the
+// forest walk. Enc and M must not change after the first prediction.
 type GBDTPredictor struct {
 	Enc *features.Encoder
 	M   *gbdt.Model
 
 	// steps maps a static-bin vector to its step function; derived state,
-	// built on use and never saved. Readers load the map and never lock;
+	// built on use and never saved. Readers load the map without locking;
 	// mu serialises the writers, which publish a copy with one more table.
 	mu    sync.Mutex
 	steps atomic.Pointer[map[staticBins]stepTable]
+
+	// slots remembers the static bins and table of recently predicted VMs,
+	// by VM ID modulo numSlots; derived state like steps.
+	slots [numSlots]vmSlot
 }
 
 // uptimeCol is the uptime column of an encoded vector: the last one.
@@ -72,14 +77,32 @@ const uptimeCol = features.NumColumns - 1
 type staticBins [uptimeCol]uint8
 
 // stepTable is one step function: the clamped remaining lifetime by uptime
-// bin, len(Edges[uptimeCol])+1 entries. Zero marks an entry not computed
-// yet; clampRemaining never returns less than a minute.
-type stepTable []atomic.Int64
+// bin, len(Edges[uptimeCol])+1 entries. It is filled before it is published
+// and never written after.
+type stepTable []time.Duration
 
 // maxStepTables bounds the tables a predictor keeps: 8 bytes per uptime bin
 // each, 512 at the default 64 bins. A VM type past the bound is predicted
 // by the walk.
 const maxStepTables = 4096
+
+// numSlots is the number of per-VM slots, a power of two: room for the
+// VMs a pool of a few hundred hosts keeps live, at about 150 B a slot.
+const numSlots = 1024
+
+// vmSlot is what one VM's predictions share: its static bins and their
+// table. A slot answers for a VM whose features equal feat — the table is a
+// function of the features alone — so two VMs that share an ID, in two
+// pools or one after the other, cannot read each other's answers; they
+// only refill the slot in turn. mu guards the slot alone, so callers
+// predicting different VMs do not wait on each other.
+type vmSlot struct {
+	mu   sync.Mutex
+	set  bool
+	key  staticBins
+	feat features.Features
+	tab  stepTable // nil past maxStepTables: walk
+}
 
 // TrainGBDT trains the production-style model from trace records, using
 // the uptime-augmented survival examples of §3.
@@ -110,32 +133,66 @@ func (g *GBDTPredictor) Name() string { return "gbdt" }
 
 // PredictRemaining implements Predictor.
 func (g *GBDTPredictor) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration {
+	s := &g.slots[uint64(vm.ID)%numSlots]
+	s.mu.Lock()
+	if !s.set || s.feat != vm.Feat {
+		g.fillSlot(s, vm.Feat)
+	}
+	key, tab := s.key, s.tab
+	s.mu.Unlock()
+	ub := uptimeBin(g.M.Edges[uptimeCol], uptimeLog10(uptime))
+	if tab != nil {
+		return tab[ub]
+	}
+	bins := key.with(uint8(ub))
+	return remaining(g.M.PredictBinned(bins[:]))
+}
+
+// fillSlot points s at the VM features f: their static bins and the table
+// of those bins.
+func (g *GBDTPredictor) fillSlot(s *vmSlot, f features.Features) {
 	var xbuf [features.NumColumns]float64
 	var bbuf [features.NumColumns]uint8
-	x := g.Enc.AppendEncode(xbuf[:0], vm.Feat, uptimeLog10(uptime))
+	x := g.Enc.AppendEncode(xbuf[:0], f, ZeroUptimeLog10)
 	bins := g.M.AppendBins(bbuf[:0], x)
 	if len(bins) != features.NumColumns {
 		panic(fmt.Sprintf("model: GBDT over %d columns, want %d", len(bins), features.NumColumns))
 	}
-	tab := g.stepTable(staticBins(bins[:uptimeCol]))
-	if tab == nil {
-		return g.walk(bins)
-	}
-	step := &tab[bins[uptimeCol]]
-	if rem := step.Load(); rem != 0 {
-		return time.Duration(rem)
-	}
-	rem := g.walk(bins)
-	step.Store(int64(rem))
-	return rem
+	s.set, s.key, s.feat = true, staticBins(bins[:uptimeCol]), f
+	s.tab = g.stepTable(s.key)
 }
 
-// walk runs the forest over one binned vector.
-func (g *GBDTPredictor) walk(bins []uint8) time.Duration {
-	return clampRemaining(simtime.FromHours(math.Pow(10, g.M.PredictBinned(bins))))
+// uptimeBin is the bin the forest puts an uptime column value x in: the
+// count of edges <= x, as gbdt.Model.AppendBins counts it (a NaN goes past
+// the last edge).
+func uptimeBin(edges []float64, x float64) int {
+	lo, hi := 0, len(edges)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if !(edges[mid] > x) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
-// stepTable returns the table of one static-bin vector, adding it on first
+// with returns the full bin vector of the static bins and an uptime bin.
+func (k staticBins) with(uptime uint8) [features.NumColumns]uint8 {
+	var bins [features.NumColumns]uint8
+	copy(bins[:], k[:])
+	bins[uptimeCol] = uptime
+	return bins
+}
+
+// remaining turns a forest output, log10 remaining hours, into the
+// predicted remaining lifetime.
+func remaining(logh float64) time.Duration {
+	return clampRemaining(simtime.FromHours(math.Pow(10, logh)))
+}
+
+// stepTable returns the table of one static-bin vector, filling it on first
 // sight, or nil once the predictor holds maxStepTables others.
 func (g *GBDTPredictor) stepTable(key staticBins) stepTable {
 	tabs := g.stepTables()
@@ -148,9 +205,17 @@ func (g *GBDTPredictor) stepTable(key staticBins) stepTable {
 	if tab, ok := tabs[key]; ok || len(tabs) >= maxStepTables {
 		return tab
 	}
+	// One pass over the trees gives the output of every uptime bin.
+	var logh [256]float64
+	out := logh[:len(g.M.Edges[uptimeCol])+1]
+	bins := key.with(0)
+	g.M.PredictEachBin(out, bins[:], uptimeCol)
+	tab := make(stepTable, len(out))
+	for v, x := range out {
+		tab[v] = remaining(x)
+	}
 	next := make(map[staticBins]stepTable, len(tabs)+1)
 	maps.Copy(next, tabs)
-	tab := make(stepTable, len(g.M.Edges[uptimeCol])+1)
 	next[key] = tab
 	g.steps.Store(&next)
 	return tab

@@ -70,12 +70,51 @@ func TestGBDTStepTablesMatchTheWalk(t *testing.T) {
 	if len(tabs) == 0 || len(tabs) >= len(vms) {
 		t.Fatalf("%d step tables for %d VMs: tables must be shared by VM type", len(tabs), len(vms))
 	}
-	for _, tab := range tabs {
+	for key, tab := range tabs {
 		if len(tab) != len(g.M.Edges[uptimeCol])+1 {
 			t.Fatalf("step table has %d entries, want one per uptime bin (%d)", len(tab), len(g.M.Edges[uptimeCol])+1)
 		}
+		// Every entry, not only those the probed uptimes reach, is the walk
+		// of its bin vector.
+		for v, got := range tab {
+			bins := key.with(uint8(v))
+			if want := remaining(g.M.PredictBinned(bins[:])); got != want {
+				t.Fatalf("table %v bin %d: %v, walk %v", key, v, got, want)
+			}
+		}
 	}
+}
 
+// TestGBDTSlotsFollowTheFeatures: a VM ID that comes back with other
+// features — reused after an exit, or shared by two pools — or that lands
+// in another VM's slot gets the answer of the VM in hand.
+func TestGBDTSlotsFollowTheFeatures(t *testing.T) {
+	g, vms := trainedWithVMs(t, 2, 39, gbdt.Params{Trees: 20})
+	first := vms[0]
+	var other *cluster.VM
+	for _, vm := range vms[1:] {
+		if walkRemaining(g, vm, 0) != walkRemaining(g, first, 0) {
+			other = vm
+			break
+		}
+	}
+	if other == nil {
+		t.Fatal("every VM has the first one's prediction")
+	}
+	reused := *other
+	reused.ID = first.ID
+	collides := *other
+	collides.ID = first.ID + numSlots
+	ups := stepUptimes(g)
+	for pass := 0; pass < 2; pass++ {
+		for _, vm := range []*cluster.VM{first, &reused, first, &collides, first} {
+			for _, up := range ups {
+				if got, want := g.PredictRemaining(vm, up), walkRemaining(g, vm, up); got != want {
+					t.Fatalf("pass %d vm %d (%s) uptime %v: %v, walk %v", pass, vm.ID, vm.Feat.MetadataID, up, got, want)
+				}
+			}
+		}
+	}
 }
 
 // TestGBDTStepTableCap pushes a predictor past maxStepTables distinct VM
@@ -132,9 +171,16 @@ func TestGBDTStepTableCap(t *testing.T) {
 }
 
 // TestGBDTPredictConcurrently shares one cold predictor between goroutines
-// that race to create and fill the same tables (run under -race).
+// that race to fill the same tables and slots (run under -race). Every VM
+// has a twin with its ID and another VM's features, as the experiments'
+// pools, which all number their VMs from the same ID, have.
 func TestGBDTPredictConcurrently(t *testing.T) {
 	g, vms := trainedWithVMs(t, 2, 33, gbdt.Params{Trees: 10})
+	for i, n := 0, len(vms); i < n; i++ {
+		twin := *vms[i]
+		twin.Feat = vms[(i+1)%n].Feat
+		vms = append(vms, &twin)
+	}
 	ups := stepUptimes(g)
 	want := make([][]time.Duration, len(vms))
 	for i, vm := range vms {
@@ -161,34 +207,52 @@ func TestGBDTPredictConcurrently(t *testing.T) {
 	wg.Wait()
 }
 
+// TestGBDTWarmPredictionDoesNotAllocate: once a VM type's table exists, no
+// prediction for it allocates — repeated ones for a VM, nor the first of a
+// new VM object of that type, which only refills a slot.
 func TestGBDTWarmPredictionDoesNotAllocate(t *testing.T) {
 	g, vms := trainedWithVMs(t, 2, 35, gbdt.Params{Trees: 10})
 	vms = vms[:64]
+	// New VM objects of the same types, in the same slots as vms: each pass
+	// below evicts vms from their slots and is evicted in turn.
+	fresh := make([]*cluster.VM, len(vms))
+	for i, vm := range vms {
+		fresh[i] = &cluster.VM{ID: vm.ID + numSlots, Feat: vms[len(vms)-1-i].Feat}
+	}
 	ups := []time.Duration{0, 90 * time.Second, 5 * time.Hour, 2 * simtime.Day}
 	predictAll := func() {
-		for _, vm := range vms {
-			for _, up := range ups {
-				g.PredictRemaining(vm, up)
+		for _, set := range [][]*cluster.VM{vms, fresh} {
+			for _, vm := range set {
+				for _, up := range ups {
+					g.PredictRemaining(vm, up)
+				}
 			}
 		}
 	}
 	predictAll()
 	if n := testing.AllocsPerRun(10, predictAll); n != 0 {
-		t.Fatalf("warm PredictRemaining allocates %v times per %d calls", n, len(vms)*len(ups))
+		t.Fatalf("warm PredictRemaining allocates %v times per %d calls", n, 2*len(vms)*len(ups))
 	}
 }
 
 var sinkRemaining time.Duration
 
-// BenchmarkPredictRemaining is the model layer's row: one reprediction of a
-// VM of the generated workload. cold starts every batch of len(vms) x 4
-// calls from a predictor without tables (what the first placements of a run
-// pay); warm repeats calls whose table entries are filled.
+// BenchmarkPredictRemaining is the model layer's row: one prediction of a
+// VM of the generated workload. cold runs every VM through a placement's
+// worth of calls, uptime 0 then repredictions at growing uptimes, on a
+// predictor that starts each pass over the VMs without tables or slots
+// (what a run's first placements pay); warm repeats calls for VMs whose
+// slots and tables are filled.
 func BenchmarkPredictRemaining(b *testing.B) {
 	g, vms := trainedWithVMs(b, 3, 37, gbdt.Params{Trees: 100})
-	ups := []time.Duration{0, 90 * time.Second, 5 * time.Hour, 2 * simtime.Day}
-	batch := len(vms) * len(ups)
 	b.Run("cold", func(b *testing.B) {
+		// About as many calls per VM as LAVA makes per placement on the
+		// replay-gbdt workload: the placement, then host rescoring.
+		ups := []time.Duration{0}
+		for up := time.Minute; len(ups) < 20; up = up * 3 / 2 {
+			ups = append(ups, up)
+		}
+		batch := len(vms) * len(ups)
 		b.ReportAllocs()
 		var p *GBDTPredictor
 		for i := 0; i < b.N; i++ {
@@ -199,6 +263,8 @@ func BenchmarkPredictRemaining(b *testing.B) {
 			sinkRemaining = p.PredictRemaining(vms[k/len(ups)], ups[k%len(ups)])
 		}
 	})
+	ups := []time.Duration{0, 90 * time.Second, 5 * time.Hour, 2 * simtime.Day}
+	batch := len(vms) * len(ups)
 	b.Run("warm", func(b *testing.B) {
 		for k := 0; k < batch; k++ {
 			g.PredictRemaining(vms[k/len(ups)], ups[k%len(ups)])

@@ -20,8 +20,10 @@ import (
 // prediction; subsequent calls with growing uptime are the repredictions
 // that distinguish NILAS/LAVA from one-shot approaches. LAVA makes about
 // twenty of them per placement, so an implementation may keep derived state
-// to answer them (GBDTPredictor's step tables) as long as every answer
-// equals the one it would compute from scratch.
+// to answer them (GBDTPredictor's step tables and per-VM slots) as long as
+// every answer equals the one it would compute from scratch. Such state may
+// be keyed by VM ID only together with what the answer depends on: two
+// VMs can share an ID, in different pools or one after the other.
 type Predictor interface {
 	Name() string
 	PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration

@@ -22,11 +22,12 @@ type ExitCache struct {
 	// ablation (Fig. 17) and the latency study (Fig. 8) care about.
 	Predictions int64
 
-	// Single-entry memo for the VM being scheduled (see Remaining).
-	memoVM  cluster.VMID
+	// Single-entry memo for the VM being scheduled (see Remaining). It is
+	// keyed on the VM object, not its ID: an ID reused at the same instant
+	// names another VM.
+	memoVM  *cluster.VM
 	memoNow time.Duration
 	memoRem time.Duration
-	memoSet bool
 }
 
 type exitEntry struct {
@@ -75,12 +76,12 @@ func (c *ExitCache) compute(h *cluster.Host, now time.Duration) time.Duration {
 // same VM against every candidate host, but the model only needs to run
 // once ("we re-score in parallel VMs only on considered hosts", §5).
 func (c *ExitCache) Remaining(vm *cluster.VM, now time.Duration) time.Duration {
-	if c.memoVM == vm.ID && c.memoNow == now && c.memoSet {
+	if c.memoVM == vm && c.memoNow == now {
 		return c.memoRem
 	}
 	c.Predictions++
 	rem := c.Pred.PredictRemaining(vm, vm.Uptime(now))
-	c.memoVM, c.memoNow, c.memoRem, c.memoSet = vm.ID, now, rem, true
+	c.memoVM, c.memoNow, c.memoRem = vm, now, rem
 	return rem
 }
 

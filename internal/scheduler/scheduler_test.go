@@ -299,6 +299,10 @@ func TestExitCacheMemoizesVM(t *testing.T) {
 	if calls != 2 {
 		t.Fatalf("memo over-cached: %d calls, want 2", calls)
 	}
+	_ = c.Remaining(newVM(1, 4, 0, time.Hour), time.Minute) // same ID, another VM: recompute
+	if calls != 3 {
+		t.Fatalf("memo answered a new VM with its ID's prediction: %d calls, want 3", calls)
+	}
 }
 
 // --- LAVA ------------------------------------------------------------------------

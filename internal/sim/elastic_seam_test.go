@@ -6,8 +6,10 @@ import (
 
 	"lava/internal/cluster"
 	"lava/internal/features"
+	"lava/internal/model"
 	"lava/internal/resources"
 	"lava/internal/scheduler"
+	"lava/internal/simtime"
 	"lava/internal/trace"
 )
 
@@ -84,6 +86,40 @@ func TestMachineHostMembership(t *testing.T) {
 	// Time moved monotonically through the membership ops.
 	if m.Now() != 3*time.Hour {
 		t.Fatalf("machine clock at %v, want 3h", m.Now())
+	}
+}
+
+// TestMachineReusedIDAtSameInstant: a VM ID that exits and comes back at
+// the same instant names a new VM, and LAVA classifies it by a fresh
+// prediction, not the one it memoized for the VM that left.
+func TestMachineReusedIDAtSameInstant(t *testing.T) {
+	lava := scheduler.NewLAVA(model.Oracle{}, time.Minute)
+	m, err := NewMachine(Config{Trace: &trace.Trace{
+		PoolName: "reuse-test", Hosts: 2, HostCPU: 1000, HostMem: 1000, Horizon: 10 * time.Hour,
+	}, Policy: lava})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := time.Hour
+	rec := seamRecord(5, at)
+	rec.Lifetime = 2 * time.Minute
+	if _, err := m.Create(rec, at); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := m.Exit(5, at); !ok || err != nil {
+		t.Fatalf("Exit(5) = (%v, %v)", ok, err)
+	}
+	calls := lava.ModelCalls()
+	rec.Lifetime = 20 * simtime.Day
+	h, err := m.Create(rec, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Class != simtime.LC4 {
+		t.Fatalf("host opened as %v for a 20-day VM, want %v", h.Class, simtime.LC4)
+	}
+	if lava.ModelCalls() == calls {
+		t.Fatal("the new VM 5 was classified without a model call")
 	}
 }
 
