@@ -199,6 +199,8 @@ func TestCLIRefusals(t *testing.T) {
 			[]string{"-trace", good, "-addr", "127.0.0.1:0", "-router", "bogus"}, "-router"},
 		{"lavasim -router bogus", Lavasim,
 			[]string{"-trace", good, "-router", "bogus"}, "-router"},
+		{"lavad -admit negative refill", Lavad,
+			[]string{"-trace", good, "-addr", "127.0.0.1:0", "-admit", "standard=-5/1m"}, "standard=-5/1m"},
 		{"lavaload duplicate vm id", Lavaload,
 			[]string{"-trace", dup, "-addr", hs.URL}, "duplicate vm id"},
 		{"experiments -counterfactual with one policy", Experiments,

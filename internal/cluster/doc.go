@@ -6,11 +6,12 @@
 //
 // # Concurrency contract
 //
-// A Pool — and everything hanging off it: hosts, VMs, the free-capacity
-// index — is NOT safe for concurrent use. The contract is single-writer:
-// exactly one goroutine mutates a pool (through Place/Exit/Migrate, which
-// keep the index consistent), and no other goroutine may even read while
-// it does, since reads traverse the same index the writers rebuild.
+// A Pool — and everything hanging off it: hosts, VMs, the running
+// aggregates — is NOT safe for concurrent use. The contract is
+// single-writer: exactly one goroutine mutates a pool (through
+// Place/Exit/Migrate, which keep the aggregates consistent), and no other
+// goroutine may even read while it does, since reads see the same host
+// state and counters the writers update.
 // The code paths honoring this are
 //
 //   - internal/runner: each simulation job owns its pool outright — jobs
@@ -21,8 +22,8 @@
 //     read-only stats/snapshot queries, through a single event-loop
 //     goroutine rather than locking the pool.
 //
-// Pools deliberately carry no internal locking: the hot path (feasibility
-// scans over the capacity index) is the scheduler's inner loop, and the
+// Pools deliberately carry no internal locking: the hot path (placement
+// and exit bookkeeping) is the scheduler's inner loop, and the
 // single-writer discipline makes runs deterministic — concurrency changes
 // wall-clock time, never results.
 //

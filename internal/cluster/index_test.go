@@ -30,13 +30,16 @@ func sameHosts(t *testing.T, got, want []*Host) {
 	}
 }
 
-// TestAppendFeasibleMatchesScan drives a pool through a random
-// place/exit/migrate workload and checks the indexed feasibility scan
-// against the brute-force reference after every step, for a spread of
-// query shapes.
+// TestAppendFeasibleMatchesScan drives a pool through a random walk over
+// every mutation that moves the empty-host count — place, exit, migrate,
+// AddHosts, RemoveHost (of the highest ID or of one in the middle) and
+// Clone — plus availability flips. After every step it checks EmptyHosts,
+// AppendFeasible and the set of non-empty hosts against scans written here,
+// then CheckInvariants.
 func TestAppendFeasibleMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	p := NewPool("ix", 37, resources.Cores(32, 131072, 500)) // odd size: partial last block
+	capacity := resources.Cores(32, 131072, 500)
+	p := NewPool("ix", 37, capacity)
 	shapes := []resources.Vector{
 		resources.Cores(1, 4096, 0),
 		resources.Cores(8, 32768, 100),
@@ -46,53 +49,25 @@ func TestAppendFeasibleMatchesScan(t *testing.T) {
 	}
 	var buf []*Host
 	var id VMID
-	live := []*VM{}
-	for step := 0; step < 2000; step++ {
-		switch op := rng.Intn(10); {
-		case op < 6: // place
-			shape := shapes[rng.Intn(3)]
-			cands := naiveFeasible(p, shape)
-			if len(cands) == 0 {
-				continue
-			}
-			id++
-			vm := &VM{ID: id, Shape: shape}
-			if err := p.Place(vm, cands[rng.Intn(len(cands))]); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, vm)
-		case op < 8: // exit
-			if len(live) == 0 {
-				continue
-			}
-			i := rng.Intn(len(live))
-			if _, _, err := p.Exit(live[i].ID); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live[:i], live[i+1:]...)
-		case op < 9: // migrate
-			if len(live) == 0 {
-				continue
-			}
-			vm := live[rng.Intn(len(live))]
-			cands := naiveFeasible(p, vm.Shape)
-			dst := cands[:0]
-			for _, h := range cands {
-				if h != vm.Host {
-					dst = append(dst, h)
-				}
-			}
-			if len(dst) == 0 {
-				continue
-			}
-			if _, err := p.Migrate(vm.ID, dst[rng.Intn(len(dst))]); err != nil {
-				t.Fatal(err)
-			}
-		default: // toggle availability
-			p.Hosts()[rng.Intn(p.NumHosts())].Unavailable = rng.Intn(2) == 0
+	var live []VMID // the test's own ledger of running VMs
+
+	check := func(step int) {
+		t.Helper()
+		occupied := map[HostID]bool{}
+		for _, vid := range live {
+			occupied[p.HostOf(vid).ID] = true
 		}
-		if step%50 != 0 {
-			continue
+		empty := 0
+		for _, h := range p.Hosts() {
+			if h.Empty() == occupied[h.ID] {
+				t.Fatalf("step %d: host %d Empty() = %v, but the ledger says occupied = %v", step, h.ID, h.Empty(), occupied[h.ID])
+			}
+			if !occupied[h.ID] {
+				empty++
+			}
+		}
+		if got := p.EmptyHosts(); got != empty {
+			t.Fatalf("step %d: EmptyHosts = %d, scan %d", step, got, empty)
 		}
 		for _, shape := range shapes {
 			buf = p.AppendFeasible(buf[:0], shape)
@@ -102,13 +77,79 @@ func TestAppendFeasibleMatchesScan(t *testing.T) {
 			t.Fatalf("step %d: %v", step, err)
 		}
 	}
+
+	check(-1)
+	for step := 0; step < 3000; step++ {
+		switch op := rng.Intn(20); {
+		case op < 9: // place
+			shape := shapes[rng.Intn(3)]
+			cands := naiveFeasible(p, shape)
+			if len(cands) == 0 {
+				continue
+			}
+			id++
+			if err := p.Place(&VM{ID: id, Shape: shape}, cands[rng.Intn(len(cands))]); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, id)
+		case op < 15: // exit
+			if len(live) == 0 {
+				continue
+			}
+			i := rng.Intn(len(live))
+			if _, _, err := p.Exit(live[i]); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live[:i], live[i+1:]...)
+		case op < 17: // migrate
+			if len(live) == 0 {
+				continue
+			}
+			vid := live[rng.Intn(len(live))]
+			src := p.HostOf(vid)
+			var dst []*Host
+			for _, h := range naiveFeasible(p, src.VM(vid).Shape) {
+				if h != src {
+					dst = append(dst, h)
+				}
+			}
+			if len(dst) == 0 {
+				continue
+			}
+			if _, err := p.Migrate(vid, dst[rng.Intn(len(dst))]); err != nil {
+				t.Fatal(err)
+			}
+		case op < 18: // toggle availability
+			p.Hosts()[rng.Intn(p.NumHosts())].Unavailable = rng.Intn(2) == 0
+		case op < 19: // grow, or retire an empty host: the highest ID or a middle one
+			if rng.Intn(2) == 0 {
+				p.AddHosts(1+rng.Intn(2), capacity)
+				break
+			}
+			hosts := p.Hosts()
+			victim := hosts[len(hosts)-1]
+			if rng.Intn(2) == 0 {
+				victim = hosts[rng.Intn(len(hosts)-1)]
+			}
+			if !victim.Empty() || len(hosts) < 8 {
+				continue
+			}
+			if err := p.RemoveHost(victim.ID); err != nil {
+				t.Fatal(err)
+			}
+		default: // continue the walk on a deep copy
+			p = p.Clone()
+		}
+		check(step)
+	}
 }
 
-// TestForEachNonEmpty checks the indexed non-empty sweep and the O(blocks)
-// empty-host count against direct host inspection.
+// TestForEachNonEmpty checks the non-empty sweep LAVA's deadline check runs
+// (every host, skipping empty ones) and the empty-host counter against a
+// hand-placed scatter of VMs.
 func TestForEachNonEmpty(t *testing.T) {
 	p := NewPool("ne", 40, resources.Cores(8, 32768, 0))
-	// Occupy a scatter of hosts across blocks, including the last.
+	// Occupy a scatter of hosts, including the first and the last.
 	for i, hid := range []HostID{0, 15, 16, 39} {
 		vm := &VM{ID: VMID(i + 1), Shape: resources.Cores(1, 1024, 0)}
 		if err := p.Place(vm, p.Host(hid)); err != nil {
@@ -116,7 +157,11 @@ func TestForEachNonEmpty(t *testing.T) {
 		}
 	}
 	var seen []HostID
-	p.ForEachNonEmpty(func(h *Host) { seen = append(seen, h.ID) })
+	for _, h := range p.Hosts() {
+		if !h.Empty() {
+			seen = append(seen, h.ID)
+		}
+	}
 	want := []HostID{0, 15, 16, 39}
 	if len(seen) != len(want) {
 		t.Fatalf("non-empty hosts = %v, want %v", seen, want)

@@ -18,17 +18,18 @@ type Pool struct {
 	hosts []*Host // sorted by ID; membership changes only via AddHosts/RemoveHost
 	byID  map[HostID]*Host
 	vms   map[VMID]*Host  // VM -> current host
-	idx   *capIndex       // free-capacity index over hosts
 	subs  []*subscription // host-event subscribers (see events.go)
 
 	// Running pool-wide aggregates, maintained O(1) per mutation so metric
-	// sampling costs O(1) instead of an O(hosts) scan. All three are exact
+	// sampling costs O(1) instead of an O(hosts) scan. All four are exact
 	// integer sums, so the derived metrics are bit-identical to the scans
 	// they replaced. emptyCap is the capacity summed over currently empty
-	// hosts (an empty host's free vector IS its capacity).
+	// hosts (an empty host's free vector IS its capacity) and empty counts
+	// those hosts; the two change together.
 	usedTot  resources.Vector
 	capTot   resources.Vector
 	emptyCap resources.Vector
+	empty    int
 
 	// Counters for telemetry (§7: production monitoring).
 	Placements int
@@ -50,7 +51,7 @@ func NewPool(name string, n int, capacity resources.Vector) *Pool {
 		p.capTot = p.capTot.Add(capacity)
 		p.emptyCap = p.emptyCap.Add(capacity)
 	}
-	p.idx = newCapIndex(p.hosts)
+	p.empty = n
 	return p
 }
 
@@ -83,7 +84,7 @@ func (p *Pool) AddHosts(n int, capacity resources.Vector) []*Host {
 		p.capTot = p.capTot.Add(capacity)
 		p.emptyCap = p.emptyCap.Add(capacity)
 	}
-	p.idx = newCapIndex(p.hosts)
+	p.empty += n
 	for _, h := range added {
 		p.notify(h, HostAdded)
 	}
@@ -112,7 +113,7 @@ func (p *Pool) RemoveHost(id HostID) error {
 	delete(p.byID, id)
 	p.capTot = p.capTot.Sub(h.Capacity)
 	p.emptyCap = p.emptyCap.Sub(h.Capacity) // removable hosts are empty
-	p.idx = newCapIndex(p.hosts)
+	p.empty--
 	p.notify(h, HostRemoved)
 	return nil
 }
@@ -130,20 +131,16 @@ func (p *Pool) NumVMs() int { return len(p.vms) }
 func (p *Pool) HostOf(id VMID) *Host { return p.vms[id] }
 
 // AppendFeasible appends the available hosts that can fit a VM of the given
-// shape to dst and returns the extended slice, in host-ID order. It is the
-// indexed replacement for a full-pool Fits scan: whole blocks of hosts are
-// skipped when their summary says the shape cannot fit (see capIndex).
-// Callers pass a reusable buffer (dst[:0]) to avoid per-request allocation.
+// shape to dst and returns the extended slice, in host-ID order. It scans
+// every host; callers pass a reusable buffer (dst[:0]) to avoid
+// per-request allocation.
 func (p *Pool) AppendFeasible(dst []*Host, shape resources.Vector) []*Host {
-	return p.idx.appendFeasible(dst, shape)
-}
-
-// ForEachNonEmpty calls fn for every host with at least one VM, in host-ID
-// order, skipping fully empty regions of the pool via the index. Policies
-// use it for periodic sweeps (e.g. LAVA deadline checks) that only concern
-// occupied hosts.
-func (p *Pool) ForEachNonEmpty(fn func(*Host)) {
-	p.idx.forEachNonEmpty(fn)
+	for _, h := range p.hosts {
+		if !h.Unavailable && h.Fits(shape) {
+			dst = append(dst, h)
+		}
+	}
+	return dst
 }
 
 // Place assigns vm to host h. The VM must not already be placed.
@@ -159,8 +156,8 @@ func (p *Pool) Place(vm *VM, h *Host) error {
 	p.usedTot = p.usedTot.Add(vm.Shape)
 	if wasEmpty {
 		p.emptyCap = p.emptyCap.Sub(h.Capacity)
+		p.empty--
 	}
-	p.idx.update(h.ID)
 	p.Placements++
 	p.notify(h, HostPlaced)
 	return nil
@@ -180,8 +177,8 @@ func (p *Pool) Exit(id VMID) (*Host, *VM, error) {
 	p.usedTot = p.usedTot.Sub(vm.Shape)
 	if h.Empty() {
 		p.emptyCap = p.emptyCap.Add(h.Capacity)
+		p.empty++
 	}
-	p.idx.update(h.ID)
 	p.Exits++
 	p.notify(h, HostExited)
 	return h, vm, nil
@@ -215,12 +212,12 @@ func (p *Pool) Migrate(id VMID, dst *Host) (*Host, error) {
 	// if the source drained or the destination was previously empty.
 	if src.Empty() {
 		p.emptyCap = p.emptyCap.Add(src.Capacity)
+		p.empty++
 	}
 	if dstWasEmpty {
 		p.emptyCap = p.emptyCap.Sub(dst.Capacity)
+		p.empty--
 	}
-	p.idx.update(src.ID)
-	p.idx.update(dst.ID)
 	vm.Migrations++
 	p.Migrations++
 	p.notify(src, HostMigratedOut)
@@ -228,11 +225,9 @@ func (p *Pool) Migrate(id VMID, dst *Host) (*Host, error) {
 	return src, nil
 }
 
-// EmptyHosts returns the number of hosts with no VMs, read off the index's
-// block summaries rather than a host scan (it runs at every metric sample).
-func (p *Pool) EmptyHosts() int {
-	return p.idx.emptyHosts()
-}
+// EmptyHosts returns the number of hosts with no VMs, O(1) off the running
+// aggregates (it runs at every metric sample).
+func (p *Pool) EmptyHosts() int { return p.empty }
 
 // EmptyHostFraction returns EmptyHosts / NumHosts, the paper's primary bin
 // packing metric (§2.3, Appendix D).
@@ -312,7 +307,7 @@ func (p *Pool) Clone() *Pool {
 	c.usedTot = p.usedTot
 	c.capTot = p.capTot
 	c.emptyCap = p.emptyCap
-	c.idx = newCapIndex(c.hosts)
+	c.empty = p.empty
 	return c
 }
 
@@ -347,11 +342,13 @@ func (p *Pool) CheckInvariants() error {
 		return fmt.Errorf("vm index size %d != hosted VMs %d", len(p.vms), len(seen))
 	}
 	var usedTot, capTot, emptyCap resources.Vector
+	empty := 0
 	for _, h := range p.hosts {
 		usedTot = usedTot.Add(h.Used())
 		capTot = capTot.Add(h.Capacity)
 		if h.Empty() {
 			emptyCap = emptyCap.Add(h.Capacity)
+			empty++
 		}
 	}
 	if usedTot != p.usedTot {
@@ -363,5 +360,8 @@ func (p *Pool) CheckInvariants() error {
 	if emptyCap != p.emptyCap {
 		return fmt.Errorf("emptyCap aggregate %s != scan %s", p.emptyCap, emptyCap)
 	}
-	return p.idx.checkInvariants()
+	if empty != p.empty {
+		return fmt.Errorf("empty-host count %d != scan %d", p.empty, empty)
+	}
+	return nil
 }

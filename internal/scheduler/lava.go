@@ -97,12 +97,12 @@ func (l *LAVA) OnExited(pool *cluster.Pool, h *cluster.Host, vm *cluster.VM, now
 
 // OnTick implements Policy: deadline expiry detection (Fig. 5c). A host
 // that outlives its class deadline was under-predicted; promote it one
-// class and restart the clock. The sweep runs every tick, so it iterates
-// only occupied hosts via the pool's free-capacity index.
+// class and restart the clock. The sweep visits the occupied hosts in
+// host-ID order.
 func (l *LAVA) OnTick(pool *cluster.Pool, now time.Duration) {
-	pool.ForEachNonEmpty(func(h *cluster.Host) {
-		if h.State == cluster.StateEmpty {
-			return
+	for _, h := range pool.Hosts() {
+		if h.Empty() || h.State == cluster.StateEmpty {
+			continue
 		}
 		if now > h.Deadline {
 			h.PromoteClass(now)
@@ -111,5 +111,5 @@ func (l *LAVA) OnTick(pool *cluster.Pool, now time.Duration) {
 			// mutation; announce it so score caches re-bucket the host.
 			pool.InvalidateHost(h.ID)
 		}
-	})
+	}
 }

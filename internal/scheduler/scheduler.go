@@ -114,7 +114,8 @@ type Chain struct {
 // Name implements Policy.
 func (c *Chain) Name() string { return c.ChainName }
 
-// Schedule implements Policy.
+// Schedule implements Policy. It is the exhaustive engine: every placement
+// scans the whole pool for feasible hosts, then scores each survivor.
 func (c *Chain) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Duration) (*cluster.Host, error) {
 	candidates := pool.AppendFeasible(c.cand[:0], vm.Shape)
 	c.cand = candidates

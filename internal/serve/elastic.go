@@ -522,6 +522,9 @@ func fleetTopology(cfg *FleetConfig, grow func(idx, hosts int) error) (*topology
 	if cfg.PoolName == "" {
 		cfg.PoolName = "pool"
 	}
+	if err := cfg.SLO.Validate(); err != nil {
+		return nil, err
+	}
 	cfg.SLO = cfg.SLO.Normalize()
 	hosts := cell.SplitHosts(cfg.Hosts, cfg.Cells)
 	topo, err := newTopology(cfg.Router, hosts)

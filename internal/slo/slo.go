@@ -62,7 +62,7 @@ func ParseClass(s string) (string, error) {
 // Bucket is one class's token-bucket limit. The zero value means unlimited.
 // Refill tokens land at every Window boundary of virtual time; Burst caps
 // the balance (0 defaults to Refill). A bucket with Burst > 0 and Refill == 0
-// is a fixed budget that never refills.
+// is a fixed budget that never refills. Negative Burst or Refill is invalid.
 type Bucket struct {
 	Burst  int64         `json:"burst,omitempty"`
 	Refill int64         `json:"refill,omitempty"`
@@ -70,7 +70,7 @@ type Bucket struct {
 }
 
 // Unlimited reports whether the bucket imposes no limit.
-func (b Bucket) Unlimited() bool { return b.Burst <= 0 && b.Refill <= 0 }
+func (b Bucket) Unlimited() bool { return b.Burst == 0 && b.Refill == 0 }
 
 // burst returns the effective balance cap.
 func (b Bucket) burst() int64 {
@@ -80,12 +80,12 @@ func (b Bucket) burst() int64 {
 	return b.Refill
 }
 
-func (b Bucket) validate(class string) error {
-	if b.Unlimited() {
-		return nil
-	}
-	if b.Window <= 0 {
-		return fmt.Errorf("slo: class %s: limited bucket needs a positive window", class)
+func (b Bucket) validate() error {
+	switch {
+	case b.Burst < 0 || b.Refill < 0:
+		return fmt.Errorf("negative burst %d or refill %d", b.Burst, b.Refill)
+	case !b.Unlimited() && b.Window <= 0:
+		return errors.New("limited bucket needs a positive window")
 	}
 	return nil
 }
@@ -137,8 +137,8 @@ func (c *Config) Validate() error {
 		return nil
 	}
 	for _, cls := range Classes() {
-		if err := c.Bucket(cls).validate(cls); err != nil {
-			return err
+		if err := c.Bucket(cls).validate(); err != nil {
+			return fmt.Errorf("slo: class %s: %v", cls, err)
 		}
 	}
 	return nil
@@ -191,6 +191,9 @@ func ParseConfig(spec string) (*Config, error) {
 				return nil, fmt.Errorf("slo: bad burst in clause %q: %v", clause, err)
 			}
 		}
+		if err := b.validate(); err != nil {
+			return nil, fmt.Errorf("slo: bad admission clause %q: %v", clause, err)
+		}
 		switch cls {
 		case ClassLatency:
 			cfg.Latency = b
@@ -199,9 +202,6 @@ func ParseConfig(spec string) (*Config, error) {
 		case ClassBestEffort:
 			cfg.BestEffort = b
 		}
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
 	}
 	return cfg, nil
 }
@@ -303,9 +303,12 @@ func (g *Gate) Admit(class string, at time.Duration) (ok bool, retryAt time.Dura
 		st.win = w
 		st.tokens = b.burst()
 	case w > st.win:
-		st.tokens += (w - st.win) * b.Refill
-		if max := b.burst(); st.tokens > max {
-			st.tokens = max
+		// Saturate before multiplying, so a huge Refill or a long idle
+		// stretch cannot overflow the balance.
+		if room := b.burst() - st.tokens; b.Refill > 0 && w-st.win > room/b.Refill {
+			st.tokens = b.burst()
+		} else {
+			st.tokens += (w - st.win) * b.Refill
 		}
 		st.win = w
 	}
@@ -542,26 +545,34 @@ func ParseMix(spec string) (Mix, error) {
 	if m.total <= 0 {
 		return Mix{}, fmt.Errorf("slo: mix %q has no positive weight", spec)
 	}
+	if math.IsInf(m.total, 0) {
+		return Mix{}, fmt.Errorf("slo: mix %q weights do not sum to a finite total", spec)
+	}
 	return m, nil
 }
 
 // Zero reports an empty mix (ParseMix("")).
 func (m Mix) Zero() bool { return m.total <= 0 }
 
-// Pick maps u in [0, 1) to a class by cumulative weight.
+// Pick maps u in [0, 1) to a class by cumulative weight. A class of weight 0
+// is never picked, even when rounding leaves the cumulative sum below u.
 func (m Mix) Pick(u float64) string {
 	if m.Zero() {
 		return ClassStandard
 	}
-	cum := 0.0
+	cum, last := 0.0, 0
 	classes := Classes()
 	for i, w := range m.weights {
+		if w == 0 {
+			continue
+		}
 		cum += w / m.total
 		if u < cum {
 			return classes[i]
 		}
+		last = i
 	}
-	return classes[len(classes)-1]
+	return classes[last]
 }
 
 // AssignClasses returns a copy of tr whose records carry classes drawn from

@@ -61,10 +61,17 @@ func TestParseConfig(t *testing.T) {
 		"latency=1/1m:x",    // bad burst
 		"latency=1",         // no window separator
 		"besteffort=0/0s:5", // limited (burst>0) but no usable window
+		"standard=-5/1m",    // negative refill: must not read as no limit
+		"standard=-3/1m:5",  // negative refill: would drain the bucket
+		"latency=1/1m:-2",   // negative burst
 	} {
 		if _, err := ParseConfig(bad); err == nil {
 			t.Fatalf("ParseConfig(%q) accepted", bad)
 		}
+	}
+	// A config built in code is refused the same way.
+	if err := (&Config{Standard: Bucket{Refill: -5, Window: time.Minute}}).Validate(); err == nil {
+		t.Fatal("Validate accepted a negative refill")
 	}
 }
 
@@ -161,6 +168,15 @@ func TestGateAdmitEdgeCases(t *testing.T) {
 	}
 	if ok, _ := g.Admit(ClassStandard, 500*win); ok {
 		t.Fatal("fixed budget refilled")
+	}
+
+	// A refill too large to multiply by the elapsed windows saturates at
+	// the cap instead of wrapping the balance negative.
+	g = NewGate(&Config{Standard: Bucket{Refill: 1 << 62, Window: time.Nanosecond}})
+	for _, at := range []time.Duration{0, 3} {
+		if ok, _ := g.Admit(ClassStandard, at); !ok {
+			t.Fatalf("huge-refill admit at %v rejected", at)
+		}
 	}
 
 	// Negative virtual time clamps to 0 rather than producing a negative
@@ -310,7 +326,8 @@ func TestParseMixAndAssignClasses(t *testing.T) {
 	if m, err := ParseMix(""); err != nil || !m.Zero() {
 		t.Fatalf("empty mix = (%+v, %v)", m, err)
 	}
-	for _, bad := range []string{"latency", "gold=1", "latency=-1", "latency=x", "latency=0,standard=0"} {
+	for _, bad := range []string{"latency", "gold=1", "latency=-1", "latency=x", "latency=0,standard=0",
+		"latency=1e308,standard=1e308"} { // total overflows to +Inf
 		if _, err := ParseMix(bad); err == nil {
 			t.Fatalf("ParseMix(%q) accepted", bad)
 		}
