@@ -251,3 +251,74 @@ func benchColdContext(b *testing.B, f *scaleFixture, pol scheduler.Policy) {
 	}
 	b.ReportMetric(float64(p.NumHosts()), "hosts")
 }
+
+// BenchmarkOpenHostPlacement isolates the placements that must open a host,
+// the decisions the score cache's blank shortcut resolves (DESIGN.md §6).
+// The dense fixture of BenchmarkScalePlacement holds no empty host and never
+// takes that path. Here one host in 14 runs a VM that takes just over half
+// its CPU, so about 93 % of the pool is blank. Every op places a VM that
+// needs half a host, which only an empty host can take, and then exits it,
+// so every op sees the same pool. CI's bench-gate holds the cached 1k rows.
+func BenchmarkOpenHostPlacement(b *testing.B) {
+	pred := model.Oracle{}
+	for _, hosts := range []int{1000, 10000} {
+		for _, pc := range []struct {
+			name string
+			mk   func() scheduler.Policy
+		}{
+			{"wastemin", func() scheduler.Policy { return scheduler.NewWasteMin() }},
+			{"nilas-epoch", func() scheduler.Policy {
+				return scheduler.NewNILASEpoch(pred, time.Minute, scheduler.DefaultEpoch)
+			}},
+			{"lava-epoch", func() scheduler.Policy {
+				return scheduler.NewLAVAEpoch(pred, time.Minute, scheduler.DefaultEpoch)
+			}},
+		} {
+			for _, eng := range []struct {
+				name string
+				e    scheduler.Engine
+			}{{"cached", scheduler.EngineCached}, {"exhaustive", scheduler.EngineExhaustive}} {
+				b.Run(fmt.Sprintf("hosts=%d/policy=%s/engine=%s", hosts, pc.name, eng.name), func(b *testing.B) {
+					benchOpenHost(b, hosts, scheduler.SetEngine(pc.mk(), eng.e))
+				})
+			}
+		}
+	}
+}
+
+func benchOpenHost(b *testing.B, hosts int, pol scheduler.Policy) {
+	capacity := workload.DefaultHostShape
+	p := cluster.NewPool("open", hosts, capacity)
+	resident := resources.Vector{CPUMilli: capacity.CPUMilli/2 + 1000, MemoryMB: capacity.MemoryMB / 2}
+	for i := 0; i < hosts; i += 14 {
+		vm := &cluster.VM{ID: cluster.VMID(i + 1), Shape: resident, TrueLifetime: 1000 * time.Hour}
+		if err := p.Place(vm, p.Host(cluster.HostID(i))); err != nil {
+			b.Fatal(err)
+		}
+		pol.OnPlaced(p, vm.Host, vm, 0)
+	}
+	half := resources.Vector{CPUMilli: capacity.CPUMilli / 2, MemoryMB: capacity.MemoryMB / 2}
+	now := benchStart
+	arrival := func(id cluster.VMID) *cluster.VM {
+		return &cluster.VM{ID: id, Shape: half, Created: now, TrueLifetime: time.Hour}
+	}
+	_, _ = pol.Schedule(p, arrival(1_000_000), now) // build the one context before the timer
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += 50 * time.Millisecond
+		vm := arrival(cluster.VMID(1_000_001 + i))
+		h, err := pol.Schedule(p, vm, now)
+		if err != nil || !h.Empty() {
+			b.Fatalf("op %d: host %v, err %v; want an empty host", i, h, err)
+		}
+		if err := p.Place(vm, h); err != nil {
+			b.Fatal(err)
+		}
+		pol.OnPlaced(p, h, vm, now)
+		if _, _, err := p.Exit(vm.ID); err != nil {
+			b.Fatal(err)
+		}
+		pol.OnExited(p, h, vm, now)
+	}
+	b.ReportMetric(p.EmptyHostFraction(), "empty-frac")
+}

@@ -15,7 +15,7 @@ import (
 // only as a last resort — the precondition for any empty-host metric to be
 // meaningful.
 func AvoidEmptyScorer() Scorer {
-	return ScorerFunc{FuncName: "avoid-empty", F: func(h *cluster.Host, _ *cluster.VM, _ time.Duration) float64 {
+	return ScorerFunc{FuncName: "avoid-empty", blankAlike: true, F: func(h *cluster.Host, _ *cluster.VM, _ time.Duration) float64 {
 		if h.Empty() {
 			return 1
 		}
@@ -30,7 +30,7 @@ func AvoidEmptyScorer() Scorer {
 // pool, a balanced leftover shape is the shape most likely to fit future
 // VMs.
 func WasteMinScorer() Scorer {
-	return ScorerFunc{FuncName: "waste-min", F: func(h *cluster.Host, vm *cluster.VM, _ time.Duration) float64 {
+	return ScorerFunc{FuncName: "waste-min", blankAlike: true, F: func(h *cluster.Host, vm *cluster.VM, _ time.Duration) float64 {
 		free := h.Free().Sub(vm.Shape)
 		return resources.Imbalance(free, h.Capacity)
 	}}
@@ -39,7 +39,7 @@ func WasteMinScorer() Scorer {
 // BestFitScorer prefers the host that ends up most utilized after the
 // placement (classic best fit over the dominant resource dimension).
 func BestFitScorer() Scorer {
-	return ScorerFunc{FuncName: "best-fit", F: func(h *cluster.Host, vm *cluster.VM, _ time.Duration) float64 {
+	return ScorerFunc{FuncName: "best-fit", blankAlike: true, F: func(h *cluster.Host, vm *cluster.VM, _ time.Duration) float64 {
 		used := h.Used().Add(vm.Shape)
 		return -resources.DominantShare(used, h.Capacity)
 	}}

@@ -93,11 +93,14 @@ func (e *epochTemporal) onExited(h *cluster.Host) {
 // result depends only on the host's exit estimate and the VM's quantized
 // remaining lifetime (part of the cache context), which is what lets the
 // incremental engine cache it as a static level; CachedChain.Epoch drops
-// the cached values when now crosses an epoch boundary.
+// the cached values when now crosses an epoch boundary. An empty host exits
+// "now" whatever its slot holds, as in ExitCache.HostExit: a host drained
+// without the exit hook (a defrag placeholder, a direct pool mutation)
+// scores like a never-used one.
 func (e *epochTemporal) score(h *cluster.Host, vm *cluster.VM, now time.Duration) float64 {
 	es := now - now%e.epoch // epoch start
 	hx := es                // empty or already-drained hosts exit "now", floored to the grid
-	if int(h.ID) < len(e.exits) && e.exits[h.ID] > es {
+	if !h.Empty() && int(h.ID) < len(e.exits) && e.exits[h.ID] > es {
 		hx = e.exits[h.ID]
 	}
 	qv := simtime.TemporalCost(e.cache.Remaining(vm, now))
@@ -133,7 +136,7 @@ func NewLAVAEpoch(pred model.Predictor, refresh, epoch time.Duration) *LAVA {
 		epoch = DefaultEpoch
 	}
 	l := &LAVA{}
-	l.init("lava-epoch", pred, refresh, epoch, ScorerFunc{FuncName: "lava-class", F: l.classScore})
+	l.init("lava-epoch", pred, refresh, epoch, l.classScorer())
 	bucket := l.ClassOf
 	l.ClassOf = func(vm *cluster.VM, now time.Duration) int32 {
 		return int32(l.vmClass(vm, now))<<4 | bucket(vm, now)

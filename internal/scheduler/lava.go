@@ -40,7 +40,7 @@ type LAVA struct {
 // themselves through Pool.InvalidateHost.
 func NewLAVA(pred model.Predictor, refresh time.Duration) *LAVA {
 	l := &LAVA{}
-	l.init("lava", pred, refresh, 0, ScorerFunc{FuncName: "lava-class", F: l.classScore})
+	l.init("lava", pred, refresh, 0, l.classScorer())
 	l.ClassOf = func(vm *cluster.VM, now time.Duration) int32 { return int32(l.vmClass(vm, now)) }
 	return l
 }
@@ -49,6 +49,12 @@ func NewLAVA(pred model.Predictor, refresh time.Duration) *LAVA {
 // current uptime — new VMs at uptime zero, migrating VMs at their age.
 func (l *LAVA) vmClass(vm *cluster.VM, now time.Duration) simtime.LifetimeClass {
 	return simtime.ClassOf(l.cache.Remaining(vm, now))
+}
+
+// classScorer is the LAVA class level of both constructors. A blank host
+// is empty in StateEmpty, so it always scores 6.
+func (l *LAVA) classScorer() Scorer {
+	return ScorerFunc{FuncName: "lava-class", F: l.classScore, blankAlike: true}
 }
 
 // classScore is the LAVA coarse-grained preference level.

@@ -54,7 +54,7 @@ func (n *NILAS) init(name string, pred model.Predictor, refresh, epoch time.Dura
 		n.Dynamic[len(above)] = true
 	} else {
 		n.et = &epochTemporal{cache: n.cache, epoch: epoch}
-		temporal = ScorerFunc{FuncName: "temporal-epoch", F: n.et.score}
+		temporal = ScorerFunc{FuncName: "temporal-epoch", F: n.et.score, blankAlike: true}
 		n.Epoch, n.epochLevel = epoch, len(above)
 		n.ClassOf = func(vm *cluster.VM, now time.Duration) int32 {
 			return int32(simtime.TemporalCost(n.cache.Remaining(vm, now)))

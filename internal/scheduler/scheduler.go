@@ -175,6 +175,12 @@ func (c *Chain) OnTick(*cluster.Pool, time.Duration) {}
 type ScorerFunc struct {
 	FuncName string
 	F        func(h *cluster.Host, vm *cluster.VM, now time.Duration) float64
+
+	// blankAlike marks a static scorer that gives every blank host the same
+	// score for a given VM and time (see CachedChain.Schedule's blank
+	// shortcut). Only the built-in constructors set it: a scorer that reads
+	// host identity or per-host side state must not.
+	blankAlike bool
 }
 
 // Name implements Scorer.

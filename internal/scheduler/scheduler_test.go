@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -282,6 +283,29 @@ func TestExitCacheEmptyHost(t *testing.T) {
 	now := 7 * time.Hour
 	if got := c.HostExit(p.Host(0), now); got != now {
 		t.Fatalf("empty host exit = %v, want now (%v)", got, now)
+	}
+}
+
+// TestEpochTemporalEmptyHostExitsNow is ExitCache's empty-host rule on the
+// epoch-quantized level: a host emptied by a bare pool.Exit, with no
+// OnExited to reset its exit estimate, scores exactly like a never-used host
+// for every probe VM and time, across epoch boundaries.
+func TestEpochTemporalEmptyHostExitsNow(t *testing.T) {
+	n := NewNILASEpoch(model.Oracle{}, time.Minute, DefaultEpoch)
+	p := pool(2)
+	used, fresh := p.Host(0), p.Host(1)
+	placedAt := 30 * time.Minute
+	vm := place(t, p, n, 1, 4, placedAt, 300*time.Hour, used)
+	if _, _, err := p.Exit(vm.ID); err != nil {
+		t.Fatal(err)
+	}
+	for _, life := range []time.Duration{time.Minute, 3 * time.Hour, 30 * time.Hour, 300 * time.Hour} {
+		for _, at := range []time.Duration{placedAt, DefaultEpoch - 1, DefaultEpoch, 5*DefaultEpoch + time.Minute} {
+			probe := newVM(2, 4, at, life)
+			if a, b := n.et.score(used, probe, at), n.et.score(fresh, probe, at); math.Float64bits(a) != math.Float64bits(b) {
+				t.Errorf("life %v at %v: emptied host scores %v, never-used host %v", life, at, a, b)
+			}
+		}
 	}
 }
 

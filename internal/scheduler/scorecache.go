@@ -28,6 +28,24 @@ import (
 // column holds more than 115). A *cluster.Host is touched only to hand it
 // to a Scorer — a lazy fill, a dynamic level — and to return the winner.
 //
+// One kind of decision skips the walk: opening a host. When a VM fits on no
+// occupied host, the winning bucket is every empty host (about 9.6k of 10k
+// on replay-scale), and the walk would score each on every level below 0
+// only to return the lowest ID. A blank host (blank) is empty with LAVA's
+// State, Class and Deadline at zero. On a pool of one capacity (checked at
+// bind), a scorer that reads nothing else of a host gives every blank host
+// the same score; the built-in avoid-empty, waste-min, best-fit, lava-class
+// and temporal-epoch scorers say so through ScorerFunc's unexported
+// blankAlike marker. So each bucket counts its blank members, and when the
+// winning bucket holds nothing else, every level below it is static and
+// marked, and decision capture is off, Schedule returns the bucket's lowest
+// member unscored (CacheStats.BlankPicks). The marker is a promise: a static
+// scorer that reads host identity or per-host side state must not carry it
+// (TestBlankHostsScoreAlike checks the built-ins). Outside scorers, chains
+// with a dynamic level (exact NILAS and LAVA), traced runs and the
+// exhaustive engine keep the walk, and a chain that can never take the
+// shortcut keeps no blank counts.
+//
 // Equivalence to the exhaustive path is structural, not statistical: both
 // engines put the same candidates through the same epsilon rule (sift) in
 // the same ID order, with static levels read from cache and time-varying
@@ -59,10 +77,11 @@ type CacheContext struct {
 
 // maxCachedContexts bounds the per-policy context population (distinct VM
 // shapes x classes). Workload mixes are small and discrete — the fig6 mix
-// has ~21 shapes, times four LAVA lifetime classes ~84 contexts; the epoch
-// variants multiply by the ~11 quantized remaining-lifetime buckets instead,
-// of which only a handful are populated per shape (lava-epoch holds 136 on
-// the benchmark's replay-scale workload; CacheStats reports the live count)
+// has 18 distinct shapes (wastemin holds 17 contexts on the benchmark's
+// replay-scale workload), times at most four LAVA lifetime classes; the
+// epoch variants multiply by the ~11 quantized remaining-lifetime buckets
+// instead, of which only a handful are populated per shape (lava-epoch holds
+// 133–138 on replay-scale, seeds 1–7; CacheStats reports the live count)
 // — so the cap sits above the realistic population and exists only to keep
 // memory bounded under adversarial inputs (memory ceiling: contexts x hosts
 // x (levels+1) bytes plus bucket bitsets and value tables, CacheStats.Bytes).
@@ -131,6 +150,11 @@ type CachedChain struct {
 	hosts  []*cluster.Host // pool.Hosts(); hosts[i].ID == i (checked at bind)
 	stats  CacheStats
 
+	// blankOK: the bound pool has one capacity and every level below level
+	// 0 is static and scores blank hosts alike (bind), so the buckets count
+	// their blank members and Schedule may take the blank shortcut.
+	blankOK bool
+
 	sets   map[CacheContext]*candSet
 	list   []*candSet // same sets, for event fan-out and eviction
 	useSeq uint64
@@ -195,7 +219,9 @@ func (c *CachedChain) dyn(li int) bool {
 // Schedule implements Policy. In cached mode it syncs the context's
 // candidate set with the hosts dirtied since the last call, then filters
 // only the winning level-0 bucket (or, when level 0 is dynamic, the
-// feasible set) through the epsilon rule the exhaustive engine applies.
+// feasible set) through the epsilon rule the exhaustive engine applies — or,
+// when that bucket holds only blank hosts, returns its lowest member (see
+// the file comment).
 func (c *CachedChain) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Duration) (*cluster.Host, error) {
 	if c.engine == EngineExhaustive || c.TimeVarying || !c.bind(pool) {
 		return c.Chain.Schedule(pool, vm, now)
@@ -239,6 +265,13 @@ func (c *CachedChain) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Dura
 		return nil, ErrNoCapacity
 	}
 	c.stats.Filtered += int64(win.n)
+	if t == nil && win.blanks == win.n {
+		// The blank shortcut: every candidate is blank and every level
+		// below the key scores blank hosts alike (bind), so each level's
+		// sift would keep them all and the lowest ID would win.
+		c.stats.BlankPicks++
+		return c.hosts[win.first()], nil
+	}
 	// A static level 0 was consumed by the bucket structure: the winning
 	// bucket is exactly the set of feasible hosts with the minimal level-0
 	// score, i.e. the survivors of the exhaustive level-0 filter. Bucketed
@@ -343,9 +376,10 @@ type CacheStats struct {
 	Rebuilds      int64 `json:"rebuilds"`       // full pool rescans: cold builds, level-0 rollovers
 	HostsResynced int64 `json:"hosts_resynced"` // dirty hosts re-scored on level 0, summed over contexts
 	LazyEvals     int64 `json:"lazy_evals"`     // deep static levels scored on first read
-	Filtered      int64 `json:"filtered"`       // candidates handed to the filter
+	Filtered      int64 `json:"filtered"`       // candidates in the winning bucket
 	Bytes         int64 `json:"bytes"`          // live bytes: codes, value tables, bucket bitsets, flag arrays
 	CodeResets    int64 `json:"code_resets"`    // levels reset because their value table was full
+	BlankPicks    int64 `json:"blank_picks"`    // decisions the blank shortcut resolved unfiltered
 }
 
 // CacheStats reports the work counters.
@@ -353,7 +387,7 @@ func (c *CachedChain) CacheStats() CacheStats {
 	st := c.stats
 	st.Contexts = len(c.list)
 	for _, cs := range c.list {
-		st.Bytes += int64(len(cs.codes) + len(cs.feasible) + len(cs.isDirty))
+		st.Bytes += int64(len(cs.codes) + len(cs.member) + len(cs.isDirty))
 		for _, t := range cs.tabs {
 			st.Bytes += 8 * int64(len(t))
 		}
@@ -389,7 +423,29 @@ func (c *CachedChain) bind(pool *cluster.Pool) bool {
 	}
 	c.hosts = hosts
 	c.sets = make(map[CacheContext]*candSet)
+	c.blankOK = c.blankAlike()
+	for _, h := range hosts {
+		if h.Capacity != hosts[0].Capacity {
+			c.blankOK = false
+			break
+		}
+	}
 	c.cancel = pool.Subscribe(c.hostChanged)
+	return true
+}
+
+// blankAlike reports whether every level below level 0 is static and
+// carries the ScorerFunc marker that it scores every blank host alike. A
+// dynamic level 0 is filtered from level 0 down, so it rules the chain out.
+func (c *CachedChain) blankAlike() bool {
+	if c.dyn(0) {
+		return false
+	}
+	for li := 1; li < len(c.Scorers); li++ {
+		if f, ok := c.Scorers[li].(ScorerFunc); !ok || !f.blankAlike || c.dyn(li) {
+			return false
+		}
+	}
 	return true
 }
 
@@ -460,14 +516,14 @@ func (c *CachedChain) sync(cs *candSet, vm *cluster.VM, now time.Duration) {
 		// Context creation or a level-0 epoch rollover: every host
 		// starts from nothing.
 		c.stats.Rebuilds++
-		clear(cs.feasible)
+		clear(cs.member)
 		clear(cs.isDirty)
 		for li := 1; li < len(cs.tabs); li++ {
 			cs.reset(li)
 		}
 		for _, b := range cs.bkts {
 			clear(b.bits)
-			b.n = 0
+			b.n, b.blanks = 0, 0
 		}
 		for id := range c.hosts {
 			cs.update(c, cluster.HostID(id), vm, now)
@@ -492,7 +548,7 @@ func (c *CachedChain) sync(cs *candSet, vm *cluster.VM, now time.Duration) {
 type candSet struct {
 	ctx CacheContext
 
-	feasible []bool      // per host: currently a member
+	member   []uint8     // per host: notMember, isMember or isBlank
 	codes    []uint8     // (nLevels-1) x nHosts, level li >= 1 at li-1: 0 = not cached, k = tabs[li][k-1]
 	tabs     [][]float64 // per level: the distinct cached values, at most 255
 	isDirty  []bool
@@ -504,19 +560,45 @@ type candSet struct {
 	bkts []*scoreBkt // ascending key; emptied buckets stay for reuse
 }
 
+// Membership states of a host in a candSet. isBlank is a member that is
+// also blank (see blank); only a chain with blankOK records it.
+const (
+	notMember uint8 = iota
+	isMember
+	isBlank
+)
+
+// blank reports whether a host is blank: empty, with LAVA's state at its
+// zero values. On a pool of one capacity, a marked scorer gives every blank
+// host the same score for a given VM and time.
+func blank(h *cluster.Host) bool {
+	return h.Empty() && h.State == cluster.StateEmpty && h.Class == 0 && h.Deadline == 0
+}
+
 // scoreBkt is one level-0 score bucket, a bitset over host IDs: membership
 // flips in O(1) whatever the bucket's size, and a walk meets the members in
-// host-ID order, as the exhaustive scan does.
+// host-ID order, as the exhaustive scan does. blanks counts the members in
+// state isBlank.
 type scoreBkt struct {
-	key  float64
-	n    int
-	bits []uint64
+	key    float64
+	n      int
+	blanks int
+	bits   []uint64
+}
+
+// first returns the lowest member's host ID; the bucket must not be empty.
+func (b *scoreBkt) first() int32 {
+	w := 0
+	for b.bits[w] == 0 {
+		w++
+	}
+	return int32(w<<6 | bits.TrailingZeros64(b.bits[w]))
 }
 
 func newCandSet(ctx CacheContext, nHosts, nLevels int) *candSet {
 	return &candSet{
 		ctx:      ctx,
-		feasible: make([]bool, nHosts),
+		member:   make([]uint8, nHosts),
 		codes:    make([]uint8, nHosts*(nLevels-1)),
 		tabs:     make([][]float64, nLevels),
 		isDirty:  make([]bool, nHosts),
@@ -534,37 +616,45 @@ func (cs *candSet) markDirty(id cluster.HostID) {
 }
 
 // update re-derives one host: membership out, fresh feasibility, the level-0
-// score that picks its bucket, membership back in. Deeper static levels are
+// score that picks its bucket, membership back in (counted blank when the
+// chain has blankOK and the host is blank). Deeper static levels are
 // only forgotten here; filter restores the ones a decision needs. The
 // (vm, now) arguments are whatever Schedule is in flight; the static-purity
 // contract makes the values valid for the whole context.
 func (cs *candSet) update(c *CachedChain, id cluster.HostID, vm *cluster.VM, now time.Duration) {
 	h := c.hosts[id]
 	word, bit := id>>6, uint64(1)<<(id&63)
-	if cs.feasible[id] { // level 0 keeps no column: find the bucket by its bit
+	if m := cs.member[id]; m != notMember { // level 0 keeps no column: find the bucket by its bit
 		for _, b := range cs.bkts {
 			if b.bits[word]&bit != 0 {
 				b.bits[word] &^= bit
 				b.n--
+				if m == isBlank {
+					b.blanks--
+				}
 				break
 			}
 		}
 	}
-	feas := !h.Unavailable && h.Fits(cs.ctx.Shape)
-	cs.feasible[id] = feas
-	if !feas {
+	cs.member[id] = notMember
+	if h.Unavailable || !h.Fits(cs.ctx.Shape) {
 		return
 	}
 	key := 0.0
 	if !c.dyn(0) {
 		key = c.Scorers[0].Score(h, vm, now)
 	}
-	for i := int(id); i < len(cs.codes); i += len(cs.feasible) {
+	for i := int(id); i < len(cs.codes); i += len(cs.member) {
 		cs.codes[i] = 0
 	}
 	b := cs.bucket(key)
 	b.bits[word] |= bit
 	b.n++
+	cs.member[id] = isMember
+	if c.blankOK && blank(h) {
+		b.blanks++
+		cs.member[id] = isBlank
+	}
 }
 
 // code returns v's code in level li's value table, interning it by bit
@@ -586,7 +676,7 @@ func (cs *candSet) code(c *CachedChain, li int, v float64) uint8 {
 
 // reset forgets every cached value of level li >= 1.
 func (cs *candSet) reset(li int) {
-	n := len(cs.feasible)
+	n := len(cs.member)
 	clear(cs.codes[(li-1)*n : li*n])
 	cs.tabs[li] = cs.tabs[li][:0]
 }
@@ -602,7 +692,7 @@ func (cs *candSet) bucket(key float64) *scoreBkt {
 	if i == len(cs.bkts) || cs.bkts[i].key != key {
 		cs.bkts = append(cs.bkts, nil)
 		copy(cs.bkts[i+1:], cs.bkts[i:])
-		cs.bkts[i] = &scoreBkt{key: key, bits: make([]uint64, (len(cs.feasible)+63)/64)}
+		cs.bkts[i] = &scoreBkt{key: key, bits: make([]uint64, (len(cs.member)+63)/64)}
 	}
 	return cs.bkts[i]
 }

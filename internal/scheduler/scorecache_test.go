@@ -1,7 +1,9 @@
 package scheduler
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -621,4 +623,177 @@ func TestEpsilonOrderAdversaries(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCachedMatchesExhaustiveSparse is the differential where the blank
+// shortcut fires: a mostly blank pool whose large, short-lived VMs keep
+// opening hosts that drain again, with out-of-band withdrawals and bare
+// pool.Exit calls (no OnExited) among the exits, some followed by a
+// defrag-style release of the drained host. Four arms share one random
+// stream — cached and exhaustive, untraced and traced — and must decide
+// alike at every step; the traced arms must capture alike too. The untraced
+// cached arm must take the shortcut, the traced one never does, and a pool
+// grown by hosts of a second capacity never takes it either.
+func TestCachedMatchesExhaustiveSparse(t *testing.T) {
+	for _, name := range []string{"wastemin", "bestfit", "nilas-epoch", "lava-epoch"} {
+		mk := cachedPolicies()[name]
+		for _, mixed := range []bool{false, true} {
+			sub := name + "/one-capacity"
+			if mixed {
+				sub = name + "/two-capacities"
+			}
+			t.Run(sub, func(t *testing.T) {
+				var picks, tracedPicks int64
+				f := func(seed int64) bool {
+					rng := rand.New(rand.NewSource(seed))
+					const hosts = 40
+					arms := [4]*twin{
+						newTwin(hosts, mk, EngineCached), newTwin(hosts, mk, EngineExhaustive),
+						newTwin(hosts, mk, EngineCached), newTwin(hosts, mk, EngineExhaustive),
+					}
+					for i, tw := range arms {
+						if mixed {
+							tw.p.AddHosts(4, resources.Cores(32, 32*4096, 0))
+						}
+						if i >= 2 && !EnableTrace(tw.pol, 3) {
+							t.Fatalf("%s does not support tracing", name)
+						}
+					}
+					var live []cluster.VMID
+					vms := map[cluster.VMID][]*cluster.VM{}
+					now := time.Duration(0)
+					for step := 0; step < 200; step++ {
+						now += time.Duration(rng.Intn(40)) * time.Minute
+						for _, tw := range arms {
+							tw.pol.OnTick(tw.p, now)
+						}
+						switch r := rng.Float64(); {
+						case r < 0.5 || len(live) == 0: // arrival, mostly too big to share a host
+							id := cluster.VMID(100000*seed + int64(step))
+							cores := int64(4 + rng.Intn(13))
+							life := time.Duration(10+rng.Intn(600)) * time.Minute
+							var got []cluster.HostID
+							var placed []*cluster.VM
+							for _, tw := range arms {
+								vm := tw.vm(id, cores, now, life)
+								h, err := tw.pol.Schedule(tw.p, vm, now)
+								if err != nil {
+									got = append(got, -1)
+									continue
+								}
+								got = append(got, h.ID)
+								placed = append(placed, vm)
+							}
+							if got[1] != got[0] || got[2] != got[0] || got[3] != got[0] {
+								t.Logf("step %d: hosts cached/exhaustive/traced cached/traced exhaustive = %v", step, got)
+								return false
+							}
+							if ca, cb := CaptureOf(arms[2].pol), CaptureOf(arms[3].pol); !captureEq(ca, cb) {
+								t.Logf("step %d: capture divergence:\n cached:     %+v\n exhaustive: %+v", step, ca, cb)
+								return false
+							}
+							if got[0] < 0 {
+								continue
+							}
+							for i, tw := range arms {
+								h := tw.p.Host(got[0])
+								if err := tw.p.Place(placed[i], h); err != nil {
+									t.Fatal(err)
+								}
+								tw.pol.OnPlaced(tw.p, h, placed[i], now)
+							}
+							live = append(live, id)
+							vms[id] = placed
+						case r < 0.95: // exit; some skip the policy hook
+							i := rng.Intn(len(live))
+							id := live[i]
+							live = append(live[:i], live[i+1:]...)
+							how := rng.Intn(5)
+							for i, tw := range arms {
+								h, _, err := tw.p.Exit(id)
+								switch {
+								case err != nil:
+									t.Fatal(err)
+								case how > 1:
+									tw.pol.OnExited(tw.p, h, vms[id][i], now)
+								case how == 1 && h.Empty():
+									// Released the way defrag releases a
+									// drained host: LAVA state reset, no hook.
+									h.ResetLAVA()
+									tw.p.InvalidateHost(h.ID)
+								}
+							}
+							delete(vms, id)
+						default: // withdraw/restore a host out of band
+							id := cluster.HostID(rng.Intn(hosts))
+							fl := !arms[0].p.Host(id).Unavailable
+							for _, tw := range arms {
+								tw.p.Host(id).Unavailable = fl
+								tw.p.InvalidateHost(id)
+							}
+						}
+						for _, i := range []int{0, 2} {
+							if err := checkBuckets(arms[i].pol.(interface{ cached() *CachedChain }).cached()); err != nil {
+								t.Logf("step %d, arm %d: %v", step, i, err)
+								return false
+							}
+						}
+					}
+					picks += CacheStatsOf(arms[0].pol).BlankPicks
+					tracedPicks += CacheStatsOf(arms[2].pol).BlankPicks
+					return true
+				}
+				if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
+					t.Fatal(err)
+				}
+				if mixed && picks != 0 || !mixed && picks == 0 || tracedPicks != 0 {
+					t.Errorf("blank picks: untraced cached %d, traced cached %d", picks, tracedPicks)
+				}
+			})
+		}
+	}
+}
+
+func (c *CachedChain) cached() *CachedChain { return c }
+
+// checkBuckets cross-checks every context of c: each bucket's member and
+// blank counts against its bitset and the membership array, and the
+// membership state of every host synced since its last event against the
+// host itself.
+func checkBuckets(c *CachedChain) error {
+	for _, cs := range c.list {
+		for _, b := range cs.bkts {
+			n, blanks := 0, 0
+			for w, word := range b.bits {
+				for ; word != 0; word &= word - 1 {
+					n++
+					if cs.member[w<<6|bits.TrailingZeros64(word)] == isBlank {
+						blanks++
+					}
+				}
+			}
+			if n != b.n || blanks != b.blanks {
+				return fmt.Errorf("context %+v bucket %v: counts %d/%d blank, bitset %d/%d", cs.ctx, b.key, b.n, b.blanks, n, blanks)
+			}
+		}
+		if cs.allDirty {
+			continue
+		}
+		for id, h := range c.hosts {
+			if cs.isDirty[id] {
+				continue
+			}
+			want := notMember
+			if !h.Unavailable && h.Fits(cs.ctx.Shape) {
+				want = isMember
+				if c.blankOK && blank(h) {
+					want = isBlank
+				}
+			}
+			if cs.member[id] != want {
+				return fmt.Errorf("context %+v host %d: member state %d, want %d", cs.ctx, id, cs.member[id], want)
+			}
+		}
+	}
+	return nil
 }
