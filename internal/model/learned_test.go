@@ -85,6 +85,20 @@ func TestGBDTStepTablesMatchTheWalk(t *testing.T) {
 	}
 }
 
+// TestGBDTHugeOutputCaps: a forest output past the Duration range is the
+// largest lifetime there is, so it clamps to CapLifetime, not to the
+// 1-minute floor.
+func TestGBDTHugeOutputCaps(t *testing.T) {
+	m := &gbdt.Model{Bias: 10, Edges: make([][]float64, features.NumColumns), NumFeat: features.NumColumns}
+	g := &GBDTPredictor{Enc: features.Fit(nil), M: m}
+	vm := &cluster.VM{ID: 1, Feat: features.Features{CPUMilli: 1000, MemoryMB: 1024}}
+	for _, up := range []time.Duration{0, time.Hour, 3 * simtime.Day} {
+		if got := g.PredictRemaining(vm, up); got != simtime.CapLifetime {
+			t.Fatalf("uptime %v: %v, want CapLifetime %v", up, got, simtime.CapLifetime)
+		}
+	}
+}
+
 // TestGBDTSlotsFollowTheFeatures: a VM ID that comes back with other
 // features — reused after an exit, or shared by two pools — or that lands
 // in another VM's slot gets the answer of the VM in hand.

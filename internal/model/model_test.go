@@ -136,6 +136,26 @@ func TestNoisyOracleCap(t *testing.T) {
 	}
 }
 
+// TestNoisyOracleExtremeDrawsCap: a draw whose lifetime overflows a
+// Duration is capped at 14 days, not wrapped below the 1 s floor. With a
+// log10-domain sigma of 1000, every draw above ~0.31 sigma overflows.
+func TestNoisyOracleExtremeDrawsCap(t *testing.T) {
+	n := &NoisyOracle{Accuracy: 0, Seed: 5, SigmaWrong: 1000}
+	capped := 0
+	for i := int64(0); i < 200; i++ {
+		p := n.PredictedLifetime(&cluster.VM{ID: cluster.VMID(i), TrueLifetime: simtime.Day})
+		if p < time.Second || p > 14*simtime.Day {
+			t.Fatalf("vm %d: prediction %v outside [1s, 14d]", i, p)
+		}
+		if p == 14*simtime.Day {
+			capped++
+		}
+	}
+	if capped < 50 {
+		t.Fatalf("only %d/200 extreme draws capped at 14d", capped)
+	}
+}
+
 func TestCapped(t *testing.T) {
 	vm := &cluster.VM{ID: 1, TrueLifetime: 30 * simtime.Day}
 	c := Capped{P: Oracle{}}

@@ -20,9 +20,20 @@ const (
 // Hours returns d expressed in (fractional) hours.
 func Hours(d time.Duration) float64 { return d.Hours() }
 
-// FromHours converts fractional hours into a Duration.
+// FromHours converts fractional hours into a Duration. It saturates: hours
+// past the int64 range, ±Inf included, give ±math.MaxInt64 nanoseconds
+// (a plain conversion would wrap to math.MinInt64), and NaN gives 0.
 func FromHours(h float64) time.Duration {
-	return time.Duration(h * float64(time.Hour))
+	ns := h * float64(time.Hour)
+	switch {
+	case ns != ns:
+		return 0
+	case ns >= math.MaxInt64: // float64(math.MaxInt64) is 2^63, one past the range
+		return math.MaxInt64
+	case ns <= -math.MaxInt64:
+		return -math.MaxInt64
+	}
+	return time.Duration(ns)
 }
 
 // Seconds returns d expressed in fractional seconds.

@@ -183,6 +183,31 @@ func TestHoursRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFromHoursSaturates: hours past the int64 range of nanoseconds give
+// the end of the range on their own side, never a wrapped value, and NaN
+// gives zero.
+func TestFromHoursSaturates(t *testing.T) {
+	cases := []struct {
+		h    float64
+		want time.Duration
+	}{
+		{1, time.Hour},
+		{-2.5, -150 * time.Minute},
+		{2.5e6, 2_500_000 * time.Hour}, // 9.0e18 ns: still in range
+		{2.6e6, math.MaxInt64},
+		{1e300, math.MaxInt64},
+		{math.Inf(1), math.MaxInt64},
+		{-2.6e6, -math.MaxInt64},
+		{math.Inf(-1), -math.MaxInt64},
+		{math.NaN(), 0},
+	}
+	for _, c := range cases {
+		if got := FromHours(c.h); got != c.want {
+			t.Errorf("FromHours(%v) = %v, want %v", c.h, got, c.want)
+		}
+	}
+}
+
 func TestString(t *testing.T) {
 	if LC3.String() != "LC3" {
 		t.Errorf("LC3.String() = %q", LC3.String())
