@@ -157,27 +157,29 @@ func (e *Engine) trigger(pool *cluster.Pool, now time.Duration) {
 		h.Unavailable = true // stop scheduling new VMs onto it (Algorithm 1)
 		pool.InvalidateHost(h.ID)
 		e.draining[h.ID] = true
-		vms := h.VMs() // ID order = creation order (the trace-order baseline)
-		if e.cfg.Strategy == OrderLARS {
-			// Longest predicted remaining lifetime first (Algorithm 1).
-			sort.SliceStable(vms, func(i, j int) bool {
-				ri := e.cfg.Pred.PredictRemaining(vms[i], vms[i].Uptime(now))
-				rj := e.cfg.Pred.PredictRemaining(vms[j], vms[j].Uptime(now))
-				if ri != rj {
-					return ri > rj
-				}
-				return vms[i].ID < vms[j].ID
-			})
-		}
+		// One prediction per VM, in ID order = creation order (the
+		// trace-order baseline).
 		batch := PlannedBatch{Trigger: now, Host: h.ID}
-		for _, vm := range vms {
-			e.pending = append(e.pending, &migration{vmID: vm.ID, src: h.ID})
-			e.Stats.Planned++
+		for _, vm := range h.VMs() {
 			batch.VMs = append(batch.VMs, PlannedVM{
 				ID:        vm.ID,
 				Exit:      vm.TrueExit(),
 				Remaining: e.cfg.Pred.PredictRemaining(vm, vm.Uptime(now)),
 			})
+		}
+		if e.cfg.Strategy == OrderLARS {
+			// Longest predicted remaining lifetime first (Algorithm 1).
+			sort.SliceStable(batch.VMs, func(i, j int) bool {
+				a, b := batch.VMs[i], batch.VMs[j]
+				if a.Remaining != b.Remaining {
+					return a.Remaining > b.Remaining
+				}
+				return a.ID < b.ID
+			})
+		}
+		for _, vm := range batch.VMs {
+			e.pending = append(e.pending, &migration{vmID: vm.ID, src: h.ID})
+			e.Stats.Planned++
 		}
 		e.Plan = append(e.Plan, batch)
 	}

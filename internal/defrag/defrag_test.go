@@ -113,6 +113,64 @@ func TestLARSOrdersLongestFirst(t *testing.T) {
 	}
 }
 
+// countingPred counts its predictions.
+type countingPred struct {
+	model.Predictor
+	calls int
+}
+
+func (c *countingPred) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration {
+	c.calls++
+	return c.Predictor.PredictRemaining(vm, uptime)
+}
+
+// TestLARSPredictsEachVMOnce: ordering a drained host's VMs asks the model
+// once per VM, not once per comparison, and still orders by predicted
+// remaining lifetime, longest first, ties by ID.
+func TestLARSPredictsEachVMOnce(t *testing.T) {
+	for _, strategy := range []Strategy{OrderTrace, OrderLARS} {
+		p := newPool(4)
+		pred := &countingPred{Predictor: model.Oracle{}}
+		e := New(Config{
+			Strategy: strategy, Policy: scheduler.NewBestFit(), Pred: pred,
+			Threshold: 0.99, HostsPerRound: 2, MaxConcurrent: 1, CheckEvery: time.Hour,
+		})
+		lifetimes := [][]time.Duration{
+			{3 * time.Hour, 50 * time.Hour, 3 * time.Hour, 9 * time.Hour, 50 * time.Hour},
+			{7 * time.Hour, 2 * time.Hour, 7 * time.Hour},
+		}
+		id := cluster.VMID(1)
+		for h, lts := range lifetimes {
+			for _, lt := range lts {
+				if err := p.Place(mkVM(id, 2, 0, lt), p.Host(cluster.HostID(h))); err != nil {
+					t.Fatal(err)
+				}
+				id++
+			}
+		}
+		e.Tick(p, time.Hour)
+		if len(e.Plan) != 2 {
+			t.Fatalf("%v: %d hosts drained, want 2", strategy, len(e.Plan))
+		}
+		want := map[Strategy][][]cluster.VMID{
+			OrderTrace: {{6, 7, 8}, {1, 2, 3, 4, 5}},
+			OrderLARS:  {{6, 8, 7}, {2, 5, 4, 1, 3}},
+		}[strategy]
+		vms := 0
+		for b, batch := range e.Plan {
+			vms += len(batch.VMs)
+			for i, vm := range batch.VMs {
+				if vm.ID != want[b][i] {
+					t.Fatalf("%v: batch %d (host %d) order %+v, want IDs %v", strategy, b, batch.Host, batch.VMs, want[b])
+				}
+			}
+		}
+		if pred.calls != vms {
+			t.Fatalf("%v: %d model calls for %d VMs on drained hosts", strategy, pred.calls, vms)
+		}
+	}
+}
+
 func TestConcurrencyLimit(t *testing.T) {
 	p := newPool(4)
 	e := New(Config{

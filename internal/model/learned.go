@@ -50,22 +50,28 @@ func clampRemaining(d time.Duration) time.Duration {
 //
 // The forest compares bins, not values, and a VM's ten static columns never
 // change, so for one static-bin vector the remaining lifetime is a step
-// function of the uptime bin. The predictor fills each such table in one
-// pass over the trees and remembers, per VM, the table its features select,
-// so a reprediction is one uptime-bin search and one load, bit-equal to the
-// forest walk. Enc and M must not change after the first prediction.
+// function of the uptime (StepFn). The predictor fills each such table in
+// one pass over the trees, finds the uptime at which each uptime bin starts
+// once, and remembers, per VM, the step function its features select: a
+// reprediction is one threshold search and one load, bit-equal to the
+// forest walk. A caller that holds a VM can bind its step function once
+// (Steps). Enc and M must not change after the first prediction.
 type GBDTPredictor struct {
 	Enc *features.Encoder
 	M   *gbdt.Model
 
-	// steps maps a static-bin vector to its step function; derived state,
+	// steps maps a static-bin vector to its step table; derived state,
 	// built on use and never saved. Readers load the map without locking;
 	// mu serialises the writers, which publish a copy with one more table.
 	mu    sync.Mutex
 	steps atomic.Pointer[map[staticBins]stepTable]
 
-	// slots remembers the static bins and table of recently predicted VMs,
-	// by VM ID modulo numSlots; derived state like steps.
+	// at is StepFn.At of every table, computed once from the uptime edges.
+	atOnce sync.Once
+	at     []time.Duration
+
+	// slots remembers the step functions of recently predicted VMs, by VM
+	// ID modulo numSlots; derived state like steps.
 	slots [numSlots]vmSlot
 }
 
@@ -76,9 +82,9 @@ const uptimeCol = features.NumColumns - 1
 // step table.
 type staticBins [uptimeCol]uint8
 
-// stepTable is one step function: the clamped remaining lifetime by uptime
-// bin, len(Edges[uptimeCol])+1 entries. It is filled before it is published
-// and never written after.
+// stepTable is one step function's answers: the clamped remaining lifetime
+// by uptime bin, len(Edges[uptimeCol])+1 entries. It is filled before it is
+// published and never written after.
 type stepTable []time.Duration
 
 // maxStepTables bounds the tables a predictor keeps: 8 bytes per uptime bin
@@ -90,18 +96,17 @@ const maxStepTables = 4096
 // VMs a pool of a few hundred hosts keeps live, at about 150 B a slot.
 const numSlots = 1024
 
-// vmSlot is what one VM's predictions share: its static bins and their
-// table. A slot answers for a VM whose features equal feat — the table is a
-// function of the features alone — so two VMs that share an ID, in two
-// pools or one after the other, cannot read each other's answers; they
-// only refill the slot in turn. mu guards the slot alone, so callers
-// predicting different VMs do not wait on each other.
+// vmSlot is one VM's step function. A slot answers for a VM whose features
+// equal feat — the step function is a function of the features alone — so
+// two VMs that share an ID, in two pools or one after the other, cannot
+// read each other's answers; they only refill the slot in turn. mu guards
+// the slot alone, so callers predicting different VMs do not wait on each
+// other.
 type vmSlot struct {
 	mu   sync.Mutex
 	set  bool
-	key  staticBins
 	feat features.Features
-	tab  stepTable // nil past maxStepTables: walk
+	fn   StepFn // Rem nil past maxStepTables: walk
 }
 
 // TrainGBDT trains the production-style model from trace records, using
@@ -136,21 +141,25 @@ func (g *GBDTPredictor) PredictRemaining(vm *cluster.VM, uptime time.Duration) t
 	s := &g.slots[uint64(vm.ID)%numSlots]
 	s.mu.Lock()
 	if !s.set || s.feat != vm.Feat {
-		g.fillSlot(s, vm.Feat)
+		s.set, s.feat = true, vm.Feat
+		s.fn, _ = g.stepsOf(vm.Feat)
 	}
-	key, tab := s.key, s.tab
+	fn := s.fn
 	s.mu.Unlock()
-	ub := uptimeBin(g.M.Edges[uptimeCol], uptimeLog10(uptime))
-	if tab != nil {
-		return tab[ub]
+	if fn.Rem == nil {
+		return g.walk(vm.Feat, uptime)
 	}
-	bins := key.with(uint8(ub))
-	return remaining(g.M.PredictBinned(bins[:]))
+	return fn.Remaining(uptime)
 }
 
-// fillSlot points s at the VM features f: their static bins and the table
-// of those bins.
-func (g *GBDTPredictor) fillSlot(s *vmSlot, f features.Features) {
+// Steps returns the VM's step function (see Predictor), or false once the
+// predictor holds maxStepTables tables of other VM types.
+func (g *GBDTPredictor) Steps(vm *cluster.VM) (StepFn, bool) {
+	return g.stepsOf(vm.Feat)
+}
+
+// stepsOf returns the step function of the VM features f.
+func (g *GBDTPredictor) stepsOf(f features.Features) (StepFn, bool) {
 	var xbuf [features.NumColumns]float64
 	var bbuf [features.NumColumns]uint8
 	x := g.Enc.AppendEncode(xbuf[:0], f, ZeroUptimeLog10)
@@ -158,8 +167,18 @@ func (g *GBDTPredictor) fillSlot(s *vmSlot, f features.Features) {
 	if len(bins) != features.NumColumns {
 		panic(fmt.Sprintf("model: GBDT over %d columns, want %d", len(bins), features.NumColumns))
 	}
-	s.set, s.key, s.feat = true, staticBins(bins[:uptimeCol]), f
-	s.tab = g.stepTable(s.key)
+	tab := g.stepTable(staticBins(bins[:uptimeCol]))
+	if tab == nil {
+		return StepFn{}, false
+	}
+	g.atOnce.Do(func() { g.at = uptimeSteps(g.M.Edges[uptimeCol]) })
+	return StepFn{At: g.at, Rem: tab}, true
+}
+
+// walk is the forest's answer without the tables: encode, one walk.
+func (g *GBDTPredictor) walk(f features.Features, uptime time.Duration) time.Duration {
+	var xbuf [features.NumColumns]float64
+	return remaining(g.M.Predict(g.Enc.AppendEncode(xbuf[:0], f, uptimeLog10(uptime))))
 }
 
 // uptimeBin is the bin the forest puts an uptime column value x in: the
@@ -176,6 +195,40 @@ func uptimeBin(edges []float64, x float64) int {
 		}
 	}
 	return lo
+}
+
+// uptimeSteps returns StepFn.At for the uptime edges: for each edge an
+// uptime reaches, the first uptime, in nanoseconds, whose bin
+// (uptimeBin of uptimeLog10) lies past it. An edge no Duration reaches gets
+// no entry. The count of entries <= u is then u's bin for every u >= 0,
+// exactly, because the bin never falls as u grows: uptimeLog10 is -4 at 0
+// and simtime.Log10Hours above it, which starts higher (its one-second
+// floor is log10(1/3600), about -3.56) and is non-decreasing in
+// nanoseconds (Duration.Hours and math.Log10 are both monotone). FuzzUptimeSteps checks the count against the
+// logarithm.
+func uptimeSteps(edges []float64) []time.Duration {
+	at := make([]time.Duration, uptimeBin(edges, uptimeLog10(math.MaxInt64)))
+	for i := range at {
+		past := func(u time.Duration) bool { return uptimeBin(edges, uptimeLog10(u)) > i }
+		// Bisect [lo, hi], which holds the first past uptime: first next to
+		// the uptime the edge names, the whole range if the threshold is
+		// not there (the one-second floor, a huge edge).
+		guess := simtime.FromHours(math.Pow(10, edges[i]))
+		w := guess>>30 + 2
+		lo, hi := guess-w, guess+w
+		if guess > math.MaxInt64-w || lo < 0 || past(lo) || !past(hi) {
+			lo, hi = -1, math.MaxInt64
+		}
+		for lo++; lo < hi; {
+			if mid := lo + (hi-lo)/2; past(mid) {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		at[i] = lo
+	}
+	return at
 }
 
 // with returns the full bin vector of the static bins and an uptime bin.

@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -83,6 +84,115 @@ func TestGBDTStepTablesMatchTheWalk(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStepsMatchPredictRemaining: a VM's bound step function, read
+// directly and through a cursor, answers exactly what PredictRemaining and
+// the forest walk answer, at every step edge, at random uptimes, and at
+// negative ones.
+func TestStepsMatchPredictRemaining(t *testing.T) {
+	g, vms := trainedWithVMs(t, 2, 43, gbdt.Params{Trees: 30})
+	rng := rand.New(rand.NewSource(43))
+	ups := append(stepUptimes(g), -1, -time.Hour, math.MinInt64, math.MaxInt64)
+	for i := 0; i < 64; i++ {
+		ups = append(ups, time.Duration(rng.Int63n(int64(30*simtime.Day))))
+	}
+	for _, vm := range vms {
+		fn, ok := g.Steps(vm)
+		if !ok {
+			t.Fatalf("vm %d: no step function below the table cap", vm.ID)
+		}
+		if len(fn.At) >= len(fn.Rem) || !slices.IsSorted(fn.At) {
+			t.Fatalf("vm %d: %d thresholds for %d steps, sorted %v", vm.ID, len(fn.At), len(fn.Rem), slices.IsSorted(fn.At))
+		}
+		cur := StepCursor{Fn: fn}
+		// A cursor meets uptimes in any order: growing, then shuffled.
+		order := slices.Clone(ups)
+		slices.Sort(order[:len(order)/2])
+		for _, up := range order {
+			want := g.PredictRemaining(vm, up)
+			if walk := walkRemaining(g, vm, up); walk != want {
+				t.Fatalf("vm %d uptime %v: PredictRemaining %v, walk %v", vm.ID, up, want, walk)
+			}
+			if got := fn.Remaining(up); got != want {
+				t.Fatalf("vm %d uptime %v: Steps %v, PredictRemaining %v", vm.ID, up, got, want)
+			}
+			if got := cur.Remaining(up); got != want {
+				t.Fatalf("vm %d uptime %v: cursor %v, PredictRemaining %v", vm.ID, up, got, want)
+			}
+		}
+	}
+}
+
+// identitySteps is a StepFn over the uptime edges whose answer is the bin
+// itself, in nanoseconds.
+func identitySteps(edges []float64) StepFn {
+	fn := StepFn{At: uptimeSteps(edges), Rem: make([]time.Duration, len(edges)+1)}
+	for k := range fn.Rem {
+		fn.Rem[k] = time.Duration(k)
+	}
+	return fn
+}
+
+// FuzzUptimeSteps checks the logarithm-free uptime bins against the
+// logarithm: for sorted finite edges decoded from the input, every uptime
+// next to u and next to each threshold lands in uptimeBin(edges,
+// uptimeLog10(uptime)), and Span's step holds the uptime and only uptimes
+// of its bin.
+func FuzzUptimeSteps(f *testing.F) {
+	enc := func(edges ...float64) []byte {
+		var b []byte
+		for _, e := range edges {
+			v := int16(math.Round(e * 2048))
+			b = append(b, byte(v), byte(v>>8))
+		}
+		return b
+	}
+	f.Add(enc(-4, -3.5563, -3.5, -2, -1, 0, 0.5, 1, 1.5, 2, 2.2), int64(time.Hour))
+	f.Add(enc(-4, -4, -3.5563, -3.5563, 6.4, 6.5, 7), int64(1))
+	f.Add(enc(-16, -5, 15.99), int64(math.MaxInt64))
+	f.Add([]byte{}, int64(0))
+	f.Fuzz(func(t *testing.T, data []byte, u int64) {
+		// Two bytes an edge, in 1/2048 log10-hours over [-16, 16): far
+		// past both ends of the Duration range.
+		var edges []float64
+		for i := 0; i+1 < len(data) && len(edges) < 255; i += 2 {
+			edges = append(edges, float64(int16(uint16(data[i])|uint16(data[i+1])<<8))/2048)
+		}
+		slices.Sort(edges)
+		fn := identitySteps(edges)
+		binOf := func(up time.Duration) time.Duration { return time.Duration(uptimeBin(edges, uptimeLog10(up))) }
+		check := func(up time.Duration) {
+			want := binOf(up)
+			rem, lo, hi := fn.Span(up)
+			if rem != want {
+				t.Fatalf("edges %v uptime %d: threshold bin %d, log bin %d (thresholds %v)", edges, up, rem, want, fn.At)
+			}
+			if !(lo <= up && up < hi || up == math.MaxInt64 && hi == math.MaxInt64) {
+				t.Fatalf("edges %v uptime %d: span [%d, %d) misses it", edges, up, lo, hi)
+			}
+			if lo > 0 && binOf(lo) != want || lo > 0 && binOf(lo-1) == want {
+				t.Fatalf("edges %v uptime %d: span starts at %d, not where bin %d starts", edges, up, lo, want)
+			}
+			if hi < math.MaxInt64 && (binOf(hi-1) != want || binOf(hi) == want) {
+				t.Fatalf("edges %v uptime %d: span ends at %d, not where bin %d ends", edges, up, hi, want)
+			}
+		}
+		if u < 0 {
+			u = ^u
+		}
+		u = min(u, math.MaxInt64-1)
+		for _, up := range []time.Duration{time.Duration(u) - 1, time.Duration(u), time.Duration(u) + 1} {
+			check(up)
+		}
+		for _, at := range fn.At {
+			for _, up := range []time.Duration{at - 1, at, at + 1} {
+				if up >= -1 && up < math.MaxInt64 {
+					check(up)
+				}
+			}
+		}
+	})
 }
 
 // TestGBDTHugeOutputCaps: a forest output past the Duration range is the
@@ -256,7 +366,8 @@ var sinkRemaining time.Duration
 // worth of calls, uptime 0 then repredictions at growing uptimes, on a
 // predictor that starts each pass over the VMs without tables or slots
 // (what a run's first placements pay); warm repeats calls for VMs whose
-// slots and tables are filled.
+// slots and tables are filled; bound makes warm's calls through each VM's
+// StepCursor, as the scheduler's exit cache does once it holds the VM.
 func BenchmarkPredictRemaining(b *testing.B) {
 	g, vms := trainedWithVMs(b, 3, 37, gbdt.Params{Trees: 100})
 	b.Run("cold", func(b *testing.B) {
@@ -288,6 +399,22 @@ func BenchmarkPredictRemaining(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			k := i % batch
 			sinkRemaining = g.PredictRemaining(vms[k/len(ups)], ups[k%len(ups)])
+		}
+	})
+	b.Run("bound", func(b *testing.B) {
+		curs := make([]StepCursor, len(vms))
+		for i, vm := range vms {
+			fn, ok := g.Steps(vm)
+			if !ok {
+				b.Fatalf("vm %d: no step function", vm.ID)
+			}
+			curs[i] = StepCursor{Fn: fn}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % batch
+			sinkRemaining = curs[k/len(ups)].Remaining(ups[k%len(ups)])
 		}
 	})
 }

@@ -24,9 +24,78 @@ import (
 // every answer equals the one it would compute from scratch. Such state may
 // be keyed by VM ID only together with what the answer depends on: two
 // VMs can share an ID, in different pools or one after the other.
+//
+// A predictor whose answer for a VM is a step function of its uptime, and
+// depends on nothing else of the VM than its features (which do not change
+// while it lives), may also have a method
+//
+//	Steps(vm *cluster.VM) (StepFn, bool)
+//
+// returning the VM's step function, or false when it has none for the VM.
+// A caller that holds the VM (scheduler.ExitCache) then binds its answers
+// once. The contract is bit-equality: for every VM that Steps accepts,
+// Steps(vm).Remaining(u) equals PredictRemaining(vm, u) at every uptime u.
+// A wrapper that may change answers (a cap, a model swap, a timing
+// decorator) must not forward Steps; callers then take PredictRemaining.
 type Predictor interface {
 	Name() string
 	PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration
+}
+
+// StepFn is one VM's remaining lifetime as a step function of its uptime:
+// the answer at uptime u is Rem[k], where k counts the entries of At that
+// are <= u; a negative uptime answers as 0. At is sorted and has fewer
+// entries than Rem. Both slices are shared between VMs and never written.
+type StepFn struct {
+	At, Rem []time.Duration
+}
+
+// Remaining returns the answer at the uptime.
+func (s StepFn) Remaining(uptime time.Duration) time.Duration {
+	rem, _, _ := s.Span(uptime)
+	return rem
+}
+
+// Span returns the answer at the uptime and the uptimes [lo, hi) that
+// share it; lo is math.MinInt64 on the step that holds uptime 0, hi
+// math.MaxInt64 on the last step.
+func (s StepFn) Span(uptime time.Duration) (rem, lo, hi time.Duration) {
+	uptime = max(uptime, 0)
+	k, n := 0, len(s.At)
+	for k < n { // k = the count of At entries <= uptime
+		if mid := int(uint(k+n) >> 1); s.At[mid] <= uptime {
+			k = mid + 1
+		} else {
+			n = mid
+		}
+	}
+	lo, hi = math.MinInt64, math.MaxInt64
+	if k > 0 && s.At[k-1] > 0 {
+		lo = s.At[k-1]
+	}
+	if k < len(s.At) {
+		hi = s.At[k]
+	}
+	return s.Rem[k], lo, hi
+}
+
+// StepCursor reads one VM's StepFn at the uptimes a simulation asks for,
+// which mostly stay on one step: it keeps the step it read last, so a
+// reprediction on that step is two compares and one load. The zero cursor
+// over a StepFn (StepCursor{Fn: fn}) is ready to use.
+type StepCursor struct {
+	Fn StepFn
+
+	lo, hi, rem time.Duration // the step read last: Fn's answer on [lo, hi)
+}
+
+// Remaining returns Fn's answer at the uptime.
+func (c *StepCursor) Remaining(uptime time.Duration) time.Duration {
+	if c.lo <= uptime && uptime < c.hi {
+		return c.rem
+	}
+	c.rem, c.lo, c.hi = c.Fn.Span(uptime)
+	return c.rem
 }
 
 // MinRemaining is the floor applied to remaining-lifetime predictions. A

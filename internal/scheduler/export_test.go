@@ -23,3 +23,11 @@ func (c *CachedChain) markedScorers() []Scorer {
 func MarkedScorers(p Policy) []Scorer {
 	return p.(interface{ markedScorers() []Scorer }).markedScorers()
 }
+
+// boundVMs reports the VMs the policy's exit cache holds a binding for.
+func (n *NILAS) boundVMs() int { return len(n.cache.bound) }
+
+// BoundVMs returns the number of VMs p's exit cache has bound.
+func BoundVMs(p Policy) int {
+	return p.(interface{ boundVMs() int }).boundVMs()
+}

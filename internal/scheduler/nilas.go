@@ -97,9 +97,11 @@ func (n *NILAS) OnPlaced(_ *cluster.Pool, h *cluster.Host, vm *cluster.VM, now t
 	}
 }
 
-// OnExited implements Policy: re-score the host (G.3 rule 2).
-func (n *NILAS) OnExited(_ *cluster.Pool, h *cluster.Host, _ *cluster.VM, _ time.Duration) {
+// OnExited implements Policy: re-score the host (G.3 rule 2) and release
+// the VM's binding.
+func (n *NILAS) OnExited(_ *cluster.Pool, h *cluster.Host, vm *cluster.VM, _ time.Duration) {
 	n.cache.Invalidate(h.ID)
+	n.cache.drop(vm)
 	if n.et != nil {
 		n.et.onExited(h)
 	}
