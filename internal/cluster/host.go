@@ -49,7 +49,7 @@ type Host struct {
 	Capacity resources.Vector
 
 	used resources.Vector
-	vms  map[VMID]*VM // lazily allocated on first placement; nil while never used
+	vms  []*VM // hosted VMs in no particular order; nil while never used
 
 	// Unavailable marks hosts drained for defragmentation or maintenance;
 	// the scheduler skips them (§4.4).
@@ -64,11 +64,12 @@ type Host struct {
 	residual map[VMID]bool // residual VMs of the current class epoch; nil when empty
 }
 
-// NewHost builds an empty host with the given capacity. The vms and residual
-// maps are allocated lazily on first use: at million-host scale most hosts
-// are cold for long stretches, and two eager map headers per host dominate
-// the resident footprint of an otherwise idle pool. Lookups, deletes and
-// ranges over nil maps are safe, so only the insertion paths allocate.
+// NewHost builds an empty host with the given capacity. The VM slice and the
+// residual map are allocated lazily on first use: at million-host scale
+// most hosts are cold for long stretches, and eager allocations per host
+// dominate the resident footprint of an otherwise idle pool. Ranges over a
+// nil slice and lookups, deletes and ranges over a nil map are safe, so
+// only the insertion paths allocate.
 func NewHost(id HostID, capacity resources.Vector) *Host {
 	return &Host{ID: id, Capacity: capacity}
 }
@@ -91,10 +92,29 @@ func (h *Host) Fits(shape resources.Vector) bool {
 }
 
 // VM returns the VM with the given ID, or nil.
-func (h *Host) VM(id VMID) *VM { return h.vms[id] }
+func (h *Host) VM(id VMID) *VM {
+	if k := h.find(id); k >= 0 {
+		return h.vms[k]
+	}
+	return nil
+}
+
+// find returns the index of the VM with the given ID in vms, or -1. A host
+// holds tens of VMs, so the scan is short; in exchange EachVM walks a
+// slice, not a map, and ExitCache.compute walks a host's VMs on every
+// reprediction of it.
+func (h *Host) find(id VMID) int {
+	for k, vm := range h.vms {
+		if vm.ID == id {
+			return k
+		}
+	}
+	return -1
+}
 
 // VMs returns the hosted VMs sorted by ID. Sorting keeps every consumer
-// deterministic; no scheduling decision may depend on map iteration order.
+// deterministic; no scheduling decision may depend on the order in which
+// the host stores its VMs.
 func (h *Host) VMs() []*VM {
 	out := make([]*VM, 0, len(h.vms))
 	for _, vm := range h.vms {
@@ -116,16 +136,13 @@ func (h *Host) EachVM(fn func(*VM)) {
 // add places vm on the host. It returns an error when the shape does not
 // fit or the ID is already present. Callers go through Pool.Place.
 func (h *Host) add(vm *VM) error {
-	if _, ok := h.vms[vm.ID]; ok {
+	if h.find(vm.ID) >= 0 {
 		return fmt.Errorf("host %d: vm %d already present", h.ID, vm.ID)
 	}
 	if !h.Fits(vm.Shape) {
 		return fmt.Errorf("host %d: vm %d (%s) does not fit free %s", h.ID, vm.ID, vm.Shape, h.Free())
 	}
-	if h.vms == nil {
-		h.vms = make(map[VMID]*VM)
-	}
-	h.vms[vm.ID] = vm
+	h.vms = append(h.vms, vm)
 	h.used = h.used.Add(vm.Shape)
 	vm.Host = h
 	return nil
@@ -133,11 +150,15 @@ func (h *Host) add(vm *VM) error {
 
 // remove releases vm from the host. Callers go through Pool.Exit/Migrate.
 func (h *Host) remove(id VMID) (*VM, error) {
-	vm, ok := h.vms[id]
-	if !ok {
+	k := h.find(id)
+	if k < 0 {
 		return nil, fmt.Errorf("host %d: vm %d not present", h.ID, id)
 	}
-	delete(h.vms, id)
+	vm := h.vms[k]
+	last := len(h.vms) - 1
+	h.vms[k] = h.vms[last]
+	h.vms[last] = nil
+	h.vms = h.vms[:last]
 	delete(h.residual, id)
 	h.used = h.used.Sub(vm.Shape)
 	vm.Host = nil
@@ -175,8 +196,8 @@ func (h *Host) markAllResidual() {
 		return
 	}
 	h.residual = make(map[VMID]bool, len(h.vms))
-	for id := range h.vms {
-		h.residual[id] = true
+	for _, vm := range h.vms {
+		h.residual[vm.ID] = true
 	}
 }
 
@@ -225,11 +246,11 @@ func (h *Host) Clone() *Host {
 		Deadline:    h.Deadline,
 	}
 	if len(h.vms) > 0 {
-		c.vms = make(map[VMID]*VM, len(h.vms))
-		for id, vm := range h.vms {
+		c.vms = make([]*VM, 0, len(h.vms))
+		for _, vm := range h.vms {
 			cp := *vm
 			cp.Host = c
-			c.vms[id] = &cp
+			c.vms = append(c.vms, &cp)
 		}
 	}
 	if len(h.residual) > 0 {
