@@ -211,6 +211,26 @@ func TestCLIRefusals(t *testing.T) {
 			[]string{"-exp", "table3", "-scale", "-1"}, "-scale"},
 		{"experiments -scale above range", Experiments,
 			[]string{"-exp", "table3", "-scale", "3"}, "-scale"},
+		{"tracegen -diurnal above range", Tracegen,
+			[]string{"-hosts", "2", "-days", "1", "-prefill", "0", "-diurnal", "5"}, "Diurnal"},
+		{"tracegen -diurnal negative", Tracegen,
+			[]string{"-hosts", "2", "-days", "1", "-prefill", "0", "-diurnal", "-2"}, "Diurnal"},
+		{"tracegen -diurnal 1", Tracegen,
+			[]string{"-hosts", "2", "-days", "1", "-prefill", "0", "-diurnal", "1"}, "Diurnal"},
+		{"tracegen -diurnal NaN", Tracegen,
+			[]string{"-hosts", "2", "-days", "1", "-prefill", "0", "-diurnal", "NaN"}, "Diurnal"},
+		{"tracegen -prefill negative", Tracegen,
+			[]string{"-hosts", "2", "-days", "1", "-prefill", "-1"}, "Prefill"},
+		{"tracegen -days overflows", Tracegen,
+			[]string{"-hosts", "2", "-days", "213504", "-prefill", "0"}, "-days"},
+		{"tracegen -prefill overflows", Tracegen,
+			[]string{"-hosts", "2", "-days", "1", "-prefill", "106752"}, "-prefill"},
+		{"trainmodel -test negative", Trainmodel,
+			[]string{"-trace", good, "-test", "-1"}, "-test"},
+		{"trainmodel -test above range", Trainmodel,
+			[]string{"-trace", good, "-test", "1.5"}, "-test"},
+		{"trainmodel -test NaN", Trainmodel,
+			[]string{"-trace", good, "-test", "NaN"}, "-test"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			requests.Store(0)

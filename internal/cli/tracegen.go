@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"lava/internal/simtime"
@@ -27,6 +28,14 @@ func Tracegen(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		e2      = fs.Bool("e2", false, "use the cost-optimized E2 mix")
 	)
 	return run(fs, args, stderr, func() error {
+		for _, f := range []struct {
+			name string
+			days int
+		}{{"-days", *days}, {"-prefill", *prefill}} {
+			if f.days > math.MaxInt64/int(simtime.Day) || f.days < math.MinInt64/int(simtime.Day) {
+				return fmt.Errorf("%s %d overflows a duration", f.name, f.days)
+			}
+		}
 		var mix []workload.TypeSpec
 		if *e2 {
 			mix = workload.E2Mix()

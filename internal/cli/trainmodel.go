@@ -33,6 +33,9 @@ func Trainmodel(_ context.Context, args []string, stdout, stderr io.Writer) int 
 		if *tracePath == "" {
 			return errors.New("-trace is required")
 		}
+		if !(*testFrac > 0 && *testFrac < 1) {
+			return fmt.Errorf("-test %v is outside (0, 1)", *testFrac)
+		}
 		tr, err := trace.ReadFile(*tracePath)
 		if err != nil {
 			return err

@@ -306,13 +306,6 @@ func TestVMUptime(t *testing.T) {
 	}
 }
 
-func TestInitialClass(t *testing.T) {
-	vm := &VM{InitialPrediction: 50 * time.Hour}
-	if got := vm.InitialClass(); got != simtime.LC3 {
-		t.Fatalf("InitialClass = %v, want LC3", got)
-	}
-}
-
 func TestPoolInvariantProperty(t *testing.T) {
 	// Random place/exit sequences keep invariants.
 	type op struct {

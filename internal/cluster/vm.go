@@ -6,7 +6,6 @@ import (
 
 	"lava/internal/features"
 	"lava/internal/resources"
-	"lava/internal/simtime"
 )
 
 // VMID identifies a VM within a trace/pool.
@@ -53,11 +52,6 @@ func (v *VM) Uptime(now time.Duration) time.Duration {
 
 // TrueExit returns the ground-truth exit time (creation + true lifetime).
 func (v *VM) TrueExit() time.Duration { return v.Created + v.TrueLifetime }
-
-// InitialClass returns the LAVA lifetime class of the initial prediction.
-func (v *VM) InitialClass() simtime.LifetimeClass {
-	return simtime.ClassOf(v.InitialPrediction)
-}
 
 func (v *VM) String() string {
 	return fmt.Sprintf("vm%d(%s)", v.ID, v.Shape)

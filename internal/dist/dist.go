@@ -30,34 +30,10 @@ func FromDurations(ds []time.Duration) (*Empirical, error) {
 	return e, nil
 }
 
-// N returns the sample count.
-func (e *Empirical) N() int { return len(e.sorted) }
-
 // CDF returns the fraction of samples <= d.
 func (e *Empirical) CDF(d time.Duration) float64 {
 	idx := sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > d })
 	return float64(idx) / float64(len(e.sorted))
-}
-
-// Quantile returns the smallest sample s such that CDF(s) >= q, for q in
-// (0, 1]. Out-of-range q clamps to the extreme samples.
-func (e *Empirical) Quantile(q float64) time.Duration {
-	if q <= 0 {
-		return e.sorted[0]
-	}
-	idx := int(q*float64(len(e.sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(e.sorted) {
-		idx = len(e.sorted) - 1
-	}
-	return e.sorted[idx]
-}
-
-// Mean returns the sample mean.
-func (e *Empirical) Mean() time.Duration {
-	return time.Duration(e.suffix[0] / float64(len(e.sorted)) * float64(time.Second))
 }
 
 // CondExpRemaining returns E(L - u | L > u), the expected remaining

@@ -3,7 +3,6 @@ package features
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 )
 
 // Features mirrors the model features of Table 3. The uptime feature is not
@@ -109,20 +108,6 @@ func (e *Encoder) AppendEncode(dst []float64, f Features, uptimeLog10 float64) [
 		b2f(f.HasSSD), b2f(f.Spot), b2f(f.AdmissionPolicy),
 		float64(f.CPUMilli)/1000.0, float64(f.MemoryMB)/1024.0,
 		uptimeLog10)
-}
-
-// Categories returns the retained (non-collapsed) categories of column col,
-// sorted, for diagnostics.
-func (e *Encoder) Categories(col int) []string {
-	if col < 0 || col >= 5 {
-		return nil
-	}
-	out := make([]string, 0, len(e.cat[col]))
-	for v := range e.cat[col] {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func b2f(b bool) float64 {

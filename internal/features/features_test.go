@@ -53,8 +53,9 @@ func TestRareCategoryCollapses(t *testing.T) {
 	if rare[2] != unseen[2] {
 		t.Fatalf("rare category not collapsed: %v vs %v", rare[2], unseen[2])
 	}
-	if got := len(e.Categories(2)); got != 1 {
-		t.Fatalf("retained categories = %d, want 1", got)
+	// The common category keeps its own target encoding.
+	if common := e.Encode(Features{VMCategory: "common"}, 0); common[2] != 1 {
+		t.Fatalf("common category encoded as %v, want 1", common[2])
 	}
 }
 
@@ -82,13 +83,6 @@ func TestEncodeWidthAndBooleans(t *testing.T) {
 func TestFieldNamesMatchWidth(t *testing.T) {
 	if len(FieldNames) != NumColumns {
 		t.Fatalf("FieldNames has %d entries, NumColumns = %d", len(FieldNames), NumColumns)
-	}
-}
-
-func TestCategoriesOutOfRange(t *testing.T) {
-	e := Fit(nil)
-	if e.Categories(-1) != nil || e.Categories(5) != nil {
-		t.Fatal("out-of-range Categories must be nil")
 	}
 }
 

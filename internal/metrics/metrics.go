@@ -70,7 +70,6 @@ var (
 	EmptyToFree    Field = func(s Sample) float64 { return s.EmptyToFree }
 	PackingDensity Field = func(s Sample) float64 { return s.PackingDensity }
 	CPUUtil        Field = func(s Sample) float64 { return s.CPUUtil }
-	MemUtil        Field = func(s Sample) float64 { return s.MemUtil }
 )
 
 // Mean averages a field over the series (samples are evenly spaced in the
@@ -84,28 +83,6 @@ func (s *Series) Mean(f Field) float64 {
 		sum += f(smp)
 	}
 	return sum / float64(len(s.Samples))
-}
-
-// TimeWeightedMean integrates a field against the sample spacing, for
-// unevenly spaced series. Each sample's value holds until the next sample.
-func (s *Series) TimeWeightedMean(f Field) float64 {
-	n := len(s.Samples)
-	if n == 0 {
-		return 0
-	}
-	if n == 1 {
-		return f(s.Samples[0])
-	}
-	var integral, span float64
-	for i := 0; i+1 < n; i++ {
-		dt := (s.Samples[i+1].Time - s.Samples[i].Time).Hours()
-		integral += f(s.Samples[i]) * dt
-		span += dt
-	}
-	if span == 0 {
-		return f(s.Samples[0])
-	}
-	return integral / span
 }
 
 // Values extracts a field as a slice (for stats helpers).

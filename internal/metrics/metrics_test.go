@@ -83,34 +83,9 @@ func TestMeanAndValues(t *testing.T) {
 	}
 }
 
-func TestTimeWeightedMean(t *testing.T) {
-	var s Series
-	// Value 1.0 held for 1h, then 0.0 held for 3h.
-	if err := s.Add(Sample{Time: 0, EmptyHostFrac: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(Sample{Time: time.Hour, EmptyHostFrac: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(Sample{Time: 4 * time.Hour, EmptyHostFrac: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.TimeWeightedMean(EmptyHostFrac); math.Abs(got-0.25) > 1e-12 {
-		t.Fatalf("time-weighted mean = %v, want 0.25", got)
-	}
-	// Single sample: its value.
-	var one Series
-	if err := one.Add(Sample{Time: 0, EmptyHostFrac: 0.7}); err != nil {
-		t.Fatal(err)
-	}
-	if got := one.TimeWeightedMean(EmptyHostFrac); got != 0.7 {
-		t.Fatalf("single-sample mean = %v", got)
-	}
-}
-
 func TestFieldSelectors(t *testing.T) {
 	s := Sample{EmptyHostFrac: 1, EmptyToFree: 2, PackingDensity: 3, CPUUtil: 4, MemUtil: 5}
-	if EmptyHostFrac(s) != 1 || EmptyToFree(s) != 2 || PackingDensity(s) != 3 || CPUUtil(s) != 4 || MemUtil(s) != 5 {
+	if EmptyHostFrac(s) != 1 || EmptyToFree(s) != 2 || PackingDensity(s) != 3 || CPUUtil(s) != 4 {
 		t.Fatal("field selectors wrong")
 	}
 }

@@ -64,21 +64,6 @@ func (c *Curve) Survival(t time.Duration) float64 {
 	return c.surv[i-1]
 }
 
-// Median returns the time at which S(t) first drops to 0.5 or below. If the
-// curve never reaches 0.5 (heavy censoring), it returns the last event time
-// and false.
-func (c *Curve) Median() (time.Duration, bool) {
-	for i, s := range c.surv {
-		if s <= 0.5 {
-			return c.times[i], true
-		}
-	}
-	if len(c.times) == 0 {
-		return 0, false
-	}
-	return c.times[len(c.times)-1], false
-}
-
 // ExpRemaining computes E(T - u | T > u) by integrating the conditional
 // survival function S(t)/S(u) from u to the last event time. If the curve
 // does not reach zero (censoring), the tail beyond the last event time

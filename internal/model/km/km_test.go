@@ -84,17 +84,6 @@ func TestSurvivalMonotone(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	c, err := Fit(obs([]float64{1, 2, 3, 4}, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	med, ok := c.Median()
-	if !ok || med != 2*time.Hour {
-		t.Fatalf("Median = %v ok=%t, want 2h true", med, ok)
-	}
-}
-
 func TestExpRemaining(t *testing.T) {
 	// Uniform exits at 1..4h. E(T) should be 2.5h at u=0.
 	c, err := Fit(obs([]float64{1, 2, 3, 4}, true))

@@ -258,12 +258,3 @@ func (m *Model) Predict(x []float64) float64 {
 	acts := m.forward(m.scaleIn(x))
 	return acts[len(acts)-1][0]*m.yStd + m.yMean
 }
-
-// NumParams returns the trainable parameter count.
-func (m *Model) NumParams() int {
-	n := 0
-	for _, l := range m.layers {
-		n += len(l.w) + len(l.b)
-	}
-	return n
-}

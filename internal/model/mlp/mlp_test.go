@@ -82,15 +82,3 @@ func TestConstantTarget(t *testing.T) {
 		t.Fatalf("constant-target prediction = %v, want ~7", got)
 	}
 }
-
-func TestNumParams(t *testing.T) {
-	X, y := synth(50, 4)
-	m, err := Train(X, y, Params{Hidden: []int{8}, Epochs: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2->8: 16+8; 8->1: 8+1 = 33.
-	if got := m.NumParams(); got != 33 {
-		t.Fatalf("NumParams = %d, want 33", got)
-	}
-}

@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -156,14 +157,6 @@ func TestNoisyOracleExtremeDrawsCap(t *testing.T) {
 	}
 }
 
-func TestCapped(t *testing.T) {
-	vm := &cluster.VM{ID: 1, TrueLifetime: 30 * simtime.Day}
-	c := Capped{P: Oracle{}}
-	if got := c.PredictRemaining(vm, 0); got != simtime.CapLifetime {
-		t.Fatalf("capped = %v, want %v", got, simtime.CapLifetime)
-	}
-}
-
 func TestBuildExamplesAugmentation(t *testing.T) {
 	recs := []trace.Record{{ID: 1, Lifetime: 8 * time.Hour}}
 	exs := BuildExamples(recs)
@@ -209,6 +202,15 @@ func TestSplitRecords(t *testing.T) {
 	tr2, te2 := SplitRecords(tr.Records, 0.25, 9)
 	if len(tr2) != len(train) || len(te2) != len(test) {
 		t.Fatal("split not deterministic")
+	}
+	// Out-of-range fractions clamp instead of slicing out of bounds.
+	for _, c := range []struct {
+		frac float64
+		test int
+	}{{-1, 0}, {math.NaN(), 0}, {1.5, len(tr.Records)}} {
+		if train, test := SplitRecords(tr.Records, c.frac, 9); len(test) != c.test || len(train)+len(test) != len(tr.Records) {
+			t.Fatalf("frac %v: %d train / %d test, want %d test", c.frac, len(train), len(test), c.test)
+		}
 	}
 }
 
@@ -339,13 +341,13 @@ func TestKMAndCoxPredictorsTrain(t *testing.T) {
 
 func TestPredictorNames(t *testing.T) {
 	names := map[string]bool{}
-	for _, p := range []Predictor{Oracle{}, &NoisyOracle{}, Capped{P: Oracle{}}} {
+	for _, p := range []Predictor{Oracle{}, &NoisyOracle{}} {
 		if p.Name() == "" {
 			t.Fatal("empty predictor name")
 		}
 		names[p.Name()] = true
 	}
-	if len(names) != 3 {
+	if len(names) != 2 {
 		t.Fatalf("names not distinct: %v", names)
 	}
 }

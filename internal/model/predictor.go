@@ -35,8 +35,9 @@ import (
 // A caller that holds the VM (scheduler.ExitCache) then binds its answers
 // once. The contract is bit-equality: for every VM that Steps accepts,
 // Steps(vm).Remaining(u) equals PredictRemaining(vm, u) at every uptime u.
-// A wrapper that may change answers (a cap, a model swap, a timing
-// decorator) must not forward Steps; callers then take PredictRemaining.
+// A wrapper that may change answers (the scenarios' model swap, the
+// no-reprediction ablation, a timing decorator) must not forward Steps;
+// callers then take PredictRemaining.
 type Predictor interface {
 	Name() string
 	PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration
@@ -205,31 +206,6 @@ func (n *NoisyOracle) PredictRemaining(vm *cluster.VM, uptime time.Duration) tim
 	rem := n.PredictedLifetime(vm) - uptime
 	if rem <= 0 {
 		return MinRemaining(uptime)
-	}
-	return rem
-}
-
-// --- Capping wrapper --------------------------------------------------------
-
-// Capped bounds another predictor's output, mirroring the production cap of
-// 7 days on lifetime labels (Appendix B).
-type Capped struct {
-	P   Predictor
-	Cap time.Duration // zero means simtime.CapLifetime (168h)
-}
-
-// Name implements Predictor.
-func (c Capped) Name() string { return c.P.Name() + "-capped" }
-
-// PredictRemaining clamps the wrapped prediction to [0, Cap].
-func (c Capped) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration {
-	cap := c.Cap
-	if cap == 0 {
-		cap = simtime.CapLifetime
-	}
-	rem := c.P.PredictRemaining(vm, uptime)
-	if rem > cap {
-		return cap
 	}
 	return rem
 }

@@ -50,11 +50,15 @@ func BuildExamples(records []trace.Record) []features.Example {
 }
 
 // SplitRecords partitions records into train/test deterministically by
-// hashing VM IDs with the seed; testFrac of VMs land in the test set.
+// hashing VM IDs with the seed; testFrac of VMs land in the test set. A
+// testFrac outside [0, 1], or NaN, is clamped: no VM or every VM is held out.
 func SplitRecords(records []trace.Record, testFrac float64, seed int64) (train, test []trace.Record) {
 	rng := rand.New(rand.NewSource(seed))
 	perm := rng.Perm(len(records))
-	nTest := int(testFrac * float64(len(records)))
+	nTest := 0
+	if f := testFrac * float64(len(records)); f > 0 {
+		nTest = int(min(f, float64(len(records))))
+	}
 	testIdx := make(map[int]bool, nTest)
 	for _, i := range perm[:nTest] {
 		testIdx[i] = true

@@ -28,7 +28,7 @@ import (
 )
 
 // smallTrace generates a quick production-like trace.
-func smallTrace(t *testing.T, hosts, days int, seed int64) *trace.Trace {
+func smallTrace(t testing.TB, hosts, days int, seed int64) *trace.Trace {
 	t.Helper()
 	tr, err := workload.Generate(workload.PoolSpec{
 		Name: "serve-test", Zone: "z1", Hosts: hosts, TargetUtil: 0.6,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"lava/internal/ptrace"
 	"lava/internal/scheduler"
 	"lava/internal/sim"
+	"lava/internal/simtime"
 )
 
 // getJSON fetches url and decodes the response into out, returning the
@@ -252,5 +254,144 @@ func TestFleetTraceParity(t *testing.T) {
 	}
 	if code := getJSON(t, hs.URL+"/trace?cell=99", nil); code != http.StatusBadRequest {
 		t.Fatalf("out-of-range cell = %d, want 400", code)
+	}
+}
+
+// FuzzTraceQuery sends arbitrary query strings to GET /trace on a traced
+// Server and a traced 2-cell Fleet. Every answer is 200, or 400 exactly
+// when a parameter does not parse, is negative, or names no cell; a 200
+// page holds only decisions that match the filter, in ascending Seq past
+// after, at most limit of them, and next_after is the last Seq (or after
+// on an empty page).
+func FuzzTraceQuery(f *testing.F) {
+	tr := smallTrace(f, 6, 1, 11)
+	srvCfg := FromTrace(tr)
+	srvCfg.Policy = scheduler.NewWasteMin()
+	srvCfg.TraceK, srvCfg.TraceCap = 2, -1
+	srv, err := New(srvCfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(srv.Close)
+	fc := FleetFromTrace(tr)
+	fc.Cells, fc.TraceK, fc.TraceCap = 2, 2, -1
+	fc.NewPolicy = func(int) (scheduler.Policy, error) { return scheduler.NewWasteMin(), nil }
+	fleet, err := NewFleet(fc)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(fleet.Close)
+	for _, h := range []http.Handler{srv.Handler(), fleet.Handler()} {
+		hs := httptest.NewServer(h)
+		_, err := (&Client{Base: hs.URL}).Replay(context.Background(), tr, ReplayOptions{SkipDrain: true})
+		hs.Close()
+		if err != nil {
+			f.Fatal(err)
+		}
+	}
+	if srv.Tracer().Seq() < 200 {
+		f.Fatalf("only %d decisions traced", srv.Tracer().Seq())
+	}
+	vm := tr.Records[len(tr.Records)/2].ID
+
+	for _, q := range []string{
+		"", "limit=5", "limit=0", fmt.Sprintf("vm=%d", vm), "host=1", "vm=-1&host=-1",
+		"from_ns=0&to_ns=1", fmt.Sprintf("from_ns=%d&to_ns=%d", 2*simtime.Day, 3*simtime.Day),
+		"after=50&limit=10", "after=100000", "cell=0", "cell=1&limit=3", "cell=2", "cell=-1",
+		"cell=99", "limit=-1", "after=-1", "from_ns=-5", "to_ns=-5", "vm=abc", "limit=1.5",
+		"after=9223372036854775807", "after=9223372036854775808", "limit=9223372036854775807",
+		"to_ns=18446744073709551616", "vm=-9223372036854775809",
+		"limit=2&limit=-1", "limit=-1&limit=2", "vm=1&vm=2", "cell=0&cell=9",
+		"limit=%zz", "limit=3;after=1", "&&=&", "cell=+1", "limit=+3", "after=0x10",
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		checkTraceQuery(t, srv.Handler(), raw, 0)
+		checkTraceQuery(t, fleet.Handler(), raw, 2)
+	})
+}
+
+// checkTraceQuery sends GET /trace?raw to h, a Server's handler when cells
+// is 0 and a Fleet's of that many cells otherwise, and checks the answer.
+func checkTraceQuery(t *testing.T, h http.Handler, raw string, cells int) {
+	req := httptest.NewRequest(http.MethodGet, "/trace", nil)
+	req.URL.RawQuery = raw
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+
+	q := req.URL.Query()
+	valid := true
+	var vals [6]int64 // vm, host, from_ns, to_ns, after, limit
+	vals[0], vals[1] = -1, -1
+	for i, name := range []string{"vm", "host", "from_ns", "to_ns", "after", "limit"} {
+		if s := q.Get(name); s != "" {
+			n, err := strconv.ParseInt(s, 10, 64)
+			valid = valid && err == nil && (i < 2 || n >= 0)
+			vals[i] = n
+		}
+	}
+	lo, hi := 0, cells
+	if s := q.Get("cell"); cells > 0 && s != "" {
+		c, err := strconv.Atoi(s)
+		valid = valid && err == nil && c >= 0 && c < cells
+		lo, hi = c, c+1
+	}
+	want := http.StatusBadRequest
+	if valid {
+		want = http.StatusOK
+	}
+	if w.Code != want {
+		t.Fatalf("cells %d, GET /trace?%s = %d, want %d: %s", cells, raw, w.Code, want, w.Body)
+	}
+	if w.Code != http.StatusOK {
+		return
+	}
+
+	var pages []ptrace.QueryResult
+	if cells == 0 {
+		var page ptrace.QueryResult
+		if err := json.Unmarshal(w.Body.Bytes(), &page); err != nil {
+			t.Fatal(err)
+		}
+		pages = append(pages, page)
+	} else {
+		var resp FleetTraceResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Cells) != hi-lo {
+			t.Fatalf("?%s: %d cells answered, want %d", raw, len(resp.Cells), hi-lo)
+		}
+		for i, c := range resp.Cells {
+			if c.Cell != lo+i {
+				t.Fatalf("?%s: page %d is cell %d, want %d", raw, i, c.Cell, lo+i)
+			}
+			pages = append(pages, c.QueryResult)
+		}
+	}
+	vmID, host, from, to := vals[0], vals[1], time.Duration(vals[2]), time.Duration(vals[3])
+	after, limit := uint64(vals[4]), int(vals[5])
+	if limit == 0 {
+		limit = ptrace.DefaultQueryLimit
+	}
+	for _, p := range pages {
+		if len(p.Decisions) > limit {
+			t.Fatalf("?%s: page of %d decisions, limit %d", raw, len(p.Decisions), limit)
+		}
+		last := after
+		for _, d := range p.Decisions {
+			if vmID >= 0 && int64(d.VM) != vmID || host >= 0 && int64(d.Host) != host ||
+				d.T < from || to > 0 && d.T > to {
+				t.Fatalf("?%s: decision %+v does not match the filter", raw, d)
+			}
+			if d.Seq <= last {
+				t.Fatalf("?%s: seq %d after %d", raw, d.Seq, last)
+			}
+			last = d.Seq
+		}
+		if p.NextAfter != last {
+			t.Fatalf("?%s: next_after %d, want %d", raw, p.NextAfter, last)
+		}
 	}
 }

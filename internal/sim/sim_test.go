@@ -238,7 +238,24 @@ func TestWarmUpExcludedFromAggregates(t *testing.T) {
 	if got := resWarm.Series.After(tr.WarmUp).Len(); got >= resWarm.Series.Len() {
 		t.Fatal("After() must trim samples")
 	}
-	_ = metrics.EmptyHostFrac
+	// The online aggregates equal the series mean bit for bit.
+	for _, res := range []*Result{resAll, resWarm} {
+		after := res.Series.After(res.WarmUp)
+		for _, c := range []struct {
+			name string
+			got  float64
+			f    metrics.Field
+		}{
+			{"AvgEmptyHostFrac", res.AvgEmptyHostFrac, metrics.EmptyHostFrac},
+			{"AvgEmptyToFree", res.AvgEmptyToFree, metrics.EmptyToFree},
+			{"AvgPackingDensity", res.AvgPackingDensity, metrics.PackingDensity},
+			{"AvgCPUUtil", res.AvgCPUUtil, metrics.CPUUtil},
+		} {
+			if want := after.Mean(c.f); c.got != want {
+				t.Errorf("warm-up %v: %s = %v, series mean %v", res.WarmUp, c.name, c.got, want)
+			}
+		}
+	}
 }
 
 func TestNewMachineRejectsNegativePeriods(t *testing.T) {

@@ -17,9 +17,6 @@ const (
 	CapLifetime = 168 * time.Hour
 )
 
-// Hours returns d expressed in (fractional) hours.
-func Hours(d time.Duration) float64 { return d.Hours() }
-
 // FromHours converts fractional hours into a Duration. It saturates: hours
 // past the int64 range, ±Inf included, give ±math.MaxInt64 nanoseconds
 // (a plain conversion would wrap to math.MinInt64), and NaN gives 0.
@@ -35,9 +32,6 @@ func FromHours(h float64) time.Duration {
 	}
 	return time.Duration(ns)
 }
-
-// Seconds returns d expressed in fractional seconds.
-func Seconds(d time.Duration) float64 { return d.Seconds() }
 
 // Log10Hours returns log10 of d in hours. Durations of zero (or less) are
 // clamped to one second to keep the log finite, matching the paper's

@@ -176,7 +176,7 @@ func TestLog10Hours(t *testing.T) {
 func TestHoursRoundTrip(t *testing.T) {
 	f := func(h uint16) bool {
 		d := FromHours(float64(h))
-		return math.Abs(Hours(d)-float64(h)) < 1e-9
+		return math.Abs(d.Hours()-float64(h)) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

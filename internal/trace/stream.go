@@ -267,7 +267,7 @@ func (c *EventCursor) Err() error { return c.err }
 
 // Collect drains a stream into a materialized record slice. It is the
 // bridge from streaming producers to consumers that genuinely need the
-// whole trace (model training, LiveAt reconstruction).
+// whole trace (model training).
 func Collect(s Stream) ([]Record, error) {
 	var recs []Record
 	for {

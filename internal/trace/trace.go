@@ -169,30 +169,6 @@ func (t *Trace) Events() []Event {
 	return evs
 }
 
-// Slice returns the sub-trace of VMs arriving in [from, to).
-func (t *Trace) Slice(from, to time.Duration) *Trace {
-	out := &Trace{PoolName: t.PoolName, Hosts: t.Hosts, HostCPU: t.HostCPU, HostMem: t.HostMem, HostSSD: t.HostSSD, WarmUp: t.WarmUp, Horizon: t.Horizon}
-	for _, r := range t.Records {
-		if r.Arrival >= from && r.Arrival < to {
-			out.Records = append(out.Records, r)
-		}
-	}
-	return out
-}
-
-// LiveAt returns the records of VMs alive at time ts (arrived at or before,
-// exiting after). Used for warm-up reconstruction (Appendix F).
-func (t *Trace) LiveAt(ts time.Duration) []Record {
-	var out []Record
-	for _, r := range t.Records {
-		if r.Arrival <= ts && r.Exit() > ts {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Arrival < out[j].Arrival })
-	return out
-}
-
 // --- JSONL codec ---------------------------------------------------------
 
 type header struct {

@@ -109,26 +109,6 @@ func TestExitBeforeCreateAtSameInstant(t *testing.T) {
 	}
 }
 
-func TestSlice(t *testing.T) {
-	tr := sample()
-	got := tr.Slice(30*time.Minute, 90*time.Minute)
-	if len(got.Records) != 2 {
-		t.Fatalf("slice records = %d", len(got.Records))
-	}
-	if got.WarmUp != tr.WarmUp || got.Horizon != tr.Horizon {
-		t.Fatal("slice lost header fields")
-	}
-}
-
-func TestLiveAt(t *testing.T) {
-	tr := sample()
-	live := tr.LiveAt(90 * time.Minute)
-	// VM1 (0..2h) and VM3 (1h..9h) alive; VM2 exited at 1.5h.
-	if len(live) != 2 || live[0].ID != 1 || live[1].ID != 3 {
-		t.Fatalf("live = %+v", live)
-	}
-}
-
 func TestRoundTripPreservesEverything(t *testing.T) {
 	tr := sample()
 	var buf bytes.Buffer

@@ -44,8 +44,18 @@ func Stream(spec PoolSpec) (*GenStream, error) {
 	if spec.Duration <= 0 {
 		return nil, fmt.Errorf("workload: pool %q has no duration", spec.Name)
 	}
-	if spec.TargetUtil <= 0 || spec.TargetUtil >= 1 {
-		return nil, fmt.Errorf("workload: pool %q target utilization %v out of (0,1)", spec.Name, spec.TargetUtil)
+	// The negated comparisons also refuse NaN.
+	if !(spec.TargetUtil > 0 && spec.TargetUtil < 1) {
+		return nil, fmt.Errorf("workload: pool %q TargetUtil %v outside (0,1)", spec.Name, spec.TargetUtil)
+	}
+	if !(spec.Diurnal >= 0 && spec.Diurnal < 1) {
+		return nil, fmt.Errorf("workload: pool %q Diurnal %v outside [0,1)", spec.Name, spec.Diurnal)
+	}
+	if spec.Prefill < 0 {
+		return nil, fmt.Errorf("workload: pool %q has negative Prefill %v", spec.Name, spec.Prefill)
+	}
+	if spec.Prefill > math.MaxInt64-spec.Duration {
+		return nil, fmt.Errorf("workload: pool %q Prefill %v + Duration %v overflows", spec.Name, spec.Prefill, spec.Duration)
 	}
 	mix := spec.Mix
 	if len(mix) == 0 {

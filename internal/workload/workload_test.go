@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -58,6 +60,43 @@ func TestGenerateRejectsBadSpecs(t *testing.T) {
 	for _, spec := range bad {
 		if _, err := Generate(spec); err == nil {
 			t.Errorf("spec %q must be rejected", spec.Name)
+		}
+	}
+}
+
+// TestStreamRejectsBadSpecs: Stream refuses, naming the field, every spec
+// the generator cannot honour. A NaN utilization used to generate forever,
+// an out-of-range Diurnal to draw negative arrival gaps, and a negative or
+// overflowing Prefill to give a warm-up or horizon below zero.
+func TestStreamRejectsBadSpecs(t *testing.T) {
+	base := PoolSpec{Name: "bad", Hosts: 10, TargetUtil: 0.5, Duration: time.Hour}
+	for _, row := range []struct {
+		field string
+		edit  func(*PoolSpec)
+	}{
+		{"TargetUtil", func(s *PoolSpec) { s.TargetUtil = math.NaN() }},
+		{"TargetUtil", func(s *PoolSpec) { s.TargetUtil = math.Inf(1) }},
+		{"TargetUtil", func(s *PoolSpec) { s.TargetUtil = 1.5 }},
+		{"Diurnal", func(s *PoolSpec) { s.Diurnal = -2 }},
+		{"Diurnal", func(s *PoolSpec) { s.Diurnal = 1 }},
+		{"Diurnal", func(s *PoolSpec) { s.Diurnal = 5 }},
+		{"Diurnal", func(s *PoolSpec) { s.Diurnal = math.NaN() }},
+		{"Prefill", func(s *PoolSpec) { s.Prefill = -simtime.Day }},
+		{"Prefill", func(s *PoolSpec) { s.Prefill = math.MaxInt64 - time.Minute }},
+	} {
+		spec := base
+		row.edit(&spec)
+		_, err := Stream(spec)
+		if err == nil || !strings.Contains(err.Error(), row.field) {
+			t.Errorf("TargetUtil %v Diurnal %v Prefill %v: err %v, want one naming %s",
+				spec.TargetUtil, spec.Diurnal, spec.Prefill, err, row.field)
+		}
+	}
+	for _, d := range []float64{0, 0.999} {
+		spec := base
+		spec.Diurnal = d
+		if _, err := Stream(spec); err != nil {
+			t.Errorf("Diurnal %v refused: %v", d, err)
 		}
 	}
 }
@@ -172,20 +211,6 @@ func TestEventsOrdering(t *testing.T) {
 		if a.Time == b.Time && a.Kind > b.Kind {
 			t.Fatalf("exit-before-create violated at %d", i)
 		}
-	}
-}
-
-func TestLiveAt(t *testing.T) {
-	tr := genSmall(t, 9)
-	ts := 2 * simtime.Day
-	live := tr.LiveAt(ts)
-	for _, r := range live {
-		if r.Arrival > ts || r.Exit() <= ts {
-			t.Fatalf("record %d not live at %v: arrival=%v exit=%v", r.ID, ts, r.Arrival, r.Exit())
-		}
-	}
-	if len(live) == 0 {
-		t.Fatal("no live VMs at mid-trace; generator too sparse")
 	}
 }
 
