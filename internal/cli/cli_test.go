@@ -201,6 +201,22 @@ func TestCLIRefusals(t *testing.T) {
 			[]string{"-trace", good, "-router", "bogus"}, "-router"},
 		{"lavad -admit negative refill", Lavad,
 			[]string{"-trace", good, "-addr", "127.0.0.1:0", "-admit", "standard=-5/1m"}, "standard=-5/1m"},
+		{"lavad -cells negative", Lavad,
+			[]string{"-trace", good, "-addr", "127.0.0.1:0", "-cells", "-3"}, "-cells"},
+		{"lavasim -cells negative", Lavasim,
+			[]string{"-trace", good, "-cells", "-3"}, "-cells"},
+		{"lavasim -cells 0 under -scenario", Lavasim,
+			[]string{"-trace", good, "-scenario", "drain-wave", "-cells", "0"}, "-cells"},
+		{"lavaload -concurrency negative", Lavaload,
+			[]string{"-trace", good, "-addr", hs.URL, "-concurrency", "-2"}, "-concurrency"},
+		{"lavaload -concurrency 0", Lavaload,
+			[]string{"-trace", good, "-addr", hs.URL, "-concurrency", "0"}, "-concurrency"},
+		{"lavaload -qps NaN", Lavaload,
+			[]string{"-trace", good, "-addr", hs.URL, "-qps", "NaN"}, "-qps"},
+		{"lavaload -qps negative", Lavaload,
+			[]string{"-trace", good, "-addr", hs.URL, "-qps", "-5"}, "-qps"},
+		{"lavaload -qps infinite", Lavaload,
+			[]string{"-trace", good, "-addr", hs.URL, "-qps", "+Inf"}, "-qps"},
 		{"lavaload duplicate vm id", Lavaload,
 			[]string{"-trace", dup, "-addr", hs.URL}, "duplicate vm id"},
 		{"experiments -counterfactual with one policy", Experiments,
@@ -211,6 +227,8 @@ func TestCLIRefusals(t *testing.T) {
 			[]string{"-exp", "table3", "-scale", "-1"}, "-scale"},
 		{"experiments -scale above range", Experiments,
 			[]string{"-exp", "table3", "-scale", "3"}, "-scale"},
+		{"experiments -cells negative", Experiments,
+			[]string{"-exp", "table3", "-cells", "-3"}, "-cells"},
 		{"tracegen -diurnal above range", Tracegen,
 			[]string{"-hosts", "2", "-days", "1", "-prefill", "0", "-diurnal", "5"}, "Diurnal"},
 		{"tracegen -diurnal negative", Tracegen,

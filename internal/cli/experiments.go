@@ -40,6 +40,9 @@ func Experiments(_ context.Context, args []string, stdout, stderr io.Writer) int
 		if *scale <= 0 || *scale > 1 {
 			return fmt.Errorf("-scale %v is outside (0, 1]", *scale)
 		}
+		if *cells < 0 {
+			return fmt.Errorf("-cells %d is negative (0 = the default width)", *cells)
+		}
 		names, err := experiments.Select(*exp)
 		if err != nil {
 			return err

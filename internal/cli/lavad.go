@@ -44,6 +44,9 @@ func Lavad(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if *tracePath == "" {
 			return errors.New("-trace is required")
 		}
+		if *cells < 1 {
+			return fmt.Errorf("-cells %d: a daemon serves at least one cell", *cells)
+		}
 		tr, err := trace.ReadFile(*tracePath)
 		if err != nil {
 			return err

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 
 	"lava"
@@ -38,6 +39,12 @@ func Lavaload(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		}
 		if *finalOut != "" && *noDrain {
 			return errors.New("-final-out needs the drain report: drop -no-drain")
+		}
+		if *conc < 1 {
+			return fmt.Errorf("-concurrency %d: a replay needs at least one worker", *conc)
+		}
+		if !(*qps >= 0 && *qps <= math.MaxFloat64) {
+			return fmt.Errorf("-qps %v is not a finite rate >= 0", *qps)
 		}
 		tr, err := trace.ReadFile(*tracePath)
 		if err != nil {

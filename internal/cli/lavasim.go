@@ -49,6 +49,9 @@ func Lavasim(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		if *tracePath == "" {
 			return errors.New("-trace is required")
 		}
+		if *cells < 1 {
+			return fmt.Errorf("-cells %d: a run needs at least one cell", *cells)
+		}
 		// A one-cell run never reaches the facade's fleet check, yet a
 		// misspelt -router must not pass there either.
 		if !slices.Contains(cell.RouterKinds(), *router) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"lava/internal/resources"
 	"lava/internal/simtime"
@@ -11,6 +12,14 @@ import (
 
 func newVM(id VMID, cores int64) *VM {
 	return &VM{ID: id, Shape: resources.Cores(cores, cores*4096, 0)}
+}
+
+// TestVMSize: a VM stays in the 192-byte allocation size class, so that
+// the binding handle it carries costs a replay no memory.
+func TestVMSize(t *testing.T) {
+	if n := unsafe.Sizeof(VM{}); n > 192 {
+		t.Fatalf("cluster.VM is %d bytes, over 192", n)
+	}
 }
 
 func TestPlaceExitBookkeeping(t *testing.T) {

@@ -4,10 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"maps"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lava/internal/cluster"
@@ -55,16 +53,20 @@ func clampRemaining(d time.Duration) time.Duration {
 // once, and remembers, per VM, the step function its features select: a
 // reprediction is one threshold search and one load, bit-equal to the
 // forest walk. A caller that holds a VM can bind its step function once
-// (Steps). Enc and M must not change after the first prediction.
+// (Steps); the step functions of VM features seen before come from a
+// bounded memo, without encoding the features again. Enc and M must not
+// change after the first prediction.
 type GBDTPredictor struct {
 	Enc *features.Encoder
 	M   *gbdt.Model
 
-	// steps maps a static-bin vector to its step table; derived state,
-	// built on use and never saved. Readers load the map without locking;
-	// mu serialises the writers, which publish a copy with one more table.
-	mu    sync.Mutex
-	steps atomic.Pointer[map[staticBins]stepTable]
+	// steps maps a static-bin vector to its step table, and memo VM
+	// features to their step function (Rem nil past maxStepTables): derived
+	// state, built on use and never saved. mu guards both; a table or memo
+	// entry, once added, is never changed or removed.
+	mu    sync.RWMutex
+	steps map[staticBins]stepTable
+	memo  map[features.Features]StepFn
 
 	// at is StepFn.At of every table, computed once from the uptime edges.
 	atOnce sync.Once
@@ -91,6 +93,12 @@ type stepTable []time.Duration
 // each, 512 at the default 64 bins. A VM type past the bound is predicted
 // by the walk.
 const maxStepTables = 4096
+
+// maxStepMemo bounds the memo of step functions by VM features, at about
+// 200 B an entry: ten times the ~400 feature vectors of a 96-host, 10-day
+// generated trace, and as many as there can be tables. Features past the
+// bound are encoded and looked up on every call, as without the memo.
+const maxStepMemo = 4096
 
 // numSlots is the number of per-VM slots, a power of two: room for the
 // VMs a pool of a few hundred hosts keeps live, at about 150 B a slot.
@@ -142,7 +150,7 @@ func (g *GBDTPredictor) PredictRemaining(vm *cluster.VM, uptime time.Duration) t
 	s.mu.Lock()
 	if !s.set || s.feat != vm.Feat {
 		s.set, s.feat = true, vm.Feat
-		s.fn, _ = g.stepsOf(vm.Feat)
+		s.fn, _ = g.stepsOf(&vm.Feat)
 	}
 	fn := s.fn
 	s.mu.Unlock()
@@ -155,24 +163,80 @@ func (g *GBDTPredictor) PredictRemaining(vm *cluster.VM, uptime time.Duration) t
 // Steps returns the VM's step function (see Predictor), or false once the
 // predictor holds maxStepTables tables of other VM types.
 func (g *GBDTPredictor) Steps(vm *cluster.VM) (StepFn, bool) {
-	return g.stepsOf(vm.Feat)
+	return g.stepsOf(&vm.Feat)
 }
 
-// stepsOf returns the step function of the VM features f.
-func (g *GBDTPredictor) stepsOf(f features.Features) (StepFn, bool) {
+// stepsOf returns the step function of the VM features f, from the memo
+// when f has been seen.
+func (g *GBDTPredictor) stepsOf(f *features.Features) (StepFn, bool) {
+	g.mu.RLock()
+	fn, ok := g.memo[*f]
+	g.mu.RUnlock()
+	if !ok {
+		fn = g.computeSteps(f)
+	}
+	return fn, fn.Rem != nil
+}
+
+// computeSteps encodes the VM features f and returns the step function of
+// their bins (Rem nil past maxStepTables), remembering it in the memo.
+func (g *GBDTPredictor) computeSteps(f *features.Features) StepFn {
 	var xbuf [features.NumColumns]float64
 	var bbuf [features.NumColumns]uint8
-	x := g.Enc.AppendEncode(xbuf[:0], f, ZeroUptimeLog10)
+	x := g.Enc.AppendEncode(xbuf[:0], *f, ZeroUptimeLog10)
 	bins := g.M.AppendBins(bbuf[:0], x)
 	if len(bins) != features.NumColumns {
 		panic(fmt.Sprintf("model: GBDT over %d columns, want %d", len(bins), features.NumColumns))
 	}
-	tab := g.stepTable(staticBins(bins[:uptimeCol]))
-	if tab == nil {
-		return StepFn{}, false
-	}
 	g.atOnce.Do(func() { g.at = uptimeSteps(g.M.Edges[uptimeCol]) })
-	return StepFn{At: g.at, Rem: tab}, true
+	key := staticBins(bins[:uptimeCol])
+	g.mu.RLock()
+	tab, ok := g.steps[key]
+	fill := !ok && len(g.steps) < maxStepTables
+	memo := len(g.memo) < maxStepMemo
+	g.mu.RUnlock()
+	if fill {
+		// Filled outside the lock, so that readers never wait on the trees;
+		// of two goroutines that race to fill one table, the first wins.
+		tab = g.fillTable(key)
+	}
+	if fill || memo {
+		g.mu.Lock()
+		tab = g.store(f, key, tab)
+		g.mu.Unlock()
+	}
+	return g.stepFn(tab)
+}
+
+// stepFn is the step function over a table; the zero StepFn for none.
+func (g *GBDTPredictor) stepFn(tab stepTable) StepFn {
+	if tab == nil {
+		return StepFn{}
+	}
+	return StepFn{At: g.at, Rem: tab}
+}
+
+// store adds the table of key, unless it has one or the predictor holds
+// maxStepTables, and remembers the step function of f in the memo, unless
+// it is full. It returns the table key has now. g.mu must be held.
+func (g *GBDTPredictor) store(f *features.Features, key staticBins, tab stepTable) stepTable {
+	if have, ok := g.steps[key]; ok {
+		tab = have
+	} else if tab != nil && len(g.steps) < maxStepTables {
+		if g.steps == nil {
+			g.steps = make(map[staticBins]stepTable)
+		}
+		g.steps[key] = tab
+	} else {
+		tab = nil
+	}
+	if len(g.memo) < maxStepMemo {
+		if g.memo == nil {
+			g.memo = make(map[features.Features]StepFn)
+		}
+		g.memo[*f] = g.stepFn(tab)
+	}
+	return tab
 }
 
 // walk is the forest's answer without the tables: encode, one walk.
@@ -245,20 +309,9 @@ func remaining(logh float64) time.Duration {
 	return clampRemaining(simtime.FromHours(math.Pow(10, logh)))
 }
 
-// stepTable returns the table of one static-bin vector, filling it on first
-// sight, or nil once the predictor holds maxStepTables others.
-func (g *GBDTPredictor) stepTable(key staticBins) stepTable {
-	tabs := g.stepTables()
-	if tab, ok := tabs[key]; ok || len(tabs) >= maxStepTables {
-		return tab
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	tabs = g.stepTables()
-	if tab, ok := tabs[key]; ok || len(tabs) >= maxStepTables {
-		return tab
-	}
-	// One pass over the trees gives the output of every uptime bin.
+// fillTable computes the table of one static-bin vector: one pass over the
+// trees gives the output of every uptime bin.
+func (g *GBDTPredictor) fillTable(key staticBins) stepTable {
 	var logh [256]float64
 	out := logh[:len(g.M.Edges[uptimeCol])+1]
 	bins := key.with(0)
@@ -267,19 +320,7 @@ func (g *GBDTPredictor) stepTable(key staticBins) stepTable {
 	for v, x := range out {
 		tab[v] = remaining(x)
 	}
-	next := make(map[staticBins]stepTable, len(tabs)+1)
-	maps.Copy(next, tabs)
-	next[key] = tab
-	g.steps.Store(&next)
 	return tab
-}
-
-// stepTables returns the current map of tables; nil before the first one.
-func (g *GBDTPredictor) stepTables() map[staticBins]stepTable {
-	if m := g.steps.Load(); m != nil {
-		return *m
-	}
-	return nil
 }
 
 // --- MLP ----------------------------------------------------------------

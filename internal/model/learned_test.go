@@ -67,7 +67,7 @@ func TestGBDTStepTablesMatchTheWalk(t *testing.T) {
 			}
 		}
 	}
-	tabs := g.stepTables()
+	tabs := g.steps
 	if len(tabs) == 0 || len(tabs) >= len(vms) {
 		t.Fatalf("%d step tables for %d VMs: tables must be shared by VM type", len(tabs), len(vms))
 	}
@@ -242,8 +242,10 @@ func TestGBDTSlotsFollowTheFeatures(t *testing.T) {
 }
 
 // TestGBDTStepTableCap pushes a predictor past maxStepTables distinct VM
-// types: the first maxStepTables get tables, the rest are walked, and every
-// answer still equals the walk.
+// types, and past maxStepMemo distinct features: the first maxStepTables
+// types get tables, the rest are walked (and declined by Steps), the memo
+// stops at its bound, and every answer, through PredictRemaining or Steps,
+// still equals the walk.
 func TestGBDTStepTableCap(t *testing.T) {
 	// A forest over columns drawn uniformly, so the cpu and memory columns
 	// have ~64 bins each: 64 x 64 x 2 VM types.
@@ -276,27 +278,47 @@ func TestGBDTStepTableCap(t *testing.T) {
 			}
 		}
 	}
-	if len(types) <= maxStepTables {
-		t.Fatalf("only %d VM types: the test must cross the cap of %d", len(types), maxStepTables)
+	if len(types) <= maxStepTables || len(vms) <= maxStepMemo {
+		t.Fatalf("only %d VM types over %d features: the test must cross the caps of %d and %d",
+			len(types), len(vms), maxStepTables, maxStepMemo)
 	}
 	ups := []time.Duration{0, time.Hour, 3 * simtime.Day}
+	declined := 0
 	for pass := 0; pass < 2; pass++ {
 		for _, vm := range vms {
+			fn, ok := g.Steps(vm)
+			if !ok {
+				declined++
+			}
 			for _, up := range ups {
-				if got, want := g.PredictRemaining(vm, up), walkRemaining(g, vm, up); got != want {
+				want := walkRemaining(g, vm, up)
+				if got := g.PredictRemaining(vm, up); got != want {
 					t.Fatalf("pass %d vm %d uptime %v: %v, walk %v", pass, vm.ID, up, got, want)
+				}
+				if !ok {
+					continue
+				}
+				if got := fn.Remaining(up); got != want {
+					t.Fatalf("pass %d vm %d uptime %v: Steps %v, walk %v", pass, vm.ID, up, got, want)
 				}
 			}
 		}
 	}
-	if n := len(g.stepTables()); n != maxStepTables {
+	if n := len(g.steps); n != maxStepTables {
 		t.Fatalf("%d step tables, want the cap %d", n, maxStepTables)
+	}
+	if n := len(g.memo); n != maxStepMemo {
+		t.Fatalf("%d memo entries, want the cap %d", n, maxStepMemo)
+	}
+	if declined == 0 {
+		t.Fatal("Steps declined no VM past the table cap")
 	}
 }
 
 // TestGBDTPredictConcurrently shares one cold predictor between goroutines
-// that race to fill the same tables and slots (run under -race). Every VM
-// has a twin with its ID and another VM's features, as the experiments'
+// that race to fill the same tables, slots and memo (run under -race): half
+// of them predict through PredictRemaining, half bind through Steps. Every
+// VM has a twin with its ID and another VM's features, as the experiments'
 // pools, which all number their VMs from the same ID, have.
 func TestGBDTPredictConcurrently(t *testing.T) {
 	g, vms := trainedWithVMs(t, 2, 33, gbdt.Params{Trees: 10})
@@ -319,8 +341,17 @@ func TestGBDTPredictConcurrently(t *testing.T) {
 			defer wg.Done()
 			order := rand.New(rand.NewSource(int64(w))).Perm(len(vms))
 			for _, i := range order {
+				predict := func(up time.Duration) time.Duration { return g.PredictRemaining(vms[i], up) }
+				if w%2 == 1 {
+					fn, ok := g.Steps(vms[i])
+					if !ok {
+						t.Errorf("worker %d vm %d: no step function below the table cap", w, vms[i].ID)
+						return
+					}
+					predict = fn.Remaining
+				}
 				for j, up := range ups {
-					if got := g.PredictRemaining(vms[i], up); got != want[i][j] {
+					if got := predict(up); got != want[i][j] {
 						t.Errorf("worker %d vm %d uptime %v: %v, sequential walk %v", w, vms[i].ID, up, got, want[i][j])
 						return
 					}
@@ -333,7 +364,8 @@ func TestGBDTPredictConcurrently(t *testing.T) {
 
 // TestGBDTWarmPredictionDoesNotAllocate: once a VM type's table exists, no
 // prediction for it allocates — repeated ones for a VM, nor the first of a
-// new VM object of that type, which only refills a slot.
+// new VM object of that type, which only refills a slot — and neither does
+// binding a new VM object of seen features, a memo hit.
 func TestGBDTWarmPredictionDoesNotAllocate(t *testing.T) {
 	g, vms := trainedWithVMs(t, 2, 35, gbdt.Params{Trees: 10})
 	vms = vms[:64]
@@ -357,6 +389,14 @@ func TestGBDTWarmPredictionDoesNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(10, predictAll); n != 0 {
 		t.Fatalf("warm PredictRemaining allocates %v times per %d calls", n, 2*len(vms)*len(ups))
 	}
+	bindAll := func() {
+		for _, vm := range fresh {
+			g.Steps(vm)
+		}
+	}
+	if n := testing.AllocsPerRun(10, bindAll); n != 0 {
+		t.Fatalf("Steps of seen features allocates %v times per %d calls", n, len(fresh))
+	}
 }
 
 var sinkRemaining time.Duration
@@ -367,7 +407,9 @@ var sinkRemaining time.Duration
 // predictor that starts each pass over the VMs without tables or slots
 // (what a run's first placements pay); warm repeats calls for VMs whose
 // slots and tables are filled; bound makes warm's calls through each VM's
-// StepCursor, as the scheduler's exit cache does once it holds the VM.
+// StepCursor, as the scheduler's exit cache does once it holds the VM; bind
+// is one Steps call for a new VM object of features the predictor has
+// seen, what the exit cache pays to bind a VM.
 func BenchmarkPredictRemaining(b *testing.B) {
 	g, vms := trainedWithVMs(b, 3, 37, gbdt.Params{Trees: 100})
 	b.Run("cold", func(b *testing.B) {
@@ -415,6 +457,19 @@ func BenchmarkPredictRemaining(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			k := i % batch
 			sinkRemaining = curs[k/len(ups)].Remaining(ups[k%len(ups)])
+		}
+	})
+	b.Run("bind", func(b *testing.B) {
+		fresh := make([]cluster.VM, len(vms))
+		for i, vm := range vms {
+			g.Steps(vm)
+			fresh[i] = cluster.VM{ID: vm.ID, Feat: vm.Feat}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fn, _ := g.Steps(&fresh[i%len(fresh)])
+			sinkRemaining = fn.Rem[0]
 		}
 	})
 }

@@ -20,10 +20,10 @@ import (
 // prediction; subsequent calls with growing uptime are the repredictions
 // that distinguish NILAS/LAVA from one-shot approaches. LAVA makes about
 // twenty of them per placement, so an implementation may keep derived state
-// to answer them (GBDTPredictor's step tables and per-VM slots) as long as
-// every answer equals the one it would compute from scratch. Such state may
-// be keyed by VM ID only together with what the answer depends on: two
-// VMs can share an ID, in different pools or one after the other.
+// to answer them (GBDTPredictor's step tables, memo and per-VM slots) as
+// long as every answer equals the one it would compute from scratch. Such
+// state may be keyed by VM ID only together with what the answer depends
+// on: two VMs can share an ID, in different pools or one after the other.
 //
 // A predictor whose answer for a VM is a step function of its uptime, and
 // depends on nothing else of the VM than its features (which do not change

@@ -13,19 +13,25 @@ import (
 // 2) a VM exits, or 3) the cached estimate goes stale past the refresh
 // interval. A refresh interval of zero disables caching (always recompute).
 //
+// Cached host estimates live in a slice indexed by host ID, grown on demand.
+//
 // When Pred has a Steps method (see model.Predictor), the cache binds each
 // VM's step function on the VM's first prediction and answers its
 // repredictions from a model.StepCursor, bit-equal to PredictRemaining.
-// The bindings live in a slab of cursors indexed by VM. NILAS.OnExited
-// releases a VM's binding; each time the binding count has doubled, a
-// sweep releases those of VMs that have no host: gone without the hook (a
-// defrag placeholder, a direct pool.Exit, an exit another policy heard of)
-// or never placed.
+// The bindings live in a slab of slots; a VM finds its slot through the
+// handle it carries (cluster.VM.BindSlot), which the cache trusts only when
+// the slot records that VM as its owner. A VM another cache rebound, or a
+// copy of a bound VM, fails that check and is bound again, to the same
+// step function. NILAS.OnExited releases a VM's binding; each time the
+// binding count has doubled, a sweep releases the slots of VMs that have
+// no host — gone without the hook (a defrag placeholder, a direct
+// pool.Exit, an exit another policy heard of) or never placed — and the
+// slots their VM's handle no longer names.
 type ExitCache struct {
 	Pred    model.Predictor
 	Refresh time.Duration
 
-	entries map[cluster.HostID]exitEntry
+	entries []exitEntry // by host ID
 
 	// Predictions counts model invocations, the quantity the caching
 	// ablation (Fig. 17) and the latency study (Fig. 8) care about.
@@ -39,14 +45,21 @@ type ExitCache struct {
 	memoRem time.Duration
 
 	// Bindings, when Pred has a Steps method: each VM predicted since its
-	// last drop or sweep maps to its cursor in steps, or to -1 when Steps
-	// declined it. free lists the released cursors; sweepAt is the binding
-	// count that triggers the next sweep.
+	// last drop or sweep owns a slot, whose cursor has a nil Fn.Rem when
+	// Steps declined the VM. free lists the released slots, bound counts
+	// the owned ones, and sweepAt is the count that triggers the next sweep.
 	stepper stepper
-	bound   map[*cluster.VM]int32
-	steps   []model.StepCursor
+	slots   []binding
 	free    []int32
+	bound   int
 	sweepAt int
+}
+
+// binding is one slot of the slab: the VM that owns it, nil when free, and
+// the VM's cursor.
+type binding struct {
+	vm  *cluster.VM
+	cur model.StepCursor
 }
 
 // stepper is a predictor that can hand out a VM's answers as a step
@@ -58,17 +71,20 @@ type stepper interface {
 // minSweep is the binding count below which the cache does not sweep.
 const minSweep = 256
 
+// exitEntry is a host's cached exit estimate; ok is false when the host has
+// none.
 type exitEntry struct {
 	exit       time.Duration
 	computedAt time.Duration
+	ok         bool
 }
 
 // NewExitCache builds a cache over the given predictor, which must not
 // change afterwards.
 func NewExitCache(pred model.Predictor, refresh time.Duration) *ExitCache {
-	c := &ExitCache{Pred: pred, Refresh: refresh, entries: make(map[cluster.HostID]exitEntry)}
+	c := &ExitCache{Pred: pred, Refresh: refresh}
 	if st, ok := pred.(stepper); ok {
-		c.stepper, c.bound, c.sweepAt = st, make(map[*cluster.VM]int32), minSweep
+		c.stepper, c.sweepAt = st, minSweep
 	}
 	return c
 }
@@ -79,14 +95,18 @@ func (c *ExitCache) HostExit(h *cluster.Host, now time.Duration) time.Duration {
 	if h.Empty() {
 		return now
 	}
-	if c.Refresh > 0 {
-		if e, ok := c.entries[h.ID]; ok && now-e.computedAt < c.Refresh {
+	id := int(h.ID)
+	if c.Refresh > 0 && id < len(c.entries) {
+		if e := c.entries[id]; e.ok && now-e.computedAt < c.Refresh {
 			return e.exit
 		}
 	}
 	exit := c.compute(h, now)
 	if c.Refresh > 0 {
-		c.entries[h.ID] = exitEntry{exit: exit, computedAt: now}
+		if id >= len(c.entries) {
+			c.entries = append(c.entries, make([]exitEntry, id+1-len(c.entries))...)
+		}
+		c.entries[id] = exitEntry{exit: exit, computedAt: now, ok: true}
 	}
 	return exit
 }
@@ -123,59 +143,74 @@ func (c *ExitCache) predict(vm *cluster.VM, now time.Duration) time.Duration {
 	if c.stepper == nil {
 		return c.Pred.PredictRemaining(vm, uptime)
 	}
-	i, ok := c.bound[vm]
-	if !ok {
-		i = c.bind(vm)
+	b := c.slot(vm)
+	if b == nil {
+		b = c.bind(vm)
 	}
-	if i < 0 {
+	if b.cur.Fn.Rem == nil {
 		return c.Pred.PredictRemaining(vm, uptime)
 	}
-	return c.steps[i].Remaining(uptime)
+	return b.cur.Remaining(uptime)
 }
 
-// bind binds the VM's step function and returns its cursor, or -1 when the
-// predictor has none for it, sweeping first when the bindings have doubled.
-func (c *ExitCache) bind(vm *cluster.VM) int32 {
-	if len(c.bound) >= c.sweepAt {
+// slot returns the VM's binding, or nil when its handle names no slot of
+// this cache that it owns.
+func (c *ExitCache) slot(vm *cluster.VM) *binding {
+	if i := int(vm.BindSlot); i < len(c.slots) && c.slots[i].vm == vm {
+		return &c.slots[i]
+	}
+	return nil
+}
+
+// bind binds the VM's step function to a free slot and points the VM's
+// handle at it, sweeping first when the bindings have doubled. The slot's
+// cursor stays empty when the predictor has no step function for the VM.
+func (c *ExitCache) bind(vm *cluster.VM) *binding {
+	if c.bound >= c.sweepAt {
 		c.sweep()
 	}
-	i := int32(-1)
-	if fn, ok := c.stepper.Steps(vm); ok {
-		if n := len(c.free); n > 0 {
-			i, c.free = c.free[n-1], c.free[:n-1]
-		} else {
-			i = int32(len(c.steps))
-			c.steps = append(c.steps, model.StepCursor{})
-		}
-		c.steps[i] = model.StepCursor{Fn: fn}
+	var i int32
+	if n := len(c.free); n > 0 {
+		i, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		i = int32(len(c.slots))
+		c.slots = append(c.slots, binding{})
 	}
-	c.bound[vm] = i
-	return i
+	b := &c.slots[i] // zero: fresh, or cleared by release
+	b.vm = vm
+	if fn, ok := c.stepper.Steps(vm); ok {
+		b.cur.Fn = fn
+	}
+	vm.BindSlot = i
+	c.bound++
+	return b
 }
 
 // drop releases the VM's binding, if it has one.
 func (c *ExitCache) drop(vm *cluster.VM) {
-	i, ok := c.bound[vm]
-	if !ok {
-		return
-	}
-	delete(c.bound, vm)
-	if i >= 0 {
-		c.steps[i] = model.StepCursor{}
-		c.free = append(c.free, i)
+	if c.slot(vm) != nil {
+		c.release(vm.BindSlot)
 	}
 }
 
-// sweep drops the bindings of VMs without a host: gone without a hook, or
-// never placed. A VM still being scheduled loses its binding too and binds
-// again on its next prediction, to the same step function.
+// release frees an owned slot.
+func (c *ExitCache) release(i int32) {
+	c.slots[i] = binding{}
+	c.free = append(c.free, i)
+	c.bound--
+}
+
+// sweep releases the slots of VMs without a host — gone without a hook, or
+// never placed — and the slots their VM's handle no longer names, which a
+// rebinding left behind. A VM still being scheduled loses its binding too
+// and binds again on its next prediction, to the same step function.
 func (c *ExitCache) sweep() {
-	for vm := range c.bound {
-		if vm.Host == nil {
-			c.drop(vm)
+	for i := range c.slots {
+		if vm := c.slots[i].vm; vm != nil && (vm.Host == nil || vm.BindSlot != int32(i)) {
+			c.release(int32(i))
 		}
 	}
-	c.sweepAt = max(2*len(c.bound), minSweep)
+	c.sweepAt = max(2*c.bound, minSweep)
 }
 
 // PredictVMExit returns the repredicted absolute exit time of a single VM.
@@ -186,5 +221,7 @@ func (c *ExitCache) PredictVMExit(vm *cluster.VM, now time.Duration) time.Durati
 // Invalidate drops the cached entry for a host (called on VM add/exit and
 // on LAVA deadline events).
 func (c *ExitCache) Invalidate(id cluster.HostID) {
-	delete(c.entries, id)
+	if uint(id) < uint(len(c.entries)) {
+		c.entries[id].ok = false
+	}
 }

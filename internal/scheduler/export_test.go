@@ -25,7 +25,7 @@ func MarkedScorers(p Policy) []Scorer {
 }
 
 // boundVMs reports the VMs the policy's exit cache holds a binding for.
-func (n *NILAS) boundVMs() int { return len(n.cache.bound) }
+func (n *NILAS) boundVMs() int { return n.cache.bound }
 
 // BoundVMs returns the number of VMs p's exit cache has bound.
 func BoundVMs(p Policy) int {

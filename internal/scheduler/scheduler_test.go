@@ -268,6 +268,13 @@ func TestExitCacheRefreshInterval(t *testing.T) {
 	if calls == first {
 		t.Fatal("cache did not refresh after interval")
 	}
+	// Invalidating a host the cache holds no entry for does nothing.
+	c.Invalidate(h.ID + 1)
+	c.Invalidate(-1)
+	_ = c.HostExit(h, 2*time.Minute+time.Second)
+	if calls == first {
+		t.Fatal("cache did not refresh after interval")
+	}
 	// Invalidate forces recompute.
 	before := calls
 	c.Invalidate(h.ID)
