@@ -13,7 +13,10 @@
 // Test references must resolve: every Test…, Fuzz… or Benchmark… token in
 // README.md, DESIGN.md, a package doc.go, the CI workflow or the verify skill
 // must name a function declared in some _test.go file under root, so a
-// deleted or renamed test cannot stay cited.
+// deleted or renamed test cannot stay cited. Path references must resolve
+// too: every internal/… path in README.md, DESIGN.md, the CI workflow or the
+// verify skill, less trailing punctuation and a trailing /..., must name a
+// file or directory under root, so a deleted package cannot stay cited.
 //
 // The command is cli.Docscheck; TestDocscheck in internal/cli runs it on
 // the module root with the rest of `go test ./...`.

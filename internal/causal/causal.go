@@ -152,43 +152,9 @@ func ols(X [][]float64, y []float64) ([]float64, error) {
 	for i := 0; i < p; i++ {
 		A[i][i] += 1e-9
 	}
-	return solve(A, b)
-}
-
-// solve is Gaussian elimination with partial pivoting.
-func solve(A [][]float64, b []float64) ([]float64, error) {
-	n := len(b)
-	a := make([][]float64, n)
-	for i := range a {
-		a[i] = make([]float64, n+1)
-		copy(a[i], A[i])
-		a[i][n] = b[i]
-	}
-	for col := 0; col < n; col++ {
-		p := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[p][col]) {
-				p = r
-			}
-		}
-		if math.Abs(a[p][col]) < 1e-15 {
-			return nil, errors.New("causal: singular design")
-		}
-		a[col], a[p] = a[p], a[col]
-		for r := col + 1; r < n; r++ {
-			f := a[r][col] / a[col][col]
-			for c := col; c <= n; c++ {
-				a[r][c] -= f * a[col][c]
-			}
-		}
-	}
-	x := make([]float64, n)
-	for r := n - 1; r >= 0; r-- {
-		s := a[r][n]
-		for c := r + 1; c < n; c++ {
-			s -= a[r][c] * x[c]
-		}
-		x[r] = s / a[r][r]
+	x, ok := stats.Solve(A, b, 1e-15)
+	if !ok {
+		return nil, errors.New("causal: singular design")
 	}
 	return x, nil
 }

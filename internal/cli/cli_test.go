@@ -203,6 +203,10 @@ func TestCLIRefusals(t *testing.T) {
 			[]string{"-trace", good, "-addr", "127.0.0.1:0", "-admit", "standard=-5/1m"}, "standard=-5/1m"},
 		{"lavad -cells negative", Lavad,
 			[]string{"-trace", good, "-addr", "127.0.0.1:0", "-cells", "-3"}, "-cells"},
+		{"lavasim -model-file with -model dist", Lavasim,
+			[]string{"-trace", good, "-model", "dist", "-model-file", filepath.Join(dir, "missing.json")}, "-model-file"},
+		{"lavasim -model-file with -model km", Lavasim,
+			[]string{"-trace", good, "-model", "km", "-model-file", filepath.Join(dir, "missing.json")}, "-model-file"},
 		{"lavasim -cells negative", Lavasim,
 			[]string{"-trace", good, "-cells", "-3"}, "-cells"},
 		{"lavasim -cells 0 under -scenario", Lavasim,
@@ -383,6 +387,8 @@ func TestDocscheck(t *testing.T) {
 		{"undocumented facade identifier", map[string]string{"lava.go": "// Package lava is the facade.\npackage lava\n\nfunc Exported() {}\n"},
 			"exported function Exported has no doc comment"},
 		{"stale test citation", map[string]string{"README.md": "See TestNoSuchThing.\n"}, "TestNoSuchThing names no test function"},
+		{"stale path citation", map[string]string{"DESIGN.md": "| `internal/model/km` | Deleted. |\n", "internal/model/doc.go": "// Package model stays.\npackage model\n"},
+			"internal/model/km names no file or directory"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			root := t.TempDir()

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -31,10 +32,11 @@ func Docscheck(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		// Collect package directories (any directory holding non-test .go
 		// files), the test files and the package doc.go files.
 		dirs := map[string][]string{}
-		var testFiles, docs []string
+		var testFiles, topDocs []string
 		for _, f := range []string{"README.md", "DESIGN.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
-			docs = append(docs, filepath.Join(root, f))
+			topDocs = append(topDocs, filepath.Join(root, f))
 		}
+		docs := slices.Clone(topDocs) // the walk adds the doc.go files
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
@@ -98,10 +100,15 @@ func Docscheck(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return err
 		}
-		for _, gap := range append(facade, stale...) {
+		paths, err := stalePaths(root, topDocs)
+		if err != nil {
+			return err
+		}
+		gaps := slices.Concat(facade, stale, paths)
+		for _, gap := range gaps {
 			fmt.Fprintln(stdout, gap)
 		}
-		if n := len(missing) + len(facade) + len(stale); n > 0 {
+		if n := len(missing) + len(gaps); n > 0 {
 			return fmt.Errorf("%d documentation gaps", n)
 		}
 		return nil
@@ -141,6 +148,35 @@ func staleTestNames(testFiles, docs []string) ([]string, error) {
 			for _, name := range testToken.FindAllString(line, -1) {
 				if !declared[name] {
 					stale = append(stale, fmt.Sprintf("%s:%d: %s names no test function", doc, i+1, name))
+				}
+			}
+		}
+	}
+	return stale, nil
+}
+
+// pathToken matches a cited repository path under internal/, such as
+// internal/cli/cli.go or ./internal/... in a go command line.
+var pathToken = regexp.MustCompile(`\binternal/[\w./-]*`)
+
+// stalePaths returns one complaint per pathToken in docs that names no file
+// or directory under root, once trailing punctuation and a trailing /... are
+// trimmed. A doc that does not exist is skipped.
+func stalePaths(root string, docs []string) ([]string, error) {
+	var stale []string
+	for _, doc := range docs {
+		data, err := os.ReadFile(doc)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, tok := range pathToken.FindAllString(line, -1) {
+				// Trimming dots and slashes also drops a trailing /....
+				if _, err := os.Stat(filepath.Join(root, strings.TrimRight(tok, ".,;:/"))); err != nil {
+					stale = append(stale, fmt.Sprintf("%s:%d: %s names no file or directory", doc, i+1, tok))
 				}
 			}
 		}

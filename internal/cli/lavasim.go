@@ -32,7 +32,7 @@ func Lavasim(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		tracePath = fs.String("trace", "", "trace file (required)")
 		policy    = fs.String("policy", "lava", "wastemin | bestfit | la-binary | nilas | lava")
 		modelKind = fs.String("model", "gbdt", "oracle | gbdt | km | dist (lifetime model for lifetime-aware policies)")
-		modelPath = fs.String("model-file", "", "load a pre-trained GBDT model instead of training on the trace")
+		modelPath = fs.String("model-file", "", "load a pre-trained GBDT model instead of training on the trace (needs -model gbdt)")
 		trees     = fs.Int("trees", 400, "GBDT trees when training in-process")
 		refresh   = fs.Duration("cache", time.Minute, "host score cache refresh interval (0 disables)")
 		doDefrag  = fs.Bool("defrag", false, "enable the defragmentation engine (LARS ordering)")
@@ -51,6 +51,9 @@ func Lavasim(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		if *cells < 1 {
 			return fmt.Errorf("-cells %d: a run needs at least one cell", *cells)
+		}
+		if *modelPath != "" && *modelKind != "gbdt" {
+			return fmt.Errorf("-model-file loads a GBDT and cannot serve -model %s", *modelKind)
 		}
 		// A one-cell run never reaches the facade's fleet check, yet a
 		// misspelt -router must not pass there either.
@@ -175,9 +178,10 @@ func printFleetReport(w io.Writer, ff *serve.DrainResponse, scen string, cells i
 }
 
 // buildModel trains the requested lifetime model on the trace's records, or
-// with -model-file loads a pre-trained GBDT instead.
+// with -model-file (which the caller allows only with -model gbdt) loads a
+// pre-trained GBDT instead.
 func buildModel(tr *trace.Trace, kind, path string, trees int) (model.Predictor, error) {
-	if kind != "gbdt" || path == "" {
+	if path == "" {
 		return model.Train(kind, tr.Records, trees)
 	}
 	f, err := os.Open(path)

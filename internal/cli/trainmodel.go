@@ -66,7 +66,7 @@ func Trainmodel(_ context.Context, args []string, stdout, stderr io.Writer) int 
 			train       func() (model.Predictor, error)
 		}{
 			{"mlp", "mlp", func() (model.Predictor, error) { return model.TrainMLP(train, mlp.Params{Seed: *seed}) }},
-			{"stratified-km", "km", func() (model.Predictor, error) { return model.TrainKM(train, nil) }},
+			{"stratified-km", "km", func() (model.Predictor, error) { return model.Train("km", train, 0) }},
 			{"linear-cox", "cox", func() (model.Predictor, error) { return model.TrainCox(coxTrain, cox.Options{}) }},
 		} {
 			p, err := fam.train()

@@ -451,7 +451,7 @@ func runTable4(opt Options) (Report, error) {
 			return err
 		},
 		func() error {
-			k, err := model.TrainKM(train, nil)
+			k, err := model.Train("km", train, 0)
 			preds[2] = k
 			return err
 		},

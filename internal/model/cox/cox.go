@@ -6,6 +6,8 @@ import (
 	"math"
 	"sort"
 	"time"
+
+	"lava/internal/stats"
 )
 
 // Subject is one training observation.
@@ -131,9 +133,9 @@ func Fit(subjects []Subject, opt Options) (*Model, error) {
 			hess[a][a] += opt.Ridge
 		}
 
-		step, err := solve(hess, grad)
-		if err != nil {
-			return nil, fmt.Errorf("cox: newton step: %w", err)
+		step, ok := stats.Solve(hess, grad, 1e-12)
+		if !ok {
+			return nil, errors.New("cox: newton step: singular hessian")
 		}
 		maxStep := 0.0
 		for a := 0; a < p; a++ {
@@ -278,45 +280,4 @@ func dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// solve solves the symmetric positive-definite system A x = b by Gaussian
-// elimination with partial pivoting (p is tiny, so O(p^3) is fine).
-func solve(A [][]float64, b []float64) ([]float64, error) {
-	n := len(b)
-	// Copy.
-	a := make([][]float64, n)
-	for i := range a {
-		a[i] = make([]float64, n+1)
-		copy(a[i], A[i])
-		a[i][n] = b[i]
-	}
-	for col := 0; col < n; col++ {
-		// Pivot.
-		p := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[p][col]) {
-				p = r
-			}
-		}
-		if math.Abs(a[p][col]) < 1e-12 {
-			return nil, errors.New("singular hessian")
-		}
-		a[col], a[p] = a[p], a[col]
-		for r := col + 1; r < n; r++ {
-			f := a[r][col] / a[col][col]
-			for c := col; c <= n; c++ {
-				a[r][c] -= f * a[col][c]
-			}
-		}
-	}
-	x := make([]float64, n)
-	for r := n - 1; r >= 0; r-- {
-		s := a[r][n]
-		for c := r + 1; c < n; c++ {
-			s -= a[r][c] * x[c]
-		}
-		x[r] = s / a[r][r]
-	}
-	return x, nil
 }

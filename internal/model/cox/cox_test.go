@@ -112,19 +112,3 @@ func TestCensoringHandled(t *testing.T) {
 		t.Fatalf("beta0 = %v, want positive even with censoring", m.Beta[0])
 	}
 }
-
-func TestSolve(t *testing.T) {
-	A := [][]float64{{2, 1}, {1, 3}}
-	b := []float64{3, 5}
-	x, err := solve(A, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2x+y=3, x+3y=5 -> x=0.8, y=1.4
-	if math.Abs(x[0]-0.8) > 1e-9 || math.Abs(x[1]-1.4) > 1e-9 {
-		t.Fatalf("solve = %v", x)
-	}
-	if _, err := solve([][]float64{{0, 0}, {0, 0}}, []float64{1, 1}); err == nil {
-		t.Fatal("singular system must fail")
-	}
-}

@@ -12,7 +12,6 @@ import (
 	"lava/internal/features"
 	"lava/internal/model/cox"
 	"lava/internal/model/gbdt"
-	"lava/internal/model/km"
 	"lava/internal/model/mlp"
 	"lava/internal/simtime"
 	"lava/internal/trace"
@@ -360,46 +359,6 @@ func (m *MLPPredictor) PredictRemaining(vm *cluster.VM, uptime time.Duration) ti
 	x := m.Enc.Encode(vm.Feat, uptimeLog10(uptime))
 	logh := m.M.Predict(x)
 	return clampRemaining(simtime.FromHours(math.Pow(10, logh)))
-}
-
-// --- Stratified Kaplan-Meier ----------------------------------------------
-
-// KMPredictor is the stratified Kaplan-Meier lookup-table baseline
-// (Table 4, §7).
-type KMPredictor struct {
-	S   *km.Stratified
-	Key func(features.Features) string
-}
-
-// TrainKM fits per-stratum KM curves from trace records. Records are
-// treated as uncensored (synthetic traces carry complete lifetimes).
-func TrainKM(records []trace.Record, key func(features.Features) string) (*KMPredictor, error) {
-	if key == nil {
-		key = DefaultKey
-	}
-	obs := make([]km.Observation, len(records))
-	strata := make([]string, len(records))
-	for i, r := range records {
-		obs[i] = km.Observation{Duration: r.Lifetime, Event: true}
-		strata[i] = key(r.Feat)
-	}
-	s, err := km.FitStratified(obs, strata, features.MinCategoryCount)
-	if err != nil {
-		return nil, err
-	}
-	return &KMPredictor{S: s, Key: key}, nil
-}
-
-// Name implements Predictor.
-func (k *KMPredictor) Name() string { return "stratified-km" }
-
-// PredictRemaining implements Predictor via restricted-mean remaining life.
-func (k *KMPredictor) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration {
-	rem := k.S.ExpRemaining(k.Key(vm.Feat), uptime)
-	if rem <= 0 {
-		return MinRemaining(uptime)
-	}
-	return rem
 }
 
 // --- Cox proportional hazards -----------------------------------------------

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"lava/internal/cluster"
+	"lava/internal/dist"
+	"lava/internal/features"
 	"lava/internal/model/eval"
 	"lava/internal/model/gbdt"
 	"lava/internal/simtime"
@@ -319,23 +321,53 @@ func TestGBDTPredictorLearnsWorkload(t *testing.T) {
 	}
 }
 
-func TestKMAndCoxPredictorsTrain(t *testing.T) {
-	tr := testTrace(t, 3, 13)
-	train, test := SplitRecords(tr.Records, 0.2, 2)
-
-	kmPred, err := TrainKM(train, nil)
+// TestKMIsTheDistTable: Table 4's stratified Kaplan-Meier baseline is the
+// distribution table under its own name. Trace records carry no censoring,
+// so a stratum's KM curve is its empirical survival function, and the two
+// kinds answer alike on every record at every uptime, past the support
+// too. A stratum below features.MinCategoryCount answers from the global
+// distribution.
+func TestKMIsTheDistTable(t *testing.T) {
+	recs := testTrace(t, 3, 13).Records
+	rare := recs[0].Feat
+	rare.VMCategory = "rare-stratum"
+	for i := 1; i < features.MinCategoryCount; i++ {
+		recs = append(recs, trace.Record{ID: recs[len(recs)-1].ID + 1, Feat: rare, Lifetime: time.Duration(i) * time.Hour})
+	}
+	km, err := Train("km", recs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kmPred.S.Strata() == 0 {
-		t.Fatal("KM learned no strata")
+	dt, err := Train("dist", recs, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	vm := vmFromRecord(test[0])
-	if kmPred.PredictRemaining(vm, 0) <= 0 {
-		t.Fatal("KM prediction must be positive")
+	if km.Name() != "stratified-km" || dt.Name() != "dist-table" {
+		t.Fatalf("names %q, %q; want stratified-km, dist-table", km.Name(), dt.Name())
 	}
-	if kmPred.PredictRemaining(vm, 200*simtime.Day) <= 0 {
-		t.Fatal("KM prediction beyond support must be positive")
+	uptimes := []time.Duration{0, time.Minute, time.Hour, 5 * time.Hour, 2 * simtime.Day, 9 * simtime.Day, 200 * simtime.Day}
+	for _, r := range recs {
+		vm := vmFromRecord(r)
+		for _, u := range uptimes {
+			if k, d := km.PredictRemaining(vm, u), dt.PredictRemaining(vm, u); k != d || k <= 0 {
+				t.Fatalf("record %d at uptime %v: km %v, dist %v", r.ID, u, k, d)
+			}
+		}
+	}
+
+	all := make([]time.Duration, len(recs))
+	for i, r := range recs {
+		all[i] = r.Lifetime
+	}
+	global, err := dist.FromDurations(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := &cluster.VM{Feat: rare}
+	for _, u := range uptimes[:3] {
+		if got, want := km.PredictRemaining(vm, u), global.CondExpRemaining(u); got != want {
+			t.Fatalf("rare stratum at uptime %v: %v, want the global %v", u, got, want)
+		}
 	}
 }
 

@@ -79,8 +79,10 @@ func SplitRecords(records []trace.Record, testFrac float64, seed int64) (train, 
 // paper's key insight (§2.1): group training VMs by a feature key, fit an
 // empirical lifetime CDF per group, and answer repredictions with the
 // conditional expectation E(Tr | Tu) read directly off the distribution
-// (Fig. 2). It is also the natural Go analogue of the Kaplan-Meier lookup
-// table the authors describe trying first (§7).
+// (Fig. 2). It is also Table 4's stratified Kaplan-Meier baseline, the
+// lookup table the authors tried first (§7): trace records carry no censored
+// lifetimes, so a stratum's KM curve is its empirical survival function, and
+// Train("km") returns this table under the name "stratified-km".
 type DistTable struct {
 	ModelName string
 	tables    map[distKey]*dist.Empirical
@@ -88,9 +90,8 @@ type DistTable struct {
 }
 
 // distKey groups by the features that dominate importance in Fig. 11:
-// category, shape, priority and admission policy. It is DefaultKey as a
-// comparable struct, so a prediction looks its table up without building a
-// string.
+// category, shape, priority and admission policy. It is a comparable
+// struct, so a prediction looks its table up without building a string.
 type distKey struct {
 	VMCategory, VMShape, Priority string
 	AdmissionPolicy               bool
@@ -98,16 +99,6 @@ type distKey struct {
 
 func distKeyOf(f *features.Features) distKey {
 	return distKey{f.VMCategory, f.VMShape, f.Priority, f.AdmissionPolicy}
-}
-
-// DefaultKey is the same grouping as a string, for the string-keyed strata
-// of TrainKM.
-func DefaultKey(f features.Features) string {
-	adm := "q"
-	if f.AdmissionPolicy {
-		adm = "a"
-	}
-	return f.VMCategory + "|" + f.VMShape + "|" + f.Priority + "|" + adm
 }
 
 // TrainDistTable fits per-group empirical distributions from trace records.
@@ -170,7 +161,13 @@ func Train(name string, records []trace.Record, trees int) (Predictor, error) {
 	case "gbdt":
 		return TrainGBDT(records, gbdt.Params{Trees: trees})
 	case "km":
-		return TrainKM(records, nil)
+		// Table 4's stratified KM is the distribution table (see DistTable).
+		dt, err := TrainDistTable(records)
+		if err != nil {
+			return nil, err
+		}
+		dt.ModelName = "stratified-km"
+		return dt, nil
 	case "dist":
 		return TrainDistTable(records)
 	}

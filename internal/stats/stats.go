@@ -224,3 +224,44 @@ func StationaryBootstrapCI(xs []float64, stat func([]float64) float64, blockLen 
 	alpha := (1 - conf) / 2
 	return Quantile(vals, alpha), Quantile(vals, 1-alpha), nil
 }
+
+// Solve solves the dense system A x = b by Gaussian elimination with partial
+// pivoting, for the small systems of the Cox Newton step and the causal
+// regression. A and b are not modified. It reports false when a pivot's
+// magnitude falls below tiny, the caller's singularity threshold.
+func Solve(A [][]float64, b []float64, tiny float64) ([]float64, bool) {
+	n := len(b)
+	a := make([][]float64, n)
+	for i := range a {
+		a[i] = make([]float64, n+1)
+		copy(a[i], A[i])
+		a[i][n] = b[i]
+	}
+	for col := 0; col < n; col++ {
+		p := col
+		for r := col + 1; r < n; r++ {
+			if math.Abs(a[r][col]) > math.Abs(a[p][col]) {
+				p = r
+			}
+		}
+		if math.Abs(a[p][col]) < tiny {
+			return nil, false
+		}
+		a[col], a[p] = a[p], a[col]
+		for r := col + 1; r < n; r++ {
+			f := a[r][col] / a[col][col]
+			for c := col; c <= n; c++ {
+				a[r][c] -= f * a[col][c]
+			}
+		}
+	}
+	x := make([]float64, n)
+	for r := n - 1; r >= 0; r-- {
+		s := a[r][n]
+		for c := r + 1; c < n; c++ {
+			s -= a[r][c] * x[c]
+		}
+		x[r] = s / a[r][r]
+	}
+	return x, true
+}

@@ -179,3 +179,28 @@ func TestJain(t *testing.T) {
 		t.Fatalf("Jain not scale-invariant: %v vs %v", a, b)
 	}
 }
+
+func TestSolve(t *testing.T) {
+	A := [][]float64{{2, 1}, {1, 3}}
+	b := []float64{3, 5}
+	x, ok := Solve(A, b, 1e-12)
+	if !ok {
+		t.Fatal("regular system reported singular")
+	}
+	// 2x+y=3, x+3y=5 -> x=0.8, y=1.4
+	if math.Abs(x[0]-0.8) > 1e-9 || math.Abs(x[1]-1.4) > 1e-9 {
+		t.Fatalf("Solve = %v", x)
+	}
+	if _, ok := Solve([][]float64{{0, 0}, {0, 0}}, []float64{1, 1}, 1e-12); ok {
+		t.Fatal("singular system must fail")
+	}
+	// The threshold is the caller's: a pivot of 1e-13 is singular at 1e-12
+	// and regular at 1e-15.
+	tiny := [][]float64{{1e-13}}
+	if _, ok := Solve(tiny, []float64{1}, 1e-12); ok {
+		t.Fatal("pivot below the threshold must fail")
+	}
+	if x, ok := Solve(tiny, []float64{1}, 1e-15); !ok || math.Abs(x[0]-1e13) > 1 {
+		t.Fatalf("Solve above the threshold = %v, %v", x, ok)
+	}
+}

@@ -104,7 +104,7 @@ type ModelKind string
 // Supported model families (Table 4).
 const (
 	ModelGBDT   ModelKind = "gbdt"   // production model: gradient-boosted trees
-	ModelKM     ModelKind = "km"     // stratified Kaplan-Meier lookup table
+	ModelKM     ModelKind = "km"     // stratified Kaplan-Meier lookup table: the dist table named "stratified-km"
 	ModelDist   ModelKind = "dist"   // empirical-distribution table
 	ModelOracle ModelKind = "oracle" // ground-truth lifetimes
 )
