@@ -321,19 +321,36 @@ func TestGBDTPredictorLearnsWorkload(t *testing.T) {
 	}
 }
 
+// TestKMAndCoxPredictorsTrain: the KM baseline trains by name on a split of
+// a generated trace and predicts a positive remaining lifetime, within the
+// support and past it.
+func TestKMAndCoxPredictorsTrain(t *testing.T) {
+	tr := testTrace(t, 3, 13)
+	train, test := SplitRecords(tr.Records, 0.2, 2)
+
+	kmPred, err := Train("km", train, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kmPred.(*DistTable).tables) == 0 {
+		t.Fatal("KM learned no strata")
+	}
+	vm := vmFromRecord(test[0])
+	if kmPred.PredictRemaining(vm, 0) <= 0 {
+		t.Fatal("KM prediction must be positive")
+	}
+	if kmPred.PredictRemaining(vm, 200*simtime.Day) <= 0 {
+		t.Fatal("KM prediction beyond support must be positive")
+	}
+}
+
 // TestKMIsTheDistTable: Table 4's stratified Kaplan-Meier baseline is the
 // distribution table under its own name. Trace records carry no censoring,
 // so a stratum's KM curve is its empirical survival function, and the two
 // kinds answer alike on every record at every uptime, past the support
-// too. A stratum below features.MinCategoryCount answers from the global
-// distribution.
+// too.
 func TestKMIsTheDistTable(t *testing.T) {
-	recs := testTrace(t, 3, 13).Records
-	rare := recs[0].Feat
-	rare.VMCategory = "rare-stratum"
-	for i := 1; i < features.MinCategoryCount; i++ {
-		recs = append(recs, trace.Record{ID: recs[len(recs)-1].ID + 1, Feat: rare, Lifetime: time.Duration(i) * time.Hour})
-	}
+	recs := withRareStratum(testTrace(t, 3, 13).Records)
 	km, err := Train("km", recs, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +371,61 @@ func TestKMIsTheDistTable(t *testing.T) {
 			}
 		}
 	}
+}
 
+// TestKMStratified: a short-lived and a long-lived stratum each get their own
+// curve, and an unseen stratum answers from the global one, which lies
+// between them.
+func TestKMStratified(t *testing.T) {
+	short := []float64{0.3, 0.4, 0.5, 0.6, 0.5, 0.4, 0.3, 0.5, 0.6, 0.4, 0.5, 0.3}
+	long := []float64{90, 100, 110, 120, 100, 95, 105, 115, 100, 110, 90, 105}
+	var recs []trace.Record
+	add := func(category string, hours []float64) {
+		for _, h := range hours {
+			recs = append(recs, trace.Record{
+				ID:       cluster.VMID(len(recs) + 1),
+				Feat:     features.Features{VMCategory: category},
+				Lifetime: time.Duration(h * float64(time.Hour)),
+			})
+		}
+	}
+	add("short", short)
+	add("long", long)
+	km, err := Train("km", recs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(km.(*DistTable).tables); n != 2 {
+		t.Fatalf("strata = %d, want 2", n)
+	}
+	predict := func(category string) time.Duration {
+		return km.PredictRemaining(&cluster.VM{Feat: features.Features{VMCategory: category}}, 0)
+	}
+	se, le := predict("short"), predict("long")
+	if se >= time.Hour || le <= 24*time.Hour {
+		t.Fatalf("stratified expectations wrong: short=%v long=%v", se, le)
+	}
+	if ge := predict("unknown"); ge <= se || ge >= le {
+		t.Fatalf("global fallback %v not between strata (%v, %v)", ge, se, le)
+	}
+}
+
+// TestKMSmallStratumFallsBack: a stratum below features.MinCategoryCount
+// gets no curve of its own and answers from the global distribution.
+func TestKMSmallStratumFallsBack(t *testing.T) {
+	base := testTrace(t, 3, 13).Records
+	baseKM, err := Train("km", base, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := withRareStratum(base)
+	km, err := Train("km", recs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(km.(*DistTable).tables), len(baseKM.(*DistTable).tables); got != want {
+		t.Fatalf("strata = %d, want %d (rare stratum collapsed)", got, want)
+	}
 	all := make([]time.Duration, len(recs))
 	for i, r := range recs {
 		all[i] = r.Lifetime
@@ -363,12 +434,24 @@ func TestKMIsTheDistTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vm := &cluster.VM{Feat: rare}
-	for _, u := range uptimes[:3] {
+	vm := &cluster.VM{Feat: recs[len(recs)-1].Feat}
+	for _, u := range []time.Duration{0, time.Minute, time.Hour} {
 		if got, want := km.PredictRemaining(vm, u), global.CondExpRemaining(u); got != want {
 			t.Fatalf("rare stratum at uptime %v: %v, want the global %v", u, got, want)
 		}
 	}
+}
+
+// withRareStratum appends features.MinCategoryCount-1 records of a category
+// no other record has, one short of a stratum of its own.
+func withRareStratum(recs []trace.Record) []trace.Record {
+	recs = append([]trace.Record(nil), recs...)
+	rare := recs[0].Feat
+	rare.VMCategory = "rare-stratum"
+	for i := 1; i < features.MinCategoryCount; i++ {
+		recs = append(recs, trace.Record{ID: recs[len(recs)-1].ID + 1, Feat: rare, Lifetime: time.Duration(i) * time.Hour})
+	}
+	return recs
 }
 
 func TestPredictorNames(t *testing.T) {
