@@ -12,8 +12,10 @@
 // O(hosts) price of a context's first decision. The acceptance bar for the
 // cache (see DESIGN.md §6) is >= 2x over the exhaustive engine at 10k hosts
 // on the fig6 workload mix, steady state; CI's bench-gate holds the cached
-// steady-state rows against regressions. The full 1k/10k/50k sweep with
-// end-to-end replays lives in `cmd/experiments -exp scale`.
+// steady-state rows against regressions, their cache-B row (the cache's live
+// bytes at the end of the run, CacheStats.Bytes) included. The full
+// 1k/10k/50k sweep with end-to-end replays lives in `cmd/experiments -exp
+// scale`.
 package lava
 
 import (
@@ -146,7 +148,8 @@ func buildScalePool(b *testing.B, f *scaleFixture, pol scheduler.Policy) *cluste
 // speedup claim.
 //
 //   - steady-state: one Schedule + Place + OnPlaced per op, with a paired
-//     exit every op to hold occupancy constant, every context warm.
+//     exit every op to hold occupancy constant, every context warm. The
+//     cached engine's rows also report cache-B, the cache's live bytes.
 //   - cold-context (cached engine only): one Schedule per op on a policy
 //     whose cache was just dropped, so each op builds its context from
 //     nothing. The exhaustive engine has no contexts to build.
@@ -161,10 +164,12 @@ func BenchmarkScalePlacement(b *testing.B) {
 			{"wastemin", func() scheduler.Policy { return scheduler.NewWasteMin() }},
 			{"nilas", func() scheduler.Policy { return scheduler.NewNILAS(pred, time.Minute) }},
 			{"lava", func() scheduler.Policy { return scheduler.NewLAVA(pred, time.Minute) }},
-			// Epoch-quantized variants: the fully-static chains the mega
-			// scale cells run. On the cached engine every level is served
-			// from cache, which removes the dynamic temporal level's
-			// O(feasible hosts) floor (see internal/scheduler/epoch.go).
+			// Epoch-quantized variants, which the mega scale cells run: the
+			// temporal level scores a host in O(1) without a model call,
+			// cached as nilas-epoch's level 0 and scored on the winning
+			// class bucket's hosts under lava-epoch, which removes exact
+			// NILAS's O(feasible hosts) floor (see
+			// internal/scheduler/epoch.go).
 			{"nilas-epoch", func() scheduler.Policy {
 				return scheduler.NewNILASEpoch(pred, time.Minute, scheduler.DefaultEpoch)
 			}},
@@ -237,6 +242,9 @@ func benchSteadyState(b *testing.B, f *scaleFixture, pol scheduler.Policy) {
 		ring[i%lagN] = vm
 	}
 	b.ReportMetric(float64(p.NumHosts()), "hosts")
+	if scheduler.EngineOf(pol) == scheduler.EngineCached {
+		b.ReportMetric(float64(scheduler.CacheStatsOf(pol).Bytes), "cache-B")
+	}
 }
 
 func benchColdContext(b *testing.B, f *scaleFixture, pol scheduler.Policy) {

@@ -90,7 +90,7 @@ func (r *ScaleReport) Render(w io.Writer) {
 	fmt.Fprintln(w, "      epoch-quantized policies; no exhaustive arm exists at that size.")
 	fmt.Fprintln(w, "      contexts..resets are the cached arm's scheduler.CacheStats: live")
 	fmt.Fprintln(w, "      contexts, then work totals — contexts built cold, epoch rollovers")
-	fmt.Fprintln(w, "      seen, full pool rescans, dirty hosts re-scored, deep levels scored")
+	fmt.Fprintln(w, "      seen, full pool rescans, changed hosts re-scored, deep levels scored")
 	fmt.Fprintln(w, "      on first read, winning-bucket members, decisions the blank shortcut")
 	fmt.Fprintln(w, "      resolved — then the live footprint of every context at the end,")
 	fmt.Fprintln(w, "      and levels reset by a full value table.")

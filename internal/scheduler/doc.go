@@ -11,7 +11,7 @@
 //
 // Scoring runs on one of two engines. The default is the incremental score
 // cache (CachedChain): pool host events keep per-context candidate sets
-// current, so a steady-state Schedule touches only dirtied hosts plus the
+// current, so a steady-state Schedule touches only changed hosts plus the
 // winning score bucket. The exhaustive reference path (Chain, selectable
 // via SetEngine/EngineExhaustive) rescans every feasible host; both engines
 // share one filter core and produce byte-identical decisions — the

@@ -14,36 +14,46 @@ import (
 // NewNILAS and NewLAVA with that parameter set.
 //
 // The motivation is scale: the exact temporal cost depends on the candidate
-// VM's repredicted exit *and* the continuously moving clock, so the
-// incremental engine must keep it Dynamic — re-evaluated on every feasible
-// host of every placement, O(feasible hosts) per decision. At 250k–1M hosts
-// that term dominates and per-decision latency grows linearly with the pool
-// again, which is exactly what the score cache exists to prevent.
+// VM's repredicted exit *and* the continuously moving clock, and it reads
+// ExitCache.HostExit, which may repredict every VM on a host. The incremental
+// engine must keep it Dynamic and call it on every host that reaches it —
+// under NILAS, every feasible host of every placement, O(feasible hosts) per
+// decision. At 250k–1M hosts that term dominates and per-decision latency
+// grows linearly with the pool again, which is exactly what the score cache
+// exists to prevent.
 //
-// The epoch variants trade bucket-boundary precision for cacheability:
+// The epoch variants trade bucket-boundary precision for cheap scores:
 // virtual time is quantized into fixed epochs (1–2h, comparable to the
 // coarser temporal-cost buckets), and within an epoch the temporal score is
-// a pure function of (host exit estimate, VM remaining-lifetime bucket) —
-// i.e. of host state and the cache context. That makes the level *static*:
-// the incremental engine caches it per (shape, class) context like the
-// packing levels, re-scoring a host only when a placement or exit dirties
-// it. When the clock crosses an epoch boundary each context drops what the
-// boundary made stale on its own next Schedule (CachedChain.Epoch): for
-// nilas-epoch, whose buckets are keyed by this level, that is a rebuild of
-// the context; for lava-epoch, where it sits below the class preference,
-// only this level's cached values go and are re-scored for the candidates
-// that reach it. The steady-state sync cost is O(dirtied hosts) — the
-// dynamic-level full scan is gone; what remains per decision is the
-// winning-bucket filter every cached policy pays.
+// a pure function of (host exit estimate, VM remaining-lifetime bucket). The
+// host estimate is a running max kept by the hooks and the VM's remaining
+// lifetime is the memo Schedule pre-warms, so one score is O(1) and calls no
+// model. The two variants use that differently:
+//
+//   - nilas-epoch, where the level is level 0, caches it: the cache context
+//     is keyed by the VM's quantized remaining lifetime, the buckets by this
+//     level, and a context whose buckets date from an earlier epoch is
+//     rebuilt on its next Schedule (CachedChain.Epoch). Every level is
+//     static; the steady-state sync cost is O(changed hosts), and what
+//     remains per decision is the winning-bucket filter every cached policy
+//     pays.
+//   - lava-epoch, where the level sits below the class preference, keeps it
+//     Dynamic: it is scored on the hosts of the winning class bucket that
+//     reach it, about nine per decision on replay-scale, and the context
+//     stays keyed by (shape, LAVA class) alone. Keying it by the remaining-
+//     lifetime bucket too, to cache this level, would multiply the contexts
+//     — and their memory and sync work — by about 2.6 for no fewer scores.
 //
 // Equivalence between engines is the usual structural argument: both run
 // the same scorer over the same candidates, the host-exit estimates are
 // maintained by the policy hooks (which fire identically on both engines),
 // and the memoized reprediction is pre-warmed once per Schedule so model-
-// call counts match. The epoch variants are NOT placement-identical to
-// exact NILAS/LAVA — quantization moves some decisions across bucket
-// boundaries — they are separate, coarser policies with the same structure,
-// each bit-reproducible and engine-identical in its own right.
+// call counts match — which is also why the level may carry the blank
+// marker on a dynamic level: a blank host's score reads only that memo. The
+// epoch variants are NOT placement-identical to exact NILAS/LAVA —
+// quantization moves some decisions across bucket boundaries — they are
+// separate, coarser policies with the same structure, each
+// bit-reproducible and engine-identical in its own right.
 
 // DefaultEpoch is the default temporal quantization step of the epoch
 // policy variants: two hours, the same order as the mid-range temporal-cost
@@ -91,9 +101,9 @@ func (e *epochTemporal) onExited(h *cluster.Host) {
 // score is the epoch-quantized temporal cost: both exit times are snapped
 // onto the epoch grid before the NILAS ∆T bucketing. Within one epoch the
 // result depends only on the host's exit estimate and the VM's quantized
-// remaining lifetime (part of the cache context), which is what lets the
-// incremental engine cache it as a static level; CachedChain.Epoch drops
-// the cached values when now crosses an epoch boundary. An empty host exits
+// remaining lifetime, which is what lets nilas-epoch cache it as a static
+// level 0 under a context keyed by that lifetime; CachedChain.Epoch rebuilds
+// the context when now crosses an epoch boundary. An empty host exits
 // "now" whatever its slot holds, as in ExitCache.HostExit: a host drained
 // without the exit hook (a defrag placeholder, a direct pool mutation)
 // scores like a never-used one.
@@ -128,18 +138,13 @@ func NewNILASEpoch(pred model.Predictor, refresh, epoch time.Duration) *NILAS {
 
 // NewLAVAEpoch builds the epoch-quantized LAVA variant: NewLAVA's chain with
 // the temporal tie-break on the epoch grid, below the class preference,
-// which keeps the buckets. The cache context packs the LAVA lifetime class
-// beside the builder's quantized remaining-lifetime bucket (4 bits each
-// side), both derived from the one memoized reprediction per pass.
+// which keeps the buckets. Like NewLAVA's temporal cost the level is
+// dynamic, so the cache context is (shape, LAVA class) as in NewLAVA; unlike
+// it, the level scores a host in O(1) without a model call and scores blank
+// hosts alike, so decisions that open a host take the blank shortcut.
 func NewLAVAEpoch(pred model.Predictor, refresh, epoch time.Duration) *LAVA {
 	if epoch <= 0 {
 		epoch = DefaultEpoch
 	}
-	l := &LAVA{}
-	l.init("lava-epoch", pred, refresh, epoch, l.classScorer())
-	bucket := l.ClassOf
-	l.ClassOf = func(vm *cluster.VM, now time.Duration) int32 {
-		return int32(l.vmClass(vm, now))<<4 | bucket(vm, now)
-	}
-	return l
+	return newLAVA("lava-epoch", pred, refresh, epoch)
 }

@@ -39,8 +39,15 @@ type LAVA struct {
 // covered by the pool's place/exit events; OnTick promotions announce
 // themselves through Pool.InvalidateHost.
 func NewLAVA(pred model.Predictor, refresh time.Duration) *LAVA {
+	return newLAVA("lava", pred, refresh, 0)
+}
+
+// newLAVA is both LAVA constructors: the class level above NILAS's chain,
+// cached under a (shape, VM lifetime class) context, with the temporal level
+// of the given epoch (0: exact) dynamic below it.
+func newLAVA(name string, pred model.Predictor, refresh, epoch time.Duration) *LAVA {
 	l := &LAVA{}
-	l.init("lava", pred, refresh, 0, l.classScorer())
+	l.init(name, pred, refresh, epoch, l.classScorer())
 	l.ClassOf = func(vm *cluster.VM, now time.Duration) int32 { return int32(l.vmClass(vm, now)) }
 	return l
 }

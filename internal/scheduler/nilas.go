@@ -43,22 +43,26 @@ func NewNILAS(pred model.Predictor, refresh time.Duration) *NILAS {
 // caller's levels above, then the temporal cost, then the bin-packing levels
 // — concentrate within an equivalence class (best fit) before shaping the
 // leftover (waste-min); concentration is what lets lifetime-aligned hosts
-// drain as a unit. epoch == 0 gives the exact temporal cost, a dynamic
-// level; otherwise the epoch-quantized one (epoch.go), static within an
-// epoch under a context keyed by the VM's quantized remaining lifetime.
+// drain as a unit. epoch == 0 gives the exact temporal cost, otherwise the
+// epoch-quantized one (epoch.go). The temporal level is dynamic, except for
+// an epoch-quantized level 0 (nilas-epoch): that one keys the buckets,
+// static within an epoch under a context keyed by the VM's quantized
+// remaining lifetime.
 func (n *NILAS) init(name string, pred model.Predictor, refresh, epoch time.Duration, above ...Scorer) {
 	n.cache = NewExitCache(pred, refresh)
 	temporal := ScorerFunc{FuncName: "temporal-cost", F: n.temporalCost}
-	if epoch == 0 {
-		n.Dynamic = make([]bool, len(above)+1)
-		n.Dynamic[len(above)] = true
-	} else {
+	if epoch != 0 {
 		n.et = &epochTemporal{cache: n.cache, epoch: epoch}
 		temporal = ScorerFunc{FuncName: "temporal-epoch", F: n.et.score, blankAlike: true}
-		n.Epoch, n.epochLevel = epoch, len(above)
+	}
+	if epoch != 0 && len(above) == 0 {
+		n.Epoch = epoch
 		n.ClassOf = func(vm *cluster.VM, now time.Duration) int32 {
 			return int32(simtime.TemporalCost(n.cache.Remaining(vm, now)))
 		}
+	} else {
+		n.Dynamic = make([]bool, len(above)+1)
+		n.Dynamic[len(above)] = true
 	}
 	n.Chain = Chain{ChainName: name, Scorers: append(append(above, temporal),
 		AvoidEmptyScorer(), BestFitScorer(), WasteMinScorer())}

@@ -176,10 +176,13 @@ type ScorerFunc struct {
 	FuncName string
 	F        func(h *cluster.Host, vm *cluster.VM, now time.Duration) float64
 
-	// blankAlike marks a static scorer that gives every blank host the same
-	// score for a given VM and time (see CachedChain.Schedule's blank
-	// shortcut). Only the built-in constructors set it: a scorer that reads
-	// host identity or per-host side state must not.
+	// blankAlike marks a scorer that gives every blank host the same score
+	// for a given VM and time (see CachedChain.Schedule's blank shortcut).
+	// On a dynamic level it also promises that scoring a blank host has no
+	// side effect the exhaustive engine counts: temporal-epoch reads only
+	// the memo Schedule pre-warms, while the exact temporal cost may call
+	// the model and is unmarked. Only the built-in constructors set it: a
+	// scorer that reads host identity or per-host side state must not.
 	blankAlike bool
 }
 

@@ -16,17 +16,26 @@ import (
 // O(hosts x scorers) per decision. The CachedChain below subscribes to the
 // pool's host-event surface (cluster.Subscribe), keeps per-context candidate
 // sets with cached per-host chain scores, and on Schedule touches only the
-// hosts dirtied since the last call plus the winning score bucket: a dirty
-// host is re-scored on the one level that defines the buckets, and a deeper
-// static level is scored the first time the filter reads it for a surviving
-// candidate.
+// hosts changed since the context's last call plus the winning score
+// bucket: a changed host is re-scored on the one level that defines the
+// buckets, and a deeper static level is scored the first time the filter
+// reads it for a surviving candidate.
+//
+// Which hosts changed is read off one journal per chain, shared by every
+// context: a host event appends the host's ID and stamps the host with
+// its journal position (lastAt), O(1) however many contexts there are. A
+// context remembers the position it last synced to and, on its next
+// Schedule, re-derives each host whose latest stamp lies past it, once,
+// at that latest entry. The journal is bounded (trim): a context idle
+// across a trim scans the stamps of every host instead.
 //
 // What Schedule walks is the winning bucket's bitset, once, into a reused
-// slice of host IDs, and then one level-major column per chain level below
-// 0, indexed by those IDs (filter): a byte per host, coding a value in the
-// level's table of at most 255 (static scores are discrete; no replay-scale
-// column holds more than 115). A *cluster.Host is touched only to hand it
-// to a Scorer — a lazy fill, a dynamic level — and to return the winner.
+// slice of host IDs, and then one level-major column per static chain level
+// below 0, indexed by those IDs (filter): a byte per host, coding a value in
+// the level's table of at most 255 (static scores are discrete; no
+// replay-scale column holds more than 115). A dynamic level keeps no column.
+// A *cluster.Host is touched only to hand it to a Scorer — a lazy fill, a
+// dynamic level — and to return the winner.
 //
 // One kind of decision skips the walk: opening a host. When a VM fits on no
 // occupied host, the winning bucket is every empty host (about 9.6k of 10k
@@ -37,14 +46,18 @@ import (
 // the same score; the built-in avoid-empty, waste-min, best-fit, lava-class
 // and temporal-epoch scorers say so through ScorerFunc's unexported
 // blankAlike marker. So each bucket counts its blank members, and when the
-// winning bucket holds nothing else, every level below it is static and
-// marked, and decision capture is off, Schedule returns the bucket's lowest
-// member unscored (CacheStats.BlankPicks). The marker is a promise: a static
-// scorer that reads host identity or per-host side state must not carry it
-// (TestBlankHostsScoreAlike checks the built-ins). Outside scorers, chains
-// with a dynamic level (exact NILAS and LAVA), traced runs and the
-// exhaustive engine keep the walk, and a chain that can never take the
-// shortcut keeps no blank counts.
+// winning bucket holds nothing else, every level is marked, and decision
+// capture is off, Schedule returns the bucket's lowest member unscored
+// (CacheStats.BlankPicks). A marked level may be dynamic (lava-epoch's
+// temporal-epoch): the marker then also promises that scoring a blank host
+// has no side effect the exhaustive engine counts, so skipping it changes no
+// counter. The same promise lets a cold build put every available blank
+// host into the bucket of the first one unscored. The marker is a promise:
+// a scorer that reads host identity or per-host side state must not carry
+// it (TestBlankHostsScoreAlike checks the built-ins). Outside scorers,
+// chains with an unmarked level (exact NILAS and LAVA, whose temporal cost
+// may call the model), traced runs and the exhaustive engine keep the walk,
+// and a chain that can never take the shortcut keeps no blank counts.
 //
 // Equivalence to the exhaustive path is structural, not statistical: both
 // engines put the same candidates through the same epsilon rule (sift) in
@@ -78,13 +91,14 @@ type CacheContext struct {
 // maxCachedContexts bounds the per-policy context population (distinct VM
 // shapes x classes). Workload mixes are small and discrete — the fig6 mix
 // has 18 distinct shapes (wastemin holds 17 contexts on the benchmark's
-// replay-scale workload), times at most four LAVA lifetime classes; the
-// epoch variants multiply by the ~11 quantized remaining-lifetime buckets
-// instead, of which only a handful are populated per shape (lava-epoch holds
-// 133–138 on replay-scale, seeds 1–7; CacheStats reports the live count)
-// — so the cap sits above the realistic population and exists only to keep
+// replay-scale workload), times at most four LAVA lifetime classes (lava and
+// lava-epoch); nilas-epoch multiplies by the ~11 quantized remaining-lifetime
+// buckets instead, of which only a handful are populated per shape
+// (CacheStats reports the live count) — so the cap sits above the realistic
+// population and exists only to keep
 // memory bounded under adversarial inputs (memory ceiling: contexts x hosts
-// x (levels+1) bytes plus bucket bitsets and value tables, CacheStats.Bytes).
+// x (static levels+1) bytes plus bucket bitsets and value tables,
+// CacheStats.Bytes).
 // The least-recently-used context is evicted and rebuilt on demand if it
 // ever returns; eviction thrash shows up directly in the scale benchmarks,
 // so keep the cap comfortably above the live population.
@@ -131,18 +145,15 @@ type CachedChain struct {
 	// results, none of the pointless maintenance.
 	TimeVarying bool
 
-	// Epoch is the middle ground between fully static and TimeVarying:
-	// scores that are pure within a fixed quantum of virtual time (the
-	// epoch-quantized temporal levels, see epoch.go). When set, a context
-	// whose cached scores date from another epoch drops them on its next
+	// Epoch is the middle ground between fully static and TimeVarying: a
+	// level 0 whose scores are pure within a fixed quantum of virtual time
+	// (nilas-epoch's temporal-epoch level, see epoch.go). When set, a
+	// context whose buckets date from another epoch is rebuilt on its next
 	// Schedule — a stamp comparison per call, no sweep over the contexts at
-	// the boundary itself.
+	// the boundary itself. An epoch-pure level below level 0 needs no epoch:
+	// it is marked Dynamic and scored on the candidates that reach it
+	// (lava-epoch).
 	Epoch time.Duration
-
-	// epochLevel is the one epoch-quantized level. Below level 0, a boundary
-	// resets only that level's lazily cached codes and leaves bucket
-	// membership alone; at level 0 (the zero value) the context is rebuilt.
-	epochLevel int
 
 	engine Engine
 	pool   *cluster.Pool
@@ -150,13 +161,27 @@ type CachedChain struct {
 	hosts  []*cluster.Host // pool.Hosts(); hosts[i].ID == i (checked at bind)
 	stats  CacheStats
 
-	// blankOK: the bound pool has one capacity and every level below level
-	// 0 is static and scores blank hosts alike (bind), so the buckets count
-	// their blank members and Schedule may take the blank shortcut.
+	// blankOK: the bound pool has one capacity and every level scores blank
+	// hosts alike (bind), so the buckets count their blank members, cold
+	// builds insert blank hosts in bulk and Schedule may take the blank
+	// shortcut.
 	blankOK bool
 
+	// cols[li] is the code column of level li, -1 for level 0 and for the
+	// dynamic levels, which keep none; nCols counts the columns (bind).
+	cols  []int
+	nCols int
+
+	// The change journal: every host event since stamp base+1, in order
+	// (journal[k] carries stamp base+1+k), and per host the stamp of its
+	// latest event. Stamps grow across binds, so lastAt is reused as it is:
+	// an old stamp is never past the sync point of a context built later.
+	journal []cluster.HostID
+	base    uint64
+	lastAt  []uint64
+
 	sets   map[CacheContext]*candSet
-	list   []*candSet // same sets, for event fan-out and eviction
+	list   []*candSet // same sets, for eviction and stats
 	useSeq uint64
 	ids    []int32 // reused candidate buffer: host IDs of the winning bucket
 }
@@ -217,7 +242,7 @@ func (c *CachedChain) dyn(li int) bool {
 }
 
 // Schedule implements Policy. In cached mode it syncs the context's
-// candidate set with the hosts dirtied since the last call, then filters
+// candidate set with the hosts changed since its last call, then filters
 // only the winning level-0 bucket (or, when level 0 is dynamic, the
 // feasible set) through the epsilon rule the exhaustive engine applies — or,
 // when that bucket holds only blank hosts, returns its lowest member (see
@@ -240,11 +265,7 @@ func (c *CachedChain) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Dura
 				c.stats.Rollovers++
 			}
 			cs.epoch = idx
-			if c.epochLevel == 0 {
-				cs.allDirty = true
-			} else {
-				cs.reset(c.epochLevel)
-			}
+			cs.allDirty = true
 		}
 	}
 	c.sync(cs, vm, now)
@@ -309,9 +330,9 @@ func (c *CachedChain) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Dura
 }
 
 // filter is Chain.applyChain over columns: it walks the winning bucket's
-// bitset into host IDs (ascending, the exhaustive scan order), sifts them
-// level by level from level `from` down, in place, and returns the winner's
-// ID. A static level is read from its code column through the level's value
+// bitset into host IDs (ascending, the exhaustive scan order), stopping at
+// the bucket's count, sifts them level by level from level `from` down, in
+// place, and returns the winner's ID. A static level is read from its code column through the level's value
 // table — scored through the original Scorer, interned, and counted in
 // LazyEvals, exactly when the host's code is 0. A dynamic level is scored
 // through the original Scorer on the same IDs in the same order as the
@@ -322,8 +343,8 @@ func (c *CachedChain) filter(cs *candSet, win *scoreBkt, from int, vm *cluster.V
 		c.ids = make([]int32, len(c.hosts))
 	}
 	ids, k := c.ids[:win.n], 0
-	for w, word := range win.bits {
-		for ; word != 0; word &= word - 1 {
+	for w := 0; k < win.n; w++ {
+		for word := win.bits[w]; word != 0; word &= word - 1 {
 			ids[k] = int32(w<<6 | bits.TrailingZeros64(word))
 			k++
 		}
@@ -335,9 +356,9 @@ func (c *CachedChain) filter(cs *candSet, win *scoreBkt, from int, vm *cluster.V
 		if li != 0 {
 			obs = nil
 		}
-		var col []uint8 // level 0 is filtered here only when dynamic
-		if li > 0 {
-			col = cs.codes[(li-1)*nHosts : li*nHosts]
+		var col []uint8 // static levels below 0 only
+		if k := c.cols[li]; k >= 0 {
+			col = cs.codes[k*nHosts : (k+1)*nHosts]
 		}
 		tab := cs.tabs[li]
 		n, best := 0, 0.0
@@ -373,11 +394,11 @@ type CacheStats struct {
 	Contexts      int   `json:"contexts"`       // live contexts
 	ColdBuilds    int64 `json:"cold_builds"`    // contexts built from nothing (first use, or back from eviction)
 	Rollovers     int64 `json:"rollovers"`      // contexts that found their scores an epoch old
-	Rebuilds      int64 `json:"rebuilds"`       // full pool rescans: cold builds, level-0 rollovers
-	HostsResynced int64 `json:"hosts_resynced"` // dirty hosts re-scored on level 0, summed over contexts
+	Rebuilds      int64 `json:"rebuilds"`       // full pool rescans: cold builds, rollovers
+	HostsResynced int64 `json:"hosts_resynced"` // changed hosts re-scored on level 0, summed over contexts
 	LazyEvals     int64 `json:"lazy_evals"`     // deep static levels scored on first read
 	Filtered      int64 `json:"filtered"`       // candidates in the winning bucket
-	Bytes         int64 `json:"bytes"`          // live bytes: codes, value tables, bucket bitsets, flag arrays
+	Bytes         int64 `json:"bytes"`          // live bytes: codes, value tables, bucket bitsets, membership, journal
 	CodeResets    int64 `json:"code_resets"`    // levels reset because their value table was full
 	BlankPicks    int64 `json:"blank_picks"`    // decisions the blank shortcut resolved unfiltered
 }
@@ -386,8 +407,9 @@ type CacheStats struct {
 func (c *CachedChain) CacheStats() CacheStats {
 	st := c.stats
 	st.Contexts = len(c.list)
+	st.Bytes = 8*int64(len(c.lastAt)) + 4*int64(len(c.journal))
 	for _, cs := range c.list {
-		st.Bytes += int64(len(cs.codes) + len(cs.member) + len(cs.isDirty))
+		st.Bytes += int64(len(cs.codes) + len(cs.member))
 		for _, t := range cs.tabs {
 			st.Bytes += 8 * int64(len(t))
 		}
@@ -418,7 +440,8 @@ func (c *CachedChain) bind(pool *cluster.Pool) bool {
 	c.unbind()
 	c.pool = pool
 	hosts := pool.Hosts()
-	if n := len(hosts); n == 0 || int(hosts[0].ID) != 0 || int(hosts[n-1].ID) != n-1 {
+	n := len(hosts)
+	if n == 0 || int(hosts[0].ID) != 0 || int(hosts[n-1].ID) != n-1 {
 		return false
 	}
 	c.hosts = hosts
@@ -430,26 +453,42 @@ func (c *CachedChain) bind(pool *cluster.Pool) bool {
 			break
 		}
 	}
+	c.cols, c.nCols = c.cols[:0], 0
+	for li := range c.Scorers {
+		k := -1
+		if li > 0 && !c.dyn(li) {
+			k, c.nCols = c.nCols, c.nCols+1
+		}
+		c.cols = append(c.cols, k)
+	}
+	if cap(c.lastAt) < n {
+		c.lastAt = make([]uint64, n)
+	}
+	c.lastAt = c.lastAt[:n]
+	c.base += uint64(len(c.journal))
+	c.journal = c.journal[:0]
 	c.cancel = pool.Subscribe(c.hostChanged)
 	return true
 }
 
-// blankAlike reports whether every level below level 0 is static and
-// carries the ScorerFunc marker that it scores every blank host alike. A
-// dynamic level 0 is filtered from level 0 down, so it rules the chain out.
+// blankAlike reports whether every level carries the ScorerFunc marker that
+// it scores every blank host alike — on a dynamic level, also without a
+// counted side effect. A dynamic level 0 is filtered from level 0 down, so
+// it rules the chain out.
 func (c *CachedChain) blankAlike() bool {
 	if c.dyn(0) {
 		return false
 	}
-	for li := 1; li < len(c.Scorers); li++ {
-		if f, ok := c.Scorers[li].(ScorerFunc); !ok || !f.blankAlike || c.dyn(li) {
+	for _, s := range c.Scorers {
+		if f, ok := s.(ScorerFunc); !ok || !f.blankAlike {
 			return false
 		}
 	}
 	return true
 }
 
-// unbind releases the subscription and the cached state.
+// unbind releases the subscription and the cached state; the journal's
+// arrays stay for the next bind.
 func (c *CachedChain) unbind() {
 	if c.cancel != nil {
 		c.cancel()
@@ -461,20 +500,33 @@ func (c *CachedChain) unbind() {
 	c.list = nil
 }
 
-// hostChanged is the pool-event listener: O(contexts) dirty-bit flips, no
-// rescoring — that happens lazily at the next Schedule of each context.
-// Membership events (host add/remove) invalidate the ID-indexed cache
-// arrays wholesale: the cache unbinds and the next Schedule rebinds against
-// the pool's new host set — or falls back to the exhaustive engine if the
-// removal left the IDs non-dense.
+// hostChanged is the pool-event listener: one journal entry and one stamp,
+// O(1) whatever the number of contexts, and no rescoring — that happens
+// lazily at the next Schedule of each context (sync). Membership events
+// (host add/remove) invalidate the ID-indexed cache arrays wholesale: the
+// cache unbinds and the next Schedule rebinds against the pool's new host
+// set — or falls back to the exhaustive engine if the removal left the IDs
+// non-dense.
 func (c *CachedChain) hostChanged(h *cluster.Host, ev cluster.HostEvent) {
 	if ev == cluster.HostAdded || ev == cluster.HostRemoved {
 		c.unbind()
 		return
 	}
-	for _, cs := range c.list {
-		cs.markDirty(h.ID)
+	c.journal = append(c.journal, h.ID)
+	c.lastAt[h.ID] = c.base + uint64(len(c.journal))
+	if len(c.journal) >= 2*len(c.hosts) {
+		c.trim()
 	}
+}
+
+// trim drops the oldest half of a full journal, len(hosts) entries, so
+// appends stay O(1) amortised. A context synced to a dropped position no
+// longer finds its start in the journal and scans lastAt instead, which
+// costs no more than walking the entries it missed.
+func (c *CachedChain) trim() {
+	drop := len(c.hosts)
+	c.journal = c.journal[:copy(c.journal, c.journal[drop:])]
+	c.base += uint64(drop)
 }
 
 // lookup returns the context's candidate set, creating (all-dirty) or
@@ -485,7 +537,7 @@ func (c *CachedChain) lookup(ctx CacheContext) *candSet {
 		if len(c.list) >= maxCachedContexts {
 			c.evictLRU()
 		}
-		cs = newCandSet(ctx, len(c.hosts), len(c.Scorers))
+		cs = newCandSet(ctx, len(c.hosts), len(c.Scorers), c.nCols)
 		c.sets[ctx] = cs
 		c.list = append(c.list, cs)
 		c.stats.ColdBuilds++
@@ -508,35 +560,65 @@ func (c *CachedChain) evictLRU() {
 	c.list = c.list[:len(c.list)-1]
 }
 
-// sync brings the candidate set up to date with every host event observed
-// since its last Schedule. Steady state dirties one or two hosts per
+// sync brings the candidate set up to date with every host event journaled
+// since its last Schedule. Steady state changes one or two hosts per
 // placement, so this is the only per-host work on the hot path.
 func (c *CachedChain) sync(cs *candSet, vm *cluster.VM, now time.Duration) {
-	if cs.allDirty {
-		// Context creation or a level-0 epoch rollover: every host
-		// starts from nothing.
+	end := c.base + uint64(len(c.journal))
+	switch {
+	case cs.allDirty:
+		// Context creation or an epoch rollover: every host starts from
+		// nothing.
 		c.stats.Rebuilds++
-		clear(cs.member)
-		clear(cs.isDirty)
-		for li := 1; li < len(cs.tabs); li++ {
-			cs.reset(li)
-		}
-		for _, b := range cs.bkts {
-			clear(b.bits)
-			b.n, b.blanks = 0, 0
-		}
-		for id := range c.hosts {
-			cs.update(c, cluster.HostID(id), vm, now)
-		}
+		c.rebuild(cs, vm, now)
 		cs.allDirty = false
-	} else {
-		c.stats.HostsResynced += int64(len(cs.dirty))
-		for _, id := range cs.dirty {
-			cs.isDirty[id] = false
-			cs.update(c, id, vm, now)
+	case cs.synced >= c.base:
+		// Each changed host once, at its latest entry.
+		for k, id := range c.journal[cs.synced-c.base:] {
+			if c.lastAt[id] == cs.synced+1+uint64(k) {
+				c.stats.HostsResynced++
+				cs.update(c, id, vm, now)
+			}
+		}
+	default:
+		// The entries since the last sync were trimmed: read the stamps.
+		for id, at := range c.lastAt {
+			if at > cs.synced {
+				c.stats.HostsResynced++
+				cs.update(c, cluster.HostID(id), vm, now)
+			}
 		}
 	}
-	cs.dirty = cs.dirty[:0]
+	cs.synced = end
+}
+
+// rebuild derives every host of the context from nothing. On a chain with
+// blankOK, the available blank hosts share one feasibility and one level-0
+// key, so only the first is scored and the rest join its bucket in bulk.
+func (c *CachedChain) rebuild(cs *candSet, vm *cluster.VM, now time.Duration) {
+	clear(cs.member)
+	clear(cs.codes)
+	for li := range cs.tabs {
+		cs.tabs[li] = cs.tabs[li][:0]
+	}
+	for _, b := range cs.bkts {
+		clear(b.bits)
+		b.n, b.blanks = 0, 0
+	}
+	var blanks *scoreBkt // the first available blank host's bucket
+	seen := false        // blanks is set (nil: blank hosts do not fit)
+	for id, h := range c.hosts {
+		switch {
+		case !c.blankOK || h.Unavailable || !blank(h):
+			cs.update(c, cluster.HostID(id), vm, now)
+		case !seen:
+			blanks, seen = cs.update(c, cluster.HostID(id), vm, now), true
+		case blanks != nil:
+			blanks.add(int32(id))
+			blanks.blanks++
+			cs.member[id] = isBlank
+		}
+	}
 }
 
 // candSet is one context's incremental candidate structure: per-host codes
@@ -549,12 +631,11 @@ type candSet struct {
 	ctx CacheContext
 
 	member   []uint8     // per host: notMember, isMember or isBlank
-	codes    []uint8     // (nLevels-1) x nHosts, level li >= 1 at li-1: 0 = not cached, k = tabs[li][k-1]
+	codes    []uint8     // nCols x nHosts, level li in column cols[li]: 0 = not cached, k = tabs[li][k-1]
 	tabs     [][]float64 // per level: the distinct cached values, at most 255
-	isDirty  []bool
-	dirty    []cluster.HostID
-	allDirty bool
-	epoch    int64 // 1 + the epoch index the cached scores belong to
+	synced   uint64      // the journal stamp the context has applied up to
+	allDirty bool        // rebuild on the next sync
+	epoch    int64       // 1 + the epoch index the buckets belong to
 	lastUsed uint64
 
 	bkts []*scoreBkt // ascending key; emptied buckets stay for reuse
@@ -586,6 +667,12 @@ type scoreBkt struct {
 	bits   []uint64
 }
 
+// add sets a host's bit and counts it; the caller counts a blank member.
+func (b *scoreBkt) add(id int32) {
+	b.bits[id>>6] |= uint64(1) << (id & 63)
+	b.n++
+}
+
 // first returns the lowest member's host ID; the bucket must not be empty.
 func (b *scoreBkt) first() int32 {
 	w := 0
@@ -595,24 +682,14 @@ func (b *scoreBkt) first() int32 {
 	return int32(w<<6 | bits.TrailingZeros64(b.bits[w]))
 }
 
-func newCandSet(ctx CacheContext, nHosts, nLevels int) *candSet {
+func newCandSet(ctx CacheContext, nHosts, nLevels, nCols int) *candSet {
 	return &candSet{
 		ctx:      ctx,
 		member:   make([]uint8, nHosts),
-		codes:    make([]uint8, nHosts*(nLevels-1)),
+		codes:    make([]uint8, nHosts*nCols),
 		tabs:     make([][]float64, nLevels),
-		isDirty:  make([]bool, nHosts),
 		allDirty: true,
 	}
-}
-
-// markDirty queues a host for rescoring at the next Schedule.
-func (cs *candSet) markDirty(id cluster.HostID) {
-	if cs.allDirty || cs.isDirty[id] {
-		return
-	}
-	cs.isDirty[id] = true
-	cs.dirty = append(cs.dirty, id)
 }
 
 // update re-derives one host: membership out, fresh feasibility, the level-0
@@ -620,8 +697,9 @@ func (cs *candSet) markDirty(id cluster.HostID) {
 // chain has blankOK and the host is blank). Deeper static levels are
 // only forgotten here; filter restores the ones a decision needs. The
 // (vm, now) arguments are whatever Schedule is in flight; the static-purity
-// contract makes the values valid for the whole context.
-func (cs *candSet) update(c *CachedChain, id cluster.HostID, vm *cluster.VM, now time.Duration) {
+// contract makes the values valid for the whole context. It returns the
+// host's bucket, nil when the host is not a member.
+func (cs *candSet) update(c *CachedChain, id cluster.HostID, vm *cluster.VM, now time.Duration) *scoreBkt {
 	h := c.hosts[id]
 	word, bit := id>>6, uint64(1)<<(id&63)
 	if m := cs.member[id]; m != notMember { // level 0 keeps no column: find the bucket by its bit
@@ -638,7 +716,7 @@ func (cs *candSet) update(c *CachedChain, id cluster.HostID, vm *cluster.VM, now
 	}
 	cs.member[id] = notMember
 	if h.Unavailable || !h.Fits(cs.ctx.Shape) {
-		return
+		return nil
 	}
 	key := 0.0
 	if !c.dyn(0) {
@@ -648,13 +726,13 @@ func (cs *candSet) update(c *CachedChain, id cluster.HostID, vm *cluster.VM, now
 		cs.codes[i] = 0
 	}
 	b := cs.bucket(key)
-	b.bits[word] |= bit
-	b.n++
+	b.add(int32(id))
 	cs.member[id] = isMember
 	if c.blankOK && blank(h) {
 		b.blanks++
 		cs.member[id] = isBlank
 	}
+	return b
 }
 
 // code returns v's code in level li's value table, interning it by bit
@@ -667,17 +745,17 @@ func (cs *candSet) code(c *CachedChain, li int, v float64) uint8 {
 		}
 	}
 	if len(cs.tabs[li]) == math.MaxUint8 {
-		cs.reset(li)
+		cs.reset(c, li)
 		c.stats.CodeResets++
 	}
 	cs.tabs[li] = append(cs.tabs[li], v)
 	return uint8(len(cs.tabs[li]))
 }
 
-// reset forgets every cached value of level li >= 1.
-func (cs *candSet) reset(li int) {
-	n := len(cs.member)
-	clear(cs.codes[(li-1)*n : li*n])
+// reset forgets every cached value of the static level li >= 1.
+func (cs *candSet) reset(c *CachedChain, li int) {
+	n, k := len(cs.member), c.cols[li]
+	clear(cs.codes[k*n : (k+1)*n])
 	cs.tabs[li] = cs.tabs[li][:0]
 }
 

@@ -504,9 +504,10 @@ func TestValueTableOverflow(t *testing.T) {
 // TestEpochRolloverReadsFreshScores drives an epoch-pure level — one whose
 // score moves only when the clock crosses an epoch boundary — through the
 // two rollover edges: a context that sat idle across several boundaries, and
-// a host dirtied in the very tick the boundary falls on. At level 0 the
-// rollover rebuilds the context; below it, only that level's cached values
-// go, which the counters show.
+// a host changed in the very tick the boundary falls on. At level 0 the
+// level keys the buckets and the chain sets Epoch, so each rollover rebuilds
+// the context; below it the level is Dynamic, scored on every decision, and
+// the context never rolls over, which the counters show.
 func TestEpochRolloverReadsFreshScores(t *testing.T) {
 	const epoch = time.Hour
 	// Pure within an epoch; the winner rotates with the epoch index.
@@ -517,14 +518,15 @@ func TestEpochRolloverReadsFreshScores(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		scorers []Scorer
-		level   int
+		dynamic []bool
+		epoch   time.Duration
 	}{
-		{"epoch-level-0", []Scorer{grid, flat}, 0},
-		{"epoch-level-1", []Scorer{flat, grid}, 1},
+		{"epoch-level-0", []Scorer{grid, flat}, nil, epoch},
+		{"epoch-level-1", []Scorer{flat, grid}, []bool{false, true}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := cluster.NewPool("t", 3, resources.Cores(16, 16*4096, 0))
-			pol := &CachedChain{Chain: Chain{ChainName: tc.name, Scorers: tc.scorers}, Epoch: epoch, epochLevel: tc.level}
+			pol := &CachedChain{Chain: Chain{ChainName: tc.name, Scorers: tc.scorers}, Dynamic: tc.dynamic, Epoch: tc.epoch}
 			ref := &Chain{ChainName: tc.name, Scorers: tc.scorers}
 			probe := &cluster.VM{ID: 1, Shape: resources.Cores(2, 2*4096, 0), TrueLifetime: time.Hour}
 			check := func(now time.Duration, wantHost cluster.HostID) {
@@ -550,12 +552,12 @@ func TestEpochRolloverReadsFreshScores(t *testing.T) {
 			}
 			check(now, 0)
 			st := pol.CacheStats()
-			wantRebuilds := int64(1) // the cold build
-			if tc.level == 0 {
-				wantRebuilds += st.Rollovers
+			wantRollovers := int64(0)
+			if tc.epoch > 0 {
+				wantRollovers = 3
 			}
-			if st.Rollovers != 3 || st.Rebuilds != wantRebuilds || st.ColdBuilds != 1 || st.Contexts != 1 {
-				t.Fatalf("counters: %+v, want 3 rollovers and %d rebuilds", st, wantRebuilds)
+			if st.Rollovers != wantRollovers || st.Rebuilds != 1+wantRollovers || st.ColdBuilds != 1 || st.Contexts != 1 {
+				t.Fatalf("counters: %+v, want %d rollovers and %d rebuilds", st, wantRollovers, 1+wantRollovers)
 			}
 		})
 	}
@@ -756,10 +758,261 @@ func TestCachedMatchesExhaustiveSparse(t *testing.T) {
 
 func (c *CachedChain) cached() *CachedChain { return c }
 
+// TestLAVAEpochDynamicLevel runs lava-epoch, whose epoch level is dynamic
+// and marked, across many epoch boundaries on a pool its large VMs keep
+// mostly blank. Four arms share one random stream — cached and exhaustive,
+// untraced and traced — and must decide alike at every step, with equal
+// model-call counts; the traced arms must capture alike. The epoch level
+// must decide some placements (a capture at level 1), the untraced cached
+// arm must take the blank shortcut through the marked dynamic level, and no
+// context ever rolls over or rebuilds after its cold build.
+func TestLAVAEpochDynamicLevel(t *testing.T) {
+	mk := cachedPolicies()["lava-epoch"]
+	const hosts = 24
+	arms := [4]*twin{
+		newTwin(hosts, mk, EngineCached), newTwin(hosts, mk, EngineExhaustive),
+		newTwin(hosts, mk, EngineCached), newTwin(hosts, mk, EngineExhaustive),
+	}
+	for _, tw := range arms[2:] {
+		if !EnableTrace(tw.pol, 3) {
+			t.Fatal("lava-epoch does not support tracing")
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	var live [][4]*cluster.VM
+	now, byEpoch := time.Duration(0), 0
+	for step := 0; step < 600; step++ {
+		now += time.Duration(rng.Intn(20)) * time.Minute
+		for _, tw := range arms {
+			tw.pol.OnTick(tw.p, now)
+		}
+		if len(live) > 0 && rng.Intn(5) < 2 {
+			k := rng.Intn(len(live))
+			for i, tw := range arms {
+				h, _, err := tw.p.Exit(live[k][i].ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tw.pol.OnExited(tw.p, h, live[k][i], now)
+			}
+			live = append(live[:k], live[k+1:]...)
+			continue
+		}
+		id, cores := cluster.VMID(step+1), int64(2+rng.Intn(15))
+		life := time.Duration(10+rng.Intn(900)) * time.Minute
+		var vms [4]*cluster.VM
+		var got [4]cluster.HostID
+		for i, tw := range arms {
+			vms[i] = tw.vm(id, cores, now, life)
+			got[i] = -1
+			if h, err := tw.pol.Schedule(tw.p, vms[i], now); err == nil {
+				got[i] = h.ID
+			}
+		}
+		if got[1] != got[0] || got[2] != got[0] || got[3] != got[0] {
+			t.Fatalf("step %d: hosts cached/exhaustive/traced cached/traced exhaustive = %v", step, got)
+		}
+		ca, cb := CaptureOf(arms[2].pol), CaptureOf(arms[3].pol)
+		if !captureEq(ca, cb) {
+			t.Fatalf("step %d: capture divergence:\n cached:     %+v\n exhaustive: %+v", step, ca, cb)
+		}
+		if ca.Level == 1 {
+			byEpoch++
+		}
+		if got[0] < 0 {
+			continue
+		}
+		for i, tw := range arms {
+			h := tw.p.Host(got[0])
+			if err := tw.p.Place(vms[i], h); err != nil {
+				t.Fatal(err)
+			}
+			tw.pol.OnPlaced(tw.p, h, vms[i], now)
+		}
+		live = append(live, vms)
+		if err := checkBuckets(arms[0].pol.(*LAVA).cached()); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	calls := arms[0].pol.(*LAVA).ModelCalls()
+	for i, tw := range arms[1:] {
+		if c := tw.pol.(*LAVA).ModelCalls(); c != calls {
+			t.Errorf("arm %d: %d model calls, cached arm %d", i+1, c, calls)
+		}
+	}
+	st := CacheStatsOf(arms[0].pol)
+	if now < 8*DefaultEpoch || st.BlankPicks == 0 || st.Rollovers != 0 || st.Rebuilds != st.ColdBuilds || byEpoch == 0 {
+		t.Errorf("ran to %v: %d decisions by the epoch level, counters %+v", now, byEpoch, st)
+	}
+}
+
+// TestExactTemporalTakesNoShortcut pins the other side of the marker rule.
+// Exact NILAS and LAVA keep their temporal cost unmarked, because it may
+// call the model, so on a pool where every decision opens a host their
+// cached engine walks the winning bucket and never takes the blank
+// shortcut. lava-epoch takes it on every decision, and a copy of it whose
+// epoch level lost the marker takes it on none. Decisions and model calls
+// match the exhaustive engine's throughout.
+func TestExactTemporalTakesNoShortcut(t *testing.T) {
+	unmarked := func() Policy {
+		l := NewLAVAEpoch(model.Oracle{}, time.Minute, DefaultEpoch)
+		f := l.Scorers[1].(ScorerFunc)
+		l.Scorers[1] = ScorerFunc{FuncName: f.FuncName, F: f.F}
+		return l
+	}
+	for _, tc := range []struct {
+		name  string
+		mk    func() Policy
+		picks bool
+	}{
+		{"nilas", cachedPolicies()["nilas"], false},
+		{"lava", cachedPolicies()["lava"], false},
+		{"lava-epoch", cachedPolicies()["lava-epoch"], true},
+		{"lava-epoch-unmarked", unmarked, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const hosts = 32
+			a, b := newTwin(hosts, tc.mk, EngineCached), newTwin(hosts, tc.mk, EngineExhaustive)
+			// One host in four runs a VM of 9 cores; every op places one of
+			// 8, which fits only on an empty host, and then exits it.
+			for i, tw := range []*twin{a, b} {
+				for id := 0; id < hosts; id += 4 {
+					vm := tw.vm(cluster.VMID(id+1), 9, 0, 1000*time.Hour)
+					h := tw.p.Host(cluster.HostID(id))
+					if err := tw.p.Place(vm, h); err != nil {
+						t.Fatal(i, err)
+					}
+					tw.pol.OnPlaced(tw.p, h, vm, 0)
+				}
+			}
+			const ops = 40
+			for op := 0; op < ops; op++ {
+				now := time.Duration(op) * 37 * time.Minute
+				var got [2]*cluster.Host
+				var vms [2]*cluster.VM
+				for i, tw := range []*twin{a, b} {
+					vms[i] = tw.vm(cluster.VMID(1000+op), 8, now, time.Duration(1+op%7)*time.Hour)
+					h, err := tw.pol.Schedule(tw.p, vms[i], now)
+					if err != nil || !h.Empty() {
+						t.Fatalf("op %d: host %v, err %v; want an empty host", op, h, err)
+					}
+					got[i] = h
+				}
+				if got[0].ID != got[1].ID {
+					t.Fatalf("op %d: cached host %d, exhaustive host %d", op, got[0].ID, got[1].ID)
+				}
+				for i, tw := range []*twin{a, b} {
+					if err := tw.p.Place(vms[i], got[i]); err != nil {
+						t.Fatal(err)
+					}
+					tw.pol.OnPlaced(tw.p, got[i], vms[i], now)
+					if _, _, err := tw.p.Exit(vms[i].ID); err != nil {
+						t.Fatal(err)
+					}
+					tw.pol.OnExited(tw.p, got[i], vms[i], now)
+				}
+			}
+			if ca, cb := a.pol.(interface{ ModelCalls() int64 }).ModelCalls(), b.pol.(interface{ ModelCalls() int64 }).ModelCalls(); ca != cb {
+				t.Errorf("model calls: cached %d, exhaustive %d", ca, cb)
+			}
+			want := int64(0)
+			if tc.picks {
+				want = ops
+			}
+			if st := CacheStatsOf(a.pol); st.BlankPicks != want {
+				t.Errorf("blank picks %d, want %d: %+v", st.BlankPicks, want, st)
+			}
+		})
+	}
+}
+
+// TestJournalTrimResync pins the change journal: a context re-derives
+// exactly the hosts changed since its own last sync, each once, whether it
+// finds its sync point in the journal or, idle across a trim, reads the
+// hosts' stamps instead; and a rebind starts every context from a cold
+// build without replaying the stamps it reuses.
+func TestJournalTrimResync(t *testing.T) {
+	const hosts = 16
+	var scored []cluster.HostID
+	pol := NewCachedChain(Chain{ChainName: "journal", Scorers: []Scorer{
+		ScorerFunc{FuncName: "load", F: func(h *cluster.Host, _ *cluster.VM, _ time.Duration) float64 {
+			scored = append(scored, h.ID)
+			return float64(h.NumVMs())
+		}},
+		ScorerFunc{FuncName: "flat", F: func(*cluster.Host, *cluster.VM, time.Duration) float64 { return 0 }},
+	}}, nil, nil)
+	p := cluster.NewPool("t", hosts, resources.Cores(16, 16*4096, 0))
+	small := &cluster.VM{ID: 1, Shape: resources.Cores(1, 4096, 0), TrueLifetime: time.Hour}
+	big := &cluster.VM{ID: 2, Shape: resources.Cores(2, 2*4096, 0), TrueLifetime: time.Hour}
+	all := make([]cluster.HostID, hosts)
+	for i := range all {
+		all[i] = cluster.HostID(i)
+	}
+	// resync schedules vm and checks that level 0 re-scored exactly want,
+	// each host once, and that HostsResynced counted them.
+	resync := func(vm *cluster.VM, cold bool, want ...cluster.HostID) {
+		t.Helper()
+		scored = nil
+		before := pol.CacheStats()
+		if _, err := pol.Schedule(p, vm, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkBuckets(pol); err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(scored)
+		if !slices.Equal(scored, want) {
+			t.Fatalf("%v context re-scored hosts %v, want %v", vm.Shape, scored, want)
+		}
+		st := pol.CacheStats()
+		wantResynced := int64(len(want))
+		if cold {
+			wantResynced = 0 // a cold build is a rebuild, not a resync
+		}
+		if st.HostsResynced-before.HostsResynced != wantResynced || (st.ColdBuilds > before.ColdBuilds) != cold {
+			t.Fatalf("counters %+v after %+v", st, before)
+		}
+	}
+	touch := func(times int, ids ...cluster.HostID) {
+		for range times {
+			for _, id := range ids {
+				p.InvalidateHost(id)
+			}
+		}
+	}
+	behind := func(vm *cluster.VM) bool { return pol.sets[CacheContext{Shape: vm.Shape}].synced < pol.base }
+
+	resync(small, true, all...)
+	resync(big, true, all...)
+	touch(3, 4, 9)
+	if behind(small) || behind(big) {
+		t.Fatal("journal trimmed after six events")
+	}
+	resync(small, false, 4, 9) // found in the journal
+	// big sits idle while five hosts take 40 events, past a trim.
+	touch(8, 1, 2, 3, 4, 5)
+	if !behind(small) || !behind(big) {
+		t.Fatalf("journal never trimmed past the contexts: base %d", pol.base)
+	}
+	resync(big, false, 1, 2, 3, 4, 5, 9) // read off the stamps
+	touch(1, 7)
+	resync(big, false, 7) // found in the journal again
+	resync(small, false, 1, 2, 3, 4, 5, 7)
+	resync(small, false)
+
+	// A rebind reuses the stamps; the contexts built after it start past them.
+	pol.SetEngine(EngineExhaustive)
+	pol.SetEngine(EngineCached)
+	resync(small, true, all...)
+	touch(2, 11)
+	resync(small, false, 11)
+	resync(big, true, all...)
+}
+
 // checkBuckets cross-checks every context of c: each bucket's member and
 // blank counts against its bitset and the membership array, and the
-// membership state of every host synced since its last event against the
-// host itself.
+// membership state of every host with no journaled event since the
+// context's last sync against the host itself.
 func checkBuckets(c *CachedChain) error {
 	for _, cs := range c.list {
 		for _, b := range cs.bkts {
@@ -780,7 +1033,7 @@ func checkBuckets(c *CachedChain) error {
 			continue
 		}
 		for id, h := range c.hosts {
-			if cs.isDirty[id] {
+			if c.lastAt[id] > cs.synced {
 				continue
 			}
 			want := notMember
