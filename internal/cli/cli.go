@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"lava/internal/serve"
 )
@@ -35,6 +36,24 @@ func run(fs *flag.FlagSet, args []string, stderr io.Writer, body func() error) i
 		return 1
 	}
 	return 0
+}
+
+// negative refuses a numeric flag set below zero, naming the flag. The
+// commands check such flags before they read a trace or open a listener.
+func negative[T int | time.Duration](name string, v T) error {
+	if v < 0 {
+		return fmt.Errorf("-%s %v is negative", name, v)
+	}
+	return nil
+}
+
+// checkTrees refuses a -trees below one: gbdt.Train would quietly train its
+// own default of 200 trees instead.
+func checkTrees(trees int) error {
+	if trees < 1 {
+		return fmt.Errorf("-trees %d: a GBDT needs at least one tree", trees)
+	}
+	return nil
 }
 
 // writeOut is how every command writes a file: write fills path or, for

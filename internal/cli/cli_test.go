@@ -178,6 +178,8 @@ func TestCLIRefusals(t *testing.T) {
 	good := writeParityTrace(t, dir, "good.jsonl", func(*trace.Trace) {})
 	dup := writeParityTrace(t, dir, "dup.jsonl", func(tr *trace.Trace) { tr.Records[1].ID = tr.Records[0].ID })
 	out := filepath.Join(dir, "out")
+	// A flag refused before the trace is read names the flag, not this file.
+	missing := filepath.Join(dir, "missing.jsonl")
 	var requests atomic.Int64
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		requests.Add(1)
@@ -253,6 +255,28 @@ func TestCLIRefusals(t *testing.T) {
 			[]string{"-trace", good, "-test", "1.5"}, "-test"},
 		{"trainmodel -test NaN", Trainmodel,
 			[]string{"-trace", good, "-test", "NaN"}, "-test"},
+		{"experiments -scale NaN", Experiments,
+			[]string{"-exp", "table3", "-scale", "NaN"}, "-scale"},
+		{"experiments -trace-k negative", Experiments,
+			[]string{"-exp", "table3", "-trace-k", "-3"}, "-trace-k"},
+		{"experiments -parallel negative", Experiments,
+			[]string{"-exp", "table3", "-parallel", "-2"}, "-parallel"},
+		{"lavasim -cache negative", Lavasim,
+			[]string{"-trace", missing, "-cache", "-5m"}, "-cache"},
+		{"lavad -cache negative", Lavad,
+			[]string{"-trace", missing, "-addr", "127.0.0.1:0", "-cache", "-5m"}, "-cache"},
+		{"lavasim -trees 0", Lavasim,
+			[]string{"-trace", missing, "-trees", "0"}, "-trees"},
+		{"lavad -trees 0", Lavad,
+			[]string{"-trace", missing, "-addr", "127.0.0.1:0", "-trees", "0"}, "-trees"},
+		{"trainmodel -trees 0", Trainmodel,
+			[]string{"-trace", missing, "-trees", "0"}, "-trees"},
+		{"lavad -trace-k negative", Lavad,
+			[]string{"-trace", missing, "-addr", "127.0.0.1:0", "-trace-k", "-2"}, "-trace-k"},
+		{"lavad -tick negative", Lavad,
+			[]string{"-trace", missing, "-addr", "127.0.0.1:0", "-tick", "-1s"}, "-tick"},
+		{"lavad -sample negative", Lavad,
+			[]string{"-trace", missing, "-addr", "127.0.0.1:0", "-sample", "-1s"}, "-sample"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			requests.Store(0)

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -37,11 +38,14 @@ func Experiments(_ context.Context, args []string, stdout, stderr io.Writer) int
 	return run(fs, args, stderr, func() error {
 		// withDefaults would run -scale 0 at 0.25, clamp above 1 and let a
 		// negative scale fall to every generator's floor.
-		if *scale <= 0 || *scale > 1 {
+		if !(*scale > 0 && *scale <= 1) {
 			return fmt.Errorf("-scale %v is outside (0, 1]", *scale)
 		}
 		if *cells < 0 {
 			return fmt.Errorf("-cells %d is negative (0 = the default width)", *cells)
+		}
+		if err := cmp.Or(negative("parallel", *parallel), negative("trace-k", *traceK)); err != nil {
+			return err
 		}
 		names, err := experiments.Select(*exp)
 		if err != nil {

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -46,6 +47,10 @@ func Lavad(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		if *cells < 1 {
 			return fmt.Errorf("-cells %d: a daemon serves at least one cell", *cells)
+		}
+		if err := cmp.Or(checkTrees(*trees), negative("cache", *refresh), negative("trace-k", *traceK),
+			negative("tick", *tick), negative("sample", *sample)); err != nil {
+			return err
 		}
 		tr, err := trace.ReadFile(*tracePath)
 		if err != nil {

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -51,6 +52,9 @@ func Lavasim(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		if *cells < 1 {
 			return fmt.Errorf("-cells %d: a run needs at least one cell", *cells)
+		}
+		if err := cmp.Or(checkTrees(*trees), negative("cache", *refresh)); err != nil {
+			return err
 		}
 		if *modelPath != "" && *modelKind != "gbdt" {
 			return fmt.Errorf("-model-file loads a GBDT and cannot serve -model %s", *modelKind)

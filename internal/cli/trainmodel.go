@@ -36,6 +36,9 @@ func Trainmodel(_ context.Context, args []string, stdout, stderr io.Writer) int 
 		if !(*testFrac > 0 && *testFrac < 1) {
 			return fmt.Errorf("-test %v is outside (0, 1)", *testFrac)
 		}
+		if err := checkTrees(*trees); err != nil {
+			return err
+		}
 		tr, err := trace.ReadFile(*tracePath)
 		if err != nil {
 			return err

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // synth builds a regression problem with known structure: y depends on
@@ -745,7 +746,14 @@ func TestTrainMatchesReferenceTrainer(t *testing.T) {
 			t.Fatalf("%s %+v: model differs from the reference trainer's", pr.name, p)
 		}
 	}
-	if after := runtime.NumGoroutine(); after != before {
+	// The count is global: an unrelated runtime or test goroutine may exit
+	// meanwhile, and one Train started may take a moment to be reaped. Only
+	// a count that stays above the one before Train is a leak.
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after > before {
 		t.Fatalf("goroutines: %d before Train, %d after", before, after)
 	}
 }

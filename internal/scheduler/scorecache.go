@@ -30,10 +30,13 @@ import (
 // across a trim scans the stamps of every host instead.
 //
 // What Schedule walks is the winning bucket's bitset, once, into a reused
-// slice of host IDs, and then one level-major column per static chain level
-// below 0, indexed by those IDs (filter): a byte per host, coding a value in
-// the level's table of at most 255 (static scores are discrete; no
-// replay-scale column holds more than 115). A dynamic level keeps no column.
+// slice of host IDs, and then one column per static chain level below 0,
+// indexed by those IDs (filter): a byte per host, coding a value in the
+// level's table of at most 255 (static scores are discrete; no replay-scale
+// column holds more than 115). A column covers only the host IDs up to the
+// highest one the filter has read on its level, so a context's footprint
+// follows the hosts it caches, not the pool (see candSet). A dynamic level
+// keeps no column.
 // A *cluster.Host is touched only to hand it to a Scorer — a lazy fill, a
 // dynamic level — and to return the winner.
 //
@@ -97,7 +100,8 @@ type CacheContext struct {
 // (CacheStats reports the live count) — so the cap sits above the realistic
 // population and exists only to keep
 // memory bounded under adversarial inputs (memory ceiling: contexts x hosts
-// x (static levels+1) bytes plus bucket bitsets and value tables,
+// x static levels below level 0 bytes, once every code column has grown to
+// the pool, plus membership and bucket bitsets and value tables,
 // CacheStats.Bytes).
 // The least-recently-used context is evicted and rebuilt on demand if it
 // ever returns; eviction thrash shows up directly in the scale benchmarks,
@@ -110,8 +114,8 @@ const maxCachedContexts = 256
 // TimeVarying disables caching for the whole chain.
 //
 // Static levels below level 0 are cached lazily, as a one-byte code per
-// host (0: not cached) into the level's table of values interned by bit
-// pattern, so a static scorer may return any float64 — ±0, ±Inf, NaN with
+// host (0: not cached, also for a host past the column's end) into the
+// level's table of values interned by bit pattern, so a static scorer may return any float64 — ±0, ±Inf, NaN with
 // any payload — and both engines filter the same bits. A 256th distinct
 // value resets the level, which then refills on demand. Level 0 keys the
 // buckets, so there the discrete-value contract (see Schedule) applies and
@@ -334,13 +338,14 @@ func (c *CachedChain) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Dura
 // the bucket's count, sifts them level by level from level `from` down, in
 // place, and returns the winner's ID. A static level is read from its code column through the level's value
 // table — scored through the original Scorer, interned, and counted in
-// LazyEvals, exactly when the host's code is 0. A dynamic level is scored
+// LazyEvals, exactly when the host's code is 0; the column is first grown to
+// cover the last candidate, the highest ID. A dynamic level is scored
 // through the original Scorer on the same IDs in the same order as the
 // exhaustive engine, so its side effects match. Like applyChain it stops
 // before scoring once one candidate is left.
 func (c *CachedChain) filter(cs *candSet, win *scoreBkt, from int, vm *cluster.VM, now time.Duration) int32 {
 	if cap(c.ids) < win.n {
-		c.ids = make([]int32, len(c.hosts))
+		c.ids = make([]int32, win.n)
 	}
 	ids, k := c.ids[:win.n], 0
 	for w := 0; k < win.n; w++ {
@@ -349,16 +354,15 @@ func (c *CachedChain) filter(cs *candSet, win *scoreBkt, from int, vm *cluster.V
 			k++
 		}
 	}
-	nHosts := len(c.hosts)
 	for li := from; li < len(c.Scorers) && len(ids) > 1; li++ {
 		s, dyn := c.Scorers[li], c.dyn(li)
 		obs := c.Chain.tr // only a dynamic level 0 is ever filtered here
 		if li != 0 {
 			obs = nil
 		}
-		var col []uint8 // static levels below 0 only
+		var col []uint8 // static levels below 0 only, grown to the last (highest) ID
 		if k := c.cols[li]; k >= 0 {
-			col = cs.codes[k*nHosts : (k+1)*nHosts]
+			col = cs.column(k, ids[len(ids)-1], len(c.hosts))
 		}
 		tab := cs.tabs[li]
 		n, best := 0, 0.0
@@ -398,7 +402,7 @@ type CacheStats struct {
 	HostsResynced int64 `json:"hosts_resynced"` // changed hosts re-scored on level 0, summed over contexts
 	LazyEvals     int64 `json:"lazy_evals"`     // deep static levels scored on first read
 	Filtered      int64 `json:"filtered"`       // candidates in the winning bucket
-	Bytes         int64 `json:"bytes"`          // live bytes: codes, value tables, bucket bitsets, membership, journal
+	Bytes         int64 `json:"bytes"`          // live bytes: code column capacities, value tables, bucket and membership bitsets, journal
 	CodeResets    int64 `json:"code_resets"`    // levels reset because their value table was full
 	BlankPicks    int64 `json:"blank_picks"`    // decisions the blank shortcut resolved unfiltered
 }
@@ -409,7 +413,10 @@ func (c *CachedChain) CacheStats() CacheStats {
 	st.Contexts = len(c.list)
 	st.Bytes = 8*int64(len(c.lastAt)) + 4*int64(len(c.journal))
 	for _, cs := range c.list {
-		st.Bytes += int64(len(cs.codes) + len(cs.member))
+		st.Bytes += 8 * int64(len(cs.member)+len(cs.blank))
+		for _, col := range cs.cols {
+			st.Bytes += int64(cap(col))
+		}
 		for _, t := range cs.tabs {
 			st.Bytes += 8 * int64(len(t))
 		}
@@ -597,7 +604,10 @@ func (c *CachedChain) sync(cs *candSet, vm *cluster.VM, now time.Duration) {
 // key, so only the first is scored and the rest join its bucket in bulk.
 func (c *CachedChain) rebuild(cs *candSet, vm *cluster.VM, now time.Duration) {
 	clear(cs.member)
-	clear(cs.codes)
+	clear(cs.blank)
+	for k := range cs.cols {
+		cs.cols[k] = cs.cols[k][:0]
+	}
 	for li := range cs.tabs {
 		cs.tabs[li] = cs.tabs[li][:0]
 	}
@@ -616,7 +626,9 @@ func (c *CachedChain) rebuild(cs *candSet, vm *cluster.VM, now time.Duration) {
 		case blanks != nil:
 			blanks.add(int32(id))
 			blanks.blanks++
-			cs.member[id] = isBlank
+			word, bit := id>>6, uint64(1)<<(id&63)
+			cs.member[word] |= bit
+			cs.blank[word] |= bit
 		}
 	}
 }
@@ -627,11 +639,18 @@ func (c *CachedChain) rebuild(cs *candSet, vm *cluster.VM, now time.Duration) {
 // "feasible for the context's shape and available" — exactly
 // AppendFeasible's predicate — so Schedule never rescans the pool for
 // feasibility either.
+//
+// Its footprint follows the hosts it caches, not the pool: membership is two
+// bits per host, and a code column covers only the host IDs the filter has
+// read on its level. Ties break at the lowest host ID, so occupied hosts pack
+// at the bottom of the ID range, and a chain with the blank shortcut never
+// reads a blank host's codes.
 type candSet struct {
 	ctx CacheContext
 
-	member   []uint8     // per host: notMember, isMember or isBlank
-	codes    []uint8     // nCols x nHosts, level li in column cols[li]: 0 = not cached, k = tabs[li][k-1]
+	member   []uint64    // bitset over host IDs: feasible and available
+	blank    []uint64    // bitset: a member counted blank in its bucket (blankOK only)
+	cols     [][]uint8   // per column cols[li]: 0 = not cached, k = tabs[li][k-1]; a host past the end reads 0
 	tabs     [][]float64 // per level: the distinct cached values, at most 255
 	synced   uint64      // the journal stamp the context has applied up to
 	allDirty bool        // rebuild on the next sync
@@ -640,14 +659,6 @@ type candSet struct {
 
 	bkts []*scoreBkt // ascending key; emptied buckets stay for reuse
 }
-
-// Membership states of a host in a candSet. isBlank is a member that is
-// also blank (see blank); only a chain with blankOK records it.
-const (
-	notMember uint8 = iota
-	isMember
-	isBlank
-)
 
 // blank reports whether a host is blank: empty, with LAVA's state at its
 // zero values. On a pool of one capacity, a marked scorer gives every blank
@@ -658,8 +669,8 @@ func blank(h *cluster.Host) bool {
 
 // scoreBkt is one level-0 score bucket, a bitset over host IDs: membership
 // flips in O(1) whatever the bucket's size, and a walk meets the members in
-// host-ID order, as the exhaustive scan does. blanks counts the members in
-// state isBlank.
+// host-ID order, as the exhaustive scan does. blanks counts the members whose
+// blank bit is set.
 type scoreBkt struct {
 	key    float64
 	n      int
@@ -683,10 +694,12 @@ func (b *scoreBkt) first() int32 {
 }
 
 func newCandSet(ctx CacheContext, nHosts, nLevels, nCols int) *candSet {
+	words := (nHosts + 63) / 64
 	return &candSet{
 		ctx:      ctx,
-		member:   make([]uint8, nHosts),
-		codes:    make([]uint8, nHosts*nCols),
+		member:   make([]uint64, words),
+		blank:    make([]uint64, words),
+		cols:     make([][]uint8, nCols),
 		tabs:     make([][]float64, nLevels),
 		allDirty: true,
 	}
@@ -702,19 +715,20 @@ func newCandSet(ctx CacheContext, nHosts, nLevels, nCols int) *candSet {
 func (cs *candSet) update(c *CachedChain, id cluster.HostID, vm *cluster.VM, now time.Duration) *scoreBkt {
 	h := c.hosts[id]
 	word, bit := id>>6, uint64(1)<<(id&63)
-	if m := cs.member[id]; m != notMember { // level 0 keeps no column: find the bucket by its bit
+	if cs.member[word]&bit != 0 { // level 0 keeps no column: find the bucket by its bit
 		for _, b := range cs.bkts {
 			if b.bits[word]&bit != 0 {
 				b.bits[word] &^= bit
 				b.n--
-				if m == isBlank {
+				if cs.blank[word]&bit != 0 {
 					b.blanks--
 				}
 				break
 			}
 		}
+		cs.member[word] &^= bit
+		cs.blank[word] &^= bit
 	}
-	cs.member[id] = notMember
 	if h.Unavailable || !h.Fits(cs.ctx.Shape) {
 		return nil
 	}
@@ -722,17 +736,38 @@ func (cs *candSet) update(c *CachedChain, id cluster.HostID, vm *cluster.VM, now
 	if !c.dyn(0) {
 		key = c.Scorers[0].Score(h, vm, now)
 	}
-	for i := int(id); i < len(cs.codes); i += len(cs.member) {
-		cs.codes[i] = 0
+	for _, col := range cs.cols {
+		if int(id) < len(col) {
+			col[id] = 0
+		}
 	}
 	b := cs.bucket(key)
 	b.add(int32(id))
-	cs.member[id] = isMember
+	cs.member[word] |= bit
 	if c.blankOK && blank(h) {
 		b.blanks++
-		cs.member[id] = isBlank
+		cs.blank[word] |= bit
 	}
 	return b
+}
+
+// column returns code column k grown to cover host ID id. A column grows by
+// doubling, capped at the pool's nHosts hosts, and the entries it gains read
+// 0, not cached.
+func (cs *candSet) column(k int, id int32, nHosts int) []uint8 {
+	col := cs.cols[k]
+	if int(id) < len(col) {
+		return col
+	}
+	n := min(max(int(id)+1, 2*len(col)), nHosts)
+	if n > cap(col) {
+		col = append(make([]uint8, 0, n), col...)
+	}
+	old := len(col)
+	col = col[:n]
+	clear(col[old:])
+	cs.cols[k] = col
+	return col
 }
 
 // code returns v's code in level li's value table, interning it by bit
@@ -754,8 +789,7 @@ func (cs *candSet) code(c *CachedChain, li int, v float64) uint8 {
 
 // reset forgets every cached value of the static level li >= 1.
 func (cs *candSet) reset(c *CachedChain, li int) {
-	n, k := len(cs.member), c.cols[li]
-	clear(cs.codes[k*n : (k+1)*n])
+	clear(cs.cols[c.cols[li]])
 	cs.tabs[li] = cs.tabs[li][:0]
 }
 
@@ -770,7 +804,7 @@ func (cs *candSet) bucket(key float64) *scoreBkt {
 	if i == len(cs.bkts) || cs.bkts[i].key != key {
 		cs.bkts = append(cs.bkts, nil)
 		copy(cs.bkts[i+1:], cs.bkts[i:])
-		cs.bkts[i] = &scoreBkt{key: key, bits: make([]uint64, (len(cs.member)+63)/64)}
+		cs.bkts[i] = &scoreBkt{key: key, bits: make([]uint64, len(cs.member))}
 	}
 	return cs.bkts[i]
 }

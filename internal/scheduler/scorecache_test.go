@@ -436,13 +436,181 @@ func TestLazyLevelMarkerIgnoresScoreValue(t *testing.T) {
 	}
 	cs := pol.list[0]
 	for id, v := range deep {
-		code := cs.codes[id] // level 1's column
+		code := cs.cols[0][id] // level 1's column
 		if code == 0 {
 			t.Fatalf("host %d: level 1 not cached", id)
 		}
 		if got := cs.tabs[1][code-1]; math.Float64bits(got) != math.Float64bits(v) {
 			t.Errorf("host %d: cached %#x, scored %#x", id, math.Float64bits(got), math.Float64bits(v))
 		}
+	}
+}
+
+// TestCodeColumnGrowth pins how a code column follows the hosts the filter
+// reads. It starts empty, so the first reads lie past its end and count as
+// not cached; it grows to cover the highest candidate ID, doubling and capped
+// at the pool; a host past the old end is scored once, the rest are served;
+// and after an epoch rollover truncates the column, regrowing it inside the
+// capacity it kept reads every entry afresh, never a code of the old epoch.
+func TestCodeColumnGrowth(t *testing.T) {
+	const hosts, epoch = 130, time.Hour
+	calls := 0
+	mk := func() *CachedChain {
+		c := NewCachedChain(Chain{ChainName: "grow", Scorers: []Scorer{
+			ScorerFunc{FuncName: "flat", F: func(*cluster.Host, *cluster.VM, time.Duration) float64 { return 0 }},
+			ScorerFunc{FuncName: "deep", F: func(h *cluster.Host, _ *cluster.VM, now time.Duration) float64 {
+				calls++
+				return float64((int(h.ID) + int(now/epoch)) % 3)
+			}},
+		}}, nil, nil)
+		c.Epoch = epoch
+		return c
+	}
+	pol, ref := mk(), mk()
+	ref.SetEngine(EngineExhaustive)
+	p := cluster.NewPool("t", hosts, resources.Cores(16, 16*4096, 0))
+	for id := 10; id < hosts; id++ {
+		p.Host(cluster.HostID(id)).Unavailable = true
+	}
+	restore := func(id cluster.HostID) {
+		p.Host(id).Unavailable = false
+		p.InvalidateHost(id)
+	}
+	withdraw := func(id cluster.HostID) {
+		p.Host(id).Unavailable = true
+		p.InvalidateHost(id)
+	}
+	probe := &cluster.VM{ID: 1, Shape: resources.Cores(2, 2*4096, 0), TrueLifetime: time.Hour}
+	for i, tc := range []struct {
+		now             time.Duration
+		before          func()
+		calls, len, cap int
+	}{
+		{0, nil, 10, 10, 10},                                        // every read past the empty column's end
+		{0, nil, 0, 10, 10},                                         // all served
+		{0, func() { restore(100) }, 1, 101, 101},                   // only host 100 lies past the end
+		{0, func() { restore(125); restore(127) }, 2, hosts, hosts}, // doubling, capped at the pool
+		{epoch, func() { withdraw(127) }, 12, 126, hosts},           // rollover: truncated, regrown in place
+		{epoch, func() { restore(127) }, 1, hosts, hosts},           // host 127's old-epoch code is gone
+	} {
+		if tc.before != nil {
+			tc.before()
+		}
+		want, err := ref.Schedule(p, probe, tc.now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls = 0
+		before := pol.CacheStats().LazyEvals
+		got, err := pol.Schedule(p, probe, tc.now)
+		if err != nil || got.ID != want.ID {
+			t.Fatalf("step %d: cached %v, %v; exhaustive host %d", i, got, err, want.ID)
+		}
+		col := pol.list[0].cols[0]
+		lazy := pol.CacheStats().LazyEvals - before
+		if calls != tc.calls || lazy != int64(tc.calls) || len(col) != tc.len || cap(col) != tc.cap {
+			t.Fatalf("step %d: %d calls, %d lazy evals, column len %d cap %d; want %d calls, len %d cap %d",
+				i, calls, lazy, len(col), cap(col), tc.calls, tc.len, tc.cap)
+		}
+	}
+}
+
+// TestCachedMatchesExhaustiveTopHeavy is the differential on a pool whose
+// lowest host IDs are withdrawn, so every occupied host sits at the top of
+// the ID range and the code columns must grow from empty to reach it. Four
+// arms share one random stream — cached and exhaustive, untraced and traced
+// — and must decide, capture and call the model alike at every step. At the
+// end, the untraced cached arm's columns reach into the occupied range and
+// never past the pool.
+func TestCachedMatchesExhaustiveTopHeavy(t *testing.T) {
+	const hosts, withdrawn = 200, 160
+	for _, name := range []string{"wastemin", "bestfit", "nilas", "lava", "nilas-epoch", "lava-epoch", "odd-scores"} {
+		t.Run(name, func(t *testing.T) {
+			mk := cachedPolicies()[name]
+			arms := [4]*twin{
+				newTwin(hosts, mk, EngineCached), newTwin(hosts, mk, EngineExhaustive),
+				newTwin(hosts, mk, EngineCached), newTwin(hosts, mk, EngineExhaustive),
+			}
+			for i, tw := range arms {
+				for id := 0; id < withdrawn; id++ {
+					tw.p.Host(cluster.HostID(id)).Unavailable = true
+				}
+				if i >= 2 && !EnableTrace(tw.pol, 3) {
+					t.Fatalf("%s does not support tracing", name)
+				}
+			}
+			rng := rand.New(rand.NewSource(3))
+			var live [][4]*cluster.VM
+			now := time.Duration(0)
+			for step := 0; step < 400; step++ {
+				now += time.Duration(rng.Intn(20)) * time.Minute
+				for _, tw := range arms {
+					tw.pol.OnTick(tw.p, now)
+				}
+				if len(live) > 0 && rng.Intn(5) < 2 {
+					k := rng.Intn(len(live))
+					for i, tw := range arms {
+						h, _, err := tw.p.Exit(live[k][i].ID)
+						if err != nil {
+							t.Fatal(err)
+						}
+						tw.pol.OnExited(tw.p, h, live[k][i], now)
+					}
+					live = append(live[:k], live[k+1:]...)
+					continue
+				}
+				id, cores := cluster.VMID(step+1), int64(1+rng.Intn(8))
+				life := time.Duration(10+rng.Intn(900)) * time.Minute
+				var vms [4]*cluster.VM
+				var got [4]cluster.HostID
+				for i, tw := range arms {
+					vms[i] = tw.vm(id, cores, now, life)
+					got[i] = -1
+					if h, err := tw.pol.Schedule(tw.p, vms[i], now); err == nil {
+						got[i] = h.ID
+					}
+				}
+				if got[1] != got[0] || got[2] != got[0] || got[3] != got[0] {
+					t.Fatalf("step %d: hosts cached/exhaustive/traced cached/traced exhaustive = %v", step, got)
+				}
+				if ca, cb := CaptureOf(arms[2].pol), CaptureOf(arms[3].pol); !captureEq(ca, cb) {
+					t.Fatalf("step %d: capture divergence:\n cached:     %+v\n exhaustive: %+v", step, ca, cb)
+				}
+				if got[0] < 0 {
+					continue
+				}
+				for i, tw := range arms {
+					h := tw.p.Host(got[0])
+					if err := tw.p.Place(vms[i], h); err != nil {
+						t.Fatal(err)
+					}
+					tw.pol.OnPlaced(tw.p, h, vms[i], now)
+				}
+				live = append(live, vms)
+				if err := checkBuckets(arms[0].pol.(interface{ cached() *CachedChain }).cached()); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+			}
+			if mc, ok := arms[0].pol.(interface{ ModelCalls() int64 }); ok {
+				for i, tw := range arms[1:] {
+					if c := tw.pol.(interface{ ModelCalls() int64 }).ModelCalls(); c != mc.ModelCalls() {
+						t.Errorf("arm %d: %d model calls, cached arm %d", i+1, c, mc.ModelCalls())
+					}
+				}
+			}
+			reach := 0
+			for _, cs := range arms[0].pol.(interface{ cached() *CachedChain }).cached().list {
+				for _, col := range cs.cols {
+					if cap(col) > hosts {
+						t.Fatalf("context %+v: column capacity %d on a pool of %d", cs.ctx, cap(col), hosts)
+					}
+					reach = max(reach, len(col))
+				}
+			}
+			if reach <= withdrawn {
+				t.Errorf("columns reach host %d, short of the occupied range from %d", reach, withdrawn)
+			}
+		})
 	}
 }
 
@@ -1010,23 +1178,32 @@ func TestJournalTrimResync(t *testing.T) {
 }
 
 // checkBuckets cross-checks every context of c: each bucket's member and
-// blank counts against its bitset and the membership array, and the
-// membership state of every host with no journaled event since the
-// context's last sync against the host itself.
+// blank counts against its bitset and the membership bitsets, every member
+// in exactly one bucket, and the membership state of every host with no
+// journaled event since the context's last sync against the host itself.
 func checkBuckets(c *CachedChain) error {
 	for _, cs := range c.list {
+		in := make([]int, len(c.hosts)) // buckets holding each host
 		for _, b := range cs.bkts {
 			n, blanks := 0, 0
 			for w, word := range b.bits {
 				for ; word != 0; word &= word - 1 {
+					id := w<<6 | bits.TrailingZeros64(word)
 					n++
-					if cs.member[w<<6|bits.TrailingZeros64(word)] == isBlank {
+					in[id]++
+					if bitAt(cs.blank, id) {
 						blanks++
 					}
 				}
 			}
 			if n != b.n || blanks != b.blanks {
 				return fmt.Errorf("context %+v bucket %v: counts %d/%d blank, bitset %d/%d", cs.ctx, b.key, b.n, b.blanks, n, blanks)
+			}
+		}
+		for id := range c.hosts {
+			member, isBlank := bitAt(cs.member, id), bitAt(cs.blank, id)
+			if isBlank && !member || in[id] > 1 || (in[id] == 1) != member {
+				return fmt.Errorf("context %+v host %d: member %v, blank %v, in %d buckets", cs.ctx, id, member, isBlank, in[id])
 			}
 		}
 		if cs.allDirty {
@@ -1036,17 +1213,15 @@ func checkBuckets(c *CachedChain) error {
 			if c.lastAt[id] > cs.synced {
 				continue
 			}
-			want := notMember
-			if !h.Unavailable && h.Fits(cs.ctx.Shape) {
-				want = isMember
-				if c.blankOK && blank(h) {
-					want = isBlank
-				}
-			}
-			if cs.member[id] != want {
-				return fmt.Errorf("context %+v host %d: member state %d, want %d", cs.ctx, id, cs.member[id], want)
+			wantMember := !h.Unavailable && h.Fits(cs.ctx.Shape)
+			wantBlank := wantMember && c.blankOK && blank(h)
+			if member, isBlank := bitAt(cs.member, id), bitAt(cs.blank, id); member != wantMember || isBlank != wantBlank {
+				return fmt.Errorf("context %+v host %d: member %v blank %v, want %v %v", cs.ctx, id, member, isBlank, wantMember, wantBlank)
 			}
 		}
 	}
 	return nil
 }
+
+// bitAt reads host id's bit of a membership bitset.
+func bitAt(set []uint64, id int) bool { return set[id>>6]&(uint64(1)<<(id&63)) != 0 }
