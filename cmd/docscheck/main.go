@@ -1,6 +1,7 @@
-// Command docscheck is the documentation gate: it walks every Go package in
-// the repository and fails (exit 1, one line per offender on stdout)
-// unless at least one non-test file in the package carries a
+// Command docscheck is the documentation gate: it reads every Go package of
+// the module at root and of the modules nested one level below it (bench/)
+// through `go list` and go/types, and fails (exit 1, one line per offender
+// on stdout) unless at least one non-test file in the package carries a
 // godoc package comment. It is a dependency-free stand-in for staticcheck's
 // ST1000, extended to main packages, so `go doc` always has something to
 // say about every layer.
@@ -12,11 +13,17 @@
 //
 // Test references must resolve: every Test…, Fuzz… or Benchmark… token in
 // README.md, DESIGN.md, a package doc.go, the CI workflow or the verify skill
-// must name a function declared in some _test.go file under root, so a
+// must name a function declared in some package's _test.go file, so a
 // deleted or renamed test cannot stay cited. Path references must resolve
 // too: every internal/… path in README.md, DESIGN.md, the CI workflow or the
 // verify skill, less trailing punctuation and a trailing /..., must name a
 // file or directory under root, so a deleted package cannot stay cited.
+//
+// No code without a caller: every exported name declared in non-test code
+// under internal/ must be used by non-test code of the module or of bench/,
+// be an interface or String/Error/Marshal…/Unmarshal… method, or be kept
+// with a reason in docscheck-keep.txt, whose every entry must still be
+// needed; names only bench/ calls are printed and fail nothing.
 //
 // The command is cli.Docscheck; TestDocscheck in internal/cli runs it on
 // the module root with the rest of `go test ./...`.

@@ -393,26 +393,53 @@ func TestExperimentsCLI(t *testing.T) {
 	}
 }
 
-// TestDocscheck runs the documentation gate on this module and on three
-// fixtures that must each fail it: a package without a package comment, an
-// undocumented identifier of the root (facade) package, and a README that
-// cites a test no _test.go file declares.
+// TestDocscheck runs the documentation gate on this module and on fixtures
+// that must fail it: a package without a package comment, an undocumented
+// identifier of the root (facade) package, a README that cites a test no
+// _test.go file declares, a DESIGN that cites a missing path, and three
+// tiny modules for the caller pass (an unused internal/ export, a keep
+// entry whose name gained a caller, one whose name is gone). Two modules
+// must pass it: a method reached only through an anonymous interface
+// assertion, and a name only bench/ calls, which the run prints.
 func TestDocscheck(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := Docscheck(context.Background(), []string{"../.."}, &stdout, &stderr); code != 0 {
 		t.Fatalf("docscheck on the module: exit %d\n%s%s", code, stdout.String(), stderr.String())
 	}
+	const (
+		goMod = "module fix\n\ngo 1.24\n"
+		pkgA  = "// Package a is a fixture.\npackage a\n\n"
+		cmdX  = "// Command x is a fixture.\npackage main\n\nimport \"fix/internal/a\"\n\n"
+	)
 	for _, row := range []struct {
 		name  string
 		files map[string]string
+		code  int
 		want  string
 	}{
-		{"no package comment", map[string]string{"a/a.go": "package a\n"}, "package has no package comment"},
-		{"undocumented facade identifier", map[string]string{"lava.go": "// Package lava is the facade.\npackage lava\n\nfunc Exported() {}\n"},
-			"exported function Exported has no doc comment"},
-		{"stale test citation", map[string]string{"README.md": "See TestNoSuchThing.\n"}, "TestNoSuchThing names no test function"},
-		{"stale path citation", map[string]string{"DESIGN.md": "| `internal/model/km` | Deleted. |\n", "internal/model/doc.go": "// Package model stays.\npackage model\n"},
-			"internal/model/km names no file or directory"},
+		{"no package comment", map[string]string{"go.mod": goMod, "a/a.go": "package a\n"}, 1, "a: package has no package comment"},
+		{"undocumented facade identifier", map[string]string{"go.mod": goMod, "lava.go": "// Package lava is the facade.\npackage lava\n\nfunc Exported() {}\n"},
+			1, "exported function Exported has no doc comment"},
+		{"stale test citation", map[string]string{"go.mod": goMod, "README.md": "See TestNoSuchThing.\n"}, 1, "TestNoSuchThing names no test function"},
+		{"stale path citation", map[string]string{"go.mod": goMod, "DESIGN.md": "| `internal/model/km` | Deleted. |\n", "internal/model/doc.go": "// Package model stays.\npackage model\n"},
+			1, "internal/model/km names no file or directory"},
+		{"unused internal export", map[string]string{"go.mod": goMod, "internal/a/a.go": pkgA + "func Unused() {}\n"},
+			1, "internal/a/a.go:4: exported a.Unused has no non-test caller"},
+		{"kept name gained a caller", map[string]string{"go.mod": goMod, "internal/a/a.go": pkgA + "func Used() {}\n",
+			"cmd/x/main.go": cmdX + "func main() { a.Used() }\n", "docscheck-keep.txt": "a.Used  a test reads it\n"},
+			1, "docscheck-keep.txt:1: a.Used has a non-test caller"},
+		{"kept name is gone", map[string]string{"go.mod": goMod, "internal/a/a.go": pkgA,
+			"docscheck-keep.txt": "# comment\n\na.Gone  a test reads it\n"},
+			1, "docscheck-keep.txt:3: a.Gone names no exported internal/ declaration"},
+		{"anonymous interface method", map[string]string{"go.mod": goMod,
+			"internal/a/a.go": pkgA + "type T struct{}\n\nfunc (T) SetX(int) {}\n\n" +
+				"func Use(v any) {\n\tif s, ok := v.(interface{ SetX(int) }); ok {\n\t\ts.SetX(1)\n\t}\n}\n",
+			"cmd/x/main.go": cmdX + "func main() { a.Use(a.T{}) }\n"},
+			0, ""},
+		{"bench-only caller", map[string]string{"go.mod": goMod, "internal/a/a.go": pkgA + "func BenchOnly() {}\n",
+			"bench/go.mod":  "module fix/bench\n\ngo 1.24\n\nrequire fix v0.0.0\n\nreplace fix => ../\n",
+			"bench/main.go": "// Command bench is a fixture.\npackage main\n\nimport \"fix/internal/a\"\n\nfunc main() { a.BenchOnly() }\n"},
+			0, "only bench/ calls a.BenchOnly"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			root := t.TempDir()
@@ -425,9 +452,9 @@ func TestDocscheck(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			var stdout bytes.Buffer
-			if code := Docscheck(context.Background(), []string{root}, &stdout, io.Discard); code != 1 || !strings.Contains(stdout.String(), row.want) {
-				t.Fatalf("exit %d, stdout:\n%s\nwant exit 1 and %q", code, stdout.String(), row.want)
+			var stdout, stderr bytes.Buffer
+			if code := Docscheck(context.Background(), []string{root}, &stdout, &stderr); code != row.code || !strings.Contains(stdout.String(), row.want) {
+				t.Fatalf("exit %d, stdout:\n%s\nstderr:\n%s\nwant exit %d and %q", code, stdout.String(), stderr.String(), row.code, row.want)
 			}
 		})
 	}

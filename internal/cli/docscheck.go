@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"io"
 	"io/fs"
@@ -20,7 +19,8 @@ import (
 // Docscheck runs the docscheck command (see cmd/docscheck) with args, the
 // command line without the program name: an optional repository root,
 // default ".". It prints one line per documentation gap on stdout and
-// fails when there is any. ctx is not read.
+// fails when there is any; the caller pass (callerGaps) first prints the
+// names only a nested module calls, which fail nothing. ctx is not read.
 func Docscheck(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	flags := newFlagSet("docscheck", stderr)
 	return run(flags, args, stderr, func() error {
@@ -29,73 +29,35 @@ func Docscheck(_ context.Context, args []string, stdout, stderr io.Writer) int {
 			root = flags.Arg(0)
 		}
 
-		// Collect package directories (any directory holding non-test .go
-		// files), the test files and the package doc.go files.
-		dirs := map[string][]string{}
-		var testFiles, topDocs []string
-		for _, f := range []string{"README.md", "DESIGN.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
-			topDocs = append(topDocs, filepath.Join(root, f))
-		}
-		docs := slices.Clone(topDocs) // the walk adds the doc.go files
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			name := d.Name()
-			if d.IsDir() {
-				if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if strings.HasSuffix(name, "_test.go") {
-				testFiles = append(testFiles, path)
-				return nil
-			}
-			if !strings.HasSuffix(name, ".go") {
-				return nil
-			}
-			if name == "doc.go" {
-				docs = append(docs, path)
-			}
-			dir := filepath.Dir(path)
-			dirs[dir] = append(dirs[dir], path)
-			return nil
-		})
+		fset, pkgs, err := loadModule(root)
 		if err != nil {
 			return err
 		}
-
-		var missing []string
-		fset := token.NewFileSet()
-		for dir, files := range dirs {
-			documented := false
-			for _, f := range files {
-				// PackageClauseOnly still attaches the doc comment.
-				af, err := parser.ParseFile(fset, f, nil, parser.PackageClauseOnly|parser.ParseComments)
-				if err != nil {
-					return err
-				}
-				if af.Doc != nil && strings.TrimSpace(af.Doc.Text()) != "" {
-					documented = true
-					break
-				}
+		// Every package with non-test files needs a package comment; the
+		// root package is the facade, and its exported identifiers need doc
+		// comments too. The doc.go files join the docs that cite tests.
+		var gaps, facade, testFiles []string
+		docs := []string{"README.md", "DESIGN.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"}
+		for i, doc := range docs {
+			docs[i] = filepath.Join(root, doc)
+		}
+		topDocs := slices.Clone(docs)
+		for _, p := range pkgs {
+			if len(p.files) > 0 && !slices.ContainsFunc(p.files, func(f *ast.File) bool { return strings.TrimSpace(f.Doc.Text()) != "" }) {
+				gaps = append(gaps, p.rel+": package has no package comment (add a doc.go)")
 			}
-			if !documented {
-				missing = append(missing, dir)
+			if p.rel == "." {
+				facade = facadeDocGaps(fset, p)
+			}
+			if slices.Contains(p.GoFiles, "doc.go") {
+				docs = append(docs, p.path(root, "doc.go"))
+			}
+			for _, f := range slices.Concat(p.TestGoFiles, p.XTestGoFiles) {
+				testFiles = append(testFiles, p.path(root, f))
 			}
 		}
-		sort.Strings(missing)
-		for _, dir := range missing {
-			fmt.Fprintf(stdout, "%s: package has no package comment (add a doc.go)\n", dir)
-		}
+		sort.Strings(gaps)
 
-		// Stricter facade gate: every exported identifier of the root package
-		// must be documented.
-		facade, err := facadeDocGaps(fset, dirs[filepath.Clean(root)])
-		if err != nil {
-			return err
-		}
 		stale, err := staleTestNames(testFiles, docs)
 		if err != nil {
 			return err
@@ -104,12 +66,19 @@ func Docscheck(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return err
 		}
-		gaps := slices.Concat(facade, stale, paths)
+		callers, nestedOnly, err := callerGaps(root, fset, pkgs)
+		if err != nil {
+			return err
+		}
+		for _, line := range nestedOnly {
+			fmt.Fprintln(stdout, line)
+		}
+		gaps = slices.Concat(gaps, facade, stale, paths, callers)
 		for _, gap := range gaps {
 			fmt.Fprintln(stdout, gap)
 		}
-		if n := len(missing) + len(gaps); n > 0 {
-			return fmt.Errorf("%d documentation gaps", n)
+		if len(gaps) > 0 {
+			return fmt.Errorf("%d documentation gaps", len(gaps))
 		}
 		return nil
 	})
@@ -117,13 +86,16 @@ func Docscheck(_ context.Context, args []string, stdout, stderr io.Writer) int {
 
 // testToken matches a cited test, fuzz target or benchmark; subtest paths
 // (TestX/case) end at the slash. testFunc matches one's declaration.
+// pathToken matches a cited repository path under internal/, such as
+// internal/cli/cli.go or ./internal/... in a go command line.
 var (
 	testToken = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*`)
 	testFunc  = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)[A-Z]\w*)\(`)
+	pathToken = regexp.MustCompile(`\binternal/[\w./-]*`)
 )
 
 // staleTestNames returns one complaint per testToken in docs that names no
-// function of testFiles. A doc that does not exist is skipped.
+// function of testFiles.
 func staleTestNames(testFiles, docs []string) ([]string, error) {
 	declared := map[string]bool{}
 	for _, f := range testFiles {
@@ -135,34 +107,23 @@ func staleTestNames(testFiles, docs []string) ([]string, error) {
 			declared[string(m[1])] = true
 		}
 	}
-	var stale []string
-	for _, doc := range docs {
-		data, err := os.ReadFile(doc)
-		if errors.Is(err, fs.ErrNotExist) {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		for i, line := range strings.Split(string(data), "\n") {
-			for _, name := range testToken.FindAllString(line, -1) {
-				if !declared[name] {
-					stale = append(stale, fmt.Sprintf("%s:%d: %s names no test function", doc, i+1, name))
-				}
-			}
-		}
-	}
-	return stale, nil
+	return staleTokens(docs, testToken, "names no test function", func(name string) bool { return declared[name] })
 }
-
-// pathToken matches a cited repository path under internal/, such as
-// internal/cli/cli.go or ./internal/... in a go command line.
-var pathToken = regexp.MustCompile(`\binternal/[\w./-]*`)
 
 // stalePaths returns one complaint per pathToken in docs that names no file
 // or directory under root, once trailing punctuation and a trailing /... are
-// trimmed. A doc that does not exist is skipped.
+// trimmed.
 func stalePaths(root string, docs []string) ([]string, error) {
+	return staleTokens(docs, pathToken, "names no file or directory", func(tok string) bool {
+		// Trimming dots and slashes also drops a trailing /....
+		_, err := os.Stat(filepath.Join(root, strings.TrimRight(tok, ".,;:/")))
+		return err == nil
+	})
+}
+
+// staleTokens returns one "doc:line: token what" complaint per match of re
+// in docs that resolves rejects. A doc that does not exist is skipped.
+func staleTokens(docs []string, re *regexp.Regexp, what string, resolves func(string) bool) ([]string, error) {
 	var stale []string
 	for _, doc := range docs {
 		data, err := os.ReadFile(doc)
@@ -173,10 +134,9 @@ func stalePaths(root string, docs []string) ([]string, error) {
 			return nil, err
 		}
 		for i, line := range strings.Split(string(data), "\n") {
-			for _, tok := range pathToken.FindAllString(line, -1) {
-				// Trimming dots and slashes also drops a trailing /....
-				if _, err := os.Stat(filepath.Join(root, strings.TrimRight(tok, ".,;:/"))); err != nil {
-					stale = append(stale, fmt.Sprintf("%s:%d: %s names no file or directory", doc, i+1, tok))
+			for _, tok := range re.FindAllString(line, -1) {
+				if !resolves(tok) {
+					stale = append(stale, fmt.Sprintf("%s:%d: %s %s", doc, i+1, tok, what))
 				}
 			}
 		}
@@ -184,24 +144,21 @@ func stalePaths(root string, docs []string) ([]string, error) {
 	return stale, nil
 }
 
-// facadeDocGaps parses the facade package's files and returns one complaint
-// per undocumented exported identifier, in position order: files come in
-// the walk's lexical order, declarations in source order.
-func facadeDocGaps(fset *token.FileSet, files []string) ([]string, error) {
+// facadeDocGaps returns one complaint per undocumented exported identifier
+// of the facade package p, in position order: files in go list's order,
+// declarations in source order. Methods on unexported types are not godoc
+// surface.
+func facadeDocGaps(fset *token.FileSet, p *listedPackage) []string {
 	var gaps []string
-	complain := func(pos token.Pos, what, name string) {
-		p := fset.Position(pos)
-		gaps = append(gaps, fmt.Sprintf("%s:%d: exported %s %s has no doc comment", p.Filename, p.Line, what, name))
+	complain := func(at token.Pos, what, name string) {
+		pos := fset.Position(at)
+		gaps = append(gaps, fmt.Sprintf("%s:%d: exported %s %s has no doc comment", pos.Filename, pos.Line, what, name))
 	}
-	for _, f := range files {
-		af, err := parser.ParseFile(fset, f, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
+	for _, af := range p.files {
 		for _, decl := range af.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				if !d.Name.IsExported() || !exportedReceiver(d) {
+				if n := recvNamed(p.info.Defs[d.Name]); !d.Name.IsExported() || n != nil && !n.Obj().Exported() {
 					continue
 				}
 				if d.Doc == nil || strings.TrimSpace(d.Doc.Text()) == "" {
@@ -227,26 +184,5 @@ func facadeDocGaps(fset *token.FileSet, files []string) ([]string, error) {
 			}
 		}
 	}
-	return gaps, nil
-}
-
-// exportedReceiver reports whether a function is free-standing or a method
-// on an exported type (methods on unexported types are not godoc surface).
-func exportedReceiver(d *ast.FuncDecl) bool {
-	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return true
-	}
-	t := d.Recv.List[0].Type
-	for {
-		switch v := t.(type) {
-		case *ast.StarExpr:
-			t = v.X
-		case *ast.IndexExpr: // generic receiver
-			t = v.X
-		case *ast.Ident:
-			return v.IsExported()
-		default:
-			return true // unknown shape: err on the side of requiring docs
-		}
-	}
+	return gaps
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"math"
 	"sort"
 	"time"
 )
@@ -54,7 +55,12 @@ func (e *Empirical) CondExpRemaining(u time.Duration) time.Duration {
 		return min
 	}
 	mean := e.suffix[idx] / float64(n)
-	return time.Duration(mean*float64(time.Second)) - u
+	// Saturate: a mean at the end of the Duration range would wrap to
+	// math.MinInt64 (float64(math.MaxInt64) is 2^63, one past the range).
+	if ns := mean * float64(time.Second); ns < math.MaxInt64 {
+		return time.Duration(ns) - u
+	}
+	return math.MaxInt64 - u
 }
 
 // WeightedCDF is a weighted empirical distribution: each sample carries a

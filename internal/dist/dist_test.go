@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -81,6 +82,18 @@ func TestCondExpRemaining(t *testing.T) {
 	}
 	if got := short.CondExpRemaining(11 * time.Minute); got != 66*time.Second {
 		t.Errorf("CondExpRemaining(11m) past a 30s support = %v, want 66s", got)
+	}
+	// Lifetimes at the end of the Duration range saturate the mean at
+	// math.MaxInt64 instead of wrapping it negative.
+	huge := empirical(t, math.MaxInt64-10, math.MaxInt64-10)
+	for _, c := range []struct{ u, want time.Duration }{
+		{0, math.MaxInt64},
+		{h, math.MaxInt64 - h},
+		{math.MaxInt64 - 11, 11},
+	} {
+		if got := huge.CondExpRemaining(c.u); got != c.want {
+			t.Errorf("CondExpRemaining(%v) near the Duration limit = %v, want %v", c.u, got, c.want)
+		}
 	}
 }
 

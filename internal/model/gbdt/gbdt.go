@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 )
@@ -506,25 +505,10 @@ func (m *Model) Importance() []float64 {
 // NumTrees returns the ensemble size.
 func (m *Model) NumTrees() int { return len(m.Trees) }
 
-// Save serializes the model as JSON. The paper compiles the model into the
-// scheduler binary; we keep an explicit codec so cmd/trainmodel can hand
-// models to cmd/lavasim.
-func (m *Model) Save(w io.Writer) error {
-	return json.NewEncoder(w).Encode(m)
-}
-
-// Load deserializes a model written by Save.
-func Load(r io.Reader) (*Model, error) {
-	var m Model
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
-		return nil, fmt.Errorf("gbdt: load: %w", err)
-	}
-	return &m, nil
-}
-
 // UnmarshalJSON decodes a model and validates it. A model document is
-// operator input, alone (Load) or inside a bundle (model.LoadGBDT), so
-// every decoder refuses the shapes Predict could not walk: see validate.
+// operator input inside a bundle (model.LoadGBDT, what trainmodel -save
+// writes and lavasim -model-file reads), so every decoder refuses the
+// shapes Predict could not walk: see validate.
 func (m *Model) UnmarshalJSON(data []byte) error {
 	type plain Model // without this method
 	var p plain

@@ -2,6 +2,8 @@ package gbdt
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -185,11 +187,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
+	got, err := load(bytes.NewReader(saved(t, m)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,16 +200,16 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewBufferString("not json")); err == nil {
+	if _, err := load(bytes.NewBufferString("not json")); err == nil {
 		t.Fatal("garbage must fail to load")
 	}
-	if _, err := Load(bytes.NewBufferString(`{"num_features":0}`)); err == nil {
+	if _, err := load(bytes.NewBufferString(`{"num_features":0}`)); err == nil {
 		t.Fatal("malformed model must fail to load")
 	}
 }
 
 // malformedModels are documents that decode but that Predict cannot walk:
-// the first four hung or panicked it before Load validated trees.
+// the first four hung or panicked it before the decoder validated trees.
 var malformedModels = map[string]string{
 	"self-loop":          `{"bias":0,"trees":[{"nodes":[{"f":0,"b":0,"l":0,"r":0,"v":0}]}],"edges":[[1]],"num_features":1}`,
 	"feature-too-large":  `{"bias":0,"trees":[{"nodes":[{"f":7,"b":0,"l":1,"r":2,"v":0},{"f":-1,"l":-1,"r":-1,"v":1},{"f":-1,"l":-1,"r":-1,"v":2}]}],"edges":[[1]],"num_features":1}`,
@@ -229,7 +227,7 @@ var malformedModels = map[string]string{
 
 func TestLoadRejectsMalformedTrees(t *testing.T) {
 	for name, doc := range malformedModels {
-		if m, err := Load(strings.NewReader(doc)); err == nil {
+		if m, err := load(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: loaded as %+v, want an error", name, m)
 		}
 	}
@@ -246,7 +244,7 @@ func TestLoadRejectsMalformedTrees(t *testing.T) {
 		`{"bias":1.5,"trees":[],"edges":[[]],"num_features":1}`,
 		`{"bias":0,"trees":[{"nodes":[{"f":0,"b":0,"l":1,"r":2,"v":0},{"f":-1,"l":-1,"r":-1,"v":1},{"f":-1,"l":-1,"r":-1,"v":2}]}],"edges":[[1,1]],"num_features":1}`,
 	} {
-		m, err := Load(strings.NewReader(doc))
+		m, err := load(strings.NewReader(doc))
 		if err != nil {
 			t.Fatalf("%s: %v", doc, err)
 		}
@@ -254,25 +252,21 @@ func TestLoadRejectsMalformedTrees(t *testing.T) {
 	}
 }
 
-// FuzzLoad: whatever the document, Load fails or returns a model that
-// Predict can walk to the end and that PredictEachBin fills as the walk
-// predicts.
+// FuzzLoad: whatever the document, the model decoder fails or returns a
+// model that Predict can walk to the end and that PredictEachBin fills as
+// the walk predicts.
 func FuzzLoad(f *testing.F) {
 	X, y := synth(300, 9)
 	m, err := Train(X, y, Params{Trees: 3})
 	if err != nil {
 		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	f.Add(saved(f, m))
 	for _, name := range []string{"self-loop", "feature-too-large", "child-too-large", "empty-tree"} {
 		f.Add([]byte(malformedModels[name]))
 	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
-		m, err := Load(bytes.NewReader(doc))
+		m, err := load(bytes.NewReader(doc))
 		if err != nil {
 			return
 		}
@@ -686,10 +680,20 @@ func awkward(n int, seed int64) ([][]float64, []float64) {
 func saved(t testing.TB, m *Model) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(m); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// load decodes a model document the way model.LoadGBDT decodes a bundle's
+// model: through Model.UnmarshalJSON, which validates it.
+func load(r io.Reader) (*Model, error) {
+	var m Model
+	if err := json.NewDecoder(r).Decode(&m); err != nil {
+		return nil, err
+	}
+	return &m, nil
 }
 
 // TestTrainMatchesReferenceTrainer: the one-pass trainer writes the model

@@ -44,13 +44,6 @@ func (s *Sink) Add(name string, rec *Recorder) {
 	s.streams[name] = Stream{Policy: rec.Policy(), Decisions: rec.Decisions()}
 }
 
-// Len returns the number of collected streams.
-func (s *Sink) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.streams)
-}
-
 // Document snapshots the collected streams.
 func (s *Sink) Document() Document {
 	s.mu.Lock()

@@ -42,19 +42,6 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	return c.do(req, path, out)
-}
-
-// get fetches and decodes a JSON resource.
-func (c *Client) get(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
-	if err != nil {
-		return err
-	}
-	return c.do(req, path, out)
-}
-
-func (c *Client) do(req *http.Request, path string, out any) error {
 	resp, err := c.roundTrip(req, path)
 	if err != nil {
 		return err
@@ -141,21 +128,6 @@ func (c *Client) Place(ctx context.Context, req PlaceRequest) (PlaceResponse, er
 // Exit submits one VM exit.
 func (c *Client) Exit(ctx context.Context, req ExitRequest) (ExitResponse, error) {
 	return hotPost(ctx, c, "/exit", exitCodec, &req)
-}
-
-// Tick advances the server's virtual time.
-func (c *Client) Tick(ctx context.Context, req TickRequest) (TickResponse, error) {
-	var out TickResponse
-	err := c.post(ctx, "/tick", req, &out)
-	return out, err
-}
-
-// Stats fetches serving counters: a leaf from a Server, a node with the
-// federation fields and per-cell leaves from a Fleet.
-func (c *Client) Stats(ctx context.Context) (Stats, error) {
-	var out Stats
-	err := c.get(ctx, "/stats", &out)
-	return out, err
 }
 
 // Drain finishes the served run and returns the final report: a leaf from a

@@ -69,7 +69,7 @@
 // cell.RollUp). A node keeps its totals in the fields a leaf uses and the
 // node fields are omitted from a leaf, so a single server's documents are
 // what they were before there was a fleet, a single-pool client reads a
-// fleet unchanged, and Client.Stats / Client.Drain decode either.
+// fleet unchanged, and Stats / Client.Drain decode either.
 //
 // Placements route through cell.Ledger, the one routing implementation —
 // round-robin, feature-hash, least-utilized over committed CPU per host.

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -691,44 +690,4 @@ type AdminRebalanceResponse struct {
 // AdminOKResponse acknowledges an admin op with no other payload.
 type AdminOKResponse struct {
 	OK bool `json:"ok"`
-}
-
-// AddHosts grows one cell of a served fleet.
-func (c *Client) AddHosts(ctx context.Context, req AdminAddHostsRequest) error {
-	return c.post(ctx, "/admin/add-hosts", req, nil)
-}
-
-// RemoveHost retires one empty host from a fleet cell.
-func (c *Client) RemoveHost(ctx context.Context, req AdminRemoveHostRequest) error {
-	return c.post(ctx, "/admin/remove-host", req, nil)
-}
-
-// DrainCell stops routing new placements to a cell.
-func (c *Client) DrainCell(ctx context.Context, req AdminCellRequest) error {
-	return c.post(ctx, "/admin/drain-cell", req, nil)
-}
-
-// RehydrateCell resumes routing placements to a drained cell.
-func (c *Client) RehydrateCell(ctx context.Context, req AdminCellRequest) error {
-	return c.post(ctx, "/admin/rehydrate-cell", req, nil)
-}
-
-// SplitCell carves hosts out of one cell into a new cell and returns the
-// new cell's index.
-func (c *Client) SplitCell(ctx context.Context, req AdminSplitRequest) (AdminSplitResponse, error) {
-	var out AdminSplitResponse
-	err := c.post(ctx, "/admin/split-cell", req, &out)
-	return out, err
-}
-
-// MergeCells merges one cell into another and retires the source.
-func (c *Client) MergeCells(ctx context.Context, req AdminMergeRequest) error {
-	return c.post(ctx, "/admin/merge-cells", req, nil)
-}
-
-// Rebalance migrates VMs from the most- to the least-utilized cell.
-func (c *Client) Rebalance(ctx context.Context, req AdminRebalanceRequest) (AdminRebalanceResponse, error) {
-	var out AdminRebalanceResponse
-	err := c.post(ctx, "/admin/rebalance", req, &out)
-	return out, err
 }

@@ -289,8 +289,8 @@ func TestFleetCellDrainZeroDrop(t *testing.T) {
 }
 
 // TestElasticAdminHTTP exercises the /admin surface end to end through the
-// typed client: every endpoint, the stats reflection of the new topology,
-// and the error paths.
+// fleet's handler table: every endpoint, the stats reflection of the new
+// topology, and the error paths.
 func TestElasticAdminHTTP(t *testing.T) {
 	shape := resources.Vector{CPUMilli: 4000, MemoryMB: 8000, SSDGB: 0}
 	f := bestFitFleet(t, 8, 2, "round-robin", shape)
@@ -300,13 +300,13 @@ func TestElasticAdminHTTP(t *testing.T) {
 	c := &Client{Base: hs.URL}
 	ctx := context.Background()
 
-	if err := c.AddHosts(ctx, AdminAddHostsRequest{Cell: 0, N: 2}); err != nil {
+	if err := c.post(ctx, "/admin/add-hosts", AdminAddHostsRequest{Cell: 0, N: 2}, nil); err != nil {
 		t.Fatalf("add-hosts: %v", err)
 	}
-	if err := c.RemoveHost(ctx, AdminRemoveHostRequest{Cell: 0, Host: 5}); err != nil {
+	if err := c.post(ctx, "/admin/remove-host", AdminRemoveHostRequest{Cell: 0, Host: 5}, nil); err != nil {
 		t.Fatalf("remove-host: %v", err)
 	}
-	if err := c.DrainCell(ctx, AdminCellRequest{Cell: 1}); err != nil {
+	if err := c.post(ctx, "/admin/drain-cell", AdminCellRequest{Cell: 1}, nil); err != nil {
 		t.Fatalf("drain-cell: %v", err)
 	}
 	// With cell 1 drained, round-robin sends everything to cell 0.
@@ -324,22 +324,22 @@ func TestElasticAdminHTTP(t *testing.T) {
 		t.Fatalf("drained cell took placements: %d/%d, want 4/0",
 			st.CellStats[0].Placements, st.CellStats[1].Placements)
 	}
-	if err := c.RehydrateCell(ctx, AdminCellRequest{Cell: 1}); err != nil {
+	if err := c.post(ctx, "/admin/rehydrate-cell", AdminCellRequest{Cell: 1}, nil); err != nil {
 		t.Fatalf("rehydrate-cell: %v", err)
 	}
 
 	// Split one empty host off cell 1 (never placed into, so all empty).
-	sp, err := c.SplitCell(ctx, AdminSplitRequest{Cell: 1, N: 1})
-	if err != nil {
+	var sp AdminSplitResponse
+	if err := c.post(ctx, "/admin/split-cell", AdminSplitRequest{Cell: 1, N: 1}, &sp); err != nil {
 		t.Fatalf("split-cell: %v", err)
 	}
 	if sp.NewCell != 2 {
 		t.Fatalf("split created cell %d, want 2", sp.NewCell)
 	}
-	if err := c.MergeCells(ctx, AdminMergeRequest{From: 2, Into: 0}); err != nil {
+	if err := c.post(ctx, "/admin/merge-cells", AdminMergeRequest{From: 2, Into: 0}, nil); err != nil {
 		t.Fatalf("merge-cells: %v", err)
 	}
-	if _, err := c.Rebalance(ctx, AdminRebalanceRequest{MaxMoves: 2}); err != nil {
+	if err := c.post(ctx, "/admin/rebalance", AdminRebalanceRequest{MaxMoves: 2}, &AdminRebalanceResponse{}); err != nil {
 		t.Fatalf("rebalance: %v", err)
 	}
 
@@ -360,13 +360,13 @@ func TestElasticAdminHTTP(t *testing.T) {
 	}
 
 	// Error paths: bad cell index, retired target, oversized split.
-	if err := c.DrainCell(ctx, AdminCellRequest{Cell: 99}); err == nil {
+	if err := c.post(ctx, "/admin/drain-cell", AdminCellRequest{Cell: 99}, nil); err == nil {
 		t.Fatal("drain of cell 99 succeeded")
 	}
-	if err := c.AddHosts(ctx, AdminAddHostsRequest{Cell: 2, N: 1}); err == nil {
+	if err := c.post(ctx, "/admin/add-hosts", AdminAddHostsRequest{Cell: 2, N: 1}, nil); err == nil {
 		t.Fatal("add-hosts to retired cell succeeded")
 	}
-	if _, err := c.SplitCell(ctx, AdminSplitRequest{Cell: 0, N: 100}); err == nil {
+	if err := c.post(ctx, "/admin/split-cell", AdminSplitRequest{Cell: 0, N: 100}, &AdminSplitResponse{}); err == nil {
 		t.Fatal("oversized split succeeded")
 	}
 
@@ -382,7 +382,7 @@ func TestElasticAdminHTTP(t *testing.T) {
 	}
 	// The admin surface is part of the drain barrier: post-drain admin ops
 	// are refused like any other mutation.
-	if err := c.AddHosts(ctx, AdminAddHostsRequest{Cell: 0, N: 1}); err == nil {
+	if err := c.post(ctx, "/admin/add-hosts", AdminAddHostsRequest{Cell: 0, N: 1}, nil); err == nil {
 		t.Fatal("add-hosts after drain succeeded")
 	}
 }

@@ -133,13 +133,13 @@ func TestWireCompat(t *testing.T) {
 	}
 }
 
-// TestClientStatsFleet is the regression test for Client.Stats against a
-// fleet: it used to decode the node into the leaf struct and silently drop
-// the router, the cell counts and the per-cell breakdown.
+// TestClientStatsFleet is the regression test for decoding a fleet's
+// /stats into Stats: it used to decode the node into the leaf struct and
+// silently drop the router, the cell counts and the per-cell breakdown.
 func TestClientStatsFleet(t *testing.T) {
 	_, fleet := wirePair(t)
-	st, err := (&Client{Base: fleet}).Stats(context.Background())
-	if err != nil {
+	var st Stats
+	if err := json.Unmarshal(wireDo(t, http.MethodGet, fleet+"/stats", ""), &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Router != "round-robin" || st.CellCount != 2 || len(st.CellStats) != st.CellCount {
@@ -150,12 +150,11 @@ func TestClientStatsFleet(t *testing.T) {
 	}
 }
 
-// TestClientDecodesParentDocuments feeds the typed client the documents a
-// pre-unification daemon serves, leaf and fleet.
+// TestClientDecodesParentDocuments feeds Stats and the typed client's
+// Drain the documents a pre-unification daemon serves, leaf and fleet.
 func TestClientDecodesParentDocuments(t *testing.T) {
-	serveDocs := func(stats, drain string) *Client {
+	serveDrain := func(drain string) *Client {
 		mux := http.NewServeMux()
-		mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, stats) })
 		mux.HandleFunc("/drain", func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, drain) })
 		hs := httptest.NewServer(mux)
 		t.Cleanup(hs.Close)
@@ -163,8 +162,9 @@ func TestClientDecodesParentDocuments(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	leaf := serveDocs(parentServerStats, parentServerDrain)
-	st, err := leaf.Stats(ctx)
+	leaf := serveDrain(parentServerDrain)
+	var st Stats
+	err := json.Unmarshal([]byte(parentServerStats), &st)
 	if err != nil || st.Hosts != 4 || st.HorizonNS != 2*time.Hour || st.Latency == nil || st.CellStats != nil {
 		t.Fatalf("leaf stats = %+v, %v", st, err)
 	}
@@ -173,8 +173,9 @@ func TestClientDecodesParentDocuments(t *testing.T) {
 		t.Fatalf("leaf drain = %+v, %v", dr, err)
 	}
 
-	node := serveDocs(parentFleetStats, parentFleetDrain)
-	st, err = node.Stats(ctx)
+	node := serveDrain(parentFleetDrain)
+	st = Stats{}
+	err = json.Unmarshal([]byte(parentFleetStats), &st)
 	if err != nil || st.Router != "round-robin" || st.CellCount != 2 || len(st.CellStats) != 2 || st.CellStats[0].HorizonNS != 2*time.Hour {
 		t.Fatalf("fleet stats = %+v, %v", st, err)
 	}

@@ -133,10 +133,10 @@ type Config struct {
 	// Source, when set, feeds Run's replay loop incrementally instead of
 	// Trace.Records: records are consumed one at a time in canonical
 	// (arrival, ID) order and resident memory stays O(live VMs) — the
-	// streamed-replay path for multi-million-VM traces (workload.Stream,
-	// trace.OpenStream). Trace still supplies the pool geometry, warm-up
-	// and measurement horizon (its Records may be empty); for unbounded
-	// sources Trace.Horizon must be set or the run has no defined end.
+	// streamed-replay path for multi-million-VM traces (workload.Stream).
+	// Trace still supplies the pool geometry, warm-up and measurement
+	// horizon (its Records may be empty); for unbounded sources
+	// Trace.Horizon must be set or the run has no defined end.
 	// Results are byte-identical to a materialized replay of the same
 	// record sequence.
 	Source trace.Stream

@@ -169,11 +169,18 @@ func (k *killFirst) Inject(ctl *Control, now time.Duration) {
 	if k.done || now < k.At {
 		return
 	}
-	vms := ctl.Pool().RunningVMs()
-	if len(vms) == 0 {
+	var first *cluster.VM
+	for _, h := range ctl.Pool().Hosts() {
+		for _, vm := range h.VMs() {
+			if first == nil || vm.ID < first.ID {
+				first = vm
+			}
+		}
+	}
+	if first == nil {
 		return
 	}
-	if err := ctl.Kill(vms[0].ID, now); err != nil {
+	if err := ctl.Kill(first.ID, now); err != nil {
 		panic(err)
 	}
 	k.done = true

@@ -89,9 +89,6 @@ const (
 	LC4                          // 100-1000h (and above)
 )
 
-// NumLifetimeClasses is the number of distinct LAVA lifetime classes.
-const NumLifetimeClasses = 4
-
 // ClassOf buckets a predicted lifetime into its LAVA lifetime class. The
 // class scorer calls it once per host it scores, so it compares nanoseconds
 // and leaves Hours()' division out; the class edges are whole hours, which

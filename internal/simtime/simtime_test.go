@@ -102,7 +102,7 @@ func TestClassIncDecClamp(t *testing.T) {
 
 func TestClassIncDecInverse(t *testing.T) {
 	f := func(raw uint8) bool {
-		c := LifetimeClass(1 + int(raw)%NumLifetimeClasses)
+		c := LifetimeClass(1 + int(raw)%int(LC4))
 		if c > LC1 && c.Dec().Inc() != c {
 			return false
 		}

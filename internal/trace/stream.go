@@ -1,10 +1,6 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
 	"time"
 
 	"lava/internal/cluster"
@@ -13,8 +9,8 @@ import (
 // Stream yields trace records incrementally in canonical (arrival, ID)
 // order — the iterator/cursor contract that lets generation, file replay
 // and the simulator run multi-million-VM traces without an O(trace)
-// resident slice. A materialized *Trace adapts via Stream(); file replay
-// via OpenStream; synthetic workloads via workload.Stream.
+// resident slice. A materialized *Trace adapts via Stream(); synthetic
+// workloads via workload.Stream.
 type Stream interface {
 	// Next returns the next record. ok is false when the stream is
 	// exhausted or failed; the caller must then check Err.
@@ -60,80 +56,6 @@ func (t *Trace) Stream() Stream {
 	}
 	return &sliceStream{recs: recs}
 }
-
-// ReaderStream decodes a JSONL trace (the Write format) one record at a
-// time: resident memory is one record plus the decoder buffer, whatever
-// the trace length. Each record is validated against the header geometry
-// as it is read, and the canonical (arrival, ID) order is enforced —
-// per-record checks only; global ID uniqueness across different arrival
-// times is the materialized Read+Validate path's job.
-type ReaderStream struct {
-	dec  *json.Decoder
-	meta *Trace
-
-	read int
-	prev Record
-	err  error
-	done bool
-}
-
-// OpenStream reads the header line and positions the cursor at the first
-// record. The returned stream's Meta carries the trace geometry (pool
-// name, hosts, host shape, warm-up, horizon) with an empty Records slice
-// — exactly what sim.NewMachine needs to build the pool.
-func OpenStream(r io.Reader) (*ReaderStream, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
-	var h header
-	if err := dec.Decode(&h); err != nil {
-		return nil, fmt.Errorf("trace: decode header: %w", err)
-	}
-	meta := &Trace{PoolName: h.Pool, Hosts: h.Hosts, HostCPU: h.HostCPU, HostMem: h.HostMem, HostSSD: h.HostSSD, WarmUp: h.WarmUp, Horizon: h.Horizon}
-	return &ReaderStream{dec: dec, meta: meta}, nil
-}
-
-// Meta returns the trace geometry decoded from the header. Records is
-// empty; the records flow through Next.
-func (s *ReaderStream) Meta() *Trace { return s.meta }
-
-// Next implements Stream.
-func (s *ReaderStream) Next() (Record, bool) {
-	if s.done {
-		return Record{}, false
-	}
-	var rec Record
-	if err := s.dec.Decode(&rec); err != nil {
-		s.done = true
-		if err != io.EOF {
-			s.err = fmt.Errorf("trace: decode record %d: %w", s.read, err)
-		}
-		return Record{}, false
-	}
-	if err := s.check(rec); err != nil {
-		s.done = true
-		s.err = err
-		return Record{}, false
-	}
-	s.read++
-	s.prev = rec
-	return rec, true
-}
-
-// check applies the per-record subset of Validate plus the streaming
-// order contract.
-func (s *ReaderStream) check(rec Record) error {
-	if err := checkRecord(rec, s.meta.HostShape()); err != nil {
-		return err
-	}
-	if s.read > 0 {
-		if rec.Arrival < s.prev.Arrival || (rec.Arrival == s.prev.Arrival && rec.ID <= s.prev.ID) {
-			return fmt.Errorf("trace: record %d (vm %d) out of canonical (arrival, id) order", s.read, rec.ID)
-		}
-	}
-	return nil
-}
-
-// Err implements Stream.
-func (s *ReaderStream) Err() error { return s.err }
 
 // --- event cursor --------------------------------------------------------
 

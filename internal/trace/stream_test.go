@@ -1,9 +1,8 @@
 package trace
 
 import (
-	"bytes"
+	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -144,106 +143,34 @@ func TestEventCursorMatchesEvents(t *testing.T) {
 	}
 }
 
-// TestOpenStreamMatchesRead: decoding a JSONL trace record by record must
-// agree exactly with the materialized Read path — same geometry, same
-// records.
-func TestOpenStreamMatchesRead(t *testing.T) {
-	tr := synth(300, 5)
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	want, err := Read(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenStream(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta := s.Meta()
-	if meta.PoolName != want.PoolName || meta.Hosts != want.Hosts ||
-		meta.HostShape() != want.HostShape() ||
-		meta.WarmUp != want.WarmUp || meta.Horizon != want.Horizon {
-		t.Fatalf("stream meta %+v disagrees with read header %+v", meta, want)
-	}
-	if len(meta.Records) != 0 {
-		t.Fatalf("stream meta carries %d materialized records", len(meta.Records))
-	}
-	got, err := Collect(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want.Records) {
-		t.Fatalf("streamed %d records, read %d", len(got), len(want.Records))
-	}
-	for i := range got {
-		if got[i] != want.Records[i] {
-			t.Fatalf("record %d: streamed %+v, read %+v", i, got[i], want.Records[i])
-		}
-	}
+// failingStream yields recs, then fails with err.
+type failingStream struct {
+	recs []Record
+	err  error
 }
 
-func TestOpenStreamRejectsBadRecords(t *testing.T) {
-	header := `{"pool":"p","hosts":2,"host_cpu_milli":64000,"host_mem_mb":262144,"records":2}`
-	cases := []struct {
-		name string
-		rows []string
-	}{
-		{"out of order", []string{
-			`{"id":2,"arrival_ns":7200000000000,"lifetime_ns":60000000000,"shape":{"CPUMilli":1000,"MemoryMB":1024}}`,
-			`{"id":1,"arrival_ns":3600000000000,"lifetime_ns":60000000000,"shape":{"CPUMilli":1000,"MemoryMB":1024}}`,
-		}},
-		{"duplicate id at same arrival", []string{
-			`{"id":1,"arrival_ns":3600000000000,"lifetime_ns":60000000000,"shape":{"CPUMilli":1000,"MemoryMB":1024}}`,
-			`{"id":1,"arrival_ns":3600000000000,"lifetime_ns":60000000000,"shape":{"CPUMilli":1000,"MemoryMB":1024}}`,
-		}},
-		{"zero lifetime", []string{
-			`{"id":1,"arrival_ns":0,"lifetime_ns":0,"shape":{"CPUMilli":1000,"MemoryMB":1024}}`,
-		}},
-		{"shape exceeds host", []string{
-			`{"id":1,"arrival_ns":0,"lifetime_ns":60000000000,"shape":{"CPUMilli":999000,"MemoryMB":1024}}`,
-		}},
+func (s *failingStream) Next() (Record, bool) {
+	if len(s.recs) == 0 {
+		return Record{}, false
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			doc := header + "\n" + strings.Join(tc.rows, "\n") + "\n"
-			s, err := OpenStream(strings.NewReader(doc))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Collect(s); err == nil {
-				t.Fatal("bad record streamed without error")
-			}
-		})
-	}
+	r := s.recs[0]
+	s.recs = s.recs[1:]
+	return r, true
 }
 
-// TestOpenStreamTruncated: a JSONL trace cut in the middle of a record —
-// a partial download, a writer killed mid-line — must end the event cursor
-// with an error, not a panic and not a clean end, after every event of the
-// records that did arrive whole.
-func TestOpenStreamTruncated(t *testing.T) {
+func (s *failingStream) Err() error { return s.err }
+
+// TestEventCursorStreamError: a source that fails part way — a generator
+// that hit a bad spec, a reader cut mid-record — must end the event cursor
+// with the source's error, not a panic and not a clean end, after every
+// event of the records that did arrive.
+func TestEventCursorStreamError(t *testing.T) {
 	tr := synth(300, 5)
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	cut := len(data) * 2 / 3
-	for data[cut-1] == '\n' || data[cut] == '\n' {
-		cut++ // keep the cut strictly inside a record
-	}
-	whole := bytes.Count(data[:cut], []byte("\n")) - 1 // lines before the cut, less the header
+	whole := len(tr.Records) * 2 / 3
 	want := (&Trace{Records: tr.Records[:whole]}).Events()
+	cut := errors.New("cut mid-record")
 
-	s, err := OpenStream(bytes.NewReader(data[:cut]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewEventCursor(s)
+	c := NewEventCursor(&failingStream{recs: tr.Records[:whole], err: cut})
 	for i, w := range want {
 		ev, ok := c.Next()
 		if !ok {
@@ -256,8 +183,8 @@ func TestOpenStreamTruncated(t *testing.T) {
 	if ev, ok := c.Next(); ok {
 		t.Fatalf("cursor yielded %+v past the cut", ev)
 	}
-	if c.Err() == nil {
-		t.Fatal("truncated trace drained without an error")
+	if !errors.Is(c.Err(), cut) {
+		t.Fatalf("cursor ended with %v, want the source's error", c.Err())
 	}
 }
 

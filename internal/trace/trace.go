@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"time"
@@ -87,38 +88,28 @@ func (t *Trace) Sort() {
 	})
 }
 
-// Validate checks structural soundness: unique IDs, non-negative times,
-// positive lifetimes, shapes that fit a host.
+// Validate checks structural soundness: unique IDs, non-negative
+// arrivals, positive lifetimes whose exit time fits a time.Duration, and
+// non-zero, non-negative shapes that fit a host.
 func (t *Trace) Validate() error {
 	host := t.HostShape()
 	seen := make(map[cluster.VMID]bool, len(t.Records))
 	for i, r := range t.Records {
-		if seen[r.ID] {
+		switch {
+		case seen[r.ID]:
 			return fmt.Errorf("trace: duplicate vm id %d (record %d)", r.ID, i)
+		case r.Arrival < 0:
+			return fmt.Errorf("trace: vm %d negative arrival", r.ID)
+		case r.Lifetime <= 0:
+			return fmt.Errorf("trace: vm %d non-positive lifetime", r.ID)
+		case r.Lifetime > math.MaxInt64-r.Arrival:
+			return fmt.Errorf("trace: vm %d exit time overflows (arrival %v + lifetime %v)", r.ID, r.Arrival, r.Lifetime)
+		case !r.Shape.NonNegative() || r.Shape.IsZero():
+			return fmt.Errorf("trace: vm %d bad shape %s", r.ID, r.Shape)
+		case !r.Shape.Fits(host):
+			return fmt.Errorf("trace: vm %d shape %s exceeds host %s", r.ID, r.Shape, host)
 		}
 		seen[r.ID] = true
-		if err := checkRecord(r, host); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkRecord applies the rules every record obeys on its own: a
-// non-negative arrival, a positive lifetime, and a non-zero, non-negative
-// shape that fits host.
-func checkRecord(r Record, host resources.Vector) error {
-	if r.Arrival < 0 {
-		return fmt.Errorf("trace: vm %d negative arrival", r.ID)
-	}
-	if r.Lifetime <= 0 {
-		return fmt.Errorf("trace: vm %d non-positive lifetime", r.ID)
-	}
-	if !r.Shape.NonNegative() || r.Shape.IsZero() {
-		return fmt.Errorf("trace: vm %d bad shape %s", r.ID, r.Shape)
-	}
-	if !r.Shape.Fits(host) {
-		return fmt.Errorf("trace: vm %d shape %s exceeds host %s", r.ID, r.Shape, host)
 	}
 	return nil
 }
@@ -207,7 +198,9 @@ func Read(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: decode header: %w", err)
 	}
 	t := &Trace{PoolName: h.Pool, Hosts: h.Hosts, HostCPU: h.HostCPU, HostMem: h.HostMem, HostSSD: h.HostSSD, WarmUp: h.WarmUp, Horizon: h.Horizon}
-	t.Records = make([]Record, 0, h.Records)
+	// The header's count is operator input: preallocate only what a sane
+	// one asks for, and let the count check below refuse a wrong one.
+	t.Records = make([]Record, 0, min(max(h.Records, 0), 1<<16))
 	for {
 		var rec Record
 		if err := dec.Decode(&rec); err != nil {

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -40,6 +42,9 @@ func TestValidateRejections(t *testing.T) {
 		{"zero lifetime", func(tr *Trace) { tr.Records[0].Lifetime = 0 }},
 		{"zero shape", func(tr *Trace) { tr.Records[0].Shape = resources.Vector{} }},
 		{"oversized shape", func(tr *Trace) { tr.Records[0].Shape = resources.Cores(100, 1, 0) }},
+		{"exit overflows", func(tr *Trace) { tr.Records[1].Lifetime = math.MaxInt64 - 10 }},
+		{"exit overflows by one", func(tr *Trace) { tr.Records[1].Lifetime = math.MaxInt64 - tr.Records[1].Arrival + 1 }},
+		{"exit overflows at arrival 1", func(tr *Trace) { tr.Records[0].Arrival, tr.Records[0].Lifetime = 1, math.MaxInt64 }},
 	}
 	for _, c := range cases {
 		tr := sample()
@@ -49,6 +54,17 @@ func TestValidateRejections(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "trace:") {
 			t.Errorf("%s: error %q not namespaced", c.name, err)
 		}
+	}
+	// An exit at exactly the last representable instant is legal, and an
+	// overflow is refused naming the VM.
+	tr := sample()
+	tr.Records[1].Lifetime = math.MaxInt64 - tr.Records[1].Arrival
+	if err := tr.Validate(); err != nil {
+		t.Errorf("exit at MaxInt64: %v", err)
+	}
+	tr.Records[1].Lifetime++
+	if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "vm 2 exit time overflows") {
+		t.Errorf("exit past MaxInt64: error %v, want one naming vm 2", err)
 	}
 }
 
@@ -139,6 +155,44 @@ func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(&buf); err == nil {
 		t.Fatal("record count mismatch must fail")
 	}
+}
+
+// FuzzReadTrace: whatever the bytes, Read followed by Validate — the
+// loader behind ReadFile, which every command uses — never panics, and a
+// trace it accepts has every exit at or after its arrival and replays as
+// two events per record whose times never decrease.
+func FuzzReadTrace(f *testing.F) {
+	var buf bytes.Buffer
+	if err := sample().Write(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	const header = `{"pool":"p","hosts":1,"host_cpu_milli":64000,"host_mem_mb":262144,"records":%d}` + "\n"
+	const rec = `{"id":%d,"arrival_ns":%d,"lifetime_ns":%d,"shape":{"CPUMilli":1000,"MemoryMB":1024}}` + "\n"
+	f.Add(fmt.Appendf(nil, header+rec+rec, 2, 1, int64(time.Hour), int64(math.MaxInt64-10), 2, 0, int64(time.Hour)))
+	f.Add(fmt.Appendf(nil, header, -1))
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		tr, err := Read(bytes.NewReader(doc))
+		if err != nil || tr.Validate() != nil {
+			return
+		}
+		for _, r := range tr.Records {
+			if r.Exit() < r.Arrival {
+				t.Fatalf("vm %d exits at %v, before its arrival %v", r.ID, r.Exit(), r.Arrival)
+			}
+		}
+		c := NewEventCursor(tr.Stream())
+		n, last := 0, time.Duration(math.MinInt64)
+		for ev, ok := c.Next(); ok; ev, ok = c.Next() {
+			if ev.Time < last {
+				t.Fatalf("event %d at %v after one at %v", n, ev.Time, last)
+			}
+			n, last = n+1, ev.Time
+		}
+		if c.Err() != nil || n != 2*len(tr.Records) {
+			t.Fatalf("cursor gave %d events for %d records (err %v)", n, len(tr.Records), c.Err())
+		}
+	})
 }
 
 func TestHostShape(t *testing.T) {
