@@ -207,7 +207,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			if _, err := sim.Run(sim.Config{Trace: tr, Policy: scheduler.NewLAVA(pred, time.Minute), Tracer: rec}); err != nil {
 				b.Fatal(err)
 			}
-			if rec.Query(ptrace.Filter{VM: -1, Host: -1, Limit: 1}).Total == 0 {
+			if rec.Len() == 0 {
 				b.Fatal("traced run recorded nothing")
 			}
 		}

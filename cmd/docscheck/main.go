@@ -21,7 +21,8 @@
 //
 // No code without a caller: every exported name declared in non-test code
 // under internal/ must be used by non-test code of the module or of bench/,
-// be an interface or String/Error/Marshal…/Unmarshal… method, or be kept
+// be a method of a type the root package's exported API reaches, be an
+// interface or String/Error/Unwrap/Is/As/Marshal…/Unmarshal… method, or be kept
 // with a reason in docscheck-keep.txt, whose every entry must still be
 // needed; names only bench/ calls are printed and fail nothing.
 //

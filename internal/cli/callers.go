@@ -127,13 +127,14 @@ type subject struct {
 	where   string          // file:line
 	body    ast.Node        // a function's or method's declaration, which is not a use of it
 	callers map[string]bool // modules with a non-test use: "." or a nested one
+	api     bool            // a method of a type the root package's exported API reaches
 	exempt  bool            // an interface method or a stdlib-shaped one
 }
 
 // findCallers returns the exported internal/ names of the root module's
 // packages by label, pkg.Name or pkg.Type.Method with pkg the path below
 // internal/, each with the modules that use it outside its own function or
-// method declaration.
+// method declaration, and whether the root package's API reaches it.
 func findCallers(fset *token.FileSet, pkgs []*listedPackage) map[string]*subject {
 	subjects := map[types.Object]*subject{}
 	ifaces := map[*types.Interface]bool{}
@@ -178,8 +179,13 @@ func findCallers(fset *token.FileSet, pkgs []*listedPackage) map[string]*subject
 		}
 	}
 	var queue []*types.Package
+	repo := map[*types.Package]bool{}
 	for _, p := range pkgs {
 		queue = append(queue, p.pkg)
+		repo[p.pkg] = true
+		if p.mod == "." && p.rel == "." {
+			markAPI(p.pkg, repo, subjects)
+		}
 	}
 	seen := map[*types.Package]bool{}
 	for ; len(queue) > 0; queue = queue[1:] {
@@ -201,6 +207,70 @@ func findCallers(fset *token.FileSet, pkgs []*listedPackage) map[string]*subject
 	return labelled
 }
 
+// markAPI marks the subjects a program importing root, the facade, can call
+// although it cannot import internal/: the exported methods of every
+// repository type root's exported names reach through aliases, signatures,
+// exported struct fields, type arguments and those methods' own
+// signatures, transitively. repo holds the packages checked so far, which
+// precede root because go list orders dependencies first.
+func markAPI(root *types.Package, repo map[*types.Package]bool, subjects map[types.Object]*subject) {
+	seen := map[types.Type]bool{}
+	var walk func(t types.Type)
+	walk = func(t types.Type) {
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		switch t := t.(type) {
+		case *types.Alias:
+			walk(types.Unalias(t))
+		case *types.Named:
+			if !repo[t.Obj().Pkg()] {
+				return
+			}
+			for i := range t.TypeArgs().Len() {
+				walk(t.TypeArgs().At(i))
+			}
+			for i := range t.NumMethods() {
+				if m := t.Method(i); m.Exported() {
+					if s := subjects[m.Origin()]; s != nil {
+						s.api = true
+					}
+					walk(m.Type())
+				}
+			}
+			walk(t.Underlying())
+		case *types.Map:
+			walk(t.Key())
+			walk(t.Elem())
+		case interface{ Elem() types.Type }: // a pointer, slice, array or channel
+			walk(t.Elem())
+		case *types.Signature:
+			walk(t.Params())
+			walk(t.Results())
+		case *types.Tuple:
+			for i := range t.Len() {
+				walk(t.At(i).Type())
+			}
+		case *types.Struct:
+			for i := range t.NumFields() {
+				if f := t.Field(i); f.Exported() || f.Embedded() {
+					walk(f.Type())
+				}
+			}
+		case *types.Interface:
+			for i := range t.NumMethods() {
+				walk(t.Method(i).Type())
+			}
+		}
+	}
+	for _, name := range root.Scope().Names() {
+		if obj := root.Scope().Lookup(name); obj.Exported() {
+			walk(obj.Type())
+		}
+	}
+}
+
 // recvNamed returns the named type a method is declared on, or nil.
 func recvNamed(obj types.Object) *types.Named {
 	fn, ok := obj.(*types.Func)
@@ -218,14 +288,15 @@ func recvNamed(obj types.Object) *types.Named {
 }
 
 // exempt reports whether obj is a method the standard library calls by name
-// (String, Error, Marshal…, Unmarshal…) or one through which its receiver
-// type, or a pointer to it, implements one of ifaces.
+// (String, Error, Marshal…, Unmarshal…, and errors' Unwrap, Is, As) or one
+// through which its receiver type, or a pointer to it, implements one of
+// ifaces.
 func exempt(obj types.Object, ifaces map[*types.Interface]bool) bool {
 	n, name := recvNamed(obj), obj.Name()
 	if n == nil || n.TypeParams().Len() > 0 { // a generic type implements nothing until instantiated
 		return false
 	}
-	if name == "String" || name == "Error" || strings.HasPrefix(name, "Marshal") || strings.HasPrefix(name, "Unmarshal") {
+	if slices.Contains([]string{"String", "Error", "Unwrap", "Is", "As"}, name) || strings.HasPrefix(name, "Marshal") || strings.HasPrefix(name, "Unmarshal") {
 		return true
 	}
 	for it := range ifaces {
@@ -240,7 +311,8 @@ func exempt(obj types.Object, ifaces map[*types.Interface]bool) bool {
 // callerGaps is docscheck's caller pass over pkgs, the packages loadModule
 // read at root. gaps has one line per subject with no non-test caller that
 // keepFile does not keep, and one per keepFile entry without a reason,
-// whose name has a caller or is exempt, or that names no subject.
+// whose name has a caller, is reachable from the root package's API or is
+// exempt, or that names no subject.
 // nestedOnly has one line per subject only nested modules call, which
 // fails nothing.
 func callerGaps(root string, fset *token.FileSet, pkgs []*listedPackage) (gaps, nestedOnly []string, err error) {
@@ -262,13 +334,13 @@ func callerGaps(root string, fset *token.FileSet, pkgs []*listedPackage) (gaps, 
 			gaps = append(gaps, where+" has no reason")
 		case s == nil:
 			gaps = append(gaps, where+" names no exported internal/ declaration (drop the entry)")
-		case len(s.callers) > 0 || s.exempt:
-			gaps = append(gaps, where+" has a non-test caller or is an interface method (drop the entry)")
+		case len(s.callers) > 0 || s.api || s.exempt:
+			gaps = append(gaps, where+" has a non-test caller, is on the root package's API or is an interface method (drop the entry)")
 		}
 	}
 	for _, label := range slices.Sorted(maps.Keys(subjects)) {
 		switch s := subjects[label]; {
-		case s.exempt || s.callers["."]:
+		case s.exempt || s.api || s.callers["."]:
 		case len(s.callers) == 0 && !kept[label]:
 			gaps = append(gaps, fmt.Sprintf("%s: exported %s has no non-test caller (delete it, or keep it in %s with a reason)", s.where, label, keepFile))
 		case len(s.callers) > 0:

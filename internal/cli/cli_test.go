@@ -436,6 +436,20 @@ func TestDocscheck(t *testing.T) {
 				"func Use(v any) {\n\tif s, ok := v.(interface{ SetX(int) }); ok {\n\t\ts.SetX(1)\n\t}\n}\n",
 			"cmd/x/main.go": cmdX + "func main() { a.Use(a.T{}) }\n"},
 			0, ""},
+		{"errors-shaped methods", map[string]string{"go.mod": goMod,
+			"internal/a/a.go": pkgA + "type E struct{}\n\nfunc (E) Error() string { return \"e\" }\n\nfunc (E) Unwrap() error { return nil }\n\n" +
+				"func (E) Is(error) bool { return false }\n\nfunc (E) As(any) bool { return false }\n",
+			"cmd/x/main.go": cmdX + "func main() { _ = a.E{} }\n"},
+			0, ""},
+		{"method on the facade's API", map[string]string{"go.mod": goMod,
+			"internal/a/a.go": pkgA + "type T struct{}\n\nfunc (T) Next() *U { return nil }\n\ntype U struct{}\n\nfunc (*U) Reached() {}\n",
+			"lava.go":         "// Package lava is the facade.\npackage lava\n\nimport \"fix/internal/a\"\n\n// New returns a T.\nfunc New() a.T { return a.T{} }\n"},
+			0, ""},
+		{"kept name on the facade's API", map[string]string{"go.mod": goMod,
+			"internal/a/a.go":    pkgA + "type T struct{}\n\nfunc (T) Reached() {}\n",
+			"lava.go":            "// Package lava is the facade.\npackage lava\n\nimport \"fix/internal/a\"\n\n// T is a's T.\ntype T = a.T\n",
+			"docscheck-keep.txt": "a.T.Reached  a test reads it\n"},
+			1, "docscheck-keep.txt:1: a.T.Reached has a non-test caller, is on the root package's API"},
 		{"bench-only caller", map[string]string{"go.mod": goMod, "internal/a/a.go": pkgA + "func BenchOnly() {}\n",
 			"bench/go.mod":  "module fix/bench\n\ngo 1.24\n\nrequire fix v0.0.0\n\nreplace fix => ../\n",
 			"bench/main.go": "// Command bench is a fixture.\npackage main\n\nimport \"fix/internal/a\"\n\nfunc main() { a.BenchOnly() }\n"},

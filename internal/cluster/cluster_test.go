@@ -220,7 +220,7 @@ func TestLAVAStateMachine(t *testing.T) {
 	if h.State != StateRecycling || h.ResidualCount() != 2 {
 		t.Fatalf("after StartRecycling: %v residual=%d", h, h.ResidualCount())
 	}
-	if !h.residual[1] || !h.residual[2] {
+	if !h.IsResidual(1) || !h.IsResidual(2) {
 		t.Fatal("both VMs must be residual")
 	}
 
@@ -229,7 +229,7 @@ func TestLAVAStateMachine(t *testing.T) {
 	if err := h.add(vm3); err != nil {
 		t.Fatal(err)
 	}
-	if h.residual[3] {
+	if h.IsResidual(3) {
 		t.Fatal("vm3 must not be residual")
 	}
 
@@ -247,7 +247,7 @@ func TestLAVAStateMachine(t *testing.T) {
 	if h.Class != simtime.LC2 {
 		t.Fatalf("class after demote = %v, want LC2", h.Class)
 	}
-	if !h.residual[3] {
+	if !h.IsResidual(3) {
 		t.Fatal("vm3 must be residual after demotion")
 	}
 

@@ -204,6 +204,9 @@ func (h *Host) markAllResidual() {
 // ResidualCount returns the number of residual VMs still running.
 func (h *Host) ResidualCount() int { return len(h.residual) }
 
+// IsResidual reports whether the VM is part of the residual set.
+func (h *Host) IsResidual(id VMID) bool { return h.residual[id] }
+
 // DemoteClass reduces the host's lifetime class by one after all residual
 // VMs exited (Fig. 5b). The remaining VMs become the new residual set and
 // the deadline restarts for the new class.

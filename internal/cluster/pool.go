@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 
 	"lava/internal/resources"
 )
@@ -273,6 +274,16 @@ func (p *Pool) Utilization() (cpu, mem float64) {
 // aggregates.
 func (p *Pool) FreeTotal() resources.Vector {
 	return p.capTot.Sub(p.usedTot)
+}
+
+// RunningVMs returns all running VMs sorted by ID.
+func (p *Pool) RunningVMs() []*VM {
+	out := make([]*VM, 0, len(p.vms))
+	for id, h := range p.vms {
+		out = append(out, h.VM(id))
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
 
 // Clone deep-copies the pool for what-if packing (stranding inflation).

@@ -113,14 +113,13 @@ type Options struct {
 	K int
 
 	// Capacity bounds the in-memory buffer: once full, the oldest decision
-	// is overwritten (ring semantics; a query page counts the overwrites
-	// as dropped). Zero means unbounded — offline runs that feed replay
-	// need every decision.
+	// is overwritten (ring semantics; Dropped counts the overwrites). Zero
+	// means unbounded — offline runs that feed replay need every decision.
 	Capacity int
 
 	// Out, when set, receives every decision as one JSON line at Record
-	// time, surviving ring eviction. The first write error stops further
-	// writes; nothing reports it yet.
+	// time, surviving ring eviction. The first write error sticks (Err) and
+	// stops further writes.
 	Out io.Writer
 
 	// Policy labels the trace for query responses and trace documents.
@@ -177,6 +176,34 @@ func (r *Recorder) Record(d Decision) {
 		return
 	}
 	r.buf = append(r.buf, d)
+}
+
+// Seq returns the number of decisions ever recorded.
+func (r *Recorder) Seq() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.seq
+}
+
+// Len returns the number of decisions currently buffered.
+func (r *Recorder) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.buf)
+}
+
+// Dropped returns the number of decisions evicted by the ring.
+func (r *Recorder) Dropped() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.dropped
+}
+
+// Err returns the first persistent-sink write error, if any.
+func (r *Recorder) Err() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.err
 }
 
 // Decisions returns a copy of the buffered decisions, oldest first.

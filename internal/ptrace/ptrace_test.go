@@ -25,8 +25,8 @@ func TestRecorderSeqAndOrder(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Record(mkDecision(i))
 	}
-	if r.seq != 10 || len(r.buf) != 10 || r.dropped != 0 {
-		t.Fatalf("seq/len/dropped = %d/%d/%d", r.seq, len(r.buf), r.dropped)
+	if r.Seq() != 10 || r.Len() != 10 || r.Dropped() != 0 {
+		t.Fatalf("seq/len/dropped = %d/%d/%d", r.Seq(), r.Len(), r.Dropped())
 	}
 	ds := r.Decisions()
 	for i, d := range ds {
@@ -44,14 +44,14 @@ func TestRecorderRingWraparound(t *testing.T) {
 	for i := 0; i < 11; i++ {
 		r.Record(mkDecision(i))
 	}
-	if len(r.buf) != 4 {
-		t.Fatalf("ring len = %d, want 4", len(r.buf))
+	if r.Len() != 4 {
+		t.Fatalf("ring len = %d, want 4", r.Len())
 	}
-	if r.dropped != 7 {
-		t.Fatalf("dropped = %d, want 7", r.dropped)
+	if r.Dropped() != 7 {
+		t.Fatalf("dropped = %d, want 7", r.Dropped())
 	}
-	if r.seq != 11 {
-		t.Fatalf("seq = %d, want 11 (drops must not reuse sequence numbers)", r.seq)
+	if r.Seq() != 11 {
+		t.Fatalf("seq = %d, want 11 (drops must not reuse sequence numbers)", r.Seq())
 	}
 	ds := r.Decisions()
 	want := []uint64{8, 9, 10, 11}
@@ -65,8 +65,8 @@ func TestRecorderRingWraparound(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r2.Record(mkDecision(i))
 	}
-	if r2.dropped != 0 || len(r2.buf) != 4 {
-		t.Fatalf("at-capacity recorder: dropped %d len %d", r2.dropped, len(r2.buf))
+	if r2.Dropped() != 0 || r2.Len() != 4 {
+		t.Fatalf("at-capacity recorder: dropped %d len %d", r2.Dropped(), r2.Len())
 	}
 }
 
@@ -76,8 +76,8 @@ func TestRecorderJSONLOut(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Record(mkDecision(i))
 	}
-	if r.err != nil {
-		t.Fatal(r.err)
+	if r.Err() != nil {
+		t.Fatal(r.Err())
 	}
 	// The JSONL stream persists every decision, ring drops included.
 	var seqs []uint64

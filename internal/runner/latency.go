@@ -85,9 +85,22 @@ func (h *LatencyHist) RecordClass(class string, d time.Duration) {
 	sub.Record(d)
 }
 
-// quantileLocked returns the q-quantile (q in [0,1]) as the upper bound of
-// the bucket holding that rank, or the exact maximum for the top of the
-// distribution. Returns 0 when nothing was recorded. h.mu must be held.
+// Count returns the number of recorded observations.
+func (h *LatencyHist) Count() int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.n
+}
+
+// Quantile returns the q-quantile (q in [0,1]) as the upper bound of the
+// bucket holding that rank, or the exact maximum for the top of the
+// distribution. Returns 0 when nothing was recorded.
+func (h *LatencyHist) Quantile(q float64) time.Duration {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.quantileLocked(q)
+}
+
 func (h *LatencyHist) quantileLocked(q float64) time.Duration {
 	if h.n == 0 {
 		return 0

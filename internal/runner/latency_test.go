@@ -8,7 +8,7 @@ import (
 
 func TestLatencyHistQuantiles(t *testing.T) {
 	var h LatencyHist
-	if h.quantileLocked(0.5) != 0 {
+	if h.Quantile(0.5) != 0 {
 		t.Fatal("empty histogram must report zero")
 	}
 	// 1..1000 ms uniformly: quantiles must land within one geometric
@@ -16,19 +16,19 @@ func TestLatencyHistQuantiles(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		h.Record(time.Duration(i) * time.Millisecond)
 	}
-	if n := h.Stats(0).Requests; n != 1000 {
-		t.Fatalf("count %d", n)
+	if h.Count() != 1000 {
+		t.Fatalf("count %d", h.Count())
 	}
 	for _, tc := range []struct {
 		q    float64
 		want time.Duration
 	}{{0.50, 500 * time.Millisecond}, {0.95, 950 * time.Millisecond}, {0.99, 990 * time.Millisecond}} {
-		got := h.quantileLocked(tc.q)
+		got := h.Quantile(tc.q)
 		if got < tc.want || got > tc.want+tc.want/4 {
 			t.Fatalf("q%.2f = %v, want within [%v, %v]", tc.q, got, tc.want, tc.want+tc.want/4)
 		}
 	}
-	if got := h.quantileLocked(1); got != time.Second {
+	if got := h.Quantile(1); got != time.Second {
 		t.Fatalf("max quantile %v, want the exact maximum", got)
 	}
 	s := h.Stats(10 * time.Second)
@@ -56,7 +56,7 @@ func TestLatencyHistConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := h.Stats(0).Requests; n != 8000 {
-		t.Fatalf("count %d, lost updates", n)
+	if h.Count() != 8000 {
+		t.Fatalf("count %d, lost updates", h.Count())
 	}
 }

@@ -137,7 +137,6 @@ func poolEventStream(t *testing.T, ev TickEvent, seed int64) []string {
 	const hosts = 40
 	pool := cluster.NewPool("stream", hosts, workload.DefaultHostShape)
 	// Two VMs per even host so failures have something to kill.
-	running := map[cluster.VMID]bool{}
 	id := cluster.VMID(0)
 	for i := 0; i < hosts; i += 2 {
 		for j := 0; j < 2; j++ {
@@ -145,7 +144,6 @@ func poolEventStream(t *testing.T, ev TickEvent, seed int64) []string {
 			if err := pool.Place(vm, pool.Host(cluster.HostID(i))); err != nil {
 				t.Fatal(err)
 			}
-			running[id] = true
 			id++
 		}
 	}
@@ -154,6 +152,10 @@ func poolEventStream(t *testing.T, ev TickEvent, seed int64) []string {
 	inj := ev.NewInjector(seed)
 
 	avail := make([]bool, hosts)
+	running := map[cluster.VMID]bool{}
+	for _, vm := range pool.RunningVMs() {
+		running[vm.ID] = true
+	}
 
 	var stream []string
 	for tick := 0; tick <= 200; tick++ {

@@ -435,8 +435,8 @@ func TestLAVADemotesOnResidualDrain(t *testing.T) {
 	place(t, p, l, 1, 30, 0, 50*time.Hour, h)
 	// Gap-fill with an LC2 VM.
 	place(t, p, l, 2, 1, time.Hour, 5*time.Hour, h)
-	if h.ResidualCount() != 1 {
-		t.Fatalf("residual count %d after the gap fill, want 1: the filler must not be residual", h.ResidualCount())
+	if h.IsResidual(2) {
+		t.Fatal("gap filler must not be residual")
 	}
 	// The residual exits -> demote to LC2, filler becomes residual.
 	now := 49 * time.Hour
@@ -448,8 +448,8 @@ func TestLAVADemotesOnResidualDrain(t *testing.T) {
 	if h.Class != simtime.LC2 {
 		t.Fatalf("class after drain = %v, want LC2", h.Class)
 	}
-	if h.NumVMs() != 1 || h.ResidualCount() != 1 {
-		t.Fatalf("%d VMs, %d residual after demotion: the remaining VM must be residual", h.NumVMs(), h.ResidualCount())
+	if !h.IsResidual(2) {
+		t.Fatal("remaining VM must be residual after demotion")
 	}
 	if h.State != cluster.StateRecycling {
 		t.Fatalf("state = %v, want recycling", h.State)
@@ -490,7 +490,7 @@ func TestLAVAPromotesOnDeadline(t *testing.T) {
 	if h.Class != simtime.LC2 {
 		t.Fatalf("class after deadline = %v, want LC2", h.Class)
 	}
-	if h.ResidualCount() != 1 {
+	if !h.IsResidual(1) {
 		t.Fatal("VM must become residual on promotion")
 	}
 	// Deadline restarted: 70m + 11h.

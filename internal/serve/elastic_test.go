@@ -339,6 +339,9 @@ func TestElasticAdminHTTP(t *testing.T) {
 	if err := c.post(ctx, "/admin/merge-cells", AdminMergeRequest{From: 2, Into: 0}, nil); err != nil {
 		t.Fatalf("merge-cells: %v", err)
 	}
+	if n := f.Cells(); n != 3 {
+		t.Fatalf("Cells() = %d after split and merge, want 3: a retired cell still counts", n)
+	}
 	if err := c.post(ctx, "/admin/rebalance", AdminRebalanceRequest{MaxMoves: 2}, &AdminRebalanceResponse{}); err != nil {
 		t.Fatalf("rebalance: %v", err)
 	}

@@ -139,6 +139,13 @@ func (f *Fleet) addCellLocked(idx, hosts int) error {
 // RouterName reports the active routing discipline.
 func (f *Fleet) RouterName() string { return f.topo.Kind }
 
+// Cells reports the number of cells, including retired ones.
+func (f *Fleet) Cells() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.cells)
+}
+
 // snapshotCells copies the cell set and retirement flags under the lock;
 // elasticity ops may grow or retire cells at any moment.
 func (f *Fleet) snapshotCells() (cells []*Server, retired []bool) {

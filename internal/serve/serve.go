@@ -436,6 +436,11 @@ func (s *Server) Stats() (Stats, error) {
 	return *resp.stats, nil
 }
 
+// Tracer returns the server's decision recorder, nil when tracing is
+// disabled (Config.TraceK == 0). The recorder is internally synchronized:
+// queries are safe while the event loop records.
+func (s *Server) Tracer() *ptrace.Recorder { return s.tracer }
+
 // Drain gracefully finishes the run: rejects new mutating work, processes
 // everything already admitted (the sequencer's flush enqueues its parked
 // requests first), advances to the horizon, and returns the final

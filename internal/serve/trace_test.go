@@ -70,13 +70,13 @@ func TestServeTraceParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := json.Marshal(srv.tracer.Decisions())
+	got, err := json.Marshal(srv.Tracer().Decisions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != string(want) {
 		t.Fatalf("served trace differs from offline trace (%d vs %d decisions)",
-			len(srv.tracer.Decisions()), len(offRec.Decisions()))
+			srv.Tracer().Len(), offRec.Len())
 	}
 }
 
@@ -124,8 +124,8 @@ func TestTraceEndpoint(t *testing.T) {
 		last = next.Decisions[len(next.Decisions)-1].Seq
 		page = next
 	}
-	if held := len(srv.tracer.Decisions()); total != held {
-		t.Fatalf("paged %d decisions, recorder holds %d", total, held)
+	if uint64(total) != srv.Tracer().Seq() {
+		t.Fatalf("paged %d decisions, recorder holds %d", total, srv.Tracer().Seq())
 	}
 
 	// VM filter returns only that VM's decisions.
@@ -219,7 +219,7 @@ func TestFleetTraceParity(t *testing.T) {
 	}
 
 	for i := 0; i < cells; i++ {
-		rec := fleet.cells[i].tracer
+		rec := fleet.cells[i].Tracer()
 		if rec == nil {
 			t.Fatalf("cell %d has no tracer", i)
 		}
@@ -233,7 +233,7 @@ func TestFleetTraceParity(t *testing.T) {
 		}
 		if string(got) != string(want) {
 			t.Fatalf("cell %d trace differs from offline shard (%d vs %d decisions)",
-				i, len(rec.Decisions()), len(offline[i].Decisions()))
+				i, rec.Len(), offline[i].Len())
 		}
 	}
 
@@ -289,8 +289,8 @@ func FuzzTraceQuery(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	if n := len(srv.tracer.Decisions()); n < 200 {
-		f.Fatalf("only %d decisions traced", n)
+	if srv.Tracer().Seq() < 200 {
+		f.Fatalf("only %d decisions traced", srv.Tracer().Seq())
 	}
 	vm := tr.Records[len(tr.Records)/2].ID
 

@@ -169,18 +169,11 @@ func (k *killFirst) Inject(ctl *Control, now time.Duration) {
 	if k.done || now < k.At {
 		return
 	}
-	var first *cluster.VM
-	for _, h := range ctl.Pool().Hosts() {
-		for _, vm := range h.VMs() {
-			if first == nil || vm.ID < first.ID {
-				first = vm
-			}
-		}
-	}
-	if first == nil {
+	vms := ctl.Pool().RunningVMs()
+	if len(vms) == 0 {
 		return
 	}
-	if err := ctl.Kill(first.ID, now); err != nil {
+	if err := ctl.Kill(vms[0].ID, now); err != nil {
 		panic(err)
 	}
 	k.done = true

@@ -271,7 +271,8 @@ type ServeConfig struct {
 	// as a JSON line the moment it is made. Single-cell only: a fleet
 	// (NewFleet, and Serve whenever it builds one) refuses it, because
 	// per-cell streams would interleave nondeterministically — query each
-	// cell's ring instead.
+	// cell's ring instead. The first failed write stops the stream;
+	// TraceRecorder.Err reports it, and Serve returns it.
 	TraceOut io.Writer
 
 	// Admission configures SLO-class token-bucket admission control, as a
@@ -371,13 +372,15 @@ func newHTTPServer(handler http.Handler) *http.Server {
 // is served by a fleet behind a router, anything else by a single event
 // loop — the same HTTP surface either way, with rolled-up /stats and /drain
 // from a fleet. It blocks for the service's lifetime; a clean shutdown
-// returns nil.
+// returns nil, and a TraceOut write that failed while serving turns it into
+// an error.
 func Serve(ctx context.Context, ln net.Listener, tr *Trace, cfg FleetConfig) error {
 	defer ln.Close()
 	if err := cfg.check(); err != nil {
 		return err
 	}
 	var handler http.Handler
+	var tracer *TraceRecorder
 	if cfg.Cells > 1 || cfg.Scenario != "" {
 		fleet, err := NewFleet(tr, cfg)
 		if err != nil {
@@ -392,21 +395,28 @@ func Serve(ctx context.Context, ln net.Listener, tr *Trace, cfg FleetConfig) err
 		}
 		defer srv.Close()
 		handler = srv.Handler()
+		tracer = srv.Tracer()
 	}
 	hs := newHTTPServer(handler)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
+	var err error
 	select {
 	case <-ctx.Done():
 		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		return hs.Shutdown(shutCtx)
-	case err := <-errc:
+		err = hs.Shutdown(shutCtx)
+	case err = <-errc:
 		if errors.Is(err, http.ErrServerClosed) {
-			return nil
+			err = nil
 		}
-		return err
 	}
+	// The recorder stopped writing at its first failed write; Shutdown has
+	// waited for every handler, so no decision is recorded after this read.
+	if tracer != nil && tracer.Err() != nil {
+		err = errors.Join(err, fmt.Errorf("lava: TraceOut (-trace-out): %w", tracer.Err()))
+	}
+	return err
 }
 
 // FleetConfig shapes Serve, NewFleet and the offline run of a fleet

@@ -1,7 +1,11 @@
 package lava
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"io"
+	"net"
 	"strings"
 	"testing"
 )
@@ -212,5 +216,47 @@ func TestServeConfigMemoIsIgnored(t *testing.T) {
 	}
 	if st.Memo != nil {
 		t.Fatalf("ServeConfig.Memo still reaches /stats: %+v", st.Memo)
+	}
+}
+
+// failingWriter refuses every write, as a full disk would.
+type failingWriter struct{}
+
+var errDiskFull = errors.New("disk full")
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errDiskFull }
+
+// TestServeReportsTraceOutError: a TraceOut stream that fails while serving
+// makes Serve return that error once it shuts down; a working one returns
+// nil and holds every decision.
+func TestServeReportsTraceOutError(t *testing.T) {
+	tr := smallTrace(t)
+	pred, err := TrainModel(tr, ModelDist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ok bytes.Buffer
+	for _, out := range []io.Writer{failingWriter{}, &ok} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			done <- Serve(ctx, ln, tr, FleetConfig{ServeConfig: ServeConfig{Pred: pred, TraceK: 1, TraceOut: out}})
+		}()
+		_, rerr := ReplayTrace(context.Background(), "http://"+ln.Addr().String(), tr, ReplayOptions{})
+		cancel()
+		err = <-done
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		switch _, failing := out.(failingWriter); {
+		case failing && (!errors.Is(err, errDiskFull) || !strings.Contains(err.Error(), "TraceOut")):
+			t.Fatalf("Serve with a failing TraceOut returned %v, want the write error", err)
+		case !failing && (err != nil || strings.Count(ok.String(), "\n") == 0):
+			t.Fatalf("Serve with a working TraceOut returned %v after writing %d bytes", err, ok.Len())
+		}
 	}
 }
