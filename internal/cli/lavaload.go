@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 
 	"lava"
 	"lava/internal/runner"
@@ -71,10 +70,9 @@ func Lavaload(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 			ctx, cancel = context.WithTimeout(ctx, *timeout)
 			defer cancel()
 		}
-		// serve.Client sends through http.DefaultClient. Close the
-		// connections it keeps, as a process exit would: one dialed but
-		// never used holds up the daemon's graceful shutdown for seconds.
-		defer http.DefaultClient.CloseIdleConnections()
+		// Replay dials on a transport of its own and closes every
+		// connection it dialed before it returns, so none is left to hold
+		// up the daemon's graceful shutdown.
 		client := &serve.Client{Base: *addr}
 		rep, err := client.Replay(ctx, tr, serve.ReplayOptions{
 			Concurrency: *conc,

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,8 +21,14 @@ import (
 type Client struct {
 	// Base is the server root, e.g. "http://127.0.0.1:8080".
 	Base string
-	// HTTPClient defaults to http.DefaultClient.
+	// HTTPClient defaults to http.DefaultClient. /place and /exit, the hot
+	// routes, honour only its Transport (http.DefaultTransport when nil) and
+	// its Timeout: they call the transport directly, so they follow no
+	// redirects and use no cookie jar (the server sends neither). Every other
+	// route goes through its Do.
 	HTTPClient *http.Client
+
+	hot atomic.Pointer[hotRoutes] // the hot routes of Base, built once per Base
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -29,6 +36,52 @@ func (c *Client) httpClient() *http.Client {
 		return c.HTTPClient
 	}
 	return http.DefaultClient
+}
+
+// The hot routes, as indices into hotRoutes.tmpl and hotPaths.
+const (
+	routePlace = iota
+	routeExit
+)
+
+var hotPaths = [...]string{routePlace: "/place", routeExit: "/exit"}
+
+// hotRoutes is the request plumbing of the hot routes for one Base value,
+// built once: per route a template request, made by http.NewRequest, whose
+// parsed URL and header every request of the route shares read-only.
+type hotRoutes struct {
+	base string
+	tmpl [len(hotPaths)]*http.Request
+	err  error // Base does not make a request URL
+}
+
+// hotRoutes returns the hot routes of the current Base, building them when
+// Base changed since the last call.
+func (c *Client) hotRoutes() *hotRoutes {
+	if hr := c.hot.Load(); hr != nil && hr.base == c.Base {
+		return hr
+	}
+	hr := &hotRoutes{base: c.Base}
+	// One header for every request: transports and middleware that change
+	// headers do so on a clone (RoundTripper's contract), so this map is
+	// only ever read.
+	header := http.Header{"Content-Type": {"application/json"}}
+	for i, path := range hotPaths {
+		req, err := http.NewRequest(http.MethodPost, c.Base+path, nil)
+		if err != nil {
+			hr.err = err
+			break
+		}
+		req.Header = header
+		if u := req.URL.User; u != nil {
+			// What Client.Do adds for a URL with user info.
+			pw, _ := u.Password()
+			req.SetBasicAuth(u.Username(), pw)
+		}
+		hr.tmpl[i] = req
+	}
+	c.hot.Store(hr)
+	return hr
 }
 
 // post sends a JSON request and decodes the JSON response.
@@ -42,8 +95,11 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.roundTrip(req, path)
+	resp, err := c.httpClient().Do(req)
 	if err != nil {
+		return err
+	}
+	if resp, err = checkStatus(resp, path); err != nil {
 		return err
 	}
 	defer resp.Body.Close()
@@ -56,14 +112,10 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 	return nil
 }
 
-// roundTrip sends req and returns the response if it is a 200, for the
-// caller to read and close; any other status is consumed into the error its
-// envelope describes.
-func (c *Client) roundTrip(req *http.Request, path string) (*http.Response, error) {
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
+// checkStatus returns resp if it is a 200, for the caller to read and
+// close; any other status is consumed into the error its envelope
+// describes.
+func checkStatus(resp *http.Response, path string) (*http.Response, error) {
 	if resp.StatusCode == http.StatusOK {
 		return resp, nil
 	}
@@ -81,28 +133,52 @@ func (c *Client) roundTrip(req *http.Request, path string) (*http.Response, erro
 	return nil, fmt.Errorf("serve client: %s: HTTP %d", path, resp.StatusCode)
 }
 
-// hotPost is post for a route with a codec: the request is encoded into a
-// pooled buffer and the response read whole — to EOF, so the keep-alive
-// connection is reused — and parsed from the same buffer. Either side falls
-// back to encoding/json when the codec declines.
-func hotPost[Req, Resp any](ctx context.Context, c *Client, path string, cd *codec[Req, Resp], in *Req) (out Resp, err error) {
+// hotPost is post for a route with a codec, built on the route's template
+// (see hotRoutes) and sent through the transport itself: the request is
+// encoded into a pooled buffer and the response read whole — to EOF, so the
+// keep-alive connection is reused — and parsed from the same buffer. Either
+// side falls back to encoding/json when the codec declines. Transport errors
+// come back as the *url.Error Client.Do would return.
+func hotPost[Req, Resp any](ctx context.Context, c *Client, route int, cd *codec[Req, Resp], in *Req) (out Resp, err error) {
+	hr := c.hotRoutes()
+	if hr.err != nil {
+		return out, hr.err
+	}
+	tmpl, path := hr.tmpl[route], hotPaths[route]
+	hc := c.httpClient()
+	if hc.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, hc.Timeout)
+		defer cancel()
+	}
+	rt := hc.Transport
+	if rt == nil {
+		rt = http.DefaultTransport
+	}
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	body, ok := cd.appendReq(buf.AvailableBuffer(), in)
+	b, ok := cd.appendReq(buf.AvailableBuffer(), in)
 	if !ok {
-		if body, err = json.Marshal(in); err != nil {
+		if b, err = json.Marshal(in); err != nil {
 			return out, fmt.Errorf("serve client: encode %s: %w", path, err)
 		}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(body))
-	if err != nil {
-		return out, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.roundTrip(req, path)
+	// The body is what http.NewRequest makes of a *bytes.Reader: a type the
+	// transport knows is in memory, so it writes headers and body in one
+	// go, and rewindable through GetBody, so a request whose reused
+	// keep-alive connection died before it was written is retried on a
+	// fresh one.
+	req := tmpl.WithContext(ctx)
+	req.Body = io.NopCloser(bytes.NewReader(b))
+	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(b)), nil }
+	req.ContentLength = int64(len(b))
+	resp, err := rt.RoundTrip(req)
 	if err != nil {
 		// buf is not pooled again: the transport may close a request body
 		// after RoundTrip returns, so it can still be reading these bytes.
+		return out, &url.Error{Op: "Post", URL: tmpl.URL.Redacted(), Err: err}
+	}
+	if resp, err = checkStatus(resp, path); err != nil {
 		return out, err
 	}
 	defer resp.Body.Close()
@@ -122,12 +198,12 @@ func hotPost[Req, Resp any](ctx context.Context, c *Client, path string, cd *cod
 
 // Place submits one placement request.
 func (c *Client) Place(ctx context.Context, req PlaceRequest) (PlaceResponse, error) {
-	return hotPost(ctx, c, "/place", placeCodec, &req)
+	return hotPost(ctx, c, routePlace, placeCodec, &req)
 }
 
 // Exit submits one VM exit.
 func (c *Client) Exit(ctx context.Context, req ExitRequest) (ExitResponse, error) {
-	return hotPost(ctx, c, "/exit", exitCodec, &req)
+	return hotPost(ctx, c, routeExit, exitCodec, &req)
 }
 
 // Drain finishes the served run and returns the final report: a leaf from a
@@ -188,10 +264,26 @@ type ReplayReport struct {
 // globally sequenced stream across its cells, so each cell replays exactly
 // the shard cell.Shard would hand it offline, and the drain report gains
 // the per-cell breakdown.
+//
+// With HTTPClient nil, Replay keeps one idle connection per worker on a
+// transport of its own and closes them all before it returns.
 func (c *Client) Replay(ctx context.Context, tr *trace.Trace, opt ReplayOptions) (*ReplayReport, error) {
 	workers := opt.Concurrency
 	if workers <= 0 {
 		workers = 1
+	}
+	if dt, ok := http.DefaultTransport.(*http.Transport); ok && c.HTTPClient == nil {
+		// The default transport keeps two idle connections per host, so past
+		// two workers nearly every request would dial anew. Replay on a
+		// clone that keeps one per worker, and close them when done: an idle
+		// connection left behind holds up the server's graceful shutdown.
+		rt := dt.Clone()
+		rt.MaxIdleConnsPerHost = workers
+		if rt.MaxIdleConns > 0 {
+			rt.MaxIdleConns = max(rt.MaxIdleConns, workers)
+		}
+		defer rt.CloseIdleConnections()
+		c = &Client{Base: c.Base, HTTPClient: &http.Client{Transport: rt}}
 	}
 	ops := OpsFromTrace(tr)
 	var (

@@ -345,7 +345,8 @@ func OpsFromTrace(tr *trace.Trace) []Op {
 func (t *topology) plan(op *Op, buf []*request) (steps []*request, res OpResult, err error) {
 	steps = buf
 	step := func(kind reqKind, cell int) *request {
-		r := &request{kind: kind, cell: cell, at: op.At}
+		r := newRequest(kind)
+		r.cell, r.at = cell, op.At
 		steps = append(steps, r)
 		return r
 	}
@@ -417,6 +418,14 @@ func (t *topology) plan(op *Op, buf []*request) (steps []*request, res OpResult,
 		err = fmt.Errorf("serve: unknown op kind %d", op.Kind)
 	}
 	return steps, res, err
+}
+
+// releaseAll returns the steps of an op whose every step was answered
+// without error to the pool.
+func releaseAll(steps []*request) {
+	for _, r := range steps {
+		r.release()
+	}
 }
 
 // runSteps carries out a planned op: start hands each step to its cell in
@@ -574,7 +583,9 @@ func RunScriptOffline(cfg FleetConfig, ops []Op) (*cell.Rollup, error) {
 		op := &ops[i]
 		steps, res, err := topo.plan(op, nil)
 		if err == nil {
-			err = runSteps(op.Kind, steps, &res, func(*request) {}, func() {}, apply)
+			if err = runSteps(op.Kind, steps, &res, func(*request) {}, func() {}, apply); err == nil {
+				releaseAll(steps)
+			}
 		}
 		// A front-door rejection is counted at the gate and invisible to
 		// routing; anything else ends the script.

@@ -198,11 +198,14 @@ func (f *Fleet) Do(op Op, seq uint64) (OpResult, error) {
 		return res, err
 	}
 	err = runSteps(op.Kind, steps, &res, func(r *request) {
-		r.seq, r.resp = seq, make(chan response, 1)
+		r.seq = seq
 		if err := cells[r.cell].enqueue(r); err != nil {
 			r.resp <- response{err: err}
 		}
 	}, func() { f.order.leave(seq) }, func(r *request) response { return cells[r.cell].await(r) })
+	if err == nil {
+		releaseAll(steps)
+	}
 	return res, err
 }
 

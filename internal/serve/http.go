@@ -375,7 +375,7 @@ func post[Req, Resp any](c *codec[Req, Resp], validate func(*Req) error, fn func
 			// The request's strings were copied out of buf; it is free.
 			buf.Reset()
 			if out, ok := c.appendResp(buf.AvailableBuffer(), &resp); ok {
-				w.Header().Set("Content-Type", "application/json")
+				w.Header()["Content-Type"] = jsonContentType
 				_, _ = w.Write(append(out, '\n')) // json.Encoder's line end
 				return
 			}
@@ -383,6 +383,11 @@ func post[Req, Resp any](c *codec[Req, Resp], validate func(*Req) error, fn func
 		writeJSON(w, resp)
 	}
 }
+
+// jsonContentType is the codec path's Content-Type value, shared by every
+// response: the server only reads it, and Header.Set would allocate a new
+// slice per request.
+var jsonContentType = []string{"application/json"}
 
 // noBody builds the handler of an endpoint that reads no request body: the
 // GET reads, and POST /drain.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -328,25 +329,26 @@ func (s *Server) halt() {
 	}
 }
 
-// submit enqueues a request and waits for the loop's response. A mutating
-// request is enqueued during its sequencer turn, so the loop receives the
-// sequenced stream in order.
+// submit enqueues a request, waits for the loop's response and, when that
+// is error-free, returns r to the pool. A mutating request is enqueued
+// during its sequencer turn, so the loop receives the sequenced stream in
+// order.
 func (s *Server) submit(r *request) response {
+	var err error
 	if !mutating(r.kind) {
-		if err := s.enqueue(r); err != nil {
-			return response{err: err}
-		}
-		return s.await(r)
+		err = s.enqueue(r)
+	} else if err = s.order.enter(r.seq); err == nil {
+		err = s.enqueue(r)
+		s.order.leave(r.seq)
 	}
-	if err := s.order.enter(r.seq); err != nil {
-		return response{err: err}
-	}
-	err := s.enqueue(r)
-	s.order.leave(r.seq)
 	if err != nil {
 		return response{err: err}
 	}
-	return s.await(r)
+	resp := s.await(r)
+	if resp.err == nil {
+		r.release()
+	}
+	return resp
 }
 
 // enqueue hands r to the event loop without waiting for the answer; a nil
@@ -384,9 +386,24 @@ func mutating(k reqKind) bool {
 	}
 }
 
-// newRequest builds a request with its response channel.
+// reqPool holds request values with their response channels, so the hot
+// routes allocate neither per request.
+var reqPool = sync.Pool{New: func() any { return &request{resp: make(chan response, 1)} }}
+
+// newRequest takes a request, with its response channel, from the pool.
 func newRequest(kind reqKind) *request {
-	return &request{kind: kind, resp: make(chan response, 1)}
+	r := reqPool.Get().(*request)
+	r.kind = kind
+	return r
+}
+
+// release returns r to the pool. Callers release only a request whose
+// answer they received without error: then no loop holds r any longer and
+// its channel is empty. A failed request is left to the collector, since a
+// loop stopped mid-turn may still answer it.
+func (r *request) release() {
+	*r = request{resp: r.resp}
+	reqPool.Put(r)
 }
 
 // Place schedules one VM at virtual time at (clamped forward to the
