@@ -21,11 +21,10 @@ import (
 type Client struct {
 	// Base is the server root, e.g. "http://127.0.0.1:8080".
 	Base string
-	// HTTPClient defaults to http.DefaultClient. /place and /exit, the hot
-	// routes, honour only its Transport (http.DefaultTransport when nil) and
-	// its Timeout: they call the transport directly, so they follow no
-	// redirects and use no cookie jar (the server sends neither). Every other
-	// route goes through its Do.
+	// HTTPClient defaults to http.DefaultClient. Every route honours its
+	// Transport (http.DefaultTransport when nil) and its Timeout; requests go
+	// to the transport directly, so none follows a redirect or uses a cookie
+	// jar (the server sends neither).
 	HTTPClient *http.Client
 
 	hot atomic.Pointer[hotRoutes] // the hot routes of Base, built once per Base
@@ -38,78 +37,106 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// The hot routes, as indices into hotRoutes.tmpl and hotPaths.
-const (
-	routePlace = iota
-	routeExit
-)
+// jsonHeader is the header of every request. Transports and middleware that
+// change headers do so on a clone (RoundTripper's contract), so this map is
+// only ever read.
+var jsonHeader = http.Header{"Content-Type": {"application/json"}}
 
-var hotPaths = [...]string{routePlace: "/place", routeExit: "/exit"}
+// newRoute returns the template request of the route at path, made by
+// http.NewRequest: every request of the route is a shallow copy of it and
+// shares its parsed URL and header read-only.
+func newRoute(base, path string) (*http.Request, error) {
+	req, err := http.NewRequest(http.MethodPost, base+path, nil)
+	if err != nil {
+		return nil, err
+	}
+	req.Header = jsonHeader
+	if u := req.URL.User; u != nil {
+		// What Client.Do adds for a URL with user info.
+		pw, _ := u.Password()
+		req.Header = jsonHeader.Clone()
+		req.SetBasicAuth(u.Username(), pw)
+	}
+	return req, nil
+}
 
-// hotRoutes is the request plumbing of the hot routes for one Base value,
-// built once: per route a template request, made by http.NewRequest, whose
-// parsed URL and header every request of the route shares read-only.
+// hotRoutes holds the templates of the hot routes for one Base value.
 type hotRoutes struct {
-	base string
-	tmpl [len(hotPaths)]*http.Request
-	err  error // Base does not make a request URL
+	base        string
+	place, exit *http.Request
+	err         error // Base does not make a request URL
 }
 
 // hotRoutes returns the hot routes of the current Base, building them when
 // Base changed since the last call.
-func (c *Client) hotRoutes() *hotRoutes {
-	if hr := c.hot.Load(); hr != nil && hr.base == c.Base {
-		return hr
-	}
-	hr := &hotRoutes{base: c.Base}
-	// One header for every request: transports and middleware that change
-	// headers do so on a clone (RoundTripper's contract), so this map is
-	// only ever read.
-	header := http.Header{"Content-Type": {"application/json"}}
-	for i, path := range hotPaths {
-		req, err := http.NewRequest(http.MethodPost, c.Base+path, nil)
-		if err != nil {
-			hr.err = err
-			break
+func (c *Client) hotRoutes() (*hotRoutes, error) {
+	hr := c.hot.Load()
+	if hr == nil || hr.base != c.Base {
+		hr = &hotRoutes{base: c.Base}
+		if hr.place, hr.err = newRoute(c.Base, "/place"); hr.err == nil {
+			hr.exit, hr.err = newRoute(c.Base, "/exit")
 		}
-		req.Header = header
-		if u := req.URL.User; u != nil {
-			// What Client.Do adds for a URL with user info.
-			pw, _ := u.Password()
-			req.SetBasicAuth(u.Username(), pw)
-		}
-		hr.tmpl[i] = req
+		c.hot.Store(hr)
 	}
-	c.hot.Store(hr)
-	return hr
+	return hr, hr.err
 }
 
-// post sends a JSON request and decodes the JSON response.
+// send posts body as a shallow copy of tmpl, a template from newRoute,
+// straight through HTTPClient's Transport, and hands the body of a 200 to
+// read. HTTPClient's Timeout is a context deadline over both. A transport
+// error comes back as the *url.Error Client.Do would return (`Post "<url>":
+// …`), any other status as the error checkStatus makes of it.
+func (c *Client) send(ctx context.Context, tmpl *http.Request, body []byte, read func(io.Reader) error) error {
+	hc := c.httpClient()
+	if hc.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, hc.Timeout)
+		defer cancel()
+	}
+	rt := hc.Transport
+	if rt == nil {
+		rt = http.DefaultTransport
+	}
+	// The body is what http.NewRequest makes of a *bytes.Reader: a type the
+	// transport knows is in memory, so it writes headers and body in one
+	// go, and rewindable through GetBody, so a request whose reused
+	// keep-alive connection died before it was written is retried on a
+	// fresh one.
+	req := tmpl.WithContext(ctx)
+	req.Body = io.NopCloser(bytes.NewReader(body))
+	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+	req.ContentLength = int64(len(body))
+	resp, err := rt.RoundTrip(req)
+	if err != nil {
+		return &url.Error{Op: "Post", URL: tmpl.URL.Redacted(), Err: err}
+	}
+	if resp, err = checkStatus(resp, tmpl.URL.Path); err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	return read(resp.Body)
+}
+
+// post sends a JSON request and decodes the JSON response into out, unless
+// out is nil.
 func (c *Client) post(ctx context.Context, path string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return fmt.Errorf("serve client: encode %s: %w", path, err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(body))
+	tmpl, err := newRoute(c.Base, path)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	if resp, err = checkStatus(resp, path); err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if out == nil {
+	return c.send(ctx, tmpl, body, func(r io.Reader) error {
+		if out == nil {
+			return nil
+		}
+		if err := json.NewDecoder(r).Decode(out); err != nil {
+			return fmt.Errorf("serve client: decode %s: %w", path, err)
+		}
 		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("serve client: decode %s: %w", path, err)
-	}
-	return nil
+	})
 }
 
 // checkStatus returns resp if it is a 200, for the caller to read and
@@ -133,28 +160,13 @@ func checkStatus(resp *http.Response, path string) (*http.Response, error) {
 	return nil, fmt.Errorf("serve client: %s: HTTP %d", path, resp.StatusCode)
 }
 
-// hotPost is post for a route with a codec, built on the route's template
-// (see hotRoutes) and sent through the transport itself: the request is
-// encoded into a pooled buffer and the response read whole — to EOF, so the
-// keep-alive connection is reused — and parsed from the same buffer. Either
-// side falls back to encoding/json when the codec declines. Transport errors
-// come back as the *url.Error Client.Do would return.
-func hotPost[Req, Resp any](ctx context.Context, c *Client, route int, cd *codec[Req, Resp], in *Req) (out Resp, err error) {
-	hr := c.hotRoutes()
-	if hr.err != nil {
-		return out, hr.err
-	}
-	tmpl, path := hr.tmpl[route], hotPaths[route]
-	hc := c.httpClient()
-	if hc.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, hc.Timeout)
-		defer cancel()
-	}
-	rt := hc.Transport
-	if rt == nil {
-		rt = http.DefaultTransport
-	}
+// hotPost is post for a route with a codec, on the route's template tmpl
+// (see hotRoutes): the request is encoded into a pooled buffer and the
+// response read whole — to EOF, so the keep-alive connection is reused —
+// and parsed from the same buffer. Either side falls back to encoding/json
+// when the codec declines.
+func hotPost[Req, Resp any](ctx context.Context, c *Client, tmpl *http.Request, cd *codec[Req, Resp], in *Req) (out Resp, err error) {
+	path := tmpl.URL.Path
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	b, ok := cd.appendReq(buf.AvailableBuffer(), in)
@@ -163,47 +175,43 @@ func hotPost[Req, Resp any](ctx context.Context, c *Client, route int, cd *codec
 			return out, fmt.Errorf("serve client: encode %s: %w", path, err)
 		}
 	}
-	// The body is what http.NewRequest makes of a *bytes.Reader: a type the
-	// transport knows is in memory, so it writes headers and body in one
-	// go, and rewindable through GetBody, so a request whose reused
-	// keep-alive connection died before it was written is retried on a
-	// fresh one.
-	req := tmpl.WithContext(ctx)
-	req.Body = io.NopCloser(bytes.NewReader(b))
-	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(b)), nil }
-	req.ContentLength = int64(len(b))
-	resp, err := rt.RoundTrip(req)
-	if err != nil {
-		// buf is not pooled again: the transport may close a request body
-		// after RoundTrip returns, so it can still be reading these bytes.
-		return out, &url.Error{Op: "Post", URL: tmpl.URL.Redacted(), Err: err}
-	}
-	if resp, err = checkStatus(resp, path); err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	// A 200 means the server read the request to its end; buf is free.
-	defer bufPool.Put(buf)
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		return out, fmt.Errorf("serve client: read %s: %w", path, err)
-	}
-	if r, ok := cd.parseResp(trimSpace(buf.Bytes())); ok {
-		return r, nil
-	}
-	if err := json.NewDecoder(buf).Decode(&out); err != nil {
-		return out, fmt.Errorf("serve client: decode %s: %w", path, err)
-	}
-	return out, nil
+	// buf is pooled again only once read has run: after any other outcome
+	// the transport may close the request body after RoundTrip returns, so
+	// it can still be reading b.
+	err = c.send(ctx, tmpl, b, func(body io.Reader) error {
+		// A 200 means the server read the request to its end; buf is free.
+		defer bufPool.Put(buf)
+		if _, err := buf.ReadFrom(body); err != nil {
+			return fmt.Errorf("serve client: read %s: %w", path, err)
+		}
+		if r, ok := cd.parseResp(trimSpace(buf.Bytes())); ok {
+			out = r
+			return nil
+		}
+		if err := json.NewDecoder(buf).Decode(&out); err != nil {
+			return fmt.Errorf("serve client: decode %s: %w", path, err)
+		}
+		return nil
+	})
+	return out, err
 }
 
 // Place submits one placement request.
 func (c *Client) Place(ctx context.Context, req PlaceRequest) (PlaceResponse, error) {
-	return hotPost(ctx, c, routePlace, placeCodec, &req)
+	hr, err := c.hotRoutes()
+	if err != nil {
+		return PlaceResponse{}, err
+	}
+	return hotPost(ctx, c, hr.place, placeCodec, &req)
 }
 
 // Exit submits one VM exit.
 func (c *Client) Exit(ctx context.Context, req ExitRequest) (ExitResponse, error) {
-	return hotPost(ctx, c, routeExit, exitCodec, &req)
+	hr, err := c.hotRoutes()
+	if err != nil {
+		return ExitResponse{}, err
+	}
+	return hotPost(ctx, c, hr.exit, exitCodec, &req)
 }
 
 // Drain finishes the served run and returns the final report: a leaf from a

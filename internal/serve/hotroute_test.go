@@ -228,16 +228,21 @@ func TestSharedHeaderReadOnly(t *testing.T) {
 		t.Fatalf("%d requests reached the server without their headers", n)
 	}
 	want := http.Header{"Content-Type": {"application/json"}}
-	for _, tmpl := range c.hot.Load().tmpl {
+	hr, _ := c.hotRoutes()
+	for _, tmpl := range []*http.Request{hr.place, hr.exit} {
 		if !reflect.DeepEqual(tmpl.Header, want) {
 			t.Fatalf("the shared header of %s changed: %v", tmpl.URL.Path, tmpl.Header)
 		}
+	}
+	if !reflect.DeepEqual(jsonHeader, want) {
+		t.Fatalf("the shared header changed: %v", jsonHeader)
 	}
 }
 
 // TestHotRouteErrors: a transport error reads as Client.Do's does,
 // `Post "<url>": …`, and unwraps to a *url.Error; a Base that does not
-// parse fails every call; a new Base takes effect on the next call.
+// parse fails every call; a new Base takes effect on the next call;
+// HTTPClient.Timeout bounds a hot route and /drain alike.
 func TestHotRouteErrors(t *testing.T) {
 	ctx := context.Background()
 	hs := httptest.NewServer(hotServer(t).Handler())
@@ -257,5 +262,19 @@ func TestHotRouteErrors(t *testing.T) {
 	c.Base = hs.URL
 	if r, err := c.Place(ctx, PlaceRequest{Record: hotRecord(1)}); err != nil || !r.Placed {
 		t.Fatalf("Place after a new Base = %+v, %v", r, err)
+	}
+
+	release := make(chan struct{})
+	stuck := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { <-release }))
+	defer stuck.Close()
+	defer close(release)
+	rt := http.DefaultTransport.(*http.Transport).Clone()
+	defer rt.CloseIdleConnections()
+	c = &Client{Base: stuck.URL, HTTPClient: &http.Client{Transport: rt, Timeout: 50 * time.Millisecond}}
+	if _, err := c.Place(ctx, PlaceRequest{Record: hotRecord(1)}); !errors.As(err, &ue) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Place past the Timeout: %v", err)
+	}
+	if _, err := c.Drain(ctx); !errors.As(err, &ue) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Drain past the Timeout: %v", err)
 	}
 }
