@@ -31,7 +31,7 @@
 // observe-only — placement decisions are identical with it on or off.
 //
 // With -cells N > 1 the daemon serves a federated fleet: N independent
-// per-cell event loops (parallel across cores) behind a router chosen by
+// cells (applying in parallel across cores) behind a router chosen by
 // -router (round-robin | least-utilized | feature-hash), the same HTTP
 // surface, rolled-up /stats and /drain.
 //
@@ -44,7 +44,7 @@
 // for every shape of the service; see internal/serve for the determinism
 // contract. lavad announces the bound address on stderr once it listens
 // (so -addr 127.0.0.1:0 picks a free port). SIGINT/SIGTERM shut the
-// listener down gracefully and stop the event loops.
+// listener down gracefully and close the service.
 package main
 
 import (

@@ -31,7 +31,6 @@ func Lavad(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		refresh   = fs.Duration("cache", time.Minute, "host score cache refresh interval (0 disables)")
 		tick      = fs.Duration("tick", 0, "policy tick period (default 5m)")
 		sample    = fs.Duration("sample", 0, "metric sampling period (default 1h)")
-		queue     = fs.Int("queue", 0, "admission queue depth (default 256)")
 		cells     = fs.Int("cells", 1, "serving cells; > 1 federates the pool behind a router")
 		router    = fs.String("router", "feature-hash", "fleet router: round-robin | least-utilized | feature-hash")
 		traceK    = fs.Int("trace-k", 0, "record decision traces with this many scored alternatives (0 disables; served at /trace)")
@@ -67,7 +66,6 @@ func Lavad(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				CacheRefresh: lava.CacheRefreshFlag(*refresh),
 				TickEvery:    *tick,
 				SampleEvery:  *sample,
-				QueueDepth:   *queue,
 				TraceK:       *traceK,
 				TraceCap:     *traceBuf,
 				Admission:    *admit,
@@ -95,7 +93,7 @@ func Lavad(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "lavad: pool %s (%d hosts, cells %d, router %s, scenario %q), policy %s, model %s, horizon %v\n",
 			tr.PoolName, tr.Hosts, *cells, *router, *scenName, *policy, pred.Name(), tr.End())
 		fmt.Fprintf(stderr, "lavad: listening on http://%s\n", ln.Addr())
-		// lava.Serve decides single loop versus fleet, from Cells and Scenario,
+		// lava.Serve decides single server versus fleet, from Cells and Scenario,
 		// and refuses what a fleet cannot serve (TraceOut).
 		if err := lava.Serve(ctx, ln, tr, cfg); err != nil {
 			return err

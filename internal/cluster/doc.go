@@ -18,9 +18,10 @@
 //     share only immutable traces and trained predictors;
 //   - internal/cell: every cell is an independent pool, sharded before any
 //     simulation starts;
-//   - internal/serve: the placement daemon funnels all requests, including
-//     read-only stats/snapshot queries, through a single event-loop
-//     goroutine rather than locking the pool.
+//   - internal/serve: the placement daemon applies every request, and
+//     serves read-only stats/snapshot queries, under its sequencer's lock —
+//     one goroutine at a time, the turn-holder's — rather than locking the
+//     pool.
 //
 // Pools deliberately carry no internal locking: the hot path (placement
 // and exit bookkeeping) is the scheduler's inner loop, and the

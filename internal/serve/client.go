@@ -285,8 +285,11 @@ func (c *Client) Replay(ctx context.Context, tr *trace.Trace, opt ReplayOptions)
 		// two workers nearly every request would dial anew. Replay on a
 		// clone that keeps one per worker, and close them when done: an idle
 		// connection left behind holds up the server's graceful shutdown.
+		// It also caps the connections at one per worker: a finished
+		// connection goes back to the idle pool asynchronously, and without
+		// the cap a worker's next request would sometimes dial past it.
 		rt := dt.Clone()
-		rt.MaxIdleConnsPerHost = workers
+		rt.MaxIdleConnsPerHost, rt.MaxConnsPerHost = workers, workers
 		if rt.MaxIdleConns > 0 {
 			rt.MaxIdleConns = max(rt.MaxIdleConns, workers)
 		}

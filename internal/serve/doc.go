@@ -5,15 +5,17 @@
 //
 // # Architecture
 //
-// The server is built around a single-writer event loop over a
-// sim.Machine — the same incremental stepping engine internal/sim's
-// offline Run uses. All pool and policy mutation happens on the loop
-// goroutine; HTTP handlers only build request values, enqueue them on the
-// admission queue, and wait for their response. This preserves
-// cluster.Pool's single-writer concurrency contract without a single lock
-// around the hot path, and it is what makes a served replay byte-identical
-// to an offline simulation: both drive one engine, in one goroutine, in
-// one deterministic order.
+// A Server holds one sim.Machine — the same incremental stepping engine
+// internal/sim's offline Run uses — behind one sequencer, and starts no
+// goroutine. Each mutating request is applied to the machine on its
+// caller's goroutine (an HTTP handler's, or an in-process caller's) while
+// it holds its sequencer turn; reads and the drain's Finish take the same
+// lock without a turn. So one goroutine at a time touches the pool, which
+// keeps cluster.Pool's single-writer concurrency contract, and turn order
+// is apply order, which is what makes a served replay byte-identical to an
+// offline simulation: both drive one engine in one deterministic order. A
+// panicking apply releases its turn and closes its server: the request is
+// answered 500 and everything parked or sent later 503 (ErrClosed).
 //
 // # Sequencing and determinism
 //
@@ -21,10 +23,8 @@
 // test) stamp each request with a strictly increasing sequence number. One
 // sequencer orders the stream, a Server's over its clients and a Fleet's at
 // its front door: a mutating request waits for its turn (seq 1, 2, 3, ...
-// however the concurrent HTTP deliveries interleave; seq 0 at once),
-// enqueues itself on the event loop during the turn, and passes the turn
-// on. The loop applies its queue in order, and the sequencer's lock makes
-// queue order the order requests took their turns, so an 8-way concurrent
+// however the concurrent HTTP deliveries interleave; seq 0 at once), is
+// applied during the turn, and passes the turn on. So an 8-way concurrent
 // replay of a trace makes exactly the same placement decisions as
 // `lava.Simulate` on that trace. The sequencer refuses a seq behind its
 // cursor (409 stale), a second copy of a parked one (409 duplicate) and,
@@ -51,18 +51,18 @@
 // /snapshot reads the pool's current bin-packing metrics without advancing
 // virtual time. /drain performs the graceful shutdown handshake: new
 // mutating requests are rejected with 503, the sequencer flushes its parked
-// requests one gap at a time in ascending sequence order, everything
-// admitted is processed — the drain request queues behind all of it — the
+// requests one gap at a time in ascending sequence order, each applied in
+// its turn, and then — under the lock, behind everything admitted — the
 // machine is advanced to its horizon, and the final post-warm-up aggregates
 // — the exact fields an offline run reports — are computed once and
 // returned. Reads keep working on the frozen pool after the drain.
 //
 // # Federation (Fleet): leaf and node
 //
-// Fleet puts N Servers — one pool, policy and event loop each — behind a
+// Fleet puts N Servers — one pool, policy and sequencer each — behind a
 // single front-end with the same HTTP surface, which is how the serving
-// path uses more than one core: cells advance independently and only meet
-// at routing, stats rollup and drain. A Server answers a leaf and a Fleet a
+// path uses more than one core: cells apply concurrently and only meet at
+// routing, stats rollup and drain. A Server answers a leaf and a Fleet a
 // node of its cells' leaves, in one recursive payload type per endpoint:
 // Stats (node fields router, cells, retired_cells, cell_stats) and
 // DrainResponse (router, hosts, util_spread, cells — rolled up through
@@ -81,7 +81,7 @@
 //
 // FleetConfig embeds Config: a cell's config is a copy of the embedded one
 // with its own pool name, host count, policy and injectors (cellConfig), so
-// there is one config chain from the facade down to every event loop.
+// there is one config chain from the facade down to every cell.
 //
 // Everything a fleet does to its cells is an Op — place, exit, tick and the
 // seven /admin elasticity ops — and every Op takes one path:
@@ -98,15 +98,16 @@
 // a cell drain plans to no step at all.
 //
 // Online, Fleet.Do is the one executor. At an op's front-door turn it is
-// planned under the fleet mutex and every step is enqueued at its cell, in
-// plan order, before the turn passes — consumed even when the ledger
-// refused the op, so nothing ever parks behind a failure. Each cell
-// therefore receives its steps in global order and needs no numbering of
-// its own; only the answers are awaited after the turn, all at once, so a
-// tick's cells work in parallel (a MigrateIn alone waits, during the turn,
-// for the VM its MigrateOut hands over). Offline, RunScriptOffline is a plain loop over
-// the same plan, applying each step to a bare sim.Machine through applyTo,
-// the switch the cell event loop itself uses. The two arms share the ledger
+// planned under the fleet mutex and every step draws a ticket — its turn
+// number — from its cell's own sequencer, in plan order, before the turn
+// passes; the turn is consumed even when the ledger refused the op, so
+// nothing ever parks behind a failure. After the turn each step applies in
+// its ticket's turn, so each cell applies its steps in global order, and
+// the independent steps of a multi-cell op run concurrently, so a tick
+// costs its slowest cell (a MigrateIn alone waits for the VM its MigrateOut
+// hands over). Offline, RunScriptOffline is a plain loop over the same
+// plan, applying each step to a bare sim.Machine through applyTo, the
+// switch a cell applies in its turns. The two arms share the ledger
 // code, the expansion and the step semantics, so every cell observes online
 // exactly the event subsequence it is handed offline: the parity tests
 // assert byte-equal drain reports against RunScriptOffline. It is the one

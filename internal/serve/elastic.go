@@ -242,8 +242,8 @@ const (
 	// keeps the decremented weight — see topology for why.
 	OpRemoveHost
 	// OpDrainCell stops routing new placements to cell Cell. VMs already
-	// there keep running and exiting; steps already enqueued at the cell
-	// land normally — nothing is dropped. A pure ledger flip, like
+	// there keep running and exiting; steps already holding the cell's
+	// tickets land normally — nothing is dropped. A pure ledger flip, like
 	// OpRehydrateCell, which resumes routing: no cell-level step.
 	OpDrainCell
 	OpRehydrateCell
@@ -256,7 +256,7 @@ const (
 	// host count, every VM in Cell migrates over through the MigrateOut/
 	// MigrateIn seam (in ascending VM ID order), and Cell retires —
 	// unroutable, weight zero, clock frozen until the fleet drains. All the
-	// cell-level steps are enqueued during the merge's turn, so requests
+	// cell-level steps draw their tickets during the merge's turn, so requests
 	// racing the merge order deterministically around it; exits of migrated
 	// (and even capacity-failed) VMs route to Into afterwards.
 	OpMergeCells
@@ -342,13 +342,11 @@ func OpsFromTrace(tr *trace.Trace) []Op {
 // right before it hands over (see runSteps). Callers pass a one-element
 // buf so the one-step ops of the request stream plan without allocating a
 // steps slice.
-func (t *topology) plan(op *Op, buf []*request) (steps []*request, res OpResult, err error) {
+func (t *topology) plan(op *Op, buf []request) (steps []request, res OpResult, err error) {
 	steps = buf
 	step := func(kind reqKind, cell int) *request {
-		r := newRequest(kind)
-		r.cell, r.at = cell, op.At
-		steps = append(steps, r)
-		return r
+		steps = append(steps, request{kind: kind, cell: cell, at: op.At})
+		return &steps[len(steps)-1]
 	}
 	migrate := func(victims []cluster.VMID, from, into int) {
 		for _, id := range victims {
@@ -420,67 +418,82 @@ func (t *topology) plan(op *Op, buf []*request) (steps []*request, res OpResult,
 	return steps, res, err
 }
 
-// releaseAll returns the steps of an op whose every step was answered
-// without error to the pool.
-func releaseAll(steps []*request) {
-	for _, r := range steps {
-		r.release()
-	}
+// cellSet is what a plan's steps apply to: the online fleet's cell Servers,
+// each step in its cell ticket's turn, or the offline runner's bare
+// machines, in plan order. It is a value, not a func, so that applying a
+// step lets nothing escape and a one-step plan's buffer stays on its
+// caller's stack.
+type cellSet struct {
+	servers  []*Server
+	machines []*sim.Machine
 }
 
-// runSteps carries out a planned op: start hands each step to its cell in
-// plan order, started runs once all are started, finish collects the
-// answers in the same order, folded into res, and the step errors come back
-// joined. Online start and finish are a cell server's enqueue and await and
-// started passes the op's sequencer turn: every step sits in its cell's
-// queue before the turn passes and the first answer is awaited, so each
-// cell's stream arrives in order and the cells of a tick work in parallel.
-// Offline start and started do nothing and finish applies the step to a
-// bare machine. The one data dependency holds on both sides: a MigrateIn
-// starts only once the MigrateOut right before it has answered with the VM
-// to carry over.
+// apply applies one step to its cell.
+func (c cellSet) apply(r *request) response {
+	if c.servers != nil {
+		return c.servers[r.cell].submit(r)
+	}
+	return applyTo(c.machines[r.cell], r)
+}
+
+// runSteps carries out a planned op on cells and folds the answers into res
+// in plan order, joining the step errors. The one data dependency: a
+// MigrateIn places the VM its MigrateOut right before it handed over, so it
+// starts once every step before it has answered. Online the steps between
+// two MigrateIns run concurrently — each waits for its own ticket's turn —
+// so a tick costs its slowest cell, not the sum; offline every step applies
+// in plan order.
 //
-// Every step runs even after one failed, exactly as the offline script
-// runs it.
-func runSteps(kind OpKind, steps []*request, res *OpResult, start func(*request), started func(), finish func(*request) response) error {
+// Every step runs even after one failed, exactly as the offline script runs
+// it — and online it must: every cell ticket drawn must take its turn.
+func runSteps(kind OpKind, steps []request, res *OpResult, cells cellSet) error {
 	var errs []error
-	var vm *cluster.VM // what the last finished step handed over (MigrateOut only)
-	done := 0
-	collect := func(upto int) {
-		for ; done < upto; done++ {
-			r := steps[done]
-			resp := finish(r)
-			vm = resp.vm
-			switch r.kind {
-			case reqPlace:
-				res.Host, res.Placed = resp.host, resp.placed
-			case reqExit:
-				res.Removed = resp.removed
-			case reqTick:
-				if resp.now > res.Now {
-					res.Now = resp.now
-				}
-			}
-			if resp.err == nil {
-				continue
-			}
-			if len(steps) > 1 {
-				resp.err = fmt.Errorf("serve: %s: step %d of %d (cell %d): %w", kind, done+1, len(steps), r.cell, resp.err)
-			}
-			errs = append(errs, resp.err)
+	var vm *cluster.VM // what the last folded step handed over (MigrateOut only)
+	fold := func(i int, resp response) {
+		vm = resp.vm
+		switch steps[i].kind {
+		case reqPlace:
+			res.Host, res.Placed = resp.host, resp.placed
+		case reqExit:
+			res.Removed = resp.removed
+		case reqTick:
+			res.Now = max(res.Now, resp.now)
 		}
+		if resp.err == nil {
+			return
+		}
+		if len(steps) > 1 {
+			resp.err = fmt.Errorf("serve: %s: step %d of %d (cell %d): %w", kind, i+1, len(steps), steps[i].cell, resp.err)
+		}
+		errs = append(errs, resp.err)
 	}
-	for i, r := range steps {
-		if r.kind == reqMigrateIn {
+	for lo := 0; lo < len(steps); {
+		hi := lo + 1
+		for hi < len(steps) && steps[hi].kind != reqMigrateIn {
+			hi++
+		}
+		if steps[lo].kind == reqMigrateIn {
 			// A nil vm (the VM was not running — e.g. its placement failed
-			// for capacity) still dispatches, as a sequencing no-op.
-			collect(i)
-			r.vm = vm
+			// for capacity) still takes its turn, as a sequencing no-op.
+			steps[lo].vm = vm
 		}
-		start(r)
+		if cells.servers == nil || hi-lo == 1 {
+			for i := lo; i < hi; i++ {
+				fold(i, cells.apply(&steps[i]))
+			}
+		} else {
+			seg := append([]request(nil), steps[lo:hi]...) // the goroutines get a copy: steps must not escape
+			resps := make([]response, len(seg))
+			fanOut(len(seg), func(i int) error {
+				resps[i] = cells.apply(&seg[i])
+				return nil
+			})
+			for i, resp := range resps {
+				fold(lo+i, resp)
+			}
+		}
+		lo = hi
 	}
-	started()
-	collect(len(steps))
 	return errors.Join(errs...)
 }
 
@@ -555,7 +568,7 @@ func fleetTopology(cfg *FleetConfig, grow func(idx, hosts int) error) (*topology
 }
 
 // RunScriptOffline executes a script sequentially against bare per-cell
-// simulation machines — no event loops, no sequencer, no HTTP — and rolls
+// simulation machines — no sequencers, no HTTP — and rolls
 // the final results up. It is the ground truth the live Fleet is diffed
 // against: both run every op through topology.plan and every step through
 // applyTo, so a fleet replaying the script at any concurrency (op i under
@@ -578,14 +591,11 @@ func RunScriptOffline(cfg FleetConfig, ops []Op) (*cell.Rollup, error) {
 	if err != nil {
 		return nil, err
 	}
-	apply := func(r *request) response { return applyTo(machines[r.cell], r) }
 	for i := range ops {
 		op := &ops[i]
 		steps, res, err := topo.plan(op, nil)
 		if err == nil {
-			if err = runSteps(op.Kind, steps, &res, func(*request) {}, func() {}, apply); err == nil {
-				releaseAll(steps)
-			}
+			err = runSteps(op.Kind, steps, &res, cellSet{machines: machines})
 		}
 		// A front-door rejection is counted at the gate and invisible to
 		// routing; anything else ends the script.

@@ -29,10 +29,10 @@ import (
 //   - Horizon is the federation's, not a cell's: every cell measures to it
 //     (FromTrace sets the trace's common End()), because a cell's own last
 //     exit is something no front-end can know in advance.
-//   - Policy and Injectors are per event loop and come from the NewPolicy and
+//   - Policy and Injectors are per cell and come from the NewPolicy and
 //     NewInjectors factories; values set on the embedded Config are ignored.
 //   - TraceK/TraceCap arm one decision ring per cell (there is no useful
-//     global interleaving — cells are independent event loops), queryable via
+//     global interleaving — cells apply independently), queryable via
 //     /trace?cell=N or rolled up by /trace. TraceOut is ignored: per-cell
 //     streams would interleave nondeterministically in one writer.
 //   - SLO enables the fleet's front-door admission gate: every placement is
@@ -47,9 +47,10 @@ import (
 type FleetConfig struct {
 	Config
 
-	// Cells is the number of independent event loops (>= 1). Each owns its
-	// own pool and policy and runs on its own goroutine, so a fleet is
-	// parallel across cores in a way a single Server cannot be.
+	// Cells is the number of cells (>= 1). Each is a Server with its own
+	// pool, policy and turns; different cells apply concurrently, on the
+	// requests' goroutines, so a fleet is parallel across cores in a way a
+	// single Server cannot be.
 	Cells int
 
 	// Router picks how placements map to cells: "round-robin",
@@ -62,14 +63,14 @@ type FleetConfig struct {
 	Router string
 
 	// NewPolicy builds the policy instance for one cell. Policies carry
-	// mutable caches and must never be shared across event loops, hence a
-	// factory rather than a value.
+	// mutable caches and must never be shared across cells, hence a factory
+	// rather than a value.
 	NewPolicy func(cellIdx int) (scheduler.Policy, error)
 
 	// NewInjectors builds the injector set for one cell (e.g. a scenario
 	// spec's per-cell injectors). Like NewPolicy it is a factory, not a
 	// value: injectors carry per-cell RNG state and must never be shared
-	// across event loops. Cells created later by SplitCell call it with
+	// across cells. Cells created later by SplitCell call it with
 	// their new index. Nil means no injectors.
 	NewInjectors func(cellIdx int) []sim.Injector
 }
@@ -88,10 +89,11 @@ func FleetFromTrace(tr *trace.Trace) FleetConfig {
 //
 // Sequenced streams survive routing: the front door is the one sequencer a
 // single Server runs too. At its turn an op is planned under the routing
-// lock and every step is enqueued at its cell before the turn passes, so
-// each cell receives its slice of the stream already in order — while the
-// cells apply it in parallel, every cell sees exactly the event sequence
-// offline sharding would hand it.
+// lock and every step draws a ticket from its cell before the turn passes;
+// after it, each step applies in its ticket's turn. So each cell applies its
+// slice of the stream in front-door order — while the cells apply in
+// parallel, every cell sees exactly the event sequence offline sharding
+// would hand it.
 type Fleet struct {
 	cfg    FleetConfig
 	policy string     // policy name, for stats/drain payloads
@@ -103,12 +105,14 @@ type Fleet struct {
 	topo  *topology
 	cells []*Server
 
+	inflight sync.WaitGroup // ops past the front door whose steps still run
+
 	drain     sync.Once
 	finalRoll *cell.Rollup
 	finalErr  error
 }
 
-// NewFleet builds and starts a fleet: N cells, N event loops.
+// NewFleet builds a fleet of N cells. Like New it starts no goroutine.
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	f := &Fleet{cfg: cfg, order: newSequencer()}
 	var err error
@@ -120,7 +124,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	return f, nil
 }
 
-// addCellLocked builds and starts the Server of cell idx and appends it to
+// addCellLocked builds the Server of cell idx and appends it to
 // the cell set: the topology's grow hook, called for the original cells and,
 // under the fleet mutex, for every cell a split carves out.
 func (f *Fleet) addCellLocked(idx, hosts int) error {
@@ -154,16 +158,10 @@ func (f *Fleet) snapshotCells() (cells []*Server, retired []bool) {
 	return append([]*Server(nil), f.cells...), append([]bool(nil), f.topo.retired...)
 }
 
-// Close stops every cell's event loop and answers all parked waiters with
-// ErrClosed. Close does not drain; call Drain first for a graceful finish.
+// Close closes the front door and every cell: parked and later requests are
+// answered with ErrClosed, and Close returns once every cell's current apply
+// is done. Close does not drain; call Drain first for a graceful finish.
 func (f *Fleet) Close() {
-	// The loops stop before the sequencer is closed: a turn-holder blocked
-	// on a full cell queue holds the sequencer's lock until its cell halts.
-	f.mu.Lock()
-	for _, s := range f.cells {
-		s.halt()
-	}
-	f.mu.Unlock()
 	f.order.close()
 	// No turn runs anymore, so the cell set — which a split may have grown
 	// meanwhile — is final.
@@ -175,11 +173,11 @@ func (f *Fleet) Close() {
 // Do executes one fleet operation: the single online path of all ten op
 // kinds. At the op's front-door turn (seq > 0: its place in the fleet-wide
 // strictly ordered stream; seq 0: at once) Do plans it against the topology
-// ledger under the fleet mutex and enqueues every step at its cell, in plan
-// order, before the turn passes — so every cell sees exactly the event
-// sequence RunScriptOffline would hand it, and an admin op is just another
-// citizen of the stream. Only the answers are collected after the turn, all
-// at once (see runSteps: a fleet tick costs its slowest cell, not the sum).
+// ledger under the fleet mutex and draws every step a ticket from its cell,
+// in plan order, before the turn passes — so every cell sees exactly the
+// event sequence RunScriptOffline would hand it, and an admin op is just
+// another citizen of the stream. The steps then apply in their cells' turns
+// (see runSteps: a fleet tick costs its slowest cell, not the sum).
 //
 // The turn is consumed even when the ledger refuses the op (no routable
 // cell, a front-door rejection, a retired target): later sequence numbers
@@ -188,7 +186,7 @@ func (f *Fleet) Do(op Op, seq uint64) (OpResult, error) {
 	if err := f.order.enter(seq); err != nil {
 		return OpResult{}, err
 	}
-	var buf [1]*request
+	var buf [1]request
 	f.mu.Lock()
 	steps, res, err := f.topo.plan(&op, buf[:0])
 	cells := f.cells // cells only ever append: the prefix seen here is stable
@@ -197,15 +195,13 @@ func (f *Fleet) Do(op Op, seq uint64) (OpResult, error) {
 		f.order.leave(seq)
 		return res, err
 	}
-	err = runSteps(op.Kind, steps, &res, func(r *request) {
-		r.seq = seq
-		if err := cells[r.cell].enqueue(r); err != nil {
-			r.resp <- response{err: err}
-		}
-	}, func() { f.order.leave(seq) }, func(r *request) response { return cells[r.cell].await(r) })
-	if err == nil {
-		releaseAll(steps)
+	for i := range steps {
+		steps[i].seq = cells[steps[i].cell].order.ticket()
 	}
+	f.inflight.Add(1)
+	defer f.inflight.Done()
+	f.order.leave(seq)
+	err = runSteps(op.Kind, steps, &res, cellSet{servers: cells})
 	return res, err
 }
 
@@ -224,26 +220,28 @@ func (f *Fleet) ExitVM(id cluster.VMID, at time.Duration, seq uint64) (removed b
 }
 
 // Tick advances every live cell's virtual time to at and returns the
-// furthest time reached. A sequenced tick takes one fleet turn and is
-// enqueued at every live cell during it, so it orders correctly against the
+// furthest time reached. A sequenced tick takes one fleet turn and draws a
+// ticket from every live cell during it, so it orders correctly against the
 // sequenced placement stream in each of them.
 func (f *Fleet) Tick(at time.Duration, seq uint64) (now time.Duration, err error) {
 	res, err := f.Do(Op{Kind: OpTick, At: at}, seq)
 	return res.Now, err
 }
 
-// fanOut runs fn for cells 0..n-1 concurrently and returns the joined
-// errors (in cell order).
+// fanOut runs fn for cells 0..n-1 concurrently — cell 0 on the calling
+// goroutine — and returns the joined errors (in cell order).
 func fanOut(n int, fn func(c int) error) error {
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for c := 0; c < n; c++ {
-		c := c
+	for c := 1; c < n; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			errs[c] = fn(c)
 		}()
+	}
+	if n > 0 {
+		errs[0] = fn(0)
 	}
 	wg.Wait()
 	return errors.Join(errs...)
@@ -301,9 +299,8 @@ func (f *Fleet) Stats() (Stats, error) {
 		st.Exits += s.Exits
 		st.Failed += s.Failed
 		st.ModelCalls += s.ModelCalls
-		st.QueueDepth += s.QueueDepth
 	}
-	st.Pending = f.order.pending() // its cells park nothing
+	st.Pending = f.order.pending() // the front door's; the cell leaves carry their own
 	var gateCounts map[string]*slo.Counts
 	f.mu.Lock()
 	if f.topo.gate != nil {
@@ -323,9 +320,9 @@ func (f *Fleet) Stats() (Stats, error) {
 
 // Drain gracefully finishes the federation: new mutating work is rejected,
 // the front door is flushed — parked requests released strictly in
-// ascending sequence order, gaps notwithstanding, each enqueued at its cells
-// — and then every cell drains concurrently, its drain queued behind
-// everything admitted. The per-cell results roll up through cell.RollUp into
+// ascending sequence order, gaps notwithstanding, each drawing its cells'
+// tickets — and once every admitted op's steps have applied, every cell
+// drains concurrently. The per-cell results roll up through cell.RollUp into
 // the fleet-level report. Idempotent: later calls return the same rollup.
 func (f *Fleet) Drain() (*cell.Rollup, error) {
 	f.drain.Do(func() { f.finalRoll, f.finalErr = f.drainCells() })
@@ -334,9 +331,11 @@ func (f *Fleet) Drain() (*cell.Rollup, error) {
 
 // drainCells is Drain's one run. Once the front door is flushed no turn runs
 // anymore, so the cell set, the topology and the gate's counters are final
-// and are read without the fleet mutex.
+// and are read without the fleet mutex; once the admitted ops are done no
+// cell ticket is outstanding.
 func (f *Fleet) drainCells() (*cell.Rollup, error) {
 	f.order.flush()
+	f.inflight.Wait()
 	cells := f.cells
 	results := make([]*sim.Result, len(cells))
 	err := fanOut(len(cells), func(c int) error {

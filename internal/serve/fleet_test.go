@@ -381,6 +381,86 @@ func TestFleetTickDoesNotSerializeCells(t *testing.T) {
 	}
 }
 
+// TestFleetCellTurnsFollowFrontDoor holds cell 0 inside a placement while a
+// rebalance (seq 6) moves VM 1 from cell 0 to cell 1 and a placement (seq 7)
+// follows it into cell 1. The rebalance's MigrateIn must wait for its
+// MigrateOut, which waits behind the held cell; the later placement must
+// wait for the MigrateIn, because cell 1 numbers its turns in front-door
+// order. Had the cell turns been drawn after the front door passed, the
+// placement would take cell 1's next turn at once and land on the host the
+// migrating VM is owed.
+func TestFleetCellTurnsFollowFrontDoor(t *testing.T) {
+	shape := resources.Vector{CPUMilli: 1000, MemoryMB: 1000}
+	held := make(chan struct{})
+	release := sync.OnceFunc(func() { close(held) })
+	defer release()
+	entered := make(chan struct{})
+	f, err := NewFleet(FleetConfig{
+		Config: Config{PoolName: "turns", Hosts: 8, HostShape: shape},
+		Cells:  2, Router: "round-robin",
+		NewPolicy: func(c int) (scheduler.Policy, error) {
+			if c == 0 {
+				return &stallPolicy{Policy: scheduler.NewBestFit(), entered: entered, release: held}, nil
+			}
+			return scheduler.NewBestFit(), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	place := func(id int, seq uint64) (cluster.HostID, error) {
+		h, placed, err := f.Place(trace.Record{ID: cluster.VMID(id), Lifetime: time.Hour, Shape: shape}, 0, seq)
+		if err == nil && !placed {
+			err = errors.New("not placed")
+		}
+		return h, err
+	}
+	// Round-robin: VMs 2 and 4 land in cell 0, VMs 3 and 5 in cell 1; VM 1,
+	// the fifth placement, is held inside cell 0's Schedule.
+	for seq := uint64(1); seq <= 4; seq++ {
+		if _, err := place(int(seq)+1, seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan error, 3)
+	go func() {
+		_, err := place(1, 5)
+		done <- err
+	}()
+	<-entered
+	go func() { // cell 0 commits the most CPU: VM 1, its lowest ID, moves to cell 1
+		res, err := f.Do(Op{Kind: OpRebalance, N: 1}, 6)
+		if err == nil && res.Moves != 1 {
+			err = errors.New("rebalance moved nothing")
+		}
+		done <- err
+	}()
+	host := make(chan cluster.HostID, 1)
+	go func() {
+		h, err := place(6, 7)
+		host <- h
+		done <- err
+	}()
+	// Correct turns park VM 6 at cell 1 behind the MigrateIn; turns drawn late
+	// let it through.
+	for deadline := time.Now().Add(5 * time.Second); f.cells[1].order.pending() == 0 && len(host) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("VM 6 neither parked at cell 1 nor placed")
+		}
+	}
+	release()
+	for i := 0; i < 3; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Cell 1 holds VMs 3 and 5 on hosts 0 and 1, migrated VM 1 on host 2.
+	if h := <-host; h != 3 {
+		t.Fatalf("VM 6 on cell 1's host %d, want 3: it took its cell turn before the earlier rebalance's MigrateIn", h)
+	}
+}
+
 // TestFleetDrainFlushesSequencerGaps parks sequenced requests behind
 // missing predecessors at the fleet's front door, drains, and requires the
 // parked work applied in ascending sequence order before the per-cell drains

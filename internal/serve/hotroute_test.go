@@ -39,9 +39,11 @@ func hotRecord(id int) trace.Record {
 
 // TestHotRouteAllocBudgets pins the allocations of one /place and one /exit
 // on our side of net/http: the client through a transport that answers from
-// memory, the server's typed methods through its event loop. Each ceiling is
-// the count measured when the route plumbing was made per Base and the
-// loop's requests pooled, plus one.
+// memory, the server's typed methods applied in their sequencer turns. Each
+// client ceiling is the count measured when the route plumbing was made per
+// Base, plus one; each server ceiling the count measured once requests
+// became stack values applied in their turns (Place 1: the VM object;
+// ExitVM 0), plus one.
 func TestHotRouteAllocBudgets(t *testing.T) {
 	ctx := context.Background()
 	client := func(body string) *Client {
@@ -91,9 +93,9 @@ func TestHotRouteAllocBudgets(t *testing.T) {
 }
 
 // BenchmarkServerPlace is the row of the typed request surface: one
-// Server.Place and the ExitVM that keeps the pool steady, each through the
-// sequencer and the event loop. BenchmarkPlaceHandler's backend answers at
-// once, so only this row sees what the loop's requests cost.
+// Server.Place and the ExitVM that keeps the pool steady, each applied in
+// its sequencer turn. BenchmarkPlaceHandler's backend answers at once, so
+// only this row sees what a turn costs.
 func BenchmarkServerPlace(b *testing.B) {
 	srv := hotServer(b)
 	b.ReportAllocs()

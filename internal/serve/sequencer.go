@@ -9,16 +9,16 @@ import (
 // its client stream, a Fleet one as its global front door. Every mutating
 // entry takes a turn — seq > 0 the turn of that sequence number, which
 // starts once every lower one has left; seq 0 an unsequenced turn at once —
-// and holds the sequencer's lock for it. The turn-holder enqueues its
-// requests (a fleet: every step of the op's plan, in plan order) before it
-// leaves, so each event loop receives its sequenced requests already in
-// order and applies them in arrival order; no loop buffers, numbers or
-// reorders anything.
+// and holds the sequencer's lock for it. A Server applies the request to its
+// machine during the turn, on the caller's goroutine, so turn order is apply
+// order and nothing buffers, queues or reorders anything. A Fleet's front
+// door plans the op during its turn and draws one ticket per step from the
+// step's cell: a cell numbers its turns by tickets, not by client sequence
+// numbers, so each cell applies its steps in front-door order while the
+// cells work in parallel.
 //
-// Holding the lock across those channel sends is what makes queue order
-// sequence order. A send can block on a full queue, but every send selects
-// on its loop's stop channel, and Close stops the loops before it takes
-// this lock.
+// Reads and the drain's Finish take the lock without a turn (lock); Close
+// takes it too, so it returns once the turn-holder has left.
 type sequencer struct {
 	// draining is set when a drain starts: new mutating work is refused
 	// before it takes the lock.
@@ -30,6 +30,8 @@ type sequencer struct {
 	parked  map[uint64]struct{} // sequence numbers waiting for their turn
 	closed  bool
 	flushed bool // a drain flushed the sequencer: nothing may enter anymore
+
+	tickets atomic.Uint64 // the last ticket drawn (a fleet cell's turns)
 }
 
 func newSequencer() *sequencer {
@@ -52,8 +54,9 @@ func (q *sequencer) enter(seq uint64) error {
 	return nil
 }
 
-// leave ends the turn of seq. A sequenced turn moves the cursor on even when
-// its request failed, so later sequence numbers never park behind it.
+// leave ends the turn of seq, or with seq 0 an unsequenced turn or a lock. A
+// sequenced turn moves the cursor on even when its request failed, so later
+// sequence numbers never park behind it.
 func (q *sequencer) leave(seq uint64) {
 	if seq > 0 {
 		q.next++
@@ -96,8 +99,8 @@ func (q *sequencer) enterLocked(seq uint64) error {
 // flush starts a drain: new work is refused, and the parked requests are
 // released one gap at a time in ascending sequence order — the cursor jumps
 // to the lowest parked number, its turn runs, repeat — until none is left.
-// Every request admitted before flush returns has been enqueued at its loop,
-// so a drain request enqueued after it is behind all of them. Idempotent.
+// Every request admitted before flush returns has taken and left its turn,
+// so a Finish under the lock after it comes behind all of them. Idempotent.
 func (q *sequencer) flush() {
 	q.draining.Store(true)
 	q.mu.Lock()
@@ -116,14 +119,39 @@ func (q *sequencer) flush() {
 	q.flushed = true
 }
 
-// close answers every parked and later entry with ErrClosed. Callers stop
-// their event loops first: a turn-holder blocked on a full queue holds the
-// lock, and only a closed loop lets it go.
+// ticket draws the next sequence number of a stream whose numbers the
+// caller hands out: a fleet draws a cell's during the op's front-door turn,
+// so the cell's turns follow front-door order. Every ticket drawn must enter
+// and leave, or the cell's later turns park behind it forever.
+func (q *sequencer) ticket() uint64 { return q.tickets.Add(1) }
+
+// lock takes the sequencer's lock without a turn, for the reads and the
+// drain's Finish: they must not interleave with an apply but take no
+// sequence number, and work on after a drain. It answers ErrClosed once
+// closed; on nil the caller must leave(0).
+func (q *sequencer) lock() error {
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
+		return ErrClosed
+	}
+	return nil
+}
+
+// close answers every parked and later entry with ErrClosed. It takes the
+// lock, so it returns once the current turn-holder has left.
 func (q *sequencer) close() {
 	q.mu.Lock()
+	q.closeLocked()
+	q.mu.Unlock()
+}
+
+// closeLocked is close for a caller holding the lock: a turn-holder whose
+// apply panicked closes its sequencer before it lets the lock go, so no later
+// turn touches a machine left mid-update.
+func (q *sequencer) closeLocked() {
 	q.closed = true
 	q.cond.Broadcast()
-	q.mu.Unlock()
 }
 
 // pending reports the number of parked requests.

@@ -2,8 +2,14 @@ package serve
 
 import (
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,7 +17,6 @@ import (
 	"lava/internal/cluster"
 	"lava/internal/resources"
 	"lava/internal/scheduler"
-	"lava/internal/sim"
 	"lava/internal/slo"
 	"lava/internal/trace"
 )
@@ -289,125 +294,213 @@ func TestFleetUnsequencedAfterDrainRejected(t *testing.T) {
 	}
 }
 
-// TestCloseWithTurnHolderBlocked is the deadlock trap: with one-slot queues
-// and the event loop (a fleet: cell 0's) held inside an injector, a
-// sequenced request takes its turn and blocks enqueueing while it holds the
-// sequencer's lock, and more wait behind it. Close must stop the loops
-// before it takes that lock, so every waiter is answered ErrClosed while
-// the loop is still held, and Close returns once the loop lets go.
-func TestCloseWithTurnHolderBlocked(t *testing.T) {
+// stallPolicy is best-fit that holds the apply of VM 1 inside Schedule until
+// release is closed, with its cell's lock held.
+type stallPolicy struct {
+	scheduler.Policy
+	entered, release chan struct{}
+}
+
+func (p *stallPolicy) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Duration) (*cluster.Host, error) {
+	if vm.ID == 1 {
+		close(p.entered)
+		<-p.release
+	}
+	return p.Policy.Schedule(pool, vm, now)
+}
+
+func newStallPolicy() *stallPolicy {
+	return &stallPolicy{Policy: scheduler.NewBestFit(), entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+// waitGoroutines polls until at most n goroutines run.
+func waitGoroutines(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want at most the %d before the test", runtime.NumGoroutine(), n)
+		}
+	}
+}
+
+// TestNoGoroutines pins that a Server and a 4-cell Fleet run on their
+// callers' goroutines: building them starts none.
+func TestNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s, err := New(Config{PoolName: "idle", Hosts: 4, HostShape: wholeHost, Policy: scheduler.NewBestFit()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	f := bestFitFleet(t, 8, 4, "round-robin", wholeHost)
+	defer f.Close()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("New and NewFleet started %d goroutines", after-before)
+	}
+}
+
+// TestCloseWhileApplying holds an apply inside the policy (a fleet: cell 0's)
+// with a sequenced request parked behind it. Close must wait for that apply
+// and no longer: the held request completes, the parked one and every later
+// request are answered ErrClosed, and no goroutine is left behind.
+func TestCloseWhileApplying(t *testing.T) {
 	for _, fleet := range []bool{false, true} {
-		name := map[bool]string{false: "server", true: "fleet"}[fleet]
-		t.Run(name, func(t *testing.T) {
-			held, entered := make(chan struct{}), make(chan struct{}, 1)
-			release := sync.OnceFunc(func() { close(held) })
-			defer release()
-			hold := injectFunc(func(time.Duration) {
-				select {
-				case entered <- struct{}{}:
-				default:
-				}
-				<-held
-			})
-			cfg := Config{PoolName: "trap", Hosts: 8, HostShape: wholeHost, QueueDepth: 1}
+		t.Run(map[bool]string{false: "server", true: "fleet"}[fleet], func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			pol := newStallPolicy()
 			var (
-				b     placer
-				order *sequencer
-				queue chan *request // the held loop's
-				stop  func()
+				b      placer
+				order  *sequencer // where seq 3 parks
+				stop   func()
+				stats  func() error
+				placed = make(chan error, 1)
+				parked = make(chan error, 1)
 			)
 			if fleet {
-				f, err := NewFleet(FleetConfig{Config: cfg, Cells: 2, Router: "round-robin",
-					NewPolicy: func(int) (scheduler.Policy, error) { return scheduler.NewBestFit(), nil },
-					NewInjectors: func(c int) []sim.Injector {
+				f, err := NewFleet(FleetConfig{Config: Config{PoolName: "close", Hosts: 8, HostShape: wholeHost},
+					Cells: 2, Router: "round-robin",
+					NewPolicy: func(c int) (scheduler.Policy, error) {
 						if c == 0 {
-							return []sim.Injector{hold}
+							return pol, nil
 						}
-						return nil
+						return scheduler.NewBestFit(), nil
 					}})
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Every placement routes to the held cell.
-				if _, err := f.Do(Op{Kind: OpDrainCell, Cell: 1}, 0); err != nil {
-					t.Fatal(err)
-				}
-				b, order, queue, stop = f, f.order, f.cells[0].reqs, f.Close
+				b, order, stop = f, f.order, f.Close
+				stats = func() error { _, err := f.Stats(); return err }
 			} else {
-				cfg.Policy, cfg.Injectors = scheduler.NewBestFit(), []sim.Injector{hold}
-				s, err := New(cfg)
+				s, err := New(Config{PoolName: "close", Hosts: 8, HostShape: wholeHost, Policy: pol})
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, order, queue, stop = s, s.order, s.reqs, s.Close
+				b, order, stop = s, s.order, s.Close
+				stats = func() error { _, err := s.Stats(); return err }
 			}
-
-			errs := make(chan error, 5)
-			go func() { // seq 1: the loop takes the tick and is held inside it
-				_, err := b.Tick(10*time.Minute, 1)
-				errs <- err
+			go func() { // seq 3 parks behind the missing seq 2
+				_, err := placeSeq(b, 3)
+				parked <- err
 			}()
-			select {
-			case <-entered:
-			case <-time.After(5 * time.Second):
-				t.Fatal("the loop never reached the injector")
-			}
-			place := func(seq uint64) {
-				go func() {
-					_, err := placeSeq(b, seq)
-					errs <- err
-				}()
-			}
-			// until polls cond under the sequencer's lock, or reports false
-			// while someone holds it.
-			until := func(what string, cond func() bool) {
-				t.Helper()
-				for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-					if order.mu.TryLock() {
-						ok := cond()
-						order.mu.Unlock()
-						if ok {
-							return
-						}
-					}
-					if time.Now().After(deadline) {
-						t.Fatal(what)
-					}
-				}
-			}
-			place(2) // fills the one-slot queue and leaves its turn
-			until("seq 2 never left its turn", func() bool { return len(queue) == 1 && order.next == 3 })
-			place(3) // takes its turn and blocks on the full queue, holding the lock
-			for deadline := time.Now().Add(5 * time.Second); order.mu.TryLock(); time.Sleep(time.Millisecond) {
-				order.mu.Unlock()
-				if time.Now().After(deadline) {
-					t.Fatal("seq 3 never took its turn")
-				}
-			}
-			place(4)
-			place(0)
+			waitParked(t, order, 1)
+			go func() { // seq 1 (VM 1; a fleet routes it to cell 0) is held inside its apply
+				_, _, err := b.Place(trace.Record{ID: 1, Lifetime: time.Hour, Shape: wholeHost}, 0, 1)
+				placed <- err
+			}()
+			<-pol.entered
 
 			closed := make(chan struct{})
 			go func() {
 				stop()
 				close(closed)
 			}()
-			for i := 0; i < cap(errs); i++ {
-				select {
-				case err := <-errs:
-					if !errors.Is(err, ErrClosed) {
-						t.Fatalf("waiter answered %v, want ErrClosed", err)
-					}
-				case <-time.After(5 * time.Second):
-					t.Fatalf("Close answered %d of %d waiters: it waits on the turn-holder's lock", i, cap(errs))
-				}
+			select {
+			case <-closed:
+				t.Fatal("Close returned while an apply held the machine")
+			case <-time.After(50 * time.Millisecond):
 			}
-			release()
+			close(pol.release)
 			select {
 			case <-closed:
 			case <-time.After(5 * time.Second):
-				t.Fatal("Close did not return after the loop let go")
+				t.Fatal("Close did not return after the apply finished")
 			}
+			if err := <-placed; err != nil {
+				t.Fatalf("the held apply: %v, want it completed", err)
+			}
+			if err := <-parked; !errors.Is(err, ErrClosed) {
+				t.Fatalf("parked seq 3: %v, want ErrClosed", err)
+			}
+			for _, q := range []uint64{0, 2} {
+				if _, err := placeSeq(b, q); !errors.Is(err, ErrClosed) {
+					t.Fatalf("seq %d after Close: %v, want ErrClosed", q, err)
+				}
+			}
+			if err := stats(); !errors.Is(err, ErrClosed) {
+				t.Fatalf("stats after Close: %v, want ErrClosed", err)
+			}
+			waitGoroutines(t, baseline)
 		})
 	}
+}
+
+// panicPolicy is best-fit whose Schedule panics for VM 13.
+type panicPolicy struct{ scheduler.Policy }
+
+func (p panicPolicy) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Duration) (*cluster.Host, error) {
+	if vm.ID == 13 {
+		panic("scorer bug")
+	}
+	return p.Policy.Schedule(pool, vm, now)
+}
+
+// TestPanickingApplyClosesItsServer drives a panicking scorer over HTTP. The
+// panicking request is answered 500, its server (a fleet: only the cell it
+// was routed to) closes with its lock released, and every request parked
+// at it or sent to it later is answered 503 — while a fleet's other cell
+// keeps placing.
+func TestPanickingApplyClosesItsServer(t *testing.T) {
+	// post places VM id under seq and returns the status (0: no answer).
+	post := func(t *testing.T, url string, seq, id int) int {
+		body := fmt.Sprintf(`{"seq":%d,"record":{"id":%d,"lifetime_ns":3600000000000,"shape":{"CPUMilli":1000,"MemoryMB":1000}}}`, seq, id)
+		resp, err := http.Post(url+"/place", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	expect := func(t *testing.T, what string, got, want int) {
+		t.Helper()
+		if got != want {
+			t.Fatalf("%s: HTTP %d, want %d", what, got, want)
+		}
+	}
+
+	t.Run("server", func(t *testing.T) {
+		s, err := New(Config{PoolName: "panic", Hosts: 4, HostShape: wholeHost, Policy: panicPolicy{scheduler.NewBestFit()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		hs := httptest.NewServer(s.Handler())
+		defer hs.Close()
+		expect(t, "seq 1", post(t, hs.URL, 1, 1), 200)
+		parked := make(chan int, 1)
+		go func() { parked <- post(t, hs.URL, 4, 4) }()
+		waitParked(t, s.order, 1)
+		expect(t, "seq 2, the panicking VM", post(t, hs.URL, 2, 13), 500)
+		expect(t, "parked seq 4", <-parked, 503)
+		expect(t, "seq 3 after the panic", post(t, hs.URL, 3, 3), 503)
+		resp, err := http.Get(hs.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		expect(t, "stats after the panic", resp.StatusCode, 503)
+	})
+
+	t.Run("fleet", func(t *testing.T) {
+		f, err := NewFleet(FleetConfig{Config: Config{PoolName: "panic", Hosts: 8, HostShape: wholeHost},
+			Cells: 2, Router: "round-robin",
+			NewPolicy: func(int) (scheduler.Policy, error) { return panicPolicy{scheduler.NewBestFit()}, nil }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		hs := httptest.NewServer(f.Handler())
+		defer hs.Close()
+		// Round-robin: odd sequence numbers land in cell 0, even in cell 1.
+		expect(t, "seq 1 in cell 0", post(t, hs.URL, 1, 1), 200)
+		expect(t, "seq 2, the panicking VM in cell 1", post(t, hs.URL, 2, 13), 500)
+		for seq := 3; seq <= 6; seq++ {
+			want := map[bool]int{true: 200, false: 503}[seq%2 == 1]
+			expect(t, fmt.Sprintf("seq %d after the panic", seq), post(t, hs.URL, seq, seq), want)
+		}
+		if !f.cells[1].order.closed || f.cells[0].order.closed {
+			t.Fatal("the panic closed the wrong cells")
+		}
+	})
 }

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"lava/internal/cluster"
@@ -57,10 +55,6 @@ type Config struct {
 	// Injectors run on every virtual tick, as in sim.Config.
 	Injectors []sim.Injector
 
-	// QueueDepth bounds the admission queue (default 256). Enqueueing
-	// blocks when the queue is full — backpressure, not load shedding.
-	QueueDepth int
-
 	// Memo changes no decision and costs no memory; a config that sets it
 	// gets a memo block in /stats (see MemoStats).
 	//
@@ -108,7 +102,7 @@ func FromTrace(tr *trace.Trace) Config {
 	}
 }
 
-// reqKind enumerates loop operations.
+// reqKind enumerates the mutating requests a machine applies.
 type reqKind uint8
 
 const (
@@ -119,27 +113,23 @@ const (
 	reqRemoveHost
 	reqMigrateOut
 	reqMigrateIn
-	reqSnapshot
-	reqStats
-	reqDrain
 )
 
-// request is one admission-queue entry, and — with cell set — one step of a
-// fleet operation's plan (see topology.plan).
+// request is one mutating request, and — with cell set — one step of a fleet
+// operation's plan (see topology.plan).
 type request struct {
 	kind reqKind
 	cell int            // fleet steps: the cell this request is for
-	seq  uint64         // >0: position in the strictly ordered client stream
+	seq  uint64         // >0: its turn (a client's sequence number, a fleet step's cell ticket)
 	at   time.Duration  // virtual time of the event
 	rec  trace.Record   // reqPlace
 	id   cluster.VMID   // reqExit, reqMigrateOut
 	n    int            // reqAddHosts
 	hid  cluster.HostID // reqRemoveHost
 	vm   *cluster.VM    // reqMigrateIn (nil: sequencing no-op)
-	resp chan response  // buffered(1): the loop never blocks responding
 }
 
-// response carries the outcome back to the waiting handler.
+// response is the outcome of one applied request.
 type response struct {
 	err     error
 	host    cluster.HostID // reqPlace, reqMigrateIn
@@ -147,9 +137,6 @@ type response struct {
 	removed bool           // reqExit
 	vm      *cluster.VM    // reqMigrateOut (nil: VM was not running)
 	now     time.Duration  // reqTick
-	sample  metrics.Sample // reqSnapshot
-	stats   *Stats         // reqStats (a pointer: every request's response channel is sized by this struct)
-	final   *sim.Result    // reqDrain
 }
 
 // Stats is the /stats payload, one recursive type for both shapes of the
@@ -170,10 +157,10 @@ type Stats struct {
 	Exits      int                  `json:"exits"`
 	Failed     int                  `json:"failed"`
 	ModelCalls int64                `json:"model_calls,omitempty"`
-	QueueDepth int                  `json:"queue_depth"`
-	Pending    int                  `json:"pending_seq"` // requests parked at the sequencer (a node's front door: its cells park none)
+	QueueDepth int                  `json:"queue_depth"` // Deprecated: there is no admission queue; reads 0
+	Pending    int                  `json:"pending_seq"` // requests parked at the sequencer (a cell: steps waiting for their ticket's turn)
 	Draining   bool                 `json:"draining"`
-	Latency    *runner.ServingStats `json:"latency,omitempty"` // loop-side; leaves only
+	Latency    *runner.ServingStats `json:"latency,omitempty"` // apply-side; leaves only
 	Memo       *MemoStats           `json:"memo,omitempty"`    // Deprecated: see MemoStats
 
 	// SLO is the live per-class admission block (counts + Jain fairness);
@@ -212,21 +199,18 @@ func (cfg *Config) memoStats() *MemoStats {
 	return &MemoStats{Misses: cfg.Memo.calls.Load()}
 }
 
-// Server is the online placement service: one event loop, one pool, one
-// policy. Create with New; drive over HTTP via Handler or in-process via
-// the typed methods the handlers use.
+// Server is the online placement service: one pool, one policy, one
+// sequencer. Each mutating request is applied to the machine on the caller's
+// goroutine while it holds its sequencer turn, so turn order is apply order;
+// reads take the same lock without a turn. Create with New; drive over HTTP
+// via Handler or in-process via the typed methods the handlers use.
 type Server struct {
 	cfg    Config
-	m      *sim.Machine
+	m      *sim.Machine     // touched only under order's lock
 	tracer *ptrace.Recorder // nil: tracing disabled
+	order  *sequencer       // the client stream's (a fleet cell's: its tickets)
 
-	order    *sequencer // the client stream's
-	reqs     chan *request
-	stop     chan struct{} // closed by Close
-	loopDone chan struct{}
-	closed   atomic.Bool
-
-	// lat records per-request processing latency (loop-side). Client-side
+	// lat records per-request apply latency, under order's lock. Client-side
 	// round-trip latency is the load generator's to measure.
 	lat     runner.LatencyHist
 	started time.Time
@@ -234,8 +218,8 @@ type Server struct {
 
 // newMachine validates cfg, fills its defaults and builds the engine it
 // describes: a sim.Machine over a header-only trace carrying the geometry,
-// plus the decision recorder when tracing is on. New wraps the machine in an
-// event loop and RunScriptOffline drives it bare, so the two arms of the
+// plus the decision recorder when tracing is on. New wraps the machine in a
+// sequencer and RunScriptOffline drives it bare, so the two arms of the
 // parity harness cannot be set up differently.
 func newMachine(cfg *Config) (*sim.Machine, *ptrace.Recorder, error) {
 	if cfg.Hosts <= 0 {
@@ -289,121 +273,64 @@ func newMachine(cfg *Config) (*sim.Machine, *ptrace.Recorder, error) {
 	return m, tracer, err
 }
 
-// New builds and starts a server. The event loop runs until Close.
+// New builds a server. It starts no goroutine: every request runs on its
+// caller's.
 func New(cfg Config) (*Server, error) {
 	m, tracer, err := newMachine(&cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 256
-	}
-	s := &Server{
-		cfg:      cfg,
-		m:        m,
-		tracer:   tracer,
-		order:    newSequencer(),
-		reqs:     make(chan *request, cfg.QueueDepth),
-		stop:     make(chan struct{}),
-		loopDone: make(chan struct{}),
-		started:  time.Now(),
-	}
-	go s.loop()
-	return s, nil
+	return &Server{cfg: cfg, m: m, tracer: tracer, order: newSequencer(), started: time.Now()}, nil
 }
 
-// Close stops the event loop. Pending requests are answered with ErrClosed.
+// Close refuses all later work: parked and later requests are answered with
+// ErrClosed. It returns once the request applying now (if any) is done.
 // Close does not drain; call Drain first for a graceful shutdown.
-func (s *Server) Close() {
-	s.halt()
-	s.order.close()
-	<-s.loopDone
-}
+func (s *Server) Close() { s.order.close() }
 
-// halt stops the event loop without waiting for it. It takes no lock: a
-// turn-holder blocked on the full queue holds the sequencer's, and is let go
-// by the closed stop channel.
-func (s *Server) halt() {
-	if s.closed.CompareAndSwap(false, true) {
-		close(s.stop)
+// submit applies one mutating request to the machine during its sequencer
+// turn, on the caller's goroutine.
+func (s *Server) submit(r *request) (resp response) {
+	if resp.err = s.order.enter(r.seq); resp.err != nil {
+		return resp
 	}
-}
-
-// submit enqueues a request, waits for the loop's response and, when that
-// is error-free, returns r to the pool. A mutating request is enqueued
-// during its sequencer turn, so the loop receives the sequenced stream in
-// order.
-func (s *Server) submit(r *request) response {
-	var err error
-	if !mutating(r.kind) {
-		err = s.enqueue(r)
-	} else if err = s.order.enter(r.seq); err == nil {
-		err = s.enqueue(r)
-		s.order.leave(r.seq)
+	defer s.leave(r.seq, &resp.err)
+	start := time.Now()
+	resp = applyTo(s.m, r)
+	cls := "" // placements split the histogram by class when the SLO layer is on
+	if s.cfg.SLO != nil && r.kind == reqPlace {
+		cls, _ = slo.ParseClass(r.rec.Class)
 	}
-	if err != nil {
-		return response{err: err}
-	}
-	resp := s.await(r)
-	if resp.err == nil {
-		r.release()
+	if cls != "" {
+		s.lat.RecordClass(cls, time.Since(start))
+	} else {
+		s.lat.Record(time.Since(start))
 	}
 	return resp
 }
 
-// enqueue hands r to the event loop without waiting for the answer; a nil
-// return obliges the caller to await it. The fleet executor enqueues a whole
-// plan's independent steps before it awaits the first, so the cells work in
-// parallel.
-func (s *Server) enqueue(r *request) error {
-	select {
-	case s.reqs <- r:
-		return nil
-	case <-s.stop:
-		return ErrClosed
+// locked runs fn under the sequencer's lock without a turn: the reads and
+// the drain's Finish.
+func (s *Server) locked(fn func()) (err error) {
+	if err = s.order.lock(); err != nil {
+		return err
 	}
+	defer s.leave(0, &err)
+	fn()
+	return nil
 }
 
-// await blocks for the loop's response to an enqueued request.
-func (s *Server) await(r *request) response {
-	select {
-	case resp := <-r.resp:
-		return resp
-	case <-s.stop:
-		return response{err: ErrClosed}
+// leave ends the turn of seq (0: an unsequenced turn or a lock). Deferred by
+// every holder, it also catches the holder's panic: the server closes before
+// the lock is let go, so no later turn touches a machine left mid-update and
+// parked and later requests get ErrClosed, and the panic becomes the
+// holder's error. In a fleet only that cell closes.
+func (s *Server) leave(seq uint64, err *error) {
+	if p := recover(); p != nil {
+		s.order.closeLocked()
+		*err = fmt.Errorf("serve: %s: apply panicked: %v", s.cfg.PoolName, p)
 	}
-}
-
-// mutating reports whether a request kind changes pool or time state.
-// Admin (elasticity) ops count: they advance virtual time and are rejected
-// once the server drains, exactly like placements.
-func mutating(k reqKind) bool {
-	switch k {
-	case reqPlace, reqExit, reqTick, reqAddHosts, reqRemoveHost, reqMigrateOut, reqMigrateIn:
-		return true
-	default:
-		return false
-	}
-}
-
-// reqPool holds request values with their response channels, so the hot
-// routes allocate neither per request.
-var reqPool = sync.Pool{New: func() any { return &request{resp: make(chan response, 1)} }}
-
-// newRequest takes a request, with its response channel, from the pool.
-func newRequest(kind reqKind) *request {
-	r := reqPool.Get().(*request)
-	r.kind = kind
-	return r
-}
-
-// release returns r to the pool. Callers release only a request whose
-// answer they received without error: then no loop holds r any longer and
-// its channel is empty. A failed request is left to the collector, since a
-// loop stopped mid-turn may still answer it.
-func (r *request) release() {
-	*r = request{resp: r.resp}
-	reqPool.Put(r)
+	s.order.leave(seq)
 }
 
 // Place schedules one VM at virtual time at (clamped forward to the
@@ -411,109 +338,56 @@ func (r *request) release() {
 // ordered client stream. The returned host is nil when no feasible host
 // exists — a failed placement, not an error.
 func (s *Server) Place(rec trace.Record, at time.Duration, seq uint64) (host cluster.HostID, placed bool, err error) {
-	r := newRequest(reqPlace)
-	r.rec, r.at, r.seq = rec, at, seq
-	resp := s.submit(r)
+	resp := s.submit(&request{kind: reqPlace, rec: rec, at: at, seq: seq})
 	return resp.host, resp.placed, resp.err
 }
 
 // ExitVM removes a VM at virtual time at. removed is false for VMs the
 // server never placed (e.g. their placement failed for capacity).
 func (s *Server) ExitVM(id cluster.VMID, at time.Duration, seq uint64) (removed bool, err error) {
-	r := newRequest(reqExit)
-	r.id, r.at, r.seq = id, at, seq
-	resp := s.submit(r)
+	resp := s.submit(&request{kind: reqExit, id: id, at: at, seq: seq})
 	return resp.removed, resp.err
 }
 
 // Tick advances virtual time to at, firing due samples and policy ticks.
 func (s *Server) Tick(at time.Duration, seq uint64) (now time.Duration, err error) {
-	r := newRequest(reqTick)
-	r.at, r.seq = at, seq
-	resp := s.submit(r)
+	resp := s.submit(&request{kind: reqTick, at: at, seq: seq})
 	return resp.now, resp.err
 }
 
 // Snapshot measures the pool at the current virtual time without advancing
 // it.
-func (s *Server) Snapshot() (metrics.Sample, error) {
-	resp := s.submit(newRequest(reqSnapshot))
-	return resp.sample, resp.err
+func (s *Server) Snapshot() (sample metrics.Sample, err error) {
+	err = s.locked(func() { sample = metrics.Snapshot(s.m.Pool(), s.m.Now()) })
+	return sample, err
 }
 
 // Stats reports serving counters.
-func (s *Server) Stats() (Stats, error) {
-	resp := s.submit(newRequest(reqStats))
-	if resp.err != nil {
-		return Stats{}, resp.err
-	}
-	// Read here, not on the loop: a turn-holder blocked on the full queue
-	// holds the sequencer's lock until the loop takes its request.
-	resp.stats.Pending = s.order.pending()
-	return *resp.stats, nil
+func (s *Server) Stats() (st Stats, err error) {
+	err = s.locked(func() { st = s.statsNow() })
+	return st, err
 }
 
 // Tracer returns the server's decision recorder, nil when tracing is
 // disabled (Config.TraceK == 0). The recorder is internally synchronized:
-// queries are safe while the event loop records.
+// queries are safe while a request records.
 func (s *Server) Tracer() *ptrace.Recorder { return s.tracer }
 
 // Drain gracefully finishes the run: rejects new mutating work, processes
-// everything already admitted (the sequencer's flush enqueues its parked
-// requests first), advances to the horizon, and returns the final
-// aggregates. Idempotent — later calls return the same result.
-func (s *Server) Drain() (*sim.Result, error) {
+// everything already admitted (the sequencer's flush lets its parked
+// requests take their turns first), advances to the horizon, and returns the
+// final aggregates. Idempotent — later calls return the same result.
+func (s *Server) Drain() (res *sim.Result, err error) {
 	s.order.flush()
-	resp := s.submit(newRequest(reqDrain))
-	return resp.final, resp.err
-}
-
-// loop is the single writer over the machine: it applies each request in the
-// order it was queued. Every mutating request is enqueued during its
-// sequencer turn, and a drain only after the sequencer's flush, so queue order
-// is the order requests took their turns.
-func (s *Server) loop() {
-	defer close(s.loopDone)
-	for {
-		select {
-		case r := <-s.reqs:
-			s.apply(r)
-		case <-s.stop:
-			return
-		}
+	if lerr := s.locked(func() { res, err = s.m.Finish() }); lerr != nil {
+		return nil, lerr
 	}
-}
-
-// apply executes one request against the machine and responds.
-func (s *Server) apply(r *request) {
-	start := time.Now()
-	var resp response
-	switch r.kind {
-	case reqSnapshot:
-		resp.sample = metrics.Snapshot(s.m.Pool(), s.m.Now())
-	case reqStats:
-		st := s.statsNow()
-		resp.stats = &st
-	case reqDrain:
-		resp.final, resp.err = s.m.Finish()
-	default:
-		resp = applyTo(s.m, r)
-		cls := "" // placements split the histogram by class when the SLO layer is on
-		if s.cfg.SLO != nil && r.kind == reqPlace {
-			cls, _ = slo.ParseClass(r.rec.Class)
-		}
-		if cls != "" {
-			s.lat.RecordClass(cls, time.Since(start))
-		} else {
-			s.lat.Record(time.Since(start))
-		}
-	}
-	r.resp <- resp
+	return res, err
 }
 
 // applyTo executes one mutating request against a machine. It is the single
-// request→sim.Machine mapping: the cell event loop calls it on its own
-// goroutine, RunScriptOffline in plain program order.
+// request→sim.Machine mapping: a Server calls it during the request's turn,
+// RunScriptOffline in plain program order.
 func applyTo(m *sim.Machine, r *request) (resp response) {
 	switch r.kind {
 	case reqPlace:
@@ -552,8 +426,7 @@ func applyTo(m *sim.Machine, r *request) (resp response) {
 // modelCaller mirrors the simulator's policy-telemetry interface.
 type modelCaller interface{ ModelCalls() int64 }
 
-// statsNow assembles the Stats payload on the loop goroutine; Stats adds
-// the sequencer's count.
+// statsNow assembles the Stats payload under the sequencer's lock.
 func (s *Server) statsNow() Stats {
 	pool := s.m.Pool()
 	placements, exits, failed := s.m.Counts()
@@ -567,7 +440,7 @@ func (s *Server) statsNow() Stats {
 		Placements: placements,
 		Exits:      exits,
 		Failed:     failed,
-		QueueDepth: len(s.reqs),
+		Pending:    len(s.order.parked),
 		Draining:   s.order.draining.Load(),
 		Latency:    s.lat.Stats(time.Since(s.started)),
 	}

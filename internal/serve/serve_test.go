@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -138,70 +137,6 @@ func TestSequencedAdmissionOrder(t *testing.T) {
 		if h != cluster.HostID(i) {
 			t.Fatalf("seq %d placed on host %d; admission order not sequential", i+1, h)
 		}
-	}
-}
-
-// stallPolicy is best-fit that holds the event loop inside the Schedule of
-// VM 1 until release is closed, so a test can queue requests behind it.
-type stallPolicy struct {
-	scheduler.Policy
-	entered, release chan struct{}
-}
-
-func (p *stallPolicy) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Duration) (*cluster.Host, error) {
-	if vm.ID == 1 {
-		close(p.entered)
-		<-p.release
-	}
-	return p.Policy.Schedule(pool, vm, now)
-}
-
-// TestLoopAppliesInQueueOrder pins the loop as a plain FIFO consumer: a read
-// queued behind an unsequenced placement observes that placement.
-func TestLoopAppliesInQueueOrder(t *testing.T) {
-	shape := resources.Vector{CPUMilli: 1000, MemoryMB: 1000, SSDGB: 0}
-	pol := &stallPolicy{Policy: scheduler.NewBestFit(), entered: make(chan struct{}), release: make(chan struct{})}
-	s, err := New(Config{PoolName: "fifo", Hosts: 4, HostShape: shape, Policy: pol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	place := func(id cluster.VMID) chan error {
-		done := make(chan error, 1)
-		go func() {
-			_, _, err := s.Place(trace.Record{ID: id, Lifetime: time.Hour, Shape: shape}, 0, 0)
-			done <- err
-		}()
-		return done
-	}
-	waitQueued := func(n int) {
-		for len(s.reqs) < n {
-			runtime.Gosched()
-		}
-	}
-
-	first := place(1)
-	<-pol.entered // the loop is inside VM 1's apply
-	second := place(2)
-	waitQueued(1)
-	stats := make(chan Stats, 1)
-	go func() {
-		st, err := s.Stats()
-		if err != nil {
-			t.Error(err)
-		}
-		stats <- st
-	}()
-	waitQueued(2)
-	close(pol.release)
-
-	for _, done := range []chan error{first, second} {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := <-stats; st.VMs != 2 {
-		t.Fatalf("stats queued behind VM 2's placement saw %d VMs, want 2", st.VMs)
 	}
 }
 

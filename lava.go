@@ -253,9 +253,6 @@ type ServeConfig struct {
 	TickEvery   time.Duration
 	SampleEvery time.Duration
 
-	// QueueDepth bounds the admission queue (default 256).
-	QueueDepth int
-
 	// TraceK > 0 enables decision tracing: every placement decision is
 	// recorded with the chosen host and its top-TraceK scored alternatives,
 	// queryable over GET /trace. Tracing is observe-only — decisions are
@@ -328,7 +325,7 @@ func CacheRefreshFlag(d time.Duration) time.Duration {
 
 // resolve is the one ServeConfig → serve.Config step, shared by a server and
 // a fleet: the trace's geometry plus every serving setting, and — separately,
-// because policies carry mutable caches and every event loop needs its own
+// because policies carry mutable caches and every cell needs its own
 // instance — a policy factory over the predictor. wrap, when non-nil, goes
 // around that predictor.
 func (cfg ServeConfig) resolve(tr *Trace, wrap func(Predictor) Predictor) (serve.Config, func(int) (scheduler.Policy, error), error) {
@@ -337,7 +334,7 @@ func (cfg ServeConfig) resolve(tr *Trace, wrap func(Predictor) Predictor) (serve
 		kind = PolicyLAVA
 	}
 	sc := serve.FromTrace(tr)
-	sc.TickEvery, sc.SampleEvery, sc.QueueDepth = cfg.TickEvery, cfg.SampleEvery, cfg.QueueDepth
+	sc.TickEvery, sc.SampleEvery = cfg.TickEvery, cfg.SampleEvery
 	sc.TraceK, sc.TraceCap, sc.TraceOut = cfg.TraceK, cfg.TraceCap, cfg.TraceOut
 	pred := cfg.Pred
 	if wrap != nil && pred != nil {
@@ -365,12 +362,12 @@ func newHTTPServer(handler http.Handler) *http.Server {
 }
 
 // Serve runs a placement service on ln until ctx is cancelled, then shuts
-// the listener down gracefully and stops the event loops; it closes ln
+// the listener down gracefully and closes the service; it closes ln
 // whenever it returns. This is the one place that decides between the two
 // shapes of the service: a config with Cells > 1 or a Scenario (whose tick
-// injectors fire inside a fleet's per-cell event loops, even single-cell)
-// is served by a fleet behind a router, anything else by a single event
-// loop — the same HTTP surface either way, with rolled-up /stats and /drain
+// injectors fire inside a fleet's cells, even single-cell) is served by a
+// fleet behind a router, anything else by a single Server — the same HTTP
+// surface either way, with rolled-up /stats and /drain
 // from a fleet. It blocks for the service's lifetime; a clean shutdown
 // returns nil, and a TraceOut write that failed while serving turns it into
 // an error.
@@ -432,7 +429,7 @@ type FleetConfig struct {
 	ServeConfig
 
 	// Cells is the number of independent serving cells (default 1). Each
-	// cell owns its own pool, policy instance and event loop, so a fleet
+	// cell owns its own pool, policy instance and sequencer turns, so a fleet
 	// serves placements in parallel across cores.
 	Cells int
 
@@ -447,7 +444,7 @@ type FleetConfig struct {
 	// scenario (ScenarioNames): the fleet's pool geometry comes from the
 	// scenario-composed trace, every cell gets the scenario's tick
 	// injectors (drain waves, failures, crunches fire live inside the
-	// cell event loops), and the predictor is wrapped with the scenario's
+	// cells' ticks), and the predictor is wrapped with the scenario's
 	// model events. A client replaying the composed trace (ComposeScenario)
 	// against such a fleet drains to SimulateScenario's rollup, byte-for-byte
 	// as a report (ReplayFleetOffline).

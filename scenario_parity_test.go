@@ -113,7 +113,7 @@ func replayOnline(t *testing.T, tr *Trace, cfg FleetConfig) []byte {
 
 // TestScenarioOnlineOfflineParity is the elasticity harness's outermost
 // contract: a scenario run ONLINE — a live fleet with the scenario's
-// injectors firing inside each cell's event loop, driven over HTTP at
+// injectors firing inside each cell's ticks, driven over HTTP at
 // concurrency 8 — produces a drain report byte-identical to the offline
 // sharded run of the same scenario. The offline arm is the sharded oracle,
 // not SimulateScenario: that one runs the fleet's own plan/applyTo, and a
