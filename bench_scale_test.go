@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -29,6 +30,8 @@ import (
 	"lava/internal/model"
 	"lava/internal/resources"
 	"lava/internal/scheduler"
+	"lava/internal/sim"
+	"lava/internal/trace"
 	"lava/internal/workload"
 )
 
@@ -335,4 +338,70 @@ func benchOpenHost(b *testing.B, hosts int, pol scheduler.Policy) {
 	if scheduler.EngineOf(pol) == scheduler.EngineCached {
 		b.ReportMetric(float64(scheduler.CacheStatsOf(pol).Bytes), "cache-B")
 	}
+}
+
+// BenchmarkStreamedReplay is the benchmark's replay-scale workload as a
+// go-bench row anyone can regenerate and profile (-cpuprofile, -memprofile):
+// one op is one sim.Run over a fresh workload.Stream of the replay-scale
+// spec (65 % target utilisation, 12 h prefill and 3 h measured, seed 1),
+// under wastemin or lava-epoch over the free oracle model, so the record
+// generator, the event cursor, the score cache and the pool are all it
+// times. events/op counts the creates and exits replayed up to the horizon;
+// B/event divides the op's allocated bytes by them. CI's bench-gate holds
+// the 1k-host rows, -benchmem included.
+func BenchmarkStreamedReplay(b *testing.B) {
+	for _, hosts := range []int{1000, 10000} {
+		spec := workload.PoolSpec{Name: "replay-scale", Zone: "zone-a", Hosts: hosts, TargetUtil: 0.65,
+			Prefill: 12 * time.Hour, Duration: 3 * time.Hour, Diurnal: 0.3, Seed: 1}
+		for _, pc := range []struct {
+			name string
+			mk   func() scheduler.Policy
+		}{
+			{"wastemin", func() scheduler.Policy { return scheduler.NewWasteMin() }},
+			{"lava-epoch", func() scheduler.Policy {
+				return scheduler.NewLAVAEpoch(model.Oracle{}, time.Minute, scheduler.DefaultEpoch)
+			}},
+		} {
+			b.Run(fmt.Sprintf("hosts=%d/policy=%s", hosts, pc.name), func(b *testing.B) {
+				events := countStreamEvents(b, spec)
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				before := ms.TotalAlloc
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					g, err := workload.Stream(spec)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := sim.Run(sim.Config{Trace: g.Meta(), Source: g, Policy: pc.mk()}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&ms)
+				b.ReportMetric(float64(events), "events/op")
+				b.ReportMetric(float64(ms.TotalAlloc-before)/float64(b.N)/float64(events), "B/event")
+			})
+		}
+	}
+}
+
+// countStreamEvents counts the creates and exits of spec's stream up to its
+// horizon, the events sim.Run replays.
+func countStreamEvents(b *testing.B, spec workload.PoolSpec) int {
+	b.Helper()
+	g, err := workload.Stream(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	end, n := g.Meta().End(), 0
+	c := trace.NewEventCursor(g)
+	for ev, ok := c.Next(); ok && ev.Time <= end; ev, ok = c.Next() {
+		n++
+	}
+	if err := c.Err(); err != nil {
+		b.Fatal(err)
+	}
+	return n
 }

@@ -317,6 +317,7 @@ func TestCLIExitStatus(t *testing.T) {
 		"lavad": {Lavad, needsTrace}, "lavaload": {Lavaload, needsTrace}, "lavasim": {Lavasim, needsTrace},
 		"trainmodel": {Trainmodel, needsTrace}, "experiments": {Experiments, usage},
 		"tracegen": {Tracegen, usage}, "docscheck": {Docscheck, usage},
+		"benchjudge": {Benchjudge, append(usage, row{nil, 1})}, // two run files are required
 	} {
 		for _, row := range c.rows {
 			var stderr bytes.Buffer

@@ -1,8 +1,9 @@
-// Package cli holds the repository's seven commands as functions: Lavad
+// Package cli holds the repository's eight commands as functions: Lavad
 // (the online placement daemon), Lavaload (the replay client), Lavasim (the
 // offline simulator), Experiments (the paper's tables and figures),
-// Trainmodel (the Table 4 model comparison), Tracegen (synthetic traces)
-// and Docscheck (the documentation gate). Each takes its arguments and
+// Trainmodel (the Table 4 model comparison), Tracegen (synthetic traces),
+// Docscheck (the documentation gate) and Benchjudge (paired verdicts on two
+// runs of the repository benchmark). Each takes its arguments and
 // output streams and returns an exit status — 0 on success and on -h, 2 on
 // a bad flag, 1 when the run fails, with one line on stderr saying why —
 // and has its own flag set, so every cmd/ main is one line and a test can

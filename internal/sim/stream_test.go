@@ -1,13 +1,16 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"lava/internal/model"
 	"lava/internal/scheduler"
 	"lava/internal/simtime"
+	"lava/internal/trace"
 	"lava/internal/workload"
 )
 
@@ -106,3 +109,37 @@ func TestStreamedReplayIgnoresResidentRecords(t *testing.T) {
 			got.Placements, got.Exits, got.Failed, want.Placements, want.Exits, want.Failed)
 	}
 }
+
+// TestRunRefusesSourceOutOfOrder: a Config.Source that steps back in time
+// must fail the run naming the VM, not have its arrival clamped to the
+// machine's clock and replayed as if it were on time.
+func TestRunRefusesSourceOutOfOrder(t *testing.T) {
+	g, err := workload.Stream(workload.PoolSpec{Name: "back", Zone: "z1", Hosts: 8, TargetUtil: 0.6, Duration: simtime.Day, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := trace.Collect(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := len(recs) / 2
+	recs[k].Arrival = recs[k-1].Arrival - time.Minute
+	_, err = Run(Config{Trace: g.Meta(), Source: &backStream{recs: recs}, Policy: scheduler.NewWasteMin()})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("vm %d ", recs[k].ID)) {
+		t.Fatalf("Run = %v, want an error naming vm %d", err, recs[k].ID)
+	}
+}
+
+// backStream replays recs as given, in whatever order.
+type backStream struct{ recs []trace.Record }
+
+func (s *backStream) Next() (trace.Record, bool) {
+	if len(s.recs) == 0 {
+		return trace.Record{}, false
+	}
+	r := s.recs[0]
+	s.recs = s.recs[1:]
+	return r, true
+}
+
+func (s *backStream) Err() error { return nil }

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"slices"
 	"time"
 
 	"lava/internal/cluster"
@@ -22,17 +24,14 @@ type Stream interface {
 }
 
 // sliceStream adapts a record slice already in canonical order.
-type sliceStream struct {
-	recs []Record
-	i    int
-}
+type sliceStream struct{ recs []Record }
 
 func (s *sliceStream) Next() (Record, bool) {
-	if s.i >= len(s.recs) {
+	if len(s.recs) == 0 {
 		return Record{}, false
 	}
-	r := s.recs[s.i]
-	s.i++
+	r := s.recs[0]
+	s.recs = s.recs[1:]
 	return r, true
 }
 
@@ -43,28 +42,23 @@ func (s *sliceStream) Err() error { return nil }
 // invariant) are streamed in place with no copy; otherwise a sorted copy
 // is made so the receiver never observes non-canonical order.
 func (t *Trace) Stream() Stream {
-	recs := t.Records
-	for i := 1; i < len(recs); i++ {
-		a, b := &recs[i-1], &recs[i]
-		if a.Arrival > b.Arrival || (a.Arrival == b.Arrival && a.ID >= b.ID) {
-			sorted := append([]Record(nil), recs...)
-			c := &Trace{Records: sorted}
+	for i := 1; i < len(t.Records); i++ {
+		if !t.Records[i].follows(&t.Records[i-1]) {
+			c := &Trace{Records: slices.Clone(t.Records)}
 			c.Sort()
-			recs = c.Records
-			break
+			return &sliceStream{recs: c.Records}
 		}
 	}
-	return &sliceStream{recs: recs}
+	return &sliceStream{recs: t.Records}
 }
 
 // --- event cursor --------------------------------------------------------
 
-// exitKey is one pending exit: what the heap compares, plus where the
-// record it belongs to sits in the cursor's slab.
+// exitKey is one pending exit, all the cursor holds per live VM: an exit
+// event names its VM by ID alone (see Event), so no record is kept.
 type exitKey struct {
 	exit time.Duration
 	id   cluster.VMID
-	slot int32
 }
 
 // before orders pending exits by (exit time, VM ID) — the Events() order
@@ -77,64 +71,67 @@ func (a exitKey) before(b exitKey) bool {
 // event sequence, in exactly the order (*Trace).Events() produces: by
 // time, exits before creates at ties, then VM ID. Resident memory is
 // O(live VMs) instead of O(2 × trace) for the materialized event slice: a
-// binary min-heap of 24-byte exit keys for the VMs whose creates have been
-// emitted, over a slab holding each such VM's record once. Sifting moves
-// keys, never records; a slot vacated by an exit is reused by a later create.
+// binary min-heap of 16-byte (exit, ID) keys, one per VM whose create has
+// been emitted. Like Events(), it emits an exit with only Rec.ID set.
 //
 // The equivalence argument: the source yields creates in (arrival, ID)
 // order, and any not-yet-seen record's exit is strictly after the next
 // arrival (exit = arrival' + lifetime > arrival' >= next arrival, since
 // lifetimes are positive), so the heap always contains every exit that
-// could precede the next create.
+// could precede the next create. A record outside that argument (a
+// non-positive lifetime, an exit past math.MaxInt64, an (arrival, ID) not
+// after its predecessor's) ends the cursor as a failing source would.
 type EventCursor struct {
 	src  Stream
 	keys []exitKey // min-heap by exitKey.before
-	slab []Record  // keys[i].slot indexes it
-	free []int32   // vacated slab slots
 
 	next    Record
 	hasNext bool
-	primed  bool
 	err     error
 }
 
-// NewEventCursor builds a cursor over the stream's derived events.
+// NewEventCursor builds a cursor over the stream's derived events, reading
+// the stream's first record.
 func NewEventCursor(s Stream) *EventCursor {
-	return &EventCursor{src: s}
+	c := &EventCursor{src: s}
+	c.pull(nil)
+	return c
 }
 
-// Next returns the next derived event. ok is false at exhaustion or on a
-// stream error; check Err.
+// Next returns the next derived event. ok is false at exhaustion, on a
+// stream error or on a refused record; check Err.
 func (c *EventCursor) Next() (Event, bool) {
-	if c.err != nil {
-		return Event{}, false
-	}
-	if !c.primed {
-		c.next, c.hasNext = c.src.Next()
-		c.primed = true
-	}
 	// An exit fires before the next create when its time is not after the
 	// arrival — at equal times exits precede creates (EventExit < EventCreate).
 	if len(c.keys) > 0 && (!c.hasNext || c.keys[0].exit <= c.next.Arrival) {
 		top := c.popExit()
-		c.free = append(c.free, top.slot)
-		return Event{Time: top.exit, Kind: EventExit, Rec: c.slab[top.slot]}, true
+		return Event{Time: top.exit, Kind: EventExit, Rec: Record{ID: top.id}}, true
 	}
 	if !c.hasNext {
-		c.err = c.src.Err()
+		if c.err == nil {
+			c.err = c.src.Err()
+		}
 		return Event{}, false
 	}
-	slot := int32(len(c.slab))
-	if n := len(c.free); n > 0 {
-		slot, c.free = c.free[n-1], c.free[:n-1]
-		c.slab[slot] = c.next
-	} else {
-		c.slab = append(c.slab, c.next)
-	}
-	c.pushExit(exitKey{exit: c.next.Exit(), id: c.next.ID, slot: slot})
+	c.pushExit(exitKey{exit: c.next.Exit(), id: c.next.ID})
 	ev := Event{Time: c.next.Arrival, Kind: EventCreate, Rec: c.next}
-	c.next, c.hasNext = c.src.Next()
+	c.pull(&ev.Rec)
 	return ev, true
+}
+
+// pull reads the source's next record into c.next, refusing one the order
+// argument does not cover; prev is the record of the last create, if any.
+func (c *EventCursor) pull(prev *Record) {
+	if c.next, c.hasNext = c.src.Next(); !c.hasNext {
+		return
+	}
+	r := &c.next
+	if r.Lifetime <= 0 || r.Exit() < r.Arrival {
+		c.err = fmt.Errorf("trace: vm %d has no exit time after its arrival (arrival %v + lifetime %v)", r.ID, r.Arrival, r.Lifetime)
+	} else if prev != nil && !r.follows(prev) {
+		c.err = fmt.Errorf("trace: vm %d at %v does not follow vm %d at %v in (arrival, ID) order", r.ID, r.Arrival, prev.ID, prev.Arrival)
+	}
+	c.hasNext = c.err == nil
 }
 
 // pushExit adds a key to the heap, sifting it up.
@@ -184,7 +181,8 @@ func (c *EventCursor) popExit() exitKey {
 // cursor's resident state.
 func (c *EventCursor) Live() int { return len(c.keys) }
 
-// Err returns the first error the underlying stream hit, or nil.
+// Err returns the first error the underlying stream hit or the refusal of
+// a record, or nil. Valid once Next has returned ok == false.
 func (c *EventCursor) Err() error { return c.err }
 
 // Collect drains a stream into a materialized record slice. It is the

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 	"time"
@@ -78,14 +77,15 @@ func (t *Trace) Duration() time.Duration {
 	return max
 }
 
+// follows reports whether r comes strictly after p in the canonical replay
+// order, by (arrival, ID).
+func (r *Record) follows(p *Record) bool {
+	return r.Arrival > p.Arrival || (r.Arrival == p.Arrival && r.ID > p.ID)
+}
+
 // Sort orders records by (arrival, ID), the canonical replay order.
 func (t *Trace) Sort() {
-	sort.Slice(t.Records, func(i, j int) bool {
-		if t.Records[i].Arrival != t.Records[j].Arrival {
-			return t.Records[i].Arrival < t.Records[j].Arrival
-		}
-		return t.Records[i].ID < t.Records[j].ID
-	})
+	sort.Slice(t.Records, func(i, j int) bool { return t.Records[j].follows(&t.Records[i]) })
 }
 
 // Validate checks structural soundness: unique IDs, non-negative
@@ -102,7 +102,7 @@ func (t *Trace) Validate() error {
 			return fmt.Errorf("trace: vm %d negative arrival", r.ID)
 		case r.Lifetime <= 0:
 			return fmt.Errorf("trace: vm %d non-positive lifetime", r.ID)
-		case r.Lifetime > math.MaxInt64-r.Arrival:
+		case r.Exit() < r.Arrival:
 			return fmt.Errorf("trace: vm %d exit time overflows (arrival %v + lifetime %v)", r.ID, r.Arrival, r.Lifetime)
 		case !r.Shape.NonNegative() || r.Shape.IsZero():
 			return fmt.Errorf("trace: vm %d bad shape %s", r.ID, r.Shape)
@@ -133,7 +133,8 @@ func (k EventKind) String() string {
 	return "create"
 }
 
-// Event is a derived trace event.
+// Event is a derived trace event. A create carries its VM's whole record;
+// an exit names its VM by Rec.ID, and the rest of Rec is zero.
 type Event struct {
 	Time time.Duration
 	Kind EventKind
@@ -146,7 +147,7 @@ func (t *Trace) Events() []Event {
 	evs := make([]Event, 0, 2*len(t.Records))
 	for _, r := range t.Records {
 		evs = append(evs, Event{Time: r.Arrival, Kind: EventCreate, Rec: r})
-		evs = append(evs, Event{Time: r.Exit(), Kind: EventExit, Rec: r})
+		evs = append(evs, Event{Time: r.Exit(), Kind: EventExit, Rec: Record{ID: r.ID}})
 	}
 	sort.Slice(evs, func(i, j int) bool {
 		if evs[i].Time != evs[j].Time {
