@@ -12,7 +12,10 @@
 // cancels what the seed does to both sides, and prints one row per workload
 // and end-to-end metric: both medians, the median per-pair head/base ratio,
 // the pairs head won, exact one-sided sign tests both ways, and a verdict of
-// better, same, regressed or unresolved. It exits 1 when any row regressed.
+// better, same, regressed or unresolved. It exits 1 when any row regressed,
+// and refuses a (workload, seed) that only one file ran. Its regressed and
+// unresolved rules are those of bench/run.sh --compare, which it replaces,
+// plus the paired ones.
 //
 // The command is cli.Benchjudge.
 package main

@@ -57,7 +57,8 @@ type judgedRow struct {
 // writes them (base first), with each end-to-end metric's direction and
 // bound read from BENCHMARK.json in the working directory. It pairs the
 // untraced runs of the two files by (workload, seed) and prints one row per
-// workload and metric, exiting 1 when any row regressed.
+// workload and metric, exiting 1 when any row regressed or a (workload,
+// seed) has no partner.
 func Benchjudge(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	flags := newFlagSet("benchjudge", stderr)
 	return run(flags, args, stderr, func() error {
@@ -168,17 +169,24 @@ func readRunFile(path string) (map[runKey]map[string]float64, error) {
 }
 
 // judgeRuns pairs base and head runs by (workload, seed) and judges every
-// end-to-end metric of every workload both files ran, workloads in name
-// order. Seeds only one side ran are left out.
+// end-to-end metric of every workload, workloads in name order. A (workload,
+// seed) that only one side ran is an error: a head missing a workload, or
+// one seed's runs, must not pass for a head that kept up.
 func judgeRuns(metrics []benchMetric, base, head map[runKey]map[string]float64) ([]judgedRow, error) {
 	seeds := map[string][]int64{}
 	for k := range base {
-		if head[k] != nil {
-			seeds[k.workload] = append(seeds[k.workload], k.seed)
+		if head[k] == nil {
+			return nil, fmt.Errorf("%s seed %d: base ran it, head did not", k.workload, k.seed)
+		}
+		seeds[k.workload] = append(seeds[k.workload], k.seed)
+	}
+	for k := range head {
+		if base[k] == nil {
+			return nil, fmt.Errorf("%s seed %d: head ran it, base did not", k.workload, k.seed)
 		}
 	}
 	if len(seeds) == 0 {
-		return nil, errors.New("no (workload, seed) run on both sides")
+		return nil, errors.New("no untraced runs to pair")
 	}
 	workloads := make([]string, 0, len(seeds))
 	for w := range seeds {
@@ -207,19 +215,20 @@ func judgeRuns(metrics []benchMetric, base, head map[runKey]map[string]float64) 
 	return rows, nil
 }
 
-// judgePairs judges one metric on paired runs, base[i] against head[i].
-// Each pair's ratio cancels what its seed does to both sides, so the seed's
-// spread drops out; what is left is tested with an exact one-sided sign
-// test, ties counting for neither side.
+// judgePairs judges one metric on paired runs, base[i] against head[i],
+// ties counting for neither side. It never calls a row milder than
+// bench/run.sh --compare calls the same runs unpaired: it keeps that judge's
+// regressed and unresolved rules and adds the paired ones.
 //
-//   - better: head reads better on at least nine tenths of the pairs, the
-//     sign test confirms it, and head's median beats base's by more than
-//     base's interquartile range (the rule a claimed gain must meet).
-//   - regressed: the median pair worsens by more than the bound, and the
-//     sign test confirms head reads worse.
-//   - unresolved: the median pair worsens by more than the bound without
-//     that confirmation, or the pairs' worsening spreads wider than the
-//     bound and head lost at least one pair.
+//   - regressed: head's median is worse than base's by more than the bound
+//     (the --compare rule), or the median pair worsens by more than it.
+//   - better: head reads better on at least nine tenths of the pairs, an
+//     exact one-sided sign test confirms it, and head's median beats base's
+//     by more than base's interquartile range (the rule a claimed gain must
+//     meet).
+//   - unresolved: either side's run-to-run spread exceeds the bound, and
+//     not every head run reads better than every base run (the --compare
+//     rule).
 //   - same: otherwise.
 func judgePairs(m benchMetric, base, head []float64) judgedRow {
 	n := len(base)
@@ -244,19 +253,40 @@ func judgePairs(m benchMetric, base, head []float64) judgedRow {
 		gain = -gain
 	}
 	q1, q3 := quartiles(base)
-	medWorse := median(worse)
-	wq1, wq3 := quartiles(worse)
 	switch {
+	case worsening(m.Better, r.baseMed, r.headMed) > m.Bound || median(worse) > m.Bound:
+		r.verdict = verdictRegressed
 	case 10*r.wins >= 9*n && r.pBetter <= judgeAlpha && gain > q3-q1:
 		r.verdict = verdictBetter
-	case medWorse > m.Bound && r.pWorse <= judgeAlpha:
-		r.verdict = verdictRegressed
-	case medWorse > m.Bound || (wq3-wq1 > m.Bound && r.losses > 0):
+	case (spread(base) > m.Bound || spread(head) > m.Bound) && !beatsAll(m.Better, base, head):
 		r.verdict = verdictUnresolved
 	default:
 		r.verdict = verdictSame
 	}
 	return r
+}
+
+// spread is a side's run-to-run spread: its interquartile range as a share
+// of its median, 0 for fewer than two runs or a median of 0.
+func spread(v []float64) float64 {
+	m := median(v)
+	if len(v) < 2 || m == 0 {
+		return 0
+	}
+	q1, q3 := quartiles(v)
+	return (q3 - q1) / math.Abs(m)
+}
+
+// beatsAll reports whether every head run reads better than every base run.
+func beatsAll(better string, base, head []float64) bool {
+	for _, h := range head {
+		for _, b := range base {
+			if worsening(better, b, h) >= 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // worsening is how much worse head is than base, as a share of base, in the

@@ -33,8 +33,11 @@ func scaled(rng *rand.Rand, base []float64, f, noise float64) []float64 {
 
 // TestJudgePairs holds the judge's verdicts on synthetic pairs: a 2× win
 // reads better though the seeds spread the runs by 40 %, an A/A comparison
-// reads neither better nor regressed, and a 15 % slowdown on 6 of 6 pairs
-// reads regressed under a 10 % bound but same under a 25 % one.
+// reads neither better nor regressed, and a 15 % slowdown reads regressed
+// under a 10 % bound, on 3 pairs as on 6, though 3 pairs cannot confirm it
+// by a sign test. Under a 25 % bound the slowdown reads same when the seeds
+// spread the runs by 5 %, and unresolved when they spread them by 40 %, more
+// than the bound: the --compare rule, which the judge is never milder than.
 func TestJudgePairs(t *testing.T) {
 	higher := benchMetric{Name: "events_per_s", Better: "higher", Bound: 0.25}
 	lower := benchMetric{Name: "setup_s", Better: "lower", Bound: 0.10}
@@ -63,14 +66,17 @@ func TestJudgePairs(t *testing.T) {
 	if r := judgePairs(lower, base, slow); r.verdict != verdictRegressed || r.losses != 6 {
 		t.Errorf("15%% slowdown on 6/6 pairs, 10%% bound: %+v, want regressed", r)
 	}
+	if r := judgePairs(lower, base[:3], slow[:3]); r.verdict != verdictRegressed || r.pWorse <= judgeAlpha {
+		t.Errorf("15%% slowdown on 3/3 pairs, 10%% bound: %+v, want regressed with p.worse = 0.125", r)
+	}
 	within := lower
 	within.Bound = 0.25
-	if r := judgePairs(within, base, slow); r.verdict != verdictSame {
-		t.Errorf("15%% slowdown on 6/6 pairs, 25%% bound: %+v, want same", r)
+	if r := judgePairs(within, base, slow); r.verdict != verdictUnresolved {
+		t.Errorf("15%% slowdown on 6/6 pairs spread 40%%, 25%% bound: %+v, want unresolved", r)
 	}
-	// Three pairs cannot confirm anything: 3/3 gives p = 0.125.
-	if r := judgePairs(lower, base[:3], slow[:3]); r.verdict != verdictUnresolved {
-		t.Errorf("15%% slowdown on 3/3 pairs, 10%% bound: %+v, want unresolved", r)
+	narrow := seedSpread(rng, 6, 0.05)
+	if r := judgePairs(within, narrow, scaled(rng, narrow, 1.15, 0.01)); r.verdict != verdictSame {
+		t.Errorf("15%% slowdown on 6/6 pairs spread 5%%, 25%% bound: %+v, want same", r)
 	}
 }
 
@@ -119,8 +125,8 @@ func writeRuns(t *testing.T, path, w, metric string, vals []float64, correct boo
 }
 
 // TestBenchjudgeCLI runs the command on run files in a directory holding a
-// BENCHMARK.json: a win prints better and exits 0, a confirmed regression
-// exits 1, and a run that failed its checks is refused.
+// BENCHMARK.json: a win prints better and exits 0, a regression exits 1,
+// and a run that failed its checks or a seed only one side ran is refused.
 func TestBenchjudgeCLI(t *testing.T) {
 	dir := t.TempDir()
 	t.Chdir(dir)
@@ -128,17 +134,19 @@ func TestBenchjudgeCLI(t *testing.T) {
 	if err := os.WriteFile("BENCHMARK.json", []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	base := []float64{1.0, 1.4, 0.8, 1.2, 0.9, 1.1}
+	base := []float64{1.00, 1.03, 0.98, 1.02, 0.99, 1.01}
 	var faster, slower []float64
 	for i, b := range base {
 		faster = append(faster, b*(0.5+0.01*float64(i)))
 		slower = append(slower, b*(1.2+0.01*float64(i)))
 	}
-	a, f, s, bad := filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "f.jsonl"), filepath.Join(dir, "s.jsonl"), filepath.Join(dir, "bad.jsonl")
+	a, f, s := filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "f.jsonl"), filepath.Join(dir, "s.jsonl")
+	bad, short := filepath.Join(dir, "bad.jsonl"), filepath.Join(dir, "short.jsonl")
 	writeRuns(t, a, "replay-x", "setup_s", base, true)
 	writeRuns(t, f, "replay-x", "setup_s", faster, true)
 	writeRuns(t, s, "replay-x", "setup_s", slower, true)
 	writeRuns(t, bad, "replay-x", "setup_s", faster, false)
+	writeRuns(t, short, "replay-x", "setup_s", faster[:5], true)
 	for _, c := range []struct {
 		args []string
 		want int
@@ -148,6 +156,8 @@ func TestBenchjudgeCLI(t *testing.T) {
 		{[]string{a, a}, 0, "same"},
 		{[]string{a, s}, 1, "regressed"},
 		{[]string{a, bad}, 1, ""},
+		{[]string{a, short}, 1, ""},
+		{[]string{short, a}, 1, ""},
 		{[]string{a}, 1, ""},
 	} {
 		var stdout, stderr bytes.Buffer

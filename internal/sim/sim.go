@@ -678,14 +678,8 @@ func Run(cfg Config) (*Result, error) {
 	cur := trace.NewEventCursor(src)
 	for {
 		ev, ok := cur.Next()
-		if !ok {
-			if err := cur.Err(); err != nil {
-				return nil, fmt.Errorf("sim: trace stream: %w", err)
-			}
-			break
-		}
-		if ev.Time > m.end {
-			break // drain-only tail: stop measuring
+		if !ok || ev.Time > m.end {
+			break // exhausted, failed, or the drain-only tail: stop measuring
 		}
 		switch ev.Kind {
 		case trace.EventCreate:
@@ -700,6 +694,9 @@ func Run(cfg Config) (*Result, error) {
 				return nil, err
 			}
 		}
+	}
+	if err := cur.Err(); err != nil {
+		return nil, fmt.Errorf("sim: trace stream: %w", err)
 	}
 	return m.Finish()
 }

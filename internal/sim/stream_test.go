@@ -112,21 +112,29 @@ func TestStreamedReplayIgnoresResidentRecords(t *testing.T) {
 
 // TestRunRefusesSourceOutOfOrder: a Config.Source that steps back in time
 // must fail the run naming the VM, not have its arrival clamped to the
-// machine's clock and replayed as if it were on time.
+// machine's clock and replayed as if it were on time. The refusal must
+// show whether or not a live VM outlives the horizon: with one, the exits
+// still pending when the bad record arrives lie past the trace's end, where
+// Run stops reading events.
 func TestRunRefusesSourceOutOfOrder(t *testing.T) {
-	g, err := workload.Stream(workload.PoolSpec{Name: "back", Zone: "z1", Hosts: 8, TargetUtil: 0.6, Duration: simtime.Day, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := trace.Collect(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := len(recs) / 2
-	recs[k].Arrival = recs[k-1].Arrival - time.Minute
-	_, err = Run(Config{Trace: g.Meta(), Source: &backStream{recs: recs}, Policy: scheduler.NewWasteMin()})
-	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("vm %d ", recs[k].ID)) {
-		t.Fatalf("Run = %v, want an error naming vm %d", err, recs[k].ID)
+	for _, outlive := range []bool{false, true} {
+		g, err := workload.Stream(workload.PoolSpec{Name: "back", Zone: "z1", Hosts: 8, TargetUtil: 0.6, Duration: simtime.Day, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := trace.Collect(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if outlive {
+			recs[0].Lifetime = 30 * simtime.Day
+		}
+		k := len(recs) / 2
+		recs[k].Arrival = recs[k-1].Arrival - time.Minute
+		_, err = Run(Config{Trace: g.Meta(), Source: &backStream{recs: recs}, Policy: scheduler.NewWasteMin()})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("vm %d ", recs[k].ID)) {
+			t.Fatalf("outlive %v: Run = %v, want an error naming vm %d", outlive, err, recs[k].ID)
+		}
 	}
 }
 

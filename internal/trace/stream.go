@@ -78,9 +78,10 @@ func (a exitKey) before(b exitKey) bool {
 // order, and any not-yet-seen record's exit is strictly after the next
 // arrival (exit = arrival' + lifetime > arrival' >= next arrival, since
 // lifetimes are positive), so the heap always contains every exit that
-// could precede the next create. A record outside that argument (a
-// non-positive lifetime, an exit past math.MaxInt64, an (arrival, ID) not
-// after its predecessor's) ends the cursor as a failing source would.
+// could precede the next create. It refuses a record outside that argument
+// (a non-positive lifetime, an exit past math.MaxInt64, an (arrival, ID)
+// not after its predecessor's); a refusal or a source error ends it at
+// once, exits still pending, after the create of the last good record.
 type EventCursor struct {
 	src  Stream
 	keys []exitKey // min-heap by exitKey.before
@@ -103,14 +104,11 @@ func NewEventCursor(s Stream) *EventCursor {
 func (c *EventCursor) Next() (Event, bool) {
 	// An exit fires before the next create when its time is not after the
 	// arrival — at equal times exits precede creates (EventExit < EventCreate).
-	if len(c.keys) > 0 && (!c.hasNext || c.keys[0].exit <= c.next.Arrival) {
+	if c.err == nil && len(c.keys) > 0 && (!c.hasNext || c.keys[0].exit <= c.next.Arrival) {
 		top := c.popExit()
 		return Event{Time: top.exit, Kind: EventExit, Rec: Record{ID: top.id}}, true
 	}
 	if !c.hasNext {
-		if c.err == nil {
-			c.err = c.src.Err()
-		}
 		return Event{}, false
 	}
 	c.pushExit(exitKey{exit: c.next.Exit(), id: c.next.ID})
@@ -123,6 +121,7 @@ func (c *EventCursor) Next() (Event, bool) {
 // argument does not cover; prev is the record of the last create, if any.
 func (c *EventCursor) pull(prev *Record) {
 	if c.next, c.hasNext = c.src.Next(); !c.hasNext {
+		c.err = c.src.Err()
 		return
 	}
 	r := &c.next
@@ -182,7 +181,8 @@ func (c *EventCursor) popExit() exitKey {
 func (c *EventCursor) Live() int { return len(c.keys) }
 
 // Err returns the first error the underlying stream hit or the refusal of
-// a record, or nil. Valid once Next has returned ok == false.
+// a record, or nil. The Next call that returns the cursor's last event may
+// already set it, so a consumer that stops reading early checks it too.
 func (c *EventCursor) Err() error { return c.err }
 
 // Collect drains a stream into a materialized record slice. It is the

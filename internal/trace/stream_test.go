@@ -164,14 +164,30 @@ func (s *failingStream) Next() (Record, bool) {
 
 func (s *failingStream) Err() error { return s.err }
 
+// eventsBeforeFailure is what a cursor emits when its source fails, or its
+// next record is refused, right after recs: their Events() up to the last
+// create. The cursor reads one record ahead, so it learns of the failure as
+// it emits that create, and it ends at once, exits still pending.
+func eventsBeforeFailure(recs []Record) []Event {
+	evs := (&Trace{Records: recs}).Events()
+	for i := len(evs) - 1; i >= 0; i-- {
+		if evs[i].Kind == EventCreate {
+			return evs[:i+1]
+		}
+	}
+	return nil
+}
+
 // TestEventCursorStreamError: a source that fails part way — a generator
 // that hit a bad spec, a reader cut mid-record — must end the event cursor
 // with the source's error, not a panic and not a clean end, after every
-// event of the records that did arrive.
+// event up to the create of the last record that did arrive. It must not
+// drain the pending exits first: a consumer that stops at a horizon would
+// then never reach the error.
 func TestEventCursorStreamError(t *testing.T) {
 	tr := synth(300, 5)
 	whole := len(tr.Records) * 2 / 3
-	want := (&Trace{Records: tr.Records[:whole]}).Events()
+	want := eventsBeforeFailure(tr.Records[:whole])
 	cut := errors.New("cut mid-record")
 
 	c := NewEventCursor(&failingStream{recs: tr.Records[:whole], err: cut})
@@ -185,7 +201,7 @@ func TestEventCursorStreamError(t *testing.T) {
 		}
 	}
 	if ev, ok := c.Next(); ok {
-		t.Fatalf("cursor yielded %+v past the cut", ev)
+		t.Fatalf("cursor yielded %+v past the cut (%d exits pending)", ev, c.Live())
 	}
 	if !errors.Is(c.Err(), cut) {
 		t.Fatalf("cursor ended with %v, want the source's error", c.Err())
@@ -224,7 +240,8 @@ func TestEventCursorFootprint(t *testing.T) {
 // TestEventCursorRefusesRecords: a record outside the cursor's order
 // argument — one whose exit is not after its arrival, or whose (arrival, ID)
 // is not after its predecessor's — ends the cursor as a failing source
-// would: every event of the records before it, then an error naming the VM.
+// would: every event up to the create of the record before it, then an
+// error naming the VM.
 // Events() orders such a record differently (a zero lifetime exits before it
 // is created), and a replay machine would clamp a step back in time.
 func TestEventCursorRefusesRecords(t *testing.T) {
@@ -242,7 +259,7 @@ func TestEventCursorRefusesRecords(t *testing.T) {
 			recs := synth(300, 13).Records
 			const k = 200
 			c.bad(&recs[k], &recs[k-1])
-			want := (&Trace{Records: recs[:k]}).Events()
+			want := eventsBeforeFailure(recs[:k])
 			cur := NewEventCursor(&sliceStream{recs: recs})
 			for i, w := range want {
 				if ev, ok := cur.Next(); !ok || ev != w {
@@ -330,7 +347,8 @@ func fuzzBytes(n int, seed int64, kinds map[int]byte) []byte {
 // emits an event earlier than the one before it. A stream the order argument
 // covers replays exactly as (*Trace).Events() orders the same records, with
 // Live counting the creates not yet exited; any other stream replays the
-// records before its first refused one exactly so, then ends with an error.
+// records before its first refused one exactly so up to their last create,
+// then ends with an error.
 func FuzzEventCursor(f *testing.F) {
 	f.Add(fuzzBytes(400, 11, nil))
 	f.Add(fuzzBytes(60, 3, map[int]byte{5: 10, 6: 10, 7: 10, 30: 10}))
@@ -339,7 +357,10 @@ func FuzzEventCursor(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, bad := fuzzRecords(data)
-		want := (&Trace{Records: recs[:bad]}).Events()
+		want := (&Trace{Records: recs}).Events()
+		if bad < len(recs) {
+			want = eventsBeforeFailure(recs[:bad])
+		}
 		c := NewEventCursor(&sliceStream{recs: recs})
 		live, last := 0, time.Duration(math.MinInt64)
 		for i := 0; ; i++ {
