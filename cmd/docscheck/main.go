@@ -19,6 +19,9 @@
 // verify skill, less trailing punctuation and a trailing /..., must name a
 // file or directory under root, so a deleted package cannot stay cited.
 //
+// No package without a caller: every package under internal/ must be
+// imported by non-test code of the module or of bench/.
+//
 // No code without a caller: every exported name declared in non-test code
 // under internal/ must be used by non-test code of the module or of bench/,
 // be a method of a type the root package's exported API reaches, be an

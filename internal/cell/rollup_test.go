@@ -55,7 +55,7 @@ func TestRollUpSLOAdditivity(t *testing.T) {
 	if roll.SLO.Fairness != wantFair {
 		t.Fatalf("fairness = %v, want recomputed %v", roll.SLO.Fairness, wantFair)
 	}
-	wantFit := slo.FitnessScore(roll.AvgPackingDensity, roll.AvgEmptyToFree, 1, wantFair)
+	wantFit := slo.FitnessScore(roll.AvgPackingDensity, roll.AvgEmptyToFree, wantFair)
 	if math.Abs(roll.SLO.Fitness-wantFit) > 1e-12 {
 		t.Fatalf("fitness = %v, want %v (from weighted packing %v)", roll.SLO.Fitness, wantFit, roll.AvgPackingDensity)
 	}

@@ -28,10 +28,12 @@ type Plan struct {
 }
 
 // PlanCells is the one-call sharding pipeline: split the trace's hosts
-// evenly, build the named router's ledger over them, and shard. Since the
-// facade and lavasim moved to the script runner (serve.RunScriptOffline) its
-// callers are the scenarios experiment — kept as the independent sharded
-// oracle TestCachedMatchesExhaustiveMatrices diffs — and the parity tests.
+// evenly, build the named router's ledger over them, and shard. The
+// offline run of a fleet (the facade, lavasim) is the serve.Fleet itself,
+// driven in program order by serve.RunScriptOffline; this sharded path
+// shares only the ledger and the simulator with it. Its callers are the
+// scenarios experiment — kept as the independent sharded oracle
+// TestCachedMatchesExhaustiveMatrices diffs — and the parity tests.
 func PlanCells(tr *trace.Trace, routerKind string, cells int) (*Plan, error) {
 	if cells <= 0 {
 		return nil, fmt.Errorf("cell: %d cells", cells)

@@ -116,6 +116,26 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
+// orphanPackages returns one line per package of the root module under
+// internal/ that no non-test package of the root module or of a nested one
+// imports: a package only its own tests reach.
+func orphanPackages(pkgs []*listedPackage) []string {
+	imported := map[string]bool{}
+	for _, p := range pkgs {
+		for _, imp := range p.pkg.Imports() {
+			imported[imp.Path()] = true
+		}
+	}
+	var gaps []string
+	for _, p := range pkgs {
+		if p.mod == "." && strings.HasPrefix(p.rel, "internal/") && !imported[p.ImportPath] {
+			gaps = append(gaps, p.rel+": package has no non-test importer (delete it, or import it)")
+		}
+	}
+	slices.Sort(gaps)
+	return gaps
+}
+
 // keepFile, at the module root, keeps exported internal/ names that have no
 // non-test caller: one "pkg.Name  reason" line each, pkg the path below
 // internal/ and a method Type.Method; # starts a comment line.

@@ -397,11 +397,12 @@ func TestExperimentsCLI(t *testing.T) {
 // TestDocscheck runs the documentation gate on this module and on fixtures
 // that must fail it: a package without a package comment, an undocumented
 // identifier of the root (facade) package, a README that cites a test no
-// _test.go file declares, a DESIGN that cites a missing path, and three
-// tiny modules for the caller pass (an unused internal/ export, a keep
-// entry whose name gained a caller, one whose name is gone). Two modules
-// must pass it: a method reached only through an anonymous interface
-// assertion, and a name only bench/ calls, which the run prints.
+// _test.go file declares, a DESIGN that cites a missing path, three tiny
+// modules for the caller pass (an unused internal/ export, a keep entry
+// whose name gained a caller, one whose name is gone) and an internal/
+// package only a test imports. Two modules must pass it: a method reached
+// only through an anonymous interface assertion, and a name only bench/
+// calls, which the run prints.
 func TestDocscheck(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := Docscheck(context.Background(), []string{"../.."}, &stdout, &stderr); code != 0 {
@@ -451,6 +452,10 @@ func TestDocscheck(t *testing.T) {
 			"lava.go":            "// Package lava is the facade.\npackage lava\n\nimport \"fix/internal/a\"\n\n// T is a's T.\ntype T = a.T\n",
 			"docscheck-keep.txt": "a.T.Reached  a test reads it\n"},
 			1, "docscheck-keep.txt:1: a.T.Reached has a non-test caller, is on the root package's API"},
+		{"orphan package", map[string]string{"go.mod": goMod, "internal/a/a.go": pkgA,
+			"internal/b/b.go": "// Package b is a fixture.\npackage b\n", "internal/b/b_test.go": "package b\n\nimport _ \"fix/internal/a\"\n",
+			"cmd/x/main.go": "// Command x is a fixture.\npackage main\n\nimport _ \"fix/internal/b\"\n\nfunc main() {}\n"},
+			1, "internal/a: package has no non-test importer"},
 		{"bench-only caller", map[string]string{"go.mod": goMod, "internal/a/a.go": pkgA + "func BenchOnly() {}\n",
 			"bench/go.mod":  "module fix/bench\n\ngo 1.24\n\nrequire fix v0.0.0\n\nreplace fix => ../\n",
 			"bench/main.go": "// Command bench is a fixture.\npackage main\n\nimport \"fix/internal/a\"\n\nfunc main() { a.BenchOnly() }\n"},

@@ -73,7 +73,7 @@ func Docscheck(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		for _, line := range nestedOnly {
 			fmt.Fprintln(stdout, line)
 		}
-		gaps = slices.Concat(gaps, facade, stale, paths, callers)
+		gaps = slices.Concat(gaps, orphanPackages(pkgs), facade, stale, paths, callers)
 		for _, gap := range gaps {
 			fmt.Fprintln(stdout, gap)
 		}

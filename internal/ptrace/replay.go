@@ -57,10 +57,6 @@ type ReplayConfig struct {
 	// TickEvery is the policy tick period of the recorded run (default 5m,
 	// matching sim.Config).
 	TickEvery time.Duration
-
-	// Epsilon is the score-equality threshold for regret levels (default:
-	// the scheduler's filter epsilon, 1e-9).
-	Epsilon float64
 }
 
 // Divergence is one decision where the candidate disagrees with the record.
@@ -101,10 +97,6 @@ func Replay(cfg ReplayConfig, decisions []Decision) (*Report, error) {
 	tick := cfg.TickEvery
 	if tick <= 0 {
 		tick = 5 * time.Minute
-	}
-	eps := cfg.Epsilon
-	if eps <= 0 {
-		eps = 1e-9
 	}
 	pool := cluster.NewPool(cfg.PoolName, cfg.Hosts, cfg.HostShape)
 	pol := cfg.Policy
@@ -149,7 +141,7 @@ func Replay(cfg ReplayConfig, decisions []Decision) (*Report, error) {
 			} else {
 				div := Divergence{Seq: d.Seq, T: d.T, VM: d.VM, Recorded: d.Host, Chosen: chosen, Level: -1}
 				if chosen >= 0 && d.Host >= 0 {
-					div.Level, div.Regret = priceDivergence(pol, pool, vm, d.T, d.Host, chosen, eps, &sRec, &sCand)
+					div.Level, div.Regret = priceDivergence(pol, pool, vm, d.T, d.Host, chosen, &sRec, &sCand)
 					rep.TotalRegret += div.Regret
 				}
 				rep.Divergences = append(rep.Divergences, div)
@@ -194,11 +186,12 @@ func Replay(cfg ReplayConfig, decisions []Decision) (*Report, error) {
 
 // priceDivergence scores the recorded and chosen hosts across the
 // candidate's chain levels and returns the first level where they differ
+// by more than the scheduler's own filter epsilon (scheduler.ScoreEpsilon)
 // plus the score delta there (recorded minus chosen; positive = candidate
 // prefers its own pick). Policies that cannot price arbitrary pairs report
 // (-1, 0).
 func priceDivergence(pol scheduler.Policy, pool *cluster.Pool, vm *cluster.VM, now time.Duration,
-	recorded, chosen cluster.HostID, eps float64, sRec, sCand *[]float64) (int, float64) {
+	recorded, chosen cluster.HostID, sRec, sCand *[]float64) (int, float64) {
 	rh, ch := pool.Host(recorded), pool.Host(chosen)
 	if rh == nil || ch == nil {
 		return -1, 0
@@ -214,7 +207,7 @@ func priceDivergence(pol scheduler.Policy, pool *cluster.Pool, vm *cluster.VM, n
 		n = len(*sCand)
 	}
 	for li := 0; li < n; li++ {
-		if delta := (*sRec)[li] - (*sCand)[li]; math.Abs(delta) > eps {
+		if delta := (*sRec)[li] - (*sCand)[li]; math.Abs(delta) > scheduler.ScoreEpsilon {
 			return li, delta
 		}
 	}

@@ -70,9 +70,9 @@ func New(name string, pred model.Predictor, refresh time.Duration) (Policy, erro
 	return nil, fmt.Errorf("scheduler: unknown policy %q (want %s)", name, strings.Join(Names(), "|"))
 }
 
-// scoreEpsilon defines score equality for tie-breaking purposes: hosts
+// ScoreEpsilon defines score equality for tie-breaking purposes: hosts
 // within this distance of the best score survive to the next chain level.
-const scoreEpsilon = 1e-9
+const ScoreEpsilon = 1e-9
 
 // sift is the epsilon rule of one chain level, one candidate at a time in
 // scan order: n candidates have survived so far and best is the running best
@@ -87,9 +87,9 @@ const scoreEpsilon = 1e-9
 // makes their decisions identical by construction.
 func sift(n int, sc, best float64) (slot, kept int, newBest float64) {
 	switch {
-	case n == 0 || sc < best-scoreEpsilon:
+	case n == 0 || sc < best-ScoreEpsilon:
 		return 0, 1, sc
-	case sc <= best+scoreEpsilon:
+	case sc <= best+ScoreEpsilon:
 		return n, n + 1, best
 	}
 	return n, n, best

@@ -741,7 +741,7 @@ func TestEpochRolloverReadsFreshScores(t *testing.T) {
 // the hosts the last level must be asked about — the survivors of the level
 // above it.
 func TestEpsilonOrderAdversaries(t *testing.T) {
-	const e = scoreEpsilon
+	const e = ScoreEpsilon
 	nan, inf := math.NaN(), math.Inf(1)
 	flat := []float64{0, 0, 0, 0, 0}
 	nine := [][]float64{flat, flat, flat, flat, flat, flat, flat, {3, 1, 2, 1, 5}}

@@ -2,22 +2,21 @@ package serve
 
 // Front-door admission: the fleet-level half of the SLO layer.
 //
-// A single Server needs no code here — its token buckets live inside the
-// shared sim.Machine, so online and offline runs admit identically by
-// construction. A Fleet, though, must decide admission before routing: a
+// A single Server needs no code here — its token buckets live inside its
+// sim.Machine, so a served replay and an offline sim.Run admit identically
+// by construction. A Fleet, though, must decide admission before routing: a
 // rejected request may not move the round-robin cursor, enter the
-// commitment ledger, or reach a cell. The gate therefore
-// hangs off the topology ledger (the one structure the online Fleet and the
-// offline script runner already share verbatim) and is consulted at the
-// global sequencing turn, under the fleet mutex online and in plain program
-// order offline. Everything in this file is used symmetrically by both
-// arms; that symmetry — not replayed luck — is what makes the classed drain
-// reports byte-identical.
+// commitment ledger, or reach a cell. The gate therefore hangs off the
+// topology ledger and is consulted in topology.plan, under the fleet mutex
+// at the op's front-door turn, so the admit/reject stream is a pure function
+// of the sequenced op order. The cells behind it only track their classes
+// (cellSLO), and a drain folds the gate's counters into the rollup
+// (drainCells). RunScriptOffline drives the same Fleet in program order, so
+// an online and an offline run of one stream share every admission decision
+// — which, not replayed luck, is what makes the classed drain reports
+// byte-identical.
 
-import (
-	"lava/internal/cell"
-	"lava/internal/slo"
-)
+import "lava/internal/slo"
 
 // cellSLO derives the per-cell SLO config from the fleet's: cells behind an
 // admission gate run tracking-only buckets (the front door already enforced
@@ -28,23 +27,4 @@ func cellSLO(cfg *FleetConfig) *slo.Config {
 		return nil
 	}
 	return &slo.Config{Track: true}
-}
-
-// attachFrontDoorLocked folds the topology gate's admission counters into a
-// drain rollup: admitted/rejected from the front door, per-class lifecycle
-// counts from the cells, fairness and fitness recomputed from the merged
-// totals and the rollup's packing aggregates. No-op without a gate. The
-// caller holds whatever lock guards the topology (the fleet mutex online;
-// the script runner is single-threaded).
-func attachFrontDoorLocked(topo *topology, roll *cell.Rollup) {
-	if topo.gate == nil || roll == nil {
-		return
-	}
-	roll.SLO = slo.MergeFrontDoor(
-		topo.gate.Counts(),
-		[]*slo.Summary{roll.SLO},
-		roll.AvgPackingDensity,
-		roll.AvgEmptyToFree,
-		true,
-	)
 }

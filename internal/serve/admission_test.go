@@ -122,9 +122,10 @@ func TestServedAdmissionParity(t *testing.T) {
 }
 
 // TestFleetAdmissionParity is the federated half: a classed trace against a
-// fleet with a front-door gate, replayed at 1 and at 8 workers, drains
-// byte-identically to the offline script runner over the same ops — the
-// admission decisions, the routing, and the per-class rollup all replay.
+// fleet with a front-door gate, run offline (RunScriptOffline) and replayed
+// at 1 and at 8 workers, drains byte-identically to the sequential oracle
+// over the same ops — the admission decisions, the routing, and the
+// per-class rollup all replay.
 func TestFleetAdmissionParity(t *testing.T) {
 	tr := classedTrace(t, 16, 3, 7)
 	fc := FleetFromTrace(tr)
@@ -134,23 +135,23 @@ func TestFleetAdmissionParity(t *testing.T) {
 	fc.NewPolicy = func(int) (scheduler.Policy, error) { return scheduler.NewBestFit(), nil }
 
 	ops := OpsFromTrace(tr)
-	roll, err := RunScriptOffline(fc, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol, err := fc.NewPolicy(0)
+	roll, err := scriptOracle(fc, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if roll.SLO == nil {
-		t.Fatal("offline script rollup has no SLO summary")
+		t.Fatal("oracle rollup has no SLO summary")
 	}
 	if roll.SLO.Classes[slo.ClassBestEffort].Rejected == 0 {
 		t.Fatal("front-door gate rejected nothing; tighten the test config")
 	}
-	want, err := json.Marshal(FleetReportOf(fc.PoolName, pol.Name(), roll))
+	want := reportJSON(t, fc, roll)
+	offline, err := RunScriptOffline(fc, ops)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := reportJSON(t, fc, offline); !bytes.Equal(got, want) {
+		t.Fatalf("offline run diverged from the oracle:\noffline: %s\noracle:  %s", got, want)
 	}
 
 	for _, workers := range []int{1, 8} {
@@ -174,7 +175,7 @@ func TestFleetAdmissionParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("online fleet (workers=%d) diverged from offline script:\nonline:  %s\noffline: %s", workers, got, want)
+			t.Fatalf("online fleet (workers=%d) diverged from the oracle:\nonline: %s\noracle: %s", workers, got, want)
 		}
 		if rep.Rejected == 0 {
 			t.Fatalf("workers=%d: client saw no 429s", workers)

@@ -80,13 +80,13 @@
 // whose exits are not the trace's.
 //
 // FleetConfig embeds Config: a cell's config is a copy of the embedded one
-// with its own pool name, host count, policy and injectors (cellConfig), so
-// there is one config chain from the facade down to every cell.
+// with its own pool name, host count, policy and injectors (addCellLocked),
+// so there is one config chain from the facade down to every cell.
 //
 // Everything a fleet does to its cells is an Op — place, exit, tick and the
 // seven /admin elasticity ops — and every Op takes one path:
 //
-//	Op → topology.plan → steps → Fleet.Do (online) | RunScriptOffline (offline)
+//	Op → Fleet.Do → topology.plan → steps → each cell's Server, in its ticket's turn
 //
 // plan is the single expansion: it validates the op against the topology
 // ledger (host counts, routable/retired masks, the commitment ledger, the
@@ -97,24 +97,25 @@
 // live cell, a merge to a host grow plus a MigrateOut→MigrateIn pair per VM;
 // a cell drain plans to no step at all.
 //
-// Online, Fleet.Do is the one executor. At an op's front-door turn it is
-// planned under the fleet mutex and every step draws a ticket — its turn
-// number — from its cell's own sequencer, in plan order, before the turn
-// passes; the turn is consumed even when the ledger refused the op, so
-// nothing ever parks behind a failure. After the turn each step applies in
-// its ticket's turn, so each cell applies its steps in global order, and
-// the independent steps of a multi-cell op run concurrently, so a tick
-// costs its slowest cell (a MigrateIn alone waits for the VM its MigrateOut
-// hands over). Offline, RunScriptOffline is a plain loop over the same
-// plan, applying each step to a bare sim.Machine through applyTo, the
-// switch a cell applies in its turns. The two arms share the ledger
-// code, the expansion and the step semantics, so every cell observes online
-// exactly the event subsequence it is handed offline: the parity tests
-// assert byte-equal drain reports against RunScriptOffline. It is the one
-// offline engine of a fleet — the facade's SimulateScenario and
-// ReplayFleetOffline and cmd/lavasim all run it — and cell.PlanCells +
-// per-shard sim.Run, which shares none of plan/runSteps/applyTo, is kept only
-// as the independent oracle the tests diff both arms against.
+// Fleet.Do is the one executor, and there is one fleet engine. At an op's
+// front-door turn it is planned under the fleet mutex and every step draws
+// a ticket — its turn number — from its cell's own sequencer, in plan
+// order, before the turn passes; the turn is consumed even when the ledger
+// refused the op, so nothing ever parks behind a failure. After the turn
+// each step applies in its ticket's turn, so each cell applies its steps in
+// global order, and the independent steps of a multi-cell op run
+// concurrently, so a tick costs its slowest cell (a MigrateIn alone waits
+// for the VM its MigrateOut hands over). The offline run of a fleet is the
+// Fleet itself: RunScriptOffline builds one, hands it the script through Do
+// in program order and drains it, so the facade's SimulateScenario and
+// ReplayFleetOffline and cmd/lavasim run the very engine cmd/lavad serves.
+//
+// Because an online and an offline run of a fleet are one engine, the
+// references the tests diff a fleet against stand apart from it: within
+// this package, a sequential oracle that expands each op through plan and
+// applies the steps to bare sim.Machines through applyTo, in plan order,
+// with no sequencer, runSteps or Server; at the facade, cell.PlanCells +
+// per-shard sim.Run, which shares none of them.
 //
 // # HTTP surface
 //

@@ -20,35 +20,33 @@ var ErrNoRoutableCell = errors.New("serve: no routable cell")
 // (discipline, cursor, routable mask, commitments, VM→cell index — the same
 // type and methods cell.Shard walks a trace through offline) wrapped with
 // what only a serving fleet has: the front-door admission gate, cell
-// retirement and cell growth. It is the one piece of state the online
-// front-end (Fleet, under its mutex) and the offline script runner
-// (RunScriptOffline, single-threaded) share verbatim — every routing or
-// elasticity decision is a pure function of this struct, which is what
-// makes an online run byte-comparable to its offline script. It has one
-// side effect, the grow hook: a split starts the new cell's engine from
-// inside the ledger, before it commits.
+// retirement and cell growth. The Fleet reads and writes it under its mutex
+// at each op's front-door turn, so every routing or elasticity decision is
+// a pure function of this struct and the sequenced op order, which is what
+// makes a concurrent online run byte-comparable to the same script run in
+// program order. It has one side effect, the grow hook: a split starts the
+// new cell's Server from inside the ledger, before it commits.
 //
-// The ledger is updated at sequencing time, before the per-cell machines
-// apply the operation, and unconditionally: a cell-level failure (say, a
-// host removal refused because the host still runs VMs) surfaces as an
-// error to the operator but does not roll the ledger back, so both sides
-// keep identical ledgers for identical op streams. Parity guarantees
-// therefore cover scripts whose operations succeed.
+// The ledger is updated at sequencing time, before the cells apply the
+// operation, and unconditionally: a cell-level failure (say, a host removal
+// refused because the host still runs VMs) surfaces as an error to the
+// operator but does not roll the ledger back, so any two runs of one op
+// stream keep identical ledgers. Parity guarantees therefore cover scripts
+// whose operations succeed.
 type topology struct {
 	*cell.Ledger
 
 	retired []bool // cell was merged away: terminal, unroutable, weight 0
 
 	// gate is the front-door SLO admission controller (nil: admission off).
-	// It lives on the topology because it is part of the same shared-ledger
-	// contract: the online Fleet consults it under its mutex at each global
-	// sequencing turn, the offline script runner in plain program order, so
-	// both arms see the identical admit/reject stream.
+	// It lives on the topology because it is part of the same ledger
+	// contract: the Fleet consults it under its mutex at each op's
+	// front-door turn, so the admit/reject stream follows the sequenced op
+	// order.
 	gate *slo.Gate
 
-	// grow builds the engine of a new cell — a Server for the online fleet,
-	// a bare machine for the offline runner — for the initial cells and for
-	// every split. The ledger only commits a split once grow succeeded.
+	// grow builds the Server of a new cell (Fleet.addCellLocked) on every
+	// split. The ledger only commits a split once grow succeeded.
 	grow func(idx, hosts int) error
 }
 
@@ -162,8 +160,8 @@ func (t *topology) split(c, k int) (int, error) {
 // and commitments, every VM routed to from — including capacity-failed ones
 // whose future exits must still resolve somewhere — is repointed at into,
 // and from becomes terminal (unroutable, retired, weight 0). Returns the
-// VMs to migrate, sorted by ID: the deterministic migration plan both the
-// online fleet and the offline runner execute.
+// VMs to migrate, sorted by ID: the deterministic migration plan, the same
+// however concurrently the op stream arrived.
 func (t *topology) merge(from, into int) ([]cluster.VMID, error) {
 	if err := t.liveCell(from); err != nil {
 		return nil, err
@@ -281,10 +279,10 @@ func (k OpKind) String() string {
 	return opNames[k]
 }
 
-// Op is one fleet operation: the unit of work of the live Fleet (Do) and of
-// the offline reference (RunScriptOffline). A script is a sequence of Ops in
-// global order: op i corresponds to fleet sequence number i+1, which is how
-// the elasticity tests replay the same script online at any concurrency.
+// Op is one fleet operation, the unit of work of Fleet.Do. A script is a
+// sequence of Ops in global order: op i corresponds to fleet sequence number
+// i+1, which is how a script replays online at any concurrency, and
+// RunScriptOffline runs it in program order.
 type Op struct {
 	Kind OpKind
 	At   time.Duration  // virtual time (place/exit/tick/admin ops)
@@ -311,8 +309,8 @@ type OpResult struct {
 // every CREATE becomes an OpPlace and every EXIT an OpExit, in event order,
 // with events past the trace's measurement end dropped. It is the script a
 // trace is: Client.Replay sends these ops, ops[i] under sequence number
-// i+1, so RunScriptOffline over them is the offline reference for an online
-// replay of the same trace.
+// i+1, so RunScriptOffline over them is the offline run of an online replay
+// of the same trace.
 func OpsFromTrace(tr *trace.Trace) []Op {
 	end := tr.End()
 	ops := make([]Op, 0, 2*len(tr.Records))
@@ -418,35 +416,17 @@ func (t *topology) plan(op *Op, buf []request) (steps []request, res OpResult, e
 	return steps, res, err
 }
 
-// cellSet is what a plan's steps apply to: the online fleet's cell Servers,
-// each step in its cell ticket's turn, or the offline runner's bare
-// machines, in plan order. It is a value, not a func, so that applying a
-// step lets nothing escape and a one-step plan's buffer stays on its
-// caller's stack.
-type cellSet struct {
-	servers  []*Server
-	machines []*sim.Machine
-}
-
-// apply applies one step to its cell.
-func (c cellSet) apply(r *request) response {
-	if c.servers != nil {
-		return c.servers[r.cell].submit(r)
-	}
-	return applyTo(c.machines[r.cell], r)
-}
-
-// runSteps carries out a planned op on cells and folds the answers into res
-// in plan order, joining the step errors. The one data dependency: a
-// MigrateIn places the VM its MigrateOut right before it handed over, so it
-// starts once every step before it has answered. Online the steps between
-// two MigrateIns run concurrently — each waits for its own ticket's turn —
-// so a tick costs its slowest cell, not the sum; offline every step applies
-// in plan order.
+// runSteps carries out a planned op on the fleet's cells, each step in its
+// cell ticket's turn, and folds the answers into res in plan order, joining
+// the step errors. The one data dependency: a MigrateIn places the VM its
+// MigrateOut right before it handed over, so it starts once every step
+// before it has answered. The steps between two MigrateIns run concurrently
+// — each waits for its own ticket's turn — so a tick costs its slowest cell,
+// not the sum.
 //
-// Every step runs even after one failed, exactly as the offline script runs
-// it — and online it must: every cell ticket drawn must take its turn.
-func runSteps(kind OpKind, steps []request, res *OpResult, cells cellSet) error {
+// Every step runs even after one failed: every cell ticket drawn must take
+// its turn.
+func runSteps(kind OpKind, steps []request, res *OpResult, cells []*Server) error {
 	var errs []error
 	var vm *cluster.VM // what the last folded step handed over (MigrateOut only)
 	fold := func(i int, resp response) {
@@ -477,15 +457,13 @@ func runSteps(kind OpKind, steps []request, res *OpResult, cells cellSet) error 
 			// for capacity) still takes its turn, as a sequencing no-op.
 			steps[lo].vm = vm
 		}
-		if cells.servers == nil || hi-lo == 1 {
-			for i := lo; i < hi; i++ {
-				fold(i, cells.apply(&steps[i]))
-			}
+		if hi-lo == 1 {
+			fold(lo, cells[steps[lo].cell].submit(&steps[lo]))
 		} else {
 			seg := append([]request(nil), steps[lo:hi]...) // the goroutines get a copy: steps must not escape
 			resps := make([]response, len(seg))
 			fanOut(len(seg), func(i int) error {
-				resps[i] = cells.apply(&seg[i])
+				resps[i] = cells[seg[i].cell].submit(&seg[i])
 				return nil
 			})
 			for i, resp := range resps {
@@ -497,124 +475,25 @@ func runSteps(kind OpKind, steps []request, res *OpResult, cells cellSet) error 
 	return errors.Join(errs...)
 }
 
-// cellConfig is the one per-cell config builder: cell idx of the fleet,
-// hosts wide, as a single-server Config — the fleet's embedded Config with
-// the cell's own name and size, a fresh policy and injectors from the
-// fleet's factories. The online fleet starts a Server from it and the
-// offline runner a bare machine, for original cells and cells carved out
-// later by a split alike.
-func cellConfig(cfg *FleetConfig, idx, hosts int) (Config, error) {
-	pol, err := cfg.NewPolicy(idx)
-	if err == nil && pol == nil {
-		err = errors.New("serve: fleet policy factory returned nil")
-	}
-	if err != nil {
-		return Config{}, err
-	}
-	cc := cfg.Config
-	// The offline counterpart (cell.Shard) names cells the same way;
-	// keeping the names aligned keeps drain payloads diffable.
-	cc.PoolName = fmt.Sprintf("%s/cell-%d", cfg.PoolName, idx)
-	cc.Hosts = hosts
-	cc.Policy = pol
-	cc.Injectors = nil
-	if cfg.NewInjectors != nil {
-		cc.Injectors = cfg.NewInjectors(idx)
-	}
-	cc.TraceOut = nil // see FleetConfig: one writer cannot take N cells' streams
-	cc.Memo = nil     // the wrapper is fleet-wide: the node reports it, once
-	cc.SLO = cellSLO(cfg)
-	return cc, nil
-}
-
-// fleetTopology is where NewFleet and RunScriptOffline both start: it
-// validates cfg, fills its defaults, builds the topology with its front-door
-// gate, and builds every initial cell through grow.
-func fleetTopology(cfg *FleetConfig, grow func(idx, hosts int) error) (*topology, error) {
-	if cfg.Cells <= 0 {
-		return nil, fmt.Errorf("serve: fleet needs at least one cell, got %d", cfg.Cells)
-	}
-	if cfg.Hosts < cfg.Cells {
-		return nil, fmt.Errorf("serve: %d hosts cannot form %d cells", cfg.Hosts, cfg.Cells)
-	}
-	if cfg.NewPolicy == nil {
-		return nil, errors.New("serve: fleet config needs a policy factory")
-	}
-	if cfg.PoolName == "" {
-		cfg.PoolName = "pool"
-	}
-	if err := cfg.SLO.Validate(); err != nil {
-		return nil, err
-	}
-	cfg.SLO = cfg.SLO.Normalize()
-	hosts := cell.SplitHosts(cfg.Hosts, cfg.Cells)
-	topo, err := newTopology(cfg.Router, hosts)
-	if err != nil {
-		return nil, err
-	}
-	topo.gate = slo.NewGate(cfg.SLO)
-	topo.grow = func(idx, hosts int) error {
-		if err := grow(idx, hosts); err != nil {
-			return fmt.Errorf("serve: fleet cell %d: %w", idx, err)
-		}
-		return nil
-	}
-	for i, h := range hosts {
-		if err := topo.grow(i, h); err != nil {
-			return nil, err
-		}
-	}
-	return topo, nil
-}
-
-// RunScriptOffline executes a script sequentially against bare per-cell
-// simulation machines — no sequencers, no HTTP — and rolls
-// the final results up. It is the ground truth the live Fleet is diffed
-// against: both run every op through topology.plan and every step through
-// applyTo, so a fleet replaying the script at any concurrency (op i under
-// sequence number i+1) drains to a byte-identical report.
+// RunScriptOffline runs a script through the engine a live fleet serves:
+// NewFleet with tracing off (nothing reads an offline cell's decision ring),
+// each op through Fleet.Do at sequence number 0 in program order, then the
+// drain. A front-door rejection is counted at the gate and invisible to
+// routing; any other error ends the script. A fleet replaying the script at
+// any concurrency (op i under sequence number i+1) drains to the same bytes.
 func RunScriptOffline(cfg FleetConfig, ops []Op) (*cell.Rollup, error) {
-	var machines []*sim.Machine
-	topo, err := fleetTopology(&cfg, func(idx, hosts int) error {
-		cc, err := cellConfig(&cfg, idx, hosts)
-		if err != nil {
-			return err
-		}
-		cc.TraceK = 0 // nothing reads an offline cell's decision ring
-		m, _, err := newMachine(&cc)
-		if err != nil {
-			return err
-		}
-		machines = append(machines, m)
-		return nil
-	})
+	cfg.TraceK = 0
+	f, err := NewFleet(cfg)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
 	for i := range ops {
-		op := &ops[i]
-		steps, res, err := topo.plan(op, nil)
-		if err == nil {
-			err = runSteps(op.Kind, steps, &res, cellSet{machines: machines})
-		}
-		// A front-door rejection is counted at the gate and invisible to
-		// routing; anything else ends the script.
-		if err != nil && !slo.IsReject(err) {
-			return nil, fmt.Errorf("serve: script op %d (%s): %w", i, op.Kind, err)
+		if _, err := f.Do(ops[i], 0); err != nil && !slo.IsReject(err) {
+			return nil, fmt.Errorf("serve: script op %d (%s): %w", i, ops[i].Kind, err)
 		}
 	}
-	results := make([]*sim.Result, len(machines))
-	for i, m := range machines {
-		if results[i], err = m.Finish(); err != nil {
-			return nil, fmt.Errorf("serve: script finish cell %d: %w", i, err)
-		}
-	}
-	roll, err := cell.RollUp(topo.Kind, topo.Hosts, results)
-	if err != nil {
-		return nil, err
-	}
-	attachFrontDoorLocked(topo, roll)
-	return roll, nil
+	return f.Drain()
 }
 
 // FleetReportOf projects a rollup into the canonical fleet report — the

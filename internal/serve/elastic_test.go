@@ -8,21 +8,26 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"lava/internal/cell"
 	"lava/internal/cluster"
 	"lava/internal/features"
 	"lava/internal/resources"
 	"lava/internal/scheduler"
+	"lava/internal/sim"
+	"lava/internal/slo"
 	"lava/internal/trace"
 )
 
-// elasticCfg is the shared fleet configuration both halves of an elasticity
-// parity test consume: RunScriptOffline builds its bare machines from it and
-// NewFleet its served cells, so any divergence is in the sequencing layer,
-// never the setup.
+// elasticCfg is the fleet configuration both halves of an elasticity parity
+// test consume: NewFleet builds its served cells from it and scriptOracle
+// its bare machines, each through its own code, so a divergence is in the
+// fleet's setup, sequencing or stepping — never in the script.
 func elasticCfg(hosts, cells int, router string) FleetConfig {
 	return FleetConfig{
 		Config: Config{PoolName: "elastic-test", Hosts: hosts,
@@ -106,6 +111,87 @@ func elasticScript(places int) []Op {
 	return ops
 }
 
+// scriptOracle is the sequential reference a fleet is diffed against: each
+// op expanded by topology.plan and its steps applied to bare per-cell
+// machines through applyTo, in plan order — no sequencer, no runSteps, no
+// Server, no Fleet. It builds its topology and cells itself, so it shares
+// with the fleet only the ledger, the expansion and the step semantics. A
+// front-door rejection is counted at the gate; any other error ends the
+// script.
+func scriptOracle(cfg FleetConfig, ops []Op) (*cell.Rollup, error) {
+	hosts := cell.SplitHosts(cfg.Hosts, cfg.Cells)
+	topo, err := newTopology(cfg.Router, hosts)
+	if err != nil {
+		return nil, err
+	}
+	topo.gate = slo.NewGate(cfg.SLO) // nil: admission off
+	var machines []*sim.Machine
+	topo.grow = func(idx, hosts int) error {
+		pol, err := cfg.NewPolicy(idx)
+		if err != nil {
+			return err
+		}
+		cc := cfg.Config
+		cc.PoolName = fmt.Sprintf("%s/cell-%d", cfg.PoolName, idx)
+		cc.Hosts, cc.Policy, cc.Injectors, cc.SLO, cc.TraceK = hosts, pol, nil, nil, 0
+		if cfg.NewInjectors != nil {
+			cc.Injectors = cfg.NewInjectors(idx)
+		}
+		if topo.gate != nil {
+			cc.SLO = &slo.Config{Track: true}
+		}
+		m, _, err := newMachine(&cc)
+		machines = append(machines, m)
+		return err
+	}
+	for i, h := range hosts {
+		if err := topo.grow(i, h); err != nil {
+			return nil, err
+		}
+	}
+	for i := range ops {
+		steps, _, err := topo.plan(&ops[i], nil)
+		var vm *cluster.VM // what the last step handed over (MigrateOut only)
+		for j := range steps {
+			if steps[j].kind == reqMigrateIn {
+				steps[j].vm = vm
+			}
+			resp := applyTo(machines[steps[j].cell], &steps[j])
+			vm = resp.vm
+			err = errors.Join(err, resp.err)
+		}
+		if err != nil && !slo.IsReject(err) {
+			return nil, fmt.Errorf("oracle: op %d (%s): %w", i, ops[i].Kind, err)
+		}
+	}
+	results := make([]*sim.Result, len(machines))
+	for i, m := range machines {
+		if results[i], err = m.Finish(); err != nil {
+			return nil, err
+		}
+	}
+	roll, err := cell.RollUp(topo.Kind, topo.Hosts, results)
+	if err == nil && topo.gate != nil {
+		roll.SLO = slo.MergeFrontDoor(topo.gate.Counts(), []*slo.Summary{roll.SLO},
+			roll.AvgPackingDensity, roll.AvgEmptyToFree, true)
+	}
+	return roll, err
+}
+
+// reportJSON marshals roll as the drain report a fleet of cfg answers.
+func reportJSON(t *testing.T, cfg FleetConfig, roll *cell.Rollup) []byte {
+	t.Helper()
+	pol, err := cfg.NewPolicy(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := json.Marshal(FleetReportOf(cfg.PoolName, pol.Name(), roll))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // runScriptOnline replays a script against a live fleet: op i carries
 // global sequence number i+1 and the ops are handed to `workers` concurrent
 // goroutines, so completion order scrambles while the sequencer restores
@@ -152,15 +238,15 @@ func runScriptOnline(t *testing.T, cfg FleetConfig, ops []Op, workers int) Drain
 
 // TestElasticScriptParity is the elasticity tentpole's contract: a script
 // mixing sequenced requests with every admin op — host add/remove, cell
-// drain/rehydrate, split, merge, rebalance — produces, when replayed online
-// at any concurrency, a drain report byte-identical to the sequential
-// offline run of the same script against bare simulation machines.
+// drain/rehydrate, split, merge, rebalance — produces, run offline
+// (RunScriptOffline) and replayed online at any concurrency, a drain report
+// byte-identical to the sequential oracle's.
 func TestElasticScriptParity(t *testing.T) {
 	ops := elasticScript(90)
 	for _, router := range []string{"feature-hash", "round-robin"} {
 		t.Run(router, func(t *testing.T) {
 			cfg := elasticCfg(12, 3, router)
-			roll, err := RunScriptOffline(cfg, ops)
+			roll, err := scriptOracle(cfg, ops)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,13 +256,13 @@ func TestElasticScriptParity(t *testing.T) {
 			if len(roll.Cells) != 4 {
 				t.Fatalf("script ended with %d cells, want 4 (split ran?)", len(roll.Cells))
 			}
-			pol, err := cfg.NewPolicy(0)
+			want := reportJSON(t, cfg, roll)
+			offline, err := RunScriptOffline(cfg, ops)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := json.Marshal(FleetReportOf(cfg.PoolName, pol.Name(), roll))
-			if err != nil {
-				t.Fatal(err)
+			if got := reportJSON(t, cfg, offline); !bytes.Equal(got, want) {
+				t.Fatalf("offline run diverged from the oracle:\noffline: %s\noracle:  %s", got, want)
 			}
 			for _, workers := range []int{1, 8} {
 				got, err := json.Marshal(runScriptOnline(t, cfg, ops, workers))
@@ -184,7 +270,7 @@ func TestElasticScriptParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, want) {
-					t.Fatalf("online (%d workers) diverged from offline script:\nonline:  %s\noffline: %s", workers, got, want)
+					t.Fatalf("online (%d workers) diverged from the oracle:\nonline: %s\noracle: %s", workers, got, want)
 				}
 			}
 		})
@@ -214,9 +300,47 @@ func TestOfflineScriptIgnoresTracing(t *testing.T) {
 	}
 }
 
+// TestOfflineScriptSurvivesPanickingScorer runs a script whose scorer
+// panics while placing VM 13. The panic must not escape RunScriptOffline:
+// it returns an error naming the op and the cell, and leaves no goroutine
+// behind — the ticks fan out across the cells.
+func TestOfflineScriptSurvivesPanickingScorer(t *testing.T) {
+	var ops []Op
+	for i := 0; i < 20; i++ {
+		rec := scriptRecord(i)
+		ops = append(ops, Op{Kind: OpPlace, At: rec.Arrival, Rec: rec})
+		if i%5 == 4 {
+			ops = append(ops, Op{Kind: OpTick, At: rec.Arrival})
+		}
+	}
+	// Round-robin sends the 13th placement to cell 12 mod 5.
+	cfg := elasticCfg(10, 5, "round-robin")
+	cfg.NewPolicy = func(int) (scheduler.Policy, error) { return panicPolicy{scheduler.NewBestFit()}, nil }
+	at := slices.IndexFunc(ops, func(op Op) bool { return op.Kind == OpPlace && op.Rec.ID == 13 })
+	base := runtime.NumGoroutine()
+	var err error
+	escaped := func() (p any) {
+		defer func() { p = recover() }()
+		_, err = RunScriptOffline(cfg, ops)
+		return nil
+	}()
+	if escaped != nil {
+		t.Fatalf("the scorer's panic escaped RunScriptOffline: %v", escaped)
+	}
+	want := fmt.Sprintf("serve: script op %d (place): serve: elastic-test/cell-2: apply panicked: scorer bug", at)
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
 // TestPlanCoversEveryOpKind walks the OpKind enumeration: every kind has a
-// name and an arm in topology.plan, the one expansion both the live fleet
-// and the offline runner consume, so a kind added to the enumeration alone
+// name and an arm in topology.plan, the one expansion the fleet and the
+// oracle consume, so a kind added to the enumeration alone
 // fails here instead of silently doing nothing.
 func TestPlanCoversEveryOpKind(t *testing.T) {
 	for k := OpKind(0); k < numOpKinds; k++ {
@@ -247,7 +371,7 @@ func TestPlanCoversEveryOpKind(t *testing.T) {
 // TestFleetCellDrainZeroDrop pins the drain/rehydrate guarantee: sequenced
 // placements racing a cell drain and rehydrate are never dropped — every
 // accepted request lands exactly once, so placements+failed equals the
-// number of place ops, and the whole stream byte-matches its offline twin.
+// number of place ops, and the whole stream byte-matches the oracle.
 func TestFleetCellDrainZeroDrop(t *testing.T) {
 	var ops []Op
 	for i := 0; i < 40; i++ {
@@ -262,29 +386,25 @@ func TestFleetCellDrainZeroDrop(t *testing.T) {
 
 	cfg := elasticCfg(8, 2, "round-robin")
 	cfg.Horizon = 8 * time.Hour
-	roll, err := RunScriptOffline(cfg, ops)
+	roll, err := scriptOracle(cfg, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := roll.Placements + roll.Failed; got != 40 {
-		t.Fatalf("offline script dropped requests: placements+failed = %d, want 40", got)
+		t.Fatalf("oracle dropped requests: placements+failed = %d, want 40", got)
 	}
 	// While cell 0 was drained every arrival went to cell 1; the drain did
 	// not leak placements into the drained cell.
 	if roll.Cells[1].Placements+roll.Cells[1].Failed <= 20 {
 		t.Fatalf("drained window did not shift load: cell 1 saw %d requests", roll.Cells[1].Placements+roll.Cells[1].Failed)
 	}
-	pol, _ := cfg.NewPolicy(0)
-	want, err := json.Marshal(FleetReportOf(cfg.PoolName, pol.Name(), roll))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := reportJSON(t, cfg, roll)
 	got, err := json.Marshal(runScriptOnline(t, cfg, ops, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("drain/rehydrate stream diverged:\nonline:  %s\noffline: %s", got, want)
+		t.Fatalf("drain/rehydrate stream diverged:\nonline: %s\noracle: %s", got, want)
 	}
 }
 
@@ -395,7 +515,7 @@ func TestElasticAdminHTTP(t *testing.T) {
 // holds (never drain the last routable cell, never touch a retired one).
 // This is the fuzz half of the sequencer property test — scripts mix
 // request traffic with out-of-order-arriving admin ops and the online replay
-// must still byte-match the sequential offline run.
+// must still byte-match the sequential oracle.
 func randomScript(rng *rand.Rand, cells, places int) []Op {
 	routable := make([]bool, cells)
 	retired := make([]bool, cells)
@@ -491,7 +611,7 @@ func randomScript(rng *rand.Rand, cells, places int) []Op {
 
 // TestFleetScriptFuzzParity is the sequencer property test: random scripts
 // of interleaved requests and admin ops, replayed online at concurrency 8
-// with scrambled completion order, must byte-match their sequential offline
+// with scrambled completion order, must byte-match their sequential oracle
 // runs — the fleet never reorders and never drops a sequenced operation.
 func TestFleetScriptFuzzParity(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23} {
@@ -501,21 +621,17 @@ func TestFleetScriptFuzzParity(t *testing.T) {
 			ops := randomScript(rng, 3, 140)
 			cfg := elasticCfg(9, 3, "round-robin")
 			cfg.Horizon = 24 * time.Hour
-			roll, err := RunScriptOffline(cfg, ops)
+			roll, err := scriptOracle(cfg, ops)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pol, _ := cfg.NewPolicy(0)
-			want, err := json.Marshal(FleetReportOf(cfg.PoolName, pol.Name(), roll))
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := reportJSON(t, cfg, roll)
 			got, err := json.Marshal(runScriptOnline(t, cfg, ops, 8))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("seed %d diverged:\nonline:  %s\noffline: %s", seed, got, want)
+				t.Fatalf("seed %d diverged:\nonline: %s\noracle: %s", seed, got, want)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -22,9 +23,9 @@ import (
 // exactly as cell.SplitHosts does for offline sharding, which is what makes
 // a served fleet comparable — byte-for-byte — to cell.PlanCells + per-cell
 // sim.Run. Each cell's Config is a copy of the embedded one with its own
-// pool name and host count (see cellConfig), so a per-cell setting added to
-// Config reaches fleet cells without being spelled out here. What a fleet
-// reads differently:
+// pool name and host count (see addCellLocked), so a per-cell setting added
+// to Config reaches fleet cells without being spelled out here. What a
+// fleet reads differently:
 //
 //   - Horizon is the federation's, not a cell's: every cell measures to it
 //     (FromTrace sets the trace's common End()), because a cell's own last
@@ -39,7 +40,7 @@ import (
 //     charged against its class's token bucket under the routing lock, at its
 //     global sequencing turn, before any routing state moves — so the
 //     admit/reject stream is a pure function of the sequenced request order
-//     and the offline script runner reproduces it exactly. Rejections consume
+//     and RunScriptOffline reproduces it exactly. Rejections consume
 //     their global routing turn (later sequence numbers never park behind
 //     them) and reach no cell. Cells run with tracking-only SLO
 //     configs behind the gate, so per-class lifecycle counts roll up without
@@ -114,27 +115,69 @@ type Fleet struct {
 
 // NewFleet builds a fleet of N cells. Like New it starts no goroutine.
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
-	f := &Fleet{cfg: cfg, order: newSequencer()}
-	var err error
-	if f.topo, err = fleetTopology(&f.cfg, f.addCellLocked); err != nil {
-		f.Close()
+	if cfg.Cells <= 0 {
+		return nil, fmt.Errorf("serve: fleet needs at least one cell, got %d", cfg.Cells)
+	}
+	if cfg.Hosts < cfg.Cells {
+		return nil, fmt.Errorf("serve: %d hosts cannot form %d cells", cfg.Hosts, cfg.Cells)
+	}
+	if cfg.NewPolicy == nil {
+		return nil, errors.New("serve: fleet config needs a policy factory")
+	}
+	if cfg.PoolName == "" {
+		cfg.PoolName = "pool"
+	}
+	if err := cfg.SLO.Validate(); err != nil {
 		return nil, err
+	}
+	cfg.SLO = cfg.SLO.Normalize()
+	hosts := cell.SplitHosts(cfg.Hosts, cfg.Cells)
+	topo, err := newTopology(cfg.Router, hosts)
+	if err != nil {
+		return nil, err
+	}
+	topo.gate = slo.NewGate(cfg.SLO)
+	f := &Fleet{cfg: cfg, order: newSequencer(), topo: topo}
+	topo.grow = f.addCellLocked
+	for i, h := range hosts {
+		if err := f.addCellLocked(i, h); err != nil {
+			f.Close()
+			return nil, err
+		}
 	}
 	f.policy = f.cells[0].cfg.Policy.Name()
 	return f, nil
 }
 
-// addCellLocked builds the Server of cell idx and appends it to
+// addCellLocked builds the Server of cell idx, hosts wide, and appends it to
 // the cell set: the topology's grow hook, called for the original cells and,
-// under the fleet mutex, for every cell a split carves out.
+// under the fleet mutex, for every cell a split carves out. The cell's
+// Config is the fleet's embedded one with the cell's own name and size, and
+// a fresh policy and injectors from the fleet's factories.
 func (f *Fleet) addCellLocked(idx, hosts int) error {
-	cc, err := cellConfig(&f.cfg, idx, hosts)
-	if err != nil {
-		return err
+	pol, err := f.cfg.NewPolicy(idx)
+	if err == nil && pol == nil {
+		err = errors.New("serve: fleet policy factory returned nil")
 	}
+	if err != nil {
+		return fmt.Errorf("serve: fleet cell %d: %w", idx, err)
+	}
+	cc := f.cfg.Config
+	// The offline sharding (cell.Shard) names cells the same way; keeping
+	// the names aligned keeps drain payloads diffable.
+	cc.PoolName = fmt.Sprintf("%s/cell-%d", f.cfg.PoolName, idx)
+	cc.Hosts = hosts
+	cc.Policy = pol
+	cc.Injectors = nil
+	if f.cfg.NewInjectors != nil {
+		cc.Injectors = f.cfg.NewInjectors(idx)
+	}
+	cc.TraceOut = nil // see FleetConfig: one writer cannot take N cells' streams
+	cc.Memo = nil     // the wrapper is fleet-wide: the node reports it, once
+	cc.SLO = cellSLO(&f.cfg)
 	s, err := New(cc)
 	if err != nil {
-		return err
+		return fmt.Errorf("serve: fleet cell %d: %w", idx, err)
 	}
 	f.cells = append(f.cells, s)
 	return nil
@@ -170,13 +213,14 @@ func (f *Fleet) Close() {
 	}
 }
 
-// Do executes one fleet operation: the single online path of all ten op
-// kinds. At the op's front-door turn (seq > 0: its place in the fleet-wide
-// strictly ordered stream; seq 0: at once) Do plans it against the topology
-// ledger under the fleet mutex and draws every step a ticket from its cell,
-// in plan order, before the turn passes — so every cell sees exactly the
-// event sequence RunScriptOffline would hand it, and an admin op is just
-// another citizen of the stream. The steps then apply in their cells' turns
+// Do executes one fleet operation: the single path of all ten op kinds,
+// online and in RunScriptOffline alike. At the op's front-door turn (seq >
+// 0: its place in the fleet-wide strictly ordered stream; seq 0: at once)
+// Do plans it against the topology ledger under the fleet mutex and draws
+// every step a ticket from its cell, in plan order, before the turn passes
+// — so every cell sees its slice of the stream in front-door order, however
+// concurrently the ops arrived, and an admin op is just another citizen of
+// the stream. The steps then apply in their cells' turns
 // (see runSteps: a fleet tick costs its slowest cell, not the sum).
 //
 // The turn is consumed even when the ledger refuses the op (no routable
@@ -201,7 +245,7 @@ func (f *Fleet) Do(op Op, seq uint64) (OpResult, error) {
 	f.inflight.Add(1)
 	defer f.inflight.Done()
 	f.order.leave(seq)
-	err = runSteps(op.Kind, steps, &res, cellSet{servers: cells})
+	err = runSteps(op.Kind, steps, &res, cells)
 	return res, err
 }
 
@@ -352,10 +396,14 @@ func (f *Fleet) drainCells() (*cell.Rollup, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Fold the front-door gate's admission counters into the rollup — the
-	// same attachment RunScriptOffline applies, so the drain report stays
-	// byte-identical between the arms.
-	attachFrontDoorLocked(f.topo, roll)
+	// Fold the front-door gate's admission counters into the rollup:
+	// admitted/rejected from the front door, per-class lifecycle counts from
+	// the cells, fairness and fitness recomputed from the merged totals and
+	// the rollup's packing aggregates.
+	if f.topo.gate != nil {
+		roll.SLO = slo.MergeFrontDoor(f.topo.gate.Counts(), []*slo.Summary{roll.SLO},
+			roll.AvgPackingDensity, roll.AvgEmptyToFree, true)
+	}
 	return roll, nil
 }
 

@@ -219,8 +219,8 @@ type Server struct {
 // newMachine validates cfg, fills its defaults and builds the engine it
 // describes: a sim.Machine over a header-only trace carrying the geometry,
 // plus the decision recorder when tracing is on. New wraps the machine in a
-// sequencer and RunScriptOffline drives it bare, so the two arms of the
-// parity harness cannot be set up differently.
+// sequencer; the package's tests also drive it bare, through applyTo, as
+// the sequential reference a fleet is diffed against.
 func newMachine(cfg *Config) (*sim.Machine, *ptrace.Recorder, error) {
 	if cfg.Hosts <= 0 {
 		return nil, nil, errors.New("serve: config needs hosts")
@@ -386,8 +386,7 @@ func (s *Server) Drain() (res *sim.Result, err error) {
 }
 
 // applyTo executes one mutating request against a machine. It is the single
-// request→sim.Machine mapping: a Server calls it during the request's turn,
-// RunScriptOffline in plain program order.
+// request→sim.Machine mapping: a Server calls it during the request's turn.
 func applyTo(m *sim.Machine, r *request) (resp response) {
 	switch r.kind {
 	case reqPlace:

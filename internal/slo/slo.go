@@ -6,18 +6,18 @@
 // A Gate holds one token bucket per class, refilled on virtual-time window
 // boundaries rather than wall-clock ticks: the admission decision for a
 // request is a pure function of (class, virtual arrival time, decisions so
-// far), so a replay at any concurrency — or the offline script runner —
+// far), so a replay at any concurrency — or an offline run of the fleet —
 // reproduces the exact admit/reject stream byte-for-byte. Rejected requests
 // get a typed RejectError carrying the virtual time at which the next token
 // lands (surfaced as HTTP 429 by internal/serve) and a per-class counter;
 // they never reach a cell.
 //
 // The package also owns the multi-objective serving score: the Jain fairness
-// index over per-class admission rates and a weighted fitness product
-// (packing x stranding x latency x fairness) that experiments and the CI
-// bench-gate can optimize against. The offline/drain variant holds the
-// latency term at 1 so drain reports stay byte-comparable between online and
-// offline arms; only live serving stats use a measured latency term.
+// index over per-class admission rates and a fitness product (packing x
+// stranding x fairness) that experiments and the CI bench-gate can optimize
+// against. It has no latency term, so drain reports stay byte-comparable
+// between a served run and its offline replay; live serving stats report
+// per-class latency instead and omit fitness.
 package slo
 
 import (
@@ -340,7 +340,7 @@ func (g *Gate) Summary(packing, stranding float64, withFitness bool) *Summary {
 
 // Summary is the per-class report block that rides (omitempty) on drain
 // metrics, /stats payloads, and cell rollups. Fairness is the Jain index
-// over per-class admission rates; Fitness is the weighted multi-objective
+// over per-class admission rates; Fitness is the multi-objective
 // score (0/omitted on live paths where packing aggregates don't exist yet).
 type Summary struct {
 	Classes  map[string]*Counts `json:"classes"`
@@ -356,7 +356,7 @@ func Summarize(classes map[string]*Counts, packing, stranding float64, withFitne
 	}
 	s := &Summary{Classes: classes, Fairness: Fairness(classes)}
 	if withFitness {
-		s.Fitness = FitnessScore(packing, stranding, 1, s.Fairness)
+		s.Fitness = FitnessScore(packing, stranding, s.Fairness)
 	}
 	return s
 }
@@ -443,43 +443,12 @@ func MergeFrontDoor(front map[string]*Counts, cells []*Summary, packing, strandi
 	return Summarize(merged, packing, stranding, withFitness)
 }
 
-// Weights are the fitness exponents per objective; the zero value means
-// equal weight 1 for every term.
-type Weights struct {
-	Packing, Stranding, Latency, Fairness float64
-}
-
-// FitnessScore is the multi-objective serving score: the weighted product
-// packing^wp x stranding^ws x latency^wl x fairness^wf with every term
-// clamped to [0, 1] and equal weights. Offline/drain paths pass latency=1
-// (neutral) so the score — like every drain byte — is identical between
-// online and offline arms.
-func FitnessScore(packing, stranding, latency, fairness float64) float64 {
-	return FitnessScoreW(packing, stranding, latency, fairness, Weights{})
-}
-
-// FitnessScoreW is FitnessScore with explicit per-term weights: each term
-// contributes term^weight, a weight of 0 drops its term, and the zero-value
-// Weights means 1 everywhere.
-func FitnessScoreW(packing, stranding, latency, fairness float64, w Weights) float64 {
-	if w == (Weights{}) {
-		w = Weights{1, 1, 1, 1}
-	}
-	score := 1.0
-	for _, t := range []struct{ v, w float64 }{
-		{packing, w.Packing}, {stranding, w.Stranding}, {latency, w.Latency}, {fairness, w.Fairness},
-	} {
-		if t.w == 0 {
-			continue
-		}
-		v := clamp01(t.v)
-		if t.w == 1 {
-			score *= v
-		} else {
-			score *= math.Pow(v, t.w)
-		}
-	}
-	return score
+// FitnessScore is the multi-objective serving score: the product packing x
+// stranding x fairness, every term clamped to [0, 1]. It has no latency
+// term, so the score — like every drain byte — is identical between a
+// served run and its offline replay.
+func FitnessScore(packing, stranding, fairness float64) float64 {
+	return clamp01(packing) * clamp01(stranding) * clamp01(fairness)
 }
 
 func clamp01(v float64) float64 {

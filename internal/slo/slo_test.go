@@ -300,25 +300,18 @@ func TestMergeCountsAndFrontDoor(t *testing.T) {
 }
 
 func TestFitnessScore(t *testing.T) {
-	if got := FitnessScore(0.5, 0.5, 1, 1); math.Abs(got-0.25) > 1e-12 {
+	if got := FitnessScore(0.5, 0.5, 1); math.Abs(got-0.25) > 1e-12 {
 		t.Fatalf("fitness = %v", got)
 	}
 	// Out-of-range terms clamp instead of exploding the product.
-	if got := FitnessScore(2, -1, 1, 1); got != 0 {
+	if got := FitnessScore(2, -1, 1); got != 0 {
 		t.Fatalf("clamped fitness = %v, want 0 (negative term)", got)
 	}
-	if got := FitnessScore(2, 1, 1, 1); got != 1 {
+	if got := FitnessScore(2, 1, 1); got != 1 {
 		t.Fatalf("clamped fitness = %v, want 1", got)
 	}
-	if got := FitnessScore(math.NaN(), 1, 1, 1); got != 0 {
+	if got := FitnessScore(math.NaN(), 1, 1); got != 0 {
 		t.Fatalf("NaN term = %v, want 0", got)
-	}
-	// Weight 0 drops a term; weight 2 squares it.
-	if got := FitnessScoreW(0.5, 0.1, 1, 1, Weights{Packing: 1, Stranding: 0, Latency: 1, Fairness: 1}); got != 0.5 {
-		t.Fatalf("dropped-term fitness = %v", got)
-	}
-	if got := FitnessScoreW(0.5, 1, 1, 1, Weights{Packing: 2, Stranding: 1, Latency: 1, Fairness: 1}); math.Abs(got-0.25) > 1e-12 {
-		t.Fatalf("squared-term fitness = %v", got)
 	}
 }
 

@@ -488,8 +488,8 @@ func NewFleet(tr *Trace, cfg FleetConfig) (*serve.Fleet, error) {
 // scenario composition, class labels, then ServeConfig.resolve over the
 // resulting trace. It also returns that (possibly scenario-composed) trace —
 // the event stream the offline run must replay. Shared by NewFleet and
-// runFleetOffline so the two arms of a parity comparison cannot drift in
-// setup.
+// runFleetOffline, so the fleet lavad serves and the fleet an offline run
+// drives are built from one configuration.
 func buildFleetConfig(tr *Trace, cfg FleetConfig) (serve.FleetConfig, *Trace, error) {
 	fc := serve.FleetConfig{Cells: max(cfg.Cells, 1), Router: string(cfg.Router)}
 	if cfg.TraceOut != nil {
@@ -521,9 +521,8 @@ func buildFleetConfig(tr *Trace, cfg FleetConfig) (serve.FleetConfig, *Trace, er
 
 // runFleetOffline is the one offline driver of a fleet: the configuration
 // NewFleet would serve, and the (scenario-composed, class-labeled) event
-// stream a client would replay against it, run through the fleet's script
-// runner — the live fleet's routing ledger, op expansion, admission gate and
-// per-cell machines, sequentially, with no servers or HTTP.
+// stream a client would replay against it, handed to that very fleet in
+// program order by serve.RunScriptOffline, with no HTTP.
 func runFleetOffline(tr *Trace, cfg FleetConfig) (*cell.Rollup, error) {
 	fc, composed, err := buildFleetConfig(tr, cfg)
 	if err != nil {
