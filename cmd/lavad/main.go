@@ -27,8 +27,12 @@
 // a ring of -trace-buf decisions (default 8192, -1 unbounded) and served
 // over GET /trace (filters: vm, host, from_ns, to_ns, after, limit; in
 // fleet mode add cell=N). -trace-out streams decisions to a JSONL file as
-// they happen; a fleet (-cells > 1 or -scenario) refuses it. Tracing is
+// they happen; a fleet (-cells > 1 or -scenario) refuses it. Without
+// -trace-k, -trace-buf and -trace-out are refused. Tracing is
 // observe-only — placement decisions are identical with it on or off.
+//
+// Ticks, samples, warm-up and the host-score cache refresh are lavasim's
+// (internal/simtime, lava.NewPolicy) and no flag sets them.
 //
 // With -cells N > 1 the daemon serves a federated fleet: N independent
 // cells (applying in parallel across cores) behind a router chosen by

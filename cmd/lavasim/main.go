@@ -20,6 +20,9 @@
 // TestCLIParity in internal/cli runs both arms in process and compares the
 // files.
 //
+// Runs tick, sample and refresh host scores as lavad does (internal/simtime,
+// lava.NewPolicy).
+//
 // -class-mix labels records with SLO classes (deterministic in -seed and
 // record ID) and -admit enables per-class token-bucket admission control;
 // rejected arrivals are counted per class, never placed, and the report

@@ -118,6 +118,7 @@ func TestCLIParity(t *testing.T) {
 	plain := writeParityTrace(t, dir, "parity.jsonl", func(*trace.Trace) {})
 	noHorizon := writeParityTrace(t, dir, "parity-nohorizon.jsonl", func(tr *trace.Trace) { tr.Horizon = 0 })
 	const fleet = "-model dist -cells 3 -router feature-hash"
+	const gbdtFleet = "-model gbdt -trees 5 -cells 3 -router feature-hash"
 	for _, row := range []struct {
 		name, trace              string
 		lavad, lavaload, lavasim string // each command's flags besides -trace, -addr and -final-out
@@ -133,6 +134,9 @@ func TestCLIParity(t *testing.T) {
 			"-class-mix latency=2,standard=6,besteffort=2 -seed 7",
 			fleet + " -admit besteffort=1/6h:2 -class-mix latency=2,standard=6,besteffort=2 -seed 7", `"rejected"`},
 		{"single-server", plain, "-model dist", "", "-model dist", `"series_len"`},
+		// The paper's model: both commands train the same 5-tree forest.
+		{"gbdt-single-server", plain, "-model gbdt -trees 5", "", "-model gbdt -trees 5", `"model_calls"`},
+		{"gbdt-fleet", plain, gbdtFleet, "", gbdtFleet, `"model_calls"`},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			online := filepath.Join(dir, row.name+"-online.json")
@@ -261,10 +265,6 @@ func TestCLIRefusals(t *testing.T) {
 			[]string{"-exp", "table3", "-trace-k", "-3"}, "-trace-k"},
 		{"experiments -parallel negative", Experiments,
 			[]string{"-exp", "table3", "-parallel", "-2"}, "-parallel"},
-		{"lavasim -cache negative", Lavasim,
-			[]string{"-trace", missing, "-cache", "-5m"}, "-cache"},
-		{"lavad -cache negative", Lavad,
-			[]string{"-trace", missing, "-addr", "127.0.0.1:0", "-cache", "-5m"}, "-cache"},
 		{"lavasim -trees 0", Lavasim,
 			[]string{"-trace", missing, "-trees", "0"}, "-trees"},
 		{"lavad -trees 0", Lavad,
@@ -273,10 +273,16 @@ func TestCLIRefusals(t *testing.T) {
 			[]string{"-trace", missing, "-trees", "0"}, "-trees"},
 		{"lavad -trace-k negative", Lavad,
 			[]string{"-trace", missing, "-addr", "127.0.0.1:0", "-trace-k", "-2"}, "-trace-k"},
-		{"lavad -tick negative", Lavad,
-			[]string{"-trace", missing, "-addr", "127.0.0.1:0", "-tick", "-1s"}, "-tick"},
-		{"lavad -sample negative", Lavad,
-			[]string{"-trace", missing, "-addr", "127.0.0.1:0", "-sample", "-1s"}, "-sample"},
+		{"lavad -trace-buf below -1", Lavad,
+			[]string{"-trace", missing, "-addr", "127.0.0.1:0", "-trace-k", "3", "-trace-buf", "-5"}, "-trace-buf"},
+		{"lavad -trace-buf without -trace-k", Lavad,
+			[]string{"-trace", missing, "-addr", "127.0.0.1:0", "-trace-buf", "100"}, "-trace-buf"},
+		{"lavad -trace-out without -trace-k", Lavad,
+			[]string{"-trace", missing, "-addr", "127.0.0.1:0", "-trace-out", out}, "-trace-out"},
+		{"lavasim -defrag with -cells", Lavasim,
+			[]string{"-trace", missing, "-cells", "2", "-defrag"}, "-defrag"},
+		{"lavaload -timeout negative", Lavaload,
+			[]string{"-trace", good, "-addr", hs.URL, "-timeout", "-1s"}, "-timeout"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			requests.Store(0)

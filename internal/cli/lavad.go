@@ -9,7 +9,6 @@ import (
 	"net"
 	"os"
 	"strings"
-	"time"
 
 	"lava"
 	"lava/internal/model"
@@ -28,9 +27,6 @@ func Lavad(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		policy    = fs.String("policy", "lava", "wastemin | bestfit | la-binary | nilas | lava")
 		modelKind = fs.String("model", "dist", "oracle | gbdt | km | dist (lifetime model for lifetime-aware policies)")
 		trees     = fs.Int("trees", 400, "GBDT trees when training in-process")
-		refresh   = fs.Duration("cache", time.Minute, "host score cache refresh interval (0 disables)")
-		tick      = fs.Duration("tick", 0, "policy tick period (default 5m)")
-		sample    = fs.Duration("sample", 0, "metric sampling period (default 1h)")
 		cells     = fs.Int("cells", 1, "serving cells; > 1 federates the pool behind a router")
 		router    = fs.String("router", "feature-hash", "fleet router: round-robin | least-utilized | feature-hash")
 		traceK    = fs.Int("trace-k", 0, "record decision traces with this many scored alternatives (0 disables; served at /trace)")
@@ -47,9 +43,14 @@ func Lavad(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if *cells < 1 {
 			return fmt.Errorf("-cells %d: a daemon serves at least one cell", *cells)
 		}
-		if err := cmp.Or(checkTrees(*trees), negative("cache", *refresh), negative("trace-k", *traceK),
-			negative("tick", *tick), negative("sample", *sample)); err != nil {
+		if err := cmp.Or(checkTrees(*trees), negative("trace-k", *traceK)); err != nil {
 			return err
+		}
+		if *traceBuf < -1 || *traceBuf != 0 && *traceK == 0 {
+			return fmt.Errorf("-trace-buf %d needs -trace-k > 0 and is 0 (default), -1 (unbounded) or a capacity", *traceBuf)
+		}
+		if *traceOut != "" && *traceK == 0 {
+			return errors.New("-trace-out requires -trace-k > 0")
 		}
 		tr, err := trace.ReadFile(*tracePath)
 		if err != nil {
@@ -61,14 +62,11 @@ func Lavad(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		cfg := lava.FleetConfig{
 			ServeConfig: lava.ServeConfig{
-				Policy:       lava.PolicyKind(*policy),
-				Pred:         pred,
-				CacheRefresh: lava.CacheRefreshFlag(*refresh),
-				TickEvery:    *tick,
-				SampleEvery:  *sample,
-				TraceK:       *traceK,
-				TraceCap:     *traceBuf,
-				Admission:    *admit,
+				Policy:    lava.PolicyKind(*policy),
+				Pred:      pred,
+				TraceK:    *traceK,
+				TraceCap:  *traceBuf,
+				Admission: *admit,
 			},
 			Cells:        *cells,
 			Router:       lava.RouterKind(*router),
@@ -76,9 +74,6 @@ func Lavad(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			ScenarioSeed: *scenSeed,
 		}
 		if *traceOut != "" {
-			if *traceK <= 0 {
-				return errors.New("-trace-out requires -trace-k > 0")
-			}
 			tf, err := os.Create(*traceOut)
 			if err != nil {
 				return err

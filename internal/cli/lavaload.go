@@ -45,6 +45,9 @@ func Lavaload(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		if !(*qps >= 0 && *qps <= math.MaxFloat64) {
 			return fmt.Errorf("-qps %v is not a finite rate >= 0", *qps)
 		}
+		if err := negative("timeout", *timeout); err != nil {
+			return err
+		}
 		tr, err := trace.ReadFile(*tracePath)
 		if err != nil {
 			return err

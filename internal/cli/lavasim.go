@@ -1,7 +1,6 @@
 package cli
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -16,7 +15,6 @@ import (
 	"lava/internal/defrag"
 	"lava/internal/model"
 	"lava/internal/runner"
-	"lava/internal/scheduler"
 	"lava/internal/serve"
 	"lava/internal/sim"
 	"lava/internal/slo"
@@ -35,7 +33,6 @@ func Lavasim(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		modelKind = fs.String("model", "gbdt", "oracle | gbdt | km | dist (lifetime model for lifetime-aware policies)")
 		modelPath = fs.String("model-file", "", "load a pre-trained GBDT model instead of training on the trace (needs -model gbdt)")
 		trees     = fs.Int("trees", 400, "GBDT trees when training in-process")
-		refresh   = fs.Duration("cache", time.Minute, "host score cache refresh interval (0 disables)")
 		doDefrag  = fs.Bool("defrag", false, "enable the defragmentation engine (LARS ordering)")
 		doStrand  = fs.Bool("stranding", false, "measure stranding via inflation probes")
 		cells     = fs.Int("cells", 1, "shard the workload across this many independent cells")
@@ -53,8 +50,11 @@ func Lavasim(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		if *cells < 1 {
 			return fmt.Errorf("-cells %d: a run needs at least one cell", *cells)
 		}
-		if err := cmp.Or(checkTrees(*trees), negative("cache", *refresh)); err != nil {
+		if err := checkTrees(*trees); err != nil {
 			return err
+		}
+		if (*cells > 1 || *scen != "") && (*doDefrag || *doStrand) {
+			return errors.New("-defrag/-stranding are single-cell options; drop them for federated runs")
 		}
 		if *modelPath != "" && *modelKind != "gbdt" {
 			return fmt.Errorf("-model-file loads a GBDT and cannot serve -model %s", *modelKind)
@@ -74,15 +74,11 @@ func Lavasim(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 
 		if *cells > 1 || *scen != "" {
-			if *doDefrag || *doStrand {
-				return errors.New("-defrag/-stranding are single-cell options; drop them for federated runs")
-			}
 			ff, err := lava.ReplayFleetOffline(tr, lava.FleetConfig{
 				ServeConfig: lava.ServeConfig{
-					Policy:       lava.PolicyKind(*policy),
-					Pred:         pred,
-					CacheRefresh: lava.CacheRefreshFlag(*refresh),
-					Admission:    *admit,
+					Policy:    lava.PolicyKind(*policy),
+					Pred:      pred,
+					Admission: *admit,
 				},
 				Cells:        *cells,
 				Router:       lava.RouterKind(*router),
@@ -105,7 +101,7 @@ func Lavasim(_ context.Context, args []string, stdout, stderr io.Writer) int {
 			}
 		}
 
-		pol, err := scheduler.New(*policy, pred, *refresh)
+		pol, err := lava.NewPolicy(lava.PolicyKind(*policy), pred)
 		if err != nil {
 			return err
 		}

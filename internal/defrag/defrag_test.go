@@ -216,7 +216,7 @@ func TestLARSReducesMigrationsEndToEnd(t *testing.T) {
 	})
 	if _, err := sim.Run(sim.Config{
 		Trace: tr, Policy: scheduler.NewWasteMin(),
-		TickEvery: 5 * time.Minute, Components: []sim.Component{eng},
+		Components: []sim.Component{eng},
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"lava/internal/cluster"
 	"lava/internal/resources"
 	"lava/internal/scheduler"
+	"lava/internal/simtime"
 )
 
 // Counterfactual replay: feed a recorded decision stream back through a
@@ -35,13 +36,13 @@ import (
 //     the recorded trajectory exactly until the first counterfactual
 //     divergence, where it places on the counterfactual's predicted host.
 //
-// Tick ordering mirrors sim.Machine: policy ticks fire lazily at TickEvery
-// multiples; injector events (kill/withdraw/restore) recorded at tick time
-// t happened inside the tick, before the policy's OnTick(t), while
-// place/exit events at t happened after it. Pool-mutating Components
-// (e.g. the defragmenter) are not part of the decision stream, so replay
-// supports injector-only recordings; runs with such components should not
-// be replayed.
+// Tick ordering mirrors sim.Machine: policy ticks fire lazily at
+// simtime.TickEvery multiples; injector events (kill/withdraw/restore)
+// recorded at tick time t happened inside the tick, before the policy's
+// OnTick(t), while place/exit events at t happened after it. Pool-mutating
+// Components (e.g. the defragmenter) are not part of the decision stream,
+// so replay supports injector-only recordings; runs with such components
+// should not be replayed.
 type ReplayConfig struct {
 	// PoolName, Hosts and HostShape reproduce the recorded pool geometry
 	// (from trace.Trace: PoolName, Hosts, HostShape()).
@@ -53,10 +54,6 @@ type ReplayConfig struct {
 	// fresh instance: replay drives its full hook sequence (Schedule,
 	// OnPlaced, OnExited, OnTick) from time zero.
 	Policy scheduler.Policy
-
-	// TickEvery is the policy tick period of the recorded run (default 5m,
-	// matching sim.Config).
-	TickEvery time.Duration
 }
 
 // Divergence is one decision where the candidate disagrees with the record.
@@ -94,21 +91,17 @@ func Replay(cfg ReplayConfig, decisions []Decision) (*Report, error) {
 	if cfg.Hosts <= 0 {
 		return nil, errors.New("ptrace: replay needs the recorded pool geometry")
 	}
-	tick := cfg.TickEvery
-	if tick <= 0 {
-		tick = 5 * time.Minute
-	}
 	pool := cluster.NewPool(cfg.PoolName, cfg.Hosts, cfg.HostShape)
 	pol := cfg.Policy
 	rep := &Report{Policy: pol.Name()}
-	nextTick := tick
+	nextTick := simtime.TickEvery
 	// advance fires the policy ticks due before t; inclusive additionally
 	// fires the tick at t itself (place/exit ordering vs injector ordering,
 	// see the package comment).
 	advance := func(t time.Duration, inclusive bool) {
 		for nextTick < t || (inclusive && nextTick == t) {
 			pol.OnTick(pool, nextTick)
-			nextTick += tick
+			nextTick += simtime.TickEvery
 		}
 	}
 	var sRec, sCand []float64

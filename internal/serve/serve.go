@@ -28,14 +28,15 @@ var (
 
 // Config configures a Server. PoolName, Hosts, HostShape, WarmUp and
 // Horizon play the roles the corresponding trace header fields play in an
-// offline run; FromTrace fills them from a trace.
+// offline run; FromTrace fills them from a trace. A server runs the
+// simulator's clock (simtime.TickEvery, simtime.SampleEvery).
 type Config struct {
 	PoolName  string
 	Hosts     int
 	HostShape resources.Vector
 
 	// WarmUp is excluded from the final aggregates (Appendix F), exactly as
-	// in sim.Config.
+	// a trace's warm-up is offline.
 	WarmUp time.Duration
 
 	// Horizon is the virtual-time measurement end: /drain advances to it
@@ -47,10 +48,6 @@ type Config struct {
 	// scheduler package's contract, policies carry mutable caches and must
 	// not be shared with concurrent runs.
 	Policy scheduler.Policy
-
-	// TickEvery and SampleEvery default to the simulator's 5m / 1h.
-	TickEvery   time.Duration
-	SampleEvery time.Duration
 
 	// Injectors run on every virtual tick, as in sim.Config.
 	Injectors []sim.Injector
@@ -261,14 +258,11 @@ func newMachine(cfg *Config) (*sim.Machine, *ptrace.Recorder, error) {
 	}
 	cfg.SLO = cfg.SLO.Normalize()
 	m, err := sim.NewMachine(sim.Config{
-		Trace:       ht,
-		Policy:      cfg.Policy,
-		WarmUp:      cfg.WarmUp,
-		SampleEvery: cfg.SampleEvery,
-		TickEvery:   cfg.TickEvery,
-		Injectors:   cfg.Injectors,
-		Tracer:      tracer,
-		SLO:         cfg.SLO,
+		Trace:     ht,
+		Policy:    cfg.Policy,
+		Injectors: cfg.Injectors,
+		Tracer:    tracer,
+		SLO:       cfg.SLO,
 	})
 	return m, tracer, err
 }

@@ -9,6 +9,7 @@ import (
 	"lava/internal/metrics"
 	"lava/internal/ptrace"
 	"lava/internal/scheduler"
+	"lava/internal/simtime"
 	"lava/internal/slo"
 	"lava/internal/trace"
 )
@@ -125,8 +126,11 @@ func (c *Control) Kill(id cluster.VMID, now time.Duration) error {
 	return nil
 }
 
-// Config configures one simulation run.
+// Config configures one simulation run on the simulator's clock
+// (simtime.TickEvery, simtime.SampleEvery).
 type Config struct {
+	// Trace supplies the pool geometry, the horizon and the warm-up prefix
+	// (App. F) whose samples stay in the series but not in the aggregates.
 	Trace  *trace.Trace
 	Policy scheduler.Policy
 
@@ -140,20 +144,6 @@ type Config struct {
 	// Results are byte-identical to a materialized replay of the same
 	// record sequence.
 	Source trace.Stream
-
-	// WarmUp excludes the initial interval from reported metrics
-	// (Appendix F: simulations warm up to reach a steady state that is
-	// representative of production before lifetime-aware scheduling is
-	// enabled). Samples before WarmUp are kept in the full series but
-	// excluded from aggregates.
-	WarmUp time.Duration
-
-	// SampleEvery is the metric sampling period (default 1h).
-	SampleEvery time.Duration
-
-	// TickEvery is the policy/component tick period (default 5m): LAVA
-	// deadline checks and defrag triggers run on this cadence.
-	TickEvery time.Duration
 
 	// Components run on every tick.
 	Components []Component
@@ -225,7 +215,7 @@ type Result struct {
 	Policy   string
 
 	Series *metrics.Series // full series including warm-up
-	WarmUp time.Duration
+	WarmUp time.Duration   // the trace's warm-up prefix
 
 	Aggregates
 
@@ -299,28 +289,12 @@ func NewMachine(cfg Config) (*Machine, error) {
 		// materializing; the geometry must state the measurement end.
 		return nil, errors.New("sim: streamed source requires Trace.Horizon")
 	}
-	if cfg.SampleEvery == 0 {
-		cfg.SampleEvery = time.Hour
-	}
-	if cfg.TickEvery == 0 {
-		cfg.TickEvery = 5 * time.Minute
-	}
-	if cfg.SampleEvery < 0 || cfg.TickEvery < 0 {
-		// A negative period would fire its branch of the advance loop
-		// forever: the next-due time only moves backwards.
-		return nil, errors.New("sim: SampleEvery and TickEvery must be positive")
-	}
-	if cfg.WarmUp == 0 {
-		// Default to the trace's own warm-up prefix (Appendix F).
-		cfg.WarmUp = cfg.Trace.WarmUp
-	}
-
 	pool := cluster.NewPool(cfg.Trace.PoolName, cfg.Trace.Hosts, cfg.Trace.HostShape())
 	res := &Result{
 		PoolName: cfg.Trace.PoolName,
 		Policy:   cfg.Policy.Name(),
 		Series:   &metrics.Series{},
-		WarmUp:   cfg.WarmUp,
+		WarmUp:   cfg.Trace.WarmUp,
 	}
 	ctl := NewControl(pool, cfg.Policy, res)
 	if cfg.Tracer != nil {
@@ -342,7 +316,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		// Measure until the arrival horizon: past it the pool only drains,
 		// which says nothing about steady-state packing quality.
 		end:      cfg.Trace.End(),
-		nextTick: cfg.TickEvery,
+		nextTick: simtime.TickEvery,
 	}, nil
 }
 
@@ -392,7 +366,7 @@ func (m *Machine) Advance(t time.Duration) error {
 			if err := m.res.Series.Add(smp); err != nil {
 				return err
 			}
-			if smp.Time >= m.cfg.WarmUp {
+			if smp.Time >= m.res.WarmUp {
 				m.aggN++
 				m.aggEmpty += smp.EmptyHostFrac
 				m.aggE2F += smp.EmptyToFree
@@ -404,7 +378,7 @@ func (m *Machine) Advance(t time.Duration) error {
 					return fmt.Errorf("sim: at %v: %w", m.nextSample, err)
 				}
 			}
-			m.nextSample += m.cfg.SampleEvery
+			m.nextSample += simtime.SampleEvery
 		} else {
 			m.ctl.now = m.nextTick // stamp injector-driven trace events
 			for _, in := range m.cfg.Injectors {
@@ -414,7 +388,7 @@ func (m *Machine) Advance(t time.Duration) error {
 			for _, c := range m.cfg.Components {
 				c.Tick(m.pool, m.nextTick)
 			}
-			m.nextTick += m.cfg.TickEvery
+			m.nextTick += simtime.TickEvery
 		}
 	}
 	m.now = t

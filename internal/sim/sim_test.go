@@ -89,14 +89,14 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestSamplesEvenlySpaced(t *testing.T) {
 	tr := smallTrace(t, 2, 0.5, 3)
-	res, err := Run(Config{Trace: tr, Policy: scheduler.NewBestFit(), SampleEvery: 2 * time.Hour})
+	res, err := Run(Config{Trace: tr, Policy: scheduler.NewBestFit()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < res.Series.Len(); i++ {
 		gap := res.Series.Samples[i].Time - res.Series.Samples[i-1].Time
-		if gap != 2*time.Hour {
-			t.Fatalf("sample gap = %v, want 2h", gap)
+		if gap != simtime.SampleEvery {
+			t.Fatalf("sample gap = %v, want %v", gap, simtime.SampleEvery)
 		}
 	}
 }
@@ -147,13 +147,13 @@ func TestComponentsTicked(t *testing.T) {
 	c := &tickCounter{}
 	_, err := Run(Config{
 		Trace: tr, Policy: scheduler.NewWasteMin(),
-		TickEvery: time.Hour, Components: []Component{c},
+		Components: []Component{c},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.n < 20 {
-		t.Fatalf("component ticked %d times over ~1 day, want >= 20", c.n)
+	if c.n < 20 || c.last != time.Duration(c.n)*simtime.TickEvery {
+		t.Fatalf("component ticked %d times over ~1 day, last at %v; want >= 20, every %v", c.n, c.last, simtime.TickEvery)
 	}
 }
 
@@ -215,7 +215,9 @@ func TestControlKillUnknownVM(t *testing.T) {
 func TestWarmUpExcludedFromAggregates(t *testing.T) {
 	tr := smallTrace(t, 3, 0.6, 6)
 	// Force a tiny warm-up vs the trace's full prefill.
-	resAll, err := Run(Config{Trace: tr, Policy: scheduler.NewWasteMin(), WarmUp: time.Minute})
+	short := *tr
+	short.WarmUp = time.Minute
+	resAll, err := Run(Config{Trace: &short, Policy: scheduler.NewWasteMin()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,18 +256,6 @@ func TestWarmUpExcludedFromAggregates(t *testing.T) {
 			if want := after.Mean(c.f); c.got != want {
 				t.Errorf("warm-up %v: %s = %v, series mean %v", res.WarmUp, c.name, c.got, want)
 			}
-		}
-	}
-}
-
-func TestNewMachineRejectsNegativePeriods(t *testing.T) {
-	tr := smallTrace(t, 2, 0.5, 9)
-	for _, cfg := range []Config{
-		{Trace: tr, Policy: scheduler.NewWasteMin(), TickEvery: -time.Second},
-		{Trace: tr, Policy: scheduler.NewWasteMin(), SampleEvery: -time.Hour},
-	} {
-		if _, err := NewMachine(cfg); err == nil {
-			t.Fatalf("negative period accepted: %+v", cfg)
 		}
 	}
 }

@@ -1,5 +1,5 @@
-// Package simtime provides time arithmetic shared by the simulator, the
-// scheduling policies, and the lifetime models.
+// Package simtime provides the simulator's clock and the time arithmetic
+// shared by the simulator, the scheduling policies, and the lifetime models.
 //
 // All simulation timestamps are time.Duration offsets from the start of the
 // simulated trace. Durations double as lifetimes. The package also owns the

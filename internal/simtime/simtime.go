@@ -15,6 +15,12 @@ const (
 	// CapLifetime is the production label cap: VM lifetimes longer than 7
 	// days are capped during model training (Appendix B).
 	CapLifetime = 168 * time.Hour
+
+	// TickEvery and SampleEvery are the simulator's one clock (§5.1): policy,
+	// injector and component ticks, and metric samples. Every run — offline
+	// (sim.Machine), served or replayed (ptrace.Replay) — reads them.
+	TickEvery   = 5 * time.Minute
+	SampleEvery = time.Hour
 )
 
 // FromHours converts fractional hours into a Duration. It saturates: hours

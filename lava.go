@@ -227,7 +227,8 @@ func ComposeScenario(tr *Trace, name string, seed int64) (*Trace, error) {
 	return spec.ComposeTrace(tr)
 }
 
-// ServeConfig shapes NewServer and Serve.
+// ServeConfig shapes NewServer and Serve. A served run keeps Simulate's clock
+// and builds its policies with NewPolicy, as Simulate does.
 type ServeConfig struct {
 	// Policy is the serving policy (default PolicyLAVA).
 	Policy PolicyKind
@@ -243,15 +244,6 @@ type ServeConfig struct {
 	// field stays only because bench/ (which this repo's changes may not
 	// edit) sets it.
 	Memo bool
-
-	// CacheRefresh is the host-score cache refresh interval for
-	// lifetime-aware policies: 0 means the default (1 minute), negative
-	// disables caching (CacheRefreshFlag maps a CLI's "0 disables" onto it).
-	CacheRefresh time.Duration
-
-	// TickEvery/SampleEvery default to the simulator's 5m / 1h.
-	TickEvery   time.Duration
-	SampleEvery time.Duration
 
 	// TraceK > 0 enables decision tracing: every placement decision is
 	// recorded with the chosen host and its top-TraceK scored alternatives,
@@ -301,28 +293,6 @@ func NewServer(tr *Trace, cfg ServeConfig) (*serve.Server, error) {
 	return serve.New(sc)
 }
 
-// cacheRefresh turns ServeConfig.CacheRefresh into the scheduler's interval:
-// 0 means the default (1 minute), negative disables caching.
-func cacheRefresh(d time.Duration) time.Duration {
-	switch {
-	case d == 0:
-		return time.Minute
-	case d < 0:
-		return 0
-	}
-	return d
-}
-
-// CacheRefreshFlag maps a command-line -cache value, where 0 disables the
-// host-score cache, onto ServeConfig.CacheRefresh, whose zero value must mean
-// "default".
-func CacheRefreshFlag(d time.Duration) time.Duration {
-	if d == 0 {
-		return -1
-	}
-	return d
-}
-
 // resolve is the one ServeConfig → serve.Config step, shared by a server and
 // a fleet: the trace's geometry plus every serving setting, and — separately,
 // because policies carry mutable caches and every cell needs its own
@@ -334,16 +304,14 @@ func (cfg ServeConfig) resolve(tr *Trace, wrap func(Predictor) Predictor) (serve
 		kind = PolicyLAVA
 	}
 	sc := serve.FromTrace(tr)
-	sc.TickEvery, sc.SampleEvery = cfg.TickEvery, cfg.SampleEvery
 	sc.TraceK, sc.TraceCap, sc.TraceOut = cfg.TraceK, cfg.TraceCap, cfg.TraceOut
 	pred := cfg.Pred
 	if wrap != nil && pred != nil {
 		pred = wrap(pred)
 	}
-	refresh := cacheRefresh(cfg.CacheRefresh)
 	var err error
 	sc.SLO, err = slo.ParseConfig(cfg.Admission)
-	return sc, func(int) (scheduler.Policy, error) { return scheduler.New(string(kind), pred, refresh) }, err
+	return sc, func(int) (scheduler.Policy, error) { return NewPolicy(kind, pred) }, err
 }
 
 // readHeaderTimeout and idleTimeout bound what a client can hold open

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"lava/internal/cell"
 	"lava/internal/scenario"
@@ -53,7 +54,7 @@ func shardedOracle(t *testing.T, tr *Trace, cfg FleetConfig) []byte {
 	}
 	sims := make([]*sim.Result, len(plan.Cells))
 	for i, ct := range plan.Cells {
-		pol, err := scheduler.New(string(cfg.Policy), pred, cacheRefresh(cfg.CacheRefresh))
+		pol, err := scheduler.New(string(cfg.Policy), pred, time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}
