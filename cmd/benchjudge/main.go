@@ -17,6 +17,16 @@
 // unresolved rules are those of bench/run.sh --compare, which it replaces,
 // plus the paired ones.
 //
+// Given two checkouts, it runs the pairs itself before judging them:
+//
+//	benchjudge -base ../parent -head . -workloads serve-single -seeds 101-110 base.jsonl head.jsonl
+//
+// runs BENCHMARK.json's command (bash bench/run.sh --workload W --seed S
+// --trace 0 --seconds N, N its run_seconds) in each checkout for every
+// seed and workload, alternating which side runs first from seed to seed,
+// and writes the two new run files as bench/sweep.sh does. It stops at a
+// run that exits non-zero or reports "correct": false.
+//
 // The command is cli.Benchjudge.
 package main
 

@@ -9,8 +9,11 @@ import (
 	"io"
 	"math"
 	"os"
+	"os/exec"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // Verdicts of one (workload, metric) row of Benchjudge.
@@ -59,15 +62,41 @@ type judgedRow struct {
 // untraced runs of the two files by (workload, seed) and prints one row per
 // workload and metric, exiting 1 when any row regressed or a (workload,
 // seed) has no partner.
-func Benchjudge(_ context.Context, args []string, stdout, stderr io.Writer) int {
+//
+// With -base and -head it first makes the two files (see runPairs): it runs
+// the benchmark's command in both checkouts for every seed and workload,
+// and writes the base runs to the first file and the head runs to the
+// second.
+func Benchjudge(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	flags := newFlagSet("benchjudge", stderr)
+	var (
+		baseDir   = flags.String("base", "", "checkout of the parent: with -head, run the benchmark in both before judging")
+		headDir   = flags.String("head", "", "checkout of the change (see -base)")
+		workloads = flags.String("workloads", "", "with -base/-head: comma-separated workloads to run (default every workload of BENCHMARK.json)")
+		seeds     = flags.String("seeds", "1-10", "with -base/-head: seeds to run, as a comma-separated list of N or A-B")
+	)
 	return run(flags, args, stderr, func() error {
 		if flags.NArg() != 2 {
 			return errors.New("want two run files, base then head")
 		}
-		metrics, err := readEndToEnd("BENCHMARK.json")
+		spec, err := readBenchSpec("BENCHMARK.json")
 		if err != nil {
 			return err
+		}
+		if *baseDir != "" || *headDir != "" {
+			if *baseDir == "" || *headDir == "" {
+				return errors.New("-base and -head go together")
+			}
+			p := pairPlan{base: *baseDir, head: *headDir, command: spec.Command, seconds: spec.RunSeconds}
+			if p.seeds, err = parseSeeds(*seeds); err != nil {
+				return err
+			}
+			if p.workloads, err = pickWorkloads(spec, *workloads); err != nil {
+				return err
+			}
+			if err := runPairs(ctx, p, flags.Arg(0), flags.Arg(1), stderr); err != nil {
+				return err
+			}
 		}
 		base, err := readRunFile(flags.Arg(0))
 		if err != nil {
@@ -77,7 +106,7 @@ func Benchjudge(_ context.Context, args []string, stdout, stderr io.Writer) int 
 		if err != nil {
 			return err
 		}
-		rows, err := judgeRuns(metrics, base, head)
+		rows, err := judgeRuns(spec.EndToEnd, base, head)
 		if err != nil {
 			return err
 		}
@@ -99,15 +128,25 @@ func Benchjudge(_ context.Context, args []string, stdout, stderr io.Writer) int 
 	})
 }
 
-// readEndToEnd reads the end-to-end metrics of a BENCHMARK.json.
-func readEndToEnd(path string) ([]benchMetric, error) {
+// benchSpec is what Benchjudge reads of a BENCHMARK.json: the command that
+// runs one workload, its workloads and default run length, and the
+// end-to-end metrics.
+type benchSpec struct {
+	Command    []string `json:"command"`
+	RunSeconds int      `json:"run_seconds"`
+	Workloads  []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []benchMetric `json:"end_to_end"`
+}
+
+// readBenchSpec reads a BENCHMARK.json.
+func readBenchSpec(path string) (*benchSpec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var spec struct {
-		EndToEnd []benchMetric `json:"end_to_end"`
-	}
+	var spec benchSpec
 	if err := json.Unmarshal(data, &spec); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -116,7 +155,142 @@ func readEndToEnd(path string) ([]benchMetric, error) {
 			return nil, fmt.Errorf("%s: metric %s: better is %q, want lower or higher", path, m.Name, m.Better)
 		}
 	}
-	return spec.EndToEnd, nil
+	return &spec, nil
+}
+
+// pairPlan is what runPairs runs: the benchmark's command in two checkouts,
+// for every seed and workload, each run --seconds long (BENCHMARK.json's
+// run_seconds, the length every run of the benchmark has).
+type pairPlan struct {
+	base, head string
+	command    []string
+	workloads  []string
+	seeds      []int64
+	seconds    int
+}
+
+// runPairs runs the plan's untraced runs and writes them to two new run
+// files, base runs to basePath and head runs to headPath, one line per run
+// as bench/sweep.sh writes it. Each (seed, workload) runs once in each
+// checkout, base first on even-numbered seeds of the list and head first on
+// odd ones, so neither side always meets the box warmer. A run that exits
+// non-zero, or whose result says "correct": false, ends the sweep with an
+// error; the files keep the runs before it.
+// Progress lines and the runs' stderr go to progress.
+func runPairs(ctx context.Context, p pairPlan, basePath, headPath string, progress io.Writer) error {
+	if len(p.command) == 0 {
+		return errors.New("BENCHMARK.json names no command")
+	}
+	type side struct {
+		name, dir string
+		out       *os.File
+	}
+	sides := []*side{{name: "base", dir: p.base}, {name: "head", dir: p.head}}
+	for i, path := range []string{basePath, headPath} {
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		sides[i].out = f
+	}
+	for i, seed := range p.seeds {
+		for _, w := range p.workloads {
+			for j := range sides {
+				s := sides[(i+j)%2]
+				res, err := runOnce(ctx, s.dir, p.command, w, seed, p.seconds, progress)
+				if err != nil {
+					return fmt.Errorf("%s %s seed %d: %w", s.name, w, seed, err)
+				}
+				fmt.Fprintf(progress, "benchjudge: %s seed %d %s done\n", w, seed, s.name)
+				line, err := json.Marshal(struct {
+					Workload string          `json:"workload"`
+					Seed     int64           `json:"seed"`
+					Trace    int             `json:"trace"`
+					Result   json.RawMessage `json:"result"`
+				}{w, seed, 0, res})
+				if err != nil {
+					return err
+				}
+				if _, err := s.out.Write(append(line, '\n')); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	for _, s := range sides {
+		if err := s.out.Close(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runOnce runs the benchmark command once, untraced, in the checkout dir
+// and returns its result: the last line it prints, which must be a JSON
+// object whose "correct" is true. The command's stderr goes to stderr.
+func runOnce(ctx context.Context, dir string, command []string, workload string, seed int64, seconds int, stderr io.Writer) (json.RawMessage, error) {
+	args := append(slices.Clone(command[1:]), "--workload", workload, "--seed", strconv.FormatInt(seed, 10), "--trace", "0")
+	if seconds > 0 {
+		args = append(args, "--seconds", strconv.Itoa(seconds))
+	}
+	c := exec.CommandContext(ctx, command[0], args...)
+	c.Dir, c.Stderr = dir, stderr
+	out, err := c.Output()
+	if err != nil {
+		return nil, err
+	}
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	last := []byte(lines[len(lines)-1])
+	var r struct {
+		Correct *bool `json:"correct"`
+	}
+	if err := json.Unmarshal(last, &r); err != nil {
+		return nil, fmt.Errorf("last line is not a result: %w", err)
+	}
+	if r.Correct == nil || !*r.Correct {
+		return nil, errors.New(`the run says "correct": false`)
+	}
+	return last, nil
+}
+
+// parseSeeds parses a seed list: comma-separated seeds N and ranges A-B.
+func parseSeeds(list string) ([]int64, error) {
+	var seeds []int64
+	for _, item := range strings.Split(list, ",") {
+		lo, hi, isRange := strings.Cut(strings.TrimSpace(item), "-")
+		a, err := strconv.ParseInt(lo, 10, 64)
+		b := a
+		if err == nil && isRange {
+			b, err = strconv.ParseInt(hi, 10, 64)
+		}
+		if err != nil || b < a || b-a >= 1000 {
+			return nil, fmt.Errorf("-seeds %q: want N or A-B (A <= B, at most 1000 seeds) items, comma-separated", list)
+		}
+		for s := a; s <= b; s++ {
+			seeds = append(seeds, s)
+		}
+	}
+	return seeds, nil
+}
+
+// pickWorkloads returns the named workloads, each of which the spec must
+// declare, or every declared workload for an empty list.
+func pickWorkloads(spec *benchSpec, list string) ([]string, error) {
+	var all []string
+	for _, w := range spec.Workloads {
+		all = append(all, w.Name)
+	}
+	if list == "" {
+		return all, nil
+	}
+	picked := strings.Split(list, ",")
+	for _, w := range picked {
+		if !slices.Contains(all, w) {
+			return nil, fmt.Errorf("-workloads: BENCHMARK.json declares no workload %q", w)
+		}
+	}
+	return picked, nil
 }
 
 // readRunFile loads the untraced runs of a run file, each line one run as

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -166,6 +167,93 @@ func TestBenchjudgeCLI(t *testing.T) {
 		}
 		if c.out != "" && (!strings.Contains(stdout.String(), "replay-x      setup_s") || !strings.Contains(stdout.String(), c.out)) {
 			t.Errorf("benchjudge %v: output lacks a replay-x setup_s row reading %q:\n%s", c.args, c.out, stdout.String())
+		}
+	}
+}
+
+// stubCheckout makes a checkout whose benchmark command is a stub run.sh:
+// it appends "<name> <args>" to log and prints a few lines, then a result
+// reading events_per_s = value, correct as given; exit is its exit status.
+func stubCheckout(t *testing.T, name, log string, value float64, correct bool, exit int) string {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), name)
+	if err := os.MkdirAll(filepath.Join(dir, "bench"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	script := fmt.Sprintf(`echo "%s $*" >>%q
+echo building
+echo '{"correct":%v,"attempted":10,"failed":0,"metrics":{"events_per_s":{"value":%v,"unit":"1/s"}}}'
+exit %d
+`, name, log, correct, value, exit)
+	if err := os.WriteFile(filepath.Join(dir, "bench", "run.sh"), []byte(script), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestBenchjudgePairDriver runs the pair driver against stub checkouts: it
+// runs every (seed, workload) once per side with the benchmark's command,
+// untraced and at run_seconds, base first on the first seed and head first on
+// the second, writes the two run files as bench/sweep.sh does and judges
+// them; it refuses a run that exits non-zero or says it is not correct,
+// a run file that exists, and a workload BENCHMARK.json does not declare.
+func TestBenchjudgePairDriver(t *testing.T) {
+	dir := t.TempDir()
+	t.Chdir(dir)
+	spec := `{"command":["bash","bench/run.sh"],"run_seconds":22,"workloads":[{"name":"w1"},{"name":"w2"}],
+"end_to_end":[{"name":"events_per_s","unit":"1/s","better":"higher","bound":0.25}]}`
+	if err := os.WriteFile("BENCHMARK.json", []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	log := filepath.Join(dir, "log")
+	base := stubCheckout(t, "base", log, 100, true, 0)
+	head := stubCheckout(t, "head", log, 200, true, 0)
+	wrong := stubCheckout(t, "wrong", log, 200, false, 0)
+	failing := stubCheckout(t, "failing", log, 200, true, 3)
+	out := func(name string) string { return filepath.Join(dir, name) }
+
+	var stdout, stderr bytes.Buffer
+	args := []string{"-base", base, "-head", head, "-seeds", "7-8", out("b.jsonl"), out("h.jsonl")}
+	if got := Benchjudge(context.Background(), args, &stdout, &stderr); got != 0 {
+		t.Fatalf("pair driver: exit %d; stderr %s", got, stderr.String())
+	}
+	ran, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ""
+	for _, run := range []string{"base w1 7", "head w1 7", "base w2 7", "head w2 7", "head w1 8", "base w1 8", "head w2 8", "base w2 8"} {
+		f := strings.Fields(run)
+		want += fmt.Sprintf("%s --workload %s --seed %s --trace 0 --seconds 22\n", f[0], f[1], f[2])
+	}
+	if string(ran) != want {
+		t.Fatalf("runs:\n%s\nwant:\n%s", ran, want)
+	}
+	if strings.Count(stdout.String(), "events_per_s        higher     2         100         200    2.0000    2/2") != 2 {
+		t.Fatalf("judged:\n%s", stdout.String())
+	}
+	b, err := os.ReadFile(out("b.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if line := strings.SplitN(string(b), "\n", 2)[0]; line != `{"workload":"w1","seed":7,"trace":0,"result":{"correct":true,"attempted":10,"failed":0,"metrics":{"events_per_s":{"value":100,"unit":"1/s"}}}}` {
+		t.Fatalf("first base line: %s", line)
+	}
+
+	for _, c := range []struct {
+		args []string
+		why  string
+	}{
+		{[]string{"-base", base, "-head", wrong, "-seeds", "1", out("b2.jsonl"), out("h2.jsonl")}, "correct"},
+		{[]string{"-base", base, "-head", failing, "-seeds", "1", out("b3.jsonl"), out("h3.jsonl")}, "exit status 3"},
+		{[]string{"-base", base, "-head", head, "-seeds", "1", out("b.jsonl"), out("h4.jsonl")}, "exists"},
+		{[]string{"-base", base, "-head", head, "-seeds", "1", "-workloads", "w3", out("b5.jsonl"), out("h5.jsonl")}, "w3"},
+		{[]string{"-base", base, "-head", head, "-seeds", "2-1", out("b6.jsonl"), out("h6.jsonl")}, "-seeds"},
+		{[]string{"-base", base, out("b7.jsonl"), out("h7.jsonl")}, "together"},
+	} {
+		stderr.Reset()
+		if got := Benchjudge(context.Background(), c.args, io.Discard, &stderr); got != 1 || !strings.Contains(stderr.String(), c.why) {
+			t.Errorf("benchjudge %v: exit %d, want 1 naming %q; stderr %s", c.args, got, c.why, stderr.String())
 		}
 	}
 }

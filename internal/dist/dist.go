@@ -8,11 +8,11 @@ import (
 )
 
 // Empirical is an empirical distribution over durations, backed by the
-// sorted sample set and a suffix-sum table for O(log n) conditional
-// expectations.
+// sorted sample set and, per sample, the mean of the samples from it on:
+// an O(log n) conditional expectation, which Ramp hands out as ramp steps.
 type Empirical struct {
 	sorted []time.Duration // ascending
-	suffix []float64       // suffix[i] = sum(sorted[i:]) in float seconds
+	exp    []time.Duration // exp[i] = the mean of sorted[i:], saturated
 }
 
 // FromDurations builds an empirical distribution from samples. The input
@@ -21,12 +21,18 @@ func FromDurations(ds []time.Duration) (*Empirical, error) {
 	if len(ds) == 0 {
 		return nil, errors.New("dist: no samples")
 	}
-	e := &Empirical{sorted: make([]time.Duration, len(ds))}
+	e := &Empirical{sorted: make([]time.Duration, len(ds)), exp: make([]time.Duration, len(ds))}
 	copy(e.sorted, ds)
 	sort.Slice(e.sorted, func(i, j int) bool { return e.sorted[i] < e.sorted[j] })
-	e.suffix = make([]float64, len(e.sorted)+1)
+	sum := 0.0 // of sorted[i:] in float seconds
 	for i := len(e.sorted) - 1; i >= 0; i-- {
-		e.suffix[i] = e.suffix[i+1] + e.sorted[i].Seconds()
+		sum += e.sorted[i].Seconds()
+		// Saturate: a mean at the end of the Duration range would wrap to
+		// math.MinInt64 (float64(math.MaxInt64) is 2^63, one past the range).
+		e.exp[i] = math.MaxInt64
+		if ns := sum / float64(len(e.sorted)-i) * float64(time.Second); ns < math.MaxInt64 {
+			e.exp[i] = time.Duration(ns)
+		}
 	}
 	return e, nil
 }
@@ -40,27 +46,35 @@ func (e *Empirical) CDF(d time.Duration) float64 {
 // CondExpRemaining returns E(L - u | L > u), the expected remaining
 // lifetime given an observed uptime of u (Fig. 2). With a multi-modal
 // population this grows with uptime: surviving past the short modes shifts
-// the conditional mass onto the long ones. When no sample exceeds u the
-// distribution has nothing left to say; the fallback grows with uptime (10%
-// of it, floored at one minute) so downstream exit estimates stay finite
-// and monotone (mirrored by model.MinRemaining).
+// the conditional mass onto the long ones. The answer is D - u, where D is
+// the mean of the samples above u (saturated at math.MaxInt64) and the
+// subtraction wraps as int64 subtraction does; it is not floored, so it may
+// be zero or negative. When no sample exceeds u the distribution has
+// nothing left to say, and the answer is max(u/10, time.Minute), u/10
+// truncating toward zero, so downstream exit estimates stay finite and
+// monotone. That is not model.MinRemaining, which truncates float64(u)*0.1
+// instead; the two differ in the last nanoseconds, by up to ~150 ns near
+// the end of the Duration range. model.DistTable answers this fallback as
+// it is, and floors a non-positive D - u at model.MinRemaining.
 func (e *Empirical) CondExpRemaining(u time.Duration) time.Duration {
 	idx := sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > u })
-	n := len(e.sorted) - idx
-	if n == 0 {
-		min := u / 10
-		if min < time.Minute {
-			min = time.Minute
-		}
-		return min
+	if idx == len(e.sorted) {
+		return max(u/10, time.Minute)
 	}
-	mean := e.suffix[idx] / float64(n)
-	// Saturate: a mean at the end of the Duration range would wrap to
-	// math.MinInt64 (float64(math.MaxInt64) is 2^63, one past the range).
-	if ns := mean * float64(time.Second); ns < math.MaxInt64 {
-		return time.Duration(ns) - u
+	return e.exp[idx] - u
+}
+
+// Ramp returns CondExpRemaining as ramp steps: at an uptime u with k
+// entries of at <= u, CondExpRemaining(u) is exp[k] - u for k < len(at),
+// and the fallback past the last entry. at is the sorted sample set
+// (repeated samples make steps no uptime falls on), len(exp) == len(at),
+// and no entry of exp is negative. Both are shared and never written; both
+// are nil when a sample is negative.
+func (e *Empirical) Ramp() (at, exp []time.Duration) {
+	if e.sorted[0] < 0 {
+		return nil, nil
 	}
-	return math.MaxInt64 - u
+	return e.sorted, e.exp
 }
 
 // WeightedCDF is a weighted empirical distribution: each sample carries a

@@ -137,7 +137,7 @@ func identitySteps(edges []float64) StepFn {
 // FuzzUptimeSteps checks the logarithm-free uptime bins against the
 // logarithm: for sorted finite edges decoded from the input, every uptime
 // next to u and next to each threshold lands in uptimeBin(edges,
-// uptimeLog10(uptime)), and Span's step holds the uptime and only uptimes
+// uptimeLog10(uptime)), and span's step holds the uptime and only uptimes
 // of its bin.
 func FuzzUptimeSteps(f *testing.F) {
 	enc := func(edges ...float64) []byte {
@@ -164,7 +164,7 @@ func FuzzUptimeSteps(f *testing.F) {
 		binOf := func(up time.Duration) time.Duration { return time.Duration(uptimeBin(edges, uptimeLog10(up))) }
 		check := func(up time.Duration) {
 			want := binOf(up)
-			rem, lo, hi := fn.Span(up)
+			rem, lo, hi := fn.span(up)
 			if rem != want {
 				t.Fatalf("edges %v uptime %d: threshold bin %d, log bin %d (thresholds %v)", edges, up, rem, want, fn.At)
 			}
@@ -413,12 +413,7 @@ var sinkRemaining time.Duration
 func BenchmarkPredictRemaining(b *testing.B) {
 	g, vms := trainedWithVMs(b, 3, 37, gbdt.Params{Trees: 100})
 	b.Run("cold", func(b *testing.B) {
-		// About as many calls per VM as LAVA makes per placement on the
-		// replay-gbdt workload: the placement, then host rescoring.
-		ups := []time.Duration{0}
-		for up := time.Minute; len(ups) < 20; up = up * 3 / 2 {
-			ups = append(ups, up)
-		}
+		ups := placementUptimes()
 		batch := len(vms) * len(ups)
 		b.ReportAllocs()
 		var p *GBDTPredictor

@@ -2,7 +2,9 @@ package model
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -278,16 +280,180 @@ func TestDistTablePredictDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// BenchmarkDistPredict is the dist table's row of the model layer: one
-// reprediction of a VM of the generated workload.
+// BenchmarkDistPredict is the dist table's row of the model layer: a
+// placement's worth of calls per VM of the generated workload (see
+// placementUptimes), unbound through PredictRemaining, and bound through
+// each VM's StepCursor, as the scheduler's exit cache makes them once it
+// holds the VM.
 func BenchmarkDistPredict(b *testing.B) {
 	dt, vms := distWithVMs(b)
-	ups := []time.Duration{0, 90 * time.Second, 5 * time.Hour, 2 * simtime.Day}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkRemaining = dt.PredictRemaining(vms[i%len(vms)], ups[i%len(ups)])
+	ups := placementUptimes()
+	// The loops step a VM index and an uptime index instead of dividing
+	// the iteration count: a bound call costs a few divisions.
+	b.Run("unbound", func(b *testing.B) {
+		b.ReportAllocs()
+		for i, vm, u := 0, 0, 0; i < b.N; i++ {
+			sinkRemaining = dt.PredictRemaining(vms[vm], ups[u])
+			if u++; u == len(ups) {
+				if u, vm = 0, vm+1; vm == len(vms) {
+					vm = 0
+				}
+			}
+		}
+	})
+	b.Run("bound", func(b *testing.B) {
+		curs := make([]StepCursor, len(vms))
+		for i, vm := range vms {
+			curs[i] = StepCursor{Fn: must(dt.Steps(vm))}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i, vm, u := 0, 0, 0; i < b.N; i++ {
+			sinkRemaining = curs[vm].Remaining(ups[u])
+			if u++; u == len(ups) {
+				if u, vm = 0, vm+1; vm == len(vms) {
+					vm = 0
+				}
+			}
+		}
+	})
+}
+
+// placementUptimes is about as many calls per VM as LAVA makes per
+// placement: uptime 0 for the placement, then 19 repredictions at growing
+// uptimes for host rescoring.
+func placementUptimes() []time.Duration {
+	ups := []time.Duration{0}
+	for up := time.Minute; len(ups) < 20; up = up * 3 / 2 {
+		ups = append(ups, up)
 	}
+	return ups
+}
+
+// TestDistStepsMatchPredictRemaining: every VM of a generated workload,
+// those of an unseen group too, binds a ramp whose answers, read directly
+// and through a cursor, are PredictRemaining's at every sample of the
+// VM's group ±1 ns, past the last one, at negative uptimes and at a
+// placement's uptimes; and a bound reprediction allocates nothing.
+func TestDistStepsMatchPredictRemaining(t *testing.T) {
+	dt, vms := distWithVMs(t)
+	for _, vm := range vms {
+		fn, ok := dt.Steps(vm)
+		if !ok || len(fn.At) != len(fn.Rem) || len(fn.At) == 0 {
+			t.Fatalf("vm %d: ramp %v with %d steps for %d samples", vm.ID, ok, len(fn.Rem), len(fn.At))
+		}
+		ups := append(placementUptimes(), -1, -time.Hour, math.MinInt64, math.MaxInt64, fn.At[len(fn.At)-1]+time.Hour)
+		for _, a := range fn.At {
+			ups = append(ups, a-1, a, a+1)
+		}
+		checkSteps(t, dt, vm, fn, ups)
+	}
+	cur := StepCursor{Fn: must(dt.Steps(vms[0]))}
+	ups := placementUptimes()
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		sinkRemaining = cur.Remaining(ups[i%len(ups)])
+		i++
+	}); n != 0 {
+		t.Fatalf("a bound reprediction allocates %v times, want 0", n)
+	}
+}
+
+func must(fn StepFn, ok bool) StepFn {
+	if !ok {
+		panic("no step function")
+	}
+	return fn
+}
+
+// checkSteps requires fn, read directly and through a cursor that meets the
+// uptimes in the given order, to answer as the predictor does.
+func checkSteps(t *testing.T, p Predictor, vm *cluster.VM, fn StepFn, ups []time.Duration) {
+	t.Helper()
+	cur := StepCursor{Fn: fn}
+	for _, up := range ups {
+		want := p.PredictRemaining(vm, up)
+		if got := fn.Remaining(up); got != want {
+			t.Fatalf("vm %d uptime %d: Steps %d, PredictRemaining %d", vm.ID, up, got, want)
+		}
+		if got := cur.Remaining(up); got != want {
+			t.Fatalf("vm %d uptime %d: cursor %d, PredictRemaining %d", vm.ID, up, got, want)
+		}
+	}
+}
+
+// FuzzDistSteps: the dist table's bound answers equal PredictRemaining bit
+// for bit. The samples are decoded three bytes each — a kind and a 16-bit
+// value — as zeros, nanoseconds, minutes, days, values just below
+// math.MaxInt64 (whose means saturate), repeats of the previous sample and
+// negative values (which Steps must decline). The cursor meets the
+// uptimes in three passes: every sample -1, +0 and +1 ns and past the last
+// one, rising; then falling; then at uptimes decoded from ups, 8 bytes
+// each, which jump anywhere, negative ones included.
+func FuzzDistSteps(f *testing.F) {
+	f.Add([]byte{1, 5, 0, 2, 3, 0, 4, 0, 0, 3, 2, 0}, []byte{})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 2, 1, 0}, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{5, 0, 0, 5, 1, 0, 5, 2, 0}, []byte{1, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add([]byte{2, 10, 0, 6, 4, 0}, []byte{})
+	f.Fuzz(func(t *testing.T, data, raw []byte) {
+		var samples []time.Duration
+		negative := false
+		for i := 0; i+2 < len(data) && len(samples) < 512; i += 3 {
+			v := time.Duration(uint16(data[i+1]) | uint16(data[i+2])<<8)
+			var s time.Duration
+			switch data[i] % 7 {
+			case 0:
+				s = 0
+			case 1:
+				s = v
+			case 2:
+				s = v * time.Minute
+			case 3:
+				s = v * simtime.Day
+			case 4:
+				s = math.MaxInt64 - v
+			case 5:
+				if len(samples) > 0 {
+					s = samples[len(samples)-1]
+				}
+			case 6:
+				s, negative = -v-1, true
+			}
+			samples = append(samples, s)
+		}
+		if len(samples) == 0 {
+			return
+		}
+		e, err := dist.FromDurations(samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dt := &DistTable{global: e}
+		vm := &cluster.VM{ID: 1}
+		fn, ok := dt.Steps(vm)
+		if ok == negative {
+			t.Fatalf("samples %v: Steps says %v", samples, ok)
+		}
+		if !ok {
+			return
+		}
+		if len(fn.At) != len(fn.Rem) || !slices.IsSorted(fn.At) {
+			t.Fatalf("samples %v: ramp of %d thresholds and %d steps", samples, len(fn.At), len(fn.Rem))
+		}
+		var ups []time.Duration
+		for _, a := range fn.At {
+			ups = append(ups, a-1, a, a+1)
+		}
+		ups = append(ups, fn.At[len(fn.At)-1]+time.Hour, math.MaxInt64)
+		falling := slices.Clone(ups)
+		slices.Reverse(falling)
+		ups = append(ups, falling...)
+		for i := 0; i+7 < len(raw); i += 8 {
+			ups = append(ups, time.Duration(binary.LittleEndian.Uint64(raw[i:])))
+		}
+		ups = append(ups, math.MinInt64, -1, 0)
+		checkSteps(t, dt, vm, fn, ups)
+	})
 }
 
 func TestGBDTPredictorLearnsWorkload(t *testing.T) {

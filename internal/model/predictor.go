@@ -25,16 +25,21 @@ import (
 // state may be keyed by VM ID only together with what the answer depends
 // on: two VMs can share an ID, in different pools or one after the other.
 //
-// A predictor whose answer for a VM is a step function of its uptime, and
-// depends on nothing else of the VM than its features (which do not change
-// while it lives), may also have a method
+// A predictor whose answer for a VM is a function of its uptime in steps
+// (StepFn), and depends on nothing else of the VM than its features (which
+// do not change while it lives), may also have a method
 //
 //	Steps(vm *cluster.VM) (StepFn, bool)
 //
 // returning the VM's step function, or false when it has none for the VM.
-// A caller that holds the VM (scheduler.ExitCache) then binds its answers
-// once. The contract is bit-equality: for every VM that Steps accepts,
-// Steps(vm).Remaining(u) equals PredictRemaining(vm, u) at every uptime u.
+// Two shapes of step function are bound: the forest's plain steps
+// (GBDTPredictor), constant on each step, and the distribution table's
+// ramp steps (DistTable), which fall with the uptime on each step and hold
+// a fallback past the last sample; StepFn gives both rules, negative
+// uptimes included. A caller that holds the VM (scheduler.ExitCache) then
+// binds its answers once and reads them through a StepCursor. The contract
+// is bit-equality: for every VM that Steps accepts, Steps(vm).Remaining(u)
+// equals PredictRemaining(vm, u) at every uptime u, negative ones too.
 // A wrapper that may change answers (the scenarios' model swap, the
 // no-reprediction ablation, a timing decorator) must not forward Steps;
 // callers then take PredictRemaining.
@@ -43,33 +48,39 @@ type Predictor interface {
 	PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration
 }
 
-// StepFn is one VM's remaining lifetime as a step function of its uptime:
-// the answer at uptime u is Rem[k], where k counts the entries of At that
-// are <= u; a negative uptime answers as 0. At is sorted and has fewer
-// entries than Rem. Both slices are shared between VMs and never written.
+// StepFn is one VM's remaining lifetime as a function of its uptime, in
+// steps: step k holds the uptimes u with k entries of At <= u. At is
+// sorted, and both slices are shared between VMs and never written. The
+// length of Rem gives the shape:
+//
+//   - plain, len(Rem) > len(At) (the forest's): the answer on step k is
+//     Rem[k], and a negative uptime answers as 0 does;
+//   - ramp, len(Rem) == len(At) (the distribution table's, see
+//     dist.Empirical.Ramp): on step k < len(At) the answer is Rem[k] - u,
+//     the subtraction wrapping as int64 subtraction does, or MinRemaining(u)
+//     when that is <= 0; on the last step, past every entry of At, it is
+//     max(u/10, time.Minute). A negative uptime is read as itself. No entry
+//     of Rem is negative.
 type StepFn struct {
 	At, Rem []time.Duration
 }
 
 // Remaining returns the answer at the uptime.
 func (s StepFn) Remaining(uptime time.Duration) time.Duration {
-	rem, _, _ := s.Span(uptime)
-	return rem
+	if len(s.Rem) > len(s.At) {
+		rem, _, _ := s.span(uptime)
+		return rem
+	}
+	d, _, _ := s.rampSpan(uptime)
+	return rampAnswer(d, uptime)
 }
 
-// Span returns the answer at the uptime and the uptimes [lo, hi) that
-// share it; lo is math.MinInt64 on the step that holds uptime 0, hi
-// math.MaxInt64 on the last step.
-func (s StepFn) Span(uptime time.Duration) (rem, lo, hi time.Duration) {
+// span returns a plain function's answer at the uptime and the uptimes
+// [lo, hi) that share it; lo is math.MinInt64 on the step that holds
+// uptime 0, hi math.MaxInt64 on the last step.
+func (s StepFn) span(uptime time.Duration) (rem, lo, hi time.Duration) {
 	uptime = max(uptime, 0)
-	k, n := 0, len(s.At)
-	for k < n { // k = the count of At entries <= uptime
-		if mid := int(uint(k+n) >> 1); s.At[mid] <= uptime {
-			k = mid + 1
-		} else {
-			n = mid
-		}
-	}
+	k := countAtMost(s.At, uptime)
 	lo, hi = math.MinInt64, math.MaxInt64
 	if k > 0 && s.At[k-1] > 0 {
 		lo = s.At[k-1]
@@ -80,30 +91,79 @@ func (s StepFn) Span(uptime time.Duration) (rem, lo, hi time.Duration) {
 	return s.Rem[k], lo, hi
 }
 
+// rampSpan returns the value of the ramp step that holds the uptime —
+// Rem[k], or -1 on the last step — and the uptimes [lo, hi) the step
+// spans; lo is math.MinInt64 on the first step, hi math.MaxInt64 on the
+// last.
+func (s StepFn) rampSpan(uptime time.Duration) (d, lo, hi time.Duration) {
+	k := countAtMost(s.At, uptime)
+	lo, hi, d = math.MinInt64, math.MaxInt64, -1
+	if k > 0 {
+		lo = s.At[k-1]
+	}
+	if k < len(s.At) {
+		hi, d = s.At[k], s.Rem[k]
+	}
+	return d, lo, hi
+}
+
+// countAtMost returns the count of the sorted entries of at that are <= u.
+func countAtMost(at []time.Duration, u time.Duration) int {
+	k, n := 0, len(at)
+	for k < n {
+		if mid := int(uint(k+n) >> 1); at[mid] <= u {
+			k = mid + 1
+		} else {
+			n = mid
+		}
+	}
+	return k
+}
+
+// rampAnswer is a ramp step's answer at the uptime (see StepFn): the
+// distribution table's rule, CondExpRemaining floored at MinRemaining.
+func rampAnswer(d, uptime time.Duration) time.Duration {
+	switch {
+	case d < 0:
+		return max(uptime/10, time.Minute)
+	case d-uptime > 0:
+		return d - uptime
+	}
+	return MinRemaining(uptime)
+}
+
 // StepCursor reads one VM's StepFn at the uptimes a simulation asks for,
 // which mostly stay on one step: it keeps the step it read last, so a
-// reprediction on that step is two compares and one load. The zero cursor
-// over a StepFn (StepCursor{Fn: fn}) is ready to use.
+// reprediction on that step is two compares and one load, plus the ramp's
+// subtraction. The zero cursor over a StepFn (StepCursor{Fn: fn}) is ready
+// to use.
 type StepCursor struct {
 	Fn StepFn
 
-	lo, hi, rem time.Duration // the step read last: Fn's answer on [lo, hi)
+	lo, hi, v time.Duration // the step read last: its span [lo, hi) and value, as span or rampSpan gives them
 }
 
 // Remaining returns Fn's answer at the uptime.
 func (c *StepCursor) Remaining(uptime time.Duration) time.Duration {
-	if c.lo <= uptime && uptime < c.hi {
-		return c.rem
+	if len(c.Fn.Rem) > len(c.Fn.At) {
+		if c.lo <= uptime && uptime < c.hi {
+			return c.v
+		}
+		c.v, c.lo, c.hi = c.Fn.span(uptime)
+		return c.v
 	}
-	c.rem, c.lo, c.hi = c.Fn.Span(uptime)
-	return c.rem
+	if uptime < c.lo || uptime >= c.hi {
+		c.v, c.lo, c.hi = c.Fn.rampSpan(uptime)
+	}
+	return rampAnswer(c.v, uptime)
 }
 
 // MinRemaining is the floor applied to remaining-lifetime predictions. A
 // model that believes a VM should already be gone cannot return zero
 // forever: the fallback grows with uptime (10% of it) so host exit
-// estimates stay finite and monotone, matching the empirical-distribution
-// fallback in internal/dist.
+// estimates stay finite and monotone. It is not quite the
+// empirical-distribution fallback of dist.Empirical.CondExpRemaining,
+// max(u/10, time.Minute), which rounds differently.
 func MinRemaining(uptime time.Duration) time.Duration {
 	min := time.Duration(float64(uptime) * 0.1)
 	if min < time.Minute {

@@ -82,7 +82,8 @@ func SplitRecords(records []trace.Record, testFrac float64, seed int64) (train, 
 // (Fig. 2). It is also Table 4's stratified Kaplan-Meier baseline, the
 // lookup table the authors tried first (§7): trace records carry no censored
 // lifetimes, so a stratum's KM curve is its empirical survival function, and
-// Train("km") returns this table under the name "stratified-km".
+// Train("km") returns this table under the name "stratified-km". A caller
+// that holds a VM binds its group's answers once (Steps).
 type DistTable struct {
 	ModelName string
 	tables    map[distKey]*dist.Empirical
@@ -134,15 +135,29 @@ func (d *DistTable) Name() string { return d.ModelName }
 
 // PredictRemaining implements Predictor via the conditional expectation.
 func (d *DistTable) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration {
-	e, ok := d.tables[distKeyOf(&vm.Feat)]
-	if !ok {
-		e = d.global
-	}
-	rem := e.CondExpRemaining(uptime)
+	rem := d.group(&vm.Feat).CondExpRemaining(uptime)
 	if rem <= 0 {
 		return MinRemaining(uptime)
 	}
 	return rem
+}
+
+// Steps binds the VM's answers (see Predictor): the ramp steps of its
+// group's distribution, computed once at training, so a bound reprediction
+// hashes no feature string and, on the step it read last, searches no
+// sample. It declines a group with a negative sample, which has no ramp.
+func (d *DistTable) Steps(vm *cluster.VM) (StepFn, bool) {
+	at, exp := d.group(&vm.Feat).Ramp()
+	return StepFn{At: at, Rem: exp}, at != nil
+}
+
+// group is the distribution the features' group answers from: the group's
+// own, or the global one for a group too rare to have its own.
+func (d *DistTable) group(f *features.Features) *dist.Empirical {
+	if e, ok := d.tables[distKeyOf(f)]; ok {
+		return e
+	}
+	return d.global
 }
 
 // --- Training by name ---------------------------------------------------------

@@ -72,14 +72,20 @@ func boundFixture(t *testing.T) (*trace.Trace, *model.GBDTPredictor) {
 	return tr, g
 }
 
-// TestBoundMatchesUnbound runs every lifetime policy over one GBDT twice —
-// with the exit cache binding each VM's step function, and with Steps
-// hidden — through a plain replay, a LARS defragmentation run (whose
-// placeholders leave their hosts without an exit hook) and a rollout from
-// NILAS (whose VMs exit past the switch unseen by the old arm). The runs
-// must be the same bytes and make the same model calls.
+// TestBoundMatchesUnbound runs every lifetime policy over one GBDT, and
+// LAVA and NILAS over the distribution table trained on the same trace
+// (rows dist/…), twice — with the exit cache binding each VM's step
+// function, and with Steps hidden — through a plain replay, a LARS
+// defragmentation run (whose placeholders leave their hosts without an
+// exit hook) and a rollout from NILAS (whose VMs exit past the switch
+// unseen by the old arm). The runs must be the same bytes and make the
+// same model calls.
 func TestBoundMatchesUnbound(t *testing.T) {
 	tr, g := boundFixture(t)
+	dt, err := model.TrainDistTable(tr.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
 	type arm struct {
 		name string
 		run  func(t *testing.T, pred model.Predictor, mk func(model.Predictor) scheduler.Policy) ([]byte, int64)
@@ -115,11 +121,28 @@ func TestBoundMatchesUnbound(t *testing.T) {
 			return canonicalRun(t, res, nil), modelCalls(pol)
 		}},
 	}
+	type row struct {
+		name string
+		pred model.Predictor
+		mk   func(model.Predictor) scheduler.Policy
+	}
+	var rows []row
 	for name, mk := range boundPolicies {
+		rows = append(rows, row{name, g, mk})
+	}
+	for _, name := range []string{"lava", "nilas"} {
+		rows = append(rows, row{"dist/" + name, dt, boundPolicies[name]})
+	}
+	for _, r := range rows {
+		if _, ok := r.pred.(interface {
+			Steps(*cluster.VM) (model.StepFn, bool)
+		}); !ok {
+			t.Fatalf("%s: %T has no Steps, so nothing binds", r.name, r.pred)
+		}
 		for _, a := range arms {
-			t.Run(name+"/"+a.name, func(t *testing.T) {
-				want, wantCalls := a.run(t, unbound{g}, mk)
-				got, gotCalls := a.run(t, g, mk)
+			t.Run(r.name+"/"+a.name, func(t *testing.T) {
+				want, wantCalls := a.run(t, unbound{r.pred}, r.mk)
+				got, gotCalls := a.run(t, r.pred, r.mk)
 				if gotCalls != wantCalls || wantCalls == 0 {
 					t.Fatalf("model calls: bound %d, unbound %d", gotCalls, wantCalls)
 				}

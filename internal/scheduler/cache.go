@@ -15,8 +15,9 @@ import (
 //
 // Cached host estimates live in a slice indexed by host ID, grown on demand.
 //
-// When Pred has a Steps method (see model.Predictor), the cache binds each
-// VM's step function on the VM's first prediction and answers its
+// When Pred has a Steps method (see model.Predictor) — the forest's plain
+// steps or the distribution table's ramp steps — the cache binds each VM's
+// step function on the VM's first prediction and answers its
 // repredictions from a model.StepCursor, bit-equal to PredictRemaining.
 // The bindings live in a slab of slots; a VM finds its slot through the
 // handle it carries (cluster.VM.BindSlot), which the cache trusts only when
