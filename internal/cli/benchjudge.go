@@ -172,11 +172,11 @@ type pairPlan struct {
 // runPairs runs the plan's untraced runs and writes them to two new run
 // files, base runs to basePath and head runs to headPath, one line per run
 // as bench/sweep.sh writes it. Each (seed, workload) runs once in each
-// checkout, base first on even-numbered seeds of the list and head first on
-// odd ones, so neither side always meets the box warmer. A run that exits
-// non-zero, or whose result says "correct": false, ends the sweep with an
-// error; the files keep the runs before it.
-// Progress lines and the runs' stderr go to progress.
+// checkout, base first on the 1st, 3rd, … seed of the list and head first
+// on the others, so neither side always meets the box warmer. A run that
+// exits non-zero, or whose result says "correct": false, ends the sweep
+// with an error; the files keep the runs before it. Progress lines and the
+// runs' stderr go to progress.
 func runPairs(ctx context.Context, p pairPlan, basePath, headPath string, progress io.Writer) error {
 	if len(p.command) == 0 {
 		return errors.New("BENCHMARK.json names no command")
@@ -198,7 +198,7 @@ func runPairs(ctx context.Context, p pairPlan, basePath, headPath string, progre
 		for _, w := range p.workloads {
 			for j := range sides {
 				s := sides[(i+j)%2]
-				res, err := runOnce(ctx, s.dir, p.command, w, seed, p.seconds, progress)
+				res, err := runOnce(ctx, p, s.dir, w, seed, progress)
 				if err != nil {
 					return fmt.Errorf("%s %s seed %d: %w", s.name, w, seed, err)
 				}
@@ -226,15 +226,15 @@ func runPairs(ctx context.Context, p pairPlan, basePath, headPath string, progre
 	return nil
 }
 
-// runOnce runs the benchmark command once, untraced, in the checkout dir
-// and returns its result: the last line it prints, which must be a JSON
-// object whose "correct" is true. The command's stderr goes to stderr.
-func runOnce(ctx context.Context, dir string, command []string, workload string, seed int64, seconds int, stderr io.Writer) (json.RawMessage, error) {
-	args := append(slices.Clone(command[1:]), "--workload", workload, "--seed", strconv.FormatInt(seed, 10), "--trace", "0")
-	if seconds > 0 {
-		args = append(args, "--seconds", strconv.Itoa(seconds))
+// runOnce runs the plan's command once, untraced, in the checkout dir and
+// returns its result: the last line it prints, which must be a JSON object
+// whose "correct" is true. The command's stderr goes to stderr.
+func runOnce(ctx context.Context, p pairPlan, dir, workload string, seed int64, stderr io.Writer) (json.RawMessage, error) {
+	args := append(slices.Clone(p.command[1:]), "--workload", workload, "--seed", strconv.FormatInt(seed, 10), "--trace", "0")
+	if p.seconds > 0 {
+		args = append(args, "--seconds", strconv.Itoa(p.seconds))
 	}
-	c := exec.CommandContext(ctx, command[0], args...)
+	c := exec.CommandContext(ctx, p.command[0], args...)
 	c.Dir, c.Stderr = dir, stderr
 	out, err := c.Output()
 	if err != nil {
