@@ -32,7 +32,7 @@ func Tracegen(_ context.Context, args []string, stdout, stderr io.Writer) int {
 			name string
 			days int
 		}{{"-days", *days}, {"-prefill", *prefill}} {
-			if f.days > math.MaxInt64/int(simtime.Day) || f.days < math.MinInt64/int(simtime.Day) {
+			if d := int64(f.days); d > math.MaxInt64/int64(simtime.Day) || d < math.MinInt64/int64(simtime.Day) {
 				return fmt.Errorf("%s %d overflows a duration", f.name, f.days)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -314,7 +315,7 @@ func traceFilter(r *http.Request) (ptrace.Filter, error) {
 		return f, errors.New("serve: trace filter values must be non-negative")
 	}
 	f.From, f.To = time.Duration(from), time.Duration(to)
-	f.After, f.Limit = uint64(after), int(limit)
+	f.After, f.Limit = uint64(after), int(min(limit, math.MaxInt)) // a 32-bit int holds no larger page
 	return f, nil
 }
 

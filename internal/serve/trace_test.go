@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -371,7 +372,7 @@ func checkTraceQuery(t *testing.T, h http.Handler, raw string, cells int) {
 		}
 	}
 	vmID, host, from, to := vals[0], vals[1], time.Duration(vals[2]), time.Duration(vals[3])
-	after, limit := uint64(vals[4]), int(vals[5])
+	after, limit := uint64(vals[4]), int(min(vals[5], math.MaxInt))
 	if limit == 0 {
 		limit = ptrace.DefaultQueryLimit
 	}
