@@ -412,30 +412,40 @@ var sinkRemaining time.Duration
 // seen, what the exit cache pays to bind a VM.
 func BenchmarkPredictRemaining(b *testing.B) {
 	g, vms := trainedWithVMs(b, 3, 37, gbdt.Params{Trees: 100})
+	// The loops step a VM index and an uptime index, as BenchmarkDistPredict
+	// does, instead of dividing the iteration count.
 	b.Run("cold", func(b *testing.B) {
 		ups := placementUptimes()
-		batch := len(vms) * len(ups)
 		b.ReportAllocs()
 		var p *GBDTPredictor
-		for i := 0; i < b.N; i++ {
-			k := i % batch
-			if k == 0 {
+		for i, vm, u := 0, 0, 0; i < b.N; i++ {
+			if vm == 0 && u == 0 {
 				p = &GBDTPredictor{Enc: g.Enc, M: g.M}
 			}
-			sinkRemaining = p.PredictRemaining(vms[k/len(ups)], ups[k%len(ups)])
+			sinkRemaining = p.PredictRemaining(vms[vm], ups[u])
+			if u++; u == len(ups) {
+				if u, vm = 0, vm+1; vm == len(vms) {
+					vm = 0
+				}
+			}
 		}
 	})
 	ups := []time.Duration{0, 90 * time.Second, 5 * time.Hour, 2 * simtime.Day}
-	batch := len(vms) * len(ups)
 	b.Run("warm", func(b *testing.B) {
-		for k := 0; k < batch; k++ {
-			g.PredictRemaining(vms[k/len(ups)], ups[k%len(ups)])
+		for _, vm := range vms {
+			for _, u := range ups {
+				g.PredictRemaining(vm, u)
+			}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			k := i % batch
-			sinkRemaining = g.PredictRemaining(vms[k/len(ups)], ups[k%len(ups)])
+		for i, vm, u := 0, 0, 0; i < b.N; i++ {
+			sinkRemaining = g.PredictRemaining(vms[vm], ups[u])
+			if u++; u == len(ups) {
+				if u, vm = 0, vm+1; vm == len(vms) {
+					vm = 0
+				}
+			}
 		}
 	})
 	b.Run("bound", func(b *testing.B) {
@@ -449,9 +459,13 @@ func BenchmarkPredictRemaining(b *testing.B) {
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			k := i % batch
-			sinkRemaining = curs[k/len(ups)].Remaining(ups[k%len(ups)])
+		for i, vm, u := 0, 0, 0; i < b.N; i++ {
+			sinkRemaining = curs[vm].Remaining(ups[u])
+			if u++; u == len(ups) {
+				if u, vm = 0, vm+1; vm == len(vms) {
+					vm = 0
+				}
+			}
 		}
 	})
 	b.Run("bind", func(b *testing.B) {
