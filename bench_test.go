@@ -117,8 +117,8 @@ func BenchmarkTable2LARS(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		base := defrag.ReplayPlan(eng.Plan, defrag.OrderShuffled, 3, 20*time.Minute)
-		lars := defrag.ReplayPlan(eng.Plan, defrag.OrderLARS, 3, 20*time.Minute)
+		base := defrag.ReplayPlan(eng.Plan, defrag.OrderShuffled, 3)
+		lars := defrag.ReplayPlan(eng.Plan, defrag.OrderLARS, 3)
 		if lars.Performed > base.Performed {
 			b.Fatalf("LARS regressed: %d > %d", lars.Performed, base.Performed)
 		}
@@ -369,11 +369,7 @@ func (f frozenBench) PredictRemaining(vm *clusterVM, uptime time.Duration) time.
 	if vm.InitialPrediction == 0 {
 		vm.InitialPrediction = f.inner.PredictRemaining(vm, 0)
 	}
-	rem := vm.InitialPrediction - uptime
-	if rem <= 0 {
-		return model.MinRemaining(uptime)
-	}
-	return rem
+	return simtime.FloorRemaining(vm.InitialPrediction-uptime, uptime)
 }
 
 // clusterVM aliases the cluster VM type to keep bench signatures tidy.

@@ -51,8 +51,8 @@ func main() {
 
 	// Replay the identical plan through the 3-slot, 20-minute-per-copy
 	// migration queue under both orderings (the paper's methodology, §5.1).
-	base := defrag.ReplayPlan(engine.Plan, defrag.OrderShuffled, 3, 20*time.Minute)
-	lars := defrag.ReplayPlan(engine.Plan, defrag.OrderLARS, 3, 20*time.Minute)
+	base := defrag.ReplayPlan(engine.Plan, defrag.OrderShuffled, 3)
+	lars := defrag.ReplayPlan(engine.Plan, defrag.OrderLARS, 3)
 
 	fmt.Println("ordering        | planned | performed | saved")
 	fmt.Printf("baseline        | %7d | %9d | %d\n", base.Planned, base.Performed, base.Saved)

@@ -9,7 +9,6 @@ import (
 
 	"lava/internal/cluster"
 	"lava/internal/model"
-	"lava/internal/model/cox"
 	"lava/internal/model/eval"
 	"lava/internal/model/gbdt"
 	"lava/internal/model/mlp"
@@ -70,7 +69,7 @@ func Trainmodel(_ context.Context, args []string, stdout, stderr io.Writer) int 
 		}{
 			{"mlp", "mlp", func() (model.Predictor, error) { return model.TrainMLP(train, mlp.Params{Seed: *seed}) }},
 			{"stratified-km", "km", func() (model.Predictor, error) { return model.Train("km", train, 0) }},
-			{"linear-cox", "cox", func() (model.Predictor, error) { return model.TrainCox(coxTrain, cox.Options{}) }},
+			{"linear-cox", "cox", func() (model.Predictor, error) { return model.TrainCox(coxTrain) }},
 		} {
 			p, err := fam.train()
 			if err != nil {

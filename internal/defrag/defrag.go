@@ -56,10 +56,6 @@ type Config struct {
 	// MaxConcurrent is the live-migration batch limit. Default 3 (§5.1).
 	MaxConcurrent int
 
-	// MigrationTime is the per-VM copy duration during which both hosts
-	// are busy. Default 20 minutes (§4.4).
-	MigrationTime time.Duration
-
 	// CheckEvery is the trigger cadence. Default 1h.
 	CheckEvery time.Duration
 }
@@ -74,14 +70,15 @@ func (c Config) withDefaults() Config {
 	if c.MaxConcurrent == 0 {
 		c.MaxConcurrent = 3
 	}
-	if c.MigrationTime == 0 {
-		c.MigrationTime = 20 * time.Minute
-	}
 	if c.CheckEvery == 0 {
 		c.CheckEvery = time.Hour
 	}
 	return c
 }
+
+// migrationTime is the per-VM copy duration during which both hosts are
+// busy (§4.4).
+const migrationTime = 20 * time.Minute
 
 // Stats counts defragmentation activity.
 type Stats struct {
@@ -275,7 +272,7 @@ func (e *Engine) reapSavedAndStart(pool *cluster.Pool, now time.Duration) {
 		}
 		// Reserve the shape on the destination for the copy window: live
 		// migration consumes capacity on both hosts (§4.4).
-		ph := &cluster.VM{ID: e.nextPH, Shape: vm.Shape, Created: now, TrueLifetime: e.cfg.MigrationTime}
+		ph := &cluster.VM{ID: e.nextPH, Shape: vm.Shape, Created: now, TrueLifetime: migrationTime}
 		e.nextPH--
 		if err := pool.Place(ph, dst); err != nil {
 			e.pending = e.pending[1:]
@@ -287,7 +284,7 @@ func (e *Engine) reapSavedAndStart(pool *cluster.Pool, now time.Duration) {
 		e.pending = e.pending[1:]
 		m.dst = dst
 		m.placeholder = ph
-		m.done = now + e.cfg.MigrationTime
+		m.done = now + migrationTime
 		e.inflight = append(e.inflight, m)
 		e.Stats.Performed++
 	}

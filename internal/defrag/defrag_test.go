@@ -223,8 +223,8 @@ func TestLARSReducesMigrationsEndToEnd(t *testing.T) {
 	if len(eng.Plan) == 0 {
 		t.Fatal("defrag never triggered; test workload too empty")
 	}
-	base := ReplayPlan(eng.Plan, OrderTrace, 3, 20*time.Minute)
-	lars := ReplayPlan(eng.Plan, OrderLARS, 3, 20*time.Minute)
+	base := ReplayPlan(eng.Plan, OrderTrace, 3)
+	lars := ReplayPlan(eng.Plan, OrderLARS, 3)
 	t.Logf("baseline: %+v", base)
 	t.Logf("lars:     %+v", lars)
 	if base.Performed == 0 {

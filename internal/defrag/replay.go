@@ -38,12 +38,9 @@ type ReplayResult struct {
 // The plan (which hosts drain, when, with which VMs) is fixed; only the
 // per-host evacuation order changes between strategies, so the comparison
 // is feedback-free like the paper's.
-func ReplayPlan(plan []PlannedBatch, strategy Strategy, slots int, migrationTime time.Duration) ReplayResult {
+func ReplayPlan(plan []PlannedBatch, strategy Strategy, slots int) ReplayResult {
 	if slots <= 0 {
 		slots = 3
-	}
-	if migrationTime == 0 {
-		migrationTime = 20 * time.Minute
 	}
 
 	// Build the global queue. Hosts drained at the same trigger time share
@@ -85,7 +82,7 @@ func ReplayPlan(plan []PlannedBatch, strategy Strategy, slots int, migrationTime
 	if len(round) > 0 {
 		flush(round, roundTrigger)
 	}
-	return replayQueue(queue, slots, migrationTime)
+	return replayQueue(queue, slots)
 }
 
 // idHash is a deterministic 64-bit mix for shuffled ordering.
@@ -103,7 +100,7 @@ type replayItem struct {
 }
 
 // replayQueue runs the slot-constrained migration queue.
-func replayQueue(queue []replayItem, slots int, migrationTime time.Duration) ReplayResult {
+func replayQueue(queue []replayItem, slots int) ReplayResult {
 	// slotFree holds the next-free time of each migration slot.
 	slotFree := make([]time.Duration, slots)
 	res := ReplayResult{Planned: len(queue)}

@@ -16,7 +16,7 @@ func TestReplayPlanBasic(t *testing.T) {
 			{ID: 2, Exit: hoursD(100), Remaining: hoursD(99)},
 		},
 	}}
-	res := ReplayPlan(plan, OrderTrace, 3, 20*time.Minute)
+	res := ReplayPlan(plan, OrderTrace, 3)
 	if res.Planned != 2 || res.Performed != 2 || res.Saved != 0 {
 		t.Fatalf("res = %+v", res)
 	}
@@ -36,11 +36,11 @@ func TestReplayPlanSavesWaitingExits(t *testing.T) {
 			{ID: 2, Exit: hoursD(200), Remaining: hoursD(199)},
 		},
 	}}
-	base := ReplayPlan(plan, OrderTrace, 1, 20*time.Minute)
+	base := ReplayPlan(plan, OrderTrace, 1)
 	if base.Performed != 2 || base.Saved != 0 {
 		t.Fatalf("trace order: %+v", base)
 	}
-	lars := ReplayPlan(plan, OrderLARS, 1, 20*time.Minute)
+	lars := ReplayPlan(plan, OrderLARS, 1)
 	if lars.Performed != 1 || lars.Saved != 1 {
 		t.Fatalf("LARS order: %+v", lars)
 	}
@@ -54,7 +54,7 @@ func TestReplayPlanRespectsTrigger(t *testing.T) {
 		Host:    0,
 		VMs:     []PlannedVM{{ID: 1, Exit: hoursD(9), Remaining: 0}},
 	}}
-	res := ReplayPlan(plan, OrderTrace, 3, 20*time.Minute)
+	res := ReplayPlan(plan, OrderTrace, 3)
 	if res.Saved != 1 || res.Performed != 0 {
 		t.Fatalf("res = %+v", res)
 	}
@@ -67,7 +67,7 @@ func TestReplayPlanSlotContention(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		vms = append(vms, PlannedVM{ID: 0, Exit: hoursD(100), Remaining: hoursD(99)})
 	}
-	res := ReplayPlan([]PlannedBatch{{Trigger: 0, VMs: vms}}, OrderTrace, 3, 20*time.Minute)
+	res := ReplayPlan([]PlannedBatch{{Trigger: 0, VMs: vms}}, OrderTrace, 3)
 	if res.Performed != 9 {
 		t.Fatalf("performed = %d, want 9", res.Performed)
 	}
@@ -88,8 +88,8 @@ func TestReplayLARSNeverWorseOnFixedPlan(t *testing.T) {
 			{ID: 6, Exit: hoursD(90), Remaining: hoursD(85)},
 		}},
 	}
-	base := ReplayPlan(plan, OrderTrace, 1, 20*time.Minute)
-	lars := ReplayPlan(plan, OrderLARS, 1, 20*time.Minute)
+	base := ReplayPlan(plan, OrderTrace, 1)
+	lars := ReplayPlan(plan, OrderLARS, 1)
 	if lars.Performed > base.Performed {
 		t.Fatalf("LARS %+v worse than baseline %+v", lars, base)
 	}

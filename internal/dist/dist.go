@@ -5,6 +5,8 @@ import (
 	"math"
 	"sort"
 	"time"
+
+	"lava/internal/simtime"
 )
 
 // Empirical is an empirical distribution over durations, backed by the
@@ -50,23 +52,19 @@ func (e *Empirical) CDF(d time.Duration) float64 {
 // the mean of the samples above u (saturated at math.MaxInt64) and the
 // subtraction wraps as int64 subtraction does; it is not floored, so it may
 // be zero or negative. When no sample exceeds u the distribution has
-// nothing left to say, and the answer is max(u/10, time.Minute), u/10
-// truncating toward zero, so downstream exit estimates stay finite and
-// monotone. That is not model.MinRemaining, which truncates float64(u)*0.1
-// instead; the two differ in the last nanoseconds, by up to ~150 ns near
-// the end of the Duration range. model.DistTable answers this fallback as
-// it is, and floors a non-positive D - u at model.MinRemaining.
+// nothing left to say, and the answer is the floor simtime.MinRemaining(u),
+// so downstream exit estimates stay finite and monotone.
 func (e *Empirical) CondExpRemaining(u time.Duration) time.Duration {
 	idx := sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > u })
 	if idx == len(e.sorted) {
-		return max(u/10, time.Minute)
+		return simtime.MinRemaining(u)
 	}
 	return e.exp[idx] - u
 }
 
 // Ramp returns CondExpRemaining as ramp steps: at an uptime u with k
 // entries of at <= u, CondExpRemaining(u) is exp[k] - u for k < len(at),
-// and the fallback past the last entry. at is the sorted sample set
+// and the floor past the last entry. at is the sorted sample set
 // (repeated samples make steps no uptime falls on), len(exp) == len(at),
 // and no entry of exp is negative. Both are shared and never written; both
 // are nil when a sample is negative.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"lava/internal/model"
 	"lava/internal/ptrace"
@@ -176,11 +175,11 @@ func counterfactualPolicy(name string, pred model.Predictor) (func() scheduler.P
 	if full, ok := counterfactualAliases[name]; ok {
 		name = full
 	}
-	if _, err := scheduler.New(name, pred, time.Minute); err != nil {
+	if _, err := scheduler.New(name, pred); err != nil {
 		return nil, fmt.Errorf("experiments: counterfactual: %w", err)
 	}
 	return func() scheduler.Policy {
-		pol, _ := scheduler.New(name, pred, time.Minute) // validated above
+		pol, _ := scheduler.New(name, pred) // validated above
 		return pol
 	}, nil
 }

@@ -240,7 +240,6 @@ func studyTrace(opt Options, idx int, util float64) (*trace.Trace, error) {
 		Prefill:    scaleDur(3*simtime.Week, opt.Scale, 8*simtime.Day),
 		Seed:       opt.Seed + int64(1000*idx),
 		Diurnal:    0.3,
-		FirstVMID:  0,
 	})
 }
 

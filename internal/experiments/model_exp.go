@@ -9,7 +9,6 @@ import (
 	"lava/internal/cluster"
 	"lava/internal/features"
 	"lava/internal/model"
-	"lava/internal/model/cox"
 	"lava/internal/model/eval"
 	"lava/internal/model/gbdt"
 	"lava/internal/model/mlp"
@@ -462,7 +461,7 @@ func runTable4(opt Options) (Report, error) {
 			if len(coxTrain) > 4000 {
 				coxTrain = coxTrain[:4000]
 			}
-			c, err := model.TrainCox(coxTrain, cox.Options{})
+			c, err := model.TrainCox(coxTrain)
 			preds[3] = c
 			return err
 		},

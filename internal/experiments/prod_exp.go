@@ -383,8 +383,8 @@ func runTable2(opt Options) (Report, error) {
 			// paper's production migration lists; our creation order is already
 			// nearly lifetime-sorted (old VMs are long-lived) and would be an
 			// unrealistically strong baseline (see EXPERIMENTS.md).
-			base := defrag.ReplayPlan(eng.Plan, defrag.OrderShuffled, 3, 20*time.Minute)
-			lars := defrag.ReplayPlan(eng.Plan, defrag.OrderLARS, 3, 20*time.Minute)
+			base := defrag.ReplayPlan(eng.Plan, defrag.OrderShuffled, 3)
+			lars := defrag.ReplayPlan(eng.Plan, defrag.OrderLARS, 3)
 			row := Table2Row{
 				Trace: fmt.Sprintf("%d", i+1), Scheduled: res.Placements,
 				Baseline: base.Performed, LARS: lars.Performed,

@@ -9,6 +9,7 @@ import (
 	"lava/internal/model"
 	"lava/internal/runner"
 	"lava/internal/scheduler"
+	"lava/internal/simtime"
 	"lava/internal/trace"
 )
 
@@ -280,11 +281,7 @@ func (f frozenPredictor) PredictRemaining(vm *cluster.VM, uptime time.Duration) 
 	if vm.InitialPrediction == 0 {
 		vm.InitialPrediction = f.inner.PredictRemaining(vm, 0)
 	}
-	rem := vm.InitialPrediction - uptime
-	if rem <= 0 {
-		return model.MinRemaining(uptime)
-	}
-	return rem
+	return simtime.FloorRemaining(vm.InitialPrediction-uptime, uptime)
 }
 
 func runFig16(opt Options) (Report, error) {

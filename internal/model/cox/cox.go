@@ -28,32 +28,20 @@ type Model struct {
 	baseHaz   []float64 // cumulative hazard values
 }
 
-// Options controls fitting.
-type Options struct {
-	MaxIter int     // Newton iterations [25]
-	Tol     float64 // convergence tolerance on max |step| [1e-6]
-	Ridge   float64 // L2 penalty to keep the Hessian well-conditioned [1e-4]
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxIter == 0 {
-		o.MaxIter = 25
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-6
-	}
-	if o.Ridge == 0 {
-		o.Ridge = 1e-4
-	}
-	return o
-}
+// The fitting settings: Newton iterations stop after maxIter or once no
+// coefficient moves by tol, and an L2 penalty of ridge keeps the Hessian
+// well-conditioned.
+const (
+	maxIter = 25
+	tol     = 1e-6
+	ridge   = 1e-4
+)
 
 // Fit estimates the model from subjects.
-func Fit(subjects []Subject, opt Options) (*Model, error) {
+func Fit(subjects []Subject) (*Model, error) {
 	if len(subjects) == 0 {
 		return nil, errors.New("cox: no subjects")
 	}
-	opt = opt.withDefaults()
 	p := len(subjects[0].X)
 	for i, s := range subjects {
 		if len(s.X) != p {
@@ -79,7 +67,7 @@ func Fit(subjects []Subject, opt Options) (*Model, error) {
 		xs[i] = m.scale(subjects[idx].X)
 	}
 
-	for iter := 0; iter < opt.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		grad := make([]float64, p)
 		hess := make([][]float64, p)
 		for i := range hess {
@@ -129,8 +117,8 @@ func Fit(subjects []Subject, opt Options) (*Model, error) {
 
 		// Ridge regularization.
 		for a := 0; a < p; a++ {
-			grad[a] -= opt.Ridge * m.Beta[a]
-			hess[a][a] += opt.Ridge
+			grad[a] -= ridge * m.Beta[a]
+			hess[a][a] += ridge
 		}
 
 		step, ok := stats.Solve(hess, grad, 1e-12)
@@ -144,7 +132,7 @@ func Fit(subjects []Subject, opt Options) (*Model, error) {
 				maxStep = v
 			}
 		}
-		if maxStep < opt.Tol {
+		if maxStep < tol {
 			break
 		}
 	}

@@ -27,18 +27,18 @@ func synthSubjects(n int, seed int64) []Subject {
 }
 
 func TestFitRejectsBadInput(t *testing.T) {
-	if _, err := Fit(nil, Options{}); err == nil {
+	if _, err := Fit(nil); err == nil {
 		t.Fatal("empty input must fail")
 	}
 	subs := []Subject{{X: []float64{1}, Duration: time.Hour, Event: true},
 		{X: []float64{1, 2}, Duration: time.Hour, Event: true}}
-	if _, err := Fit(subs, Options{}); err == nil {
+	if _, err := Fit(subs); err == nil {
 		t.Fatal("ragged covariates must fail")
 	}
 }
 
 func TestRecoversHazardDirection(t *testing.T) {
-	m, err := Fit(synthSubjects(2000, 1), Options{})
+	m, err := Fit(synthSubjects(2000, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestRecoversHazardDirection(t *testing.T) {
 }
 
 func TestRiskOrdering(t *testing.T) {
-	m, err := Fit(synthSubjects(2000, 2), Options{})
+	m, err := Fit(synthSubjects(2000, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestRiskOrdering(t *testing.T) {
 }
 
 func TestSurvivalDecreasing(t *testing.T) {
-	m, err := Fit(synthSubjects(1000, 3), Options{})
+	m, err := Fit(synthSubjects(1000, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestSurvivalDecreasing(t *testing.T) {
 }
 
 func TestExpRemainingOrdering(t *testing.T) {
-	m, err := Fit(synthSubjects(1500, 4), Options{})
+	m, err := Fit(synthSubjects(1500, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestCensoringHandled(t *testing.T) {
 			subs[i].Event = false
 		}
 	}
-	m, err := Fit(subs, Options{})
+	m, err := Fit(subs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,19 +14,18 @@ import (
 // MinLeafSamples or Bins and clamps Bins to 256. There is no worker count:
 // a fit is sequential, so that its bytes depend on nothing but its inputs.
 type Params struct {
-	Trees          int     // number of boosting rounds [200]
-	LearningRate   float64 // shrinkage [0.1]
-	MaxLeaves      int     // best-first growth stops at this many leaves [32]
-	MinLeafSamples int     // minimum samples per leaf [20]
-	Bins           int     // histogram bins per feature, <= 256 [64]
+	Trees          int // number of boosting rounds [200]
+	MaxLeaves      int // best-first growth stops at this many leaves [32]
+	MinLeafSamples int // minimum samples per leaf [20]
+	Bins           int // histogram bins per feature, <= 256 [64]
 }
+
+// learningRate is the shrinkage applied to every leaf.
+const learningRate = 0.1
 
 func (p Params) withDefaults() Params {
 	if p.Trees == 0 {
 		p.Trees = 200
-	}
-	if p.LearningRate == 0 {
-		p.LearningRate = 0.1
 	}
 	if p.MaxLeaves == 0 {
 		p.MaxLeaves = 32
@@ -136,7 +135,7 @@ func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 			if nd.Feature != -1 {
 				continue
 			}
-			nd.Value *= p.LearningRate
+			nd.Value *= learningRate
 			for _, i := range b.idx[b.spans[k].lo:b.spans[k].hi] {
 				pred[i] += nd.Value
 			}

@@ -508,7 +508,7 @@ func referenceTrain(X [][]float64, y []float64, p Params) *Model {
 		tr := builder.build(idx, resid)
 		for i := range tr.Nodes {
 			if tr.Nodes[i].Feature == -1 {
-				tr.Nodes[i].Value *= p.LearningRate
+				tr.Nodes[i].Value *= learningRate
 			}
 		}
 		for i := 0; i < n; i++ {

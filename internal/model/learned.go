@@ -372,7 +372,7 @@ type CoxPredictor struct {
 // TrainCox fits the Cox baseline. Unlike the regression models, Cox is a
 // native survival model: no uptime augmentation is used, and repredictions
 // come from the conditional survival function.
-func TrainCox(records []trace.Record, opt cox.Options) (*CoxPredictor, error) {
+func TrainCox(records []trace.Record) (*CoxPredictor, error) {
 	exs := make([]features.Example, len(records))
 	for i, r := range records {
 		lt := r.Lifetime
@@ -390,7 +390,7 @@ func TrainCox(records []trace.Record, opt cox.Options) (*CoxPredictor, error) {
 			Event:    true,
 		}
 	}
-	m, err := cox.Fit(subjects, opt)
+	m, err := cox.Fit(subjects)
 	if err != nil {
 		return nil, err
 	}
@@ -403,11 +403,7 @@ func (c *CoxPredictor) Name() string { return "linear-cox" }
 // PredictRemaining implements Predictor.
 func (c *CoxPredictor) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration {
 	x := c.Enc.Encode(vm.Feat, ZeroUptimeLog10)
-	rem := c.M.ExpRemaining(x, uptime)
-	if rem <= 0 {
-		return MinRemaining(uptime)
-	}
-	return rem
+	return simtime.FloorRemaining(c.M.ExpRemaining(x, uptime), uptime)
 }
 
 // gbdtBundle serializes a GBDT predictor: model plus its feature encoder.

@@ -7,42 +7,23 @@ import (
 	"math/rand"
 )
 
-// Params configures training. Zero values take the defaults in brackets.
+// Params configures training. A zero Epochs takes the default in brackets.
 type Params struct {
-	Hidden    []int   // hidden layer widths [16, 16]
-	Epochs    int     // passes over the data [30]
-	Batch     int     // mini-batch size [64]
-	LR        float64 // learning rate [0.01]
-	Momentum  float64 // SGD momentum [0.9]
-	Seed      int64   // weight-init / shuffle seed
-	ClipGrad  float64 // per-element gradient clip [1.0]
-	WeightDec float64 // L2 weight decay [1e-5]
+	Epochs int   // passes over the data [30]
+	Seed   int64 // weight-init / shuffle seed
 }
 
-func (p Params) withDefaults() Params {
-	if len(p.Hidden) == 0 {
-		p.Hidden = []int{16, 16}
-	}
-	if p.Epochs == 0 {
-		p.Epochs = 30
-	}
-	if p.Batch == 0 {
-		p.Batch = 64
-	}
-	if p.LR == 0 {
-		p.LR = 0.01
-	}
-	if p.Momentum == 0 {
-		p.Momentum = 0.9
-	}
-	if p.ClipGrad == 0 {
-		p.ClipGrad = 1.0
-	}
-	if p.WeightDec == 0 {
-		p.WeightDec = 1e-5
-	}
-	return p
-}
+// The fixed training settings: two hidden layers of 16 units, mini-batches
+// of 64, SGD with momentum, each gradient element clipped to ±clipGrad,
+// and L2 weight decay.
+const (
+	hidden    = 16
+	batchSize = 64
+	lr        = 0.01
+	momentum  = 0.9
+	clipGrad  = 1.0
+	weightDec = 1e-5
+)
 
 // layer is a dense layer: out = act(W in + b).
 type layer struct {
@@ -66,7 +47,9 @@ func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 	if len(X) == 0 || len(X) != len(y) {
 		return nil, errors.New("mlp: empty or mismatched training data")
 	}
-	p = p.withDefaults()
+	if p.Epochs == 0 {
+		p.Epochs = 30
+	}
 	nf := len(X[0])
 	for i, row := range X {
 		if len(row) != nf {
@@ -79,8 +62,7 @@ func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 	m.fitScalers(X, y)
 
 	// Build layers: nf -> hidden... -> 1.
-	widths := append([]int{nf}, p.Hidden...)
-	widths = append(widths, 1)
+	widths := []int{nf, hidden, hidden, 1}
 	for i := 0; i+1 < len(widths); i++ {
 		in, out := widths[i], widths[i+1]
 		l := layer{rows: out, cols: in,
@@ -106,12 +88,8 @@ func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 	for epoch := 0; epoch < p.Epochs; epoch++ {
 		// Reshuffle each epoch.
 		rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for start := 0; start < n; start += p.Batch {
-			end := start + p.Batch
-			if end > n {
-				end = n
-			}
-			m.sgdStep(Xs, ys, idx[start:end], p)
+		for start := 0; start < n; start += batchSize {
+			m.sgdStep(Xs, ys, idx[start:min(start+batchSize, n)])
 		}
 	}
 	return m, nil
@@ -189,7 +167,7 @@ func (m *Model) forward(x []float64) [][]float64 {
 }
 
 // sgdStep runs one mini-batch update.
-func (m *Model) sgdStep(X [][]float64, y []float64, batch []int, p Params) {
+func (m *Model) sgdStep(X [][]float64, y []float64, batch []int) {
 	// Accumulate gradients.
 	type grads struct{ w, b []float64 }
 	gs := make([]grads, len(m.layers))
@@ -230,14 +208,14 @@ func (m *Model) sgdStep(X [][]float64, y []float64, batch []int, p Params) {
 	for li := range m.layers {
 		l := &m.layers[li]
 		for j := range l.w {
-			g := gs[li].w[j]*scale + p.WeightDec*l.w[j]
-			g = clip(g, p.ClipGrad)
-			l.vw[j] = p.Momentum*l.vw[j] - p.LR*g
+			g := gs[li].w[j]*scale + weightDec*l.w[j]
+			g = clip(g, clipGrad)
+			l.vw[j] = momentum*l.vw[j] - lr*g
 			l.w[j] += l.vw[j]
 		}
 		for j := range l.b {
-			g := clip(gs[li].b[j]*scale, p.ClipGrad)
-			l.vb[j] = p.Momentum*l.vb[j] - p.LR*g
+			g := clip(gs[li].b[j]*scale, clipGrad)
+			l.vb[j] = momentum*l.vb[j] - lr*g
 			l.b[j] += l.vb[j]
 		}
 	}

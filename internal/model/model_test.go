@@ -46,17 +46,8 @@ func TestOracle(t *testing.T) {
 	}
 	// Outlived: falls back to the growing floor, never zero.
 	got := o.PredictRemaining(vm, 20*time.Hour)
-	if got != MinRemaining(20*time.Hour) || got <= 0 {
+	if got != simtime.MinRemaining(20*time.Hour) || got <= 0 {
 		t.Fatalf("oracle beyond lifetime = %v", got)
-	}
-}
-
-func TestMinRemainingGrows(t *testing.T) {
-	if MinRemaining(0) != time.Minute {
-		t.Fatalf("MinRemaining(0) = %v", MinRemaining(0))
-	}
-	if got := MinRemaining(100 * time.Hour); got != 10*time.Hour {
-		t.Fatalf("MinRemaining(100h) = %v, want 10h", got)
 	}
 }
 

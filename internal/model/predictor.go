@@ -18,7 +18,10 @@ import (
 //
 // Calling PredictRemaining with uptime 0 yields the initial (schedule-time)
 // prediction; subsequent calls with growing uptime are the repredictions
-// that distinguish NILAS/LAVA from one-shot approaches. LAVA makes about
+// that distinguish NILAS/LAVA from one-shot approaches. Every built-in
+// predictor answers through simtime.FloorRemaining, so an estimate that is
+// not positive — the VM has outlived it — answers the floor
+// simtime.MinRemaining(Tu), which grows with uptime. LAVA makes about
 // twenty of them per placement, so an implementation may keep derived state
 // to answer them (GBDTPredictor's step tables, memo and per-VM slots) as
 // long as every answer equals the one it would compute from scratch. Such
@@ -35,7 +38,7 @@ import (
 // Two shapes of step function are bound: the forest's plain steps
 // (GBDTPredictor), constant on each step, and the distribution table's
 // ramp steps (DistTable), which fall with the uptime on each step and hold
-// a fallback past the last sample; StepFn gives both rules, negative
+// the floor past the last sample; StepFn gives both rules, negative
 // uptimes included. A caller that holds the VM (scheduler.ExitCache) then
 // binds its answers once and reads them through a StepCursor. The contract
 // is bit-equality: for every VM that Steps accepts, Steps(vm).Remaining(u)
@@ -56,11 +59,11 @@ type Predictor interface {
 //   - plain, len(Rem) > len(At) (the forest's): the answer on step k is
 //     Rem[k], and a negative uptime answers as 0 does;
 //   - ramp, len(Rem) == len(At) (the distribution table's, see
-//     dist.Empirical.Ramp): on step k < len(At) the answer is Rem[k] - u,
-//     the subtraction wrapping as int64 subtraction does, or MinRemaining(u)
-//     when that is <= 0; on the last step, past every entry of At, it is
-//     max(u/10, time.Minute). A negative uptime is read as itself. No entry
-//     of Rem is negative.
+//     dist.Empirical.Ramp): the answer on step k is
+//     simtime.FloorRemaining(Rem[k] - u, u), the subtraction wrapping as
+//     int64 subtraction does, with Rem[k] read as 0 on the last step, past
+//     every entry of At, where it is the floor. A negative uptime is read
+//     as itself. At is not empty, and no entry of At or Rem is negative.
 type StepFn struct {
 	At, Rem []time.Duration
 }
@@ -72,7 +75,7 @@ func (s StepFn) Remaining(uptime time.Duration) time.Duration {
 		return rem
 	}
 	d, _, _ := s.rampSpan(uptime)
-	return rampAnswer(d, uptime)
+	return simtime.FloorRemaining(d-uptime, uptime)
 }
 
 // span returns a plain function's answer at the uptime and the uptimes
@@ -92,12 +95,12 @@ func (s StepFn) span(uptime time.Duration) (rem, lo, hi time.Duration) {
 }
 
 // rampSpan returns the value of the ramp step that holds the uptime —
-// Rem[k], or -1 on the last step — and the uptimes [lo, hi) the step
+// Rem[k], or 0 on the last step — and the uptimes [lo, hi) the step
 // spans; lo is math.MinInt64 on the first step, hi math.MaxInt64 on the
 // last.
 func (s StepFn) rampSpan(uptime time.Duration) (d, lo, hi time.Duration) {
 	k := countAtMost(s.At, uptime)
-	lo, hi, d = math.MinInt64, math.MaxInt64, -1
+	lo, hi = math.MinInt64, math.MaxInt64
 	if k > 0 {
 		lo = s.At[k-1]
 	}
@@ -118,18 +121,6 @@ func countAtMost(at []time.Duration, u time.Duration) int {
 		}
 	}
 	return k
-}
-
-// rampAnswer is a ramp step's answer at the uptime (see StepFn): the
-// distribution table's rule, CondExpRemaining floored at MinRemaining.
-func rampAnswer(d, uptime time.Duration) time.Duration {
-	switch {
-	case d < 0:
-		return max(uptime/10, time.Minute)
-	case d-uptime > 0:
-		return d - uptime
-	}
-	return MinRemaining(uptime)
 }
 
 // StepCursor reads one VM's StepFn at the uptimes a simulation asks for,
@@ -155,21 +146,7 @@ func (c *StepCursor) Remaining(uptime time.Duration) time.Duration {
 	if uptime < c.lo || uptime >= c.hi {
 		c.v, c.lo, c.hi = c.Fn.rampSpan(uptime)
 	}
-	return rampAnswer(c.v, uptime)
-}
-
-// MinRemaining is the floor applied to remaining-lifetime predictions. A
-// model that believes a VM should already be gone cannot return zero
-// forever: the fallback grows with uptime (10% of it) so host exit
-// estimates stay finite and monotone. It is not quite the
-// empirical-distribution fallback of dist.Empirical.CondExpRemaining,
-// max(u/10, time.Minute), which rounds differently.
-func MinRemaining(uptime time.Duration) time.Duration {
-	min := time.Duration(float64(uptime) * 0.1)
-	if min < time.Minute {
-		min = time.Minute
-	}
-	return min
+	return simtime.FloorRemaining(c.v-uptime, uptime)
 }
 
 // --- Oracle ---------------------------------------------------------------
@@ -183,11 +160,7 @@ func (Oracle) Name() string { return "oracle" }
 
 // PredictRemaining returns the true remaining lifetime.
 func (Oracle) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration {
-	rem := vm.TrueLifetime - uptime
-	if rem <= 0 {
-		return MinRemaining(uptime)
-	}
-	return rem
+	return simtime.FloorRemaining(vm.TrueLifetime-uptime, uptime)
 }
 
 // --- Noisy oracle (Appendix G.1) -------------------------------------------
@@ -204,10 +177,9 @@ func (Oracle) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Durati
 // the generator costs more than everything else a reprediction does. The
 // exported fields must not change after the first prediction.
 type NoisyOracle struct {
-	Accuracy     float64 // fraction of VMs predicted correctly, in [0,1]
-	Seed         int64
-	SigmaCorrect float64 // log10-domain sigma for correct VMs (default 0.001)
-	SigmaWrong   float64 // log10-domain sigma for mispredicted VMs (default 3)
+	Accuracy   float64 // fraction of VMs predicted correctly, in [0,1]
+	Seed       int64
+	SigmaWrong float64 // log10-domain sigma for mispredicted VMs (default 3)
 
 	lifetimes sync.Map // noisyKey -> time.Duration; derived state
 }
@@ -237,17 +209,12 @@ func (n *NoisyOracle) PredictedLifetime(vm *cluster.VM) time.Duration {
 // VM's ID.
 func (n *NoisyOracle) perturb(vm *cluster.VM) time.Duration {
 	rng := rand.New(rand.NewSource(n.Seed ^ int64(vm.ID)*0x5851F42D4C957F2D))
-	sigmaC := n.SigmaCorrect
-	if sigmaC == 0 {
-		sigmaC = 0.001
+	sigma := n.SigmaWrong
+	if sigma == 0 {
+		sigma = 3
 	}
-	sigmaW := n.SigmaWrong
-	if sigmaW == 0 {
-		sigmaW = 3
-	}
-	sigma := sigmaW
 	if rng.Float64() < n.Accuracy {
-		sigma = sigmaC
+		sigma = 0.001 // the log10-domain sigma of a correctly predicted VM
 	}
 	logh := simtime.Log10Hours(vm.TrueLifetime) + sigma*rng.NormFloat64()
 	d := simtime.FromHours(math.Pow(10, logh))
@@ -263,9 +230,5 @@ func (n *NoisyOracle) perturb(vm *cluster.VM) time.Duration {
 
 // PredictRemaining returns perturbed-lifetime minus uptime, floored.
 func (n *NoisyOracle) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration {
-	rem := n.PredictedLifetime(vm) - uptime
-	if rem <= 0 {
-		return MinRemaining(uptime)
-	}
-	return rem
+	return simtime.FloorRemaining(n.PredictedLifetime(vm)-uptime, uptime)
 }

@@ -135,11 +135,7 @@ func (d *DistTable) Name() string { return d.ModelName }
 
 // PredictRemaining implements Predictor via the conditional expectation.
 func (d *DistTable) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration {
-	rem := d.group(&vm.Feat).CondExpRemaining(uptime)
-	if rem <= 0 {
-		return MinRemaining(uptime)
-	}
-	return rem
+	return simtime.FloorRemaining(d.group(&vm.Feat).CondExpRemaining(uptime), uptime)
 }
 
 // Steps binds the VM's answers (see Predictor): the ramp steps of its

@@ -46,10 +46,12 @@ type Policy interface {
 func Names() []string { return []string{"wastemin", "bestfit", "la-binary", "nilas", "lava"} }
 
 // New builds the named policy: the one name-to-constructor switch behind the
-// facade, the CLIs and the experiment drivers. refresh is the host-score
-// cache refresh interval of NILAS and LAVA (0 disables caching). The
-// lifetime-unaware baselines ignore pred; the others refuse a nil one.
-func New(name string, pred model.Predictor, refresh time.Duration) (Policy, error) {
+// facade, the CLIs and the experiment drivers. NILAS and LAVA refresh their
+// host-score caches every minute (Fig. 17 varies the refresh through
+// NewNILAS and NewLAVA). The lifetime-unaware baselines ignore pred; the
+// others refuse a nil one.
+func New(name string, pred model.Predictor) (Policy, error) {
+	const refresh = time.Minute
 	switch name {
 	case "wastemin":
 		return NewWasteMin(), nil

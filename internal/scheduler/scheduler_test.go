@@ -560,7 +560,7 @@ func TestPolicyShape(t *testing.T) {
 		"lava-epoch":  func() (Policy, error) { return NewLAVAEpoch(model.Oracle{}, time.Minute, 0), nil },
 	}
 	for _, name := range Names() {
-		ctors[name] = func() (Policy, error) { return New(name, model.Oracle{}, time.Minute) }
+		ctors[name] = func() (Policy, error) { return New(name, model.Oracle{}) }
 	}
 	wantCalls := map[string]int64{"nilas": 0, "nilas-epoch": 1, "lava": 1, "lava-epoch": 1}
 	for name, mk := range ctors {

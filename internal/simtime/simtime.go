@@ -23,6 +23,22 @@ const (
 	SampleEvery = time.Hour
 )
 
+// MinRemaining is the floor of every remaining-lifetime prediction: a model
+// that believes a VM should already be gone cannot answer zero forever, so
+// the floor grows with uptime — a tenth of it, truncated toward zero, and at
+// least a minute — and host exit estimates stay finite and monotone (§3,
+// App. G.3).
+func MinRemaining(uptime time.Duration) time.Duration { return max(uptime/10, time.Minute) }
+
+// FloorRemaining is the one rule every predictor answers by: rem when it is
+// positive, MinRemaining(uptime) otherwise.
+func FloorRemaining(rem, uptime time.Duration) time.Duration {
+	if rem > 0 {
+		return rem
+	}
+	return MinRemaining(uptime)
+}
+
 // FromHours converts fractional hours into a Duration. It saturates: hours
 // past the int64 range, ±Inf included, give ±math.MaxInt64 nanoseconds
 // (a plain conversion would wrap to math.MinInt64), and NaN gives 0.

@@ -7,6 +7,15 @@ import (
 	"time"
 )
 
+func TestMinRemainingGrows(t *testing.T) {
+	if MinRemaining(0) != time.Minute {
+		t.Fatalf("MinRemaining(0) = %v", MinRemaining(0))
+	}
+	if got := MinRemaining(100 * time.Hour); got != 10*time.Hour {
+		t.Fatalf("MinRemaining(100h) = %v, want 10h", got)
+	}
+}
+
 func TestTemporalCostPaperExample(t *testing.T) {
 	// §4.2: "if ∆T = 70m, the temporal cost is 2".
 	if got := TemporalCost(70 * time.Minute); got != 2 {

@@ -110,7 +110,6 @@ func Stream(spec PoolSpec) (*GenStream, error) {
 		},
 		rng:   rand.New(rand.NewSource(spec.Seed)),
 		total: spec.Prefill + spec.Duration,
-		id:    spec.FirstVMID,
 	}, nil
 }
 

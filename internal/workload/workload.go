@@ -110,10 +110,6 @@ type PoolSpec struct {
 	// [0, Prefill+Duration) and records Prefill in Trace.WarmUp; consumers
 	// exclude the warm-up from aggregates. Defaults to 0.
 	Prefill time.Duration
-
-	// FirstVMID offsets VM IDs so multi-pool studies have globally unique
-	// IDs.
-	FirstVMID cluster.VMID
 }
 
 // DefaultHostShape is a C2-like 64-core host with 6 GiB per core and local

@@ -137,7 +137,7 @@ const (
 // 1-minute host-score cache. The lifetime-unaware baselines accept a nil
 // predictor.
 func NewPolicy(kind PolicyKind, pred Predictor) (scheduler.Policy, error) {
-	return scheduler.New(string(kind), pred, time.Minute)
+	return scheduler.New(string(kind), pred)
 }
 
 // Simulate replays the trace under the policy and returns the metrics.

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"lava/internal/cell"
 	"lava/internal/scenario"
@@ -54,7 +53,7 @@ func shardedOracle(t *testing.T, tr *Trace, cfg FleetConfig) []byte {
 	}
 	sims := make([]*sim.Result, len(plan.Cells))
 	for i, ct := range plan.Cells {
-		pol, err := scheduler.New(string(cfg.Policy), pred, time.Minute)
+		pol, err := scheduler.New(string(cfg.Policy), pred)
 		if err != nil {
 			t.Fatal(err)
 		}
