@@ -70,6 +70,12 @@ type Model struct {
 // must be finite. Training is sequential and deterministic: the same X, y
 // and p give the same model document, byte for byte, on any machine.
 func Train(X [][]float64, y []float64, p Params) (*Model, error) {
+	return train(X, y, p, nil)
+}
+
+// train is Train, also storing in stats, if not nil, what ranking
+// subtracted histograms cost.
+func train(X [][]float64, y []float64, p Params, stats *certStats) (*Model, error) {
 	if len(X) == 0 || len(X) != len(y) {
 		return nil, errors.New("gbdt: empty or mismatched training data")
 	}
@@ -121,13 +127,14 @@ func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 	b := newTreeBuilder(bins, m.Edges, n, p, m.Gain)
 	m.Trees = make([]tree, 0, p.Trees)
 	for t := 0; t < p.Trees; t++ {
-		total := 0.0
+		var root nodeSums
 		for i := range b.resid {
 			b.resid[i] = y[i] - pred[i]
 			b.idx[i] = int32(i)
-			total += b.resid[i]
+			root.total += b.resid[i]
+			root.abs += math.Abs(b.resid[i])
 		}
-		b.build(total)
+		b.build(root)
 		// Apply shrinkage by scaling leaf values once, then update preds:
 		// a leaf's samples are its range of idx, so no tree is walked.
 		for k := range b.nodes {
@@ -141,6 +148,9 @@ func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 			}
 		}
 		m.Trees = append(m.Trees, tree{Nodes: append([]node(nil), b.nodes...)})
+	}
+	if stats != nil {
+		*stats = b.stats
 	}
 	return m, nil
 }
@@ -182,18 +192,39 @@ func binValue(edges []float64, x float64) uint8 {
 // ascending order. That order is the contract: a float sum over a node's
 // samples — a histogram bin's, a child's total — adds the same numbers in
 // the same order however the tree was grown, which is what keeps the model
-// document byte-stable. All scratch is allocated once and reused per tree.
+// document byte-stable.
+//
+// A split walks its smaller child only. The larger child's histogram is
+// its parent's minus its sibling's: the counts are exact, the sums are not
+// the sample-order sums and only rank the features, and the features that
+// ranking cannot rule out (see gainSlack) are walked again and scanned
+// exactly. All scratch is allocated once per fit and reused per tree.
 type treeBuilder struct {
 	bins    []uint8 // n x nf, row-major
 	nf      int
 	numBins []int // per feature: len(edges)+1
+	off     []int // per feature: where its bins start in a slot
 	p       Params
 	gain    []float64
 
 	resid []float64
 	idx   []int32    // the shared index array
 	right []int32    // partition scratch: the right child's samples
-	hist  []featHist // the node in hand: one per live feature, in live's order
+	hist  []featHist // the walk in hand: one per feature walked, in its list's order
+
+	// rootHist is a slot holding the root's counts, the same in every
+	// tree, and zero sums. slots holds the histograms the candidates keep:
+	// slot s is slots[s*slotLen:][:slotLen]. free lists the unused slots; a
+	// candidate that finds none keeps no histogram, and both its children
+	// are walked.
+	rootHist []histBin
+	slots    []histBin
+	slotLen  int
+	free     []int32
+	approx   []float64 // a subtracted child's approximate best gain per live feature
+	exact    []int32   // the features a subtracted child walks again
+
+	stats certStats
 
 	// Per tree, reset by build.
 	nodes []node
@@ -214,51 +245,109 @@ type histBin struct {
 // apart, where their low bins would compete for the same cache sets.
 type featHist [256 + 4]histBin
 
+// maxSlotBins caps the candidates' histograms at 16 MiB a fit; a wide,
+// deep fit beyond it walks both children of the candidates it could not
+// keep.
+const maxSlotBins = 1 << 20
+
 // span is a node's range of the index array.
 type span struct{ lo, hi int32 }
+
+// nodeSums are two sums over a node's samples in their order: of the
+// residuals and of their absolute values.
+type nodeSums struct{ total, abs float64 }
 
 // splitCand describes the best split found for a leaf.
 type splitCand struct {
 	node    int32 // node index in the growing tree
-	feature int32
+	feature int32 // -1: no split gains more than minGain
 	bin     uint8
 	gain    float64
 	// live lists the features that can still split below this node: those
 	// with more than one non-empty bin here. A feature with one never gets
 	// a second in a subset, so the children do not build its histogram.
 	live []int32
+	// slot holds the leaf's histogram for the features of live, or is -1.
+	// For every feature, the sum over its bins of |held sum - real sum| is
+	// at most errBound.
+	slot     int32
+	errBound float64
 }
+
+// certStats counts what ranking subtracted histograms cost.
+type certStats struct {
+	children int // larger children ranked from a subtracted histogram
+	walked   int // features those children walked again
+	multi    int // children that walked more than one feature
+	unkept   int // candidates that found no free slot
+}
+
+// minGain is the gain a split must exceed.
+const minGain = 1e-12
 
 func newTreeBuilder(bins []uint8, edges [][]float64, n int, p Params, gain []float64) *treeBuilder {
 	nf := len(edges)
 	b := &treeBuilder{bins: bins, nf: nf, p: p, gain: gain,
 		numBins: make([]int, nf),
+		off:     make([]int, nf),
 		hist:    make([]featHist, nf),
+		approx:  make([]float64, nf),
+		exact:   make([]int32, 0, nf),
 		resid:   make([]float64, n),
 		idx:     make([]int32, n),
 		right:   make([]int32, n),
 	}
 	for f, es := range edges {
 		b.numBins[f] = len(es) + 1
+		b.off[f] = b.slotLen
+		b.slotLen += b.numBins[f]
+	}
+	// A tree has fewer than MaxLeaves candidates at once, each of at least
+	// 2*MinLeafSamples samples of its own: more slots would never be used.
+	slots := min(p.MaxLeaves-1, n/(2*p.MinLeafSamples))
+	if b.slotLen > 0 {
+		slots = min(slots, maxSlotBins/b.slotLen)
+	}
+	slots = max(slots, 0)
+	arena := make([]histBin, (slots+1)*b.slotLen)
+	b.rootHist, b.slots = arena[:b.slotLen], arena[b.slotLen:]
+	b.free = make([]int32, 0, slots)
+	for i := 0; i < n; i++ {
+		for f, v := range bins[i*nf : i*nf+nf] {
+			b.rootHist[b.off[f]+int(v)].cnt++
+		}
 	}
 	return b
 }
 
 // build grows one regression tree best-first on the residuals, over all
-// samples in order; total is their sum. The tree is left in b.nodes, its
-// nodes' sample ranges in b.spans.
-func (b *treeBuilder) build(total float64) {
+// samples in order; root holds their sums. The tree is left in b.nodes,
+// its nodes' sample ranges in b.spans.
+func (b *treeBuilder) build(root nodeSums) {
 	n := int32(len(b.idx))
 	b.nodes, b.spans, b.cands, b.live = b.nodes[:0], b.spans[:0], b.cands[:0], b.live[:0]
+	b.free = b.free[:0]
+	for s := int32(cap(b.free)) - 1; s >= 0; s-- {
+		b.free = append(b.free, s)
+	}
 	for f := int32(0); f < int32(b.nf); f++ {
 		b.live = append(b.live, f)
 	}
-	b.addLeaf(span{0, n}, total)
+	all := b.live
+	b.addLeaf(span{0, n}, root.total)
 	// A node that can never be split — the tree is at MaxLeaves — needs no
 	// candidate: the root of a one-leaf tree here, the children of the last
 	// split below.
-	if b.p.MaxLeaves > 1 {
-		b.bestSplit(0, total, b.live)
+	if b.p.MaxLeaves > 1 && int(n) >= 2*b.p.MinLeafSamples {
+		// The root's walk adds the sums to the fit's counts.
+		for k, f := range all {
+			copy(b.hist[k][:b.numBins[f]], b.rootHist[b.off[f]:])
+		}
+		b.accumulate(b.idx, all, false)
+		if c := b.walkedSplit(0, root.total, all); c.feature >= 0 {
+			b.keep(&c, all, exactErr(int(n), root.abs))
+			b.cands = append(b.cands, c)
+		}
 	}
 	leaves := 1
 	for leaves < b.p.MaxLeaves && len(b.cands) > 0 {
@@ -277,16 +366,17 @@ func (b *treeBuilder) build(total float64) {
 		// side on the way.
 		sp := b.spans[c.node]
 		mid, ls, rs := b.partition(sp, int(c.feature), c.bin)
-		li := b.addLeaf(span{sp.lo, mid}, ls)
-		ri := b.addLeaf(span{mid, sp.hi}, rs)
+		li := b.addLeaf(span{sp.lo, mid}, ls.total)
+		ri := b.addLeaf(span{mid, sp.hi}, rs.total)
 		nd := &b.nodes[c.node]
 		nd.Feature, nd.Bin, nd.Left, nd.Right = int(c.feature), c.bin, li, ri
 		b.gain[c.feature] += c.gain
 		leaves++
 
 		if leaves < b.p.MaxLeaves {
-			b.bestSplit(li, ls, c.live)
-			b.bestSplit(ri, rs, c.live)
+			b.splitChildren(c, li, ri, ls, rs)
+		} else if c.slot >= 0 {
+			b.free = append(b.free, c.slot)
 		}
 	}
 }
@@ -301,98 +391,343 @@ func (b *treeBuilder) addLeaf(sp span, total float64) int32 {
 
 // partition reorders the samples of sp so that those with feature's bin <=
 // bin come first, each side keeping its order, and returns the boundary and
-// the residual sum of each side.
-func (b *treeBuilder) partition(sp span, feature int, bin uint8) (mid int32, ls, rs float64) {
+// the sums of each side.
+func (b *treeBuilder) partition(sp span, feature int, bin uint8) (mid int32, l, r nodeSums) {
 	w, nr := sp.lo, 0
 	for _, i := range b.idx[sp.lo:sp.hi] {
+		v := b.resid[i]
 		if b.bins[int(i)*b.nf+feature] <= bin {
 			b.idx[w] = i // w never passes the read position
 			w++
-			ls += b.resid[i]
+			l.total += v
+			l.abs += math.Abs(v)
 		} else {
 			b.right[nr] = i
 			nr++
-			rs += b.resid[i]
+			r.total += v
+			r.abs += math.Abs(v)
 		}
 	}
 	copy(b.idx[w:sp.hi], b.right[:nr])
-	return w, ls, rs
+	return w, l, r
 }
 
-// accumulate fills b.hist with the histogram of each feature of live over
-// the samples idx, in one walk: a bin's sum adds its samples' residuals in
-// the order of idx. Kept out of line so the loop has the registers to itself.
+// accumulate adds the residual of each sample of idx into its bin of the
+// histogram b.hist holds for each feature of feats, in the order of idx.
+// With count it clears those histograms first and counts the samples too;
+// without, the caller has set the counts and zeroed the sums. Kept out of
+// line so the loop has the registers to itself.
 //
 //go:noinline
-func (b *treeBuilder) accumulate(idx []int32, live []int32) {
+func (b *treeBuilder) accumulate(idx []int32, feats []int32, count bool) {
 	resid, bins, nf := b.resid, b.bins, b.nf
-	hist := b.hist[:len(live)]
-	for k, f := range live {
+	hist := b.hist[:len(feats)]
+	if !count {
+		for _, i := range idx {
+			r := resid[i]
+			row := bins[int(i)*nf : int(i)*nf+nf]
+			for k := range hist {
+				hist[k][row[feats[k]]].sum += r
+			}
+		}
+		return
+	}
+	for k, f := range feats {
 		clear(hist[k][:b.numBins[f]])
 	}
 	for _, i := range idx {
 		r := resid[i]
 		row := bins[int(i)*nf : int(i)*nf+nf]
 		for k := range hist {
-			h := &hist[k][row[live[k]]]
+			h := &hist[k][row[feats[k]]]
 			h.sum += r
 			h.cnt++
 		}
 	}
 }
 
-// bestSplit finds the max-variance-reduction split of a node whose
-// residuals sum to total, over the features of live, and queues it as a
-// candidate. One walk of the node's samples fills the histogram of every
-// live feature.
-func (b *treeBuilder) bestSplit(nodeIdx int32, total float64, live []int32) {
-	sp := b.spans[nodeIdx]
-	n := int(sp.hi - sp.lo)
-	minLeaf := b.p.MinLeafSamples
-	if n < 2*minLeaf {
-		return
-	}
-	b.accumulate(b.idx[sp.lo:sp.hi], live)
-
-	baseScore := total * total / float64(n)
-	bestGain := 1e-12
-	bestFeat, bestBin := int32(-1), uint8(0)
-	liveStart := len(b.live)
-	for k, f := range live {
-		h := b.hist[k][:b.numBins[f]]
-		cumSum, cumCnt := 0.0, 0
-		single := false
-		for bn := 0; bn < len(h)-1; bn++ { // split "<= bn"
-			c := int(h[bn].cnt)
-			if c == 0 {
-				continue // same two sides as the bin before: no better
-			}
-			cumSum += h[bn].sum
-			cumCnt += c
-			if n-cumCnt < minLeaf { // and so for every later bin
-				single = c == n
-				break
-			}
-			if cumCnt < minLeaf {
-				continue
-			}
-			rSum := total - cumSum
-			rCnt := float64(n - cumCnt)
-			gain := cumSum*cumSum/float64(cumCnt) + rSum*rSum/rCnt - baseScore
-			if gain > bestGain {
-				bestGain, bestFeat, bestBin = gain, f, uint8(bn)
+// splitChildren finds the splits of li and ri, the children of c, whose
+// samples sum to l and r, and queues them, li's first. It walks the
+// smaller child; the larger takes over c's histogram, less the smaller's.
+func (b *treeBuilder) splitChildren(c splitCand, li, ri int32, l, r nodeSums) {
+	var kids [2]splitCand
+	if c.slot < 0 {
+		kids[0] = b.walkChild(li, l, c.live)
+		kids[1] = b.walkChild(ri, r, c.live)
+	} else {
+		small, large := 0, 1
+		ids, sums := [2]int32{li, ri}, [2]nodeSums{l, r}
+		if b.size(ri) < b.size(li) {
+			small, large = 1, 0
+		}
+		if b.size(ids[large]) < 2*b.p.MinLeafSamples { // neither can split
+			b.free = append(b.free, c.slot)
+			return
+		}
+		sp := b.spans[ids[small]]
+		b.accumulate(b.idx[sp.lo:sp.hi], c.live, true)
+		kids[small] = b.walkedSplit(ids[small], sums[small].total, c.live)
+		held := b.slots[int(c.slot)*b.slotLen:][:b.slotLen]
+		for k, f := range c.live {
+			dst := held[b.off[f]:][:b.numBins[f]]
+			for bn, h := range b.hist[k][:len(dst)] {
+				dst[bn].sum -= h.sum
+				dst[bn].cnt -= h.cnt
 			}
 		}
-		if !single && cumCnt > 0 { // cumCnt == 0: everything sits in the last bin
+		smallErr := exactErr(b.size(ids[small]), sums[small].abs)
+		if kids[small].feature >= 0 {
+			b.keep(&kids[small], c.live, smallErr)
+		}
+		kids[large] = b.subtractedSplit(ids[large], sums[large], c.live, c.slot,
+			subtractErr(c.errBound, smallErr, b.size(ids[large]), sums[large].abs))
+		if kids[large].feature < 0 {
+			b.free = append(b.free, c.slot)
+		}
+	}
+	for _, k := range kids {
+		if k.feature >= 0 {
+			b.cands = append(b.cands, k)
+		}
+	}
+}
+
+// size returns the number of samples of node ni.
+func (b *treeBuilder) size(ni int32) int {
+	sp := b.spans[ni]
+	return int(sp.hi - sp.lo)
+}
+
+// walkChild walks node ni, whose samples sum to s, for every feature of
+// live, and returns its split, keeping its histogram if it has one.
+func (b *treeBuilder) walkChild(ni int32, s nodeSums, live []int32) splitCand {
+	n := b.size(ni)
+	if n < 2*b.p.MinLeafSamples {
+		return splitCand{feature: -1}
+	}
+	sp := b.spans[ni]
+	b.accumulate(b.idx[sp.lo:sp.hi], live, true)
+	c := b.walkedSplit(ni, s.total, live)
+	if c.feature >= 0 {
+		b.keep(&c, live, exactErr(n, s.abs))
+	}
+	return c
+}
+
+// walkedSplit scans the histograms b.hist holds of node ni, one per feature
+// of live, for the node's best split; total is its residual sum. When there
+// is one, the features still live below ni are left in the live arena.
+func (b *treeBuilder) walkedSplit(ni int32, total float64, live []int32) splitCand {
+	c := splitCand{node: ni, feature: -1, gain: minGain, slot: -1}
+	n := b.size(ni)
+	if n < 2*b.p.MinLeafSamples {
+		return c
+	}
+	base := total * total / float64(n)
+	liveStart := len(b.live)
+	for k, f := range live {
+		g, bn, lv := gainScan(b.hist[k][:b.numBins[f]], total, base, n, b.p.MinLeafSamples, minGain)
+		if bn >= 0 && g > c.gain {
+			c.feature, c.bin, c.gain = f, uint8(bn), g
+		}
+		if lv {
 			b.live = append(b.live, f)
 		}
 	}
-	if bestFeat < 0 {
+	if c.feature < 0 {
 		b.live = b.live[:liveStart]
+		return c
+	}
+	c.live = b.live[liveStart:]
+	return c
+}
+
+// keep copies the histograms b.hist holds of c's node, one per feature of
+// live, into a free slot for the features of c.live, if a slot is free.
+func (b *treeBuilder) keep(c *splitCand, live []int32, errBound float64) {
+	if len(b.free) == 0 {
+		b.stats.unkept++
 		return
 	}
-	b.cands = append(b.cands, splitCand{node: nodeIdx, feature: bestFeat, bin: bestBin, gain: bestGain,
-		live: b.live[liveStart:]})
+	c.slot, c.errBound = b.free[len(b.free)-1], errBound
+	b.free = b.free[:len(b.free)-1]
+	held := b.slots[int(c.slot)*b.slotLen:][:b.slotLen]
+	k := 0
+	for _, f := range c.live { // a subsequence of live
+		for live[k] != f {
+			k++
+		}
+		copy(held[b.off[f]:], b.hist[k][:b.numBins[f]])
+	}
+}
+
+// subtractedSplit finds the split of node ni, whose samples sum to s, from
+// the subtracted histogram in slot, exact counts and approximate sums for
+// the features of live, within errBound a feature. It ranks the features
+// on the approximate sums, walks the ones the ranking cannot rule out, and
+// takes the split from their exact scan: the split, its gain and the
+// features left live are those a walk of every feature finds.
+func (b *treeBuilder) subtractedSplit(ni int32, s nodeSums, live []int32, slot int32, errBound float64) splitCand {
+	c := splitCand{node: ni, feature: -1, gain: minGain, slot: -1}
+	n, minLeaf := b.size(ni), b.p.MinLeafSamples
+	base := s.total * s.total / float64(n)
+	held := b.slots[int(slot)*b.slotLen:][:b.slotLen]
+	liveStart := len(b.live)
+	top := math.Inf(-1)
+	for k, f := range live {
+		g, _, lv := gainScan(held[b.off[f]:][:b.numBins[f]], s.total, base, n, minLeaf, math.Inf(-1))
+		b.approx[k] = g
+		if g > top {
+			top = g
+		}
+		if lv {
+			b.live = append(b.live, f)
+		}
+	}
+	// Every approximate gain lies within delta of its exact one, so a
+	// feature whose approximate best lies more than 2*delta below the top,
+	// or delta below minGain, has an exact best below another feature's, or
+	// not above minGain.
+	delta := gainSlack(n, s.abs, errBound, minLeaf)
+	certain := delta <= math.MaxFloat64
+	cut, floor := top-2*delta, minGain-delta
+	b.exact = b.exact[:0]
+	for k, f := range live {
+		if g := b.approx[k]; !certain || !(g < cut || g < floor) {
+			b.exact = append(b.exact, f)
+		}
+	}
+	b.stats.children++
+	b.stats.walked += len(b.exact)
+	if len(b.exact) > 1 {
+		b.stats.multi++
+	}
+	if len(b.exact) > 0 {
+		for j, f := range b.exact {
+			h := b.hist[j][:b.numBins[f]]
+			copy(h, held[b.off[f]:])
+			for bn := range h {
+				h[bn].sum = 0
+			}
+		}
+		sp := b.spans[ni]
+		b.accumulate(b.idx[sp.lo:sp.hi], b.exact, false)
+		for j, f := range b.exact {
+			g, bn, _ := gainScan(b.hist[j][:b.numBins[f]], s.total, base, n, minLeaf, minGain)
+			if bn >= 0 && g > c.gain {
+				c.feature, c.bin, c.gain = f, uint8(bn), g
+			}
+		}
+	}
+	if c.feature < 0 {
+		b.live = b.live[:liveStart]
+		return c
+	}
+	c.live, c.slot, c.errBound = b.live[liveStart:], slot, errBound
+	return c
+}
+
+// gainScan scans the histogram h of one feature at a node of n samples
+// whose residuals sum to total (base = total²/n) for the split "<= bin"
+// with the largest gain above floor, the lowest such bin on a tie; bin is
+// -1 if no gain is above floor. live reports whether h has more than one
+// non-empty bin.
+func gainScan(h []histBin, total, base float64, n, minLeaf int, floor float64) (gain float64, bin int, live bool) {
+	gain, bin = floor, -1
+	cumSum, cumCnt := 0.0, 0
+	single := false
+	for bn := 0; bn < len(h)-1; bn++ { // split "<= bn"
+		c := int(h[bn].cnt)
+		if c == 0 {
+			continue // same two sides as the bin before: no better
+		}
+		cumSum += h[bn].sum
+		cumCnt += c
+		if n-cumCnt < minLeaf { // and so for every later bin
+			single = c == n
+			break
+		}
+		if cumCnt < minLeaf {
+			continue
+		}
+		if g := splitGain(cumSum, total, base, cumCnt, n); g > gain {
+			gain, bin = g, bn
+		}
+	}
+	return gain, bin, !single && cumCnt > 0 // cumCnt == 0: everything sits in the last bin
+}
+
+// splitGain is the variance reduction of splitting a node of n samples
+// whose residuals sum to total (base = total²/n) into k samples summing to
+// left and the rest.
+func splitGain(left, total, base float64, k, n int) float64 {
+	right := total - left
+	return left*left/float64(k) + right*right/float64(n-k) - base
+}
+
+// --- the subtraction bound ---------------------------------------------------
+//
+// The bound gainSlack returns is derived in DESIGN.md §6, "Training the
+// forest". Every rounding is taken relative, |fl(x op y) - x op y| <=
+// unit·|x op y|, with an absolute term for underflow; the inflation
+// factors cover the rounding of the bound's own arithmetic.
+
+// unit is the unit roundoff of float64.
+const unit = 0x1p-53
+
+// gamma is the classic γ_k = k·u/(1-k·u): a sum of k+1 terms folded in
+// float64 is within γ_k·Σ|term| of the real sum.
+func gamma(k int) float64 {
+	ku := float64(k) * unit
+	return ku / (1 - ku)
+}
+
+// absBound bounds the real sum of n absolute residuals whose float64 fold
+// is abs.
+func absBound(abs float64, n int) float64 {
+	return abs * (1 + 2*gamma(n))
+}
+
+// exactErr bounds, for a histogram walked over n samples whose absolute
+// residuals fold to abs, the sum over one feature's bins of |bin sum - real
+// bin sum|.
+func exactErr(n int, abs float64) float64 {
+	return gamma(n) * absBound(abs, n)
+}
+
+// subtractErr is that bound for a histogram subtracted from a parent's
+// (parentErr) and a sibling's (siblingErr), over the n samples, folding to
+// abs, of the child: (1+u)(parentErr+siblingErr) + u·Σ|r|, rounded up.
+func subtractErr(parentErr, siblingErr float64, n int, abs float64) float64 {
+	return (1 + 0x1p-50) * (parentErr + siblingErr + 2*unit*absBound(abs, n))
+}
+
+// gainSlack bounds |approximate gain - exact gain| over every split of a
+// node of n samples whose absolute residuals fold to abs: the approximate
+// gain scanned from bins within errBound a feature of the real sums, the
+// exact one from the sample-order bins. It is +Inf when a gain could
+// overflow.
+func gainSlack(n int, abs, errBound float64, minLeaf int) float64 {
+	a := absBound(abs, n)
+	a1 := a * (1 + gamma(n))             // bounds |left|+|right| and |total|
+	rho := a1 / float64(max(minLeaf, 1)) // bounds |left|/k and |right|/(n-k)
+	d := scanSlack(errBound, a, a1, rho) + scanSlack(exactErr(n, abs), a, a1, rho)
+	return d*(1+0x1p-20) + 0x1p-1000
+}
+
+// scanSlack bounds |scanned gain - real gain| for a scan whose bins are
+// within e a feature of the real bin sums; a, a1 and rho are gainSlack's.
+func scanSlack(e, a, a1, rho float64) float64 {
+	c := e + gamma(256)*(a+e) // |cumSum - left|
+	d := c + unit*(a1+c)      // |rSum - right|
+	if m := 2 * (a1 + d); m*m > math.MaxFloat64 {
+		return math.Inf(1)
+	}
+	ar, g2 := a1*rho, gamma(2)
+	x := 2*c*rho + c*c + g2*(ar+2*c*rho+c*c) // |cumSum²/k - left²/k|
+	y := 2*d*rho + d*d + g2*(ar+2*d*rho+d*d) // |rSum²/(n-k) - right²/(n-k)|
+	s := ar + x + y                          // bounds cumSum²/k + rSum²/(n-k)
+	return x + y + unit*s + unit*(s*(1+unit)+ar*(1+g2))
 }
 
 // Predict returns the ensemble prediction for a raw feature vector: it bins

@@ -750,6 +750,27 @@ func TestTrainMatchesReferenceTrainer(t *testing.T) {
 			t.Fatalf("%s %+v: model differs from the reference trainer's", pr.name, p)
 		}
 	}
+	// More candidates at once than maxSlotBins leaves slots for: six
+	// columns of 256 bins, leaves of one sample, and more MaxLeaves than
+	// rows, so every candidate is split. A candidate that finds no free
+	// slot keeps no histogram, and both its children are walked.
+	rng := rand.New(rand.NewSource(33))
+	X, y = make([][]float64, 3000), make([]float64, 3000)
+	for i := range X {
+		X[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
+		y[i] = X[i][0] + X[i][1]*X[i][2] + rng.NormFloat64()
+	}
+	p := Params{Trees: 2, MaxLeaves: 4000, MinLeafSamples: 1, Bins: 256}
+	m, stats, err := trainCounted(X, y, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.unkept == 0 {
+		t.Fatalf("%+v: every candidate kept its histogram (%+v)", p, stats)
+	}
+	if !bytes.Equal(saved(t, m), saved(t, referenceTrain(X, y, p))) {
+		t.Fatalf("slot-less candidates, %+v: model differs from the reference trainer's", p)
+	}
 	// The count is global: an unrelated runtime or test goroutine may exit
 	// meanwhile, and one Train started may take a moment to be reaped. Only
 	// a count that stays above the one before Train is a leak.
@@ -823,16 +844,285 @@ func replayShaped(vms int, seed int64) ([][]float64, []float64) {
 var benchModel *Model
 
 // BenchmarkTrain is one fit of the size the replay-gbdt workload pays per
-// round: 57k rows x 11 columns, 100 trees.
+// round: 57k rows x 11 columns, 100 trees. It reports what certifying the
+// subtracted histograms cost: walked/child is the mean number of features a
+// subtracted child walks again exactly, multi-walk/child the share of those
+// children that walk more than one. A bound that loosens shows up in both.
 func BenchmarkTrain(b *testing.B) {
 	X, y := replayShaped(7125, 26)
+	var stats certStats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := Train(X, y, Params{Trees: 100})
+		m, s, err := trainCounted(X, y, Params{Trees: 100})
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchModel = m
+		benchModel, stats = m, s
 	}
+	b.ReportMetric(stats.walkedPerChild(), "walked/child")
+	b.ReportMetric(stats.multiShare(), "multi-walk/child")
+}
+
+// walkHist is a histogram of residuals r over the samples idx, each bin's
+// sum folded in the order of idx: what a walk of the trainer computes.
+func walkHist(idx []int, r []float64, bins []uint8, nb int) []histBin {
+	h := make([]histBin, nb)
+	for _, i := range idx {
+		h[bins[i]].sum += r[i]
+		h[bins[i]].cnt++
+	}
+	return h
+}
+
+// foldSums returns the sum of r over idx and of |r|, folded in idx order.
+func foldSums(idx []int, r []float64) nodeSums {
+	var s nodeSums
+	for _, i := range idx {
+		s.total += r[i]
+		s.abs += math.Abs(r[i])
+	}
+	return s
+}
+
+// binGains returns the gain of the split "<= bin" for every bin gainScan
+// evaluates, and NaN for the others: the scan's fold, bin by bin.
+func binGains(h []histBin, total float64, n, minLeaf int) []float64 {
+	out := make([]float64, len(h))
+	for i := range out {
+		out[i] = math.NaN()
+	}
+	base := total * total / float64(n)
+	cumSum, cumCnt := 0.0, 0
+	for bn := 0; bn < len(h)-1; bn++ {
+		c := int(h[bn].cnt)
+		if c == 0 {
+			continue
+		}
+		cumSum += h[bn].sum
+		cumCnt += c
+		if n-cumCnt < minLeaf {
+			break
+		}
+		if cumCnt >= minLeaf {
+			out[bn] = splitGain(cumSum, total, base, cumCnt, n)
+		}
+	}
+	return out
+}
+
+// TestSubtractionBound: down a chain of subtractions, each carrying its
+// error budget as the trainer does, every gain scanned from a subtracted
+// histogram lies within gainSlack of the gain scanned from a walk of the
+// same samples; and on a near tie the trainer walks more than one feature
+// again and still writes the reference trainer's model.
+func TestSubtractionBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	worst := 0.0
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + rng.Intn(4000)
+		nb := 2 + rng.Intn(255)
+		minLeaf := []int{1, 2, 20}[rng.Intn(3)]
+		scale := math.Pow(10, float64(rng.Intn(25)-12))
+		r := make([]float64, n)
+		bins := make([]uint8, n)
+		for i := range r {
+			// Mixed magnitudes and signs: sums cancel, and their roundings
+			// are as large as the node's absolute sum allows.
+			r[i] = scale * rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+			if trial%4 == 0 { // an offset the node's total nearly cancels
+				r[i] += scale * 1e3 * float64(1-2*(i%2))
+			}
+			bins[i] = uint8(rng.Intn(nb))
+			if trial%3 == 0 { // most samples in a few bins
+				bins[i] = uint8(rng.Intn(1 + rng.Intn(nb)))
+			}
+		}
+		node := make([]int, n)
+		for i := range node {
+			node[i] = i
+		}
+		held := walkHist(node, r, bins, nb)
+		errBound := exactErr(n, foldSums(node, r).abs)
+		for level := 0; level < 8 && len(node) > 1; level++ {
+			var sib, rest []int
+			keep := rng.Float64()
+			for _, i := range node {
+				if rng.Float64() < keep {
+					rest = append(rest, i)
+				} else {
+					sib = append(sib, i)
+				}
+			}
+			if len(rest) == 0 || len(sib) == 0 {
+				continue
+			}
+			sh := walkHist(sib, r, bins, nb)
+			for bn := range held {
+				held[bn].sum -= sh[bn].sum
+				held[bn].cnt -= sh[bn].cnt
+			}
+			s := foldSums(rest, r)
+			errBound = subtractErr(errBound, exactErr(len(sib), foldSums(sib, r).abs), len(rest), s.abs)
+			exact := walkHist(rest, r, bins, nb)
+			delta := gainSlack(len(rest), s.abs, errBound, minLeaf)
+			approxGains := binGains(held, s.total, len(rest), minLeaf)
+			for bn, g := range binGains(exact, s.total, len(rest), minLeaf) {
+				if held[bn].cnt != exact[bn].cnt {
+					t.Fatalf("trial %d level %d bin %d: count %d subtracted, %d walked", trial, level, bn, held[bn].cnt, exact[bn].cnt)
+				}
+				if math.IsNaN(g) {
+					continue
+				}
+				d := math.Abs(approxGains[bn] - g)
+				if !(d <= delta) {
+					t.Fatalf("trial %d level %d bin %d: |%v - %v| = %v, bound %v", trial, level, bn, approxGains[bn], g, d, delta)
+				}
+				if d > 0 {
+					worst = max(worst, d/delta)
+				}
+			}
+			node = rest
+		}
+	}
+	t.Logf("largest |approximate - exact| / bound: %.3g", worst)
+
+	// The near-tie fixture: below the root, columns 1 and 2 split every node
+	// into the same two sets. Found by a seeded search for a fit whose
+	// subtracted histograms rank the two the other way round from the exact
+	// gains, so a bound of zero makes the trainer pick the wrong one.
+	X, y := nearTie(nearTieSeed)
+	p := nearTieParams
+	m, stats, err := trainCounted(X, y, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := saved(t, m), saved(t, referenceTrain(X, y, p)); !bytes.Equal(got, want) {
+		t.Fatalf("near tie: model differs from the reference trainer's\n got %s\nwant %s", got, want)
+	}
+	if stats.multi == 0 {
+		t.Fatalf("near tie: no subtracted child walked more than one feature (%+v)", stats)
+	}
+}
+
+// nearTieSeed and nearTieParams are the near-tie fixture's.
+const nearTieSeed = 1
+
+var nearTieParams = Params{Trees: 10, MaxLeaves: 4, MinLeafSamples: 5, Bins: 16}
+
+// nearTie builds a problem whose splits below the root tie but for
+// rounding: the target steps at column 0 and at column 1's midpoint, and
+// column 2 is column 1 cut at that midpoint, so a split on either of them
+// there parts a node into the same two sets, its left sum folded over four
+// bins or over one.
+func nearTie(seed int64) ([][]float64, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	n := 300 + rng.Intn(200)
+	X := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range X {
+		a, v := rng.Intn(2), rng.Intn(8)
+		hi := 0.0
+		if v >= 4 {
+			hi = 1
+		}
+		X[i] = []float64{float64(a), float64(v), hi, rng.Float64()}
+		y[i] = 10*float64(a) + 3*hi + 0.3*rng.NormFloat64()
+	}
+	return X, y
+}
+
+// fuzzProblem decodes a fuzz input to a training problem. Bytes 0-3 are the
+// Params (1-4 trees, 1-32 leaves, 1-24 samples a leaf, 1-256 bins), byte 4
+// the column count (1-6) and byte 5 the distinct values of a fresh column
+// (2-8). Then one byte per column: a fresh column, a copy of an earlier
+// one, that copy cut in two at a threshold, or a copy with about one row in
+// seven moved. Then one row per cols+2 bytes, at most 200: a byte per
+// column and a mantissa and an exponent byte for the target, whose
+// magnitude spans 1e-12 to 1e12.
+func fuzzProblem(data []byte) ([][]float64, []float64, Params, bool) {
+	const header = 6
+	if len(data) < header {
+		return nil, nil, Params{}, false
+	}
+	p := Params{
+		Trees:          1 + int(data[0]%4),
+		MaxLeaves:      1 + int(data[1]%32),
+		MinLeafSamples: 1 + int(data[2]%24),
+		Bins:           1 + int(data[3]),
+	}
+	cols, levels := 1+int(data[4]%6), 2+int(data[5]%7)
+	if len(data) < header+cols {
+		return nil, nil, Params{}, false
+	}
+	spec, rows := data[header:header+cols], data[header+cols:]
+	n := min(200, len(rows)/(cols+2))
+	if n == 0 {
+		return nil, nil, Params{}, false
+	}
+	X := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range X {
+		row := rows[i*(cols+2) : (i+1)*(cols+2)]
+		X[i] = make([]float64, cols)
+		for f, s := range spec {
+			src := int(s/4) % cols
+			if f == 0 || src >= f {
+				s = 0 // nothing earlier to copy
+			}
+			switch s % 4 {
+			case 0:
+				X[i][f] = float64(int(row[f]) % levels)
+			case 1:
+				X[i][f] = X[i][src]
+			case 2:
+				if X[i][src] > float64(int(s/32)%levels) {
+					X[i][f] = 1
+				}
+			case 3:
+				X[i][f] = X[i][src]
+				if row[f]%7 == 0 {
+					X[i][f] += 0.5
+				}
+			}
+		}
+		mant, exp := row[cols], row[cols+1]
+		y[i] = (float64(mant) - 127.5) / 32 * math.Pow(10, float64(int(exp)%25-12))
+	}
+	return X, y, p, true
+}
+
+// FuzzTrain: on any small problem — ties, copied columns, targets from
+// 1e-12 to 1e12, any Params — Train writes the reference trainer's model
+// document, byte for byte.
+func FuzzTrain(f *testing.F) {
+	rng := rand.New(rand.NewSource(32))
+	for k := 0; k < 8; k++ {
+		cols := 1 + k%6
+		seed := []byte{byte(k), byte(3 + 5*k), byte(k % 3), byte(15 + 40*k), byte(cols - 1), byte(k)}
+		for c := 0; c < cols; c++ {
+			seed = append(seed, byte(rng.Intn(256)))
+		}
+		exp := byte(rng.Intn(25))
+		for i := 0; i < 120+10*k; i++ {
+			for c := 0; c < cols; c++ {
+				seed = append(seed, byte(rng.Intn(256)))
+			}
+			seed = append(seed, byte(rng.Intn(256)), exp)
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		X, y, p, ok := fuzzProblem(data)
+		if !ok {
+			return
+		}
+		m, err := Train(X, y, p)
+		if err != nil {
+			t.Fatalf("%+v: %v", p, err)
+		}
+		if got, want := saved(t, m), saved(t, referenceTrain(X, y, p)); !bytes.Equal(got, want) {
+			t.Fatalf("%+v: model differs from the reference trainer's\n got %s\nwant %s", p, got, want)
+		}
+	})
 }
