@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -335,6 +336,42 @@ func TestCLIExitStatus(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLavasimDefragMigrates: on a pool tight enough for the engine's
+// trigger, a 48-host trace at 98 % utilization, lavasim -defrag performs
+// migrations, and two runs print the same bytes.
+func TestLavasimDefragMigrates(t *testing.T) {
+	var tr, stderr bytes.Buffer
+	if code := Tracegen(context.Background(), strings.Fields("-hosts 48 -util 0.98 -days 7 -prefill 3"), &tr, &stderr); code != 0 {
+		t.Fatalf("tracegen exited %d: %s", code, stderr.String())
+	}
+	path := filepath.Join(t.TempDir(), "tight.jsonl")
+	if err := os.WriteFile(path, tr.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var runs [2]bytes.Buffer
+	for i := range runs {
+		args := []string{"-trace", path, "-defrag", "-policy", "wastemin", "-model", "oracle"}
+		if code := Lavasim(context.Background(), args, &runs[i], &stderr); code != 0 {
+			t.Fatalf("lavasim exited %d: %s", code, stderr.String())
+		}
+	}
+	if !bytes.Equal(runs[0].Bytes(), runs[1].Bytes()) {
+		t.Fatalf("two runs differ:\n%s\n---\n%s", runs[0].String(), runs[1].String())
+	}
+	var planned, performed int
+	found := false
+	for _, line := range strings.Split(runs[0].String(), "\n") {
+		if strings.HasPrefix(line, "defrag:") {
+			_, err := fmt.Sscanf(line, "defrag: planned %d performed %d", &planned, &performed)
+			found = err == nil
+		}
+	}
+	if !found || performed == 0 {
+		t.Fatalf("want a defrag line with migrations performed:\n%s", runs[0].String())
+	}
+	t.Logf("planned %d performed %d", planned, performed)
 }
 
 // TestExperimentsCLI holds the flag plumbing of Experiments that the
