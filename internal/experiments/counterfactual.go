@@ -13,7 +13,7 @@ import (
 
 // Counterfactual is the trace-replay differential behind
 // cmd/experiments -counterfactual A,B. It proves, on the fig13 fixture,
-// the two parity properties the ptrace package promises:
+// the two parity properties sim.Replay promises:
 //
 //  1. Self-replay: policy A's recorded decision stream replayed under a
 //     fresh instance of A reproduces every decision (zero divergences).
@@ -44,23 +44,14 @@ func Counterfactual(opt Options, aName, bName string) (Report, error) {
 
 	// Record A's run with an unbounded recorder (replay needs the full
 	// stream, creation records included).
-	recA, _, err := tracedRun(opt, tr, mkA())
+	recA, err := tracedRun(opt, tr, mkA())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: counterfactual %s run: %w", aName, err)
 	}
 	decisions := recA.Decisions()
 
-	replayCfg := func(p scheduler.Policy) ptrace.ReplayConfig {
-		return ptrace.ReplayConfig{
-			PoolName:  tr.PoolName,
-			Hosts:     tr.Hosts,
-			HostShape: tr.HostShape(),
-			Policy:    p,
-		}
-	}
-
 	// Property 1: self-replay of A under A is exact.
-	self, err := ptrace.Replay(replayCfg(opt.policy(mkA())), decisions)
+	self, err := sim.Replay(tr, opt.policy(mkA()), decisions)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: counterfactual self-replay: %w", err)
 	}
@@ -71,14 +62,14 @@ func Counterfactual(opt Options, aName, bName string) (Report, error) {
 	}
 
 	// The counterfactual: A's stream re-priced under B.
-	cross, err := ptrace.Replay(replayCfg(opt.policy(mkB())), decisions)
+	cross, err := sim.Replay(tr, opt.policy(mkB()), decisions)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: counterfactual replay under %s: %w", bName, err)
 	}
 
 	// Property 2: a real simulation under B agrees with the counterfactual
 	// about where (and how) the trajectories first part ways.
-	recB, _, err := tracedRun(opt, tr, mkB())
+	recB, err := tracedRun(opt, tr, mkB())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: counterfactual %s run: %w", bName, err)
 	}
@@ -96,18 +87,11 @@ func Counterfactual(opt Options, aName, bName string) (Report, error) {
 }
 
 // tracedRun simulates tr under pol with an unbounded full-stream recorder.
-func tracedRun(opt Options, tr *trace.Trace, pol scheduler.Policy) (*ptrace.Recorder, *sim.Result, error) {
+func tracedRun(opt Options, tr *trace.Trace, pol scheduler.Policy) (*ptrace.Recorder, error) {
 	pol = opt.policy(pol)
-	rec := ptrace.New(ptrace.Options{K: traceKOr(opt, ptrace.DefaultK), Policy: pol.Name()})
-	res, err := sim.Run(sim.Config{Trace: tr, Policy: pol, Tracer: rec})
-	return rec, res, err
-}
-
-func traceKOr(opt Options, def int) int {
-	if opt.TraceK > 0 {
-		return opt.TraceK
-	}
-	return def
+	rec := ptrace.New(ptrace.Options{K: opt.TraceK, Policy: pol.Name()}) // K <= 0: ptrace.DefaultK
+	_, err := sim.Run(sim.Config{Trace: tr, Policy: pol, Tracer: rec})
+	return rec, err
 }
 
 // placeStream filters a decision stream down to its Place/Fail decisions —
@@ -129,12 +113,8 @@ func placeStream(ds []ptrace.Decision) []ptrace.Decision {
 // counterfactual predicted.
 func crossCheck(aDec, bDec []ptrace.Decision, cross *ptrace.Report) (int, error) {
 	a, b := placeStream(aDec), placeStream(bDec)
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
 	firstDiff := -1
-	for i := 0; i < n; i++ {
+	for i := range min(len(a), len(b)) {
 		if a[i].VM != b[i].VM {
 			return 0, fmt.Errorf("experiments: re-simulation decision %d is for vm %d, recorded stream has vm %d — traces differ", i, b[i].VM, a[i].VM)
 		}

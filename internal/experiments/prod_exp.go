@@ -585,9 +585,9 @@ func theoremModel(m int, learning bool) float64 {
 		}
 	}
 
-	burst := m * k / 4             // shorts per hourly burst (quarter pool)
-	longsPerHour := mypos(m/12, 1) // steady Long arrivals
-	hiddenEvery := 5               // every 5th Long is mispredicted (epsilon 0.2)
+	burst := m * k / 4           // shorts per hourly burst (quarter pool)
+	longsPerHour := max(m/12, 1) // steady Long arrivals
+	hiddenEvery := 5             // every 5th Long is mispredicted (epsilon 0.2)
 
 	longCount := 0
 	busySum, samples := 0.0, 0
@@ -633,12 +633,4 @@ func theoremModel(m int, learning bool) float64 {
 		return 0
 	}
 	return busySum / float64(samples)
-}
-
-// mypos returns max(a, lo).
-func mypos(a, lo int) int {
-	if a < lo {
-		return lo
-	}
-	return a
 }

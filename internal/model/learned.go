@@ -356,9 +356,7 @@ func (m *MLPPredictor) Name() string { return "mlp" }
 
 // PredictRemaining implements Predictor.
 func (m *MLPPredictor) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration {
-	x := m.Enc.Encode(vm.Feat, uptimeLog10(uptime))
-	logh := m.M.Predict(x)
-	return clampRemaining(simtime.FromHours(math.Pow(10, logh)))
+	return remaining(m.M.Predict(m.Enc.Encode(vm.Feat, uptimeLog10(uptime))))
 }
 
 // --- Cox proportional hazards -----------------------------------------------

@@ -4,8 +4,8 @@
 // alternatives the scheduler considered, the chain level that decided, and
 // the surrounding lifecycle events (exits, kills, host withdrawals) — the
 // answer to "why did VM X land on host Y", and the input to counterfactual
-// replay (Replay), which re-prices a recorded decision stream under a
-// different policy without re-simulating.
+// replay (sim.Replay), which re-prices a recorded decision stream under a
+// different policy and reports it as a Report of Divergences.
 //
 // The capture itself happens inside internal/scheduler (see
 // scheduler.Traceable); both scoring engines fill identical captures for
@@ -103,6 +103,32 @@ type Decision struct {
 	Feasible int            `json:"feasible,omitempty"`
 	Alts     []Alt          `json:"alts,omitempty"`
 	Rec      *trace.Record  `json:"rec,omitempty"`
+}
+
+// Divergence is one decision where a replayed candidate disagrees with the
+// record.
+type Divergence struct {
+	Seq      uint64         `json:"seq"`
+	T        time.Duration  `json:"t_ns"`
+	VM       cluster.VMID   `json:"vm"`
+	Recorded cluster.HostID `json:"recorded"`
+	Chosen   cluster.HostID `json:"chosen"`
+	// Level is the first chain level where the candidate scores the two
+	// hosts apart (-1: every level ties, the divergence is pure host-ID
+	// tie-breaking and costs nothing).
+	Level int `json:"level"`
+	// Regret is score(recorded) - score(chosen) at Level — how much worse
+	// the recorded host is under the candidate's deciding criterion.
+	Regret float64 `json:"regret"`
+}
+
+// Report summarizes a counterfactual replay.
+type Report struct {
+	Policy      string       `json:"policy"`
+	Decisions   int          `json:"decisions"` // Place/Fail decisions replayed
+	Matches     int          `json:"matches"`
+	Divergences []Divergence `json:"divergences"`
+	TotalRegret float64      `json:"total_regret"`
 }
 
 // Options configure a Recorder.

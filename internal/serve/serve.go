@@ -416,9 +416,6 @@ func applyTo(m *sim.Machine, r *request) (resp response) {
 	return resp
 }
 
-// modelCaller mirrors the simulator's policy-telemetry interface.
-type modelCaller interface{ ModelCalls() int64 }
-
 // statsNow assembles the Stats payload under the sequencer's lock.
 func (s *Server) statsNow() Stats {
 	pool := s.m.Pool()
@@ -436,9 +433,7 @@ func (s *Server) statsNow() Stats {
 		Pending:    len(s.order.parked),
 		Draining:   s.order.draining.Load(),
 		Latency:    s.lat.Stats(time.Since(s.started)),
-	}
-	if mc, ok := s.cfg.Policy.(modelCaller); ok {
-		st.ModelCalls = mc.ModelCalls()
+		ModelCalls: s.m.ModelCalls(),
 	}
 	st.Memo = s.cfg.memoStats()
 	st.SLO = s.m.SLOSummary()

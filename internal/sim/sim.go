@@ -160,7 +160,7 @@ type Config struct {
 
 	// Tracer, when set, records every placement decision (with the
 	// policy's top-K scored alternatives) and lifecycle event — the input
-	// to the /trace endpoint and to counterfactual replay (ptrace.Replay).
+	// to the /trace endpoint and to counterfactual replay (Replay).
 	// Tracing is observe-only: it cannot change results. nil disables it
 	// with zero hot-path cost.
 	Tracer *ptrace.Recorder
@@ -221,9 +221,6 @@ type Result struct {
 
 	FinalPool *cluster.Pool
 }
-
-// modelCaller is implemented by policies that expose model telemetry.
-type modelCaller interface{ ModelCalls() int64 }
 
 // ErrFinished is returned by Machine mutation methods after Finish: a
 // finished machine's aggregates are frozen and must not drift from the pool
@@ -335,6 +332,15 @@ func (m *Machine) End() time.Duration { return m.end }
 // before and after Finish.
 func (m *Machine) Counts() (placements, exits, failed int) {
 	return m.res.Placements, m.res.Exits, m.res.Failed
+}
+
+// ModelCalls reports the policy's lifetime-model call count, or 0 for a
+// policy without model telemetry.
+func (m *Machine) ModelCalls() int64 {
+	if mc, ok := m.cfg.Policy.(interface{ ModelCalls() int64 }); ok {
+		return mc.ModelCalls()
+	}
+	return 0
 }
 
 // SLOSummary snapshots the live per-class admission counters and fairness
@@ -623,9 +629,7 @@ func (m *Machine) Finish() (*Result, error) {
 		m.res.AvgPackingDensity = m.aggPack / n
 		m.res.AvgCPUUtil = m.aggCPU / n
 	}
-	if mc, ok := m.cfg.Policy.(modelCaller); ok {
-		m.res.ModelCalls = mc.ModelCalls()
-	}
+	m.res.ModelCalls = m.ModelCalls()
 	if m.gate != nil {
 		// Drain-path fitness: the latency term is neutral (1) so the score,
 		// like every other drain byte, is identical online and offline.

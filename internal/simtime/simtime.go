@@ -18,7 +18,7 @@ const (
 
 	// TickEvery and SampleEvery are the simulator's one clock (§5.1): policy,
 	// injector and component ticks, and metric samples. Every run — offline
-	// (sim.Machine), served or replayed (ptrace.Replay) — reads them.
+	// (sim.Machine), served or replayed (sim.Replay) — reads them.
 	TickEvery   = 5 * time.Minute
 	SampleEvery = time.Hour
 )

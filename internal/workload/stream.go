@@ -30,7 +30,6 @@ type GenStream struct {
 	id     cluster.VMID
 	now    time.Duration
 	done   bool
-	err    error
 }
 
 // Stream validates the spec, calibrates the arrival rate and returns a
@@ -61,10 +60,7 @@ func Stream(spec PoolSpec) (*GenStream, error) {
 	if len(mix) == 0 {
 		mix = DefaultMix()
 	}
-	shape := spec.HostShape
-	if shape.IsZero() {
-		shape = DefaultHostShape
-	}
+	shape := DefaultHostShape
 
 	// Calibrate the arrival rate so the *binding* resource dimension
 	// reaches the target utilization in steady state: running demand per
@@ -141,15 +137,8 @@ func (g *GenStream) Next() (trace.Record, bool) {
 	ti := pickType(g.rng, g.mix, g.wsum)
 	rec := sampleVM(g.rng, &g.mix[ti], &g.names[ti], g.id, g.now, g.spec.Zone)
 	g.id++
-	if !rec.Shape.Fits(g.meta.HostShape()) {
-		// The structural subset of Trace.Validate that a custom HostShape
-		// can actually violate; everything else holds by construction.
-		g.done = true
-		g.err = fmt.Errorf("workload: pool %q vm %d shape %s exceeds host %s", g.spec.Name, rec.ID, rec.Shape, g.meta.HostShape())
-		return trace.Record{}, false
-	}
 	return rec, true
 }
 
-// Err implements trace.Stream.
-func (g *GenStream) Err() error { return g.err }
+// Err implements trace.Stream. A generator Stream accepted cannot fail.
+func (g *GenStream) Err() error { return nil }

@@ -34,7 +34,7 @@ type TypeSpec struct {
 	Priority        string
 	MetadataIDs     int // number of distinct metadata-id values
 	Modes           []LifeMode
-	MaxLifetime     time.Duration // cap on sampled lifetimes (0 = 60 days)
+	MaxLifetime     time.Duration // cap on sampled lifetimes (0 = DefaultMaxLifetime)
 }
 
 // DefaultMaxLifetime caps sampled lifetimes at two weeks, keeping traces
@@ -97,7 +97,6 @@ type PoolSpec struct {
 	Name       string
 	Zone       string
 	Hosts      int
-	HostShape  resources.Vector
 	TargetUtil float64       // steady-state CPU utilization to calibrate arrivals
 	Duration   time.Duration // steady-state trace length (after prefill)
 	Seed       int64

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lava/internal/dist"
+	"lava/internal/resources"
 	"lava/internal/simtime"
 	"lava/internal/trace"
 )
@@ -223,6 +224,25 @@ func TestE2MixShapesSmaller(t *testing.T) {
 		}
 		if ts.SSDProb != 0 {
 			t.Errorf("E2 type %s has SSD", ts.Name)
+		}
+	}
+}
+
+// TestMixShapesFitDefaultHost: every shape DefaultMix and E2Mix can draw —
+// each core count, with SSD where the type may attach it — fits the
+// generator's one host shape, so no generated record can exceed its host.
+func TestMixShapesFitDefaultHost(t *testing.T) {
+	for _, mix := range [][]TypeSpec{DefaultMix(), E2Mix()} {
+		for _, ts := range mix {
+			for _, c := range ts.Cores {
+				shape := resources.Vector{CPUMilli: c * 1000, MemoryMB: c * ts.MemPerCoreMB}
+				if ts.SSDProb > 0 {
+					shape.SSDGB = ts.SSDGB
+				}
+				if !shape.Fits(DefaultHostShape) {
+					t.Errorf("type %s draws %s, which exceeds host %s", ts.Name, shape, DefaultHostShape)
+				}
+			}
 		}
 	}
 }

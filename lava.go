@@ -261,7 +261,7 @@ type ServeConfig struct {
 	// (NewFleet, and Serve whenever it builds one) refuses it, because
 	// per-cell streams would interleave nondeterministically — query each
 	// cell's ring instead. The first failed write stops the stream;
-	// TraceRecorder.Err reports it, and Serve returns it.
+	// the server's Tracer().Err reports it, and Serve returns it.
 	TraceOut io.Writer
 
 	// Admission configures SLO-class token-bucket admission control, as a
@@ -345,7 +345,7 @@ func Serve(ctx context.Context, ln net.Listener, tr *Trace, cfg FleetConfig) err
 		return err
 	}
 	var handler http.Handler
-	var tracer *TraceRecorder
+	var tracer *ptrace.Recorder
 	if cfg.Cells > 1 || cfg.Scenario != "" {
 		fleet, err := NewFleet(tr, cfg)
 		if err != nil {
@@ -556,61 +556,6 @@ func AssignClasses(tr *Trace, mix string, seed int64) (*Trace, error) {
 		return tr, nil
 	}
 	return slo.AssignClasses(tr, m, seed), nil
-}
-
-// --- decision tracing & counterfactual replay ---------------------------
-
-// TraceOptions configures a decision recorder (see internal/ptrace): K is
-// the number of scored alternatives kept per decision, Capacity bounds the
-// ring (0 = unbounded), Out optionally streams decisions as JSON lines.
-type TraceOptions = ptrace.Options
-
-// TraceRecorder is a ring-buffered recorder of placement decisions.
-type TraceRecorder = ptrace.Recorder
-
-// TraceDecision is one recorded decision: the event kind, virtual time,
-// VM, chosen host, deciding chain level and the top-K scored alternatives.
-type TraceDecision = ptrace.Decision
-
-// TraceFilter selects decisions from a recorder; see TraceRecorder.Query.
-type TraceFilter = ptrace.Filter
-
-// TraceQueryResult is a filtered, paginated page of recorded decisions.
-type TraceQueryResult = ptrace.QueryResult
-
-// TraceReplayConfig shapes ReplayDecisions: the recorded pool geometry
-// plus the candidate policy to re-price the stream under.
-type TraceReplayConfig = ptrace.ReplayConfig
-
-// TraceReplayReport is a counterfactual replay outcome: per-decision
-// matches, divergences and regret.
-type TraceReplayReport = ptrace.Report
-
-// NewTraceRecorder builds a decision recorder to pass to SimulateTraced
-// (or internal/sim's Config.Tracer directly).
-func NewTraceRecorder(opt TraceOptions) *TraceRecorder { return ptrace.New(opt) }
-
-// SimulateTraced is Simulate with a decision recorder attached: every
-// placement decision lands in rec alongside the simulation's normal
-// metrics. Tracing is observe-only — the Result is identical to an
-// untraced Simulate.
-func SimulateTraced(tr *Trace, kind PolicyKind, pred Predictor, rec *TraceRecorder) (*Result, error) {
-	pol, err := NewPolicy(kind, pred)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run(sim.Config{Trace: tr, Policy: pol, Tracer: rec})
-}
-
-// ReplayDecisions feeds a recorded decision stream through a different
-// policy without re-simulating (counterfactual replay): the pool follows
-// the recorded trajectory while the candidate policy is asked what it
-// would have chosen at every decision. See internal/ptrace for the parity
-// contract (self-replay is exact; re-simulation agrees at the first
-// divergence). The stream must include creation records, i.e. come from
-// an unbounded recorder.
-func ReplayDecisions(cfg TraceReplayConfig, decisions []TraceDecision) (*TraceReplayReport, error) {
-	return ptrace.Replay(cfg, decisions)
 }
 
 // Compare runs several policies on the same trace and returns results keyed
