@@ -347,8 +347,9 @@ func benchOpenHost(b *testing.B, hosts int, pol scheduler.Policy) {
 // under wastemin or lava-epoch over the free oracle model, so the record
 // generator, the event cursor, the score cache and the pool are all it
 // times. events/op counts the creates and exits replayed up to the horizon;
-// B/event divides the op's allocated bytes by them. CI's bench-gate holds
-// the 1k-host rows, -benchmem included.
+// B/event and allocs/event divide the op's allocated bytes and objects by
+// them. CI's bench-gate holds the 1k-host rows, -benchmem included, so
+// benchstat gates allocs/event beside B/event.
 func BenchmarkStreamedReplay(b *testing.B) {
 	for _, hosts := range []int{1000, 10000} {
 		spec := workload.PoolSpec{Name: "replay-scale", Zone: "zone-a", Hosts: hosts, TargetUtil: 0.65,
@@ -366,7 +367,7 @@ func BenchmarkStreamedReplay(b *testing.B) {
 				events := countStreamEvents(b, spec)
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
-				before := ms.TotalAlloc
+				before, mallocs := ms.TotalAlloc, ms.Mallocs
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -381,7 +382,9 @@ func BenchmarkStreamedReplay(b *testing.B) {
 				b.StopTimer()
 				runtime.ReadMemStats(&ms)
 				b.ReportMetric(float64(events), "events/op")
-				b.ReportMetric(float64(ms.TotalAlloc-before)/float64(b.N)/float64(events), "B/event")
+				perEvent := float64(b.N) * float64(events)
+				b.ReportMetric(float64(ms.TotalAlloc-before)/perEvent, "B/event")
+				b.ReportMetric(float64(ms.Mallocs-mallocs)/perEvent, "allocs/event")
 			})
 		}
 	}

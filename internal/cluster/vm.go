@@ -15,6 +15,12 @@ type VMID int64
 // truth lifetime is carried from the trace for oracle predictors and
 // evaluation; scheduling policies must only access it through a
 // model.Predictor.
+//
+// A *VM names one VM from its creation until its exit. After that the
+// simulator (sim.Machine) may reuse the object for a VM created at a later
+// instant, overwriting every field, so code that keeps a VM past its exit
+// must keep its ID or a copy. Pointer identity therefore means "the same VM"
+// only together with Created: a reused object always has a later one.
 type VM struct {
 	ID      VMID
 	Shape   resources.Vector
@@ -44,9 +50,10 @@ type VM struct {
 
 	// BindSlot is a handle a binding cache (scheduler.ExitCache) keeps for
 	// the VM: the index of its slot in the cache's own slab. It is only a
-	// hint — a cache trusts it when that slot records this VM as its owner —
-	// so a VM copied, bound by a second cache, or never bound (slot 0) is
-	// simply bound again. It pairs with Migrations to keep VM at 192 bytes.
+	// hint — a cache trusts it when that slot records this VM, object and
+	// Created, as its owner — so a VM copied, bound by a second cache, never
+	// bound (slot 0) or reused after an exit is simply bound again. It pairs
+	// with Migrations to keep VM at 192 bytes.
 	BindSlot int32
 }
 

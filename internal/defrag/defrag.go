@@ -97,7 +97,7 @@ type migration struct {
 
 	// in-flight state
 	dst         *cluster.Host
-	placeholder *cluster.VM
+	placeholder cluster.VMID // its ID, not its object: a scenario kill may free that for reuse
 	done        time.Duration
 }
 
@@ -217,7 +217,7 @@ func (e *Engine) completeDue(pool *cluster.Pool, now time.Duration) {
 			continue
 		}
 		// Free the reserved capacity on the target.
-		if _, _, err := pool.Exit(m.placeholder.ID); err == nil {
+		if _, _, err := pool.Exit(m.placeholder); err == nil {
 			// Placeholder removal is bookkeeping, not a real exit;
 			// undo the counter bump.
 			pool.Exits--
@@ -283,7 +283,7 @@ func (e *Engine) reapSavedAndStart(pool *cluster.Pool, now time.Duration) {
 
 		e.pending = e.pending[1:]
 		m.dst = dst
-		m.placeholder = ph
+		m.placeholder = ph.ID
 		m.done = now + migrationTime
 		e.inflight = append(e.inflight, m)
 		e.Stats.Performed++

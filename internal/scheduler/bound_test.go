@@ -232,3 +232,58 @@ func TestExitCacheSweepsHooklessExits(t *testing.T) {
 		})
 	}
 }
+
+// TestExitCacheRebindsReusedVM: the pre arm of a rollout binds a VM as the
+// first VM it binds (slot 0), and the VM exits past the switch, which only
+// the post arm hears. The machine reuses the object for a later VM of
+// another type, whose handle reads 0 again. The idle arm's cache must
+// answer that VM with the predictor's answer for it, not the step function
+// of the VM that left.
+func TestExitCacheRebindsReusedVM(t *testing.T) {
+	tr, g := boundFixture(t)
+	const up = time.Hour
+	predict := func(rec trace.Record) time.Duration {
+		return g.PredictRemaining(&cluster.VM{ID: rec.ID, Shape: rec.Shape, Feat: rec.Feat}, up)
+	}
+	first, other, found := tr.Records[0], trace.Record{}, false
+	for _, rec := range tr.Records[1:] {
+		if found = rec.Feat != first.Feat && predict(rec) != predict(first); found {
+			other = rec
+			break
+		}
+	}
+	if !found {
+		t.Fatal("every VM type has the first one's prediction")
+	}
+	switchAt := 2 * time.Hour
+	pre := scheduler.NewNILAS(g, time.Minute)
+	m, err := sim.NewMachine(sim.Config{
+		Policy: scheduler.NewSwitched(pre, scheduler.NewBestFit(), switchAt),
+		Trace:  &trace.Trace{PoolName: "rebind", Hosts: tr.Hosts, HostCPU: tr.HostCPU, HostMem: tr.HostMem, Horizon: simtime.Day},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.ID, other.ID = 1, 2
+	h, err := m.Create(first, time.Hour)
+	if err != nil || h == nil {
+		t.Fatalf("Create(first) = (%v, %v)", h, err)
+	}
+	vm := h.VM(1)
+	if vm.BindSlot != 0 || scheduler.BoundVMs(pre) != 1 {
+		t.Fatalf("first VM holds slot %d of %d bound, want slot 0 of 1", vm.BindSlot, scheduler.BoundVMs(pre))
+	}
+	if ok, err := m.Exit(1, 2*switchAt); !ok || err != nil {
+		t.Fatalf("Exit(1) = (%v, %v)", ok, err)
+	}
+	at := 3 * switchAt
+	if h, err = m.Create(other, at); err != nil || h == nil {
+		t.Fatalf("Create(other) = (%v, %v)", h, err)
+	}
+	if h.VM(2) != vm || vm.BindSlot != 0 {
+		t.Fatalf("the machine did not reuse the exited object with a zero handle (slot %d)", vm.BindSlot)
+	}
+	if got, want := scheduler.ExitCacheOf(pre).Remaining(vm, at+up), predict(other); got != want {
+		t.Fatalf("idle arm answers the reused VM %v, the predictor %v (the exited VM's answer is %v)", got, want, predict(first))
+	}
+}

@@ -21,13 +21,16 @@ import (
 // repredictions from a model.StepCursor, bit-equal to PredictRemaining.
 // The bindings live in a slab of slots; a VM finds its slot through the
 // handle it carries (cluster.VM.BindSlot), which the cache trusts only when
-// the slot records that VM as its owner. A VM another cache rebound, or a
-// copy of a bound VM, fails that check and is bound again, to the same
-// step function. NILAS.OnExited releases a VM's binding; each time the
-// binding count has doubled, a sweep releases the slots of VMs that have
-// no host — gone without the hook (a defrag placeholder, a direct
-// pool.Exit, an exit another policy heard of) or never placed — and the
-// slots their VM's handle no longer names.
+// the slot records that VM as its owner: the same object, created at the
+// same instant. A VM another cache rebound, or a copy of a bound VM, fails
+// that check and is bound again, to the same step function; so does an
+// object sim.Machine reused for a new VM after an exit this cache never
+// heard of (the idle arm of a Switched rollout), whose Created is later and
+// whose step function may differ. NILAS.OnExited releases a VM's binding;
+// each time the binding count has doubled, a sweep releases the slots of
+// VMs that have no host — gone without the hook (a defrag placeholder, a
+// direct pool.Exit, an exit another policy heard of) or never placed — and
+// the slots their VM no longer owns.
 type ExitCache struct {
 	Pred    model.Predictor
 	Refresh time.Duration
@@ -39,8 +42,9 @@ type ExitCache struct {
 	Predictions int64
 
 	// Single-entry memo for the VM being scheduled (see Remaining). It is
-	// keyed on the VM object, not its ID: an ID reused at the same instant
-	// names another VM.
+	// keyed on the VM object and the instant, not the ID: an ID reused at
+	// the same instant names another VM, and sim.Machine gives it another
+	// object, since it reuses an exited VM's object only at a later instant.
 	memoVM  *cluster.VM
 	memoNow time.Duration
 	memoRem time.Duration
@@ -56,12 +60,17 @@ type ExitCache struct {
 	sweepAt int
 }
 
-// binding is one slot of the slab: the VM that owns it, nil when free, and
-// the VM's cursor.
+// binding is one slot of the slab: the VM that owns it, nil when free, its
+// creation instant, and the VM's cursor.
 type binding struct {
-	vm  *cluster.VM
-	cur model.StepCursor
+	vm      *cluster.VM
+	created time.Duration
+	cur     model.StepCursor
 }
+
+// owns reports whether the slot is vm's: the same object, still the VM it
+// was bound as (a reused object has a later Created).
+func (b *binding) owns(vm *cluster.VM) bool { return b.vm == vm && b.created == vm.Created }
 
 // stepper is a predictor that can hand out a VM's answers as a step
 // function of its uptime, bit-equal to its PredictRemaining.
@@ -157,7 +166,7 @@ func (c *ExitCache) predict(vm *cluster.VM, now time.Duration) time.Duration {
 // slot returns the VM's binding, or nil when its handle names no slot of
 // this cache that it owns.
 func (c *ExitCache) slot(vm *cluster.VM) *binding {
-	if i := int(vm.BindSlot); i < len(c.slots) && c.slots[i].vm == vm {
+	if i := int(vm.BindSlot); i < len(c.slots) && c.slots[i].owns(vm) {
 		return &c.slots[i]
 	}
 	return nil
@@ -178,7 +187,7 @@ func (c *ExitCache) bind(vm *cluster.VM) *binding {
 		c.slots = append(c.slots, binding{})
 	}
 	b := &c.slots[i] // zero: fresh, or cleared by release
-	b.vm = vm
+	b.vm, b.created = vm, vm.Created
 	if fn, ok := c.stepper.Steps(vm); ok {
 		b.cur.Fn = fn
 	}
@@ -202,12 +211,13 @@ func (c *ExitCache) release(i int32) {
 }
 
 // sweep releases the slots of VMs without a host — gone without a hook, or
-// never placed — and the slots their VM's handle no longer names, which a
-// rebinding left behind. A VM still being scheduled loses its binding too
+// never placed — and the slots their VM no longer owns: the ones its handle
+// no longer names, which a rebinding left behind, and those of an object
+// reused for another VM. A VM still being scheduled loses its binding too
 // and binds again on its next prediction, to the same step function.
 func (c *ExitCache) sweep() {
 	for i := range c.slots {
-		if vm := c.slots[i].vm; vm != nil && (vm.Host == nil || vm.BindSlot != int32(i)) {
+		if b := &c.slots[i]; b.vm != nil && (b.vm.Host == nil || c.slot(b.vm) != b) {
 			c.release(int32(i))
 		}
 	}

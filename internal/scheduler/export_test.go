@@ -31,3 +31,11 @@ func (n *NILAS) boundVMs() int { return n.cache.bound }
 func BoundVMs(p Policy) int {
 	return p.(interface{ boundVMs() int }).boundVMs()
 }
+
+// exitCache returns the policy's exit cache.
+func (n *NILAS) exitCache() *ExitCache { return n.cache }
+
+// ExitCacheOf returns p's exit cache.
+func ExitCacheOf(p Policy) *ExitCache {
+	return p.(interface{ exitCache() *ExitCache }).exitCache()
+}

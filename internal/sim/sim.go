@@ -48,6 +48,51 @@ type Control struct {
 
 	tracer *ptrace.Recorder // decision recorder (nil: tracing off)
 	now    time.Duration    // current tick time, for injector event stamps
+
+	free freeVMs // VMs gone for good (Kill, Machine.Exit), for Machine.Create
+}
+
+// freeVMs keeps the VMs that left a Machine for good, so that Create reuses
+// their objects instead of allocating: a replay then holds one cluster.VM
+// per live VM, not one per placement. An object becomes reusable only once
+// the clock has moved past its exit instant, so a reused object never meets
+// what was keyed on it and that instant — scheduler.ExitCache's memo, or a
+// same-instant exit and re-create of one ID. The list belongs to one
+// Machine and one goroutine, unlike a sync.Pool, so reuse is deterministic.
+type freeVMs struct {
+	vms  []*cluster.VM
+	ripe int           // vms[:ripe] exited before at and may be reused
+	at   time.Duration // the latest exit instant put
+}
+
+// put keeps a VM that exited at the instant at. It waits with the VMs of
+// the latest exit instant, so an instant earlier than that only waits
+// longer. At most live+1 VMs wait, live being the VMs still running: on a
+// clock that stands still (a served stream that never advances time) no
+// create can take them, and the list would otherwise keep every exit.
+func (f *freeVMs) put(vm *cluster.VM, at time.Duration, live int) {
+	if at > f.at {
+		f.ripe, f.at = len(f.vms), at
+	}
+	if len(f.vms)-f.ripe <= live {
+		f.vms = append(f.vms, vm)
+	}
+}
+
+// get returns a VM that exited before now, or a new one when none did.
+func (f *freeVMs) get(now time.Duration) *cluster.VM {
+	if now > f.at {
+		f.ripe = len(f.vms)
+	}
+	if f.ripe == 0 {
+		return new(cluster.VM)
+	}
+	f.ripe--
+	n := len(f.vms) - 1
+	vm := f.vms[f.ripe]
+	f.vms[f.ripe], f.vms[n] = f.vms[n], nil
+	f.vms = f.vms[:n]
+	return vm
 }
 
 // NewControl builds a Control over a pool/policy pair. The simulator calls
@@ -110,7 +155,8 @@ func (c *Control) Restore(id cluster.HostID) {
 
 // Kill force-exits a running VM (host failure): the VM leaves the pool and
 // the policy observes the exit exactly as for a natural one. The VM's later
-// trace EXIT event, if any, is skipped by the replay loop.
+// trace EXIT event, if any, is skipped by the replay loop. The VM's object
+// is then free for reuse (see cluster.VM).
 func (c *Control) Kill(id cluster.VMID, now time.Duration) error {
 	h, vm, err := c.pool.Exit(id)
 	if err != nil {
@@ -119,6 +165,7 @@ func (c *Control) Kill(id cluster.VMID, now time.Duration) error {
 	if c.policy != nil {
 		c.policy.OnExited(c.pool, h, vm, now)
 	}
+	c.free.put(vm, now, c.pool.NumVMs())
 	c.res.Killed++
 	if c.tracer != nil {
 		c.tracer.Record(ptrace.Decision{Kind: ptrace.KindKill, T: now, VM: id, Host: h.ID, Level: -1})
@@ -242,6 +289,12 @@ var ErrLiveVM = errors.New("vm id already live")
 // Run. A Machine is not safe for concurrent use — it assumes a single
 // driving goroutine, the same single-writer discipline cluster.Pool
 // requires.
+//
+// A Machine reuses VM objects: the VMs that leave it for good, through Exit
+// or Control.Kill, are kept and reused by a Create at a later instant
+// (MigrateOut's VM moves on and is not), so a replay allocates about one
+// cluster.VM per VM live at its peak, not one per placement. A caller that
+// keeps a VM past its exit must keep its ID or a copy.
 type Machine struct {
 	cfg  Config
 	pool *cluster.Pool
@@ -426,7 +479,8 @@ func (m *Machine) Create(rec trace.Record, at time.Duration) (*cluster.Host, err
 			return nil, &slo.RejectError{Class: class, RetryAt: retry}
 		}
 	}
-	vm := &cluster.VM{
+	vm := m.ctl.free.get(at)
+	*vm = cluster.VM{
 		ID:           rec.ID,
 		Shape:        rec.Shape,
 		Feat:         rec.Feat,
@@ -473,10 +527,10 @@ func (m *Machine) recordDecision(kind ptrace.Kind, rec trace.Record, at time.Dur
 	m.cfg.Tracer.Record(d)
 }
 
-// Exit advances to at and removes the VM, notifying the policy. It returns
-// false for VMs not currently running (never scheduled, already exited, or
-// killed by an injector) — the same silent skip Run applies to the EXIT
-// events of capacity-failed VMs.
+// Exit advances to at and removes the VM, notifying the policy, and keeps
+// its object for a later Create. It returns false for VMs not currently
+// running (never scheduled, already exited, or killed by an injector) — the
+// same silent skip Run applies to the EXIT events of capacity-failed VMs.
 func (m *Machine) Exit(id cluster.VMID, at time.Duration) (bool, error) {
 	at, err := m.begin(at)
 	if err != nil {
@@ -503,6 +557,7 @@ func (m *Machine) Exit(id cluster.VMID, at time.Duration) (bool, error) {
 	if m.cfg.Tracer != nil {
 		m.cfg.Tracer.Record(ptrace.Decision{Kind: ptrace.KindExit, T: at, VM: id, Host: h.ID, Level: -1})
 	}
+	m.ctl.free.put(vm, at, m.pool.NumVMs())
 	return true, nil
 }
 
