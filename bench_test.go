@@ -112,7 +112,7 @@ func BenchmarkTable2LARS(b *testing.B) {
 		Policy: scheduler.NewWasteMin(), Pred: model.Oracle{},
 		Threshold: 0.95, HostsPerRound: 8, CheckEvery: 2 * time.Hour,
 	})
-	if _, err := sim.Run(sim.Config{Trace: tr, Policy: scheduler.NewWasteMin(), Components: []sim.Component{eng}}); err != nil {
+	if _, err := sim.Run(sim.Config{Trace: tr, Policy: scheduler.NewWasteMin(), Injectors: []sim.Injector{eng}}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

@@ -29,6 +29,11 @@
 // with a reason in docscheck-keep.txt, whose every entry must still be
 // needed; names only bench/ calls are printed and fail nothing.
 //
+// One writer of a host's availability: no non-test code outside
+// internal/sim may assign cluster.Host's Unavailable field. Hosts leave and
+// return to service through sim.Control's reference-counted Withdraw and
+// Restore.
+//
 // The command is cli.Docscheck; TestDocscheck in internal/cli runs it on
 // the module root with the rest of `go test ./...`.
 //

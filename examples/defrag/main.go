@@ -27,8 +27,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Run the pool once with the defrag engine recording its plan: which
-	// hosts were drained when, and each VM's predicted remaining lifetime.
+	// Run the pool once with the defrag engine, a sim.Injector ticked with
+	// the simulator clock, recording its plan: which hosts were drained
+	// when, and each VM's predicted remaining lifetime.
 	engine := defrag.New(defrag.Config{
 		Policy:        scheduler.NewWasteMin(),
 		Pred:          model.Oracle{},
@@ -37,9 +38,9 @@ func main() {
 		CheckEvery:    2 * time.Hour,
 	})
 	res, err := sim.Run(sim.Config{
-		Trace:      tr,
-		Policy:     scheduler.NewWasteMin(),
-		Components: []sim.Component{engine},
+		Trace:     tr,
+		Policy:    scheduler.NewWasteMin(),
+		Injectors: []sim.Injector{engine},
 	})
 	if err != nil {
 		log.Fatal(err)

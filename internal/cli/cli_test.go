@@ -443,9 +443,10 @@ func TestExperimentsCLI(t *testing.T) {
 // _test.go file declares, a DESIGN that cites a missing path, three tiny
 // modules for the caller pass (an unused internal/ export, a keep entry
 // whose name gained a caller, one whose name is gone) and an internal/
-// package only a test imports. Two modules must pass it: a method reached
-// only through an anonymous interface assertion, and a name only bench/
-// calls, which the run prints.
+// package only a test imports, and a command that sets a host's
+// Unavailable flag itself. Modules must pass it with a method reached only
+// through an anonymous interface assertion, a name only bench/ calls, which
+// the run prints, and that flag set inside internal/sim alone.
 func TestDocscheck(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := Docscheck(context.Background(), []string{"../.."}, &stdout, &stderr); code != 0 {
@@ -455,6 +456,10 @@ func TestDocscheck(t *testing.T) {
 		goMod = "module fix\n\ngo 1.24\n"
 		pkgA  = "// Package a is a fixture.\npackage a\n\n"
 		cmdX  = "// Command x is a fixture.\npackage main\n\nimport \"fix/internal/a\"\n\n"
+
+		hostPkg = "// Package cluster is a fixture.\npackage cluster\n\n// Host is a host.\ntype Host struct{ Unavailable bool }\n"
+		simPkg  = "// Package sim is a fixture.\npackage sim\n\nimport \"fix/internal/cluster\"\n\n// Withdraw takes h out of service.\nfunc Withdraw(h *cluster.Host) { h.Unavailable = true }\n"
+		cmdSim  = "// Command x is a fixture.\npackage main\n\nimport (\n\t\"fix/internal/cluster\"\n\t\"fix/internal/sim\"\n)\n\n"
 	)
 	for _, row := range []struct {
 		name  string
@@ -499,6 +504,12 @@ func TestDocscheck(t *testing.T) {
 			"internal/b/b.go": "// Package b is a fixture.\npackage b\n", "internal/b/b_test.go": "package b\n\nimport _ \"fix/internal/a\"\n",
 			"cmd/x/main.go": "// Command x is a fixture.\npackage main\n\nimport _ \"fix/internal/b\"\n\nfunc main() {}\n"},
 			1, "internal/a: package has no non-test importer"},
+		{"unavailable set in sim", map[string]string{"go.mod": goMod, "internal/cluster/c.go": hostPkg, "internal/sim/s.go": simPkg,
+			"cmd/x/main.go": cmdSim + "func main() { sim.Withdraw(&cluster.Host{}) }\n"},
+			0, ""},
+		{"unavailable set outside sim", map[string]string{"go.mod": goMod, "internal/cluster/c.go": hostPkg, "internal/sim/s.go": simPkg,
+			"cmd/x/main.go": cmdSim + "func main() {\n\th := &cluster.Host{}\n\tsim.Withdraw(h)\n\th.Unavailable = false\n}\n"},
+			1, "cmd/x/main.go:12: assigns cluster.Host.Unavailable outside internal/sim"},
 		{"bench-only caller", map[string]string{"go.mod": goMod, "internal/a/a.go": pkgA + "func BenchOnly() {}\n",
 			"bench/go.mod":  "module fix/bench\n\ngo 1.24\n\nrequire fix v0.0.0\n\nreplace fix => ../\n",
 			"bench/main.go": "// Command bench is a fixture.\npackage main\n\nimport \"fix/internal/a\"\n\nfunc main() { a.BenchOnly() }\n"},

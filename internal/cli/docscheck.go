@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"io"
 	"io/fs"
 	"os"
@@ -73,7 +74,7 @@ func Docscheck(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		for _, line := range nestedOnly {
 			fmt.Fprintln(stdout, line)
 		}
-		gaps = slices.Concat(gaps, orphanPackages(pkgs), facade, stale, paths, callers)
+		gaps = slices.Concat(gaps, orphanPackages(pkgs), facade, stale, paths, callers, unavailableWriters(fset, pkgs))
 		for _, gap := range gaps {
 			fmt.Fprintln(stdout, gap)
 		}
@@ -82,6 +83,33 @@ func Docscheck(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		return nil
 	})
+}
+
+// unavailableWriters returns one line per assignment to the Unavailable
+// field of internal/cluster's Host in non-test code outside internal/sim:
+// sim.Control is its only writer, so all withdrawals share one claim count.
+func unavailableWriters(fset *token.FileSet, pkgs []*listedPackage) []string {
+	var gaps []string
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if as, ok := n.(*ast.AssignStmt); ok && p.rel != "internal/sim" {
+					for _, lhs := range as.Lhs {
+						sel, ok := lhs.(*ast.SelectorExpr)
+						if !ok {
+							continue
+						}
+						if v, ok := p.info.Uses[sel.Sel].(*types.Var); ok && v.IsField() && v.Name() == "Unavailable" && strings.HasSuffix(v.Pkg().Path(), "/internal/cluster") {
+							pos := fset.Position(lhs.Pos())
+							gaps = append(gaps, fmt.Sprintf("%s:%d: assigns cluster.Host.Unavailable outside internal/sim (withdraw and restore through sim.Control)", pos.Filename, pos.Line))
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return gaps
 }
 
 // testToken matches a cited test, fuzz target or benchmark; subtest paths

@@ -31,7 +31,7 @@ func Experiments(_ context.Context, args []string, stdout, stderr io.Writer) int
 		canonical  = fs.Bool("canonical", false, "strip timings/worker counts from -json output so runs at any -parallel diff byte-identically")
 		exhaustive = fs.Bool("exhaustive", false, "run policies on the exhaustive scoring engine instead of the incremental score cache (results are byte-identical)")
 		progress   = fs.Bool("progress", false, "report batch progress and ETA on stderr")
-		traceK     = fs.Int("trace-k", 0, "record per-decision traces with this many scored alternatives in every simulation job (0 = off unless -trace-out is set, then 8)")
+		traceK     = fs.Int("trace-k", 0, "record per-decision traces with this many scored alternatives in every simulation job but scale's and table2's plan recording (0 = off unless -trace-out is set, then 8)")
 		traceOut   = fs.String("trace-out", "", "write all recorded decision streams as one JSON document ('-' for stdout; arms tracing)")
 		counter    = fs.String("counterfactual", "", "replay policy A's fig13-fixture trace under policy B, as 'A,B'; runs instead of -exp")
 	)

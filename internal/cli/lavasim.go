@@ -114,12 +114,12 @@ func Lavasim(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		var eng *defrag.Engine
 		if *doDefrag {
 			eng = defrag.New(defrag.Config{Strategy: defrag.OrderLARS, Policy: pol, Pred: pred})
-			cfg.Components = append(cfg.Components, eng)
+			cfg.Injectors = append(cfg.Injectors, eng)
 		}
 		var probe *stranding.Prober
 		if *doStrand {
 			probe = &stranding.Prober{Mix: stranding.MixFromTrace(tr.Records, 8), Every: 12 * time.Hour}
-			cfg.Components = append(cfg.Components, probe)
+			cfg.Injectors = append(cfg.Injectors, probe)
 		}
 
 		res, err := sim.Run(cfg)

@@ -119,8 +119,8 @@ func TestMigrate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.ID != 0 || vm.Host.ID != 1 || vm.Migrations != 1 {
-		t.Fatalf("migration bookkeeping wrong: src=%d host=%v migrations=%d", src.ID, vm.Host, vm.Migrations)
+	if src.ID != 0 || vm.Host.ID != 1 || p.HostOf(1) != p.Host(1) {
+		t.Fatalf("migration bookkeeping wrong: src=%d host=%v index=%v", src.ID, vm.Host, p.HostOf(1))
 	}
 	if !p.Host(0).Empty() || p.Host(1).NumVMs() != 1 {
 		t.Fatal("hosts inconsistent after migration")

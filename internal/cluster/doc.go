@@ -32,9 +32,10 @@
 //
 // Pools publish a host event for every mutation that can change scheduling
 // outcomes: Place/Exit/Migrate notify automatically, and InvalidateHost is
-// the explicit channel for out-of-band changes (Unavailable flips, LAVA
-// state transitions driven from policy hooks). Subscribers run
-// synchronously under the same single-writer contract and typically just
-// flip dirty bits — the scheduler's incremental score caches are built on
-// this surface (see internal/scheduler and DESIGN.md §6).
+// the explicit channel for out-of-band changes (Unavailable flips, which
+// sim.Control alone makes, and LAVA state transitions driven from policy
+// hooks). Subscribers run synchronously under the same single-writer
+// contract and typically just flip dirty bits — the scheduler's incremental
+// score caches are built on this surface (see internal/scheduler and
+// DESIGN.md §6).
 package cluster

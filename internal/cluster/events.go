@@ -69,9 +69,11 @@ type HostListener func(h *Host, ev HostEvent)
 // host's feasibility or any event-driven score — VM set changes, Unavailable
 // flips, LAVA state-machine transitions — is announced either by the
 // structural events (place/exit/migrate) or by an explicit InvalidateHost
-// from the component performing the out-of-band mutation. Code that mutates
-// host state outside the Pool mutators must call InvalidateHost afterwards;
-// the scheduler's differential tests exist to catch violations.
+// from the code performing the out-of-band mutation: sim.Control for
+// Unavailable flips (it is their only writer), the policy's hooks for LAVA
+// transitions. Code that mutates host state outside the Pool mutators must
+// call InvalidateHost afterwards; the scheduler's differential tests exist
+// to catch violations.
 //
 // Cancelling removes the listener from the pool and keeps the order of the
 // others; a second call is a no-op. A listener may cancel itself or another

@@ -52,7 +52,7 @@ type Host struct {
 	vms  []*VM // hosted VMs in no particular order; nil while never used
 
 	// Unavailable marks hosts drained for defragmentation or maintenance;
-	// the scheduler skips them (§4.4).
+	// the scheduler skips them (§4.4). Only sim.Control writes it.
 	Unavailable bool
 
 	// LAVA per-host state (§4.3). Class, State and Deadline are maintained

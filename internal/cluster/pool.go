@@ -30,11 +30,6 @@ type Pool struct {
 	capTot   resources.Vector
 	emptyCap resources.Vector
 	empty    int
-
-	// Counters for telemetry (§7: production monitoring).
-	Placements int
-	Exits      int
-	Migrations int
 }
 
 // NewPool builds a pool of n identical hosts with the given capacity.
@@ -158,7 +153,6 @@ func (p *Pool) Place(vm *VM, h *Host) error {
 		p.emptyCap = p.emptyCap.Sub(h.Capacity)
 		p.empty--
 	}
-	p.Placements++
 	p.notify(h, HostPlaced)
 	return nil
 }
@@ -179,7 +173,6 @@ func (p *Pool) Exit(id VMID) (*Host, *VM, error) {
 		p.emptyCap = p.emptyCap.Add(h.Capacity)
 		p.empty++
 	}
-	p.Exits++
 	p.notify(h, HostExited)
 	return h, vm, nil
 }
@@ -218,8 +211,6 @@ func (p *Pool) Migrate(id VMID, dst *Host) (*Host, error) {
 		p.emptyCap = p.emptyCap.Sub(dst.Capacity)
 		p.empty--
 	}
-	vm.Migrations++
-	p.Migrations++
 	p.notify(src, HostMigratedOut)
 	p.notify(dst, HostMigratedIn)
 	return src, nil

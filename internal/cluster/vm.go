@@ -44,16 +44,12 @@ type VM struct {
 	// Host is the current host, or nil before placement / after exit.
 	Host *Host
 
-	// Migrations counts completed live migrations of this VM; only
-	// Pool.Migrate writes it.
-	Migrations int32
-
 	// BindSlot is a handle a binding cache (scheduler.ExitCache) keeps for
 	// the VM: the index of its slot in the cache's own slab. It is only a
 	// hint — a cache trusts it when that slot records this VM, object and
 	// Created, as its owner — so a VM copied, bound by a second cache, never
-	// bound (slot 0) or reused after an exit is simply bound again. It pairs
-	// with Migrations to keep VM at 192 bytes.
+	// bound (slot 0) or reused after an exit is simply bound again. An int32
+	// keeps VM at 192 bytes.
 	BindSlot int32
 }
 

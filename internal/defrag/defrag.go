@@ -1,12 +1,14 @@
 package defrag
 
 import (
+	"slices"
 	"sort"
 	"time"
 
 	"lava/internal/cluster"
 	"lava/internal/model"
 	"lava/internal/scheduler"
+	"lava/internal/sim"
 )
 
 // Strategy selects the migration ordering.
@@ -101,7 +103,7 @@ type migration struct {
 	done        time.Duration
 }
 
-// Engine is a sim.Component implementing the defragmenter.
+// Engine is a sim.Injector implementing the defragmenter.
 type Engine struct {
 	cfg   Config
 	Stats Stats
@@ -114,46 +116,42 @@ type Engine struct {
 
 	pending   []*migration
 	inflight  []*migration
-	draining  map[cluster.HostID]bool
+	draining  []cluster.HostID // withdrawn hosts, ascending
 	nextCheck time.Duration
 	nextPH    cluster.VMID // placeholder ID counter (negative)
 }
 
 // New builds an engine.
 func New(cfg Config) *Engine {
-	return &Engine{
-		cfg:      cfg.withDefaults(),
-		draining: make(map[cluster.HostID]bool),
-		nextPH:   -1,
-	}
+	return &Engine{cfg: cfg.withDefaults(), nextPH: -1}
 }
 
-// Tick implements the simulator component interface: complete due
-// migrations, reap saved ones, start new ones, and periodically check the
-// trigger condition.
-func (e *Engine) Tick(pool *cluster.Pool, now time.Duration) {
+// Inject implements sim.Injector: complete due migrations, periodically
+// check the trigger condition, reap saved migrations, start new ones and
+// return drained hosts to service.
+func (e *Engine) Inject(ctl *sim.Control, now time.Duration) {
+	pool := ctl.Pool()
 	e.completeDue(pool, now)
 	if now >= e.nextCheck {
 		e.nextCheck = now + e.cfg.CheckEvery
 		if pool.EmptyHostFraction() < e.cfg.Threshold {
-			e.trigger(pool, now)
+			e.trigger(ctl, now)
 		}
 	}
 	e.reapSavedAndStart(pool, now)
-	e.releaseEmptyHosts(pool)
+	e.releaseEmptyHosts(ctl)
 }
 
 // trigger selects candidate hosts and enqueues their VMs for migration.
-func (e *Engine) trigger(pool *cluster.Pool, now time.Duration) {
-	cands := e.candidates(pool)
+func (e *Engine) trigger(ctl *sim.Control, now time.Duration) {
+	cands := e.candidates(ctl.Pool())
 	if len(cands) == 0 {
 		return
 	}
 	e.Stats.Rounds++
 	for _, h := range cands {
-		h.Unavailable = true // stop scheduling new VMs onto it (Algorithm 1)
-		pool.InvalidateHost(h.ID)
-		e.draining[h.ID] = true
+		ctl.Withdraw(h.ID) // stop scheduling new VMs onto it (Algorithm 1)
+		e.draining = append(e.draining, h.ID)
 		// One prediction per VM, in ID order = creation order (the
 		// trace-order baseline).
 		batch := PlannedBatch{Trigger: now, Host: h.ID}
@@ -180,15 +178,17 @@ func (e *Engine) trigger(pool *cluster.Pool, now time.Duration) {
 		}
 		e.Plan = append(e.Plan, batch)
 	}
+	slices.Sort(e.draining)
 }
 
 // candidates picks up to HostsPerRound hosts to drain: fewest VMs first,
 // then most free capacity ("preferring hosts with few VMs and excess
-// resources", §4.4).
+// resources", §4.4). Hosts out of service, this engine's drains included,
+// are not candidates.
 func (e *Engine) candidates(pool *cluster.Pool) []*cluster.Host {
 	var out []*cluster.Host
 	for _, h := range pool.Hosts() {
-		if h.Empty() || h.Unavailable || e.draining[h.ID] {
+		if h.Empty() || h.Unavailable {
 			continue
 		}
 		out = append(out, h)
@@ -216,12 +216,9 @@ func (e *Engine) completeDue(pool *cluster.Pool, now time.Duration) {
 			still = append(still, m)
 			continue
 		}
-		// Free the reserved capacity on the target.
-		if _, _, err := pool.Exit(m.placeholder); err == nil {
-			// Placeholder removal is bookkeeping, not a real exit;
-			// undo the counter bump.
-			pool.Exits--
-		}
+		// Free the reserved capacity on the target (unless a scenario kill
+		// already did).
+		_, _, _ = pool.Exit(m.placeholder)
 		if pool.HostOf(m.vmID) != nil {
 			// VM still alive: move it. If the reserved target somehow
 			// cannot take it anymore, retry later via pending.
@@ -279,7 +276,6 @@ func (e *Engine) reapSavedAndStart(pool *cluster.Pool, now time.Duration) {
 			e.Stats.Abandoned++
 			continue
 		}
-		pool.Placements-- // bookkeeping, not a real placement
 
 		e.pending = e.pending[1:]
 		m.dst = dst
@@ -290,22 +286,21 @@ func (e *Engine) reapSavedAndStart(pool *cluster.Pool, now time.Duration) {
 	}
 }
 
-// releaseEmptyHosts returns drained hosts that became empty to service.
-func (e *Engine) releaseEmptyHosts(pool *cluster.Pool) {
-	for id := range e.draining {
-		h := pool.Host(id)
-		if h == nil || !h.Empty() {
+// releaseEmptyHosts returns drained hosts that became empty to service, in
+// ascending host ID.
+func (e *Engine) releaseEmptyHosts(ctl *sim.Control) {
+	keep := e.draining[:0]
+	for _, id := range e.draining {
+		h := ctl.Pool().Host(id)
+		if h == nil || !h.Empty() || e.hasWork(id) {
+			keep = append(keep, id)
 			continue
 		}
-		if e.hasWork(id) {
-			continue
-		}
-		h.Unavailable = false
 		h.ResetLAVA()
-		pool.InvalidateHost(id)
-		delete(e.draining, id)
+		ctl.Restore(id)
 		e.Stats.HostsFreed++
 	}
+	e.draining = keep
 }
 
 // hasWork reports whether any pending or in-flight migration still

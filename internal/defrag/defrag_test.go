@@ -1,11 +1,13 @@
 package defrag
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"lava/internal/cluster"
 	"lava/internal/model"
+	"lava/internal/ptrace"
 	"lava/internal/resources"
 	"lava/internal/scheduler"
 	"lava/internal/sim"
@@ -13,8 +15,10 @@ import (
 	"lava/internal/workload"
 )
 
-func newPool(n int) *cluster.Pool {
-	return cluster.NewPool("t", n, resources.Cores(32, 131072, 0))
+// newPool builds an n-host pool and the Control an engine injects through.
+func newPool(n int) (*cluster.Pool, *sim.Control) {
+	p := cluster.NewPool("t", n, resources.Cores(32, 131072, 0))
+	return p, sim.NewControl(p, nil, nil)
 }
 
 func mkVM(id cluster.VMID, cores int64, created, lifetime time.Duration) *cluster.VM {
@@ -22,7 +26,7 @@ func mkVM(id cluster.VMID, cores int64, created, lifetime time.Duration) *cluste
 }
 
 func TestEngineDrainsHost(t *testing.T) {
-	p := newPool(4)
+	p, ctl := newPool(4)
 	e := New(Config{
 		Policy: scheduler.NewBestFit(), Pred: model.Oracle{},
 		Threshold:     0.9, // always trigger (empty frac will be < 0.9 once hosts fill)
@@ -35,30 +39,33 @@ func TestEngineDrainsHost(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.Tick(p, time.Hour)
+	e.Inject(ctl, time.Hour)
 	if e.Stats.Rounds != 1 || e.Stats.Planned == 0 {
 		t.Fatalf("no defrag triggered: %+v", e.Stats)
 	}
 	// The migration is in flight; complete it.
-	e.Tick(p, time.Hour+21*time.Minute)
+	e.Inject(ctl, time.Hour+21*time.Minute)
 	if e.Stats.Performed == 0 {
 		t.Fatalf("no migration performed: %+v", e.Stats)
 	}
 	// One further tick releases the freed host.
-	e.Tick(p, time.Hour+25*time.Minute)
+	e.Inject(ctl, time.Hour+25*time.Minute)
 	if e.Stats.HostsFreed != 1 {
 		t.Fatalf("hosts freed = %d, want 1 (stats %+v)", e.Stats.HostsFreed, e.Stats)
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Migrations == 0 {
-		t.Fatal("pool migration counter not bumped")
+	if h := p.HostOf(1); h == nil || h.ID == 0 {
+		t.Fatalf("vm 1 on host %v, want migrated off drained host 0", h)
+	}
+	if p.Host(0).Unavailable {
+		t.Fatal("freed host 0 still out of service")
 	}
 }
 
 func TestMigrationSavedByNaturalExit(t *testing.T) {
-	p := newPool(3)
+	p, ctl := newPool(3)
 	e := New(Config{
 		Policy: scheduler.NewBestFit(), Pred: model.Oracle{},
 		Threshold: 0.99, HostsPerRound: 1, MaxConcurrent: 1, CheckEvery: time.Hour,
@@ -75,7 +82,7 @@ func TestMigrationSavedByNaturalExit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e.Tick(p, time.Hour) // trigger; starts migrating VM 1
+	e.Inject(ctl, time.Hour) // trigger; starts migrating VM 1
 	if e.Stats.Planned != 2 || e.Stats.Performed != 1 {
 		t.Fatalf("stats after trigger: %+v", e.Stats)
 	}
@@ -83,7 +90,7 @@ func TestMigrationSavedByNaturalExit(t *testing.T) {
 	if _, _, err := p.Exit(2); err != nil {
 		t.Fatal(err)
 	}
-	e.Tick(p, time.Hour+21*time.Minute) // completes VM 1, reaps VM 2
+	e.Inject(ctl, time.Hour+21*time.Minute) // completes VM 1, reaps VM 2
 	if e.Stats.Saved != 1 {
 		t.Fatalf("saved = %d, want 1 (stats %+v)", e.Stats.Saved, e.Stats)
 	}
@@ -93,7 +100,7 @@ func TestMigrationSavedByNaturalExit(t *testing.T) {
 }
 
 func TestLARSOrdersLongestFirst(t *testing.T) {
-	p := newPool(3)
+	p, ctl := newPool(3)
 	e := New(Config{
 		Strategy: OrderLARS,
 		Policy:   scheduler.NewBestFit(), Pred: model.Oracle{},
@@ -107,7 +114,7 @@ func TestLARSOrdersLongestFirst(t *testing.T) {
 	if err := p.Place(mkVM(2, 4, 0, 1000*time.Hour), p.Host(0)); err != nil {
 		t.Fatal(err)
 	}
-	e.Tick(p, time.Hour)
+	e.Inject(ctl, time.Hour)
 	if len(e.inflight) != 1 || e.inflight[0].vmID != 2 {
 		t.Fatalf("LARS migrated wrong VM first: %+v", e.inflight)
 	}
@@ -129,7 +136,7 @@ func (c *countingPred) PredictRemaining(vm *cluster.VM, uptime time.Duration) ti
 // remaining lifetime, longest first, ties by ID.
 func TestLARSPredictsEachVMOnce(t *testing.T) {
 	for _, strategy := range []Strategy{OrderTrace, OrderLARS} {
-		p := newPool(4)
+		p, ctl := newPool(4)
 		pred := &countingPred{Predictor: model.Oracle{}}
 		e := New(Config{
 			Strategy: strategy, Policy: scheduler.NewBestFit(), Pred: pred,
@@ -148,7 +155,7 @@ func TestLARSPredictsEachVMOnce(t *testing.T) {
 				id++
 			}
 		}
-		e.Tick(p, time.Hour)
+		e.Inject(ctl, time.Hour)
 		if len(e.Plan) != 2 {
 			t.Fatalf("%v: %d hosts drained, want 2", strategy, len(e.Plan))
 		}
@@ -172,7 +179,7 @@ func TestLARSPredictsEachVMOnce(t *testing.T) {
 }
 
 func TestConcurrencyLimit(t *testing.T) {
-	p := newPool(4)
+	p, ctl := newPool(4)
 	e := New(Config{
 		Policy: scheduler.NewBestFit(), Pred: model.Oracle{},
 		Threshold: 0.99, HostsPerRound: 1, MaxConcurrent: 3, CheckEvery: time.Hour,
@@ -182,7 +189,7 @@ func TestConcurrencyLimit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.Tick(p, time.Hour)
+	e.Inject(ctl, time.Hour)
 	if len(e.inflight) != 3 {
 		t.Fatalf("in-flight = %d, want 3 (batch limit)", len(e.inflight))
 	}
@@ -216,7 +223,7 @@ func TestLARSReducesMigrationsEndToEnd(t *testing.T) {
 	})
 	if _, err := sim.Run(sim.Config{
 		Trace: tr, Policy: scheduler.NewWasteMin(),
-		Components: []sim.Component{eng},
+		Injectors: []sim.Injector{eng},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -235,5 +242,63 @@ func TestLARSReducesMigrationsEndToEnd(t *testing.T) {
 	}
 	if lars.Saved < base.Saved {
 		t.Errorf("LARS saved %d < baseline %d", lars.Saved, base.Saved)
+	}
+}
+
+// TestTracedDefragDeterministic: a traced run of the Threshold-0.95
+// geometry records every drain as a KindWithdraw and every freed host as a
+// KindRestore decision, restores the hosts freed at one tick in ascending
+// host ID, and writes the same bytes on every run.
+func TestTracedDefragDeterministic(t *testing.T) {
+	tr, err := workload.Generate(workload.PoolSpec{
+		Name: "defrag-traced", Zone: "z1", Hosts: 24, TargetUtil: 0.6,
+		Duration: 3 * simtime.Day, Prefill: 4 * simtime.Day, Seed: 17, Diurnal: 0.3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() ([]byte, []ptrace.Decision, *Engine) {
+		var out bytes.Buffer
+		rec := ptrace.New(ptrace.Options{Out: &out})
+		pol := scheduler.NewLAVA(model.Oracle{}, time.Minute)
+		eng := New(Config{
+			Strategy: OrderLARS, Policy: pol, Pred: model.Oracle{},
+			Threshold: 0.95, HostsPerRound: 8, CheckEvery: 2 * time.Hour,
+		})
+		if _, err := sim.Run(sim.Config{Trace: tr, Policy: pol, Injectors: []sim.Injector{eng}, Tracer: rec}); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes(), rec.Decisions(), eng
+	}
+	first, decisions, eng := run()
+	withdrawn, restored, paired := 0, 0, 0
+	var last ptrace.Decision
+	for _, d := range decisions {
+		switch d.Kind {
+		case ptrace.KindWithdraw:
+			withdrawn++
+		case ptrace.KindRestore:
+			restored++
+			if last.Kind == ptrace.KindRestore && last.T == d.T {
+				paired++
+				if last.Host >= d.Host {
+					t.Fatalf("restores at %v out of host order: %d then %d", d.T, last.Host, d.Host)
+				}
+			}
+		}
+		last = d
+	}
+	if eng.Stats.HostsFreed == 0 || withdrawn != len(eng.Plan) || restored != eng.Stats.HostsFreed {
+		t.Fatalf("%d withdrawals and %d restores recorded; want %d drains and %d freed hosts (stats %+v)",
+			withdrawn, restored, len(eng.Plan), eng.Stats.HostsFreed, eng.Stats)
+	}
+	if paired == 0 {
+		t.Fatal("no tick restored two hosts: the host order goes unchecked")
+	}
+	t.Logf("%d withdrawals, %d restores, %d restores after another at the same tick", withdrawn, restored, paired)
+	for i := 1; i < 5; i++ {
+		if again, _, _ := run(); !bytes.Equal(first, again) {
+			t.Fatalf("run %d wrote a different decision stream", i+1)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"lava/internal/ptrace"
@@ -20,7 +21,8 @@ func tracedCanonicalDoc(t *testing.T, exp string, parallel int, exhaustive bool)
 // tracing gate CI re-runs through the binary: (1) tracing on produces
 // canonical BENCH JSON byte-identical to tracing off; (2) the recorded
 // trace document is byte-identical at 1 and 8 workers and across scoring
-// engines.
+// engines; (3) the scenarios and slo experiments, whose runs carry
+// injectors and an SLO gate, trace every job and stay observe-only too.
 func TestTracingObserveOnlyAndParallelInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
@@ -49,6 +51,29 @@ func TestTracingObserveOnlyAndParallelInvariant(t *testing.T) {
 	for name, s := range doc.Streams {
 		if len(s.Decisions) == 0 {
 			t.Fatalf("stream %s is empty", name)
+		}
+	}
+
+	for _, exp := range []string{"scenarios", "slo"} {
+		traced := canonicalRun(t, exp, 1, false, 3)
+		if !bytes.Equal(canonicalDoc(t, exp, 1, false), traced.doc) {
+			t.Errorf("%s: tracing changed canonical results", exp)
+		}
+		var doc ptrace.Document
+		if err := json.Unmarshal(traced.traces, &doc); err != nil {
+			t.Fatal(err)
+		}
+		jobs := 0
+		for _, b := range traced.sums {
+			jobs += b.Jobs
+		}
+		if jobs == 0 || len(doc.Streams) != jobs {
+			t.Fatalf("%s: %d trace streams for %d jobs, want one per job", exp, len(doc.Streams), jobs)
+		}
+		for name, s := range doc.Streams {
+			if !strings.HasPrefix(name, exp+"/") || len(s.Decisions) == 0 {
+				t.Fatalf("%s: stream %s has %d decisions", exp, name, len(s.Decisions))
+			}
 		}
 	}
 }

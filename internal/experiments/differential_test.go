@@ -48,8 +48,8 @@ var (
 
 // canonicalRun returns the run for key, executing it on first use only: the
 // golden, cached-vs-exhaustive, worker-count and tracing tests all compare
-// the same few (fig13 | scenarios) matrices, and every comparison is between
-// two distinct keys, so sharing a key's run drops none of them.
+// the same few (fig13 | scenarios | slo) matrices, and every comparison is
+// between two distinct keys, so sharing a key's run drops none of them.
 func canonicalRun(t *testing.T, exp string, parallel int, exhaustive bool, traceK int) *matrixRun {
 	t.Helper()
 	key := matrixKey{exp, parallel, exhaustive, traceK}

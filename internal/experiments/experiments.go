@@ -71,8 +71,10 @@ type Options struct {
 	// TraceK > 0 enables decision tracing in every simulation job: each
 	// run records its full decision stream (unbounded — trace documents
 	// feed counterfactual replay) with the top-K scored alternatives per
-	// placement. Tracing is observe-only; results are byte-identical with
-	// it on or off, which TestTracingObserveOnlyAndParallelInvariant checks.
+	// placement. Two runs stay untraced: the scale experiment's (mega cells
+	// would fill an unbounded recorder) and Table 2's plan-recording run.
+	// Tracing is observe-only; results are byte-identical with it on or
+	// off, which TestTracingObserveOnlyAndParallelInvariant checks.
 	TraceK int
 
 	// Traces, if non-nil, collects each traced job's decision stream keyed
@@ -198,12 +200,13 @@ func (o Options) policy(p scheduler.Policy) scheduler.Policy {
 	return p
 }
 
-// simJob builds a named batch job that replays tr under the policy pol
-// constructs, on the engine the options select. Policies carry mutable
-// caches, so each job builds its own inside the closure.
-func simJob(opt Options, name string, seed int64, tr *trace.Trace, pol func() scheduler.Policy) runner.Job {
+// simJob builds a named batch job that runs cfg (trace, injectors, SLO)
+// under the policy pol constructs, on the engine the options select, and
+// traces it when Options.TraceK is set. Policies carry mutable caches, so
+// each job builds its own inside the closure.
+func simJob(opt Options, name string, seed int64, cfg sim.Config, pol func() scheduler.Policy) runner.Job {
 	return runner.Job{Name: name, Seed: seed, Run: func() (*sim.Result, error) {
-		cfg := sim.Config{Trace: tr, Policy: opt.policy(pol())}
+		cfg.Policy = opt.policy(pol())
 		var rec *ptrace.Recorder
 		if opt.TraceK > 0 {
 			rec = ptrace.New(ptrace.Options{K: opt.TraceK, Policy: cfg.Policy.Name()})

@@ -140,9 +140,9 @@ func runTable1(opt Options) (Report, error) {
 	for i, p := range pilots {
 		seed := opt.Seed + int64(1000*(10+i))
 		jobs = append(jobs,
-			simJob(opt, fmt.Sprintf("pilot-%d/ctl", i+1), seed, p.ta,
+			simJob(opt, fmt.Sprintf("pilot-%d/ctl", i+1), seed, sim.Config{Trace: p.ta},
 				func() scheduler.Policy { return scheduler.NewWasteMin() }),
-			simJob(opt, fmt.Sprintf("pilot-%d/trt", i+1), seed, p.tb,
+			simJob(opt, fmt.Sprintf("pilot-%d/trt", i+1), seed, sim.Config{Trace: p.tb},
 				func() scheduler.Policy { return scheduler.NewNILAS(pred, time.Minute) }),
 		)
 	}
@@ -281,7 +281,7 @@ func runFig7(opt Options) (Report, error) {
 	}
 	switchAt := prefill + steady/2
 	resM, err := batch(opt, "fig7", []runner.Job{
-		simJob(opt, "rollout", opt.Seed+4242, tr, func() scheduler.Policy {
+		simJob(opt, "rollout", opt.Seed+4242, sim.Config{Trace: tr}, func() scheduler.Policy {
 			return scheduler.NewSwitched(scheduler.NewWasteMin(), scheduler.NewNILAS(pred, time.Minute), switchAt)
 		}),
 	})
@@ -373,7 +373,7 @@ func runTable2(opt Options) (Report, error) {
 				// migration queue is persistently contended.
 				Threshold: 0.95, HostsPerRound: 12, CheckEvery: time.Hour,
 			})
-			res, err := sim.Run(sim.Config{Trace: tr, Policy: opt.policy(scheduler.NewWasteMin()), Components: []sim.Component{eng}})
+			res, err := sim.Run(sim.Config{Trace: tr, Policy: opt.policy(scheduler.NewWasteMin()), Injectors: []sim.Injector{eng}})
 			if err != nil {
 				return err
 			}
@@ -429,7 +429,7 @@ func runFig14(opt Options) (Report, error) {
 		return nil, err
 	}
 	resM, err := batch(opt, "fig14", []runner.Job{
-		simJob(opt, "replay", opt.Seed, tr, func() scheduler.Policy { return scheduler.NewWasteMin() }),
+		simJob(opt, "replay", opt.Seed, sim.Config{Trace: tr}, func() scheduler.Policy { return scheduler.NewWasteMin() }),
 	})
 	if err != nil {
 		return nil, err

@@ -123,17 +123,9 @@ func runScenarios(opt Options) (Report, error) {
 			arm := arm
 			for i, tr := range plan.Cells {
 				i, tr := i, tr
-				jobs = append(jobs, runner.Job{
-					Name: fmt.Sprintf("%s/%s/cell-%d", spec.Name, arm, i),
-					Seed: spec.Seed,
-					Run: func() (*sim.Result, error) {
-						return sim.Run(sim.Config{
-							Trace:     tr,
-							Policy:    opt.policy(scenarioPolicy(arm, spec, pred)),
-							Injectors: spec.Injectors(i),
-						})
-					},
-				})
+				jobs = append(jobs, simJob(opt, fmt.Sprintf("%s/%s/cell-%d", spec.Name, arm, i), spec.Seed,
+					sim.Config{Trace: tr, Injectors: spec.Injectors(i)},
+					func() scheduler.Policy { return scenarioPolicy(arm, spec, pred) }))
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"lava/internal/model"
 	"lava/internal/runner"
 	"lava/internal/scheduler"
+	"lava/internal/sim"
 	"lava/internal/simtime"
 	"lava/internal/trace"
 )
@@ -106,7 +107,7 @@ func runFig6(opt Options) (Report, error) {
 	var jobs []runner.Job
 	for i, tr := range traces {
 		for _, arm := range arms {
-			jobs = append(jobs, simJob(opt, tr.PoolName+"/"+arm.name, opt.Seed+int64(1000*i), tr, arm.mk))
+			jobs = append(jobs, simJob(opt, tr.PoolName+"/"+arm.name, opt.Seed+int64(1000*i), sim.Config{Trace: tr}, arm.mk))
 		}
 	}
 	res, err := batch(opt, "fig6", jobs)
@@ -177,9 +178,9 @@ func runFig13(opt Options) (Report, error) {
 		return nil, err
 	}
 	res, err := batch(opt, "fig13", []runner.Job{
-		simJob(opt, "la", opt.Seed, tr, func() scheduler.Policy { return scheduler.NewLABinary(pred) }),
-		simJob(opt, "nilas", opt.Seed, tr, func() scheduler.Policy { return scheduler.NewNILAS(pred, time.Minute) }),
-		simJob(opt, "lava", opt.Seed, tr, func() scheduler.Policy { return scheduler.NewLAVA(pred, time.Minute) }),
+		simJob(opt, "la", opt.Seed, sim.Config{Trace: tr}, func() scheduler.Policy { return scheduler.NewLABinary(pred) }),
+		simJob(opt, "nilas", opt.Seed, sim.Config{Trace: tr}, func() scheduler.Policy { return scheduler.NewNILAS(pred, time.Minute) }),
+		simJob(opt, "lava", opt.Seed, sim.Config{Trace: tr}, func() scheduler.Policy { return scheduler.NewLAVA(pred, time.Minute) }),
 	})
 	if err != nil {
 		return nil, err
@@ -225,13 +226,13 @@ func runFig15(opt Options) (Report, error) {
 	}
 	accs := []float64{0.5, 0.7, 0.9, 1.0}
 	jobs := []runner.Job{
-		simJob(opt, "base", opt.Seed, tr, func() scheduler.Policy { return scheduler.NewWasteMin() }),
+		simJob(opt, "base", opt.Seed, sim.Config{Trace: tr}, func() scheduler.Policy { return scheduler.NewWasteMin() }),
 	}
 	for _, acc := range accs {
 		noisy := &model.NoisyOracle{Accuracy: acc, Seed: opt.Seed}
 		jobs = append(jobs,
-			simJob(opt, fmt.Sprintf("nilas@%.2f", acc), opt.Seed, tr, func() scheduler.Policy { return scheduler.NewNILAS(noisy, time.Minute) }),
-			simJob(opt, fmt.Sprintf("lava@%.2f", acc), opt.Seed, tr, func() scheduler.Policy { return scheduler.NewLAVA(noisy, time.Minute) }),
+			simJob(opt, fmt.Sprintf("nilas@%.2f", acc), opt.Seed, sim.Config{Trace: tr}, func() scheduler.Policy { return scheduler.NewNILAS(noisy, time.Minute) }),
+			simJob(opt, fmt.Sprintf("lava@%.2f", acc), opt.Seed, sim.Config{Trace: tr}, func() scheduler.Policy { return scheduler.NewLAVA(noisy, time.Minute) }),
 		)
 	}
 	res, err := batch(opt, "fig15", jobs)
@@ -303,14 +304,14 @@ func runFig16(opt Options) (Report, error) {
 		}
 	}
 	res, err := batch(opt, "fig16", []runner.Job{
-		simJob(opt, "base", opt.Seed, tr, func() scheduler.Policy { return scheduler.NewWasteMin() }),
+		simJob(opt, "base", opt.Seed, sim.Config{Trace: tr}, func() scheduler.Policy { return scheduler.NewWasteMin() }),
 		// Ideal: oracle predictions with NILAS active from the first VM of
 		// the trace (cold start — no residue of lifetime-unaware
 		// placements).
-		simJob(opt, "cold", opt.Seed, tr, func() scheduler.Policy { return scheduler.NewNILAS(model.Oracle{}, time.Minute) }),
-		simJob(opt, "warmO", opt.Seed, tr, warmStart(func() scheduler.Policy { return scheduler.NewNILAS(model.Oracle{}, time.Minute) })),
-		simJob(opt, "warmM", opt.Seed, tr, warmStart(func() scheduler.Policy { return scheduler.NewNILAS(pred, time.Minute) })),
-		simJob(opt, "frozen", opt.Seed, tr, warmStart(func() scheduler.Policy { return scheduler.NewNILAS(frozenPredictor{inner: pred}, time.Minute) })),
+		simJob(opt, "cold", opt.Seed, sim.Config{Trace: tr}, func() scheduler.Policy { return scheduler.NewNILAS(model.Oracle{}, time.Minute) }),
+		simJob(opt, "warmO", opt.Seed, sim.Config{Trace: tr}, warmStart(func() scheduler.Policy { return scheduler.NewNILAS(model.Oracle{}, time.Minute) })),
+		simJob(opt, "warmM", opt.Seed, sim.Config{Trace: tr}, warmStart(func() scheduler.Policy { return scheduler.NewNILAS(pred, time.Minute) })),
+		simJob(opt, "frozen", opt.Seed, sim.Config{Trace: tr}, warmStart(func() scheduler.Policy { return scheduler.NewNILAS(frozenPredictor{inner: pred}, time.Minute) })),
 	})
 	if err != nil {
 		return nil, err
@@ -386,7 +387,7 @@ func runFig17(opt Options) (Report, error) {
 	var jobs []runner.Job
 	for _, iv := range ivs {
 		iv := iv
-		jobs = append(jobs, simJob(opt, iv.String(), opt.Seed, tr,
+		jobs = append(jobs, simJob(opt, iv.String(), opt.Seed, sim.Config{Trace: tr},
 			func() scheduler.Policy { return scheduler.NewNILAS(pred, iv) }))
 	}
 	res, err := batch(opt, "fig17", jobs)

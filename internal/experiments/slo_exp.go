@@ -123,13 +123,7 @@ func runSLO(opt Options) (Report, error) {
 		}
 		for _, pol := range policies {
 			cfg, pol := cfg, pol
-			jobs = append(jobs, runner.Job{
-				Name: arm.Name + "/" + pol.Name,
-				Seed: opt.Seed,
-				Run: func() (*sim.Result, error) {
-					return sim.Run(sim.Config{Trace: classed, Policy: opt.policy(pol.New()), SLO: cfg})
-				},
-			})
+			jobs = append(jobs, simJob(opt, arm.Name+"/"+pol.Name, opt.Seed, sim.Config{Trace: classed, SLO: cfg}, pol.New))
 		}
 	}
 	res, err := batch(opt, "slo", jobs)

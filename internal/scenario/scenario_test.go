@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"lava/internal/cluster"
+	"lava/internal/defrag"
 	"lava/internal/model"
+	"lava/internal/resources"
 	"lava/internal/scheduler"
 	"lava/internal/sim"
 	"lava/internal/simtime"
@@ -307,22 +309,47 @@ func TestDrainWaveOverlapHoldsHosts(t *testing.T) {
 	}
 }
 
-// TestDrainWaveRespectsForeignUnavailability: a host already drained by
-// another component is never restored by the injector.
-func TestDrainWaveRespectsForeignUnavailability(t *testing.T) {
+// TestDrainWaveAndDefragShareClaims runs a defragmenter and a drain wave on
+// one Control over overlapping hosts: a host both withdrew returns to
+// service only once both released it, whichever releases first.
+func TestDrainWaveAndDefragShareClaims(t *testing.T) {
 	const hosts = 10
-	pool := cluster.NewPool("foreign", hosts, workload.DefaultHostShape)
-	pool.Host(0).Unavailable = true // e.g. a defrag engine owns this host
-	ctl := sim.NewControl(pool, scheduler.NewWasteMin(), nil)
-	ev := DrainWave{At: time.Hour, Every: time.Hour, Waves: 1, Frac: 0.3, For: time.Hour}
-	inj := ev.NewInjector(0)
-	inj.Inject(ctl, time.Hour)
-	inj.Inject(ctl, 3*time.Hour)
-	if !pool.Host(0).Unavailable {
-		t.Fatal("injector restored a host another component drained")
-	}
-	if pool.Host(1).Unavailable || pool.Host(2).Unavailable {
-		t.Fatal("injector failed to restore its own hosts")
+	defragHeld := map[cluster.HostID]bool{0: true, 5: true}
+	released := time.Hour + 20*time.Minute // the defragmenter's copy window ends
+	for _, hold := range []time.Duration{10 * time.Minute, 3 * time.Hour} {
+		t.Run(fmt.Sprintf("drain-for-%v", hold), func(t *testing.T) {
+			pool := cluster.NewPool("shared", hosts, workload.DefaultHostShape)
+			// One VM on hosts 0 and 5: the only hosts the engine drains.
+			for h := range defragHeld {
+				vm := &cluster.VM{ID: cluster.VMID(h + 1), Shape: resources.Cores(4, 16384, 0), TrueLifetime: 1000 * time.Hour}
+				if err := pool.Place(vm, pool.Host(h)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ctl := sim.NewControl(pool, scheduler.NewWasteMin(), nil)
+			eng := defrag.New(defrag.Config{
+				Policy: scheduler.NewBestFit(), Pred: model.Oracle{},
+				Threshold: 0.99, HostsPerRound: 2, CheckEvery: 1000 * time.Hour,
+			})
+			// The wave withdraws hosts 0-5 at 1h for hold.
+			drain := DrainWave{At: time.Hour, Every: time.Hour, Waves: 1, Frac: 0.6, For: hold}.NewInjector(0)
+			for _, now := range []time.Duration{time.Hour, time.Hour + 10*time.Minute, released, 2 * time.Hour, 4 * time.Hour, 5 * time.Hour} {
+				eng.Inject(ctl, now)
+				drain.Inject(ctl, now)
+				for i := 0; i < hosts; i++ {
+					id := cluster.HostID(i)
+					byDefrag := defragHeld[id] && now < released
+					byDrain := i <= 5 && now < time.Hour+hold
+					if got := pool.Host(id).Unavailable; got != (byDefrag || byDrain) {
+						t.Fatalf("host %d at %v: unavailable=%v, want %v (defrag holds %v, drain holds %v)",
+							id, now, got, byDefrag || byDrain, byDefrag, byDrain)
+					}
+				}
+			}
+			if eng.Stats.HostsFreed != 2 || eng.Stats.Performed != 2 {
+				t.Fatalf("defrag stats %+v, want both hosts drained and freed", eng.Stats)
+			}
+		})
 	}
 }
 

@@ -103,7 +103,7 @@ func TestBoundMatchesUnbound(t *testing.T) {
 			pol := mk(pred)
 			eng := defrag.New(defrag.Config{Strategy: defrag.OrderLARS, Policy: pol, Pred: pred,
 				Threshold: 0.9, HostsPerRound: 3, CheckEvery: 2 * time.Hour})
-			res, err := sim.Run(sim.Config{Trace: tr, Policy: pol, Components: []sim.Component{eng}})
+			res, err := sim.Run(sim.Config{Trace: tr, Policy: pol, Injectors: []sim.Injector{eng}})
 			if err != nil {
 				t.Fatal(err)
 			}

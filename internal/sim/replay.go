@@ -27,8 +27,9 @@ import (
 // Regret is recorded minus chosen there (level -1: a tie, or a policy that
 // cannot price pairs; zero regret). pol must be a fresh instance; decisions
 // must be in recorded order with creation records, as an unbounded
-// ptrace.Recorder returns them. Runs with pool-mutating Components (the
-// defragmenter) are not replayable: their mutations are not in the stream.
+// ptrace.Recorder returns them. Defragmenter runs are not replayable: their
+// withdrawals and restores are recorded, but their migrations and
+// placeholder reservations are not.
 func Replay(tr *trace.Trace, pol scheduler.Policy, decisions []ptrace.Decision) (*ptrace.Report, error) {
 	if pol == nil {
 		return nil, errors.New("sim: replay needs a policy")

@@ -25,7 +25,7 @@ func liveVM(t *testing.T, m *Machine, id cluster.VMID) *cluster.VM {
 // dirty sets the fields Create leaves to placement and the policies, so a
 // reuse that does not overwrite the whole struct shows.
 func dirty(vm *cluster.VM) {
-	vm.InitialPrediction, vm.Migrations, vm.BindSlot = time.Hour, 3, 7
+	vm.InitialPrediction, vm.BindSlot = time.Hour, 7
 }
 
 // wantFresh fails unless vm is exactly what Create builds for rec at at,

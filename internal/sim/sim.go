@@ -14,19 +14,14 @@ import (
 	"lava/internal/trace"
 )
 
-// Component is a pluggable subsystem driven by the simulator clock
-// (defragmenter, stranding probe, telemetry).
-type Component interface {
-	Tick(pool *cluster.Pool, now time.Duration)
-}
-
-// Injector is a scenario event driver ticked by the simulator. Unlike a
-// Component, which only sees the pool, an Injector acts through Control and
-// can perform policy-aware mutations — forced VM exits, host withdrawals —
-// that the trace itself does not contain (internal/scenario builds its
-// typed events on this hook). Injectors run at the start of every tick,
-// before the policy's OnTick and the Components, so policies react to
-// injected events on the same tick.
+// Injector is an operational event driver ticked by the simulator: the
+// defragmenter (internal/defrag), the stranding probe (internal/stranding)
+// and the scenario engines (internal/scenario, drain waves, correlated
+// failures, capacity crunches). It acts through Control, so its mutations —
+// forced VM exits, host withdrawals — stay policy-aware even though the
+// trace itself does not contain them. Injectors run at the start of every
+// tick, in Config order and before the policy's OnTick, so policies react
+// to injected events on the same tick.
 type Injector interface {
 	Inject(ctl *Control, now time.Duration)
 }
@@ -34,17 +29,17 @@ type Injector interface {
 // Control is the mutation surface the simulator hands to Injectors. It
 // bundles the pool with the run's policy and counters so injected events
 // stay indistinguishable from trace events: a killed VM leaves through the
-// same policy hook as a natural exit. Host withdrawals are
-// reference-counted across all of a run's injectors (Withdraw/Restore), so
-// overlapping events — a drain wave crossing a capacity crunch — keep a
+// same policy hook as a natural exit. Control is the only writer of
+// cluster.Host.Unavailable. Host withdrawals are reference-counted across
+// all of a run's injectors (Withdraw/Restore), so overlapping events — a
+// drain wave crossing a defragmenter's drain or a capacity crunch — keep a
 // host out of service until the last claim on it is released.
 type Control struct {
 	pool   *cluster.Pool
 	policy scheduler.Policy
 	res    *Result
 
-	claims map[cluster.HostID]int  // withdrawal claims held by injectors
-	owned  map[cluster.HostID]bool // Unavailable flags this Control flipped
+	claims map[cluster.HostID]int // withdrawal claims held by injectors
 
 	tracer *ptrace.Recorder // decision recorder (nil: tracing off)
 	now    time.Duration    // current tick time, for injector event stamps
@@ -106,7 +101,6 @@ func NewControl(pool *cluster.Pool, policy scheduler.Policy, res *Result) *Contr
 		policy: policy,
 		res:    res,
 		claims: make(map[cluster.HostID]int),
-		owned:  make(map[cluster.HostID]bool),
 	}
 }
 
@@ -115,41 +109,35 @@ func NewControl(pool *cluster.Pool, policy scheduler.Policy, res *Result) *Contr
 // Kill.
 func (c *Control) Pool() *cluster.Pool { return c.pool }
 
-// Withdraw takes a host out of service under a reference-counted claim. A
-// host already made unavailable by a non-injector component (defrag,
-// maintenance) is claimed but its flag is left alone — that owner restores
-// it on its own schedule.
+// Withdraw takes a host out of service under a reference-counted claim:
+// the first claim sets its Unavailable flag.
 func (c *Control) Withdraw(id cluster.HostID) {
 	c.claims[id]++
 	if c.claims[id] == 1 {
-		if h := c.pool.Host(id); !h.Unavailable {
-			h.Unavailable = true
-			c.owned[id] = true
-			// Availability changed outside the pool's own mutators; tell
-			// score caches (see cluster.HostInvalidated).
-			c.pool.InvalidateHost(id)
-			if c.tracer != nil {
-				c.tracer.Record(ptrace.Decision{Kind: ptrace.KindWithdraw, T: c.now, Host: id, Level: -1})
-			}
-		}
+		c.setUnavailable(id, true, ptrace.KindWithdraw)
 	}
 }
 
-// Restore releases one withdrawal claim. The host returns to service only
-// when the last claim drops and this Control set its flag in the first
-// place.
+// Restore releases one withdrawal claim. The host returns to service when
+// the last claim drops.
 func (c *Control) Restore(id cluster.HostID) {
 	if c.claims[id] == 0 {
 		return // unbalanced Restore: nothing held
 	}
 	c.claims[id]--
-	if c.claims[id] == 0 && c.owned[id] {
-		c.pool.Host(id).Unavailable = false
-		delete(c.owned, id)
-		c.pool.InvalidateHost(id)
-		if c.tracer != nil {
-			c.tracer.Record(ptrace.Decision{Kind: ptrace.KindRestore, T: c.now, Host: id, Level: -1})
-		}
+	if c.claims[id] == 0 {
+		c.setUnavailable(id, false, ptrace.KindRestore)
+	}
+}
+
+// setUnavailable flips a host's flag, tells score caches (availability
+// changes outside the pool's own mutators; see cluster.HostInvalidated) and
+// records the decision.
+func (c *Control) setUnavailable(id cluster.HostID, v bool, kind ptrace.Kind) {
+	c.pool.Host(id).Unavailable = v
+	c.pool.InvalidateHost(id)
+	if c.tracer != nil {
+		c.tracer.Record(ptrace.Decision{Kind: kind, T: c.now, Host: id, Level: -1})
 	}
 }
 
@@ -192,13 +180,11 @@ type Config struct {
 	// record sequence.
 	Source trace.Stream
 
-	// Components run on every tick.
-	Components []Component
-
-	// Injectors run on every tick, before the policy tick and the
-	// Components. Scenario engines (internal/scenario) use them to drive
-	// operational events — drain waves, correlated failures, capacity
-	// crunches — into an otherwise steady trace.
+	// Injectors run on every tick, in order, before the policy tick: the
+	// defragmenter, the stranding probe and the scenario engines
+	// (internal/scenario), which drive operational events — drain waves,
+	// correlated failures, capacity crunches — into an otherwise steady
+	// trace.
 	Injectors []Injector
 
 	// CheckInvariants validates pool consistency at every sample (slow;
@@ -284,11 +270,10 @@ var ErrLiveVM = errors.New("vm id already live")
 // identical to an offline one: there is only one stepping engine.
 //
 // The caller feeds events in nondecreasing virtual-time order (times that
-// run backwards are clamped to the current time); samples and policy/
-// component/injector ticks fire lazily inside Advance exactly as they do in
-// Run. A Machine is not safe for concurrent use — it assumes a single
-// driving goroutine, the same single-writer discipline cluster.Pool
-// requires.
+// run backwards are clamped to the current time); samples and injector/
+// policy ticks fire lazily inside Advance exactly as they do in Run. A
+// Machine is not safe for concurrent use — it assumes a single driving
+// goroutine, the same single-writer discipline cluster.Pool requires.
 //
 // A Machine reuses VM objects: the VMs that leave it for good, through Exit
 // or Control.Kill, are kept and reused by a Create at a later instant
@@ -410,8 +395,8 @@ func (m *Machine) SLOSummary() *slo.Summary {
 }
 
 // Advance moves virtual time forward to t, firing every due metric sample
-// and injector/policy/component tick on the way (samples win ties, exactly
-// as in Run). Times at or before the current time are a no-op.
+// and injector/policy tick on the way (samples win ties, exactly as in
+// Run). Times at or before the current time are a no-op.
 func (m *Machine) Advance(t time.Duration) error {
 	if m.finished {
 		return ErrFinished
@@ -444,9 +429,6 @@ func (m *Machine) Advance(t time.Duration) error {
 				in.Inject(m.ctl, m.nextTick)
 			}
 			m.cfg.Policy.OnTick(m.pool, m.nextTick)
-			for _, c := range m.cfg.Components {
-				c.Tick(m.pool, m.nextTick)
-			}
 			m.nextTick += simtime.TickEvery
 		}
 	}

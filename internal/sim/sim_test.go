@@ -131,29 +131,29 @@ func TestLifetimeAwareBeatsBaseline(t *testing.T) {
 	}
 }
 
-// tickCounter verifies components receive ticks.
+// tickCounter counts the ticks it is injected on.
 type tickCounter struct {
 	n    int
 	last time.Duration
 }
 
-func (c *tickCounter) Tick(_ *cluster.Pool, now time.Duration) {
+func (c *tickCounter) Inject(_ *Control, now time.Duration) {
 	c.n++
 	c.last = now
 }
 
-func TestComponentsTicked(t *testing.T) {
+func TestInjectorsTicked(t *testing.T) {
 	tr := smallTrace(t, 1, 0.5, 5)
 	c := &tickCounter{}
 	_, err := Run(Config{
 		Trace: tr, Policy: scheduler.NewWasteMin(),
-		Components: []Component{c},
+		Injectors: []Injector{c},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.n < 20 || c.last != time.Duration(c.n)*simtime.TickEvery {
-		t.Fatalf("component ticked %d times over ~1 day, last at %v; want >= 20, every %v", c.n, c.last, simtime.TickEvery)
+		t.Fatalf("injector ticked %d times over ~1 day, last at %v; want >= 20, every %v", c.n, c.last, simtime.TickEvery)
 	}
 }
 

@@ -16,8 +16,8 @@ const (
 	// days are capped during model training (Appendix B).
 	CapLifetime = 168 * time.Hour
 
-	// TickEvery and SampleEvery are the simulator's one clock (§5.1): policy,
-	// injector and component ticks, and metric samples. Every run — offline
+	// TickEvery and SampleEvery are the simulator's one clock (§5.1): policy
+	// and injector ticks, and metric samples. Every run — offline
 	// (sim.Machine), served or replayed (sim.Replay) — reads them.
 	TickEvery   = 5 * time.Minute
 	SampleEvery = time.Hour

@@ -7,6 +7,7 @@ import (
 
 	"lava/internal/cluster"
 	"lava/internal/resources"
+	"lava/internal/sim"
 	"lava/internal/trace"
 )
 
@@ -118,7 +119,8 @@ func MixFromTrace(records []trace.Record, maxShapes int) []resources.Vector {
 	return shapes
 }
 
-// Prober is a sim.Component that measures stranding periodically.
+// Prober is a sim.Injector that measures stranding periodically. It only
+// reads the pool: Measure packs a clone.
 type Prober struct {
 	Mix     []resources.Vector
 	Every   time.Duration
@@ -127,13 +129,13 @@ type Prober struct {
 	next time.Duration
 }
 
-// Tick implements the simulator component interface.
-func (p *Prober) Tick(pool *cluster.Pool, now time.Duration) {
+// Inject implements sim.Injector.
+func (p *Prober) Inject(ctl *sim.Control, now time.Duration) {
 	if p.Every == 0 || now < p.next {
 		return
 	}
 	p.next = now + p.Every
-	res, err := Measure(pool, p.Mix, now)
+	res, err := Measure(ctl.Pool(), p.Mix, now)
 	if err != nil {
 		return
 	}

@@ -6,6 +6,7 @@ import (
 
 	"lava/internal/cluster"
 	"lava/internal/resources"
+	"lava/internal/sim"
 	"lava/internal/trace"
 )
 
@@ -104,9 +105,10 @@ func TestMixFromTrace(t *testing.T) {
 func TestProber(t *testing.T) {
 	p := cluster.NewPool("t", 2, resources.Cores(8, 32768, 0))
 	pr := &Prober{Mix: []resources.Vector{resources.Cores(1, 4096, 0)}, Every: time.Hour}
-	pr.Tick(p, 0)
-	pr.Tick(p, 10*time.Minute) // within interval: no new measurement
-	pr.Tick(p, time.Hour)
+	ctl := sim.NewControl(p, nil, nil)
+	pr.Inject(ctl, 0)
+	pr.Inject(ctl, 10*time.Minute) // within interval: no new measurement
+	pr.Inject(ctl, time.Hour)
 	if len(pr.Results) != 2 {
 		t.Fatalf("results = %d, want 2", len(pr.Results))
 	}
