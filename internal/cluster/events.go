@@ -69,9 +69,8 @@ type HostListener func(h *Host, ev HostEvent)
 // host's feasibility or any event-driven score — VM set changes, Unavailable
 // flips, LAVA state-machine transitions — is announced either by the
 // structural events (place/exit/migrate) or by an explicit InvalidateHost
-// from the code performing the out-of-band mutation: sim.Control for
-// Unavailable flips (it is their only writer), the policy's hooks for LAVA
-// transitions. Code that mutates host state outside the Pool mutators must
+// from the code performing the out-of-band mutation (sim.Control, the
+// policy hooks). Code that mutates host state outside the Pool mutators must
 // call InvalidateHost afterwards; the scheduler's differential tests exist
 // to catch violations.
 //

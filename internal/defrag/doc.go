@@ -14,8 +14,7 @@
 // copy, and every such exit saves one live migration (Table 2 reports
 // ≈4.3–4.6% savings).
 //
-// Engine is a sim.Injector: it drains hosts with sim.Control's
-// reference-counted Withdraw and Restore, shared with scenario events and
-// traced as such. Its migrations are not traced, so sim.Replay cannot
-// replay a defragmenter run.
+// Engine is a sim.Injector that drains hosts through sim.Control's
+// reference-counted Withdraw and Restore. Its migrations are not traced, so
+// sim.Replay cannot replay a defragmenter run.
 package defrag

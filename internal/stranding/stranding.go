@@ -119,8 +119,7 @@ func MixFromTrace(records []trace.Record, maxShapes int) []resources.Vector {
 	return shapes
 }
 
-// Prober is a sim.Injector that measures stranding periodically. It only
-// reads the pool: Measure packs a clone.
+// Prober is a sim.Injector that measures stranding periodically.
 type Prober struct {
 	Mix     []resources.Vector
 	Every   time.Duration
