@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 	"time"
@@ -19,6 +20,31 @@ func newVM(id VMID, cores int64) *VM {
 func TestVMSize(t *testing.T) {
 	if n := unsafe.Sizeof(VM{}); n > 192 {
 		t.Fatalf("cluster.VM is %d bytes, over 192", n)
+	}
+}
+
+// TestHostSize: a Host stays at 104 bytes with 8-byte pointers (84 with
+// 4-byte ones), the size its packed fields give, so a pool's host slab
+// costs no more per host than that.
+func TestHostSize(t *testing.T) {
+	limit := uintptr(104)
+	if unsafe.Sizeof(uintptr(0)) == 4 {
+		limit = 84 // the VM slice header and the int-sized Class shrink
+	}
+	if n := unsafe.Sizeof(Host{}); n > limit {
+		t.Fatalf("cluster.Host is %d bytes, over %d", n, limit)
+	}
+}
+
+// TestNewPoolAllocs: building a pool costs a fixed number of allocations
+// (the pool, its VM index, the host slab and the host pointers), not one
+// or more per host. The collector is off while it counts: a cycle that a
+// megabyte slab per run starts makes runtime allocations of its own.
+func TestNewPoolAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	capacity := resources.Cores(32, 131072, 0)
+	if n := testing.AllocsPerRun(20, func() { NewPool("allocs", 10_000, capacity) }); n > 4 {
+		t.Fatalf("NewPool(10000) made %v allocations, want at most 4", n)
 	}
 }
 
@@ -198,7 +224,7 @@ func TestUtilization(t *testing.T) {
 }
 
 func TestLAVAStateMachine(t *testing.T) {
-	h := NewHost(0, resources.Cores(10, 40960, 0))
+	h := &Host{Capacity: resources.Cores(10, 40960, 0)}
 	now := 5 * time.Hour
 
 	h.OpenAs(simtime.LC3, now)
@@ -264,7 +290,7 @@ func TestLAVAStateMachine(t *testing.T) {
 }
 
 func TestHostMaxUtilization(t *testing.T) {
-	h := NewHost(0, resources.Cores(10, 10000, 0))
+	h := &Host{Capacity: resources.Cores(10, 10000, 0)}
 	vm := &VM{ID: 1, Shape: resources.Vector{CPUMilli: 9500, MemoryMB: 1000}}
 	if err := h.add(vm); err != nil {
 		t.Fatal(err)

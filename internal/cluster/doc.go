@@ -38,4 +38,13 @@
 // contract and typically just flip dirty bits — the scheduler's incremental
 // score caches are built on this surface (see internal/scheduler and
 // DESIGN.md §6).
+//
+// # Memory layout
+//
+// A pool's hosts live in slabs: NewPool, AddHosts and Clone allocate each
+// batch of hosts as one []Host, so a pool costs a few allocations whatever
+// its size. Pool.Host indexes the ID-sorted host slice directly on a pool
+// that has only grown and binary-searches it otherwise; there is no ID
+// map. A host's residual set (§4.3) is a flag on each VM plus a count on
+// the host, not a map.
 package cluster

@@ -105,7 +105,7 @@ type subscription struct{ fn HostListener }
 // subscribers that scheduling-relevant state changed outside the pool's own
 // mutators. Unknown IDs are ignored.
 func (p *Pool) InvalidateHost(id HostID) {
-	if h := p.byID[id]; h != nil {
+	if h := p.Host(id); h != nil {
 		p.notify(h, HostInvalidated)
 	}
 }

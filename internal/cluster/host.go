@@ -13,7 +13,8 @@ import (
 type HostID int32
 
 // HostState is the LAVA host state (§4.3), mirroring LLAMA's page states.
-type HostState int
+// A uint8 packs it next to Host.Unavailable.
+type HostState uint8
 
 // Host states. Hosts without any VM are StateEmpty; the first placement
 // under LAVA opens them; once >=90% full they transition to recycling and
@@ -44,8 +45,15 @@ const RecyclingThreshold = 0.9
 
 // Host is a physical machine. All hosts in a pool share one capacity shape
 // (§G.2: "all server host hardware is the same within each pool").
+//
+// A pool allocates its hosts in slabs (see NewPool), and the fields are
+// ordered so that a Host takes 104 bytes on 64-bit targets: the residual
+// count fills the word after ID, and State shares one with Unavailable.
 type Host struct {
-	ID       HostID
+	ID HostID
+
+	residuals int32 // VMs on the host whose residual flag is set
+
 	Capacity resources.Vector
 
 	used resources.Vector
@@ -57,21 +65,11 @@ type Host struct {
 
 	// LAVA per-host state (§4.3). Class, State and Deadline are maintained
 	// by the LAVA policy through the methods below; other policies leave
-	// them at their zero values.
+	// them at their zero values. The residual VMs of the current class
+	// epoch carry VM.residual, counted in residuals.
 	State    HostState
 	Class    simtime.LifetimeClass
 	Deadline time.Duration // sim time at which the current class expires
-	residual map[VMID]bool // residual VMs of the current class epoch; nil when empty
-}
-
-// NewHost builds an empty host with the given capacity. The VM slice and the
-// residual map are allocated lazily on first use: at million-host scale
-// most hosts are cold for long stretches, and eager allocations per host
-// dominate the resident footprint of an otherwise idle pool. Ranges over a
-// nil slice and lookups, deletes and ranges over a nil map are safe, so
-// only the insertion paths allocate.
-func NewHost(id HostID, capacity resources.Vector) *Host {
-	return &Host{ID: id, Capacity: capacity}
 }
 
 // Used returns the currently allocated resource vector.
@@ -145,6 +143,7 @@ func (h *Host) add(vm *VM) error {
 	h.vms = append(h.vms, vm)
 	h.used = h.used.Add(vm.Shape)
 	vm.Host = h
+	vm.residual = false // a VM joins a host's current epoch, never its residual set
 	return nil
 }
 
@@ -159,7 +158,10 @@ func (h *Host) remove(id VMID) (*VM, error) {
 	h.vms[k] = h.vms[last]
 	h.vms[last] = nil
 	h.vms = h.vms[:last]
-	delete(h.residual, id)
+	if vm.residual {
+		vm.residual = false
+		h.residuals--
+	}
 	h.used = h.used.Sub(vm.Shape)
 	vm.Host = nil
 	return vm, nil
@@ -188,24 +190,34 @@ func (h *Host) StartRecycling() {
 	h.markAllResidual()
 }
 
-// markAllResidual labels every current VM as residual. A host with no VMs
-// keeps a nil residual map.
+// markAllResidual labels every current VM as residual.
 func (h *Host) markAllResidual() {
-	if len(h.vms) == 0 {
-		h.residual = nil
-		return
-	}
-	h.residual = make(map[VMID]bool, len(h.vms))
 	for _, vm := range h.vms {
-		h.residual[vm.ID] = true
+		vm.residual = true
 	}
+	h.residuals = int32(len(h.vms))
+}
+
+// countResidual counts the hosted VMs whose residual flag is set, the
+// quantity residuals caches (Pool.CheckInvariants compares the two).
+func (h *Host) countResidual() int {
+	n := 0
+	for _, vm := range h.vms {
+		if vm.residual {
+			n++
+		}
+	}
+	return n
 }
 
 // ResidualCount returns the number of residual VMs still running.
-func (h *Host) ResidualCount() int { return len(h.residual) }
+func (h *Host) ResidualCount() int { return int(h.residuals) }
 
 // IsResidual reports whether the VM is part of the residual set.
-func (h *Host) IsResidual(id VMID) bool { return h.residual[id] }
+func (h *Host) IsResidual(id VMID) bool {
+	k := h.find(id)
+	return k >= 0 && h.vms[k].residual
+}
 
 // DemoteClass reduces the host's lifetime class by one after all residual
 // VMs exited (Fig. 5b). The remaining VMs become the new residual set and
@@ -229,15 +241,23 @@ func (h *Host) ResetLAVA() {
 	h.State = StateEmpty
 	h.Class = 0
 	h.Deadline = 0
-	h.residual = nil
+	for _, vm := range h.vms {
+		vm.residual = false
+	}
+	h.residuals = 0
 }
 
-// Clone deep-copies the host, including its VM set (VM structs are copied
-// shallowly but re-pointed to the clone). Used by the stranding pipeline,
-// which packs hypothetical VMs into a copy of the pool (§2.3).
-func (h *Host) Clone() *Host {
-	c := &Host{
+// cloneInto deep-copies the host into c, including its VM set: the VM
+// structs, residual flags included, are copied into vmSlab and re-pointed
+// to c, and c's VM slice is carved from ptrSlab with no spare capacity, so
+// a later add on c reallocates it instead of writing into a neighbour's.
+// Both slabs must hold at least NumVMs entries; cloneInto returns what is
+// left of them. Used by Pool.Clone for the stranding pipeline, which packs
+// hypothetical VMs into a copy of the pool (§2.3).
+func (h *Host) cloneInto(c *Host, vmSlab []VM, ptrSlab []*VM) ([]VM, []*VM) {
+	*c = Host{
 		ID:          h.ID,
+		residuals:   h.residuals,
 		Capacity:    h.Capacity,
 		used:        h.used,
 		Unavailable: h.Unavailable,
@@ -245,21 +265,18 @@ func (h *Host) Clone() *Host {
 		Class:       h.Class,
 		Deadline:    h.Deadline,
 	}
-	if len(h.vms) > 0 {
-		c.vms = make([]*VM, 0, len(h.vms))
-		for _, vm := range h.vms {
-			cp := *vm
-			cp.Host = c
-			c.vms = append(c.vms, &cp)
-		}
+	n := len(h.vms)
+	if n == 0 {
+		return vmSlab, ptrSlab
 	}
-	if len(h.residual) > 0 {
-		c.residual = make(map[VMID]bool, len(h.residual))
-		for id := range h.residual {
-			c.residual[id] = true
-		}
+	c.vms = ptrSlab[:n:n]
+	for k, vm := range h.vms {
+		cp := &vmSlab[k]
+		*cp = *vm
+		cp.Host = c
+		c.vms[k] = cp
 	}
-	return c
+	return vmSlab[n:], ptrSlab[n:]
 }
 
 func (h *Host) String() string {

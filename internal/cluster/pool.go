@@ -15,8 +15,7 @@ import (
 // the single-writer contract and who upholds it.
 type Pool struct {
 	Name  string
-	hosts []*Host // sorted by ID; membership changes only via AddHosts/RemoveHost
-	byID  map[HostID]*Host
+	hosts []*Host         // sorted by ID; membership changes only via AddHosts/RemoveHost
 	vms   map[VMID]*Host  // VM -> current host
 	subs  []*subscription // host-event subscribers (see events.go)
 
@@ -32,22 +31,36 @@ type Pool struct {
 	empty    int
 }
 
-// NewPool builds a pool of n identical hosts with the given capacity.
+// NewPool builds a pool of n identical hosts with the given capacity. The
+// hosts live in one slab, so the pool costs a fixed handful of allocations
+// whatever n is; a host's VM slice is allocated on its first placement.
 func NewPool(name string, n int, capacity resources.Vector) *Pool {
-	p := &Pool{
-		Name: name,
-		byID: make(map[HostID]*Host, n),
-		vms:  make(map[VMID]*Host),
-	}
-	for i := 0; i < n; i++ {
-		h := NewHost(HostID(i), capacity)
-		p.hosts = append(p.hosts, h)
-		p.byID[h.ID] = h
-		p.capTot = p.capTot.Add(capacity)
-		p.emptyCap = p.emptyCap.Add(capacity)
-	}
+	p := &Pool{Name: name, vms: make(map[VMID]*Host)}
+	p.hosts = appendSlab(make([]*Host, 0, n), 0, n, capacity)
+	p.capTot = sumCapacity(n, capacity)
+	p.emptyCap = p.capTot
 	p.empty = n
 	return p
+}
+
+// appendSlab appends n new empty hosts with IDs first, first+1, ... to
+// hosts, all allocated in one slab.
+func appendSlab(hosts []*Host, first HostID, n int, capacity resources.Vector) []*Host {
+	slab := make([]Host, n)
+	for i := range slab {
+		slab[i] = Host{ID: first + HostID(i), Capacity: capacity}
+		hosts = append(hosts, &slab[i])
+	}
+	return hosts
+}
+
+// sumCapacity returns n copies of capacity added up.
+func sumCapacity(n int, capacity resources.Vector) resources.Vector {
+	var tot resources.Vector
+	for i := 0; i < n; i++ {
+		tot = tot.Add(capacity)
+	}
+	return tot
 }
 
 // Hosts returns the hosts in ID order. Callers must not mutate the slice,
@@ -65,20 +78,14 @@ func (p *Pool) AddHosts(n int, capacity resources.Vector) []*Host {
 		return nil
 	}
 	next := HostID(0)
-	for _, h := range p.hosts {
-		if h.ID >= next {
-			next = h.ID + 1
-		}
+	if len(p.hosts) > 0 {
+		next = p.hosts[len(p.hosts)-1].ID + 1 // hosts are sorted by ID
 	}
-	added := make([]*Host, 0, n)
-	for i := 0; i < n; i++ {
-		h := NewHost(next+HostID(i), capacity)
-		p.hosts = append(p.hosts, h)
-		p.byID[h.ID] = h
-		added = append(added, h)
-		p.capTot = p.capTot.Add(capacity)
-		p.emptyCap = p.emptyCap.Add(capacity)
-	}
+	p.hosts = appendSlab(p.hosts, next, n, capacity)
+	added := p.hosts[len(p.hosts)-n:]
+	add := sumCapacity(n, capacity)
+	p.capTot = p.capTot.Add(add)
+	p.emptyCap = p.emptyCap.Add(add)
 	p.empty += n
 	for _, h := range added {
 		p.notify(h, HostAdded)
@@ -92,20 +99,17 @@ func (p *Pool) AddHosts(n int, capacity resources.Vector) []*Host {
 // incremental score caches to their exhaustive fallback (correct, slower).
 // The removal publishes a HostRemoved event.
 func (p *Pool) RemoveHost(id HostID) error {
-	h := p.byID[id]
+	h := p.Host(id)
 	if h == nil {
 		return fmt.Errorf("pool %s: host %d not in pool", p.Name, id)
 	}
 	if !h.Empty() {
 		return fmt.Errorf("pool %s: host %d still runs %d VMs", p.Name, id, len(h.VMs()))
 	}
-	for i, cur := range p.hosts {
-		if cur.ID == id {
-			p.hosts = append(p.hosts[:i], p.hosts[i+1:]...)
-			break
-		}
-	}
-	delete(p.byID, id)
+	i, last := p.index(id), len(p.hosts)-1
+	copy(p.hosts[i:], p.hosts[i+1:])
+	p.hosts[last] = nil
+	p.hosts = p.hosts[:last]
 	p.capTot = p.capTot.Sub(h.Capacity)
 	p.emptyCap = p.emptyCap.Sub(h.Capacity) // removable hosts are empty
 	p.empty--
@@ -113,8 +117,37 @@ func (p *Pool) RemoveHost(id HostID) error {
 	return nil
 }
 
-// Host returns the host with the given ID, or nil.
-func (p *Pool) Host(id HostID) *Host { return p.byID[id] }
+// Host returns the host with the given ID, or nil. A pool that has only
+// grown holds host i at index i, so the lookup is one comparison; a pool
+// with removed hosts falls back to a binary search of the ID-sorted hosts.
+func (p *Pool) Host(id HostID) *Host {
+	if uint64(id) < uint64(len(p.hosts)) {
+		if h := p.hosts[id]; h.ID == id {
+			return h
+		}
+	}
+	if i := p.index(id); i >= 0 {
+		return p.hosts[i]
+	}
+	return nil
+}
+
+// index returns the position of the host with the given ID in hosts, or -1.
+func (p *Pool) index(id HostID) int {
+	lo, hi := 0, len(p.hosts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p.hosts[mid].ID < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(p.hosts) && p.hosts[lo].ID == id {
+		return lo
+	}
+	return -1
+}
 
 // NumHosts returns the pool size.
 func (p *Pool) NumHosts() int { return len(p.hosts) }
@@ -280,18 +313,22 @@ func (p *Pool) RunningVMs() []*VM {
 // Clone deep-copies the pool for what-if packing (stranding inflation).
 // Subscribers are not copied: the clone starts with a fresh, empty listener
 // list, and score caches rebind (and rebuild) when first scheduled against
-// a different pool.
+// a different pool. The copied hosts share one slab, and so do the copied
+// VMs and the hosts' VM slices.
 func (p *Pool) Clone() *Pool {
 	c := &Pool{
-		Name: p.Name,
-		byID: make(map[HostID]*Host, len(p.hosts)),
-		vms:  make(map[VMID]*Host, len(p.vms)),
+		Name:  p.Name,
+		hosts: make([]*Host, len(p.hosts)),
+		vms:   make(map[VMID]*Host, len(p.vms)),
 	}
-	for _, h := range p.hosts {
-		hc := h.Clone()
-		c.hosts = append(c.hosts, hc)
-		c.byID[hc.ID] = hc
-		for _, vm := range hc.VMs() {
+	slab := make([]Host, len(p.hosts))
+	vmSlab := make([]VM, len(p.vms))
+	ptrSlab := make([]*VM, len(p.vms))
+	for i, h := range p.hosts {
+		hc := &slab[i]
+		vmSlab, ptrSlab = h.cloneInto(hc, vmSlab, ptrSlab)
+		c.hosts[i] = hc
+		for _, vm := range hc.vms {
 			c.vms[vm.ID] = hc
 		}
 	}
@@ -321,6 +358,9 @@ func (p *Pool) CheckInvariants() error {
 			if p.vms[vm.ID] != h {
 				return fmt.Errorf("vm %d index mismatch", vm.ID)
 			}
+		}
+		if n := h.countResidual(); n != h.ResidualCount() {
+			return fmt.Errorf("host %d residual count %d != flagged VMs %d", h.ID, h.ResidualCount(), n)
 		}
 		if sum != h.Used() {
 			return fmt.Errorf("host %d used %s != sum of shapes %s", h.ID, h.Used(), sum)

@@ -51,6 +51,10 @@ type VM struct {
 	// bound (slot 0) or reused after an exit is simply bound again. An int32
 	// keeps VM at 192 bytes.
 	BindSlot int32
+
+	// residual marks the VM as part of its host's residual set (§4.3). It
+	// sits in the padding after BindSlot; only Host's methods touch it.
+	residual bool
 }
 
 // Uptime returns how long the VM has been running at time now.

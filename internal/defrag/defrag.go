@@ -220,8 +220,13 @@ func (e *Engine) completeDue(pool *cluster.Pool, now time.Duration) {
 		// already did).
 		_, _, _ = pool.Exit(m.placeholder)
 		if pool.HostOf(m.vmID) != nil {
-			// VM still alive: move it. If the reserved target somehow
-			// cannot take it anymore, retry later via pending.
+			// VM still alive: move it. If the reserved target was
+			// withdrawn during the copy (a maintenance drain) or cannot
+			// take it anymore, retry later via pending.
+			if m.dst.Unavailable {
+				e.pending = append(e.pending, &migration{vmID: m.vmID, src: m.src})
+				continue
+			}
 			if _, err := pool.Migrate(m.vmID, m.dst); err != nil {
 				e.pending = append(e.pending, &migration{vmID: m.vmID, src: m.src})
 				continue

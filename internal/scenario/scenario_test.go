@@ -309,6 +309,29 @@ func TestDrainWaveOverlapHoldsHosts(t *testing.T) {
 	}
 }
 
+// defragUnderDrain builds the shared-claims geometry: ten hosts, one
+// long-lived VM on hosts 0 and 5 (the only hosts a defragmenter triggered
+// at 1h drains), and a drain wave that withdraws hosts 0-5 at 1h for hold.
+// At 1h the engine reserves targets among hosts 1-4 before the wave takes
+// them out of service.
+func defragUnderDrain(t *testing.T, hold time.Duration) (*cluster.Pool, *sim.Control, *defrag.Engine, sim.Injector) {
+	t.Helper()
+	pool := cluster.NewPool("shared", 10, workload.DefaultHostShape)
+	for _, h := range []cluster.HostID{0, 5} {
+		vm := &cluster.VM{ID: cluster.VMID(h + 1), Shape: resources.Cores(4, 16384, 0), TrueLifetime: 1000 * time.Hour}
+		if err := pool.Place(vm, pool.Host(h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctl := sim.NewControl(pool, scheduler.NewWasteMin(), nil)
+	eng := defrag.New(defrag.Config{
+		Policy: scheduler.NewBestFit(), Pred: model.Oracle{},
+		Threshold: 0.99, HostsPerRound: 2, CheckEvery: 1000 * time.Hour,
+	})
+	drain := DrainWave{At: time.Hour, Every: time.Hour, Waves: 1, Frac: 0.6, For: hold}.NewInjector(0)
+	return pool, ctl, eng, drain
+}
+
 // TestDrainWaveAndDefragShareClaims runs a defragmenter and a drain wave on
 // one Control over overlapping hosts: a host both withdrew returns to
 // service only once both released it, whichever releases first.
@@ -316,23 +339,12 @@ func TestDrainWaveAndDefragShareClaims(t *testing.T) {
 	const hosts = 10
 	defragHeld := map[cluster.HostID]bool{0: true, 5: true}
 	released := time.Hour + 20*time.Minute // the defragmenter's copy window ends
+	// A wave that outlasts the first copies has withdrawn their targets:
+	// both moves are started again elsewhere.
+	performed := map[time.Duration]int{10 * time.Minute: 2, 3 * time.Hour: 4}
 	for _, hold := range []time.Duration{10 * time.Minute, 3 * time.Hour} {
 		t.Run(fmt.Sprintf("drain-for-%v", hold), func(t *testing.T) {
-			pool := cluster.NewPool("shared", hosts, workload.DefaultHostShape)
-			// One VM on hosts 0 and 5: the only hosts the engine drains.
-			for h := range defragHeld {
-				vm := &cluster.VM{ID: cluster.VMID(h + 1), Shape: resources.Cores(4, 16384, 0), TrueLifetime: 1000 * time.Hour}
-				if err := pool.Place(vm, pool.Host(h)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ctl := sim.NewControl(pool, scheduler.NewWasteMin(), nil)
-			eng := defrag.New(defrag.Config{
-				Policy: scheduler.NewBestFit(), Pred: model.Oracle{},
-				Threshold: 0.99, HostsPerRound: 2, CheckEvery: 1000 * time.Hour,
-			})
-			// The wave withdraws hosts 0-5 at 1h for hold.
-			drain := DrainWave{At: time.Hour, Every: time.Hour, Waves: 1, Frac: 0.6, For: hold}.NewInjector(0)
+			pool, ctl, eng, drain := defragUnderDrain(t, hold)
 			for _, now := range []time.Duration{time.Hour, time.Hour + 10*time.Minute, released, 2 * time.Hour, 4 * time.Hour, 5 * time.Hour} {
 				eng.Inject(ctl, now)
 				drain.Inject(ctl, now)
@@ -346,10 +358,42 @@ func TestDrainWaveAndDefragShareClaims(t *testing.T) {
 					}
 				}
 			}
-			if eng.Stats.HostsFreed != 2 || eng.Stats.Performed != 2 {
-				t.Fatalf("defrag stats %+v, want both hosts drained and freed", eng.Stats)
+			if eng.Stats.HostsFreed != 2 || eng.Stats.Performed != performed[hold] {
+				t.Fatalf("defrag stats %+v, want both hosts drained and freed in %d moves", eng.Stats, performed[hold])
 			}
 		})
+	}
+}
+
+// TestDefragSkipsWithdrawnTarget: a drain wave withdraws hosts 0-5 from 1h
+// to 4h, after the defragmenter reserved targets among them for the VMs of
+// hosts 0 and 5. No VM may land on a withdrawn host; the moves go to hosts
+// in service instead.
+func TestDefragSkipsWithdrawnTarget(t *testing.T) {
+	pool, ctl, eng, drain := defragUnderDrain(t, 3*time.Hour)
+	vms := []cluster.VMID{1, 6}
+	at := map[cluster.VMID]*cluster.Host{1: pool.Host(0), 6: pool.Host(5)}
+	for now := time.Hour; now <= 5*time.Hour; now += 10 * time.Minute {
+		eng.Inject(ctl, now)
+		drain.Inject(ctl, now)
+		for _, id := range vms {
+			h := pool.HostOf(id)
+			if h != at[id] && h.Unavailable {
+				t.Fatalf("at %v vm %d moved from host %d onto withdrawn host %d", now, id, at[id].ID, h.ID)
+			}
+			at[id] = h
+		}
+	}
+	for _, id := range vms {
+		if h := at[id]; h.ID <= 5 {
+			t.Fatalf("vm %d ended on host %d, inside the drained range", id, h.ID)
+		}
+	}
+	if eng.Stats.HostsFreed != 2 {
+		t.Fatalf("defrag stats %+v, want both hosts freed", eng.Stats)
+	}
+	if err := pool.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -74,6 +74,49 @@ func TestMachineReusesExitedVMsLater(t *testing.T) {
 	wantFresh(t, gone, rec, 3*at)
 }
 
+// TestMachineReusedVMStartsNonResidual: the object of a VM that exits from
+// a recycling host as one of its residual VMs carries no residual mark into
+// the VM that reuses it, even when that VM lands on the same host.
+func TestMachineReusedVMStartsNonResidual(t *testing.T) {
+	m, err := NewMachine(Config{Trace: &trace.Trace{
+		PoolName: "residual-reuse", Hosts: 2, HostCPU: 4000, HostMem: 4000, Horizon: 10 * time.Hour,
+	}, Policy: scheduler.NewBestFit()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := time.Hour
+	for id := 1; id <= 2; id++ {
+		if _, err := m.Create(seamRecord(id, at), at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := m.Pool().HostOf(1)
+	if m.Pool().HostOf(2) != h {
+		t.Fatal("best fit spread two small VMs over two hosts")
+	}
+	h.StartRecycling()
+	gone := liveVM(t, m, 1)
+	if !h.IsResidual(1) || h.ResidualCount() != 2 {
+		t.Fatalf("after StartRecycling: residual(1)=%v count=%d", h.IsResidual(1), h.ResidualCount())
+	}
+	if ok, err := m.Exit(1, 2*at); !ok || err != nil {
+		t.Fatalf("Exit(1) = (%v, %v)", ok, err)
+	}
+	rec := seamRecord(3, 3*at)
+	got, err := m.Create(rec, 3*at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != h || liveVM(t, m, 3) != gone {
+		t.Fatalf("vm 3 on %v reusing the exited object: %v; want both on host %d", got, liveVM(t, m, 3) == gone, h.ID)
+	}
+	if h.IsResidual(3) || !h.IsResidual(2) || h.ResidualCount() != 1 {
+		t.Fatalf("residual(3)=%v residual(2)=%v count=%d, want false, true, 1",
+			h.IsResidual(3), h.IsResidual(2), h.ResidualCount())
+	}
+	wantFresh(t, gone, rec, 3*at)
+}
+
 // killAt kills one VM at the first tick at or after At.
 type killAt struct {
 	At   time.Duration
