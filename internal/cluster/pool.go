@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"lava/internal/resources"
@@ -31,36 +33,31 @@ type Pool struct {
 	empty    int
 }
 
-// NewPool builds a pool of n identical hosts with the given capacity. The
-// hosts live in one slab, so the pool costs a fixed handful of allocations
-// whatever n is; a host's VM slice is allocated on its first placement.
+// NewPool builds a pool of n identical hosts with the given capacity.
 func NewPool(name string, n int, capacity resources.Vector) *Pool {
-	p := &Pool{Name: name, vms: make(map[VMID]*Host)}
-	p.hosts = appendSlab(make([]*Host, 0, n), 0, n, capacity)
-	p.capTot = sumCapacity(n, capacity)
-	p.emptyCap = p.capTot
-	p.empty = n
+	p := &Pool{Name: name, hosts: make([]*Host, 0, n), vms: make(map[VMID]*Host)}
+	p.addSlab(n, capacity)
 	return p
 }
 
-// appendSlab appends n new empty hosts with IDs first, first+1, ... to
-// hosts, all allocated in one slab.
-func appendSlab(hosts []*Host, first HostID, n int, capacity resources.Vector) []*Host {
+// addSlab appends n empty hosts with IDs past the current maximum, all in
+// one slab, so a batch of hosts costs one allocation whatever its size (a
+// host's VM slice is allocated on its first placement). It returns the new
+// hosts.
+func (p *Pool) addSlab(n int, capacity resources.Vector) []*Host {
+	next := HostID(0)
+	if len(p.hosts) > 0 {
+		next = p.hosts[len(p.hosts)-1].ID + 1 // hosts are sorted by ID
+	}
 	slab := make([]Host, n)
 	for i := range slab {
-		slab[i] = Host{ID: first + HostID(i), Capacity: capacity}
-		hosts = append(hosts, &slab[i])
+		slab[i] = Host{ID: next + HostID(i), Capacity: capacity}
+		p.hosts = append(p.hosts, &slab[i])
+		p.capTot = p.capTot.Add(capacity)
+		p.emptyCap = p.emptyCap.Add(capacity)
 	}
-	return hosts
-}
-
-// sumCapacity returns n copies of capacity added up.
-func sumCapacity(n int, capacity resources.Vector) resources.Vector {
-	var tot resources.Vector
-	for i := 0; i < n; i++ {
-		tot = tot.Add(capacity)
-	}
-	return tot
+	p.empty += n
+	return p.hosts[len(p.hosts)-n:]
 }
 
 // Hosts returns the hosts in ID order. Callers must not mutate the slice,
@@ -77,16 +74,7 @@ func (p *Pool) AddHosts(n int, capacity resources.Vector) []*Host {
 	if n <= 0 {
 		return nil
 	}
-	next := HostID(0)
-	if len(p.hosts) > 0 {
-		next = p.hosts[len(p.hosts)-1].ID + 1 // hosts are sorted by ID
-	}
-	p.hosts = appendSlab(p.hosts, next, n, capacity)
-	added := p.hosts[len(p.hosts)-n:]
-	add := sumCapacity(n, capacity)
-	p.capTot = p.capTot.Add(add)
-	p.emptyCap = p.emptyCap.Add(add)
-	p.empty += n
+	added := p.addSlab(n, capacity)
 	for _, h := range added {
 		p.notify(h, HostAdded)
 	}
@@ -134,19 +122,11 @@ func (p *Pool) Host(id HostID) *Host {
 
 // index returns the position of the host with the given ID in hosts, or -1.
 func (p *Pool) index(id HostID) int {
-	lo, hi := 0, len(p.hosts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if p.hosts[mid].ID < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	i, ok := slices.BinarySearchFunc(p.hosts, id, func(h *Host, id HostID) int { return cmp.Compare(h.ID, id) })
+	if !ok {
+		return -1
 	}
-	if lo < len(p.hosts) && p.hosts[lo].ID == id {
-		return lo
-	}
-	return -1
+	return i
 }
 
 // NumHosts returns the pool size.
