@@ -198,18 +198,6 @@ func (h *Host) markAllResidual() {
 	h.residuals = int32(len(h.vms))
 }
 
-// countResidual counts the hosted VMs whose residual flag is set, the
-// quantity residuals caches (Pool.CheckInvariants compares the two).
-func (h *Host) countResidual() int {
-	n := 0
-	for _, vm := range h.vms {
-		if vm.residual {
-			n++
-		}
-	}
-	return n
-}
-
 // ResidualCount returns the number of residual VMs still running.
 func (h *Host) ResidualCount() int { return int(h.residuals) }
 
@@ -247,14 +235,11 @@ func (h *Host) ResetLAVA() {
 	h.residuals = 0
 }
 
-// cloneInto deep-copies the host into c, including its VM set: the VM
-// structs, residual flags included, are copied into vmSlab and re-pointed
-// to c, and c's VM slice is carved from ptrSlab with no spare capacity, so
-// a later add on c reallocates it instead of writing into a neighbour's.
-// Both slabs must hold at least NumVMs entries; cloneInto returns what is
-// left of them. Used by Pool.Clone for the stranding pipeline, which packs
-// hypothetical VMs into a copy of the pool (§2.3).
-func (h *Host) cloneInto(c *Host, vmSlab []VM, ptrSlab []*VM) ([]VM, []*VM) {
+// cloneInto deep-copies the host into c, including its VM set (VM structs,
+// residual flags included, are copied shallowly but re-pointed to c). Used
+// by Pool.Clone for the stranding pipeline, which packs hypothetical VMs
+// into a copy of the pool (§2.3).
+func (h *Host) cloneInto(c *Host) {
 	*c = Host{
 		ID:          h.ID,
 		residuals:   h.residuals,
@@ -265,18 +250,14 @@ func (h *Host) cloneInto(c *Host, vmSlab []VM, ptrSlab []*VM) ([]VM, []*VM) {
 		Class:       h.Class,
 		Deadline:    h.Deadline,
 	}
-	n := len(h.vms)
-	if n == 0 {
-		return vmSlab, ptrSlab
+	if len(h.vms) > 0 {
+		c.vms = make([]*VM, 0, len(h.vms))
+		for _, vm := range h.vms {
+			cp := *vm
+			cp.Host = c
+			c.vms = append(c.vms, &cp)
+		}
 	}
-	c.vms = ptrSlab[:n:n]
-	for k, vm := range h.vms {
-		cp := &vmSlab[k]
-		*cp = *vm
-		cp.Host = c
-		c.vms[k] = cp
-	}
-	return vmSlab[n:], ptrSlab[n:]
 }
 
 func (h *Host) String() string {

@@ -293,8 +293,7 @@ func (p *Pool) RunningVMs() []*VM {
 // Clone deep-copies the pool for what-if packing (stranding inflation).
 // Subscribers are not copied: the clone starts with a fresh, empty listener
 // list, and score caches rebind (and rebuild) when first scheduled against
-// a different pool. The copied hosts share one slab, and so do the copied
-// VMs and the hosts' VM slices.
+// a different pool. The copied hosts share one slab, as NewPool's do.
 func (p *Pool) Clone() *Pool {
 	c := &Pool{
 		Name:  p.Name,
@@ -302,11 +301,9 @@ func (p *Pool) Clone() *Pool {
 		vms:   make(map[VMID]*Host, len(p.vms)),
 	}
 	slab := make([]Host, len(p.hosts))
-	vmSlab := make([]VM, len(p.vms))
-	ptrSlab := make([]*VM, len(p.vms))
 	for i, h := range p.hosts {
 		hc := &slab[i]
-		vmSlab, ptrSlab = h.cloneInto(hc, vmSlab, ptrSlab)
+		h.cloneInto(hc)
 		c.hosts[i] = hc
 		for _, vm := range hc.vms {
 			c.vms[vm.ID] = hc
@@ -320,13 +317,17 @@ func (p *Pool) Clone() *Pool {
 }
 
 // CheckInvariants verifies internal consistency: per-host used sums match VM
-// shapes, no VM is double-booked, and the VM index agrees with host
-// contents. Tests and the simulator's debug mode call this.
+// shapes and residual counts match the VMs' residual flags, no VM is
+// double-booked, and the VM index agrees with host contents. Tests and the simulator's debug mode call this.
 func (p *Pool) CheckInvariants() error {
 	seen := make(map[VMID]HostID)
 	for _, h := range p.hosts {
 		var sum resources.Vector
+		residuals := 0
 		for _, vm := range h.VMs() {
+			if vm.residual {
+				residuals++
+			}
 			if prev, dup := seen[vm.ID]; dup {
 				return fmt.Errorf("vm %d on both host %d and host %d", vm.ID, prev, h.ID)
 			}
@@ -339,8 +340,8 @@ func (p *Pool) CheckInvariants() error {
 				return fmt.Errorf("vm %d index mismatch", vm.ID)
 			}
 		}
-		if n := h.countResidual(); n != h.ResidualCount() {
-			return fmt.Errorf("host %d residual count %d != flagged VMs %d", h.ID, h.ResidualCount(), n)
+		if residuals != h.ResidualCount() {
+			return fmt.Errorf("host %d residual count %d != flagged VMs %d", h.ID, h.ResidualCount(), residuals)
 		}
 		if sum != h.Used() {
 			return fmt.Errorf("host %d used %s != sum of shapes %s", h.ID, h.Used(), sum)
