@@ -109,16 +109,15 @@ func BenchmarkTable1ABPilot(b *testing.B) {
 func BenchmarkTable2LARS(b *testing.B) {
 	tr := benchTrace(b)
 	eng := defrag.New(defrag.Config{
-		Policy: scheduler.NewWasteMin(), Pred: model.Oracle{},
-		Threshold: 0.95, HostsPerRound: 8, CheckEvery: 2 * time.Hour,
+		Pred: model.Oracle{}, Threshold: 0.95, HostsPerRound: 8, CheckEvery: 2 * time.Hour,
 	})
 	if _, err := sim.Run(sim.Config{Trace: tr, Policy: scheduler.NewWasteMin(), Injectors: []sim.Injector{eng}}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		base := defrag.ReplayPlan(eng.Plan, defrag.OrderShuffled, 3)
-		lars := defrag.ReplayPlan(eng.Plan, defrag.OrderLARS, 3)
+		base := defrag.ReplayPlan(eng.Plan, defrag.OrderShuffled)
+		lars := defrag.ReplayPlan(eng.Plan, defrag.OrderLARS)
 		if lars.Performed > base.Performed {
 			b.Fatalf("LARS regressed: %d > %d", lars.Performed, base.Performed)
 		}

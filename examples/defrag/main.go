@@ -29,9 +29,9 @@ func main() {
 
 	// Run the pool once with the defrag engine, a sim.Injector ticked with
 	// the simulator clock, recording its plan: which hosts were drained
-	// when, and each VM's predicted remaining lifetime.
+	// when, and each VM's predicted remaining lifetime. Its migrations go
+	// where the run's policy places them.
 	engine := defrag.New(defrag.Config{
-		Policy:        scheduler.NewWasteMin(),
 		Pred:          model.Oracle{},
 		Threshold:     0.95, // defragment aggressively for the demo
 		HostsPerRound: 8,
@@ -52,8 +52,8 @@ func main() {
 
 	// Replay the identical plan through the 3-slot, 20-minute-per-copy
 	// migration queue under both orderings (the paper's methodology, §5.1).
-	base := defrag.ReplayPlan(engine.Plan, defrag.OrderShuffled, 3)
-	lars := defrag.ReplayPlan(engine.Plan, defrag.OrderLARS, 3)
+	base := defrag.ReplayPlan(engine.Plan, defrag.OrderShuffled)
+	lars := defrag.ReplayPlan(engine.Plan, defrag.OrderLARS)
 
 	fmt.Println("ordering        | planned | performed | saved")
 	fmt.Printf("baseline        | %7d | %9d | %d\n", base.Planned, base.Performed, base.Saved)

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -457,9 +458,11 @@ func TestDocscheck(t *testing.T) {
 		pkgA  = "// Package a is a fixture.\npackage a\n\n"
 		cmdX  = "// Command x is a fixture.\npackage main\n\nimport \"fix/internal/a\"\n\n"
 
-		hostPkg = "// Package cluster is a fixture.\npackage cluster\n\n// Host is a host.\ntype Host struct{ Unavailable bool }\n"
-		simPkg  = "// Package sim is a fixture.\npackage sim\n\nimport \"fix/internal/cluster\"\n\n// Withdraw takes h out of service.\nfunc Withdraw(h *cluster.Host) { h.Unavailable = true }\n"
-		cmdSim  = "// Command x is a fixture.\npackage main\n\nimport (\n\t\"fix/internal/cluster\"\n\t\"fix/internal/sim\"\n)\n\n"
+		hostPkg  = "// Package cluster is a fixture.\npackage cluster\n\n// Host is a host.\ntype Host struct{ Unavailable bool }\n"
+		schedPkg = "// Package scheduler is a fixture.\npackage scheduler\n\n// Policy is a policy.\ntype Policy interface{ OnPlaced() }\n"
+		simPkg   = "// Package sim is a fixture.\npackage sim\n\nimport (\n\t\"fix/internal/cluster\"\n\t\"fix/internal/scheduler\"\n)\n\n" +
+			"// Withdraw takes h out of service.\nfunc Withdraw(h *cluster.Host) { h.Unavailable = true }\n\n// Place tells p.\nfunc Place(p scheduler.Policy) { p.OnPlaced() }\n"
+		cmdSim = "// Command x is a fixture.\npackage main\n\nimport (\n\t\"fix/internal/cluster\"\n\t\"fix/internal/scheduler\"\n\t\"fix/internal/sim\"\n)\n\n"
 	)
 	for _, row := range []struct {
 		name  string
@@ -504,12 +507,13 @@ func TestDocscheck(t *testing.T) {
 			"internal/b/b.go": "// Package b is a fixture.\npackage b\n", "internal/b/b_test.go": "package b\n\nimport _ \"fix/internal/a\"\n",
 			"cmd/x/main.go": "// Command x is a fixture.\npackage main\n\nimport _ \"fix/internal/b\"\n\nfunc main() {}\n"},
 			1, "internal/a: package has no non-test importer"},
-		{"unavailable set in sim", map[string]string{"go.mod": goMod, "internal/cluster/c.go": hostPkg, "internal/sim/s.go": simPkg,
-			"cmd/x/main.go": cmdSim + "func main() { sim.Withdraw(&cluster.Host{}) }\n"},
+		{"unavailable set in sim", map[string]string{"go.mod": goMod, "internal/cluster/c.go": hostPkg, "internal/scheduler/p.go": schedPkg, "internal/sim/s.go": simPkg,
+			"cmd/x/main.go": cmdSim + "type wrap struct{ scheduler.Policy }\n\nfunc (w wrap) OnPlaced() { w.Policy.OnPlaced() }\n\n" +
+				"func main() {\n\tsim.Withdraw(&cluster.Host{})\n\tsim.Place(wrap{})\n}\n"},
 			0, ""},
-		{"unavailable set outside sim", map[string]string{"go.mod": goMod, "internal/cluster/c.go": hostPkg, "internal/sim/s.go": simPkg,
-			"cmd/x/main.go": cmdSim + "func main() {\n\th := &cluster.Host{}\n\tsim.Withdraw(h)\n\th.Unavailable = false\n}\n"},
-			1, "cmd/x/main.go:12: assigns cluster.Host.Unavailable outside internal/sim"},
+		{"unavailable set outside sim", map[string]string{"go.mod": goMod, "internal/cluster/c.go": hostPkg, "internal/scheduler/p.go": schedPkg, "internal/sim/s.go": simPkg,
+			"cmd/x/main.go": cmdSim + "func main() {\n\th := &cluster.Host{}\n\tsim.Withdraw(h)\n\th.Unavailable = false\n\tvar p scheduler.Policy\n\tsim.Place(p)\n\tp.OnPlaced()\n}\n"},
+			1, "cmd/x/main.go:13: assigns cluster.Host.Unavailable outside internal/sim\ncmd/x/main.go:16: calls a policy's OnPlaced outside internal/sim and internal/scheduler"},
 		{"bench-only caller", map[string]string{"go.mod": goMod, "internal/a/a.go": pkgA + "func BenchOnly() {}\n",
 			"bench/go.mod":  "module fix/bench\n\ngo 1.24\n\nrequire fix v0.0.0\n\nreplace fix => ../\n",
 			"bench/main.go": "// Command bench is a fixture.\npackage main\n\nimport \"fix/internal/a\"\n\nfunc main() { a.BenchOnly() }\n"},
@@ -527,7 +531,9 @@ func TestDocscheck(t *testing.T) {
 				}
 			}
 			var stdout, stderr bytes.Buffer
-			if code := Docscheck(context.Background(), []string{root}, &stdout, &stderr); code != row.code || !strings.Contains(stdout.String(), row.want) {
+			code := Docscheck(context.Background(), []string{root}, &stdout, &stderr)
+			missing := slices.ContainsFunc(strings.Split(row.want, "\n"), func(want string) bool { return !strings.Contains(stdout.String(), want) })
+			if code != row.code || missing {
 				t.Fatalf("exit %d, stdout:\n%s\nstderr:\n%s\nwant exit %d and %q", code, stdout.String(), stderr.String(), row.code, row.want)
 			}
 		})

@@ -74,7 +74,7 @@ func Docscheck(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		for _, line := range nestedOnly {
 			fmt.Fprintln(stdout, line)
 		}
-		gaps = slices.Concat(gaps, orphanPackages(pkgs), facade, stale, paths, callers, unavailableWriters(fset, pkgs))
+		gaps = slices.Concat(gaps, orphanPackages(pkgs), facade, stale, paths, callers, controlBypasses(fset, pkgs))
 		for _, gap := range gaps {
 			fmt.Fprintln(stdout, gap)
 		}
@@ -85,28 +85,54 @@ func Docscheck(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	})
 }
 
-// unavailableWriters returns one line per assignment to the Unavailable
+// controlBypasses returns one line per assignment to the Unavailable
 // field of internal/cluster's Host in non-test code outside internal/sim:
 // sim.Control is its only writer, so all withdrawals share one claim count.
-func unavailableWriters(fset *token.FileSet, pkgs []*listedPackage) []string {
+// It also returns one line per call of a policy hook (a method OnPlaced or
+// OnExited declared in internal/scheduler, the Policy interface's included)
+// outside internal/sim and internal/scheduler: injected events reach the
+// run's policy through sim.Control, as trace events reach it through the
+// simulator. A policy's own OnPlaced or OnExited may forward the hook to a
+// policy it wraps.
+func controlBypasses(fset *token.FileSet, pkgs []*listedPackage) []string {
 	var gaps []string
+	gap := func(at token.Pos, what string) {
+		pos := fset.Position(at)
+		gaps = append(gaps, fmt.Sprintf("%s:%d: %s", pos.Filename, pos.Line, what))
+	}
+	isHook := func(name string) bool { return name == "OnPlaced" || name == "OnExited" }
 	for _, p := range pkgs {
+		if p.rel == "internal/sim" {
+			continue
+		}
 		for _, f := range p.files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if as, ok := n.(*ast.AssignStmt); ok && p.rel != "internal/sim" {
-					for _, lhs := range as.Lhs {
-						sel, ok := lhs.(*ast.SelectorExpr)
-						if !ok {
-							continue
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				forwards := ok && fd.Recv != nil && isHook(fd.Name.Name)
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							sel, ok := lhs.(*ast.SelectorExpr)
+							if !ok {
+								continue
+							}
+							if v, ok := p.info.Uses[sel.Sel].(*types.Var); ok && v.IsField() && v.Name() == "Unavailable" && strings.HasSuffix(v.Pkg().Path(), "/internal/cluster") {
+								gap(lhs.Pos(), "assigns cluster.Host.Unavailable outside internal/sim (withdraw and restore through sim.Control)")
+							}
 						}
-						if v, ok := p.info.Uses[sel.Sel].(*types.Var); ok && v.IsField() && v.Name() == "Unavailable" && strings.HasSuffix(v.Pkg().Path(), "/internal/cluster") {
-							pos := fset.Position(lhs.Pos())
-							gaps = append(gaps, fmt.Sprintf("%s:%d: assigns cluster.Host.Unavailable outside internal/sim (withdraw and restore through sim.Control)", pos.Filename, pos.Line))
+					case *ast.CallExpr:
+						sel, ok := n.Fun.(*ast.SelectorExpr)
+						if !ok || forwards || p.rel == "internal/scheduler" {
+							break
+						}
+						if fn, ok := p.info.Uses[sel.Sel].(*types.Func); ok && isHook(fn.Name()) && strings.HasSuffix(fn.Pkg().Path(), "/internal/scheduler") {
+							gap(n.Pos(), "calls a policy's "+fn.Name()+" outside internal/sim and internal/scheduler (inject events through sim.Control)")
 						}
 					}
-				}
-				return true
-			})
+					return true
+				})
+			}
 		}
 	}
 	return gaps

@@ -113,7 +113,7 @@ func Lavasim(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		var eng *defrag.Engine
 		if *doDefrag {
-			eng = defrag.New(defrag.Config{Strategy: defrag.OrderLARS, Policy: pol, Pred: pred})
+			eng = defrag.New(defrag.Config{Strategy: defrag.OrderLARS, Pred: pred})
 			cfg.Injectors = append(cfg.Injectors, eng)
 		}
 		var probe *stranding.Prober

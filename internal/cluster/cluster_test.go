@@ -177,6 +177,30 @@ func TestMigrateToFullHostRollsBack(t *testing.T) {
 	}
 }
 
+// TestMigrateRefusedKeepsResidual: a refused move is checked before it
+// starts, so the VM keeps its place in its recycling host's residual set.
+func TestMigrateRefusedKeepsResidual(t *testing.T) {
+	p := NewPool("test", 2, resources.Cores(8, 32768, 0))
+	if err := p.Place(newVM(1, 4), p.Host(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Place(newVM(2, 8), p.Host(1)); err != nil {
+		t.Fatal(err)
+	}
+	src := p.Host(0)
+	src.OpenAs(simtime.LC3, 0)
+	src.StartRecycling()
+	if _, err := p.Migrate(1, p.Host(1)); err == nil {
+		t.Fatal("migration to a host without room must fail")
+	}
+	if src.ResidualCount() != 1 || !src.IsResidual(1) {
+		t.Fatalf("after a refused move: residual count %d, vm 1 residual %v; want 1, true", src.ResidualCount(), src.IsResidual(1))
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMigrateToSameHostFails(t *testing.T) {
 	p := NewPool("test", 1, resources.Cores(8, 32768, 0))
 	if err := p.Place(newVM(1, 1), p.Host(0)); err != nil {
@@ -236,12 +260,8 @@ func TestLAVAStateMachine(t *testing.T) {
 	}
 
 	vm1, vm2 := newVM(1, 4), newVM(2, 4)
-	if err := h.add(vm1); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.add(vm2); err != nil {
-		t.Fatal(err)
-	}
+	h.add(vm1)
+	h.add(vm2)
 	h.StartRecycling()
 	if h.State != StateRecycling || h.ResidualCount() != 2 {
 		t.Fatalf("after StartRecycling: %v residual=%d", h, h.ResidualCount())
@@ -252,20 +272,14 @@ func TestLAVAStateMachine(t *testing.T) {
 
 	// A newer, shorter VM arrives; it is not residual.
 	vm3 := newVM(3, 1)
-	if err := h.add(vm3); err != nil {
-		t.Fatal(err)
-	}
+	h.add(vm3)
 	if h.IsResidual(3) {
 		t.Fatal("vm3 must not be residual")
 	}
 
 	// Residual VMs exit -> demote class; remaining VMs become residual.
-	if _, err := h.remove(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.remove(2); err != nil {
-		t.Fatal(err)
-	}
+	h.remove(1)
+	h.remove(2)
 	if h.ResidualCount() != 0 {
 		t.Fatalf("residual count = %d, want 0", h.ResidualCount())
 	}
@@ -292,9 +306,7 @@ func TestLAVAStateMachine(t *testing.T) {
 func TestHostMaxUtilization(t *testing.T) {
 	h := &Host{Capacity: resources.Cores(10, 10000, 0)}
 	vm := &VM{ID: 1, Shape: resources.Vector{CPUMilli: 9500, MemoryMB: 1000}}
-	if err := h.add(vm); err != nil {
-		t.Fatal(err)
-	}
+	h.add(vm)
 	if got := h.MaxUtilization(); got != 0.95 {
 		t.Fatalf("MaxUtilization = %v, want 0.95", got)
 	}

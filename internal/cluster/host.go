@@ -131,28 +131,32 @@ func (h *Host) EachVM(fn func(*VM)) {
 	}
 }
 
-// add places vm on the host. It returns an error when the shape does not
-// fit or the ID is already present. Callers go through Pool.Place.
-func (h *Host) add(vm *VM) error {
+// admit returns why vm cannot join the host — its ID is already present or
+// its shape does not fit — or nil. Pool.Place and Pool.Migrate ask before
+// they change anything.
+func (h *Host) admit(vm *VM) error {
 	if h.find(vm.ID) >= 0 {
 		return fmt.Errorf("host %d: vm %d already present", h.ID, vm.ID)
 	}
 	if !h.Fits(vm.Shape) {
 		return fmt.Errorf("host %d: vm %d (%s) does not fit free %s", h.ID, vm.ID, vm.Shape, h.Free())
 	}
+	return nil
+}
+
+// add places vm, which admit accepted, on the host. Callers go through
+// Pool.Place/Migrate.
+func (h *Host) add(vm *VM) {
 	h.vms = append(h.vms, vm)
 	h.used = h.used.Add(vm.Shape)
 	vm.Host = h
 	vm.residual = false // a VM joins a host's current epoch, never its residual set
-	return nil
 }
 
-// remove releases vm from the host. Callers go through Pool.Exit/Migrate.
-func (h *Host) remove(id VMID) (*VM, error) {
+// remove releases the VM with the given ID, which the host runs. Callers go
+// through Pool.Exit/Migrate, whose VM index names the host.
+func (h *Host) remove(id VMID) *VM {
 	k := h.find(id)
-	if k < 0 {
-		return nil, fmt.Errorf("host %d: vm %d not present", h.ID, id)
-	}
 	vm := h.vms[k]
 	last := len(h.vms) - 1
 	h.vms[k] = h.vms[last]
@@ -164,7 +168,7 @@ func (h *Host) remove(id VMID) (*VM, error) {
 	}
 	h.used = h.used.Sub(vm.Shape)
 	vm.Host = nil
-	return vm, nil
+	return vm
 }
 
 // MaxUtilization returns the max of CPU and memory utilization, the LAVA

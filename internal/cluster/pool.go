@@ -156,10 +156,11 @@ func (p *Pool) Place(vm *VM, h *Host) error {
 	if cur, ok := p.vms[vm.ID]; ok {
 		return fmt.Errorf("pool %s: vm %d already on host %d", p.Name, vm.ID, cur.ID)
 	}
-	wasEmpty := h.Empty()
-	if err := h.add(vm); err != nil {
+	if err := h.admit(vm); err != nil {
 		return err
 	}
+	wasEmpty := h.Empty()
+	h.add(vm)
 	p.vms[vm.ID] = h
 	p.usedTot = p.usedTot.Add(vm.Shape)
 	if wasEmpty {
@@ -176,10 +177,7 @@ func (p *Pool) Exit(id VMID) (*Host, *VM, error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("pool %s: vm %d not running", p.Name, id)
 	}
-	vm, err := h.remove(id)
-	if err != nil {
-		return nil, nil, err
-	}
+	vm := h.remove(id)
 	delete(p.vms, id)
 	p.usedTot = p.usedTot.Sub(vm.Shape)
 	if h.Empty() {
@@ -191,7 +189,8 @@ func (p *Pool) Exit(id VMID) (*Host, *VM, error) {
 }
 
 // Migrate moves a running VM to a different host. The destination must have
-// room. It returns the source host.
+// room. It returns the source host. A refused move leaves the source host
+// exactly as it was, the VM's residual flag included.
 func (p *Pool) Migrate(id VMID, dst *Host) (*Host, error) {
 	src, ok := p.vms[id]
 	if !ok {
@@ -200,19 +199,11 @@ func (p *Pool) Migrate(id VMID, dst *Host) (*Host, error) {
 	if src == dst {
 		return nil, fmt.Errorf("pool %s: vm %d migration to its own host %d", p.Name, id, src.ID)
 	}
+	if err := dst.admit(src.VM(id)); err != nil {
+		return nil, err
+	}
 	dstWasEmpty := dst.Empty()
-	vm, err := src.remove(id)
-	if err != nil {
-		return nil, err
-	}
-	if err := dst.add(vm); err != nil {
-		// Roll back so the pool stays consistent. The aggregates were not
-		// touched yet, so the rollback path leaves them consistent too.
-		if rbErr := src.add(vm); rbErr != nil {
-			panic(fmt.Sprintf("pool %s: migration rollback failed: %v", p.Name, rbErr))
-		}
-		return nil, err
-	}
+	dst.add(src.remove(id))
 	p.vms[id] = dst
 	// usedTot is unchanged (the VM moved, not exited). Empty-capacity moves
 	// if the source drained or the destination was previously empty.

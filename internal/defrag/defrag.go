@@ -7,7 +7,6 @@ import (
 
 	"lava/internal/cluster"
 	"lava/internal/model"
-	"lava/internal/scheduler"
 	"lava/internal/sim"
 )
 
@@ -37,13 +36,11 @@ func (s Strategy) String() string {
 	}
 }
 
-// Config configures the engine.
+// Config configures the engine. Migration targets come from the run's own
+// policy through sim.Control, the algorithm used for initial placement
+// (§4.4).
 type Config struct {
 	Strategy Strategy
-
-	// Policy selects migration target hosts — the same algorithm used for
-	// initial placement (§4.4).
-	Policy scheduler.Policy
 
 	// Pred provides the remaining-lifetime repredictions LARS sorts by.
 	Pred model.Predictor
@@ -55,7 +52,8 @@ type Config struct {
 	// HostsPerRound bounds how many hosts drain per trigger. Default 2.
 	HostsPerRound int
 
-	// MaxConcurrent is the live-migration batch limit. Default 3 (§5.1).
+	// MaxConcurrent is the live-migration batch limit. Default 3 (§5.1),
+	// the slot count ReplayPlan uses too.
 	MaxConcurrent int
 
 	// CheckEvery is the trigger cadence. Default 1h.
@@ -70,7 +68,7 @@ func (c Config) withDefaults() Config {
 		c.HostsPerRound = 2
 	}
 	if c.MaxConcurrent == 0 {
-		c.MaxConcurrent = 3
+		c.MaxConcurrent = batchLimit
 	}
 	if c.CheckEvery == 0 {
 		c.CheckEvery = time.Hour
@@ -79,13 +77,19 @@ func (c Config) withDefaults() Config {
 }
 
 // migrationTime is the per-VM copy duration during which both hosts are
-// busy (§4.4).
-const migrationTime = 20 * time.Minute
+// busy (§4.4); batchLimit is the default number of concurrent copies
+// (§5.1).
+const (
+	migrationTime = 20 * time.Minute
+	batchLimit    = 3
+)
 
-// Stats counts defragmentation activity.
+// Stats counts defragmentation activity. Each planned migration lands in at
+// most one of Performed, Saved and Abandoned: a move whose copy restarts
+// after its target was withdrawn or refused it counts once.
 type Stats struct {
 	Planned    int // VM migrations enqueued
-	Performed  int // migrations actually executed
+	Performed  int // migrations whose copy started
 	Saved      int // planned migrations obviated by a natural VM exit
 	Abandoned  int // migrations dropped because no target host existed
 	HostsFreed int // drained hosts that became empty
@@ -97,7 +101,7 @@ type migration struct {
 	vmID cluster.VMID
 	src  cluster.HostID
 
-	// in-flight state
+	// in-flight state; dst stays set once the first copy started
 	dst         *cluster.Host
 	placeholder cluster.VMID // its ID, not its object: a scenario kill may free that for reuse
 	done        time.Duration
@@ -130,15 +134,14 @@ func New(cfg Config) *Engine {
 // check the trigger condition, reap saved migrations, start new ones and
 // return drained hosts to service.
 func (e *Engine) Inject(ctl *sim.Control, now time.Duration) {
-	pool := ctl.Pool()
-	e.completeDue(pool, now)
+	e.completeDue(ctl, now)
 	if now >= e.nextCheck {
 		e.nextCheck = now + e.cfg.CheckEvery
-		if pool.EmptyHostFraction() < e.cfg.Threshold {
+		if ctl.Pool().EmptyHostFraction() < e.cfg.Threshold {
 			e.trigger(ctl, now)
 		}
 	}
-	e.reapSavedAndStart(pool, now)
+	e.reapSavedAndStart(ctl, now)
 	e.releaseEmptyHosts(ctl)
 }
 
@@ -162,16 +165,7 @@ func (e *Engine) trigger(ctl *sim.Control, now time.Duration) {
 				Remaining: e.cfg.Pred.PredictRemaining(vm, vm.Uptime(now)),
 			})
 		}
-		if e.cfg.Strategy == OrderLARS {
-			// Longest predicted remaining lifetime first (Algorithm 1).
-			sort.SliceStable(batch.VMs, func(i, j int) bool {
-				a, b := batch.VMs[i], batch.VMs[j]
-				if a.Remaining != b.Remaining {
-					return a.Remaining > b.Remaining
-				}
-				return a.ID < b.ID
-			})
-		}
+		order(batch.VMs, e.cfg.Strategy)
 		for _, vm := range batch.VMs {
 			e.pending = append(e.pending, &migration{vmID: vm.ID, src: h.ID})
 			e.Stats.Planned++
@@ -209,85 +203,69 @@ func (e *Engine) candidates(pool *cluster.Pool) []*cluster.Host {
 }
 
 // completeDue finishes in-flight migrations whose copy window elapsed.
-func (e *Engine) completeDue(pool *cluster.Pool, now time.Duration) {
-	var still []*migration
-	for _, m := range e.inflight {
+func (e *Engine) completeDue(ctl *sim.Control, now time.Duration) {
+	pool := ctl.Pool()
+	e.inflight = slices.DeleteFunc(e.inflight, func(m *migration) bool {
 		if m.done > now {
-			still = append(still, m)
-			continue
+			return false
 		}
 		// Free the reserved capacity on the target (unless a scenario kill
-		// already did).
+		// already did). A VM that exited mid-copy has nothing left to
+		// move. One still alive moves, unless its target was withdrawn
+		// during the copy (a maintenance drain) or cannot take it anymore:
+		// then it retries later via pending.
 		_, _, _ = pool.Exit(m.placeholder)
-		if pool.HostOf(m.vmID) != nil {
-			// VM still alive: move it. If the reserved target was
-			// withdrawn during the copy (a maintenance drain) or cannot
-			// take it anymore, retry later via pending.
-			if m.dst.Unavailable {
-				e.pending = append(e.pending, &migration{vmID: m.vmID, src: m.src})
-				continue
-			}
-			if _, err := pool.Migrate(m.vmID, m.dst); err != nil {
-				e.pending = append(e.pending, &migration{vmID: m.vmID, src: m.src})
-				continue
-			}
-			if e.cfg.Policy != nil {
-				src := pool.Host(m.src)
-				vm := m.dst.VM(m.vmID)
-				e.cfg.Policy.OnExited(pool, src, vm, now)
-				e.cfg.Policy.OnPlaced(pool, m.dst, vm, now)
-			}
+		if pool.HostOf(m.vmID) != nil && (m.dst.Unavailable || ctl.Migrate(m.vmID, m.dst, now) != nil) {
+			e.pending = append(e.pending, m)
 		}
-		// VM exited mid-copy: the migration was already performed
-		// (counted at start); nothing to move.
-	}
-	e.inflight = still
+		return true
+	})
 }
 
 // reapSavedAndStart drops pending migrations whose VM already exited
-// (saved!) and starts new ones while batch slots are free.
-func (e *Engine) reapSavedAndStart(pool *cluster.Pool, now time.Duration) {
-	var keep []*migration
-	for _, m := range e.pending {
-		if pool.HostOf(m.vmID) == nil {
+// (saved!) and starts new ones while batch slots are free. A move whose
+// copy already ran once (m.dst set) was counted as performed and counts
+// nowhere else.
+func (e *Engine) reapSavedAndStart(ctl *sim.Control, now time.Duration) {
+	pool := ctl.Pool()
+	e.pending = slices.DeleteFunc(e.pending, func(m *migration) bool {
+		gone := pool.HostOf(m.vmID) == nil
+		if gone && m.dst == nil {
 			e.Stats.Saved++ // exited before its migration began (Table 2)
-			continue
 		}
-		keep = append(keep, m)
-	}
-	e.pending = keep
+		return gone
+	})
 
 	for len(e.inflight) < e.cfg.MaxConcurrent && len(e.pending) > 0 {
 		m := e.pending[0]
-		vmHost := pool.HostOf(m.vmID)
-		vm := vmHost.VM(m.vmID)
+		e.pending = e.pending[1:]
+		vm := pool.HostOf(m.vmID).VM(m.vmID)
 
-		// Target selection uses the same policy as initial placement; with
-		// NILAS/LAVA this repredicts the VM's remaining lifetime (§4.4).
-		dst, err := e.cfg.Policy.Schedule(pool, vm, now)
+		// Target selection uses the run's policy, the algorithm of initial
+		// placement; with NILAS/LAVA this repredicts the VM's remaining
+		// lifetime (§4.4). Reserve the shape on the target for the copy
+		// window: live migration consumes capacity on both hosts.
+		ph := e.nextPH
+		dst, err := ctl.Schedule(vm, now)
+		if err == nil {
+			e.nextPH--
+			err = pool.Place(&cluster.VM{ID: ph, Shape: vm.Shape, Created: now, TrueLifetime: migrationTime}, dst)
+		}
 		if err != nil {
 			// No capacity anywhere right now: abandon this VM's migration
 			// for this round rather than deadlocking the queue.
-			e.pending = e.pending[1:]
-			e.Stats.Abandoned++
+			if m.dst == nil {
+				e.Stats.Abandoned++
+			}
 			continue
 		}
-		// Reserve the shape on the destination for the copy window: live
-		// migration consumes capacity on both hosts (§4.4).
-		ph := &cluster.VM{ID: e.nextPH, Shape: vm.Shape, Created: now, TrueLifetime: migrationTime}
-		e.nextPH--
-		if err := pool.Place(ph, dst); err != nil {
-			e.pending = e.pending[1:]
-			e.Stats.Abandoned++
-			continue
+		if m.dst == nil {
+			e.Stats.Performed++
 		}
-
-		e.pending = e.pending[1:]
 		m.dst = dst
-		m.placeholder = ph.ID
+		m.placeholder = ph
 		m.done = now + migrationTime
 		e.inflight = append(e.inflight, m)
-		e.Stats.Performed++
 	}
 }
 
@@ -311,15 +289,6 @@ func (e *Engine) releaseEmptyHosts(ctl *sim.Control) {
 // hasWork reports whether any pending or in-flight migration still
 // references the host as source.
 func (e *Engine) hasWork(id cluster.HostID) bool {
-	for _, m := range e.pending {
-		if m.src == id {
-			return true
-		}
-	}
-	for _, m := range e.inflight {
-		if m.src == id {
-			return true
-		}
-	}
-	return false
+	from := func(m *migration) bool { return m.src == id }
+	return slices.ContainsFunc(e.pending, from) || slices.ContainsFunc(e.inflight, from)
 }

@@ -15,10 +15,11 @@ import (
 	"lava/internal/workload"
 )
 
-// newPool builds an n-host pool and the Control an engine injects through.
+// newPool builds an n-host pool and the Control an engine injects through,
+// whose policy picks migration targets best-fit.
 func newPool(n int) (*cluster.Pool, *sim.Control) {
 	p := cluster.NewPool("t", n, resources.Cores(32, 131072, 0))
-	return p, sim.NewControl(p, nil, nil)
+	return p, sim.NewControl(p, scheduler.NewBestFit(), nil)
 }
 
 func mkVM(id cluster.VMID, cores int64, created, lifetime time.Duration) *cluster.VM {
@@ -28,7 +29,7 @@ func mkVM(id cluster.VMID, cores int64, created, lifetime time.Duration) *cluste
 func TestEngineDrainsHost(t *testing.T) {
 	p, ctl := newPool(4)
 	e := New(Config{
-		Policy: scheduler.NewBestFit(), Pred: model.Oracle{},
+		Pred:          model.Oracle{},
 		Threshold:     0.9, // always trigger (empty frac will be < 0.9 once hosts fill)
 		HostsPerRound: 1, CheckEvery: time.Hour,
 	})
@@ -67,7 +68,7 @@ func TestEngineDrainsHost(t *testing.T) {
 func TestMigrationSavedByNaturalExit(t *testing.T) {
 	p, ctl := newPool(3)
 	e := New(Config{
-		Policy: scheduler.NewBestFit(), Pred: model.Oracle{},
+		Pred:      model.Oracle{},
 		Threshold: 0.99, HostsPerRound: 1, MaxConcurrent: 1, CheckEvery: time.Hour,
 	})
 	// Host 0 has two VMs: one long, one exiting very soon. With only one
@@ -102,8 +103,8 @@ func TestMigrationSavedByNaturalExit(t *testing.T) {
 func TestLARSOrdersLongestFirst(t *testing.T) {
 	p, ctl := newPool(3)
 	e := New(Config{
-		Strategy: OrderLARS,
-		Policy:   scheduler.NewBestFit(), Pred: model.Oracle{},
+		Strategy:  OrderLARS,
+		Pred:      model.Oracle{},
 		Threshold: 0.99, HostsPerRound: 1, MaxConcurrent: 1, CheckEvery: time.Hour,
 	})
 	// VM 1 is short, VM 2 long: LARS must migrate VM 2 first despite the
@@ -139,7 +140,7 @@ func TestLARSPredictsEachVMOnce(t *testing.T) {
 		p, ctl := newPool(4)
 		pred := &countingPred{Predictor: model.Oracle{}}
 		e := New(Config{
-			Strategy: strategy, Policy: scheduler.NewBestFit(), Pred: pred,
+			Strategy: strategy, Pred: pred,
 			Threshold: 0.99, HostsPerRound: 2, MaxConcurrent: 1, CheckEvery: time.Hour,
 		})
 		lifetimes := [][]time.Duration{
@@ -181,7 +182,7 @@ func TestLARSPredictsEachVMOnce(t *testing.T) {
 func TestConcurrencyLimit(t *testing.T) {
 	p, ctl := newPool(4)
 	e := New(Config{
-		Policy: scheduler.NewBestFit(), Pred: model.Oracle{},
+		Pred:      model.Oracle{},
 		Threshold: 0.99, HostsPerRound: 1, MaxConcurrent: 3, CheckEvery: time.Hour,
 	})
 	for i := 0; i < 6; i++ {
@@ -217,8 +218,8 @@ func TestLARSReducesMigrationsEndToEnd(t *testing.T) {
 	// methodology (§5.1), which isolates the ordering effect from
 	// trigger-feedback noise.
 	eng := New(Config{
-		Strategy: OrderTrace,
-		Policy:   scheduler.NewWasteMin(), Pred: model.Oracle{},
+		Strategy:  OrderTrace,
+		Pred:      model.Oracle{},
 		Threshold: 0.5, HostsPerRound: 8, CheckEvery: 2 * time.Hour,
 	})
 	if _, err := sim.Run(sim.Config{
@@ -230,8 +231,8 @@ func TestLARSReducesMigrationsEndToEnd(t *testing.T) {
 	if len(eng.Plan) == 0 {
 		t.Fatal("defrag never triggered; test workload too empty")
 	}
-	base := ReplayPlan(eng.Plan, OrderTrace, 3)
-	lars := ReplayPlan(eng.Plan, OrderLARS, 3)
+	base := ReplayPlan(eng.Plan, OrderTrace)
+	lars := ReplayPlan(eng.Plan, OrderLARS)
 	t.Logf("baseline: %+v", base)
 	t.Logf("lars:     %+v", lars)
 	if base.Performed == 0 {
@@ -262,7 +263,7 @@ func TestTracedDefragDeterministic(t *testing.T) {
 		rec := ptrace.New(ptrace.Options{Out: &out})
 		pol := scheduler.NewLAVA(model.Oracle{}, time.Minute)
 		eng := New(Config{
-			Strategy: OrderLARS, Policy: pol, Pred: model.Oracle{},
+			Strategy: OrderLARS, Pred: model.Oracle{},
 			Threshold: 0.95, HostsPerRound: 8, CheckEvery: 2 * time.Hour,
 		})
 		if _, err := sim.Run(sim.Config{Trace: tr, Policy: pol, Injectors: []sim.Injector{eng}, Tracer: rec}); err != nil {

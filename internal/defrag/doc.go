@@ -4,7 +4,8 @@
 // When the empty-host fraction of a pool drops below a threshold, the
 // defragmenter picks candidate hosts (fewest VMs, most excess resources),
 // stops scheduling onto them, and live-migrates their VMs away using the
-// same scheduling algorithm as initial placement. Migrations run in batches
+// same scheduling algorithm as initial placement: the run's own policy.
+// Migrations run in batches
 // of at most MaxConcurrent (3 in production, §5.1) and occupy capacity on
 // both hosts for a conservative 20 minutes (§4.4).
 //
@@ -14,7 +15,11 @@
 // copy, and every such exit saves one live migration (Table 2 reports
 // ≈4.3–4.6% savings).
 //
-// Engine is a sim.Injector that drains hosts through sim.Control's
-// reference-counted Withdraw and Restore. Its migrations are not traced, so
-// sim.Replay cannot replay a defragmenter run.
+// Engine is a sim.Injector that keeps only its queue, its placeholder
+// reservations and its ordering. It drains hosts through sim.Control's
+// reference-counted Withdraw and Restore, asks Control.Schedule for each
+// target and moves each VM with Control.Migrate, which tells the run's
+// policy. Its migrations are not traced, so sim.Replay cannot replay a
+// defragmenter run. ReplayPlan re-runs a recorded plan under another order
+// through a queue of the engine's default batch limit.
 package defrag

@@ -29,8 +29,8 @@ type ReplayResult struct {
 }
 
 // ReplayPlan replays a recorded defragmentation plan through the
-// slot-constrained migration queue, exactly as §5.1 describes the LARS
-// simulation: "all migrations are performed in a certain order (in our
+// slot-constrained migration queue, with the engine's default batch limit
+// of 3 slots, exactly as §5.1 describes the LARS simulation: "all migrations are performed in a certain order (in our
 // baseline, defined by the trace), but have to wait until a slot is
 // available. This approach has the effect that some VMs exit while others
 // are migrating. LARS modifies this order based on lifetime predictions."
@@ -38,33 +38,14 @@ type ReplayResult struct {
 // The plan (which hosts drain, when, with which VMs) is fixed; only the
 // per-host evacuation order changes between strategies, so the comparison
 // is feedback-free like the paper's.
-func ReplayPlan(plan []PlannedBatch, strategy Strategy, slots int) ReplayResult {
-	if slots <= 0 {
-		slots = 3
-	}
-
+func ReplayPlan(plan []PlannedBatch, strategy Strategy) ReplayResult {
 	// Build the global queue. Hosts drained at the same trigger time share
 	// the migration slots, so the ordering unit is the *round*: all VMs
 	// with one trigger time, across its hosts. Within a round the strategy
 	// decides the order; rounds themselves stay in trigger order.
 	var queue []replayItem
 	flush := func(vms []PlannedVM, trigger time.Duration) {
-		switch strategy {
-		case OrderLARS:
-			// Longest predicted remaining lifetime first (Algorithm 1).
-			sort.SliceStable(vms, func(i, j int) bool {
-				if vms[i].Remaining != vms[j].Remaining {
-					return vms[i].Remaining > vms[j].Remaining
-				}
-				return vms[i].ID < vms[j].ID
-			})
-		case OrderShuffled:
-			// Deterministic hash order: lifetime-agnostic, like a
-			// production migration list.
-			sort.SliceStable(vms, func(i, j int) bool {
-				return idHash(vms[i].ID) < idHash(vms[j].ID)
-			})
-		}
+		order(vms, strategy)
 		for _, vm := range vms {
 			queue = append(queue, replayItem{vm: vm, trigger: trigger})
 		}
@@ -82,7 +63,29 @@ func ReplayPlan(plan []PlannedBatch, strategy Strategy, slots int) ReplayResult 
 	if len(round) > 0 {
 		flush(round, roundTrigger)
 	}
-	return replayQueue(queue, slots)
+	return replayQueue(queue, batchLimit)
+}
+
+// order sorts planned moves in place by the strategy: one drained host's
+// VMs in the live engine, one round of drains in ReplayPlan. They arrive in
+// ID order, which is creation order and OrderTrace's.
+func order(vms []PlannedVM, s Strategy) {
+	switch s {
+	case OrderLARS:
+		// Longest predicted remaining lifetime first (Algorithm 1).
+		sort.SliceStable(vms, func(i, j int) bool {
+			if vms[i].Remaining != vms[j].Remaining {
+				return vms[i].Remaining > vms[j].Remaining
+			}
+			return vms[i].ID < vms[j].ID
+		})
+	case OrderShuffled:
+		// Deterministic hash order: lifetime-agnostic, like a production
+		// migration list.
+		sort.SliceStable(vms, func(i, j int) bool {
+			return idHash(vms[i].ID) < idHash(vms[j].ID)
+		})
+	}
 }
 
 // idHash is a deterministic 64-bit mix for shuffled ordering.

@@ -16,32 +16,33 @@ func TestReplayPlanBasic(t *testing.T) {
 			{ID: 2, Exit: hoursD(100), Remaining: hoursD(99)},
 		},
 	}}
-	res := ReplayPlan(plan, OrderTrace, 3)
+	res := ReplayPlan(plan, OrderTrace)
 	if res.Planned != 2 || res.Performed != 2 || res.Saved != 0 {
 		t.Fatalf("res = %+v", res)
 	}
 }
 
 func TestReplayPlanSavesWaitingExits(t *testing.T) {
-	// One slot: the long VM migrates first under LARS; the short VM's exit
-	// (1h20m) passes while it waits behind the 20-minute copy... it exits
-	// at 1h20m, the slot frees at 1h20m, so a start at 1h20m cannot beat
-	// the exit: saved. Under trace order, the short VM (lower ID) goes
-	// first and is migrated at 1h.
+	// Three slots, three long VMs and a short one that exits at 1h20m:
+	// LARS copies the long VMs first, so the short VM's slot frees at
+	// 1h20m, a start that cannot beat its exit: saved. Under trace order
+	// the short VM (lowest ID) goes first and is migrated at 1h.
 	plan := []PlannedBatch{{
 		Trigger: hoursD(1),
 		Host:    0,
 		VMs: []PlannedVM{
 			{ID: 1, Exit: hoursD(1) + 20*time.Minute, Remaining: 20 * time.Minute},
 			{ID: 2, Exit: hoursD(200), Remaining: hoursD(199)},
+			{ID: 3, Exit: hoursD(200), Remaining: hoursD(199)},
+			{ID: 4, Exit: hoursD(200), Remaining: hoursD(199)},
 		},
 	}}
-	base := ReplayPlan(plan, OrderTrace, 1)
-	if base.Performed != 2 || base.Saved != 0 {
+	base := ReplayPlan(plan, OrderTrace)
+	if base.Performed != 4 || base.Saved != 0 {
 		t.Fatalf("trace order: %+v", base)
 	}
-	lars := ReplayPlan(plan, OrderLARS, 1)
-	if lars.Performed != 1 || lars.Saved != 1 {
+	lars := ReplayPlan(plan, OrderLARS)
+	if lars.Performed != 3 || lars.Saved != 1 {
 		t.Fatalf("LARS order: %+v", lars)
 	}
 }
@@ -54,7 +55,7 @@ func TestReplayPlanRespectsTrigger(t *testing.T) {
 		Host:    0,
 		VMs:     []PlannedVM{{ID: 1, Exit: hoursD(9), Remaining: 0}},
 	}}
-	res := ReplayPlan(plan, OrderTrace, 3)
+	res := ReplayPlan(plan, OrderTrace)
 	if res.Saved != 1 || res.Performed != 0 {
 		t.Fatalf("res = %+v", res)
 	}
@@ -67,7 +68,7 @@ func TestReplayPlanSlotContention(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		vms = append(vms, PlannedVM{ID: 0, Exit: hoursD(100), Remaining: hoursD(99)})
 	}
-	res := ReplayPlan([]PlannedBatch{{Trigger: 0, VMs: vms}}, OrderTrace, 3)
+	res := ReplayPlan([]PlannedBatch{{Trigger: 0, VMs: vms}}, OrderTrace)
 	if res.Performed != 9 {
 		t.Fatalf("performed = %d, want 9", res.Performed)
 	}
@@ -88,8 +89,8 @@ func TestReplayLARSNeverWorseOnFixedPlan(t *testing.T) {
 			{ID: 6, Exit: hoursD(90), Remaining: hoursD(85)},
 		}},
 	}
-	base := ReplayPlan(plan, OrderTrace, 1)
-	lars := ReplayPlan(plan, OrderLARS, 1)
+	base := ReplayPlan(plan, OrderTrace)
+	lars := ReplayPlan(plan, OrderLARS)
 	if lars.Performed > base.Performed {
 		t.Fatalf("LARS %+v worse than baseline %+v", lars, base)
 	}

@@ -131,11 +131,28 @@ func runTable1(opt Options) (Report, error) {
 			return nil
 		}
 	}
+	// Whole-pool pilots (wave-3 C2 and an E2 pool) switch the policy
+	// mid-run and apply the causal analysis.
+	wholePools := []struct {
+		name string
+		mix  []workload.TypeSpec
+	}{
+		{"wave3-c2", nil},
+		{"e2-pool", workload.E2Mix()},
+	}
+	rollouts := make([]*rollout, len(wholePools))
+	for i, pool := range wholePools {
+		gen = append(gen, func() (err error) {
+			rollouts[i], err = newRollout(opt, pool.name, opt.Seed+int64(len(pool.name))*131, pool.mix)
+			return err
+		})
+	}
 	if err := parDo(opt, gen...); err != nil {
 		return nil, err
 	}
 
-	// Stage 2: both arms of every pilot run concurrently.
+	// Stage 2: both arms of every A/B pilot and every whole-pool rollout
+	// run concurrently.
 	var jobs []runner.Job
 	for i, p := range pilots {
 		seed := opt.Seed + int64(1000*(10+i))
@@ -145,6 +162,9 @@ func runTable1(opt Options) (Report, error) {
 			simJob(opt, fmt.Sprintf("pilot-%d/trt", i+1), seed, sim.Config{Trace: p.tb},
 				func() scheduler.Policy { return scheduler.NewNILAS(pred, time.Minute) }),
 		)
+	}
+	for i, pool := range wholePools {
+		jobs = append(jobs, rollouts[i].job(opt, pool.name+"/rollout", pred))
 	}
 	res, err := batch(opt, "table1", jobs)
 	if err != nil {
@@ -165,70 +185,79 @@ func runTable1(opt Options) (Report, error) {
 		})
 	}
 
-	// Whole-pool pilots (wave-3 C2 and an E2 pool): switch the policy
-	// mid-run and apply the causal analysis. Each pilot is an independent
-	// generate-simulate-analyze pipeline; run both concurrently.
-	wholePools := []struct {
-		name string
-		mix  []workload.TypeSpec
-	}{
-		{"wave3-c2", nil},
-		{"e2-pool", workload.E2Mix()},
-	}
-	caResults := make([]*causal.Result, len(wholePools))
-	tasks := make([]func() error, len(wholePools))
 	for i, pool := range wholePools {
-		i, pool := i, pool
-		tasks[i] = func() error {
-			res, err := wholePoolPilot(opt, pred, pool.name, pool.mix)
-			caResults[i] = res
-			return err
+		_, ca, err := rollouts[i].analyze(opt, res[pool.name+"/rollout"])
+		if err != nil {
+			return nil, err
 		}
-	}
-	if err := parDo(opt, tasks...); err != nil {
-		return nil, err
-	}
-	for i, pool := range wholePools {
 		rep.Rows = append(rep.Rows, Table1Row{
 			Pool:    pool.name,
 			Kind:    "whole-pool",
-			DeltaPP: 100 * caResults[i].AvgEffect,
-			CILo:    100 * caResults[i].CI[0],
-			CIHi:    100 * caResults[i].CI[1],
+			DeltaPP: 100 * ca.AvgEffect,
+			CILo:    100 * ca.CI[0],
+			CIHi:    100 * ca.CI[1],
 		})
 	}
 	return rep, nil
 }
 
-// wholePoolPilot runs a pre/post rollout and the causal analysis.
-func wholePoolPilot(opt Options, pred model.Predictor, name string, mix []workload.TypeSpec) (*causal.Result, error) {
+// rollout is a whole-pool pilot (Table 1's whole-pool rows, Fig. 7): a
+// pool that runs WasteMin and switches to NILAS halfway through its steady
+// state, analysed against its own pre-rollout series.
+type rollout struct {
+	tr       *trace.Trace
+	seed     int64
+	switchAt time.Duration
+}
+
+// newRollout generates the pilot pool's trace from seed.
+func newRollout(opt Options, name string, seed int64, mix []workload.TypeSpec) (*rollout, error) {
 	steady := scaleDur(6*simtime.Week, opt.Scale, 12*simtime.Day)
 	prefill := scaleDur(3*simtime.Week, opt.Scale, 8*simtime.Day)
 	tr, err := workload.Generate(workload.PoolSpec{
 		Name: name, Zone: "pilot-zone", Hosts: scaleInt(160, opt.Scale, 32),
 		TargetUtil: 0.65, Duration: steady, Prefill: prefill,
-		Seed: opt.Seed + int64(len(name))*131, Diurnal: 0.3, Mix: mix,
+		Seed: seed, Diurnal: 0.3, Mix: mix,
 	})
 	if err != nil {
 		return nil, err
 	}
-	switchAt := prefill + steady/2
-	pol := opt.policy(scheduler.NewSwitched(scheduler.NewWasteMin(), scheduler.NewNILAS(pred, time.Minute), switchAt))
-	res, err := sim.Run(sim.Config{Trace: tr, Policy: pol})
-	if err != nil {
-		return nil, err
-	}
-	series := res.Series.After(tr.WarmUp)
+	return &rollout{tr: tr, seed: seed, switchAt: prefill + steady/2}, nil
+}
+
+// job is the rollout's simulation, a batch job like any other.
+func (r *rollout) job(opt Options, name string, pred model.Predictor) runner.Job {
+	return simJob(opt, name, r.seed, sim.Config{Trace: r.tr}, func() scheduler.Policy {
+		return scheduler.NewSwitched(scheduler.NewWasteMin(), scheduler.NewNILAS(pred, time.Minute), r.switchAt)
+	})
+}
+
+// analyze runs the causal analysis on the rollout's post-warm-up
+// empty-host series and returns it with its Fig. 7 panels.
+func (r *rollout) analyze(opt Options, res *sim.Result) (*Fig7Report, *causal.Result, error) {
+	series := res.Series.After(r.tr.WarmUp)
 	vals := series.Values(metrics.EmptyHostFrac)
 	// Index of the switch within the post-warm-up series.
 	preEnd := 0
 	for i, s := range series.Samples {
-		if s.Time >= switchAt {
+		if s.Time >= r.switchAt {
 			preEnd = i
 			break
 		}
 	}
-	return causal.Analyze(causal.Input{Treated: vals, PreEnd: preEnd}, opt.Seed)
+	ca, err := causal.Analyze(causal.Input{Treated: vals, PreEnd: preEnd}, opt.Seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Fig7Report{
+		Times:          series.Times(),
+		Observed:       vals,
+		Counterfactual: ca.Counterfactual,
+		Pointwise:      ca.PointEffect,
+		Cumulative:     ca.CumulativeEffect,
+		SwitchIdx:      preEnd,
+		AvgEffectPP:    100 * ca.AvgEffect,
+	}, ca, nil
 }
 
 // Fig7Report renders the three CausalImpact panels as a text series.
@@ -269,48 +298,16 @@ func runFig7(opt Options) (Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	steady := scaleDur(6*simtime.Week, opt.Scale, 12*simtime.Day)
-	prefill := scaleDur(3*simtime.Week, opt.Scale, 8*simtime.Day)
-	tr, err := workload.Generate(workload.PoolSpec{
-		Name: "fig7", Zone: "pilot-zone", Hosts: scaleInt(160, opt.Scale, 32),
-		TargetUtil: 0.65, Duration: steady, Prefill: prefill,
-		Seed: opt.Seed + 4242, Diurnal: 0.3,
-	})
+	r, err := newRollout(opt, "fig7", opt.Seed+4242, nil)
 	if err != nil {
 		return nil, err
 	}
-	switchAt := prefill + steady/2
-	resM, err := batch(opt, "fig7", []runner.Job{
-		simJob(opt, "rollout", opt.Seed+4242, sim.Config{Trace: tr}, func() scheduler.Policy {
-			return scheduler.NewSwitched(scheduler.NewWasteMin(), scheduler.NewNILAS(pred, time.Minute), switchAt)
-		}),
-	})
+	res, err := batch(opt, "fig7", []runner.Job{r.job(opt, "rollout", pred)})
 	if err != nil {
 		return nil, err
 	}
-	res := resM["rollout"]
-	series := res.Series.After(tr.WarmUp)
-	vals := series.Values(metrics.EmptyHostFrac)
-	preEnd := 0
-	for i, s := range series.Samples {
-		if s.Time >= switchAt {
-			preEnd = i
-			break
-		}
-	}
-	ca, err := causal.Analyze(causal.Input{Treated: vals, PreEnd: preEnd}, opt.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Fig7Report{
-		Times:          series.Times(),
-		Observed:       vals,
-		Counterfactual: ca.Counterfactual,
-		Pointwise:      ca.PointEffect,
-		Cumulative:     ca.CumulativeEffect,
-		SwitchIdx:      preEnd,
-		AvgEffectPP:    100 * ca.AvgEffect,
-	}, nil
+	rep, _, err := r.analyze(opt, res["rollout"])
+	return rep, err
 }
 
 // --- Table 2: LARS ------------------------------------------------------------------
@@ -366,7 +363,6 @@ func runTable2(opt Options) (Report, error) {
 			// from production traces)...
 			eng := defrag.New(defrag.Config{
 				Strategy: defrag.OrderTrace,
-				Policy:   scheduler.NewWasteMin(),
 				Pred:     model.Oracle{}, // §6.3 uses oracle lifetimes
 				// Near-continuous defragmentation: the paper's Table 2 traces
 				// migrate a large fraction of scheduled VMs, i.e. the
@@ -383,8 +379,8 @@ func runTable2(opt Options) (Report, error) {
 			// paper's production migration lists; our creation order is already
 			// nearly lifetime-sorted (old VMs are long-lived) and would be an
 			// unrealistically strong baseline (see EXPERIMENTS.md).
-			base := defrag.ReplayPlan(eng.Plan, defrag.OrderShuffled, 3)
-			lars := defrag.ReplayPlan(eng.Plan, defrag.OrderLARS, 3)
+			base := defrag.ReplayPlan(eng.Plan, defrag.OrderShuffled)
+			lars := defrag.ReplayPlan(eng.Plan, defrag.OrderLARS)
 			row := Table2Row{
 				Trace: fmt.Sprintf("%d", i+1), Scheduled: res.Placements,
 				Baseline: base.Performed, LARS: lars.Performed,

@@ -101,7 +101,7 @@ func TestBoundMatchesUnbound(t *testing.T) {
 		}},
 		{"defrag", func(t *testing.T, pred model.Predictor, mk func(model.Predictor) scheduler.Policy) ([]byte, int64) {
 			pol := mk(pred)
-			eng := defrag.New(defrag.Config{Strategy: defrag.OrderLARS, Policy: pol, Pred: pred,
+			eng := defrag.New(defrag.Config{Strategy: defrag.OrderLARS, Pred: pred,
 				Threshold: 0.9, HostsPerRound: 3, CheckEvery: 2 * time.Hour})
 			res, err := sim.Run(sim.Config{Trace: tr, Policy: pol, Injectors: []sim.Injector{eng}})
 			if err != nil {

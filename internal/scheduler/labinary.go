@@ -23,9 +23,6 @@ const LACutoff = 2 * time.Hour
 type LABinary struct {
 	CachedChain
 	pred model.Predictor
-
-	// ModelCalls counts predictor invocations (one per VM at creation).
-	ModelCalls int64
 }
 
 // NewLABinary builds the LA-Binary policy over the given predictor. The
@@ -52,7 +49,6 @@ func NewLABinary(pred model.Predictor) *LABinary {
 // first use.
 func (la *LABinary) initialPrediction(vm *cluster.VM) time.Duration {
 	if vm.InitialPrediction == 0 {
-		la.ModelCalls++
 		vm.InitialPrediction = la.pred.PredictRemaining(vm, 0)
 	}
 	return vm.InitialPrediction

@@ -29,7 +29,8 @@ type Injector interface {
 // Control is the mutation surface the simulator hands to Injectors. It
 // bundles the pool with the run's policy and counters so injected events
 // stay indistinguishable from trace events: a killed VM leaves through the
-// same policy hook as a natural exit. Control is the only writer of
+// same policy hook as a natural exit, a migrated VM through those of an
+// exit and a placement. Control is the only writer of
 // cluster.Host.Unavailable. Host withdrawals are reference-counted across
 // all of a run's injectors (Withdraw/Restore), so overlapping events — a
 // drain wave crossing a defragmenter's drain or a capacity crunch — keep a
@@ -105,8 +106,8 @@ func NewControl(pool *cluster.Pool, policy scheduler.Policy, res *Result) *Contr
 }
 
 // Pool returns the pool under simulation. Injectors may read it freely;
-// host withdrawal must go through Withdraw/Restore and VM removal through
-// Kill.
+// host withdrawal must go through Withdraw/Restore, VM removal through Kill
+// and VM moves through Migrate.
 func (c *Control) Pool() *cluster.Pool { return c.pool }
 
 // Withdraw takes a host out of service under a reference-counted claim:
@@ -157,6 +158,29 @@ func (c *Control) Kill(id cluster.VMID, now time.Duration) error {
 	c.res.Killed++
 	if c.tracer != nil {
 		c.tracer.Record(ptrace.Decision{Kind: ptrace.KindKill, T: now, VM: id, Host: h.ID, Level: -1})
+	}
+	return nil
+}
+
+// Schedule asks the run's policy for a host for vm and places nothing:
+// injected migrations pick their targets with the algorithm of initial
+// placement (§4.4).
+func (c *Control) Schedule(vm *cluster.VM, now time.Duration) (*cluster.Host, error) {
+	return c.policy.Schedule(c.pool, vm, now)
+}
+
+// Migrate moves a running VM to dst (live migration): the policy observes
+// it leave its source and join dst as an exit and a placement. A refused
+// move changes nothing.
+func (c *Control) Migrate(id cluster.VMID, dst *cluster.Host, now time.Duration) error {
+	src, err := c.pool.Migrate(id, dst)
+	if err != nil {
+		return err
+	}
+	if c.policy != nil {
+		vm := dst.VM(id)
+		c.policy.OnExited(c.pool, src, vm, now)
+		c.policy.OnPlaced(c.pool, dst, vm, now)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -8,6 +10,7 @@ import (
 	"lava/internal/metrics"
 	"lava/internal/model"
 	"lava/internal/ptrace"
+	"lava/internal/resources"
 	"lava/internal/scheduler"
 	"lava/internal/simtime"
 	"lava/internal/trace"
@@ -209,6 +212,50 @@ func TestControlKillUnknownVM(t *testing.T) {
 	ctl := NewControl(pool, scheduler.NewWasteMin(), nil)
 	if err := ctl.Kill(42, time.Hour); err == nil {
 		t.Fatal("killing a VM that is not running must fail")
+	}
+}
+
+// hookLog is a policy that records its placement and exit hooks.
+type hookLog struct {
+	scheduler.Policy
+	calls []string
+}
+
+func (l *hookLog) OnPlaced(_ *cluster.Pool, h *cluster.Host, vm *cluster.VM, _ time.Duration) {
+	l.calls = append(l.calls, fmt.Sprintf("placed vm %d on host %d", vm.ID, h.ID))
+}
+
+func (l *hookLog) OnExited(_ *cluster.Pool, h *cluster.Host, vm *cluster.VM, _ time.Duration) {
+	l.calls = append(l.calls, fmt.Sprintf("exited vm %d from host %d", vm.ID, h.ID))
+}
+
+// TestControlMigrateFiresHooks: an injected migration reaches the run's
+// policy as an exit from the source, then a placement on the target; a
+// refused one reaches it not at all, and a Control without a policy still
+// moves VMs.
+func TestControlMigrateFiresHooks(t *testing.T) {
+	pool := cluster.NewPool("p", 3, workload.DefaultHostShape)
+	rec := &hookLog{Policy: scheduler.NewBestFit()}
+	ctl := NewControl(pool, rec, nil)
+	vm := &cluster.VM{ID: 1, Shape: resources.Cores(4, 16384, 0), TrueLifetime: time.Hour}
+	if err := pool.Place(vm, pool.Host(0)); err != nil {
+		t.Fatal(err)
+	}
+	if h, err := ctl.Schedule(vm, 0); err != nil || h.ID != 0 {
+		t.Fatalf("Schedule = %v, %v; want best-fit host 0", h, err)
+	}
+	if err := ctl.Migrate(1, pool.Host(0), time.Minute); err == nil {
+		t.Fatal("migrating a VM to its own host must fail")
+	}
+	if err := ctl.Migrate(1, pool.Host(2), time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"exited vm 1 from host 0", "placed vm 1 on host 2"}
+	if !reflect.DeepEqual(rec.calls, want) || pool.HostOf(1) != pool.Host(2) {
+		t.Fatalf("hooks %q, vm on host %d; want %q and host 2", rec.calls, pool.HostOf(1).ID, want)
+	}
+	if err := NewControl(pool, nil, nil).Migrate(1, pool.Host(1), time.Minute); err != nil || pool.HostOf(1) != pool.Host(1) {
+		t.Fatalf("migration without a policy: %v", err)
 	}
 }
 
