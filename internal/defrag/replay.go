@@ -30,10 +30,11 @@ type ReplayResult struct {
 
 // ReplayPlan replays a recorded defragmentation plan through the
 // slot-constrained migration queue, with the engine's default batch limit
-// of 3 slots, exactly as §5.1 describes the LARS simulation: "all migrations are performed in a certain order (in our
-// baseline, defined by the trace), but have to wait until a slot is
-// available. This approach has the effect that some VMs exit while others
-// are migrating. LARS modifies this order based on lifetime predictions."
+// of 3 slots, exactly as §5.1 describes the LARS simulation: "all
+// migrations are performed in a certain order (in our baseline, defined by
+// the trace), but have to wait until a slot is available. This approach has
+// the effect that some VMs exit while others are migrating. LARS modifies
+// this order based on lifetime predictions."
 //
 // The plan (which hosts drain, when, with which VMs) is fixed; only the
 // per-host evacuation order changes between strategies, so the comparison
