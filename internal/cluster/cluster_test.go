@@ -3,7 +3,6 @@ package cluster
 import (
 	"runtime/debug"
 	"testing"
-	"testing/quick"
 	"time"
 	"unsafe"
 
@@ -350,48 +349,5 @@ func TestVMUptime(t *testing.T) {
 	}
 	if got := vm.TrueExit(); got != 7*time.Hour {
 		t.Fatalf("TrueExit = %v, want 7h", got)
-	}
-}
-
-func TestPoolInvariantProperty(t *testing.T) {
-	// Random place/exit sequences keep invariants.
-	type op struct {
-		Place bool
-		Host  uint8
-		VM    uint8
-	}
-	p := NewPool("prop", 4, resources.Cores(16, 65536, 0))
-	live := map[VMID]bool{}
-	next := VMID(0)
-	f := func(ops []op) bool {
-		for _, o := range ops {
-			if o.Place {
-				next++
-				vm := newVM(next, int64(o.VM%8)+1)
-				h := p.Host(HostID(int(o.Host) % p.NumHosts()))
-				if h.Fits(vm.Shape) {
-					if err := p.Place(vm, h); err != nil {
-						return false
-					}
-					live[vm.ID] = true
-				}
-			} else if len(live) > 0 {
-				// Exit the smallest live ID deterministically.
-				var id VMID = -1
-				for v := range live {
-					if id < 0 || v < id {
-						id = v
-					}
-				}
-				if _, _, err := p.Exit(id); err != nil {
-					return false
-				}
-				delete(live, id)
-			}
-		}
-		return p.CheckInvariants() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }

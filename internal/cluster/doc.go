@@ -46,5 +46,7 @@
 // its size. Pool.Host indexes the ID-sorted host slice directly on a pool
 // that has only grown and binary-searches it otherwise; there is no ID
 // map. A host's residual set (§4.3) is a flag on each VM plus a count on
-// the host, not a map.
+// the host, not a map. Pool.CheckInvariants walks the hosts' own VM
+// slices and allocates nothing, so a test may run it after every
+// operation (FuzzPoolOps does).
 package cluster

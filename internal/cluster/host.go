@@ -1,8 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"lava/internal/resources"
@@ -114,13 +115,14 @@ func (h *Host) find(id VMID) int {
 // deterministic; no scheduling decision may depend on the order in which
 // the host stores its VMs.
 func (h *Host) VMs() []*VM {
-	out := make([]*VM, 0, len(h.vms))
-	for _, vm := range h.vms {
-		out = append(out, vm)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := make([]*VM, len(h.vms))
+	copy(out, h.vms)
+	slices.SortFunc(out, byID)
 	return out
 }
+
+// byID orders VMs by ID, for slices.SortFunc.
+func byID(a, b *VM) int { return cmp.Compare(a.ID, b.ID) }
 
 // EachVM calls fn for every hosted VM in no particular order, without
 // allocating. For order-free folds only (a max, a sum, a count): anything

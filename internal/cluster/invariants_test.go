@@ -1,0 +1,217 @@
+package cluster
+
+import (
+	"testing"
+	"time"
+
+	"lava/internal/resources"
+	"lava/internal/simtime"
+)
+
+// populatedPool builds a pool of n 16-core hosts holding perHost 2-core VMs
+// on each of its first n-1 hosts (the last one stays empty), with host
+// 0 recycling so that its VMs carry residual flags.
+func populatedPool(t testing.TB, n, perHost int) *Pool {
+	t.Helper()
+	p := NewPool("inv", n, resources.Cores(16, 65536, 0))
+	id := VMID(0)
+	for _, h := range p.Hosts()[:n-1] {
+		for k := 0; k < perHost; k++ {
+			id++
+			if err := p.Place(newVM(id, 2), h); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	p.Host(0).OpenAs(simtime.LC2, 0)
+	p.Host(0).StartRecycling()
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestCheckInvariantsCatchesCorruption corrupts a populated pool one way
+// per case and requires CheckInvariants to report it. The last case
+// repeats an ID within one host and adds a dangling index entry: the hosted
+// count and the index size balance, so only the explicit repeat check
+// catches it.
+func TestCheckInvariantsCatchesCorruption(t *testing.T) {
+	extra := resources.Cores(1, 4096, 0)
+	cases := []struct {
+		name    string
+		corrupt func(p *Pool)
+	}{
+		{"vm on two hosts", func(p *Pool) {
+			// A copy of VM 1 on host 1, booked in full as Place would.
+			vm := *p.Host(0).VM(1)
+			h := p.Host(1)
+			h.add(&vm)
+			p.usedTot = p.usedTot.Add(vm.Shape)
+		}},
+		{"back-pointer", func(p *Pool) { p.Host(0).VM(1).Host = p.Host(1) }},
+		{"index names the wrong host", func(p *Pool) { p.vms[1] = p.Host(1) }},
+		{"used sum", func(p *Pool) {
+			p.Host(1).used = p.Host(1).used.Add(extra)
+			p.usedTot = p.usedTot.Add(extra)
+		}},
+		{"residual count", func(p *Pool) { p.Host(0).residuals-- }},
+		{"residual flag", func(p *Pool) { p.Host(1).VMs()[0].residual = true }},
+		{"usedTot aggregate", func(p *Pool) { p.usedTot = p.usedTot.Add(extra) }},
+		{"capTot aggregate", func(p *Pool) { p.capTot = p.capTot.Add(extra) }},
+		{"emptyCap aggregate", func(p *Pool) { p.emptyCap = p.emptyCap.Sub(extra) }},
+		{"empty-host count", func(p *Pool) { p.empty++ }},
+		{"over-committed host", func(p *Pool) {
+			over := p.Host(1).Free().Add(extra)
+			p.Host(1).add(&VM{ID: 1000, Shape: over})
+			p.vms[1000] = p.Host(1)
+			p.usedTot = p.usedTot.Add(over)
+		}},
+		{"stale index entry", func(p *Pool) { p.vms[1000] = p.Host(1) }},
+		{"id repeated on a host, dangling index entry", func(p *Pool) {
+			h := p.Host(1)
+			vm := *h.VMs()[0]
+			h.vms = append(h.vms, &vm)
+			h.used = h.used.Add(vm.Shape)
+			p.usedTot = p.usedTot.Add(vm.Shape)
+			p.vms[1000] = h
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := populatedPool(t, 4, 3)
+			c.corrupt(p)
+			if err := p.CheckInvariants(); err == nil {
+				t.Fatal("CheckInvariants accepted the corrupted pool")
+			}
+		})
+	}
+}
+
+// TestCheckInvariantsAllocatesNothing: the sweep over a pool of 1,000
+// hosts holding 4 VMs each, and one empty host, makes no allocation, so it
+// can run after every step.
+func TestCheckInvariantsAllocatesNothing(t *testing.T) {
+	p := populatedPool(t, 1001, 4)
+	if n := testing.AllocsPerRun(10, func() {
+		if err := p.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("CheckInvariants made %v allocations, want 0", n)
+	}
+}
+
+// FuzzPoolOps drives a pool through every mutation its API offers, three
+// input bytes an operation: places that fit and that do not, exits of live
+// and unknown IDs, migrations accepted and refused (no room, the VM's own
+// host), AddHosts, RemoveHost of empty and occupied hosts, and the LAVA
+// state moves that rewrite residual flags. After every operation the
+// invariants hold, the pool runs exactly the VMs the test's ledger holds,
+// and a refused operation changes neither the VM count, the free total
+// nor the used vector of the hosts it named.
+func FuzzPoolOps(f *testing.F) {
+	// A place/exit script, then every operation with each outcome.
+	f.Add([]byte{0, 0, 3, 1, 0, 0, 0, 1, 7, 0, 2, 9, 1, 0, 1, 1, 0, 0, 0, 0, 15})
+	f.Add([]byte{
+		0, 1, 15, 0, 2, 6, 0, 1, 19, // places: 16 and 7 cores fit, 20 do not
+		3, 2, 0, 3, 1, 0, 3, 3, 1, // migrations: no room, own host, accepted
+		6, 1, 0, 7, 1, 0, 7, 1, 1, 8, 1, 0, // recycle, promote, demote, reset
+		2, 0, 4, 1, 0, 0, // exits: an unknown ID, a live VM
+		4, 0, 2, 4, 0, 0, 5, 5, 0, 5, 3, 0, // add 2 and 0 hosts, remove an empty and an occupied one
+	})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		capacity := resources.Cores(16, 65536, 0)
+		p := NewPool("fuzz", 4, capacity)
+		var live []VMID
+		next := VMID(0)
+		if len(data) > 3*256 {
+			data = data[:3*256]
+		}
+		for i := 0; i+2 < len(data); i += 3 {
+			op, a, b := data[i]%9, int(data[i+1]), int(data[i+2])
+			now := time.Duration(i) * time.Minute
+			if p.NumHosts() == 0 {
+				op = 4 // only AddHosts applies to an empty pool
+			}
+			var h, src *Host
+			if hosts := p.Hosts(); len(hosts) > 0 {
+				h = hosts[a%len(hosts)]
+			}
+			nvm, free := p.NumVMs(), p.FreeTotal()
+			var used, srcUsed resources.Vector
+			if h != nil {
+				used = h.Used()
+			}
+			var err error
+			switch op {
+			case 0: // place, fitting or not
+				next++
+				vm := newVM(next, int64(b%20)+1)
+				fits := h.Fits(vm.Shape)
+				if err = p.Place(vm, h); (err == nil) != fits {
+					t.Fatalf("op %d: Place of %s on host %d (free %s): err %v", i/3, vm.Shape, h.ID, h.Free(), err)
+				}
+				if err == nil {
+					live = append(live, vm.ID)
+				}
+			case 1: // exit a live VM
+				if len(live) == 0 {
+					continue
+				}
+				k := b % len(live)
+				if _, _, err = p.Exit(live[k]); err != nil {
+					t.Fatalf("op %d: Exit of live vm %d: %v", i/3, live[k], err)
+				}
+				live = append(live[:k], live[k+1:]...)
+			case 2: // exit an ID never placed
+				if _, _, err = p.Exit(next + 1 + VMID(b)); err == nil {
+					t.Fatalf("op %d: Exit of unknown vm accepted", i/3)
+				}
+			case 3: // migrate a live VM to h
+				if len(live) == 0 {
+					continue
+				}
+				id := live[b%len(live)]
+				src = p.HostOf(id)
+				srcUsed = src.Used()
+				ok := src != h && h.Fits(src.VM(id).Shape)
+				if _, err = p.Migrate(id, h); (err == nil) != ok {
+					t.Fatalf("op %d: Migrate of vm %d from host %d to %d: err %v, want ok %v", i/3, id, src.ID, h.ID, err, ok)
+				}
+			case 4:
+				p.AddHosts(b%3, capacity)
+			case 5:
+				empty := h.Empty()
+				if err = p.RemoveHost(h.ID); (err == nil) != empty {
+					t.Fatalf("op %d: RemoveHost of host %d with %d VMs: err %v", i/3, h.ID, h.NumVMs(), err)
+				}
+			case 6:
+				h.StartRecycling()
+			case 7:
+				if b%2 == 0 {
+					h.PromoteClass(now)
+				} else {
+					h.DemoteClass(now)
+				}
+			case 8:
+				h.ResetLAVA()
+			}
+			if err != nil {
+				if p.NumVMs() != nvm || p.FreeTotal() != free || h.Used() != used {
+					t.Fatalf("op %d: refused %v changed the pool: vms %d -> %d, free %s -> %s, host %d used %s -> %s",
+						i/3, err, nvm, p.NumVMs(), free, p.FreeTotal(), h.ID, used, h.Used())
+				}
+				if src != nil && src.Used() != srcUsed {
+					t.Fatalf("op %d: refused migration changed source host %d: used %s -> %s", i/3, src.ID, srcUsed, src.Used())
+				}
+			}
+			if err := p.CheckInvariants(); err != nil {
+				t.Fatalf("op %d (%d): %v", i/3, op, err)
+			}
+			if p.NumVMs() != len(live) {
+				t.Fatalf("op %d: pool runs %d VMs, ledger %d", i/3, p.NumVMs(), len(live))
+			}
+		}
+	})
+}

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"lava/internal/resources"
 )
@@ -92,7 +91,7 @@ func (p *Pool) RemoveHost(id HostID) error {
 		return fmt.Errorf("pool %s: host %d not in pool", p.Name, id)
 	}
 	if !h.Empty() {
-		return fmt.Errorf("pool %s: host %d still runs %d VMs", p.Name, id, len(h.VMs()))
+		return fmt.Errorf("pool %s: host %d still runs %d VMs", p.Name, id, h.NumVMs())
 	}
 	i, last := p.index(id), len(p.hosts)-1
 	copy(p.hosts[i:], p.hosts[i+1:])
@@ -277,7 +276,7 @@ func (p *Pool) RunningVMs() []*VM {
 	for id, h := range p.vms {
 		out = append(out, h.VM(id))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, byID)
 	return out
 }
 
@@ -308,29 +307,36 @@ func (p *Pool) Clone() *Pool {
 }
 
 // CheckInvariants verifies internal consistency: per-host used sums match VM
-// shapes and residual counts match the VMs' residual flags, no VM is
-// double-booked, and the VM index agrees with host contents. Tests and the simulator's debug mode call this.
+// shapes and residual counts match the VMs' residual flags, every VM's
+// back-pointer and index entry name the host that holds it, no VM is
+// double-booked, the index holds exactly the hosted VMs, and the running
+// aggregates match a scan. It is one pass over the hosts and their VMs that
+// allocates nothing, so tests may call it after every step; the simulator's
+// debug mode calls it at every sample.
 func (p *Pool) CheckInvariants() error {
-	seen := make(map[VMID]HostID)
+	var usedTot, capTot, emptyCap resources.Vector
+	empty, hosted := 0, 0
 	for _, h := range p.hosts {
 		var sum resources.Vector
 		residuals := 0
-		for _, vm := range h.VMs() {
-			if vm.residual {
-				residuals++
+		for k, vm := range h.vms {
+			// A host holds tens of VMs, so the scan of its earlier ones is short.
+			if h.find(vm.ID) != k {
+				return fmt.Errorf("vm %d twice on host %d", vm.ID, h.ID)
 			}
-			if prev, dup := seen[vm.ID]; dup {
-				return fmt.Errorf("vm %d on both host %d and host %d", vm.ID, prev, h.ID)
-			}
-			seen[vm.ID] = h.ID
-			sum = sum.Add(vm.Shape)
 			if vm.Host != h {
 				return fmt.Errorf("vm %d back-pointer mismatch: %v != host %d", vm.ID, vm.Host, h.ID)
 			}
-			if p.vms[vm.ID] != h {
-				return fmt.Errorf("vm %d index mismatch", vm.ID)
+			// A VM booked on two hosts is indexed on at most one of them.
+			if ih := p.vms[vm.ID]; ih != h {
+				return fmt.Errorf("vm %d on host %d, indexed on %v", vm.ID, h.ID, ih)
 			}
+			if vm.residual {
+				residuals++
+			}
+			sum = sum.Add(vm.Shape)
 		}
+		hosted += len(h.vms)
 		if residuals != h.ResidualCount() {
 			return fmt.Errorf("host %d residual count %d != flagged VMs %d", h.ID, h.ResidualCount(), residuals)
 		}
@@ -340,19 +346,17 @@ func (p *Pool) CheckInvariants() error {
 		if !h.Free().NonNegative() {
 			return fmt.Errorf("host %d over-committed: free %s", h.ID, h.Free())
 		}
-	}
-	if len(seen) != len(p.vms) {
-		return fmt.Errorf("vm index size %d != hosted VMs %d", len(p.vms), len(seen))
-	}
-	var usedTot, capTot, emptyCap resources.Vector
-	empty := 0
-	for _, h := range p.hosts {
 		usedTot = usedTot.Add(h.Used())
 		capTot = capTot.Add(h.Capacity)
 		if h.Empty() {
 			emptyCap = emptyCap.Add(h.Capacity)
 			empty++
 		}
+	}
+	// Every hosted VM has its own index entry (no ID repeats on a host, and
+	// each entry names one host), so equal counts leave no stale entry.
+	if hosted != len(p.vms) {
+		return fmt.Errorf("vm index size %d != hosted VMs %d", len(p.vms), hosted)
 	}
 	if usedTot != p.usedTot {
 		return fmt.Errorf("usedTot aggregate %s != scan %s", p.usedTot, usedTot)

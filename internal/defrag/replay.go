@@ -1,6 +1,8 @@
 package defrag
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -68,10 +70,13 @@ func ReplayPlan(plan []PlannedBatch, strategy Strategy) ReplayResult {
 }
 
 // order sorts planned moves in place by the strategy: one drained host's
-// VMs in the live engine, one round of drains in ReplayPlan. They arrive in
-// ID order, which is creation order and OrderTrace's.
+// VMs in the live engine, one round of drains in ReplayPlan. OrderTrace
+// sorts by ID, which is creation order, so a replay under it does not
+// inherit the order of the engine that recorded the plan.
 func order(vms []PlannedVM, s Strategy) {
 	switch s {
+	case OrderTrace:
+		slices.SortFunc(vms, func(a, b PlannedVM) int { return cmp.Compare(a.ID, b.ID) })
 	case OrderLARS:
 		// Longest predicted remaining lifetime first (Algorithm 1).
 		sort.SliceStable(vms, func(i, j int) bool {

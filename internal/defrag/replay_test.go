@@ -3,6 +3,9 @@ package defrag
 import (
 	"testing"
 	"time"
+
+	"lava/internal/cluster"
+	"lava/internal/model"
 )
 
 func hoursD(h float64) time.Duration { return time.Duration(h * float64(time.Hour)) }
@@ -44,6 +47,38 @@ func TestReplayPlanSavesWaitingExits(t *testing.T) {
 	lars := ReplayPlan(plan, OrderLARS)
 	if lars.Performed != 3 || lars.Saved != 1 {
 		t.Fatalf("LARS order: %+v", lars)
+	}
+}
+
+// TestReplayTraceOrderOfLARSPlan: a plan recorded by a LARS engine stores
+// each batch longest-first, and its trace-order replay still runs in
+// creation order. VMs 1–4 share a host and VM 1 exits 20 minutes after the
+// trigger: in ID order it takes one of the three slots at once and is
+// migrated, where the LARS order would save it.
+func TestReplayTraceOrderOfLARSPlan(t *testing.T) {
+	p, ctl := newPool(4)
+	e := New(Config{
+		Strategy: OrderLARS, Pred: model.Oracle{},
+		Threshold: 0.99, HostsPerRound: 1, CheckEvery: time.Hour,
+	})
+	for id := cluster.VMID(1); id <= 4; id++ {
+		lifetime := hoursD(200)
+		if id == 1 {
+			lifetime = time.Hour + 20*time.Minute
+		}
+		if err := p.Place(mkVM(id, 4, 0, lifetime), p.Host(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Inject(ctl, time.Hour)
+	if len(e.Plan) != 1 || e.Plan[0].VMs[0].ID != 2 {
+		t.Fatalf("LARS engine recorded %+v, want one batch led by VM 2", e.Plan)
+	}
+	if res := ReplayPlan(e.Plan, OrderTrace); res.Performed != 4 || res.Saved != 0 {
+		t.Fatalf("trace-order replay: %+v, want 4 performed and 0 saved", res)
+	}
+	if res := ReplayPlan(e.Plan, OrderLARS); res.Performed != 3 || res.Saved != 1 {
+		t.Fatalf("LARS replay: %+v, want 3 performed and 1 saved", res)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lava/internal/cluster"
@@ -49,9 +50,9 @@ func clampRemaining(d time.Duration) time.Duration {
 // change, so for one static-bin vector the remaining lifetime is a step
 // function of the uptime (StepFn). The predictor fills each such table in
 // one pass over the trees, finds the uptime at which each uptime bin starts
-// once, and remembers, per VM, the step function its features select: a
-// reprediction is one threshold search and one load, bit-equal to the
-// forest walk. A caller that holds a VM can bind its step function once
+// once, and remembers, per VM, the step function its features select (in
+// slots built when an unbound caller first asks): a reprediction is one
+// threshold search and one load, bit-equal to the forest walk. A caller that holds a VM can bind its step function once
 // (Steps); the step functions of VM features seen before come from a
 // bounded memo, without encoding the features again. Enc and M must not
 // change after the first prediction.
@@ -72,8 +73,10 @@ type GBDTPredictor struct {
 	at     []time.Duration
 
 	// slots remembers the step functions of recently predicted VMs, by VM
-	// ID modulo numSlots; derived state like steps.
-	slots [numSlots]vmSlot
+	// ID modulo numSlots; derived state like steps. The first unbound
+	// PredictRemaining builds it, so a predictor only ever asked through
+	// Steps (every scheduler.ExitCache binds) never holds it.
+	slots atomic.Pointer[[numSlots]vmSlot]
 }
 
 // uptimeCol is the uptime column of an encoded vector: the last one.
@@ -100,7 +103,8 @@ const maxStepTables = 4096
 const maxStepMemo = 4096
 
 // numSlots is the number of per-VM slots, a power of two: room for the
-// VMs a pool of a few hundred hosts keeps live, at about 150 B a slot.
+// VMs a pool of a few hundred hosts keeps live, at 168 B a slot (172 KB in
+// all, built on the first unbound PredictRemaining).
 const numSlots = 1024
 
 // vmSlot is one VM's step function. A slot answers for a VM whose features
@@ -145,7 +149,7 @@ func (g *GBDTPredictor) Name() string { return "gbdt" }
 
 // PredictRemaining implements Predictor.
 func (g *GBDTPredictor) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration {
-	s := &g.slots[uint64(vm.ID)%numSlots]
+	s := &g.vmSlots()[uint64(vm.ID)%numSlots]
 	s.mu.Lock()
 	if !s.set || s.feat != vm.Feat {
 		s.set, s.feat = true, vm.Feat
@@ -157,6 +161,22 @@ func (g *GBDTPredictor) PredictRemaining(vm *cluster.VM, uptime time.Duration) t
 		return g.walk(vm.Feat, uptime)
 	}
 	return fn.Remaining(uptime)
+}
+
+// vmSlots returns the per-VM slots, building them on the first call. It
+// is small enough to inline; the build is not.
+func (g *GBDTPredictor) vmSlots() *[numSlots]vmSlot {
+	if s := g.slots.Load(); s != nil {
+		return s
+	}
+	return g.buildSlots()
+}
+
+// buildSlots publishes the per-VM slots: of two goroutines that race to
+// build them, the first to publish wins.
+func (g *GBDTPredictor) buildSlots() *[numSlots]vmSlot {
+	g.slots.CompareAndSwap(nil, new([numSlots]vmSlot))
+	return g.slots.Load()
 }
 
 // Steps returns the VM's step function (see Predictor), or false once the

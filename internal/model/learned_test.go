@@ -97,6 +97,14 @@ func TestStepsMatchPredictRemaining(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		ups = append(ups, time.Duration(rng.Int63n(int64(30*simtime.Day))))
 	}
+	// Binding alone, as the scheduler's exit cache does, leaves the per-VM
+	// slots unbuilt: only the unbound path reads them.
+	for _, vm := range vms {
+		g.Steps(vm)
+	}
+	if g.slots.Load() != nil {
+		t.Fatal("Steps built the per-VM slots")
+	}
 	for _, vm := range vms {
 		fn, ok := g.Steps(vm)
 		if !ok {
