@@ -93,7 +93,11 @@ func Docscheck(_ context.Context, args []string, stdout, stderr io.Writer) int {
 // outside internal/sim and internal/scheduler: injected events reach the
 // run's policy through sim.Control, as trace events reach it through the
 // simulator. A policy's own OnPlaced or OnExited may forward the hook to a
-// policy it wraps.
+// policy it wraps. Last, it returns one line per call of a pool mutator
+// (internal/cluster's Pool.Place, Exit, Migrate, AddHosts or RemoveHost)
+// in the root module outside internal/sim and internal/cluster:
+// internal/sim is the pool's one writer. Nested modules stay out of this
+// rule, so bench/ may time a bare pool.
 func controlBypasses(fset *token.FileSet, pkgs []*listedPackage) []string {
 	var gaps []string
 	gap := func(at token.Pos, what string) {
@@ -101,6 +105,14 @@ func controlBypasses(fset *token.FileSet, pkgs []*listedPackage) []string {
 		gaps = append(gaps, fmt.Sprintf("%s:%d: %s", pos.Filename, pos.Line, what))
 	}
 	isHook := func(name string) bool { return name == "OnPlaced" || name == "OnExited" }
+	isMutator := func(fn *types.Func) bool {
+		switch fn.Name() {
+		case "Place", "Exit", "Migrate", "AddHosts", "RemoveHost":
+			recv := recvNamed(fn)
+			return recv != nil && recv.Obj().Name() == "Pool" && strings.HasSuffix(fn.Pkg().Path(), "/internal/cluster")
+		}
+		return false
+	}
 	for _, p := range pkgs {
 		if p.rel == "internal/sim" {
 			continue
@@ -123,11 +135,18 @@ func controlBypasses(fset *token.FileSet, pkgs []*listedPackage) []string {
 						}
 					case *ast.CallExpr:
 						sel, ok := n.Fun.(*ast.SelectorExpr)
-						if !ok || forwards || p.rel == "internal/scheduler" {
+						if !ok {
 							break
 						}
-						if fn, ok := p.info.Uses[sel.Sel].(*types.Func); ok && isHook(fn.Name()) && strings.HasSuffix(fn.Pkg().Path(), "/internal/scheduler") {
+						fn, ok := p.info.Uses[sel.Sel].(*types.Func)
+						if !ok {
+							break
+						}
+						if isHook(fn.Name()) && !forwards && p.rel != "internal/scheduler" && strings.HasSuffix(fn.Pkg().Path(), "/internal/scheduler") {
 							gap(n.Pos(), "calls a policy's "+fn.Name()+" outside internal/sim and internal/scheduler (inject events through sim.Control)")
+						}
+						if p.mod == "." && p.rel != "internal/cluster" && isMutator(fn) {
+							gap(n.Pos(), "calls cluster.Pool."+fn.Name()+" outside internal/sim and internal/cluster (mutate the pool through sim)")
 						}
 					}
 					return true

@@ -314,31 +314,6 @@ func TestHostMaxUtilization(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	p := NewPool("test", 2, resources.Cores(10, 40960, 0))
-	vm := newVM(1, 4)
-	if err := p.Place(vm, p.Host(0)); err != nil {
-		t.Fatal(err)
-	}
-	c := p.Clone()
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Mutating the clone must not affect the original.
-	if err := c.Place(newVM(2, 4), c.Host(1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Exit(1); err != nil {
-		t.Fatal(err)
-	}
-	if p.NumVMs() != 1 || p.Host(0).NumVMs() != 1 {
-		t.Fatal("clone mutation leaked into original")
-	}
-	if vm.Host != p.Host(0) {
-		t.Fatal("original VM host pointer corrupted by clone")
-	}
-}
-
 func TestVMUptime(t *testing.T) {
 	vm := &VM{ID: 1, Created: 2 * time.Hour, TrueLifetime: 5 * time.Hour}
 	if got := vm.Uptime(4 * time.Hour); got != 2*time.Hour {

@@ -1,17 +1,17 @@
 // Package cluster models the physical substrate of the paper's setting
 // (§2.2): pools of identical hosts onto which VMs are packed. It owns all
-// allocation bookkeeping, the per-host LAVA lifetime-class state machine
-// (empty / open / recycling, §4.3), and snapshot/clone support used by the
-// stranding pipeline.
+// allocation bookkeeping and the per-host LAVA lifetime-class state machine
+// (empty / open / recycling, §4.3).
 //
 // # Concurrency contract
 //
 // A Pool — and everything hanging off it: hosts, VMs, the running
 // aggregates — is NOT safe for concurrent use. The contract is
 // single-writer: exactly one goroutine mutates a pool (through
-// Place/Exit/Migrate, which keep the aggregates consistent), and no other
-// goroutine may even read while it does, since reads see the same host
-// state and counters the writers update.
+// Place/Exit/Migrate, which keep the aggregates consistent and which only
+// internal/sim calls from outside this package), and no other goroutine
+// may even read while it does, since reads see the same host state and
+// counters the writers update.
 // The code paths honoring this are
 //
 //   - internal/runner: each simulation job owns its pool outright — jobs
@@ -31,19 +31,19 @@
 // # Host events
 //
 // Pools publish a host event for every mutation that can change scheduling
-// outcomes: Place/Exit/Migrate notify automatically, and InvalidateHost is
-// the explicit channel for out-of-band changes (Unavailable flips, which
-// sim.Control alone makes, and LAVA state transitions driven from policy
-// hooks). Subscribers run synchronously under the same single-writer
-// contract and typically just flip dirty bits — the scheduler's incremental
-// score caches are built on this surface (see internal/scheduler and
-// DESIGN.md §6).
+// outcomes: Place/Exit/Migrate publish HostChanged, AddHosts/RemoveHost
+// the membership events, and InvalidateHost is the explicit channel for
+// out-of-band changes (Unavailable flips, which sim.Control alone makes,
+// and LAVA state transitions driven from policy hooks). Subscribers run
+// synchronously under the same single-writer contract and typically just
+// flip dirty bits — the scheduler's incremental score caches are built on
+// this surface (see internal/scheduler and DESIGN.md §6).
 //
 // # Memory layout
 //
-// A pool's hosts live in slabs: NewPool, AddHosts and Clone allocate each
-// batch of hosts as one []Host, so a pool costs a few allocations whatever
-// its size. Pool.Host indexes the ID-sorted host slice directly on a pool
+// A pool's hosts live in slabs: NewPool and AddHosts allocate each batch
+// of hosts as one []Host, so a pool costs a few allocations whatever its
+// size. Pool.Host indexes the ID-sorted host slice directly on a pool
 // that has only grown and binary-searches it otherwise; there is no ID
 // map. A host's residual set (§4.3) is a flag on each VM plus a count on
 // the host, not a map. Pool.CheckInvariants walks the hosts' own VM

@@ -7,25 +7,16 @@ package cluster
 // in pool size.
 type HostEvent uint8
 
-// Host events. Place/Exit/Migrate are published by the corresponding Pool
-// mutators; HostAdded/HostRemoved by the membership mutators (AddHosts,
-// RemoveHost — fleet elasticity); HostInvalidated is the explicit escape
-// hatch for state changes the pool cannot see itself — LAVA class
-// promotions on reprediction deadlines, recycling-state transitions, and
-// Unavailable flips by the defragmentation/maintenance engines and
-// scenario injectors.
+// Host events. HostChanged covers every change to one member host: Pool's
+// Place, Exit and Migrate publish it (a migration once on the source, then
+// once on the target), and InvalidateHost is the explicit escape hatch for
+// state changes the pool cannot see itself — LAVA class promotions on
+// reprediction deadlines, recycling-state transitions, and Unavailable
+// flips by sim.Control. HostAdded and HostRemoved are the membership events
+// of AddHosts and RemoveHost (fleet elasticity).
 const (
-	// HostPlaced: a VM was added to the host (Pool.Place).
-	HostPlaced HostEvent = iota
-	// HostExited: a VM was removed from the host (Pool.Exit).
-	HostExited
-	// HostMigratedOut: a VM left the host as the source of a migration.
-	HostMigratedOut
-	// HostMigratedIn: a VM arrived on the host as a migration destination.
-	HostMigratedIn
-	// HostInvalidated: out-of-band state relevant to scoring changed
-	// (Pool.InvalidateHost).
-	HostInvalidated
+	// HostChanged: the host's VM set or out-of-band scoring state changed.
+	HostChanged HostEvent = iota
 	// HostAdded: the host joined the pool (Pool.AddHosts). A membership
 	// event: ID-indexed caches must rebind, not just dirty one host.
 	HostAdded
@@ -37,16 +28,8 @@ const (
 // String renders the event name.
 func (e HostEvent) String() string {
 	switch e {
-	case HostPlaced:
-		return "placed"
-	case HostExited:
-		return "exited"
-	case HostMigratedOut:
-		return "migrated-out"
-	case HostMigratedIn:
-		return "migrated-in"
-	case HostInvalidated:
-		return "invalidated"
+	case HostChanged:
+		return "changed"
 	case HostAdded:
 		return "added"
 	case HostRemoved:
@@ -68,11 +51,11 @@ type HostListener func(h *Host, ev HostEvent)
 // The contract a subscriber may rely on: every change that can alter a
 // host's feasibility or any event-driven score — VM set changes, Unavailable
 // flips, LAVA state-machine transitions — is announced either by the
-// structural events (place/exit/migrate) or by an explicit InvalidateHost
-// from the code performing the out-of-band mutation (sim.Control, the
-// policy hooks). Code that mutates host state outside the Pool mutators must
-// call InvalidateHost afterwards; the scheduler's differential tests exist
-// to catch violations.
+// HostChanged of a Pool mutator or by an explicit InvalidateHost from the
+// code performing the out-of-band mutation (sim.Control, the policy hooks).
+// Code that mutates host state outside the Pool mutators must call
+// InvalidateHost afterwards; the scheduler's differential tests exist to
+// catch violations.
 //
 // Cancelling removes the listener from the pool and keeps the order of the
 // others; a second call is a no-op. A listener may cancel itself or another
@@ -101,12 +84,12 @@ func (p *Pool) Subscribe(fn HostListener) (cancel func()) {
 // subscription is one registered listener; a nil fn marks it cancelled.
 type subscription struct{ fn HostListener }
 
-// InvalidateHost publishes a HostInvalidated event for the host, telling
+// InvalidateHost publishes a HostChanged event for the host, telling
 // subscribers that scheduling-relevant state changed outside the pool's own
 // mutators. Unknown IDs are ignored.
 func (p *Pool) InvalidateHost(id HostID) {
 	if h := p.Host(id); h != nil {
-		p.notify(h, HostInvalidated)
+		p.notify(h, HostChanged)
 	}
 }
 

@@ -241,31 +241,6 @@ func (h *Host) ResetLAVA() {
 	h.residuals = 0
 }
 
-// cloneInto deep-copies the host into c, including its VM set (VM structs,
-// residual flags included, are copied shallowly but re-pointed to c). Used
-// by Pool.Clone for the stranding pipeline, which packs hypothetical VMs
-// into a copy of the pool (§2.3).
-func (h *Host) cloneInto(c *Host) {
-	*c = Host{
-		ID:          h.ID,
-		residuals:   h.residuals,
-		Capacity:    h.Capacity,
-		used:        h.used,
-		Unavailable: h.Unavailable,
-		State:       h.State,
-		Class:       h.Class,
-		Deadline:    h.Deadline,
-	}
-	if len(h.vms) > 0 {
-		c.vms = make([]*VM, 0, len(h.vms))
-		for _, vm := range h.vms {
-			cp := *vm
-			cp.Host = c
-			c.vms = append(c.vms, &cp)
-		}
-	}
-}
-
 func (h *Host) String() string {
 	return fmt.Sprintf("host%d[%s %s vms=%d used=%s]", h.ID, h.State, h.Class, len(h.vms), h.used)
 }

@@ -89,7 +89,7 @@ func TestPoolHostLookup(t *testing.T) {
 }
 
 // TestResidualProperty runs random sequences of placements, exits,
-// migrations, LAVA state transitions, resets and clones, and after every
+// migrations, LAVA state transitions and resets, and after every
 // step compares each host's ResidualCount and IsResidual with a reference
 // set of residual VM IDs.
 func TestResidualProperty(t *testing.T) {
@@ -103,10 +103,7 @@ func TestResidualProperty(t *testing.T) {
 		next := VMID(0)
 		now := time.Duration(0)
 
-		var orig *Pool            // the pool before the last clone
-		var origRes map[VMID]bool // its residual set at the clone
-
-		check := func(p *Pool, residual map[VMID]bool, step string) {
+		check := func(step string) {
 			t.Helper()
 			for _, h := range p.Hosts() {
 				want := 0
@@ -139,7 +136,7 @@ func TestResidualProperty(t *testing.T) {
 			now += time.Minute
 			h := p.Host(HostID(rng.Intn(hosts)))
 			var name string
-			switch rng.Intn(9) {
+			switch rng.Intn(8) {
 			case 0, 1:
 				name = "place"
 				next++
@@ -191,18 +188,8 @@ func TestResidualProperty(t *testing.T) {
 				name = "reset"
 				h.ResetLAVA()
 				markHost(h, false)
-			case 8:
-				name = "clone"
-				orig, origRes = p, make(map[VMID]bool, len(residual))
-				for id, r := range residual {
-					origRes[id] = r
-				}
-				p = p.Clone()
 			}
-			check(p, residual, name)
-		}
-		if orig != nil {
-			check(orig, origRes, "original after its clone changed")
+			check(name)
 		}
 	}
 }

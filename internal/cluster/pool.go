@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -166,15 +167,21 @@ func (p *Pool) Place(vm *VM, h *Host) error {
 		p.emptyCap = p.emptyCap.Sub(h.Capacity)
 		p.empty--
 	}
-	p.notify(h, HostPlaced)
+	p.notify(h, HostChanged)
 	return nil
 }
 
-// Exit removes the VM from the pool, returning the host it ran on.
+// ErrNotRunning is Exit's error for a VM the pool does not run. Exit
+// returns it unwrapped, so the answer costs no allocation: a replay asks it
+// for every trace exit of a VM whose placement failed.
+var ErrNotRunning = errors.New("vm not running")
+
+// Exit removes the VM from the pool, returning the host it ran on, or
+// ErrNotRunning.
 func (p *Pool) Exit(id VMID) (*Host, *VM, error) {
 	h, ok := p.vms[id]
 	if !ok {
-		return nil, nil, fmt.Errorf("pool %s: vm %d not running", p.Name, id)
+		return nil, nil, ErrNotRunning
 	}
 	vm := h.remove(id)
 	delete(p.vms, id)
@@ -183,7 +190,7 @@ func (p *Pool) Exit(id VMID) (*Host, *VM, error) {
 		p.emptyCap = p.emptyCap.Add(h.Capacity)
 		p.empty++
 	}
-	p.notify(h, HostExited)
+	p.notify(h, HostChanged)
 	return h, vm, nil
 }
 
@@ -214,8 +221,8 @@ func (p *Pool) Migrate(id VMID, dst *Host) (*Host, error) {
 		p.emptyCap = p.emptyCap.Sub(dst.Capacity)
 		p.empty--
 	}
-	p.notify(src, HostMigratedOut)
-	p.notify(dst, HostMigratedIn)
+	p.notify(src, HostChanged)
+	p.notify(dst, HostChanged)
 	return src, nil
 }
 
@@ -278,32 +285,6 @@ func (p *Pool) RunningVMs() []*VM {
 	}
 	slices.SortFunc(out, byID)
 	return out
-}
-
-// Clone deep-copies the pool for what-if packing (stranding inflation).
-// Subscribers are not copied: the clone starts with a fresh, empty listener
-// list, and score caches rebind (and rebuild) when first scheduled against
-// a different pool. The copied hosts share one slab, as NewPool's do.
-func (p *Pool) Clone() *Pool {
-	c := &Pool{
-		Name:  p.Name,
-		hosts: make([]*Host, len(p.hosts)),
-		vms:   make(map[VMID]*Host, len(p.vms)),
-	}
-	slab := make([]Host, len(p.hosts))
-	for i, h := range p.hosts {
-		hc := &slab[i]
-		h.cloneInto(hc)
-		c.hosts[i] = hc
-		for _, vm := range hc.vms {
-			c.vms[vm.ID] = hc
-		}
-	}
-	c.usedTot = p.usedTot
-	c.capTot = p.capTot
-	c.emptyCap = p.emptyCap
-	c.empty = p.empty
-	return c
 }
 
 // CheckInvariants verifies internal consistency: per-host used sums match VM

@@ -52,10 +52,6 @@ type Config struct {
 	// HostsPerRound bounds how many hosts drain per trigger. Default 2.
 	HostsPerRound int
 
-	// MaxConcurrent is the live-migration batch limit. Default 3 (§5.1),
-	// the slot count ReplayPlan uses too.
-	MaxConcurrent int
-
 	// CheckEvery is the trigger cadence. Default 1h.
 	CheckEvery time.Duration
 }
@@ -67,9 +63,6 @@ func (c Config) withDefaults() Config {
 	if c.HostsPerRound == 0 {
 		c.HostsPerRound = 2
 	}
-	if c.MaxConcurrent == 0 {
-		c.MaxConcurrent = batchLimit
-	}
 	if c.CheckEvery == 0 {
 		c.CheckEvery = time.Hour
 	}
@@ -77,8 +70,8 @@ func (c Config) withDefaults() Config {
 }
 
 // migrationTime is the per-VM copy duration during which both hosts are
-// busy (§4.4); batchLimit is the default number of concurrent copies
-// (§5.1).
+// busy (§4.4); batchLimit is the number of concurrent copies (§5.1), the
+// slot count ReplayPlan uses too.
 const (
 	migrationTime = 20 * time.Minute
 	batchLimit    = 3
@@ -103,7 +96,7 @@ type migration struct {
 
 	// in-flight state; dst stays set once the first copy started
 	dst         *cluster.Host
-	placeholder cluster.VMID // its ID, not its object: a scenario kill may free that for reuse
+	reservation cluster.VMID // the copy window's hold on dst (sim.Control.Reserve)
 	done        time.Duration
 }
 
@@ -122,12 +115,11 @@ type Engine struct {
 	inflight  []*migration
 	draining  []cluster.HostID // withdrawn hosts, ascending
 	nextCheck time.Duration
-	nextPH    cluster.VMID // placeholder ID counter (negative)
 }
 
 // New builds an engine.
 func New(cfg Config) *Engine {
-	return &Engine{cfg: cfg.withDefaults(), nextPH: -1}
+	return &Engine{cfg: cfg.withDefaults()}
 }
 
 // Inject implements sim.Injector: complete due migrations, periodically
@@ -156,9 +148,13 @@ func (e *Engine) trigger(ctl *sim.Control, now time.Duration) {
 		ctl.Withdraw(h.ID) // stop scheduling new VMs onto it (Algorithm 1)
 		e.draining = append(e.draining, h.ID)
 		// One prediction per VM, in ID order = creation order (the
-		// trace-order baseline).
+		// trace-order baseline). A copy window's reservation on the host
+		// is not a VM to move: it ends with its copy.
 		batch := PlannedBatch{Trigger: now, Host: h.ID}
 		for _, vm := range h.VMs() {
+			if ctl.Reserved(vm.ID) {
+				continue
+			}
 			batch.VMs = append(batch.VMs, PlannedVM{
 				ID:        vm.ID,
 				Exit:      vm.TrueExit(),
@@ -214,7 +210,7 @@ func (e *Engine) completeDue(ctl *sim.Control, now time.Duration) {
 		// move. One still alive moves, unless its target was withdrawn
 		// during the copy (a maintenance drain) or cannot take it anymore:
 		// then it retries later via pending.
-		_, _, _ = pool.Exit(m.placeholder)
+		ctl.Release(m.reservation)
 		if pool.HostOf(m.vmID) != nil && (m.dst.Unavailable || ctl.Migrate(m.vmID, m.dst, now) != nil) {
 			e.pending = append(e.pending, m)
 		}
@@ -236,7 +232,7 @@ func (e *Engine) reapSavedAndStart(ctl *sim.Control, now time.Duration) {
 		return gone
 	})
 
-	for len(e.inflight) < e.cfg.MaxConcurrent && len(e.pending) > 0 {
+	for len(e.inflight) < batchLimit && len(e.pending) > 0 {
 		m := e.pending[0]
 		e.pending = e.pending[1:]
 		vm := pool.HostOf(m.vmID).VM(m.vmID)
@@ -245,11 +241,10 @@ func (e *Engine) reapSavedAndStart(ctl *sim.Control, now time.Duration) {
 		// placement; with NILAS/LAVA this repredicts the VM's remaining
 		// lifetime (§4.4). Reserve the shape on the target for the copy
 		// window: live migration consumes capacity on both hosts.
-		ph := e.nextPH
+		var res cluster.VMID
 		dst, err := ctl.Schedule(vm, now)
 		if err == nil {
-			e.nextPH--
-			err = pool.Place(&cluster.VM{ID: ph, Shape: vm.Shape, Created: now, TrueLifetime: migrationTime}, dst)
+			res, err = ctl.Reserve(vm.Shape, dst, now, now+migrationTime)
 		}
 		if err != nil {
 			// No capacity anywhere right now: abandon this VM's migration
@@ -263,7 +258,7 @@ func (e *Engine) reapSavedAndStart(ctl *sim.Control, now time.Duration) {
 			e.Stats.Performed++
 		}
 		m.dst = dst
-		m.placeholder = ph
+		m.reservation = res
 		m.done = now + migrationTime
 		e.inflight = append(e.inflight, m)
 	}
@@ -279,6 +274,8 @@ func (e *Engine) releaseEmptyHosts(ctl *sim.Control) {
 			keep = append(keep, id)
 			continue
 		}
+		// A host whose last occupant was a released reservation heard no
+		// OnExited, so the policy never reset its LAVA state: reset it here.
 		h.ResetLAVA()
 		ctl.Restore(id)
 		e.Stats.HostsFreed++

@@ -2,6 +2,7 @@ package defrag
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"lava/internal/scheduler"
 	"lava/internal/sim"
 	"lava/internal/simtime"
+	"lava/internal/trace"
 	"lava/internal/workload"
 )
 
@@ -69,34 +71,35 @@ func TestMigrationSavedByNaturalExit(t *testing.T) {
 	p, ctl := newPool(3)
 	e := New(Config{
 		Pred:      model.Oracle{},
-		Threshold: 0.99, HostsPerRound: 1, MaxConcurrent: 1, CheckEvery: time.Hour,
+		Threshold: 0.99, HostsPerRound: 1, CheckEvery: time.Hour,
 	})
-	// Host 0 has two VMs: one long, one exiting very soon. With only one
-	// migration slot, the long VM migrates first (even in trace order it is
-	// first by ID) and the short one exits while waiting.
-	long := mkVM(1, 4, 0, 1000*time.Hour)
-	short := mkVM(2, 4, 0, 90*time.Minute)
-	if err := p.Place(long, p.Host(0)); err != nil {
-		t.Fatal(err)
+	// Host 0 has four VMs: three long, one exiting very soon. With three
+	// migration slots, the long VMs migrate first (even in trace order they
+	// are first by ID) and the short one exits while waiting.
+	for id := cluster.VMID(1); id <= 3; id++ {
+		if err := p.Place(mkVM(id, 4, 0, 1000*time.Hour), p.Host(0)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	short := mkVM(4, 4, 0, 90*time.Minute)
 	if err := p.Place(short, p.Host(0)); err != nil {
 		t.Fatal(err)
 	}
 
-	e.Inject(ctl, time.Hour) // trigger; starts migrating VM 1
-	if e.Stats.Planned != 2 || e.Stats.Performed != 1 {
+	e.Inject(ctl, time.Hour) // trigger; starts migrating VMs 1-3
+	if e.Stats.Planned != 4 || e.Stats.Performed != 3 {
 		t.Fatalf("stats after trigger: %+v", e.Stats)
 	}
-	// VM 2 exits naturally at 90m, before its migration starts.
-	if _, _, err := p.Exit(2); err != nil {
+	// VM 4 exits naturally at 90m, before its migration starts.
+	if _, _, err := p.Exit(4); err != nil {
 		t.Fatal(err)
 	}
-	e.Inject(ctl, time.Hour+21*time.Minute) // completes VM 1, reaps VM 2
+	e.Inject(ctl, time.Hour+21*time.Minute) // completes VMs 1-3, reaps VM 4
 	if e.Stats.Saved != 1 {
 		t.Fatalf("saved = %d, want 1 (stats %+v)", e.Stats.Saved, e.Stats)
 	}
-	if e.Stats.Performed != 1 {
-		t.Fatalf("performed = %d, want 1", e.Stats.Performed)
+	if e.Stats.Performed != 3 {
+		t.Fatalf("performed = %d, want 3", e.Stats.Performed)
 	}
 }
 
@@ -105,19 +108,18 @@ func TestLARSOrdersLongestFirst(t *testing.T) {
 	e := New(Config{
 		Strategy:  OrderLARS,
 		Pred:      model.Oracle{},
-		Threshold: 0.99, HostsPerRound: 1, MaxConcurrent: 1, CheckEvery: time.Hour,
+		Threshold: 0.99, HostsPerRound: 1, CheckEvery: time.Hour,
 	})
-	// VM 1 is short, VM 2 long: LARS must migrate VM 2 first despite the
-	// lower ID of VM 1.
-	if err := p.Place(mkVM(1, 4, 0, 2*time.Hour), p.Host(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Place(mkVM(2, 4, 0, 1000*time.Hour), p.Host(0)); err != nil {
-		t.Fatal(err)
+	// VM 1 is short, VMs 2-4 long: LARS must migrate the long ones first,
+	// longest first, despite the lower ID of VM 1.
+	for id, lt := range []time.Duration{2 * time.Hour, 1000 * time.Hour, 500 * time.Hour, 800 * time.Hour} {
+		if err := p.Place(mkVM(cluster.VMID(id+1), 4, 0, lt), p.Host(0)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	e.Inject(ctl, time.Hour)
-	if len(e.inflight) != 1 || e.inflight[0].vmID != 2 {
-		t.Fatalf("LARS migrated wrong VM first: %+v", e.inflight)
+	if len(e.inflight) != 3 || e.inflight[0].vmID != 2 || e.inflight[1].vmID != 4 || e.inflight[2].vmID != 3 {
+		t.Fatalf("LARS migrated wrong VMs first: %+v", e.inflight)
 	}
 }
 
@@ -141,7 +143,7 @@ func TestLARSPredictsEachVMOnce(t *testing.T) {
 		pred := &countingPred{Predictor: model.Oracle{}}
 		e := New(Config{
 			Strategy: strategy, Pred: pred,
-			Threshold: 0.99, HostsPerRound: 2, MaxConcurrent: 1, CheckEvery: time.Hour,
+			Threshold: 0.99, HostsPerRound: 2, CheckEvery: time.Hour,
 		})
 		lifetimes := [][]time.Duration{
 			{3 * time.Hour, 50 * time.Hour, 3 * time.Hour, 9 * time.Hour, 50 * time.Hour},
@@ -183,7 +185,7 @@ func TestConcurrencyLimit(t *testing.T) {
 	p, ctl := newPool(4)
 	e := New(Config{
 		Pred:      model.Oracle{},
-		Threshold: 0.99, HostsPerRound: 1, MaxConcurrent: 3, CheckEvery: time.Hour,
+		Threshold: 0.99, HostsPerRound: 1, CheckEvery: time.Hour,
 	})
 	for i := 0; i < 6; i++ {
 		if err := p.Place(mkVM(cluster.VMID(i+1), 4, 0, 1000*time.Hour), p.Host(0)); err != nil {
@@ -301,5 +303,124 @@ func TestTracedDefragDeterministic(t *testing.T) {
 		if again, _, _ := run(); !bytes.Equal(first, again) {
 			t.Fatalf("run %d wrote a different decision stream", i+1)
 		}
+	}
+}
+
+// hookBalance wraps a policy and notes every OnExited of a VM it did not
+// hear placed: the policy must never hear a copy window's reservation.
+type hookBalance struct {
+	scheduler.Policy
+	placed   map[cluster.VMID]bool
+	unplaced []cluster.VMID
+}
+
+func (b *hookBalance) OnPlaced(p *cluster.Pool, h *cluster.Host, vm *cluster.VM, now time.Duration) {
+	b.placed[vm.ID] = true
+	b.Policy.OnPlaced(p, h, vm, now)
+}
+
+func (b *hookBalance) OnExited(p *cluster.Pool, h *cluster.Host, vm *cluster.VM, now time.Duration) {
+	if !b.placed[vm.ID] {
+		b.unplaced = append(b.unplaced, vm.ID)
+	}
+	delete(b.placed, vm.ID)
+	b.Policy.OnExited(p, h, vm, now)
+}
+
+// killAll is a host failure of the whole pool: once, at the tick at or
+// after at, it kills every VM the pool runs.
+type killAll struct {
+	at   time.Duration
+	done bool
+}
+
+func (k *killAll) Inject(ctl *sim.Control, now time.Duration) {
+	if k.done || now < k.at {
+		return
+	}
+	k.done = true
+	for _, vm := range ctl.Pool().RunningVMs() {
+		if err := ctl.Kill(vm.ID, now); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// TestKillReleasesReservation: a kill that meets a copy window's
+// reservation ends it without a trace: Result.Killed counts the trace's VMs
+// only, and the policy hears no exit of a VM it never placed.
+func TestKillReleasesReservation(t *testing.T) {
+	pol := &hookBalance{Policy: scheduler.NewBestFit(), placed: map[cluster.VMID]bool{}}
+	eng := New(Config{Pred: model.Oracle{}, Threshold: 0.99, HostsPerRound: 1, CheckEvery: time.Hour})
+	m, err := sim.NewMachine(sim.Config{
+		Trace:     &trace.Trace{PoolName: "leak", Hosts: 4, HostCPU: 32000, HostMem: 131072, Horizon: 2 * time.Hour},
+		Policy:    pol,
+		Injectors: []sim.Injector{eng, &killAll{at: 10 * time.Minute}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// VMs 1 and 2 fill host 0 past the room for VM 3, which lands alone on
+	// host 1: the first tick drains host 1 and copies VM 3 to host 2.
+	for id := 1; id <= 3; id++ {
+		rec := trace.Record{ID: cluster.VMID(id), Shape: resources.Cores(12, 12*4096, 0), Lifetime: 1000 * time.Hour}
+		if _, err := m.Create(rec, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Advance(5 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if len(eng.inflight) != 1 {
+		t.Fatalf("%d copies in flight, want 1 (stats %+v)", len(eng.inflight), eng.Stats)
+	}
+	res, err := m.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Killed != 3 {
+		t.Errorf("Killed = %d for 3 trace VMs", res.Killed)
+	}
+	if len(pol.unplaced) > 0 {
+		t.Errorf("policy heard OnExited for VMs it never placed: %v", pol.unplaced)
+	}
+	if n := m.Pool().NumVMs(); n != 0 {
+		t.Errorf("%d VMs left in the pool after the kill", n)
+	}
+	if err := m.Pool().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTriggerSkipsReservations: a host that holds a copy window's
+// reservation can be drained, but the reservation is not planned as a VM
+// to move.
+func TestTriggerSkipsReservations(t *testing.T) {
+	p, ctl := newPool(4)
+	e := New(Config{Pred: model.Oracle{}, Threshold: 0.99, HostsPerRound: 1, CheckEvery: 10 * time.Minute})
+	// Host 0 runs VM 1, host 1 VMs 2 and 3, host 2 is full with VMs 4-11.
+	hostOf := []cluster.HostID{0, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2}
+	for i, h := range hostOf {
+		if err := p.Place(mkVM(cluster.VMID(i+1), 4, 0, 1000*time.Hour), p.Host(h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first check drains host 0 and reserves VM 1's copy on host 1,
+	// the fullest host with room.
+	e.Inject(ctl, time.Hour)
+	if len(e.inflight) != 1 || e.inflight[0].dst.ID != 1 || !ctl.Reserved(e.inflight[0].reservation) {
+		t.Fatalf("first drain: in flight %+v", e.inflight)
+	}
+	// The next check drains host 1, which now has the fewest VMs.
+	e.Inject(ctl, time.Hour+10*time.Minute)
+	if len(e.Plan) != 2 || e.Plan[1].Host != 1 {
+		t.Fatalf("plan %+v, want a second drain of host 1", e.Plan)
+	}
+	var ids []cluster.VMID
+	for _, vm := range e.Plan[1].VMs {
+		ids = append(ids, vm.ID)
+	}
+	if !slices.Equal(ids, []cluster.VMID{2, 3}) || e.Stats.Planned != 3 {
+		t.Fatalf("host 1's drain plans VMs %v (%d planned in all), want [2 3] (3)", ids, e.Stats.Planned)
 	}
 }

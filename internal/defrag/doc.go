@@ -5,9 +5,8 @@
 // defragmenter picks candidate hosts (fewest VMs, most excess resources),
 // stops scheduling onto them, and live-migrates their VMs away using the
 // same scheduling algorithm as initial placement: the run's own policy.
-// Migrations run in batches
-// of at most MaxConcurrent (3 in production, §5.1) and occupy capacity on
-// both hosts for a conservative 20 minutes (§4.4).
+// Migrations run in batches of at most 3 (the production limit, §5.1) and
+// occupy capacity on both hosts for a conservative 20 minutes (§4.4).
 //
 // LARS (Lifetime-Aware ReScheduling) changes only the order in which a
 // drained host's VMs migrate: longest predicted remaining lifetime first
@@ -15,11 +14,13 @@
 // copy, and every such exit saves one live migration (Table 2 reports
 // ≈4.3–4.6% savings).
 //
-// Engine is a sim.Injector that keeps only its queue, its placeholder
-// reservations and its ordering. It drains hosts through sim.Control's
+// Engine is a sim.Injector that keeps only its queue and its ordering; it
+// writes nothing to the pool itself. It drains hosts through sim.Control's
 // reference-counted Withdraw and Restore, asks Control.Schedule for each
-// target and moves each VM with Control.Migrate, which tells the run's
-// policy. Its migrations are not traced, so sim.Replay cannot replay a
-// defragmenter run. ReplayPlan re-runs a recorded plan under another order
-// through a queue of the engine's default batch limit.
+// target, holds the target's capacity for the copy window with
+// Control.Reserve and Control.Release, and moves each VM with
+// Control.Migrate, which tells the run's policy. Its migrations are not
+// traced, so sim.Replay cannot replay a defragmenter run. ReplayPlan
+// re-runs a recorded plan under another order through a queue of the same
+// batch limit.
 package defrag

@@ -76,8 +76,8 @@ func boundFixture(t *testing.T) (*trace.Trace, *model.GBDTPredictor) {
 // LAVA and NILAS over the distribution table trained on the same trace
 // (rows dist/…), twice — with the exit cache binding each VM's step
 // function, and with Steps hidden — through a plain replay, a LARS
-// defragmentation run (whose placeholders leave their hosts without an
-// exit hook) and a rollout from NILAS (whose VMs exit past the switch
+// defragmentation run (whose copy-window reservations leave their hosts
+// without an exit hook) and a rollout from NILAS (whose VMs exit past the switch
 // unseen by the old arm). The runs must be the same bytes and make the
 // same model calls.
 func TestBoundMatchesUnbound(t *testing.T) {

@@ -28,8 +28,8 @@ import (
 // heard of (the idle arm of a Switched rollout), whose Created is later and
 // whose step function may differ. NILAS.OnExited releases a VM's binding;
 // each time the binding count has doubled, a sweep releases the slots of
-// VMs that have no host — gone without the hook (a defrag placeholder, a
-// direct pool.Exit, an exit another policy heard of) or never placed — and
+// VMs that have no host — gone without the hook (a defrag copy-window
+// reservation, an exit another policy heard of) or never placed — and
 // the slots their VM no longer owns.
 type ExitCache struct {
 	Pred    model.Predictor

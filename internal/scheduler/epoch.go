@@ -105,8 +105,8 @@ func (e *epochTemporal) onExited(h *cluster.Host) {
 // level 0 under a context keyed by that lifetime; CachedChain.Epoch rebuilds
 // the context when now crosses an epoch boundary. An empty host exits
 // "now" whatever its slot holds, as in ExitCache.HostExit: a host drained
-// without the exit hook (a defrag placeholder, a direct pool mutation)
-// scores like a never-used one.
+// without the exit hook (by the release of a defrag copy-window
+// reservation) scores like a never-used one.
 func (e *epochTemporal) score(h *cluster.Host, vm *cluster.VM, now time.Duration) float64 {
 	es := now - now%e.epoch // epoch start
 	hx := es                // empty or already-drained hosts exit "now", floored to the grid

@@ -29,7 +29,7 @@ import (
 // must be in recorded order with creation records, as an unbounded
 // ptrace.Recorder returns them. Defragmenter runs are not replayable: their
 // withdrawals and restores are recorded, but their migrations and
-// placeholder reservations are not.
+// copy-window reservations are not.
 func Replay(tr *trace.Trace, pol scheduler.Policy, decisions []ptrace.Decision) (*ptrace.Report, error) {
 	if pol == nil {
 		return nil, errors.New("sim: replay needs a policy")

@@ -3,11 +3,13 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"lava/internal/cluster"
 	"lava/internal/metrics"
 	"lava/internal/ptrace"
+	"lava/internal/resources"
 	"lava/internal/scheduler"
 	"lava/internal/simtime"
 	"lava/internal/slo"
@@ -30,17 +32,23 @@ type Injector interface {
 // bundles the pool with the run's policy and counters so injected events
 // stay indistinguishable from trace events: a killed VM leaves through the
 // same policy hook as a natural exit, a migrated VM through those of an
-// exit and a placement. Control is the only writer of
+// exit and a placement. With Machine, which drives it, Control is the
+// pool's only writer outside internal/cluster, and it alone writes
 // cluster.Host.Unavailable. Host withdrawals are reference-counted across
 // all of a run's injectors (Withdraw/Restore), so overlapping events — a
 // drain wave crossing a defragmenter's drain or a capacity crunch — keep a
-// host out of service until the last claim on it is released.
+// host out of service until the last claim on it is released. Control
+// also owns the capacity reservations of live-migration copies
+// (Reserve/Release), which no policy hook, counter or trace record sees.
 type Control struct {
 	pool   *cluster.Pool
 	policy scheduler.Policy
 	res    *Result
 
 	claims map[cluster.HostID]int // withdrawal claims held by injectors
+
+	reserved []cluster.VMID // live reservations, a few at a time
+	lastRes  cluster.VMID   // the latest reservation's ID; they count down from -1
 
 	tracer *ptrace.Recorder // decision recorder (nil: tracing off)
 	now    time.Duration    // current tick time, for injector event stamps
@@ -132,8 +140,8 @@ func (c *Control) Restore(id cluster.HostID) {
 }
 
 // setUnavailable flips a host's flag, tells score caches (availability
-// changes outside the pool's own mutators; see cluster.HostInvalidated) and
-// records the decision.
+// changes outside the pool's own mutators; see cluster.Pool.InvalidateHost)
+// and records the decision.
 func (c *Control) setUnavailable(id cluster.HostID, v bool, kind ptrace.Kind) {
 	c.pool.Host(id).Unavailable = v
 	c.pool.InvalidateHost(id)
@@ -145,14 +153,15 @@ func (c *Control) setUnavailable(id cluster.HostID, v bool, kind ptrace.Kind) {
 // Kill force-exits a running VM (host failure): the VM leaves the pool and
 // the policy observes the exit exactly as for a natural one. The VM's later
 // trace EXIT event, if any, is skipped by the replay loop. The VM's object
-// is then free for reuse (see cluster.VM).
+// is then free for reuse (see cluster.VM). Killing a reservation releases
+// it and nothing more: no count, no hook, no trace record.
 func (c *Control) Kill(id cluster.VMID, now time.Duration) error {
-	h, vm, err := c.pool.Exit(id)
-	if err != nil {
-		return err
+	if c.Release(id) {
+		return nil
 	}
-	if c.policy != nil {
-		c.policy.OnExited(c.pool, h, vm, now)
+	h, vm, err := c.depart(id, now)
+	if err != nil {
+		return fmt.Errorf("sim: kill vm %d: %w", id, err)
 	}
 	c.free.put(vm, now, c.pool.NumVMs())
 	c.res.Killed++
@@ -161,6 +170,48 @@ func (c *Control) Kill(id cluster.VMID, now time.Duration) error {
 	}
 	return nil
 }
+
+// depart takes a running VM out of the pool and tells the policy, the part
+// that a natural exit, a kill and a hand-over to another machine share;
+// each caller keeps its own counter, trace record and free-list handling.
+// It returns cluster.ErrNotRunning for a VM the pool does not run.
+func (c *Control) depart(id cluster.VMID, now time.Duration) (*cluster.Host, *cluster.VM, error) {
+	h, vm, err := c.pool.Exit(id)
+	if err == nil && c.policy != nil {
+		c.policy.OnExited(c.pool, h, vm, now)
+	}
+	return h, vm, err
+}
+
+// Reserve holds shape on dst from now until until: the copy window of a
+// live migration, during which the VM takes capacity on both hosts
+// (§4.4). The reservation is a pool VM with a negative ID, no features, and
+// a lifetime of until-now, which lifetime-aware scoring reads like any
+// other VM's. The policy hears of it neither here nor at Release. It
+// returns the reservation's ID.
+func (c *Control) Reserve(shape resources.Vector, dst *cluster.Host, now, until time.Duration) (cluster.VMID, error) {
+	c.lastRes--
+	id := c.lastRes
+	if err := c.pool.Place(&cluster.VM{ID: id, Shape: shape, Created: now, TrueLifetime: until - now}, dst); err != nil {
+		return 0, err
+	}
+	c.reserved = append(c.reserved, id)
+	return id, nil
+}
+
+// Release ends a reservation and frees its capacity, and reports whether
+// id named a live one: a reservation a Kill already ended is not.
+func (c *Control) Release(id cluster.VMID) bool {
+	k := slices.Index(c.reserved, id)
+	if k >= 0 {
+		c.reserved = slices.Delete(c.reserved, k, k+1)
+		_, _, _ = c.pool.Exit(id)
+	}
+	return k >= 0
+}
+
+// Reserved reports whether id names a live reservation.
+func (c *Control) Reserved(id cluster.VMID) bool { return slices.Contains(c.reserved, id) }
 
 // Schedule asks the run's policy for a host for vm and places nothing:
 // injected migrations pick their targets with the algorithm of initial
@@ -542,14 +593,10 @@ func (m *Machine) Exit(id cluster.VMID, at time.Duration) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if m.pool.HostOf(id) == nil {
-		return false, nil // was never scheduled (capacity failure)
-	}
-	h, vm, err := m.pool.Exit(id)
+	h, vm, err := m.ctl.depart(id, at)
 	if err != nil {
-		return false, fmt.Errorf("sim: exit vm %d: %w", id, err)
+		return false, nil // not running: never scheduled (capacity failure)
 	}
-	m.cfg.Policy.OnExited(m.pool, h, vm, at)
 	m.res.Exits++
 	if m.gate != nil {
 		// vm.Class survives migrations, so a VM admitted elsewhere still
@@ -605,14 +652,9 @@ func (m *Machine) MigrateOut(id cluster.VMID, at time.Duration) (vm *cluster.VM,
 	if err != nil {
 		return nil, false, err
 	}
-	if m.pool.HostOf(id) == nil {
-		return nil, false, nil
+	if _, vm, err = m.ctl.depart(id, at); err != nil {
+		return nil, false, nil // not running
 	}
-	h, vm, err := m.pool.Exit(id)
-	if err != nil {
-		return nil, false, fmt.Errorf("sim: migrate-out vm %d: %w", id, err)
-	}
-	m.cfg.Policy.OnExited(m.pool, h, vm, at)
 	m.res.MigratedOut++
 	return vm, true, nil
 }

@@ -25,22 +25,24 @@ type Result struct {
 	VMsPlaced int
 }
 
-// Measure clones the pool and packs it with the mix shapes (cycled in
-// order) using best-fit until no shape fits anywhere, then reports the
-// leftover free resources as stranded.
+// Measure packs a what-if copy of the pool's usage with the mix shapes
+// (cycled in order) using best-fit until no shape fits anywhere, then
+// reports the leftover free resources as stranded. It copies only each
+// host's Used vector; capacity and Unavailable are read off the live
+// hosts, which Measure leaves untouched.
 func Measure(p *cluster.Pool, mix []resources.Vector, now time.Duration) (Result, error) {
 	if len(mix) == 0 {
 		return Result{}, errors.New("stranding: empty VM mix")
 	}
-	clone := p.Clone()
-
-	var totalCap resources.Vector
-	for _, h := range clone.Hosts() {
+	hosts := p.Hosts()
+	used := make([]resources.Vector, len(hosts))
+	var totalCap, totalUsed resources.Vector
+	for i, h := range hosts {
+		used[i] = h.Used()
 		totalCap = totalCap.Add(h.Capacity)
+		totalUsed = totalUsed.Add(used[i])
 	}
 
-	// Synthetic filler IDs sit far above real trace IDs.
-	nextID := cluster.VMID(1 << 40)
 	placed := 0
 	alive := make([]bool, len(mix))
 	for i := range alive {
@@ -51,21 +53,18 @@ func Measure(p *cluster.Pool, mix []resources.Vector, now time.Duration) (Result
 		if !alive[i] {
 			continue
 		}
-		h := bestFitHost(clone, mix[i])
-		if h == nil {
+		k := bestFitHost(hosts, used, mix[i])
+		if k < 0 {
 			alive[i] = false
 			remaining--
 			continue
 		}
-		vm := &cluster.VM{ID: nextID, Shape: mix[i]}
-		nextID++
-		if err := clone.Place(vm, h); err != nil {
-			return Result{}, err
-		}
+		used[k] = used[k].Add(mix[i])
+		totalUsed = totalUsed.Add(mix[i])
 		placed++
 	}
 
-	free := clone.FreeTotal()
+	free := totalCap.Sub(totalUsed)
 	res := Result{Time: now, VMsPlaced: placed}
 	if totalCap.CPUMilli > 0 {
 		res.StrandedCPUFrac = float64(free.CPUMilli) / float64(totalCap.CPUMilli)
@@ -76,18 +75,18 @@ func Measure(p *cluster.Pool, mix []resources.Vector, now time.Duration) (Result
 	return res, nil
 }
 
-// bestFitHost returns the feasible host with the highest post-placement
-// dominant share, or nil.
-func bestFitHost(p *cluster.Pool, shape resources.Vector) *cluster.Host {
-	var best *cluster.Host
-	bestScore := -1.0
-	for _, h := range p.Hosts() {
-		if h.Unavailable || !h.Fits(shape) {
+// bestFitHost returns the index of the available host that, with used[k]
+// as its usage, has the highest post-placement dominant share, or -1 when
+// the shape fits nowhere.
+func bestFitHost(hosts []*cluster.Host, used []resources.Vector, shape resources.Vector) int {
+	best, bestScore := -1, -1.0
+	for k, h := range hosts {
+		if h.Unavailable || !shape.Fits(h.Capacity.Sub(used[k])) {
 			continue
 		}
-		score := resources.DominantShare(h.Used().Add(shape), h.Capacity)
+		score := resources.DominantShare(used[k].Add(shape), h.Capacity)
 		if score > bestScore {
-			best, bestScore = h, score
+			best, bestScore = k, score
 		}
 	}
 	return best

@@ -1,6 +1,7 @@
 package stranding
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -117,5 +118,51 @@ func TestProber(t *testing.T) {
 	}
 	if avg := pr.AvgStrandedCPU(2 * time.Hour); avg != 0 {
 		t.Fatal("from-filter broken")
+	}
+}
+
+// TestMeasureFixedPool packs a fixed scatter of VMs, with one host out of
+// service, and checks the result against literals recorded from the
+// cloned-pool form of Measure. The live pool must come out unchanged.
+func TestMeasureFixedPool(t *testing.T) {
+	p := cluster.NewPool("t", 6, resources.Cores(32, 131072, 0))
+	shapes := []resources.Vector{
+		resources.Cores(6, 8192, 0),
+		resources.Cores(2, 30000, 0),
+		resources.Vector{CPUMilli: 10500, MemoryMB: 20000},
+	}
+	for i := 0; i < 14; i++ {
+		vm := &cluster.VM{ID: cluster.VMID(i + 1), Shape: shapes[i%len(shapes)]}
+		if err := p.Place(vm, p.Host(cluster.HostID(i*5%6))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Host(4).Unavailable = true
+	type usage struct {
+		used resources.Vector
+		vms  int
+	}
+	snapshot := func() []usage {
+		var out []usage
+		for _, h := range p.Hosts() {
+			out = append(out, usage{h.Used(), h.NumVMs()})
+		}
+		return out
+	}
+	before := snapshot()
+	mix := []resources.Vector{resources.Cores(8, 16384, 0), resources.Cores(4, 32768, 0), resources.Cores(1, 2048, 0)}
+	res, err := Measure(p, mix, 3*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Result{Time: 3 * time.Hour, StrandedCPUFrac: 0.18229166666666666, StrandedMemFrac: 0.33514404296875, VMsPlaced: 21}
+	if res != want {
+		t.Fatalf("Measure = %+v, want %+v", res, want)
+	}
+	if after := snapshot(); !slices.Equal(before, after) {
+		t.Fatalf("Measure changed the live pool: %v, was %v", after, before)
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
