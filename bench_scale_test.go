@@ -28,6 +28,7 @@ import (
 
 	"lava/internal/cluster"
 	"lava/internal/model"
+	"lava/internal/model/gbdt"
 	"lava/internal/resources"
 	"lava/internal/scheduler"
 	"lava/internal/sim"
@@ -346,10 +347,14 @@ func benchOpenHost(b *testing.B, hosts int, pol scheduler.Policy) {
 // spec (65 % target utilisation, 12 h prefill and 3 h measured, seed 1),
 // under wastemin or lava-epoch over the free oracle model, so the record
 // generator, the event cursor, the score cache and the pool are all it
-// times. events/op counts the creates and exits replayed up to the horizon;
-// B/event and allocs/event divide the op's allocated bytes and objects by
-// them. CI's bench-gate holds the 1k-host rows, -benchmem included, so
-// benchstat gates allocs/event beside B/event.
+// times. The hosts=1000/policy=lava-gbdt row is the materialised path the
+// replay-gbdt workload runs: the same spec at 1k hosts generated once, a
+// 100-tree GBDT trained on its records once, both outside the timer, and
+// one op a sim.Run of the trace's records under lava on that forest, which
+// the lava policy binds per VM. events/op counts the creates and exits
+// replayed up to the horizon; B/event and allocs/event divide the op's
+// allocated bytes and objects by them. CI's bench-gate holds the 1k-host
+// rows, -benchmem included, so benchstat gates allocs/event beside B/event.
 func BenchmarkStreamedReplay(b *testing.B) {
 	for _, hosts := range []int{1000, 10000} {
 		spec := workload.PoolSpec{Name: "replay-scale", Zone: "zone-a", Hosts: hosts, TargetUtil: 0.65,
@@ -364,42 +369,69 @@ func BenchmarkStreamedReplay(b *testing.B) {
 			}},
 		} {
 			b.Run(fmt.Sprintf("hosts=%d/policy=%s", hosts, pc.name), func(b *testing.B) {
-				events := countStreamEvents(b, spec)
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				before, mallocs := ms.TotalAlloc, ms.Mallocs
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
+				g, err := workload.Stream(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchReplay(b, countEvents(b, g, g.Meta().End()), func() sim.Config {
 					g, err := workload.Stream(spec)
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := sim.Run(sim.Config{Trace: g.Meta(), Source: g, Policy: pc.mk()}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				runtime.ReadMemStats(&ms)
-				b.ReportMetric(float64(events), "events/op")
-				perEvent := float64(b.N) * float64(events)
-				b.ReportMetric(float64(ms.TotalAlloc-before)/perEvent, "B/event")
-				b.ReportMetric(float64(ms.Mallocs-mallocs)/perEvent, "allocs/event")
+					return sim.Config{Trace: g.Meta(), Source: g, Policy: pc.mk()}
+				})
 			})
 		}
+		if hosts != 1000 {
+			continue
+		}
+		// Built on the row's first call, not again for the timed one.
+		var tr *trace.Trace
+		var pred model.Predictor
+		b.Run(fmt.Sprintf("hosts=%d/policy=lava-gbdt", hosts), func(b *testing.B) {
+			if tr == nil {
+				var err error
+				if tr, err = workload.Generate(spec); err != nil {
+					b.Fatal(err)
+				}
+				if pred, err = model.TrainGBDT(tr.Records, gbdt.Params{Trees: 100}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			benchReplay(b, countEvents(b, tr.Stream(), tr.End()), func() sim.Config {
+				return sim.Config{Trace: tr, Policy: scheduler.NewLAVA(pred, time.Minute)}
+			})
+		})
 	}
 }
 
-// countStreamEvents counts the creates and exits of spec's stream up to its
-// horizon, the events sim.Run replays.
-func countStreamEvents(b *testing.B, spec workload.PoolSpec) int {
-	b.Helper()
-	g, err := workload.Stream(spec)
-	if err != nil {
-		b.Fatal(err)
+// benchReplay times one sim.Run of cfg() per op and reports the events it
+// replays and its allocation per event.
+func benchReplay(b *testing.B, events int, cfg func() sim.Config) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before, mallocs := ms.TotalAlloc, ms.Mallocs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Run(cfg()); err != nil {
+			b.Fatal(err)
+		}
 	}
-	end, n := g.Meta().End(), 0
-	c := trace.NewEventCursor(g)
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(events), "events/op")
+	perEvent := float64(b.N) * float64(events)
+	b.ReportMetric(float64(ms.TotalAlloc-before)/perEvent, "B/event")
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/perEvent, "allocs/event")
+}
+
+// countEvents counts the creates and exits of src up to end, the events
+// sim.Run replays.
+func countEvents(b *testing.B, src trace.Stream, end time.Duration) int {
+	b.Helper()
+	n := 0
+	c := trace.NewEventCursor(src)
 	for ev, ok := c.Next(); ok && ev.Time <= end; ev, ok = c.Next() {
 		n++
 	}

@@ -277,8 +277,8 @@ func TestLAVAStateMachine(t *testing.T) {
 	}
 
 	// Residual VMs exit -> demote class; remaining VMs become residual.
-	h.remove(1)
-	h.remove(2)
+	h.remove(vm1)
+	h.remove(vm2)
 	if h.ResidualCount() != 0 {
 		t.Fatalf("residual count = %d, want 0", h.ResidualCount())
 	}

@@ -44,8 +44,10 @@
 // A pool's hosts live in slabs: NewPool and AddHosts allocate each batch
 // of hosts as one []Host, so a pool costs a few allocations whatever its
 // size. Pool.Host indexes the ID-sorted host slice directly on a pool
-// that has only grown and binary-searches it otherwise; there is no ID
-// map. A host's residual set (§4.3) is a flag on each VM plus a count on
+// that has only grown and binary-searches it otherwise; there is no host-ID
+// map. Running VMs are indexed by ID (Pool.VM), and a VM's Host field names
+// its host, so an exit or a migration finds its VM without scanning a
+// host. A host's residual set (§4.3) is a flag on each VM plus a count on
 // the host, not a map. Pool.CheckInvariants walks the hosts' own VM
 // slices and allocates nothing, so a test may run it after every
 // operation (FuzzPoolOps does).

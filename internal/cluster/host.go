@@ -101,7 +101,8 @@ func (h *Host) VM(id VMID) *VM {
 // find returns the index of the VM with the given ID in vms, or -1. A host
 // holds tens of VMs, so the scan is short; in exchange EachVM walks a
 // slice, not a map, and ExitCache.compute walks a host's VMs on every
-// reprediction of it.
+// reprediction of it. The pool's mutators never scan by ID: they find a VM
+// through the pool's index (Pool.VM).
 func (h *Host) find(id VMID) int {
 	for k, vm := range h.vms {
 		if vm.ID == id {
@@ -133,13 +134,10 @@ func (h *Host) EachVM(fn func(*VM)) {
 	}
 }
 
-// admit returns why vm cannot join the host — its ID is already present or
-// its shape does not fit — or nil. Pool.Place and Pool.Migrate ask before
-// they change anything.
+// admit returns why vm cannot join the host — its shape does not fit — or
+// nil. Pool.Place and Pool.Migrate ask before they change anything; the
+// pool's VM index already refuses an ID that runs anywhere.
 func (h *Host) admit(vm *VM) error {
-	if h.find(vm.ID) >= 0 {
-		return fmt.Errorf("host %d: vm %d already present", h.ID, vm.ID)
-	}
 	if !h.Fits(vm.Shape) {
 		return fmt.Errorf("host %d: vm %d (%s) does not fit free %s", h.ID, vm.ID, vm.Shape, h.Free())
 	}
@@ -155,11 +153,11 @@ func (h *Host) add(vm *VM) {
 	vm.residual = false // a VM joins a host's current epoch, never its residual set
 }
 
-// remove releases the VM with the given ID, which the host runs. Callers go
-// through Pool.Exit/Migrate, whose VM index names the host.
-func (h *Host) remove(id VMID) *VM {
-	k := h.find(id)
-	vm := h.vms[k]
+// remove releases vm, which the host runs. Callers go through
+// Pool.Exit/Migrate, which find vm in the pool's VM index; the host's scan
+// compares pointers and reads no VM.
+func (h *Host) remove(vm *VM) {
+	k := slices.Index(h.vms, vm)
 	last := len(h.vms) - 1
 	h.vms[k] = h.vms[last]
 	h.vms[last] = nil
@@ -170,7 +168,6 @@ func (h *Host) remove(id VMID) *VM {
 	}
 	h.used = h.used.Sub(vm.Shape)
 	vm.Host = nil
-	return vm
 }
 
 // MaxUtilization returns the max of CPU and memory utilization, the LAVA

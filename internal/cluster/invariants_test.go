@@ -32,10 +32,11 @@ func populatedPool(t testing.TB, n, perHost int) *Pool {
 }
 
 // TestCheckInvariantsCatchesCorruption corrupts a populated pool one way
-// per case and requires CheckInvariants to report it. The last case
-// repeats an ID within one host and adds a dangling index entry: the hosted
-// count and the index size balance, so only the explicit repeat check
-// catches it.
+// per case and requires CheckInvariants to report it. The last two cases
+// repeat a VM within one host and add a dangling index entry, so the hosted
+// count and the index size balance: a copy of the VM is caught by its index
+// entry, which names the original, and the VM itself only by the explicit
+// repeat check.
 func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	extra := resources.Cores(1, 4096, 0)
 	cases := []struct {
@@ -50,7 +51,12 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 			p.usedTot = p.usedTot.Add(vm.Shape)
 		}},
 		{"back-pointer", func(p *Pool) { p.Host(0).VM(1).Host = p.Host(1) }},
-		{"index names the wrong host", func(p *Pool) { p.vms[1] = p.Host(1) }},
+		{"index names the wrong host", func(p *Pool) {
+			// VM 1's entry is a copy that names host 1, which does not hold it.
+			vm := *p.VM(1)
+			vm.Host = p.Host(1)
+			p.vms[1] = &vm
+		}},
 		{"used sum", func(p *Pool) {
 			p.Host(1).used = p.Host(1).used.Add(extra)
 			p.usedTot = p.usedTot.Add(extra)
@@ -63,18 +69,27 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		{"empty-host count", func(p *Pool) { p.empty++ }},
 		{"over-committed host", func(p *Pool) {
 			over := p.Host(1).Free().Add(extra)
-			p.Host(1).add(&VM{ID: 1000, Shape: over})
-			p.vms[1000] = p.Host(1)
+			vm := &VM{ID: 1000, Shape: over}
+			p.Host(1).add(vm)
+			p.vms[1000] = vm
 			p.usedTot = p.usedTot.Add(over)
 		}},
-		{"stale index entry", func(p *Pool) { p.vms[1000] = p.Host(1) }},
+		{"stale index entry", func(p *Pool) { p.vms[1000] = &VM{ID: 1000} }},
 		{"id repeated on a host, dangling index entry", func(p *Pool) {
 			h := p.Host(1)
 			vm := *h.VMs()[0]
 			h.vms = append(h.vms, &vm)
 			h.used = h.used.Add(vm.Shape)
 			p.usedTot = p.usedTot.Add(vm.Shape)
-			p.vms[1000] = h
+			p.vms[1000] = &VM{ID: 1000}
+		}},
+		{"vm repeated on a host, dangling index entry", func(p *Pool) {
+			h := p.Host(1)
+			vm := h.VMs()[0]
+			h.vms = append(h.vms, vm)
+			h.used = h.used.Add(vm.Shape)
+			p.usedTot = p.usedTot.Add(vm.Shape)
+			p.vms[1000] = &VM{ID: 1000}
 		}},
 	}
 	for _, c := range cases {

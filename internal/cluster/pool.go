@@ -18,7 +18,7 @@ import (
 type Pool struct {
 	Name  string
 	hosts []*Host         // sorted by ID; membership changes only via AddHosts/RemoveHost
-	vms   map[VMID]*Host  // VM -> current host
+	vms   map[VMID]*VM    // running VMs by ID; VM.Host names the host
 	subs  []*subscription // host-event subscribers (see events.go)
 
 	// Running pool-wide aggregates, maintained O(1) per mutation so metric
@@ -35,7 +35,7 @@ type Pool struct {
 
 // NewPool builds a pool of n identical hosts with the given capacity.
 func NewPool(name string, n int, capacity resources.Vector) *Pool {
-	p := &Pool{Name: name, hosts: make([]*Host, 0, n), vms: make(map[VMID]*Host)}
+	p := &Pool{Name: name, hosts: make([]*Host, 0, n), vms: make(map[VMID]*VM)}
 	p.addSlab(n, capacity)
 	return p
 }
@@ -136,7 +136,15 @@ func (p *Pool) NumHosts() int { return len(p.hosts) }
 func (p *Pool) NumVMs() int { return len(p.vms) }
 
 // HostOf returns the host currently running the VM, or nil.
-func (p *Pool) HostOf(id VMID) *Host { return p.vms[id] }
+func (p *Pool) HostOf(id VMID) *Host {
+	if vm := p.vms[id]; vm != nil {
+		return vm.Host
+	}
+	return nil
+}
+
+// VM returns the running VM with the given ID, or nil.
+func (p *Pool) VM(id VMID) *VM { return p.vms[id] }
 
 // AppendFeasible appends the available hosts that can fit a VM of the given
 // shape to dst and returns the extended slice, in host-ID order. It scans
@@ -154,14 +162,14 @@ func (p *Pool) AppendFeasible(dst []*Host, shape resources.Vector) []*Host {
 // Place assigns vm to host h. The VM must not already be placed.
 func (p *Pool) Place(vm *VM, h *Host) error {
 	if cur, ok := p.vms[vm.ID]; ok {
-		return fmt.Errorf("pool %s: vm %d already on host %d", p.Name, vm.ID, cur.ID)
+		return fmt.Errorf("pool %s: vm %d already on host %d", p.Name, vm.ID, cur.Host.ID)
 	}
 	if err := h.admit(vm); err != nil {
 		return err
 	}
 	wasEmpty := h.Empty()
 	h.add(vm)
-	p.vms[vm.ID] = h
+	p.vms[vm.ID] = vm
 	p.usedTot = p.usedTot.Add(vm.Shape)
 	if wasEmpty {
 		p.emptyCap = p.emptyCap.Sub(h.Capacity)
@@ -179,11 +187,12 @@ var ErrNotRunning = errors.New("vm not running")
 // Exit removes the VM from the pool, returning the host it ran on, or
 // ErrNotRunning.
 func (p *Pool) Exit(id VMID) (*Host, *VM, error) {
-	h, ok := p.vms[id]
+	vm, ok := p.vms[id]
 	if !ok {
 		return nil, nil, ErrNotRunning
 	}
-	vm := h.remove(id)
+	h := vm.Host
+	h.remove(vm)
 	delete(p.vms, id)
 	p.usedTot = p.usedTot.Sub(vm.Shape)
 	if h.Empty() {
@@ -198,19 +207,20 @@ func (p *Pool) Exit(id VMID) (*Host, *VM, error) {
 // room. It returns the source host. A refused move leaves the source host
 // exactly as it was, the VM's residual flag included.
 func (p *Pool) Migrate(id VMID, dst *Host) (*Host, error) {
-	src, ok := p.vms[id]
+	vm, ok := p.vms[id]
 	if !ok {
 		return nil, fmt.Errorf("pool %s: vm %d not running", p.Name, id)
 	}
+	src := vm.Host
 	if src == dst {
 		return nil, fmt.Errorf("pool %s: vm %d migration to its own host %d", p.Name, id, src.ID)
 	}
-	if err := dst.admit(src.VM(id)); err != nil {
+	if err := dst.admit(vm); err != nil {
 		return nil, err
 	}
 	dstWasEmpty := dst.Empty()
-	dst.add(src.remove(id))
-	p.vms[id] = dst
+	src.remove(vm)
+	dst.add(vm)
 	// usedTot is unchanged (the VM moved, not exited). Empty-capacity moves
 	// if the source drained or the destination was previously empty.
 	if src.Empty() {
@@ -280,8 +290,8 @@ func (p *Pool) FreeTotal() resources.Vector {
 // RunningVMs returns all running VMs sorted by ID.
 func (p *Pool) RunningVMs() []*VM {
 	out := make([]*VM, 0, len(p.vms))
-	for id, h := range p.vms {
-		out = append(out, h.VM(id))
+	for _, vm := range p.vms {
+		out = append(out, vm)
 	}
 	slices.SortFunc(out, byID)
 	return out
@@ -289,11 +299,11 @@ func (p *Pool) RunningVMs() []*VM {
 
 // CheckInvariants verifies internal consistency: per-host used sums match VM
 // shapes and residual counts match the VMs' residual flags, every VM's
-// back-pointer and index entry name the host that holds it, no VM is
-// double-booked, the index holds exactly the hosted VMs, and the running
-// aggregates match a scan. It is one pass over the hosts and their VMs that
-// allocates nothing, so tests may call it after every step; the simulator's
-// debug mode calls it at every sample.
+// back-pointer names the host that holds it and its index entry names the
+// VM itself, no VM is double-booked, the index holds exactly the hosted
+// VMs, and the running aggregates match a scan. It is one pass over the
+// hosts and their VMs that allocates nothing, so tests may call it after
+// every step; the simulator's debug mode calls it at every sample.
 func (p *Pool) CheckInvariants() error {
 	var usedTot, capTot, emptyCap resources.Vector
 	empty, hosted := 0, 0
@@ -302,15 +312,15 @@ func (p *Pool) CheckInvariants() error {
 		residuals := 0
 		for k, vm := range h.vms {
 			// A host holds tens of VMs, so the scan of its earlier ones is short.
-			if h.find(vm.ID) != k {
+			if slices.Index(h.vms, vm) != k {
 				return fmt.Errorf("vm %d twice on host %d", vm.ID, h.ID)
 			}
 			if vm.Host != h {
 				return fmt.Errorf("vm %d back-pointer mismatch: %v != host %d", vm.ID, vm.Host, h.ID)
 			}
-			// A VM booked on two hosts is indexed on at most one of them.
-			if ih := p.vms[vm.ID]; ih != h {
-				return fmt.Errorf("vm %d on host %d, indexed on %v", vm.ID, h.ID, ih)
+			// Two VMs of one ID, on one host or two, share one index entry.
+			if iv := p.vms[vm.ID]; iv != vm {
+				return fmt.Errorf("vm %d on host %d, indexed as %v", vm.ID, h.ID, iv)
 			}
 			if vm.residual {
 				residuals++
@@ -334,8 +344,8 @@ func (p *Pool) CheckInvariants() error {
 			empty++
 		}
 	}
-	// Every hosted VM has its own index entry (no ID repeats on a host, and
-	// each entry names one host), so equal counts leave no stale entry.
+	// Every hosted VM is the entry of its own ID and no VM is hosted twice,
+	// so equal counts leave no stale entry.
 	if hosted != len(p.vms) {
 		return fmt.Errorf("vm index size %d != hosted VMs %d", len(p.vms), hosted)
 	}

@@ -235,7 +235,7 @@ func (e *Engine) reapSavedAndStart(ctl *sim.Control, now time.Duration) {
 	for len(e.inflight) < batchLimit && len(e.pending) > 0 {
 		m := e.pending[0]
 		e.pending = e.pending[1:]
-		vm := pool.HostOf(m.vmID).VM(m.vmID)
+		vm := pool.VM(m.vmID)
 
 		// Target selection uses the run's policy, the algorithm of initial
 		// placement; with NILAS/LAVA this repredicts the VM's remaining

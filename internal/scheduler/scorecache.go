@@ -345,7 +345,7 @@ func (c *CachedChain) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Dura
 // before scoring once one candidate is left.
 func (c *CachedChain) filter(cs *candSet, win *scoreBkt, from int, vm *cluster.VM, now time.Duration) int32 {
 	if cap(c.ids) < win.n {
-		c.ids = make([]int32, win.n)
+		c.ids = make([]int32, max(win.n, 2*cap(c.ids)))
 	}
 	ids, k := c.ids[:win.n], 0
 	for w := 0; k < win.n; w++ {
@@ -402,7 +402,7 @@ type CacheStats struct {
 	HostsResynced int64 `json:"hosts_resynced"` // changed hosts re-scored on level 0, summed over contexts
 	LazyEvals     int64 `json:"lazy_evals"`     // deep static levels scored on first read
 	Filtered      int64 `json:"filtered"`       // candidates in the winning bucket
-	Bytes         int64 `json:"bytes"`          // live bytes: code column capacities, value tables, bucket and membership bitsets, journal
+	Bytes         int64 `json:"bytes"`          // live bytes: code column capacities, value tables, bucket and membership bitsets, journal (not the code indexes)
 	CodeResets    int64 `json:"code_resets"`    // levels reset because their value table was full
 	BlankPicks    int64 `json:"blank_picks"`    // decisions the blank shortcut resolved unfiltered
 }
@@ -611,6 +611,9 @@ func (c *CachedChain) rebuild(cs *candSet, vm *cluster.VM, now time.Duration) {
 	for li := range cs.tabs {
 		cs.tabs[li] = cs.tabs[li][:0]
 	}
+	for _, x := range cs.index {
+		clear(x)
+	}
 	for _, b := range cs.bkts {
 		clear(b.bits)
 		b.n, b.blanks = 0, 0
@@ -652,6 +655,7 @@ type candSet struct {
 	blank    []uint64    // bitset: a member counted blank in its bucket (blankOK only)
 	cols     [][]uint8   // per column cols[li]: 0 = not cached, k = tabs[li][k-1]; a host past the end reads 0
 	tabs     [][]float64 // per level: the distinct cached values, at most 255
+	index    [][]uint8   // per column cols[li]: the codes of tabs[li] by value (see code)
 	synced   uint64      // the journal stamp the context has applied up to
 	allDirty bool        // rebuild on the next sync
 	epoch    int64       // 1 + the epoch index the buckets belong to
@@ -695,12 +699,14 @@ func (b *scoreBkt) first() int32 {
 
 func newCandSet(ctx CacheContext, nHosts, nLevels, nCols int) *candSet {
 	words := (nHosts + 63) / 64
+	cols := make([][]uint8, 2*nCols) // the code columns, then their indexes
 	return &candSet{
 		ctx:      ctx,
 		member:   make([]uint64, words),
 		blank:    make([]uint64, words),
-		cols:     make([][]uint8, nCols),
+		cols:     cols[:nCols:nCols],
 		tabs:     make([][]float64, nLevels),
+		index:    cols[nCols:],
 		allDirty: true,
 	}
 }
@@ -771,12 +777,23 @@ func (cs *candSet) column(k int, id int32, nHosts int) []uint8 {
 }
 
 // code returns v's code in level li's value table, interning it by bit
-// pattern. A full table resets the level first: every host of the context
-// then refills that level on its next read.
+// pattern; codes count up in the order values first arrive. A full table
+// resets the level first: every host of the context then refills that level
+// on its next read.
+//
+// The code is found through the column's index, an open-addressed hash
+// table over the values' bit patterns, linearly probed, each slot holding a
+// code (0: empty). Its length is a power of two at least twice the table's,
+// so a probe stops within a few slots; it doubles as the table grows, from
+// 64 slots to at most 512, so a context's index costs bytes in proportion
+// to the values it has met. A table that stays put costs no allocation.
 func (cs *candSet) code(c *CachedChain, li int, v float64) uint8 {
-	for k, t := range cs.tabs[li] {
-		if math.Float64bits(t) == math.Float64bits(v) {
-			return uint8(k + 1)
+	k, b := c.cols[li], math.Float64bits(v)
+	if x := cs.index[k]; len(x) > 0 {
+		for i := codeSlot(b, len(x)); x[i] != 0; i = (i + 1) & (len(x) - 1) {
+			if math.Float64bits(cs.tabs[li][x[i]-1]) == b {
+				return x[i]
+			}
 		}
 	}
 	if len(cs.tabs[li]) == math.MaxUint8 {
@@ -784,13 +801,39 @@ func (cs *candSet) code(c *CachedChain, li int, v float64) uint8 {
 		c.stats.CodeResets++
 	}
 	cs.tabs[li] = append(cs.tabs[li], v)
-	return uint8(len(cs.tabs[li]))
+	tab := cs.tabs[li]
+	if x := cs.index[k]; 2*len(tab) > len(x) {
+		x = make([]uint8, max(64, 2*len(x)))
+		for j, t := range tab {
+			codeInsert(x, math.Float64bits(t), uint8(j+1))
+		}
+		cs.index[k] = x
+	} else {
+		codeInsert(x, b, uint8(len(tab)))
+	}
+	return uint8(len(tab))
+}
+
+// codeSlot returns the slot a bit pattern's probe starts at in an index of
+// n slots, n a power of two: the top bits of a Fibonacci hash.
+func codeSlot(b uint64, n int) int {
+	return int((b * 0x9e3779b97f4a7c15) >> (64 - bits.TrailingZeros(uint(n))))
+}
+
+// codeInsert puts a code into the first empty slot of its value's probe.
+func codeInsert(x []uint8, b uint64, code uint8) {
+	i := codeSlot(b, len(x))
+	for x[i] != 0 {
+		i = (i + 1) & (len(x) - 1)
+	}
+	x[i] = code
 }
 
 // reset forgets every cached value of the static level li >= 1.
 func (cs *candSet) reset(c *CachedChain, li int) {
 	clear(cs.cols[c.cols[li]])
 	cs.tabs[li] = cs.tabs[li][:0]
+	clear(cs.index[c.cols[li]])
 }
 
 // bucket returns the bucket of a level-0 score, creating it in key order on

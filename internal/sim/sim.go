@@ -229,7 +229,7 @@ func (c *Control) Migrate(id cluster.VMID, dst *cluster.Host, now time.Duration)
 		return err
 	}
 	if c.policy != nil {
-		vm := dst.VM(id)
+		vm := c.pool.VM(id)
 		c.policy.OnExited(c.pool, src, vm, now)
 		c.policy.OnPlaced(c.pool, dst, vm, now)
 	}
@@ -252,7 +252,9 @@ type Config struct {
 	// horizon (its Records may be empty); for unbounded sources
 	// Trace.Horizon must be set or the run has no defined end.
 	// Results are byte-identical to a materialized replay of the same
-	// record sequence.
+	// record sequence. Run reads the source on a goroutine of its own,
+	// ahead of the replay, so a source must share no mutable state with
+	// the policy, the injectors or the tracer.
 	Source trace.Stream
 
 	// Injectors run on every tick, in order, before the policy tick: the
@@ -520,7 +522,7 @@ func (m *Machine) Advance(t time.Duration) error {
 // already running is refused with ErrLiveVM before anything else moves, time
 // included. Any other scheduling or placement error is fatal to the run.
 func (m *Machine) Create(rec trace.Record, at time.Duration) (*cluster.Host, error) {
-	if !m.finished && m.pool.HostOf(rec.ID) != nil {
+	if !m.finished && m.pool.VM(rec.ID) != nil {
 		return nil, fmt.Errorf("sim: create vm %d: %w", rec.ID, ErrLiveVM)
 	}
 	at, err := m.begin(at)
@@ -746,38 +748,43 @@ func (m *Machine) Finish() (*Result, error) {
 // Run replays the trace against the policy. The event sequence comes from
 // Config.Source when set (streamed replay) and from Trace.Records
 // otherwise; both paths drive the identical event order through the same
-// Machine, so they are byte-identical on the same record sequence.
+// Machine, so they are byte-identical on the same record sequence. One
+// goroutine of Run's own reads the source ahead of the Machine (see feed);
+// Run joins it before it returns, and raises a panic of the source again on
+// the caller's goroutine.
 func Run(cfg Config) (*Result, error) {
 	m, err := NewMachine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	src := cfg.Source
-	if src == nil {
-		src = cfg.Trace.Stream()
-	}
-	cur := trace.NewEventCursor(src)
-	for {
-		ev, ok := cur.Next()
-		if !ok || ev.Time > m.end {
-			break // exhausted, failed, or the drain-only tail: stop measuring
-		}
-		switch ev.Kind {
-		case trace.EventCreate:
-			if _, err := m.Create(ev.Rec, ev.Time); err != nil {
-				if slo.IsReject(err) {
-					continue // counted per class; the VM never ran
-				}
-				return nil, err
-			}
-		case trace.EventExit:
-			if _, err := m.Exit(ev.Rec.ID, ev.Time); err != nil {
+	f := startFeed(cfg.Source, cfg.Trace, m.end)
+	defer f.join()
+	for b := range f.full {
+		for i := range b {
+			if err := m.apply(&b[i]); err != nil {
 				return nil, err
 			}
 		}
+		f.free <- b
 	}
-	if err := cur.Err(); err != nil {
+	if err := f.join(); err != nil {
 		return nil, fmt.Errorf("sim: trace stream: %w", err)
 	}
 	return m.Finish()
+}
+
+// apply replays one trace event. A create the SLO layer refuses is counted
+// per class and skipped: the VM never ran.
+func (m *Machine) apply(ev *trace.Event) error {
+	switch ev.Kind {
+	case trace.EventCreate:
+		if _, err := m.Create(ev.Rec, ev.Time); err != nil && !slo.IsReject(err) {
+			return err
+		}
+	case trace.EventExit:
+		if _, err := m.Exit(ev.Rec.ID, ev.Time); err != nil {
+			return err
+		}
+	}
+	return nil
 }

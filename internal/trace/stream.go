@@ -133,8 +133,13 @@ func (c *EventCursor) pull(prev *Record) {
 	c.hasNext = c.err == nil
 }
 
-// pushExit adds a key to the heap, sifting it up.
+// pushExit adds a key to the heap, sifting it up. A full heap doubles:
+// append's growth steps shrink toward 1.25x on large slices, and a heap of
+// a whole pool's live VMs would leave a trail of discarded arrays behind it.
 func (c *EventCursor) pushExit(k exitKey) {
+	if len(c.keys) == cap(c.keys) {
+		c.keys = append(make([]exitKey, 0, max(2*cap(c.keys), 64)), c.keys...)
+	}
 	c.keys = append(c.keys, k)
 	i := len(c.keys) - 1
 	for i > 0 {
