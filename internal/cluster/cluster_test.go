@@ -7,7 +7,6 @@ import (
 	"unsafe"
 
 	"lava/internal/resources"
-	"lava/internal/simtime"
 )
 
 func newVM(id VMID, cores int64) *VM {
@@ -22,13 +21,13 @@ func TestVMSize(t *testing.T) {
 	}
 }
 
-// TestHostSize: a Host stays at 104 bytes with 8-byte pointers (84 with
+// TestHostSize: a Host stays at 88 bytes with 8-byte pointers (72 with
 // 4-byte ones), the size its packed fields give, so a pool's host slab
 // costs no more per host than that.
 func TestHostSize(t *testing.T) {
-	limit := uintptr(104)
+	limit := uintptr(88)
 	if unsafe.Sizeof(uintptr(0)) == 4 {
-		limit = 84 // the VM slice header and the int-sized Class shrink
+		limit = 72 // the VM slice header shrinks
 	}
 	if n := unsafe.Sizeof(Host{}); n > limit {
 		t.Fatalf("cluster.Host is %d bytes, over %d", n, limit)
@@ -177,7 +176,9 @@ func TestMigrateToFullHostRollsBack(t *testing.T) {
 }
 
 // TestMigrateRefusedKeepsResidual: a refused move is checked before it
-// starts, so the VM keeps its place in its recycling host's residual set.
+// starts, so the VM stays on its host with the policy's mark it carries
+// (LAVA's residual flag; the policy's half of this test is
+// TestLAVAMigrateRefusedKeepsResidual in internal/scheduler).
 func TestMigrateRefusedKeepsResidual(t *testing.T) {
 	p := NewPool("test", 2, resources.Cores(8, 32768, 0))
 	if err := p.Place(newVM(1, 4), p.Host(0)); err != nil {
@@ -187,16 +188,56 @@ func TestMigrateRefusedKeepsResidual(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := p.Host(0)
-	src.OpenAs(simtime.LC3, 0)
-	src.StartRecycling()
+	src.VM(1).Mark = true
+	occ := src.Occupancy()
 	if _, err := p.Migrate(1, p.Host(1)); err == nil {
 		t.Fatal("migration to a host without room must fail")
 	}
-	if src.ResidualCount() != 1 || !src.IsResidual(1) {
-		t.Fatalf("after a refused move: residual count %d, vm 1 residual %v; want 1, true", src.ResidualCount(), src.IsResidual(1))
+	if vm := src.VM(1); vm == nil || !vm.Mark || src.Occupancy() != occ {
+		t.Fatalf("after a refused move: vm 1 on the source %v, marked %v, occupancy %d -> %d; want true, true, unchanged",
+			vm != nil, vm != nil && vm.Mark, occ, src.Occupancy())
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHostOccupancy: a host's occupancy count moves when, and only when,
+// the host goes empty — by an exit or by its last VM migrating away — and a
+// host that reuses a removed host's ID starts past the removed one's count.
+func TestHostOccupancy(t *testing.T) {
+	capacity := resources.Cores(8, 32768, 0)
+	p := NewPool("test", 2, capacity)
+	h0, h1 := p.Host(0), p.Host(1)
+	step := func(what string, err error, want0, want1 uint32) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if h0.Occupancy() != want0 || h1.Occupancy() != want1 {
+			t.Fatalf("%s: occupancies %d, %d; want %d, %d", what, h0.Occupancy(), h1.Occupancy(), want0, want1)
+		}
+	}
+	step("new pool", nil, 0, 0)
+	step("place", p.Place(newVM(1, 2), h0), 0, 0)
+	step("second place", p.Place(newVM(2, 2), h0), 0, 0)
+	_, _, err := p.Exit(1)
+	step("partial exit", err, 0, 0)
+	_, err = p.Migrate(2, h1)
+	step("last VM migrates away", err, 1, 0)
+	_, _, err = p.Exit(2)
+	step("last exit", err, 1, 1)
+	step("refill", p.Place(newVM(3, 2), h1), 1, 1)
+
+	// Retire the top host and take its ID again.
+	_, err = p.Migrate(3, h0)
+	step("drain host 1", err, 1, 2)
+	if err := p.RemoveHost(1); err != nil {
+		t.Fatal(err)
+	}
+	again := p.AddHosts(1, capacity)[0]
+	if again.ID != 1 || again.Occupancy() <= 2 {
+		t.Fatalf("host %d added after removing host 1 (occupancy 2) starts at occupancy %d, want past 2", again.ID, again.Occupancy())
 	}
 }
 
@@ -243,74 +284,6 @@ func TestUtilization(t *testing.T) {
 	cpu, _ := p.Utilization()
 	if cpu != 0.25 {
 		t.Fatalf("cpu utilization = %v, want 0.25", cpu)
-	}
-}
-
-func TestLAVAStateMachine(t *testing.T) {
-	h := &Host{Capacity: resources.Cores(10, 40960, 0)}
-	now := 5 * time.Hour
-
-	h.OpenAs(simtime.LC3, now)
-	if h.State != StateOpen || h.Class != simtime.LC3 {
-		t.Fatalf("after OpenAs: %v", h)
-	}
-	if want := now + simtime.LC3.Deadline(); h.Deadline != want {
-		t.Fatalf("deadline = %v, want %v", h.Deadline, want)
-	}
-
-	vm1, vm2 := newVM(1, 4), newVM(2, 4)
-	h.add(vm1)
-	h.add(vm2)
-	h.StartRecycling()
-	if h.State != StateRecycling || h.ResidualCount() != 2 {
-		t.Fatalf("after StartRecycling: %v residual=%d", h, h.ResidualCount())
-	}
-	if !h.IsResidual(1) || !h.IsResidual(2) {
-		t.Fatal("both VMs must be residual")
-	}
-
-	// A newer, shorter VM arrives; it is not residual.
-	vm3 := newVM(3, 1)
-	h.add(vm3)
-	if h.IsResidual(3) {
-		t.Fatal("vm3 must not be residual")
-	}
-
-	// Residual VMs exit -> demote class; remaining VMs become residual.
-	h.remove(vm1)
-	h.remove(vm2)
-	if h.ResidualCount() != 0 {
-		t.Fatalf("residual count = %d, want 0", h.ResidualCount())
-	}
-	h.DemoteClass(now + time.Hour)
-	if h.Class != simtime.LC2 {
-		t.Fatalf("class after demote = %v, want LC2", h.Class)
-	}
-	if !h.IsResidual(3) {
-		t.Fatal("vm3 must be residual after demotion")
-	}
-
-	// Deadline expiry -> promote.
-	h.PromoteClass(now + 2*time.Hour)
-	if h.Class != simtime.LC3 {
-		t.Fatalf("class after promote = %v, want LC3", h.Class)
-	}
-
-	h.ResetLAVA()
-	if h.State != StateEmpty || h.Class != 0 || h.ResidualCount() != 0 {
-		t.Fatalf("after reset: %v", h)
-	}
-}
-
-func TestHostMaxUtilization(t *testing.T) {
-	h := &Host{Capacity: resources.Cores(10, 10000, 0)}
-	vm := &VM{ID: 1, Shape: resources.Vector{CPUMilli: 9500, MemoryMB: 1000}}
-	h.add(vm)
-	if got := h.MaxUtilization(); got != 0.95 {
-		t.Fatalf("MaxUtilization = %v, want 0.95", got)
-	}
-	if got := h.MaxUtilization(); got < RecyclingThreshold == false {
-		_ = got // 0.95 >= 0.9: would trigger recycling transition
 	}
 }
 

@@ -1,7 +1,9 @@
 // Package cluster models the physical substrate of the paper's setting
 // (§2.2): pools of identical hosts onto which VMs are packed. It owns all
-// allocation bookkeeping and the per-host LAVA lifetime-class state machine
-// (empty / open / recycling, §4.3).
+// allocation bookkeeping and no scheduling policy: what a policy keeps per
+// host, it keeps itself (internal/scheduler), stamped with the host's
+// Occupancy so that state from before a host went empty is void however it
+// went empty.
 //
 // # Concurrency contract
 //
@@ -34,7 +36,8 @@
 // outcomes: Place/Exit/Migrate publish HostChanged, AddHosts/RemoveHost
 // the membership events, and InvalidateHost is the explicit channel for
 // out-of-band changes (Unavailable flips, which sim.Control alone makes,
-// and LAVA state transitions driven from policy hooks). Subscribers run
+// and changes to a policy's own per-host state, such as a timer firing in
+// OnTick). Subscribers run
 // synchronously under the same single-writer contract and typically just
 // flip dirty bits — the scheduler's incremental score caches are built on
 // this surface (see internal/scheduler and DESIGN.md §6).
@@ -47,8 +50,8 @@
 // that has only grown and binary-searches it otherwise; there is no host-ID
 // map. Running VMs are indexed by ID (Pool.VM), and a VM's Host field names
 // its host, so an exit or a migration finds its VM without scanning a
-// host. A host's residual set (§4.3) is a flag on each VM plus a count on
-// the host, not a map. Pool.CheckInvariants walks the hosts' own VM
+// host. A VM carries one flag for its policy (VM.Mark), which the pool
+// never reads or writes. Pool.CheckInvariants walks the hosts' own VM
 // slices and allocates nothing, so a test may run it after every
 // operation (FuzzPoolOps does).
 package cluster

@@ -10,9 +10,8 @@ type HostEvent uint8
 // Host events. HostChanged covers every change to one member host: Pool's
 // Place, Exit and Migrate publish it (a migration once on the source, then
 // once on the target), and InvalidateHost is the explicit escape hatch for
-// state changes the pool cannot see itself — LAVA class promotions on
-// reprediction deadlines, recycling-state transitions, and Unavailable
-// flips by sim.Control. HostAdded and HostRemoved are the membership events
+// state changes the pool cannot see itself — a policy's own per-host state
+// moving on a timer, and Unavailable flips by sim.Control. HostAdded and HostRemoved are the membership events
 // of AddHosts and RemoveHost (fleet elasticity).
 const (
 	// HostChanged: the host's VM set or out-of-band scoring state changed.
@@ -50,7 +49,7 @@ type HostListener func(h *Host, ev HostEvent)
 //
 // The contract a subscriber may rely on: every change that can alter a
 // host's feasibility or any event-driven score — VM set changes, Unavailable
-// flips, LAVA state-machine transitions — is announced either by the
+// flips, a policy's own per-host state changes — is announced either by the
 // HostChanged of a Pool mutator or by an explicit InvalidateHost from the
 // code performing the out-of-band mutation (sim.Control, the policy hooks).
 // Code that mutates host state outside the Pool mutators must call

@@ -4,56 +4,23 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"time"
 
 	"lava/internal/resources"
-	"lava/internal/simtime"
 )
 
 // HostID identifies a host within a pool.
 type HostID int32
 
-// HostState is the LAVA host state (§4.3), mirroring LLAMA's page states.
-// A uint8 packs it next to Host.Unavailable.
-type HostState uint8
-
-// Host states. Hosts without any VM are StateEmpty; the first placement
-// under LAVA opens them; once >=90% full they transition to recycling and
-// accept only shorter-lived VMs.
-const (
-	StateEmpty HostState = iota
-	StateOpen
-	StateRecycling
-)
-
-// String renders the state name.
-func (s HostState) String() string {
-	switch s {
-	case StateEmpty:
-		return "empty"
-	case StateOpen:
-		return "open"
-	case StateRecycling:
-		return "recycling"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
-
-// RecyclingThreshold is the occupancy fraction (of CPU or memory) at which
-// an open host transitions to recycling (§4.3: "over 90% of the resources").
-const RecyclingThreshold = 0.9
-
 // Host is a physical machine. All hosts in a pool share one capacity shape
 // (§G.2: "all server host hardware is the same within each pool").
 //
 // A pool allocates its hosts in slabs (see NewPool), and the fields are
-// ordered so that a Host takes 104 bytes on 64-bit targets: the residual
-// count fills the word after ID, and State shares one with Unavailable.
+// ordered so that a Host takes 88 bytes on 64-bit targets: the occupancy
+// count fills the word after ID.
 type Host struct {
 	ID HostID
 
-	residuals int32 // VMs on the host whose residual flag is set
+	occupancy uint32 // see Occupancy
 
 	Capacity resources.Vector
 
@@ -63,14 +30,6 @@ type Host struct {
 	// Unavailable marks hosts drained for defragmentation or maintenance;
 	// the scheduler skips them (§4.4). Only sim.Control writes it.
 	Unavailable bool
-
-	// LAVA per-host state (§4.3). Class, State and Deadline are maintained
-	// by the LAVA policy through the methods below; other policies leave
-	// them at their zero values. The residual VMs of the current class
-	// epoch carry VM.residual, counted in residuals.
-	State    HostState
-	Class    simtime.LifetimeClass
-	Deadline time.Duration // sim time at which the current class expires
 }
 
 // Used returns the currently allocated resource vector.
@@ -84,6 +43,15 @@ func (h *Host) NumVMs() int { return len(h.vms) }
 
 // Empty reports whether no VM is running on the host.
 func (h *Host) Empty() bool { return len(h.vms) == 0 }
+
+// Occupancy numbers the host's occupancies, the runs of VMs it holds
+// between two times it is empty: the count grows by one each time the host
+// goes empty, however its last VM left, and a host that takes the ID of a
+// removed one starts past its predecessor's count. A policy that keeps
+// per-host state stamped with the occupancy it was written in therefore
+// finds that state void once the host has been empty, and needs no hook to
+// reset it.
+func (h *Host) Occupancy() uint32 { return h.occupancy }
 
 // Fits reports whether a VM of the given shape fits into the free capacity.
 func (h *Host) Fits(shape resources.Vector) bool {
@@ -150,94 +118,25 @@ func (h *Host) add(vm *VM) {
 	h.vms = append(h.vms, vm)
 	h.used = h.used.Add(vm.Shape)
 	vm.Host = h
-	vm.residual = false // a VM joins a host's current epoch, never its residual set
 }
 
 // remove releases vm, which the host runs. Callers go through
 // Pool.Exit/Migrate, which find vm in the pool's VM index; the host's scan
-// compares pointers and reads no VM.
+// compares pointers and reads no VM. The host's last VM ends its
+// occupancy.
 func (h *Host) remove(vm *VM) {
 	k := slices.Index(h.vms, vm)
 	last := len(h.vms) - 1
 	h.vms[k] = h.vms[last]
 	h.vms[last] = nil
 	h.vms = h.vms[:last]
-	if vm.residual {
-		vm.residual = false
-		h.residuals--
+	if last == 0 {
+		h.occupancy++
 	}
 	h.used = h.used.Sub(vm.Shape)
 	vm.Host = nil
 }
 
-// MaxUtilization returns the max of CPU and memory utilization, the LAVA
-// open->recycling trigger quantity.
-func (h *Host) MaxUtilization() float64 {
-	return resources.MaxUtilization(h.used, h.Capacity)
-}
-
-// --- LAVA state machine -------------------------------------------------
-
-// OpenAs transitions an empty host to the open state with the given class,
-// setting its misprediction deadline to now + 1.1x the class upper bound.
-func (h *Host) OpenAs(class simtime.LifetimeClass, now time.Duration) {
-	h.State = StateOpen
-	h.Class = class
-	h.Deadline = now + class.Deadline()
-}
-
-// StartRecycling transitions an open host to recycling. All VMs currently
-// present become the residual set (§4.3).
-func (h *Host) StartRecycling() {
-	h.State = StateRecycling
-	h.markAllResidual()
-}
-
-// markAllResidual labels every current VM as residual.
-func (h *Host) markAllResidual() {
-	for _, vm := range h.vms {
-		vm.residual = true
-	}
-	h.residuals = int32(len(h.vms))
-}
-
-// ResidualCount returns the number of residual VMs still running.
-func (h *Host) ResidualCount() int { return int(h.residuals) }
-
-// IsResidual reports whether the VM is part of the residual set.
-func (h *Host) IsResidual(id VMID) bool {
-	k := h.find(id)
-	return k >= 0 && h.vms[k].residual
-}
-
-// DemoteClass reduces the host's lifetime class by one after all residual
-// VMs exited (Fig. 5b). The remaining VMs become the new residual set and
-// the deadline restarts for the new class.
-func (h *Host) DemoteClass(now time.Duration) {
-	h.Class = h.Class.Dec()
-	h.Deadline = now + h.Class.Deadline()
-	h.markAllResidual()
-}
-
-// PromoteClass bumps the host's lifetime class after a deadline expiry, the
-// misprediction-adaptation move (Fig. 5c). All current VMs become residual.
-func (h *Host) PromoteClass(now time.Duration) {
-	h.Class = h.Class.Inc()
-	h.Deadline = now + h.Class.Deadline()
-	h.markAllResidual()
-}
-
-// ResetLAVA clears all LAVA state; used when a host becomes empty.
-func (h *Host) ResetLAVA() {
-	h.State = StateEmpty
-	h.Class = 0
-	h.Deadline = 0
-	for _, vm := range h.vms {
-		vm.residual = false
-	}
-	h.residuals = 0
-}
-
 func (h *Host) String() string {
-	return fmt.Sprintf("host%d[%s %s vms=%d used=%s]", h.ID, h.State, h.Class, len(h.vms), h.used)
+	return fmt.Sprintf("host%d[vms=%d used=%s]", h.ID, len(h.vms), h.used)
 }

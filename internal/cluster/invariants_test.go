@@ -2,15 +2,13 @@ package cluster
 
 import (
 	"testing"
-	"time"
 
 	"lava/internal/resources"
-	"lava/internal/simtime"
 )
 
 // populatedPool builds a pool of n 16-core hosts holding perHost 2-core VMs
 // on each of its first n-1 hosts (the last one stays empty), with host
-// 0 recycling so that its VMs carry residual flags.
+// 0's VMs carrying the policy's mark.
 func populatedPool(t testing.TB, n, perHost int) *Pool {
 	t.Helper()
 	p := NewPool("inv", n, resources.Cores(16, 65536, 0))
@@ -23,8 +21,7 @@ func populatedPool(t testing.TB, n, perHost int) *Pool {
 			}
 		}
 	}
-	p.Host(0).OpenAs(simtime.LC2, 0)
-	p.Host(0).StartRecycling()
+	p.Host(0).EachVM(func(vm *VM) { vm.Mark = true })
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +58,6 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 			p.Host(1).used = p.Host(1).used.Add(extra)
 			p.usedTot = p.usedTot.Add(extra)
 		}},
-		{"residual count", func(p *Pool) { p.Host(0).residuals-- }},
-		{"residual flag", func(p *Pool) { p.Host(1).VMs()[0].residual = true }},
 		{"usedTot aggregate", func(p *Pool) { p.usedTot = p.usedTot.Add(extra) }},
 		{"capTot aggregate", func(p *Pool) { p.capTot = p.capTot.Add(extra) }},
 		{"emptyCap aggregate", func(p *Pool) { p.emptyCap = p.emptyCap.Sub(extra) }},
@@ -120,18 +115,21 @@ func TestCheckInvariantsAllocatesNothing(t *testing.T) {
 // FuzzPoolOps drives a pool through every mutation its API offers, three
 // input bytes an operation: places that fit and that do not, exits of live
 // and unknown IDs, migrations accepted and refused (no room, the VM's own
-// host), AddHosts, RemoveHost of empty and occupied hosts, and the LAVA
-// state moves that rewrite residual flags. After every operation the
-// invariants hold, the pool runs exactly the VMs the test's ledger holds,
-// and a refused operation changes neither the VM count, the free total
-// nor the used vector of the hosts it named.
+// host), AddHosts, RemoveHost of empty and occupied hosts and of the top
+// host with its ID taken again, and a policy's marks set and cleared on a
+// host's VMs. After every operation the invariants hold, the pool runs
+// exactly the VMs the test's ledger holds with the marks the ledger gave
+// them, a host's occupancy has moved exactly when the host went empty (a
+// host that took a removed one's ID starting past it), and a refused
+// operation changes neither the VM count, the free total nor the used
+// vector of the hosts it named.
 func FuzzPoolOps(f *testing.F) {
 	// A place/exit script, then every operation with each outcome.
 	f.Add([]byte{0, 0, 3, 1, 0, 0, 0, 1, 7, 0, 2, 9, 1, 0, 1, 1, 0, 0, 0, 0, 15})
 	f.Add([]byte{
 		0, 1, 15, 0, 2, 6, 0, 1, 19, // places: 16 and 7 cores fit, 20 do not
 		3, 2, 0, 3, 1, 0, 3, 3, 1, // migrations: no room, own host, accepted
-		6, 1, 0, 7, 1, 0, 7, 1, 1, 8, 1, 0, // recycle, promote, demote, reset
+		6, 1, 0, 7, 1, 0, 7, 1, 1, 8, 1, 0, // mark, clear, clear again, retire and re-add the top host
 		2, 0, 4, 1, 0, 0, // exits: an unknown ID, a live VM
 		4, 0, 2, 4, 0, 0, 5, 5, 0, 5, 3, 0, // add 2 and 0 hosts, remove an empty and an occupied one
 	})
@@ -139,19 +137,30 @@ func FuzzPoolOps(f *testing.F) {
 		capacity := resources.Cores(16, 65536, 0)
 		p := NewPool("fuzz", 4, capacity)
 		var live []VMID
+		marked := map[VMID]bool{}
+		type occ struct {
+			host  *Host
+			occ   uint32
+			empty bool
+		}
+		occs := map[HostID]occ{} // every host's occupancy before the operation
+		retired := uint32(0)     // past every removed host's occupancy
 		next := VMID(0)
 		if len(data) > 3*256 {
 			data = data[:3*256]
 		}
 		for i := 0; i+2 < len(data); i += 3 {
 			op, a, b := data[i]%9, int(data[i+1]), int(data[i+2])
-			now := time.Duration(i) * time.Minute
 			if p.NumHosts() == 0 {
 				op = 4 // only AddHosts applies to an empty pool
 			}
 			var h, src *Host
 			if hosts := p.Hosts(); len(hosts) > 0 {
 				h = hosts[a%len(hosts)]
+			}
+			clear(occs)
+			for _, h := range p.Hosts() {
+				occs[h.ID] = occ{h, h.Occupancy(), h.Empty()}
 			}
 			nvm, free := p.NumVMs(), p.FreeTotal()
 			var used, srcUsed resources.Vector
@@ -178,6 +187,7 @@ func FuzzPoolOps(f *testing.F) {
 				if _, _, err = p.Exit(live[k]); err != nil {
 					t.Fatalf("op %d: Exit of live vm %d: %v", i/3, live[k], err)
 				}
+				delete(marked, live[k])
 				live = append(live[:k], live[k+1:]...)
 			case 2: // exit an ID never placed
 				if _, _, err = p.Exit(next + 1 + VMID(b)); err == nil {
@@ -201,16 +211,20 @@ func FuzzPoolOps(f *testing.F) {
 				if err = p.RemoveHost(h.ID); (err == nil) != empty {
 					t.Fatalf("op %d: RemoveHost of host %d with %d VMs: err %v", i/3, h.ID, h.NumVMs(), err)
 				}
-			case 6:
-				h.StartRecycling()
-			case 7:
-				if b%2 == 0 {
-					h.PromoteClass(now)
-				} else {
-					h.DemoteClass(now)
+			case 6, 7: // a policy marks the host's VMs, or clears their marks
+				h.EachVM(func(vm *VM) {
+					vm.Mark = op == 6
+					marked[vm.ID] = op == 6
+				})
+			case 8: // retire the top host if it is empty, and take its ID again
+				top := p.Hosts()[p.NumHosts()-1]
+				if !top.Empty() {
+					continue
 				}
-			case 8:
-				h.ResetLAVA()
+				if err := p.RemoveHost(top.ID); err != nil {
+					t.Fatalf("op %d: RemoveHost of empty top host %d: %v", i/3, top.ID, err)
+				}
+				p.AddHosts(1, capacity)
 			}
 			if err != nil {
 				if p.NumVMs() != nvm || p.FreeTotal() != free || h.Used() != used {
@@ -226,6 +240,31 @@ func FuzzPoolOps(f *testing.F) {
 			}
 			if p.NumVMs() != len(live) {
 				t.Fatalf("op %d: pool runs %d VMs, ledger %d", i/3, p.NumVMs(), len(live))
+			}
+			for _, id := range live {
+				if vm := p.VM(id); vm.Mark != marked[id] {
+					t.Fatalf("op %d: vm %d mark %v, the policy left it %v", i/3, id, vm.Mark, marked[id])
+				}
+			}
+			for _, was := range occs {
+				if p.Host(was.host.ID) != was.host {
+					retired = max(retired, was.occ+1)
+				}
+			}
+			for _, h := range p.Hosts() {
+				was, ok := occs[h.ID]
+				switch {
+				case ok && was.host == h:
+					want := was.occ
+					if !was.empty && h.Empty() {
+						want++
+					}
+					if h.Occupancy() != want {
+						t.Fatalf("op %d (%d): host %d occupancy %d -> %d, empty %v -> %v", i/3, op, h.ID, was.occ, h.Occupancy(), was.empty, h.Empty())
+					}
+				case h.Occupancy() < retired:
+					t.Fatalf("op %d (%d): new host %d starts at occupancy %d, a removed host reached %d", i/3, op, h.ID, h.Occupancy(), retired-1)
+				}
 			}
 		}
 	})

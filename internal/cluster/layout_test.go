@@ -4,10 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"lava/internal/resources"
-	"lava/internal/simtime"
 )
 
 // TestPoolHostLookup holds Pool.Host to a map reference through random
@@ -84,112 +82,6 @@ func TestPoolHostLookup(t *testing.T) {
 				}
 				check("add")
 			}
-		}
-	}
-}
-
-// TestResidualProperty runs random sequences of placements, exits,
-// migrations, LAVA state transitions and resets, and after every
-// step compares each host's ResidualCount and IsResidual with a reference
-// set of residual VM IDs.
-func TestResidualProperty(t *testing.T) {
-	const hosts = 4
-	capacity := resources.Cores(16, 65536, 0)
-	for seed := int64(1); seed <= 30; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		p := NewPool("residual", hosts, capacity)
-		residual := map[VMID]bool{} // every running VM, true when residual
-		var live []VMID
-		next := VMID(0)
-		now := time.Duration(0)
-
-		check := func(step string) {
-			t.Helper()
-			for _, h := range p.Hosts() {
-				want := 0
-				for _, vm := range h.VMs() {
-					if residual[vm.ID] {
-						want++
-					}
-					if got := h.IsResidual(vm.ID); got != residual[vm.ID] {
-						t.Fatalf("seed %d, %s: host %d IsResidual(%d) = %v, want %v", seed, step, h.ID, vm.ID, got, residual[vm.ID])
-					}
-				}
-				if got := h.ResidualCount(); got != want {
-					t.Fatalf("seed %d, %s: host %d ResidualCount = %d, want %d", seed, step, h.ID, got, want)
-				}
-				if h.IsResidual(next + 1) {
-					t.Fatalf("seed %d, %s: host %d calls an absent VM residual", seed, step, h.ID)
-				}
-			}
-			if err := p.CheckInvariants(); err != nil {
-				t.Fatalf("seed %d, %s: %v", seed, step, err)
-			}
-		}
-		markHost := func(h *Host, v bool) {
-			for _, vm := range h.VMs() {
-				residual[vm.ID] = v
-			}
-		}
-
-		for step := 0; step < 200; step++ {
-			now += time.Minute
-			h := p.Host(HostID(rng.Intn(hosts)))
-			var name string
-			switch rng.Intn(8) {
-			case 0, 1:
-				name = "place"
-				next++
-				vm := newVM(next, int64(1+rng.Intn(4)))
-				if h.Fits(vm.Shape) {
-					if err := p.Place(vm, h); err != nil {
-						t.Fatal(err)
-					}
-					residual[vm.ID] = false
-					live = append(live, vm.ID)
-				}
-			case 2:
-				name = "exit"
-				if len(live) > 0 {
-					k := rng.Intn(len(live))
-					id := live[k]
-					if _, _, err := p.Exit(id); err != nil {
-						t.Fatal(err)
-					}
-					delete(residual, id)
-					live = append(live[:k], live[k+1:]...)
-				}
-			case 3:
-				name = "migrate"
-				if len(live) > 0 {
-					id := live[rng.Intn(len(live))]
-					src := p.HostOf(id)
-					if h != src && h.Fits(src.VM(id).Shape) {
-						if _, err := p.Migrate(id, h); err != nil {
-							t.Fatal(err)
-						}
-						residual[id] = false // a migrated VM joins its new host's epoch
-					}
-				}
-			case 4:
-				name = "start recycling"
-				h.OpenAs(simtime.LC2, now)
-				h.StartRecycling()
-				markHost(h, true)
-			case 5:
-				name = "demote"
-				h.DemoteClass(now)
-				markHost(h, true)
-			case 6:
-				name = "promote"
-				h.PromoteClass(now)
-				markHost(h, true)
-			case 7:
-				name = "reset"
-				h.ResetLAVA()
-				markHost(h, false)
-			}
-			check(name)
 		}
 	}
 }

@@ -31,6 +31,11 @@ type Pool struct {
 	capTot   resources.Vector
 	emptyCap resources.Vector
 	empty    int
+
+	// firstOcc is the occupancy count new hosts start at: past the count
+	// of every host removed so far, so a host that reuses a removed one's
+	// ID never repeats one of its occupancies (see Host.Occupancy).
+	firstOcc uint32
 }
 
 // NewPool builds a pool of n identical hosts with the given capacity.
@@ -51,7 +56,7 @@ func (p *Pool) addSlab(n int, capacity resources.Vector) []*Host {
 	}
 	slab := make([]Host, n)
 	for i := range slab {
-		slab[i] = Host{ID: next + HostID(i), Capacity: capacity}
+		slab[i] = Host{ID: next + HostID(i), occupancy: p.firstOcc, Capacity: capacity}
 		p.hosts = append(p.hosts, &slab[i])
 		p.capTot = p.capTot.Add(capacity)
 		p.emptyCap = p.emptyCap.Add(capacity)
@@ -101,6 +106,7 @@ func (p *Pool) RemoveHost(id HostID) error {
 	p.capTot = p.capTot.Sub(h.Capacity)
 	p.emptyCap = p.emptyCap.Sub(h.Capacity) // removable hosts are empty
 	p.empty--
+	p.firstOcc = max(p.firstOcc, h.occupancy+1)
 	p.notify(h, HostRemoved)
 	return nil
 }
@@ -204,8 +210,8 @@ func (p *Pool) Exit(id VMID) (*Host, *VM, error) {
 }
 
 // Migrate moves a running VM to a different host. The destination must have
-// room. It returns the source host. A refused move leaves the source host
-// exactly as it was, the VM's residual flag included.
+// room. It returns the source host. A refused move leaves both hosts and
+// the VM exactly as they were.
 func (p *Pool) Migrate(id VMID, dst *Host) (*Host, error) {
 	vm, ok := p.vms[id]
 	if !ok {
@@ -298,18 +304,17 @@ func (p *Pool) RunningVMs() []*VM {
 }
 
 // CheckInvariants verifies internal consistency: per-host used sums match VM
-// shapes and residual counts match the VMs' residual flags, every VM's
-// back-pointer names the host that holds it and its index entry names the
-// VM itself, no VM is double-booked, the index holds exactly the hosted
-// VMs, and the running aggregates match a scan. It is one pass over the
-// hosts and their VMs that allocates nothing, so tests may call it after
-// every step; the simulator's debug mode calls it at every sample.
+// shapes, every VM's back-pointer names the host that holds it and its
+// index entry names the VM itself, no VM is double-booked, the index holds
+// exactly the hosted VMs, and the running aggregates match a scan. It is
+// one pass over the hosts and their VMs that allocates nothing, so tests
+// may call it after every step; the simulator's debug mode calls it at
+// every sample.
 func (p *Pool) CheckInvariants() error {
 	var usedTot, capTot, emptyCap resources.Vector
 	empty, hosted := 0, 0
 	for _, h := range p.hosts {
 		var sum resources.Vector
-		residuals := 0
 		for k, vm := range h.vms {
 			// A host holds tens of VMs, so the scan of its earlier ones is short.
 			if slices.Index(h.vms, vm) != k {
@@ -322,15 +327,9 @@ func (p *Pool) CheckInvariants() error {
 			if iv := p.vms[vm.ID]; iv != vm {
 				return fmt.Errorf("vm %d on host %d, indexed as %v", vm.ID, h.ID, iv)
 			}
-			if vm.residual {
-				residuals++
-			}
 			sum = sum.Add(vm.Shape)
 		}
 		hosted += len(h.vms)
-		if residuals != h.ResidualCount() {
-			return fmt.Errorf("host %d residual count %d != flagged VMs %d", h.ID, h.ResidualCount(), residuals)
-		}
 		if sum != h.Used() {
 			return fmt.Errorf("host %d used %s != sum of shapes %s", h.ID, h.Used(), sum)
 		}

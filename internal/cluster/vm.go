@@ -52,9 +52,10 @@ type VM struct {
 	// keeps VM at 192 bytes.
 	BindSlot int32
 
-	// residual marks the VM as part of its host's residual set (§4.3). It
-	// sits in the padding after BindSlot; only Host's methods touch it.
-	residual bool
+	// Mark is a flag the scheduling policy keeps on the VM, as BindSlot is
+	// the binding cache's: the pool never reads or writes it, and a new VM
+	// starts without it. It sits in the padding after BindSlot.
+	Mark bool
 }
 
 // Uptime returns how long the VM has been running at time now.

@@ -274,9 +274,6 @@ func (e *Engine) releaseEmptyHosts(ctl *sim.Control) {
 			keep = append(keep, id)
 			continue
 		}
-		// A host whose last occupant was a released reservation heard no
-		// OnExited, so the policy never reset its LAVA state: reset it here.
-		h.ResetLAVA()
 		ctl.Restore(id)
 		e.Stats.HostsFreed++
 	}

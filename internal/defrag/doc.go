@@ -15,12 +15,14 @@
 // ≈4.3–4.6% savings).
 //
 // Engine is a sim.Injector that keeps only its queue and its ordering; it
-// writes nothing to the pool itself. It drains hosts through sim.Control's
-// reference-counted Withdraw and Restore, asks Control.Schedule for each
-// target, holds the target's capacity for the copy window with
-// Control.Reserve and Control.Release, and moves each VM with
-// Control.Migrate, which tells the run's policy. Its migrations are not
-// traced, so sim.Replay cannot replay a defragmenter run. ReplayPlan
-// re-runs a recorded plan under another order through a queue of the same
-// batch limit.
+// writes nothing to the pool or its hosts itself. It drains hosts through
+// sim.Control's reference-counted Withdraw and Restore, asks
+// Control.Schedule for each target, holds the target's capacity for the
+// copy window with Control.Reserve and Control.Release, and moves each VM
+// with Control.Migrate, which tells the run's policy. A host whose last
+// occupant is a released reservation goes empty without a policy hook and
+// needs no reset: the policy reads it as empty all the same (scheduler's
+// host slab). Its migrations are not traced, so sim.Replay cannot replay a
+// defragmenter run. ReplayPlan re-runs a recorded plan under another order
+// through a queue of the same batch limit.
 package defrag

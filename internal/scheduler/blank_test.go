@@ -112,7 +112,7 @@ func TestBlankHostsScoreAlike(t *testing.T) {
 					now = max(now, m.Now())
 					var blanks []*cluster.Host
 					for _, h := range p.Hosts() {
-						if scheduler.IsBlank(h) {
+						if h.Empty() {
 							blanks = append(blanks, h)
 						}
 					}

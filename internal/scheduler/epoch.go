@@ -62,40 +62,24 @@ const DefaultEpoch = 2 * time.Hour
 
 // epochTemporal computes the epoch-quantized temporal cost. It maintains
 // its own conservative host-exit estimate — the running max over the
-// repredicted exits of the VMs placed on the host, reset when the host
-// drains — instead of ExitCache's rescan, so scoring never repredicts
-// hosted VMs and stays O(1) per host.
+// repredicted exits of the VMs placed on the host in its current
+// occupancy, kept in the policy's host slab — instead of ExitCache's
+// rescan, so scoring never repredicts hosted VMs and stays O(1) per host.
 type epochTemporal struct {
 	cache *ExitCache
 	epoch time.Duration
-	exits []time.Duration // dense by HostID: max predicted exit of placed VMs
-}
-
-func (e *epochTemporal) grow(id cluster.HostID) {
-	for int(id) >= len(e.exits) {
-		e.exits = append(e.exits, 0)
-	}
+	hosts *hostSlots // the policy's slab; the estimate is hostSlot.exit
 }
 
 // onPlaced folds the placed VM's predicted exit into the host estimate. The
 // reprediction is memoized from the scheduling pass that chose the host, so
-// this adds no model calls on either engine.
+// this adds no model calls on either engine. Partial exits keep the running
+// max: it is an upper bound by construction, and recomputing the true max
+// would repredict every remaining VM — the O(VMs) cost this level exists
+// to avoid. The estimate starts afresh with the host's next occupancy.
 func (e *epochTemporal) onPlaced(h *cluster.Host, vm *cluster.VM, now time.Duration) {
-	e.grow(h.ID)
-	if exit := now + e.cache.Remaining(vm, now); exit > e.exits[h.ID] {
-		e.exits[h.ID] = exit
-	}
-}
-
-// onExited resets the estimate when the host drains. Partial exits keep the
-// running max: it is an upper bound by construction, and recomputing the
-// true max would repredict every remaining VM — the O(VMs) cost this level
-// exists to avoid.
-func (e *epochTemporal) onExited(h *cluster.Host) {
-	if h.Empty() {
-		e.grow(h.ID)
-		e.exits[h.ID] = 0
-	}
+	sl := e.hosts.at(h)
+	sl.exit = max(sl.exit, now+e.cache.Remaining(vm, now))
 }
 
 // score is the epoch-quantized temporal cost: both exit times are snapped
@@ -104,15 +88,11 @@ func (e *epochTemporal) onExited(h *cluster.Host) {
 // remaining lifetime, which is what lets nilas-epoch cache it as a static
 // level 0 under a context keyed by that lifetime; CachedChain.Epoch rebuilds
 // the context when now crosses an epoch boundary. An empty host exits
-// "now" whatever its slot holds, as in ExitCache.HostExit: a host drained
-// without the exit hook (by the release of a defrag copy-window
-// reservation) scores like a never-used one.
+// "now", as in ExitCache.HostExit, and so does one whose estimate has
+// passed.
 func (e *epochTemporal) score(h *cluster.Host, vm *cluster.VM, now time.Duration) float64 {
-	es := now - now%e.epoch // epoch start
-	hx := es                // empty or already-drained hosts exit "now", floored to the grid
-	if !h.Empty() && int(h.ID) < len(e.exits) && e.exits[h.ID] > es {
-		hx = e.exits[h.ID]
-	}
+	es := now - now%e.epoch            // epoch start
+	hx := max(es, e.hosts.get(h).exit) // "now", floored to the grid, at the earliest
 	qv := simtime.TemporalCost(e.cache.Remaining(vm, now))
 	vmExit := es + simtime.TemporalCostBuckets[qv]
 	deltaT := vmExit - hx

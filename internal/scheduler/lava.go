@@ -5,6 +5,7 @@ import (
 
 	"lava/internal/cluster"
 	"lava/internal/model"
+	"lava/internal/resources"
 	"lava/internal/simtime"
 )
 
@@ -14,7 +15,9 @@ import (
 // the host, so that mispredicted fillers are unlikely to extend the host's
 // lifetime. Hosts move through empty -> open -> recycling states; all-
 // residuals-exited demotes a host one class (Fig. 5b), deadline expiry
-// promotes it one class (Fig. 5c) — the adaptation to mispredictions.
+// promotes it one class (Fig. 5c) — the adaptation to mispredictions. The
+// states live in the policy's own slab (hosts.go), one slot per host and
+// occupancy, so a host with no VM is empty however its last VM left.
 //
 // Host preference for a VM of class LC(v), per Algorithm 3:
 //  1. recycling hosts with class > LC(v), closer classes first,
@@ -36,8 +39,9 @@ type LAVA struct {
 // cached under a (shape, VM lifetime class) context — the class score is a
 // pure function of host state and the VM's class — while the temporal cost
 // stays dynamic. Host state transitions driven from the policy hooks are
-// covered by the pool's place/exit events; OnTick promotions announce
-// themselves through Pool.InvalidateHost.
+// covered by the pool's HostChanged events, and so is a host going empty
+// without one; OnTick promotions announce themselves through
+// Pool.InvalidateHost.
 func NewLAVA(pred model.Predictor, refresh time.Duration) *LAVA {
 	return newLAVA("lava", pred, refresh, 0)
 }
@@ -59,7 +63,7 @@ func (l *LAVA) vmClass(vm *cluster.VM, now time.Duration) simtime.LifetimeClass 
 }
 
 // classScorer is the LAVA class level of both constructors. A blank host
-// is empty in StateEmpty, so it always scores 6.
+// is empty and so reads as the zero slot: it always scores 6.
 func (l *LAVA) classScorer() Scorer {
 	return ScorerFunc{FuncName: "lava-class", F: l.classScore, blankAlike: true}
 }
@@ -67,11 +71,12 @@ func (l *LAVA) classScorer() Scorer {
 // classScore is the LAVA coarse-grained preference level.
 func (l *LAVA) classScore(h *cluster.Host, vm *cluster.VM, now time.Duration) float64 {
 	vc := l.vmClass(vm, now)
+	sl := l.hosts.get(h)
 	switch {
-	case h.State == cluster.StateRecycling && h.Class > vc:
+	case sl.state == stateRecycling && sl.class > vc:
 		// Closer classes first: LC(v)+1 scores 1, +2 scores 2, +3 scores 3.
-		return float64(h.Class - vc)
-	case h.State == cluster.StateOpen && h.Class == vc:
+		return float64(sl.class - vc)
+	case sl.state == stateOpen && sl.class == vc:
 		return 4
 	case !h.Empty():
 		return 5
@@ -80,31 +85,35 @@ func (l *LAVA) classScore(h *cluster.Host, vm *cluster.VM, now time.Duration) fl
 	}
 }
 
-// OnPlaced implements Policy: drive the host state machine.
+// OnPlaced implements Policy: drive the host state machine. The placed VM
+// joins the host's current class epoch, never its residual set.
 func (l *LAVA) OnPlaced(pool *cluster.Pool, h *cluster.Host, vm *cluster.VM, now time.Duration) {
 	l.NILAS.OnPlaced(pool, h, vm, now)
-	if h.State == cluster.StateEmpty {
+	vm.Mark = false
+	sl := l.hosts.at(h)
+	if sl.state == stateEmpty {
 		// First VM opens the host with the VM's class (§4.3).
-		h.OpenAs(l.vmClass(vm, now), now)
+		sl.state = stateOpen
+		sl.setClass(l.vmClass(vm, now), now)
 	}
-	if h.State == cluster.StateOpen && h.MaxUtilization() >= cluster.RecyclingThreshold {
+	if sl.state == stateOpen && resources.MaxUtilization(h.Used(), h.Capacity) >= recyclingThreshold {
 		// Over 90% full: transition to recycling; current VMs become
 		// residual (§4.3).
-		h.StartRecycling()
+		sl.state = stateRecycling
+		markResidual(h)
 	}
 }
 
-// OnExited implements Policy: demote on residual drain, reset on empty.
+// OnExited implements Policy: demote a recycling host once its residual
+// VMs have all left. Which of them are left is read off the host's VMs, so
+// a residual reservation whose release called no hook counts as gone at
+// the next exit. An emptied host needs no reset: it reads as empty.
 func (l *LAVA) OnExited(pool *cluster.Pool, h *cluster.Host, vm *cluster.VM, now time.Duration) {
 	l.NILAS.OnExited(pool, h, vm, now)
-	if h.Empty() {
-		h.ResetLAVA()
-		return
-	}
-	if h.State == cluster.StateRecycling && h.ResidualCount() == 0 {
+	if sl := l.hosts.get(h); sl.state == stateRecycling && residuals(h) == 0 {
 		// All residual VMs exited: the remaining VMs are of the next-lower
 		// class; re-classify the host down (Fig. 5b).
-		h.DemoteClass(now)
+		l.reclass(h, sl.class.Dec(), now)
 	}
 }
 
@@ -114,15 +123,37 @@ func (l *LAVA) OnExited(pool *cluster.Pool, h *cluster.Host, vm *cluster.VM, now
 // host-ID order.
 func (l *LAVA) OnTick(pool *cluster.Pool, now time.Duration) {
 	for _, h := range pool.Hosts() {
-		if h.Empty() || h.State == cluster.StateEmpty {
-			continue
-		}
-		if now > h.Deadline {
-			h.PromoteClass(now)
+		if sl := l.hosts.get(h); sl.state != stateEmpty && now > sl.deadline {
+			l.reclass(h, sl.class.Inc(), now)
 			l.cache.Invalidate(h.ID)
 			// A promotion changes the host's class score without any pool
 			// mutation; announce it so score caches re-bucket the host.
 			pool.InvalidateHost(h.ID)
 		}
 	}
+}
+
+// reclass moves an occupied host to another class, demoted after its
+// residual set drained (Fig. 5b) or promoted past its deadline (Fig. 5c):
+// the deadline restarts for the new class and the VMs now on the host
+// become its residual set.
+func (l *LAVA) reclass(h *cluster.Host, class simtime.LifetimeClass, now time.Duration) {
+	l.hosts.at(h).setClass(class, now)
+	markResidual(h)
+}
+
+// markResidual makes every VM on the host residual.
+func markResidual(h *cluster.Host) {
+	h.EachVM(func(vm *cluster.VM) { vm.Mark = true })
+}
+
+// residuals counts the residual VMs still on the host.
+func residuals(h *cluster.Host) int {
+	n := 0
+	h.EachVM(func(vm *cluster.VM) {
+		if vm.Mark {
+			n++
+		}
+	})
+	return n
 }

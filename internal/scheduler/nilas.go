@@ -23,6 +23,7 @@ type NILAS struct {
 	CachedChain
 	cache *ExitCache
 	et    *epochTemporal // non-nil for the epoch-quantized variant (epoch.go)
+	hosts hostSlots      // per-host state of the epoch level and of LAVA
 }
 
 // NewNILAS builds the NILAS policy over the given predictor. refresh is the
@@ -52,7 +53,7 @@ func (n *NILAS) init(name string, pred model.Predictor, refresh, epoch time.Dura
 	n.cache = NewExitCache(pred, refresh)
 	temporal := ScorerFunc{FuncName: "temporal-cost", F: n.temporalCost}
 	if epoch != 0 {
-		n.et = &epochTemporal{cache: n.cache, epoch: epoch}
+		n.et = &epochTemporal{cache: n.cache, epoch: epoch, hosts: &n.hosts}
 		temporal = ScorerFunc{FuncName: "temporal-epoch", F: n.et.score, blankAlike: true}
 	}
 	if epoch != 0 && len(above) == 0 {
@@ -106,9 +107,6 @@ func (n *NILAS) OnPlaced(_ *cluster.Pool, h *cluster.Host, vm *cluster.VM, now t
 func (n *NILAS) OnExited(_ *cluster.Pool, h *cluster.Host, vm *cluster.VM, _ time.Duration) {
 	n.cache.Invalidate(h.ID)
 	n.cache.drop(vm)
-	if n.et != nil {
-		n.et.onExited(h)
-	}
 }
 
 // ModelCalls reports predictor invocations (Fig. 17 telemetry).

@@ -109,75 +109,6 @@ func TestPolicyInvariantsUnderRandomWorkload(t *testing.T) {
 	}
 }
 
-// TestLAVAClassInvariants checks LAVA-specific host-state invariants under
-// random operation: class is always valid for non-empty managed hosts, and
-// residual sets never reference departed VMs.
-func TestLAVAClassInvariants(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		l := NewLAVA(model.Oracle{}, 0)
-		p := cluster.NewPool("lava-prop", 4, resources.Cores(16, 16*4096, 0))
-		var live []*cluster.VM
-		now := time.Duration(0)
-		for step := 0; step < 100; step++ {
-			now += time.Duration(rng.Intn(120)) * time.Minute
-			l.OnTick(p, now)
-			if rng.Float64() < 0.6 || len(live) == 0 {
-				cores := int64(1 + rng.Intn(6))
-				vm := &cluster.VM{
-					ID:           cluster.VMID(1000*seed + int64(step)),
-					Shape:        resources.Cores(cores, cores*4096, 0),
-					Created:      now,
-					TrueLifetime: time.Duration(1+rng.Intn(400)) * time.Hour,
-				}
-				h, err := l.Schedule(p, vm, now)
-				if err != nil {
-					continue
-				}
-				if err := p.Place(vm, h); err != nil {
-					return false
-				}
-				l.OnPlaced(p, h, vm, now)
-				live = append(live, vm)
-			} else {
-				i := rng.Intn(len(live))
-				vm := live[i]
-				live = append(live[:i], live[i+1:]...)
-				hh, _, err := p.Exit(vm.ID)
-				if err != nil {
-					return false
-				}
-				l.OnExited(p, hh, vm, now)
-			}
-			for _, h := range p.Hosts() {
-				if h.Empty() {
-					if h.State != cluster.StateEmpty {
-						t.Logf("empty host %d in state %v", h.ID, h.State)
-						return false
-					}
-					continue
-				}
-				if !h.Class.Valid() {
-					t.Logf("non-empty host %d has invalid class %v", h.ID, h.Class)
-					return false
-				}
-				if h.State == cluster.StateRecycling && h.ResidualCount() > h.NumVMs() {
-					t.Logf("host %d residuals %d > vms %d", h.ID, h.ResidualCount(), h.NumVMs())
-					return false
-				}
-				if h.Deadline <= 0 {
-					t.Logf("host %d has no deadline", h.ID)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestTemporalCostUsesPaperBuckets pins the NILAS quantization to the §4.2
 // boundaries end to end through the policy scorer.
 func TestTemporalCostUsesPaperBuckets(t *testing.T) {

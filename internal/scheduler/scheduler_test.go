@@ -350,11 +350,11 @@ func TestLAVAOpensEmptyHostWithClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.OnPlaced(p, h, vm, 0)
-	if h.State != cluster.StateOpen || h.Class != simtime.LC3 {
-		t.Fatalf("host after first placement: %v", h)
+	if v := HostOf(l, h); v.State != "open" || v.Class != simtime.LC3 {
+		t.Fatalf("host after first placement: %+v", v)
 	}
-	if h.Deadline != simtime.LC3.Deadline() {
-		t.Fatalf("deadline = %v, want %v", h.Deadline, simtime.LC3.Deadline())
+	if v := HostOf(l, h); v.Deadline != simtime.LC3.Deadline() {
+		t.Fatalf("deadline = %v, want %v", v.Deadline, simtime.LC3.Deadline())
 	}
 }
 
@@ -390,16 +390,16 @@ func TestLAVARecyclingTransitionAt90Percent(t *testing.T) {
 	h := p.Host(0)
 	// Fill to 28/32 cores (87.5%): still open.
 	place(t, p, l, 1, 28, 0, 50*time.Hour, h)
-	if h.State != cluster.StateOpen {
-		t.Fatalf("state at 87.5%% = %v, want open", h.State)
+	if v := HostOf(l, h); v.State != "open" {
+		t.Fatalf("state at 87.5%% = %v, want open", v.State)
 	}
 	// Add 2 more cores (93.75%): recycling.
 	place(t, p, l, 2, 2, 0, 50*time.Hour, h)
-	if h.State != cluster.StateRecycling {
-		t.Fatalf("state at 93.75%% = %v, want recycling", h.State)
+	if v := HostOf(l, h); v.State != "recycling" {
+		t.Fatalf("state at 93.75%% = %v, want recycling", v.State)
 	}
-	if h.ResidualCount() != 2 {
-		t.Fatalf("residuals = %d, want 2", h.ResidualCount())
+	if Residuals(h) != 2 {
+		t.Fatalf("residuals = %d, want 2", Residuals(h))
 	}
 }
 
@@ -409,8 +409,8 @@ func TestLAVAPrefersClosestHigherRecyclingHost(t *testing.T) {
 	// Manufacture recycling hosts of class LC3 and LC4 and an open LC2.
 	h3, h4, h2 := p.Host(0), p.Host(1), p.Host(2)
 	place(t, p, l, 1, 30, 0, 50*time.Hour, h3) // opens LC3, recycling at 93.75%
-	if h3.State != cluster.StateRecycling {
-		t.Fatalf("host 0 state %v", h3.State)
+	if v := HostOf(l, h3); v.State != "recycling" {
+		t.Fatalf("host 0 state %v", v.State)
 	}
 	place(t, p, l, 2, 30, 0, 500*time.Hour, h4) // LC4 recycling
 	place(t, p, l, 3, 4, 0, 5*time.Hour, h2)    // LC2 open
@@ -435,7 +435,7 @@ func TestLAVADemotesOnResidualDrain(t *testing.T) {
 	place(t, p, l, 1, 30, 0, 50*time.Hour, h)
 	// Gap-fill with an LC2 VM.
 	place(t, p, l, 2, 1, time.Hour, 5*time.Hour, h)
-	if h.IsResidual(2) {
+	if h.VM(2).Mark {
 		t.Fatal("gap filler must not be residual")
 	}
 	// The residual exits -> demote to LC2, filler becomes residual.
@@ -445,14 +445,14 @@ func TestLAVADemotesOnResidualDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.OnExited(p, hh, vm, now)
-	if h.Class != simtime.LC2 {
-		t.Fatalf("class after drain = %v, want LC2", h.Class)
+	if v := HostOf(l, h); v.Class != simtime.LC2 {
+		t.Fatalf("class after drain = %v, want LC2", v.Class)
 	}
-	if !h.IsResidual(2) {
+	if !h.VM(2).Mark {
 		t.Fatal("remaining VM must be residual after demotion")
 	}
-	if h.State != cluster.StateRecycling {
-		t.Fatalf("state = %v, want recycling", h.State)
+	if v := HostOf(l, h); v.State != "recycling" {
+		t.Fatalf("state = %v, want recycling", v.State)
 	}
 }
 
@@ -466,8 +466,8 @@ func TestLAVAResetsOnEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.OnExited(p, hh, vm, 5*time.Hour)
-	if h.State != cluster.StateEmpty || h.Class != 0 {
-		t.Fatalf("host not reset: %v", h)
+	if v := HostOf(l, h); v.State != "empty" || v.Class != 0 {
+		t.Fatalf("host not reset: %+v", v)
 	}
 }
 
@@ -477,26 +477,26 @@ func TestLAVAPromotesOnDeadline(t *testing.T) {
 	h := p.Host(0)
 	// Open as LC1 (30-minute VM): deadline = 1.1h.
 	place(t, p, l, 1, 4, 0, 30*time.Minute, h)
-	if h.Class != simtime.LC1 {
-		t.Fatalf("class = %v, want LC1", h.Class)
+	if v := HostOf(l, h); v.Class != simtime.LC1 {
+		t.Fatalf("class = %v, want LC1", v.Class)
 	}
 	// Tick before the deadline: nothing.
 	l.OnTick(p, time.Hour)
-	if h.Class != simtime.LC1 {
+	if HostOf(l, h).Class != simtime.LC1 {
 		t.Fatal("premature promotion")
 	}
 	// Tick past 1.1h: promote to LC2 (Fig. 5c), VMs become residual.
 	l.OnTick(p, 70*time.Minute)
-	if h.Class != simtime.LC2 {
-		t.Fatalf("class after deadline = %v, want LC2", h.Class)
+	if v := HostOf(l, h); v.Class != simtime.LC2 {
+		t.Fatalf("class after deadline = %v, want LC2", v.Class)
 	}
-	if !h.IsResidual(1) {
+	if !h.VM(1).Mark {
 		t.Fatal("VM must become residual on promotion")
 	}
 	// Deadline restarted: 70m + 11h.
 	want := 70*time.Minute + simtime.LC2.Deadline()
-	if h.Deadline != want {
-		t.Fatalf("new deadline = %v, want %v", h.Deadline, want)
+	if v := HostOf(l, h); v.Deadline != want {
+		t.Fatalf("new deadline = %v, want %v", v.Deadline, want)
 	}
 }
 

@@ -43,10 +43,10 @@ import (
 // One kind of decision skips the walk: opening a host. When a VM fits on no
 // occupied host, the winning bucket is every empty host (about 9.6k of 10k
 // on replay-scale), and the walk would score each on every level below 0
-// only to return the lowest ID. A blank host (blank) is empty with LAVA's
-// State, Class and Deadline at zero. On a pool of one capacity (checked at
-// bind), a scorer that reads nothing else of a host gives every blank host
-// the same score; the built-in avoid-empty, waste-min, best-fit, lava-class
+// only to return the lowest ID. A blank host is an empty one: what a
+// policy keeps per host is void once the host is empty (hostSlots). On a
+// pool of one capacity (checked at bind), a scorer that reads nothing else
+// of a host gives every blank host the same score; the built-in avoid-empty, waste-min, best-fit, lava-class
 // and temporal-epoch scorers say so through ScorerFunc's unexported
 // blankAlike marker. So each bucket counts its blank members, and when the
 // winning bucket holds nothing else, every level is marked, and decision
@@ -56,8 +56,9 @@ import (
 // has no side effect the exhaustive engine counts, so skipping it changes no
 // counter. The same promise lets a cold build put every available blank
 // host into the bucket of the first one unscored. The marker is a promise:
-// a scorer that reads host identity or per-host side state must not carry
-// it (TestBlankHostsScoreAlike checks the built-ins). Outside scorers,
+// a scorer that reads host identity, or per-host side state an empty host
+// does not void, must not carry it (TestBlankHostsScoreAlike checks the
+// built-ins). Outside scorers,
 // chains with an unmarked level (exact NILAS and LAVA, whose temporal cost
 // may call the model), traced runs and the exhaustive engine keep the walk,
 // and a chain that can never take the shortcut keeps no blank counts.
@@ -622,7 +623,7 @@ func (c *CachedChain) rebuild(cs *candSet, vm *cluster.VM, now time.Duration) {
 	seen := false        // blanks is set (nil: blank hosts do not fit)
 	for id, h := range c.hosts {
 		switch {
-		case !c.blankOK || h.Unavailable || !blank(h):
+		case !c.blankOK || h.Unavailable || !h.Empty():
 			cs.update(c, cluster.HostID(id), vm, now)
 		case !seen:
 			blanks, seen = cs.update(c, cluster.HostID(id), vm, now), true
@@ -662,13 +663,6 @@ type candSet struct {
 	lastUsed uint64
 
 	bkts []*scoreBkt // ascending key; emptied buckets stay for reuse
-}
-
-// blank reports whether a host is blank: empty, with LAVA's state at its
-// zero values. On a pool of one capacity, a marked scorer gives every blank
-// host the same score for a given VM and time.
-func blank(h *cluster.Host) bool {
-	return h.Empty() && h.State == cluster.StateEmpty && h.Class == 0 && h.Deadline == 0
 }
 
 // scoreBkt is one level-0 score bucket, a bitset over host IDs: membership
@@ -750,7 +744,7 @@ func (cs *candSet) update(c *CachedChain, id cluster.HostID, vm *cluster.VM, now
 	b := cs.bucket(key)
 	b.add(int32(id))
 	cs.member[word] |= bit
-	if c.blankOK && blank(h) {
+	if c.blankOK && h.Empty() {
 		b.blanks++
 		cs.blank[word] |= bit
 	}

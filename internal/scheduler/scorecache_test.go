@@ -262,8 +262,8 @@ func TestScoreCacheRecyclingInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.OnPlaced(p, hb, big, 0)
-	if h.State != cluster.StateRecycling {
-		t.Fatalf("host state = %v, want recycling at >=90%%", h.State)
+	if v := HostOf(l, h); v.State != "recycling" {
+		t.Fatalf("host state = %v, want recycling at >=90%%", v.State)
 	}
 
 	// A short (LC1) VM must now prefer the recycling higher-class host over
@@ -888,8 +888,7 @@ func TestCachedMatchesExhaustiveSparse(t *testing.T) {
 									tw.pol.OnExited(tw.p, h, vms[id][i], now)
 								case how == 1 && h.Empty():
 									// Released the way defrag releases a
-									// drained host: LAVA state reset, no hook.
-									h.ResetLAVA()
+									// drained host: no hook, and no reset.
 									tw.p.InvalidateHost(h.ID)
 								}
 							}
@@ -1214,7 +1213,7 @@ func checkBuckets(c *CachedChain) error {
 				continue
 			}
 			wantMember := !h.Unavailable && h.Fits(cs.ctx.Shape)
-			wantBlank := wantMember && c.blankOK && blank(h)
+			wantBlank := wantMember && c.blankOK && h.Empty()
 			if member, isBlank := bitAt(cs.member, id), bitAt(cs.blank, id); member != wantMember || isBlank != wantBlank {
 				return fmt.Errorf("context %+v host %d: member %v blank %v, want %v %v", cs.ctx, id, member, isBlank, wantMember, wantBlank)
 			}

@@ -11,9 +11,10 @@ import (
 // switch was produced by the old policy, and the new policy inherits that
 // residual state. Only the active arm observes events (OnPlaced, OnExited,
 // OnTick go to whichever policy owns the clock), so the post policy starts
-// cold at the switch, as a rollout does: a post-switch LAVA meets the
-// pre-switch hosts as occupied hosts still in StateEmpty and opens each with
-// the class of the first VM it places there. Every fig16 / table1 / fig7
+// cold at the switch, as a rollout does: a post-switch LAVA starts from a
+// zero host slab of its own, meets the pre-switch hosts as occupied hosts
+// in the empty state and opens each with the class of the first VM it
+// places there. Every fig16 / table1 / fig7
 // number depends on this; TestSwitchedOnlyActiveArmObservesHooks pins it.
 type Switched struct {
 	Pre, Post Policy

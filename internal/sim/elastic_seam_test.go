@@ -115,11 +115,14 @@ func TestMachineReusedIDAtSameInstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Class != simtime.LC4 {
-		t.Fatalf("host opened as %v for a 20-day VM, want %v", h.Class, simtime.LC4)
-	}
 	if lava.ModelCalls() == calls {
 		t.Fatal("the new VM 5 was classified without a model call")
+	}
+	// The VM fills the host, so it recycles at once: its class is LC4 when
+	// an LC3 VM's class score is 1, a recycling host one class above.
+	probe := &cluster.VM{ID: 99, Shape: rec.Shape, Created: at, TrueLifetime: 50 * time.Hour}
+	if scores, _ := scheduler.LevelScores(lava, nil, h, probe, at); scores[0] != 1 {
+		t.Fatalf("host opened for a 20-day VM: an LC3 VM's class score is %v, want 1 (recycling as %v)", scores[0], simtime.LC4)
 	}
 }
 

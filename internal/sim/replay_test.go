@@ -87,7 +87,7 @@ func (p *tickProbe) OnTick(pool *cluster.Pool, now time.Duration) {
 	h := fnv.New64a()
 	fmt.Fprint(h, now)
 	for _, host := range pool.Hosts() {
-		fmt.Fprint(h, host.ID, host.Unavailable, host.Used(), host.State, host.Class, host.Deadline)
+		fmt.Fprint(h, host.ID, host.Occupancy(), host.Unavailable, host.Used())
 		for _, vm := range host.VMs() {
 			fmt.Fprint(h, vm.ID)
 		}

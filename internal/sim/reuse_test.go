@@ -25,7 +25,7 @@ func liveVM(t *testing.T, m *Machine, id cluster.VMID) *cluster.VM {
 // dirty sets the fields Create leaves to placement and the policies, so a
 // reuse that does not overwrite the whole struct shows.
 func dirty(vm *cluster.VM) {
-	vm.InitialPrediction, vm.BindSlot = time.Hour, 7
+	vm.InitialPrediction, vm.BindSlot, vm.Mark = time.Hour, 7, true
 }
 
 // wantFresh fails unless vm is exactly what Create builds for rec at at,
@@ -76,7 +76,9 @@ func TestMachineReusesExitedVMsLater(t *testing.T) {
 
 // TestMachineReusedVMStartsNonResidual: the object of a VM that exits from
 // a recycling host as one of its residual VMs carries no residual mark into
-// the VM that reuses it, even when that VM lands on the same host.
+// the VM that reuses it, even when that VM lands on the same host. The
+// policy here is best fit; the marks are set as LAVA sets them when a host
+// starts recycling, on every VM of the host.
 func TestMachineReusedVMStartsNonResidual(t *testing.T) {
 	m, err := NewMachine(Config{Trace: &trace.Trace{
 		PoolName: "residual-reuse", Hosts: 2, HostCPU: 4000, HostMem: 4000, Horizon: 10 * time.Hour,
@@ -94,10 +96,20 @@ func TestMachineReusedVMStartsNonResidual(t *testing.T) {
 	if m.Pool().HostOf(2) != h {
 		t.Fatal("best fit spread two small VMs over two hosts")
 	}
-	h.StartRecycling()
+	residual := func(id cluster.VMID) bool { vm := h.VM(id); return vm != nil && vm.Mark }
+	count := func() int {
+		n := 0
+		h.EachVM(func(vm *cluster.VM) {
+			if vm.Mark {
+				n++
+			}
+		})
+		return n
+	}
+	h.EachVM(func(vm *cluster.VM) { vm.Mark = true })
 	gone := liveVM(t, m, 1)
-	if !h.IsResidual(1) || h.ResidualCount() != 2 {
-		t.Fatalf("after StartRecycling: residual(1)=%v count=%d", h.IsResidual(1), h.ResidualCount())
+	if !residual(1) || count() != 2 {
+		t.Fatalf("after marking: residual(1)=%v count=%d", residual(1), count())
 	}
 	if ok, err := m.Exit(1, 2*at); !ok || err != nil {
 		t.Fatalf("Exit(1) = (%v, %v)", ok, err)
@@ -110,9 +122,9 @@ func TestMachineReusedVMStartsNonResidual(t *testing.T) {
 	if got != h || liveVM(t, m, 3) != gone {
 		t.Fatalf("vm 3 on %v reusing the exited object: %v; want both on host %d", got, liveVM(t, m, 3) == gone, h.ID)
 	}
-	if h.IsResidual(3) || !h.IsResidual(2) || h.ResidualCount() != 1 {
+	if residual(3) || !residual(2) || count() != 1 {
 		t.Fatalf("residual(3)=%v residual(2)=%v count=%d, want false, true, 1",
-			h.IsResidual(3), h.IsResidual(2), h.ResidualCount())
+			residual(3), residual(2), count())
 	}
 	wantFresh(t, gone, rec, 3*at)
 }
