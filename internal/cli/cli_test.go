@@ -458,10 +458,10 @@ func TestDocscheck(t *testing.T) {
 		pkgA  = "// Package a is a fixture.\npackage a\n\n"
 		cmdX  = "// Command x is a fixture.\npackage main\n\nimport \"fix/internal/a\"\n\n"
 
-		hostPkg  = "// Package cluster is a fixture.\npackage cluster\n\n// Host is a host.\ntype Host struct{ Unavailable bool }\n\n// Pool is a pool.\ntype Pool struct{}\n\n// Place places a VM.\nfunc (*Pool) Place() {}\n"
+		hostPkg  = "// Package cluster is a fixture.\npackage cluster\n\n// Host is a host.\ntype Host struct{ Unavailable bool }\n\n// Pool is a pool.\ntype Pool struct{}\n\n// Place places a VM.\nfunc (*Pool) Place() {}\n\n// Reserve holds capacity.\nfunc (*Pool) Reserve() {}\n"
 		schedPkg = "// Package scheduler is a fixture.\npackage scheduler\n\n// Policy is a policy.\ntype Policy interface{ OnPlaced() }\n"
 		simPkg   = "// Package sim is a fixture.\npackage sim\n\nimport (\n\t\"fix/internal/cluster\"\n\t\"fix/internal/scheduler\"\n)\n\n" +
-			"// Withdraw takes h out of service.\nfunc Withdraw(h *cluster.Host) { h.Unavailable = true }\n\n// Place tells p.\nfunc Place(p scheduler.Policy) { p.OnPlaced() }\n\n// Create places a VM on pool.\nfunc Create(pool *cluster.Pool) { pool.Place() }\n"
+			"// Withdraw takes h out of service.\nfunc Withdraw(h *cluster.Host) { h.Unavailable = true }\n\n// Place tells p.\nfunc Place(p scheduler.Policy) { p.OnPlaced() }\n\n// Create places a VM on pool and holds capacity there.\nfunc Create(pool *cluster.Pool) {\n\tpool.Place()\n\tpool.Reserve()\n}\n"
 		cmdSim = "// Command x is a fixture.\npackage main\n\nimport (\n\t\"fix/internal/cluster\"\n\t\"fix/internal/scheduler\"\n\t\"fix/internal/sim\"\n)\n\n"
 	)
 	for _, row := range []struct {
@@ -512,8 +512,8 @@ func TestDocscheck(t *testing.T) {
 				"func main() {\n\tsim.Withdraw(&cluster.Host{})\n\tsim.Place(wrap{})\n\tsim.Create(&cluster.Pool{})\n}\n"},
 			0, ""},
 		{"unavailable set outside sim", map[string]string{"go.mod": goMod, "internal/cluster/c.go": hostPkg, "internal/scheduler/p.go": schedPkg, "internal/sim/s.go": simPkg,
-			"cmd/x/main.go": cmdSim + "func main() {\n\th := &cluster.Host{}\n\tsim.Withdraw(h)\n\th.Unavailable = false\n\tvar p scheduler.Policy\n\tsim.Place(p)\n\tp.OnPlaced()\n\tpool := &cluster.Pool{}\n\tsim.Create(pool)\n\tpool.Place()\n}\n"},
-			1, "cmd/x/main.go:13: assigns cluster.Host.Unavailable outside internal/sim\ncmd/x/main.go:16: calls a policy's OnPlaced outside internal/sim and internal/scheduler\ncmd/x/main.go:19: calls cluster.Pool.Place outside internal/sim and internal/cluster"},
+			"cmd/x/main.go": cmdSim + "func main() {\n\th := &cluster.Host{}\n\tsim.Withdraw(h)\n\th.Unavailable = false\n\tvar p scheduler.Policy\n\tsim.Place(p)\n\tp.OnPlaced()\n\tpool := &cluster.Pool{}\n\tsim.Create(pool)\n\tpool.Place()\n\tpool.Reserve()\n}\n"},
+			1, "cmd/x/main.go:13: assigns cluster.Host.Unavailable outside internal/sim\ncmd/x/main.go:16: calls a policy's OnPlaced outside internal/sim and internal/scheduler\ncmd/x/main.go:19: calls cluster.Pool.Place outside internal/sim and internal/cluster\ncmd/x/main.go:20: calls cluster.Pool.Reserve outside internal/sim and internal/cluster"},
 		{"bench-only caller", map[string]string{"go.mod": goMod, "internal/a/a.go": pkgA + "func BenchOnly() {}\n",
 			"bench/go.mod":  "module fix/bench\n\ngo 1.24\n\nrequire fix v0.0.0\n\nreplace fix => ../\n",
 			"bench/main.go": "// Command bench is a fixture.\npackage main\n\nimport \"fix/internal/a\"\n\nfunc main() { a.BenchOnly() }\n"},

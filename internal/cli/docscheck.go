@@ -94,8 +94,8 @@ func Docscheck(_ context.Context, args []string, stdout, stderr io.Writer) int {
 // run's policy through sim.Control, as trace events reach it through the
 // simulator. A policy's own OnPlaced or OnExited may forward the hook to a
 // policy it wraps. Last, it returns one line per call of a pool mutator
-// (internal/cluster's Pool.Place, Exit, Migrate, AddHosts or RemoveHost)
-// in the root module outside internal/sim and internal/cluster:
+// (internal/cluster's Pool.Place, Exit, Migrate, Reserve, Release,
+// AddHosts or RemoveHost) in the root module outside internal/sim and internal/cluster:
 // internal/sim is the pool's one writer. Nested modules stay out of this
 // rule, so bench/ may time a bare pool.
 func controlBypasses(fset *token.FileSet, pkgs []*listedPackage) []string {
@@ -107,7 +107,7 @@ func controlBypasses(fset *token.FileSet, pkgs []*listedPackage) []string {
 	isHook := func(name string) bool { return name == "OnPlaced" || name == "OnExited" }
 	isMutator := func(fn *types.Func) bool {
 		switch fn.Name() {
-		case "Place", "Exit", "Migrate", "AddHosts", "RemoveHost":
+		case "Place", "Exit", "Migrate", "Reserve", "Release", "AddHosts", "RemoveHost":
 			recv := recvNamed(fn)
 			return recv != nil && recv.Obj().Name() == "Pool" && strings.HasSuffix(fn.Pkg().Path(), "/internal/cluster")
 		}

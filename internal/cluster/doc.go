@@ -10,8 +10,9 @@
 // A Pool — and everything hanging off it: hosts, VMs, the running
 // aggregates — is NOT safe for concurrent use. The contract is
 // single-writer: exactly one goroutine mutates a pool (through
-// Place/Exit/Migrate, which keep the aggregates consistent and which only
-// internal/sim calls from outside this package), and no other goroutine
+// Place/Exit/Migrate and Reserve/Release, which keep the aggregates
+// consistent and which only internal/sim calls from outside this package),
+// and no other goroutine
 // may even read while it does, since reads see the same host state and
 // counters the writers update.
 // The code paths honoring this are
@@ -33,7 +34,8 @@
 // # Host events
 //
 // Pools publish a host event for every mutation that can change scheduling
-// outcomes: Place/Exit/Migrate publish HostChanged, AddHosts/RemoveHost
+// outcomes: Place/Exit/Migrate and Reserve/Release publish HostChanged,
+// AddHosts/RemoveHost
 // the membership events, and InvalidateHost is the explicit channel for
 // out-of-band changes (Unavailable flips, which sim.Control alone makes,
 // and changes to a policy's own per-host state, such as a timer firing in
@@ -52,6 +54,17 @@
 // its host, so an exit or a migration finds its VM without scanning a
 // host. A VM carries one flag for its policy (VM.Mark), which the pool
 // never reads or writes. Pool.CheckInvariants walks the hosts' own VM
-// slices and allocates nothing, so a test may run it after every
-// operation (FuzzPoolOps does).
+// slices and the few live reservations and allocates nothing, so a test
+// may run it after every operation (FuzzPoolOps does).
+//
+// # Reservations
+//
+// A Reservation is capacity held on a host that no VM occupies: a live
+// migration's copy window on its target (§4.4). Pool.Reserve adds its
+// shape to the host's used vector and to the aggregates, and a per-host
+// count in the host's padding keeps the host from being empty while it
+// lasts; Pool.Release gives it back, and ends the host's occupancy when no
+// VM and no reservation is left. Host.VMs, EachVM and NumVMs, Pool.VM and
+// NumVMs see only VMs, so neither a policy nor its predictor meets a
+// reservation.
 package cluster

@@ -8,11 +8,11 @@ package cluster
 type HostEvent uint8
 
 // Host events. HostChanged covers every change to one member host: Pool's
-// Place, Exit and Migrate publish it (a migration once on the source, then
-// once on the target), and InvalidateHost is the explicit escape hatch for
-// state changes the pool cannot see itself — a policy's own per-host state
-// moving on a timer, and Unavailable flips by sim.Control. HostAdded and HostRemoved are the membership events
-// of AddHosts and RemoveHost (fleet elasticity).
+// Place, Exit, Migrate (on the source, then the target), Reserve and Release
+// publish it, and InvalidateHost is the explicit escape hatch for state
+// changes the pool cannot see itself — a policy's own per-host state moving
+// on a timer, and Unavailable flips by sim.Control. HostAdded and HostRemoved
+// are the membership events of AddHosts and RemoveHost (fleet elasticity).
 const (
 	// HostChanged: the host's VM set or out-of-band scoring state changed.
 	HostChanged HostEvent = iota

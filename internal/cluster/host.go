@@ -16,7 +16,8 @@ type HostID int32
 //
 // A pool allocates its hosts in slabs (see NewPool), and the fields are
 // ordered so that a Host takes 88 bytes on 64-bit targets: the occupancy
-// count fills the word after ID.
+// count fills the word after ID, and the reservation count the padding
+// after Unavailable.
 type Host struct {
 	ID HostID
 
@@ -30,9 +31,12 @@ type Host struct {
 	// Unavailable marks hosts drained for defragmentation or maintenance;
 	// the scheduler skips them (§4.4). Only sim.Control writes it.
 	Unavailable bool
+
+	holds uint16 // live reservations on the host (Pool.Reserve)
 }
 
-// Used returns the currently allocated resource vector.
+// Used returns the currently allocated resource vector: the shapes of the
+// hosted VMs plus those of the host's reservations.
 func (h *Host) Used() resources.Vector { return h.used }
 
 // Free returns the currently free resource vector.
@@ -41,16 +45,16 @@ func (h *Host) Free() resources.Vector { return h.Capacity.Sub(h.used) }
 // NumVMs returns the number of VMs currently on the host.
 func (h *Host) NumVMs() int { return len(h.vms) }
 
-// Empty reports whether no VM is running on the host.
-func (h *Host) Empty() bool { return len(h.vms) == 0 }
+// Empty reports whether the host runs no VM and holds no reservation.
+func (h *Host) Empty() bool { return len(h.vms) == 0 && h.holds == 0 }
 
-// Occupancy numbers the host's occupancies, the runs of VMs it holds
-// between two times it is empty: the count grows by one each time the host
-// goes empty, however its last VM left, and a host that takes the ID of a
-// removed one starts past its predecessor's count. A policy that keeps
-// per-host state stamped with the occupancy it was written in therefore
-// finds that state void once the host has been empty, and needs no hook to
-// reset it.
+// Occupancy numbers the host's occupancies, the runs of VMs and
+// reservations it holds between two times it is empty: the count grows by
+// one each time the host goes empty, however its last occupant left, and a
+// host that takes the ID of a removed one starts past its predecessor's
+// count. A policy that keeps per-host state stamped with the occupancy it
+// was written in therefore finds that state void once the host has been
+// empty, and needs no hook to reset it.
 func (h *Host) Occupancy() uint32 { return h.occupancy }
 
 // Fits reports whether a VM of the given shape fits into the free capacity.
@@ -122,7 +126,7 @@ func (h *Host) add(vm *VM) {
 
 // remove releases vm, which the host runs. Callers go through
 // Pool.Exit/Migrate, which find vm in the pool's VM index; the host's scan
-// compares pointers and reads no VM. The host's last VM ends its
+// compares pointers and reads no VM. A host it leaves empty ends its
 // occupancy.
 func (h *Host) remove(vm *VM) {
 	k := slices.Index(h.vms, vm)
@@ -130,11 +134,11 @@ func (h *Host) remove(vm *VM) {
 	h.vms[k] = h.vms[last]
 	h.vms[last] = nil
 	h.vms = h.vms[:last]
-	if last == 0 {
-		h.occupancy++
-	}
 	h.used = h.used.Sub(vm.Shape)
 	vm.Host = nil
+	if h.Empty() {
+		h.occupancy++
+	}
 }
 
 func (h *Host) String() string {

@@ -8,7 +8,8 @@ import (
 
 // populatedPool builds a pool of n 16-core hosts holding perHost 2-core VMs
 // on each of its first n-1 hosts (the last one stays empty), with host
-// 0's VMs carrying the policy's mark.
+// 0's VMs carrying the policy's mark and a 1-core reservation on each of
+// hosts 0 and 1.
 func populatedPool(t testing.TB, n, perHost int) *Pool {
 	t.Helper()
 	p := NewPool("inv", n, resources.Cores(16, 65536, 0))
@@ -22,6 +23,11 @@ func populatedPool(t testing.TB, n, perHost int) *Pool {
 		}
 	}
 	p.Host(0).EachVM(func(vm *VM) { vm.Mark = true })
+	for _, h := range p.Hosts()[:2] {
+		if _, err := p.Reserve(h, resources.Cores(1, 4096, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +76,11 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 			p.usedTot = p.usedTot.Add(over)
 		}},
 		{"stale index entry", func(p *Pool) { p.vms[1000] = &VM{ID: 1000} }},
+		{"reservation count", func(p *Pool) { p.Host(1).holds++ }},
+		{"reservation shape", func(p *Pool) { p.res[1].shape = p.res[1].shape.Add(extra) }},
+		{"reservation off the pool", func(p *Pool) {
+			p.res = append(p.res, &Reservation{host: &Host{ID: 1, holds: 1}, shape: extra})
+		}},
 		{"id repeated on a host, dangling index entry", func(p *Pool) {
 			h := p.Host(1)
 			vm := *h.VMs()[0]
@@ -116,13 +127,17 @@ func TestCheckInvariantsAllocatesNothing(t *testing.T) {
 // input bytes an operation: places that fit and that do not, exits of live
 // and unknown IDs, migrations accepted and refused (no room, the VM's own
 // host), AddHosts, RemoveHost of empty and occupied hosts and of the top
-// host with its ID taken again, and a policy's marks set and cleared on a
-// host's VMs. After every operation the invariants hold, the pool runs
+// host with its ID taken again, a policy's marks set and cleared on a
+// host's VMs, and reservations that fit and that do not, released once and
+// then again. After every operation the invariants hold, the pool runs
 // exactly the VMs the test's ledger holds with the marks the ledger gave
-// them, a host's occupancy has moved exactly when the host went empty (a
-// host that took a removed one's ID starting past it), and a refused
-// operation changes neither the VM count, the free total nor the used
-// vector of the hosts it named.
+// them, each host's used vector is the sum of its VMs' and its ledger
+// reservations' shapes, a host is empty exactly when it has neither, its
+// occupancy has moved exactly when it went empty (a host whose last VM
+// leaves while a reservation remains keeps its occupancy, and a host that
+// took a removed one's ID starts past it), and a refused operation changes
+// neither the VM count, the free total nor the used vector of the hosts it
+// named.
 func FuzzPoolOps(f *testing.F) {
 	// A place/exit script, then every operation with each outcome.
 	f.Add([]byte{0, 0, 3, 1, 0, 0, 0, 1, 7, 0, 2, 9, 1, 0, 1, 1, 0, 0, 0, 0, 15})
@@ -133,11 +148,16 @@ func FuzzPoolOps(f *testing.F) {
 		2, 0, 4, 1, 0, 0, // exits: an unknown ID, a live VM
 		4, 0, 2, 4, 0, 0, 5, 5, 0, 5, 3, 0, // add 2 and 0 hosts, remove an empty and an occupied one
 	})
+	// Reservations: one beside a VM outlives it, one on an empty host is
+	// refused removal, one does not fit; then both are released and the
+	// host is removed.
+	f.Add([]byte{0, 0, 3, 9, 0, 4, 1, 0, 0, 9, 1, 1, 5, 1, 0, 9, 1, 19, 10, 0, 0, 10, 0, 0, 5, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		capacity := resources.Cores(16, 65536, 0)
 		p := NewPool("fuzz", 4, capacity)
 		var live []VMID
 		marked := map[VMID]bool{}
+		var held []*Reservation // live reservations; r.host and r.shape are the ledger's
 		type occ struct {
 			host  *Host
 			occ   uint32
@@ -150,7 +170,7 @@ func FuzzPoolOps(f *testing.F) {
 			data = data[:3*256]
 		}
 		for i := 0; i+2 < len(data); i += 3 {
-			op, a, b := data[i]%9, int(data[i+1]), int(data[i+2])
+			op, a, b := data[i]%11, int(data[i+1]), int(data[i+2])
 			if p.NumHosts() == 0 {
 				op = 4 // only AddHosts applies to an empty pool
 			}
@@ -225,6 +245,30 @@ func FuzzPoolOps(f *testing.F) {
 					t.Fatalf("op %d: RemoveHost of empty top host %d: %v", i/3, top.ID, err)
 				}
 				p.AddHosts(1, capacity)
+			case 9: // reserve on h, fitting or not
+				shape := resources.Cores(int64(b%20)+1, 1024, 0)
+				fits := h.Fits(shape)
+				var r *Reservation
+				if r, err = p.Reserve(h, shape); (err == nil) != fits {
+					t.Fatalf("op %d: Reserve of %s on host %d (free %s): err %v", i/3, shape, h.ID, h.Free(), err)
+				}
+				if err == nil {
+					held = append(held, r)
+				}
+			case 10: // release a live reservation, then once more
+				if len(held) == 0 {
+					continue
+				}
+				k := b % len(held)
+				r := held[k]
+				if err := p.Release(r); err != nil {
+					t.Fatalf("op %d: Release of a live reservation on host %d: %v", i/3, r.host.ID, err)
+				}
+				held = append(held[:k], held[k+1:]...)
+				vms, total, hostUsed := p.NumVMs(), p.FreeTotal(), r.host.Used()
+				if p.Release(r) == nil || p.NumVMs() != vms || p.FreeTotal() != total || r.host.Used() != hostUsed {
+					t.Fatalf("op %d: a second Release of one reservation was accepted or changed the pool", i/3)
+				}
 			}
 			if err != nil {
 				if p.NumVMs() != nvm || p.FreeTotal() != free || h.Used() != used {
@@ -244,6 +288,20 @@ func FuzzPoolOps(f *testing.F) {
 			for _, id := range live {
 				if vm := p.VM(id); vm.Mark != marked[id] {
 					t.Fatalf("op %d: vm %d mark %v, the policy left it %v", i/3, id, vm.Mark, marked[id])
+				}
+			}
+			for _, h := range p.Hosts() {
+				var sum resources.Vector
+				h.EachVM(func(vm *VM) { sum = sum.Add(vm.Shape) })
+				holds := 0
+				for _, r := range held {
+					if r.host == h {
+						holds++
+						sum = sum.Add(r.shape)
+					}
+				}
+				if sum != h.Used() || h.Empty() != (h.NumVMs() == 0 && holds == 0) {
+					t.Fatalf("op %d (%d): host %d used %s, empty %v; its %d VMs and %d reservations sum to %s", i/3, op, h.ID, h.Used(), h.Empty(), h.NumVMs(), holds, sum)
 				}
 			}
 			for _, was := range occs {

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"lava/internal/resources"
@@ -19,6 +20,7 @@ type Pool struct {
 	Name  string
 	hosts []*Host         // sorted by ID; membership changes only via AddHosts/RemoveHost
 	vms   map[VMID]*VM    // running VMs by ID; VM.Host names the host
+	res   []*Reservation  // live reservations, a few at a time
 	subs  []*subscription // host-event subscribers (see events.go)
 
 	// Running pool-wide aggregates, maintained O(1) per mutation so metric
@@ -87,17 +89,18 @@ func (p *Pool) AddHosts(n int, capacity resources.Vector) []*Host {
 }
 
 // RemoveHost retires an empty host from the pool. Hosts still running VMs
-// cannot be removed — migrate or exit them first. Removing any host other
-// than the highest-ID one leaves the pool's IDs non-dense, which demotes
-// incremental score caches to their exhaustive fallback (correct, slower).
-// The removal publishes a HostRemoved event.
+// or holding reservations cannot be removed — migrate, exit or release
+// them first. Removing any host other than the highest-ID one leaves the
+// pool's IDs non-dense, which demotes incremental score caches to their
+// exhaustive fallback (correct, slower). The removal publishes a
+// HostRemoved event.
 func (p *Pool) RemoveHost(id HostID) error {
 	h := p.Host(id)
 	if h == nil {
 		return fmt.Errorf("pool %s: host %d not in pool", p.Name, id)
 	}
 	if !h.Empty() {
-		return fmt.Errorf("pool %s: host %d still runs %d VMs", p.Name, id, h.NumVMs())
+		return fmt.Errorf("pool %s: host %d still runs %d VMs and holds %d reservations", p.Name, id, h.NumVMs(), h.holds)
 	}
 	i, last := p.index(id), len(p.hosts)-1
 	copy(p.hosts[i:], p.hosts[i+1:])
@@ -242,8 +245,64 @@ func (p *Pool) Migrate(id VMID, dst *Host) (*Host, error) {
 	return src, nil
 }
 
-// EmptyHosts returns the number of hosts with no VMs, O(1) off the running
-// aggregates (it runs at every metric sample).
+// Reservation is capacity held on a host that no VM occupies: the copy
+// window of a live migration on its target, during which the VM takes
+// capacity on both hosts (§4.4). The host's used vector and the pool's
+// aggregates count it, so it narrows the fit check and the host is not
+// empty while it lasts; no VM list, VM count or policy sees it.
+type Reservation struct {
+	host  *Host
+	shape resources.Vector
+}
+
+// Reserve holds shape on h until Release. A reservation on an empty host
+// starts the host's occupancy, as a placement does. It publishes
+// HostChanged.
+func (p *Pool) Reserve(h *Host, shape resources.Vector) (*Reservation, error) {
+	if !h.Fits(shape) {
+		return nil, fmt.Errorf("host %d: reservation of %s does not fit free %s", h.ID, shape, h.Free())
+	}
+	if h.holds == math.MaxUint16 {
+		return nil, fmt.Errorf("host %d: %d reservations already", h.ID, h.holds)
+	}
+	if h.Empty() {
+		p.emptyCap = p.emptyCap.Sub(h.Capacity)
+		p.empty--
+	}
+	h.holds++
+	h.used = h.used.Add(shape)
+	p.usedTot = p.usedTot.Add(shape)
+	r := &Reservation{host: h, shape: shape}
+	p.res = append(p.res, r)
+	p.notify(h, HostChanged)
+	return r, nil
+}
+
+// Release gives a reservation's capacity back. A host it leaves with no VM
+// and no reservation goes empty, which ends its occupancy. It publishes
+// HostChanged, and refuses a reservation the pool does not hold (released
+// already, or another pool's).
+func (p *Pool) Release(r *Reservation) error {
+	k := slices.Index(p.res, r)
+	if k < 0 {
+		return fmt.Errorf("pool %s: reservation not held", p.Name)
+	}
+	p.res = slices.Delete(p.res, k, k+1)
+	h := r.host
+	h.holds--
+	h.used = h.used.Sub(r.shape)
+	p.usedTot = p.usedTot.Sub(r.shape)
+	if h.Empty() {
+		h.occupancy++
+		p.emptyCap = p.emptyCap.Add(h.Capacity)
+		p.empty++
+	}
+	p.notify(h, HostChanged)
+	return nil
+}
+
+// EmptyHosts returns the number of empty hosts (Host.Empty), O(1) off the
+// running aggregates (it runs at every metric sample).
 func (p *Pool) EmptyHosts() int { return p.empty }
 
 // EmptyHostFraction returns EmptyHosts / NumHosts, the paper's primary bin
@@ -304,15 +363,16 @@ func (p *Pool) RunningVMs() []*VM {
 }
 
 // CheckInvariants verifies internal consistency: per-host used sums match VM
-// shapes, every VM's back-pointer names the host that holds it and its
-// index entry names the VM itself, no VM is double-booked, the index holds
-// exactly the hosted VMs, and the running aggregates match a scan. It is
-// one pass over the hosts and their VMs that allocates nothing, so tests
-// may call it after every step; the simulator's debug mode calls it at
-// every sample.
+// and reservation shapes, each host's reservation count matches the pool's
+// live reservations on it, every VM's back-pointer names the host that
+// holds it and its index entry names the VM itself, no VM is double-booked,
+// the index holds exactly the hosted VMs, and the running aggregates match
+// a scan. It is one pass over the hosts, their VMs and the few live
+// reservations that allocates nothing, so tests may call it after every
+// step; the simulator's debug mode calls it at every sample.
 func (p *Pool) CheckInvariants() error {
 	var usedTot, capTot, emptyCap resources.Vector
-	empty, hosted := 0, 0
+	empty, hosted, held := 0, 0, 0
 	for _, h := range p.hosts {
 		var sum resources.Vector
 		for k, vm := range h.vms {
@@ -330,6 +390,19 @@ func (p *Pool) CheckInvariants() error {
 			sum = sum.Add(vm.Shape)
 		}
 		hosted += len(h.vms)
+		if h.holds > 0 {
+			n := 0
+			for _, r := range p.res {
+				if r.host == h {
+					n++
+					sum = sum.Add(r.shape)
+				}
+			}
+			if n != int(h.holds) {
+				return fmt.Errorf("host %d counts %d reservations, the pool holds %d on it", h.ID, h.holds, n)
+			}
+			held += n
+		}
 		if sum != h.Used() {
 			return fmt.Errorf("host %d used %s != sum of shapes %s", h.ID, h.Used(), sum)
 		}
@@ -347,6 +420,9 @@ func (p *Pool) CheckInvariants() error {
 	// so equal counts leave no stale entry.
 	if hosted != len(p.vms) {
 		return fmt.Errorf("vm index size %d != hosted VMs %d", len(p.vms), hosted)
+	}
+	if held != len(p.res) {
+		return fmt.Errorf("%d live reservations, %d on member hosts", len(p.res), held)
 	}
 	if usedTot != p.usedTot {
 		return fmt.Errorf("usedTot aggregate %s != scan %s", p.usedTot, usedTot)

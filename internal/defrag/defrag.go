@@ -96,7 +96,7 @@ type migration struct {
 
 	// in-flight state; dst stays set once the first copy started
 	dst         *cluster.Host
-	reservation cluster.VMID // the copy window's hold on dst (sim.Control.Reserve)
+	reservation *cluster.Reservation // the copy window's hold on dst
 	done        time.Duration
 }
 
@@ -148,13 +148,9 @@ func (e *Engine) trigger(ctl *sim.Control, now time.Duration) {
 		ctl.Withdraw(h.ID) // stop scheduling new VMs onto it (Algorithm 1)
 		e.draining = append(e.draining, h.ID)
 		// One prediction per VM, in ID order = creation order (the
-		// trace-order baseline). A copy window's reservation on the host
-		// is not a VM to move: it ends with its copy.
+		// trace-order baseline).
 		batch := PlannedBatch{Trigger: now, Host: h.ID}
 		for _, vm := range h.VMs() {
-			if ctl.Reserved(vm.ID) {
-				continue
-			}
 			batch.VMs = append(batch.VMs, PlannedVM{
 				ID:        vm.ID,
 				Exit:      vm.TrueExit(),
@@ -205,12 +201,11 @@ func (e *Engine) completeDue(ctl *sim.Control, now time.Duration) {
 		if m.done > now {
 			return false
 		}
-		// Free the reserved capacity on the target (unless a scenario kill
-		// already did). A VM that exited mid-copy has nothing left to
-		// move. One still alive moves, unless its target was withdrawn
-		// during the copy (a maintenance drain) or cannot take it anymore:
-		// then it retries later via pending.
-		ctl.Release(m.reservation)
+		// Free the reserved capacity on the target. A VM that exited
+		// mid-copy has nothing left to move. One still alive moves, unless
+		// its target was withdrawn during the copy (a maintenance drain) or
+		// cannot take it anymore: then it retries later via pending.
+		_ = ctl.Release(m.reservation) // held since the copy started
 		if pool.HostOf(m.vmID) != nil && (m.dst.Unavailable || ctl.Migrate(m.vmID, m.dst, now) != nil) {
 			e.pending = append(e.pending, m)
 		}
@@ -241,10 +236,10 @@ func (e *Engine) reapSavedAndStart(ctl *sim.Control, now time.Duration) {
 		// placement; with NILAS/LAVA this repredicts the VM's remaining
 		// lifetime (§4.4). Reserve the shape on the target for the copy
 		// window: live migration consumes capacity on both hosts.
-		var res cluster.VMID
+		var res *cluster.Reservation
 		dst, err := ctl.Schedule(vm, now)
 		if err == nil {
-			res, err = ctl.Reserve(vm.Shape, dst, now, now+migrationTime)
+			res, err = ctl.Reserve(vm.Shape, dst)
 		}
 		if err != nil {
 			// No capacity anywhere right now: abandon this VM's migration

@@ -346,10 +346,11 @@ func (k *killAll) Inject(ctl *sim.Control, now time.Duration) {
 	}
 }
 
-// TestKillReleasesReservation: a kill that meets a copy window's
-// reservation ends it without a trace: Result.Killed counts the trace's VMs
-// only, and the policy hears no exit of a VM it never placed.
-func TestKillReleasesReservation(t *testing.T) {
+// TestKillLeavesCopyWindow: a kill reaches VMs only. A host failure that
+// kills every VM mid-copy counts the trace's VMs alone in Result.Killed,
+// the policy hears no exit of a VM it never placed, and the copy window
+// holds its capacity on the target until the copy's end.
+func TestKillLeavesCopyWindow(t *testing.T) {
 	pol := &hookBalance{Policy: scheduler.NewBestFit(), placed: map[cluster.VMID]bool{}}
 	eng := New(Config{Pred: model.Oracle{}, Threshold: 0.99, HostsPerRound: 1, CheckEvery: time.Hour})
 	m, err := sim.NewMachine(sim.Config{
@@ -362,8 +363,9 @@ func TestKillReleasesReservation(t *testing.T) {
 	}
 	// VMs 1 and 2 fill host 0 past the room for VM 3, which lands alone on
 	// host 1: the first tick drains host 1 and copies VM 3 to host 2.
+	shape := resources.Cores(12, 12*4096, 0)
 	for id := 1; id <= 3; id++ {
-		rec := trace.Record{ID: cluster.VMID(id), Shape: resources.Cores(12, 12*4096, 0), Lifetime: 1000 * time.Hour}
+		rec := trace.Record{ID: cluster.VMID(id), Shape: shape, Lifetime: 1000 * time.Hour}
 		if _, err := m.Create(rec, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -371,12 +373,26 @@ func TestKillReleasesReservation(t *testing.T) {
 	if err := m.Advance(5 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if len(eng.inflight) != 1 {
-		t.Fatalf("%d copies in flight, want 1 (stats %+v)", len(eng.inflight), eng.Stats)
+	if len(eng.inflight) != 1 || eng.inflight[0].dst.ID != 2 {
+		t.Fatalf("copies in flight %+v, want one to host 2 (stats %+v)", eng.inflight, eng.Stats)
+	}
+	dst := eng.inflight[0].dst
+	// The kill at 10 minutes leaves host 2 running nothing, holding the
+	// window until the copy ends at 25.
+	for _, at := range []time.Duration{10 * time.Minute, 20 * time.Minute} {
+		if err := m.Advance(at); err != nil {
+			t.Fatal(err)
+		}
+		if dst.NumVMs() != 0 || dst.Empty() || dst.Used() != shape {
+			t.Fatalf("at %v: host 2 runs %d VMs, empty %v, used %s; want the window alone, %s", at, dst.NumVMs(), dst.Empty(), dst.Used(), shape)
+		}
 	}
 	res, err := m.Finish()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !dst.Empty() || len(eng.inflight) != 0 {
+		t.Errorf("after the copy's end: host 2 empty %v, %d copies in flight", dst.Empty(), len(eng.inflight))
 	}
 	if res.Killed != 3 {
 		t.Errorf("Killed = %d for 3 trace VMs", res.Killed)
@@ -392,9 +408,8 @@ func TestKillReleasesReservation(t *testing.T) {
 	}
 }
 
-// TestTriggerSkipsReservations: a host that holds a copy window's
-// reservation can be drained, but the reservation is not planned as a VM
-// to move.
+// TestTriggerSkipsReservations: a host that holds a copy window can be
+// drained, but the window is not planned as a VM to move.
 func TestTriggerSkipsReservations(t *testing.T) {
 	p, ctl := newPool(4)
 	e := New(Config{Pred: model.Oracle{}, Threshold: 0.99, HostsPerRound: 1, CheckEvery: 10 * time.Minute})
@@ -408,7 +423,7 @@ func TestTriggerSkipsReservations(t *testing.T) {
 	// The first check drains host 0 and reserves VM 1's copy on host 1,
 	// the fullest host with room.
 	e.Inject(ctl, time.Hour)
-	if len(e.inflight) != 1 || e.inflight[0].dst.ID != 1 || !ctl.Reserved(e.inflight[0].reservation) {
+	if len(e.inflight) != 1 || e.inflight[0].dst.ID != 1 || e.inflight[0].reservation == nil {
 		t.Fatalf("first drain: in flight %+v", e.inflight)
 	}
 	// The next check drains host 1, which now has the fewest VMs.
@@ -422,5 +437,82 @@ func TestTriggerSkipsReservations(t *testing.T) {
 	}
 	if !slices.Equal(ids, []cluster.VMID{2, 3}) || e.Stats.Planned != 3 {
 		t.Fatalf("host 1's drain plans VMs %v (%d planned in all), want [2 3] (3)", ids, e.Stats.Planned)
+	}
+}
+
+// idGuard is a lifetime model that answers as the oracle does, counts its
+// calls and notes every VM ID below 1 it is asked about: trace VMs are
+// numbered from 1.
+type idGuard struct {
+	calls int
+	low   []cluster.VMID
+}
+
+func (g *idGuard) Name() string { return "id-guard" }
+
+func (g *idGuard) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration {
+	g.calls++
+	if vm.ID < 1 {
+		g.low = append(g.low, vm.ID)
+	}
+	return model.Oracle{}.PredictRemaining(vm, uptime)
+}
+
+// TestModelsSeeNoCopyWindow: while a copy is in flight, neither la-binary,
+// nilas nor lava, nor the defragmenter, asks its model about anything but
+// a VM, and NILAS's exit time of a host holding only a copy window is now,
+// at no model call: a window enters no host exit time.
+func TestModelsSeeNoCopyWindow(t *testing.T) {
+	for _, name := range []string{"la-binary", "nilas", "lava"} {
+		g := &idGuard{}
+		pol, err := scheduler.New(name, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := New(Config{Pred: g, Threshold: 0.99, HostsPerRound: 1, CheckEvery: time.Hour})
+		m, err := sim.NewMachine(sim.Config{
+			Trace:     &trace.Trace{PoolName: "guard", Hosts: 4, HostCPU: 32000, HostMem: 131072, Horizon: 2 * time.Hour},
+			Policy:    pol,
+			Injectors: []sim.Injector{eng},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// VMs 1 and 2 share host 0 and VM 3 runs alone on host 1, which the
+		// first tick drains: VM 3's copy holds capacity on host 2 from 5 to
+		// 25 minutes. VMs 4-9, short-lived, arrive during the copy.
+		for id := 1; id <= 9; id++ {
+			rec := trace.Record{ID: cluster.VMID(id), Shape: resources.Cores(12, 12*4096, 0), Lifetime: 1000 * time.Hour}
+			at := time.Duration(0)
+			if id > 3 {
+				rec.Shape, rec.Lifetime, at = resources.Cores(1, 4096, 0), time.Hour, 10*time.Minute
+			}
+			if _, err := m.Create(rec, at); err != nil {
+				t.Fatal(err)
+			}
+			if id == 3 {
+				if err := m.Advance(5 * time.Minute); err != nil {
+					t.Fatal(err)
+				}
+				if len(eng.inflight) != 1 {
+					t.Fatalf("%s: %d copies in flight, want 1 (stats %+v)", name, len(eng.inflight), eng.Stats)
+				}
+			}
+		}
+		if _, err := m.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if len(g.low) > 0 || g.calls == 0 {
+			t.Errorf("%s: %d model calls, on VM IDs below 1: %v", name, g.calls, g.low)
+		}
+	}
+
+	p, ctl := newPool(1)
+	if _, err := ctl.Reserve(resources.Cores(4, 4*4096, 0), p.Host(0)); err != nil {
+		t.Fatal(err)
+	}
+	g := &idGuard{}
+	if exit := scheduler.NewExitCache(g, 0).HostExit(p.Host(0), time.Hour); exit != time.Hour || g.calls != 0 {
+		t.Errorf("a host holding only a copy window exits at %v after %d model calls, want %v after 0", exit, g.calls, time.Hour)
 	}
 }

@@ -19,10 +19,10 @@
 // sim.Control's reference-counted Withdraw and Restore, asks
 // Control.Schedule for each target, holds the target's capacity for the
 // copy window with Control.Reserve and Control.Release, and moves each VM
-// with Control.Migrate, which tells the run's policy. A host whose last
-// occupant is a released reservation goes empty without a policy hook and
-// needs no reset: the policy reads it as empty all the same (scheduler's
-// host slab). Its migrations are not traced, so sim.Replay cannot replay a
-// defragmenter run. ReplayPlan re-runs a recorded plan under another order
-// through a queue of the same batch limit.
+// with Control.Migrate, which tells the run's policy. A copy window is
+// pool capacity, not a VM: the drains, the policy and its predictor see
+// only VMs, and a host whose last occupant is a released window goes
+// empty like any other. Its migrations are not traced, so sim.Replay
+// cannot replay a defragmenter run. ReplayPlan re-runs a recorded plan
+// under another order through a queue of the same batch limit.
 package defrag

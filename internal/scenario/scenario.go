@@ -265,7 +265,8 @@ type drainInjector struct {
 
 // Inject implements sim.Injector.
 func (in *drainInjector) Inject(ctl *sim.Control, now time.Duration) {
-	n := ctl.Pool().NumHosts()
+	hosts := ctl.Pool().Hosts()
+	n := len(hosts)
 	per := int(math.Round(in.ev.Frac * float64(n)))
 	if per < 1 {
 		per = 1
@@ -280,15 +281,15 @@ func (in *drainInjector) Inject(ctl *sim.Control, now time.Duration) {
 		}
 		in.ended = w + 1
 	}
-	// Start due waves. Each wave claims the next contiguous range, wrapping
-	// around the pool.
+	// Start due waves. Each wave claims the next contiguous range of the
+	// pool's hosts in ID order, wrapping around.
 	for w := len(in.waves); w < in.ev.Waves; w++ {
 		if now < in.ev.At+time.Duration(w)*in.ev.Every {
 			break
 		}
 		ids := make([]cluster.HostID, 0, per)
 		for i := 0; i < per; i++ {
-			id := cluster.HostID((w*per + i) % n)
+			id := hosts[(w*per+i)%n].ID
 			ctl.Withdraw(id)
 			ids = append(ids, id)
 		}
@@ -345,7 +346,7 @@ func (in *failureInjector) Inject(ctl *sim.Control, now time.Duration) {
 		}
 		start := rand.New(rand.NewSource(in.seed)).Intn(n)
 		for i := 0; i < count; i++ {
-			h := pool.Host(cluster.HostID((start + i) % n))
+			h := pool.Hosts()[(start+i)%n]
 			for _, vm := range h.VMs() { // sorted by ID: deterministic kill order
 				if err := ctl.Kill(vm.ID, now); err != nil {
 					panic(fmt.Sprintf("scenario: failures: %v", err))
@@ -403,15 +404,14 @@ type crunchInjector struct {
 func (in *crunchInjector) Inject(ctl *sim.Control, now time.Duration) {
 	if !in.fired && now >= in.ev.At {
 		in.fired = true
-		n := ctl.Pool().NumHosts()
-		count := int(math.Round(in.ev.Frac * float64(n)))
+		hosts := ctl.Pool().Hosts()
+		count := int(math.Round(in.ev.Frac * float64(len(hosts))))
 		if count < 1 {
 			count = 1
 		}
-		for i := n - count; i < n; i++ {
-			id := cluster.HostID(i)
-			ctl.Withdraw(id)
-			in.withdrawn = append(in.withdrawn, id)
+		for _, h := range hosts[len(hosts)-count:] {
+			ctl.Withdraw(h.ID)
+			in.withdrawn = append(in.withdrawn, h.ID)
 		}
 	}
 	if in.fired && !in.restored && in.ev.For > 0 && now >= in.ev.At+in.ev.For {

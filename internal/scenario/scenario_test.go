@@ -445,6 +445,77 @@ func TestCrossInjectorClaimsCoordinate(t *testing.T) {
 	}
 }
 
+// TestInjectorsAfterHostRemoval: the scenario injectors pick hosts by
+// their position in the pool, so after a host removal they withdraw hosts
+// the pool still has, and a host under a withdrawal claim refuses removal,
+// so the claim's restore finds it. Before, each case dereferenced a nil
+// host: a crunch restored a host removed under its claim, and a drain
+// wave, a failure and a crunch withdrew the removed host's ID.
+func TestInjectorsAfterHostRemoval(t *testing.T) {
+	newMachine := func(t *testing.T, ev TickEvent) *sim.Machine {
+		t.Helper()
+		m, err := sim.NewMachine(sim.Config{
+			Policy:    scheduler.NewWasteMin(),
+			Trace:     &trace.Trace{PoolName: "removal", Hosts: 4, HostCPU: 32000, HostMem: 131072, Horizon: 4 * time.Hour},
+			Injectors: []sim.Injector{ev.NewInjector(1)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	unavailable := func(p *cluster.Pool) (ids []cluster.HostID) {
+		for _, h := range p.Hosts() {
+			if h.Unavailable {
+				ids = append(ids, h.ID)
+			}
+		}
+		return ids
+	}
+	t.Run("crunch keeps the host it withdrew", func(t *testing.T) {
+		m := newMachine(t, Crunch{At: time.Hour, Frac: 0.25, For: time.Hour})
+		if err := m.Advance(time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RemoveHost(3, time.Hour); err == nil {
+			t.Fatal("host 3 was removed under the crunch's claim")
+		}
+		if err := m.Advance(3 * time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		if got := unavailable(m.Pool()); m.Pool().NumHosts() != 4 || len(got) != 0 {
+			t.Fatalf("after the restore: %d hosts, unavailable %v; want 4, none", m.Pool().NumHosts(), got)
+		}
+	})
+	for _, c := range []struct {
+		ev   TickEvent
+		want []cluster.HostID // withdrawn at 90 minutes
+	}{
+		{DrainWave{At: time.Hour, Every: time.Hour, Waves: 2, Frac: 0.5, For: time.Hour}, []cluster.HostID{0, 2}},
+		{Failures{At: time.Hour, Frac: 1, RepairFor: time.Hour}, []cluster.HostID{0, 2, 3}},
+		{Crunch{At: time.Hour, Frac: 1, For: time.Hour}, []cluster.HostID{0, 2, 3}},
+	} {
+		t.Run(c.ev.Kind()+" after a removal", func(t *testing.T) {
+			m := newMachine(t, c.ev)
+			if err := m.RemoveHost(1, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Advance(90 * time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			if got := unavailable(m.Pool()); !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("withdrawn at 90 minutes: %v, want %v", got, c.want)
+			}
+			if _, err := m.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			if got := unavailable(m.Pool()); len(got) != 0 {
+				t.Fatalf("withdrawn at the end: %v, want none", got)
+			}
+		})
+	}
+}
+
 func TestFailuresSeedMovesBlock(t *testing.T) {
 	ev := Failures{At: 30 * time.Hour, Frac: 0.2, RepairFor: 0}
 	a := poolEventStream(t, ev, 1)

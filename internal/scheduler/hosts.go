@@ -37,10 +37,12 @@ type hostSlot struct {
 }
 
 // hostSlots is a slab of slots by host ID, grown on demand. A slot holds
-// for the occupancy it was written in only, so a host with no VM reads as
-// the zero slot however it went empty — through the exit hook, through the
-// release of a reservation, which calls none, or by its ID being removed
-// and added again — and nothing outside the policy resets a slot.
+// for the occupancy it was written in only, so an empty host reads as the
+// zero slot however it went empty — through the exit hook, through the
+// release of a copy window (cluster.Pool.Release), which calls none, or by
+// its ID being removed and added again — and nothing outside the policy
+// resets a slot. A copy window is capacity, not a VM: it keeps its host
+// from being empty, but no slot, residual set or exit time counts it.
 type hostSlots []hostSlot
 
 // get returns the host's slot: the zero slot when the host is empty or has

@@ -39,8 +39,8 @@ func create(t *testing.T, m *sim.Machine, id cluster.VMID, life, at time.Duratio
 }
 
 // emptyByRelease empties the host of VM 1 at 30 minutes the way a defrag
-// copy window can: a reservation joins it, VM 1 is killed, and the
-// reservation's release takes the last occupant without a policy hook.
+// copy window can: a window is reserved on it, VM 1 is killed, and the
+// window's release takes the last occupant without a policy hook.
 func emptyByRelease(t *testing.T, m *sim.Machine, pol scheduler.Policy, h *cluster.Host) {
 	t.Helper()
 	now := 30 * time.Minute
@@ -48,15 +48,18 @@ func emptyByRelease(t *testing.T, m *sim.Machine, pol scheduler.Policy, h *clust
 		t.Fatal(err)
 	}
 	ctl := sim.NewControl(m.Pool(), pol, &sim.Result{})
-	res, err := ctl.Reserve(resources.Cores(1, 4096, 0), h, now, now+20*time.Minute)
+	win, err := ctl.Reserve(resources.Cores(1, 4096, 0), h)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ctl.Kill(1, now); err != nil {
 		t.Fatal(err)
 	}
-	if !ctl.Release(res) || !h.Empty() {
-		t.Fatalf("release of reservation %d: host still runs %d VMs", res, h.NumVMs())
+	if h.Empty() {
+		t.Fatal("a host holding a copy window reads as empty")
+	}
+	if err := ctl.Release(win); err != nil || !h.Empty() {
+		t.Fatalf("release of the copy window: %v; host empty %v", err, h.Empty())
 	}
 }
 
@@ -72,7 +75,7 @@ func levelScore(t *testing.T, pol scheduler.Policy, li int, h *cluster.Host, lif
 	return scores[li]
 }
 
-// TestLAVAReservationEmptiedHostReopens: a host that a reservation's
+// TestLAVAReservationEmptiedHostReopens: a host that a copy window's
 // release empties reads as empty to LAVA, and the next VM placed there
 // opens it with its own class and deadline, not the ones of the host's
 // previous occupancy (LC2, due at 11 h).
@@ -108,7 +111,7 @@ func TestLAVAReservationEmptiedHostReopens(t *testing.T) {
 
 // TestEpochReservationEmptiedHostResets: nilas-epoch's running max of a
 // host's exits starts afresh with the host's next occupancy whether the
-// host was emptied by the exit hook or by a reservation's release. A host
+// host was emptied by the exit hook or by a copy window's release. A host
 // that ran a 100 h VM and now runs a 1 h one scores a 50 h VM's temporal
 // cost 8, not the 0 the stale 100 h estimate gives.
 func TestEpochReservationEmptiedHostResets(t *testing.T) {
@@ -132,10 +135,38 @@ func TestEpochReservationEmptiedHostResets(t *testing.T) {
 	}
 }
 
+// TestLAVAWindowIsNotResidual: a copy window on a host that starts
+// recycling joins no residual set, so LAVA demotes the host when its last
+// residual VM exits, with the window still held, and no hook has to follow.
+func TestLAVAWindowIsNotResidual(t *testing.T) {
+	pol := scheduler.NewLAVA(model.Oracle{}, time.Minute)
+	m, h := oneHost(t, pol, 50*time.Hour) // VM 1 opens the host as LC3
+	if _, err := sim.NewControl(m.Pool(), pol, &sim.Result{}).Reserve(resources.Cores(5, 5*4096, 0), h); err != nil {
+		t.Fatal(err)
+	}
+	// 2 + 5 + 4×2 of 16 cores: VM 5 takes the host past 90 %.
+	for id := cluster.VMID(2); id <= 5; id++ {
+		create(t, m, id, 50*time.Hour, 0)
+	}
+	if v := scheduler.HostOf(pol, h); v.State != "recycling" || v.Class != simtime.LC3 || scheduler.Residuals(h) != 5 {
+		t.Errorf("filled host: %+v with %d residual VMs, want recycling LC3 with 5", v, scheduler.Residuals(h))
+	}
+	at := time.Hour
+	for id := cluster.VMID(1); id <= 5; id++ {
+		if ok, err := m.Exit(id, at); !ok || err != nil {
+			t.Fatalf("exit of vm %d: %v %v", id, ok, err)
+		}
+	}
+	want := scheduler.HostView{State: "recycling", Class: simtime.LC2, Deadline: at + simtime.LC2.Deadline()}
+	if v := scheduler.HostOf(pol, h); h.Empty() || v != want {
+		t.Fatalf("last residual VM gone, window held: host empty %v, %+v; want %+v", h.Empty(), v, want)
+	}
+}
+
 // hostsRun drives a NILAS or LAVA policy over a pool the way a simulation
 // does: placements scheduled, placed and told to the policy and natural
-// exits as sim.Machine makes them, kills, migrations and copy-window
-// reservations through one sim.Control, and ticks. Beside it, it keeps its
+// exits as sim.Machine makes them, kills, migrations and copy windows
+// through one sim.Control, and ticks. Beside it, it keeps its
 // own model of what the policy keeps per host (§4.3 for LAVA, the running
 // max of exits for the epoch level) and of LAVA's residual sets, moved by
 // the rules alone, so check can hold the policy's slab to it.
@@ -145,8 +176,8 @@ type hostsRun struct {
 	p           *cluster.Pool
 	ctl         *sim.Control
 	now         time.Duration
-	live        []cluster.VMID // VMs the policy placed, still running
-	res         []cluster.VMID // live reservations
+	live        []cluster.VMID         // VMs the policy placed, still running
+	res         []*cluster.Reservation // live copy windows
 	next        cluster.VMID
 
 	ref      map[*cluster.Host]*scheduler.HostView // the model's slot of each occupied host
@@ -154,7 +185,7 @@ type hostsRun struct {
 }
 
 // fuzzLifetimes are the lifetimes a hostsRun script picks from: every
-// LAVA class, with the 2 h, 1 h and 100 h VMs of the reservation-emptied
+// LAVA class, with the 2 h, 1 h and 100 h VMs of the window-emptied
 // sequences of TestLAVAReservationEmptiedHostReopens and
 // TestEpochReservationEmptiedHostResets.
 var fuzzLifetimes = []time.Duration{30 * time.Minute, 2 * time.Hour, 50 * time.Hour, 400 * time.Hour, 100 * time.Hour, time.Hour}
@@ -295,18 +326,16 @@ func (r *hostsRun) op(t *testing.T, op, a, b int) {
 	case 4: // reserve a copy window
 		if h := r.host(a); h != nil {
 			cores := int64(1 + b%8)
-			if id, err := r.ctl.Reserve(resources.Cores(cores, cores*4096, 0), h, r.now, r.now+20*time.Minute); err == nil {
-				r.res = append(r.res, id)
+			if win, err := r.ctl.Reserve(resources.Cores(cores, cores*4096, 0), h); err == nil {
+				r.res = append(r.res, win)
 			}
 		}
-	case 5: // end one, by Release or by Kill
-		k, ok := pick(r.res)
-		if !ok {
+	case 5: // end one: its copy is over
+		if len(r.res) == 0 {
 			return
 		}
-		if b%2 == 0 {
-			r.ctl.Release(r.res[k])
-		} else if err := r.ctl.Kill(r.res[k], r.now); err != nil {
+		k := a % len(r.res)
+		if err := r.ctl.Release(r.res[k]); err != nil {
 			t.Fatal(err)
 		}
 		r.res = append(r.res[:k], r.res[k+1:]...)
@@ -340,9 +369,9 @@ func (r *hostsRun) op(t *testing.T, op, a, b int) {
 
 // check holds the policy's slab to the model, host by host and VM by VM,
 // and to the invariants that follow from LAVA's rules whatever the history:
-// an empty host reads as empty, and a host that runs a VM the policy
-// placed (a reservation's ID is negative) is open or recycling, with a
-// valid class and a deadline. The pool's own invariants hold too.
+// an empty host reads as empty, and a host that runs a VM (a copy window
+// is none) is open or recycling, with a valid class and a deadline. The
+// pool's own invariants hold too.
 func (r *hostsRun) check() error {
 	if err := r.p.CheckInvariants(); err != nil {
 		return err
@@ -359,14 +388,12 @@ func (r *hostsRun) check() error {
 		if h.Empty() && got != zero {
 			return fmt.Errorf("empty host %d reads %+v", h.ID, got)
 		}
-		placed := false
 		for _, vm := range h.VMs() {
-			placed = placed || vm.ID >= 0
 			if vm.Mark != r.residual[vm] {
 				return fmt.Errorf("host %d vm %d: residual %v, want %v", h.ID, vm.ID, vm.Mark, r.residual[vm])
 			}
 		}
-		if r.lava && placed && (got.State == "empty" || !got.Class.Valid() || got.Deadline <= 0) {
+		if r.lava && h.NumVMs() > 0 && (got.State == "empty" || !got.Class.Valid() || got.Deadline <= 0) {
 			return fmt.Errorf("host %d runs a placed VM in %+v", h.ID, got)
 		}
 	}
@@ -374,20 +401,20 @@ func (r *hostsRun) check() error {
 }
 
 // FuzzLAVAHosts runs scripts of placements, natural exits, kills,
-// migrations, reservations and their releases, ticks, added hosts and
+// migrations, copy windows and their releases, ticks, added hosts and
 // removals of the top host against lava, lava-epoch and nilas-epoch (the
 // first byte picks), three bytes an operation, and after every operation
 // holds the policy's host slab and the VMs' residual marks to hostsRun's
 // model and the pool to its invariants.
 func FuzzLAVAHosts(f *testing.F) {
-	// The reservation-emptied sequences: a host opened by a 2 h VM
-	// (lava) or a 100 h one (nilas-epoch) holds a reservation, its VM is
-	// killed and the reservation released; then a 400 h VM and a 2 h one
+	// The window-emptied sequences: a host opened by a 2 h VM (lava) or a
+	// 100 h one (nilas-epoch) holds a copy window, its VM is killed and the
+	// window released; then a 400 h VM and a 2 h one
 	// (lava) or a 1 h VM and a 50 h one (nilas-epoch) are placed.
 	f.Add([]byte{0, 0, 1, 1, 4, 0, 0, 2, 0, 0, 5, 0, 0, 0, 3, 1, 0, 1, 1})
 	f.Add([]byte{2, 0, 4, 1, 4, 0, 0, 2, 0, 0, 5, 0, 0, 0, 5, 1, 0, 2, 1})
 	// Every operation: places to recycling, a refused and an accepted
-	// migration, reservations ended both ways, a tick past LC1's deadline,
+	// migration, copy windows reserved and released, a tick past LC1's deadline,
 	// hosts added and the top one retired.
 	f.Add([]byte{1,
 		0, 3, 11, 0, 3, 3, 0, 0, 5, 0, 1, 9, 3, 0, 0, 3, 2, 2,
@@ -416,9 +443,10 @@ func FuzzLAVAHosts(f *testing.F) {
 // TestLAVAClassInvariants checks LAVA's host-state invariants under random
 // operation: an empty host is in the empty state, a host running a VM LAVA
 // placed has a valid class and a deadline, and residual sets never reference
-// departed VMs. Exits come as the exit hook, as kills through a sim.Control,
-// and as the release of copy-window reservations, which calls no hook, so
-// the invariants cover a host that goes empty without LAVA hearing of it.
+// departed VMs. Exits come as the exit hook and as kills through a
+// sim.Control, and copy windows come and go, whose release calls no hook,
+// so the invariants cover a host that goes empty without LAVA hearing of
+// it.
 func TestLAVAClassInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -450,10 +478,8 @@ func TestLAVAClassInvariants(t *testing.T) {
 					}
 					continue
 				}
-				placed := false
-				h.EachVM(func(vm *cluster.VM) { placed = placed || vm.ID >= 0 })
-				if !placed {
-					continue // reservations only: LAVA has placed nothing here
+				if h.NumVMs() == 0 {
+					continue // copy windows only: LAVA has placed nothing here
 				}
 				if !v.Class.Valid() {
 					t.Logf("non-empty host %d has invalid class %v", h.ID, v.Class)

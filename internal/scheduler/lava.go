@@ -17,7 +17,7 @@ import (
 // residuals-exited demotes a host one class (Fig. 5b), deadline expiry
 // promotes it one class (Fig. 5c) — the adaptation to mispredictions. The
 // states live in the policy's own slab (hosts.go), one slot per host and
-// occupancy, so a host with no VM is empty however its last VM left.
+// occupancy, so an empty host is empty however its last occupant left.
 //
 // Host preference for a VM of class LC(v), per Algorithm 3:
 //  1. recycling hosts with class > LC(v), closer classes first,
@@ -105,9 +105,8 @@ func (l *LAVA) OnPlaced(pool *cluster.Pool, h *cluster.Host, vm *cluster.VM, now
 }
 
 // OnExited implements Policy: demote a recycling host once its residual
-// VMs have all left. Which of them are left is read off the host's VMs, so
-// a residual reservation whose release called no hook counts as gone at
-// the next exit. An emptied host needs no reset: it reads as empty.
+// VMs have all left, which is read off the host's VMs; a copy window on
+// the host is not one. An emptied host needs no reset: it reads as empty.
 func (l *LAVA) OnExited(pool *cluster.Pool, h *cluster.Host, vm *cluster.VM, now time.Duration) {
 	l.NILAS.OnExited(pool, h, vm, now)
 	if sl := l.hosts.get(h); sl.state == stateRecycling && residuals(h) == 0 {

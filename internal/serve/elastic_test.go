@@ -18,6 +18,7 @@ import (
 	"lava/internal/cluster"
 	"lava/internal/features"
 	"lava/internal/resources"
+	"lava/internal/scenario"
 	"lava/internal/scheduler"
 	"lava/internal/sim"
 	"lava/internal/slo"
@@ -906,4 +907,46 @@ func make10(n int) []int {
 		out[i] = 10
 	}
 	return out
+}
+
+// TestRemoveWithdrawnHostIsRefused: a fleet cell refuses to remove a host
+// that one of its injectors withdrew, and keeps serving, so the
+// injector's restore finds the host. Before, the removal went through and
+// the restore closed the cell with a nil host. The ledger keeps the weight
+// it dropped when it sequenced the op (see OpRemoveHost).
+func TestRemoveWithdrawnHostIsRefused(t *testing.T) {
+	f, err := NewFleet(FleetConfig{
+		Config:    Config{PoolName: "crunched", Hosts: 8, HostShape: resources.Cores(32, 131072, 0)},
+		Cells:     2,
+		NewPolicy: func(int) (scheduler.Policy, error) { return scheduler.NewBestFit(), nil },
+		NewInjectors: func(int) []sim.Injector {
+			return []sim.Injector{scenario.Crunch{At: time.Hour, Frac: 0.25, For: time.Hour}.NewInjector(0)}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	seq := uint64(0)
+	do := func(op Op) error {
+		seq++
+		_, err := f.Do(op, seq)
+		return err
+	}
+	if err := do(Op{Kind: OpTick, At: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	if err := do(Op{Kind: OpRemoveHost, Cell: 0, Host: 3, At: time.Hour}); err == nil {
+		t.Fatal("cell 0 removed host 3 under the crunch's claim")
+	}
+	if err := do(Op{Kind: OpTick, At: 3 * time.Hour}); err != nil {
+		t.Fatalf("after the refused removal: %v", err)
+	}
+	pool := f.cells[0].m.Pool()
+	if pool.NumHosts() != 4 || pool.Host(3) == nil || pool.Host(3).Unavailable {
+		t.Fatalf("cell 0 after the crunch: %d hosts, host 3 %v", pool.NumHosts(), pool.Host(3))
+	}
+	if f.topo.Hosts[0] != 3 {
+		t.Fatalf("ledger weight of cell 0 is %d, want the 3 it kept at sequencing", f.topo.Hosts[0])
+	}
 }

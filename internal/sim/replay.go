@@ -28,8 +28,8 @@ import (
 // cannot price pairs; zero regret). pol must be a fresh instance; decisions
 // must be in recorded order with creation records, as an unbounded
 // ptrace.Recorder returns them. Defragmenter runs are not replayable: their
-// withdrawals and restores are recorded, but their migrations and
-// copy-window reservations are not.
+// withdrawals and restores are recorded, but their migrations and the
+// capacity their copy windows hold are not.
 func Replay(tr *trace.Trace, pol scheduler.Policy, decisions []ptrace.Decision) (*ptrace.Report, error) {
 	if pol == nil {
 		return nil, errors.New("sim: replay needs a policy")

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"lava/internal/cluster"
@@ -37,18 +36,15 @@ type Injector interface {
 // cluster.Host.Unavailable. Host withdrawals are reference-counted across
 // all of a run's injectors (Withdraw/Restore), so overlapping events — a
 // drain wave crossing a defragmenter's drain or a capacity crunch — keep a
-// host out of service until the last claim on it is released. Control
-// also owns the capacity reservations of live-migration copies
-// (Reserve/Release), which no policy hook, counter or trace record sees.
+// host out of service until the last claim on it is released. A live
+// migration's copy window is capacity held on its target (Reserve/Release),
+// not a VM, so no policy hook, predictor, counter or trace record sees it.
 type Control struct {
 	pool   *cluster.Pool
 	policy scheduler.Policy
 	res    *Result
 
 	claims map[cluster.HostID]int // withdrawal claims held by injectors
-
-	reserved []cluster.VMID // live reservations, a few at a time
-	lastRes  cluster.VMID   // the latest reservation's ID; they count down from -1
 
 	tracer *ptrace.Recorder // decision recorder (nil: tracing off)
 	now    time.Duration    // current tick time, for injector event stamps
@@ -153,12 +149,9 @@ func (c *Control) setUnavailable(id cluster.HostID, v bool, kind ptrace.Kind) {
 // Kill force-exits a running VM (host failure): the VM leaves the pool and
 // the policy observes the exit exactly as for a natural one. The VM's later
 // trace EXIT event, if any, is skipped by the replay loop. The VM's object
-// is then free for reuse (see cluster.VM). Killing a reservation releases
-// it and nothing more: no count, no hook, no trace record.
+// is then free for reuse (see cluster.VM). Only VMs die: a copy window on
+// the host is not one, and lasts until its copy ends.
 func (c *Control) Kill(id cluster.VMID, now time.Duration) error {
-	if c.Release(id) {
-		return nil
-	}
 	h, vm, err := c.depart(id, now)
 	if err != nil {
 		return fmt.Errorf("sim: kill vm %d: %w", id, err)
@@ -183,35 +176,18 @@ func (c *Control) depart(id cluster.VMID, now time.Duration) (*cluster.Host, *cl
 	return h, vm, err
 }
 
-// Reserve holds shape on dst from now until until: the copy window of a
-// live migration, during which the VM takes capacity on both hosts
-// (§4.4). The reservation is a pool VM with a negative ID, no features, and
-// a lifetime of until-now, which lifetime-aware scoring reads like any
-// other VM's. The policy hears of it neither here nor at Release. It
-// returns the reservation's ID.
-func (c *Control) Reserve(shape resources.Vector, dst *cluster.Host, now, until time.Duration) (cluster.VMID, error) {
-	c.lastRes--
-	id := c.lastRes
-	if err := c.pool.Place(&cluster.VM{ID: id, Shape: shape, Created: now, TrueLifetime: until - now}, dst); err != nil {
-		return 0, err
-	}
-	c.reserved = append(c.reserved, id)
-	return id, nil
+// Reserve holds shape on dst for the copy window of a live migration,
+// during which the VM takes capacity on both hosts (§4.4): capacity the
+// pool's fit check counts and no VM occupies (cluster.Pool.Reserve). No
+// policy hook, predictor, counter or trace record sees it, and it enters
+// no host exit time.
+func (c *Control) Reserve(shape resources.Vector, dst *cluster.Host) (*cluster.Reservation, error) {
+	return c.pool.Reserve(dst, shape)
 }
 
-// Release ends a reservation and frees its capacity, and reports whether
-// id named a live one: a reservation a Kill already ended is not.
-func (c *Control) Release(id cluster.VMID) bool {
-	k := slices.Index(c.reserved, id)
-	if k >= 0 {
-		c.reserved = slices.Delete(c.reserved, k, k+1)
-		_, _, _ = c.pool.Exit(id)
-	}
-	return k >= 0
-}
-
-// Reserved reports whether id names a live reservation.
-func (c *Control) Reserved(id cluster.VMID) bool { return slices.Contains(c.reserved, id) }
+// Release ends a copy window and gives its capacity back
+// (cluster.Pool.Release).
+func (c *Control) Release(r *cluster.Reservation) error { return c.pool.Release(r) }
 
 // Schedule asks the run's policy for a host for vm and places nothing:
 // injected migrations pick their targets with the algorithm of initial
@@ -633,11 +609,15 @@ func (m *Machine) AddHosts(n int, at time.Duration) error {
 
 // RemoveHost advances to at and retires an empty host from the pool. Hosts
 // still running VMs refuse removal — drain them (migrate or wait for exits)
-// first.
+// first — and so do hosts an injector has withdrawn, whose claim must find
+// them at its restore.
 func (m *Machine) RemoveHost(id cluster.HostID, at time.Duration) error {
 	at, err := m.begin(at)
 	if err != nil {
 		return err
+	}
+	if n := m.ctl.claims[id]; n > 0 {
+		return fmt.Errorf("sim: remove host %d: withdrawn under %d claims", id, n)
 	}
 	return m.pool.RemoveHost(id)
 }
