@@ -444,10 +444,10 @@ func TestExperimentsCLI(t *testing.T) {
 // _test.go file declares, a DESIGN that cites a missing path, three tiny
 // modules for the caller pass (an unused internal/ export, a keep entry
 // whose name gained a caller, one whose name is gone) and an internal/
-// package only a test imports, and a command that sets a host's
-// Unavailable flag itself. Modules must pass it with a method reached only
-// through an anonymous interface assertion, a name only bench/ calls, which
-// the run prints, and that flag set inside internal/sim alone.
+// package only a test imports, and a command that withdraws a host from
+// the pool itself. Modules must pass it with a method reached only through
+// an anonymous interface assertion, a name only bench/ calls, which the run
+// prints, and that withdrawal made inside internal/sim alone.
 func TestDocscheck(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := Docscheck(context.Background(), []string{"../.."}, &stdout, &stderr); code != 0 {
@@ -458,10 +458,10 @@ func TestDocscheck(t *testing.T) {
 		pkgA  = "// Package a is a fixture.\npackage a\n\n"
 		cmdX  = "// Command x is a fixture.\npackage main\n\nimport \"fix/internal/a\"\n\n"
 
-		hostPkg  = "// Package cluster is a fixture.\npackage cluster\n\n// Host is a host.\ntype Host struct{ Unavailable bool }\n\n// Pool is a pool.\ntype Pool struct{}\n\n// Place places a VM.\nfunc (*Pool) Place() {}\n\n// Reserve holds capacity.\nfunc (*Pool) Reserve() {}\n"
+		hostPkg  = "// Package cluster is a fixture.\npackage cluster\n\n// Pool is a pool.\ntype Pool struct{}\n\n// Place places a VM.\nfunc (*Pool) Place() {}\n\n// Reserve holds capacity.\nfunc (*Pool) Reserve() {}\n\n// Withdraw drains a host.\nfunc (*Pool) Withdraw() {}\n"
 		schedPkg = "// Package scheduler is a fixture.\npackage scheduler\n\n// Policy is a policy.\ntype Policy interface{ OnPlaced() }\n"
 		simPkg   = "// Package sim is a fixture.\npackage sim\n\nimport (\n\t\"fix/internal/cluster\"\n\t\"fix/internal/scheduler\"\n)\n\n" +
-			"// Withdraw takes h out of service.\nfunc Withdraw(h *cluster.Host) { h.Unavailable = true }\n\n// Place tells p.\nfunc Place(p scheduler.Policy) { p.OnPlaced() }\n\n// Create places a VM on pool and holds capacity there.\nfunc Create(pool *cluster.Pool) {\n\tpool.Place()\n\tpool.Reserve()\n}\n"
+			"// Withdraw takes a host of pool out of service.\nfunc Withdraw(pool *cluster.Pool) { pool.Withdraw() }\n\n// Place tells p.\nfunc Place(p scheduler.Policy) { p.OnPlaced() }\n\n// Create places a VM on pool and holds capacity there.\nfunc Create(pool *cluster.Pool) {\n\tpool.Place()\n\tpool.Reserve()\n}\n"
 		cmdSim = "// Command x is a fixture.\npackage main\n\nimport (\n\t\"fix/internal/cluster\"\n\t\"fix/internal/scheduler\"\n\t\"fix/internal/sim\"\n)\n\n"
 	)
 	for _, row := range []struct {
@@ -509,11 +509,11 @@ func TestDocscheck(t *testing.T) {
 			1, "internal/a: package has no non-test importer"},
 		{"unavailable set in sim", map[string]string{"go.mod": goMod, "internal/cluster/c.go": hostPkg, "internal/scheduler/p.go": schedPkg, "internal/sim/s.go": simPkg,
 			"cmd/x/main.go": cmdSim + "type wrap struct{ scheduler.Policy }\n\nfunc (w wrap) OnPlaced() { w.Policy.OnPlaced() }\n\n" +
-				"func main() {\n\tsim.Withdraw(&cluster.Host{})\n\tsim.Place(wrap{})\n\tsim.Create(&cluster.Pool{})\n}\n"},
+				"func main() {\n\tsim.Withdraw(&cluster.Pool{})\n\tsim.Place(wrap{})\n\tsim.Create(&cluster.Pool{})\n}\n"},
 			0, ""},
 		{"unavailable set outside sim", map[string]string{"go.mod": goMod, "internal/cluster/c.go": hostPkg, "internal/scheduler/p.go": schedPkg, "internal/sim/s.go": simPkg,
-			"cmd/x/main.go": cmdSim + "func main() {\n\th := &cluster.Host{}\n\tsim.Withdraw(h)\n\th.Unavailable = false\n\tvar p scheduler.Policy\n\tsim.Place(p)\n\tp.OnPlaced()\n\tpool := &cluster.Pool{}\n\tsim.Create(pool)\n\tpool.Place()\n\tpool.Reserve()\n}\n"},
-			1, "cmd/x/main.go:13: assigns cluster.Host.Unavailable outside internal/sim\ncmd/x/main.go:16: calls a policy's OnPlaced outside internal/sim and internal/scheduler\ncmd/x/main.go:19: calls cluster.Pool.Place outside internal/sim and internal/cluster\ncmd/x/main.go:20: calls cluster.Pool.Reserve outside internal/sim and internal/cluster"},
+			"cmd/x/main.go": cmdSim + "func main() {\n\tpool := &cluster.Pool{}\n\tsim.Withdraw(pool)\n\tpool.Withdraw()\n\tvar p scheduler.Policy\n\tsim.Place(p)\n\tp.OnPlaced()\n\tsim.Create(pool)\n\tpool.Place()\n\tpool.Reserve()\n}\n"},
+			1, "cmd/x/main.go:13: calls cluster.Pool.Withdraw outside internal/sim and internal/cluster\ncmd/x/main.go:16: calls a policy's OnPlaced outside internal/sim and internal/scheduler\ncmd/x/main.go:18: calls cluster.Pool.Place outside internal/sim and internal/cluster\ncmd/x/main.go:19: calls cluster.Pool.Reserve outside internal/sim and internal/cluster"},
 		{"bench-only caller", map[string]string{"go.mod": goMod, "internal/a/a.go": pkgA + "func BenchOnly() {}\n",
 			"bench/go.mod":  "module fix/bench\n\ngo 1.24\n\nrequire fix v0.0.0\n\nreplace fix => ../\n",
 			"bench/main.go": "// Command bench is a fixture.\npackage main\n\nimport \"fix/internal/a\"\n\nfunc main() { a.BenchOnly() }\n"},

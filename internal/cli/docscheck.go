@@ -85,19 +85,17 @@ func Docscheck(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	})
 }
 
-// controlBypasses returns one line per assignment to the Unavailable
-// field of internal/cluster's Host in non-test code outside internal/sim:
-// sim.Control is its only writer, so all withdrawals share one claim count.
-// It also returns one line per call of a policy hook (a method OnPlaced or
-// OnExited declared in internal/scheduler, the Policy interface's included)
-// outside internal/sim and internal/scheduler: injected events reach the
-// run's policy through sim.Control, as trace events reach it through the
-// simulator. A policy's own OnPlaced or OnExited may forward the hook to a
-// policy it wraps. Last, it returns one line per call of a pool mutator
-// (internal/cluster's Pool.Place, Exit, Migrate, Reserve, Release,
-// AddHosts or RemoveHost) in the root module outside internal/sim and internal/cluster:
-// internal/sim is the pool's one writer. Nested modules stay out of this
-// rule, so bench/ may time a bare pool.
+// controlBypasses returns one line per call of a policy hook (a method
+// OnPlaced or OnExited declared in internal/scheduler, the Policy
+// interface's included) outside internal/sim and internal/scheduler:
+// injected events reach the run's policy through sim.Control, as trace
+// events reach it through the simulator. A policy's own OnPlaced or
+// OnExited may forward the hook to a policy it wraps. It also returns one
+// line per call of a pool mutator (internal/cluster's Pool.Place, Exit,
+// Migrate, Reserve, Release, Withdraw, Restore, AddHosts or RemoveHost) in
+// the root module outside internal/sim and internal/cluster: internal/sim
+// is the pool's one writer, so every drain claim goes through sim.Control.
+// Nested modules stay out of this rule, so bench/ may time a bare pool.
 func controlBypasses(fset *token.FileSet, pkgs []*listedPackage) []string {
 	var gaps []string
 	gap := func(at token.Pos, what string) {
@@ -107,7 +105,7 @@ func controlBypasses(fset *token.FileSet, pkgs []*listedPackage) []string {
 	isHook := func(name string) bool { return name == "OnPlaced" || name == "OnExited" }
 	isMutator := func(fn *types.Func) bool {
 		switch fn.Name() {
-		case "Place", "Exit", "Migrate", "Reserve", "Release", "AddHosts", "RemoveHost":
+		case "Place", "Exit", "Migrate", "Reserve", "Release", "Withdraw", "Restore", "AddHosts", "RemoveHost":
 			recv := recvNamed(fn)
 			return recv != nil && recv.Obj().Name() == "Pool" && strings.HasSuffix(fn.Pkg().Path(), "/internal/cluster")
 		}
@@ -122,32 +120,23 @@ func controlBypasses(fset *token.FileSet, pkgs []*listedPackage) []string {
 				fd, ok := decl.(*ast.FuncDecl)
 				forwards := ok && fd.Recv != nil && isHook(fd.Name.Name)
 				ast.Inspect(decl, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.AssignStmt:
-						for _, lhs := range n.Lhs {
-							sel, ok := lhs.(*ast.SelectorExpr)
-							if !ok {
-								continue
-							}
-							if v, ok := p.info.Uses[sel.Sel].(*types.Var); ok && v.IsField() && v.Name() == "Unavailable" && strings.HasSuffix(v.Pkg().Path(), "/internal/cluster") {
-								gap(lhs.Pos(), "assigns cluster.Host.Unavailable outside internal/sim (withdraw and restore through sim.Control)")
-							}
-						}
-					case *ast.CallExpr:
-						sel, ok := n.Fun.(*ast.SelectorExpr)
-						if !ok {
-							break
-						}
-						fn, ok := p.info.Uses[sel.Sel].(*types.Func)
-						if !ok {
-							break
-						}
-						if isHook(fn.Name()) && !forwards && p.rel != "internal/scheduler" && strings.HasSuffix(fn.Pkg().Path(), "/internal/scheduler") {
-							gap(n.Pos(), "calls a policy's "+fn.Name()+" outside internal/sim and internal/scheduler (inject events through sim.Control)")
-						}
-						if p.mod == "." && p.rel != "internal/cluster" && isMutator(fn) {
-							gap(n.Pos(), "calls cluster.Pool."+fn.Name()+" outside internal/sim and internal/cluster (mutate the pool through sim)")
-						}
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					sel, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					fn, ok := p.info.Uses[sel.Sel].(*types.Func)
+					if !ok {
+						return true
+					}
+					if isHook(fn.Name()) && !forwards && p.rel != "internal/scheduler" && strings.HasSuffix(fn.Pkg().Path(), "/internal/scheduler") {
+						gap(call.Pos(), "calls a policy's "+fn.Name()+" outside internal/sim and internal/scheduler (inject events through sim.Control)")
+					}
+					if p.mod == "." && p.rel != "internal/cluster" && isMutator(fn) {
+						gap(call.Pos(), "calls cluster.Pool."+fn.Name()+" outside internal/sim and internal/cluster (mutate the pool through sim)")
 					}
 					return true
 				})

@@ -10,8 +10,9 @@
 // A Pool — and everything hanging off it: hosts, VMs, the running
 // aggregates — is NOT safe for concurrent use. The contract is
 // single-writer: exactly one goroutine mutates a pool (through
-// Place/Exit/Migrate and Reserve/Release, which keep the aggregates
-// consistent and which only internal/sim calls from outside this package),
+// Place/Exit/Migrate, Reserve/Release and Withdraw/Restore, which keep the
+// aggregates consistent and which only internal/sim calls from outside
+// this package),
 // and no other goroutine
 // may even read while it does, since reads see the same host state and
 // counters the writers update.
@@ -34,12 +35,11 @@
 // # Host events
 //
 // Pools publish a host event for every mutation that can change scheduling
-// outcomes: Place/Exit/Migrate and Reserve/Release publish HostChanged,
-// AddHosts/RemoveHost
-// the membership events, and InvalidateHost is the explicit channel for
-// out-of-band changes (Unavailable flips, which sim.Control alone makes,
-// and changes to a policy's own per-host state, such as a timer firing in
-// OnTick). Subscribers run
+// outcomes: Place/Exit/Migrate and Reserve/Release publish HostChanged, so
+// do Withdraw/Restore when they flip a host's availability, AddHosts/
+// RemoveHost publish the membership events, and InvalidateHost is the
+// explicit channel for changes to a policy's own per-host state, such as a
+// timer firing in OnTick. Subscribers run
 // synchronously under the same single-writer contract and typically just
 // flip dirty bits — the scheduler's incremental score caches are built on
 // this surface (see internal/scheduler and DESIGN.md §6).
@@ -67,4 +67,14 @@
 // VM and no reservation is left. Host.VMs, EachVM and NumVMs, Pool.VM and
 // NumVMs see only VMs, so neither a policy nor its predictor meets a
 // reservation.
+//
+// # Drain claims
+//
+// A drain — a defragmentation round or a maintenance event — takes a host
+// out of service until it ends. Pool.Withdraw puts a claim on the host and
+// Pool.Restore ends one; a per-host count beside the reservation count
+// makes the host Unavailable while any claim holds, so overlapping drains
+// nest, and AppendFeasible skips it. A claim takes no capacity: the host's
+// used vector, Empty and Occupancy do not see it. RemoveHost refuses a
+// claimed host, so every claim finds its host at its restore.
 package cluster

@@ -9,12 +9,14 @@ type HostEvent uint8
 
 // Host events. HostChanged covers every change to one member host: Pool's
 // Place, Exit, Migrate (on the source, then the target), Reserve and Release
-// publish it, and InvalidateHost is the explicit escape hatch for state
-// changes the pool cannot see itself — a policy's own per-host state moving
-// on a timer, and Unavailable flips by sim.Control. HostAdded and HostRemoved
-// are the membership events of AddHosts and RemoveHost (fleet elasticity).
+// publish it, Withdraw and Restore publish it when they flip the host's
+// availability, and InvalidateHost is the explicit escape hatch for state
+// the pool cannot see itself — a policy's own per-host state moving on a
+// timer. HostAdded and HostRemoved are the membership events of AddHosts
+// and RemoveHost (fleet elasticity).
 const (
-	// HostChanged: the host's VM set or out-of-band scoring state changed.
+	// HostChanged: the host's VM set, availability or out-of-band scoring
+	// state changed.
 	HostChanged HostEvent = iota
 	// HostAdded: the host joined the pool (Pool.AddHosts). A membership
 	// event: ID-indexed caches must rebind, not just dirty one host.
@@ -48,11 +50,11 @@ type HostListener func(h *Host, ev HostEvent)
 // its cancel function. Subscribers are notified in subscription order.
 //
 // The contract a subscriber may rely on: every change that can alter a
-// host's feasibility or any event-driven score — VM set changes, Unavailable
-// flips, a policy's own per-host state changes — is announced either by the
-// HostChanged of a Pool mutator or by an explicit InvalidateHost from the
-// code performing the out-of-band mutation (sim.Control, the policy hooks).
-// Code that mutates host state outside the Pool mutators must call
+// host's feasibility or any event-driven score — VM set changes,
+// reservations, availability flips, a policy's own per-host state changes —
+// is announced either by the HostChanged of a Pool mutator or by an
+// explicit InvalidateHost from the policy that changed its own per-host
+// state (its hooks, its OnTick). A policy that changes such state must call
 // InvalidateHost afterwards; the scheduler's differential tests exist to
 // catch violations.
 //
@@ -85,7 +87,7 @@ type subscription struct{ fn HostListener }
 
 // InvalidateHost publishes a HostChanged event for the host, telling
 // subscribers that scheduling-relevant state changed outside the pool's own
-// mutators. Unknown IDs are ignored.
+// mutators: a policy's own per-host state. Unknown IDs are ignored.
 func (p *Pool) InvalidateHost(id HostID) {
 	if h := p.Host(id); h != nil {
 		p.notify(h, HostChanged)

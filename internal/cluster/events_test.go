@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -100,6 +101,31 @@ func TestPoolEventFailedMutations(t *testing.T) {
 	}
 	if count != 0 {
 		t.Fatalf("failed migration published %d events", count)
+	}
+}
+
+// TestDrainClaimRefusals: Withdraw and Restore refuse an ID the pool does
+// not hold, Restore a host no claim holds, and Withdraw a claim past the
+// count's bound; each refusal publishes nothing and leaves the host's
+// availability as it was.
+func TestDrainClaimRefusals(t *testing.T) {
+	p := NewPool("ev", 2, resources.Cores(4, 4*1024, 0))
+	count := 0
+	p.Subscribe(func(*Host, HostEvent) { count++ })
+	for _, id := range []HostID{-1, 2} {
+		if p.Withdraw(id) == nil || p.Restore(id) == nil {
+			t.Fatalf("a claim on host %d, which the pool does not hold, was accepted", id)
+		}
+	}
+	if p.Restore(0) == nil || p.Host(0).Unavailable() {
+		t.Fatal("a restore with no claim was accepted")
+	}
+	p.Host(1).claims = math.MaxUint16
+	if p.Withdraw(1) == nil || p.Host(1).claims != math.MaxUint16 {
+		t.Fatal("a claim past the count's bound was accepted")
+	}
+	if count != 0 {
+		t.Fatalf("refused claims published %d events", count)
 	}
 }
 

@@ -16,8 +16,8 @@ type HostID int32
 //
 // A pool allocates its hosts in slabs (see NewPool), and the fields are
 // ordered so that a Host takes 88 bytes on 64-bit targets: the occupancy
-// count fills the word after ID, and the reservation count the padding
-// after Unavailable.
+// count fills the word after ID, and the drain-claim and reservation
+// counts the padding after the VM slice.
 type Host struct {
 	ID HostID
 
@@ -28,12 +28,15 @@ type Host struct {
 	used resources.Vector
 	vms  []*VM // hosted VMs in no particular order; nil while never used
 
-	// Unavailable marks hosts drained for defragmentation or maintenance;
-	// the scheduler skips them (§4.4). Only sim.Control writes it.
-	Unavailable bool
-
-	holds uint16 // live reservations on the host (Pool.Reserve)
+	claims uint16 // drain claims on the host (Pool.Withdraw); see Unavailable
+	holds  uint16 // live reservations on the host (Pool.Reserve)
 }
+
+// Unavailable reports whether the host is drained for defragmentation or
+// maintenance: some drain claim (Pool.Withdraw) holds it, so the scheduler
+// skips it (§4.4). A claim takes no capacity and leaves Empty and
+// Occupancy alone.
+func (h *Host) Unavailable() bool { return h.claims > 0 }
 
 // Used returns the currently allocated resource vector: the shapes of the
 // hosted VMs plus those of the host's reservations.

@@ -11,7 +11,7 @@ import (
 func naiveFeasible(p *Pool, shape resources.Vector) []*Host {
 	var out []*Host
 	for _, h := range p.Hosts() {
-		if !h.Unavailable && h.Fits(shape) {
+		if !h.Unavailable() && h.Fits(shape) {
 			out = append(out, h)
 		}
 	}
@@ -119,8 +119,18 @@ func TestAppendFeasibleMatchesScan(t *testing.T) {
 			if _, err := p.Migrate(vid, dst[rng.Intn(len(dst))]); err != nil {
 				t.Fatal(err)
 			}
-		case op < 18: // toggle availability
-			p.Hosts()[rng.Intn(p.NumHosts())].Unavailable = rng.Intn(2) == 0
+		case op < 18: // withdraw or restore a host, unless it already is so
+			h := p.Hosts()[rng.Intn(p.NumHosts())]
+			var err error
+			switch out := rng.Intn(2) == 0; {
+			case out && !h.Unavailable():
+				err = p.Withdraw(h.ID)
+			case !out && h.Unavailable():
+				err = p.Restore(h.ID)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 		default: // grow, or retire an empty host: the highest ID or a middle one
 			if rng.Intn(2) == 0 {
 				p.AddHosts(1+rng.Intn(2), capacity)
@@ -131,7 +141,7 @@ func TestAppendFeasibleMatchesScan(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				victim = hosts[rng.Intn(len(hosts)-1)]
 			}
-			if !victim.Empty() || len(hosts) < 8 {
+			if !victim.Empty() || victim.Unavailable() || len(hosts) < 8 {
 				continue
 			}
 			if err := p.RemoveHost(victim.ID); err != nil {

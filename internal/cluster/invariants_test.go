@@ -128,16 +128,21 @@ func TestCheckInvariantsAllocatesNothing(t *testing.T) {
 // and unknown IDs, migrations accepted and refused (no room, the VM's own
 // host), AddHosts, RemoveHost of empty and occupied hosts and of the top
 // host with its ID taken again, a policy's marks set and cleared on a
-// host's VMs, and reservations that fit and that do not, released once and
-// then again. After every operation the invariants hold, the pool runs
-// exactly the VMs the test's ledger holds with the marks the ledger gave
-// them, each host's used vector is the sum of its VMs' and its ledger
-// reservations' shapes, a host is empty exactly when it has neither, its
-// occupancy has moved exactly when it went empty (a host whose last VM
-// leaves while a reservation remains keeps its occupancy, and a host that
-// took a removed one's ID starts past it), and a refused operation changes
-// neither the VM count, the free total nor the used vector of the hosts it
-// named.
+// host's VMs, reservations that fit and that do not, released once and
+// then again, and drain claims put on and ended on any host, claimed or
+// not. After every operation the invariants hold, the pool runs exactly
+// the VMs the test's ledger holds with the marks the ledger gave them, each
+// host's used vector is the sum of its VMs' and its ledger reservations'
+// shapes, a host is empty exactly when it has neither, its occupancy has
+// moved exactly when it went empty (a host whose last VM leaves while a
+// reservation remains keeps its occupancy, and a host that took a removed
+// one's ID starts past it), a host is unavailable exactly when the ledger
+// holds a claim on it and AppendFeasible never offers it, and a refused
+// operation changes neither the VM count, the free total nor the used
+// vector of the hosts it named. RemoveHost refuses a claimed host, and a
+// restore with no claim is refused; a claim changes neither Empty nor
+// Occupancy, and a subscriber sees one HostChanged when a claim flips a
+// host's availability and none for a nested claim or restore.
 func FuzzPoolOps(f *testing.F) {
 	// A place/exit script, then every operation with each outcome.
 	f.Add([]byte{0, 0, 3, 1, 0, 0, 0, 1, 7, 0, 2, 9, 1, 0, 1, 1, 0, 0, 0, 0, 15})
@@ -152,12 +157,24 @@ func FuzzPoolOps(f *testing.F) {
 	// refused removal, one does not fit; then both are released and the
 	// host is removed.
 	f.Add([]byte{0, 0, 3, 9, 0, 4, 1, 0, 0, 9, 1, 1, 5, 1, 0, 9, 1, 19, 10, 0, 0, 10, 0, 0, 5, 1, 0})
+	// Drain claims: a host withdrawn twice outlives its VM's exit and one
+	// restore, so its removal is refused; the second restore frees it, a
+	// third is refused, and the host is removed.
+	f.Add([]byte{0, 0, 3, 11, 0, 0, 11, 0, 0, 1, 0, 0, 12, 0, 0, 5, 0, 0, 12, 0, 0, 12, 0, 0, 5, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		capacity := resources.Cores(16, 65536, 0)
 		p := NewPool("fuzz", 4, capacity)
 		var live []VMID
 		marked := map[VMID]bool{}
-		var held []*Reservation // live reservations; r.host and r.shape are the ledger's
+		var held []*Reservation    // live reservations; r.host and r.shape are the ledger's
+		claims := map[HostID]int{} // drain claims per host; a claimed host is never removed
+		changed := 0               // HostChanged events published
+		p.Subscribe(func(_ *Host, ev HostEvent) {
+			if ev == HostChanged {
+				changed++
+			}
+		})
+		var feasible []*Host
 		type occ struct {
 			host  *Host
 			occ   uint32
@@ -170,7 +187,7 @@ func FuzzPoolOps(f *testing.F) {
 			data = data[:3*256]
 		}
 		for i := 0; i+2 < len(data); i += 3 {
-			op, a, b := data[i]%11, int(data[i+1]), int(data[i+2])
+			op, a, b := data[i]%13, int(data[i+1]), int(data[i+2])
 			if p.NumHosts() == 0 {
 				op = 4 // only AddHosts applies to an empty pool
 			}
@@ -182,10 +199,11 @@ func FuzzPoolOps(f *testing.F) {
 			for _, h := range p.Hosts() {
 				occs[h.ID] = occ{h, h.Occupancy(), h.Empty()}
 			}
-			nvm, free := p.NumVMs(), p.FreeTotal()
+			nvm, free, events, empties := p.NumVMs(), p.FreeTotal(), changed, p.EmptyHosts()
 			var used, srcUsed resources.Vector
+			var out bool
 			if h != nil {
-				used = h.Used()
+				used, out = h.Used(), h.Unavailable()
 			}
 			var err error
 			switch op {
@@ -227,9 +245,9 @@ func FuzzPoolOps(f *testing.F) {
 			case 4:
 				p.AddHosts(b%3, capacity)
 			case 5:
-				empty := h.Empty()
-				if err = p.RemoveHost(h.ID); (err == nil) != empty {
-					t.Fatalf("op %d: RemoveHost of host %d with %d VMs: err %v", i/3, h.ID, h.NumVMs(), err)
+				removable := h.Empty() && claims[h.ID] == 0
+				if err = p.RemoveHost(h.ID); (err == nil) != removable {
+					t.Fatalf("op %d: RemoveHost of host %d with %d VMs and %d claims: err %v", i/3, h.ID, h.NumVMs(), claims[h.ID], err)
 				}
 			case 6, 7: // a policy marks the host's VMs, or clears their marks
 				h.EachVM(func(vm *VM) {
@@ -238,7 +256,7 @@ func FuzzPoolOps(f *testing.F) {
 				})
 			case 8: // retire the top host if it is empty, and take its ID again
 				top := p.Hosts()[p.NumHosts()-1]
-				if !top.Empty() {
+				if !top.Empty() || claims[top.ID] > 0 {
 					continue
 				}
 				if err := p.RemoveHost(top.ID); err != nil {
@@ -269,9 +287,31 @@ func FuzzPoolOps(f *testing.F) {
 				if p.Release(r) == nil || p.NumVMs() != vms || p.FreeTotal() != total || r.host.Used() != hostUsed {
 					t.Fatalf("op %d: a second Release of one reservation was accepted or changed the pool", i/3)
 				}
+			case 11: // withdraw h, claimed or not
+				if err = p.Withdraw(h.ID); err != nil {
+					t.Fatalf("op %d: Withdraw of host %d under %d claims: %v", i/3, h.ID, claims[h.ID], err)
+				}
+				claims[h.ID]++
+			case 12: // restore h, refused when no claim holds it
+				if err = p.Restore(h.ID); (err == nil) != (claims[h.ID] > 0) {
+					t.Fatalf("op %d: Restore of host %d under %d claims: err %v", i/3, h.ID, claims[h.ID], err)
+				}
+				if err == nil {
+					claims[h.ID]--
+				}
+			}
+			if op == 11 || op == 12 {
+				flips := 0
+				if h.Unavailable() != out {
+					flips = 1
+				}
+				if changed-events != flips || h.Empty() != occs[h.ID].empty || p.EmptyHosts() != empties {
+					t.Fatalf("op %d (%d): host %d unavailable %v -> %v published %d HostChanged; empty %v -> %v, empty hosts %d -> %d",
+						i/3, op, h.ID, out, h.Unavailable(), changed-events, occs[h.ID].empty, h.Empty(), empties, p.EmptyHosts())
+				}
 			}
 			if err != nil {
-				if p.NumVMs() != nvm || p.FreeTotal() != free || h.Used() != used {
+				if p.NumVMs() != nvm || p.FreeTotal() != free || h.Used() != used || h.Unavailable() != out {
 					t.Fatalf("op %d: refused %v changed the pool: vms %d -> %d, free %s -> %s, host %d used %s -> %s",
 						i/3, err, nvm, p.NumVMs(), free, p.FreeTotal(), h.ID, used, h.Used())
 				}
@@ -290,7 +330,16 @@ func FuzzPoolOps(f *testing.F) {
 					t.Fatalf("op %d: vm %d mark %v, the policy left it %v", i/3, id, vm.Mark, marked[id])
 				}
 			}
+			feasible = p.AppendFeasible(feasible[:0], resources.Cores(1, 1024, 0))
+			for _, h := range feasible {
+				if claims[h.ID] > 0 {
+					t.Fatalf("op %d (%d): AppendFeasible offers host %d under %d claims", i/3, op, h.ID, claims[h.ID])
+				}
+			}
 			for _, h := range p.Hosts() {
+				if h.Unavailable() != (claims[h.ID] > 0) {
+					t.Fatalf("op %d (%d): host %d unavailable %v under %d ledger claims", i/3, op, h.ID, h.Unavailable(), claims[h.ID])
+				}
 				var sum resources.Vector
 				h.EachVM(func(vm *VM) { sum = sum.Add(vm.Shape) })
 				holds := 0

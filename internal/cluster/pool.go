@@ -90,14 +90,18 @@ func (p *Pool) AddHosts(n int, capacity resources.Vector) []*Host {
 
 // RemoveHost retires an empty host from the pool. Hosts still running VMs
 // or holding reservations cannot be removed — migrate, exit or release
-// them first. Removing any host other than the highest-ID one leaves the
-// pool's IDs non-dense, which demotes incremental score caches to their
-// exhaustive fallback (correct, slower). The removal publishes a
+// them first — and neither can withdrawn ones, whose drains must find them
+// at their Restore. Removing any host other than the highest-ID one leaves
+// the pool's IDs non-dense, which demotes incremental score caches to
+// their exhaustive fallback (correct, slower). The removal publishes a
 // HostRemoved event.
 func (p *Pool) RemoveHost(id HostID) error {
 	h := p.Host(id)
 	if h == nil {
 		return fmt.Errorf("pool %s: host %d not in pool", p.Name, id)
+	}
+	if h.claims > 0 {
+		return fmt.Errorf("pool %s: host %d withdrawn under %d drain claims", p.Name, id, h.claims)
 	}
 	if !h.Empty() {
 		return fmt.Errorf("pool %s: host %d still runs %d VMs and holds %d reservations", p.Name, id, h.NumVMs(), h.holds)
@@ -155,13 +159,13 @@ func (p *Pool) HostOf(id VMID) *Host {
 // VM returns the running VM with the given ID, or nil.
 func (p *Pool) VM(id VMID) *VM { return p.vms[id] }
 
-// AppendFeasible appends the available hosts that can fit a VM of the given
-// shape to dst and returns the extended slice, in host-ID order. It scans
-// every host; callers pass a reusable buffer (dst[:0]) to avoid
-// per-request allocation.
+// AppendFeasible appends the available hosts (no drain claim; see
+// Withdraw) that can fit a VM of the given shape to dst and returns the
+// extended slice, in host-ID order. It scans every host; callers pass a
+// reusable buffer (dst[:0]) to avoid per-request allocation.
 func (p *Pool) AppendFeasible(dst []*Host, shape resources.Vector) []*Host {
 	for _, h := range p.hosts {
-		if !h.Unavailable && h.Fits(shape) {
+		if !h.Unavailable() && h.Fits(shape) {
 			dst = append(dst, h)
 		}
 	}
@@ -298,6 +302,46 @@ func (p *Pool) Release(r *Reservation) error {
 		p.empty++
 	}
 	p.notify(h, HostChanged)
+	return nil
+}
+
+// Withdraw puts a drain claim on a host, taking it out of service for a
+// defragmentation or maintenance drain (§4.4): AppendFeasible skips it
+// until Restore ends the claim. Claims nest, so overlapping drains keep the
+// host out until the last one ends; only the first claim publishes
+// HostChanged. A claim takes no capacity, so it changes neither Empty nor
+// Occupancy. Withdraw refuses an ID the pool does not hold and a claim past
+// the count's bound.
+func (p *Pool) Withdraw(id HostID) error {
+	h := p.Host(id)
+	if h == nil {
+		return fmt.Errorf("pool %s: host %d not in pool", p.Name, id)
+	}
+	if h.claims == math.MaxUint16 {
+		return fmt.Errorf("pool %s: host %d: %d drain claims already", p.Name, id, h.claims)
+	}
+	h.claims++
+	if h.claims == 1 {
+		p.notify(h, HostChanged)
+	}
+	return nil
+}
+
+// Restore ends one drain claim on a host; the last one to end returns the
+// host to service and publishes HostChanged. It refuses an ID the pool does
+// not hold and a host no claim holds.
+func (p *Pool) Restore(id HostID) error {
+	h := p.Host(id)
+	if h == nil {
+		return fmt.Errorf("pool %s: host %d not in pool", p.Name, id)
+	}
+	if h.claims == 0 {
+		return fmt.Errorf("pool %s: host %d holds no drain claim", p.Name, id)
+	}
+	h.claims--
+	if h.claims == 0 {
+		p.notify(h, HostChanged)
+	}
 	return nil
 }
 

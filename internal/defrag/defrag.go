@@ -145,7 +145,7 @@ func (e *Engine) trigger(ctl *sim.Control, now time.Duration) {
 	}
 	e.Stats.Rounds++
 	for _, h := range cands {
-		ctl.Withdraw(h.ID) // stop scheduling new VMs onto it (Algorithm 1)
+		_ = ctl.Withdraw(h.ID) // stop scheduling new VMs onto it (Algorithm 1); h is a member
 		e.draining = append(e.draining, h.ID)
 		// One prediction per VM, in ID order = creation order (the
 		// trace-order baseline).
@@ -174,7 +174,7 @@ func (e *Engine) trigger(ctl *sim.Control, now time.Duration) {
 func (e *Engine) candidates(pool *cluster.Pool) []*cluster.Host {
 	var out []*cluster.Host
 	for _, h := range pool.Hosts() {
-		if h.Empty() || h.Unavailable {
+		if h.Empty() || h.Unavailable() {
 			continue
 		}
 		out = append(out, h)
@@ -206,7 +206,7 @@ func (e *Engine) completeDue(ctl *sim.Control, now time.Duration) {
 		// its target was withdrawn during the copy (a maintenance drain) or
 		// cannot take it anymore: then it retries later via pending.
 		_ = ctl.Release(m.reservation) // held since the copy started
-		if pool.HostOf(m.vmID) != nil && (m.dst.Unavailable || ctl.Migrate(m.vmID, m.dst, now) != nil) {
+		if pool.HostOf(m.vmID) != nil && (m.dst.Unavailable() || ctl.Migrate(m.vmID, m.dst, now) != nil) {
 			e.pending = append(e.pending, m)
 		}
 		return true
@@ -269,7 +269,7 @@ func (e *Engine) releaseEmptyHosts(ctl *sim.Control) {
 			keep = append(keep, id)
 			continue
 		}
-		ctl.Restore(id)
+		_ = ctl.Restore(id) // claimed in trigger
 		e.Stats.HostsFreed++
 	}
 	e.draining = keep

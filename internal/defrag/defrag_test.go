@@ -62,7 +62,7 @@ func TestEngineDrainsHost(t *testing.T) {
 	if h := p.HostOf(1); h == nil || h.ID == 0 {
 		t.Fatalf("vm 1 on host %v, want migrated off drained host 0", h)
 	}
-	if p.Host(0).Unavailable {
+	if p.Host(0).Unavailable() {
 		t.Fatal("freed host 0 still out of service")
 	}
 }

@@ -16,7 +16,7 @@
 //
 // Engine is a sim.Injector that keeps only its queue and its ordering; it
 // writes nothing to the pool or its hosts itself. It drains hosts through
-// sim.Control's reference-counted Withdraw and Restore, asks
+// sim.Control's Withdraw and Restore, drain claims the pool counts, asks
 // Control.Schedule for each target, holds the target's capacity for the
 // copy window with Control.Reserve and Control.Release, and moves each VM
 // with Control.Migrate, which tells the run's policy. A copy window is

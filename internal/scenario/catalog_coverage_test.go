@@ -41,7 +41,7 @@ func (p *availabilityProbe) Inject(ctl *sim.Control, _ time.Duration) {
 	pool := ctl.Pool()
 	n := 0
 	for i := 0; i < pool.NumHosts(); i++ {
-		if pool.Host(cluster.HostID(i)).Unavailable {
+		if pool.Host(cluster.HostID(i)).Unavailable() {
 			n++
 		}
 	}

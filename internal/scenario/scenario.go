@@ -253,8 +253,8 @@ func (d DrainWave) NewInjector(int64) sim.Injector {
 	return &drainInjector{ev: d}
 }
 
-// drainInjector is the per-run state of one DrainWave. Withdrawals go
-// through the Control's reference-counted claims, so overlapping waves
+// drainInjector is the per-run state of one DrainWave. Withdrawals are
+// drain claims the pool counts (sim.Control.Withdraw), so overlapping waves
 // (Frac*Waves > 1, or For > Every) — and overlaps with other injectors'
 // events — keep a host drained until the last claim on it releases.
 type drainInjector struct {
@@ -277,7 +277,7 @@ func (in *drainInjector) Inject(ctl *sim.Control, now time.Duration) {
 			break
 		}
 		for _, id := range in.waves[w] {
-			ctl.Restore(id)
+			mustClaim(ctl.Restore(id))
 		}
 		in.ended = w + 1
 	}
@@ -290,10 +290,19 @@ func (in *drainInjector) Inject(ctl *sim.Control, now time.Duration) {
 		ids := make([]cluster.HostID, 0, per)
 		for i := 0; i < per; i++ {
 			id := hosts[(w*per+i)%n].ID
-			ctl.Withdraw(id)
+			mustClaim(ctl.Withdraw(id))
 			ids = append(ids, id)
 		}
 		in.waves = append(in.waves, ids)
+	}
+}
+
+// mustClaim panics on a refused withdrawal or restore. The injectors claim
+// member hosts and restore only their own claims, and the pool refuses to
+// remove a claimed host, so a refusal is a bug in the injector.
+func mustClaim(err error) {
+	if err != nil {
+		panic(fmt.Sprintf("scenario: %v", err))
 	}
 }
 
@@ -352,14 +361,14 @@ func (in *failureInjector) Inject(ctl *sim.Control, now time.Duration) {
 					panic(fmt.Sprintf("scenario: failures: %v", err))
 				}
 			}
-			ctl.Withdraw(h.ID)
+			mustClaim(ctl.Withdraw(h.ID))
 			in.failed = append(in.failed, h.ID)
 		}
 	}
 	if in.fired && !in.repaired && in.ev.RepairFor > 0 && now >= in.ev.At+in.ev.RepairFor {
 		in.repaired = true
 		for _, id := range in.failed {
-			ctl.Restore(id)
+			mustClaim(ctl.Restore(id))
 		}
 	}
 }
@@ -410,14 +419,14 @@ func (in *crunchInjector) Inject(ctl *sim.Control, now time.Duration) {
 			count = 1
 		}
 		for _, h := range hosts[len(hosts)-count:] {
-			ctl.Withdraw(h.ID)
+			mustClaim(ctl.Withdraw(h.ID))
 			in.withdrawn = append(in.withdrawn, h.ID)
 		}
 	}
 	if in.fired && !in.restored && in.ev.For > 0 && now >= in.ev.At+in.ev.For {
 		in.restored = true
 		for _, id := range in.withdrawn {
-			ctl.Restore(id)
+			mustClaim(ctl.Restore(id))
 		}
 	}
 }

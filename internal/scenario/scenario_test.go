@@ -164,7 +164,7 @@ func poolEventStream(t *testing.T, ev TickEvent, seed int64) []string {
 		now := time.Duration(tick) * time.Hour
 		inj.Inject(ctl, now)
 		for i := 0; i < hosts; i++ {
-			if un := pool.Host(cluster.HostID(i)).Unavailable; un != avail[i] {
+			if un := pool.Host(cluster.HostID(i)).Unavailable(); un != avail[i] {
 				avail[i] = un
 				stream = append(stream, fmt.Sprintf("t=%v host=%d unavailable=%t", now, i, un))
 			}
@@ -282,7 +282,7 @@ func TestDrainWaveOverlapHoldsHosts(t *testing.T) {
 	inj := ev.NewInjector(0)
 	unavailable := func() (ids []int) {
 		for i := 0; i < hosts; i++ {
-			if pool.Host(cluster.HostID(i)).Unavailable {
+			if pool.Host(cluster.HostID(i)).Unavailable() {
 				ids = append(ids, i)
 			}
 		}
@@ -351,7 +351,7 @@ func TestDrainWaveAndDefragShareClaims(t *testing.T) {
 					id := cluster.HostID(i)
 					byDefrag := defragHeld[id] && now < released
 					byDrain := i <= 5 && now < time.Hour+hold
-					if got := pool.Host(id).Unavailable; got != (byDefrag || byDrain) {
+					if got := pool.Host(id).Unavailable(); got != (byDefrag || byDrain) {
 						t.Fatalf("host %d at %v: unavailable=%v, want %v (defrag holds %v, drain holds %v)",
 							id, now, got, byDefrag || byDrain, byDefrag, byDrain)
 					}
@@ -377,7 +377,7 @@ func TestDefragSkipsWithdrawnTarget(t *testing.T) {
 		drain.Inject(ctl, now)
 		for _, id := range vms {
 			h := pool.HostOf(id)
-			if h != at[id] && h.Unavailable {
+			if h != at[id] && h.Unavailable() {
 				t.Fatalf("at %v vm %d moved from host %d onto withdrawn host %d", now, id, at[id].ID, h.ID)
 			}
 			at[id] = h
@@ -421,25 +421,25 @@ func TestCrossInjectorClaimsCoordinate(t *testing.T) {
 	step(time.Hour)     // crunch: 5-9 down
 	step(2 * time.Hour) // drain wave: 0-5 down too; host 5 double-claimed
 	for i := 0; i < hosts; i++ {
-		if !pool.Host(cluster.HostID(i)).Unavailable {
+		if !pool.Host(cluster.HostID(i)).Unavailable() {
 			t.Fatalf("at 2h host %d should be withdrawn", i)
 		}
 	}
 	// Crunch restores at 3h: hosts 6-9 return, but host 5 is still claimed
 	// by the active drain wave.
 	step(3 * time.Hour)
-	if !pool.Host(5).Unavailable {
+	if !pool.Host(5).Unavailable() {
 		t.Fatal("crunch restore released host 5 while the drain wave still claims it")
 	}
 	for i := 6; i < hosts; i++ {
-		if pool.Host(cluster.HostID(i)).Unavailable {
+		if pool.Host(cluster.HostID(i)).Unavailable() {
 			t.Fatalf("host %d not restored after crunch ended", i)
 		}
 	}
 	// Drain wave ends at 6h: everything back.
 	step(6 * time.Hour)
 	for i := 0; i < hosts; i++ {
-		if pool.Host(cluster.HostID(i)).Unavailable {
+		if pool.Host(cluster.HostID(i)).Unavailable() {
 			t.Fatalf("host %d not restored after all events ended", i)
 		}
 	}
@@ -466,7 +466,7 @@ func TestInjectorsAfterHostRemoval(t *testing.T) {
 	}
 	unavailable := func(p *cluster.Pool) (ids []cluster.HostID) {
 		for _, h := range p.Hosts() {
-			if h.Unavailable {
+			if h.Unavailable() {
 				ids = append(ids, h.ID)
 			}
 		}

@@ -44,7 +44,9 @@ func TestPolicyInvariantsUnderRandomWorkload(t *testing.T) {
 				p := cluster.NewPool("prop", 6, resources.Cores(16, 16*4096, 0))
 				// One random host drained for maintenance.
 				drained := cluster.HostID(rng.Intn(p.NumHosts()))
-				p.Host(drained).Unavailable = true
+				if err := p.Withdraw(drained); err != nil {
+					t.Fatal(err)
+				}
 
 				var live []*cluster.VM
 				now := time.Duration(0)
@@ -63,7 +65,7 @@ func TestPolicyInvariantsUnderRandomWorkload(t *testing.T) {
 						if err == ErrNoCapacity {
 							// Verify: really nothing feasible.
 							for _, hh := range p.Hosts() {
-								if !hh.Unavailable && hh.Fits(vm.Shape) {
+								if !hh.Unavailable() && hh.Fits(vm.Shape) {
 									t.Logf("ErrNoCapacity despite feasible host %d", hh.ID)
 									return false
 								}
@@ -74,7 +76,7 @@ func TestPolicyInvariantsUnderRandomWorkload(t *testing.T) {
 							t.Logf("unexpected error: %v", err)
 							return false
 						}
-						if h.Unavailable || !h.Fits(vm.Shape) {
+						if h.Unavailable() || !h.Fits(vm.Shape) {
 							t.Logf("policy picked bad host %v", h)
 							return false
 						}

@@ -43,7 +43,9 @@ func TestChainNoCapacity(t *testing.T) {
 
 func TestChainSkipsUnavailableHosts(t *testing.T) {
 	p := pool(2)
-	p.Host(0).Unavailable = true
+	if err := p.Withdraw(0); err != nil {
+		t.Fatal(err)
+	}
 	pol := NewWasteMin()
 	h, err := pol.Schedule(p, newVM(1, 4, 0, time.Hour), 0)
 	if err != nil {

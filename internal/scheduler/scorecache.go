@@ -623,7 +623,7 @@ func (c *CachedChain) rebuild(cs *candSet, vm *cluster.VM, now time.Duration) {
 	seen := false        // blanks is set (nil: blank hosts do not fit)
 	for id, h := range c.hosts {
 		switch {
-		case !c.blankOK || h.Unavailable || !h.Empty():
+		case !c.blankOK || h.Unavailable() || !h.Empty():
 			cs.update(c, cluster.HostID(id), vm, now)
 		case !seen:
 			blanks, seen = cs.update(c, cluster.HostID(id), vm, now), true
@@ -729,7 +729,7 @@ func (cs *candSet) update(c *CachedChain, id cluster.HostID, vm *cluster.VM, now
 		cs.member[word] &^= bit
 		cs.blank[word] &^= bit
 	}
-	if h.Unavailable || !h.Fits(cs.ctx.Shape) {
+	if h.Unavailable() || !h.Fits(cs.ctx.Shape) {
 		return nil
 	}
 	key := 0.0

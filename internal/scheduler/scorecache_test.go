@@ -30,6 +30,19 @@ func newTwin(hosts int, mk func() Policy, engine Engine) *twin {
 	return tw
 }
 
+// toggleDrain withdraws host id if it is in service and restores it
+// otherwise, as a drain starting or ending out of band.
+func toggleDrain(t testing.TB, p *cluster.Pool, id cluster.HostID) {
+	t.Helper()
+	change := p.Withdraw
+	if p.Host(id).Unavailable() {
+		change = p.Restore
+	}
+	if err := change(id); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func (tw *twin) vm(id cluster.VMID, cores int64, created, life time.Duration) *cluster.VM {
 	return &cluster.VM{ID: id, Shape: resources.Cores(cores, cores*4096, 0), Created: created, TrueLifetime: life}
 }
@@ -149,7 +162,7 @@ func TestCachedMatchesExhaustiveRandom(t *testing.T) {
 						pair := vms[id]
 						dst := cluster.HostID(rng.Intn(hosts))
 						srcA := a.p.HostOf(id)
-						if srcA == nil || srcA.ID == dst || !a.p.Host(dst).Fits(pair[0].Shape) || a.p.Host(dst).Unavailable {
+						if srcA == nil || srcA.ID == dst || !a.p.Host(dst).Fits(pair[0].Shape) || a.p.Host(dst).Unavailable() {
 							continue
 						}
 						if _, err := a.p.Migrate(id, a.p.Host(dst)); err != nil {
@@ -164,11 +177,8 @@ func TestCachedMatchesExhaustiveRandom(t *testing.T) {
 						b.pol.OnPlaced(b.p, b.p.Host(dst), pair[1], now)
 					default: // withdraw/restore a host out of band
 						id := cluster.HostID(rng.Intn(hosts))
-						fl := !a.p.Host(id).Unavailable
-						a.p.Host(id).Unavailable = fl
-						a.p.InvalidateHost(id)
-						b.p.Host(id).Unavailable = fl
-						b.p.InvalidateHost(id)
+						toggleDrain(t, a.p, id)
+						toggleDrain(t, b.p, id)
 					}
 				}
 				return true
@@ -307,9 +317,10 @@ func TestScoreCacheMigrationInvalidation(t *testing.T) {
 	}
 }
 
-// TestScoreCacheUnavailableInvalidation checks the explicit InvalidateHost
-// escape hatch: out-of-band availability flips enter the cached feasible
-// set only through it.
+// TestScoreCacheUnavailableInvalidation checks that a drain claim alone,
+// with no InvalidateHost, takes a host out of the cached feasible set
+// (Pool.Withdraw) and puts it back (Pool.Restore): the pool publishes the
+// availability flips itself.
 func TestScoreCacheUnavailableInvalidation(t *testing.T) {
 	p := cluster.NewPool("t", 2, resources.Cores(16, 16*4096, 0))
 	pol := NewWasteMin()
@@ -317,13 +328,15 @@ func TestScoreCacheUnavailableInvalidation(t *testing.T) {
 	if h, err := pol.Schedule(p, probe, 0); err != nil || h.ID != 0 {
 		t.Fatalf("schedule = %v, %v; want host 0", h, err)
 	}
-	p.Host(0).Unavailable = true
-	p.InvalidateHost(0)
+	if err := p.Withdraw(0); err != nil {
+		t.Fatal(err)
+	}
 	if h, err := pol.Schedule(p, probe, 0); err != nil || h.ID != 1 {
 		t.Fatalf("withdrawn: schedule = %v, %v; want host 1", h, err)
 	}
-	p.Host(0).Unavailable = false
-	p.InvalidateHost(0)
+	if err := p.Restore(0); err != nil {
+		t.Fatal(err)
+	}
 	if h, err := pol.Schedule(p, probe, 0); err != nil || h.ID != 0 {
 		t.Fatalf("restored: schedule = %v, %v; want host 0", h, err)
 	}
@@ -469,16 +482,18 @@ func TestCodeColumnGrowth(t *testing.T) {
 	pol, ref := mk(), mk()
 	ref.SetEngine(EngineExhaustive)
 	p := cluster.NewPool("t", hosts, resources.Cores(16, 16*4096, 0))
-	for id := 10; id < hosts; id++ {
-		p.Host(cluster.HostID(id)).Unavailable = true
-	}
 	restore := func(id cluster.HostID) {
-		p.Host(id).Unavailable = false
-		p.InvalidateHost(id)
+		if err := p.Restore(id); err != nil {
+			t.Fatal(err)
+		}
 	}
 	withdraw := func(id cluster.HostID) {
-		p.Host(id).Unavailable = true
-		p.InvalidateHost(id)
+		if err := p.Withdraw(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := 10; id < hosts; id++ {
+		withdraw(cluster.HostID(id))
 	}
 	probe := &cluster.VM{ID: 1, Shape: resources.Cores(2, 2*4096, 0), TrueLifetime: time.Hour}
 	for i, tc := range []struct {
@@ -533,7 +548,9 @@ func TestCachedMatchesExhaustiveTopHeavy(t *testing.T) {
 			}
 			for i, tw := range arms {
 				for id := 0; id < withdrawn; id++ {
-					tw.p.Host(cluster.HostID(id)).Unavailable = true
+					if err := tw.p.Withdraw(cluster.HostID(id)); err != nil {
+						t.Fatal(err)
+					}
 				}
 				if i >= 2 && !EnableTrace(tw.pol, 3) {
 					t.Fatalf("%s does not support tracing", name)
@@ -895,10 +912,8 @@ func TestCachedMatchesExhaustiveSparse(t *testing.T) {
 							delete(vms, id)
 						default: // withdraw/restore a host out of band
 							id := cluster.HostID(rng.Intn(hosts))
-							fl := !arms[0].p.Host(id).Unavailable
 							for _, tw := range arms {
-								tw.p.Host(id).Unavailable = fl
-								tw.p.InvalidateHost(id)
+								toggleDrain(t, tw.p, id)
 							}
 						}
 						for _, i := range []int{0, 2} {
@@ -1212,7 +1227,7 @@ func checkBuckets(c *CachedChain) error {
 			if c.lastAt[id] > cs.synced {
 				continue
 			}
-			wantMember := !h.Unavailable && h.Fits(cs.ctx.Shape)
+			wantMember := !h.Unavailable() && h.Fits(cs.ctx.Shape)
 			wantBlank := wantMember && c.blankOK && h.Empty()
 			if member, isBlank := bitAt(cs.member, id), bitAt(cs.blank, id); member != wantMember || isBlank != wantBlank {
 				return fmt.Errorf("context %+v host %d: member %v blank %v, want %v %v", cs.ctx, id, member, isBlank, wantMember, wantBlank)

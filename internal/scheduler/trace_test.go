@@ -133,11 +133,8 @@ func TestTraceCaptureEngineParity(t *testing.T) {
 						b.pol.OnExited(b.p, hhb, pair[1], now)
 					default: // withdraw/restore a host out of band
 						id := cluster.HostID(rng.Intn(hosts))
-						fl := !a.p.Host(id).Unavailable
-						a.p.Host(id).Unavailable = fl
-						a.p.InvalidateHost(id)
-						b.p.Host(id).Unavailable = fl
-						b.p.InvalidateHost(id)
+						toggleDrain(t, a.p, id)
+						toggleDrain(t, b.p, id)
 					}
 				}
 				return true

@@ -247,8 +247,9 @@ const (
 	OpRehydrateCell
 	// OpSplitCell carves N hosts out of cell Cell into a brand-new routable
 	// cell (fresh pool, fresh policy from the fleet's factory), reported in
-	// OpResult.NewCell. The source gives up its N highest-ID hosts, which
-	// must be empty — rebalance or drain first.
+	// OpResult.NewCell. The source gives up the N highest-ID hosts its pool
+	// holds when the removals apply, whatever hosts it lost before; they
+	// must be empty and not withdrawn — rebalance or drain first.
 	OpSplitCell
 	// OpMergeCells merges cell Cell into cell Into: Into grows by Cell's
 	// host count, every VM in Cell migrates over through the MigrateOut/
@@ -388,12 +389,14 @@ func (t *topology) plan(op *Op, buf []request) (steps []request, res OpResult, e
 		err = t.setRoutable(op.Cell, true)
 	case OpSplitCell:
 		if res.NewCell, err = t.split(op.Cell, op.N); err == nil {
-			// The source gives up its k highest IDs, highest first, so its
-			// IDs stay dense and its score caches rebind instead of
-			// degrading; those hosts must be empty — rebalance or drain
-			// first.
-			for id := t.Hosts[op.Cell] + op.N - 1; id >= t.Hosts[op.Cell]; id-- {
-				step(reqRemoveHost, op.Cell).hid = cluster.HostID(id)
+			// The source gives up its N highest-ID hosts, highest first,
+			// each found when its removal applies: the ledger counts hosts,
+			// not IDs, and a cell that lost a middle host has no dense IDs
+			// to name. The top keeps dense IDs dense, so score caches rebind
+			// instead of degrading; those hosts must be empty — rebalance or
+			// drain first.
+			for range op.N {
+				step(reqRemoveTop, op.Cell)
 			}
 		}
 	case OpMergeCells:

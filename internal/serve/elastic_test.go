@@ -943,10 +943,46 @@ func TestRemoveWithdrawnHostIsRefused(t *testing.T) {
 		t.Fatalf("after the refused removal: %v", err)
 	}
 	pool := f.cells[0].m.Pool()
-	if pool.NumHosts() != 4 || pool.Host(3) == nil || pool.Host(3).Unavailable {
+	if pool.NumHosts() != 4 || pool.Host(3) == nil || pool.Host(3).Unavailable() {
 		t.Fatalf("cell 0 after the crunch: %d hosts, host 3 %v", pool.NumHosts(), pool.Host(3))
 	}
 	if f.topo.Hosts[0] != 3 {
 		t.Fatalf("ledger weight of cell 0 is %d, want the 3 it kept at sequencing", f.topo.Hosts[0])
+	}
+}
+
+// TestSplitAfterMiddleRemoval: a split gives up its cell's highest-ID hosts
+// as the cell's pool holds them when each removal applies, not IDs guessed
+// from the ledger weight. A cell of 4 hosts loses host 2, then splits off
+// one host: host 3 leaves, and every pool holds as many hosts as the ledger
+// counts.
+func TestSplitAfterMiddleRemoval(t *testing.T) {
+	f, err := NewFleet(FleetConfig{
+		Config:    Config{PoolName: "p", Hosts: 4, HostShape: resources.Cores(32, 131072, 0)},
+		Cells:     1,
+		NewPolicy: func(int) (scheduler.Policy, error) { return scheduler.NewBestFit(), nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Do(Op{Kind: OpRemoveHost, Cell: 0, Host: 2}, 1); err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Do(Op{Kind: OpSplitCell, Cell: 0, N: 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []cluster.HostID
+	for _, h := range f.cells[0].m.Pool().Hosts() {
+		ids = append(ids, h.ID)
+	}
+	if !slices.Equal(ids, []cluster.HostID{0, 1}) {
+		t.Fatalf("cell 0 holds hosts %v after the split, want [0 1]", ids)
+	}
+	for _, c := range []int{0, res.NewCell} {
+		if n := f.cells[c].m.Pool().NumHosts(); n != f.topo.Hosts[c] {
+			t.Fatalf("cell %d's pool holds %d hosts, its ledger weight is %d", c, n, f.topo.Hosts[c])
+		}
 	}
 }

@@ -108,6 +108,7 @@ const (
 	reqTick
 	reqAddHosts
 	reqRemoveHost
+	reqRemoveTop // a split's removal: the cell's highest-ID host when it applies
 	reqMigrateOut
 	reqMigrateIn
 )
@@ -395,8 +396,12 @@ func applyTo(m *sim.Machine, r *request) (resp response) {
 		resp.now = m.Now()
 	case reqAddHosts:
 		resp.err = m.AddHosts(r.n, r.at)
-	case reqRemoveHost:
-		resp.err = m.RemoveHost(r.hid, r.at)
+	case reqRemoveHost, reqRemoveTop:
+		id := r.hid
+		if hosts := m.Pool().Hosts(); r.kind == reqRemoveTop && len(hosts) > 0 {
+			id = hosts[len(hosts)-1].ID
+		}
+		resp.err = m.RemoveHost(id, r.at)
 	case reqMigrateOut:
 		// A nil vm with no error means the VM was not running here (its
 		// placement failed for capacity): a sequencing no-op.

@@ -2,6 +2,6 @@
 // VM start and exit events against a simulated pool driven by a real
 // scheduling policy, samples bin-packing metrics over time, and runs
 // injectors (defragmentation engines, stranding probes, scenario events) on
-// the periodic tick. Injectors act through Control, the only writer of a
-// host's Unavailable flag.
+// the periodic tick. Injectors act through Control, which forwards their
+// host withdrawals to the pool's counted drain claims.
 package sim

@@ -153,15 +153,18 @@ type replayInjector struct {
 func (in *replayInjector) Inject(ctl *Control, now time.Duration) {
 	n := 0
 	for ; n < len(in.queue) && in.queue[n].T <= now && in.err == nil; n++ {
-		switch d := in.queue[n]; d.Kind {
+		d := in.queue[n]
+		var err error
+		switch d.Kind {
 		case ptrace.KindKill:
-			if err := ctl.Kill(d.VM, now); err != nil {
-				in.err = fmt.Errorf("sim: replay decision seq %d (kill): %w", d.Seq, err)
-			}
+			err = ctl.Kill(d.VM, now)
 		case ptrace.KindWithdraw:
-			ctl.Withdraw(d.Host)
+			err = ctl.Withdraw(d.Host)
 		case ptrace.KindRestore:
-			ctl.Restore(d.Host)
+			err = ctl.Restore(d.Host)
+		}
+		if err != nil {
+			in.err = fmt.Errorf("sim: replay decision seq %d (%s): %w", d.Seq, d.Kind, err)
 		}
 	}
 	in.queue = in.queue[n:]

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"strings"
@@ -87,7 +88,7 @@ func (p *tickProbe) OnTick(pool *cluster.Pool, now time.Duration) {
 	h := fnv.New64a()
 	fmt.Fprint(h, now)
 	for _, host := range pool.Hosts() {
-		fmt.Fprint(h, host.ID, host.Occupancy(), host.Unavailable, host.Used())
+		fmt.Fprint(h, host.ID, host.Occupancy(), host.Unavailable(), host.Used())
 		for _, vm := range host.VMs() {
 			fmt.Fprint(h, vm.ID)
 		}
@@ -115,12 +116,14 @@ func (b *burstInjector) Inject(ctl *sim.Control, now time.Duration) {
 	switch {
 	case b.fired == 0 && now >= b.At:
 		kill(2)
-		ctl.Withdraw(0)
-		ctl.Withdraw(1)
+		if err := errors.Join(ctl.Withdraw(0), ctl.Withdraw(1)); err != nil {
+			panic(err)
+		}
 		b.fired++
 	case b.fired == 1 && now >= b.At+b.For:
-		ctl.Restore(0)
-		ctl.Restore(1)
+		if err := errors.Join(ctl.Restore(0), ctl.Restore(1)); err != nil {
+			panic(err)
+		}
 		kill(1)
 		b.fired++
 	}

@@ -32,19 +32,17 @@ type Injector interface {
 // stay indistinguishable from trace events: a killed VM leaves through the
 // same policy hook as a natural exit, a migrated VM through those of an
 // exit and a placement. With Machine, which drives it, Control is the
-// pool's only writer outside internal/cluster, and it alone writes
-// cluster.Host.Unavailable. Host withdrawals are reference-counted across
-// all of a run's injectors (Withdraw/Restore), so overlapping events — a
-// drain wave crossing a defragmenter's drain or a capacity crunch — keep a
-// host out of service until the last claim on it is released. A live
-// migration's copy window is capacity held on its target (Reserve/Release),
-// not a VM, so no policy hook, predictor, counter or trace record sees it.
+// pool's only writer outside internal/cluster. A host withdrawal is a
+// drain claim the pool counts (Withdraw/Restore, cluster.Pool.Withdraw), so
+// overlapping events — a drain wave crossing a defragmenter's drain or a
+// capacity crunch — keep a host out of service until the last claim on it
+// ends. A live migration's copy window is capacity held on its target
+// (Reserve/Release), not a VM, so no policy hook, predictor, counter or
+// trace record sees it.
 type Control struct {
 	pool   *cluster.Pool
 	policy scheduler.Policy
 	res    *Result
-
-	claims map[cluster.HostID]int // withdrawal claims held by injectors
 
 	tracer *ptrace.Recorder // decision recorder (nil: tracing off)
 	now    time.Duration    // current tick time, for injector event stamps
@@ -101,12 +99,7 @@ func NewControl(pool *cluster.Pool, policy scheduler.Policy, res *Result) *Contr
 	if res == nil {
 		res = &Result{}
 	}
-	return &Control{
-		pool:   pool,
-		policy: policy,
-		res:    res,
-		claims: make(map[cluster.HostID]int),
-	}
+	return &Control{pool: pool, policy: policy, res: res}
 }
 
 // Pool returns the pool under simulation. Injectors may read it freely;
@@ -114,36 +107,30 @@ func NewControl(pool *cluster.Pool, policy scheduler.Policy, res *Result) *Contr
 // and VM moves through Migrate.
 func (c *Control) Pool() *cluster.Pool { return c.pool }
 
-// Withdraw takes a host out of service under a reference-counted claim:
-// the first claim sets its Unavailable flag.
-func (c *Control) Withdraw(id cluster.HostID) {
-	c.claims[id]++
-	if c.claims[id] == 1 {
-		c.setUnavailable(id, true, ptrace.KindWithdraw)
-	}
+// Withdraw puts a drain claim on a host (cluster.Pool.Withdraw): the
+// first claim takes it out of service and is recorded as a withdrawal.
+func (c *Control) Withdraw(id cluster.HostID) error {
+	return c.claim(id, c.pool.Withdraw, ptrace.KindWithdraw)
 }
 
-// Restore releases one withdrawal claim. The host returns to service when
-// the last claim drops.
-func (c *Control) Restore(id cluster.HostID) {
-	if c.claims[id] == 0 {
-		return // unbalanced Restore: nothing held
-	}
-	c.claims[id]--
-	if c.claims[id] == 0 {
-		c.setUnavailable(id, false, ptrace.KindRestore)
-	}
+// Restore ends one drain claim on a host (cluster.Pool.Restore): the last
+// one returns it to service and is recorded as a restore.
+func (c *Control) Restore(id cluster.HostID) error {
+	return c.claim(id, c.pool.Restore, ptrace.KindRestore)
 }
 
-// setUnavailable flips a host's flag, tells score caches (availability
-// changes outside the pool's own mutators; see cluster.Pool.InvalidateHost)
-// and records the decision.
-func (c *Control) setUnavailable(id cluster.HostID, v bool, kind ptrace.Kind) {
-	c.pool.Host(id).Unavailable = v
-	c.pool.InvalidateHost(id)
-	if c.tracer != nil {
+// claim applies one claim change and records a decision of the given kind
+// when it flips the host's availability.
+func (c *Control) claim(id cluster.HostID, change func(cluster.HostID) error, kind ptrace.Kind) error {
+	h := c.pool.Host(id)
+	was := h != nil && h.Unavailable()
+	if err := change(id); err != nil {
+		return fmt.Errorf("sim: %s: %w", kind, err)
+	}
+	if c.tracer != nil && h.Unavailable() != was {
 		c.tracer.Record(ptrace.Decision{Kind: kind, T: c.now, Host: id, Level: -1})
 	}
+	return nil
 }
 
 // Kill force-exits a running VM (host failure): the VM leaves the pool and
@@ -610,14 +597,11 @@ func (m *Machine) AddHosts(n int, at time.Duration) error {
 // RemoveHost advances to at and retires an empty host from the pool. Hosts
 // still running VMs refuse removal — drain them (migrate or wait for exits)
 // first — and so do hosts an injector has withdrawn, whose claim must find
-// them at its restore.
+// them at its restore (cluster.Pool.RemoveHost).
 func (m *Machine) RemoveHost(id cluster.HostID, at time.Duration) error {
 	at, err := m.begin(at)
 	if err != nil {
 		return err
-	}
-	if n := m.ctl.claims[id]; n > 0 {
-		return fmt.Errorf("sim: remove host %d: withdrawn under %d claims", id, n)
 	}
 	return m.pool.RemoveHost(id)
 }

@@ -81,7 +81,7 @@ func Measure(p *cluster.Pool, mix []resources.Vector, now time.Duration) (Result
 func bestFitHost(hosts []*cluster.Host, used []resources.Vector, shape resources.Vector) int {
 	best, bestScore := -1, -1.0
 	for k, h := range hosts {
-		if h.Unavailable || !shape.Fits(h.Capacity.Sub(used[k])) {
+		if h.Unavailable() || !shape.Fits(h.Capacity.Sub(used[k])) {
 			continue
 		}
 		score := resources.DominantShare(used[k].Add(shape), h.Capacity)

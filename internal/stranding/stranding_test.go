@@ -73,7 +73,9 @@ func TestMeasureRejectsEmptyMix(t *testing.T) {
 
 func TestMeasureSkipsUnavailableHosts(t *testing.T) {
 	p := cluster.NewPool("t", 2, resources.Cores(8, 32768, 0))
-	p.Host(0).Unavailable = true
+	if err := p.Withdraw(0); err != nil {
+		t.Fatal(err)
+	}
 	res, err := Measure(p, []resources.Vector{resources.Cores(8, 32768, 0)}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +139,9 @@ func TestMeasureFixedPool(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.Host(4).Unavailable = true
+	if err := p.Withdraw(4); err != nil {
+		t.Fatal(err)
+	}
 	type usage struct {
 		used resources.Vector
 		vms  int
