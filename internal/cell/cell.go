@@ -2,12 +2,12 @@ package cell
 
 import (
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sort"
 	"strings"
 
 	"lava/internal/cluster"
+	"lava/internal/features"
 	"lava/internal/trace"
 )
 
@@ -88,9 +88,7 @@ func (l *Ledger) Route(rec *trace.Record) int {
 			}
 		}
 	case "feature-hash":
-		h := fnv.New64a()
-		h.Write([]byte(rec.Feat.String()))
-		start := int(h.Sum64() % uint64(n))
+		start := int(featureHash(&rec.Feat) % uint64(n))
 		for i := 0; i < n && c < 0; i++ {
 			if cand := (start + i) % n; l.Routable[cand] {
 				c = cand
@@ -108,6 +106,18 @@ func (l *Ledger) Route(rec *trace.Record) int {
 		l.committed[c] += rec.Shape.CPUMilli
 	}
 	return c
+}
+
+// featureHash is the FNV-1a-64 hash of f.String(), folded over the bytes
+// AppendString writes into a stack buffer: routing a VM formats no string.
+func featureHash(f *features.Features) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	var buf [128]byte
+	h := uint64(offset64)
+	for _, c := range f.AppendString(buf[:0]) {
+		h = (h ^ uint64(c)) * prime64
+	}
+	return h
 }
 
 // Exit resolves which cell holds the VM and releases its commitment. ok is

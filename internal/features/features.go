@@ -2,7 +2,7 @@ package features
 
 import (
 	"encoding/json"
-	"fmt"
+	"strconv"
 )
 
 // Features mirrors the model features of Table 3. The uptime feature is not
@@ -117,10 +117,23 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// String renders a compact diagnostic form.
-func (f Features) String() string {
-	return fmt.Sprintf("zone=%s shape=%s cat=%s meta=%s prio=%s ssd=%t spot=%t adm=%t",
-		f.Zone, f.VMShape, f.VMCategory, f.MetadataID, f.Priority, f.HasSSD, f.Spot, f.AdmissionPolicy)
+// String renders a compact diagnostic form: the bytes AppendString appends.
+func (f Features) String() string { return string(f.AppendString(make([]byte, 0, 96))) }
+
+// AppendString appends String's form of f to b — `zone=%s shape=%s cat=%s
+// meta=%s prio=%s ssd=%t spot=%t adm=%t`, strings verbatim — and returns
+// the extended slice. Feature-hash routing hashes these bytes; with a b of
+// sufficient capacity it does not allocate.
+func (f *Features) AppendString(b []byte) []byte {
+	for _, kv := range [...]struct{ key, val string }{
+		{"zone=", f.Zone}, {" shape=", f.VMShape}, {" cat=", f.VMCategory},
+		{" meta=", f.MetadataID}, {" prio=", f.Priority},
+	} {
+		b = append(append(b, kv.key...), kv.val...)
+	}
+	b = strconv.AppendBool(append(b, " ssd="...), f.HasSSD)
+	b = strconv.AppendBool(append(b, " spot="...), f.Spot)
+	return strconv.AppendBool(append(b, " adm="...), f.AdmissionPolicy)
 }
 
 // encoderJSON is the serialization form of Encoder.

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -92,6 +93,28 @@ func TestStringContainsFields(t *testing.T) {
 	for _, want := range []string{"zz", "shape-8"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() %q missing %q", s, want)
+		}
+	}
+}
+
+// TestAppendStringIsTheFormattedForm holds AppendString (and String, which
+// returns its bytes) to the fmt form it replaced, strings verbatim: the
+// feature-hash router hashes these bytes, so any drift would move VMs
+// between cells.
+func TestAppendStringIsTheFormattedForm(t *testing.T) {
+	for _, f := range []Features{
+		{},
+		{Zone: "z1", VMShape: "c2-standard-8", VMCategory: "batch", MetadataID: "m-7", Priority: "prod", HasSSD: true, CPUMilli: 8000},
+		{Zone: "a=b", VMShape: "two words", VMCategory: " lead", MetadataID: "tail ", Priority: "=", Spot: true},
+		{Zone: "zürich", VMShape: "形状", VMCategory: "\xff\xfe", MetadataID: "%s%d", Priority: "\n\t\"", AdmissionPolicy: true},
+	} {
+		want := fmt.Sprintf("zone=%s shape=%s cat=%s meta=%s prio=%s ssd=%t spot=%t adm=%t",
+			f.Zone, f.VMShape, f.VMCategory, f.MetadataID, f.Priority, f.HasSSD, f.Spot, f.AdmissionPolicy)
+		if got := string(f.AppendString([]byte("prefix|"))); got != "prefix|"+want {
+			t.Errorf("AppendString = %q, want %q", got, "prefix|"+want)
+		}
+		if got := f.String(); got != want {
+			t.Errorf("String = %q, want %q", got, want)
 		}
 	}
 }

@@ -169,7 +169,9 @@ func (Oracle) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Durati
 // deterministically categorized as correctly predicted (probability =
 // Accuracy) or mispredicted, and a Gaussian error in the Log10 domain is
 // applied to its lifetime label (sigma 0.001 when correct, 3.0 when not).
-// Predictions are capped to [0, 14 days] as in the paper.
+// The perturbed lifetime is clamped to [1 s, 14 days]: the paper's 14-day
+// cap above, and a 1 s floor below so no VM is predicted to have exited on
+// arrival.
 //
 // The perturbed lifetime is fixed per VM (seeded by VM ID), so repeated
 // repredictions are consistent: the noisy oracle models a flawed model, not

@@ -285,15 +285,19 @@ func TestAdmissionHTTPEdges(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
+	var raw429 []byte
 	post := func(body string) (*http.Response, errorBody) {
 		t.Helper()
 		resp, err := http.Post(hs.URL+"/place", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
+		raw429, err = readAll(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var eb errorBody
-		_ = json.NewDecoder(resp.Body).Decode(&eb)
+		_ = json.Unmarshal(raw429, &eb)
 		return resp, eb
 	}
 
@@ -308,6 +312,12 @@ func TestAdmissionHTTPEdges(t *testing.T) {
 	}
 	if eb.Class != slo.ClassBestEffort || eb.RetryAtNS != time.Minute || eb.Error == "" {
 		t.Fatalf("429 body = %+v, want class besteffort retry 1m", eb)
+	}
+	// The bytes json.Encoder wrote before the envelope had a codec
+	// (captured at 36a2995), and its Content-Type.
+	const parent429 = `{"error":"slo: class besteffort over admission budget (retry at virtual t=1m0s)","class":"besteffort","retry_at_ns":60000000000}` + "\n"
+	if string(raw429) != parent429 || resp.Header.Get("Content-Type") != "application/json" {
+		t.Fatalf("429 moved: Content-Type %q, body %q, want %q", resp.Header.Get("Content-Type"), raw429, parent429)
 	}
 
 	// /stats: a legacy client struct (no slo field) decodes the enriched

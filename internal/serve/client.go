@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,12 +82,55 @@ func (c *Client) hotRoutes() (*hotRoutes, error) {
 	return hr, hr.err
 }
 
-// send posts body as a shallow copy of tmpl, a template from newRoute,
-// straight through HTTPClient's Transport, and hands the body of a 200 to
-// read. HTTPClient's Timeout is a context deadline over both. A transport
-// error comes back as the *url.Error Client.Do would return (`Post "<url>":
-// …`), any other status as the error checkStatus makes of it.
-func (c *Client) send(ctx context.Context, tmpl *http.Request, body []byte, read func(io.Reader) error) error {
+// call is the pooled state of one request: the buffer its body is encoded
+// into and its response read into, what GetBody rewinds to, and the request
+// last sent from it, which the next call on the same route under the same
+// context sends again (see request). A call goes back to the pool only once
+// the server has read its request whole and the response body is closed.
+type call struct {
+	buf     bytes.Buffer
+	body    []byte
+	getBody func() (io.ReadCloser, error) // rewinds to body; made once per call
+	req     *http.Request
+}
+
+var callPool = sync.Pool{New: func() any {
+	cl := &call{}
+	cl.buf.Grow(1024)
+	cl.getBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(cl.body)), nil }
+	return cl
+}}
+
+// request returns the request to send from template tmpl under ctx: the
+// call's last one when it was made from tmpl under the same context — its
+// response body is closed, so net/http lets it be sent again — and a new
+// shallow copy of tmpl otherwise.
+func (cl *call) request(ctx context.Context, tmpl *http.Request) *http.Request {
+	if r := cl.req; r != nil && r.URL == tmpl.URL && sameContext(r.Context(), ctx) {
+		return r
+	}
+	cl.req = tmpl.WithContext(ctx)
+	cl.req.GetBody = cl.getBody
+	return cl.req
+}
+
+// sameContext reports a == b without the panic == raises on two contexts of
+// one incomparable type.
+func sameContext(a, b context.Context) bool {
+	t := reflect.TypeOf(a)
+	return t == reflect.TypeOf(b) && t.Comparable() && a == b
+}
+
+// send posts body as the request cl makes of tmpl, a template from
+// newRoute, straight through HTTPClient's Transport, reads the body of a 200
+// whole into cl.buf and hands it to read. HTTPClient's Timeout is a context
+// deadline over both. A transport error comes back as the *url.Error
+// Client.Do would return (`Post "<url>": …`), any other status as the error
+// checkStatus makes of it. send owns cl: it pools it again once the server
+// has read the request whole — it answered 200, or refused the placement
+// with its 429 envelope — and drops it otherwise, since the transport may
+// then still be reading body.
+func (c *Client) send(ctx context.Context, tmpl *http.Request, cl *call, body []byte, read func([]byte) error) error {
 	hc := c.httpClient()
 	if hc.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -101,20 +145,36 @@ func (c *Client) send(ctx context.Context, tmpl *http.Request, body []byte, read
 	// transport knows is in memory, so it writes headers and body in one
 	// go, and rewindable through GetBody, so a request whose reused
 	// keep-alive connection died before it was written is retried on a
-	// fresh one.
-	req := tmpl.WithContext(ctx)
+	// fresh one. The reader is new per request: the transport may close it
+	// after the response is read, and it must not be reading a reader
+	// another request has reset.
+	req := cl.request(ctx, tmpl)
 	req.Body = io.NopCloser(bytes.NewReader(body))
-	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
 	req.ContentLength = int64(len(body))
+	cl.body = body
 	resp, err := rt.RoundTrip(req)
 	if err != nil {
 		return &url.Error{Op: "Post", URL: tmpl.URL.Redacted(), Err: err}
 	}
-	if resp, err = checkStatus(resp, tmpl.URL.Path); err != nil {
+	path := tmpl.URL.Path
+	if resp.StatusCode != http.StatusOK {
+		rejected, err := checkStatus(resp, path, &cl.buf)
+		if rejected {
+			callPool.Put(cl)
+		}
 		return err
 	}
-	defer resp.Body.Close()
-	return read(resp.Body)
+	// A 200 means the server read the request to its end: cl.buf is free.
+	cl.buf.Reset()
+	_, err = cl.buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		err = fmt.Errorf("serve client: read %s: %w", path, err)
+	} else {
+		err = read(cl.buf.Bytes())
+	}
+	callPool.Put(cl)
+	return err
 }
 
 // post sends a JSON request and decodes the JSON response into out, unless
@@ -128,69 +188,84 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 	if err != nil {
 		return err
 	}
-	return c.send(ctx, tmpl, body, func(r io.Reader) error {
+	return c.send(ctx, tmpl, callPool.Get().(*call), body, func(b []byte) error {
 		if out == nil {
 			return nil
 		}
-		if err := json.NewDecoder(r).Decode(out); err != nil {
+		if err := json.NewDecoder(bytes.NewReader(b)).Decode(out); err != nil {
 			return fmt.Errorf("serve client: decode %s: %w", path, err)
 		}
 		return nil
 	})
 }
 
-// checkStatus returns resp if it is a 200, for the caller to read and
-// close; any other status is consumed into the error its envelope
-// describes.
-func checkStatus(resp *http.Response, path string) (*http.Response, error) {
-	if resp.StatusCode == http.StatusOK {
-		return resp, nil
-	}
+// maxErrorBody bounds the part of an error response the client reads.
+const maxErrorBody = 4096
+
+// checkStatus consumes and closes a response other than a 200 into the
+// error its envelope describes, reading at most maxErrorBody bytes of it
+// into buf. rejected reports an admission rejection: a 429 whose envelope
+// names the refused class, which the server writes only after reading the
+// request whole.
+func checkStatus(resp *http.Response, path string, buf *bytes.Buffer) (rejected bool, err error) {
 	defer resp.Body.Close()
-	var eb errorBody
-	if json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&eb) == nil && eb.Error != "" {
-		if resp.StatusCode == http.StatusTooManyRequests && eb.Class != "" {
-			// Surface admission rejections as the typed error so callers
-			// can branch with slo.IsReject and honor RetryAt.
-			return nil, fmt.Errorf("serve client: %s: %w", path,
-				&slo.RejectError{Class: eb.Class, RetryAt: eb.RetryAtNS})
-		}
-		return nil, fmt.Errorf("serve client: %s: %s (HTTP %d)", path, eb.Error, resp.StatusCode)
+	buf.Reset()
+	buf.Grow(maxErrorBody)
+	b := buf.AvailableBuffer()[:maxErrorBody]
+	// A read error leaves the envelope cut short, which its parse refuses.
+	n, _ := io.ReadFull(resp.Body, b)
+	eb, ok := parseErrorBody(trimSpace(b[:n]))
+	if !ok {
+		eb, ok = decodeErrorBody(b[:n])
 	}
-	return nil, fmt.Errorf("serve client: %s: HTTP %d", path, resp.StatusCode)
+	switch {
+	case !ok || eb.Error == "":
+		return false, fmt.Errorf("serve client: %s: HTTP %d", path, resp.StatusCode)
+	case resp.StatusCode == http.StatusTooManyRequests && eb.Class != "":
+		// Surface admission rejections as the typed error so callers
+		// can branch with slo.IsReject and honor RetryAt.
+		return true, fmt.Errorf("serve client: %s: %w", path,
+			&slo.RejectError{Class: eb.Class, RetryAt: eb.RetryAtNS})
+	default:
+		return false, fmt.Errorf("serve client: %s: %s (HTTP %d)", path, eb.Error, resp.StatusCode)
+	}
+}
+
+// decodeErrorBody is the envelope's encoding/json fallback: the first JSON
+// value of b, unknown fields ignored.
+func decodeErrorBody(b []byte) (errorBody, bool) {
+	var eb errorBody
+	err := json.NewDecoder(bytes.NewReader(b)).Decode(&eb)
+	return eb, err == nil
 }
 
 // hotPost is post for a route with a codec, on the route's template tmpl
-// (see hotRoutes): the request is encoded into a pooled buffer and the
-// response read whole — to EOF, so the keep-alive connection is reused —
-// and parsed from the same buffer. Either side falls back to encoding/json
-// when the codec declines.
-func hotPost[Req, Resp any](ctx context.Context, c *Client, tmpl *http.Request, cd *codec[Req, Resp], in *Req) (out Resp, err error) {
+// (see hotRoutes): the request is encoded into a pooled call's buffer and
+// the response read whole — to EOF, so the keep-alive connection is reused
+// — and parsed from the same buffer. Either side falls back to
+// encoding/json when the codec declines; only then is in copied to the
+// heap.
+func hotPost[Req, Resp any](ctx context.Context, c *Client, tmpl *http.Request, cd *codec[Req, Resp], in Req) (out Resp, err error) {
 	path := tmpl.URL.Path
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	b, ok := cd.appendReq(buf.AvailableBuffer(), in)
+	cl := callPool.Get().(*call)
+	cl.buf.Reset()
+	b, ok := cd.appendReq(cl.buf.AvailableBuffer(), in)
 	if !ok {
 		if b, err = json.Marshal(in); err != nil {
+			callPool.Put(cl)
 			return out, fmt.Errorf("serve client: encode %s: %w", path, err)
 		}
 	}
-	// buf is pooled again only once read has run: after any other outcome
-	// the transport may close the request body after RoundTrip returns, so
-	// it can still be reading b.
-	err = c.send(ctx, tmpl, b, func(body io.Reader) error {
-		// A 200 means the server read the request to its end; buf is free.
-		defer bufPool.Put(buf)
-		if _, err := buf.ReadFrom(body); err != nil {
-			return fmt.Errorf("serve client: read %s: %w", path, err)
-		}
-		if r, ok := cd.parseResp(trimSpace(buf.Bytes())); ok {
+	err = c.send(ctx, tmpl, cl, b, func(body []byte) error {
+		if r, ok := cd.parseResp(trimSpace(body)); ok {
 			out = r
 			return nil
 		}
-		if err := json.NewDecoder(buf).Decode(&out); err != nil {
+		var r Resp
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&r); err != nil {
 			return fmt.Errorf("serve client: decode %s: %w", path, err)
 		}
+		out = r
 		return nil
 	})
 	return out, err
@@ -202,7 +277,7 @@ func (c *Client) Place(ctx context.Context, req PlaceRequest) (PlaceResponse, er
 	if err != nil {
 		return PlaceResponse{}, err
 	}
-	return hotPost(ctx, c, hr.place, placeCodec, &req)
+	return hotPost(ctx, c, hr.place, placeCodec, req)
 }
 
 // Exit submits one VM exit.
@@ -211,7 +286,7 @@ func (c *Client) Exit(ctx context.Context, req ExitRequest) (ExitResponse, error
 	if err != nil {
 		return ExitResponse{}, err
 	}
-	return hotPost(ctx, c, hr.exit, exitCodec, &req)
+	return hotPost(ctx, c, hr.exit, exitCodec, req)
 }
 
 // Drain finishes the served run and returns the final report: a leaf from a

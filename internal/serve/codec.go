@@ -29,10 +29,14 @@ import (
 // which is what serves every other route, so the accepted language, the
 // status codes and the error messages are encoding/json's by construction.
 // FuzzHotRouteCodec holds both halves to it.
+//
+// The encoders take their value, not a pointer to it: a call through a
+// codec's function field is opaque to escape analysis, and a pointer passed
+// to it would move the request or response it points at to the heap.
 type codec[Req, Resp any] struct {
-	appendReq  func([]byte, *Req) ([]byte, bool)
+	appendReq  func([]byte, Req) ([]byte, bool)
 	parseReq   func([]byte) (Req, bool)
-	appendResp func([]byte, *Resp) ([]byte, bool)
+	appendResp func([]byte, Resp) ([]byte, bool)
 	parseResp  func([]byte) (Resp, bool)
 }
 
@@ -192,7 +196,7 @@ func (c *cur) str() string {
 // done reports whether the whole input was consumed without a decline.
 func (c *cur) done() bool { return !c.bad && len(c.b) == 0 }
 
-func appendPlaceRequest(b []byte, q *PlaceRequest) ([]byte, bool) {
+func appendPlaceRequest(b []byte, q PlaceRequest) ([]byte, bool) {
 	e := enc{b: b}
 	e.raw(`{`)
 	if q.Seq != 0 {
@@ -302,7 +306,7 @@ func parsePlaceRequest(b []byte) (q PlaceRequest, ok bool) {
 	return q, c.done()
 }
 
-func appendExitRequest(b []byte, q *ExitRequest) ([]byte, bool) {
+func appendExitRequest(b []byte, q ExitRequest) ([]byte, bool) {
 	e := enc{b: b}
 	e.raw(`{`)
 	if q.Seq != 0 {
@@ -334,7 +338,7 @@ func parseExitRequest(b []byte) (q ExitRequest, ok bool) {
 	return q, c.done()
 }
 
-func appendPlaceResponse(b []byte, r *PlaceResponse) ([]byte, bool) {
+func appendPlaceResponse(b []byte, r PlaceResponse) ([]byte, bool) {
 	e := enc{b: b}
 	e.raw(`{"host":`)
 	e.int(int64(r.Host))
@@ -354,7 +358,7 @@ func parsePlaceResponse(b []byte) (r PlaceResponse, ok bool) {
 	return r, c.done()
 }
 
-func appendExitResponse(b []byte, r *ExitResponse) ([]byte, bool) {
+func appendExitResponse(b []byte, r ExitResponse) ([]byte, bool) {
 	e := enc{b: b}
 	e.raw(`{"removed":`)
 	e.bool(r.Removed)
@@ -368,4 +372,40 @@ func parseExitResponse(b []byte) (r ExitResponse, ok bool) {
 	r.Removed = c.bool()
 	c.lit(`}`)
 	return r, c.done()
+}
+
+// appendErrorBody and parseErrorBody are the codec of the error envelope,
+// under the same contract; the server answers every error through the
+// first and the client reads every one through the second, so a refused
+// placement (HTTP 429) costs neither side an encoding/json round trip.
+func appendErrorBody(b []byte, eb errorBody) ([]byte, bool) {
+	e := enc{b: b}
+	e.raw(`{"error":`)
+	e.str(eb.Error)
+	if eb.Class != "" {
+		e.raw(`,"class":`)
+		e.str(eb.Class)
+	}
+	if eb.RetryAtNS != 0 {
+		e.raw(`,"retry_at_ns":`)
+		e.int(int64(eb.RetryAtNS))
+	}
+	e.raw(`}`)
+	return e.done()
+}
+
+func parseErrorBody(b []byte) (eb errorBody, ok bool) {
+	c := cur{b: b}
+	c.lit(`{"error":`)
+	eb.Error = c.str()
+	if c.opt(`,"class":`) {
+		eb.Class = c.str()
+		c.bad = c.bad || eb.Class == ""
+	}
+	if c.opt(`,"retry_at_ns":`) {
+		eb.RetryAtNS = time.Duration(c.int(64))
+		c.bad = c.bad || eb.RetryAtNS == 0
+	}
+	c.lit(`}`)
+	return eb, c.done()
 }

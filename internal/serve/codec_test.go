@@ -21,7 +21,7 @@ import (
 // codecHalf is one wire type's encoder and parser.
 type codecHalf[T any] struct {
 	name   string
-	append func([]byte, *T) ([]byte, bool)
+	append func([]byte, T) ([]byte, bool)
 	parse  func([]byte) (T, bool)
 }
 
@@ -30,6 +30,7 @@ var (
 	exitReqHalf   = codecHalf[ExitRequest]{"ExitRequest", appendExitRequest, parseExitRequest}
 	placeRespHalf = codecHalf[PlaceResponse]{"PlaceResponse", appendPlaceResponse, parsePlaceResponse}
 	exitRespHalf  = codecHalf[ExitResponse]{"ExitResponse", appendExitResponse, parseExitResponse}
+	errorBodyHalf = codecHalf[errorBody]{"errorBody", appendErrorBody, parseErrorBody}
 )
 
 // checkParse: if the parser accepts data, the strict reflective decode
@@ -48,7 +49,7 @@ func (h codecHalf[T]) checkParse(t *testing.T, data []byte) bool {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s parser read %q as %+v, encoding/json as %+v", h.name, data, got, want)
 	}
-	if b, ok := h.append(nil, &got); !ok || !bytes.Equal(b, data) {
+	if b, ok := h.append(nil, got); !ok || !bytes.Equal(b, data) {
 		t.Fatalf("%s parser accepted %q, which its encoder does not write (it writes %q, accepted %v)", h.name, data, b, ok)
 	}
 	return true
@@ -58,7 +59,7 @@ func (h codecHalf[T]) checkParse(t *testing.T, data []byte) bool {
 // the parser reads them back to v. It reports whether the encoder accepted.
 func (h codecHalf[T]) checkEncode(t *testing.T, v T) bool {
 	t.Helper()
-	b, ok := h.append(nil, &v)
+	b, ok := h.append(nil, v)
 	if !ok {
 		return false
 	}
@@ -96,11 +97,11 @@ const (
 	escapedPlace   = `{"record":{"id":1,"arrival_ns":0,"lifetime_ns":1,"shape":{"CPUMilli":1,"MemoryMB":1,"SSDGB":0},"features":{"Zone":"a<b","VMShape":"q\"uote","VMCategory":"café","MetadataID":"","Priority":"","HasSSD":false,"Spot":false,"AdmissionPolicy":false,"CPUMilli":0,"MemoryMB":0}}}`
 )
 
-// FuzzHotRouteCodec is the proof the hot-route codec rests on (see codec):
-// on arbitrary bytes a parser that accepts agrees with encoding/json, and a
-// route decodes a body the same with the codec as without; on arbitrary
-// field values an encoder that accepts wrote json.Marshal's bytes, and they
-// parse back to the value.
+// FuzzHotRouteCodec is the proof the hot-route codec rests on (see codec),
+// and the error envelope's codec with it: on arbitrary bytes a parser that
+// accepts agrees with encoding/json, and a route decodes a body the same
+// with the codec as without; on arbitrary field values an encoder that
+// accepts wrote json.Marshal's bytes, and they parse back to the value.
 func FuzzHotRouteCodec(f *testing.F) {
 	bodies := []string{
 		canonicalPlace, classedPlace, escapedPlace,
@@ -125,6 +126,11 @@ func FuzzHotRouteCodec(f *testing.F) {
 		`{"host":2147483647,"placed":true}`, `{"host":2147483648,"placed":true}`, `{"host":-2147483648,"placed":true}`, `{"host":-2147483649,"placed":true}`,
 		`{"host":3,"placed":1}`, `{"placed":true,"host":3}`, `{"host":3,"placed":true,"extra":1}`,
 		`{"removed":true}`, `{"removed":false}`, `{"removed":"true"}`, `{"Removed":true}`,
+		// Error envelopes: a refused placement's, a plain error's, and
+		// ones the parser must leave to encoding/json.
+		`{"error":"slo: class besteffort over admission budget (retry at virtual t=1h0m0.5s)","class":"besteffort","retry_at_ns":3600500000000}`,
+		`{"error":"serve: draining"}`, `{"error":"serve: bad cell \"x\""}`, `{"error":"","class":"gold"}`,
+		`{"error":"e","retry_at_ns":-5}`, `{"error":"e","retry_at_ns":0}`, `{"error":"e","class":""}`, `{"class":"c","error":"e"}`,
 	}
 	for _, b := range bodies {
 		f.Add([]byte(b), uint64(0), int64(0), int32(0), "", "", false)
@@ -152,6 +158,7 @@ func FuzzHotRouteCodec(f *testing.F) {
 		exitReqHalf.checkParse(t, data)
 		placeRespHalf.checkParse(t, data)
 		exitRespHalf.checkParse(t, data)
+		errorBodyHalf.checkParse(t, data)
 		checkDecode(t, placeCodec, data)
 		checkDecode(t, exitCodec, data)
 
@@ -165,6 +172,7 @@ func FuzzHotRouteCodec(f *testing.F) {
 		exitReqHalf.checkEncode(t, ExitRequest{Seq: seq, At: time.Duration(n), ID: cluster.VMID(^n)})
 		placeRespHalf.checkEncode(t, PlaceResponse{Host: cluster.HostID(host), Placed: flag})
 		exitRespHalf.checkEncode(t, ExitResponse{Removed: flag})
+		errorBodyHalf.checkEncode(t, errorBody{Error: s1, Class: class, RetryAtNS: time.Duration(n)})
 	})
 }
 
@@ -215,6 +223,18 @@ type benchBody struct{ bytes.Reader }
 
 func (*benchBody) Close() error { return nil }
 
+// handlerRequest is a POST /place of body as a server hands it to its
+// handler, with its declared Content-Length, on a body the caller rewinds.
+func handlerRequest(tb testing.TB, body []byte) (*http.Request, *benchBody) {
+	rd := &benchBody{}
+	req, err := http.NewRequest(http.MethodPost, "/place", rd)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	req.ContentLength = int64(len(body))
+	return req, rd
+}
+
 // discardWriter is the cheapest http.ResponseWriter: it keeps the status and
 // counts the bytes.
 type discardWriter struct {
@@ -253,11 +273,7 @@ func BenchmarkPlaceHandler(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(name, func(b *testing.B) {
-			rd := &benchBody{}
-			req, err := http.NewRequest(http.MethodPost, "/place", rd)
-			if err != nil {
-				b.Fatal(err)
-			}
+			req, rd := handlerRequest(b, body)
 			w := &discardWriter{h: http.Header{}}
 			b.ReportAllocs()
 			b.SetBytes(int64(len(body)))
@@ -274,22 +290,29 @@ func BenchmarkPlaceHandler(b *testing.B) {
 	}
 }
 
-// cannedTransport answers every request 200 with one body, after reading the
-// request as a server would.
-type cannedTransport struct{ body []byte }
+// cannedTransport answers every request with one status (0: 200) and one
+// body, after reading the request as a server would.
+type cannedTransport struct {
+	status int
+	body   []byte
+}
 
 func (c cannedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if _, err := io.Copy(io.Discard, req.Body); err != nil {
 		return nil, err
 	}
 	req.Body.Close()
-	return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(bytes.NewReader(c.body)), ContentLength: int64(len(c.body))}, nil
+	status := c.status
+	if status == 0 {
+		status = http.StatusOK
+	}
+	return &http.Response{StatusCode: status, Body: io.NopCloser(bytes.NewReader(c.body)), ContentLength: int64(len(c.body))}, nil
 }
 
 // BenchmarkClientPlace is the row of the client layer: one Client.Place
 // against a transport that answers from memory.
 func BenchmarkClientPlace(b *testing.B) {
-	c := &Client{Base: "http://localhost", HTTPClient: &http.Client{Transport: cannedTransport{[]byte("{\"host\":3,\"placed\":true}\n")}}}
+	c := &Client{Base: "http://localhost", HTTPClient: &http.Client{Transport: cannedTransport{body: []byte("{\"host\":3,\"placed\":true}\n")}}}
 	ctx := context.Background()
 	for name, q := range benchPlaceBodies(b) {
 		b.Run(name, func(b *testing.B) {

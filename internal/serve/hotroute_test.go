@@ -16,6 +16,7 @@ import (
 	"lava/internal/cluster"
 	"lava/internal/resources"
 	"lava/internal/scheduler"
+	"lava/internal/slo"
 	"lava/internal/trace"
 )
 
@@ -39,21 +40,41 @@ func hotRecord(id int) trace.Record {
 
 // TestHotRouteAllocBudgets pins the allocations of one /place and one /exit
 // on our side of net/http: the client through a transport that answers from
-// memory, the server's typed methods applied in their sequencer turns. Each
-// client ceiling is the count measured when the route plumbing was made per
-// Base, plus one; each server ceiling the count measured once requests
-// became stack values applied in their turns (Place 1: the VM object;
-// ExitVM 0), plus one.
+// memory, the handler over a backend that answers at once, and the
+// server's typed methods applied in their sequencer turns; and of a refused
+// placement's round trip, the handler over a backend that refuses and the
+// client over a transport that answers 429. Each ceiling is the count
+// measured when the client stopped copying its request and rebuilding its
+// request object per call, the handler stopped wrapping a body of declared
+// length and the error envelope got its codec, plus one; the server's, the
+// count measured once requests became stack values applied in their turns
+// (Place 1: the VM object; ExitVM 0), plus one. The client's counts include
+// the canned transport's own response (3 allocations).
 func TestHotRouteAllocBudgets(t *testing.T) {
-	ctx := context.Background()
-	client := func(body string) *Client {
-		return &Client{Base: "http://localhost", HTTPClient: &http.Client{Transport: cannedTransport{[]byte(body)}}}
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own, and its sync.Pool drops pooled calls")
 	}
-	place, exit := client("{\"host\":3,\"placed\":true}\n"), client("{\"removed\":true}\n")
+	ctx := context.Background()
+	client := func(status int, body string) *Client {
+		return &Client{Base: "http://localhost", HTTPClient: &http.Client{Transport: cannedTransport{status, []byte(body)}}}
+	}
+	place, exit := client(0, "{\"host\":3,\"placed\":true}\n"), client(0, "{\"removed\":true}\n")
+	refused := client(http.StatusTooManyRequests, reject429)
 	var q PlaceRequest
 	if err := decodeStrict([]byte(canonicalPlace), &q); err != nil {
 		t.Fatal(err)
 	}
+	handler := func(b backend) func() int {
+		h, w, body := routes(b), &discardWriter{h: http.Header{}}, []byte(canonicalPlace)
+		req, rd := handlerRequest(t, body)
+		return func() int {
+			rd.Reset(body)
+			w.status = http.StatusOK
+			h.ServeHTTP(w, req)
+			return w.status
+		}
+	}
+	accept, refuse := handler(stubBackend{}), handler(rejectBackend{})
 	srv := hotServer(t)
 	const runs = 200
 	var placed, exited int
@@ -62,14 +83,29 @@ func TestHotRouteAllocBudgets(t *testing.T) {
 		budget float64
 		fn     func()
 	}{
-		{"Client.Place", 10, func() {
+		{"Client.Place", 6, func() {
 			if r, err := place.Place(ctx, q); err != nil || !r.Placed {
 				t.Fatalf("Place = %+v, %v", r, err)
 			}
 		}},
-		{"Client.Exit", 10, func() {
+		{"Client.Exit", 6, func() {
 			if r, err := exit.Exit(ctx, ExitRequest{Seq: 9, At: time.Minute, ID: 41}); err != nil || !r.Removed {
 				t.Fatalf("Exit = %+v, %v", r, err)
+			}
+		}},
+		{"Client.Place refused", 17, func() {
+			if _, err := refused.Place(ctx, q); !slo.IsReject(err) {
+				t.Fatalf("Place over a 429 = %v, want a rejection", err)
+			}
+		}},
+		{"handler /place", 6, func() {
+			if code := accept(); code != http.StatusOK {
+				t.Fatalf("HTTP %d", code)
+			}
+		}},
+		{"handler /place refused", 12, func() {
+			if code := refuse(); code != http.StatusTooManyRequests {
+				t.Fatalf("HTTP %d, want 429", code)
 			}
 		}},
 		{"Server.Place", 2, func() {
@@ -90,6 +126,19 @@ func TestHotRouteAllocBudgets(t *testing.T) {
 			t.Errorf("%s: %.1f allocs per call, budget %.0f", tc.name, got, tc.budget)
 		}
 	}
+}
+
+// reject429 is what the route table answers a placement its backend
+// refuses at t=1m for class besteffort: json.Encoder's bytes of the
+// envelope.
+const reject429 = `{"error":"slo: class besteffort over admission budget (retry at virtual t=1m0s)","class":"besteffort","retry_at_ns":60000000000}` + "\n"
+
+// rejectBackend refuses every placement, as admission control refuses an
+// over-budget class.
+type rejectBackend struct{ stubBackend }
+
+func (rejectBackend) Place(trace.Record, time.Duration, uint64) (cluster.HostID, bool, error) {
+	return 0, false, &slo.RejectError{Class: slo.ClassBestEffort, RetryAt: time.Minute}
 }
 
 // BenchmarkServerPlace is the row of the typed request surface: one
@@ -279,4 +328,33 @@ func TestHotRouteErrors(t *testing.T) {
 	if _, err := c.Drain(ctx); !errors.As(err, &ue) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Drain past the Timeout: %v", err)
 	}
+}
+
+// BenchmarkRejectRoundTrip is the row of a refused placement on our side of
+// net/http: the handler answering 429 over a backend that refuses, and the
+// client reading a 429 into the typed rejection.
+func BenchmarkRejectRoundTrip(b *testing.B) {
+	b.Run("handler", func(b *testing.B) {
+		h, w, body := routes(rejectBackend{}), &discardWriter{h: http.Header{}}, []byte(canonicalPlace)
+		req, rd := handlerRequest(b, body)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rd.Reset(body)
+			h.ServeHTTP(w, req)
+			if w.status != http.StatusTooManyRequests {
+				b.Fatalf("HTTP %d, want 429", w.status)
+			}
+		}
+	})
+	b.Run("client", func(b *testing.B) {
+		c := &Client{Base: "http://localhost", HTTPClient: &http.Client{Transport: cannedTransport{http.StatusTooManyRequests, []byte(reject429)}}}
+		q := benchPlaceBodies(b)["canonical"]
+		ctx := context.Background()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.Place(ctx, q); !slo.IsReject(err) {
+				b.Fatalf("Place over a 429 = %v, want a rejection", err)
+			}
+		}
+	})
 }

@@ -348,7 +348,7 @@ func post[Req, Resp any](c *codec[Req, Resp], validate func(*Req) error, fn func
 		defer bufPool.Put(buf)
 		buf.Reset()
 		var req Req
-		_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		err := readBody(w, r, buf)
 		if err == nil {
 			req, err = c.decode(buf.Bytes())
 		}
@@ -375,7 +375,7 @@ func post[Req, Resp any](c *codec[Req, Resp], validate func(*Req) error, fn func
 		if c != nil {
 			// The request's strings were copied out of buf; it is free.
 			buf.Reset()
-			if out, ok := c.appendResp(buf.AvailableBuffer(), &resp); ok {
+			if out, ok := c.appendResp(buf.AvailableBuffer(), resp); ok {
 				w.Header()["Content-Type"] = jsonContentType
 				_, _ = w.Write(append(out, '\n')) // json.Encoder's line end
 				return
@@ -383,6 +383,21 @@ func post[Req, Resp any](c *codec[Req, Resp], validate func(*Req) error, fn func
 		}
 		writeJSON(w, resp)
 	}
+}
+
+// readBody reads the request body whole into buf. A body that declares its
+// length within maxBodyBytes is read as it is: the server delivers no more
+// than the declared bytes. Any other — longer, or of unknown length — is
+// read through http.MaxBytesReader, which stops at the bound with the
+// *http.MaxBytesError post answers 413 to, and closes the connection after
+// the answer.
+func readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) error {
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		_, err := buf.ReadFrom(r.Body)
+		return err
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return err
 }
 
 // jsonContentType is the codec path's Content-Type value, shared by every
@@ -416,9 +431,7 @@ func writeErr(w http.ResponseWriter, err error) {
 	var rej *slo.RejectError
 	switch {
 	case errors.As(err, &rej):
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusTooManyRequests)
-		_ = json.NewEncoder(w).Encode(errorBody{
+		writeErrorBody(w, http.StatusTooManyRequests, errorBody{
 			Error:     err.Error(),
 			Class:     rej.Class,
 			RetryAtNS: rej.RetryAt,
@@ -433,9 +446,24 @@ func writeErr(w http.ResponseWriter, err error) {
 }
 
 func writeStatus(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
+	writeErrorBody(w, code, errorBody{Error: err.Error()})
+}
+
+// writeErrorBody answers status code with the envelope eb: json.Encoder's
+// bytes, line end included, written by the envelope's codec when it accepts
+// and by json.Encoder when it declines.
+func writeErrorBody(w http.ResponseWriter, code int, eb errorBody) {
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer bufPool.Put(buf)
+	buf.Reset()
+	out, ok := appendErrorBody(buf.AvailableBuffer(), eb)
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(errorBody{Error: err.Error()})
+	if ok {
+		_, _ = w.Write(append(out, '\n')) // json.Encoder's line end
+		return
+	}
+	_ = json.NewEncoder(w).Encode(eb)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
