@@ -343,7 +343,7 @@ func (b *treeBuilder) build(root nodeSums) {
 		for k, f := range all {
 			copy(b.hist[k][:b.numBins[f]], b.rootHist[b.off[f]:])
 		}
-		b.accumulateRoot()
+		b.accumulate(b.idx, all, false)
 		if c := b.walkedSplit(0, root.total, all); c.feature >= 0 {
 			b.keep(&c, all, exactErr(int(n), root.abs))
 			b.cands = append(b.cands, c)
@@ -442,21 +442,6 @@ func (b *treeBuilder) accumulate(idx []int32, feats []int32, count bool) {
 			h := &hist[k][row[feats[k]]]
 			h.sum += r
 			h.cnt++
-		}
-	}
-}
-
-// accumulateRoot is accumulate over the root — every sample in order,
-// every feature, sums only — reading each sample's row whole rather than
-// through a feature list. Kept out of line, as accumulate is.
-//
-//go:noinline
-func (b *treeBuilder) accumulateRoot() {
-	bins, nf := b.bins, b.nf
-	hist := b.hist[:nf]
-	for i, r := range b.resid {
-		for k, v := range bins[i*nf : i*nf+nf] {
-			hist[k][v].sum += r
 		}
 	}
 }

@@ -114,11 +114,18 @@ func (cl *call) request(ctx context.Context, tmpl *http.Request) *http.Request {
 	return cl.req
 }
 
-// sameContext reports a == b without the panic == raises on two contexts of
-// one incomparable type.
+// sameContext reports whether a and b are one context. It compares them only
+// when their type is a pointer (every context the context package derives)
+// or comparable and of zero size (context.Background's), where == cannot
+// panic; any other type reads as different, so the caller builds a new
+// request. A type that only reads as comparable can still panic under ==:
+// a struct with an interface field holding a slice, map or func.
 func sameContext(a, b context.Context) bool {
 	t := reflect.TypeOf(a)
-	return t == reflect.TypeOf(b) && t.Comparable() && a == b
+	if t != reflect.TypeOf(b) || (t.Kind() != reflect.Pointer && (t.Size() != 0 || !t.Comparable())) {
+		return false
+	}
+	return a == b
 }
 
 // send posts body as the request cl makes of tmpl, a template from

@@ -49,11 +49,12 @@ func hotRecord(id int) trace.Record {
 // length and the error envelope got its codec, plus one; the server's, the
 // count measured once requests became stack values applied in their turns
 // (Place 1: the VM object; ExitVM 0), plus one. The client's counts include
-// the canned transport's own response (3 allocations).
+// the canned transport's own response (3 allocations). Under the race
+// detector sync.Pool drops a quarter of what is put back, so a row that
+// takes from a pool (our calls and buffers, fmt's printers) and counts more
+// there than its ceiling has a race ceiling: the count measured under the
+// detector, rounded down, plus two. Every other row keeps its ceiling.
 func TestHotRouteAllocBudgets(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates on its own, and its sync.Pool drops pooled calls")
-	}
 	ctx := context.Background()
 	client := func(status int, body string) *Client {
 		return &Client{Base: "http://localhost", HTTPClient: &http.Client{Transport: cannedTransport{status, []byte(body)}}}
@@ -79,51 +80,55 @@ func TestHotRouteAllocBudgets(t *testing.T) {
 	const runs = 200
 	var placed, exited int
 	for _, tc := range []struct {
-		name   string
-		budget float64
-		fn     func()
+		name         string
+		budget, race float64 // race: the ceiling under the race detector
+		fn           func()
 	}{
-		{"Client.Place", 6, func() {
+		{"Client.Place", 6, 8, func() {
 			if r, err := place.Place(ctx, q); err != nil || !r.Placed {
 				t.Fatalf("Place = %+v, %v", r, err)
 			}
 		}},
-		{"Client.Exit", 6, func() {
+		{"Client.Exit", 6, 8, func() {
 			if r, err := exit.Exit(ctx, ExitRequest{Seq: 9, At: time.Minute, ID: 41}); err != nil || !r.Removed {
 				t.Fatalf("Exit = %+v, %v", r, err)
 			}
 		}},
-		{"Client.Place refused", 17, func() {
+		{"Client.Place refused", 17, 22, func() {
 			if _, err := refused.Place(ctx, q); !slo.IsReject(err) {
 				t.Fatalf("Place over a 429 = %v, want a rejection", err)
 			}
 		}},
-		{"handler /place", 6, func() {
+		{"handler /place", 6, 6, func() {
 			if code := accept(); code != http.StatusOK {
 				t.Fatalf("HTTP %d", code)
 			}
 		}},
-		{"handler /place refused", 12, func() {
+		{"handler /place refused", 12, 15, func() {
 			if code := refuse(); code != http.StatusTooManyRequests {
 				t.Fatalf("HTTP %d, want 429", code)
 			}
 		}},
-		{"Server.Place", 2, func() {
+		{"Server.Place", 2, 2, func() {
 			placed++
 			if _, ok, err := srv.Place(hotRecord(placed), 0, 0); err != nil || !ok {
 				t.Fatalf("Place = %v, %v", ok, err)
 			}
 		}},
 		// Exits the VMs the Server.Place case placed, oldest first.
-		{"Server.ExitVM", 1, func() {
+		{"Server.ExitVM", 1, 1, func() {
 			exited++
 			if ok, err := srv.ExitVM(cluster.VMID(exited), 0, 0); err != nil || !ok {
 				t.Fatalf("ExitVM(%d) = %v, %v", exited, ok, err)
 			}
 		}},
 	} {
-		if got := testing.AllocsPerRun(runs, tc.fn); got > tc.budget {
-			t.Errorf("%s: %.1f allocs per call, budget %.0f", tc.name, got, tc.budget)
+		budget := tc.budget
+		if raceEnabled {
+			budget = tc.race
+		}
+		if got := testing.AllocsPerRun(runs, tc.fn); got > budget {
+			t.Errorf("%s: %.1f allocs per call, budget %.0f", tc.name, got, budget)
 		}
 	}
 }
@@ -327,6 +332,37 @@ func TestHotRouteErrors(t *testing.T) {
 	}
 	if _, err := c.Drain(ctx); !errors.As(err, &ue) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Drain past the Timeout: %v", err)
+	}
+}
+
+// sliceCtx is a context type that reads as comparable but panics under ==
+// when v holds a slice.
+type sliceCtx struct {
+	context.Context
+	v any
+}
+
+// TestCallRequestUnderIncomparableContext: a pooled call compares the
+// context of its last request with the caller's only where == cannot panic.
+// Two values of a by-value context type whose field holds a slice read as
+// different contexts, and Place under one twice builds a second request
+// instead of panicking.
+func TestCallRequestUnderIncomparableContext(t *testing.T) {
+	a, b := sliceCtx{context.Background(), []int{1}}, sliceCtx{context.Background(), []int{1}}
+	if sameContext(a, b) || sameContext(a, a) {
+		t.Fatal("two contexts whose == panics read as one")
+	}
+	bg := context.Background()
+	if cc, cancel := context.WithCancel(bg); !sameContext(bg, context.Background()) || !sameContext(cc, cc) || sameContext(cc, bg) {
+		t.Fatal("sameContext misreads context.Background or a derived context")
+	} else {
+		cancel()
+	}
+	c := &Client{Base: "http://localhost", HTTPClient: &http.Client{Transport: cannedTransport{body: []byte("{\"host\":3,\"placed\":true}\n")}}}
+	for i := 1; i <= 2; i++ {
+		if r, err := c.Place(a, PlaceRequest{Seq: uint64(i), Record: hotRecord(i)}); err != nil || !r.Placed {
+			t.Fatalf("Place %d = %+v, %v", i, r, err)
+		}
 	}
 }
 
