@@ -254,9 +254,11 @@ func runOnce(ctx context.Context, p pairPlan, dir, workload string, seed int64, 
 	return last, nil
 }
 
-// parseSeeds parses a seed list: comma-separated seeds N and ranges A-B.
+// parseSeeds parses a seed list: comma-separated seeds N and ranges A-B,
+// no seed twice (a second run of one would make both run files unreadable).
 func parseSeeds(list string) ([]int64, error) {
 	var seeds []int64
+	seen := map[int64]bool{}
 	for _, item := range strings.Split(list, ",") {
 		lo, hi, isRange := strings.Cut(strings.TrimSpace(item), "-")
 		a, err := strconv.ParseInt(lo, 10, 64)
@@ -268,6 +270,10 @@ func parseSeeds(list string) ([]int64, error) {
 			return nil, fmt.Errorf("-seeds %q: want N or A-B (A <= B, at most 1000 seeds) items, comma-separated", list)
 		}
 		for s := a; s <= b; s++ {
+			if seen[s] {
+				return nil, fmt.Errorf("-seeds %q: seed %d twice", list, s)
+			}
+			seen[s] = true
 			seeds = append(seeds, s)
 		}
 	}
@@ -275,7 +281,8 @@ func parseSeeds(list string) ([]int64, error) {
 }
 
 // pickWorkloads returns the named workloads, each of which the spec must
-// declare, or every declared workload for an empty list.
+// declare and the list name once, or every declared workload for an empty
+// list.
 func pickWorkloads(spec *benchSpec, list string) ([]string, error) {
 	var all []string
 	for _, w := range spec.Workloads {
@@ -285,9 +292,12 @@ func pickWorkloads(spec *benchSpec, list string) ([]string, error) {
 		return all, nil
 	}
 	picked := strings.Split(list, ",")
-	for _, w := range picked {
+	for i, w := range picked {
 		if !slices.Contains(all, w) {
 			return nil, fmt.Errorf("-workloads: BENCHMARK.json declares no workload %q", w)
+		}
+		if slices.Contains(picked[:i], w) {
+			return nil, fmt.Errorf("-workloads: %q twice", w)
 		}
 	}
 	return picked, nil

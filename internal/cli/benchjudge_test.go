@@ -241,19 +241,36 @@ func TestBenchjudgePairDriver(t *testing.T) {
 	}
 
 	for _, c := range []struct {
-		args []string
-		why  string
+		args  []string
+		why   string
+		quiet bool // refused before any run
 	}{
-		{[]string{"-base", base, "-head", wrong, "-seeds", "1", out("b2.jsonl"), out("h2.jsonl")}, "correct"},
-		{[]string{"-base", base, "-head", failing, "-seeds", "1", out("b3.jsonl"), out("h3.jsonl")}, "exit status 3"},
-		{[]string{"-base", base, "-head", head, "-seeds", "1", out("b.jsonl"), out("h4.jsonl")}, "exists"},
-		{[]string{"-base", base, "-head", head, "-seeds", "1", "-workloads", "w3", out("b5.jsonl"), out("h5.jsonl")}, "w3"},
-		{[]string{"-base", base, "-head", head, "-seeds", "2-1", out("b6.jsonl"), out("h6.jsonl")}, "-seeds"},
-		{[]string{"-base", base, out("b7.jsonl"), out("h7.jsonl")}, "together"},
+		{[]string{"-base", base, "-head", wrong, "-seeds", "1", out("b2.jsonl"), out("h2.jsonl")}, "correct", false},
+		{[]string{"-base", base, "-head", failing, "-seeds", "1", out("b3.jsonl"), out("h3.jsonl")}, "exit status 3", false},
+		{[]string{"-base", base, "-head", head, "-seeds", "1", out("b.jsonl"), out("h4.jsonl")}, "exists", true},
+		{[]string{"-base", base, "-head", head, "-seeds", "1", "-workloads", "w3", out("b5.jsonl"), out("h5.jsonl")}, "w3", true},
+		{[]string{"-base", base, "-head", head, "-seeds", "2-1", out("b6.jsonl"), out("h6.jsonl")}, "-seeds", true},
+		{[]string{"-base", base, out("b7.jsonl"), out("h7.jsonl")}, "together", true},
+		// A repeated seed or workload would run twice on each side and only
+		// then make both run files unreadable.
+		{[]string{"-base", base, "-head", head, "-seeds", "1-3,2", out("b8.jsonl"), out("h8.jsonl")}, "seed 2 twice", true},
+		{[]string{"-base", base, "-head", head, "-seeds", "4,4", out("b9.jsonl"), out("h9.jsonl")}, "seed 4 twice", true},
+		{[]string{"-base", base, "-head", head, "-seeds", "1", "-workloads", "w1,w2,w1", out("b10.jsonl"), out("h10.jsonl")}, `"w1" twice`, true},
 	} {
 		stderr.Reset()
+		before, err := os.ReadFile(log)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got := Benchjudge(context.Background(), c.args, io.Discard, &stderr); got != 1 || !strings.Contains(stderr.String(), c.why) {
 			t.Errorf("benchjudge %v: exit %d, want 1 naming %q; stderr %s", c.args, got, c.why, stderr.String())
+		}
+		after, err := os.ReadFile(log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.quiet && len(after) != len(before) {
+			t.Errorf("benchjudge %v ran the benchmark before refusing:\n%s", c.args, after[len(before):])
 		}
 	}
 }

@@ -9,8 +9,11 @@
 // Events act at three layers, and a single Spec may mix all three:
 //
 //   - TraceEvent rewrites the arrival stream before the run (Surge).
-//   - TickEvent compiles into a sim.Injector driven by the simulator clock
-//     (DrainWave, Failures, Crunch).
+//   - TickEvent compiles into a sim.Injector driven by the simulator clock:
+//     DrainWave, Failures and Crunch all build one claim-window injector,
+//     whose windows withdraw a block of hosts when they open and restore it
+//     when they close. Each tick walks the windows in order, and opens a
+//     window that is due before it closes it.
 //   - ModelEvent wraps the lifetime predictor (ModelSwap).
 //
 // Everything is deterministic given Spec.Seed: trace composition draws from

@@ -248,52 +248,78 @@ func (d DrainWave) Validate() error {
 	return nil
 }
 
-// NewInjector implements TickEvent.
+// NewInjector implements TickEvent: wave w claims the pool's hosts from
+// position w·per on, per being its block size, wrapping around.
 func (d DrainWave) NewInjector(int64) sim.Injector {
-	return &drainInjector{ev: d}
+	in := &claimInjector{frac: d.Frac}
+	for w := range d.Waves {
+		in.windows = append(in.windows, claimWindow{
+			at:    d.At + time.Duration(w)*d.Every,
+			hold:  d.For,
+			first: func(n, per int) int { return w * per % n },
+		})
+	}
+	return in
 }
 
-// drainInjector is the per-run state of one DrainWave. Withdrawals are
-// drain claims the pool counts (sim.Control.Withdraw), so overlapping waves
-// (Frac*Waves > 1, or For > Every) — and overlaps with other injectors'
-// events — keep a host drained until the last claim on it releases.
-type drainInjector struct {
-	ev    DrainWave
-	waves [][]cluster.HostID // per started wave: hosts the wave claims
-	ended int                // waves already released
+// claimInjector is the per-run state of a DrainWave, Failures or Crunch
+// event: an ordered list of windows, each of which claims a block of the
+// pool's hosts (sim.Control.Withdraw) when it opens and restores its own
+// claims when it closes. The pool counts the claims, so overlapping
+// windows — of one event or of several, the defragmenter's included — keep
+// a host out of service until the last claim on it releases.
+type claimInjector struct {
+	frac    float64 // each block is max(1, round(frac·n)) of the pool's n hosts
+	windows []claimWindow
 }
 
-// Inject implements sim.Injector.
-func (in *drainInjector) Inject(ctl *sim.Control, now time.Duration) {
+// claimWindow is one block of hosts held from at for hold.
+type claimWindow struct {
+	at    time.Duration
+	hold  time.Duration         // 0 or less: the hosts never return
+	first func(n, size int) int // pool position of the block's first host
+	kill  bool                  // kill each host's VMs before claiming it
+	hosts []cluster.HostID      // the claimed block, once open
+	done  bool                  // the claims were restored
+}
+
+// Inject implements sim.Injector: it walks the windows in order and opens a
+// due window before it closes it. So a window that ends releases its hosts
+// before a later one claims, and one shorter than a tick ends as it opens.
+func (in *claimInjector) Inject(ctl *sim.Control, now time.Duration) {
+	for i := range in.windows {
+		w := &in.windows[i]
+		if w.hosts == nil && now >= w.at {
+			in.open(w, ctl, now)
+		}
+		if w.hosts != nil && !w.done && w.hold > 0 && now >= w.at+w.hold {
+			w.done = true
+			for _, id := range w.hosts {
+				mustClaim(ctl.Restore(id))
+			}
+		}
+	}
+}
+
+// open claims w's block of the pool as it is now, in ID order from the
+// block's first position, wrapping around.
+func (in *claimInjector) open(w *claimWindow, ctl *sim.Control, now time.Duration) {
 	hosts := ctl.Pool().Hosts()
 	n := len(hosts)
-	per := int(math.Round(in.ev.Frac * float64(n)))
-	if per < 1 {
-		per = 1
-	}
-	// Release waves whose drain window ended, in wave order.
-	for w := in.ended; w < len(in.waves); w++ {
-		if now < in.ev.At+time.Duration(w)*in.ev.Every+in.ev.For {
-			break
+	size := max(1, int(math.Round(in.frac*float64(n))))
+	first := w.first(n, size)
+	w.hosts = make([]cluster.HostID, 0, size)
+	for i := range size {
+		h := hosts[(first+i)%n]
+		if w.kill {
+			for _, vm := range h.VMs() { // sorted by ID: deterministic kill order
+				if err := ctl.Kill(vm.ID, now); err != nil {
+					panic(fmt.Sprintf("scenario: failures: %v", err))
+				}
+			}
 		}
-		for _, id := range in.waves[w] {
-			mustClaim(ctl.Restore(id))
-		}
-		in.ended = w + 1
-	}
-	// Start due waves. Each wave claims the next contiguous range of the
-	// pool's hosts in ID order, wrapping around.
-	for w := len(in.waves); w < in.ev.Waves; w++ {
-		if now < in.ev.At+time.Duration(w)*in.ev.Every {
-			break
-		}
-		ids := make([]cluster.HostID, 0, per)
-		for i := 0; i < per; i++ {
-			id := hosts[(w*per+i)%n].ID
-			mustClaim(ctl.Withdraw(id))
-			ids = append(ids, id)
-		}
-		in.waves = append(in.waves, ids)
+		mustClaim(ctl.Withdraw(h.ID))
+		w.hosts = append(w.hosts, h.ID)
 	}
 }
 
@@ -329,48 +355,15 @@ func (f Failures) Validate() error {
 	return nil
 }
 
-// NewInjector implements TickEvent.
+// NewInjector implements TickEvent: the block starts at a position drawn
+// from seed.
 func (f Failures) NewInjector(seed int64) sim.Injector {
-	return &failureInjector{ev: f, seed: seed}
-}
-
-// failureInjector is the per-run state of one Failures event.
-type failureInjector struct {
-	ev       Failures
-	seed     int64
-	fired    bool
-	repaired bool
-	failed   []cluster.HostID
-}
-
-// Inject implements sim.Injector.
-func (in *failureInjector) Inject(ctl *sim.Control, now time.Duration) {
-	if !in.fired && now >= in.ev.At {
-		in.fired = true
-		pool := ctl.Pool()
-		n := pool.NumHosts()
-		count := int(math.Round(in.ev.Frac * float64(n)))
-		if count < 1 {
-			count = 1
-		}
-		start := rand.New(rand.NewSource(in.seed)).Intn(n)
-		for i := 0; i < count; i++ {
-			h := pool.Hosts()[(start+i)%n]
-			for _, vm := range h.VMs() { // sorted by ID: deterministic kill order
-				if err := ctl.Kill(vm.ID, now); err != nil {
-					panic(fmt.Sprintf("scenario: failures: %v", err))
-				}
-			}
-			mustClaim(ctl.Withdraw(h.ID))
-			in.failed = append(in.failed, h.ID)
-		}
-	}
-	if in.fired && !in.repaired && in.ev.RepairFor > 0 && now >= in.ev.At+in.ev.RepairFor {
-		in.repaired = true
-		for _, id := range in.failed {
-			mustClaim(ctl.Restore(id))
-		}
-	}
+	return &claimInjector{frac: f.Frac, windows: []claimWindow{{
+		at:    f.At,
+		hold:  f.RepairFor,
+		first: func(n, _ int) int { return rand.New(rand.NewSource(seed)).Intn(n) },
+		kill:  true,
+	}}}
 }
 
 // --- Crunch: capacity shrinkage -------------------------------------------
@@ -396,39 +389,13 @@ func (c Crunch) Validate() error {
 	return nil
 }
 
-// NewInjector implements TickEvent.
+// NewInjector implements TickEvent: the block is the pool's last hosts.
 func (c Crunch) NewInjector(int64) sim.Injector {
-	return &crunchInjector{ev: c}
-}
-
-// crunchInjector is the per-run state of one Crunch.
-type crunchInjector struct {
-	ev        Crunch
-	fired     bool
-	restored  bool
-	withdrawn []cluster.HostID
-}
-
-// Inject implements sim.Injector.
-func (in *crunchInjector) Inject(ctl *sim.Control, now time.Duration) {
-	if !in.fired && now >= in.ev.At {
-		in.fired = true
-		hosts := ctl.Pool().Hosts()
-		count := int(math.Round(in.ev.Frac * float64(len(hosts))))
-		if count < 1 {
-			count = 1
-		}
-		for _, h := range hosts[len(hosts)-count:] {
-			mustClaim(ctl.Withdraw(h.ID))
-			in.withdrawn = append(in.withdrawn, h.ID)
-		}
-	}
-	if in.fired && !in.restored && in.ev.For > 0 && now >= in.ev.At+in.ev.For {
-		in.restored = true
-		for _, id := range in.withdrawn {
-			mustClaim(ctl.Restore(id))
-		}
-	}
+	return &claimInjector{frac: c.Frac, windows: []claimWindow{{
+		at:    c.At,
+		hold:  c.For,
+		first: func(n, size int) int { return n - size },
+	}}}
 }
 
 // --- ModelSwap: mispredicting model push ----------------------------------

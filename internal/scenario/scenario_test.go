@@ -11,6 +11,7 @@ import (
 	"lava/internal/cluster"
 	"lava/internal/defrag"
 	"lava/internal/model"
+	"lava/internal/ptrace"
 	"lava/internal/resources"
 	"lava/internal/scheduler"
 	"lava/internal/sim"
@@ -306,6 +307,44 @@ func TestDrainWaveOverlapHoldsHosts(t *testing.T) {
 	inj.Inject(ctl, 5*time.Hour)
 	if got := unavailable(); len(got) != 0 {
 		t.Fatalf("after wave 1 release: unavailable = %v, want none", got)
+	}
+}
+
+// TestDrainWaveBoundaryOrder pins the record order where one wave ends as
+// the next starts (For == Every) and the two share hosts by wrapping: wave 0
+// holds hosts 0-6, wave 1 hosts 7,8,9,0,1,2,3. At the boundary wave 0
+// restores before wave 1 withdraws, so the shared hosts 0-3 flip twice in
+// that tick: back into service, then out again. The other order would
+// leave them claimed throughout and record no flip for them.
+func TestDrainWaveBoundaryOrder(t *testing.T) {
+	rec := ptrace.New(ptrace.Options{})
+	_, err := sim.Run(sim.Config{
+		Policy:    scheduler.NewWasteMin(),
+		Trace:     &trace.Trace{PoolName: "boundary", Hosts: 10, HostCPU: 32000, HostMem: 131072, Horizon: 6 * time.Hour},
+		Injectors: []sim.Injector{DrainWave{At: time.Hour, Every: 2 * time.Hour, Waves: 2, Frac: 0.7, For: 2 * time.Hour}.NewInjector(0)},
+		Tracer:    rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range rec.Decisions() {
+		if d.Kind == ptrace.KindWithdraw || d.Kind == ptrace.KindRestore {
+			got = append(got, fmt.Sprintf("%v %s %d", d.T, d.Kind, d.Host))
+		}
+	}
+	var want []string
+	flips := func(at time.Duration, kind ptrace.Kind, hosts ...int) {
+		for _, h := range hosts {
+			want = append(want, fmt.Sprintf("%v %s %d", at, kind, h))
+		}
+	}
+	flips(time.Hour, ptrace.KindWithdraw, 0, 1, 2, 3, 4, 5, 6)
+	flips(3*time.Hour, ptrace.KindRestore, 0, 1, 2, 3, 4, 5, 6)
+	flips(3*time.Hour, ptrace.KindWithdraw, 7, 8, 9, 0, 1, 2, 3)
+	flips(5*time.Hour, ptrace.KindRestore, 7, 8, 9, 0, 1, 2, 3)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("withdraw/restore records:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -89,13 +89,13 @@
 //	Op → Fleet.Do → topology.plan → steps → each cell's Server, in its ticket's turn
 //
 // plan is the single expansion: it validates the op against the topology
-// ledger (host counts, routable/retired masks, the commitment ledger, the
-// VM→cell map, the front-door admission gate), commits it, and returns the
-// cell-level steps — plain request values, each naming its cell — that carry
-// it out. A placement plans to one step in the cell the router picked, an
-// exit to one step in the cell that admitted the VM, a tick to one step per
-// live cell, a merge to a host grow plus a MigrateOut→MigrateIn pair per VM;
-// a cell drain plans to no step at all.
+// ledger (host counts, 0 for a retired cell; the routable mask, the
+// commitment ledger, the VM→cell map, the front-door admission gate),
+// commits it, and returns the cell-level steps — plain request values, each
+// naming its cell — that carry it out. A placement plans to one step in the
+// cell the router picked, an exit to one step in the cell that admitted the
+// VM, a tick to one step per live cell, a merge to a host grow plus a
+// MigrateOut→MigrateIn pair per VM; a cell drain plans to no step at all.
 //
 // Fleet.Do is the one executor, and there is one fleet engine. At an op's
 // front-door turn it is planned under the fleet mutex and every step draws

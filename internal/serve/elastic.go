@@ -36,8 +36,6 @@ var ErrNoRoutableCell = errors.New("serve: no routable cell")
 type topology struct {
 	*cell.Ledger
 
-	retired []bool // cell was merged away: terminal, unroutable, weight 0
-
 	// gate is the front-door SLO admission controller (nil: admission off).
 	// It lives on the topology because it is part of the same ledger
 	// contract: the Fleet consults it under its mutex at each op's
@@ -60,15 +58,17 @@ func newTopology(kind string, hosts []int) (*topology, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &topology{Ledger: l, retired: make([]bool, len(hosts))}, nil
+	return &topology{Ledger: l}, nil
 }
 
-// liveCell validates that c names a cell that has not been merged away.
+// liveCell validates that c names a cell that has not been merged away. A
+// merge is the only way a cell's weight reaches 0 (removeHost keeps one
+// host, a split leaves its source one), so weight 0 is what retired means.
 func (t *topology) liveCell(c int) error {
 	if c < 0 || c >= len(t.Hosts) {
 		return fmt.Errorf("serve: no cell %d (fleet has %d)", c, len(t.Hosts))
 	}
-	if t.retired[c] {
+	if t.Hosts[c] == 0 {
 		return fmt.Errorf("serve: cell %d is retired", c)
 	}
 	return nil
@@ -152,7 +152,6 @@ func (t *topology) split(c, k int) (int, error) {
 		return 0, err
 	}
 	t.Hosts[c] -= k
-	t.retired = append(t.retired, false)
 	return t.AddCell(k), nil
 }
 
@@ -179,7 +178,6 @@ func (t *topology) merge(from, into int) ([]cluster.VMID, error) {
 	t.Hosts[into] += t.Hosts[from]
 	t.Hosts[from] = 0
 	t.Routable[from] = false
-	t.retired[from] = true
 	return victims, nil
 }
 
@@ -193,7 +191,7 @@ func (t *topology) merge(from, into int) ([]cluster.VMID, error) {
 func (t *topology) rebalance(maxMoves int) (src, dst int, victims []cluster.VMID) {
 	src, dst = -1, -1
 	for i := range t.Hosts {
-		if t.retired[i] || t.Hosts[i] <= 0 {
+		if t.Hosts[i] == 0 {
 			continue
 		}
 		if src < 0 || t.Score(i) > t.Score(src) {
@@ -370,8 +368,8 @@ func (t *topology) plan(op *Op, buf []request) (steps []request, res OpResult, e
 	case OpTick:
 		// Retired cells are skipped: their clocks freeze at merge time and
 		// jump to the horizon when the fleet drains.
-		for c := range t.Hosts {
-			if !t.retired[c] {
+		for c, hosts := range t.Hosts {
+			if hosts > 0 {
 				step(reqTick, c)
 			}
 		}

@@ -193,12 +193,13 @@ func (f *Fleet) Cells() int {
 	return len(f.cells)
 }
 
-// snapshotCells copies the cell set and retirement flags under the lock;
-// elasticity ops may grow or retire cells at any moment.
-func (f *Fleet) snapshotCells() (cells []*Server, retired []bool) {
+// snapshotCells copies the cell set and the cells' ledger weights (0: the
+// cell retired) under the lock; elasticity ops may grow or retire cells at
+// any moment.
+func (f *Fleet) snapshotCells() (cells []*Server, hosts []int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([]*Server(nil), f.cells...), append([]bool(nil), f.topo.retired...)
+	return append([]*Server(nil), f.cells...), append([]int(nil), f.topo.Hosts...)
 }
 
 // Close closes the front door and every cell: parked and later requests are
@@ -313,7 +314,7 @@ func (f *Fleet) Snapshot() (FleetSnapshot, error) {
 // Stats gathers every cell's leaf concurrently and rolls them up into the
 // node (the Stats type says what sums and what excludes retired cells).
 func (f *Fleet) Stats() (Stats, error) {
-	cells, retired := f.snapshotCells()
+	cells, hosts := f.snapshotCells()
 	st := Stats{
 		Pool:      f.cfg.PoolName,
 		Policy:    f.policy,
@@ -331,7 +332,7 @@ func (f *Fleet) Stats() (Stats, error) {
 		return Stats{}, err
 	}
 	for c, s := range st.CellStats {
-		if retired[c] {
+		if hosts[c] == 0 {
 			st.Retired = append(st.Retired, c)
 		} else {
 			st.Hosts += s.Hosts

@@ -5,7 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +20,7 @@ import (
 	"lava/internal/runner"
 	"lava/internal/scheduler"
 	"lava/internal/sim"
+	"lava/internal/slo"
 	"lava/internal/trace"
 )
 
@@ -668,4 +672,117 @@ func BenchmarkFleetTick(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestOneCellFleetMatchesRun holds a one-cell fleet, run through
+// RunScriptOffline, to a plain sim.Run of the same trace: the same
+// placements (every sample of the series and the final pool), exits,
+// failures, model calls and per-class admission counts, under the dist and
+// oracle models with admission off, tracking and a throttled best-effort
+// class. The rollup's averages are held to 2 ulps, not to the bit: RollUp
+// weighs a lone cell's averages as w·x/w, which can round x by an ulp, and
+// the SLO fitness is a product of two of them.
+func TestOneCellFleetMatchesRun(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		for _, hosts := range []int{24, 37, 96} {
+			tr := classedTrace(t, hosts, 2, seed)
+			dist, err := model.TrainDistTable(tr.Records)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pred := range []model.Predictor{dist, model.Oracle{}} {
+				for _, admission := range []string{"", "track", "besteffort=1/6h:2"} {
+					t.Run(fmt.Sprintf("seed=%d/hosts=%d/%s/admit=%s", seed, hosts, pred.Name(), admission), func(t *testing.T) {
+						checkOneCellFleet(t, tr, pred, admission)
+					})
+				}
+			}
+		}
+	}
+}
+
+func checkOneCellFleet(t *testing.T, tr *trace.Trace, pred model.Predictor, admission string) {
+	t.Helper()
+	var adm *slo.Config
+	if admission != "" {
+		var err error
+		if adm, err = slo.ParseConfig(admission); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := sim.Run(sim.Config{Trace: tr, Policy: scheduler.NewLAVA(pred, time.Minute), SLO: adm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adm != nil && adm.BestEffort.Burst > 0 && want.SLO.Classes[slo.ClassBestEffort].Rejected == 0 {
+		t.Fatalf("%s rejected nothing", admission)
+	}
+	fc := FleetFromTrace(tr)
+	fc.Cells = 1
+	fc.SLO = adm
+	fc.NewPolicy = func(int) (scheduler.Policy, error) { return scheduler.NewLAVA(pred, time.Minute), nil }
+	roll, err := RunScriptOffline(fc, OpsFromTrace(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := roll.Cells[0]
+	if !reflect.DeepEqual(got.Series, want.Series) {
+		t.Fatal("the cell's sample series differs from sim.Run's")
+	}
+	for _, vm := range want.FinalPool.RunningVMs() {
+		if h := got.FinalPool.HostOf(vm.ID); h == nil || h.ID != vm.Host.ID {
+			t.Fatalf("vm %d ends on host %v, sim.Run placed it on %d", vm.ID, h, vm.Host.ID)
+		}
+	}
+	if g, w := got.FinalPool.NumVMs(), want.FinalPool.NumVMs(); g != w {
+		t.Fatalf("the cell ends with %d VMs, sim.Run with %d", g, w)
+	}
+
+	a, b := roll.Aggregates, want.Aggregates
+	for _, f := range []struct {
+		name     string
+		got, exp float64
+	}{
+		{"avg_empty_host_frac", a.AvgEmptyHostFrac, b.AvgEmptyHostFrac},
+		{"avg_empty_to_free", a.AvgEmptyToFree, b.AvgEmptyToFree},
+		{"avg_packing_density", a.AvgPackingDensity, b.AvgPackingDensity},
+		{"avg_cpu_util", a.AvgCPUUtil, b.AvgCPUUtil},
+	} {
+		if d := ulps(f.got, f.exp); d > 2 {
+			t.Errorf("%s = %v, sim.Run %v: %d ulps apart", f.name, f.got, f.exp, d)
+		}
+	}
+	if (a.SLO == nil) != (b.SLO == nil) {
+		t.Fatalf("slo summary %+v, sim.Run %+v", a.SLO, b.SLO)
+	}
+	if a.SLO != nil {
+		if !reflect.DeepEqual(a.SLO.Classes, b.SLO.Classes) {
+			t.Errorf("class counts %s, sim.Run %s", classCounts(a.SLO), classCounts(b.SLO))
+		}
+		// Fairness comes from the counts alone. Fitness multiplies it by two
+		// averages, so it is held to those of the rollup, not to sim.Run's.
+		if a.SLO.Fairness != b.SLO.Fairness {
+			t.Errorf("fairness %v, sim.Run %v", a.SLO.Fairness, b.SLO.Fairness)
+		}
+		if fit := slo.FitnessScore(a.AvgPackingDensity, a.AvgEmptyToFree, a.SLO.Fairness); a.SLO.Fitness != fit {
+			t.Errorf("fitness %v, want %v from the rollup's averages", a.SLO.Fitness, fit)
+		}
+	}
+	a.AvgEmptyHostFrac, a.AvgEmptyToFree, a.AvgPackingDensity, a.AvgCPUUtil, a.SLO = 0, 0, 0, 0, nil
+	b.AvgEmptyHostFrac, b.AvgEmptyToFree, b.AvgPackingDensity, b.AvgCPUUtil, b.SLO = 0, 0, 0, 0, nil
+	if a != b {
+		t.Errorf("counters %+v, sim.Run %+v", a, b)
+	}
+}
+
+// ulps is how many float64 steps apart two non-negative numbers are.
+func ulps(a, b float64) uint64 {
+	x, y := math.Float64bits(a), math.Float64bits(b)
+	return max(x, y) - min(x, y)
+}
+
+// classCounts renders a summary's per-class counts.
+func classCounts(s *slo.Summary) string {
+	data, _ := json.Marshal(s.Classes)
+	return string(data)
 }
